@@ -3,7 +3,7 @@
 # exercised even where the default would be sequential, plus the
 # static analyzer over the built-in guests and every example query.
 .PHONY: all build test check lint audit audit-sarif bench bench-smoke \
-        watch-smoke serve-smoke chaos matrix report
+        watch-smoke serve-smoke perfbench-smoke chaos matrix report
 
 all: build
 
@@ -147,6 +147,14 @@ serve-smoke: build
 	  cat $(SMOKE)/serve/serve.log; exit $$ok
 	dune exec bin/zkflow.exe -- slo --dir $(SMOKE)/serve/state --strict
 	@echo "serve-smoke: daemon served, drained cleanly, SLOs green"
+
+# The end-to-end benchmark (BENCHMARK.json, perfbench/) checked at
+# smoke size, about 30 s: every workload prints every declared metric
+# with no failed op, a tampered window counts as exactly one failed
+# op, and the harness fails cleanly in a directory without the
+# program's sources. See perfbench/README.md for full-size runs.
+perfbench-smoke: build
+	python3 perfbench/selftest.py
 
 # The proof-backend benchmark matrix (DESIGN.md §14): one aggregation
 # round per cell across backend × queries × scale, written to

@@ -131,9 +131,21 @@ let env_notes ~old_json ~new_json =
         "env: quick-mode flag differs — sweeps cover different grids" :: acc
       | _ -> acc
     in
+    (* More pool jobs than cores time-slices the workers, so the
+       artifact's timings are not an honest baseline. *)
+    let oversubscribed j side acc =
+      match (Jsonx.member "zkflow_jobs" j, Jsonx.member "ncores" j) with
+      | Some (Jsonx.Num jobs), Some (Jsonx.Num cores) when jobs > cores ->
+        Printf.sprintf
+          "env: %s artifact is oversubscribed (zkflow_jobs %g > ncores %g) — its timings are not an honest baseline"
+          side jobs cores
+        :: acc
+      | _ -> acc
+    in
     [] |> mismatch "git_commit" "cross-commit"
     |> mismatch "hostname" "cross-machine"
-    |> dirty o "OLD" |> dirty n "NEW" |> quick |> List.rev
+    |> dirty o "OLD" |> dirty n "NEW" |> quick
+    |> oversubscribed o "OLD" |> oversubscribed n "NEW" |> List.rev
   | _ -> []
 
 let diff ?(threshold = 0.25) ?(min_s = 0.05) ~old_json ~new_json () =

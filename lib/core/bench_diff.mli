@@ -24,7 +24,9 @@
     perf regression. The artifacts' [env] provenance blocks are also
     cross-checked: differing git commits or hostnames, a dirty
     working tree, or mismatched quick-mode flags each add a note
-    naming the cross-commit / cross-machine caveat. *)
+    naming the cross-commit / cross-machine caveat, and an artifact
+    whose [zkflow_jobs] exceeds its [ncores] adds an oversubscription
+    note. *)
 
 val row_key : Zkflow_util.Jsonx.t -> string option
 (** The full configuration key of one artifact row, e.g.

@@ -5,7 +5,8 @@
     SHA accelerator ecall (mirroring RISC Zero's SHA-256 precompile). *)
 
 type ctx
-(** Streaming hash context. *)
+(** Streaming hash context. Absorbing and compressing allocate
+    nothing; [finalize] allocates only the digest it returns. *)
 
 val init : unit -> ctx
 (** [init ()] is a fresh context. *)
@@ -28,6 +29,18 @@ val update_string : ctx -> string -> unit
 val finalize : ctx -> bytes
 (** [finalize ctx] pads, produces the 32-byte digest and invalidates
     [ctx]: further [update]/[finalize] calls raise [Invalid_argument]. *)
+
+val digest64_into :
+  ctx -> src:bytes -> src_pos:int -> dst:bytes -> dst_pos:int -> unit
+(** [digest64_into ctx ~src ~src_pos ~dst ~dst_pos] writes the SHA-256
+    of the 64 bytes [src.[src_pos .. src_pos+63]] into
+    [dst.[dst_pos .. dst_pos+31]]: the Merkle node hash over two
+    adjacent child digests. [dst] may overlap [src]. [ctx] is working
+    storage: any message in progress is discarded and [ctx] is left
+    finalized, so one context serves a whole loop of calls but must
+    never be shared between domains. Counts two compressions, like the streamed
+    hash of the same bytes, and allocates nothing. Raises
+    [Invalid_argument] when either window is out of range. *)
 
 val digest : bytes -> bytes
 (** [digest b] is the one-shot 32-byte SHA-256 of [b]. *)

@@ -170,9 +170,8 @@ let flush t =
           let ctx = Zkflow_hash.Sha256.init () in
           for j = lo to hi - 1 do
             let p = parents.(j) in
-            Zkflow_hash.Sha256.reset ctx;
-            Zkflow_hash.Sha256.update_sub ctx buf ~pos:(32 * (src + (2 * p))) ~len:64;
-            Bytes.blit (Zkflow_hash.Sha256.finalize ctx) 0 buf (32 * (dst + p)) 32
+            Zkflow_hash.Sha256.digest64_into ctx ~src:buf ~src_pos:(32 * (src + (2 * p)))
+              ~dst:buf ~dst_pos:(32 * (dst + p))
           done;
           Obs.Metric.add m_nodes (hi - lo));
       rehashed := !rehashed + !np;

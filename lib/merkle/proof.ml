@@ -2,14 +2,22 @@ module D = Zkflow_hash.Digest32
 
 type t = { index : int; siblings : D.t array }
 
+(* The running digest sits in the half of [pair] that the current
+   index bit names, the sibling goes in the other half, and each level
+   writes its parent straight into the half the next level needs. *)
 let compute_root t leaf_hash =
-  let acc = ref leaf_hash and idx = ref t.index in
+  let ctx = Zkflow_hash.Sha256.init () and pair = Bytes.create 64 in
+  let half idx = 32 * (idx land 1) in
+  let idx = ref t.index in
+  Bytes.blit (D.unsafe_to_bytes leaf_hash) 0 pair (half !idx) 32;
   Array.iter
     (fun sib ->
-      acc := if !idx land 1 = 0 then D.combine !acc sib else D.combine sib !acc;
-      idx := !idx lsr 1)
+      Bytes.blit (D.unsafe_to_bytes sib) 0 pair (32 - half !idx) 32;
+      idx := !idx lsr 1;
+      Zkflow_hash.Sha256.digest64_into ctx ~src:pair ~src_pos:0 ~dst:pair
+        ~dst_pos:(half !idx))
     t.siblings;
-  !acc
+  D.of_bytes (Bytes.sub pair (half !idx) 32)
 
 let verify ~root ~leaf_hash t = D.equal root (compute_root t leaf_hash)
 

@@ -45,17 +45,15 @@ let level_offsets padded depth =
   done;
   level_off
 
-(* Hash parent slots [lo, hi) of one level: read 64 child bytes at
-   [src], write 32 parent bytes at [dst]. Each chunk owns a mutable
-   SHA-256 ctx and reuses it across its hashes — contexts must never
-   be shared between workers. *)
-let hash_range buf ~src ~dst lo hi =
+(* Hash parent slots [lo, hi) of one level: parent [i] is the node
+   hash of the 64 child bytes at slot [src + 2i] of [sbuf], written to
+   slot [dst + i] of [dbuf]. Each chunk owns its SHA-256 ctx — contexts
+   must never be shared between workers. *)
+let hash_range ~sbuf ~src ~dbuf ~dst lo hi =
   let ctx = Zkflow_hash.Sha256.init () in
   for i = lo to hi - 1 do
-    Zkflow_hash.Sha256.reset ctx;
-    Zkflow_hash.Sha256.update_sub ctx buf ~pos:(32 * (src + (2 * i))) ~len:64;
-    let h = Zkflow_hash.Sha256.finalize ctx in
-    Bytes.blit h 0 buf (32 * (dst + i)) 32
+    Zkflow_hash.Sha256.digest64_into ctx ~src:sbuf ~src_pos:(32 * (src + (2 * i)))
+      ~dst:dbuf ~dst_pos:(32 * (dst + i))
   done;
   Obs.Metric.add m_nodes (hi - lo)
 
@@ -63,11 +61,11 @@ let hash_range buf ~src ~dst lo hi =
    hashed in parallel chunks. Small top levels fall under the chunk
    floor and run sequentially through the same code path. *)
 let build_levels buf level_off depth =
-  (* Parents hash the 64 contiguous bytes of their two children. *)
   for level = 0 to depth - 1 do
     let src = level_off.(level) and dst = level_off.(level + 1) in
     let width = level_off.(level + 1) - level_off.(level) in
-    Pool.parallel_for ~min_chunk:1024 (width / 2) (hash_range buf ~src ~dst)
+    Pool.parallel_for ~min_chunk:1024 (width / 2)
+      (hash_range ~sbuf:buf ~src ~dbuf:buf ~dst)
   done
 
 let of_leaf_hashes hs =
@@ -182,15 +180,8 @@ let root_of_leaf_hashes hs =
   let width = ref padded in
   while !width > 1 do
     let s = !src and d = !dst in
-    Pool.parallel_for ~min_chunk:1024 (!width / 2) (fun lo hi ->
-        let ctx = Zkflow_hash.Sha256.init () in
-        for i = lo to hi - 1 do
-          Zkflow_hash.Sha256.reset ctx;
-          Zkflow_hash.Sha256.update_sub ctx s ~pos:(64 * i) ~len:64;
-          let h = Zkflow_hash.Sha256.finalize ctx in
-          Bytes.blit h 0 d (32 * i) 32
-        done;
-        Obs.Metric.add m_nodes (hi - lo));
+    Pool.parallel_for ~min_chunk:1024 (!width / 2)
+      (hash_range ~sbuf:s ~src:0 ~dbuf:d ~dst:0);
     src := d;
     dst := s;
     width := !width / 2

@@ -151,9 +151,14 @@ let read_request fd =
   in
   go ()
 
-let handle_conn handler fd =
+(* [release] frees the connection slot before the close that ends the
+   client's read: a client holding its whole response can then always
+   connect again without meeting a 503. *)
+let handle_conn ~release handler fd =
   Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    ~finally:(fun () ->
+      release ();
+      try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
       match read_request fd with
       | exception Read_deadline ->
@@ -250,9 +255,7 @@ let start ?(host = "127.0.0.1") ?(max_conns = 64) ?(read_timeout_s = 10.) ~port
                 ignore
                   (Thread.create
                      (fun () ->
-                       Fun.protect
-                         ~finally:(fun () -> Atomic.decr conns)
-                         (fun () -> handle_conn handler fd))
+                       handle_conn ~release:(fun () -> Atomic.decr conns) handler fd)
                      ()));
               loop ()
             | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()

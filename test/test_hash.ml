@@ -80,6 +80,105 @@ let prop_sha_streaming =
       Sha256.update_sub ctx b ~pos:cut ~len:(n - cut);
       Bytes.equal (Sha256.finalize ctx) (Sha256.digest b))
 
+(* Known answers at the padding-spill boundaries: 55 bytes is the
+   longest message whose length fits in its last block, 56 and 63 spill
+   the length into an extra block, 64 is one full block, and 119/120
+   repeat the boundary one block later. The message is bytes 0..n-1;
+   the digests were computed independently (python3 hashlib and
+   sha256sum agree). *)
+let padding_boundary_vectors =
+  [
+    (55, "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59");
+    (56, "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562");
+    (63, "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488");
+    (64, "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108");
+    (119, "da18797ed7c3a777f0847f429724a2d8cd5138e6ed2895c3fa1a6d39d18f7ec6");
+    (120, "f52b23db1fbb6ded89ef42a23ce0c8922c45f25c50b568a93bf1c075420bbb7c");
+  ]
+
+let test_sha_padding_boundaries () =
+  List.iter
+    (fun (n, expected) ->
+      let msg = String.init n Char.chr in
+      check_string (Printf.sprintf "%d bytes" n) expected (sha_hex msg);
+      (* the same message streamed a byte at a time through one ctx *)
+      let ctx = Sha256.init () in
+      String.iter (fun c -> Sha256.update_string ctx (String.make 1 c)) msg;
+      check_string (Printf.sprintf "%d bytes streamed" n) expected
+        (hex (Sha256.finalize ctx)))
+    padding_boundary_vectors
+
+(* ---- the 64-byte node primitive ---- *)
+
+let test_digest64_known_answer () =
+  let src = Bytes.init 64 Char.chr and dst = Bytes.make 32 '\000' in
+  Sha256.digest64_into (Sha256.init ()) ~src ~src_pos:0 ~dst ~dst_pos:0;
+  check_string "bytes 0..63" (List.assoc 64 padding_boundary_vectors) (hex dst)
+
+let test_digest64_bounds () =
+  let ctx = Sha256.init () in
+  let src = Bytes.create 100 and dst = Bytes.create 40 in
+  let rejects what ~src_pos ~dst_pos =
+    Alcotest.check_raises what (Invalid_argument "Sha256.digest64_into: out of bounds")
+      (fun () -> Sha256.digest64_into ctx ~src ~src_pos ~dst ~dst_pos)
+  in
+  rejects "negative src_pos" ~src_pos:(-1) ~dst_pos:0;
+  rejects "source window past the end" ~src_pos:37 ~dst_pos:0;
+  rejects "negative dst_pos" ~src_pos:0 ~dst_pos:(-1);
+  rejects "destination slot past the end" ~src_pos:0 ~dst_pos:9;
+  rejects "huge src_pos" ~src_pos:max_int ~dst_pos:0;
+  rejects "huge dst_pos" ~src_pos:0 ~dst_pos:max_int;
+  Alcotest.check_raises "63-byte source"
+    (Invalid_argument "Sha256.digest64_into: out of bounds") (fun () ->
+      Sha256.digest64_into ctx ~src:(Bytes.create 63) ~src_pos:0 ~dst ~dst_pos:0);
+  (* the last in-range windows are accepted *)
+  Sha256.digest64_into ctx ~src ~src_pos:36 ~dst ~dst_pos:8;
+  check_string "last windows" (hex (Sha256.digest_sub src ~pos:36 ~len:64))
+    (hex (Bytes.sub dst 8 32))
+
+let test_digest64_reuses_finalized_ctx () =
+  (* The primitive discards whatever the ctx held and leaves it
+     finalized; a reset makes it a fresh streaming ctx again. *)
+  let ctx = Sha256.init () in
+  Sha256.update_string ctx "half a message";
+  let src = Bytes.make 64 'n' and dst = Bytes.create 32 in
+  Sha256.digest64_into ctx ~src ~src_pos:0 ~dst ~dst_pos:0;
+  check_string "in-progress message ignored" (hex (Sha256.digest src)) (hex dst);
+  Alcotest.check_raises "left finalized"
+    (Invalid_argument "Sha256: context already finalized") (fun () ->
+      Sha256.update_string ctx "more");
+  Sha256.reset ctx;
+  Sha256.update_string ctx "abc";
+  check_string "reset works" (sha_hex "abc") (hex (Sha256.finalize ctx))
+
+(* A buffer, a 64-byte source window and a 32-byte destination slot,
+   both anywhere in the same buffer — so the slot overlaps the window
+   in a good share of the cases. *)
+let prop_digest64_matches_digest_sub =
+  let gen =
+    QCheck.Gen.(
+      int_range 64 160 >>= fun len ->
+      string_size (return len) >>= fun s ->
+      int_range 0 (len - 64) >>= fun src_pos ->
+      int_range 0 (len - 32) >|= fun dst_pos -> (s, src_pos, dst_pos))
+  in
+  let print (s, src_pos, dst_pos) =
+    Printf.sprintf "len=%d src_pos=%d dst_pos=%d" (String.length s) src_pos dst_pos
+  in
+  QCheck.Test.make ~name:"digest64_into writes digest_sub of the window" ~count:500
+    (QCheck.make ~print gen)
+    (fun (s, src_pos, dst_pos) ->
+      let buf = Bytes.of_string s in
+      let expected = Sha256.digest_sub buf ~pos:src_pos ~len:64 in
+      Sha256.digest64_into (Sha256.init ()) ~src:buf ~src_pos ~dst:buf ~dst_pos;
+      (* the slot holds the digest and every other byte is untouched *)
+      Bytes.equal (Bytes.sub buf dst_pos 32) expected
+      && List.for_all
+           (fun i -> Bytes.get buf i = s.[i])
+           (List.filter
+              (fun i -> i < dst_pos || i >= dst_pos + 32)
+              (List.init (String.length s) Fun.id)))
+
 (* ---- HMAC-SHA256: RFC 4231 vectors ---- *)
 
 let test_hmac_rfc4231_case1 () =
@@ -223,6 +322,14 @@ let () =
           Alcotest.test_case "update_sub bounds" `Quick test_sha_update_sub_bounds;
           Alcotest.test_case "digest_concat" `Quick test_sha_digest_concat;
           q prop_sha_streaming;
+          Alcotest.test_case "padding boundaries" `Quick test_sha_padding_boundaries;
+        ] );
+      ( "digest64",
+        [
+          Alcotest.test_case "known answer" `Quick test_digest64_known_answer;
+          Alcotest.test_case "bounds" `Quick test_digest64_bounds;
+          Alcotest.test_case "ctx is working storage" `Quick test_digest64_reuses_finalized_ctx;
+          q prop_digest64_matches_digest_sub;
         ] );
       ( "hmac",
         [

@@ -327,6 +327,35 @@ let test_env_provenance_notes () =
   let r = diff_exn a a in
   check_int "no provenance notes" 0 (List.length r.Bench_diff.notes)
 
+let test_oversubscribed_note () =
+  let with_jobs ~jobs ~cores =
+    artifact
+      ~env:
+        (env ~commit:"aaa" ~dirty:false ~host:"h"
+        @ [ ("zkflow_jobs", Jsonx.Num jobs); ("ncores", Jsonx.Num cores) ])
+      [ row () ]
+  in
+  let notes a b =
+    List.filter
+      (fun n -> contains ~needle:"oversubscribed" n)
+      (diff_exn a b).Bench_diff.notes
+  in
+  let honest = with_jobs ~jobs:1. ~cores:1. and over = with_jobs ~jobs:2. ~cores:1. in
+  (* jobs = cores is honest, on either side *)
+  check_int "no note at jobs = cores" 0
+    (List.length (notes honest (with_jobs ~jobs:4. ~cores:4.)));
+  (match notes over honest with
+   | [ n ] -> check_bool "OLD side named" true (contains ~needle:"OLD artifact" n)
+   | l -> Alcotest.failf "want one note for an oversubscribed OLD, got %d" (List.length l));
+  (match notes honest over with
+   | [ n ] ->
+     check_bool "NEW side named" true (contains ~needle:"NEW artifact" n);
+     check_bool "cites the counts" true (contains ~needle:"zkflow_jobs 2 > ncores 1" n)
+   | l -> Alcotest.failf "want one note for an oversubscribed NEW, got %d" (List.length l));
+  check_int "both sides noted" 2 (List.length (notes over over));
+  (* a caveat, never a regression *)
+  check_bool "still ok" true (Bench_diff.ok (diff_exn over over))
+
 let test_quick_flag_mismatch_note () =
   let quick = artifact ~env:(env ~commit:"aaa" ~dirty:false ~host:"h") [ row () ] in
   let full =
@@ -442,6 +471,7 @@ let () =
           Alcotest.test_case "_bits direction inverted" `Quick
             test_bits_direction_inverted;
           Alcotest.test_case "env provenance notes" `Quick test_env_provenance_notes;
+          Alcotest.test_case "oversubscribed env note" `Quick test_oversubscribed_note;
           Alcotest.test_case "quick-flag mismatch note" `Quick
             test_quick_flag_mismatch_note;
         ] );

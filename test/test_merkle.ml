@@ -447,6 +447,34 @@ let prop_incr_random_ops =
       !ok
       && D.equal (Tree.root (Tree.of_leaf_hashes !model)) (Incremental.root inc))
 
+(* ---- golden vectors ----
+
+   Literal roots fixed before the node hash was rewritten. Every node
+   path (full build, root-only fold, inclusion-proof walk, incremental
+   store) must reproduce them, so a change to the node rule cannot pass
+   by changing [Tree] and [Digest32.combine] the same way. The leaves
+   are short, so the padding leaf and its subtrees are exercised. *)
+
+let golden_root_5 = "774e0f5df57c5ce9cb0b1be86367baf68abf452413d146704c5472841b260a9b"
+let golden_root_1000 = "3bda6aef4f66e9e7b4c2638e08fa27eca72ba049a300e3007ebcf250c3320318"
+
+let test_golden_roots () =
+  List.iter
+    (fun (n, expected) ->
+      let data = leaves n in
+      let tree = Tree.of_leaves data in
+      let hs = Tree.hash_leaves data in
+      let inc = Incremental.create () in
+      Array.iter (Incremental.append inc) hs;
+      let check what d =
+        Alcotest.(check string) (Printf.sprintf "n=%d %s" n what) expected (D.to_hex d)
+      in
+      check "Tree.of_leaves" (Tree.root tree);
+      check "root_of_leaf_hashes" (Tree.root_of_leaf_hashes hs);
+      check "Proof.compute_root" (Proof.compute_root (Tree.prove tree (n - 1)) hs.(n - 1));
+      check "Incremental" (Incremental.root inc))
+    [ (5, golden_root_5); (1000, golden_root_1000) ]
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "zkflow_merkle"
@@ -461,6 +489,7 @@ let () =
           Alcotest.test_case "two-leaf combine" `Quick test_tree_two_leaf_root_is_combine;
           Alcotest.test_case "root_of_leaf_hashes" `Quick test_tree_root_of_leaf_hashes_agrees;
           Alcotest.test_case "leaf accessor" `Quick test_tree_leaf_accessor;
+          Alcotest.test_case "golden roots" `Quick test_golden_roots;
         ] );
       ( "proof",
         [

@@ -731,6 +731,41 @@ let test_stats_json_parses () =
       | None -> Alcotest.fail (name ^ " not registered"))
     [ "sha256.compressions"; "merkle.nodes_hashed"; "zkvm.cycles" ]
 
+(* The hash counters count exactly one per compression and one per
+   node, so their deltas have closed forms. For n short leaves padded
+   to P: n leaf compressions plus two per interior node, and n leaves
+   plus P - 1 interior nodes. A path check hashes one leaf and two
+   blocks per level. *)
+let test_hash_counters_exact () =
+  let module Tree = Zkflow_merkle.Tree in
+  let module Proof = Zkflow_merkle.Proof in
+  let compressions = Metric.counter "sha256.compressions"
+  and nodes = Metric.counter "merkle.nodes_hashed" in
+  let delta f =
+    let c0 = Metric.value compressions and n0 = Metric.value nodes in
+    let r = f () in
+    (r, Metric.value compressions - c0, Metric.value nodes - n0)
+  in
+  Obs.with_enabled (fun () ->
+      List.iter
+        (fun n ->
+          let data = Array.init n (fun i -> Bytes.of_string (Printf.sprintf "leaf-%d" i)) in
+          let p = Tree.next_pow2 n in
+          let tree, c, k = delta (fun () -> Tree.of_leaves data) in
+          check_int (Printf.sprintf "n=%d compressions" n) (n + (2 * (p - 1))) c;
+          check_int (Printf.sprintf "n=%d nodes" n) (n + p - 1) k;
+          let proof = Tree.prove tree (n - 1) in
+          let ok, c, k =
+            delta (fun () -> Proof.verify_data ~root:(Tree.root tree) data.(n - 1) proof)
+          in
+          check_bool "path verifies" true ok;
+          check_int
+            (Printf.sprintf "n=%d verify_data compressions" n)
+            (1 + (2 * Proof.depth proof))
+            c;
+          check_int "verify_data counts no tree nodes" 0 k)
+        [ 5; 1000 ])
+
 let test_prometheus_mentions_metrics () =
   ignore (run_traced_round ());
   let text = Export.prometheus () in
@@ -927,6 +962,7 @@ let () =
         [
           Alcotest.test_case "trace_event schema" `Quick test_trace_json_schema;
           Alcotest.test_case "stats json" `Quick test_stats_json_parses;
+          Alcotest.test_case "hash counters exact" `Quick test_hash_counters_exact;
           Alcotest.test_case "prometheus" `Quick test_prometheus_mentions_metrics;
           Alcotest.test_case "prometheus quantiles" `Quick test_prometheus_quantiles;
         ] );

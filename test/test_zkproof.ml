@@ -457,6 +457,45 @@ let test_soundness_bits_rejects_bad_fraction () =
   check_bool "negative rejected" true (rejects (-0.1));
   check_bool "interior accepted" false (rejects 0.5)
 
+(* ---- golden vectors ----
+
+   Literals fixed before the SHA-256 kernel and the Merkle node hash
+   were rewritten: the guests' image ids and the digest of one
+   fixed-seed aggregation receipt. Any change to how the prover hashes
+   (leaves, nodes, the jacc chain, the transcript) moves one of them. *)
+
+module Core = Zkflow_core
+module Gen = Zkflow_netflow.Gen
+
+let golden_aggregation_image_id = "516d73653681a1d444546cd7308ee225e845de28ddf735919e9460f2985962ae"
+let golden_query_image_id = "efe4a18c35efc13a4128d3d9c94d20ca82a761c64391eea55a40cd937a7d5d1c"
+let golden_aggregation_receipt_sha256 = "050cf5c8ba4f88a5f4ae1cd80ba39cbc9413ebd24ad29507f9979c4ea2262789"
+
+let test_golden_image_ids () =
+  let check_hex what expected d =
+    Alcotest.(check string) what expected (Zkflow_hash.Digest32.to_hex d)
+  in
+  check_hex "aggregation guest" golden_aggregation_image_id
+    (Core.Guests.aggregation_image_id ());
+  check_hex "query guest" golden_query_image_id (Core.Guests.query_image_id ())
+
+let test_golden_aggregation_receipt () =
+  let rng = Zkflow_util.Rng.create 13L in
+  let batches =
+    List.init 2 (fun router_id ->
+        let records = Gen.records rng Gen.default_profile ~router_id ~count:6 in
+        (Zkflow_netflow.Export.batch_hash records, records))
+  in
+  match
+    Core.Aggregate.prove_round ~params:(Params.make ~queries:8) ~prev:Core.Clog.empty
+      batches
+  with
+  | Error e -> Alcotest.fail ("prove_round failed: " ^ e)
+  | Ok round ->
+    Alcotest.(check string) "receipt encoding sha256" golden_aggregation_receipt_sha256
+      (Zkflow_util.Hexcodec.encode
+         (Zkflow_hash.Sha256.digest (Receipt.encode round.Core.Aggregate.receipt)))
+
 let () =
   Alcotest.run "zkflow_zkproof"
     [
@@ -468,6 +507,8 @@ let () =
           Alcotest.test_case "params respected" `Quick test_params_respected;
           Alcotest.test_case "fewer queries, smaller seal" `Quick test_seal_smaller_with_fewer_queries;
           Alcotest.test_case "commit cache re-prove" `Quick test_commit_cache_reprove_identical;
+          Alcotest.test_case "golden image ids" `Quick test_golden_image_ids;
+          Alcotest.test_case "golden aggregation receipt" `Quick test_golden_aggregation_receipt;
         ] );
       ( "rejection",
         [
