@@ -830,7 +830,7 @@ let watch dir events timeseries specs_file listen probe =
 (* ---- chaos ---- *)
 
 let chaos dir seed plan_file routers flows rate duration loss queries
-    max_restarts daemon json events listen =
+    max_restarts json events listen =
   let events = match events with Some p -> Some p | None -> Some (events_path dir) in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let* server =
@@ -859,33 +859,10 @@ let chaos dir seed plan_file routers flows rate duration loss queries
           max_restarts;
         }
       in
-      let verdict report ~flood_ok =
-        if report.Chaos.safety_ok && report.Chaos.liveness_ok && flood_ok then
-          Ok ()
-        else
-          Error
-            (Printf.sprintf "chaos: %s violated under plan %S"
-               (match
-                  (report.Chaos.safety_ok, report.Chaos.liveness_ok, flood_ok)
-                with
-               | false, false, _ -> "safety and liveness"
-               | false, true, _ -> "safety"
-               | true, false, _ -> "liveness"
-               | _ -> "bounded-ingest shedding")
-               report.Chaos.plan.Fault.name)
-      in
-      if daemon then begin
-        let* r = Chaos.run_daemon ~dir ~config ~plan () in
-        if json then print_endline (Jsonx.to_string (Chaos.daemon_to_json r))
-        else Format.printf "%a@." Chaos.pp_daemon r;
-        verdict r.Chaos.base ~flood_ok:r.Chaos.flood_ok
-      end
-      else begin
-        let* report = Chaos.run ~dir ~config ~plan () in
-        if json then print_endline (Jsonx.to_string (Chaos.to_json report))
-        else Format.printf "%a@." Chaos.pp report;
-        verdict report ~flood_ok:true
-      end)
+      let* report = Chaos.run ~dir ~config ~plan () in
+      if json then print_endline (Jsonx.to_string (Chaos.to_json report))
+      else Format.printf "%a@." Chaos.pp report;
+      Chaos.verdict report)
 
 (* ---- serve: the resident daemon ---- *)
 
@@ -1370,34 +1347,29 @@ let chaos_cmd =
     Arg.(value & opt int 40 & info [ "max-restarts" ]
            ~doc:"Kill/resume budget before the harness gives up.")
   in
-  let daemon =
-    Arg.(value & flag & info [ "daemon" ]
-           ~doc:"Aim the plan at the resident daemon instead of the batch \
-                 prover: windows flow through the bounded ingest queue, kills \
-                 go through the supervised restart path, and a flood entry \
-                 adds an overload burst whose shed count must be exact.")
-  in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON output.")
   in
   let run dir seed plan routers flows rate duration loss queries max_restarts
-      daemon json events listen =
+      json events listen =
     handle
       (chaos dir seed plan routers flows rate duration loss queries max_restarts
-         daemon json events listen)
+         json events listen)
   in
   Cmd.v
     (Cmd.info "chaos"
-       ~doc:"Run one deterministic chaos cycle: simulate traffic, inject the \
-             plan's faults (router drops/delays/duplicates, prover crashes, \
-             checkpoint corruption), kill and resume the prover, then assert \
-             safety (every receipt verifies; the final root is bit-identical \
-             to an uninterrupted twin run) and liveness (everything verified \
-             or explicitly degraded — never silent loss). With --daemon the \
-             same plan runs against the resident daemon's bounded-ingest \
-             pipeline. Exits nonzero on any violation.")
+       ~doc:"Run one deterministic chaos cycle: simulate traffic, feed it \
+             through the resident daemon (the same pipeline as serve) while \
+             injecting the plan's faults (router drops/delays/duplicates, \
+             prover crashes, checkpoint corruption, ingest floods), kill and \
+             restart it, then assert safety (every receipt verifies; the \
+             final root is bit-identical to an uninterrupted batch twin), \
+             liveness (everything verified or explicitly degraded — never \
+             silent loss) and the SLO cross-check (exactly the objectives \
+             the injected faults wound fire). Exits nonzero on any \
+             violation.")
     Term.(const run $ dir_arg $ seed $ plan $ routers $ flows $ rate $ duration
-          $ loss $ queries $ max_restarts $ daemon $ json $ events_arg
+          $ loss $ queries $ max_restarts $ json $ events_arg
           $ listen_arg)
 
 let serve_cmd =

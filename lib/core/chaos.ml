@@ -54,6 +54,15 @@ type report = {
   slo_ok : bool;
   twin_slo_fired : string list;
   twin_slo_ok : bool;
+  submitted : int;
+  accepted : int;
+  shed : int;
+  duplicates : int;
+  drains : int;
+  breaker_opens : int;
+  flood_windows : int;
+  flood_shed : int;
+  flood_ok : bool;
 }
 
 let ( let* ) = Result.bind
@@ -162,8 +171,14 @@ let attempt_duplicate emitted board db ~plan ~emit ~router_id ~epoch =
   end
   else Ok ()
 
-let publish_prompt emitted board db ~plan ~emit =
-  let epochs = Db.epochs db in
+(* One walk serves both phases: the prompt walk ([~held:false])
+   publishes everything neither dropped nor delayed, marking the faults
+   it applies; the held walk ([~held:true]) delivers what the delays
+   held back, per router in epoch order (the board insists). *)
+let publish_walk ~held emitted board db ~plan ~emit =
+  let mark kind ~router_id ~epoch =
+    if emit && not held then emit_once emitted ~kind ~router:router_id ~epoch
+  in
   let rec per_epoch = function
     | [] -> Ok ()
     | epoch :: rest ->
@@ -172,12 +187,12 @@ let publish_prompt emitted board db ~plan ~emit =
         | router_id :: rs ->
           if Board.lookup board ~router_id ~epoch <> None then per_router rs
           else if Fault.dropped plan ~router:router_id ~epoch then begin
-            if emit then emit_once emitted ~kind:"fault.drop" ~router:router_id ~epoch;
+            mark "fault.drop" ~router_id ~epoch;
             per_router rs
           end
-          else if blocked plan ~router:router_id ~epoch then begin
-            if emit && Fault.delayed plan ~router:router_id ~epoch then
-              emit_once emitted ~kind:"fault.delay" ~router:router_id ~epoch;
+          else if blocked plan ~router:router_id ~epoch <> held then begin
+            if Fault.delayed plan ~router:router_id ~epoch then
+              mark "fault.delay" ~router_id ~epoch;
             per_router rs
           end
           else
@@ -187,33 +202,9 @@ let publish_prompt emitted board db ~plan ~emit =
       in
       per_router (Db.routers_for db ~epoch)
   in
-  per_epoch epochs
+  per_epoch (Db.epochs db)
 
-(* Deliver everything the delay faults held back, per router in epoch
-   order (the board insists). Also idempotent. *)
-let publish_held emitted board db ~plan ~emit =
-  let epochs = Db.epochs db in
-  let rec per_epoch = function
-    | [] -> Ok ()
-    | epoch :: rest ->
-      let rec per_router = function
-        | [] -> per_epoch rest
-        | router_id :: rs ->
-          if
-            Board.lookup board ~router_id ~epoch <> None
-            || Fault.dropped plan ~router:router_id ~epoch
-            || not (blocked plan ~router:router_id ~epoch)
-          then per_router rs
-          else
-            let* _ = publish_pair board db ~router_id ~epoch in
-            let* () = attempt_duplicate emitted board db ~plan ~emit ~router_id ~epoch in
-            per_router rs
-      in
-      per_router (Db.routers_for db ~epoch)
-  in
-  per_epoch epochs
-
-(* ---- aggregation phase (shared by twin and chaos runs) ---- *)
+(* ---- aggregation phase of the twin ---- *)
 
 let aggregate_uncovered service db =
   let covered = Prover_service.covered_epochs service in
@@ -245,9 +236,9 @@ let twin_root ~cfg ~plan db =
         ~proof_params:(Zkflow_zkproof.Params.make ~queries:cfg.queries)
         ~db ~board ()
     in
-    let* () = publish_prompt emitted board db ~plan ~emit:false in
+    let* () = publish_walk ~held:false emitted board db ~plan ~emit:false in
     let* () = aggregate_uncovered service db in
-    let* () = publish_held emitted board db ~plan ~emit:false in
+    let* () = publish_walk ~held:true emitted board db ~plan ~emit:false in
     let* _ = Prover_service.heal service in
     Ok (Prover_service.latest_root service)
   in
@@ -303,99 +294,13 @@ let apply_storage_fault ~seed ~serial path = function
     end
   | _ -> ()
 
-(* ---- the chaos run ---- *)
+(* ---- verification ----
 
-exception Recovery_failed of string
-
-let run ?dir ?(config = default_config) ~plan () =
-  let cfg = config in
-  let dir =
-    match dir with
-    | Some d ->
-      if not (Sys.file_exists d) then Sys.mkdir d 0o755;
-      d
-    | None ->
-      let d = Filename.temp_file "zkflow-chaos" "" in
-      Sys.remove d;
-      Sys.mkdir d 0o755;
-      d
-  in
-  let ckpt_path = Filename.concat dir "checkpoints.wal" in
-  if Sys.file_exists ckpt_path then Sys.remove ckpt_path;
-  let db, packets, records =
-    simulate ~cfg ~seed:plan.Fault.seed ~wal_path:(Filename.concat dir "rlogs.wal")
-  in
-  let proof_params = Zkflow_zkproof.Params.make ~queries:cfg.queries in
-  (* Control run first, before any fault is armed. *)
-  let* twin, twin_events = twin_root ~cfg ~plan db in
-  (* Now the chaos. *)
-  Fault.install plan;
-  let emitted = Hashtbl.create 16 in
-  let board = Board.create () in
-  let crashes = ref 0 and resumes = ref 0 and restored = ref 0 in
-  let service = ref (Prover_service.create ~proof_params ~db ~board ()) in
-  Prover_service.with_checkpoints !service ~path:ckpt_path;
-  let storage_queue = ref (Fault.storage_faults plan) in
-  let serial = ref 0 in
-  (* Kill/restart loop: a Fault.Crash anywhere inside [step] plays the
-     process dying — the in-memory service is abandoned (its unsynced
-     checkpoint buffer lost), at most one pending storage fault
-     corrupts the checkpoint file "while the process is down", and
-     resume rebuilds a fresh service from disk. [step] bodies are
-     idempotent against the recovered state, so re-running them picks
-     up exactly where the synced history ends. Resume itself runs
-     inside the protection: a crash site armed inside recovery (e.g.
-     "atomic.pre_rename" during compaction) triggers another
-     restart. *)
-  let rec step name f =
-    match f !service with
-    | result -> result
-    | exception Fault.Crash _site ->
-      incr crashes;
-      if !crashes > cfg.max_restarts then
-        Error (Printf.sprintf "chaos: %s: exceeded %d restarts" name cfg.max_restarts)
-      else begin
-        Prover_service.abandon !service;
-        (match !storage_queue with
-        | [] -> ()
-        | fault :: rest ->
-          storage_queue := rest;
-          incr serial;
-          apply_storage_fault ~seed:plan.Fault.seed ~serial:!serial ckpt_path fault);
-        (match
-           try
-             Prover_service.resume ~proof_params ~db ~board ~path:ckpt_path ()
-           with Fault.Crash _ ->
-             (* Died again during recovery; count it and go around. *)
-             Error "crashed during resume"
-         with
-        | Ok (s, n) ->
-          incr resumes;
-          restored := n;
-          service := s
-        | Error e ->
-          if e <> "crashed during resume" then raise (Recovery_failed e)
-          else incr crashes);
-        step name f
-      end
-  in
-  let result =
-    try
-      let* () = step "publish" (fun _ -> publish_prompt emitted board db ~plan ~emit:true) in
-      let* () = step "aggregate" (fun s -> aggregate_uncovered s db) in
-      let* () = step "deliver" (fun _ -> publish_held emitted board db ~plan ~emit:true) in
-      let* _ = step "heal" (fun s -> Prover_service.heal s) in
-      Ok ()
-    with Recovery_failed e -> Error ("chaos: resume failed: " ^ e)
-  in
-  Fault.clear ();
-  let* () = result in
-  let service = !service in
-  (* Verification: every receipt must verify against its claimed
-     coverage from public data only, the history must be honest about
-     its holes (no silent loss), and the final root must be
-     bit-identical to the uninterrupted twin's. *)
-  let covered_rounds =
+   Every receipt must verify against its claimed coverage from public
+   data only, with the service's open gaps as the declared holes. The
+   main daemon and the flood daemon are both judged by this. *)
+let verify_service ~board service =
+  let covered =
     List.map2
       (fun (cov : Prover_service.coverage) (round : Aggregate.round) ->
         {
@@ -408,93 +313,29 @@ let run ?dir ?(config = default_config) ~plan () =
       (Prover_service.coverage service)
       (Prover_service.rounds service)
   in
-  let open_gaps = Prover_service.open_gaps service in
-  let verified =
-    Verifier_client.verify_coverage ~board ~gaps:open_gaps covered_rounds
-  in
-  let final = Prover_service.latest_root service in
-  let safety_ok = Result.is_ok verified && D.equal final twin in
-  (* Liveness: the run ended with every window either verified or
-     explicitly degraded — an open gap is legitimate only for an
-     export the plan destroyed (a Drop); anything else still missing
-     means the pipeline lost data it was given. *)
-  let liveness_ok =
-    Result.is_ok verified
-    && List.for_all
-         (fun (router, epoch) -> Fault.dropped plan ~router ~epoch)
-         open_gaps
-  in
-  let coverage = Prover_service.coverage service in
-  (* SLO cross-check: every injected fault must trip the objective
-     watching the surface it wounds (drops/delays -> coverage,
-     duplicates -> board-integrity, crashes -> prover-restarts), while
-     the uninterrupted twin may only fire what its shared data faults
-     legitimately cause — never the crash/restart objectives, and
-     nothing at all under a fault-free plan. Both lists are derived
-     from recorded events, so with the flight recorder off they are
-     empty and the check is vacuous. *)
-  let chaos_events = Event.events () in
-  let slo_expected = Slo.expected_for chaos_events in
-  let slo_fired = Slo.firing_names (Slo.evaluate chaos_events) in
-  let slo_ok = List.for_all (fun n -> List.mem n slo_fired) slo_expected in
-  let twin_slo_fired = Slo.firing_names (Slo.evaluate twin_events) in
-  let twin_allowed =
-    List.filter (fun n -> n = "coverage" || n = "board-integrity") slo_expected
-  in
-  let twin_slo_ok =
-    List.for_all (fun n -> List.mem n twin_allowed) twin_slo_fired
-  in
-  (* Leave artifacts behind for `zkflow stats` / `monitor`: the public
-     board and the saved service state, both written atomically. *)
-  Zkflow_store.Wal.write_file_atomic
-    (Filename.concat dir "board.txt")
-    (Bytes.of_string (Board.export board));
-  Zkflow_store.Wal.write_file_atomic
-    (Filename.concat dir "service.bin")
-    (Prover_service.save service);
-  Ok
-    {
-      plan;
-      status = (if open_gaps = [] then Complete else Degraded);
-      packets;
-      records;
-      epochs = List.length (Db.epochs db);
-      rounds = List.length coverage;
-      heal_rounds =
-        List.length
-          (List.filter (fun (c : Prover_service.coverage) -> c.Prover_service.heal) coverage);
-      crashes = !crashes;
-      resumes = !resumes;
-      restored_rounds = !restored;
-      open_gaps;
-      final_root = D.to_hex final;
-      twin_root = D.to_hex twin;
-      safety_ok;
-      liveness_ok;
-      slo_expected;
-      slo_fired;
-      slo_ok;
-      twin_slo_fired;
-      twin_slo_ok;
-    }
+  Verifier_client.verify_coverage ~board ~gaps:(Prover_service.open_gaps service)
+    covered
 
-(* ---- daemon-mode chaos ----
+(* The uninterrupted twin shares the plan's data faults, so it may
+   legitimately fire what those faults cause — never anything else. *)
+let twin_allowed ~slo_expected name =
+  (name = "coverage" || name = "board-integrity") && List.mem name slo_expected
 
-   The same twin-run discipline, but the pipeline under test is the
-   resident {!Daemon} instead of the batch step sequence. The daemon
-   runs with [publish = false]: the harness plays the routers against
-   the board exactly as the batch run does (same [publish_prompt] /
-   [publish_held] / [attempt_duplicate] walks), so every data fault
-   keeps its batch semantics — a Drop is a publication destroyed, a
-   Delay is one held to the heal phase, a Duplicate is a board-level
-   reject — and the roots stay comparable to the {e batch} twin over
-   the same records.
+(* ---- the chaos run ----
+
+   The pipeline under test is the resident {!Daemon}, the same one
+   [zkflow serve] runs. It runs with [publish = false]: the harness
+   plays the routers against the board with the twin's [publish_walk],
+   so a Drop is a publication destroyed, a Delay is one held to the
+   heal phase, a Duplicate is a board-level reject — and the final
+   root is comparable to the batch twin's over the same records.
 
    Kills come from two directions: crash sites inside the worker
-   thread surface as [`Crashed] from {!Daemon.await_idle}, and crash
-   sites on harness-driven board walks (["board.publish"]) raise in
-   the harness thread, which then kills the parked daemon to model the
-   whole process dying. Either way recovery is the same supervised
+   thread surface as [`Crashed] from {!Daemon.await_idle} (or an
+   [Error] from {!Daemon.drain}), and crash sites on harness-driven
+   board walks (["board.publish"]) raise in the harness thread, which
+   then kills the parked daemon to model the whole process dying.
+   Either way recovery is the same supervised
    path a real [zkflow serve] restart takes: at most one queued
    storage fault corrupts the checkpoint WAL "while the process is
    down", then {!Daemon.restart} resumes from disk (recursing on a
@@ -503,44 +344,28 @@ let run ?dir ?(config = default_config) ~plan () =
    [Duplicate], republished pairs are skipped — so the schedule simply
    re-runs after each death. *)
 
-type daemon_report = {
-  base : report;
-  submitted : int;      (** window exports the harness offered *)
-  accepted : int;       (** admitted by the bounded queue *)
-  shed : int;           (** rejected-newest (flood phase) *)
-  duplicates : int;     (** re-offered windows turned away *)
-  drains : int;
-  breaker_opens : int;
-  flood_windows : int;  (** 0 when the plan has no [Flood] *)
-  flood_shed : int;
-  flood_ok : bool;      (** sheds exactly [windows - capacity], and the
-                            flood daemon's own coverage verifies *)
-}
-
 exception Daemon_wedged of string
 
-let run_daemon ?dir ?(config = default_config) ~plan () =
+let run ?dir ?(config = default_config) ~plan () =
   let cfg = config in
   let dir =
     match dir with
-    | Some d ->
-      if not (Sys.file_exists d) then Sys.mkdir d 0o755;
-      d
+    | Some d -> d
     | None ->
       let d = Filename.temp_file "zkflow-chaos" "" in
       Sys.remove d;
-      Sys.mkdir d 0o755;
       d
   in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let ckpt_path = Filename.concat dir "checkpoints.wal" in
   if Sys.file_exists ckpt_path then Sys.remove ckpt_path;
   let db_sim, packets, records =
     simulate ~cfg ~seed:plan.Fault.seed ~wal_path:(Filename.concat dir "rlogs.wal")
   in
   let proof_params = Zkflow_zkproof.Params.make ~queries:cfg.queries in
-  (* The control run is the *batch* twin over the same records: the
-     daemon must not only survive its kills, it must attest the exact
-     history the non-resident pipeline would have. *)
+  (* Control run first, before any fault is armed: the daemon must not
+     only survive its kills, it must attest the exact history the
+     non-resident pipeline would have. *)
   let* twin, twin_events = twin_root ~cfg ~plan db_sim in
   let dcfg =
     {
@@ -551,20 +376,18 @@ let run_daemon ?dir ?(config = default_config) ~plan () =
   in
   let db = Db.create ~epoch:(Epoch.make ~interval_ms:5000) () in
   let board = Board.create () in
-  let* d = Daemon.create ~config:dcfg ~proof_params ~db ~board ~ckpt_path () in
-  let d, _ = d in
+  let* d, _ = Daemon.create ~config:dcfg ~proof_params ~db ~board ~ckpt_path () in
   Fault.install plan;
   let emitted = Hashtbl.create 16 in
   let crashes = ref 0 and resumes = ref 0 and restored = ref 0 in
   let submitted = ref 0 in
   let storage_queue = ref (Fault.storage_faults plan) in
   let serial = ref 0 in
-  let budget_ok () = !crashes <= cfg.max_restarts in
   (* Recovery after a death: one storage fault while "down", then a
      supervised restart — looping when recovery itself is killed. *)
-  let rec recover () =
-    if not (budget_ok ()) then
-      Error (Printf.sprintf "chaos: exceeded %d restarts" cfg.max_restarts)
+  let rec recover name =
+    if !crashes > cfg.max_restarts then
+      Error (Printf.sprintf "chaos: %s: exceeded %d restarts" name cfg.max_restarts)
     else begin
       (match !storage_queue with
       | [] -> ()
@@ -579,7 +402,7 @@ let run_daemon ?dir ?(config = default_config) ~plan () =
         Ok ()
       | Error "crashed during resume" ->
         incr crashes;
-        recover ()
+        recover name
       | Error e -> Error ("chaos: resume failed: " ^ e)
     end
   in
@@ -605,41 +428,28 @@ let run_daemon ?dir ?(config = default_config) ~plan () =
   in
   let rec step name f =
     match f () with
-    | Ok v -> Ok v
-    | Error e -> Error e
+    | result -> result
     | exception Fault.Crash site ->
       incr crashes;
-      if not (budget_ok ()) then
-        Error (Printf.sprintf "chaos: %s: exceeded %d restarts" name cfg.max_restarts)
-      else begin
-        Daemon.kill d ~site;
-        let* () = recover () in
-        step name f
-      end
+      Daemon.kill d ~site;
+      let* () = recover name in
+      step name f
   in
   (* Per-epoch schedule: ingest the epoch's windows, publish on the
      routers' behalf, close the epoch, let the worker prove it. *)
   let epoch_step epoch () =
     List.iter (fun router_id -> offer ~router_id ~epoch) (Db.routers_for db_sim ~epoch);
     settle ();
-    let* () = publish_prompt emitted board db_sim ~plan ~emit:true in
+    let* () = publish_walk ~held:false emitted board db_sim ~plan ~emit:true in
     Daemon.advance d ~epoch;
     settle ();
     Ok ()
   in
-  let rec drain_loop () =
-    match Daemon.drain d with
-    | Ok () -> Ok ()
-    | Error e -> (
-      match Daemon.crashed d with
-      | None -> Error e
-      | Some _ ->
-        incr crashes;
-        if not (budget_ok ()) then
-          Error (Printf.sprintf "chaos: drain: exceeded %d restarts" cfg.max_restarts)
-        else
-          let* () = recover () in
-          drain_loop ())
+  (* A death mid-drain reports as [Error]; rethrow it like the others. *)
+  let drain () =
+    match (Daemon.drain d, Daemon.crashed d) with
+    | Error _, Some site -> raise (Fault.Crash site)
+    | result, _ -> result
   in
   let result =
     try
@@ -653,8 +463,9 @@ let run_daemon ?dir ?(config = default_config) ~plan () =
       (* Deliver what the delays held back, then drain: the heal
          rounds happen inside the drain — which is exactly where the
          kill-during-drain plans aim. *)
-      let* () = step "deliver" (fun () -> publish_held emitted board db_sim ~plan ~emit:true) in
-      drain_loop ()
+      let deliver () = publish_walk ~held:true emitted board db_sim ~plan ~emit:true in
+      let* () = step "deliver" deliver in
+      step "drain" drain
     with Daemon_wedged e -> Error ("chaos: " ^ e)
   in
   Fault.clear ();
@@ -677,11 +488,10 @@ let run_daemon ?dir ?(config = default_config) ~plan () =
       let fckpt = Filename.concat dir "flood-checkpoints.wal" in
       if Sys.file_exists fckpt then Sys.remove fckpt;
       let fcfg = { dcfg with Daemon.publish = true; queue_capacity = capacity } in
-      let* fd =
+      let* fd, _ =
         Daemon.create ~config:fcfg ~proof_params ~paused:true ~db:fdb ~board:fboard
           ~ckpt_path:fckpt ()
       in
-      let fd, _ = fd in
       let rng = Rng.create (Int64.of_int (0xf100d + plan.Fault.seed)) in
       let shed = ref 0 in
       (* One window per epoch, all at a parked worker: admission is a
@@ -705,25 +515,7 @@ let run_daemon ?dir ?(config = default_config) ~plan () =
       Daemon.unpause fd;
       Daemon.advance fd ~epoch:(windows - 1);
       let flood_result = Daemon.drain fd in
-      let fservice = Daemon.service fd in
-      let fcovered =
-        List.map2
-          (fun (cov : Prover_service.coverage) (round : Aggregate.round) ->
-            {
-              Verifier_client.epoch = cov.Prover_service.epoch;
-              routers = cov.Prover_service.routers;
-              degraded = cov.Prover_service.degraded;
-              heal = cov.Prover_service.heal;
-              receipt = round.Aggregate.receipt;
-            })
-          (Prover_service.coverage fservice)
-          (Prover_service.rounds fservice)
-      in
-      let fverified =
-        Verifier_client.verify_coverage ~board:fboard
-          ~gaps:(Prover_service.open_gaps fservice)
-          fcovered
-      in
+      let fverified = verify_service ~board:fboard (Daemon.service fd) in
       Daemon.stop fd;
       let ok =
         Result.is_ok flood_result
@@ -740,25 +532,15 @@ let run_daemon ?dir ?(config = default_config) ~plan () =
       Error e
   in
   let service = Daemon.service d in
-  let covered_rounds =
-    List.map2
-      (fun (cov : Prover_service.coverage) (round : Aggregate.round) ->
-        {
-          Verifier_client.epoch = cov.Prover_service.epoch;
-          routers = cov.Prover_service.routers;
-          degraded = cov.Prover_service.degraded;
-          heal = cov.Prover_service.heal;
-          receipt = round.Aggregate.receipt;
-        })
-      (Prover_service.coverage service)
-      (Prover_service.rounds service)
-  in
+  let verified = verify_service ~board service in
   let open_gaps = Prover_service.open_gaps service in
-  let verified =
-    Verifier_client.verify_coverage ~board ~gaps:open_gaps covered_rounds
-  in
   let final = Prover_service.latest_root service in
+  (* Safety: the history verifies and is bit-identical to the twin's. *)
   let safety_ok = Result.is_ok verified && D.equal final twin in
+  (* Liveness: the run ended with every window either verified or
+     explicitly degraded — an open gap is legitimate only for an
+     export the plan destroyed (a Drop); anything else still missing
+     means the pipeline lost data it was given. *)
   let liveness_ok =
     Result.is_ok verified
     && List.for_all
@@ -766,17 +548,20 @@ let run_daemon ?dir ?(config = default_config) ~plan () =
          open_gaps
   in
   let coverage = Prover_service.coverage service in
+  (* SLO cross-check: the chaos run must fire exactly the objectives
+     its injected faults wound (drops/delays -> coverage, duplicates ->
+     board-integrity, crashes -> prover-restarts, floods ->
+     ingest-admission), and the twin only what its shared data faults
+     cause. Both lists are derived from recorded events, so with the
+     flight recorder off they are empty and the check is vacuous. *)
   let chaos_events = Event.events () in
   let slo_expected = Slo.expected_for chaos_events in
   let slo_fired = Slo.firing_names (Slo.evaluate chaos_events) in
-  let slo_ok = List.for_all (fun n -> List.mem n slo_fired) slo_expected in
+  let slo_ok = List.sort_uniq String.compare slo_fired = slo_expected in
   let twin_slo_fired = Slo.firing_names (Slo.evaluate twin_events) in
-  let twin_allowed =
-    List.filter (fun n -> n = "coverage" || n = "board-integrity") slo_expected
-  in
-  let twin_slo_ok =
-    List.for_all (fun n -> List.mem n twin_allowed) twin_slo_fired
-  in
+  let twin_slo_ok = List.for_all (twin_allowed ~slo_expected) twin_slo_fired in
+  (* Leave artifacts behind for `zkflow stats` / `monitor`: the public
+     board and the saved service state, both written atomically. *)
   Zkflow_store.Wal.write_file_atomic
     (Filename.concat dir "board.txt")
     (Bytes.of_string (Board.export board));
@@ -786,33 +571,28 @@ let run_daemon ?dir ?(config = default_config) ~plan () =
   Daemon.stop d;
   Ok
     {
-      base =
-        {
-          plan;
-          status = (if open_gaps = [] then Complete else Degraded);
-          packets;
-          records;
-          epochs = List.length (Db.epochs db_sim);
-          rounds = List.length coverage;
-          heal_rounds =
-            List.length
-              (List.filter
-                 (fun (c : Prover_service.coverage) -> c.Prover_service.heal)
-                 coverage);
-          crashes = !crashes;
-          resumes = !resumes;
-          restored_rounds = !restored;
-          open_gaps;
-          final_root = D.to_hex final;
-          twin_root = D.to_hex twin;
-          safety_ok;
-          liveness_ok;
-          slo_expected;
-          slo_fired;
-          slo_ok;
-          twin_slo_fired;
-          twin_slo_ok;
-        };
+      plan;
+      status = (if open_gaps = [] then Complete else Degraded);
+      packets;
+      records;
+      epochs = List.length (Db.epochs db_sim);
+      rounds = List.length coverage;
+      heal_rounds =
+        List.length
+          (List.filter (fun (c : Prover_service.coverage) -> c.Prover_service.heal) coverage);
+      crashes = !crashes;
+      resumes = !resumes;
+      restored_rounds = !restored;
+      open_gaps;
+      final_root = D.to_hex final;
+      twin_root = D.to_hex twin;
+      safety_ok;
+      liveness_ok;
+      slo_expected;
+      slo_fired;
+      slo_ok;
+      twin_slo_fired;
+      twin_slo_ok;
       submitted = !submitted;
       accepted = main_counters.Daemon.accepted;
       shed = main_counters.Daemon.shed + flood_shed;
@@ -824,12 +604,37 @@ let run_daemon ?dir ?(config = default_config) ~plan () =
       flood_ok;
     }
 
+(* ---- verdict ---- *)
+
+let verdict r =
+  let named label keep =
+    List.filter_map (fun n -> if keep n then None else Some (label ^ n))
+  in
+  let failures =
+    List.concat
+      [
+        (if r.safety_ok then [] else [ "safety violated" ]);
+        (if r.liveness_ok then [] else [ "liveness violated" ]);
+        (if r.flood_ok then [] else [ "bounded-ingest shedding violated" ]);
+        named "missed SLO " (fun n -> List.mem n r.slo_fired) r.slo_expected;
+        named "spurious SLO " (fun n -> List.mem n r.slo_expected) r.slo_fired;
+        named "twin fired SLO " (twin_allowed ~slo_expected:r.slo_expected)
+          r.twin_slo_fired;
+      ]
+  in
+  if failures = [] then Ok ()
+  else
+    Error
+      (Printf.sprintf "chaos: plan %S: %s" r.plan.Fault.name
+         (String.concat "; " failures))
+
 (* ---- reporting ---- *)
 
 let status_string = function Complete -> "complete" | Degraded -> "degraded"
 
 let to_json r =
   let num n = Jsonx.Num (float_of_int n) in
+  let strs l = Jsonx.Arr (List.map (fun s -> Jsonx.Str s) l) in
   Jsonx.Obj
     [
       ("plan", Fault.plan_to_json r.plan);
@@ -852,12 +657,24 @@ let to_json r =
       ("twin_root", Jsonx.Str r.twin_root);
       ("safety_ok", Jsonx.Bool r.safety_ok);
       ("liveness_ok", Jsonx.Bool r.liveness_ok);
-      ("slo_expected", Jsonx.Arr (List.map (fun s -> Jsonx.Str s) r.slo_expected));
-      ("slo_fired", Jsonx.Arr (List.map (fun s -> Jsonx.Str s) r.slo_fired));
+      ("slo_expected", strs r.slo_expected);
+      ("slo_fired", strs r.slo_fired);
       ("slo_ok", Jsonx.Bool r.slo_ok);
-      ( "twin_slo_fired",
-        Jsonx.Arr (List.map (fun s -> Jsonx.Str s) r.twin_slo_fired) );
+      ("twin_slo_fired", strs r.twin_slo_fired);
       ("twin_slo_ok", Jsonx.Bool r.twin_slo_ok);
+      ( "daemon",
+        Jsonx.Obj
+          [
+            ("submitted", num r.submitted);
+            ("accepted", num r.accepted);
+            ("shed", num r.shed);
+            ("duplicates", num r.duplicates);
+            ("drains", num r.drains);
+            ("breaker_opens", num r.breaker_opens);
+            ("flood_windows", num r.flood_windows);
+            ("flood_shed", num r.flood_shed);
+            ("flood_ok", Jsonx.Bool r.flood_ok);
+          ] );
     ]
 
 let pp fmt r =
@@ -869,6 +686,14 @@ let pp fmt r =
     r.records r.epochs;
   Format.fprintf fmt "prover: %d round(s) (%d heal), %d crash(es), %d resume(s), %d restored@,"
     r.rounds r.heal_rounds r.crashes r.resumes r.restored_rounds;
+  Format.fprintf fmt "daemon: %d window(s) offered, %d accepted, %d shed, %d duplicate(s)@,"
+    r.submitted r.accepted r.shed r.duplicates;
+  Format.fprintf fmt "daemon: %d drain(s), breaker opened %d time(s)@," r.drains
+    r.breaker_opens;
+  if r.flood_windows > 0 then
+    Format.fprintf fmt "flood: %d window(s) -> %d shed -> %s@," r.flood_windows
+      r.flood_shed
+      (if r.flood_ok then "OK" else "VIOLATED");
   (match r.open_gaps with
   | [] -> Format.fprintf fmt "gaps: none open@,"
   | gs ->
@@ -882,47 +707,10 @@ let pp fmt r =
      Format.fprintf fmt
        "slo: expected [%s] fired [%s] -> %s; twin fired [%s] -> %s@,"
        (names r.slo_expected) (names r.slo_fired)
-       (if r.slo_ok then "OK" else "MISSED")
+       (if r.slo_ok then "OK" else "MISMATCH")
        (names r.twin_slo_fired)
        (if r.twin_slo_ok then "OK" else "SPURIOUS"));
   Format.fprintf fmt "safety: %s, liveness: %s -> %s@]"
     (if r.safety_ok then "OK" else "VIOLATED")
     (if r.liveness_ok then "OK" else "VIOLATED")
     (status_string r.status)
-
-let daemon_to_json r =
-  let num n = Jsonx.Num (float_of_int n) in
-  match to_json r.base with
-  | Jsonx.Obj fields ->
-    Jsonx.Obj
-      (("mode", Jsonx.Str "daemon")
-       :: fields
-      @ [
-          ( "daemon",
-            Jsonx.Obj
-              [
-                ("submitted", num r.submitted);
-                ("accepted", num r.accepted);
-                ("shed", num r.shed);
-                ("duplicates", num r.duplicates);
-                ("drains", num r.drains);
-                ("breaker_opens", num r.breaker_opens);
-                ("flood_windows", num r.flood_windows);
-                ("flood_shed", num r.flood_shed);
-                ("flood_ok", Jsonx.Bool r.flood_ok);
-              ] );
-        ])
-  | v -> v
-
-let pp_daemon fmt r =
-  Format.fprintf fmt "@[<v>%a@," pp r.base;
-  Format.fprintf fmt "daemon: %d window(s) offered, %d accepted, %d shed, %d duplicate(s)@,"
-    r.submitted r.accepted r.shed r.duplicates;
-  Format.fprintf fmt "daemon: %d drain(s), breaker opened %d time(s)@," r.drains
-    r.breaker_opens;
-  if r.flood_windows > 0 then
-    Format.fprintf fmt "flood: %d window(s) -> %d shed -> %s@," r.flood_windows
-      r.flood_shed
-      (if r.flood_ok then "OK" else "VIOLATED")
-  else Format.fprintf fmt "flood: (no flood in plan)@,";
-  Format.fprintf fmt "@]"

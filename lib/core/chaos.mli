@@ -1,17 +1,27 @@
 (** Deterministic chaos harness: one seeded fault plan, one full
-    simulate → publish → prove → kill/resume → verify cycle, two
-    verdicts.
+    simulate → publish → prove → kill/restart → verify cycle against
+    the resident {!Daemon} (the pipeline [zkflow serve] runs), judged
+    against an uninterrupted batch twin.
 
     The harness runs the same deterministic traffic twice. First the
     {e twin}: data faults only (drops, delays, duplicates — they shape
-    what is available to aggregate), no crashes, no corruption, its
-    flight-recorder events captured in isolation ({!Zkflow_obs.Event.isolate})
-    so they never pollute the chaos run's log. Then the {e chaos run}: same data faults plus the
-    plan's armed crash sites, flaky reads and storage corruption, with
-    the prover checkpointing to [dir/checkpoints.wal] and a
-    kill/restart loop playing the process dying at every armed site.
+    what is available to aggregate), no crashes, no corruption, rounds
+    driven straight through {!Prover_service}, its flight-recorder
+    events captured in isolation ({!Zkflow_obs.Event.isolate}) so they
+    never pollute the chaos run's log. Then the {e chaos run}: the
+    daemon, with publication off, ingests every window through its
+    bounded queue while the harness plays the routers against the
+    board with the twin's walks — so every data fault keeps the twin's
+    semantics — under the plan's armed crash sites, flaky reads and
+    storage corruption. Worker deaths (crash sites inside rounds and
+    checkpoints) and harness-side deaths (["board.publish"]) both go
+    through the supervised {!Daemon.restart} path, with storage faults
+    corrupting [dir/checkpoints.wal] between death and resume. A
+    [Flood] entry adds an overload burst against a parked throwaway
+    daemon with a tiny queue: everything past capacity must shed
+    explicitly ([daemon.ingest.shed]), and the shed count is exact.
 
-    Two properties are asserted, and reported per run:
+    Three properties are asserted, and reported per run:
 
     - {b safety} — every receipt verifies against its claimed coverage
       ({!Verifier_client.verify_coverage}), and the chaos run's final
@@ -20,7 +30,10 @@
     - {b liveness} — the run ends with every integrity window either
       verified or {e explicitly} degraded: any gap still open names an
       export the plan destroyed (a [Drop]); silent loss of data the
-      pipeline was given fails the run. *)
+      pipeline was given fails the run.
+    - {b SLO cross-check} — the chaos run fires exactly the objectives
+      its injected faults wound ({!Slo.expected_for}), and the twin
+      fires nothing beyond its shared data-fault objectives. *)
 
 type config = {
   routers : int;
@@ -58,50 +71,13 @@ type report = {
       (** SLO names the plan's injected faults should trip
           ({!Slo.expected_for} over the chaos run's log) *)
   slo_fired : string list;   (** SLOs that actually fired on the chaos run *)
-  slo_ok : bool;             (** [slo_expected] is a subset of [slo_fired] *)
+  slo_ok : bool;             (** [slo_fired] equals [slo_expected] as a set *)
   twin_slo_fired : string list;
       (** SLOs firing on the twin — it shares the plan's data faults,
           so [coverage] / [board-integrity] may legitimately fire *)
   twin_slo_ok : bool;
       (** the twin fired nothing beyond its shared data-fault SLOs —
           in particular never [prover-restarts] *)
-}
-
-val run :
-  ?dir:string ->
-  ?config:config ->
-  plan:Zkflow_fault.Fault.plan ->
-  unit ->
-  (report, string) result
-(** Execute one chaos cycle. [?dir] (default: a fresh temp directory)
-    receives [rlogs.wal] and [checkpoints.wal]; an existing
-    [checkpoints.wal] there is removed first so every run starts
-    cold. [Error _] means the harness itself could not complete (e.g.
-    the restart budget was exhausted, or the board accepted a
-    duplicate) — fault-induced degradation is {e not} an error, it is
-    a [Degraded] report. *)
-
-val status_string : status -> string
-val to_json : report -> Zkflow_util.Jsonx.t
-val pp : Format.formatter -> report -> unit
-
-(** {2 Daemon-mode chaos}
-
-    The same twin-run discipline aimed at the resident {!Daemon}: the
-    daemon runs with publication off while the harness plays the
-    routers against the board with the batch walks, so every data
-    fault keeps its batch semantics and the final root stays
-    comparable to the {e batch} twin over the same records. Worker
-    deaths (crash sites inside rounds/checkpoints) and harness-side
-    deaths (["board.publish"]) both go through the supervised
-    {!Daemon.restart} path, with storage faults corrupting the
-    checkpoint WAL between death and resume. A [Flood] entry in the
-    plan adds an overload burst against a parked throwaway daemon
-    with a tiny queue: everything past capacity must shed explicitly
-    ([daemon.ingest.shed]), and the shed count is exact. *)
-
-type daemon_report = {
-  base : report;        (** twin/safety/liveness/SLO verdicts, as {!run} *)
   submitted : int;      (** window exports the harness offered *)
   accepted : int;       (** admitted by the bounded queue *)
   shed : int;           (** rejected-newest (flood phase included) *)
@@ -112,18 +88,32 @@ type daemon_report = {
   flood_shed : int;
   flood_ok : bool;
       (** exactly [windows - capacity] shed, and the flood daemon's
-          own coverage verifies *)
+          own coverage verifies; [true] without a [Flood] *)
 }
 
-val run_daemon :
+val run :
   ?dir:string ->
   ?config:config ->
   plan:Zkflow_fault.Fault.plan ->
   unit ->
-  (daemon_report, string) result
-(** One daemon-mode chaos cycle: simulate → batch twin → resident
-    daemon under the plan's kills/corruption → flood burst (if
-    planned) → verify. Same artifact layout as {!run}. *)
+  (report, string) result
+(** Execute one chaos cycle: simulate → batch twin → daemon under the
+    plan's kills and corruption → flood burst (if planned) → verify.
+    [?dir] (default: a fresh temp directory) receives [rlogs.wal] and
+    [checkpoints.wal], and at the end the [board.txt] / [service.bin]
+    artifacts [zkflow monitor] reads; an existing [checkpoints.wal]
+    there is removed first so every run starts cold. [Error _] means
+    the harness itself could not complete (e.g. the restart budget was
+    exhausted, or the board accepted a duplicate) — fault-induced
+    degradation is {e not} an error, it is a [Degraded] report. *)
 
-val daemon_to_json : daemon_report -> Zkflow_util.Jsonx.t
-val pp_daemon : Format.formatter -> daemon_report -> unit
+val verdict : report -> (unit, string) result
+(** [Ok ()] iff safety, liveness, the flood check and both SLO
+    cross-checks hold. The error names every violated property and
+    every missed or spurious objective. *)
+
+val status_string : status -> string
+val to_json : report -> Zkflow_util.Jsonx.t
+(** Flat report object; the daemon counters sit under ["daemon"]. *)
+
+val pp : Format.formatter -> report -> unit

@@ -684,6 +684,16 @@ let resume ?proof_params ~db ~board ~path () =
             ("dropped_rows", Jsonx.Num (float_of_int dropped_rows));
             ("open_gaps", Jsonx.Num (float_of_int (List.length (open_gaps t))));
           ];
+    (* A crash between a row's sync and the round's own
+       ["prover.gap.open"] leaves a gap the journal holds but the event
+       log never saw; re-announce every open gap (the monitor keeps the
+       first open per router/epoch, so repeats are harmless). *)
+    List.iter
+      (fun (g : gap) ->
+        if g.healed_round = None then
+          Obs.Event.emit ~router:g.router_id ~epoch:g.epoch ~round:g.detected_round
+            ~track:"prover" "prover.gap.open")
+      t.gaps;
     Ok (t, restored)
 
 (* ---- round summaries ---- *)

@@ -68,8 +68,9 @@ val default_specs : spec list
 (** One objective per failure surface the recorder distinguishes:
     [coverage] (gap opens vs publishes), [board-integrity] (rejects),
     [prover-errors], [prover-restarts] (resumes),
-    [verifier-acceptance], and [ingest-admission] (daemon shed /
-    duplicate windows vs accepted). All target 0.999 over
+    [verifier-acceptance], and [ingest-admission] (daemon shed
+    windows vs accepted; a re-offered duplicate consumes no capacity
+    and loses nothing, so it is not bad). All target 0.999 over
     {!default_windows}. *)
 
 val kind_matches : string -> string -> bool
@@ -89,7 +90,7 @@ val expected_for : Zkflow_obs.Event.t list -> string list
     drops/delays -> [coverage], duplicates -> [board-integrity],
     crashes -> [prover-restarts], floods -> [ingest-admission].
     Sorted, deduplicated. The chaos harness asserts
-    [expected_for log] is a subset of what fired. *)
+    [expected_for log] is exactly what fired. *)
 
 val load_specs : string -> (spec list, string) result
 (** Parse a JSON array of specs:

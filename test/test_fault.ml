@@ -3,7 +3,7 @@
    site (final root bit-identical to the uninterrupted twin — the
    ISSUE's acceptance assertion), storage corruption recovery,
    degraded rounds with gap journal + heal, coverage verification, and
-   one full Chaos.run cycle. *)
+   full Chaos.run cycles against the resident daemon. *)
 
 module D = Zkflow_hash.Digest32
 module Record = Zkflow_netflow.Record
@@ -466,6 +466,48 @@ let test_degraded_round_then_heal () =
     Alcotest.check digest "final root" (Prover_service.latest_root service)
       report.Verifier_client.final_root
 
+(* A crash at "agg.post_checkpoint" lands after the degraded round's
+   row (gap journal included) is synced but before the round announces
+   its gap. Resume must re-announce it, or the event log never shows
+   the gap and the coverage objective cannot fire. *)
+let test_gap_survives_post_checkpoint_crash () =
+  with_tmp (fun path ->
+      let events =
+        Zkflow_obs.Obs.with_enabled (fun () ->
+            let db, board, service = degraded_world () in
+            Prover_service.with_checkpoints service ~path;
+            ignore (publish_router board db ~router_id:0 ~epoch:0);
+            ignore (publish_router board db ~router_id:1 ~epoch:0);
+            with_plan
+              (plan [ Fault.Crash_at { site = "agg.post_checkpoint"; hits = 1 } ])
+              (fun () ->
+                match Prover_service.aggregate_available service ~epoch:0 with
+                | exception Fault.Crash _ -> ()
+                | _ -> Alcotest.fail "expected a crash at agg.post_checkpoint");
+            Prover_service.abandon service;
+            let resumed, restored =
+              Result.get_ok
+                (Prover_service.resume ~proof_params:params ~db ~board ~path ())
+            in
+            check_int "degraded round restored" 1 restored;
+            Alcotest.(check (list (pair int int)))
+              "journal holds the gap" [ (2, 0) ]
+              (Prover_service.open_gaps resumed);
+            Zkflow_obs.Event.events ())
+      in
+      let open_in_log =
+        List.filter_map
+          (fun (g : Monitor.gap_status) ->
+            if g.Monitor.healed_round = None then
+              Some (g.Monitor.gap_router, g.Monitor.gap_epoch)
+            else None)
+          (Monitor.build events).Monitor.gaps
+      in
+      Alcotest.(check (list (pair int int))) "monitor lists the gap open" [ (2, 0) ]
+        open_in_log;
+      check_bool "coverage fires" true
+        (List.mem "coverage" (Slo.firing_names (Slo.evaluate events))))
+
 let test_skipped_round_when_nothing_published () =
   let _, _, service = degraded_world () in
   match Prover_service.aggregate_available service ~epoch:0 with
@@ -579,6 +621,22 @@ let fresh_dir =
     if not (Sys.file_exists d) then Sys.mkdir d 0o755;
     d
 
+(* Chaos runs record the flight-recorder log, so the report's SLO
+   cross-check runs over real events rather than vacuously. *)
+let run_chaos p =
+  match
+    Zkflow_obs.Obs.with_enabled (fun () ->
+        Chaos.run ~dir:(fresh_dir ()) ~config:chaos_config ~plan:p ())
+  with
+  | Error e -> Alcotest.fail e
+  | Ok r ->
+    Alcotest.(check (list string)) "slo fired = expected" r.Chaos.slo_expected
+      (List.sort String.compare r.Chaos.slo_fired);
+    check_bool "slo_ok" true r.Chaos.slo_ok;
+    check_bool "twin slo ok" true r.Chaos.twin_slo_ok;
+    check_bool "verdict passes" true (Chaos.verdict r = Ok ());
+    r
+
 let test_chaos_run_crash_storm () =
   let p =
     plan ~seed:3 ~name:"crash-storm"
@@ -589,33 +647,41 @@ let test_chaos_run_crash_storm () =
         Fault.Torn_write { target = "checkpoint"; drop_bytes = 5 };
       ]
   in
-  match Chaos.run ~dir:(fresh_dir ()) ~config:chaos_config ~plan:p () with
-  | Error e -> Alcotest.fail e
-  | Ok r ->
-    check_bool "crashed" true (r.Chaos.crashes >= 3);
-    check_bool "resumed" true (r.Chaos.resumes >= 1);
-    check_bool "safety" true r.Chaos.safety_ok;
-    check_bool "liveness" true r.Chaos.liveness_ok;
-    check_string "root bit-identical to twin" r.Chaos.twin_root r.Chaos.final_root;
-    check_bool "complete" true (r.Chaos.status = Chaos.Complete)
+  let r = run_chaos p in
+  check_bool "crashed" true (r.Chaos.crashes >= 3);
+  check_bool "resumed" true (r.Chaos.resumes >= 1);
+  check_bool "safety" true r.Chaos.safety_ok;
+  check_bool "liveness" true r.Chaos.liveness_ok;
+  check_string "root bit-identical to twin" r.Chaos.twin_root r.Chaos.final_root;
+  check_bool "complete" true (r.Chaos.status = Chaos.Complete)
 
 let test_chaos_run_dropped_export_degrades_explicitly () =
   let p = plan ~seed:4 ~name:"dropped-export" [ Fault.Drop { router = 1; epoch = 0 } ] in
-  match Chaos.run ~dir:(fresh_dir ()) ~config:chaos_config ~plan:p () with
-  | Error e -> Alcotest.fail e
-  | Ok r ->
-    check_bool "safety" true r.Chaos.safety_ok;
-    check_bool "liveness: loss is explicit" true r.Chaos.liveness_ok;
-    check_bool "gap names the destroyed export" true
-      (List.mem (1, 0) r.Chaos.open_gaps);
-    check_bool "degraded status" true (r.Chaos.status = Chaos.Degraded);
-    check_string "root still bit-identical to twin" r.Chaos.twin_root r.Chaos.final_root
+  let r = run_chaos p in
+  check_bool "safety" true r.Chaos.safety_ok;
+  check_bool "liveness: loss is explicit" true r.Chaos.liveness_ok;
+  check_bool "gap names the destroyed export" true
+    (List.mem (1, 0) r.Chaos.open_gaps);
+  check_bool "degraded status" true (r.Chaos.status = Chaos.Degraded);
+  check_string "root still bit-identical to twin" r.Chaos.twin_root r.Chaos.final_root;
+  (* the verdict names every missed or spurious objective *)
+  let names_in r' needles =
+    match Chaos.verdict r' with
+    | Ok () -> Alcotest.fail "verdict passed a broken cross-check"
+    | Error e -> List.iter (fun n -> check_bool n true (contains ~needle:n e)) needles
+  in
+  names_in
+    { r with Chaos.slo_fired = [ "ingest-admission" ] }
+    [ "missed SLO coverage"; "spurious SLO ingest-admission" ];
+  names_in
+    { r with Chaos.twin_slo_fired = [ "prover-restarts" ] }
+    [ "twin fired SLO prover-restarts" ]
 
 let test_chaos_daemon_twin () =
-  (* Daemon-mode chaos: worker kills, a harness-side publish kill, a
-     held export healed during the drain, and an overload burst — the
-     resident daemon's final root must still be bit-identical to the
-     uninterrupted *batch* twin over the same records. *)
+  (* Worker kills, a harness-side publish kill, a held export healed
+     during the drain, and an overload burst — the resident daemon's
+     final root must still be bit-identical to the uninterrupted
+     *batch* twin over the same records. *)
   let p =
     plan ~seed:5 ~name:"daemon-storm"
       [
@@ -625,22 +691,19 @@ let test_chaos_daemon_twin () =
         Fault.Flood { windows = 6; capacity = 3 };
       ]
   in
-  match Chaos.run_daemon ~dir:(fresh_dir ()) ~config:chaos_config ~plan:p () with
-  | Error e -> Alcotest.fail e
-  | Ok r ->
-    let b = r.Chaos.base in
-    check_bool "crashed at both kill sites" true (b.Chaos.crashes >= 2);
-    check_bool "resumed" true (b.Chaos.resumes >= 1);
-    check_bool "safety" true b.Chaos.safety_ok;
-    check_bool "liveness" true b.Chaos.liveness_ok;
-    check_string "root bit-identical to batch twin" b.Chaos.twin_root
-      b.Chaos.final_root;
-    check_bool "held export healed" true (b.Chaos.heal_rounds >= 1);
-    check_bool "complete after heal" true (b.Chaos.status = Chaos.Complete);
-    check_bool "every window admitted" true (r.Chaos.accepted >= r.Chaos.submitted - r.Chaos.duplicates && r.Chaos.submitted > 0);
-    check_bool "drained" true (r.Chaos.drains >= 1);
-    check_int "flood shed exactly past capacity" 3 r.Chaos.flood_shed;
-    check_bool "flood verdict" true r.Chaos.flood_ok
+  let r = run_chaos p in
+  check_bool "crashed at both kill sites" true (r.Chaos.crashes >= 2);
+  check_bool "resumed" true (r.Chaos.resumes >= 1);
+  check_bool "safety" true r.Chaos.safety_ok;
+  check_bool "liveness" true r.Chaos.liveness_ok;
+  check_string "root bit-identical to batch twin" r.Chaos.twin_root
+    r.Chaos.final_root;
+  check_bool "held export healed" true (r.Chaos.heal_rounds >= 1);
+  check_bool "complete after heal" true (r.Chaos.status = Chaos.Complete);
+  check_bool "every window admitted" true (r.Chaos.accepted >= r.Chaos.submitted - r.Chaos.duplicates && r.Chaos.submitted > 0);
+  check_bool "drained" true (r.Chaos.drains >= 1);
+  check_int "flood shed exactly past capacity" 3 r.Chaos.flood_shed;
+  check_bool "flood verdict" true r.Chaos.flood_ok
 
 let () =
   Alcotest.run "zkflow_fault"
@@ -681,6 +744,8 @@ let () =
         [
           Alcotest.test_case "degraded round then heal" `Quick
             test_degraded_round_then_heal;
+          Alcotest.test_case "gap survives a post-checkpoint crash" `Quick
+            test_gap_survives_post_checkpoint_crash;
           Alcotest.test_case "skipped round" `Quick
             test_skipped_round_when_nothing_published;
           Alcotest.test_case "silent loss rejected" `Quick

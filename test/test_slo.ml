@@ -149,6 +149,22 @@ let test_expected_for () =
   Alcotest.(check (list string)) "clean log expects nothing" []
     (Slo.expected_for [ ev ~ts:(s 1) "board" "board.publish" ])
 
+(* Re-offered windows after a restart come back Duplicate: they use
+   no queue capacity and lose no data, so only sheds burn the
+   ingest-admission budget. *)
+let test_ingest_duplicates_are_not_bad () =
+  let ingest i kind = ev ~router:(i mod 3) ~epoch:i ~ts:(s i) "daemon" kind in
+  let accepts = List.init 6 (fun i -> ingest i "daemon.ingest.accept") in
+  let dups = List.init 6 (fun i -> ingest (10 + i) "daemon.ingest.duplicate") in
+  let fires events =
+    List.mem "ingest-admission" (Slo.firing_names (Slo.evaluate events))
+  in
+  let a = find_alert "ingest-admission" (Slo.evaluate (accepts @ dups)) in
+  check_int "duplicates are not bad" 0 a.Slo.bad_count;
+  check_bool "accepts + duplicates do not fire" false (fires (accepts @ dups));
+  let sheds = List.init 3 (fun i -> ingest (20 + i) "daemon.ingest.shed") in
+  check_bool "sheds fire" true (fires (accepts @ dups @ sheds))
+
 (* ---- spec parsing ---- *)
 
 let write_temp text =
@@ -254,7 +270,11 @@ let () =
           Alcotest.test_case "empty log" `Quick test_empty_log;
         ] );
       ( "chaos-contract",
-        [ Alcotest.test_case "fault markers map to objectives" `Quick test_expected_for ] );
+        [
+          Alcotest.test_case "fault markers map to objectives" `Quick test_expected_for;
+          Alcotest.test_case "ingest duplicates are not bad" `Quick
+            test_ingest_duplicates_are_not_bad;
+        ] );
       ( "specs",
         [
           Alcotest.test_case "defaults fill in" `Quick test_load_specs_defaults;
