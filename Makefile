@@ -185,17 +185,12 @@ report: matrix
 chaos: build
 	rm -rf chaos-out
 	mkdir -p chaos-out
-	for seed in 1 2 3 4 5 6 7 8; do \
-	  dune exec bin/zkflow.exe -- chaos --seed $$seed \
-	    --dir chaos-out/seed-$$seed --json \
-	    > chaos-out/seed-$$seed-report.json || exit 1; \
-	  dune exec bin/zkflow.exe -- monitor --dir chaos-out/seed-$$seed --strict \
-	    > chaos-out/seed-$$seed-health.txt || true; \
-	done
-	for plan in chaos/plans/*.json; do \
-	  name=$$(basename $$plan .json); \
-	  dune exec bin/zkflow.exe -- chaos --plan $$plan \
-	    --dir chaos-out/$$name --json \
+	for run in 1 2 3 4 5 6 7 8 chaos/plans/*.json; do \
+	  case $$run in \
+	    *.json) name=$$(basename $$run .json); plan="--plan $$run" ;; \
+	    *) name=seed-$$run; plan="--seed $$run" ;; \
+	  esac; \
+	  dune exec bin/zkflow.exe -- chaos $$plan --dir chaos-out/$$name --json \
 	    > chaos-out/$$name-report.json || exit 1; \
 	  dune exec bin/zkflow.exe -- monitor --dir chaos-out/$$name --strict \
 	    > chaos-out/$$name-health.txt || true; \

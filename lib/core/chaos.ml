@@ -7,7 +7,6 @@ module Rng = Zkflow_util.Rng
 module Jsonx = Zkflow_util.Jsonx
 module Fault = Zkflow_fault.Fault
 module Event = Zkflow_obs.Event
-module Obs = Zkflow_obs.Obs
 module D = Zkflow_hash.Digest32
 
 type config = {
@@ -242,57 +241,36 @@ let twin_root ~cfg ~plan db =
     let* _ = Prover_service.heal service in
     Ok (Prover_service.latest_root service)
   in
-  if Obs.on () then begin
-    let result, twin_events = Event.isolate body in
-    Result.map (fun root -> (root, twin_events)) result
-  end
-  else Result.map (fun root -> (root, [])) (body ())
+  let result, twin_events = Event.isolate body in
+  Result.map (fun root -> (root, twin_events)) result
 
 (* ---- storage corruption while the prover is down ---- *)
 
-let apply_storage_fault ~seed ~serial path = function
-  | Fault.Torn_write { target = "checkpoint"; drop_bytes } ->
-    if Sys.file_exists path then begin
-      let ic = open_in_bin path in
-      let size = in_channel_length ic in
+let apply_storage_fault ~seed ~serial path fault =
+  let corrupt data =
+    let size = String.length data in
+    match fault with
+    | Fault.Torn_write { target = "checkpoint"; drop_bytes } ->
       let keep = max 0 (size - drop_bytes) in
-      let data = really_input_string ic keep in
-      close_in ic;
-      let oc = open_out_bin path in
-      output_string oc data;
-      close_out oc;
-      Event.emit ~track:"fault" "fault.torn_write"
+      Some (String.sub data 0 keep, "fault.torn_write", [ ("bytes", size - keep) ])
+    | Fault.Bit_flip { target = "checkpoint" } when size > 0 ->
+      let rng = Rng.create (Int64.of_int (0xf11b + seed + (131 * serial))) in
+      let byte = Rng.int rng size and bit = Rng.int rng 8 in
+      let flipped = Bytes.of_string data in
+      Bytes.set flipped byte
+        (Char.chr (Char.code (Bytes.get flipped byte) lxor (1 lsl bit)));
+      Some (Bytes.to_string flipped, "fault.bit_flip", [ ("byte", byte); ("bit", bit) ])
+    | _ -> None
+  in
+  if Sys.file_exists path then
+    match corrupt (In_channel.with_open_bin path In_channel.input_all) with
+    | None -> ()
+    | Some (data, kind, nums) ->
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data);
+      Event.emit ~track:"fault" kind
         ~attrs:
-          [
-            ("target", Jsonx.Str "checkpoint");
-            ("bytes", Jsonx.Num (float_of_int (size - keep)));
-          ]
-    end
-  | Fault.Bit_flip { target = "checkpoint" } ->
-    if Sys.file_exists path then begin
-      let ic = open_in_bin path in
-      let size = in_channel_length ic in
-      let data = Bytes.create size in
-      really_input ic data 0 size;
-      close_in ic;
-      if size > 0 then begin
-        let rng = Rng.create (Int64.of_int (0xf11b + seed + (131 * serial))) in
-        let byte = Rng.int rng size and bit = Rng.int rng 8 in
-        Bytes.set data byte
-          (Char.chr (Char.code (Bytes.get data byte) lxor (1 lsl bit)));
-        let oc = open_out_bin path in
-        output_bytes oc data;
-        close_out oc;
-        Event.emit ~track:"fault" "fault.bit_flip"
-          ~attrs:
-            [
-              ("target", Jsonx.Str "checkpoint");
-              ("byte", Jsonx.Num (float_of_int byte));
-              ("bit", Jsonx.Num (float_of_int bit));
-            ]
-      end
-    end
-  | _ -> ()
+          (("target", Jsonx.Str "checkpoint")
+          :: List.map (fun (k, n) -> (k, Jsonx.Num (float_of_int n))) nums)
 
 (* ---- verification ----
 
@@ -316,10 +294,19 @@ let verify_service ~board service =
   Verifier_client.verify_coverage ~board ~gaps:(Prover_service.open_gaps service)
     covered
 
-(* The uninterrupted twin shares the plan's data faults, so it may
-   legitimately fire what those faults cause — never anything else. *)
-let twin_allowed ~slo_expected name =
-  (name = "coverage" || name = "board-integrity") && List.mem name slo_expected
+(* The SLO cross-check, the one policy behind the report's [slo_ok] /
+   [twin_slo_ok] and {!verdict}'s message: the chaos run must fire
+   exactly [slo_expected] (returns what it missed and what it fired
+   spuriously), and the uninterrupted twin, which shares the plan's
+   data faults, only what those faults cause. *)
+let slo_mismatches ~slo_expected ~slo_fired ~twin_slo_fired =
+  let absent l n = not (List.mem n l) in
+  let twin_allowed n =
+    (n = "coverage" || n = "board-integrity") && List.mem n slo_expected
+  in
+  ( List.filter (absent slo_fired) slo_expected,
+    List.filter (absent slo_expected) slo_fired,
+    List.filter (fun n -> not (twin_allowed n)) twin_slo_fired )
 
 (* ---- the chaos run ----
 
@@ -445,11 +432,15 @@ let run ?dir ?(config = default_config) ~plan () =
     settle ();
     Ok ()
   in
-  (* A death mid-drain reports as [Error]; rethrow it like the others. *)
+  (* A death mid-drain reports as [Error]; rethrow it like the others.
+     The crash is read only once the drain has returned. *)
   let drain () =
-    match (Daemon.drain d, Daemon.crashed d) with
-    | Error _, Some site -> raise (Fault.Crash site)
-    | result, _ -> result
+    match Daemon.drain d with
+    | Ok () -> Ok ()
+    | Error e -> (
+      match Daemon.crashed d with
+      | Some site -> raise (Fault.Crash site)
+      | None -> Error e)
   in
   let result =
     try
@@ -469,14 +460,21 @@ let run ?dir ?(config = default_config) ~plan () =
     with Daemon_wedged e -> Error ("chaos: " ^ e)
   in
   Fault.clear ();
+  let* () =
+    match result with
+    | Ok () -> Ok ()
+    | Error e ->
+      Daemon.stop d;
+      Error e
+  in
   let main_counters = Daemon.counters d in
   (* ---- flood phase: overload burst against a parked throwaway
      daemon (its own store/board/WAL — accepted flood windows must
      never leak into the twin-compared history above) ---- *)
   let* flood_windows, flood_shed, flood_ok =
-    match (result, Fault.flood plan) with
-    | Error _, _ | _, None -> Ok (0, 0, true)
-    | Ok (), Some (windows, capacity) ->
+    match Fault.flood plan with
+    | None -> Ok (0, 0, true)
+    | Some (windows, capacity) ->
       Event.emit ~track:"fault" "fault.flood"
         ~attrs:
           [
@@ -524,13 +522,6 @@ let run ?dir ?(config = default_config) ~plan () =
       in
       Ok (windows, !shed, ok)
   in
-  let* () =
-    match result with
-    | Ok () -> Ok ()
-    | Error e ->
-      Daemon.stop d;
-      Error e
-  in
   let service = Daemon.service d in
   let verified = verify_service ~board service in
   let open_gaps = Prover_service.open_gaps service in
@@ -557,9 +548,12 @@ let run ?dir ?(config = default_config) ~plan () =
   let chaos_events = Event.events () in
   let slo_expected = Slo.expected_for chaos_events in
   let slo_fired = Slo.firing_names (Slo.evaluate chaos_events) in
-  let slo_ok = List.sort_uniq String.compare slo_fired = slo_expected in
   let twin_slo_fired = Slo.firing_names (Slo.evaluate twin_events) in
-  let twin_slo_ok = List.for_all (twin_allowed ~slo_expected) twin_slo_fired in
+  let missed, spurious, twin_spurious =
+    slo_mismatches ~slo_expected ~slo_fired ~twin_slo_fired
+  in
+  let slo_ok = missed = [] && spurious = [] in
+  let twin_slo_ok = twin_spurious = [] in
   (* Leave artifacts behind for `zkflow stats` / `monitor`: the public
      board and the saved service state, both written atomically. *)
   Zkflow_store.Wal.write_file_atomic
@@ -607,19 +601,20 @@ let run ?dir ?(config = default_config) ~plan () =
 (* ---- verdict ---- *)
 
 let verdict r =
-  let named label keep =
-    List.filter_map (fun n -> if keep n then None else Some (label ^ n))
+  let missed, spurious, twin_spurious =
+    slo_mismatches ~slo_expected:r.slo_expected ~slo_fired:r.slo_fired
+      ~twin_slo_fired:r.twin_slo_fired
   in
+  let named label = List.map (( ^ ) label) in
   let failures =
     List.concat
       [
         (if r.safety_ok then [] else [ "safety violated" ]);
         (if r.liveness_ok then [] else [ "liveness violated" ]);
         (if r.flood_ok then [] else [ "bounded-ingest shedding violated" ]);
-        named "missed SLO " (fun n -> List.mem n r.slo_fired) r.slo_expected;
-        named "spurious SLO " (fun n -> List.mem n r.slo_expected) r.slo_fired;
-        named "twin fired SLO " (twin_allowed ~slo_expected:r.slo_expected)
-          r.twin_slo_fired;
+        named "missed SLO " missed;
+        named "spurious SLO " spurious;
+        named "twin fired SLO " twin_spurious;
       ]
   in
   if failures = [] then Ok ()

@@ -109,8 +109,9 @@ val run :
 
 val verdict : report -> (unit, string) result
 (** [Ok ()] iff safety, liveness, the flood check and both SLO
-    cross-checks hold. The error names every violated property and
-    every missed or spurious objective. *)
+    cross-checks hold; the SLO lists are judged by the same rule that
+    sets [slo_ok] and [twin_slo_ok]. The error names every violated
+    property and every missed or spurious objective. *)
 
 val status_string : status -> string
 val to_json : report -> Zkflow_util.Jsonx.t

@@ -684,13 +684,15 @@ let resume ?proof_params ~db ~board ~path () =
             ("dropped_rows", Jsonx.Num (float_of_int dropped_rows));
             ("open_gaps", Jsonx.Num (float_of_int (List.length (open_gaps t))));
           ];
-    (* A crash between a row's sync and the round's own
-       ["prover.gap.open"] leaves a gap the journal holds but the event
-       log never saw; re-announce every open gap (the monitor keeps the
-       first open per router/epoch, so repeats are harmless). *)
+    (* A crash between the last row's sync and its round's own
+       ["prover.gap.open"] leaves the gaps that row detected in the
+       journal but never in the event log: re-announce those. Earlier
+       rows were announced before the next round began. A repeat of an
+       announcement that was not lost counts once: the monitor and the
+       SLO engine both key gap opens by router and epoch. *)
     List.iter
       (fun (g : gap) ->
-        if g.healed_round = None then
+        if g.healed_round = None && g.detected_round = restored - 1 then
           Obs.Event.emit ~router:g.router_id ~epoch:g.epoch ~round:g.detected_round
             ~track:"prover" "prover.gap.open")
       t.gaps;

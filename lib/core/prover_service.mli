@@ -156,11 +156,11 @@ val resume :
     appending. Returns the service and the number of restored rounds
     (0 for a missing file — a fresh, checkpointing service). The
     dropped suffix is simply re-proved: aggregation is deterministic,
-    so the re-proved rounds are bit-identical to the lost ones. Every
-    gap still open in the restored journal is re-announced as a
-    ["prover.gap.open"] event (at its [detected_round]), so a crash
+    so the re-proved rounds are bit-identical to the lost ones. The
+    open gaps the last restored row detected are re-announced as
+    ["prover.gap.open"] events (at their [detected_round]), so a crash
     between a round's checkpoint and its own announcement cannot hide
-    the gap from the event log. *)
+    a gap from the event log. *)
 
 (* ---- summaries ---- *)
 

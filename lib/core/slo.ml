@@ -212,7 +212,26 @@ let eval_spec ~now_ns ~start_ns events spec =
     causes = (if firing then causes_of events spec else []);
   }
 
+(* A gap is one bad outcome however often it is announced: a restart
+   re-announces the gaps its last checkpoint row detected, and a
+   skipped round's gap is detected again after a crash. Like the
+   monitor, keep only the first ["prover.gap.open"] per (router,
+   epoch), so a gap surviving restarts neither counts again nor
+   lands a fresh bad event in a later burn window. *)
+let first_gap_opens events =
+  let seen = Hashtbl.create 16 in
+  List.filter
+    (fun (e : Event.t) ->
+      match (e.Event.kind, e.Event.router, e.Event.epoch) with
+      | "prover.gap.open", Some router, Some epoch ->
+        let fresh = not (Hashtbl.mem seen (router, epoch)) in
+        Hashtbl.replace seen (router, epoch) ();
+        fresh
+      | _ -> true)
+    events
+
 let evaluate ?(specs = default_specs) events =
+  let events = first_gap_opens events in
   let now_ns =
     List.fold_left (fun acc (e : Event.t) -> max acc e.Event.ts_ns) 0 events
   in

@@ -79,7 +79,9 @@ val kind_matches : string -> string -> bool
 
 val evaluate : ?specs:spec list -> Zkflow_obs.Event.t list -> alert list
 (** Evaluate every spec against the log, anchored at the newest event's
-    timestamp. [specs] defaults to {!default_specs}. *)
+    timestamp. [specs] defaults to {!default_specs}. A gap counts once:
+    only the first ["prover.gap.open"] per (router, epoch) is seen, so
+    the re-announcements a restart makes add no bad events. *)
 
 val firing : alert list -> alert list
 val firing_names : alert list -> string list

@@ -508,6 +508,53 @@ let test_gap_survives_post_checkpoint_crash () =
       check_bool "coverage fires" true
         (List.mem "coverage" (Slo.firing_names (Slo.evaluate events))))
 
+(* A gap that survives two restarts is still one gap. Each restart
+   re-announces only what the last restored row detected, so once a
+   later round is checkpointed a restart announces nothing; the
+   repeats that remain count once, for the monitor and the SLOs. *)
+let test_gap_surviving_restarts_counts_once () =
+  with_tmp (fun path ->
+      let events =
+        Zkflow_obs.Obs.with_enabled (fun () ->
+            let db, board, service = degraded_world () in
+            load_epoch db ~epoch:1 ~routers:3 ~per_router:3 ~seed:81;
+            Prover_service.with_checkpoints service ~path;
+            ignore (publish_router board db ~router_id:0 ~epoch:0);
+            ignore (publish_router board db ~router_id:1 ~epoch:0);
+            ignore (Result.get_ok (Prover_service.aggregate_available service ~epoch:0));
+            let restart s =
+              Prover_service.abandon s;
+              fst
+                (Result.get_ok
+                   (Prover_service.resume ~proof_params:params ~db ~board ~path ()))
+            in
+            let resumed = restart (restart service) in
+            List.iter
+              (fun router_id -> ignore (publish_router board db ~router_id ~epoch:1))
+              [ 0; 1; 2 ];
+            ignore (Result.get_ok (Prover_service.aggregate_available resumed ~epoch:1));
+            let resumed = restart resumed in
+            Alcotest.(check (list (pair int int)))
+              "journal holds the gap" [ (2, 0) ]
+              (Prover_service.open_gaps resumed);
+            Zkflow_obs.Event.events ())
+      in
+      let opens =
+        List.filter (fun (e : Zkflow_obs.Event.t) -> e.kind = "prover.gap.open") events
+      in
+      check_int "announced by the round and by the two restarts over its row" 3
+        (List.length opens);
+      check_int "monitor lists one gap" 1 (List.length (Monitor.build events).Monitor.gaps);
+      match
+        List.find_opt
+          (fun a -> a.Slo.spec.Slo.slo_name = "coverage")
+          (Slo.evaluate events)
+      with
+      | None -> Alcotest.fail "no coverage alert"
+      | Some a ->
+        check_int "coverage counts the gap once" 1 a.Slo.bad_count;
+        check_int "one cause" 1 (List.length a.Slo.causes))
+
 let test_skipped_round_when_nothing_published () =
   let _, _, service = degraded_world () in
   match Prover_service.aggregate_available service ~epoch:0 with
@@ -705,6 +752,31 @@ let test_chaos_daemon_twin () =
   check_int "flood shed exactly past capacity" 3 r.Chaos.flood_shed;
   check_bool "flood verdict" true r.Chaos.flood_ok
 
+let test_chaos_kill_during_drain () =
+  (* The held export heals inside the drain, and the only kill lands
+     there: the two epoch rounds pass agg.pre_prove first, so its
+     third pass is the first heal round. A death mid-drain restarts
+     the daemon and drains again. *)
+  let p =
+    plan ~seed:6 ~name:"drain-kill"
+      [
+        Fault.Delay { router = 1; epoch = 0 };
+        Fault.Crash_at { site = "agg.pre_prove"; hits = 3 };
+      ]
+  in
+  let r = run_chaos p in
+  check_int "one kill" 1 r.Chaos.crashes;
+  check_int "resumed" 1 r.Chaos.resumes;
+  check_int "killed after every epoch round was durable"
+    (r.Chaos.rounds - r.Chaos.heal_rounds)
+    r.Chaos.restored_rounds;
+  check_bool "held export healed" true (r.Chaos.heal_rounds >= 1);
+  check_bool "drained" true (r.Chaos.drains >= 1);
+  check_bool "safety" true r.Chaos.safety_ok;
+  check_bool "liveness" true r.Chaos.liveness_ok;
+  check_string "root bit-identical to twin" r.Chaos.twin_root r.Chaos.final_root;
+  check_bool "complete after heal" true (r.Chaos.status = Chaos.Complete)
+
 let () =
   Alcotest.run "zkflow_fault"
     [
@@ -746,6 +818,8 @@ let () =
             test_degraded_round_then_heal;
           Alcotest.test_case "gap survives a post-checkpoint crash" `Quick
             test_gap_survives_post_checkpoint_crash;
+          Alcotest.test_case "gap surviving restarts counts once" `Quick
+            test_gap_surviving_restarts_counts_once;
           Alcotest.test_case "skipped round" `Quick
             test_skipped_round_when_nothing_published;
           Alcotest.test_case "silent loss rejected" `Quick
@@ -766,5 +840,7 @@ let () =
             test_chaos_run_dropped_export_degrades_explicitly;
           Alcotest.test_case "daemon-mode: kills + held export + flood" `Slow
             test_chaos_daemon_twin;
+          Alcotest.test_case "kill during the drain's heal round" `Slow
+            test_chaos_kill_during_drain;
         ] );
     ]

@@ -125,6 +125,27 @@ let test_old_fault_does_not_fire () =
   check_bool "short window clean" true (fast.Slo.short_burn = 0.);
   check_bool "pair gated on both" false fast.Slo.w_firing
 
+(* A gap counts once however often it is announced (a restart
+   re-announces the gaps it restores): the old gap of the de-bounce
+   case, re-announced inside the short window, still does not fire;
+   a different export's gap does, and each gap is named once. *)
+let test_reannounced_gap_counts_once () =
+  let goods =
+    List.init 21 (fun i -> ev ~epoch:i ~ts:(s (i * 100)) "board" "board.publish")
+  in
+  let gap ~router ts = ev ~router ~epoch:0 ~ts:(s ts) "prover" "prover.gap.open" in
+  let events = (gap ~router:1 1 :: goods) @ [ gap ~router:1 1990; gap ~router:1 1995 ] in
+  let a = find_alert "test-coverage" (Slo.evaluate ~specs:[ coverage_spec ] events) in
+  check_int "one bad event" 1 a.Slo.bad_count;
+  check_bool "re-announced old gap does not fire" false a.Slo.firing;
+  let events = events @ [ gap ~router:2 1996; gap ~router:1 1997 ] in
+  let a = find_alert "test-coverage" (Slo.evaluate ~specs:[ coverage_spec ] events) in
+  check_int "distinct gaps count apart" 2 a.Slo.bad_count;
+  check_bool "a new gap fires" true a.Slo.firing;
+  Alcotest.(check (list (option int)))
+    "each gap named once" [ Some 1; Some 2 ]
+    (List.map (fun c -> c.Slo.cause_router) a.Slo.causes)
+
 let test_empty_log () =
   let alerts = Slo.evaluate [] in
   check_int "every default spec evaluated" 6 (List.length alerts);
@@ -267,6 +288,8 @@ let () =
             test_one_gap_fires_with_causal_keys;
           Alcotest.test_case "old fault: long burns, short de-bounces" `Quick
             test_old_fault_does_not_fire;
+          Alcotest.test_case "re-announced gap counts once" `Quick
+            test_reannounced_gap_counts_once;
           Alcotest.test_case "empty log" `Quick test_empty_log;
         ] );
       ( "chaos-contract",
