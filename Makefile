@@ -50,9 +50,11 @@ check: build lint audit
 # so a local run never dirties the working tree. CI uploads the trace
 # and the health report as artifacts. The simulation spans 3 epochs
 # over 200 flows so the prover chains multiple rounds — the --require
-# assertion then proves the incremental Merkle path actually reused
+# assertions then prove the incremental Merkle path actually reused
 # subtrees on the warm rounds rather than silently falling back to
-# full rebuilds.
+# full rebuilds, and that tree builds copied equal-neighbour slots
+# (padding, repeated journal-accumulator leaves) instead of hashing
+# them.
 SMOKE := smoke-out
 bench-smoke: build
 	rm -rf $(SMOKE)/state $(SMOKE)/trace-smoke.json $(SMOKE)/stats-smoke.json \
@@ -70,7 +72,8 @@ bench-smoke: build
 	  --events $(SMOKE)/state/events.jsonl
 	dune exec bin/zkflow.exe -- trace-check $(SMOKE)/trace-smoke.json \
 	  --min-names 5 --events $(SMOKE)/state/events.jsonl \
-	  --counters $(SMOKE)/stats-smoke.json --require merkle.nodes_reused=1
+	  --counters $(SMOKE)/stats-smoke.json --require merkle.nodes_reused=1 \
+	  --require merkle.nodes_copied=1
 	dune exec bin/zkflow.exe -- stats --dir $(SMOKE)/state --json
 	dune exec bin/zkflow.exe -- monitor --dir $(SMOKE)/state --strict
 	dune exec bin/zkflow.exe -- slo --dir $(SMOKE)/state --strict

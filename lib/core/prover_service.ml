@@ -684,17 +684,24 @@ let resume ?proof_params ~db ~board ~path () =
             ("dropped_rows", Jsonx.Num (float_of_int dropped_rows));
             ("open_gaps", Jsonx.Num (float_of_int (List.length (open_gaps t))));
           ];
-    (* A crash between the last row's sync and its round's own
-       ["prover.gap.open"] leaves the gaps that row detected in the
-       journal but never in the event log: re-announce those. Earlier
-       rows were announced before the next round began. A repeat of an
-       announcement that was not lost counts once: the monitor and the
-       SLO engine both key gap opens by router and epoch. *)
+    (* A crash between the last row's sync and its round's own events
+       leaves what that row changed in the journal but never in the
+       event log: the gaps it detected (["prover.gap.open"]) and, for a
+       heal round, the gaps it healed (["prover.gap.heal"]).
+       Re-announce those. Earlier rows were announced before the next
+       round began. A repeat of an announcement that was not lost
+       counts once: the monitor and the SLO engine key gap opens by
+       router and epoch, the monitor keeps the first heal, and no SLO
+       counts heals. *)
+    let last = restored - 1 in
     List.iter
       (fun (g : gap) ->
-        if g.healed_round = None && g.detected_round = restored - 1 then
-          Obs.Event.emit ~router:g.router_id ~epoch:g.epoch ~round:g.detected_round
-            ~track:"prover" "prover.gap.open")
+        let announce kind =
+          Obs.Event.emit ~router:g.router_id ~epoch:g.epoch ~round:last ~track:"prover" kind
+        in
+        match g.healed_round with
+        | None -> if g.detected_round = last then announce "prover.gap.open"
+        | Some r -> if r = last then announce "prover.gap.heal")
       t.gaps;
     Ok (t, restored)
 

@@ -194,8 +194,10 @@ let update_string ctx s = update ctx (Bytes.unsafe_of_string s)
 (* Padding, in the context's own block: 0x80, zeros to 56 mod 64, then
    the 64-bit big-endian bit length. A block with more than 55 bytes
    buffered spills the length into one more block. *)
-let finalize ctx =
+let finalize_into ctx ~dst ~dst_pos =
   check_live ctx;
+  if dst_pos < 0 || dst_pos > Bytes.length dst - 32 then
+    invalid_arg "Sha256.finalize_into: out of bounds";
   let b = ctx.block and fill = ctx.fill in
   Bytes.set b fill '\x80';
   if fill >= 56 then begin
@@ -207,8 +209,11 @@ let finalize ctx =
   Bytes.set_int64_be b 56 (Int64.of_int (ctx.total * 8));
   compress ctx b 0;
   ctx.finalized <- true;
+  write_digest ctx.st dst dst_pos
+
+let finalize ctx =
   let out = Bytes.create 32 in
-  write_digest ctx.st out 0;
+  finalize_into ctx ~dst:out ~dst_pos:0;
   out
 
 (* The second block of every 64-byte message is the same padding

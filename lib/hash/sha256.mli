@@ -30,6 +30,12 @@ val finalize : ctx -> bytes
 (** [finalize ctx] pads, produces the 32-byte digest and invalidates
     [ctx]: further [update]/[finalize] calls raise [Invalid_argument]. *)
 
+val finalize_into : ctx -> dst:bytes -> dst_pos:int -> unit
+(** [finalize_into ctx ~dst ~dst_pos] is {!finalize} writing the
+    digest into [dst.[dst_pos .. dst_pos+31]] instead of a fresh
+    buffer, so it allocates nothing. Raises [Invalid_argument] when the
+    window is out of range. *)
+
 val digest64_into :
   ctx -> src:bytes -> src_pos:int -> dst:bytes -> dst_pos:int -> unit
 (** [digest64_into ctx ~src ~src_pos ~dst ~dst_pos] writes the SHA-256

@@ -1,10 +1,15 @@
 module D = Zkflow_hash.Digest32
+module Sha256 = Zkflow_hash.Sha256
+module Bytesx = Zkflow_util.Bytesx
 module Pool = Zkflow_parallel.Pool
 module Obs = Zkflow_obs
 
-(* Interior + leaf hashes; [sha256.compressions] counts blocks, this
-   counts Merkle nodes, so the ratio exposes padding overhead. *)
+(* Slots filled by hashing and slots copied from their left neighbour.
+   A build over n leaves padded to P fills n + P − 1 slots, so the two
+   counters sum to that; [sha256.compressions] counts blocks, so the
+   ratios expose padding and repetition overhead. *)
 let m_nodes = Obs.Metric.counter "merkle.nodes_hashed"
+let m_copied = Obs.Metric.counter "merkle.nodes_copied"
 
 (* All levels live in one flat buffer of 32-byte slots: the padded leaf
    level first, then each parent level, ending with the root. For a
@@ -17,11 +22,7 @@ type t = {
   depth : int;
 }
 
-let leaf_domain = Bytes.of_string "zkflow.lf.v1"
-
-let leaf_hash data =
-  D.of_bytes (Zkflow_hash.Sha256.digest_concat [ leaf_domain; data ])
-
+let leaf_hash = Proof.leaf_hash
 let empty_leaf = D.hash_string "zkflow.empty-leaf"
 
 let next_pow2 n =
@@ -45,64 +46,103 @@ let level_offsets padded depth =
   done;
   level_off
 
-(* Hash parent slots [lo, hi) of one level: parent [i] is the node
-   hash of the 64 child bytes at slot [src + 2i] of [sbuf], written to
-   slot [dst + i] of [dbuf]. Each chunk owns its SHA-256 ctx — contexts
-   must never be shared between workers. *)
-let hash_range ~sbuf ~src ~dbuf ~dst lo hi =
-  let ctx = Zkflow_hash.Sha256.init () in
-  for i = lo to hi - 1 do
-    Zkflow_hash.Sha256.digest64_into ctx ~src:sbuf ~src_pos:(32 * (src + (2 * i)))
-      ~dst:dbuf ~dst_pos:(32 * (dst + i))
-  done;
-  Obs.Metric.add m_nodes (hi - lo)
+let rec push cell x =
+  let l = Atomic.get cell in
+  if not (Atomic.compare_and_set cell l (x :: l)) then push cell x
 
-(* Workers write disjoint 32-byte parent slots, so a level can be
-   hashed in parallel chunks. Small top levels fall under the chunk
-   floor and run sequentially through the same code path. *)
+(* The equal-neighbour rule. Slot [i] of a level, at slot offset [dst]
+   of [buf], is [hash ctx i] unless its input equals slot [i − 1]'s
+   ([same i]); then it copies slot [i − 1]'s digest. All-padding
+   subtrees and runs of repeated leaves thus cost one hash per run.
+   Chunks fill disjoint slots in parallel, each with its own SHA-256
+   ctx. A chunk whose first slots continue a run from the chunk before
+   cannot copy them yet, so it leaves them to a sequential pass once
+   the level's chunks have returned: which slots are hashed depends on
+   the inputs alone, never on the chunking. *)
+let fill_level ~min_chunk buf ~dst width ~same ~hash =
+  let deferred = Atomic.make [] in
+  let copy i = Bytes.blit buf (32 * (dst + i - 1)) buf (32 * (dst + i)) 32 in
+  Pool.parallel_for ~min_chunk width (fun lo hi ->
+      let ctx = Sha256.init () in
+      let start = ref lo in
+      while !start < hi && !start > 0 && same !start do
+        incr start
+      done;
+      if !start > lo then push deferred (lo, !start);
+      let hashed = ref 0 in
+      for i = !start to hi - 1 do
+        if i > !start && same i then copy i
+        else begin
+          hash ctx i;
+          incr hashed
+        end
+      done;
+      Obs.Metric.add m_nodes !hashed;
+      Obs.Metric.add m_copied (hi - lo - !hashed));
+  List.iter
+    (fun (lo, hi) ->
+      for i = lo to hi - 1 do
+        copy i
+      done)
+    (List.sort compare (Atomic.get deferred))
+
+(* Parent [i] of a level is the node hash of the 64 child bytes at
+   slot [src + 2i]; its left neighbour's input sits just before them. *)
 let build_levels buf level_off depth =
   for level = 0 to depth - 1 do
     let src = level_off.(level) and dst = level_off.(level + 1) in
-    let width = level_off.(level + 1) - level_off.(level) in
-    Pool.parallel_for ~min_chunk:1024 (width / 2)
-      (hash_range ~sbuf:buf ~src ~dbuf:buf ~dst)
+    let child i = 32 * (src + (2 * i)) in
+    fill_level ~min_chunk:1024 buf ~dst ((dst - src) / 2)
+      ~same:(fun i -> Bytesx.equal_sub buf (child i) buf (child (i - 1)) 64)
+      ~hash:(fun ctx i ->
+        Sha256.digest64_into ctx ~src:buf ~src_pos:(child i) ~dst:buf
+          ~dst_pos:(32 * (dst + i)))
   done
+
+let alloc n =
+  let padded = next_pow2 n in
+  let depth = log2 padded in
+  {
+    buf = Bytes.create (32 * ((2 * padded) - 1));
+    level_off = level_offsets padded depth;
+    size = n;
+    depth;
+  }
+
+(* With the real leaf slots of [t] filled: pad the leaf level, hash
+   the levels above and close the build span opened at [t0]. *)
+let build t0 t =
+  let empty = D.unsafe_to_bytes empty_leaf in
+  for i = t.size to (1 lsl t.depth) - 1 do
+    Bytes.blit empty 0 t.buf (32 * i) 32
+  done;
+  build_levels t.buf t.level_off t.depth;
+  if t0 <> 0 then Obs.Span.finish "merkle.build" ~args:[ ("leaves", t.size) ] t0;
+  t
+
+let of_leaves data =
+  let t0 = Obs.Span.start () in
+  let t = alloc (Array.length data) in
+  fill_level ~min_chunk:512 t.buf ~dst:0 t.size
+    ~same:(fun i -> data.(i) == data.(i - 1) || Bytes.equal data.(i) data.(i - 1))
+    ~hash:(fun ctx i -> Proof.leaf_hash_into ctx data.(i) ~dst:t.buf ~dst_pos:(32 * i));
+  build t0 t
 
 let of_leaf_hashes hs =
   let t0 = Obs.Span.start () in
-  let n = Array.length hs in
-  let padded = next_pow2 n in
-  let depth = log2 padded in
-  let level_off = level_offsets padded depth in
-  let buf = Bytes.create (32 * ((2 * padded) - 1)) in
-  for i = 0 to padded - 1 do
-    let d = if i < n then hs.(i) else empty_leaf in
-    Bytes.blit (D.unsafe_to_bytes d) 0 buf (32 * i) 32
-  done;
-  build_levels buf level_off depth;
-  if t0 <> 0 then Obs.Span.finish "merkle.build" ~args:[ ("leaves", n) ] t0;
-  { buf; level_off; size = n; depth }
+  let t = alloc (Array.length hs) in
+  Array.iteri (fun i d -> Bytes.blit (D.unsafe_to_bytes d) 0 t.buf (32 * i) 32) hs;
+  build t0 t
 
-let hash_leaves data =
-  let n = Array.length data in
-  if n = 0 then [||]
-  else begin
-    let hs = Array.make n empty_leaf in
-    (* Same bytes as [leaf_hash]: domain tag then payload, one reused
-       ctx per chunk. *)
-    Pool.parallel_for ~min_chunk:512 n (fun lo hi ->
-        let ctx = Zkflow_hash.Sha256.init () in
-        for i = lo to hi - 1 do
-          Zkflow_hash.Sha256.reset ctx;
-          Zkflow_hash.Sha256.update ctx leaf_domain;
-          Zkflow_hash.Sha256.update ctx data.(i);
-          hs.(i) <- D.of_bytes (Zkflow_hash.Sha256.finalize ctx)
-        done;
-        Obs.Metric.add m_nodes (hi - lo));
-    hs
-  end
-
-let of_leaves data = of_leaf_hashes (hash_leaves data)
+let permute src perm =
+  let t0 = Obs.Span.start () in
+  let t = alloc (Array.length perm) in
+  Array.iteri
+    (fun i j ->
+      if j < 0 || j >= src.size then invalid_arg "Tree.permute: index out of range";
+      Bytes.blit src.buf (32 * j) t.buf (32 * i) 32)
+    perm;
+  build t0 t
 
 let read_slot t slot = D.of_bytes (Bytes.sub t.buf (32 * slot) 32)
 let root t = read_slot t t.level_off.(t.depth)
@@ -163,28 +203,3 @@ let of_snapshot b =
       if Bytes.length b - off <> expect then Error "tree snapshot: length mismatch"
       else Ok (unsafe_of_buffer ~size (Bytes.sub b off expect))
     end
-
-let root_of_leaf_hashes hs =
-  let t0 = Obs.Span.start () in
-  let n = Array.length hs in
-  let padded = next_pow2 n in
-  let buf = Bytes.create (32 * padded) in
-  for i = 0 to padded - 1 do
-    let d = if i < n then hs.(i) else empty_leaf in
-    Bytes.blit (D.unsafe_to_bytes d) 0 buf (32 * i) 32
-  done;
-  (* Ping-pong between two buffers: in-place halving would let one
-     chunk overwrite parent slots another chunk still reads as
-     children. The hash inputs are identical either way. *)
-  let src = ref buf and dst = ref (Bytes.create (32 * (padded / 2))) in
-  let width = ref padded in
-  while !width > 1 do
-    let s = !src and d = !dst in
-    Pool.parallel_for ~min_chunk:1024 (!width / 2)
-      (hash_range ~sbuf:s ~src:0 ~dbuf:d ~dst:0);
-    src := d;
-    dst := s;
-    width := !width / 2
-  done;
-  if t0 <> 0 then Obs.Span.finish "merkle.root" ~args:[ ("leaves", n) ] t0;
-  D.of_bytes (Bytes.sub !src 0 32)

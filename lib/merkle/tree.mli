@@ -15,23 +15,33 @@ val next_pow2 : int -> int
     [n > max_int / 2], where the doubling would overflow. *)
 
 val leaf_hash : bytes -> Zkflow_hash.Digest32.t
-(** [leaf_hash data] is SHA-256 of ["zkflow.lf.v1" ‖ data] (the 12-byte tag is word-aligned so zkVM guests can reproduce it). *)
+(** {!Proof.leaf_hash}: SHA-256 of ["zkflow.lf.v1" ‖ data]. *)
 
 val empty_leaf : Zkflow_hash.Digest32.t
 (** The digest used for padding positions beyond the last real leaf. *)
 
 val of_leaves : bytes array -> t
-(** [of_leaves data] builds the tree over [Array.map leaf_hash data]. *)
+(** [of_leaves data] builds the tree over [Array.map leaf_hash data],
+    hashing each leaf straight into the tree's level buffer.
 
-val hash_leaves : bytes array -> Zkflow_hash.Digest32.t array
-(** [hash_leaves data] is [Array.map leaf_hash data], hashed in
-    parallel chunks — the leaf-hashing half of {!of_leaves}, exposed so
-    callers that commit to a permutation of the same leaves can reuse
-    the digests instead of re-hashing. *)
+    Every build applies the equal-neighbour rule: a slot whose input
+    equals its left neighbour's (the leaf bytes at the leaf level, the
+    64 child bytes above it) copies the neighbour's digest instead of
+    hashing. All-padding subtrees and runs of repeated leaves therefore
+    cost one hash per run. The rule depends only on the inputs, so
+    roots and the ["merkle.nodes_hashed"] / ["merkle.nodes_copied"]
+    counts (which sum to the [n + P − 1] slots of [n] leaves padded to
+    [P]) are the same for every job count. *)
 
 val of_leaf_hashes : Zkflow_hash.Digest32.t array -> t
 (** Builds the tree over already-hashed leaves (e.g. recomputed inside
     the zkVM guest). *)
+
+val permute : t -> int array -> t
+(** [permute t perm] is [of_leaf_hashes (Array.map (leaf t) perm)],
+    copying leaf slots from [t] rather than digests: the tree over a
+    reordering of [t]'s leaves costs only its interior nodes. Raises
+    [Invalid_argument] when an index is out of range. *)
 
 val root : t -> Zkflow_hash.Digest32.t
 (** The Merkle root; the root of the empty tree is
@@ -54,10 +64,6 @@ val node : t -> level:int -> int -> Zkflow_hash.Digest32.t
 (** [node t ~level i] is the digest at position [i] of the given level
     of the padded tree (level 0 = leaves, level [depth t] = root).
     Raises [Invalid_argument] when out of range. *)
-
-val root_of_leaf_hashes : Zkflow_hash.Digest32.t array -> Zkflow_hash.Digest32.t
-(** [root_of_leaf_hashes hs] computes only the root, without retaining
-    the tree. Matches [root (of_leaf_hashes hs)]. *)
 
 val to_snapshot : t -> bytes
 (** Serialize every node of the tree (leaf count plus the flat level

@@ -17,6 +17,26 @@ let equal_constant_time a b =
     !acc = 0
   end
 
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+
+(* Eight bytes a step, then the tail byte by byte. The int64 compare is
+   on unboxed words, and the loop is a top-level function rather than
+   a closure, so nothing is allocated. *)
+let rec equal_from a apos b bpos len i =
+  if i + 8 <= len then
+    (get64u a (apos + i) : int64) = get64u b (bpos + i)
+    && equal_from a apos b bpos len (i + 8)
+  else
+    i = len
+    || Bytes.unsafe_get a (apos + i) = Bytes.unsafe_get b (bpos + i)
+       && equal_from a apos b bpos len (i + 1)
+
+let equal_sub a apos b bpos len =
+  if apos < 0 || bpos < 0 || len < 0
+     || apos > Bytes.length a - len || bpos > Bytes.length b - len
+  then invalid_arg "Bytesx.equal_sub: out of bounds";
+  equal_from a apos b bpos len 0
+
 let xor a b =
   if Bytes.length a <> Bytes.length b then
     invalid_arg "Bytesx.xor: length mismatch";

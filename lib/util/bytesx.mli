@@ -33,6 +33,12 @@ val equal_constant_time : bytes -> bytes -> bool
     equal for the result to be [true]; differing lengths return [false]
     immediately (length is not secret in zkflow). *)
 
+val equal_sub : bytes -> int -> bytes -> int -> int -> bool
+(** [equal_sub a apos b bpos len] is whether the [len] bytes of [a] at
+    [apos] equal those of [b] at [bpos]. It stops at the first
+    mismatch, so it is not for secrets, and it allocates nothing.
+    Raises [Invalid_argument] when either window is out of range. *)
+
 val xor : bytes -> bytes -> bytes
 (** [xor a b] is the byte-wise xor. Raises [Invalid_argument] when
     lengths differ. *)

@@ -42,21 +42,29 @@ let build_commit_memo program (claim : Receipt.claim) rows memlog =
   let row_leaves = map_leaves Trace.encode_row rows in
   let rows_tree = Tree.of_leaves row_leaves in
   let time_leaves = map_leaves Trace.encode_mem memlog in
-  let time_hashes = Tree.hash_leaves time_leaves in
-  let time_tree = Tree.of_leaf_hashes time_hashes in
+  let time_tree = Tree.of_leaves time_leaves in
   (* The sorted log is a permutation of the time-ordered one, so its
-     leaf bytes and leaf hashes are the permuted time-ordered arrays —
+     leaf bytes and leaf digests are the permuted time-ordered ones —
      no second encode or hash pass over the access log. *)
   let sorted_log, perm = Memcheck.sort_with_perm memlog in
   let sorted_leaves = Array.map (fun i -> time_leaves.(i)) perm in
-  let sorted_tree = Tree.of_leaf_hashes (Array.map (fun i -> time_hashes.(i)) perm) in
+  let sorted_tree = Tree.permute time_tree perm in
   Obs.Metric.add m_leaf_reused (Array.length perm);
-  let jacc_chain = ref Zkflow_hash.Chain.genesis in
+  (* The accumulator moves only on commit rows: rows that leave the
+     chain as it was share its head's leaf bytes, and the tree copies
+     their slots instead of hashing them. *)
   let jacc_leaves =
+    let chain = ref Zkflow_hash.Chain.genesis and leaf = ref None in
     Array.map
       (fun row ->
-        jacc_chain := Checker.jacc_step ~program !jacc_chain row;
-        D.to_bytes (Zkflow_hash.Chain.head !jacc_chain))
+        let next = Checker.jacc_step ~program !chain row in
+        match !leaf with
+        | Some b when next == !chain -> b
+        | _ ->
+          let b = D.to_bytes (Zkflow_hash.Chain.head next) in
+          chain := next;
+          leaf := Some b;
+          b)
       rows
   in
   let jacc_tree = Tree.of_leaves jacc_leaves in

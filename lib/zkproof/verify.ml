@@ -11,13 +11,56 @@ let require cond fmt =
   if cond then Format.ikfprintf (fun _ -> Ok ()) Format.str_formatter fmt
   else fail fmt
 
-(* Authenticate one opening against a column root. *)
-let check_opening ~root ~what (o : Receipt.opening) =
+(* Authenticate one opening against a column root. [authenticated]
+   says every path of the seal already verified in the batch check, so
+   only the index binding is left to check here. *)
+let check_opening ~authenticated ~root ~what (o : Receipt.opening) =
   let* () =
     require (o.Receipt.path.Proof.index = o.Receipt.index) "%s: index mismatch" what
   in
-  require (Proof.verify_data ~root o.Receipt.leaf o.Receipt.path)
+  require
+    (authenticated || Proof.verify_data ~root o.Receipt.leaf o.Receipt.path)
     "%s: Merkle path does not authenticate" what
+
+(* Every opening of the seal, by the column root it opens against. *)
+let column_openings (seal : Receipt.seal) =
+  let b = seal.Receipt.boundary in
+  let each a f = List.concat_map f (Array.to_list a) in
+  let z_pairs zs =
+    each zs (fun (zc : Receipt.z_check) -> [ zc.Receipt.z; zc.Receipt.z_next ])
+  in
+  let entries zs = each zs (fun (zc : Receipt.z_check) -> [ zc.Receipt.entry_next ]) in
+  let steps f = each seal.Receipt.steps f in
+  [
+    ( seal.Receipt.root_rows,
+      b.Receipt.row0 :: b.Receipt.last_row
+      :: steps (fun s -> [ s.Receipt.row; s.Receipt.next ]) );
+    ( seal.Receipt.root_jacc,
+      b.Receipt.jacc0 :: b.Receipt.jacc_last
+      :: steps (fun s -> [ s.Receipt.jacc; s.Receipt.jacc_next ]) );
+    ( seal.Receipt.root_time,
+      (b.Receipt.time0 :: steps (fun s -> Array.to_list s.Receipt.mem))
+      @ entries seal.Receipt.zs_time );
+    ( seal.Receipt.root_sorted,
+      (b.Receipt.sorted0
+      :: each seal.Receipt.sorteds (fun s -> [ s.Receipt.first; s.Receipt.second ]))
+      @ entries seal.Receipt.zs_sorted );
+    ( seal.Receipt.root_z_time,
+      b.Receipt.z_time0 :: b.Receipt.z_time_last :: z_pairs seal.Receipt.zs_time );
+    ( seal.Receipt.root_z_sorted,
+      b.Receipt.z_sorted0 :: b.Receipt.z_sorted_last :: z_pairs seal.Receipt.zs_sorted );
+  ]
+
+(* One shared-path batch check per column root. It accepts exactly when
+   every opening's path verifies alone, so when it passes the
+   per-opening checks need not hash again; when it fails they run
+   unchanged and report the first bad opening as before. *)
+let paths_authenticate seal =
+  List.for_all
+    (fun (root, openings) ->
+      let pair (o : Receipt.opening) = (o.Receipt.leaf, o.Receipt.path) in
+      Proof.verify_data_all ~root (Array.of_list (List.map pair openings)))
+    (column_openings seal)
 
 let decode_row ~what (o : Receipt.opening) =
   match Trace.decode_row o.Receipt.leaf with
@@ -44,7 +87,8 @@ let rec all = function
     let* () = check () in
     all rest
 
-let check_step ~program ~seal i (s : Receipt.step_check) =
+let check_step ~authenticated ~program ~seal i (s : Receipt.step_check) =
+  let check_opening = check_opening ~authenticated in
   let { Receipt.root_rows; root_time; root_jacc; _ } = seal in
   let* () = check_opening ~root:root_rows ~what:"step.row" s.Receipt.row in
   let* () = check_opening ~root:root_rows ~what:"step.next" s.Receipt.next in
@@ -97,7 +141,8 @@ let check_step ~program ~seal i (s : Receipt.step_check) =
     (Zkflow_hash.Chain.equal (Checker.jacc_step ~program jacc next) jacc_next)
     "step: journal accumulator mismatch"
 
-let check_sorted ~seal j (s : Receipt.sorted_check) =
+let check_sorted ~authenticated ~seal j (s : Receipt.sorted_check) =
+  let check_opening = check_opening ~authenticated in
   let root = seal.Receipt.root_sorted in
   let* () = check_opening ~root ~what:"sorted.first" s.Receipt.first in
   let* () = check_opening ~root ~what:"sorted.second" s.Receipt.second in
@@ -107,7 +152,8 @@ let check_sorted ~seal j (s : Receipt.sorted_check) =
   let* e2 = decode_mem ~what:"sorted.second" s.Receipt.second in
   Memcheck.check_adjacent e1 e2
 
-let check_z ~alpha ~beta ~z_root ~log_root j (zc : Receipt.z_check) =
+let check_z ~authenticated ~alpha ~beta ~z_root ~log_root j (zc : Receipt.z_check) =
+  let check_opening = check_opening ~authenticated in
   let* () = check_opening ~root:z_root ~what:"z" zc.Receipt.z in
   let* () = check_opening ~root:z_root ~what:"z.next" zc.Receipt.z_next in
   let* () = check_opening ~root:log_root ~what:"z.entry" zc.Receipt.entry_next in
@@ -121,7 +167,8 @@ let check_z ~alpha ~beta ~z_root ~log_root j (zc : Receipt.z_check) =
     (Fp2.equal zj1 (Fp2.mul zj (Memcheck.term ~alpha ~beta entry)))
     "z: grand-product link broken"
 
-let check_boundary ~program ~claim ~seal ~alpha ~beta =
+let check_boundary ~authenticated ~program ~claim ~seal ~alpha ~beta =
+  let check_opening = check_opening ~authenticated in
   let b = seal.Receipt.boundary in
   let { Receipt.root_rows; root_time; root_sorted; root_jacc; root_z_time;
         root_z_sorted; n_rows; n_mem; _ } =
@@ -240,24 +287,26 @@ let verify ~program (t : Receipt.t) =
       && Array.length seal.Receipt.zs_sorted = Array.length zs_idx)
       "verify: check counts do not match challenge counts"
   in
+  let authenticated = paths_authenticate seal in
   let* () =
     all
       (List.concat
          [
            List.init (Array.length step_idx) (fun k () ->
-               check_step ~program ~seal step_idx.(k) seal.Receipt.steps.(k));
+               check_step ~authenticated ~program ~seal step_idx.(k)
+                 seal.Receipt.steps.(k));
            List.init (Array.length sorted_idx) (fun k () ->
-               check_sorted ~seal sorted_idx.(k) seal.Receipt.sorteds.(k));
+               check_sorted ~authenticated ~seal sorted_idx.(k) seal.Receipt.sorteds.(k));
            List.init (Array.length zt_idx) (fun k () ->
-               check_z ~alpha ~beta ~z_root:seal.Receipt.root_z_time
+               check_z ~authenticated ~alpha ~beta ~z_root:seal.Receipt.root_z_time
                  ~log_root:seal.Receipt.root_time zt_idx.(k)
                  seal.Receipt.zs_time.(k));
            List.init (Array.length zs_idx) (fun k () ->
-               check_z ~alpha ~beta ~z_root:seal.Receipt.root_z_sorted
+               check_z ~authenticated ~alpha ~beta ~z_root:seal.Receipt.root_z_sorted
                  ~log_root:seal.Receipt.root_sorted zs_idx.(k)
                  seal.Receipt.zs_sorted.(k));
          ])
   in
-  check_boundary ~program ~claim ~seal ~alpha ~beta
+  check_boundary ~authenticated ~program ~claim ~seal ~alpha ~beta
 
 let check ~program t = Result.is_ok (verify ~program t)

@@ -508,6 +508,44 @@ let test_gap_survives_post_checkpoint_crash () =
       check_bool "coverage fires" true
         (List.mem "coverage" (Slo.firing_names (Slo.evaluate events))))
 
+(* The heal-round counterpart: a crash at "agg.post_checkpoint" in a
+   heal round lands after the row that marks the gap healed is synced
+   but before the round announces the heal. Resume must re-announce
+   it, or the monitor keeps listing a healed gap as open. *)
+let test_heal_survives_post_checkpoint_crash () =
+  with_tmp (fun path ->
+      let events =
+        Zkflow_obs.Obs.with_enabled (fun () ->
+            let db, board, service = degraded_world () in
+            Prover_service.with_checkpoints service ~path;
+            ignore (publish_router board db ~router_id:0 ~epoch:0);
+            ignore (publish_router board db ~router_id:1 ~epoch:0);
+            ignore (Result.get_ok (Prover_service.aggregate_available service ~epoch:0));
+            ignore (publish_router board db ~router_id:2 ~epoch:0);
+            with_plan
+              (plan [ Fault.Crash_at { site = "agg.post_checkpoint"; hits = 1 } ])
+              (fun () ->
+                match Prover_service.heal service with
+                | exception Fault.Crash _ -> ()
+                | _ -> Alcotest.fail "expected a crash at agg.post_checkpoint");
+            Prover_service.abandon service;
+            let resumed, restored =
+              Result.get_ok
+                (Prover_service.resume ~proof_params:params ~db ~board ~path ())
+            in
+            check_int "heal round restored" 2 restored;
+            Alcotest.(check (list (pair int int)))
+              "journal holds no open gap" [] (Prover_service.open_gaps resumed);
+            Zkflow_obs.Event.events ())
+      in
+      Alcotest.(check (list (triple int int (option int))))
+        "monitor lists the gap healed by round 1"
+        [ (2, 0, Some 1) ]
+        (List.map
+           (fun (g : Monitor.gap_status) ->
+             (g.Monitor.gap_router, g.Monitor.gap_epoch, g.Monitor.healed_round))
+           (Monitor.build events).Monitor.gaps))
+
 (* A gap that survives two restarts is still one gap. Each restart
    re-announces only what the last restored row detected, so once a
    later round is checkpointed a restart announces nothing; the
@@ -820,6 +858,8 @@ let () =
             test_gap_survives_post_checkpoint_crash;
           Alcotest.test_case "gap surviving restarts counts once" `Quick
             test_gap_surviving_restarts_counts_once;
+          Alcotest.test_case "heal survives a post-checkpoint crash" `Quick
+            test_heal_survives_post_checkpoint_crash;
           Alcotest.test_case "skipped round" `Quick
             test_skipped_round_when_nothing_published;
           Alcotest.test_case "silent loss rejected" `Quick

@@ -47,14 +47,29 @@ let test_tree_two_leaf_root_is_combine () =
   let expected = D.combine (Tree.leaf_hash l.(0)) (Tree.leaf_hash l.(1)) in
   Alcotest.check digest "combine rule" expected (Tree.root (Tree.of_leaves l))
 
-let test_tree_root_of_leaf_hashes_agrees () =
-  for n = 1 to 17 do
-    let hs = Array.map Tree.leaf_hash (leaves n) in
-    Alcotest.check digest
-      (Printf.sprintf "n=%d" n)
-      (Tree.root (Tree.of_leaf_hashes hs))
-      (Tree.root_of_leaf_hashes hs)
-  done
+(* [of_leaves] hashes leaves straight into its level buffer; it must
+   agree with building over the digests, and with permuting a tree's
+   slots, for every padding shape. Repeated leaves exercise the
+   equal-neighbour copies. *)
+let test_tree_of_leaves_agrees () =
+  for n = 0 to 17 do
+    let data = Array.init n (fun i -> (leaves 17).(i / 3)) in
+    let hs = Array.map Tree.leaf_hash data in
+    let t = Tree.of_leaves data in
+    let rev = Array.init n (fun i -> n - 1 - i) in
+    let tag s = Printf.sprintf "n=%d %s" n s in
+    Alcotest.check digest (tag "of_leaf_hashes") (Tree.root (Tree.of_leaf_hashes hs))
+      (Tree.root t);
+    Alcotest.check digest (tag "permute")
+      (Tree.root (Tree.of_leaf_hashes (Array.map (fun i -> hs.(i)) rev)))
+      (Tree.root (Tree.permute t rev));
+    for i = 0 to n - 1 do
+      Alcotest.check digest (tag "leaf") hs.(i) (Tree.leaf t i)
+    done
+  done;
+  Alcotest.check_raises "permute out of range"
+    (Invalid_argument "Tree.permute: index out of range") (fun () ->
+      ignore (Tree.permute (Tree.of_leaves (leaves 3)) [| 0; 3 |]))
 
 let test_tree_leaf_accessor () =
   let t = Tree.of_leaves (leaves 3) in
@@ -129,6 +144,63 @@ let prop_proof_sound_random_trees =
       let t = Tree.of_leaves data in
       let i = seed mod n in
       Proof.verify_data ~root:(Tree.root t) data.(i) (Tree.prove t i))
+
+(* The shared-path batch check against checking each opening alone:
+   random trees with repeated leaves, random multisets of indices
+   (repeats included) and, in two cases of three, one opening tampered
+   in one field, among others by borrowing a sibling from another
+   opening so that paths agree low down and differ higher up. *)
+let prop_verify_data_all_is_for_all =
+  QCheck.Test.make ~name:"verify_data_all == for_all verify_data" ~count:500
+    QCheck.(triple (int_range 1 40) (int_range 0 12) (int_range 0 100_000))
+    (fun (n, k, seed) ->
+      let rng = Zkflow_util.Rng.create (Int64.of_int seed) in
+      let pick n = Zkflow_util.Rng.int rng n in
+      let data =
+        Array.init n (fun _ ->
+            if pick 4 = 0 then Bytes.of_string "dup" else Zkflow_util.Rng.bytes rng 8)
+      in
+      let t = Tree.of_leaves data in
+      let root = Tree.root t in
+      (* Half the indices come from a small pool, so paths often meet
+         low down or coincide. *)
+      let pool = Array.init (1 + pick 3) (fun _ -> pick n) in
+      let openings =
+        Array.init k (fun _ ->
+            let i = if pick 2 = 0 then pool.(pick (Array.length pool)) else pick n in
+            (data.(i), Tree.prove t i))
+      in
+      let tamper (leaf, (p : Proof.t)) =
+        let d = Proof.depth p in
+        let sib = Array.copy p.Proof.siblings in
+        match pick 9 with
+        | 0 ->
+          let leaf = Bytes.copy leaf in
+          Bytes.set leaf 0 (Char.chr (Char.code (Bytes.get leaf 0) lxor 1));
+          (leaf, p)
+        | 1 -> (data.(pick n), p)
+        | 2 when d > 0 ->
+          sib.(pick d) <- D.hash_string "tamper";
+          (leaf, { p with Proof.siblings = sib })
+        | 3 when d > 0 && k > 0 ->
+          (* a sibling from another opening's path at the same level *)
+          let l = pick d in
+          let _, q = openings.(pick k) in
+          if l < Proof.depth q then sib.(l) <- q.Proof.siblings.(l);
+          (leaf, { p with Proof.siblings = sib })
+        | 4 -> (leaf, { p with Proof.index = p.Proof.index lxor (1 lsl pick (d + 2)) })
+        | 5 when d > 0 -> (leaf, { p with Proof.siblings = Array.sub sib 0 (d - 1) })
+        | 6 -> (leaf, { p with Proof.siblings = Array.append sib [| D.zero |] })
+        | 7 when k > 0 -> openings.(pick k)
+        | 8 -> (leaf, { p with Proof.index = p.Proof.index lor min_int })
+        | _ -> (leaf, p)
+      in
+      if k > 0 && pick 3 > 0 then begin
+        let v = pick k in
+        openings.(v) <- tamper openings.(v)
+      end;
+      Proof.verify_data_all ~root openings
+      = Array.for_all (fun (leaf, p) -> Proof.verify_data ~root leaf p) openings)
 
 (* ---- Multiproof ---- *)
 
@@ -450,10 +522,12 @@ let prop_incr_random_ops =
 (* ---- golden vectors ----
 
    Literal roots fixed before the node hash was rewritten. Every node
-   path (full build, root-only fold, inclusion-proof walk, incremental
-   store) must reproduce them, so a change to the node rule cannot pass
-   by changing [Tree] and [Digest32.combine] the same way. The leaves
-   are short, so the padding leaf and its subtrees are exercised. *)
+   path (build over leaves, over digests and by permutation, the
+   inclusion-proof walk, the incremental store) must reproduce them, so
+   a change to the node rule cannot pass by changing [Tree] and
+   [Digest32.combine] the same way. The leaves are short, so the
+   padding leaf and its subtrees, which the equal-neighbour rule
+   copies, are exercised. *)
 
 let golden_root_5 = "774e0f5df57c5ce9cb0b1be86367baf68abf452413d146704c5472841b260a9b"
 let golden_root_1000 = "3bda6aef4f66e9e7b4c2638e08fa27eca72ba049a300e3007ebcf250c3320318"
@@ -463,14 +537,15 @@ let test_golden_roots () =
     (fun (n, expected) ->
       let data = leaves n in
       let tree = Tree.of_leaves data in
-      let hs = Tree.hash_leaves data in
+      let hs = Array.map Tree.leaf_hash data in
       let inc = Incremental.create () in
       Array.iter (Incremental.append inc) hs;
       let check what d =
         Alcotest.(check string) (Printf.sprintf "n=%d %s" n what) expected (D.to_hex d)
       in
       check "Tree.of_leaves" (Tree.root tree);
-      check "root_of_leaf_hashes" (Tree.root_of_leaf_hashes hs);
+      check "of_leaf_hashes" (Tree.root (Tree.of_leaf_hashes hs));
+      check "permute" (Tree.root (Tree.permute tree (Array.init n Fun.id)));
       check "Proof.compute_root" (Proof.compute_root (Tree.prove tree (n - 1)) hs.(n - 1));
       check "Incremental" (Incremental.root inc))
     [ (5, golden_root_5); (1000, golden_root_1000) ]
@@ -487,7 +562,7 @@ let () =
           Alcotest.test_case "sizes and depth" `Quick test_tree_sizes_and_depth;
           Alcotest.test_case "padding" `Quick test_tree_padding_distinguishes_sizes;
           Alcotest.test_case "two-leaf combine" `Quick test_tree_two_leaf_root_is_combine;
-          Alcotest.test_case "root_of_leaf_hashes" `Quick test_tree_root_of_leaf_hashes_agrees;
+          Alcotest.test_case "of_leaves == of_leaf_hashes" `Quick test_tree_of_leaves_agrees;
           Alcotest.test_case "leaf accessor" `Quick test_tree_leaf_accessor;
           Alcotest.test_case "golden roots" `Quick test_golden_roots;
         ] );
@@ -500,6 +575,7 @@ let () =
           Alcotest.test_case "encode/decode" `Quick test_proof_encode_decode;
           Alcotest.test_case "decode truncated" `Quick test_proof_decode_truncated;
           q prop_proof_sound_random_trees;
+          q prop_verify_data_all_is_for_all;
         ] );
       ( "multiproof",
         [

@@ -732,39 +732,48 @@ let test_stats_json_parses () =
     [ "sha256.compressions"; "merkle.nodes_hashed"; "zkvm.cycles" ]
 
 (* The hash counters count exactly one per compression and one per
-   node, so their deltas have closed forms. For n short leaves padded
-   to P: n leaf compressions plus two per interior node, and n leaves
-   plus P - 1 interior nodes. A path check hashes one leaf and two
-   blocks per level. *)
+   filled slot, so their deltas are exact. A build over n leaves padded
+   to P fills n + P − 1 slots; each is hashed or copied from its left
+   neighbour. A short leaf hashes in one compression and a node in two.
+   For n = 1000 the padding copies 11 + 5 + 2 slots on levels 1–3; four
+   runs of four equal leaves copy 12 leaves and 4 level-1 nodes. A path
+   check hashes one leaf and two blocks per level. *)
 let test_hash_counters_exact () =
   let module Tree = Zkflow_merkle.Tree in
   let module Proof = Zkflow_merkle.Proof in
   let compressions = Metric.counter "sha256.compressions"
-  and nodes = Metric.counter "merkle.nodes_hashed" in
+  and hashed = Metric.counter "merkle.nodes_hashed"
+  and copied = Metric.counter "merkle.nodes_copied" in
   let delta f =
-    let c0 = Metric.value compressions and n0 = Metric.value nodes in
+    let c0 = Metric.value compressions
+    and h0 = Metric.value hashed
+    and k0 = Metric.value copied in
     let r = f () in
-    (r, Metric.value compressions - c0, Metric.value nodes - n0)
+    (r, Metric.value compressions - c0, Metric.value hashed - h0, Metric.value copied - k0)
   in
+  let leaves n f = Array.init n (fun i -> Bytes.of_string (Printf.sprintf "leaf-%d" (f i))) in
   Obs.with_enabled (fun () ->
       List.iter
-        (fun n ->
-          let data = Array.init n (fun i -> Bytes.of_string (Printf.sprintf "leaf-%d" i)) in
-          let p = Tree.next_pow2 n in
-          let tree, c, k = delta (fun () -> Tree.of_leaves data) in
-          check_int (Printf.sprintf "n=%d compressions" n) (n + (2 * (p - 1))) c;
-          check_int (Printf.sprintf "n=%d nodes" n) (n + p - 1) k;
+        (fun (what, data, want_c, want_h, want_k) ->
+          let n = Array.length data in
+          let tag s = Printf.sprintf "%s %s" what s in
+          let tree, c, h, k = delta (fun () -> Tree.of_leaves data) in
+          check_int (tag "compressions") want_c c;
+          check_int (tag "nodes hashed") want_h h;
+          check_int (tag "nodes copied") want_k k;
+          check_int (tag "hashed + copied = n + P - 1") (n + Tree.next_pow2 n - 1) (h + k);
           let proof = Tree.prove tree (n - 1) in
-          let ok, c, k =
+          let ok, c, h, k =
             delta (fun () -> Proof.verify_data ~root:(Tree.root tree) data.(n - 1) proof)
           in
           check_bool "path verifies" true ok;
-          check_int
-            (Printf.sprintf "n=%d verify_data compressions" n)
-            (1 + (2 * Proof.depth proof))
-            c;
-          check_int "verify_data counts no tree nodes" 0 k)
-        [ 5; 1000 ])
+          check_int (tag "verify_data compressions") (1 + (2 * Proof.depth proof)) c;
+          check_int "verify_data counts no tree nodes" 0 (h + k))
+        [
+          ("n=5", leaves 5 Fun.id, 19, 12, 0);
+          ("n=1000", leaves 1000 Fun.id, 3010, 2005, 18);
+          ("4 runs of 4", leaves 16 (fun i -> i / 4), 26, 15, 16);
+        ])
 
 let test_prometheus_mentions_metrics () =
   ignore (run_traced_round ());

@@ -159,7 +159,6 @@ let test_tree_roots_match_sequential () =
       let hs = Array.map Tree.leaf_hash data in
       let base_tree = with_jobs 1 (fun () -> Tree.root (Tree.of_leaf_hashes hs)) in
       let base_leaves = with_jobs 1 (fun () -> Tree.root (Tree.of_leaves data)) in
-      let base_fast = with_jobs 1 (fun () -> Tree.root_of_leaf_hashes hs) in
       List.iter
         (fun j ->
           with_jobs j (fun () ->
@@ -167,9 +166,7 @@ let test_tree_roots_match_sequential () =
               Alcotest.check digest (tag "of_leaf_hashes") base_tree
                 (Tree.root (Tree.of_leaf_hashes hs));
               Alcotest.check digest (tag "of_leaves") base_leaves
-                (Tree.root (Tree.of_leaves data));
-              Alcotest.check digest (tag "root_of_leaf_hashes") base_fast
-                (Tree.root_of_leaf_hashes hs)))
+                (Tree.root (Tree.of_leaves data))))
         job_sweep)
     tree_sizes
 
@@ -226,6 +223,42 @@ let test_prove_sharded_matches_sequential () =
             rounds))
     job_sweep
 
+(* ---- the equal-neighbour rule is chunk-blind ----
+
+   Runs of equal leaves longer than a chunk, and a padded tail, so
+   chunk boundaries fall inside runs on the leaf level and the levels
+   above. A slot copies its left neighbour whatever chunk that
+   neighbour is in, so the root and every hash counter must come out
+   the same at every job count. *)
+
+let test_neighbour_rule_chunk_blind () =
+  let counters =
+    List.map Zkflow_obs.Metric.counter
+      [ "merkle.nodes_hashed"; "merkle.nodes_copied"; "sha256.compressions" ]
+  in
+  let build data =
+    let before = List.map Zkflow_obs.Metric.value counters in
+    let root = Tree.root (Tree.of_leaves data) in
+    (root, List.map2 (fun c v -> Zkflow_obs.Metric.value c - v) counters before)
+  in
+  Zkflow_obs.Obs.with_enabled (fun () ->
+      List.iter
+        (fun (n, run) ->
+          let data =
+            Array.init n (fun i -> Bytes.of_string (Printf.sprintf "run-%d" (i / run)))
+          in
+          let base_root, base_counts = with_jobs 1 (fun () -> build data) in
+          check_bool "the rule fires" true (List.nth base_counts 1 > 0);
+          List.iter
+            (fun j ->
+              let root, counts = with_jobs j (fun () -> build data) in
+              let tag s = Printf.sprintf "n=%d run=%d jobs=%d %s" n run j s in
+              Alcotest.check digest (tag "root") base_root root;
+              Alcotest.(check (list int)) (tag "hashed, copied, compressions") base_counts
+                counts)
+            [ 2; 3 ])
+        [ (6000, 700); (5000, 1500); (4500, 97) ])
+
 (* ---- property: random trees agree across job counts ---- *)
 
 let prop_tree_parallel_equals_sequential =
@@ -258,6 +291,8 @@ let () =
         [
           Alcotest.test_case "next_pow2 guard" `Quick test_next_pow2;
           Alcotest.test_case "roots match sequential" `Quick test_tree_roots_match_sequential;
+          Alcotest.test_case "neighbour rule is chunk-blind" `Quick
+            test_neighbour_rule_chunk_blind;
           Alcotest.test_case "clog root matches" `Quick test_clog_root_matches_sequential;
           q prop_tree_parallel_equals_sequential;
         ] );

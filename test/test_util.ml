@@ -48,6 +48,30 @@ let test_xor () =
     (Invalid_argument "Bytesx.xor: length mismatch") (fun () ->
       ignore (Bytesx.xor a (Bytes.of_string "x")))
 
+(* Windows of every length 0..40 at every offset, so the word loop and
+   the byte tail both run, against [Bytes.sub]; one differing byte at
+   each position; and the bounds checks. *)
+let test_equal_sub () =
+  let a = Bytes.init 48 (fun i -> Char.chr (i * 7 land 255)) in
+  let b = Bytes.cat (Bytes.of_string "xyz") a in
+  for len = 0 to 40 do
+    for apos = 0 to 48 - len do
+      let same = Bytes.equal (Bytes.sub a apos len) (Bytes.sub b (apos + 3) len) in
+      check_bool "equal windows" same (Bytesx.equal_sub a apos b (apos + 3) len);
+      for k = 0 to len - 1 do
+        let c = Bytes.copy b in
+        Bytes.set c (apos + 3 + k) '\255';
+        check_bool "one byte differs" false (Bytesx.equal_sub a apos c (apos + 3) len)
+      done
+    done
+  done;
+  List.iter
+    (fun (apos, bpos, len) ->
+      Alcotest.check_raises "out of bounds"
+        (Invalid_argument "Bytesx.equal_sub: out of bounds") (fun () ->
+          ignore (Bytesx.equal_sub a apos b bpos len)))
+    [ (-1, 0, 1); (0, -1, 1); (0, 0, -1); (41, 0, 8); (0, 44, 8); (max_int, 0, 1) ]
+
 let test_int32_list_roundtrip () =
   let ws = [ 0l; 1l; -1l; 0x7fffffffl; Int32.min_int ] in
   Alcotest.(check (list int32)) "roundtrip" ws
@@ -343,6 +367,7 @@ let () =
           Alcotest.test_case "concat" `Quick test_concat;
           Alcotest.test_case "constant-time equal" `Quick test_ct_equal;
           Alcotest.test_case "xor" `Quick test_xor;
+          Alcotest.test_case "equal_sub" `Quick test_equal_sub;
           Alcotest.test_case "int32 list roundtrip" `Quick test_int32_list_roundtrip;
         ] );
       ( "hexcodec",

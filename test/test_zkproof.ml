@@ -496,6 +496,211 @@ let test_golden_aggregation_receipt () =
       (Zkflow_util.Hexcodec.encode
          (Zkflow_hash.Sha256.digest (Receipt.encode round.Core.Aggregate.receipt)))
 
+(* ---- golden verdicts ----
+
+   One fixed-seed aggregation receipt and one query receipt over its
+   CLog, each tampered in one place, and the exact [Verify.verify]
+   result for every case. The strings were recorded before the
+   verifier learned to check a root's openings along shared paths, so
+   a change to how paths are checked must reach the same first error,
+   not only the same accept/reject bit. *)
+
+module D32 = Zkflow_hash.Digest32
+module Proof = Zkflow_merkle.Proof
+
+let seed_receipts =
+  lazy
+    (let rng = Zkflow_util.Rng.create 13L in
+     let batches =
+       List.init 2 (fun router_id ->
+           let records = Gen.records rng Gen.default_profile ~router_id ~count:6 in
+           (Zkflow_netflow.Export.batch_hash records, records))
+     in
+     let params = Params.make ~queries:8 in
+     let round =
+       match Core.Aggregate.prove_round ~params ~prev:Core.Clog.empty batches with
+       | Ok r -> r
+       | Error e -> Alcotest.fail ("prove_round failed: " ^ e)
+     in
+     let query =
+       match Core.Query.prove ~params ~clog:round.Core.Aggregate.clog Core.Query.flow_count with
+       | Ok q -> q
+       | Error e -> Alcotest.fail ("query prove failed: " ^ e)
+     in
+     [
+       ("agg", Lazy.force Core.Guests.aggregation_program, round.Core.Aggregate.receipt);
+       ("query", Lazy.force Core.Guests.query_program, query.Core.Query.receipt);
+     ])
+
+(* Where a single-opening tamper lands: a lens onto one opening. *)
+let on_step_row f (s : Receipt.seal) =
+  let steps = Array.copy s.Receipt.steps in
+  steps.(0) <- { (steps.(0)) with Receipt.row = f steps.(0).Receipt.row };
+  { s with Receipt.steps }
+
+let on_sorted_first f (s : Receipt.seal) =
+  let sorteds = Array.copy s.Receipt.sorteds in
+  sorteds.(0) <- { (sorteds.(0)) with Receipt.first = f sorteds.(0).Receipt.first };
+  { s with Receipt.sorteds }
+
+let on_zs_last f (s : Receipt.seal) =
+  let b = s.Receipt.boundary in
+  { s with Receipt.boundary = { b with Receipt.z_sorted_last = f b.Receipt.z_sorted_last } }
+
+let with_path (o : Receipt.opening) path = { o with Receipt.path }
+
+let set_sibling pick (o : Receipt.opening) =
+  let sib = Array.copy o.Receipt.path.Proof.siblings in
+  sib.(pick (Array.length sib)) <- D32.hash_string "tamper";
+  with_path o { o.Receipt.path with Proof.siblings = sib }
+
+let opening_tampers =
+  [
+    ( "leaf byte",
+      fun (o : Receipt.opening) ->
+        let leaf = Bytes.copy o.Receipt.leaf in
+        Bytes.set leaf 0 (Char.chr (Char.code (Bytes.get leaf 0) lxor 1));
+        { o with Receipt.leaf } );
+    ("bottom sibling", set_sibling (fun _ -> 0));
+    ("middle sibling", set_sibling (fun d -> d / 2));
+    ("top sibling", set_sibling (fun d -> d - 1));
+    ( "path index",
+      fun o -> with_path o { o.Receipt.path with Proof.index = o.Receipt.path.Proof.index lxor 1 } );
+    ( "both indices",
+      fun o ->
+        let index = o.Receipt.index lxor 1 in
+        { (with_path o { o.Receipt.path with Proof.index }) with Receipt.index } );
+    ( "path one short",
+      fun o ->
+        let sib = o.Receipt.path.Proof.siblings in
+        with_path o
+          { o.Receipt.path with Proof.siblings = Array.sub sib 0 (Array.length sib - 1) } );
+    ( "path one long",
+      fun o ->
+        with_path o
+          {
+            o.Receipt.path with
+            Proof.siblings = Array.append o.Receipt.path.Proof.siblings [| D32.zero |];
+          } );
+  ]
+
+let seal_tampers =
+  List.concat_map
+    (fun (where, lens) ->
+      List.map (fun (what, f) -> (where ^ " " ^ what, lens f)) opening_tampers)
+    [ ("step.row", on_step_row); ("sorted.first", on_sorted_first); ("bd.zs_last", on_zs_last) ]
+  @ [
+      ( "steps swapped",
+        fun (s : Receipt.seal) ->
+          let steps = Array.copy s.Receipt.steps in
+          steps.(0) <- s.Receipt.steps.(1);
+          steps.(1) <- s.Receipt.steps.(0);
+          { s with Receipt.steps } );
+      ( "sorted swapped",
+        fun (s : Receipt.seal) ->
+          let sorteds = Array.copy s.Receipt.sorteds in
+          sorteds.(0) <- s.Receipt.sorteds.(1);
+          sorteds.(1) <- s.Receipt.sorteds.(0);
+          { s with Receipt.sorteds } );
+      ( "step repeated",
+        fun (s : Receipt.seal) ->
+          let steps = Array.copy s.Receipt.steps in
+          steps.(1) <- s.Receipt.steps.(0);
+          { s with Receipt.steps } );
+      ( "steps swapped, last z leaf byte",
+        fun (s : Receipt.seal) ->
+          let steps = Array.copy s.Receipt.steps in
+          steps.(0) <- s.Receipt.steps.(1);
+          steps.(1) <- s.Receipt.steps.(0);
+          on_zs_last (List.assoc "leaf byte" opening_tampers) { s with Receipt.steps } );
+      ( "z repeated",
+        fun (s : Receipt.seal) ->
+          let zs_time = Array.copy s.Receipt.zs_time in
+          zs_time.(1) <- s.Receipt.zs_time.(0);
+          { s with Receipt.zs_time } );
+    ]
+
+let verdicts () =
+  List.concat_map
+    (fun (name, program, (receipt : Receipt.t)) ->
+      let verdict r =
+        match Verify.verify ~program r with Ok () -> "ok" | Error e -> e
+      in
+      (name ^ " untampered", verdict receipt)
+      :: List.map
+           (fun (what, f) ->
+             ( name ^ " " ^ what,
+               verdict { receipt with Receipt.seal = f receipt.Receipt.seal } ))
+           seal_tampers)
+    (Lazy.force seed_receipts)
+
+let golden_verdicts =
+  [
+    ("agg untampered", "ok");
+    ("agg step.row leaf byte", "step.row: Merkle path does not authenticate");
+    ("agg step.row bottom sibling", "step.row: Merkle path does not authenticate");
+    ("agg step.row middle sibling", "step.row: Merkle path does not authenticate");
+    ("agg step.row top sibling", "step.row: Merkle path does not authenticate");
+    ("agg step.row path index", "step.row: index mismatch");
+    ("agg step.row both indices", "step.row: Merkle path does not authenticate");
+    ("agg step.row path one short", "step.row: Merkle path does not authenticate");
+    ("agg step.row path one long", "step.row: Merkle path does not authenticate");
+    ("agg sorted.first leaf byte", "sorted.first: Merkle path does not authenticate");
+    ("agg sorted.first bottom sibling", "sorted.first: Merkle path does not authenticate");
+    ("agg sorted.first middle sibling", "sorted.first: Merkle path does not authenticate");
+    ("agg sorted.first top sibling", "sorted.first: Merkle path does not authenticate");
+    ("agg sorted.first path index", "sorted.first: index mismatch");
+    ("agg sorted.first both indices", "sorted.first: Merkle path does not authenticate");
+    ("agg sorted.first path one short", "sorted.first: Merkle path does not authenticate");
+    ("agg sorted.first path one long", "sorted.first: Merkle path does not authenticate");
+    ("agg bd.zs_last leaf byte", "bd.zs_last: Merkle path does not authenticate");
+    ("agg bd.zs_last bottom sibling", "bd.zs_last: Merkle path does not authenticate");
+    ("agg bd.zs_last middle sibling", "bd.zs_last: Merkle path does not authenticate");
+    ("agg bd.zs_last top sibling", "bd.zs_last: Merkle path does not authenticate");
+    ("agg bd.zs_last path index", "bd.zs_last: index mismatch");
+    ("agg bd.zs_last both indices", "bd.zs_last: Merkle path does not authenticate");
+    ("agg bd.zs_last path one short", "bd.zs_last: Merkle path does not authenticate");
+    ("agg bd.zs_last path one long", "bd.zs_last: Merkle path does not authenticate");
+    ("agg steps swapped", "step: unsampled row index");
+    ("agg sorted swapped", "sorted: index");
+    ("agg step repeated", "step: unsampled row index");
+    ("agg steps swapped, last z leaf byte", "step: unsampled row index");
+    ("agg z repeated", "z: index");
+    ("query untampered", "ok");
+    ("query step.row leaf byte", "step.row: Merkle path does not authenticate");
+    ("query step.row bottom sibling", "step.row: Merkle path does not authenticate");
+    ("query step.row middle sibling", "step.row: Merkle path does not authenticate");
+    ("query step.row top sibling", "step.row: Merkle path does not authenticate");
+    ("query step.row path index", "step.row: index mismatch");
+    ("query step.row both indices", "step.row: Merkle path does not authenticate");
+    ("query step.row path one short", "step.row: Merkle path does not authenticate");
+    ("query step.row path one long", "step.row: Merkle path does not authenticate");
+    ("query sorted.first leaf byte", "sorted.first: Merkle path does not authenticate");
+    ("query sorted.first bottom sibling", "sorted.first: Merkle path does not authenticate");
+    ("query sorted.first middle sibling", "sorted.first: Merkle path does not authenticate");
+    ("query sorted.first top sibling", "sorted.first: Merkle path does not authenticate");
+    ("query sorted.first path index", "sorted.first: index mismatch");
+    ("query sorted.first both indices", "sorted.first: Merkle path does not authenticate");
+    ("query sorted.first path one short", "sorted.first: Merkle path does not authenticate");
+    ("query sorted.first path one long", "sorted.first: Merkle path does not authenticate");
+    ("query bd.zs_last leaf byte", "bd.zs_last: Merkle path does not authenticate");
+    ("query bd.zs_last bottom sibling", "bd.zs_last: Merkle path does not authenticate");
+    ("query bd.zs_last middle sibling", "bd.zs_last: Merkle path does not authenticate");
+    ("query bd.zs_last top sibling", "bd.zs_last: Merkle path does not authenticate");
+    ("query bd.zs_last path index", "bd.zs_last: index mismatch");
+    ("query bd.zs_last both indices", "bd.zs_last: Merkle path does not authenticate");
+    ("query bd.zs_last path one short", "bd.zs_last: Merkle path does not authenticate");
+    ("query bd.zs_last path one long", "bd.zs_last: Merkle path does not authenticate");
+    ("query steps swapped", "step: unsampled row index");
+    ("query sorted swapped", "sorted: index");
+    ("query step repeated", "step: unsampled row index");
+    ("query steps swapped, last z leaf byte", "step: unsampled row index");
+    ("query z repeated", "z: index");
+  ]
+
+let test_golden_verdicts () =
+  Alcotest.(check (list (pair string string))) "verdicts" golden_verdicts (verdicts ())
+
 let () =
   Alcotest.run "zkflow_zkproof"
     [
@@ -558,6 +763,8 @@ let () =
           Alcotest.test_case "adjacency rules" `Quick test_memcheck_adjacent_rules;
           Alcotest.test_case "grand products" `Quick test_memcheck_products_multiset;
         ] );
+      ( "verdicts",
+        [ Alcotest.test_case "golden tamper verdicts" `Quick test_golden_verdicts ] );
       ( "fuzz",
         [ Alcotest.test_case "receipt mutations" `Slow test_receipt_mutation_fuzz ] );
     ]
