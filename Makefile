@@ -184,7 +184,10 @@ report: matrix
 # the flight-recorder event log, the machine-readable report, and the
 # strict health verdict (advisory — plans that inject board rejects or
 # unhealable drops degrade health by design, which is what the
-# recorded verdict documents).
+# recorded verdict documents). Each run's final CLog root must also
+# equal its line in chaos/final-roots.txt, so a change that moves a
+# root fails here even when the run and its twin agree.
+CHAOS_ROOTS := chaos/final-roots.txt
 chaos: build
 	rm -rf chaos-out
 	mkdir -p chaos-out
@@ -197,8 +200,14 @@ chaos: build
 	    > chaos-out/$$name-report.json || exit 1; \
 	  dune exec bin/zkflow.exe -- monitor --dir chaos-out/$$name --strict \
 	    > chaos-out/$$name-health.txt || true; \
+	  got=$$(grep -o '"final_root":"[0-9a-f]*"' chaos-out/$$name-report.json | cut -d'"' -f4); \
+	  want=$$(awk -v n=$$name '$$1 == n { print $$2 }' $(CHAOS_ROOTS)); \
+	  if [ -z "$$want" ] || [ "$$got" != "$$want" ]; then \
+	    echo "chaos: $$name final_root $$got, pinned $${want:-nothing} in $(CHAOS_ROOTS)"; \
+	    exit 1; \
+	  fi; \
 	done
-	@echo "chaos: all plans ended verified (reports in chaos-out/)"
+	@echo "chaos: all plans ended verified on their pinned roots (reports in chaos-out/)"
 
 bench:
 	dune exec bench/main.exe

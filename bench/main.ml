@@ -422,7 +422,8 @@ let ablation_par () =
         Obs.reset ();
         Obs.enable ();
         let tree, merkle_s =
-          best_of 3 (fun () -> Zkflow_merkle.Tree.of_leaf_hashes hs)
+          best_of 3 (fun () ->
+              Zkflow_merkle.Tree.of_leaf_hashes ~node:Zkflow_hash.Sha256.digest64_into hs)
         in
         let rounds, agg_s =
           time (fun () ->
@@ -726,7 +727,9 @@ let ablation_merkle_maintenance () =
     entries;
   let (), rebuild_s =
     time (fun () ->
-        ignore (Zkflow_merkle.Tree.of_leaves (Array.map Clog.entry_bytes entries)))
+        ignore
+          (Zkflow_merkle.Tree.of_leaves ~node:Zkflow_hash.Sha256.digest64_into
+             (Array.map Clog.entry_bytes entries)))
   in
   let (), smt_s =
     time (fun () ->
@@ -1030,7 +1033,9 @@ let micro () =
       Test.make ~name:"sha256-64KB" (Staged.stage (fun () ->
           ignore (Zkflow_hash.Sha256.digest data64k)));
       Test.make ~name:"merkle-1024-leaves" (Staged.stage (fun () ->
-          ignore (Zkflow_merkle.Tree.of_leaves leaves)));
+          ignore
+            (Zkflow_merkle.Tree.of_leaves ~node:Zkflow_hash.Sha256.digest64_into
+               leaves)));
       Test.make ~name:"ntt-4096" (Staged.stage (fun () ->
           ignore (Zkflow_field.Ntt.forward coeffs)));
       Test.make ~name:"zkvm-60k-cycles" (Staged.stage (fun () ->

@@ -37,7 +37,8 @@ type t = {
 }
 
 let scratch_tree entries =
-  Tree.of_leaves (Zkflow_parallel.Pool.map_array ~min_chunk:2048 entry_bytes entries)
+  Tree.of_leaves ~node:Zkflow_hash.Sha256.digest64_into
+    (Zkflow_parallel.Pool.map_array ~min_chunk:2048 entry_bytes entries)
 
 let build entries =
   let index = Hashtbl.create (max 16 (Array.length entries)) in

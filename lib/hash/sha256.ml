@@ -10,7 +10,8 @@
    allocation (2-vCPU Xeon VM, OCaml 5.1, no flambda). *)
 
 (* One count per 64-byte block; covers every digest in the system since
-   all hashing funnels through [compress] and [digest64_into]. *)
+   all hashing funnels through [compress], [digest64_into] and
+   [node64_into]. *)
 let m_compressions = Zkflow_obs.Metric.counter "sha256.compressions"
 
 external get32u : bytes -> int -> int32 = "%caml_bytes_get32u"
@@ -52,6 +53,8 @@ let iv =
      0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
 
 let iv_state = words (Array.map Int32.of_int iv)
+let state_words st =
+  Array.init 8 (fun i -> Int32.to_int (get32u st (4 * i)) land 0xffffffff)
 
 let[@inline] rotr x n = Int32.logor (Int32.shift_right_logical x n) (Int32.shift_left x (32 - n))
 
@@ -226,19 +229,39 @@ let pad64_schedule =
   expand w blk 0;
   w
 
-let digest64_into ctx ~src ~src_pos ~dst ~dst_pos =
+(* The one-block primitives share their contract: both windows
+   bounded, [expand] reading all 64 source bytes before anything is
+   written (so [dst] may overlap [src]), and [ctx] left finalized. *)
+let block64_into what ctx ~src ~src_pos ~dst ~dst_pos =
   if src_pos < 0 || src_pos > Bytes.length src - 64
      || dst_pos < 0 || dst_pos > Bytes.length dst - 32
-  then invalid_arg "Sha256.digest64_into: out of bounds";
+  then invalid_arg what;
+  ctx.finalized <- true;
+  expand ctx.w src src_pos
+
+let digest64_into ctx ~src ~src_pos ~dst ~dst_pos =
+  block64_into "Sha256.digest64_into: out of bounds" ctx ~src ~src_pos ~dst ~dst_pos;
   Zkflow_obs.Metric.add m_compressions 2;
   Bytes.blit iv_state 0 ctx.st 0 32;
-  (* [expand] reads all 64 source bytes before anything is written, so
-     [dst] may overlap [src]. *)
-  expand ctx.w src src_pos;
   rounds ctx.st ctx.w;
   rounds ctx.st pad64_schedule;
-  write_digest ctx.st dst dst_pos;
-  ctx.finalized <- true
+  write_digest ctx.st dst dst_pos
+
+(* The chaining value after one block holding the node tag, zero
+   padded, compressed from the standard IV. *)
+let node_iv_state =
+  let blk = Bytes.make 64 '\000' and st = Bytes.copy iv_state and w = Bytes.create 256 in
+  Bytes.blit_string "zkflow.node.v2" 0 blk 0 14;
+  expand w blk 0;
+  rounds st w;
+  st
+
+let node64_into ctx ~src ~src_pos ~dst ~dst_pos =
+  block64_into "Sha256.node64_into: out of bounds" ctx ~src ~src_pos ~dst ~dst_pos;
+  Zkflow_obs.Metric.add m_compressions 1;
+  Bytes.blit node_iv_state 0 ctx.st 0 32;
+  rounds ctx.st ctx.w;
+  write_digest ctx.st dst dst_pos
 
 let digest b =
   let ctx = init () in
@@ -264,4 +287,6 @@ let compress_words state block =
   Array.iteri (fun i s -> set32u ctx.st (4 * i) (Int32.of_int s)) state;
   Array.iteri (fun i w -> store_be ctx.block (4 * i) (Int32.of_int w)) block;
   compress ctx ctx.block 0;
-  Array.init 8 (fun i -> Int32.to_int (get32u ctx.st (4 * i)) land 0xffffffff)
+  state_words ctx.st
+
+let node_iv = state_words node_iv_state

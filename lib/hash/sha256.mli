@@ -48,6 +48,17 @@ val digest64_into :
     hash of the same bytes, and allocates nothing. Raises
     [Invalid_argument] when either window is out of range. *)
 
+val node64_into :
+  ctx -> src:bytes -> src_pos:int -> dst:bytes -> dst_pos:int -> unit
+(** [node64_into ctx ~src ~src_pos ~dst ~dst_pos] writes one
+    compression of the 64 bytes [src.[src_pos .. src_pos+63]], from the
+    chaining value {!node_iv}, into [dst.[dst_pos .. dst_pos+31]]: the
+    proof system's trace-commitment node hash. It is not the SHA-256 of
+    any message. Its contract is {!digest64_into}'s ([dst] may overlap
+    [src], [ctx] is working storage left finalized, nothing is
+    allocated, out-of-range windows raise [Invalid_argument]), but it
+    counts one compression. *)
+
 val digest : bytes -> bytes
 (** [digest b] is the one-shot 32-byte SHA-256 of [b]. *)
 
@@ -63,6 +74,11 @@ val digest_concat : bytes list -> bytes
 
 val iv : int array
 (** The initial 8-word chaining state, as non-negative 32-bit ints. *)
+
+val node_iv : int array
+(** The chaining value {!node64_into} starts from: the state after
+    compressing, from {!iv}, one block holding ["zkflow.node.v2"]
+    zero-padded to 64 bytes. As non-negative 32-bit ints. *)
 
 val compress_words : int array -> int array -> int array
 (** [compress_words state block] is one raw compression step: [state]

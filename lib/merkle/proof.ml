@@ -4,6 +4,8 @@ module Bytesx = Zkflow_util.Bytesx
 
 type t = { index : int; siblings : D.t array }
 
+type node = Sha256.ctx -> src:bytes -> src_pos:int -> dst:bytes -> dst_pos:int -> unit
+
 let depth t = Array.length t.siblings
 
 (* The leaf rule, defined once: SHA-256 of the 12-byte domain tag, then
@@ -29,30 +31,31 @@ let bit i l = if l >= Sys.int_size then 0 else (i lsr l) land 1
 (* A path's nodes live in one buffer of 32-byte slots, the leaf digest
    in slot 0 and the implied root in slot [depth t]. [climb] fills
    slots [lo + 1 .. hi]: slot [l + 1] is the node hash of slot [l] and
-   sibling [l], in the order bit [l] of the index names. *)
-let climb ctx pair nodes t lo hi =
+   sibling [l], in the order bit [l] of the index names, under the
+   node rule [node]. *)
+let climb ~node ctx pair nodes t lo hi =
   for l = lo to hi - 1 do
     let h = 32 * bit t.index l in
     Bytes.blit nodes (32 * l) pair h 32;
     Bytes.blit (D.unsafe_to_bytes t.siblings.(l)) 0 pair (32 - h) 32;
-    Sha256.digest64_into ctx ~src:pair ~src_pos:0 ~dst:nodes ~dst_pos:(32 * (l + 1))
+    node ctx ~src:pair ~src_pos:0 ~dst:nodes ~dst_pos:(32 * (l + 1))
   done
 
-let path_root t nodes =
-  climb (Sha256.init ()) (Bytes.create 64) nodes t 0 (depth t);
+let path_root ~node t nodes =
+  climb ~node (Sha256.init ()) (Bytes.create 64) nodes t 0 (depth t);
   D.of_bytes (Bytes.sub nodes (32 * depth t) 32)
 
-let compute_root t leaf_hash =
+let compute_root ~node t leaf_hash =
   let nodes = Bytes.create (32 * (depth t + 1)) in
   Bytes.blit (D.unsafe_to_bytes leaf_hash) 0 nodes 0 32;
-  path_root t nodes
+  path_root ~node t nodes
 
-let verify ~root ~leaf_hash t = D.equal root (compute_root t leaf_hash)
+let verify ~node ~root ~leaf_hash t = D.equal root (compute_root ~node t leaf_hash)
 
-let verify_data ~root data t =
+let verify_data ~node ~root data t =
   let nodes = Bytes.create (32 * (depth t + 1)) in
   leaf_hash_into (Sha256.init ()) data ~dst:nodes ~dst_pos:0;
-  D.equal root (path_root t nodes)
+  D.equal root (path_root ~node t nodes)
 
 (* The level at which the paths of indices [a] and [b] join in a tree
    of depth [d]: one above the highest of their low [d] bits that
@@ -82,7 +85,7 @@ let slot_is nodes l d = Bytesx.equal_sub nodes (32 * l) (D.unsafe_to_bytes d) 0 
    and each distinct node above the leaves is hashed once. An opening
    whose leaf bytes equal the previous opening's reuses that leaf
    digest. *)
-let verify_data_all ~root openings =
+let verify_data_all ~node ~root openings =
   let order = Array.copy openings in
   Array.stable_sort (fun (_, a) (_, b) -> Int.compare a.index b.index) order;
   let slots = 1 + Array.fold_left (fun m (_, t) -> max m (depth t)) 0 order in
@@ -101,7 +104,7 @@ let verify_data_all ~root openings =
     if k > 0 && (pdata == data || Bytes.equal pdata data) then
       Bytes.blit !prev 0 nodes 0 32
     else leaf_hash_into ctx data ~dst:nodes ~dst_pos:0;
-    climb ctx pair nodes t 0 top;
+    climb ~node ctx pair nodes t 0 top;
     let rec siblings_agree l =
       l = d || (same_digest t.siblings.(l) p.siblings.(l) && siblings_agree (l + 1))
     in
@@ -117,7 +120,7 @@ let verify_data_all ~root openings =
         true
       end
       else begin
-        climb ctx pair nodes t top d;
+        climb ~node ctx pair nodes t top d;
         Bytesx.equal_sub nodes (32 * d) root 0 32
       end
     in

@@ -6,6 +6,17 @@
 
 type t = { index : int; siblings : Zkflow_hash.Digest32.t array }
 
+type node =
+  Zkflow_hash.Sha256.ctx -> src:bytes -> src_pos:int -> dst:bytes -> dst_pos:int -> unit
+(** A node rule: writes the parent digest of the 64 child bytes
+    [src.[src_pos .. src_pos+63]] (left child first) into
+    [dst.[dst_pos .. dst_pos+31]], with the contract of
+    {!Zkflow_hash.Sha256.digest64_into}. The CLog tree and every other
+    structure a zkVM guest recomputes use [Sha256.digest64_into]; the
+    proof system's trace commitments use [Sha256.node64_into]. Every
+    build, path climb and verification below takes the rule, so one
+    loop serves both. *)
+
 val leaf_hash : bytes -> Zkflow_hash.Digest32.t
 (** [leaf_hash data] is SHA-256 of ["zkflow.lf.v1" ‖ data]: the leaf
     rule of every {!Tree}. The 12-byte tag is word-aligned so zkVM
@@ -18,21 +29,27 @@ val leaf_hash_into :
     working storage, reset first; it must not be shared between
     domains. *)
 
-val compute_root : t -> Zkflow_hash.Digest32.t -> Zkflow_hash.Digest32.t
-(** [compute_root proof leaf_hash] folds the path and returns the
-    implied root. *)
+val compute_root : node:node -> t -> Zkflow_hash.Digest32.t -> Zkflow_hash.Digest32.t
+(** [compute_root ~node proof leaf_hash] folds the path under [node]
+    and returns the implied root. *)
 
 val verify :
-  root:Zkflow_hash.Digest32.t -> leaf_hash:Zkflow_hash.Digest32.t -> t -> bool
-(** [verify ~root ~leaf_hash proof] checks the implied root matches. *)
+  node:node ->
+  root:Zkflow_hash.Digest32.t ->
+  leaf_hash:Zkflow_hash.Digest32.t ->
+  t ->
+  bool
+(** [verify ~node ~root ~leaf_hash proof] checks the implied root
+    matches. *)
 
-val verify_data : root:Zkflow_hash.Digest32.t -> bytes -> t -> bool
-(** [verify_data ~root data proof] hashes [data] with {!leaf_hash}
-    first. *)
+val verify_data : node:node -> root:Zkflow_hash.Digest32.t -> bytes -> t -> bool
+(** [verify_data ~node ~root data proof] hashes [data] with
+    {!leaf_hash} first. *)
 
-val verify_data_all : root:Zkflow_hash.Digest32.t -> (bytes * t) array -> bool
-(** [verify_data_all ~root openings] is
-    [Array.for_all (fun (data, proof) -> verify_data ~root data proof)
+val verify_data_all :
+  node:node -> root:Zkflow_hash.Digest32.t -> (bytes * t) array -> bool
+(** [verify_data_all ~node ~root openings] is
+    [Array.for_all (fun (data, proof) -> verify_data ~node ~root data proof)
     openings], computed along shared paths: in index order, each path
     is hashed only up to the level below the one where it joins the
     previous path. There the two paths' nodes must be each other's

@@ -86,16 +86,17 @@ let fill_level ~min_chunk buf ~dst width ~same ~hash =
       done)
     (List.sort compare (Atomic.get deferred))
 
-(* Parent [i] of a level is the node hash of the 64 child bytes at
-   slot [src + 2i]; its left neighbour's input sits just before them. *)
-let build_levels buf level_off depth =
+(* Parent [i] of a level is the node hash, under rule [node], of the 64
+   child bytes at slot [src + 2i]; its left neighbour's input sits just
+   before them. *)
+let build_levels ~node buf level_off depth =
   for level = 0 to depth - 1 do
     let src = level_off.(level) and dst = level_off.(level + 1) in
     let child i = 32 * (src + (2 * i)) in
     fill_level ~min_chunk:1024 buf ~dst ((dst - src) / 2)
       ~same:(fun i -> Bytesx.equal_sub buf (child i) buf (child (i - 1)) 64)
       ~hash:(fun ctx i ->
-        Sha256.digest64_into ctx ~src:buf ~src_pos:(child i) ~dst:buf
+        node ctx ~src:buf ~src_pos:(child i) ~dst:buf
           ~dst_pos:(32 * (dst + i)))
   done
 
@@ -111,30 +112,30 @@ let alloc n =
 
 (* With the real leaf slots of [t] filled: pad the leaf level, hash
    the levels above and close the build span opened at [t0]. *)
-let build t0 t =
+let build ~node t0 t =
   let empty = D.unsafe_to_bytes empty_leaf in
   for i = t.size to (1 lsl t.depth) - 1 do
     Bytes.blit empty 0 t.buf (32 * i) 32
   done;
-  build_levels t.buf t.level_off t.depth;
+  build_levels ~node t.buf t.level_off t.depth;
   if t0 <> 0 then Obs.Span.finish "merkle.build" ~args:[ ("leaves", t.size) ] t0;
   t
 
-let of_leaves data =
+let of_leaves ~node data =
   let t0 = Obs.Span.start () in
   let t = alloc (Array.length data) in
   fill_level ~min_chunk:512 t.buf ~dst:0 t.size
     ~same:(fun i -> data.(i) == data.(i - 1) || Bytes.equal data.(i) data.(i - 1))
     ~hash:(fun ctx i -> Proof.leaf_hash_into ctx data.(i) ~dst:t.buf ~dst_pos:(32 * i));
-  build t0 t
+  build ~node t0 t
 
-let of_leaf_hashes hs =
+let of_leaf_hashes ~node hs =
   let t0 = Obs.Span.start () in
   let t = alloc (Array.length hs) in
   Array.iteri (fun i d -> Bytes.blit (D.unsafe_to_bytes d) 0 t.buf (32 * i) 32) hs;
-  build t0 t
+  build ~node t0 t
 
-let permute src perm =
+let permute ~node src perm =
   let t0 = Obs.Span.start () in
   let t = alloc (Array.length perm) in
   Array.iteri
@@ -142,7 +143,7 @@ let permute src perm =
       if j < 0 || j >= src.size then invalid_arg "Tree.permute: index out of range";
       Bytes.blit src.buf (32 * j) t.buf (32 * i) 32)
     perm;
-  build t0 t
+  build ~node t0 t
 
 let read_slot t slot = D.of_bytes (Bytes.sub t.buf (32 * slot) 32)
 let root t = read_slot t t.level_off.(t.depth)

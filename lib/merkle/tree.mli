@@ -20,9 +20,10 @@ val leaf_hash : bytes -> Zkflow_hash.Digest32.t
 val empty_leaf : Zkflow_hash.Digest32.t
 (** The digest used for padding positions beyond the last real leaf. *)
 
-val of_leaves : bytes array -> t
-(** [of_leaves data] builds the tree over [Array.map leaf_hash data],
-    hashing each leaf straight into the tree's level buffer.
+val of_leaves : node:Proof.node -> bytes array -> t
+(** [of_leaves ~node data] builds the tree over
+    [Array.map leaf_hash data] under the node rule [node], hashing each
+    leaf straight into the tree's level buffer.
 
     Every build applies the equal-neighbour rule: a slot whose input
     equals its left neighbour's (the leaf bytes at the leaf level, the
@@ -33,14 +34,15 @@ val of_leaves : bytes array -> t
     counts (which sum to the [n + P − 1] slots of [n] leaves padded to
     [P]) are the same for every job count. *)
 
-val of_leaf_hashes : Zkflow_hash.Digest32.t array -> t
+val of_leaf_hashes : node:Proof.node -> Zkflow_hash.Digest32.t array -> t
 (** Builds the tree over already-hashed leaves (e.g. recomputed inside
     the zkVM guest). *)
 
-val permute : t -> int array -> t
-(** [permute t perm] is [of_leaf_hashes (Array.map (leaf t) perm)],
-    copying leaf slots from [t] rather than digests: the tree over a
-    reordering of [t]'s leaves costs only its interior nodes. Raises
+val permute : node:Proof.node -> t -> int array -> t
+(** [permute ~node t perm] is
+    [of_leaf_hashes ~node (Array.map (leaf t) perm)], copying leaf
+    slots from [t] rather than digests: the tree over a reordering of
+    [t]'s leaves costs only its interior nodes. Raises
     [Invalid_argument] when an index is out of range. *)
 
 val root : t -> Zkflow_hash.Digest32.t

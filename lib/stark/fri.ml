@@ -8,6 +8,8 @@ module D = Zkflow_hash.Digest32
 module Pool = Zkflow_parallel.Pool
 module Obs = Zkflow_obs
 
+let node = Zkflow_hash.Sha256.digest64_into
+
 let m_fold_rounds = Obs.Metric.counter "fri.fold_rounds"
 
 type query_step = {
@@ -97,7 +99,7 @@ let prove ~transcript ~domain ~degree_bound ~queries values =
   while !size > final_size do
     let t_fold = Obs.Span.start () in
     let leaves = Pool.map_array ~min_chunk:2048 Fp2.to_bytes !v in
-    let tree = Tree.of_leaves leaves in
+    let tree = Tree.of_leaves ~node leaves in
     T.absorb_digest transcript ~label:"fri.layer" (Tree.root tree);
     let zeta = challenge_fp2 transcript ~label:"fri.zeta" in
     let half = !size / 2 in
@@ -228,9 +230,9 @@ let verify ~transcript ~domain ~degree_bound ~queries proof =
                         if
                           s.pos_path.Proof.index = i
                           && s.neg_path.Proof.index = i + half
-                          && Proof.verify_data ~root:proof.layer_roots.(l)
+                          && Proof.verify_data ~node ~root:proof.layer_roots.(l)
                                (Fp2.to_bytes s.pos) s.pos_path
-                          && Proof.verify_data ~root:proof.layer_roots.(l)
+                          && Proof.verify_data ~node ~root:proof.layer_roots.(l)
                                (Fp2.to_bytes s.neg) s.neg_path
                         then Ok ()
                         else Error "fri: bad layer opening"

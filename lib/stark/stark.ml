@@ -135,7 +135,7 @@ let prove ?(queries = default_queries) air trace =
       Obs.Span.finish "stark.lde" ~args:[ ("columns", air.Air.width); ("m", m) ] t_lde;
     let t_commit = Obs.Span.start () in
     let leaves = Pool.init_array ~min_chunk:1024 m (leaf_of_row air.Air.width values) in
-    let tree = Tree.of_leaves leaves in
+    let tree = Tree.of_leaves ~node:Zkflow_hash.Sha256.digest64_into leaves in
     if t_commit <> 0 then Obs.Span.finish "stark.commit" ~args:[ ("rows", m) ] t_commit;
     let transcript = T.create ~domain:"zkflow.stark.v1" in
     absorb_statement transcript air ~n ~blowup ~queries;
@@ -204,7 +204,11 @@ let verify ?(queries = default_queries) air proof =
   let check_opening (o : trace_opening) expect_index =
     if o.index <> expect_index then Error "stark: opening index"
     else if o.path.MProof.index <> o.index then Error "stark: path index"
-    else if not (MProof.verify_data ~root:proof.trace_root o.leaf o.path) then
+    else if
+      not
+        (MProof.verify_data ~node:Zkflow_hash.Sha256.digest64_into ~root:proof.trace_root
+           o.leaf o.path)
+    then
       Error "stark: trace opening does not authenticate"
     else row_of_leaf air.Air.width o.leaf
   in

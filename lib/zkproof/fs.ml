@@ -13,7 +13,7 @@ type challenges = {
 
 let derive ~(claim : Receipt.claim) ~queries ~n_rows ~n_mem ~root_rows
     ~root_time ~root_sorted ~root_jacc ~commit_z =
-  let t = T.create ~domain:"zkflow.zkvm.receipt.v1" in
+  let t = T.create ~domain:"zkflow.zkvm.receipt.v2" in
   T.absorb_digest t ~label:"image" claim.Receipt.image_id;
   T.absorb_int t ~label:"exit" claim.Receipt.exit_code;
   T.absorb_digest t ~label:"journal" (Receipt.journal_digest claim);
@@ -26,9 +26,8 @@ let derive ~(claim : Receipt.claim) ~queries ~n_rows ~n_mem ~root_rows
   T.absorb_digest t ~label:"jacc" root_jacc;
   let alpha = Fp2.of_digest_prefix (D.unsafe_to_bytes (T.challenge_digest t ~label:"alpha")) in
   let beta = Fp2.of_digest_prefix (D.unsafe_to_bytes (T.challenge_digest t ~label:"beta")) in
-  let root_z_time, root_z_sorted = commit_z ~alpha ~beta in
-  T.absorb_digest t ~label:"z_time" root_z_time;
-  T.absorb_digest t ~label:"z_sorted" root_z_sorted;
+  let root_z = commit_z ~alpha ~beta in
+  T.absorb_digest t ~label:"z" root_z;
   let sample label bound =
     if bound <= 0 then [||] else T.challenge_ints t ~label ~bound ~count:queries
   in
@@ -40,5 +39,4 @@ let derive ~(claim : Receipt.claim) ~queries ~n_rows ~n_mem ~root_rows
       zt_idx = sample "z_time" (n_mem - 1);
       zs_idx = sample "z_sorted" (n_mem - 1);
     },
-    root_z_time,
-    root_z_sorted )
+    root_z )

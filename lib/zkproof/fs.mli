@@ -20,11 +20,10 @@ val derive :
   root_sorted:Zkflow_hash.Digest32.t ->
   root_jacc:Zkflow_hash.Digest32.t ->
   commit_z:
-    (alpha:Zkflow_field.Fp2.t ->
-     beta:Zkflow_field.Fp2.t ->
-     Zkflow_hash.Digest32.t * Zkflow_hash.Digest32.t) ->
-  challenges * Zkflow_hash.Digest32.t * Zkflow_hash.Digest32.t
+    (alpha:Zkflow_field.Fp2.t -> beta:Zkflow_field.Fp2.t -> Zkflow_hash.Digest32.t) ->
+  challenges * Zkflow_hash.Digest32.t
 (** [commit_z] is called between the α/β draw and the index draws: the
-    prover builds and commits the grand-product columns there; the
-    verifier just returns the roots claimed in the seal. Returns the
-    challenges plus the two phase-2 roots. *)
+    prover builds and commits the shared grand-product tree there; the
+    verifier just returns the root claimed in the seal. Returns the
+    challenges plus that one phase-2 root. The transcript domain is
+    ["zkflow.zkvm.receipt.v2"]. *)

@@ -41,8 +41,14 @@ let products ~alpha ~beta entries =
       !acc)
     entries
 
-let encode_fp2 = Fp2.to_bytes
-let decode_fp2 = Fp2.of_bytes
+let encode_z ~time ~sorted = Bytes.cat (Fp2.to_bytes time) (Fp2.to_bytes sorted)
+
+let decode_z b =
+  if Bytes.length b <> 16 then Error "z leaf: wrong length"
+  else
+    match (Fp2.of_bytes (Bytes.sub b 0 8), Fp2.of_bytes (Bytes.sub b 8 8)) with
+    | Ok time, Ok sorted -> Ok (time, sorted)
+    | Error e, _ | _, Error e -> Error e
 
 let check_first (e : Trace.mem_entry) =
   if (not e.write) && e.value <> 0 then

@@ -4,8 +4,9 @@
     The prover commits to the log twice — in execution (time) order and
     sorted by (address, time) — plus a grand-product column per copy
     that accumulates ∏ (α − fingerprint(entry)) over the extension
-    field. Equal final products certify (w.h.p. over the Fiat–Shamir
-    α, β) that the two logs hold the same multiset; local adjacency
+    field; the two columns share one tree, one leaf per position.
+    Equal final products certify (w.h.p. over the Fiat–Shamir α, β)
+    that the two logs hold the same multiset; local adjacency
     rules on the sorted copy then give read-after-write consistency and
     zero-initialised memory. *)
 
@@ -38,10 +39,15 @@ val products :
   Zkflow_field.Fp2.t array
 (** Running products: element [i] is ∏_{j ≤ i} term(entry_j). *)
 
-val encode_fp2 : Zkflow_field.Fp2.t -> bytes
-(** 8-byte leaf encoding of a grand-product value. *)
+val encode_z : time:Zkflow_field.Fp2.t -> sorted:Zkflow_field.Fp2.t -> bytes
+(** The 16-byte leaf of the shared grand-product tree: the time
+    column's value then the sorted column's, each in the canonical
+    8-byte {!Zkflow_field.Fp2.to_bytes} form. *)
 
-val decode_fp2 : bytes -> (Zkflow_field.Fp2.t, string) result
+val decode_z :
+  bytes -> (Zkflow_field.Fp2.t * Zkflow_field.Fp2.t, string) result
+(** Inverse of {!encode_z}, as [(time, sorted)]. Rejects a leaf that
+    is not 16 bytes or whose halves are not both canonical. *)
 
 val check_first : Zkflow_zkvm.Trace.mem_entry -> (unit, string) result
 (** The first sorted entry: a read must see 0 (memory starts zeroed). *)

@@ -37,18 +37,20 @@ let m_hits = Obs.Metric.counter "zkproof.commit_cache.hits"
 let m_misses = Obs.Metric.counter "zkproof.commit_cache.misses"
 let m_leaf_reused = Obs.Metric.counter "zkproof.leaf_hashes_reused"
 
+let node = Receipt.node
+
 let build_commit_memo program (claim : Receipt.claim) rows memlog =
   let map_leaves f a = Zkflow_parallel.Pool.map_array ~min_chunk:2048 f a in
   let row_leaves = map_leaves Trace.encode_row rows in
-  let rows_tree = Tree.of_leaves row_leaves in
+  let rows_tree = Tree.of_leaves ~node row_leaves in
   let time_leaves = map_leaves Trace.encode_mem memlog in
-  let time_tree = Tree.of_leaves time_leaves in
+  let time_tree = Tree.of_leaves ~node time_leaves in
   (* The sorted log is a permutation of the time-ordered one, so its
      leaf bytes and leaf digests are the permuted time-ordered ones —
      no second encode or hash pass over the access log. *)
   let sorted_log, perm = Memcheck.sort_with_perm memlog in
   let sorted_leaves = Array.map (fun i -> time_leaves.(i)) perm in
-  let sorted_tree = Tree.permute time_tree perm in
+  let sorted_tree = Tree.permute ~node time_tree perm in
   Obs.Metric.add m_leaf_reused (Array.length perm);
   (* The accumulator moves only on commit rows: rows that leave the
      chain as it was share its head's leaf bytes, and the tree copies
@@ -67,7 +69,7 @@ let build_commit_memo program (claim : Receipt.claim) rows memlog =
           b)
       rows
   in
-  let jacc_tree = Tree.of_leaves jacc_leaves in
+  let jacc_tree = Tree.of_leaves ~node jacc_leaves in
   {
     memo_image = claim.Receipt.image_id;
     memo_rows = rows;
@@ -136,22 +138,22 @@ let prove_result ?(params = Params.default) program (run : Machine.result) =
       Obs.Span.finish "zkproof.trace_commit"
         ~args:[ ("rows", n_rows); ("mem", n_mem); ("cached", cached) ]
         t_commit;
-    (* Phase 2 (inside the transcript callback so ordering is right). *)
-    let z_time_tree = ref None and z_sorted_tree = ref None in
-    let z_time_leaves = ref [||] and z_sorted_leaves = ref [||] in
+    (* Phase 2 (inside the transcript callback so ordering is right):
+       both grand-product columns in one tree, leaf j holding both
+       values at j. *)
+    let z_commit = ref None in
     let commit_z ~alpha ~beta =
       let zt = Memcheck.products ~alpha ~beta memlog in
       let zs = Memcheck.products ~alpha ~beta sorted_log in
-      z_time_leaves := Array.map Memcheck.encode_fp2 zt;
-      z_sorted_leaves := Array.map Memcheck.encode_fp2 zs;
-      let tt = Tree.of_leaves !z_time_leaves in
-      let ts = Tree.of_leaves !z_sorted_leaves in
-      z_time_tree := Some tt;
-      z_sorted_tree := Some ts;
-      (Tree.root tt, Tree.root ts)
+      let leaves =
+        Array.map2 (fun time sorted -> Memcheck.encode_z ~time ~sorted) zt zs
+      in
+      let tree = Tree.of_leaves ~node leaves in
+      z_commit := Some (tree, leaves);
+      Tree.root tree
     in
     let t_fs = Obs.Span.start () in
-    let challenges, root_z_time, root_z_sorted =
+    let challenges, root_z =
       Fs.derive ~claim ~queries:params.Params.queries ~n_rows ~n_mem
         ~root_rows:(Tree.root rows_tree) ~root_time:(Tree.root time_tree)
         ~root_sorted:(Tree.root sorted_tree) ~root_jacc:(Tree.root jacc_tree)
@@ -159,9 +161,7 @@ let prove_result ?(params = Params.default) program (run : Machine.result) =
     in
     if t_fs <> 0 then Obs.Span.finish "zkproof.fs" t_fs;
     let { Fs.step_idx; sorted_idx; zt_idx; zs_idx; _ } = challenges in
-    let z_time_tree = Option.get !z_time_tree in
-    let z_sorted_tree = Option.get !z_sorted_tree in
-    let z_time_leaves = !z_time_leaves and z_sorted_leaves = !z_sorted_leaves in
+    let z_tree, z_leaves = Option.get !z_commit in
     (* Openings. *)
     let t_open = Obs.Span.start () in
     let steps =
@@ -188,20 +188,18 @@ let prove_result ?(params = Params.default) program (run : Machine.result) =
           })
         sorted_idx
     in
-    let z_checks tree leaves log_tree log_leaves idx =
+    let z_checks log_tree log_leaves idx =
       Array.map
         (fun j ->
           {
-            Receipt.z = open_at tree leaves j;
-            z_next = open_at tree leaves (j + 1);
+            Receipt.z = open_at z_tree z_leaves j;
+            z_next = open_at z_tree z_leaves (j + 1);
             entry_next = open_at log_tree log_leaves (j + 1);
           })
         idx
     in
-    let zs_time = z_checks z_time_tree z_time_leaves time_tree time_leaves zt_idx in
-    let zs_sorted =
-      z_checks z_sorted_tree z_sorted_leaves sorted_tree sorted_leaves zs_idx
-    in
+    let zs_time = z_checks time_tree time_leaves zt_idx in
+    let zs_sorted = z_checks sorted_tree sorted_leaves zs_idx in
     let boundary =
       {
         Receipt.row0 = open_at rows_tree row_leaves 0;
@@ -210,10 +208,8 @@ let prove_result ?(params = Params.default) program (run : Machine.result) =
         jacc_last = open_at jacc_tree jacc_leaves (n_rows - 1);
         time0 = open_at time_tree time_leaves 0;
         sorted0 = open_at sorted_tree sorted_leaves 0;
-        z_time0 = open_at z_time_tree z_time_leaves 0;
-        z_sorted0 = open_at z_sorted_tree z_sorted_leaves 0;
-        z_time_last = open_at z_time_tree z_time_leaves (n_mem - 1);
-        z_sorted_last = open_at z_sorted_tree z_sorted_leaves (n_mem - 1);
+        z0 = open_at z_tree z_leaves 0;
+        z_last = open_at z_tree z_leaves (n_mem - 1);
       }
     in
     if t_open <> 0 then Obs.Span.finish "zkproof.openings" t_open;
@@ -231,8 +227,7 @@ let prove_result ?(params = Params.default) program (run : Machine.result) =
             root_time = Tree.root time_tree;
             root_sorted = Tree.root sorted_tree;
             root_jacc = Tree.root jacc_tree;
-            root_z_time;
-            root_z_sorted;
+            root_z;
             steps;
             sorteds;
             zs_time;

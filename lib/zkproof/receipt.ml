@@ -3,6 +3,19 @@ module Wire = Zkflow_util.Wire
 
 type claim = { image_id : D.t; exit_code : int; journal : int array }
 
+(* Hashing masks words to 32 bits, so a word outside the range would
+   verify as its low half; the claim check rejects it first. *)
+let check_claim claim =
+  let in_range w = w >= 0 && w < 1 lsl 32 in
+  if not (in_range claim.exit_code) then Error "claim: exit code out of 32-bit range"
+  else
+    let rec word i =
+      if i = Array.length claim.journal then Ok ()
+      else if in_range claim.journal.(i) then word (i + 1)
+      else Error (Printf.sprintf "claim: journal word %d out of 32-bit range" i)
+    in
+    word 0
+
 let journal_word_bytes w =
   let b = Bytes.create 4 in
   Bytes.set_int32_be b 0 (Int32.of_int (w land 0xffffffff));
@@ -24,6 +37,8 @@ let claim_digest claim =
          D.unsafe_to_bytes (journal_digest claim);
        ])
 
+let node = Zkflow_hash.Sha256.node64_into
+
 type opening = { index : int; leaf : bytes; path : Zkflow_merkle.Proof.t }
 
 type step_check = {
@@ -44,10 +59,8 @@ type boundary = {
   jacc_last : opening;
   time0 : opening;
   sorted0 : opening;
-  z_time0 : opening;
-  z_sorted0 : opening;
-  z_time_last : opening;
-  z_sorted_last : opening;
+  z0 : opening;
+  z_last : opening;
 }
 
 type seal = {
@@ -58,8 +71,7 @@ type seal = {
   root_time : D.t;
   root_sorted : D.t;
   root_jacc : D.t;
-  root_z_time : D.t;
-  root_z_sorted : D.t;
+  root_z : D.t;
   steps : step_check array;
   sorteds : sorted_check array;
   zs_time : z_check array;
@@ -102,8 +114,7 @@ let encode_seal w s =
   w_digest w s.root_time;
   w_digest w s.root_sorted;
   w_digest w s.root_jacc;
-  w_digest w s.root_z_time;
-  w_digest w s.root_z_sorted;
+  w_digest w s.root_z;
   Wire.w_array w (w_step w) s.steps;
   Wire.w_array w (w_sorted w) s.sorteds;
   Wire.w_array w (w_z w) s.zs_time;
@@ -111,12 +122,20 @@ let encode_seal w s =
   let b = s.boundary in
   List.iter (w_opening w)
     [
-      b.row0; b.last_row; b.jacc0; b.jacc_last; b.time0; b.sorted0;
-      b.z_time0; b.z_sorted0; b.z_time_last; b.z_sorted_last;
+      b.row0; b.last_row; b.jacc0; b.jacc_last; b.time0; b.sorted0; b.z0; b.z_last;
     ]
+
+(* Every encoding starts with the seal version, as a Wire string. *)
+let seal_tag = "zkflow.seal.v2"
+
+let tag_prefix =
+  let w = Wire.writer () in
+  Wire.w_string w seal_tag;
+  Wire.contents w
 
 let encode t =
   let w = Wire.writer () in
+  Wire.w_string w seal_tag;
   w_digest w t.claim.image_id;
   Wire.w_int w t.claim.exit_code;
   Wire.w_array w (fun x -> Wire.w_int w x) t.claim.journal;
@@ -170,8 +189,7 @@ let decode_seal r =
   let root_time = r_digest r in
   let root_sorted = r_digest r in
   let root_jacc = r_digest r in
-  let root_z_time = r_digest r in
-  let root_z_sorted = r_digest r in
+  let root_z = r_digest r in
   let steps = Wire.r_array r (fun () -> r_step r) in
   let sorteds = Wire.r_array r (fun () -> r_sorted r) in
   let zs_time = Wire.r_array r (fun () -> r_z r) in
@@ -183,25 +201,26 @@ let decode_seal r =
   let jacc_last = o () in
   let time0 = o () in
   let sorted0 = o () in
-  let z_time0 = o () in
-  let z_sorted0 = o () in
-  let z_time_last = o () in
-  let z_sorted_last = o () in
+  let z0 = o () in
+  let z_last = o () in
   {
     params; n_rows; n_mem; root_rows; root_time; root_sorted; root_jacc;
-    root_z_time; root_z_sorted; steps; sorteds; zs_time; zs_sorted;
-    boundary =
-      { row0; last_row; jacc0; jacc_last; time0; sorted0; z_time0;
-        z_sorted0; z_time_last; z_sorted_last };
+    root_z; steps; sorteds; zs_time; zs_sorted;
+    boundary = { row0; last_row; jacc0; jacc_last; time0; sorted0; z0; z_last };
   }
 
 let decode b =
-  Wire.decode b (fun r ->
-      let image_id = r_digest r in
-      let exit_code = Wire.r_int r in
-      let journal = Wire.r_array r (fun () -> Wire.r_int r) in
-      let seal = decode_seal r in
-      { claim = { image_id; exit_code; journal }; seal })
+  let n = Bytes.length tag_prefix in
+  if Bytes.length b < n || not (Zkflow_util.Bytesx.equal_sub b 0 tag_prefix 0 n) then
+    Error "receipt: unsupported seal version"
+  else
+    Wire.decode b (fun r ->
+        ignore (Wire.r_string r);
+        let image_id = r_digest r in
+        let exit_code = Wire.r_int r in
+        let journal = Wire.r_array r (fun () -> Wire.r_int r) in
+        let seal = decode_seal r in
+        { claim = { image_id; exit_code; journal }; seal })
 
 let journal_size t = 4 * Array.length t.claim.journal
 

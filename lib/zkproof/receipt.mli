@@ -20,6 +20,18 @@ val journal_digest : claim -> Zkflow_hash.Digest32.t
 val claim_digest : claim -> Zkflow_hash.Digest32.t
 (** Binds image id, exit code and journal; the wrap MACs this. *)
 
+val check_claim : claim -> (unit, string) result
+(** Rejects an exit code or journal word outside [\[0, 2{^32})]. The
+    digests above see each word's low 32 bits only, so without this
+    check a word raised by a multiple of 2{^32} would still verify.
+    {!Verify.verify} and {!Wrap.verify} both run it first. *)
+
+val node : Zkflow_merkle.Proof.node
+(** The node rule of every trace-commitment tree:
+    {!Zkflow_hash.Sha256.node64_into}, one compression per node. The
+    prover builds under it and the verifier checks under it, so the
+    two cannot diverge. *)
+
 type opening = {
   index : int;
   leaf : bytes;                   (** serialized leaf preimage *)
@@ -39,10 +51,13 @@ type sorted_check = { first : opening; second : opening }
 (** Adjacent pair of the address-sorted access log. *)
 
 type z_check = {
-  z : opening;            (** grand-product column at j *)
+  z : opening;            (** grand-product tree at j *)
   z_next : opening;       (** at j + 1 *)
   entry_next : opening;   (** the log entry at j + 1 *)
 }
+(** One grand-product link. Both columns share one tree, whose leaf j
+    is [z_time.(j) ‖ z_sorted.(j)] ({!Memcheck.encode_z}); a time check
+    reads the first half and a sorted check the second. *)
 
 type boundary = {
   row0 : opening;
@@ -51,10 +66,8 @@ type boundary = {
   jacc_last : opening;
   time0 : opening;
   sorted0 : opening;
-  z_time0 : opening;
-  z_sorted0 : opening;
-  z_time_last : opening;
-  z_sorted_last : opening;
+  z0 : opening;       (** grand-product tree, index 0 *)
+  z_last : opening;   (** grand-product tree, index n_mem − 1 *)
 }
 
 type seal = {
@@ -65,8 +78,7 @@ type seal = {
   root_time : Zkflow_hash.Digest32.t;
   root_sorted : Zkflow_hash.Digest32.t;
   root_jacc : Zkflow_hash.Digest32.t;
-  root_z_time : Zkflow_hash.Digest32.t;
-  root_z_sorted : Zkflow_hash.Digest32.t;
+  root_z : Zkflow_hash.Digest32.t;  (** the shared grand-product tree *)
   steps : step_check array;
   sorteds : sorted_check array;
   zs_time : z_check array;
@@ -76,8 +88,16 @@ type seal = {
 
 type t = { claim : claim; seal : seal }
 
+val seal_tag : string
+(** ["zkflow.seal.v2"]: the seal version every encoding starts with. *)
+
 val encode : t -> bytes
+(** The seal tag, then the claim, then the seal. *)
+
 val decode : bytes -> (t, string) result
+(** Fails with ["receipt: unsupported seal version"] on any encoding
+    that does not start with {!seal_tag}, such as one from an earlier
+    seal version. *)
 
 val journal_size : t -> int
 (** Journal bytes (Table 1, "Journal"). *)

@@ -19,7 +19,8 @@ let check_opening ~authenticated ~root ~what (o : Receipt.opening) =
     require (o.Receipt.path.Proof.index = o.Receipt.index) "%s: index mismatch" what
   in
   require
-    (authenticated || Proof.verify_data ~root o.Receipt.leaf o.Receipt.path)
+    (authenticated
+    || Proof.verify_data ~node:Receipt.node ~root o.Receipt.leaf o.Receipt.path)
     "%s: Merkle path does not authenticate" what
 
 (* Every opening of the seal, by the column root it opens against. *)
@@ -45,10 +46,9 @@ let column_openings (seal : Receipt.seal) =
       (b.Receipt.sorted0
       :: each seal.Receipt.sorteds (fun s -> [ s.Receipt.first; s.Receipt.second ]))
       @ entries seal.Receipt.zs_sorted );
-    ( seal.Receipt.root_z_time,
-      b.Receipt.z_time0 :: b.Receipt.z_time_last :: z_pairs seal.Receipt.zs_time );
-    ( seal.Receipt.root_z_sorted,
-      b.Receipt.z_sorted0 :: b.Receipt.z_sorted_last :: z_pairs seal.Receipt.zs_sorted );
+    ( seal.Receipt.root_z,
+      b.Receipt.z0 :: b.Receipt.z_last
+      :: (z_pairs seal.Receipt.zs_time @ z_pairs seal.Receipt.zs_sorted) );
   ]
 
 (* One shared-path batch check per column root. It accepts exactly when
@@ -59,7 +59,8 @@ let paths_authenticate seal =
   List.for_all
     (fun (root, openings) ->
       let pair (o : Receipt.opening) = (o.Receipt.leaf, o.Receipt.path) in
-      Proof.verify_data_all ~root (Array.of_list (List.map pair openings)))
+      Proof.verify_data_all ~node:Receipt.node ~root
+        (Array.of_list (List.map pair openings)))
     (column_openings seal)
 
 let decode_row ~what (o : Receipt.opening) =
@@ -72,8 +73,8 @@ let decode_mem ~what (o : Receipt.opening) =
   | Ok e -> Ok e
   | Error msg -> fail "%s: bad mem leaf: %s" what msg
 
-let decode_fp2 ~what (o : Receipt.opening) =
-  match Memcheck.decode_fp2 o.Receipt.leaf with
+let decode_z ~what (o : Receipt.opening) =
+  match Memcheck.decode_z o.Receipt.leaf with
   | Ok v -> Ok v
   | Error msg -> fail "%s: bad z leaf: %s" what msg
 
@@ -152,26 +153,28 @@ let check_sorted ~authenticated ~seal j (s : Receipt.sorted_check) =
   let* e2 = decode_mem ~what:"sorted.second" s.Receipt.second in
   Memcheck.check_adjacent e1 e2
 
-let check_z ~authenticated ~alpha ~beta ~z_root ~log_root j (zc : Receipt.z_check) =
+(* A grand-product link of one column: [half] picks that column's value
+   out of a shared z leaf. *)
+let check_z ~authenticated ~alpha ~beta ~seal ~half ~log_root j (zc : Receipt.z_check) =
   let check_opening = check_opening ~authenticated in
+  let z_root = seal.Receipt.root_z in
   let* () = check_opening ~root:z_root ~what:"z" zc.Receipt.z in
   let* () = check_opening ~root:z_root ~what:"z.next" zc.Receipt.z_next in
   let* () = check_opening ~root:log_root ~what:"z.entry" zc.Receipt.entry_next in
   let* () = require (zc.Receipt.z.Receipt.index = j) "z: index" in
   let* () = require (zc.Receipt.z_next.Receipt.index = j + 1) "z: index+1" in
   let* () = require (zc.Receipt.entry_next.Receipt.index = j + 1) "z: entry index" in
-  let* zj = decode_fp2 ~what:"z" zc.Receipt.z in
-  let* zj1 = decode_fp2 ~what:"z.next" zc.Receipt.z_next in
+  let* zj = decode_z ~what:"z" zc.Receipt.z in
+  let* zj1 = decode_z ~what:"z.next" zc.Receipt.z_next in
   let* entry = decode_mem ~what:"z.entry" zc.Receipt.entry_next in
   require
-    (Fp2.equal zj1 (Fp2.mul zj (Memcheck.term ~alpha ~beta entry)))
+    (Fp2.equal (half zj1) (Fp2.mul (half zj) (Memcheck.term ~alpha ~beta entry)))
     "z: grand-product link broken"
 
 let check_boundary ~authenticated ~program ~claim ~seal ~alpha ~beta =
   let check_opening = check_opening ~authenticated in
   let b = seal.Receipt.boundary in
-  let { Receipt.root_rows; root_time; root_sorted; root_jacc; root_z_time;
-        root_z_sorted; n_rows; n_mem; _ } =
+  let { Receipt.root_rows; root_time; root_sorted; root_jacc; root_z; n_rows; n_mem; _ } =
     seal
   in
   let* () = check_opening ~root:root_rows ~what:"bd.row0" b.Receipt.row0 in
@@ -180,14 +183,8 @@ let check_boundary ~authenticated ~program ~claim ~seal ~alpha ~beta =
   let* () = check_opening ~root:root_jacc ~what:"bd.jacc_last" b.Receipt.jacc_last in
   let* () = check_opening ~root:root_time ~what:"bd.time0" b.Receipt.time0 in
   let* () = check_opening ~root:root_sorted ~what:"bd.sorted0" b.Receipt.sorted0 in
-  let* () = check_opening ~root:root_z_time ~what:"bd.zt0" b.Receipt.z_time0 in
-  let* () = check_opening ~root:root_z_sorted ~what:"bd.zs0" b.Receipt.z_sorted0 in
-  let* () =
-    check_opening ~root:root_z_time ~what:"bd.zt_last" b.Receipt.z_time_last
-  in
-  let* () =
-    check_opening ~root:root_z_sorted ~what:"bd.zs_last" b.Receipt.z_sorted_last
-  in
+  let* () = check_opening ~root:root_z ~what:"bd.z0" b.Receipt.z0 in
+  let* () = check_opening ~root:root_z ~what:"bd.z_last" b.Receipt.z_last in
   let* () =
     require
       (b.Receipt.row0.Receipt.index = 0
@@ -196,10 +193,8 @@ let check_boundary ~authenticated ~program ~claim ~seal ~alpha ~beta =
       && b.Receipt.jacc_last.Receipt.index = n_rows - 1
       && b.Receipt.time0.Receipt.index = 0
       && b.Receipt.sorted0.Receipt.index = 0
-      && b.Receipt.z_time0.Receipt.index = 0
-      && b.Receipt.z_sorted0.Receipt.index = 0
-      && b.Receipt.z_time_last.Receipt.index = n_mem - 1
-      && b.Receipt.z_sorted_last.Receipt.index = n_mem - 1)
+      && b.Receipt.z0.Receipt.index = 0
+      && b.Receipt.z_last.Receipt.index = n_mem - 1)
       "boundary: wrong indices"
   in
   (* Entry conditions. *)
@@ -243,20 +238,18 @@ let check_boundary ~authenticated ~program ~claim ~seal ~alpha ~beta =
   let* sorted0 = decode_mem ~what:"bd.sorted0" b.Receipt.sorted0 in
   let* () = Memcheck.check_first sorted0 in
   let* time0 = decode_mem ~what:"bd.time0" b.Receipt.time0 in
-  let* zt0 = decode_fp2 ~what:"bd.zt0" b.Receipt.z_time0 in
+  let* zt0, zs0 = decode_z ~what:"bd.z0" b.Receipt.z0 in
   let* () =
     require
       (Fp2.equal zt0 (Memcheck.term ~alpha ~beta time0))
       "boundary: z_time base"
   in
-  let* zs0 = decode_fp2 ~what:"bd.zs0" b.Receipt.z_sorted0 in
   let* () =
     require
       (Fp2.equal zs0 (Memcheck.term ~alpha ~beta sorted0))
       "boundary: z_sorted base"
   in
-  let* zt_last = decode_fp2 ~what:"bd.zt_last" b.Receipt.z_time_last in
-  let* zs_last = decode_fp2 ~what:"bd.zs_last" b.Receipt.z_sorted_last in
+  let* zt_last, zs_last = decode_z ~what:"bd.z_last" b.Receipt.z_last in
   require (Fp2.equal zt_last zs_last)
     "boundary: grand products differ (access logs are not a permutation)"
 
@@ -267,16 +260,16 @@ let verify ~program (t : Receipt.t) =
       (D.equal (Program.image_id program) claim.Receipt.image_id)
       "verify: image id does not match the supplied program"
   in
+  let* () = Receipt.check_claim claim in
   let* () = require (seal.Receipt.n_rows >= 1) "verify: empty trace" in
   let* () = require (seal.Receipt.n_mem >= 1) "verify: empty access log" in
   let queries = seal.Receipt.params.Params.queries in
-  let challenges, _, _ =
+  let challenges, _ =
     Fs.derive ~claim ~queries ~n_rows:seal.Receipt.n_rows
       ~n_mem:seal.Receipt.n_mem ~root_rows:seal.Receipt.root_rows
       ~root_time:seal.Receipt.root_time ~root_sorted:seal.Receipt.root_sorted
       ~root_jacc:seal.Receipt.root_jacc
-      ~commit_z:(fun ~alpha:_ ~beta:_ ->
-        (seal.Receipt.root_z_time, seal.Receipt.root_z_sorted))
+      ~commit_z:(fun ~alpha:_ ~beta:_ -> seal.Receipt.root_z)
   in
   let { Fs.alpha; beta; step_idx; sorted_idx; zt_idx; zs_idx } = challenges in
   let* () =
@@ -298,11 +291,11 @@ let verify ~program (t : Receipt.t) =
            List.init (Array.length sorted_idx) (fun k () ->
                check_sorted ~authenticated ~seal sorted_idx.(k) seal.Receipt.sorteds.(k));
            List.init (Array.length zt_idx) (fun k () ->
-               check_z ~authenticated ~alpha ~beta ~z_root:seal.Receipt.root_z_time
+               check_z ~authenticated ~alpha ~beta ~seal ~half:fst
                  ~log_root:seal.Receipt.root_time zt_idx.(k)
                  seal.Receipt.zs_time.(k));
            List.init (Array.length zs_idx) (fun k () ->
-               check_z ~authenticated ~alpha ~beta ~z_root:seal.Receipt.root_z_sorted
+               check_z ~authenticated ~alpha ~beta ~seal ~half:snd
                  ~log_root:seal.Receipt.root_sorted zs_idx.(k)
                  seal.Receipt.zs_sorted.(k));
          ])

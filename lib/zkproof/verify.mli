@@ -11,7 +11,9 @@
 
 val verify :
   program:Zkflow_zkvm.Program.t -> Receipt.t -> (unit, string) result
-(** [Ok ()] iff every Merkle opening authenticates, the Fiat–Shamir
+(** [Ok ()] iff the claim's exit code and journal words are 32-bit
+    ({!Receipt.check_claim}), every Merkle opening authenticates under
+    {!Receipt.node}, the Fiat–Shamir
     challenges reproduce the opened positions, every opened step
     re-executes correctly, the memory argument holds at the opened
     positions, and the boundary conditions (entry at pc 0, halt with

@@ -37,7 +37,8 @@ let verify vkey t =
   let claim =
     { Receipt.image_id = t.image_id; exit_code = t.exit_code; journal = t.journal }
   in
-  Zkflow_util.Bytesx.equal_constant_time t.seal256 (seal_of_claim vkey claim)
+  Result.is_ok (Receipt.check_claim claim)
+  && Zkflow_util.Bytesx.equal_constant_time t.seal256 (seal_of_claim vkey claim)
 
 let encode t =
   let w = Zkflow_util.Wire.writer () in

@@ -35,7 +35,9 @@ val wrap :
     the inner receipt does not verify. *)
 
 val verify : vkey -> t -> bool
-(** Constant-time MAC check over the claim. *)
+(** Constant-time MAC check over the claim. A claim whose exit code or
+    journal words fall outside 32 bits ({!Receipt.check_claim}) is
+    rejected first: the MAC covers only their low 32 bits. *)
 
 val encode : t -> bytes
 val decode : bytes -> (t, string) result

@@ -115,6 +115,48 @@ let test_events_workflow () =
   check_bool "round cycle percentiles" true (contains ~needle:"round cycles: p50" out);
   check_bool "soundness bits surfaced" true (contains ~needle:"soundness bits" out)
 
+(* ---- seal version ----
+
+   A state dir whose receipts predate the seal tag (the layout before
+   it began each encoding with the image id) is refused by name: the
+   verifier does not try to read an older seal as the current one. *)
+
+let test_verify_refuses_old_seal () =
+  let dir = fresh_dir () in
+  let code, out =
+    run [ "simulate"; "--dir"; dir; "--flows"; "6"; "--rate"; "80"; "--duration"; "2000" ]
+  in
+  check_int ("simulate: " ^ out) 0 code;
+  let code, out = run [ "prove"; "--dir"; dir; "--queries"; "8" ] in
+  check_int ("prove: " ^ out) 0 code;
+  let path = Filename.concat dir "receipts.bin" in
+  let module Wire = Zkflow_util.Wire in
+  let rounds =
+    match
+      Wire.decode
+        (Bytes.of_string (In_channel.with_open_bin path In_channel.input_all))
+        (fun r ->
+          Wire.r_list r (fun () ->
+              let epoch = Wire.r_int r in
+              (epoch, Wire.r_bytes r)))
+    with
+    | Ok rounds -> rounds
+    | Error e -> Alcotest.fail ("receipts.bin: " ^ e)
+  in
+  let tag = 1 + String.length Zkflow_zkproof.Receipt.seal_tag in
+  let w = Wire.writer () in
+  Wire.w_list w
+    (fun (epoch, receipt) ->
+      Wire.w_int w epoch;
+      Wire.w_bytes w (Bytes.sub receipt tag (Bytes.length receipt - tag)))
+    rounds;
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_bytes oc (Wire.contents w));
+  let code, out = run [ "verify"; "--dir"; dir ] in
+  check_bool ("nonzero exit: " ^ out) true (code <> 0);
+  check_bool ("names the version: " ^ out) true
+    (contains ~needle:"receipt: unsupported seal version" out)
+
 let test_monitor_missing_log () =
   let dir = fresh_dir () in
   let code, out = run [ "monitor"; "--dir"; dir ] in
@@ -413,6 +455,8 @@ let () =
           Alcotest.test_case "simulate/prove/verify -> monitor" `Quick
             test_events_workflow;
           Alcotest.test_case "monitor without a log" `Quick test_monitor_missing_log;
+          Alcotest.test_case "verify refuses an old seal" `Quick
+            test_verify_refuses_old_seal;
         ] );
       ( "chaos",
         [

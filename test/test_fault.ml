@@ -399,6 +399,68 @@ let test_bitflip_first_row_drops_everything () =
       flip_bit path ~at:40;
       recover_and_check ~db ~board ~path ~expected_root:root ~expected_restored:0)
 
+(* A journal written before the seal tag: every row's receipt in the
+   older layout, which began with the image id. The rows keep valid
+   checksums, so only the receipt decode refuses them; resume drops
+   them all and re-proves, and the re-proved rounds land on the same
+   root because aggregation is deterministic. *)
+let test_old_seal_rows_reproved () =
+  with_tmp (fun path ->
+      let db, board, service = fresh_world ~seed:73 in
+      Prover_service.with_checkpoints service ~path;
+      List.iter
+        (fun epoch ->
+          ignore (Result.get_ok (Prover_service.publish_epoch service ~epoch));
+          ignore (Result.get_ok (Prover_service.aggregate_epoch service ~epoch)))
+        [ 0; 1 ];
+      let root = Prover_service.latest_root service in
+      let receipts =
+        List.map
+          (fun (r : Aggregate.round) -> Zkflow_zkproof.Receipt.encode r.Aggregate.receipt)
+          (Prover_service.rounds service)
+      in
+      Prover_service.abandon service;
+      let framed b =
+        let w = Zkflow_util.Wire.writer () in
+        Zkflow_util.Wire.w_bytes w b;
+        Zkflow_util.Wire.contents w
+      in
+      let find hay needle =
+        let n = Bytes.length needle in
+        let rec go i =
+          if i + n > Bytes.length hay then None
+          else if Zkflow_util.Bytesx.equal_sub hay i needle 0 n then Some i
+          else go (i + 1)
+        in
+        go 0
+      in
+      let tag = 1 + String.length Zkflow_zkproof.Receipt.seal_tag in
+      let untag row =
+        let payload = Bytes.sub row 32 (Bytes.length row - 32) in
+        match
+          List.find_map
+            (fun r -> Option.map (fun at -> (at, r)) (find payload (framed r)))
+            receipts
+        with
+        | None -> Alcotest.fail "row holds none of the receipts"
+        | Some (at, r) ->
+          let old = Bytes.sub r tag (Bytes.length r - tag) in
+          let len = Bytes.length (framed r) in
+          let payload =
+            Bytes.concat Bytes.empty
+              [
+                Bytes.sub payload 0 at;
+                framed old;
+                Bytes.sub payload (at + len) (Bytes.length payload - at - len);
+              ]
+          in
+          Bytes.cat (D.to_bytes (D.hash_bytes payload)) payload
+      in
+      let rows = Result.get_ok (Wal.replay path) in
+      check_int "two rows" 2 (List.length rows);
+      Wal.rewrite path (List.map untag rows);
+      recover_and_check ~db ~board ~path ~expected_root:root ~expected_restored:0)
+
 (* ---- degraded rounds, gap journal, heal ---- *)
 
 let degraded_world () =
@@ -849,6 +911,8 @@ let () =
             test_bitflip_checkpoint_row;
           Alcotest.test_case "bit-flipped first row" `Quick
             test_bitflip_first_row_drops_everything;
+          Alcotest.test_case "rows from an older seal re-proved" `Quick
+            test_old_seal_rows_reproved;
         ] );
       ( "degraded",
         [

@@ -108,53 +108,116 @@ let test_sha_padding_boundaries () =
         (hex (Sha256.finalize ctx)))
     padding_boundary_vectors
 
-(* ---- the 64-byte node primitive ---- *)
+(* ---- the 64-byte node primitives ----
 
+   [digest64_into] is the SHA-256 of the 64 bytes; [node64_into] is one
+   compression of them from [node_iv]. The cases below run against
+   both, each with its own name (for the bounds message) and its own
+   reference function. *)
+
+let node_iv_hex = "b22b94ca8f669f59bce4b379d57e17f6a1ecd33b3d429e350bcee3338fed3a2d"
+
+let words_hex ws =
+  let b = Bytes.create (4 * Array.length ws) in
+  Array.iteri (fun i w -> Bytes.set_int32_be b (4 * i) (Int32.of_int w)) ws;
+  hex b
+
+let block_words b pos =
+  Array.init 16 (fun i ->
+      Int32.to_int (Bytes.get_int32_be b (pos + (4 * i))) land 0xffffffff)
+
+(* One raw compression of [b.[pos..pos+63]] from [node_iv], through
+   the zkVM accelerator's separate entry point. *)
+let node_reference b ~pos ~len:_ =
+  let out = Bytes.create 32 in
+  Array.iteri
+    (fun i w -> Bytes.set_int32_be out (4 * i) (Int32.of_int w))
+    (Sha256.compress_words Sha256.node_iv (block_words b pos));
+  out
+
+let primitives =
+  [
+    ("Sha256.digest64_into", Sha256.digest64_into, Sha256.digest_sub);
+    ("Sha256.node64_into", Sha256.node64_into, node_reference);
+  ]
+
+let test_node_iv () =
+  check_string "node_iv" node_iv_hex (words_hex Sha256.node_iv);
+  let block = Bytes.make 64 '\000' in
+  Bytes.blit_string "zkflow.node.v2" 0 block 0 14;
+  check_string "one tag block from the IV" node_iv_hex
+    (words_hex (Sha256.compress_words Sha256.iv (block_words block 0)))
+
+(* Each primitive's answer on bytes 0..63, and the compressions it
+   counts. *)
 let test_digest64_known_answer () =
-  let src = Bytes.init 64 Char.chr and dst = Bytes.make 32 '\000' in
-  Sha256.digest64_into (Sha256.init ()) ~src ~src_pos:0 ~dst ~dst_pos:0;
-  check_string "bytes 0..63" (List.assoc 64 padding_boundary_vectors) (hex dst)
+  let compressions = Zkflow_obs.Metric.counter "sha256.compressions" in
+  List.iter
+    (fun (name, prim, expected, blocks) ->
+      let src = Bytes.init 64 Char.chr and dst = Bytes.make 32 '\000' in
+      let counted =
+        Zkflow_obs.Obs.with_enabled (fun () ->
+            prim (Sha256.init ()) ~src ~src_pos:0 ~dst ~dst_pos:0;
+            Zkflow_obs.Metric.value compressions)
+      in
+      check_string (name ^ " bytes 0..63") expected (hex dst);
+      Alcotest.(check int) (name ^ " compressions") blocks counted)
+    [
+      ("digest64_into", Sha256.digest64_into, List.assoc 64 padding_boundary_vectors, 2);
+      ( "node64_into",
+        Sha256.node64_into,
+        "e34666decbdb20191fc17c39031a225c99966c751737283914859e378b315eef",
+        1 );
+    ]
 
 let test_digest64_bounds () =
-  let ctx = Sha256.init () in
-  let src = Bytes.create 100 and dst = Bytes.create 40 in
-  let rejects what ~src_pos ~dst_pos =
-    Alcotest.check_raises what (Invalid_argument "Sha256.digest64_into: out of bounds")
-      (fun () -> Sha256.digest64_into ctx ~src ~src_pos ~dst ~dst_pos)
-  in
-  rejects "negative src_pos" ~src_pos:(-1) ~dst_pos:0;
-  rejects "source window past the end" ~src_pos:37 ~dst_pos:0;
-  rejects "negative dst_pos" ~src_pos:0 ~dst_pos:(-1);
-  rejects "destination slot past the end" ~src_pos:0 ~dst_pos:9;
-  rejects "huge src_pos" ~src_pos:max_int ~dst_pos:0;
-  rejects "huge dst_pos" ~src_pos:0 ~dst_pos:max_int;
-  Alcotest.check_raises "63-byte source"
-    (Invalid_argument "Sha256.digest64_into: out of bounds") (fun () ->
-      Sha256.digest64_into ctx ~src:(Bytes.create 63) ~src_pos:0 ~dst ~dst_pos:0);
-  (* the last in-range windows are accepted *)
-  Sha256.digest64_into ctx ~src ~src_pos:36 ~dst ~dst_pos:8;
-  check_string "last windows" (hex (Sha256.digest_sub src ~pos:36 ~len:64))
-    (hex (Bytes.sub dst 8 32))
+  List.iter
+    (fun (name, prim, reference) ->
+      let ctx = Sha256.init () in
+      let src = Bytes.create 100 and dst = Bytes.create 40 in
+      let error = Invalid_argument (name ^ ": out of bounds") in
+      let rejects what ~src_pos ~dst_pos =
+        Alcotest.check_raises what error (fun () -> prim ctx ~src ~src_pos ~dst ~dst_pos)
+      in
+      rejects "negative src_pos" ~src_pos:(-1) ~dst_pos:0;
+      rejects "source window past the end" ~src_pos:37 ~dst_pos:0;
+      rejects "negative dst_pos" ~src_pos:0 ~dst_pos:(-1);
+      rejects "destination slot past the end" ~src_pos:0 ~dst_pos:9;
+      rejects "huge src_pos" ~src_pos:max_int ~dst_pos:0;
+      rejects "huge dst_pos" ~src_pos:0 ~dst_pos:max_int;
+      Alcotest.check_raises "63-byte source" error (fun () ->
+          prim ctx ~src:(Bytes.create 63) ~src_pos:0 ~dst ~dst_pos:0);
+      (* the last in-range windows are accepted *)
+      prim ctx ~src ~src_pos:36 ~dst ~dst_pos:8;
+      check_string (name ^ " last windows") (hex (reference src ~pos:36 ~len:64))
+        (hex (Bytes.sub dst 8 32)))
+    primitives
 
 let test_digest64_reuses_finalized_ctx () =
   (* The primitive discards whatever the ctx held and leaves it
      finalized; a reset makes it a fresh streaming ctx again. *)
-  let ctx = Sha256.init () in
-  Sha256.update_string ctx "half a message";
-  let src = Bytes.make 64 'n' and dst = Bytes.create 32 in
-  Sha256.digest64_into ctx ~src ~src_pos:0 ~dst ~dst_pos:0;
-  check_string "in-progress message ignored" (hex (Sha256.digest src)) (hex dst);
-  Alcotest.check_raises "left finalized"
-    (Invalid_argument "Sha256: context already finalized") (fun () ->
-      Sha256.update_string ctx "more");
-  Sha256.reset ctx;
-  Sha256.update_string ctx "abc";
-  check_string "reset works" (sha_hex "abc") (hex (Sha256.finalize ctx))
+  List.iter
+    (fun (name, prim, reference) ->
+      let ctx = Sha256.init () in
+      Sha256.update_string ctx "half a message";
+      let src = Bytes.make 64 'n' and dst = Bytes.create 32 in
+      prim ctx ~src ~src_pos:0 ~dst ~dst_pos:0;
+      check_string
+        (name ^ " in-progress message ignored")
+        (hex (reference src ~pos:0 ~len:64))
+        (hex dst);
+      Alcotest.check_raises "left finalized"
+        (Invalid_argument "Sha256: context already finalized") (fun () ->
+          Sha256.update_string ctx "more");
+      Sha256.reset ctx;
+      Sha256.update_string ctx "abc";
+      check_string "reset works" (sha_hex "abc") (hex (Sha256.finalize ctx)))
+    primitives
 
 (* A buffer, a 64-byte source window and a 32-byte destination slot,
    both anywhere in the same buffer — so the slot overlaps the window
    in a good share of the cases. *)
-let prop_digest64_matches_digest_sub =
+let window =
   let gen =
     QCheck.Gen.(
       int_range 64 160 >>= fun len ->
@@ -165,19 +228,28 @@ let prop_digest64_matches_digest_sub =
   let print (s, src_pos, dst_pos) =
     Printf.sprintf "len=%d src_pos=%d dst_pos=%d" (String.length s) src_pos dst_pos
   in
-  QCheck.Test.make ~name:"digest64_into writes digest_sub of the window" ~count:500
-    (QCheck.make ~print gen)
-    (fun (s, src_pos, dst_pos) ->
-      let buf = Bytes.of_string s in
-      let expected = Sha256.digest_sub buf ~pos:src_pos ~len:64 in
-      Sha256.digest64_into (Sha256.init ()) ~src:buf ~src_pos ~dst:buf ~dst_pos;
-      (* the slot holds the digest and every other byte is untouched *)
-      Bytes.equal (Bytes.sub buf dst_pos 32) expected
-      && List.for_all
-           (fun i -> Bytes.get buf i = s.[i])
-           (List.filter
-              (fun i -> i < dst_pos || i >= dst_pos + 32)
-              (List.init (String.length s) Fun.id)))
+  QCheck.make ~print gen
+
+(* The slot holds [reference] of the window, and every other byte is
+   untouched. *)
+let writes_window prim reference (s, src_pos, dst_pos) =
+  let buf = Bytes.of_string s in
+  let expected = reference buf ~pos:src_pos ~len:64 in
+  prim (Sha256.init ()) ~src:buf ~src_pos ~dst:buf ~dst_pos;
+  Bytes.equal (Bytes.sub buf dst_pos 32) expected
+  && List.for_all
+       (fun i -> Bytes.get buf i = s.[i])
+       (List.filter
+          (fun i -> i < dst_pos || i >= dst_pos + 32)
+          (List.init (String.length s) Fun.id))
+
+let prop_digest64_matches_digest_sub =
+  QCheck.Test.make ~name:"digest64_into writes digest_sub of the window" ~count:500 window
+    (writes_window Sha256.digest64_into Sha256.digest_sub)
+
+let prop_node64_is_one_compression =
+  QCheck.Test.make ~name:"node64_into is compress_words from node_iv" ~count:500 window
+    (writes_window Sha256.node64_into node_reference)
 
 (* ---- HMAC-SHA256: RFC 4231 vectors ---- *)
 
@@ -326,10 +398,12 @@ let () =
         ] );
       ( "digest64",
         [
+          Alcotest.test_case "node_iv" `Quick test_node_iv;
           Alcotest.test_case "known answer" `Quick test_digest64_known_answer;
           Alcotest.test_case "bounds" `Quick test_digest64_bounds;
           Alcotest.test_case "ctx is working storage" `Quick test_digest64_reuses_finalized_ctx;
           q prop_digest64_matches_digest_sub;
+          q prop_node64_is_one_compression;
         ] );
       ( "hmac",
         [

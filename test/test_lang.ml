@@ -159,7 +159,8 @@ let test_merkle_builtins_match_host () =
   let expected =
     Zkflow_zkvm.Guestlib.words_of_digest
       (Zkflow_hash.Digest32.unsafe_to_bytes
-         (Zkflow_merkle.Tree.root (Zkflow_merkle.Tree.of_leaves leaves)))
+         (Zkflow_merkle.Tree.root
+            (Zkflow_merkle.Tree.of_leaves ~node:Zkflow_hash.Sha256.digest64_into leaves)))
   in
   Alcotest.(check (array int)) "root matches host tree" expected o.Zirc.journal
 

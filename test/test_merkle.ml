@@ -6,17 +6,23 @@ let check_int = Alcotest.(check int)
 let digest = Alcotest.testable D.pp D.equal
 let leaves n = Array.init n (fun i -> Bytes.of_string (Printf.sprintf "leaf-%d" i))
 
+(* The two node rules: the CLog tree's SHA-256 of the 64 child bytes,
+   and the trace commitments' single compression from the node IV. *)
+let digest64 = Zkflow_hash.Sha256.digest64_into
+let rules = [ ("digest64", digest64); ("node64", Zkflow_hash.Sha256.node64_into) ]
+
 (* ---- Tree ---- *)
 
 let test_tree_deterministic_root () =
-  let t1 = Tree.of_leaves (leaves 5) and t2 = Tree.of_leaves (leaves 5) in
+  let t1 = Tree.of_leaves ~node:digest64 (leaves 5)
+  and t2 = Tree.of_leaves ~node:digest64 (leaves 5) in
   Alcotest.check digest "same root" (Tree.root t1) (Tree.root t2)
 
 let test_tree_root_depends_on_content () =
-  let a = Tree.of_leaves (leaves 4) in
+  let a = Tree.of_leaves ~node:digest64 (leaves 4) in
   let modified = leaves 4 in
   modified.(2) <- Bytes.of_string "tampered";
-  let b = Tree.of_leaves modified in
+  let b = Tree.of_leaves ~node:digest64 modified in
   check_bool "root changes" false (D.equal (Tree.root a) (Tree.root b))
 
 let test_tree_root_depends_on_order () =
@@ -25,54 +31,73 @@ let test_tree_root_depends_on_order () =
   swapped.(0) <- l.(1);
   swapped.(1) <- l.(0);
   check_bool "order matters" false
-    (D.equal (Tree.root (Tree.of_leaves l)) (Tree.root (Tree.of_leaves swapped)))
+    (D.equal
+       (Tree.root (Tree.of_leaves ~node:digest64 l))
+       (Tree.root (Tree.of_leaves ~node:digest64 swapped)))
 
 let test_tree_sizes_and_depth () =
-  check_int "size 1 depth" 0 (Tree.depth (Tree.of_leaves (leaves 1)));
-  check_int "size 2 depth" 1 (Tree.depth (Tree.of_leaves (leaves 2)));
-  check_int "size 3 depth" 2 (Tree.depth (Tree.of_leaves (leaves 3)));
-  check_int "size 5 depth" 3 (Tree.depth (Tree.of_leaves (leaves 5)));
-  check_int "size recorded" 5 (Tree.size (Tree.of_leaves (leaves 5)))
+  check_int "size 1 depth" 0 (Tree.depth (Tree.of_leaves ~node:digest64 (leaves 1)));
+  check_int "size 2 depth" 1 (Tree.depth (Tree.of_leaves ~node:digest64 (leaves 2)));
+  check_int "size 3 depth" 2 (Tree.depth (Tree.of_leaves ~node:digest64 (leaves 3)));
+  check_int "size 5 depth" 3 (Tree.depth (Tree.of_leaves ~node:digest64 (leaves 5)));
+  check_int "size recorded" 5 (Tree.size (Tree.of_leaves ~node:digest64 (leaves 5)))
 
 let test_tree_padding_distinguishes_sizes () =
   (* A 3-leaf tree must not equal the 4-leaf tree whose 4th leaf is the
      padding value's preimage-less digest... they share digests only if
      the 4th real leaf hash equals the padding digest, which leaf
      domain separation prevents for real data. *)
-  let t3 = Tree.of_leaves (leaves 3) and t4 = Tree.of_leaves (leaves 4) in
+  let t3 = Tree.of_leaves ~node:digest64 (leaves 3)
+  and t4 = Tree.of_leaves ~node:digest64 (leaves 4) in
   check_bool "3 vs 4 leaves" false (D.equal (Tree.root t3) (Tree.root t4))
 
 let test_tree_two_leaf_root_is_combine () =
   let l = leaves 2 in
   let expected = D.combine (Tree.leaf_hash l.(0)) (Tree.leaf_hash l.(1)) in
-  Alcotest.check digest "combine rule" expected (Tree.root (Tree.of_leaves l))
+  Alcotest.check digest "combine rule" expected
+    (Tree.root (Tree.of_leaves ~node:digest64 l))
 
 (* [of_leaves] hashes leaves straight into its level buffer; it must
-   agree with building over the digests, and with permuting a tree's
-   slots, for every padding shape. Repeated leaves exercise the
-   equal-neighbour copies. *)
+   agree with building over the digests, with permuting a tree's
+   slots, and with climbing a path, for every padding shape and under
+   both node rules. Repeated leaves exercise the equal-neighbour
+   copies. *)
 let test_tree_of_leaves_agrees () =
-  for n = 0 to 17 do
-    let data = Array.init n (fun i -> (leaves 17).(i / 3)) in
-    let hs = Array.map Tree.leaf_hash data in
-    let t = Tree.of_leaves data in
-    let rev = Array.init n (fun i -> n - 1 - i) in
-    let tag s = Printf.sprintf "n=%d %s" n s in
-    Alcotest.check digest (tag "of_leaf_hashes") (Tree.root (Tree.of_leaf_hashes hs))
-      (Tree.root t);
-    Alcotest.check digest (tag "permute")
-      (Tree.root (Tree.of_leaf_hashes (Array.map (fun i -> hs.(i)) rev)))
-      (Tree.root (Tree.permute t rev));
-    for i = 0 to n - 1 do
-      Alcotest.check digest (tag "leaf") hs.(i) (Tree.leaf t i)
-    done
-  done;
+  List.iter
+    (fun (rule, node) ->
+      for n = 0 to 17 do
+        let data = Array.init n (fun i -> (leaves 17).(i / 3)) in
+        let hs = Array.map Tree.leaf_hash data in
+        let t = Tree.of_leaves ~node data in
+        let rev = Array.init n (fun i -> n - 1 - i) in
+        let tag s = Printf.sprintf "%s n=%d %s" rule n s in
+        Alcotest.check digest (tag "of_leaf_hashes")
+          (Tree.root (Tree.of_leaf_hashes ~node hs))
+          (Tree.root t);
+        Alcotest.check digest (tag "permute")
+          (Tree.root (Tree.of_leaf_hashes ~node (Array.map (fun i -> hs.(i)) rev)))
+          (Tree.root (Tree.permute ~node t rev));
+        for i = 0 to n - 1 do
+          Alcotest.check digest (tag "leaf") hs.(i) (Tree.leaf t i);
+          Alcotest.check digest (tag "compute_root") (Tree.root t)
+            (Proof.compute_root ~node (Tree.prove t i) hs.(i))
+        done
+      done)
+    rules;
+  (* The rules disagree, so a tree cannot pass for one built under the
+     other. *)
+  let roots =
+    List.map (fun (_, node) -> Tree.root (Tree.of_leaves ~node (leaves 5))) rules
+  in
+  check_bool "rules give different roots" false
+    (D.equal (List.hd roots) (List.nth roots 1));
   Alcotest.check_raises "permute out of range"
     (Invalid_argument "Tree.permute: index out of range") (fun () ->
-      ignore (Tree.permute (Tree.of_leaves (leaves 3)) [| 0; 3 |]))
+      ignore
+        (Tree.permute ~node:digest64 (Tree.of_leaves ~node:digest64 (leaves 3)) [| 0; 3 |]))
 
 let test_tree_leaf_accessor () =
-  let t = Tree.of_leaves (leaves 3) in
+  let t = Tree.of_leaves ~node:digest64 (leaves 3) in
   Alcotest.check digest "leaf 0" (Tree.leaf_hash (Bytes.of_string "leaf-0")) (Tree.leaf t 0);
   Alcotest.check_raises "oob" (Invalid_argument "Tree.leaf: index out of range")
     (fun () -> ignore (Tree.leaf t 3))
@@ -83,42 +108,43 @@ let test_proof_roundtrip_all_indices () =
   List.iter
     (fun n ->
       let data = leaves n in
-      let t = Tree.of_leaves data in
+      let t = Tree.of_leaves ~node:digest64 data in
       for i = 0 to n - 1 do
         let p = Tree.prove t i in
         check_bool
           (Printf.sprintf "n=%d i=%d" n i)
           true
-          (Proof.verify ~root:(Tree.root t) ~leaf_hash:(Tree.leaf t i) p);
+          (Proof.verify ~node:digest64 ~root:(Tree.root t) ~leaf_hash:(Tree.leaf t i) p);
         check_bool "verify_data" true
-          (Proof.verify_data ~root:(Tree.root t) data.(i) p)
+          (Proof.verify_data ~node:digest64 ~root:(Tree.root t) data.(i) p)
       done)
     [ 1; 2; 3; 4; 7; 8; 9; 16; 33 ]
 
 let test_proof_rejects_wrong_leaf () =
-  let t = Tree.of_leaves (leaves 8) in
+  let t = Tree.of_leaves ~node:digest64 (leaves 8) in
   let p = Tree.prove t 3 in
   check_bool "wrong leaf" false
-    (Proof.verify ~root:(Tree.root t) ~leaf_hash:(Tree.leaf t 4) p)
+    (Proof.verify ~node:digest64 ~root:(Tree.root t) ~leaf_hash:(Tree.leaf t 4) p)
 
 let test_proof_rejects_wrong_root () =
-  let t = Tree.of_leaves (leaves 8) and t2 = Tree.of_leaves (leaves 9) in
+  let t = Tree.of_leaves ~node:digest64 (leaves 8)
+  and t2 = Tree.of_leaves ~node:digest64 (leaves 9) in
   let p = Tree.prove t 3 in
   check_bool "wrong root" false
-    (Proof.verify ~root:(Tree.root t2) ~leaf_hash:(Tree.leaf t 3) p)
+    (Proof.verify ~node:digest64 ~root:(Tree.root t2) ~leaf_hash:(Tree.leaf t 3) p)
 
 let test_proof_rejects_tampered_sibling () =
-  let t = Tree.of_leaves (leaves 8) in
+  let t = Tree.of_leaves ~node:digest64 (leaves 8) in
   let p = Tree.prove t 5 in
   let tampered =
     { p with Proof.siblings = Array.map Fun.id p.Proof.siblings }
   in
   tampered.Proof.siblings.(1) <- D.hash_string "evil";
   check_bool "tampered path" false
-    (Proof.verify ~root:(Tree.root t) ~leaf_hash:(Tree.leaf t 5) tampered)
+    (Proof.verify ~node:digest64 ~root:(Tree.root t) ~leaf_hash:(Tree.leaf t 5) tampered)
 
 let test_proof_encode_decode () =
-  let t = Tree.of_leaves (leaves 10) in
+  let t = Tree.of_leaves ~node:digest64 (leaves 10) in
   let p = Tree.prove t 7 in
   let b = Proof.encode p in
   match Proof.decode b 0 with
@@ -127,10 +153,10 @@ let test_proof_encode_decode () =
     check_int "consumed all" (Bytes.length b) off;
     check_int "index" p.Proof.index p'.Proof.index;
     check_bool "verifies" true
-      (Proof.verify ~root:(Tree.root t) ~leaf_hash:(Tree.leaf t 7) p')
+      (Proof.verify ~node:digest64 ~root:(Tree.root t) ~leaf_hash:(Tree.leaf t 7) p')
 
 let test_proof_decode_truncated () =
-  let t = Tree.of_leaves (leaves 10) in
+  let t = Tree.of_leaves ~node:digest64 (leaves 10) in
   let b = Proof.encode (Tree.prove t 7) in
   let cut = Bytes.sub b 0 (Bytes.length b - 5) in
   check_bool "truncated rejected" true (Result.is_error (Proof.decode cut 0))
@@ -141,9 +167,9 @@ let prop_proof_sound_random_trees =
     (fun (n, seed) ->
       let rng = Zkflow_util.Rng.create (Int64.of_int seed) in
       let data = Array.init n (fun _ -> Zkflow_util.Rng.bytes rng 20) in
-      let t = Tree.of_leaves data in
+      let t = Tree.of_leaves ~node:digest64 data in
       let i = seed mod n in
-      Proof.verify_data ~root:(Tree.root t) data.(i) (Tree.prove t i))
+      Proof.verify_data ~node:digest64 ~root:(Tree.root t) data.(i) (Tree.prove t i))
 
 (* The shared-path batch check against checking each opening alone:
    random trees with repeated leaves, random multisets of indices
@@ -155,12 +181,14 @@ let prop_verify_data_all_is_for_all =
     QCheck.(triple (int_range 1 40) (int_range 0 12) (int_range 0 100_000))
     (fun (n, k, seed) ->
       let rng = Zkflow_util.Rng.create (Int64.of_int seed) in
+      (* The seed picks the node rule, so both get half the cases. *)
+      let node = snd (List.nth rules (seed mod 2)) in
       let pick n = Zkflow_util.Rng.int rng n in
       let data =
         Array.init n (fun _ ->
             if pick 4 = 0 then Bytes.of_string "dup" else Zkflow_util.Rng.bytes rng 8)
       in
-      let t = Tree.of_leaves data in
+      let t = Tree.of_leaves ~node data in
       let root = Tree.root t in
       (* Half the indices come from a small pool, so paths often meet
          low down or coincide. *)
@@ -199,20 +227,20 @@ let prop_verify_data_all_is_for_all =
         let v = pick k in
         openings.(v) <- tamper openings.(v)
       end;
-      Proof.verify_data_all ~root openings
-      = Array.for_all (fun (leaf, p) -> Proof.verify_data ~root leaf p) openings)
+      Proof.verify_data_all ~node ~root openings
+      = Array.for_all (fun (leaf, p) -> Proof.verify_data ~node ~root leaf p) openings)
 
 (* ---- Multiproof ---- *)
 
 let test_multiproof_basic () =
-  let t = Tree.of_leaves (leaves 16) in
+  let t = Tree.of_leaves ~node:digest64 (leaves 16) in
   let idx = [ 1; 5; 6; 12 ] in
   let mp = Multiproof.prove t idx in
   let lh = Array.of_list (List.map (Tree.leaf t) idx) in
   check_bool "verifies" true (Multiproof.verify ~root:(Tree.root t) mp lh)
 
 let test_multiproof_all_leaves_needs_no_helpers () =
-  let t = Tree.of_leaves (leaves 8) in
+  let t = Tree.of_leaves ~node:digest64 (leaves 8) in
   let idx = [ 0; 1; 2; 3; 4; 5; 6; 7 ] in
   let mp = Multiproof.prove t idx in
   check_int "no helpers" 0 (Multiproof.helper_count mp);
@@ -220,27 +248,27 @@ let test_multiproof_all_leaves_needs_no_helpers () =
   check_bool "verifies" true (Multiproof.verify ~root:(Tree.root t) mp lh)
 
 let test_multiproof_smaller_than_individual () =
-  let t = Tree.of_leaves (leaves 64) in
+  let t = Tree.of_leaves ~node:digest64 (leaves 64) in
   let idx = [ 0; 1; 2; 3; 4; 5; 6; 7 ] in
   let mp = Multiproof.prove t idx in
   let individual = List.length idx * Tree.depth t in
   check_bool "dedup effective" true (Multiproof.helper_count mp < individual)
 
 let test_multiproof_rejects_wrong_leaf () =
-  let t = Tree.of_leaves (leaves 16) in
+  let t = Tree.of_leaves ~node:digest64 (leaves 16) in
   let idx = [ 2; 9 ] in
   let mp = Multiproof.prove t idx in
   let lh = [| Tree.leaf t 2; Tree.leaf t 10 |] in
   check_bool "wrong leaf" false (Multiproof.verify ~root:(Tree.root t) mp lh)
 
 let test_multiproof_rejects_count_mismatch () =
-  let t = Tree.of_leaves (leaves 16) in
+  let t = Tree.of_leaves ~node:digest64 (leaves 16) in
   let mp = Multiproof.prove t [ 2; 9 ] in
   check_bool "count mismatch" false
     (Multiproof.verify ~root:(Tree.root t) mp [| Tree.leaf t 2 |])
 
 let test_multiproof_input_validation () =
-  let t = Tree.of_leaves (leaves 8) in
+  let t = Tree.of_leaves ~node:digest64 (leaves 8) in
   Alcotest.check_raises "empty" (Invalid_argument "Multiproof.prove: empty index set")
     (fun () -> ignore (Multiproof.prove t []));
   Alcotest.check_raises "dup" (Invalid_argument "Multiproof.prove: duplicate indices")
@@ -249,7 +277,7 @@ let test_multiproof_input_validation () =
     (fun () -> ignore (Multiproof.prove t [ 8 ]))
 
 let test_multiproof_encode_decode () =
-  let t = Tree.of_leaves (leaves 20) in
+  let t = Tree.of_leaves ~node:digest64 (leaves 20) in
   let mp = Multiproof.prove t [ 0; 7; 19 ] in
   let b = Multiproof.encode mp in
   match Multiproof.decode b 0 with
@@ -265,7 +293,7 @@ let prop_multiproof_random_subsets =
     (fun (n, seed) ->
       let rng = Zkflow_util.Rng.create (Int64.of_int seed) in
       let data = Array.init n (fun _ -> Zkflow_util.Rng.bytes rng 16) in
-      let t = Tree.of_leaves data in
+      let t = Tree.of_leaves ~node:digest64 data in
       let k = 1 + Zkflow_util.Rng.int rng n in
       let all = Array.init n Fun.id in
       Zkflow_util.Rng.shuffle rng all;
@@ -387,13 +415,13 @@ let prop_smt_insert_remove_roundtrip =
 
 let lh i = Tree.leaf_hash (Bytes.of_string (Printf.sprintf "leaf-%d" i))
 let lh' tag i = Tree.leaf_hash (Bytes.of_string (Printf.sprintf "%s-%d" tag i))
-let scratch_root hs = Tree.root (Tree.of_leaf_hashes hs)
+let scratch_root hs = Tree.root (Tree.of_leaf_hashes ~node:digest64 hs)
 
 let test_incr_matches_scratch () =
   List.iter
     (fun n ->
       let hs = Array.init n lh in
-      let inc = Incremental.of_tree (Tree.of_leaf_hashes hs) in
+      let inc = Incremental.of_tree (Tree.of_leaf_hashes ~node:digest64 hs) in
       let hs' = Array.copy hs in
       let rec upd i =
         if i < n then begin
@@ -425,7 +453,7 @@ let test_incr_append_growth () =
 let test_incr_mixed_batch () =
   let n = 20 in
   let hs = Array.init n lh in
-  let inc = Incremental.of_tree (Tree.of_leaf_hashes hs) in
+  let inc = Incremental.of_tree (Tree.of_leaf_hashes ~node:digest64 hs) in
   (* empty flush is a no-op *)
   Alcotest.check digest "empty batch" (scratch_root hs) (Incremental.root inc);
   let expect = Array.append (Array.copy hs) (Array.init 13 (lh' "new")) in
@@ -443,7 +471,7 @@ let test_incr_mixed_batch () =
 
 let test_incr_commit_immutable () =
   let hs = Array.init 10 lh in
-  let inc = Incremental.of_tree (Tree.of_leaf_hashes hs) in
+  let inc = Incremental.of_tree (Tree.of_leaf_hashes ~node:digest64 hs) in
   Incremental.set_leaf inc 3 (lh' "x" 3);
   let t1 = Incremental.commit inc in
   let r1 = Tree.root t1 in
@@ -453,12 +481,12 @@ let test_incr_commit_immutable () =
   ignore (Incremental.root inc);
   Alcotest.check digest "committed tree unchanged" r1 (Tree.root t1);
   check_bool "proof from committed tree" true
-    (Proof.verify ~root:r1 ~leaf_hash:(Tree.leaf t1 3) (Tree.prove t1 3));
+    (Proof.verify ~node:digest64 ~root:r1 ~leaf_hash:(Tree.leaf t1 3) (Tree.prove t1 3));
   check_bool "incremental moved on" false (D.equal r1 (Incremental.root inc))
 
 let test_incr_stats () =
   let n = 64 in
-  let inc = Incremental.of_tree (Tree.of_leaf_hashes (Array.init n lh)) in
+  let inc = Incremental.of_tree (Tree.of_leaf_hashes ~node:digest64 (Array.init n lh)) in
   Incremental.set_leaf inc 0 (lh' "u" 0);
   ignore (Incremental.root inc);
   let s = Incremental.last_stats inc in
@@ -469,20 +497,20 @@ let test_incr_stats () =
 let test_snapshot_roundtrip () =
   List.iter
     (fun n ->
-      let t = Tree.of_leaves (leaves n) in
+      let t = Tree.of_leaves ~node:digest64 (leaves n) in
       match Tree.of_snapshot (Tree.to_snapshot t) with
       | Error e -> Alcotest.fail e
       | Ok t' ->
         check_int "size" (Tree.size t) (Tree.size t');
         Alcotest.check digest "root" (Tree.root t) (Tree.root t');
         check_bool "proof from restored tree" true
-          (Proof.verify ~root:(Tree.root t)
+          (Proof.verify ~node:digest64 ~root:(Tree.root t)
              ~leaf_hash:(Tree.leaf t' 0)
              (Tree.prove t' 0)))
     [ 1; 2; 3; 5; 8; 13 ]
 
 let test_snapshot_rejects_garbage () =
-  let b = Tree.to_snapshot (Tree.of_leaves (leaves 5)) in
+  let b = Tree.to_snapshot (Tree.of_leaves ~node:digest64 (leaves 5)) in
   check_bool "truncated" true
     (Result.is_error (Tree.of_snapshot (Bytes.sub b 0 (Bytes.length b - 1))));
   check_bool "extended" true
@@ -496,7 +524,7 @@ let prop_incr_random_ops =
     (fun (n0, seed) ->
       let rng = Zkflow_util.Rng.create (Int64.of_int seed) in
       let model = ref (Array.init n0 lh) in
-      let inc = Incremental.of_tree (Tree.of_leaf_hashes !model) in
+      let inc = Incremental.of_tree (Tree.of_leaf_hashes ~node:digest64 !model) in
       let ok = ref true in
       for s = 0 to 29 do
         let h = Tree.leaf_hash (Zkflow_util.Rng.bytes rng 16) in
@@ -514,10 +542,14 @@ let prop_incr_random_ops =
         if s mod 7 = 0 then
           ok :=
             !ok
-            && D.equal (Tree.root (Tree.of_leaf_hashes !model)) (Incremental.root inc)
+            && D.equal
+                 (Tree.root (Tree.of_leaf_hashes ~node:digest64 !model))
+                 (Incremental.root inc)
       done;
       !ok
-      && D.equal (Tree.root (Tree.of_leaf_hashes !model)) (Incremental.root inc))
+      && D.equal
+           (Tree.root (Tree.of_leaf_hashes ~node:digest64 !model))
+           (Incremental.root inc))
 
 (* ---- golden vectors ----
 
@@ -536,7 +568,7 @@ let test_golden_roots () =
   List.iter
     (fun (n, expected) ->
       let data = leaves n in
-      let tree = Tree.of_leaves data in
+      let tree = Tree.of_leaves ~node:digest64 data in
       let hs = Array.map Tree.leaf_hash data in
       let inc = Incremental.create () in
       Array.iter (Incremental.append inc) hs;
@@ -544,9 +576,10 @@ let test_golden_roots () =
         Alcotest.(check string) (Printf.sprintf "n=%d %s" n what) expected (D.to_hex d)
       in
       check "Tree.of_leaves" (Tree.root tree);
-      check "of_leaf_hashes" (Tree.root (Tree.of_leaf_hashes hs));
-      check "permute" (Tree.root (Tree.permute tree (Array.init n Fun.id)));
-      check "Proof.compute_root" (Proof.compute_root (Tree.prove tree (n - 1)) hs.(n - 1));
+      check "of_leaf_hashes" (Tree.root (Tree.of_leaf_hashes ~node:digest64 hs));
+      check "permute" (Tree.root (Tree.permute ~node:digest64 tree (Array.init n Fun.id)));
+      check "Proof.compute_root"
+        (Proof.compute_root ~node:digest64 (Tree.prove tree (n - 1)) hs.(n - 1));
       check "Incremental" (Incremental.root inc))
     [ (5, golden_root_5); (1000, golden_root_1000) ]
 

@@ -734,10 +734,12 @@ let test_stats_json_parses () =
 (* The hash counters count exactly one per compression and one per
    filled slot, so their deltas are exact. A build over n leaves padded
    to P fills n + P − 1 slots; each is hashed or copied from its left
-   neighbour. A short leaf hashes in one compression and a node in two.
-   For n = 1000 the padding copies 11 + 5 + 2 slots on levels 1–3; four
-   runs of four equal leaves copy 12 leaves and 4 level-1 nodes. A path
-   check hashes one leaf and two blocks per level. *)
+   neighbour. A short leaf hashes in one compression. A node costs two
+   under the SHA-256 rule and one under the trace-commitment rule, so
+   each rule has its own compression literals; the slot counts are the
+   same. For n = 1000 the padding copies 11 + 5 + 2 slots on levels
+   1–3; four runs of four equal leaves copy 12 leaves and 4 level-1
+   nodes. A path check hashes one leaf and one node per level. *)
 let test_hash_counters_exact () =
   let module Tree = Zkflow_merkle.Tree in
   let module Proof = Zkflow_merkle.Proof in
@@ -754,26 +756,36 @@ let test_hash_counters_exact () =
   let leaves n f = Array.init n (fun i -> Bytes.of_string (Printf.sprintf "leaf-%d" (f i))) in
   Obs.with_enabled (fun () ->
       List.iter
-        (fun (what, data, want_c, want_h, want_k) ->
+        (fun ((rule, node, per_node), (what, data, want_c, want_h, want_k)) ->
           let n = Array.length data in
-          let tag s = Printf.sprintf "%s %s" what s in
-          let tree, c, h, k = delta (fun () -> Tree.of_leaves data) in
+          let tag s = Printf.sprintf "%s %s %s" rule what s in
+          let tree, c, h, k = delta (fun () -> Tree.of_leaves ~node data) in
           check_int (tag "compressions") want_c c;
           check_int (tag "nodes hashed") want_h h;
           check_int (tag "nodes copied") want_k k;
           check_int (tag "hashed + copied = n + P - 1") (n + Tree.next_pow2 n - 1) (h + k);
           let proof = Tree.prove tree (n - 1) in
           let ok, c, h, k =
-            delta (fun () -> Proof.verify_data ~root:(Tree.root tree) data.(n - 1) proof)
+            delta (fun () ->
+                Proof.verify_data ~node ~root:(Tree.root tree) data.(n - 1) proof)
           in
           check_bool "path verifies" true ok;
-          check_int (tag "verify_data compressions") (1 + (2 * Proof.depth proof)) c;
+          check_int (tag "verify_data compressions")
+            (1 + (per_node * Proof.depth proof))
+            c;
           check_int "verify_data counts no tree nodes" 0 (h + k))
-        [
-          ("n=5", leaves 5 Fun.id, 19, 12, 0);
-          ("n=1000", leaves 1000 Fun.id, 3010, 2005, 18);
-          ("4 runs of 4", leaves 16 (fun i -> i / 4), 26, 15, 16);
-        ])
+        (List.map (fun case -> (("digest64", Zkflow_hash.Sha256.digest64_into, 2), case))
+           [
+             ("n=5", leaves 5 Fun.id, 19, 12, 0);
+             ("n=1000", leaves 1000 Fun.id, 3010, 2005, 18);
+             ("4 runs of 4", leaves 16 (fun i -> i / 4), 26, 15, 16);
+           ]
+        @ List.map (fun case -> (("node64", Zkflow_hash.Sha256.node64_into, 1), case))
+            [
+              ("n=5", leaves 5 Fun.id, 12, 12, 0);
+              ("n=1000", leaves 1000 Fun.id, 2005, 2005, 18);
+              ("4 runs of 4", leaves 16 (fun i -> i / 4), 15, 15, 16);
+            ]))
 
 let test_prometheus_mentions_metrics () =
   ignore (run_traced_round ());

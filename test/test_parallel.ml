@@ -12,6 +12,7 @@ open Zkflow_core
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let digest = Alcotest.testable D.pp D.equal
+let digest64 = Zkflow_hash.Sha256.digest64_into
 let job_sweep = [ 1; 2; 4 ]
 
 let with_jobs j f =
@@ -157,16 +158,20 @@ let test_tree_roots_match_sequential () =
     (fun n ->
       let data = leaf_data n in
       let hs = Array.map Tree.leaf_hash data in
-      let base_tree = with_jobs 1 (fun () -> Tree.root (Tree.of_leaf_hashes hs)) in
-      let base_leaves = with_jobs 1 (fun () -> Tree.root (Tree.of_leaves data)) in
+      let base_tree =
+        with_jobs 1 (fun () -> Tree.root (Tree.of_leaf_hashes ~node:digest64 hs))
+      in
+      let base_leaves =
+        with_jobs 1 (fun () -> Tree.root (Tree.of_leaves ~node:digest64 data))
+      in
       List.iter
         (fun j ->
           with_jobs j (fun () ->
               let tag f = Printf.sprintf "n=%d jobs=%d %s" n j f in
               Alcotest.check digest (tag "of_leaf_hashes") base_tree
-                (Tree.root (Tree.of_leaf_hashes hs));
+                (Tree.root (Tree.of_leaf_hashes ~node:digest64 hs));
               Alcotest.check digest (tag "of_leaves") base_leaves
-                (Tree.root (Tree.of_leaves data))))
+                (Tree.root (Tree.of_leaves ~node:digest64 data))))
         job_sweep)
     tree_sizes
 
@@ -229,35 +234,38 @@ let test_prove_sharded_matches_sequential () =
    chunk boundaries fall inside runs on the leaf level and the levels
    above. A slot copies its left neighbour whatever chunk that
    neighbour is in, so the root and every hash counter must come out
-   the same at every job count. *)
+   the same at every job count, under either node rule. *)
 
 let test_neighbour_rule_chunk_blind () =
   let counters =
     List.map Zkflow_obs.Metric.counter
       [ "merkle.nodes_hashed"; "merkle.nodes_copied"; "sha256.compressions" ]
   in
-  let build data =
+  let build node data =
     let before = List.map Zkflow_obs.Metric.value counters in
-    let root = Tree.root (Tree.of_leaves data) in
+    let root = Tree.root (Tree.of_leaves ~node data) in
     (root, List.map2 (fun c v -> Zkflow_obs.Metric.value c - v) counters before)
   in
   Zkflow_obs.Obs.with_enabled (fun () ->
       List.iter
-        (fun (n, run) ->
+        (fun ((rule, node), (n, run)) ->
           let data =
             Array.init n (fun i -> Bytes.of_string (Printf.sprintf "run-%d" (i / run)))
           in
-          let base_root, base_counts = with_jobs 1 (fun () -> build data) in
+          let base_root, base_counts = with_jobs 1 (fun () -> build node data) in
           check_bool "the rule fires" true (List.nth base_counts 1 > 0);
           List.iter
             (fun j ->
-              let root, counts = with_jobs j (fun () -> build data) in
-              let tag s = Printf.sprintf "n=%d run=%d jobs=%d %s" n run j s in
+              let root, counts = with_jobs j (fun () -> build node data) in
+              let tag s = Printf.sprintf "%s n=%d run=%d jobs=%d %s" rule n run j s in
               Alcotest.check digest (tag "root") base_root root;
               Alcotest.(check (list int)) (tag "hashed, copied, compressions") base_counts
                 counts)
             [ 2; 3 ])
-        [ (6000, 700); (5000, 1500); (4500, 97) ])
+        (List.concat_map
+           (fun rule ->
+             List.map (fun shape -> (rule, shape)) [ (6000, 700); (5000, 1500); (4500, 97) ])
+           [ ("digest64", digest64); ("node64", Zkflow_hash.Sha256.node64_into) ]))
 
 (* ---- property: random trees agree across job counts ---- *)
 
@@ -267,8 +275,8 @@ let prop_tree_parallel_equals_sequential =
     (fun (n, seed) ->
       let rng = Zkflow_util.Rng.create (Int64.of_int seed) in
       let data = Array.init n (fun _ -> Zkflow_util.Rng.bytes rng 24) in
-      let seq = with_jobs 1 (fun () -> Tree.root (Tree.of_leaves data)) in
-      let par = with_jobs 3 (fun () -> Tree.root (Tree.of_leaves data)) in
+      let seq = with_jobs 1 (fun () -> Tree.root (Tree.of_leaves ~node:digest64 data)) in
+      let par = with_jobs 3 (fun () -> Tree.root (Tree.of_leaves ~node:digest64 data)) in
       D.equal seq par)
 
 let () =

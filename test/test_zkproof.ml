@@ -469,7 +469,7 @@ module Gen = Zkflow_netflow.Gen
 
 let golden_aggregation_image_id = "516d73653681a1d444546cd7308ee225e845de28ddf735919e9460f2985962ae"
 let golden_query_image_id = "efe4a18c35efc13a4128d3d9c94d20ca82a761c64391eea55a40cd937a7d5d1c"
-let golden_aggregation_receipt_sha256 = "050cf5c8ba4f88a5f4ae1cd80ba39cbc9413ebd24ad29507f9979c4ea2262789"
+let golden_aggregation_receipt_sha256 = "79c53b455d2efafa9c03aef144870cfd0fd6f5f417a78e1013e5e582ed6c35f9"
 
 let test_golden_image_ids () =
   let check_hex what expected d =
@@ -543,9 +543,9 @@ let on_sorted_first f (s : Receipt.seal) =
   sorteds.(0) <- { (sorteds.(0)) with Receipt.first = f sorteds.(0).Receipt.first };
   { s with Receipt.sorteds }
 
-let on_zs_last f (s : Receipt.seal) =
+let on_z_last f (s : Receipt.seal) =
   let b = s.Receipt.boundary in
-  { s with Receipt.boundary = { b with Receipt.z_sorted_last = f b.Receipt.z_sorted_last } }
+  { s with Receipt.boundary = { b with Receipt.z_last = f b.Receipt.z_last } }
 
 let with_path (o : Receipt.opening) path = { o with Receipt.path }
 
@@ -588,7 +588,7 @@ let seal_tampers =
   List.concat_map
     (fun (where, lens) ->
       List.map (fun (what, f) -> (where ^ " " ^ what, lens f)) opening_tampers)
-    [ ("step.row", on_step_row); ("sorted.first", on_sorted_first); ("bd.zs_last", on_zs_last) ]
+    [ ("step.row", on_step_row); ("sorted.first", on_sorted_first); ("bd.z_last", on_z_last) ]
   @ [
       ( "steps swapped",
         fun (s : Receipt.seal) ->
@@ -612,7 +612,7 @@ let seal_tampers =
           let steps = Array.copy s.Receipt.steps in
           steps.(0) <- s.Receipt.steps.(1);
           steps.(1) <- s.Receipt.steps.(0);
-          on_zs_last (List.assoc "leaf byte" opening_tampers) { s with Receipt.steps } );
+          on_z_last (List.assoc "leaf byte" opening_tampers) { s with Receipt.steps } );
       ( "z repeated",
         fun (s : Receipt.seal) ->
           let zs_time = Array.copy s.Receipt.zs_time in
@@ -653,14 +653,14 @@ let golden_verdicts =
     ("agg sorted.first both indices", "sorted.first: Merkle path does not authenticate");
     ("agg sorted.first path one short", "sorted.first: Merkle path does not authenticate");
     ("agg sorted.first path one long", "sorted.first: Merkle path does not authenticate");
-    ("agg bd.zs_last leaf byte", "bd.zs_last: Merkle path does not authenticate");
-    ("agg bd.zs_last bottom sibling", "bd.zs_last: Merkle path does not authenticate");
-    ("agg bd.zs_last middle sibling", "bd.zs_last: Merkle path does not authenticate");
-    ("agg bd.zs_last top sibling", "bd.zs_last: Merkle path does not authenticate");
-    ("agg bd.zs_last path index", "bd.zs_last: index mismatch");
-    ("agg bd.zs_last both indices", "bd.zs_last: Merkle path does not authenticate");
-    ("agg bd.zs_last path one short", "bd.zs_last: Merkle path does not authenticate");
-    ("agg bd.zs_last path one long", "bd.zs_last: Merkle path does not authenticate");
+    ("agg bd.z_last leaf byte", "bd.z_last: Merkle path does not authenticate");
+    ("agg bd.z_last bottom sibling", "bd.z_last: Merkle path does not authenticate");
+    ("agg bd.z_last middle sibling", "bd.z_last: Merkle path does not authenticate");
+    ("agg bd.z_last top sibling", "bd.z_last: Merkle path does not authenticate");
+    ("agg bd.z_last path index", "bd.z_last: index mismatch");
+    ("agg bd.z_last both indices", "bd.z_last: Merkle path does not authenticate");
+    ("agg bd.z_last path one short", "bd.z_last: Merkle path does not authenticate");
+    ("agg bd.z_last path one long", "bd.z_last: Merkle path does not authenticate");
     ("agg steps swapped", "step: unsampled row index");
     ("agg sorted swapped", "sorted: index");
     ("agg step repeated", "step: unsampled row index");
@@ -683,14 +683,14 @@ let golden_verdicts =
     ("query sorted.first both indices", "sorted.first: Merkle path does not authenticate");
     ("query sorted.first path one short", "sorted.first: Merkle path does not authenticate");
     ("query sorted.first path one long", "sorted.first: Merkle path does not authenticate");
-    ("query bd.zs_last leaf byte", "bd.zs_last: Merkle path does not authenticate");
-    ("query bd.zs_last bottom sibling", "bd.zs_last: Merkle path does not authenticate");
-    ("query bd.zs_last middle sibling", "bd.zs_last: Merkle path does not authenticate");
-    ("query bd.zs_last top sibling", "bd.zs_last: Merkle path does not authenticate");
-    ("query bd.zs_last path index", "bd.zs_last: index mismatch");
-    ("query bd.zs_last both indices", "bd.zs_last: Merkle path does not authenticate");
-    ("query bd.zs_last path one short", "bd.zs_last: Merkle path does not authenticate");
-    ("query bd.zs_last path one long", "bd.zs_last: Merkle path does not authenticate");
+    ("query bd.z_last leaf byte", "bd.z_last: Merkle path does not authenticate");
+    ("query bd.z_last bottom sibling", "bd.z_last: Merkle path does not authenticate");
+    ("query bd.z_last middle sibling", "bd.z_last: Merkle path does not authenticate");
+    ("query bd.z_last top sibling", "bd.z_last: Merkle path does not authenticate");
+    ("query bd.z_last path index", "bd.z_last: index mismatch");
+    ("query bd.z_last both indices", "bd.z_last: Merkle path does not authenticate");
+    ("query bd.z_last path one short", "bd.z_last: Merkle path does not authenticate");
+    ("query bd.z_last path one long", "bd.z_last: Merkle path does not authenticate");
     ("query steps swapped", "step: unsampled row index");
     ("query sorted swapped", "sorted: index");
     ("query step repeated", "step: unsampled row index");
@@ -700,6 +700,191 @@ let golden_verdicts =
 
 let test_golden_verdicts () =
   Alcotest.(check (list (pair string string))) "verdicts" golden_verdicts (verdicts ())
+
+(* ---- claim words stay in 32 bits ----
+
+   The journal digest and the claim digest hash each word's low 32
+   bits, so a word raised by 2^32 would verify as the honest one, and
+   a query answer would grow by 2^32. The forged word rides through
+   the wire encoding, as it would in a stored receipt. *)
+
+(* The seed aggregation receipt, the query program and the seed query
+   receipt. *)
+let seed_pair () =
+  match Lazy.force seed_receipts with
+  | [ (_, _, agg); (_, program, query) ] -> (agg, program, query)
+  | _ -> assert false
+
+let with_word ~index ~delta (r : Receipt.t) =
+  let journal = Array.copy r.Receipt.claim.Receipt.journal in
+  journal.(index) <- journal.(index) + delta;
+  { r with Receipt.claim = { r.Receipt.claim with Receipt.journal } }
+
+let test_claim_range_rejected () =
+  let _, program, query = seed_pair () in
+  let forged =
+    let r = with_word ~index:18 ~delta:(1 lsl 32) query in
+    match Receipt.decode (Receipt.encode r) with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check (result unit string))
+    "verify" (Error "claim: journal word 18 out of 32-bit range")
+    (Verify.verify ~program forged);
+  let expected_root =
+    match Core.Guests.parse_query_journal query.Receipt.claim.Receipt.journal with
+    | Ok j -> j.Core.Guests.root
+    | Error e -> Alcotest.fail e
+  in
+  let client r = Result.is_ok (Core.Verifier_client.verify_query ~expected_root r) in
+  check_bool "client accepts the honest receipt" true (client query);
+  check_bool "client rejects the forged receipt" false (client forged);
+  (match Wrap.wrap vkey ~program query with
+  | Error e -> Alcotest.fail e
+  | Ok w ->
+    check_bool "honest wrap" true (Wrap.verify vkey w);
+    let journal = Array.copy w.Wrap.journal in
+    journal.(18) <- journal.(18) + (1 lsl 32);
+    check_bool "forged wrap" false (Wrap.verify vkey { w with Wrap.journal }));
+  let claim = query.Receipt.claim in
+  List.iter
+    (fun (what, claim, expected) ->
+      Alcotest.(check (result unit string)) what expected (Receipt.check_claim claim))
+    [
+      ("honest", claim, Ok ());
+      ( "exit code 2^32",
+        { claim with Receipt.exit_code = 1 lsl 32 },
+        Error "claim: exit code out of 32-bit range" );
+      ( "negative exit code",
+        { claim with Receipt.exit_code = -1 },
+        Error "claim: exit code out of 32-bit range" );
+      ( "negative word",
+        (with_word ~index:0 ~delta:(-1 - claim.Receipt.journal.(0)) query).Receipt.claim,
+        Error "claim: journal word 0 out of 32-bit range" );
+      ( "top word",
+        (with_word ~index:19 ~delta:(0xffffffff - claim.Receipt.journal.(19)) query)
+          .Receipt.claim,
+        Ok () );
+    ]
+
+(* ---- seal version ---- *)
+
+(* The encoding before the seal tag began with the image id: a
+   receipt without the tag, or with another version's, is refused by
+   name before any field is read. *)
+let test_seal_version_named () =
+  let agg, _, _ = seed_pair () in
+  let enc = Receipt.encode agg in
+  let tag = 1 + String.length Receipt.seal_tag in
+  let unsupported = Error "receipt: unsupported seal version" in
+  let decode b = Result.map (fun _ -> ()) (Receipt.decode b) in
+  Alcotest.(check (result unit string)) "current" (Ok ()) (decode enc);
+  Alcotest.(check (result unit string)) "untagged (previous layout)" unsupported
+    (decode (Bytes.sub enc tag (Bytes.length enc - tag)));
+  let v1 = Bytes.copy enc in
+  Bytes.set v1 (tag - 1) '1';
+  Alcotest.(check (result unit string)) "other version" unsupported (decode v1);
+  Alcotest.(check (result unit string)) "empty" unsupported (decode Bytes.empty)
+
+(* ---- single-bit flips of a golden receipt encoding ----
+
+   A fixed sample of the single-bit flips of the seed aggregation
+   receipt's encoding. Each must fail to decode or fail to verify, and
+   none may raise. A full sweep of every bit found one class of
+   survivors: value bits 32-34 of the five-byte journal varints, which
+   the hashes mask away and the claim check now rejects. The sample
+   holds all of those, every bit of the seal tag, of the exit code, of
+   the first and last journal words and of the two boundary z leaves,
+   and a fixed stride across the seal. *)
+
+let flip_sample (r : Receipt.t) enc =
+  let size = Zkflow_util.Varint.size in
+  let claim = r.Receipt.claim in
+  let journal = claim.Receipt.journal in
+  let n = Array.length journal in
+  let tag = 1 + String.length Receipt.seal_tag in
+  let exit_at = tag + 1 + 32 in
+  let word_at = Array.make (n + 1) (exit_at + size claim.Receipt.exit_code + size n) in
+  for i = 0 to n - 1 do
+    word_at.(i + 1) <- word_at.(i) + size journal.(i)
+  done;
+  let seal_at = word_at.(n) in
+  let bits lo hi = List.init (8 * (hi - lo)) (fun k -> (8 * lo) + k) in
+  let high_bits =
+    List.concat
+      (List.init n (fun i ->
+           if size journal.(i) = 5 then
+             List.map (fun b -> (8 * (word_at.(i) + 4)) + b) [ 4; 5; 6 ]
+           else []))
+  in
+  (* a boundary z leaf, by its length-prefixed bytes; they end the
+     encoding, so search from the end *)
+  let z_leaf (o : Receipt.opening) =
+    let needle = Bytes.cat (Bytes.make 1 '\016') o.Receipt.leaf in
+    let rec back i =
+      if i < 0 then Alcotest.fail "z leaf not found"
+      else if Zkflow_util.Bytesx.equal_sub enc i needle 0 17 then i + 1
+      else back (i - 1)
+    in
+    let at = back (Bytes.length enc - 17) in
+    bits at (at + 16)
+  in
+  let b = r.Receipt.seal.Receipt.boundary in
+  let stride =
+    List.init (((8 * (Bytes.length enc - seal_at)) + 498) / 499) (fun k ->
+        (8 * seal_at) + (499 * k))
+  in
+  ( high_bits,
+    bits 0 tag,
+    List.concat
+      [
+        bits exit_at (exit_at + size claim.Receipt.exit_code);
+        bits word_at.(0) word_at.(1);
+        bits word_at.(n - 1) word_at.(n);
+        z_leaf b.Receipt.z0;
+        z_leaf b.Receipt.z_last;
+        stride;
+      ] )
+
+let flip_outcome ~program enc pos =
+  let b = Bytes.copy enc in
+  let at = pos / 8 in
+  Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor (1 lsl (pos mod 8))));
+  match
+    match Receipt.decode b with
+    | Error e -> Error ("decode", e)
+    | Ok r -> (
+      match Verify.verify ~program r with Ok () -> Ok () | Error e -> Error ("verify", e))
+  with
+  | outcome -> outcome
+  | exception exn -> Error ("raised", Printexc.to_string exn)
+
+let test_bit_flips_rejected () =
+  let agg, _, _ = seed_pair () in
+  let program = Lazy.force Core.Guests.aggregation_program in
+  let enc = Receipt.encode agg in
+  let high_bits, tag_bits, rest = flip_sample agg enc in
+  Alcotest.(check int) "five-byte journal varints, three bits each" 354
+    (List.length high_bits);
+  let bad = ref [] in
+  let note pos what =
+    bad := Printf.sprintf "byte %d bit %d: %s" (pos / 8) (pos mod 8) what :: !bad
+  in
+  List.iter
+    (fun pos ->
+      match flip_outcome ~program enc pos with
+      | Ok () -> note pos "accepted"
+      | Error ("raised", e) -> note pos ("raised " ^ e)
+      | Error _ -> ())
+    (high_bits @ rest);
+  List.iter
+    (fun pos ->
+      match flip_outcome ~program enc pos with
+      | Error ("decode", "receipt: unsupported seal version") -> ()
+      | Ok () -> note pos "accepted"
+      | Error (_, e) -> note pos e)
+    tag_bits;
+  Alcotest.(check (list string)) "every flip rejected, none raised" [] (List.rev !bad)
 
 let () =
   Alcotest.run "zkflow_zkproof"
@@ -735,6 +920,7 @@ let () =
           Alcotest.test_case "receipt roundtrip" `Quick test_receipt_encode_decode;
           Alcotest.test_case "garbage rejected" `Quick test_receipt_decode_garbage;
           Alcotest.test_case "journal size" `Quick test_journal_size;
+          Alcotest.test_case "seal version named" `Quick test_seal_version_named;
         ] );
       ( "wrap",
         [
@@ -764,7 +950,11 @@ let () =
           Alcotest.test_case "grand products" `Quick test_memcheck_products_multiset;
         ] );
       ( "verdicts",
-        [ Alcotest.test_case "golden tamper verdicts" `Quick test_golden_verdicts ] );
+        [
+          Alcotest.test_case "golden tamper verdicts" `Quick test_golden_verdicts;
+          Alcotest.test_case "claim words in 32 bits" `Quick test_claim_range_rejected;
+          Alcotest.test_case "single-bit flips rejected" `Quick test_bit_flips_rejected;
+        ] );
       ( "fuzz",
         [ Alcotest.test_case "receipt mutations" `Slow test_receipt_mutation_fuzz ] );
     ]

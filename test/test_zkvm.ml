@@ -244,7 +244,10 @@ let test_merkle_root_matches_host n () =
         b)
       entries
   in
-  let expected = Zkflow_merkle.Tree.root (Zkflow_merkle.Tree.of_leaves host_leaves) in
+  let expected =
+    Zkflow_merkle.Tree.root
+      (Zkflow_merkle.Tree.of_leaves ~node:Zkflow_hash.Sha256.digest64_into host_leaves)
+  in
   Alcotest.(check string)
     (Printf.sprintf "root over %d entries" n)
     (Zkflow_hash.Digest32.to_hex expected)
