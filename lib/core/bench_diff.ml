@@ -112,8 +112,9 @@ let env_notes ~old_json ~new_json =
     let str k j =
       match Jsonx.member k j with Some (Jsonx.Str s) -> Some s | _ -> None
     in
-    let mismatch k label acc =
-      match (str k o, str k n) with
+    let mismatch ?missing k label acc =
+      let field j = match str k j with None -> missing | v -> v in
+      match (field o, field n) with
       | Some a, Some b when a <> b ->
         Printf.sprintf "env: %s differs (%s vs %s) — %s comparison" k a b label
         :: acc
@@ -144,6 +145,9 @@ let env_notes ~old_json ~new_json =
     in
     [] |> mismatch "git_commit" "cross-commit"
     |> mismatch "hostname" "cross-machine"
+    (* Artifacts from before the kernel was recorded count as
+       "unrecorded", so comparing one with a new artifact is noted. *)
+    |> mismatch ~missing:"unrecorded" "sha256_kernel" "cross-kernel"
     |> dirty o "OLD" |> dirty n "NEW" |> quick
     |> oversubscribed o "OLD" |> oversubscribed n "NEW" |> List.rev
   | _ -> []

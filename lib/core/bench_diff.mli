@@ -22,9 +22,10 @@
     regressions — so a grid change (a new matrix cell, a dropped
     queries setting) reads as coverage drift, never as a false
     perf regression. The artifacts' [env] provenance blocks are also
-    cross-checked: differing git commits or hostnames, a dirty
-    working tree, or mismatched quick-mode flags each add a note
-    naming the cross-commit / cross-machine caveat, and an artifact
+    cross-checked: differing git commits, hostnames or SHA-256
+    kernels, a dirty working tree, or mismatched quick-mode flags
+    each add a note naming the cross-commit / cross-machine /
+    cross-kernel caveat, and an artifact
     whose [zkflow_jobs] exceeds its [ncores] adds an oversubscription
     note. *)
 

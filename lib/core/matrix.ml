@@ -230,11 +230,13 @@ let pool_json (s : Pool.stats) =
       ("utilization", Jsonx.Num (Pool.utilization s));
     ]
 
-(* Where this artifact came from: cross-commit and cross-machine
-   comparisons are legitimate but must be legible, so every artifact
-   carries enough provenance for bench-diff (and a reader of the
-   report header) to flag them. Failures degrade to "unknown" — a
-   tarball export without .git still benches. *)
+(* Where this artifact came from: cross-commit, cross-machine and
+   cross-kernel comparisons are legitimate but must be legible, so
+   every artifact carries enough provenance for bench-diff (and a
+   reader of the report header) to flag them. The SHA-256 kernel is
+   part of it because the CPU picks it, and it moves every hashing
+   timing. Failures degrade to "unknown" — a tarball export without
+   .git still benches. *)
 let env_provenance () =
   let read_cmd cmd =
     try
@@ -261,6 +263,7 @@ let env_provenance () =
     ("git_commit", Jsonx.Str commit);
     ("git_dirty", Jsonx.Bool dirty);
     ("hostname", Jsonx.Str hostname);
+    ("sha256_kernel", Jsonx.Str Zkflow_hash.Sha256.kernel);
   ]
 
 let schema = "zkflow-bench-matrix/v1"
@@ -419,7 +422,9 @@ let env_summary doc =
       | _ -> None
     in
     List.filter_map field
-      [ "git_commit"; "git_dirty"; "hostname"; "zkflow_jobs"; "ncores"; "quick" ]
+      [
+        "git_commit"; "git_dirty"; "hostname"; "sha256_kernel"; "zkflow_jobs"; "ncores"; "quick";
+      ]
     |> String.concat " "
   | None -> "(no env block)"
 

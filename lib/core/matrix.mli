@@ -75,7 +75,8 @@ val pool_json : Zkflow_parallel.Pool.stats -> Zkflow_util.Jsonx.t
 val env_provenance : unit -> (string * Zkflow_util.Jsonx.t) list
 (** Provenance fields every bench artifact's [env] block embeds:
     [git_commit] (short hash, ["unknown"] outside a repo),
-    [git_dirty], and [hostname] — what {!Bench_diff.diff} checks
+    [git_dirty], [hostname] and [sha256_kernel]
+    ({!Zkflow_hash.Sha256.kernel}) — what {!Bench_diff.diff} checks
     before comparing two artifacts (EXPERIMENTS.md, provenance). *)
 
 (** {2 Reports}

@@ -2,7 +2,16 @@
 
     This is the only cryptographic hash in zkflow; it backs log
     commitments, Merkle trees, Fiat–Shamir transcripts and the zkVM's
-    SHA accelerator ecall (mirroring RISC Zero's SHA-256 precompile). *)
+    SHA accelerator ecall (mirroring RISC Zero's SHA-256 precompile).
+
+    Every compression runs on one of two kernels that compute the same
+    function: the x86-64 SHA extensions when the CPU has them, the
+    OCaml rounds otherwise. The CPU alone decides, once, at program
+    start; {!kernel} names the choice. *)
+
+val kernel : string
+(** The live compression kernel: ["sha-ni"] on an x86-64 CPU with the
+    SHA extensions (and SSSE3 and SSE4.1), ["ocaml"] everywhere else. *)
 
 type ctx
 (** Streaming hash context. Absorbing and compressing allocate
@@ -86,3 +95,9 @@ val compress_words : int array -> int array -> int array
     result is the new 8-word state. This is the primitive behind the
     zkVM's SHA accelerator ecall — callers are responsible for padding.
     Raises [Invalid_argument] on wrong shapes. *)
+
+val reference_compress_words : int array -> int array -> int array
+(** [reference_compress_words] is {!compress_words} on the OCaml
+    rounds, whatever {!kernel} is, and without counting a
+    compression: the reference the hardware kernel is tested
+    against. *)

@@ -214,18 +214,39 @@ let test_chaos_dropped_export_fails_strict_monitor () =
 
 (* ---- the live telemetry plane: slo, watch, monitor trends ---- *)
 
+(* The monitor's round_latency_trend JSON against [expected], the
+   trend computed in the test from the same frames. *)
+let check_trend_json (expected : Zkflow_core.Monitor.trend option) json =
+  let module J = Zkflow_util.Jsonx in
+  match (expected, json) with
+  | None, J.Null -> ()
+  | None, _ -> Alcotest.fail "monitor reports a trend the frames do not support"
+  | Some _, J.Null -> Alcotest.fail "monitor reports no trend over frames that have one"
+  | Some t, j ->
+    let num k = match J.member k j with Some (J.Num f) -> Some f | _ -> None in
+    check_bool "trend names the metric" true
+      (J.member "metric" j = Some (J.Str t.Zkflow_core.Monitor.trend_metric));
+    List.iter
+      (fun (k, v) -> Alcotest.(check (option (float 0.))) k (Some (float_of_int v)) (num k))
+      [
+        ("last_count", t.last_count);
+        ("last_p95_ns", t.last_p95_ns);
+        ("prev_count", t.prev_count);
+        ("prev_p95_ns", t.prev_p95_ns);
+      ];
+    Alcotest.(check (option (float 1e-12))) "ratio" t.trend_ratio (num "ratio")
+
 (* One recorded pipeline (events + time-series) feeds all three
    surfaces: the strict SLO verdict must pass on a clean run, every
    watch --probe endpoint must serve its schema from the artifacts,
-   and the monitor trend must surface the round-latency time-series. *)
+   and the monitor trend must be the trend of the saved time-series.
+   How many frames the sampler records depends on how long prove
+   runs, so whether the trend is null does too; the check holds
+   either way, and test_obs covers the trend rule on fixed frames. *)
 let test_telemetry_plane_clean_run () =
   let dir = fresh_dir () in
   let events = Filename.concat dir "events.jsonl" in
   let timeseries = Filename.concat dir "timeseries.jsonl" in
-  (* Enough flows that the aggregation round outlasts several 100 ms
-     sampler ticks: the round-latency trend legitimately has too few
-     frames to compare windows when prove finishes in ~2 ticks (a
-     6-flow round does, on a fast machine, and the trend is null). *)
   let code, out =
     run
       [ "simulate"; "--dir"; dir; "--events"; events; "--flows"; "60"; "--rate";
@@ -276,16 +297,18 @@ let test_telemetry_plane_clean_run () =
   check_int "unknown path fails the probe" 1 code;
   check_bool "names the status" true (contains ~needle:"404" out);
   (* the monitor trend reads the conventional DIR/timeseries.jsonl *)
+  let frames =
+    match Zkflow_obs.Timeseries.load_jsonl timeseries with
+    | Ok (frames, _) -> frames
+    | Error e -> Alcotest.fail ("time-series does not load: " ^ e)
+  in
   let code, out = run [ "monitor"; "--dir"; dir; "--json" ] in
   check_int ("monitor --json: " ^ out) 0 code;
   match Zkflow_util.Jsonx.parse (String.trim out) with
   | Error e -> Alcotest.fail ("monitor json does not parse: " ^ e)
   | Ok v -> (
     match Zkflow_util.Jsonx.member "round_latency_trend" v with
-    | Some trend ->
-      check_bool "trend names the metric" true
-        (Zkflow_util.Jsonx.member "metric" trend
-        = Some (Zkflow_util.Jsonx.Str "prover.round_ns"))
+    | Some trend -> check_trend_json (Zkflow_core.Monitor.trend_of_frames frames) trend
     | None -> Alcotest.fail "no round_latency_trend in monitor json")
 
 (* The other half of the chaos contract: an injected drop must trip

@@ -117,23 +117,24 @@ let test_sha_padding_boundaries () =
 
 let node_iv_hex = "b22b94ca8f669f59bce4b379d57e17f6a1ecd33b3d429e350bcee3338fed3a2d"
 
-let words_hex ws =
-  let b = Bytes.create (4 * Array.length ws) in
-  Array.iteri (fun i w -> Bytes.set_int32_be b (4 * i) (Int32.of_int w)) ws;
-  hex b
+let words_digest ws =
+  let out = Bytes.create (4 * Array.length ws) in
+  Array.iteri (fun i w -> Bytes.set_int32_be out (4 * i) (Int32.of_int w)) ws;
+  out
+
+let words_hex ws = hex (words_digest ws)
 
 let block_words b pos =
   Array.init 16 (fun i ->
       Int32.to_int (Bytes.get_int32_be b (pos + (4 * i))) land 0xffffffff)
 
-(* One raw compression of [b.[pos..pos+63]] from [node_iv], through
-   the zkVM accelerator's separate entry point. *)
-let node_reference b ~pos ~len:_ =
-  let out = Bytes.create 32 in
-  Array.iteri
-    (fun i w -> Bytes.set_int32_be out (4 * i) (Int32.of_int w))
-    (Sha256.compress_words Sha256.node_iv (block_words b pos));
-  out
+(* One raw compression of [b.[pos..pos+63]] from [node_iv], through a
+   word-array entry: [Sha256.compress_words] (the zkVM accelerator's)
+   or the OCaml reference. *)
+let node_with compress b ~pos ~len:_ =
+  words_digest (compress Sha256.node_iv (block_words b pos))
+
+let node_reference = node_with Sha256.compress_words
 
 let primitives =
   [
@@ -170,14 +171,28 @@ let test_digest64_known_answer () =
         1 );
     ]
 
+(* A window out of range is refused before any kernel runs: nothing
+   is counted, the slot is untouched and [ctx] is not even
+   finalized. *)
 let test_digest64_bounds () =
+  let compressions = Zkflow_obs.Metric.counter "sha256.compressions" in
   List.iter
     (fun (name, prim, reference) ->
       let ctx = Sha256.init () in
-      let src = Bytes.create 100 and dst = Bytes.create 40 in
+      let src = Bytes.create 100 and dst = Bytes.make 40 'd' in
       let error = Invalid_argument (name ^ ": out of bounds") in
       let rejects what ~src_pos ~dst_pos =
-        Alcotest.check_raises what error (fun () -> prim ctx ~src ~src_pos ~dst ~dst_pos)
+        let counted =
+          Zkflow_obs.Obs.with_enabled (fun () ->
+              let before = Zkflow_obs.Metric.value compressions in
+              Alcotest.check_raises what error (fun () -> prim ctx ~src ~src_pos ~dst ~dst_pos);
+              Zkflow_obs.Metric.value compressions - before)
+        in
+        Alcotest.(check int) (what ^ ": nothing compressed") 0 counted;
+        check_string (what ^ ": slot untouched") (String.make 40 'd') (Bytes.to_string dst);
+        match Sha256.update_string ctx "more" with
+        | () -> ()
+        | exception Invalid_argument _ -> Alcotest.failf "%s: context finalized" what
       in
       rejects "negative src_pos" ~src_pos:(-1) ~dst_pos:0;
       rejects "source window past the end" ~src_pos:37 ~dst_pos:0;
@@ -250,6 +265,91 @@ let prop_digest64_matches_digest_sub =
 let prop_node64_is_one_compression =
   QCheck.Test.make ~name:"node64_into is compress_words from node_iv" ~count:500 window
     (writes_window Sha256.node64_into node_reference)
+
+(* ---- the live kernel against the OCaml reference ----
+
+   [Sha256.reference_compress_words] always runs the OCaml rounds. On
+   a CPU with the SHA extensions the live kernel is the hardware one,
+   and the differential cases check it against the reference, reading
+   blocks at every alignment and writing digests over their own
+   source. Elsewhere the live kernel is the reference itself, so those
+   cases report a skip; the runner prints the live kernel first, so a
+   log shows which path ran. *)
+
+(* SHA-256 of [b.[pos .. pos+len-1]], padded here and compressed
+   block by block on the reference rounds. *)
+let reference_sha256 b ~pos ~len =
+  let padded = (len + 9 + 63) / 64 * 64 in
+  let m = Bytes.make padded '\000' in
+  Bytes.blit b pos m 0 len;
+  Bytes.set m len '\x80';
+  Bytes.set_int64_be m (padded - 8) (Int64.of_int (8 * len));
+  let st = ref Sha256.iv in
+  for i = 0 to (padded / 64) - 1 do
+    st := Sha256.reference_compress_words !st (block_words m (64 * i))
+  done;
+  words_digest !st
+
+let reference_node = node_with Sha256.reference_compress_words
+
+let test_reference_known_answers () =
+  List.iter
+    (fun (n, expected) ->
+      let msg = Bytes.init n Char.chr in
+      check_string (Printf.sprintf "%d bytes" n) expected
+        (hex (reference_sha256 msg ~pos:0 ~len:n)))
+    ((0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
+    :: padding_boundary_vectors);
+  check_string "node_iv" node_iv_hex
+    (words_hex
+       (Sha256.reference_compress_words Sha256.iv
+          (block_words (Bytes.init 64 (fun i -> if i < 14 then "zkflow.node.v2".[i] else '\000')) 0)))
+
+(* A differential case runs only when there is a second kernel to
+   compare. *)
+let on_hardware (name, speed, run) =
+  ( name,
+    speed,
+    fun () ->
+      if Sha256.kernel = "ocaml" then begin
+        Printf.printf "live kernel %s: nothing to compare with the reference\n" Sha256.kernel;
+        Alcotest.skip ()
+      end
+      else run () )
+
+let u32 = QCheck.Gen.(map2 (fun hi lo -> (hi lsl 16) lor lo) (int_bound 0xffff) (int_bound 0xffff))
+
+let prop_kernel_block =
+  QCheck.Test.make ~name:"live block = reference block" ~count:1000
+    (QCheck.make
+       ~print:(fun (st, blk) ->
+         Printf.sprintf "state=%s block=%s" (words_hex st) (words_hex blk))
+       QCheck.Gen.(pair (array_size (return 8) u32) (array_size (return 16) u32)))
+    (fun (st, blk) -> Sha256.compress_words st blk = Sha256.reference_compress_words st blk)
+
+(* A message of up to five blocks at any offset of a larger buffer:
+   whole blocks are compressed straight from the buffer, unaligned,
+   and every block after the first starts from a state the message
+   chose. *)
+let prop_kernel_offsets =
+  QCheck.Test.make ~name:"digest_sub at any offset = reference" ~count:300
+    (QCheck.make
+       ~print:(fun (s, pos, len) -> Printf.sprintf "buf=%d pos=%d len=%d" (String.length s) pos len)
+       QCheck.Gen.(
+         int_range 0 320 >>= fun len ->
+         int_range 0 63 >>= fun pos ->
+         string_size (return (pos + len + 16)) >|= fun s -> (s, pos, len)))
+    (fun (s, pos, len) ->
+      let b = Bytes.of_string s in
+      Bytes.equal (Sha256.digest_sub b ~pos ~len) (reference_sha256 b ~pos ~len))
+
+let prop_kernel_digest64_overlap =
+  QCheck.Test.make ~name:"digest64_into over its source = reference" ~count:500 window
+    (writes_window Sha256.digest64_into reference_sha256)
+
+let prop_kernel_node64_overlap =
+  QCheck.Test.make ~name:"node64_into over its source = reference" ~count:500 window
+    (writes_window Sha256.node64_into reference_node)
 
 (* ---- HMAC-SHA256: RFC 4231 vectors ---- *)
 
@@ -380,6 +480,7 @@ let prop_chain_injective_on_prefix =
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
+  Printf.printf "sha256 kernel: %s\n%!" Sha256.kernel;
   Alcotest.run "zkflow_hash"
     [
       ( "sha256",
@@ -404,6 +505,14 @@ let () =
           Alcotest.test_case "ctx is working storage" `Quick test_digest64_reuses_finalized_ctx;
           q prop_digest64_matches_digest_sub;
           q prop_node64_is_one_compression;
+        ] );
+      ( "kernel",
+        [
+          Alcotest.test_case "reference known answers" `Quick test_reference_known_answers;
+          on_hardware (q prop_kernel_block);
+          on_hardware (q prop_kernel_offsets);
+          on_hardware (q prop_kernel_digest64_overlap);
+          on_hardware (q prop_kernel_node64_overlap);
         ] );
       ( "hmac",
         [

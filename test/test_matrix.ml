@@ -303,17 +303,20 @@ let test_bits_direction_inverted () =
 
 (* ---- Bench_diff: env provenance notes ---------------------------- *)
 
-let env ~commit ~dirty ~host =
+let env ?(kernel = "sha-ni") ~commit ~dirty ~host () =
   [
     ("git_commit", Jsonx.Str commit);
     ("git_dirty", Jsonx.Bool dirty);
     ("hostname", Jsonx.Str host);
+    ("sha256_kernel", Jsonx.Str kernel);
     ("quick", Jsonx.Bool true);
   ]
 
 let test_env_provenance_notes () =
-  let a = artifact ~env:(env ~commit:"aaa1111" ~dirty:false ~host:"ci-1") [ row () ] in
-  let b = artifact ~env:(env ~commit:"bbb2222" ~dirty:true ~host:"dev-2") [ row () ] in
+  let a = artifact ~env:(env ~commit:"aaa1111" ~dirty:false ~host:"ci-1" ()) [ row () ] in
+  let b =
+    artifact ~env:(env ~kernel:"ocaml" ~commit:"bbb2222" ~dirty:true ~host:"dev-2" ()) [ row () ]
+  in
   let r = diff_exn a b in
   (* provenance drift is caveat, not failure *)
   check_bool "still ok" true (Bench_diff.ok r);
@@ -323,6 +326,24 @@ let test_env_provenance_notes () =
   check_bool "cross-commit note" true (has "cross-commit");
   check_bool "cross-machine note" true (has "cross-machine");
   check_bool "dirty NEW tree note" true (has "NEW artifact was produced from a dirty tree");
+  check_bool "cross-kernel note" true
+    (has "env: sha256_kernel differs (sha-ni vs ocaml) — cross-kernel comparison");
+  (* the kernel alone differing is the one note *)
+  let c = artifact ~env:(env ~kernel:"ocaml" ~commit:"aaa1111" ~dirty:false ~host:"ci-1" ()) [ row () ] in
+  (match (diff_exn a c).Bench_diff.notes with
+  | [ n ] -> check_bool "only the kernel note" true (contains ~needle:"cross-kernel" n)
+  | ns -> Alcotest.failf "want one kernel note, got %d" (List.length ns));
+  (* an artifact from before the field existed *)
+  let unrecorded =
+    artifact
+      ~env:(List.remove_assoc "sha256_kernel" (env ~commit:"aaa1111" ~dirty:false ~host:"ci-1" ()))
+      [ row () ]
+  in
+  check_bool "unrecorded kernel noted" true
+    (List.mem "env: sha256_kernel differs (unrecorded vs sha-ni) — cross-kernel comparison"
+       (diff_exn unrecorded a).Bench_diff.notes);
+  check_int "neither side recorded: no note" 0
+    (List.length (diff_exn unrecorded unrecorded).Bench_diff.notes);
   (* same provenance: none of those notes *)
   let r = diff_exn a a in
   check_int "no provenance notes" 0 (List.length r.Bench_diff.notes)
@@ -331,7 +352,7 @@ let test_oversubscribed_note () =
   let with_jobs ~jobs ~cores =
     artifact
       ~env:
-        (env ~commit:"aaa" ~dirty:false ~host:"h"
+        (env ~commit:"aaa" ~dirty:false ~host:"h" ()
         @ [ ("zkflow_jobs", Jsonx.Num jobs); ("ncores", Jsonx.Num cores) ])
       [ row () ]
   in
@@ -357,7 +378,7 @@ let test_oversubscribed_note () =
   check_bool "still ok" true (Bench_diff.ok (diff_exn over over))
 
 let test_quick_flag_mismatch_note () =
-  let quick = artifact ~env:(env ~commit:"aaa" ~dirty:false ~host:"h") [ row () ] in
+  let quick = artifact ~env:(env ~commit:"aaa" ~dirty:false ~host:"h" ()) [ row () ] in
   let full =
     artifact
       ~env:
@@ -391,6 +412,8 @@ let test_env_provenance_fields () =
   check_bool "git_commit" true (has "git_commit");
   check_bool "git_dirty" true (has "git_dirty");
   check_bool "hostname" true (has "hostname");
+  check_bool "sha256_kernel is the live kernel" true
+    (List.assoc_opt "sha256_kernel" fields = Some (Jsonx.Str Zkflow_hash.Sha256.kernel));
   (match List.assoc "git_dirty" fields with
   | Jsonx.Bool _ -> ()
   | _ -> Alcotest.fail "git_dirty should be a bool");

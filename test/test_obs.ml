@@ -594,6 +594,58 @@ let test_monitor_lag_and_gaps () =
   | rs -> Alcotest.fail (Printf.sprintf "expected 3 routers, got %d" (List.length rs)));
   check_bool "degraded" false (Monitor.healthy r)
 
+(* [trend_of_frames] over fixed frames: each frame holds the
+   cumulative round latencies seen so far, and with four frames the
+   older half is frames 0..2 and the newer half frames 2..3. *)
+let test_trend_of_frames () =
+  let ms n = n * 1_000_000 in
+  let frame seq values =
+    {
+      Timeseries.seq;
+      ts_ns = seq * 100_000_000;
+      counters = [];
+      histograms =
+        (if values = [] then [] else [ ("prover.round_ns", Metric.snapshot_of_values values) ]);
+      gc_minor_words = 0.;
+      gc_major_words = 0.;
+      gc_compactions = 0;
+      gc_heap_words = 0;
+    }
+  in
+  let frames cumulative = List.mapi frame cumulative in
+  let trend cumulative = Monitor.trend_of_frames (frames cumulative) in
+  let none what cumulative =
+    check_bool (what ^ ": no trend") true (trend cumulative = None)
+  in
+  none "no frames" [];
+  none "one frame" [ [ ms 1 ] ];
+  none "two frames" [ []; [ ms 1; ms 2 ] ];
+  none "no observations" [ []; []; []; [] ];
+  let both_halves = [ []; [ ms 1 ]; [ ms 1; ms 1 ]; [ ms 1; ms 1; ms 8 ] ] in
+  check_bool "another metric: no trend" true
+    (Monitor.trend_of_frames ~metric:"verifier.round_ns" (frames both_halves) = None);
+  (match trend both_halves with
+  | None -> Alcotest.fail "both halves saw rounds: want a trend"
+  | Some t ->
+    Alcotest.(check string) "metric" "prover.round_ns" t.Monitor.trend_metric;
+    check_int "older half rounds" 2 t.Monitor.prev_count;
+    check_int "newer half rounds" 1 t.Monitor.last_count;
+    check_int "older p95" (ms 1) t.Monitor.prev_p95_ns;
+    check_int "newer p95" (ms 8) t.Monitor.last_p95_ns;
+    Alcotest.(check (option (float 1e-9))) "ratio" (Some 8.) t.Monitor.trend_ratio);
+  List.iter
+    (fun (what, cumulative, prev, last) ->
+      match trend cumulative with
+      | None -> Alcotest.failf "%s: one half saw rounds: want a trend" what
+      | Some t ->
+        check_int (what ^ ": older half rounds") prev t.Monitor.prev_count;
+        check_int (what ^ ": newer half rounds") last t.Monitor.last_count;
+        check_bool (what ^ ": no ratio") true (t.Monitor.trend_ratio = None))
+    [
+      ("newer half empty", [ []; [ ms 1 ]; [ ms 1 ]; [ ms 1 ] ], 1, 0);
+      ("older half empty", [ []; []; []; [ ms 2 ] ], 0, 1);
+    ]
+
 let test_monitor_rounds_and_rejects () =
   let ms n = n * 1_000_000 in
   let events =
@@ -973,6 +1025,7 @@ let () =
           Alcotest.test_case "lag and gap detection" `Quick test_monitor_lag_and_gaps;
           Alcotest.test_case "rounds, latency, rejects by cause" `Quick
             test_monitor_rounds_and_rejects;
+          Alcotest.test_case "trend of frames" `Quick test_trend_of_frames;
         ] );
       ( "span",
         [

@@ -846,12 +846,15 @@ let flip_sample (r : Receipt.t) enc =
         stride;
       ] )
 
-let flip_outcome ~program enc pos =
+let flip pos enc =
   let b = Bytes.copy enc in
   let at = pos / 8 in
   Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor (1 lsl (pos mod 8))));
+  b
+
+let flip_outcome ~program enc pos =
   match
-    match Receipt.decode b with
+    match Receipt.decode (flip pos enc) with
     | Error e -> Error ("decode", e)
     | Ok r -> (
       match Verify.verify ~program r with Ok () -> Ok () | Error e -> Error ("verify", e))
@@ -859,13 +862,11 @@ let flip_outcome ~program enc pos =
   | outcome -> outcome
   | exception exn -> Error ("raised", Printexc.to_string exn)
 
-let test_bit_flips_rejected () =
-  let agg, _, _ = seed_pair () in
-  let program = Lazy.force Core.Guests.aggregation_program in
-  let enc = Receipt.encode agg in
-  let high_bits, tag_bits, rest = flip_sample agg enc in
-  Alcotest.(check int) "five-byte journal varints, three bits each" 354
-    (List.length high_bits);
+(* The flips of [flip_sample] that [program] accepts or that raise,
+   one line each. *)
+let surviving_flips ~program (r : Receipt.t) =
+  let enc = Receipt.encode r in
+  let high_bits, tag_bits, rest = flip_sample r enc in
   let bad = ref [] in
   let note pos what =
     bad := Printf.sprintf "byte %d bit %d: %s" (pos / 8) (pos mod 8) what :: !bad
@@ -884,7 +885,40 @@ let test_bit_flips_rejected () =
       | Ok () -> note pos "accepted"
       | Error (_, e) -> note pos e)
     tag_bits;
-  Alcotest.(check (list string)) "every flip rejected, none raised" [] (List.rev !bad)
+  (List.length high_bits, List.rev !bad)
+
+let test_bit_flips_rejected () =
+  let agg, _, _ = seed_pair () in
+  let program = Lazy.force Core.Guests.aggregation_program in
+  let high_bits, bad = surviving_flips ~program agg in
+  Alcotest.(check int) "five-byte journal varints, three bits each" 354 high_bits;
+  Alcotest.(check (list string)) "every flip rejected, none raised" [] bad
+
+(* The same sample over the seed query receipt, against the query
+   program; then every bit of that receipt's wrap encoding, through
+   [Wrap.decode] and [Wrap.verify]. *)
+let test_query_and_wrap_flips_rejected () =
+  let _, program, query = seed_pair () in
+  let high_bits, bad = surviving_flips ~program query in
+  check_bool "the sample holds five-byte journal varints" true (high_bits > 0);
+  Alcotest.(check (list string)) "query: every flip rejected, none raised" [] bad;
+  let enc =
+    match Wrap.wrap vkey ~program query with
+    | Ok w -> Wrap.encode w
+    | Error e -> Alcotest.fail e
+  in
+  let accepted pos =
+    match Wrap.decode (flip pos enc) with Error _ -> false | Ok w -> Wrap.verify vkey w
+  in
+  let bad = ref [] in
+  for pos = (8 * Bytes.length enc) - 1 downto 0 do
+    let note what = bad := Printf.sprintf "byte %d bit %d: %s" (pos / 8) (pos mod 8) what :: !bad in
+    match accepted pos with
+    | false -> ()
+    | true -> note "accepted"
+    | exception exn -> note ("raised " ^ Printexc.to_string exn)
+  done;
+  Alcotest.(check (list string)) "wrap: every flip rejected, none raised" [] !bad
 
 let () =
   Alcotest.run "zkflow_zkproof"
@@ -954,6 +988,8 @@ let () =
           Alcotest.test_case "golden tamper verdicts" `Quick test_golden_verdicts;
           Alcotest.test_case "claim words in 32 bits" `Quick test_claim_range_rejected;
           Alcotest.test_case "single-bit flips rejected" `Quick test_bit_flips_rejected;
+          Alcotest.test_case "query and wrap flips rejected" `Quick
+            test_query_and_wrap_flips_rejected;
         ] );
       ( "fuzz",
         [ Alcotest.test_case "receipt mutations" `Slow test_receipt_mutation_fuzz ] );
