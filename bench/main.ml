@@ -13,7 +13,9 @@
      ablations — §7 discussions: proof parallelization, specialized
                  proof systems (STARK vs zkVM hashing), the TEE
                  baseline, and sketch-based logging.
-     micro     — substrate microbenchmarks (bechamel).
+     micro     — substrate microbenchmarks (bechamel), including the
+                 memory-check sort and z pass over the access log of
+                 the 60k-cycle guest.
 
      obs       — observability overhead: the same prove round with
                  telemetry fully off vs fully on (events + sampler),
@@ -1028,6 +1030,10 @@ let micro () =
           halt 0;
         ])
   in
+  (* The memory-check kernels run over that guest's traced access log. *)
+  let memlog = (Zkflow_zkvm.Machine.run ~trace:true zkvm_guest ~input:[||]).memlog in
+  let perm = Result.get_ok (Zkflow_zkproof.Memcheck.sort_perm memlog) in
+  let alpha = Zkflow_field.Fp2.random rng and beta = Zkflow_field.Fp2.random rng in
   let tests =
     [
       Test.make ~name:"sha256-64KB" (Staged.stage (fun () ->
@@ -1040,6 +1046,10 @@ let micro () =
           ignore (Zkflow_field.Ntt.forward coeffs)));
       Test.make ~name:"zkvm-60k-cycles" (Staged.stage (fun () ->
           ignore (Zkflow_zkvm.Machine.run zkvm_guest ~input:[||])));
+      Test.make ~name:"memcheck-sort" (Staged.stage (fun () ->
+          ignore (Zkflow_zkproof.Memcheck.sort_perm memlog)));
+      Test.make ~name:"memcheck-z" (Staged.stage (fun () ->
+          ignore (Zkflow_zkproof.Memcheck.z_leaves ~alpha ~beta memlog perm)));
     ]
   in
   let benchmark test =

@@ -9,6 +9,21 @@ let write buf v =
   in
   go v
 
+(* Top level rather than local to [put], so a call allocates no closure. *)
+let rec put_from b off v =
+  if v < 0x80 then begin
+    Bytes.set b off (Char.unsafe_chr v);
+    off + 1
+  end
+  else begin
+    Bytes.set b off (Char.unsafe_chr (0x80 lor (v land 0x7f)));
+    put_from b (off + 1) (v lsr 7)
+  end
+
+let put b off v =
+  if v < 0 then invalid_arg "Varint.put: negative";
+  put_from b off v
+
 let read b off =
   let len = Bytes.length b in
   let rec go off shift acc =

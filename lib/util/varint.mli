@@ -5,6 +5,12 @@ val write : Buffer.t -> int -> unit
 (** [write buf v] appends the varint encoding of [v]. Raises
     [Invalid_argument] if [v < 0]. *)
 
+val put : bytes -> int -> int -> int
+(** [put b off v] writes the varint encoding of [v] at [off] and
+    returns the offset just past it: the bytes {!write} would append.
+    Callers size [b] with {!size}. Raises [Invalid_argument] if [v < 0]
+    or the encoding does not fit in [b]. *)
+
 val read : bytes -> int -> int * int
 (** [read b off] decodes a varint at [off] and returns
     [(value, next_offset)]. Raises [Invalid_argument] on truncated or

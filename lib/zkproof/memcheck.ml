@@ -2,23 +2,63 @@ module Trace = Zkflow_zkvm.Trace
 module F = Zkflow_field.Babybear
 module Fp2 = Zkflow_field.Fp2
 
-let sort entries =
-  let copy = Array.copy entries in
-  Array.sort Trace.mem_order copy;
-  copy
+(* ---- the sorted order ---- *)
 
-let sort_with_perm entries =
+(* 11-bit digits: three stable passes cover the register window at
+   [reg_base] = 2^30. *)
+let digit_bits = 11
+let digit_mask = (1 lsl digit_bits) - 1
+
+let sort_perm (entries : Trace.mem_entry array) =
   let n = Array.length entries in
-  let perm = Array.init n (fun i -> i) in
-  (* Tie-break by original index: mem_order can compare byte-identical
-     entries equal, and the permutation must still be deterministic so
-     the sorted commitment can reuse the time-ordered leaf hashes. *)
-  Array.sort
-    (fun i j ->
-      let c = Trace.mem_order entries.(i) entries.(j) in
-      if c <> 0 then c else Int.compare i j)
-    perm;
-  (Array.map (fun i -> entries.(i)) perm, perm)
+  let max_addr =
+    Array.fold_left (fun m (e : Trace.mem_entry) -> Int.max m e.addr) 0 entries
+  in
+  let count = Array.make (digit_mask + 2) 0 in
+  (* One stable counting pass per digit, from the lowest. *)
+  let rec passes shift src dst =
+    if shift > 0 && max_addr lsr shift = 0 then src
+    else begin
+      let digit i = (entries.(i).addr lsr shift) land digit_mask in
+      Array.fill count 0 (digit_mask + 2) 0;
+      Array.iter
+        (fun i ->
+          let d = digit i + 1 in
+          count.(d) <- count.(d) + 1)
+        src;
+      for d = 1 to digit_mask do
+        count.(d) <- count.(d) + count.(d - 1)
+      done;
+      Array.iter
+        (fun i ->
+          let d = digit i in
+          dst.(count.(d)) <- i;
+          count.(d) <- count.(d) + 1)
+        src;
+      passes (shift + digit_bits) dst src
+    end
+  in
+  let perm = passes 0 (Array.init n Fun.id) (Array.make n 0) in
+  (* The passes are stable, so entries with equal addresses keep log
+     order. If the result is also in [mem_order] (which compares the
+     address first, so this covers addresses the passes did not order,
+     such as negative ones), [perm] is the (mem_order, index) order a
+     comparator sort would give. *)
+  let rec scan j =
+    if j >= n then Ok perm
+    else
+      let a = perm.(j - 1) and b = perm.(j) in
+      if Trace.mem_order entries.(a) entries.(b) > 0 then
+        Error
+          (Printf.sprintf
+             "memcheck: access log entries %d and %d (address %d) are not in \
+              (time, read-before-write) order"
+             a b entries.(b).addr)
+      else scan (j + 1)
+  in
+  scan 1
+
+(* ---- the grand products ---- *)
 
 let term ~alpha ~beta (e : Trace.mem_entry) =
   let lo = e.value land 0xffff and hi = e.value lsr 16 in
@@ -33,12 +73,61 @@ let term ~alpha ~beta (e : Trace.mem_entry) =
   in
   Fp2.sub alpha fingerprint
 
-let products ~alpha ~beta entries =
-  let acc = ref Fp2.one in
-  Array.map
-    (fun e ->
-      acc := Fp2.mul !acc (term ~alpha ~beta e);
-      !acc)
+(* [p] and ν as literals: ocamlopt turns [x mod p] into a multiply and a
+   shift only for a divisor it can see, and this library is compiled
+   against the field's interface alone. *)
+let p = 2013265921
+let nu = 11
+let () = assert (p = F.p && nu = Fp2.non_residue)
+
+let[@inline] reduce x =
+  let r = x mod p in
+  if r < 0 then r + p else r
+
+let[@inline] sub a b =
+  let d = a - b in
+  if d < 0 then d + p else d
+
+type acc = { mutable z0 : int; mutable z1 : int }
+
+(* z ← z · term(e), equal to [Fp2.mul z (term ~alpha ~beta e)] for any
+   entry, given β's powers. Every coordinate is reduced first. In each
+   sum only the lo and hi products stay unreduced: hi·β³ < p² < 2^62
+   and the other terms add less than 2^48, so with p < 2^31 the sum
+   fits in 63 bits. *)
+let absorb ~(alpha : Fp2.t) ~(beta : Fp2.t) ~(b2 : Fp2.t) ~(b3 : Fp2.t) ~(b4 : Fp2.t) z
+    (e : Trace.mem_entry) =
+  let addr = reduce e.addr and time = reduce e.time in
+  let lo = e.value land 0xffff and hi = reduce (e.value lsr 16) in
+  let w = Bool.to_int e.write in
+  let f0 =
+    (addr + (time * beta.c0 mod p) + (lo * b2.c0) + (hi * b3.c0) + (w * b4.c0)) mod p
+  in
+  let f1 = ((time * beta.c1 mod p) + (lo * b2.c1) + (hi * b3.c1) + (w * b4.c1)) mod p in
+  let t0 = sub alpha.c0 f0 and t1 = sub alpha.c1 f1 in
+  let z0 = z.z0 and z1 = z.z1 in
+  z.z0 <- ((z0 * t0) + (nu * (z1 * t1 mod p))) mod p;
+  z.z1 <- ((z0 * t1 mod p) + (z1 * t0)) mod p
+
+let z_leaves ~alpha ~beta entries perm =
+  if Array.length perm <> Array.length entries then
+    invalid_arg "Memcheck.z_leaves: perm and log lengths differ";
+  let b2 = Fp2.mul beta beta in
+  let b3 = Fp2.mul b2 beta in
+  let b4 = Fp2.mul b3 beta in
+  let absorb = absorb ~alpha ~beta ~b2 ~b3 ~b4 in
+  let time = { z0 = 1; z1 = 0 } and sorted = { z0 = 1; z1 = 0 } in
+  Array.mapi
+    (fun j e ->
+      absorb time e;
+      absorb sorted entries.(perm.(j));
+      (* The [encode_z] layout. *)
+      let b = Bytes.create 16 in
+      Bytes.set_int32_le b 0 (Int32.of_int time.z0);
+      Bytes.set_int32_le b 4 (Int32.of_int time.z1);
+      Bytes.set_int32_le b 8 (Int32.of_int sorted.z0);
+      Bytes.set_int32_le b 12 (Int32.of_int sorted.z1);
+      b)
     entries
 
 let encode_z ~time ~sorted = Bytes.cat (Fp2.to_bytes time) (Fp2.to_bytes sorted)
@@ -49,6 +138,15 @@ let decode_z b =
     match (Fp2.of_bytes (Bytes.sub b 0 8), Fp2.of_bytes (Bytes.sub b 8 8)) with
     | Ok time, Ok sorted -> Ok (time, sorted)
     | Error e, _ | _, Error e -> Error e
+
+(* ---- the verifier's local rules ---- *)
+
+let check_time ~n_rows (e : Trace.mem_entry) =
+  if 0 <= e.time && e.time < n_rows then Ok ()
+  else
+    Error
+      (Printf.sprintf "memcheck: access time %d outside the trace (n_rows %d)" e.time
+         n_rows)
 
 let check_first (e : Trace.mem_entry) =
   if (not e.write) && e.value <> 0 then

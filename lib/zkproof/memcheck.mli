@@ -10,18 +10,19 @@
     rules on the sorted copy then give read-after-write consistency and
     zero-initialised memory. *)
 
-val sort : Zkflow_zkvm.Trace.mem_entry array -> Zkflow_zkvm.Trace.mem_entry array
-(** A copy sorted by [Trace.mem_order]. *)
+val sort_perm : Zkflow_zkvm.Trace.mem_entry array -> (int array, string) result
+(** The permutation that sorts a time-ordered log by [Trace.mem_order],
+    ties kept in log order: the sorted log is [entries.(perm.(j))], and
+    its leaves are the time-ordered leaves permuted, so the prover never
+    re-encodes or re-hashes them.
 
-val sort_with_perm :
-  Zkflow_zkvm.Trace.mem_entry array ->
-  Zkflow_zkvm.Trace.mem_entry array * int array
-(** [sort] plus the permutation applied: [(sorted, perm)] with
-    [sorted.(j) = entries.(perm.(j))]. Ties (byte-identical entries)
-    break by original index, so [perm] is deterministic — this lets the
-    prover derive the sorted log's leaf bytes and leaf hashes by
-    permuting the time-ordered ones instead of re-encoding and
-    re-hashing. *)
+    It is a stable radix sort on [addr] alone (11-bit digits, three
+    passes for the register window), followed by one scan that requires
+    [mem_order] to be non-decreasing. That holds when each address's
+    accesses appear in (time, read-before-write) order, as the machine
+    logs them, and then [perm] is exactly the (mem_order, index) order.
+    [Error] names the first pair that breaks it; there is no fallback
+    sort. *)
 
 val term :
   alpha:Zkflow_field.Fp2.t ->
@@ -32,12 +33,18 @@ val term :
     + β⁴·write). The 32-bit value is split so every coordinate fits the
     BabyBear field. *)
 
-val products :
+val z_leaves :
   alpha:Zkflow_field.Fp2.t ->
   beta:Zkflow_field.Fp2.t ->
   Zkflow_zkvm.Trace.mem_entry array ->
-  Zkflow_field.Fp2.t array
-(** Running products: element [i] is ∏_{j ≤ i} term(entry_j). *)
+  int array ->
+  bytes array
+(** [z_leaves ~alpha ~beta entries perm] is the grand-product column
+    pair, one {!encode_z} leaf per position: leaf [j] holds
+    ∏_{i ≤ j} term(entries.(i)) and ∏_{i ≤ j} term(entries.(perm.(i))).
+    One pass computes both on unboxed coordinates with β², β³, β⁴
+    hoisted; it equals the {!term} fold for every entry. Raises
+    [Invalid_argument] when the lengths differ. *)
 
 val encode_z : time:Zkflow_field.Fp2.t -> sorted:Zkflow_field.Fp2.t -> bytes
 (** The 16-byte leaf of the shared grand-product tree: the time
@@ -48,6 +55,13 @@ val decode_z :
   bytes -> (Zkflow_field.Fp2.t * Zkflow_field.Fp2.t, string) result
 (** Inverse of {!encode_z}, as [(time, sorted)]. Rejects a leaf that
     is not 16 bytes or whose halves are not both canonical. *)
+
+val check_time : n_rows:int -> Zkflow_zkvm.Trace.mem_entry -> (unit, string) result
+(** An opened entry's time must lie in [\[0, n_rows)]. With
+    {!Zkflow_zkvm.Trace.decode_mem}'s address and value bounds and
+    [n_rows < p], every coordinate of the fingerprint is then below p,
+    so distinct entries cannot share a {!term}: a write at time t + p
+    would otherwise pass for the write at t. *)
 
 val check_first : Zkflow_zkvm.Trace.mem_entry -> (unit, string) result
 (** The first sorted entry: a read must see 0 (memory starts zeroed). *)

@@ -24,7 +24,7 @@ type commit_memo = {
   rows_tree : Tree.t;
   time_leaves : bytes array;
   time_tree : Tree.t;
-  sorted_log : Trace.mem_entry array;
+  perm : int array;
   sorted_leaves : bytes array;
   sorted_tree : Tree.t;
   jacc_leaves : bytes array;
@@ -39,7 +39,13 @@ let m_leaf_reused = Obs.Metric.counter "zkproof.leaf_hashes_reused"
 
 let node = Receipt.node
 
+let ( let* ) = Result.bind
+
 let build_commit_memo program (claim : Receipt.claim) rows memlog =
+  (* The order check comes first, so a refused log costs no hashing. *)
+  let* perm =
+    Result.map_error (fun e -> "prove: " ^ e) (Memcheck.sort_perm memlog)
+  in
   let map_leaves f a = Zkflow_parallel.Pool.map_array ~min_chunk:2048 f a in
   let row_leaves = map_leaves Trace.encode_row rows in
   let rows_tree = Tree.of_leaves ~node row_leaves in
@@ -48,7 +54,6 @@ let build_commit_memo program (claim : Receipt.claim) rows memlog =
   (* The sorted log is a permutation of the time-ordered one, so its
      leaf bytes and leaf digests are the permuted time-ordered ones —
      no second encode or hash pass over the access log. *)
-  let sorted_log, perm = Memcheck.sort_with_perm memlog in
   let sorted_leaves = Array.map (fun i -> time_leaves.(i)) perm in
   let sorted_tree = Tree.permute ~node time_tree perm in
   Obs.Metric.add m_leaf_reused (Array.length perm);
@@ -70,20 +75,21 @@ let build_commit_memo program (claim : Receipt.claim) rows memlog =
       rows
   in
   let jacc_tree = Tree.of_leaves ~node jacc_leaves in
-  {
-    memo_image = claim.Receipt.image_id;
-    memo_rows = rows;
-    memo_memlog = memlog;
-    row_leaves;
-    rows_tree;
-    time_leaves;
-    time_tree;
-    sorted_log;
-    sorted_leaves;
-    sorted_tree;
-    jacc_leaves;
-    jacc_tree;
-  }
+  Ok
+    {
+      memo_image = claim.Receipt.image_id;
+      memo_rows = rows;
+      memo_memlog = memlog;
+      row_leaves;
+      rows_tree;
+      time_leaves;
+      time_tree;
+      perm;
+      sorted_leaves;
+      sorted_tree;
+      jacc_leaves;
+      jacc_tree;
+    }
 
 let prove_result ?(params = Params.default) program (run : Machine.result) =
   if Array.length run.Machine.rows = 0 then
@@ -107,25 +113,25 @@ let prove_result ?(params = Params.default) program (run : Machine.result) =
     (* Phase 1 commitments — memoised across prove calls over the same
        run (see [commit_memo] above). *)
     let t_commit = Obs.Span.start () in
-    let memo, cached =
+    let* memo, cached =
       match Atomic.get commit_cache with
       | Some m
         when m.memo_rows == rows && m.memo_memlog == memlog
              && D.equal m.memo_image claim.Receipt.image_id ->
         Obs.Metric.add m_hits 1;
-        (m, 1)
+        Ok (m, 1)
       | _ ->
         Obs.Metric.add m_misses 1;
-        let m = build_commit_memo program claim rows memlog in
+        let* m = build_commit_memo program claim rows memlog in
         Atomic.set commit_cache (Some m);
-        (m, 0)
+        Ok (m, 0)
     in
     let {
       row_leaves;
       rows_tree;
       time_leaves;
       time_tree;
-      sorted_log;
+      perm;
       sorted_leaves;
       sorted_tree;
       jacc_leaves;
@@ -143,11 +149,7 @@ let prove_result ?(params = Params.default) program (run : Machine.result) =
        values at j. *)
     let z_commit = ref None in
     let commit_z ~alpha ~beta =
-      let zt = Memcheck.products ~alpha ~beta memlog in
-      let zs = Memcheck.products ~alpha ~beta sorted_log in
-      let leaves =
-        Array.map2 (fun time sorted -> Memcheck.encode_z ~time ~sorted) zt zs
-      in
+      let leaves = Memcheck.z_leaves ~alpha ~beta memlog perm in
       let tree = Tree.of_leaves ~node leaves in
       z_commit := Some (tree, leaves);
       Tree.root tree

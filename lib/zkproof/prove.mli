@@ -29,6 +29,11 @@ val prove_result :
     produced with [~trace:true]). Used to separate execution time from
     proving time in benchmarks.
 
+    The memory check needs each address's accesses in the log in
+    (time, read-before-write) order, as {!Zkflow_zkvm.Machine.run}
+    logs them (see {!Memcheck.sort_perm}). A log that breaks this is
+    refused with an [Error] naming the pair, before any hashing.
+
     The phase-1 trace commitments (row / access-log / journal trees)
     are memoised in a one-slot cache keyed on the physical identity of
     the run's trace arrays plus the image id: proving the same run

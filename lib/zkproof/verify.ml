@@ -3,6 +3,7 @@ module Trace = Zkflow_zkvm.Trace
 module Proof = Zkflow_merkle.Proof
 module D = Zkflow_hash.Digest32
 module Fp2 = Zkflow_field.Fp2
+module F = Zkflow_field.Babybear
 
 let ( let* ) = Result.bind
 let fail fmt = Format.kasprintf (fun s -> Error s) fmt
@@ -68,10 +69,16 @@ let decode_row ~what (o : Receipt.opening) =
   | Ok row -> Ok row
   | Error e -> fail "%s: bad row leaf: %s" what e
 
-let decode_mem ~what (o : Receipt.opening) =
+(* An opened access-log entry, with every fingerprint coordinate below p:
+   [Trace.decode_mem] bounds the address and value, [check_time] the
+   time. *)
+let decode_mem ~n_rows ~what (o : Receipt.opening) =
   match Trace.decode_mem o.Receipt.leaf with
-  | Ok e -> Ok e
   | Error msg -> fail "%s: bad mem leaf: %s" what msg
+  | Ok e -> (
+    match Memcheck.check_time ~n_rows e with
+    | Ok () -> Ok e
+    | Error msg -> fail "%s: %s" what msg)
 
 let decode_z ~what (o : Receipt.opening) =
   match Memcheck.decode_z o.Receipt.leaf with
@@ -90,7 +97,7 @@ let rec all = function
 
 let check_step ~authenticated ~program ~seal i (s : Receipt.step_check) =
   let check_opening = check_opening ~authenticated in
-  let { Receipt.root_rows; root_time; root_jacc; _ } = seal in
+  let { Receipt.root_rows; root_time; root_jacc; n_rows; _ } = seal in
   let* () = check_opening ~root:root_rows ~what:"step.row" s.Receipt.row in
   let* () = check_opening ~root:root_rows ~what:"step.next" s.Receipt.next in
   let* () = check_opening ~root:root_jacc ~what:"step.jacc" s.Receipt.jacc in
@@ -129,7 +136,7 @@ let check_step ~authenticated ~program ~seal i (s : Receipt.step_check) =
            let* () =
              require (o.Receipt.index = row.Trace.mem_pos + k) "step: mem index"
            in
-           let* entry = decode_mem ~what:"step.mem" o in
+           let* entry = decode_mem ~n_rows ~what:"step.mem" o in
            require
              (Checker.matches expected entry ~time:row.Trace.cycle)
              "step: access %d does not match instruction semantics" k)
@@ -149,6 +156,7 @@ let check_sorted ~authenticated ~seal j (s : Receipt.sorted_check) =
   let* () = check_opening ~root ~what:"sorted.second" s.Receipt.second in
   let* () = require (s.Receipt.first.Receipt.index = j) "sorted: index" in
   let* () = require (s.Receipt.second.Receipt.index = j + 1) "sorted: index+1" in
+  let decode_mem = decode_mem ~n_rows:seal.Receipt.n_rows in
   let* e1 = decode_mem ~what:"sorted.first" s.Receipt.first in
   let* e2 = decode_mem ~what:"sorted.second" s.Receipt.second in
   Memcheck.check_adjacent e1 e2
@@ -166,7 +174,9 @@ let check_z ~authenticated ~alpha ~beta ~seal ~half ~log_root j (zc : Receipt.z_
   let* () = require (zc.Receipt.entry_next.Receipt.index = j + 1) "z: entry index" in
   let* zj = decode_z ~what:"z" zc.Receipt.z in
   let* zj1 = decode_z ~what:"z.next" zc.Receipt.z_next in
-  let* entry = decode_mem ~what:"z.entry" zc.Receipt.entry_next in
+  let* entry =
+    decode_mem ~n_rows:seal.Receipt.n_rows ~what:"z.entry" zc.Receipt.entry_next
+  in
   require
     (Fp2.equal (half zj1) (Fp2.mul (half zj) (Memcheck.term ~alpha ~beta entry)))
     "z: grand-product link broken"
@@ -235,9 +245,9 @@ let check_boundary ~authenticated ~program ~claim ~seal ~alpha ~beta =
       "boundary: journal does not match accumulator"
   in
   (* Memory-argument boundaries. *)
-  let* sorted0 = decode_mem ~what:"bd.sorted0" b.Receipt.sorted0 in
+  let* sorted0 = decode_mem ~n_rows ~what:"bd.sorted0" b.Receipt.sorted0 in
   let* () = Memcheck.check_first sorted0 in
-  let* time0 = decode_mem ~what:"bd.time0" b.Receipt.time0 in
+  let* time0 = decode_mem ~n_rows ~what:"bd.time0" b.Receipt.time0 in
   let* zt0, zs0 = decode_z ~what:"bd.z0" b.Receipt.z0 in
   let* () =
     require
@@ -262,6 +272,10 @@ let verify ~program (t : Receipt.t) =
   in
   let* () = Receipt.check_claim claim in
   let* () = require (seal.Receipt.n_rows >= 1) "verify: empty trace" in
+  (* Access times are fingerprinted mod p, so they must stay below it. *)
+  let* () =
+    require (seal.Receipt.n_rows < F.p) "verify: trace longer than the field order"
+  in
   let* () = require (seal.Receipt.n_mem >= 1) "verify: empty access log" in
   let queries = seal.Receipt.params.Params.queries in
   let challenges, _ =

@@ -37,40 +37,65 @@ let sha_padded_word ~total w =
   else if w = (16 * blocks) - 2 then Some (((32 * total) lsr 32) land 0xffffffff)
   else Some 0
 
-let put_words buf a =
-  Zkflow_util.Varint.write buf (Array.length a);
-  Array.iter (fun w -> Zkflow_util.Varint.write buf w) a
+module Varint = Zkflow_util.Varint
+
+(* The encoders size one [Bytes] exactly with [Varint.size] and fill it
+   with [Varint.put]. They share no state between calls: they run on
+   pool domains ([Pool.map_array]). A negative field raises
+   [Invalid_argument] from [Varint.size]. *)
+
+let words_size a =
+  Array.fold_left (fun n w -> n + Varint.size w) (Varint.size (Array.length a)) a
+
+let put_words b off a =
+  let off = ref (Varint.put b off (Array.length a)) in
+  for i = 0 to Array.length a - 1 do
+    off := Varint.put b !off a.(i)
+  done;
+  !off
+
+(* [row_size] and [encode_row] list the fields in the same order. *)
+let row_size r =
+  let v = Varint.size in
+  v r.cycle + v r.pc + v r.next_pc
+  + (match r.kind with
+     | Exec -> v 0
+     | Sha_block { block_index; total_words; src; dst; block; pre; post } ->
+       v 1 + v block_index + v total_words + v src + v dst + words_size block
+       + words_size pre + words_size post)
+  + v r.rs1 + v r.rs2 + v r.rd + words_size r.aux + v r.mem_pos + v r.mem_count
 
 let encode_row r =
-  let buf = Buffer.create 96 in
-  let v = Zkflow_util.Varint.write buf in
-  v r.cycle;
-  v r.pc;
-  v r.next_pc;
-  (match r.kind with
-   | Exec -> v 0
-   | Sha_block { block_index; total_words; src; dst; block; pre; post } ->
-     v 1;
-     v block_index;
-     v total_words;
-     v src;
-     v dst;
-     put_words buf block;
-     put_words buf pre;
-     put_words buf post);
-  v r.rs1;
-  v r.rs2;
-  v r.rd;
-  put_words buf r.aux;
-  v r.mem_pos;
-  v r.mem_count;
-  Buffer.to_bytes buf
+  let b = Bytes.create (row_size r) in
+  let off = Varint.put b 0 r.cycle in
+  let off = Varint.put b off r.pc in
+  let off = Varint.put b off r.next_pc in
+  let off =
+    match r.kind with
+    | Exec -> Varint.put b off 0
+    | Sha_block { block_index; total_words; src; dst; block; pre; post } ->
+      let off = Varint.put b off 1 in
+      let off = Varint.put b off block_index in
+      let off = Varint.put b off total_words in
+      let off = Varint.put b off src in
+      let off = Varint.put b off dst in
+      let off = put_words b off block in
+      let off = put_words b off pre in
+      put_words b off post
+  in
+  let off = Varint.put b off r.rs1 in
+  let off = Varint.put b off r.rs2 in
+  let off = Varint.put b off r.rd in
+  let off = put_words b off r.aux in
+  let off = Varint.put b off r.mem_pos in
+  ignore (Varint.put b off r.mem_count : int);
+  b
 
 let decode_row b =
   match
     let off = ref 0 in
     let v () =
-      let x, o = Zkflow_util.Varint.read b !off in
+      let x, o = Varint.read b !off in
       off := o;
       x
     in
@@ -107,21 +132,29 @@ let decode_row b =
   | exception Invalid_argument msg -> Error msg
 
 let encode_mem e =
-  let buf = Buffer.create 16 in
-  Zkflow_util.Varint.write buf e.addr;
-  Zkflow_util.Varint.write buf e.time;
-  Zkflow_util.Varint.write buf (if e.write then 1 else 0);
-  Zkflow_util.Varint.write buf e.value;
-  Buffer.to_bytes buf
+  let w = if e.write then 1 else 0 in
+  let b =
+    Bytes.create
+      (Varint.size e.addr + Varint.size e.time + Varint.size w + Varint.size e.value)
+  in
+  let off = Varint.put b 0 e.addr in
+  let off = Varint.put b off e.time in
+  let off = Varint.put b off w in
+  ignore (Varint.put b off e.value : int);
+  b
 
 let decode_mem b =
   match
-    let addr, o = Zkflow_util.Varint.read b 0 in
-    let time, o = Zkflow_util.Varint.read b o in
-    let w, o = Zkflow_util.Varint.read b o in
-    let value, o = Zkflow_util.Varint.read b o in
+    let addr, o = Varint.read b 0 in
+    let time, o = Varint.read b o in
+    let w, o = Varint.read b o in
+    let value, o = Varint.read b o in
     if o <> Bytes.length b then failwith "mem entry: trailing bytes";
-    if w > 1 then failwith "mem entry: bad write flag";
+    if w <> 0 && w <> 1 then failwith "mem entry: bad write flag";
+    if value < 0 || value > 0xffffffff then
+      failwith "mem entry: value out of 32-bit range";
+    if not ((0 <= addr && addr < ram_limit) || (reg_base <= addr && addr < reg_base + 32))
+    then failwith "mem entry: address outside RAM and the register file";
     { addr; time; write = w = 1; value }
   with
   | e -> Ok e

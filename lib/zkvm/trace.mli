@@ -62,12 +62,23 @@ val ram_limit : int
 (** Exclusive upper bound on RAM word addresses (2^28). *)
 
 val encode_row : row -> bytes
-(** Canonical serialization (Merkle leaf preimage). *)
+(** Canonical serialization (Merkle leaf preimage): every field as a
+    {!Zkflow_util.Varint}, arrays length-prefixed. Raises
+    [Invalid_argument] on a negative field. *)
 
 val decode_row : bytes -> (row, string) result
 
 val encode_mem : mem_entry -> bytes
+(** [addr], [time], the write flag (0 or 1) and [value] as varints.
+    Raises [Invalid_argument] on a negative field. *)
+
 val decode_mem : bytes -> (mem_entry, string) result
+(** Inverse of {!encode_mem} on the entries a machine can log: it
+    refuses a value outside [\[0, 2^32)] and an address outside RAM
+    ([\[0, ram_limit)]) and the register file
+    ([\[reg_base, reg_base + 32)]). Every coordinate the memory-check
+    fingerprint reads is then below the field modulus, except [time],
+    which the verifier bounds by the trace length. *)
 
 val mem_order : mem_entry -> mem_entry -> int
 (** Order by (addr, time, write): the sort used by the offline memory

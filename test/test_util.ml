@@ -108,7 +108,12 @@ let varint_roundtrip v =
   Varint.write buf v;
   let b = Buffer.to_bytes buf in
   let got, off = Varint.read b 0 in
+  (* [put] writes the same bytes in place, at an offset. *)
+  let placed = Bytes.make (Bytes.length b + 2) '\xff' in
+  let next = Varint.put placed 1 v in
   got = v && off = Bytes.length b && Varint.size v = Bytes.length b
+  && next = 1 + Bytes.length b
+  && Bytes.equal (Bytes.sub placed 1 (Bytes.length b)) b
 
 let test_varint_known () =
   let encode v =
@@ -123,7 +128,9 @@ let test_varint_known () =
 
 let test_varint_negative () =
   Alcotest.check_raises "negative" (Invalid_argument "Varint.write: negative")
-    (fun () -> Varint.write (Buffer.create 1) (-1))
+    (fun () -> Varint.write (Buffer.create 1) (-1));
+  Alcotest.check_raises "negative put" (Invalid_argument "Varint.put: negative")
+    (fun () -> ignore (Varint.put (Bytes.create 10) 0 (-1)))
 
 let test_varint_truncated () =
   Alcotest.check_raises "truncated" (Invalid_argument "Varint.read: truncated")

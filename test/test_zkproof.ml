@@ -87,34 +87,6 @@ let test_commit_cache_reprove_identical () =
       check_bool "same receipt bytes" true (Receipt.encode r1 = Receipt.encode r4));
   Prove.clear_commit_cache ()
 
-let test_sort_with_perm_consistent () =
-  let entry ~addr ~time ~write ~value = { Trace.addr; time; write; value } in
-  let rng = Zkflow_util.Rng.create 7L in
-  (* Distinct [time] per entry mirrors real traces, where (addr, time,
-     write) is unique; [mem_order] ignores [value], so duplicate keys
-     would make the plain (unstable) sort's tie order unspecified. *)
-  let log =
-    Array.init 64 (fun i ->
-        entry
-          ~addr:(Zkflow_util.Rng.int rng 8)
-          ~time:i
-          ~write:(Zkflow_util.Rng.bool rng)
-          ~value:(Zkflow_util.Rng.int rng 100))
-  in
-  let sorted, perm = Memcheck.sort_with_perm log in
-  check_int "perm length" (Array.length log) (Array.length perm);
-  Array.iteri
-    (fun j i ->
-      check_bool (Printf.sprintf "sorted.(%d) = log.(perm.(%d))" j j) true
-        (sorted.(j) = log.(i)))
-    perm;
-  (* same multiset and same encoded leaves as the plain sort *)
-  let plain = Memcheck.sort log in
-  Alcotest.(check (list string))
-    "same leaf bytes"
-    (Array.to_list (Array.map (fun e -> Bytes.to_string (Trace.encode_mem e)) plain))
-    (Array.to_list (Array.map (fun e -> Bytes.to_string (Trace.encode_mem e)) sorted))
-
 let test_verify_rejects_wrong_program () =
   let receipt, _ = prove_demo () in
   let other = assemble [ li t0 1; halt 0 ] in
@@ -202,6 +174,47 @@ let test_prove_rejects_untraced_run () =
   let guest = assemble [ halt 0 ] in
   let run = Machine.run guest ~input:[||] in
   check_bool "untraced" true (Result.is_error (Prove.prove_result guest run))
+
+(* The memory check needs each address's accesses in (time,
+   read-before-write) order, as the machine logs them. A log that breaks
+   it is refused with an [Error] that names the pair, never raised. *)
+let test_prove_rejects_disordered_log () =
+  let run = Machine.run ~trace:true demo_guest ~input:demo_input in
+  let log = run.Machine.memlog in
+  let refused what memlog =
+    match Prove.prove_result demo_guest { run with Machine.memlog } with
+    | Ok _ -> Alcotest.failf "%s: proved" what
+    | Error e ->
+      check_bool (what ^ ": " ^ e) true
+        (String.starts_with ~prefix:"prove: memcheck: access log entries" e)
+    | exception exn -> Alcotest.failf "%s: raised %s" what (Printexc.to_string exn)
+  in
+  let swapped i j =
+    let a = Array.copy log in
+    a.(i) <- log.(j);
+    a.(j) <- log.(i);
+    a
+  in
+  let n = Array.length log in
+  let find p =
+    let rec go i j =
+      if i >= n then Alcotest.fail "no such pair in the demo log"
+      else if j >= n then go (i + 1) (i + 2)
+      else if p log.(i) log.(j) then (i, j)
+      else go i (j + 1)
+    in
+    go 0 1
+  in
+  let same_addr (a : Trace.mem_entry) (b : Trace.mem_entry) = a.Trace.addr = b.Trace.addr in
+  (* a row that reads and then writes one register: write first *)
+  let i, j =
+    find (fun a b ->
+        same_addr a b && a.Trace.time = b.Trace.time && (not a.Trace.write) && b.Trace.write)
+  in
+  refused "same-cycle write before read" (swapped i j);
+  (* two cycles touching one address: the later one first *)
+  let i, j = find (fun a b -> same_addr a b && a.Trace.time < b.Trace.time) in
+  refused "time goes backwards" (swapped i j)
 
 let test_params_respected () =
   let params = Params.make ~queries:8 in
@@ -336,23 +349,85 @@ let test_receipt_grows_sublinearly () =
 
 (* ---- memcheck unit tests ---- *)
 
+module Fp2 = Zkflow_field.Fp2
+
 let entry ~addr ~time ~write ~value = { Trace.addr; time; write; value }
 
+(* A comparator sort by [mem_order], ties by log index: the reference
+   order for [Memcheck.sort_perm]. *)
+let comparator_perm log =
+  let perm = Array.init (Array.length log) Fun.id in
+  Array.sort
+    (fun i j ->
+      let c = Trace.mem_order log.(i) log.(j) in
+      if c <> 0 then c else Int.compare i j)
+    perm;
+  perm
+
+(* Both grand-product columns folded one boxed [term] at a time and
+   encoded by [encode_z]: the reference for [Memcheck.z_leaves]. *)
+let reference_z_leaves ~alpha ~beta log perm =
+  let time = ref Fp2.one and sorted = ref Fp2.one in
+  Array.mapi
+    (fun j e ->
+      time := Fp2.mul !time (Memcheck.term ~alpha ~beta e);
+      sorted := Fp2.mul !sorted (Memcheck.term ~alpha ~beta log.(perm.(j)));
+      Memcheck.encode_z ~time:!time ~sorted:!sorted)
+    log
+
+let sort_perm_ok log =
+  match Memcheck.sort_perm log with
+  | Ok perm -> perm
+  | Error e -> Alcotest.fail e
+
 let test_memcheck_sort_order () =
+  (* A time-ordered log, as the machine writes it. *)
   let log =
     [|
+      entry ~addr:3 ~time:1 ~write:true ~value:4;
+      entry ~addr:5 ~time:2 ~write:false ~value:7;
       entry ~addr:5 ~time:2 ~write:true ~value:1;
       entry ~addr:3 ~time:9 ~write:false ~value:0;
-      entry ~addr:5 ~time:2 ~write:false ~value:7;
-      entry ~addr:3 ~time:1 ~write:true ~value:4;
     |]
   in
-  let sorted = Memcheck.sort log in
+  let sorted = Array.map (fun i -> log.(i)) (sort_perm_ok log) in
   (* (3,1,W) (3,9,R) (5,2,R) (5,2,W): reads precede the same-cycle write *)
   Alcotest.(check (list (triple int int bool)))
     "order"
     [ (3, 1, true); (3, 9, false); (5, 2, false); (5, 2, true) ]
-    (Array.to_list (Array.map (fun e -> (e.Trace.addr, e.Trace.time, e.Trace.write)) sorted))
+    (Array.to_list (Array.map (fun e -> (e.Trace.addr, e.Trace.time, e.Trace.write)) sorted));
+  (* The same entries out of log order: the write at (5, 2) before its
+     read, and address 3 going back in time. *)
+  check_bool "out-of-order log refused" true
+    (Result.is_error (Memcheck.sort_perm [| log.(2); log.(3); log.(1); log.(0) |]))
+
+(* The access logs of the demo, aggregation and query guests. *)
+let guest_logs =
+  lazy
+    (let module Core = Zkflow_core in
+     let module Gen = Zkflow_netflow.Gen in
+     let rng = Zkflow_util.Rng.create 13L in
+     let batches =
+       List.init 2 (fun router_id ->
+           let records = Gen.records rng Gen.default_profile ~router_id ~count:6 in
+           (Zkflow_netflow.Export.batch_hash records, records))
+     in
+     let clog = Core.Clog.apply_batch Core.Clog.empty (Array.concat (List.map snd batches)) in
+     let memlog = function
+       | Ok (run : Machine.result) -> run.Machine.memlog
+       | Error e -> Alcotest.fail e
+     in
+     [
+       ("demo", (Machine.run ~trace:true demo_guest ~input:demo_input).Machine.memlog);
+       ("aggregation", memlog (Core.Aggregate.execute ~prev:Core.Clog.empty batches));
+       ("query", memlog (Core.Query.execute ~clog Core.Query.flow_count));
+     ])
+
+let test_sort_with_perm_consistent () =
+  List.iter
+    (fun (name, log) ->
+      Alcotest.(check (array int)) (name ^ " perm") (comparator_perm log) (sort_perm_ok log))
+    (Lazy.force guest_logs)
 
 let test_memcheck_adjacent_rules () =
   let ok = function Ok () -> true | Error _ -> false in
@@ -381,24 +456,213 @@ let test_memcheck_adjacent_rules () =
   check_bool "first read nonzero" false (ok (Memcheck.check_first (entry ~addr:0 ~time:0 ~write:false ~value:1)));
   check_bool "first write any" true (ok (Memcheck.check_first (entry ~addr:0 ~time:0 ~write:true ~value:1)))
 
+let final_products leaves =
+  match Memcheck.decode_z leaves.(Array.length leaves - 1) with
+  | Ok z -> z
+  | Error e -> Alcotest.fail e
+
 let test_memcheck_products_multiset () =
   let rng = Zkflow_util.Rng.create 0xabcL in
-  let alpha = Zkflow_field.Fp2.random rng and beta = Zkflow_field.Fp2.random rng in
+  let alpha = Fp2.random rng and beta = Fp2.random rng in
   let log =
     Array.init 20 (fun i ->
         entry ~addr:(i mod 5) ~time:i ~write:(i mod 3 = 0)
           ~value:(i * 1000003 land 0xffffffff))
   in
-  let zt = Memcheck.products ~alpha ~beta log in
-  let zs = Memcheck.products ~alpha ~beta (Memcheck.sort log) in
-  check_bool "final products equal (permutation)" true
-    (Zkflow_field.Fp2.equal zt.(19) zs.(19));
-  (* changing one value breaks equality *)
-  let forged = Memcheck.sort log in
-  forged.(7) <- { (forged.(7)) with Trace.value = forged.(7).Trace.value + 1 };
-  let zf = Memcheck.products ~alpha ~beta forged in
-  check_bool "forged multiset detected" false
-    (Zkflow_field.Fp2.equal zt.(19) zf.(19))
+  let perm = sort_perm_ok log in
+  let zt, zs = final_products (Memcheck.z_leaves ~alpha ~beta log perm) in
+  check_bool "final products equal (permutation)" true (Fp2.equal zt zs);
+  (* one entry counted twice and another dropped breaks equality *)
+  let forged = Array.copy perm in
+  forged.(7) <- forged.(8);
+  let zt', zs' = final_products (Memcheck.z_leaves ~alpha ~beta log forged) in
+  check_bool "time column unchanged" true (Fp2.equal zt zt');
+  check_bool "forged multiset detected" false (Fp2.equal zt' zs')
+
+(* Machine-shaped logs: cycle by cycle, a row's reads (a register may be
+   read twice) and then its writes, to distinct addresses. *)
+let gen_machine_log =
+  let open QCheck.Gen in
+  let addr =
+    frequency
+      [
+        (3, map (fun r -> Trace.reg_base + r) (int_bound 31));
+        (1, oneofl [ 0; 1; 5000; Trace.ram_limit - 1 ]);
+        (1, int_bound (Trace.ram_limit - 1));
+      ]
+  in
+  let access = pair addr (oneof [ int_range 0 0xffffffff; oneofl [ 0; 0xffffffff ] ]) in
+  let reads =
+    map2
+      (fun rs twice -> match rs with r :: _ when twice -> r :: rs | _ -> rs)
+      (list_size (int_bound 3) access) bool
+  in
+  let writes =
+    map (List.sort_uniq (fun (a, _) (b, _) -> Int.compare a b)) (list_size (int_bound 2) access)
+  in
+  map
+    (fun rows ->
+      Array.of_list
+        (List.concat
+           (List.mapi
+              (fun time (reads, writes) ->
+                let at write (addr, value) = entry ~addr ~time ~write ~value in
+                List.map (at false) reads @ List.map (at true) writes)
+              rows)))
+    (list_size (int_range 1 80) (pair reads writes))
+
+let pp_log log =
+  String.concat "; "
+    (Array.to_list
+       (Array.map
+          (fun e ->
+            Printf.sprintf "%d@%d%s%d" e.Trace.addr e.Trace.time
+              (if e.Trace.write then "W" else "R") e.Trace.value)
+          log))
+
+let prop_sort_perm_is_comparator_order =
+  QCheck.Test.make ~name:"sort_perm = comparator order (machine logs)" ~count:300
+    (QCheck.make ~print:pp_log gen_machine_log)
+    (fun log -> Memcheck.sort_perm log = Ok (comparator_perm log))
+
+(* Any entries, not only machine-made ones: full-range coordinates and
+   the domain's edges. *)
+let gen_z_case =
+  let open QCheck.Gen in
+  let p = Zkflow_field.Babybear.p in
+  let coord edges = frequency [ (2, oneofl edges); (1, int_bound 100); (1, int) ] in
+  let any_entry =
+    map2
+      (fun (addr, time) (write, value) -> entry ~addr ~time ~write ~value)
+      (pair
+         (coord [ 0; Trace.ram_limit - 1; Trace.reg_base; Trace.reg_base + 31; p - 1; p ])
+         (coord [ 0; 1; p - 1; p; p + 3 ]))
+      (pair bool (coord [ 0; 0xffff; 0x10000; 0xffffffff; max_int ]))
+  in
+  let fp2 = map2 Fp2.make (int_bound (p - 1)) (int_bound (p - 1)) in
+  let shuffle n st =
+    let a = Array.init n Fun.id in
+    for i = n - 1 downto 1 do
+      let j = Random.State.int st (i + 1) in
+      let t = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- t
+    done;
+    a
+  in
+  int_range 1 40 >>= fun n ->
+  array_size (return n) any_entry >>= fun log ->
+  shuffle n >>= fun perm ->
+  fp2 >>= fun alpha ->
+  frequency [ (1, return Fp2.zero); (4, fp2) ] >>= fun beta ->
+  (* Sometimes α is one entry's fingerprint, so that entry's term is 0. *)
+  frequency [ (3, return None); (1, map Option.some (int_bound (n - 1))) ] >|= fun zero ->
+  let alpha =
+    match zero with
+    | None -> alpha
+    | Some k -> Fp2.sub alpha (Memcheck.term ~alpha ~beta log.(k))
+  in
+  (alpha, beta, log, perm)
+
+let prop_z_leaves_match_term_fold =
+  QCheck.Test.make ~name:"z_leaves = term fold + encode_z" ~count:300
+    (QCheck.make
+       ~print:(fun (alpha, beta, log, _) ->
+         Format.asprintf "alpha=%a beta=%a log=[%s]" Fp2.pp alpha Fp2.pp beta (pp_log log))
+       gen_z_case)
+    (fun (alpha, beta, log, perm) ->
+      let leaves = Memcheck.z_leaves ~alpha ~beta log perm in
+      Array.for_all2 Bytes.equal (reference_z_leaves ~alpha ~beta log perm) leaves)
+
+(* The fingerprint reduces every coordinate mod p, so a write at
+   time t + p has the [term] of the write at t. Placed after a stale
+   read in a forged sorted log, it passes every adjacency rule and the
+   grand-product equality, hiding the write the read should have seen.
+   The verifier's time bound is what refuses it. *)
+let test_memcheck_aliased_write_refused () =
+  let p = Zkflow_field.Babybear.p and a = Trace.reg_base + 5 in
+  let time_log =
+    [|
+      entry ~addr:a ~time:1 ~write:true ~value:5;
+      entry ~addr:a ~time:3 ~write:true ~value:7;
+      entry ~addr:a ~time:4 ~write:false ~value:5;
+    |]
+  in
+  let alias = { (time_log.(1)) with Trace.time = 3 + p } in
+  let forged_sorted = [| time_log.(0); time_log.(2); alias |] in
+  let rng = Zkflow_util.Rng.create 0xa11a5L in
+  let alpha = Fp2.random rng and beta = Fp2.random rng in
+  let product log =
+    Array.fold_left (fun z e -> Fp2.mul z (Memcheck.term ~alpha ~beta e)) Fp2.one log
+  in
+  let ok = Result.is_ok in
+  check_bool "alias has the same term" true
+    (Fp2.equal (Memcheck.term ~alpha ~beta alias) (Memcheck.term ~alpha ~beta time_log.(1)));
+  check_bool "forged log passes adjacency" true
+    (ok (Memcheck.check_first forged_sorted.(0))
+    && ok (Memcheck.check_adjacent forged_sorted.(0) forged_sorted.(1))
+    && ok (Memcheck.check_adjacent forged_sorted.(1) forged_sorted.(2)));
+  check_bool "forged log passes the products" true
+    (Fp2.equal (product time_log) (product forged_sorted));
+  check_bool "alias round-trips" true
+    (Trace.decode_mem (Trace.encode_mem alias) = Ok alias);
+  check_bool "alias refused" false (ok (Memcheck.check_time ~n_rows:5 alias));
+  check_bool "honest write accepted" true (ok (Memcheck.check_time ~n_rows:5 time_log.(1)))
+
+(* Each coordinate just outside the domain the verifier enforces is
+   refused, and each one on its edge is accepted. *)
+let test_memcheck_entry_domain () =
+  let w = entry ~addr:0 ~time:0 ~write:true ~value:0 in
+  let decodes e = Result.is_ok (Trace.decode_mem (Trace.encode_mem e)) in
+  let edge what e = check_bool (what ^ " accepted") true (decodes e) in
+  let outside what e = check_bool (what ^ " refused") false (decodes e) in
+  edge "value 2^32 - 1" { w with Trace.value = 0xffffffff };
+  outside "value 2^32" { w with Trace.value = 0x100000000 };
+  edge "ram_limit - 1" { w with Trace.addr = Trace.ram_limit - 1 };
+  outside "ram_limit" { w with Trace.addr = Trace.ram_limit };
+  outside "reg_base - 1" { w with Trace.addr = Trace.reg_base - 1 };
+  edge "reg_base" { w with Trace.addr = Trace.reg_base };
+  edge "reg_base + 31" { w with Trace.addr = Trace.reg_base + 31 };
+  outside "reg_base + 32" { w with Trace.addr = Trace.reg_base + 32 };
+  let flag2 =
+    let buf = Buffer.create 8 in
+    List.iter (Zkflow_util.Varint.write buf) [ 0; 0; 2; 0 ];
+    Buffer.to_bytes buf
+  in
+  check_bool "write flag 2 refused" true (Result.is_error (Trace.decode_mem flag2));
+  let in_trace t = Result.is_ok (Memcheck.check_time ~n_rows:10 { w with Trace.time = t }) in
+  check_bool "time n_rows - 1 accepted" true (in_trace 9);
+  check_bool "time n_rows refused" false (in_trace 10);
+  check_bool "negative time refused" false (in_trace (-1));
+  (* A seal may not claim a trace as long as the field. *)
+  let receipt, _ = prove_demo () in
+  let seal = { receipt.Receipt.seal with Receipt.n_rows = Zkflow_field.Babybear.p } in
+  Alcotest.(check (result unit string))
+    "n_rows = p refused"
+    (Error "verify: trace longer than the field order")
+    (Verify.verify ~program:demo_guest { receipt with Receipt.seal })
+
+(* A receipt over a log whose one access carries time p (the alias of
+   cycle 0) is refused at the first opening of that entry, by the time
+   bound rather than a later check. *)
+let test_verify_refuses_aliased_time () =
+  let guest = assemble [ li t0 1; halt 0 ] in
+  let run = Machine.run ~trace:true guest ~input:[||] in
+  let memlog = Array.copy run.Machine.memlog in
+  (* t0 is written once, by the first row, and never read. *)
+  check_bool "entry 0 writes t0 at cycle 0" true
+    (memlog.(0) = entry ~addr:(Trace.reg_base + 5) ~time:0 ~write:true ~value:1);
+  memlog.(0) <- { (memlog.(0)) with Trace.time = Zkflow_field.Babybear.p };
+  match Prove.prove_result guest { run with Machine.memlog } with
+  | Error e -> Alcotest.fail e
+  | Ok receipt ->
+    Alcotest.(check (result unit string))
+      "verdict"
+      (Error
+         (Printf.sprintf
+            "step.mem: memcheck: access time %d outside the trace (n_rows %d)"
+            Zkflow_field.Babybear.p (Array.length run.Machine.rows)))
+      (Verify.verify ~program:guest receipt)
 
 (* ---- receipt mutation fuzzing ---- *)
 
@@ -948,6 +1212,8 @@ let () =
           Alcotest.test_case "nonzero exit refused" `Quick test_prove_rejects_nonzero_exit;
           Alcotest.test_case "trap refused" `Quick test_prove_rejects_trap;
           Alcotest.test_case "untraced run refused" `Quick test_prove_rejects_untraced_run;
+          Alcotest.test_case "disordered access log refused" `Quick
+            test_prove_rejects_disordered_log;
         ] );
       ( "serialization",
         [
@@ -982,6 +1248,11 @@ let () =
           Alcotest.test_case "sort_with_perm" `Quick test_sort_with_perm_consistent;
           Alcotest.test_case "adjacency rules" `Quick test_memcheck_adjacent_rules;
           Alcotest.test_case "grand products" `Quick test_memcheck_products_multiset;
+          Alcotest.test_case "aliased write refused" `Quick test_memcheck_aliased_write_refused;
+          Alcotest.test_case "entry domain" `Quick test_memcheck_entry_domain;
+          Alcotest.test_case "aliased time in a receipt" `Quick test_verify_refuses_aliased_time;
+          QCheck_alcotest.to_alcotest prop_sort_perm_is_comparator_order;
+          QCheck_alcotest.to_alcotest prop_z_leaves_match_term_fold;
         ] );
       ( "verdicts",
         [

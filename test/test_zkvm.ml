@@ -320,6 +320,101 @@ let test_trace_mem_serialization_roundtrip () =
       | Error msg -> Alcotest.fail msg)
     r.Machine.memlog
 
+(* Buffer-based encoders: the byte reference for [Trace.encode_row] and
+   [Trace.encode_mem]. *)
+let reference_encode_row (r : Trace.row) =
+  let buf = Buffer.create 96 in
+  let v = Zkflow_util.Varint.write buf in
+  let words a = v (Array.length a); Array.iter v a in
+  v r.Trace.cycle;
+  v r.Trace.pc;
+  v r.Trace.next_pc;
+  (match r.Trace.kind with
+   | Trace.Exec -> v 0
+   | Trace.Sha_block { block_index; total_words; src; dst; block; pre; post } ->
+     v 1;
+     v block_index;
+     v total_words;
+     v src;
+     v dst;
+     words block;
+     words pre;
+     words post);
+  v r.Trace.rs1;
+  v r.Trace.rs2;
+  v r.Trace.rd;
+  words r.Trace.aux;
+  v r.Trace.mem_pos;
+  v r.Trace.mem_count;
+  Buffer.to_bytes buf
+
+let reference_encode_mem (e : Trace.mem_entry) =
+  let buf = Buffer.create 16 in
+  List.iter (Zkflow_util.Varint.write buf)
+    [ e.Trace.addr; e.Trace.time; (if e.Trace.write then 1 else 0); e.Trace.value ];
+  Buffer.to_bytes buf
+
+(* Fields of every varint width, up to the 9-byte ones. *)
+let gen_field =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, int_bound 0x7f);
+        (2, int_range 0x80 0xffffffff);
+        (1, oneofl [ 0x7f; 0x80; 0x3fff; 0x4000; 0xffffffff; 1 lsl 40; max_int ]);
+      ])
+
+let gen_row =
+  let open QCheck.Gen in
+  let words n = array_size (return n) gen_field in
+  let kind =
+    frequency
+      [
+        (1, return Trace.Exec);
+        ( 1,
+          map
+            (fun ((block_index, total_words), (src, dst), (block, pre, post)) ->
+              Trace.Sha_block { block_index; total_words; src; dst; block; pre; post })
+            (triple (pair gen_field gen_field) (pair gen_field gen_field)
+               (triple (words 16) (words 8) (words 8))) );
+      ]
+  in
+  map
+    (fun ((cycle, pc, next_pc), (kind, aux), (rs1, rs2, rd), (mem_pos, mem_count)) ->
+      { Trace.cycle; pc; next_pc; kind; rs1; rs2; rd; aux; mem_pos; mem_count })
+    (quad (triple gen_field gen_field gen_field)
+       (pair kind (array_size (int_bound 2) gen_field))
+       (triple gen_field gen_field gen_field) (pair gen_field gen_field))
+
+let prop_encode_row_matches_reference =
+  QCheck.Test.make ~name:"encode_row = Buffer reference" ~count:500
+    (QCheck.make ~print:(Format.asprintf "%a" Trace.pp_row) gen_row)
+    (fun r ->
+      let b = Trace.encode_row r in
+      Bytes.equal b (reference_encode_row r) && Trace.decode_row b = Ok r)
+
+let prop_encode_mem_matches_reference =
+  QCheck.Test.make ~name:"encode_mem = Buffer reference" ~count:500
+    (QCheck.make
+       QCheck.Gen.(
+         map
+           (fun ((addr, time), (write, value)) -> { Trace.addr; time; write; value })
+           (pair (pair gen_field gen_field) (pair bool gen_field))))
+    (fun e -> Bytes.equal (Trace.encode_mem e) (reference_encode_mem e))
+
+let test_encoders_refuse_negative_fields () =
+  let raises what f =
+    match f () with
+    | (_ : bytes) -> Alcotest.failf "%s: encoded" what
+    | exception Invalid_argument _ -> ()
+  in
+  let r = (traced_result ()).Machine.rows.(0) in
+  raises "row rd" (fun () -> Trace.encode_row { r with Trace.rd = -1 });
+  raises "row aux" (fun () -> Trace.encode_row { r with Trace.aux = [| 3; -2 |] });
+  let e = { Trace.addr = 0; time = 0; write = false; value = 0 } in
+  raises "mem time" (fun () -> Trace.encode_mem { e with Trace.time = -1 });
+  raises "mem value" (fun () -> Trace.encode_mem { e with Trace.value = min_int })
+
 let test_trace_off_is_empty () =
   let r = run ~input:[| 1 |] [ read_word t0; halt 0 ] in
   check_int "no rows" 0 (Array.length r.Machine.rows);
@@ -537,6 +632,9 @@ let () =
           Alcotest.test_case "halt self-loop" `Quick test_trace_last_row_self_loop;
           Alcotest.test_case "row serialization" `Quick test_trace_row_serialization_roundtrip;
           Alcotest.test_case "mem serialization" `Quick test_trace_mem_serialization_roundtrip;
+          q prop_encode_row_matches_reference;
+          q prop_encode_mem_matches_reference;
+          Alcotest.test_case "negative field raises" `Quick test_encoders_refuse_negative_fields;
           Alcotest.test_case "trace off" `Quick test_trace_off_is_empty;
           Alcotest.test_case "register accesses" `Quick test_trace_register_reads_logged;
         ] );
