@@ -15,7 +15,8 @@
                  baseline, and sketch-based logging.
      micro     — substrate microbenchmarks (bechamel), including the
                  memory-check sort and z pass over the access log of
-                 the 60k-cycle guest.
+                 the 60k-cycle guest, and its rows and access-log
+                 trees under the trace-commitment node rule.
 
      obs       — observability overhead: the same prove round with
                  telemetry fully off vs fully on (events + sampler),
@@ -425,7 +426,7 @@ let ablation_par () =
         Obs.enable ();
         let tree, merkle_s =
           best_of 3 (fun () ->
-              Zkflow_merkle.Tree.of_leaf_hashes ~node:Zkflow_hash.Sha256.digest64_into hs)
+              Zkflow_merkle.Tree.of_leaf_hashes ~node:Zkflow_hash.Sha256.digest64 hs)
         in
         let rounds, agg_s =
           time (fun () ->
@@ -730,7 +731,7 @@ let ablation_merkle_maintenance () =
   let (), rebuild_s =
     time (fun () ->
         ignore
-          (Zkflow_merkle.Tree.of_leaves ~node:Zkflow_hash.Sha256.digest64_into
+          (Zkflow_merkle.Tree.of_leaves ~node:Zkflow_hash.Sha256.digest64
              (Array.map Clog.entry_bytes entries)))
   in
   let (), smt_s =
@@ -1030,8 +1031,15 @@ let micro () =
           halt 0;
         ])
   in
-  (* The memory-check kernels run over that guest's traced access log. *)
-  let memlog = (Zkflow_zkvm.Machine.run ~trace:true zkvm_guest ~input:[||]).memlog in
+  (* The memory-check kernels and the trace-commitment trees run over
+     that guest's traced run. *)
+  let traced = Zkflow_zkvm.Machine.run ~trace:true zkvm_guest ~input:[||] in
+  let memlog = traced.memlog in
+  let row_leaves = Array.map Zkflow_zkvm.Trace.encode_row traced.rows in
+  let mem_leaves = Array.map Zkflow_zkvm.Trace.encode_mem memlog in
+  let trace_tree leaves () =
+    ignore (Zkflow_merkle.Tree.of_leaves ~node:Zkflow_zkproof.Receipt.node leaves)
+  in
   let perm = Result.get_ok (Zkflow_zkproof.Memcheck.sort_perm memlog) in
   let alpha = Zkflow_field.Fp2.random rng and beta = Zkflow_field.Fp2.random rng in
   let tests =
@@ -1040,7 +1048,7 @@ let micro () =
           ignore (Zkflow_hash.Sha256.digest data64k)));
       Test.make ~name:"merkle-1024-leaves" (Staged.stage (fun () ->
           ignore
-            (Zkflow_merkle.Tree.of_leaves ~node:Zkflow_hash.Sha256.digest64_into
+            (Zkflow_merkle.Tree.of_leaves ~node:Zkflow_hash.Sha256.digest64
                leaves)));
       Test.make ~name:"ntt-4096" (Staged.stage (fun () ->
           ignore (Zkflow_field.Ntt.forward coeffs)));
@@ -1050,6 +1058,8 @@ let micro () =
           ignore (Zkflow_zkproof.Memcheck.sort_perm memlog)));
       Test.make ~name:"memcheck-z" (Staged.stage (fun () ->
           ignore (Zkflow_zkproof.Memcheck.z_leaves ~alpha ~beta memlog perm)));
+      Test.make ~name:"merkle-trace-rows" (Staged.stage (trace_tree row_leaves));
+      Test.make ~name:"merkle-trace-mem" (Staged.stage (trace_tree mem_leaves));
     ]
   in
   let benchmark test =

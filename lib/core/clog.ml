@@ -37,7 +37,7 @@ type t = {
 }
 
 let scratch_tree entries =
-  Tree.of_leaves ~node:Zkflow_hash.Sha256.digest64_into
+  Tree.of_leaves ~node:Zkflow_hash.Sha256.digest64
     (Zkflow_parallel.Pool.map_array ~min_chunk:2048 entry_bytes entries)
 
 let build entries =

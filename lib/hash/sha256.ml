@@ -5,11 +5,12 @@
    the tests check the hardware against. The CPU alone picks the
    kernel, once at module init, and [kernel] names it. Both compute
    the same function, so every digest is bit-identical whichever runs;
-   bounds checks, IVs, padding, digest output and the compression
-   count stay in OCaml. Measured on a 2-vCPU Xeon VM with SHA-NI
-   (OCaml 5.1, no flambda, gcc 12): a [node64_into] takes 57 ns on
-   the hardware kernel against 424 ns on the OCaml one, and a
-   [digest64_into] 105 against 675 ns.
+   bounds checks, IVs and the compression count stay in OCaml. The
+   batch kernels (Merkle leaf runs and node levels, below) also run
+   their loops, padding and digest output in C on SHA-NI. Measured on
+   a 2-vCPU Xeon VM with SHA-NI (OCaml 5.1, no flambda, gcc 12): a
+   [node64_into] takes 57 ns on the hardware kernel against 424 ns on
+   the OCaml one, and a [digest64_into] 105 against 675 ns.
 
    The OCaml kernel allocates nothing: the chaining state, the 64-word
    message schedule and the round constants live in [Bytes], read and
@@ -22,8 +23,8 @@
    perfbench epoch from 507 to 31 MB of minor allocation (same VM). *)
 
 (* One count per 64-byte block; covers every digest in the system since
-   all hashing funnels through [compress], [digest64_into] and
-   [node64_into]. *)
+   all hashing funnels through [compress], [node_into] and the batch
+   kernels. *)
 let m_compressions = Zkflow_obs.Metric.counter "sha256.compressions"
 
 external get32u : bytes -> int -> int32 = "%caml_bytes_get32u"
@@ -262,25 +263,6 @@ let pad64_schedule =
   expand w pad64_block 0;
   w
 
-(* The one-block primitives share their contract: both windows
-   bounded before any kernel runs, all 64 source bytes read before
-   anything is written (so [dst] may overlap [src]), and [ctx] left
-   finalized. The block is compressed into [from], a chaining value. *)
-let block64_into what ~from ctx ~src ~src_pos ~dst ~dst_pos =
-  if src_pos < 0 || src_pos > Bytes.length src - 64
-     || dst_pos < 0 || dst_pos > Bytes.length dst - 32
-  then invalid_arg what;
-  ctx.finalized <- true;
-  Bytes.blit from 0 ctx.st 0 32;
-  block ctx src src_pos
-
-let digest64_into ctx ~src ~src_pos ~dst ~dst_pos =
-  block64_into "Sha256.digest64_into: out of bounds" ~from:iv_state ctx ~src ~src_pos
-    ~dst ~dst_pos;
-  Zkflow_obs.Metric.add m_compressions 2;
-  if sha_ni then sha_ni_compress ctx.st pad64_block 0 else rounds ctx.st pad64_schedule;
-  write_digest ctx.st dst dst_pos
-
 (* The chaining value after one block holding the node tag, zero
    padded, compressed from the standard IV. *)
 let node_iv_state =
@@ -290,11 +272,117 @@ let node_iv_state =
   rounds st w;
   st
 
-let node64_into ctx ~src ~src_pos ~dst ~dst_pos =
-  block64_into "Sha256.node64_into: out of bounds" ~from:node_iv_state ctx ~src ~src_pos
-    ~dst ~dst_pos;
-  Zkflow_obs.Metric.add m_compressions 1;
+(* A Merkle node rule as data, so a C loop can apply it: the chaining
+   value the 64 child bytes are compressed into, and whether the
+   constant padding block follows. [what] is the bounds message of
+   the rule's one-node primitive. *)
+type node = { what : string; from : bytes; pad : bool }
+
+let digest64 = { what = "Sha256.digest64_into: out of bounds"; from = iv_state; pad = true }
+let node64 = { what = "Sha256.node64_into: out of bounds"; from = node_iv_state; pad = false }
+let node_blocks r = if r.pad then 2 else 1
+
+(* One node: both windows bounded before any kernel runs, all 64
+   source bytes read before anything is written (so [dst] may overlap
+   [src]), and [ctx] left finalized. *)
+let node_into r ctx ~src ~src_pos ~dst ~dst_pos =
+  if src_pos < 0 || src_pos > Bytes.length src - 64
+     || dst_pos < 0 || dst_pos > Bytes.length dst - 32
+  then invalid_arg r.what;
+  ctx.finalized <- true;
+  Zkflow_obs.Metric.add m_compressions (node_blocks r);
+  Bytes.blit r.from 0 ctx.st 0 32;
+  block ctx src src_pos;
+  if r.pad then begin
+    if sha_ni then sha_ni_compress ctx.st pad64_block 0 else rounds ctx.st pad64_schedule
+  end;
   write_digest ctx.st dst dst_pos
+
+let digest64_into ctx ~src ~src_pos ~dst ~dst_pos =
+  node_into digest64 ctx ~src ~src_pos ~dst ~dst_pos
+
+let node64_into ctx ~src ~src_pos ~dst ~dst_pos =
+  node_into node64 ctx ~src ~src_pos ~dst ~dst_pos
+
+(* ---- batch kernels: one call per run of tree slots ----
+
+   Both apply the equal-neighbour rule in their own loop, so a Merkle
+   build makes one call per chunk of slots rather than two closure
+   calls per slot. On SHA-NI the loops run in [sha256_stubs.c]; the
+   OCaml loops below run everywhere else, one slot at a time through
+   the one-slot primitives, and are the reference the stubs are tested
+   against. The stubs check nothing and never raise, so the windows
+   are bounded here first; they compress on the stack and leave [ctx]
+   alone, except that the leaf stub reports its block count in the
+   first 8 bytes of [ctx.w]. *)
+
+external sha_ni_level : bytes -> bool -> bytes -> int -> int -> int -> int -> int
+  = "zkflow_sha256_ni_level_byte" "zkflow_sha256_ni_level"
+[@@noalloc]
+
+external sha_ni_leaves :
+  bytes -> bytes -> bytes array -> bytes -> int -> int -> bytes -> int
+  = "zkflow_sha256_ni_leaves_byte" "zkflow_sha256_ni_leaves"
+[@@noalloc]
+
+let level_ocaml r ctx buf ~src ~dst ~lo ~hi =
+  let hashed = ref 0 in
+  for i = lo to hi - 1 do
+    let src_pos = 32 * (src + (2 * i)) and dst_pos = 32 * (dst + i) in
+    if i > lo && Zkflow_util.Bytesx.equal_sub buf src_pos buf (src_pos - 64) 64 then
+      Bytes.blit buf (dst_pos - 32) buf dst_pos 32
+    else begin
+      node_into r ctx ~src:buf ~src_pos ~dst:buf ~dst_pos;
+      incr hashed
+    end
+  done;
+  !hashed
+
+let level_into r ctx buf ~src ~dst ~lo ~hi =
+  let slots = Bytes.length buf / 32 in
+  if lo < 0 || lo > hi || src < 0 || dst < 0 || src > slots || dst > slots
+     || hi > (slots - src) / 2 || hi > slots - dst
+     || (lo < hi && dst + hi > src + (2 * lo) && src + (2 * hi) > dst + lo)
+  then invalid_arg "Sha256.level_into: window out of range or overlapping";
+  ctx.finalized <- true;
+  if sha_ni then begin
+    let hashed = sha_ni_level r.from r.pad buf src dst lo hi in
+    Zkflow_obs.Metric.add m_compressions (hashed * node_blocks r);
+    hashed
+  end
+  else level_ocaml r ctx buf ~src ~dst ~lo ~hi
+
+let leaves_ocaml ctx ~prefix data ~dst ~lo ~hi =
+  let hashed = ref 0 in
+  for i = lo to hi - 1 do
+    let b = data.(i) in
+    if i > lo && (b == data.(i - 1) || Bytes.equal b data.(i - 1)) then
+      Bytes.blit dst (32 * (i - 1)) dst (32 * i) 32
+    else begin
+      reset ctx;
+      update ctx prefix;
+      update ctx b;
+      finalize_into ctx ~dst ~dst_pos:(32 * i);
+      incr hashed
+    end
+  done;
+  !hashed
+
+let leaves_into ctx ~prefix data ~dst ~lo ~hi =
+  let refuse () = invalid_arg "Sha256.leaves_into: window out of range or overlapping" in
+  if lo < 0 || lo > hi || hi > Array.length data || hi > Bytes.length dst / 32
+     || prefix == dst
+  then refuse ();
+  for i = lo to hi - 1 do
+    if data.(i) == dst then refuse ()
+  done;
+  ctx.finalized <- true;
+  if sha_ni then begin
+    let hashed = sha_ni_leaves iv_state prefix data dst lo hi ctx.w in
+    Zkflow_obs.Metric.add m_compressions (Int64.to_int (Bytes.get_int64_ne ctx.w 0));
+    hashed
+  end
+  else leaves_ocaml ctx ~prefix data ~dst ~lo ~hi
 
 let digest b =
   let ctx = init () in

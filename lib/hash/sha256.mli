@@ -45,28 +45,82 @@ val finalize_into : ctx -> dst:bytes -> dst_pos:int -> unit
     buffer, so it allocates nothing. Raises [Invalid_argument] when the
     window is out of range. *)
 
+type node
+(** A Merkle node rule, as data: the chaining value the 64 child
+    bytes are compressed into, and whether the constant padding block
+    of a 64-byte message follows. There are two, {!digest64} and
+    {!node64}. *)
+
+val digest64 : node
+(** SHA-256 of the 64 child bytes: the standard IV, then the padding
+    block; two compressions. The rule of the CLog tree and of every
+    structure a zkVM guest recomputes. *)
+
+val node64 : node
+(** One compression of the 64 child bytes from {!node_iv}; no padding
+    block. The proof system's trace-commitment rule. It is not the
+    SHA-256 of any message. *)
+
+val node_into :
+  node -> ctx -> src:bytes -> src_pos:int -> dst:bytes -> dst_pos:int -> unit
+(** [node_into r ctx ~src ~src_pos ~dst ~dst_pos] writes the node hash
+    under [r] of the 64 bytes [src.[src_pos .. src_pos+63]] into
+    [dst.[dst_pos .. dst_pos+31]]. [dst] may overlap [src]. [ctx] is
+    working storage: any message in progress is discarded and [ctx] is
+    left finalized, so one context serves a whole loop of calls but
+    must never be shared between domains. Counts the rule's
+    compressions and allocates nothing. Raises [Invalid_argument] when
+    either window is out of range. *)
+
 val digest64_into :
   ctx -> src:bytes -> src_pos:int -> dst:bytes -> dst_pos:int -> unit
-(** [digest64_into ctx ~src ~src_pos ~dst ~dst_pos] writes the SHA-256
-    of the 64 bytes [src.[src_pos .. src_pos+63]] into
-    [dst.[dst_pos .. dst_pos+31]]: the Merkle node hash over two
-    adjacent child digests. [dst] may overlap [src]. [ctx] is working
-    storage: any message in progress is discarded and [ctx] is left
-    finalized, so one context serves a whole loop of calls but must
-    never be shared between domains. Counts two compressions, like the streamed
-    hash of the same bytes, and allocates nothing. Raises
-    [Invalid_argument] when either window is out of range. *)
+(** [digest64_into] is [node_into digest64]: the SHA-256 of the 64
+    bytes, counting two compressions like the streamed hash of the
+    same bytes. Out-of-range windows raise
+    [Invalid_argument "Sha256.digest64_into: out of bounds"]. *)
 
 val node64_into :
   ctx -> src:bytes -> src_pos:int -> dst:bytes -> dst_pos:int -> unit
-(** [node64_into ctx ~src ~src_pos ~dst ~dst_pos] writes one
-    compression of the 64 bytes [src.[src_pos .. src_pos+63]], from the
-    chaining value {!node_iv}, into [dst.[dst_pos .. dst_pos+31]]: the
-    proof system's trace-commitment node hash. It is not the SHA-256 of
-    any message. Its contract is {!digest64_into}'s ([dst] may overlap
-    [src], [ctx] is working storage left finalized, nothing is
-    allocated, out-of-range windows raise [Invalid_argument]), but it
-    counts one compression. *)
+(** [node64_into] is [node_into node64], counting one compression.
+    Out-of-range windows raise
+    [Invalid_argument "Sha256.node64_into: out of bounds"]. *)
+
+(** {2 Batch kernels}
+
+    A Merkle build hashes a chunk of one level's slots in one call.
+    Slots are 32-byte windows: slot [k] of a buffer is bytes
+    [32k .. 32k+31]. Both kernels apply the equal-neighbour rule in
+    their own loop: a slot past the first of the window whose input
+    equals its left neighbour's copies the neighbour's digest instead
+    of hashing. Both return the number of slots they hashed, count
+    exactly the compressions they ran, allocate nothing, and leave
+    [ctx] (working storage, as for {!node_into}) finalized. A refused
+    window raises [Invalid_argument] before any slot is written or any
+    compression counted. On SHA-NI the loops run in C; elsewhere they
+    run one slot at a time through {!node_into} and the streamed
+    hash. *)
+
+val level_into :
+  node -> ctx -> bytes -> src:int -> dst:int -> lo:int -> hi:int -> int
+(** [level_into r ctx buf ~src ~dst ~lo ~hi] writes, for each [i] in
+    [\[lo, hi)], the node hash under [r] of slots [src + 2i] and
+    [src + 2i + 1] of [buf] into slot [dst + i]; when [i > lo] and
+    those 64 bytes equal the 64 at slot [src + 2(i - 1)], it copies
+    slot [dst + i - 1] instead. Refuses a window with [lo < 0],
+    [hi < lo], a slot past the end of [buf], or output slots
+    [\[dst + lo, dst + hi)] that meet the input slots
+    [\[src + 2lo, src + 2hi)]. *)
+
+val leaves_into :
+  ctx -> prefix:bytes -> bytes array -> dst:bytes -> lo:int -> hi:int -> int
+(** [leaves_into ctx ~prefix data ~dst ~lo ~hi] writes, for each [i]
+    in [\[lo, hi)], the SHA-256 of [prefix ‖ data.(i)] into slot [i] of
+    [dst]; when [i > lo] and [data.(i)] is or equals [data.(i - 1)], it
+    copies slot [i - 1] instead. Leaves may have any length; a hashed
+    leaf counts every block of its message. Refuses a window with
+    [lo < 0], [hi < lo], [hi] past [data] or past the slots of [dst],
+    or [dst] physically equal to [prefix] or to a leaf of the
+    window. *)
 
 val digest : bytes -> bytes
 (** [digest b] is the one-shot 32-byte SHA-256 of [b]. *)
@@ -85,7 +139,7 @@ val iv : int array
 (** The initial 8-word chaining state, as non-negative 32-bit ints. *)
 
 val node_iv : int array
-(** The chaining value {!node64_into} starts from: the state after
+(** The chaining value {!node64} starts from: the state after
     compressing, from {!iv}, one block holding ["zkflow.node.v2"]
     zero-padded to 64 bytes. As non-negative 32-bit ints. *)
 

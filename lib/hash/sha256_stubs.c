@@ -1,8 +1,10 @@
-/* One SHA-256 compression on the x86-64 SHA extensions (SHA-NI).
+/* SHA-256 compressions on the x86-64 SHA extensions (SHA-NI): one
+   block, and the two Merkle batch loops (a level's node slots, a run
+   of leaf slots).
 
-   [Sha256] calls [zkflow_sha256_ni_compress] only when
-   [zkflow_sha256_ni_available] said yes at module init; it bounds the
-   block window itself, so the stub does no checking. The chaining
+   [Sha256] calls these stubs only when [zkflow_sha256_ni_available]
+   said yes at module init; it bounds every window itself, so the
+   stubs do no checking, never raise and allocate nothing. The chaining
    state is the 8 words a..h in native (little-endian) order, the block
    64 message bytes, big-endian words, at any alignment. The rounds
    are the published SHA-NI sequence: the state is carried as the two
@@ -12,10 +14,11 @@
    The instruction set is enabled per function with the target
    attribute, so the library needs no global -msha flag and runs on
    any x86-64. Other architectures and compilers get bodies that
-   report no extension; OCaml never calls the compression there. */
+   report no extension and abort; OCaml never calls them there. */
 
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 #include <caml/mlvalues.h>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -89,6 +92,119 @@ static void compress_ni(unsigned char *st, const unsigned char *block)
   _mm_storeu_si128((__m128i *)(st + 16), _mm_alignr_epi8(dchg, feba, 8));
 }
 
+/* The 8 native-order state words as the big-endian digest. */
+__attribute__((target("ssse3")))
+static void put_digest(unsigned char *out, const unsigned char *st)
+{
+  const __m128i bswap = _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  _mm_storeu_si128((__m128i *)out,
+                   _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)st), bswap));
+  _mm_storeu_si128((__m128i *)(out + 16),
+                   _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)(st + 16)), bswap));
+}
+
+/* The second block of every 64-byte message: 0x80, zeros, and the bit
+   length 512 big-endian. */
+static const unsigned char pad64[64] = { [0] = 0x80, [62] = 0x02 };
+
+/* Slot dst+i of [buf] gets the node hash of the 64 bytes at slot
+   src+2i, compressed from [from] and then, if [pad], through [pad64];
+   it copies slot dst+i-1 when those bytes equal the 64 before them.
+   Returns the slots hashed. */
+__attribute__((target("sha,ssse3,sse4.1")))
+static long level_ni(const unsigned char *from, int pad, unsigned char *buf,
+                     long src, long dst, long lo, long hi)
+{
+  long hashed = 0;
+  for (long i = lo; i < hi; i++) {
+    const unsigned char *in = buf + 32 * (src + 2 * i);
+    unsigned char *out = buf + 32 * (dst + i);
+    if (i > lo && memcmp(in, in - 64, 64) == 0) {
+      memcpy(out, out - 32, 32);
+      continue;
+    }
+    unsigned char st[32];
+    memcpy(st, from, 32);
+    compress_ni(st, in);
+    if (pad) compress_ni(st, pad64);
+    put_digest(out, st);
+    hashed++;
+  }
+  return hashed;
+}
+
+/* Absorb [len] bytes of [src] into [st]: whole blocks straight from
+   [src], the rest buffered in [blk] (holding [*fill] bytes). */
+__attribute__((target("sha,ssse3,sse4.1")))
+static void absorb(unsigned char *st, unsigned char *blk, size_t *fill, long *blocks,
+                   const unsigned char *src, size_t len)
+{
+  if (*fill > 0) {
+    size_t take = 64 - *fill < len ? 64 - *fill : len;
+    memcpy(blk + *fill, src, take);
+    *fill += take;
+    src += take;
+    len -= take;
+    if (*fill < 64) return;
+    compress_ni(st, blk);
+    (*blocks)++;
+    *fill = 0;
+  }
+  for (; len >= 64; src += 64, len -= 64) {
+    compress_ni(st, src);
+    (*blocks)++;
+  }
+  memcpy(blk, src, len);
+  *fill = len;
+}
+
+/* The length of an OCaml [bytes], as caml_string_length computes it. */
+static inline size_t bytes_length(value b)
+{
+  size_t last = Bosize_val(b) - 1;
+  return last - Byte(b, last);
+}
+
+/* Slot i of [dst] gets SHA-256(prefix ‖ data.(i)), from the IV [iv];
+   it copies slot i-1 when data.(i) is or equals data.(i-1). Returns
+   the slots hashed and adds their blocks to [*blocks]. */
+__attribute__((target("sha,ssse3,sse4.1")))
+static long leaves_ni(const unsigned char *iv, const unsigned char *prefix, size_t plen,
+                      value data, unsigned char *dst, long lo, long hi, long *blocks)
+{
+  long hashed = 0;
+  for (long i = lo; i < hi; i++) {
+    value b = Field(data, i);
+    size_t len = bytes_length(b);
+    unsigned char *out = dst + 32 * i;
+    if (i > lo) {
+      value a = Field(data, i - 1);
+      if (a == b || (bytes_length(a) == len && memcmp(Bytes_val(a), Bytes_val(b), len) == 0)) {
+        memcpy(out, out - 32, 32);
+        continue;
+      }
+    }
+    unsigned char st[32], blk[128];
+    size_t fill = 0;
+    memcpy(st, iv, 32);
+    absorb(st, blk, &fill, blocks, prefix, plen);
+    absorb(st, blk, &fill, blocks, Bytes_val(b), len);
+    /* Padding: 0x80, zeros to 56 mod 64, the 64-bit bit length; more
+       than 55 bytes buffered spill it into a second block. */
+    size_t end = fill < 56 ? 64 : 128;
+    uint64_t bits = __builtin_bswap64((uint64_t)(plen + len) * 8);
+    memset(blk + fill, 0, end - 8 - fill);
+    blk[fill] = 0x80;
+    memcpy(blk + end - 8, &bits, 8);
+    compress_ni(st, blk);
+    if (end == 128) compress_ni(st, blk + 64);
+    *blocks += (long)(end / 64);
+    put_digest(out, st);
+    hashed++;
+  }
+  return hashed;
+}
+
 #else
 
 static int has_sha_ni(void) { return 0; }
@@ -97,6 +213,20 @@ static void compress_ni(unsigned char *st, const unsigned char *block)
 {
   (void)st;
   (void)block;
+  abort();
+}
+
+static long level_ni(const unsigned char *from, int pad, unsigned char *buf,
+                     long src, long dst, long lo, long hi)
+{
+  (void)from; (void)pad; (void)buf; (void)src; (void)dst; (void)lo; (void)hi;
+  abort();
+}
+
+static long leaves_ni(const unsigned char *iv, const unsigned char *prefix, size_t plen,
+                      value data, unsigned char *dst, long lo, long hi, long *blocks)
+{
+  (void)iv; (void)prefix; (void)plen; (void)data; (void)dst; (void)lo; (void)hi; (void)blocks;
   abort();
 }
 
@@ -114,4 +244,40 @@ CAMLprim value zkflow_sha256_ni_compress(value state, value src, value pos)
 {
   compress_ni(Bytes_val(state), Bytes_val(src) + Long_val(pos));
   return Val_unit;
+}
+
+/* [from] is the rule's 32-byte chaining state, [pad] whether the
+   padding block follows; the caller has bounded the window and made
+   the output slots disjoint from the input slots. */
+CAMLprim value zkflow_sha256_ni_level(value from, value pad, value buf, value src, value dst,
+                                      value lo, value hi)
+{
+  return Val_long(level_ni(Bytes_val(from), Bool_val(pad), Bytes_val(buf), Long_val(src),
+                           Long_val(dst), Long_val(lo), Long_val(hi)));
+}
+
+CAMLprim value zkflow_sha256_ni_level_byte(value *argv, int argn)
+{
+  (void)argn;
+  return zkflow_sha256_ni_level(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5], argv[6]);
+}
+
+/* [iv] is the 32-byte initial state, [data] a [bytes array]; the
+   caller has bounded the window and kept [dst] apart from every
+   input. The blocks compressed go to the first 8 bytes of [counts]. */
+CAMLprim value zkflow_sha256_ni_leaves(value iv, value prefix, value data, value dst, value lo,
+                                       value hi, value counts)
+{
+  long blocks = 0;
+  long hashed = leaves_ni(Bytes_val(iv), Bytes_val(prefix), caml_string_length(prefix), data,
+                          Bytes_val(dst), Long_val(lo), Long_val(hi), &blocks);
+  int64_t n = blocks;
+  memcpy(Bytes_val(counts), &n, 8);
+  return Val_long(hashed);
+}
+
+CAMLprim value zkflow_sha256_ni_leaves_byte(value *argv, int argn)
+{
+  (void)argn;
+  return zkflow_sha256_ni_leaves(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5], argv[6]);
 }

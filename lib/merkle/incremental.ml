@@ -71,7 +71,7 @@ let of_tree tree =
     last = { rehashed = 0; reused = 0 };
   }
 
-let create () = of_tree (Tree.of_leaf_hashes ~node:Zkflow_hash.Sha256.digest64_into [||])
+let create () = of_tree (Tree.of_leaf_hashes ~node:Zkflow_hash.Sha256.digest64 [||])
 let size t = t.size
 let last_stats t = t.last
 

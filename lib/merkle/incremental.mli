@@ -15,8 +15,8 @@
     {!Tree.t} (subsequent mutations copy again). Committed trees are
     therefore never mutated, and roots are bit-identical to a
     from-scratch {!Tree.of_leaf_hashes} build over the same leaves
-    under the CLog node rule, [Sha256.digest64_into], the only rule
-    it hashes with.
+    under the CLog node rule, [Sha256.digest64], the only rule it
+    hashes with.
 
     Instrumented under [lib/obs]: each flush records a
     ["merkle.incr_update"] span and advances the
@@ -30,7 +30,7 @@ val create : unit -> t
 val of_tree : Tree.t -> t
 (** Adopt an existing tree's nodes (no copy until the first
     mutation). The tree must have been built under
-    [Sha256.digest64_into]. *)
+    [Sha256.digest64]. *)
 
 val size : t -> int
 (** Current (unpadded) leaf count. *)

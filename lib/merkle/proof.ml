@@ -4,13 +4,13 @@ module Bytesx = Zkflow_util.Bytesx
 
 type t = { index : int; siblings : D.t array }
 
-type node = Sha256.ctx -> src:bytes -> src_pos:int -> dst:bytes -> dst_pos:int -> unit
+type node = Sha256.node
 
 let depth t = Array.length t.siblings
 
 (* The leaf rule, defined once: SHA-256 of the 12-byte domain tag, then
    the payload. [Tree] hashes its leaves with it straight into its
-   level buffer. *)
+   level buffer, a chunk of slots per [leaves_into] call. *)
 let leaf_domain = Bytes.of_string "zkflow.lf.v1"
 
 let leaf_hash_into ctx data ~dst ~dst_pos =
@@ -18,6 +18,9 @@ let leaf_hash_into ctx data ~dst ~dst_pos =
   Sha256.update ctx leaf_domain;
   Sha256.update ctx data;
   Sha256.finalize_into ctx ~dst ~dst_pos
+
+let leaves_into ctx data ~dst ~lo ~hi =
+  Sha256.leaves_into ctx ~prefix:leaf_domain data ~dst ~lo ~hi
 
 let leaf_hash data =
   let out = Bytes.create 32 in
@@ -38,7 +41,7 @@ let climb ~node ctx pair nodes t lo hi =
     let h = 32 * bit t.index l in
     Bytes.blit nodes (32 * l) pair h 32;
     Bytes.blit (D.unsafe_to_bytes t.siblings.(l)) 0 pair (32 - h) 32;
-    node ctx ~src:pair ~src_pos:0 ~dst:nodes ~dst_pos:(32 * (l + 1))
+    Sha256.node_into node ctx ~src:pair ~src_pos:0 ~dst:nodes ~dst_pos:(32 * (l + 1))
   done
 
 let path_root ~node t nodes =

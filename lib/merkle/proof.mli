@@ -6,16 +6,12 @@
 
 type t = { index : int; siblings : Zkflow_hash.Digest32.t array }
 
-type node =
-  Zkflow_hash.Sha256.ctx -> src:bytes -> src_pos:int -> dst:bytes -> dst_pos:int -> unit
-(** A node rule: writes the parent digest of the 64 child bytes
-    [src.[src_pos .. src_pos+63]] (left child first) into
-    [dst.[dst_pos .. dst_pos+31]], with the contract of
-    {!Zkflow_hash.Sha256.digest64_into}. The CLog tree and every other
-    structure a zkVM guest recomputes use [Sha256.digest64_into]; the
-    proof system's trace commitments use [Sha256.node64_into]. Every
-    build, path climb and verification below takes the rule, so one
-    loop serves both. *)
+type node = Zkflow_hash.Sha256.node
+(** A node rule: how the parent digest of 64 child bytes (left child
+    first) is hashed. The CLog tree and every other structure a zkVM
+    guest recomputes use [Sha256.digest64]; the proof system's trace
+    commitments use [Sha256.node64]. Every build, path climb and
+    verification below takes the rule, so one loop serves both. *)
 
 val leaf_hash : bytes -> Zkflow_hash.Digest32.t
 (** [leaf_hash data] is SHA-256 of ["zkflow.lf.v1" ‖ data]: the leaf
@@ -28,6 +24,14 @@ val leaf_hash_into :
     into [dst.[dst_pos .. dst_pos+31]] without allocating. [ctx] is
     working storage, reset first; it must not be shared between
     domains. *)
+
+val leaves_into :
+  Zkflow_hash.Sha256.ctx -> bytes array -> dst:bytes -> lo:int -> hi:int -> int
+(** [leaves_into ctx data ~dst ~lo ~hi] is
+    {!Zkflow_hash.Sha256.leaves_into} with the leaf rule's tag as the
+    prefix: slot [i] of [dst] gets [leaf_hash data.(i)] for [i] in
+    [\[lo, hi)], copying slot [i - 1] when [data.(i)] equals
+    [data.(i - 1)]. Returns the slots hashed. *)
 
 val compute_root : node:node -> t -> Zkflow_hash.Digest32.t -> Zkflow_hash.Digest32.t
 (** [compute_root ~node proof leaf_hash] folds the path under [node]

@@ -95,14 +95,14 @@ let verify_member ~root ~key ~value proof =
   proof.Proof.index = key_index key
   && Array.length proof.Proof.siblings = depth
   && D.equal root
-       (Proof.compute_root ~node:Zkflow_hash.Sha256.digest64_into proof
+       (Proof.compute_root ~node:Zkflow_hash.Sha256.digest64 proof
           (leaf_hash_of_value value))
 
 let verify_absent ~root ~key proof =
   proof.Proof.index = key_index key
   && Array.length proof.Proof.siblings = depth
   && D.equal root
-       (Proof.compute_root ~node:Zkflow_hash.Sha256.digest64_into proof empty_leaf_hash)
+       (Proof.compute_root ~node:Zkflow_hash.Sha256.digest64 proof empty_leaf_hash)
 
 let fold f t init =
   Hashtbl.fold (fun _ (k, v) acc -> f k v acc) t.values init

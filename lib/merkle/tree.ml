@@ -51,38 +51,31 @@ let rec push cell x =
   if not (Atomic.compare_and_set cell l (x :: l)) then push cell x
 
 (* The equal-neighbour rule. Slot [i] of a level, at slot offset [dst]
-   of [buf], is [hash ctx i] unless its input equals slot [i − 1]'s
-   ([same i]); then it copies slot [i − 1]'s digest. All-padding
-   subtrees and runs of repeated leaves thus cost one hash per run.
-   Chunks fill disjoint slots in parallel, each with its own SHA-256
-   ctx. A chunk whose first slots continue a run from the chunk before
-   cannot copy them yet, so it leaves them to a sequential pass once
-   the level's chunks have returned: which slots are hashed depends on
-   the inputs alone, never on the chunking. *)
+   of [buf], copies slot [i − 1]'s digest when its input equals slot
+   [i − 1]'s ([same i]) and is hashed otherwise. All-padding subtrees
+   and runs of repeated leaves thus cost one hash per run. Chunks fill
+   disjoint slots in parallel, each in one batch-kernel call
+   [hash ctx lo hi] that applies the rule inside its own loop and
+   returns the slots it hashed. A chunk whose first slots continue a
+   run from the chunk before cannot copy them yet, so it leaves them
+   to a sequential pass once the level's chunks have returned: which
+   slots are hashed depends on the inputs alone, never on the
+   chunking. *)
 let fill_level ~min_chunk buf ~dst width ~same ~hash =
   let deferred = Atomic.make [] in
-  let copy i = Bytes.blit buf (32 * (dst + i - 1)) buf (32 * (dst + i)) 32 in
   Pool.parallel_for ~min_chunk width (fun lo hi ->
-      let ctx = Sha256.init () in
       let start = ref lo in
       while !start < hi && !start > 0 && same !start do
         incr start
       done;
       if !start > lo then push deferred (lo, !start);
-      let hashed = ref 0 in
-      for i = !start to hi - 1 do
-        if i > !start && same i then copy i
-        else begin
-          hash ctx i;
-          incr hashed
-        end
-      done;
-      Obs.Metric.add m_nodes !hashed;
-      Obs.Metric.add m_copied (hi - lo - !hashed));
+      let hashed = hash (Sha256.init ()) !start hi in
+      Obs.Metric.add m_nodes hashed;
+      Obs.Metric.add m_copied (hi - lo - hashed));
   List.iter
     (fun (lo, hi) ->
       for i = lo to hi - 1 do
-        copy i
+        Bytes.blit buf (32 * (dst + i - 1)) buf (32 * (dst + i)) 32
       done)
     (List.sort compare (Atomic.get deferred))
 
@@ -95,9 +88,7 @@ let build_levels ~node buf level_off depth =
     let child i = 32 * (src + (2 * i)) in
     fill_level ~min_chunk:1024 buf ~dst ((dst - src) / 2)
       ~same:(fun i -> Bytesx.equal_sub buf (child i) buf (child (i - 1)) 64)
-      ~hash:(fun ctx i ->
-        node ctx ~src:buf ~src_pos:(child i) ~dst:buf
-          ~dst_pos:(32 * (dst + i)))
+      ~hash:(fun ctx lo hi -> Sha256.level_into node ctx buf ~src ~dst ~lo ~hi)
   done
 
 let alloc n =
@@ -126,7 +117,7 @@ let of_leaves ~node data =
   let t = alloc (Array.length data) in
   fill_level ~min_chunk:512 t.buf ~dst:0 t.size
     ~same:(fun i -> data.(i) == data.(i - 1) || Bytes.equal data.(i) data.(i - 1))
-    ~hash:(fun ctx i -> Proof.leaf_hash_into ctx data.(i) ~dst:t.buf ~dst_pos:(32 * i));
+    ~hash:(fun ctx lo hi -> Proof.leaves_into ctx data ~dst:t.buf ~lo ~hi);
   build ~node t0 t
 
 let of_leaf_hashes ~node hs =

@@ -8,7 +8,7 @@ module D = Zkflow_hash.Digest32
 module Pool = Zkflow_parallel.Pool
 module Obs = Zkflow_obs
 
-let node = Zkflow_hash.Sha256.digest64_into
+let node = Zkflow_hash.Sha256.digest64
 
 let m_fold_rounds = Obs.Metric.counter "fri.fold_rounds"
 

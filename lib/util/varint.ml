@@ -24,12 +24,15 @@ let put b off v =
   if v < 0 then invalid_arg "Varint.put: negative";
   put_from b off v
 
+(* A digit at [shift] must leave the value below 2^62, or it would
+   reach the sign bit of a 63-bit int: the ninth byte keeps 6 bits. *)
 let read b off =
   let len = Bytes.length b in
   let rec go off shift acc =
     if off >= len then invalid_arg "Varint.read: truncated";
-    if shift > 62 then invalid_arg "Varint.read: overflow";
     let c = Char.code (Bytes.get b off) in
+    if shift > 62 || (c land 0x7f) lsr (62 - shift) <> 0 then
+      invalid_arg "Varint.read: overflow";
     let acc = acc lor ((c land 0x7f) lsl shift) in
     if c land 0x80 = 0 then (acc, off + 1) else go (off + 1) (shift + 7) acc
   in

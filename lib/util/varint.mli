@@ -13,8 +13,9 @@ val put : bytes -> int -> int -> int
 
 val read : bytes -> int -> int * int
 (** [read b off] decodes a varint at [off] and returns
-    [(value, next_offset)]. Raises [Invalid_argument] on truncated or
-    oversized (> 63-bit) input. *)
+    [(value, next_offset)]. The value is never negative. Raises
+    [Invalid_argument] on truncated input, and on an encoding whose
+    value exceeds [max_int] ("Varint.read: overflow"). *)
 
 val size : int -> int
 (** [size v] is the number of bytes [write] emits for [v]. *)

@@ -146,12 +146,15 @@ let prove_result ?(params = Params.default) program (run : Machine.result) =
         t_commit;
     (* Phase 2 (inside the transcript callback so ordering is right):
        both grand-product columns in one tree, leaf j holding both
-       values at j. *)
+       values at j. Its span, [zkproof.memcheck_commit], nests inside
+       [zkproof.fs], so a trace tells it from Fiat–Shamir proper. *)
     let z_commit = ref None in
     let commit_z ~alpha ~beta =
+      let t_memcheck = Obs.Span.start () in
       let leaves = Memcheck.z_leaves ~alpha ~beta memlog perm in
       let tree = Tree.of_leaves ~node leaves in
       z_commit := Some (tree, leaves);
+      if t_memcheck <> 0 then Obs.Span.finish "zkproof.memcheck_commit" t_memcheck;
       Tree.root tree
     in
     let t_fs = Obs.Span.start () in

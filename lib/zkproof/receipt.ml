@@ -37,7 +37,7 @@ let claim_digest claim =
          D.unsafe_to_bytes (journal_digest claim);
        ])
 
-let node = Zkflow_hash.Sha256.node64_into
+let node = Zkflow_hash.Sha256.node64
 
 type opening = { index : int; leaf : bytes; path : Zkflow_merkle.Proof.t }
 

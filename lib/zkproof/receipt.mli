@@ -28,7 +28,7 @@ val check_claim : claim -> (unit, string) result
 
 val node : Zkflow_merkle.Proof.node
 (** The node rule of every trace-commitment tree:
-    {!Zkflow_hash.Sha256.node64_into}, one compression per node. The
+    {!Zkflow_hash.Sha256.node64}, one compression per node. The
     prover builds under it and the verifier checks under it, so the
     two cannot diverge. *)
 

@@ -2,6 +2,7 @@ open Zkflow_hash
 
 let check_string = Alcotest.(check string)
 let check_bool = Alcotest.(check bool)
+let check_int = Alcotest.(check int)
 let hex = Zkflow_util.Hexcodec.encode
 
 (* ---- SHA-256: FIPS / NIST CAVP vectors ---- *)
@@ -351,6 +352,203 @@ let prop_kernel_node64_overlap =
   QCheck.Test.make ~name:"node64_into over its source = reference" ~count:500 window
     (writes_window Sha256.node64_into reference_node)
 
+(* ---- the batch kernels against per-slot loops ----
+
+   [Sha256.level_into] and [Sha256.leaves_into] run their loops in C
+   on SHA-NI. Each is compared with a loop that hashes one slot at a
+   time through the one-slot primitives, applying the equal-neighbour
+   rule itself: same bytes everywhere in the buffer, same hashed
+   count, and compressions that match. *)
+
+let compressions = Zkflow_obs.Metric.counter "sha256.compressions"
+
+(* [f ()] and the compressions it counted. *)
+let counted f =
+  Zkflow_obs.Obs.with_enabled (fun () ->
+      let before = Zkflow_obs.Metric.value compressions in
+      let r = f () in
+      (r, Zkflow_obs.Metric.value compressions - before))
+
+let rules = [ ("digest64", Sha256.digest64, 2); ("node64", Sha256.node64, 1) ]
+
+let level_per_node rule buf ~src ~dst ~lo ~hi =
+  let ctx = Sha256.init () and hashed = ref 0 in
+  for i = lo to hi - 1 do
+    let src_pos = 32 * (src + (2 * i)) and dst_pos = 32 * (dst + i) in
+    if i > lo && Bytes.equal (Bytes.sub buf src_pos 64) (Bytes.sub buf (src_pos - 64) 64) then
+      Bytes.blit buf (dst_pos - 32) buf dst_pos 32
+    else begin
+      Sha256.node_into rule ctx ~src:buf ~src_pos ~dst:buf ~dst_pos;
+      incr hashed
+    end
+  done;
+  !hashed
+
+(* A level of [width] parents: 2·width child slots at [src], whose
+   pairs repeat their left neighbour in runs, and the parent slots at
+   [dst], before or after them with a gap; random bytes all round.
+   The window [lo, hi) is random within the level. *)
+let level_case =
+  let gen =
+    QCheck.Gen.(
+      int_range 0 1 >>= fun rule ->
+      int_range 0 300 >>= fun width ->
+      int_range 0 3 >>= fun gap ->
+      bool >>= fun dst_first ->
+      int_range 0 width >>= fun a ->
+      int_range 0 width >>= fun b ->
+      list_repeat width (int_range 0 3) >>= fun repeats ->
+      int >|= fun seed -> (rule, width, gap, dst_first, min a b, max a b, repeats, seed))
+  in
+  let print (rule, width, gap, dst_first, lo, hi, _, seed) =
+    Printf.sprintf "rule=%d width=%d gap=%d dst_first=%b lo=%d hi=%d seed=%d" rule width gap
+      dst_first lo hi seed
+  in
+  QCheck.make ~print gen
+
+let prop_kernel_level =
+  QCheck.Test.make ~name:"level_into = per-node loop" ~count:300 level_case
+    (fun (rule, width, gap, dst_first, lo, hi, repeats, seed) ->
+      let name, rule, blocks = List.nth rules rule in
+      let slots = (3 * width) + gap + 2 in
+      let src, dst = if dst_first then (1 + width + gap, 1) else (1, 1 + (2 * width) + gap) in
+      let rng = Zkflow_util.Rng.create (Int64.of_int seed) in
+      let buf = Zkflow_util.Rng.bytes rng (32 * slots) in
+      (* a pair that repeats its left neighbour, 1 time in 4 *)
+      List.iteri
+        (fun i r ->
+          if i > 0 && r = 0 then
+            Bytes.blit buf (32 * (src + (2 * (i - 1)))) buf (32 * (src + (2 * i))) 64)
+        repeats;
+      let live = Bytes.copy buf and reference = Bytes.copy buf in
+      let hashed, c =
+        counted (fun () -> Sha256.level_into rule (Sha256.init ()) live ~src ~dst ~lo ~hi)
+      in
+      let ref_hashed, ref_c =
+        counted (fun () -> level_per_node rule reference ~src ~dst ~lo ~hi)
+      in
+      let outside_untouched =
+        let a = 32 * (dst + lo) and b = 32 * (dst + hi) and len = Bytes.length buf in
+        Bytes.equal (Bytes.sub live 0 a) (Bytes.sub buf 0 a)
+        && Bytes.equal (Bytes.sub live b (len - b)) (Bytes.sub buf b (len - b))
+      in
+      if not (Bytes.equal live reference) then QCheck.Test.fail_reportf "%s: slots differ" name;
+      hashed = ref_hashed && c = ref_c && c = blocks * hashed && outside_untouched)
+
+let leaves_per_leaf data ~dst ~lo ~hi =
+  let ctx = Sha256.init () and hashed = ref 0 in
+  for i = lo to hi - 1 do
+    if i > lo && (data.(i) == data.(i - 1) || Bytes.equal data.(i) data.(i - 1)) then
+      Bytes.blit dst (32 * (i - 1)) dst (32 * i) 32
+    else begin
+      Zkflow_merkle.Proof.leaf_hash_into ctx data.(i) ~dst ~dst_pos:(32 * i);
+      incr hashed
+    end
+  done;
+  !hashed
+
+(* Payload lengths at the block edges of the 12-byte tag: the padding
+   spill at 43/44 and 107/108 bytes, full blocks at 52/53 and
+   116/117, and the longest row leaf, 187 bytes. *)
+let edge_lengths = [ 0; 1; 43; 44; 52; 53; 107; 108; 116; 117; 187; 200 ]
+
+(* Up to 40 leaves; each is fresh, the previous leaf itself, or a copy
+   of it. *)
+let leaves_case =
+  let leaf =
+    QCheck.Gen.(
+      pair (int_range 0 2)
+        (oneof [ oneofl edge_lengths; int_range 0 200 ] >>= fun n -> string_size (return n)))
+  in
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 0 40) leaf >>= fun leaves ->
+      let n = List.length leaves in
+      pair (int_range 0 n) (int_range 0 n) >>= fun (a, b) ->
+      int_range 0 2 >|= fun extra -> (leaves, min a b, max a b, extra))
+  in
+  let print (leaves, lo, hi, extra) =
+    Printf.sprintf "lengths=[%s] lo=%d hi=%d extra=%d"
+      (String.concat ";"
+         (List.map (fun (k, s) -> Printf.sprintf "%d:%d" k (String.length s)) leaves))
+      lo hi extra
+  in
+  QCheck.make ~print gen
+
+let prop_kernel_leaves =
+  QCheck.Test.make ~name:"leaves_into = leaf_hash_into per leaf" ~count:300 leaves_case
+    (fun (leaves, lo, hi, extra) ->
+      let data = Array.of_list (List.map (fun (_, s) -> Bytes.of_string s) leaves) in
+      List.iteri
+        (fun i (kind, _) ->
+          if i > 0 && kind = 1 then data.(i) <- data.(i - 1)
+          else if i > 0 && kind = 2 then data.(i) <- Bytes.copy data.(i - 1))
+        leaves;
+      let n = Array.length data in
+      let buf = Bytes.init (32 * (n + extra)) (fun k -> Char.chr (k land 0xff)) in
+      let live = Bytes.copy buf and reference = Bytes.copy buf in
+      let hashed, c =
+        counted (fun () ->
+            Zkflow_merkle.Proof.leaves_into (Sha256.init ()) data ~dst:live ~lo ~hi)
+      in
+      let ref_hashed, ref_c = counted (fun () -> leaves_per_leaf data ~dst:reference ~lo ~hi) in
+      Bytes.equal live reference && hashed = ref_hashed && c = ref_c)
+
+(* A refused window raises before any slot is written or any
+   compression counted, on either kernel. *)
+let test_kernel_refusals () =
+  let refuses what error f buf =
+    let before = Bytes.copy buf in
+    let (), c = counted (fun () -> Alcotest.check_raises what error f) in
+    Alcotest.(check int) (what ^ ": nothing counted") 0 c;
+    check_bool (what ^ ": nothing written") true (Bytes.equal buf before)
+  in
+  let level_error = Invalid_argument "Sha256.level_into: window out of range or overlapping" in
+  (* 12 slots: children at 0..7 and parents at 8..11 fit exactly. *)
+  let buf = Bytes.init (32 * 12) (fun k -> Char.chr (k land 0xff)) in
+  let level what ~src ~dst ~lo ~hi =
+    refuses ("level " ^ what) level_error
+      (fun () -> ignore (Sha256.level_into Sha256.node64 (Sha256.init ()) buf ~src ~dst ~lo ~hi))
+      buf
+  in
+  level "negative lo" ~src:0 ~dst:8 ~lo:(-1) ~hi:4;
+  level "hi below lo" ~src:0 ~dst:8 ~lo:3 ~hi:2;
+  level "negative src" ~src:(-2) ~dst:8 ~lo:1 ~hi:4;
+  level "negative dst" ~src:0 ~dst:(-1) ~lo:1 ~hi:4;
+  level "children past the end" ~src:5 ~dst:0 ~lo:0 ~hi:4;
+  level "parents past the end" ~src:0 ~dst:9 ~lo:0 ~hi:4;
+  level "huge src" ~src:max_int ~dst:8 ~lo:0 ~hi:1;
+  level "huge dst" ~src:0 ~dst:max_int ~lo:0 ~hi:1;
+  level "huge hi" ~src:0 ~dst:8 ~lo:0 ~hi:max_int;
+  level "parents over children" ~src:0 ~dst:0 ~lo:0 ~hi:4;
+  level "last parent on a child" ~src:4 ~dst:1 ~lo:0 ~hi:4;
+  level "first parent on a child" ~src:0 ~dst:7 ~lo:0 ~hi:4;
+  (* the same level, just in range and apart, is accepted *)
+  check_int "level accepted" 4
+    (Sha256.level_into Sha256.node64 (Sha256.init ()) buf ~src:0 ~dst:8 ~lo:0 ~hi:4);
+  check_int "empty window over its own children" 0
+    (Sha256.level_into Sha256.node64 (Sha256.init ()) buf ~src:0 ~dst:0 ~lo:2 ~hi:2);
+  let leaves_error =
+    Invalid_argument "Sha256.leaves_into: window out of range or overlapping"
+  in
+  let prefix = Bytes.of_string "tag" and dst = Bytes.make (32 * 4) 'd' in
+  let data = Array.init 4 (fun i -> Bytes.make i 'x') in
+  let leaves what ?(prefix = prefix) ?(data = data) ~dst ~lo ~hi () =
+    refuses ("leaves " ^ what) leaves_error
+      (fun () -> ignore (Sha256.leaves_into (Sha256.init ()) ~prefix data ~dst ~lo ~hi))
+      dst
+  in
+  leaves "negative lo" ~dst ~lo:(-1) ~hi:2 ();
+  leaves "hi below lo" ~dst ~lo:2 ~hi:1 ();
+  leaves "hi past the leaves" ~dst ~lo:0 ~hi:5 ();
+  leaves "hi past the slots" ~dst:(Bytes.make 95 'd') ~lo:0 ~hi:3 ();
+  leaves "huge hi" ~dst ~lo:0 ~hi:max_int ();
+  leaves "slots over the prefix" ~prefix:dst ~dst ~lo:0 ~hi:1 ();
+  leaves "slots over a leaf" ~data:[| data.(0); dst; data.(2) |] ~dst ~lo:0 ~hi:3 ();
+  (* a leaf outside the window may be [dst] *)
+  check_int "leaves accepted" 1
+    (Sha256.leaves_into (Sha256.init ()) ~prefix [| data.(0); dst |] ~dst ~lo:0 ~hi:1)
+
 (* ---- HMAC-SHA256: RFC 4231 vectors ---- *)
 
 let test_hmac_rfc4231_case1 () =
@@ -513,6 +711,9 @@ let () =
           on_hardware (q prop_kernel_offsets);
           on_hardware (q prop_kernel_digest64_overlap);
           on_hardware (q prop_kernel_node64_overlap);
+          on_hardware (q prop_kernel_level);
+          on_hardware (q prop_kernel_leaves);
+          Alcotest.test_case "batch windows refused" `Quick test_kernel_refusals;
         ] );
       ( "hmac",
         [

@@ -8,8 +8,8 @@ let leaves n = Array.init n (fun i -> Bytes.of_string (Printf.sprintf "leaf-%d" 
 
 (* The two node rules: the CLog tree's SHA-256 of the 64 child bytes,
    and the trace commitments' single compression from the node IV. *)
-let digest64 = Zkflow_hash.Sha256.digest64_into
-let rules = [ ("digest64", digest64); ("node64", Zkflow_hash.Sha256.node64_into) ]
+let digest64 = Zkflow_hash.Sha256.digest64
+let rules = [ ("digest64", digest64); ("node64", Zkflow_hash.Sha256.node64) ]
 
 (* ---- Tree ---- *)
 

@@ -826,13 +826,13 @@ let test_hash_counters_exact () =
             (1 + (per_node * Proof.depth proof))
             c;
           check_int "verify_data counts no tree nodes" 0 (h + k))
-        (List.map (fun case -> (("digest64", Zkflow_hash.Sha256.digest64_into, 2), case))
+        (List.map (fun case -> (("digest64", Zkflow_hash.Sha256.digest64, 2), case))
            [
              ("n=5", leaves 5 Fun.id, 19, 12, 0);
              ("n=1000", leaves 1000 Fun.id, 3010, 2005, 18);
              ("4 runs of 4", leaves 16 (fun i -> i / 4), 26, 15, 16);
            ]
-        @ List.map (fun case -> (("node64", Zkflow_hash.Sha256.node64_into, 1), case))
+        @ List.map (fun case -> (("node64", Zkflow_hash.Sha256.node64, 1), case))
             [
               ("n=5", leaves 5 Fun.id, 12, 12, 0);
               ("n=1000", leaves 1000 Fun.id, 2005, 2005, 18);

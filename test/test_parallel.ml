@@ -12,7 +12,7 @@ open Zkflow_core
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let digest = Alcotest.testable D.pp D.equal
-let digest64 = Zkflow_hash.Sha256.digest64_into
+let digest64 = Zkflow_hash.Sha256.digest64
 let job_sweep = [ 1; 2; 4 ]
 
 let with_jobs j f =
@@ -265,7 +265,7 @@ let test_neighbour_rule_chunk_blind () =
         (List.concat_map
            (fun rule ->
              List.map (fun shape -> (rule, shape)) [ (6000, 700); (5000, 1500); (4500, 97) ])
-           [ ("digest64", digest64); ("node64", Zkflow_hash.Sha256.node64_into) ]))
+           [ ("digest64", digest64); ("node64", Zkflow_hash.Sha256.node64) ]))
 
 (* ---- property: random trees agree across job counts ---- *)
 

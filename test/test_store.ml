@@ -128,7 +128,7 @@ let test_wal_torn_tree_snapshot_row () =
       Sys.remove path;
       let module Tree = Zkflow_merkle.Tree in
       let tree =
-        Tree.of_leaves ~node:Zkflow_hash.Sha256.digest64_into
+        Tree.of_leaves ~node:Zkflow_hash.Sha256.digest64
           (Array.init 11 (fun i -> Bytes.of_string (Printf.sprintf "entry-%d" i)))
       in
       let w = Wal.open_log path in

@@ -136,6 +136,20 @@ let test_varint_truncated () =
   Alcotest.check_raises "truncated" (Invalid_argument "Varint.read: truncated")
     (fun () -> ignore (Varint.read (Bytes.of_string "\x80") 0))
 
+(* Nine bytes carry 62 bits: [max_int] round-trips, and a ninth byte
+   reaching bit 62 is refused rather than read as a negative int. *)
+let test_varint_overflow () =
+  let buf = Buffer.create 10 in
+  Varint.write buf max_int;
+  let b = Buffer.to_bytes buf in
+  Alcotest.(check int) "max_int in 9 bytes" 9 (Bytes.length b);
+  Alcotest.(check (pair int int)) "max_int round-trips" (max_int, 9) (Varint.read b 0);
+  List.iter
+    (fun hex ->
+      Alcotest.check_raises hex (Invalid_argument "Varint.read: overflow") (fun () ->
+          ignore (Varint.read (Hexcodec.decode_exn hex) 0)))
+    [ "ffffffffffffffff40"; "ffffffffffffffff7f"; "808080808080808040"; "ffffffffffffffff8001" ]
+
 let prop_varint_roundtrip =
   QCheck.Test.make ~name:"varint roundtrip" ~count:500
     QCheck.(map abs int)
@@ -389,6 +403,7 @@ let () =
           Alcotest.test_case "known encodings" `Quick test_varint_known;
           Alcotest.test_case "rejects negative" `Quick test_varint_negative;
           Alcotest.test_case "rejects truncated" `Quick test_varint_truncated;
+          Alcotest.test_case "rejects overflow" `Quick test_varint_overflow;
           q prop_varint_roundtrip;
         ] );
       ( "rng",

@@ -246,7 +246,7 @@ let test_merkle_root_matches_host n () =
   in
   let expected =
     Zkflow_merkle.Tree.root
-      (Zkflow_merkle.Tree.of_leaves ~node:Zkflow_hash.Sha256.digest64_into host_leaves)
+      (Zkflow_merkle.Tree.of_leaves ~node:Zkflow_hash.Sha256.digest64 host_leaves)
   in
   Alcotest.(check string)
     (Printf.sprintf "root over %d entries" n)
