@@ -119,10 +119,10 @@ watch-smoke: build
 # defeats the memo check by design) and /healthz is green, exercise
 # the proof-backed query plane (the second identical query must come
 # from the memo cache), then SIGTERM and require a clean drain: exit
-# 0, and the
-# flushed event log must satisfy the strict SLO verdict. This is the
-# daemon-lifecycle contract CI enforces: graceful shutdown is not
-# best-effort.
+# 0, the flushed event log must satisfy the strict SLO verdict, and the
+# receipts.bin the drain wrote must verify against the board.txt it
+# wrote. This is the daemon-lifecycle contract CI enforces: graceful
+# shutdown is not best-effort.
 serve-smoke: build
 	rm -rf $(SMOKE)/serve
 	mkdir -p $(SMOKE)/serve
@@ -149,7 +149,8 @@ serve-smoke: build
 	  wait $$pid || ok=1; \
 	  cat $(SMOKE)/serve/serve.log; exit $$ok
 	dune exec bin/zkflow.exe -- slo --dir $(SMOKE)/serve/state --strict
-	@echo "serve-smoke: daemon served, drained cleanly, SLOs green"
+	dune exec bin/zkflow.exe -- verify --dir $(SMOKE)/serve/state
+	@echo "serve-smoke: daemon served, drained cleanly, SLOs green, receipts verified"
 
 # The end-to-end benchmark (BENCHMARK.json, perfbench/) checked at
 # smoke size, about 30 s: every workload prints every declared metric

@@ -10,15 +10,14 @@
                                    # (and query receipt) from public data
 
    The directory holds: rlogs.wal (private telemetry), board.txt (the
-   public bulletin), receipts.bin / query.bin (proof artifacts). *)
+   public bulletin), checkpoints.wal (the prover's private state),
+   receipts.bin / query.bin (proof artifacts). *)
 
 module D = Zkflow_hash.Digest32
 module Db = Zkflow_store.Db
 module Epoch = Zkflow_store.Epoch
 module Board = Zkflow_commitlog.Board
-module Gen = Zkflow_netflow.Gen
 module Ipaddr = Zkflow_netflow.Ipaddr
-module Topology = Zkflow_netflow.Topology
 module Receipt = Zkflow_zkproof.Receipt
 module Wire = Zkflow_util.Wire
 module Jsonx = Zkflow_util.Jsonx
@@ -48,7 +47,6 @@ let wal_path dir = dir // "rlogs.wal"
 let board_path dir = dir // "board.txt"
 let receipts_path dir = dir // "receipts.bin"
 let query_path dir = dir // "query.bin"
-let service_path dir = dir // "service.bin"
 let events_path dir = dir // "events.jsonl"
 let timeseries_path dir = dir // "timeseries.jsonl"
 let ckpt_path dir = dir // "checkpoints.wal"
@@ -107,34 +105,18 @@ let simulate dir routers flows rate duration loss seed =
     (fun p -> if Sys.file_exists p then Sys.remove p)
     [
       wal_path dir; board_path dir; receipts_path dir; query_path dir;
-      service_path dir; events_path dir; ckpt_path dir;
+      events_path dir; ckpt_path dir;
     ];
   let db = Db.create ~wal_path:(wal_path dir) ~epoch:epoch_policy () in
   let board = Board.create () in
-  let rng = Zkflow_util.Rng.create (Int64.of_int seed) in
-  let profile = { Gen.default_profile with Gen.flow_count = flows } in
-  let keys = Gen.flows rng profile in
-  let packets = Gen.packets rng profile ~flows:keys ~rate_pps:rate ~duration_ms:duration in
-  let topology =
-    Topology.linear
-      (List.init routers (fun id ->
-           { Zkflow_netflow.Router.id; active_timeout_ms = 60_000; inactive_timeout_ms = 30_000; sampling_interval = 1 }))
+  let packets, records =
+    Zkflow.simulate_traffic ~seed:(Int64.of_int seed) ~routers ~flows ~rate_pps:rate
+      ~duration_ms:duration ~loss_rate:loss db
   in
-  let losses = Array.make routers loss in
-  List.iter (Topology.inject topology ~rng ~loss_rate:losses) packets;
-  let count = ref 0 in
-  List.iter
-    (fun (_, records) ->
-      List.iter
-        (fun r ->
-          incr count;
-          Db.insert db r)
-        records)
-    (Topology.flush topology ~now:duration);
   Db.sync db;
-  (* routers publish one commitment per epoch *)
+  (* routers publish one commitment per window, empty ones included *)
   List.iter
-    (fun epoch ->
+    (fun (epoch, routers) ->
       List.iter
         (fun router_id ->
           let window = Db.window db ~router_id ~epoch in
@@ -144,11 +126,11 @@ let simulate dir routers flows rate duration loss seed =
               (D.short c.Zkflow_commitlog.Commitment.batch)
               (Array.length window)
           | Error e -> failwith e)
-        (Db.routers db))
-    (Db.epochs db);
+        routers)
+    (Db.windows db);
   write_file (board_path dir) (Bytes.of_string (Board.export board));
-  Printf.printf "simulated %d packets -> %d records across %d routers\n"
-    (List.length packets) !count routers;
+  Printf.printf "simulated %d packets -> %d records across %d routers\n" packets records
+    routers;
   Printf.printf "state written to %s (rlogs.wal, board.txt)\n" dir;
   Ok ()
 
@@ -158,12 +140,12 @@ let simulate dir routers flows rate duration loss seed events =
 
 (* ---- prove ---- *)
 
+let recover_store dir =
+  Result.map_error (( ^ ) "recovering store: ")
+    (Db.recover ~wal_path:(wal_path dir) ~epoch:epoch_policy)
+
 let load_state dir =
-  let* db =
-    match Db.recover ~wal_path:(wal_path dir) ~epoch:epoch_policy with
-    | Ok db -> Ok db
-    | Error e -> Error ("recovering store: " ^ e)
-  in
+  let* db = recover_store dir in
   let* board_text = read_file (board_path dir) in
   let* board = Board.import (Bytes.to_string board_text) in
   Ok (db, board)
@@ -199,22 +181,8 @@ let parse_query src dst metric op =
     let* dst_ip = field "--dst" dst in
     Ok { Guests.match_any with Guests.src_ip; dst_ip }
   in
-  let* metric =
-    match metric with
-    | "packets" -> Ok Guests.Packets
-    | "bytes" -> Ok Guests.Bytes
-    | "hops" -> Ok Guests.Hops
-    | "losses" -> Ok Guests.Losses
-    | m -> Error ("unknown metric " ^ m)
-  in
-  let* op =
-    match op with
-    | "sum" -> Ok Guests.Sum
-    | "count" -> Ok Guests.Count
-    | "max" -> Ok Guests.Max
-    | "min" -> Ok Guests.Min
-    | o -> Error ("unknown op " ^ o)
-  in
+  let* metric = Guests.metric_of_name metric in
+  let* op = Guests.op_of_name op in
   Ok { Guests.predicate; op; metric }
 
 (* Custom Zirc query guests all receive the standard CLog statement
@@ -243,34 +211,24 @@ let prove_zirc ~params ~clog path =
          (List.map string_of_int (Array.to_list run.Zkflow_zkvm.Machine.journal)));
     Ok receipt
 
-let prove_inner dir queries_n src dst metric op zirc =
-  let* db, board = load_state dir in
-  let params = Zkflow_zkproof.Params.make ~queries:queries_n in
-  (* Crash-consistent: every round is journaled to checkpoints.wal
-     before it is visible, and an interrupted prove picks up from the
-     synced prefix instead of re-proving history. *)
-  let* service, restored =
-    Prover_service.resume ~proof_params:params ~db ~board ~path:(ckpt_path dir) ()
-  in
-  if restored > 0 then
-    Printf.printf "resumed %d checkpointed round(s) from %s\n" restored
-      (ckpt_path dir);
-  let covered = Prover_service.covered_epochs service in
-  let* () =
-    List.fold_left
-      (fun acc epoch ->
-        let* () = acc in
-        if List.mem epoch covered then Ok ()
-        else
-          let* round = Prover_service.aggregate_epoch service ~epoch in
-          Printf.printf "epoch %d: %d flows, %d cycles, proved in %.2fs (%d KB)\n"
-            epoch
-            (Clog.length round.Aggregate.clog)
-            round.Aggregate.cycles round.Aggregate.prove_s
-            (Receipt.size round.Aggregate.receipt / 1024);
-          Ok ())
-      (Ok ()) (Db.epochs db)
-  in
+(* The one round driver for a state directory, shared by [prove] and
+   [serve]: every window the routers exported (Db.windows, the set
+   [simulate] publishes, empty windows included) goes through the
+   daemon's bounded ingest queue, epoch by epoch, and each epoch
+   closes once its windows are in. [submit_wait] is the backpressure
+   path: the replay blocks rather than sheds when it outruns the
+   prover. *)
+let replay_epoch d db_src (epoch, routers) =
+  List.iter
+    (fun router_id ->
+      let recs = Array.to_list (Db.window db_src ~router_id ~epoch) in
+      ignore (Daemon.submit_wait d ~router_id ~epoch recs))
+    routers;
+  Daemon.advance d ~epoch
+
+(* The tail both drivers write: every non-heal round's receipt, in
+   round order, for [verify]. *)
+let write_receipts dir service =
   let rounds =
     List.filter_map
       (fun ((cov : Prover_service.coverage), (round : Aggregate.round)) ->
@@ -279,8 +237,86 @@ let prove_inner dir queries_n src dst metric op zirc =
       (List.combine (Prover_service.coverage service) (Prover_service.rounds service))
   in
   write_file (receipts_path dir) (encode_rounds rounds);
-  write_file (service_path dir) (Prover_service.save service);
-  Printf.printf "receipts written to %s\n" (receipts_path dir);
+  Printf.printf "receipts written to %s\n" (receipts_path dir)
+
+let no_round d ~epoch =
+  Printf.sprintf "epoch %d: no round: %s" epoch
+    (Option.value ~default:"not proved" (Daemon.round_error d ~epoch))
+
+(* The rule receipts.bin is written under: every window of every store
+   epoch sits in its epoch's round, as [verify] requires. A gap, open
+   or healed, names a window its epoch's round went without, and an
+   epoch with no round names the error its round failed with. *)
+let check_complete d db_src =
+  let service = Daemon.service d in
+  match Prover_service.gaps service with
+  | { Prover_service.router_id; epoch; _ } :: _ ->
+    Error (Printf.sprintf "router %d's window for epoch %d is not in its epoch's round" router_id epoch)
+  | [] -> (
+    let covered = Prover_service.covered_epochs service in
+    match List.find_opt (fun e -> not (List.mem e covered)) (Db.epochs db_src) with
+    | None -> Ok ()
+    | Some epoch -> Error (no_round d ~epoch))
+
+(* [prove] saves no round its strictness would refuse (a re-run after
+   the mend resumes them): the board must hold every window's
+   commitment before the first round, and the replay stops at the
+   first epoch left without a round. *)
+let check_board db_src board =
+  let missing (epoch, routers) =
+    List.find_map
+      (fun router_id ->
+        if Board.lookup board ~router_id ~epoch <> None then None
+        else Some (Printf.sprintf "router %d has no published commitment for epoch %d" router_id epoch))
+      routers
+  in
+  Option.fold ~none:(Ok ()) ~some:Result.error (List.find_map missing (Db.windows db_src))
+
+let replay_strict d db_src =
+  let rec go = function
+    | [] -> Ok ()
+    | ((epoch, _) as window) :: rest -> (
+      replay_epoch d db_src window;
+      match Daemon.await_idle d with
+      | `Crashed site -> Error (Printf.sprintf "crashed at %s during epoch %d" site epoch)
+      | `Idle ->
+        if List.mem epoch (Prover_service.covered_epochs (Daemon.service d)) then go rest
+        else Error (no_round d ~epoch))
+  in
+  go (Db.windows db_src)
+
+let prove_inner dir queries_n src dst metric op zirc =
+  let* db_src, board = load_state dir in
+  let* () = check_board db_src board in
+  let params = Zkflow_zkproof.Params.make ~queries:queries_n in
+  (* Crash-consistent: every round is journaled to checkpoints.wal
+     before it is visible, and an interrupted prove picks up from the
+     synced prefix instead of re-proving history. The board is given,
+     so the daemon does not publish. *)
+  let* d, restored =
+    Daemon.create
+      ~config:{ Daemon.default_config with Daemon.publish = false }
+      ~proof_params:params ~db:(Db.create ~epoch:epoch_policy ()) ~board
+      ~ckpt_path:(ckpt_path dir) ()
+  in
+  if restored > 0 then
+    Printf.printf "resumed %d checkpointed round(s) from %s\n" restored
+      (ckpt_path dir);
+  let drained = Result.bind (replay_strict d db_src) (fun () -> Daemon.drain d) in
+  Daemon.stop d;
+  let* () = drained in
+  let service = Daemon.service d in
+  List.iter2
+    (fun (cov : Prover_service.coverage) (round : Aggregate.round) ->
+      if not (round.Aggregate.restored || cov.Prover_service.heal) then
+        Printf.printf "epoch %d: %d flows, %d cycles, proved in %.2fs (%d KB)\n"
+          cov.Prover_service.epoch
+          (Clog.length round.Aggregate.clog)
+          round.Aggregate.cycles round.Aggregate.prove_s
+          (Receipt.size round.Aggregate.receipt / 1024))
+    (Prover_service.coverage service) (Prover_service.rounds service);
+  let* () = check_complete d db_src in
+  write_receipts dir service;
   (* optional built-in query *)
   let* () =
     match (src, dst) with
@@ -365,40 +401,43 @@ let prove dir queries_n src dst metric op zirc trace_out events stats_out
 
 (* ---- stats ---- *)
 
-let stats dir json =
+(* The prover's saved state, read-only: the intact prefix of
+   checkpoints.wal. A corrupt journal must be a one-line diagnosis,
+   never a backtrace: decode failures are values, and anything the
+   decoder did not anticipate is caught here. *)
+let restore_service dir =
   let* db, board = load_state dir in
-  let* bytes =
-    match read_file (service_path dir) with
-    | Ok b -> Ok b
-    | Error _ ->
-      Error
-        (Printf.sprintf "%s: not found (run `zkflow prove --dir %s` first)"
-           (service_path dir) dir)
-  in
-  (* A corrupt state file must be a one-line diagnosis, never a
-     backtrace: decode failures are values, and anything the decoder
-     did not anticipate is caught here. *)
-  let* service =
-    match Prover_service.load ~db ~board bytes with
+  let path = ckpt_path dir in
+  if not (Sys.file_exists path) then
+    Error (Printf.sprintf "%s: not found (run `zkflow prove --dir %s` first)" path dir)
+  else
+    match Prover_service.restore ~db ~board ~path () with
     | Ok s -> Ok s
-    | Error e -> Error (Printf.sprintf "%s: corrupt state: %s" (service_path dir) e)
+    | Error e -> Error (Printf.sprintf "%s: corrupt state: %s" path e)
     | exception e ->
-      Error
-        (Printf.sprintf "%s: corrupt state: %s" (service_path dir)
-           (Printexc.to_string e))
-  in
+      Error (Printf.sprintf "%s: corrupt state: %s" path (Printexc.to_string e))
+
+let stats dir json =
+  let* service = restore_service dir in
   if json then print_endline (Prover_service.summary_json service)
   else begin
     let clog = Prover_service.clog service in
     let summaries = Prover_service.summaries service in
     Printf.printf "%d aggregation round(s); CLog root %s (%d entries)\n"
       (List.length summaries) (D.short (Clog.root clog)) (Clog.length clog);
-    let p = Prover_service.proof_params service in
-    Printf.printf
-      "proof params: %d spot checks/category ≈ %.2f soundness bits (5%% \
-       corruption convention, DESIGN.md §5)\n"
-      p.Zkflow_zkproof.Params.queries
-      (Zkflow_zkproof.Params.soundness_bits p);
+    (* The spot-check count the receipts carry; when rounds differ,
+       one line per count, naming its rounds. *)
+    let counts = Prover_service.seal_queries service in
+    List.iter
+      (fun (queries, rounds) ->
+        Printf.printf
+          "proof params: %d spot checks/category ≈ %.2f soundness bits (5%% \
+           corruption convention, DESIGN.md §5)%s\n"
+          queries
+          (Zkflow_zkproof.Params.soundness_bits (Zkflow_zkproof.Params.make ~queries))
+          (if List.length counts = 1 then ""
+           else " in round(s) " ^ String.concat "," (List.map string_of_int rounds)))
+      counts;
     List.iter
       (fun (s : Prover_service.round_summary) ->
         Printf.printf "  round %d: %7d entries, %9d cycles, root %s%s\n" s.index
@@ -755,19 +794,9 @@ let load_frames_opt dir timeseries =
 let monitor dir events timeseries json strict gap_grace =
   let* events = load_events_or_hint dir events in
   let* frames = load_frames_opt dir timeseries in
-  (* The saved service state is optional context: without it the
+  (* The checkpoint journal is optional context: without it the
      report is built from the event log alone. *)
-  let service =
-    match load_state dir with
-    | Error _ -> None
-    | Ok (db, board) -> (
-      match read_file (service_path dir) with
-      | Error _ -> None
-      | Ok bytes -> (
-        match Prover_service.load ~db ~board bytes with
-        | Ok s -> Some s
-        | Error _ | (exception _) -> None))
-  in
+  let service = Result.to_option (restore_service dir) in
   let report = Monitor.build ?service ?frames ~gap_grace events in
   if json then print_endline (Jsonx.to_string (Monitor.to_json report))
   else Format.printf "%a@." Monitor.pp report;
@@ -867,25 +896,21 @@ let chaos dir seed plan_file routers flows rate duration loss queries
 (* ---- serve: the resident daemon ---- *)
 
 (* [zkflow serve] turns the state directory into a running service:
-   the router flow logs recovered from rlogs.wal are replayed through
-   the daemon's bounded ingest queue (the daemon publishes to a fresh
-   board on the routers' behalf and proves rounds off-path), then the
-   process sits behind the embedded HTTP plane answering memoized
-   proof-backed queries until SIGTERM/SIGINT, at which point it drains
-   — finishes everything in flight — and flushes board, service
-   state, events and time-series before exiting 0. A SIGKILL instead
-   loses nothing durable: the next [serve] resumes from the v2
-   checkpoint WAL and re-proves only the unsynced tail. *)
+   the router flow logs recovered from rlogs.wal go through the same
+   [replay_epoch] as [prove] (the daemon publishes to a fresh board on
+   the routers' behalf and proves rounds off-path), then the process
+   sits behind the embedded HTTP plane answering memoized proof-backed
+   queries until SIGTERM/SIGINT, at which point it drains — finishes
+   everything in flight — and flushes board, receipts, events and
+   time-series before exiting 0. A SIGKILL instead loses nothing
+   durable: the next [serve] resumes from the checkpoint WAL and
+   re-proves only the unsynced tail. *)
 
 let serve_stop = Atomic.make false
 
 let serve dir listen queries_n capacity watchdog_ms events =
   let events = match events with Some p -> Some p | None -> Some (events_path dir) in
-  let* db_src =
-    match Db.recover ~wal_path:(wal_path dir) ~epoch:epoch_policy with
-    | Ok db -> Ok db
-    | Error e -> Error ("recovering store: " ^ e)
-  in
+  let* db_src = recover_store dir in
   Atomic.set serve_stop false;
   (* Trap before replay: an early SIGTERM still drains cleanly. *)
   let trap s = Sys.set_signal s (Sys.Signal_handle (fun _ -> Atomic.set serve_stop true)) in
@@ -919,24 +944,10 @@ let serve dir listen queries_n capacity watchdog_ms events =
   | Ok srv ->
     Printf.printf "zkflow serve on http://127.0.0.1:%d (/status /healthz /query /flows /metrics /slo)\n%!"
       (Zkflow_obs.Httpd.port srv);
-    (* Replay the recovered flow log through the bounded queue,
-       epoch by epoch. [submit_wait] is the backpressure path: the
-       replay blocks rather than sheds when it outruns the prover. *)
-    let offered = ref 0 in
-    List.iter
-      (fun epoch ->
-        List.iter
-          (fun router_id ->
-            let recs = Array.to_list (Db.window db_src ~router_id ~epoch) in
-            incr offered;
-            ignore (Daemon.submit_wait d ~router_id ~epoch recs))
-          (Db.routers_for db_src ~epoch);
-        Daemon.advance d ~epoch)
-      (Db.epochs db_src);
+    let windows = Db.windows db_src in
+    List.iter (replay_epoch d db_src) windows;
     Printf.printf "replaying %d window(s) over %d epoch(s); %d round(s) restored from checkpoints\n%!"
-      !offered
-      (List.length (Db.epochs db_src))
-      restored;
+      (List.length (List.concat_map snd windows)) (List.length windows) restored;
     (* Resident phase: sit behind the HTTP plane until a signal. A
        worker crash here (only possible with armed fault hooks) goes
        through the same supervised restart a real kill would. *)
@@ -964,7 +975,11 @@ let serve dir listen queries_n capacity watchdog_ms events =
     Zkflow_obs.Httpd.stop srv;
     let c = Daemon.counters d in
     write_file (board_path dir) (Bytes.of_string (Board.export board));
-    write_file (service_path dir) (Prover_service.save (Daemon.service d));
+    (* verify accepts a prefix of rounds, so only a whole history
+       replaces the receipts.bin an earlier run wrote. *)
+    (match Result.bind drained (fun () -> check_complete d db_src) with
+    | Ok () -> write_receipts dir (Daemon.service d)
+    | Error e -> Printf.eprintf "warning: %s left as it was: %s\n%!" (receipts_path dir) e);
     Daemon.stop d;
     finish_sampler ();
     let* () = drained in
@@ -973,7 +988,7 @@ let serve dir listen queries_n capacity watchdog_ms events =
       c.Daemon.accepted c.Daemon.shed c.Daemon.duplicates c.Daemon.rounds
       c.Daemon.heal_rounds
       (String.sub (Daemon.root_hex d) 0 16);
-    Printf.printf "state flushed to %s (board.txt, service.bin, events, timeseries)\n" dir;
+    Printf.printf "state flushed to %s (board.txt, receipts.bin, events, timeseries)\n" dir;
     Ok ()
 
 (* ---- bench-diff ---- *)

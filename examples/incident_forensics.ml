@@ -40,7 +40,12 @@ let () =
     List.map
       (fun epoch ->
         ignore (Result.get_ok (Prover_service.publish_epoch d.Zkflow.service ~epoch));
-        let r = Result.get_ok (Prover_service.aggregate_epoch d.Zkflow.service ~epoch) in
+        let r =
+          match Prover_service.aggregate_available d.Zkflow.service ~epoch with
+          | Ok (Prover_service.Complete r) -> r
+          | Ok _ -> failwith "a window went uncovered"
+          | Error e -> failwith e
+        in
         Printf.printf "window %d aggregated and proved (%d flows total)\n" epoch
           (Clog.length r.Aggregate.clog);
         r)

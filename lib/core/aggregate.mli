@@ -14,9 +14,9 @@ type round = {
   cycles : int;           (** guest cycles (the zkVM cost driver) *)
   execute_s : float;      (** guest execution wall time *)
   prove_s : float;        (** proof generation wall time *)
-  restored : bool;        (** [true] when deserialized by
-                              {!Prover_service.load} rather than proved
-                              in this process (timings read 0) *)
+  restored : bool;        (** [true] when read back from the
+                              checkpoint journal rather than proved in
+                              this process (timings read 0) *)
 }
 
 val execute :

@@ -147,7 +147,10 @@ let emit_once emitted ~kind ~router ~epoch =
     Event.emit ~router ~epoch ~track:"fault" kind
   end
 
+(* A published window is registered (an empty one included) so the
+   twin's round covers it, as the daemon's ingest does. *)
 let publish_pair board db ~router_id ~epoch =
+  Db.add_window db ~router_id ~epoch;
   let records = Db.window db ~router_id ~epoch in
   Board.publish board records ~router_id ~epoch
 
@@ -180,7 +183,7 @@ let publish_walk ~held emitted board db ~plan ~emit =
   in
   let rec per_epoch = function
     | [] -> Ok ()
-    | epoch :: rest ->
+    | (epoch, routers) :: rest ->
       let rec per_router = function
         | [] -> per_epoch rest
         | router_id :: rs ->
@@ -199,9 +202,9 @@ let publish_walk ~held emitted board db ~plan ~emit =
             let* () = attempt_duplicate emitted board db ~plan ~emit ~router_id ~epoch in
             per_router rs
       in
-      per_router (Db.routers_for db ~epoch)
+      per_router routers
   in
-  per_epoch (Db.epochs db)
+  per_epoch (Db.windows db)
 
 (* ---- aggregation phase of the twin ---- *)
 
@@ -424,8 +427,8 @@ let run ?dir ?(config = default_config) ~plan () =
   in
   (* Per-epoch schedule: ingest the epoch's windows, publish on the
      routers' behalf, close the epoch, let the worker prove it. *)
-  let epoch_step epoch () =
-    List.iter (fun router_id -> offer ~router_id ~epoch) (Db.routers_for db_sim ~epoch);
+  let epoch_step (epoch, routers) () =
+    List.iter (fun router_id -> offer ~router_id ~epoch) routers;
     settle ();
     let* () = publish_walk ~held:false emitted board db_sim ~plan ~emit:true in
     Daemon.advance d ~epoch;
@@ -446,11 +449,11 @@ let run ?dir ?(config = default_config) ~plan () =
     try
       let rec epochs_loop = function
         | [] -> Ok ()
-        | epoch :: rest ->
-          let* () = step "epoch" (epoch_step epoch) in
+        | window :: rest ->
+          let* () = step "epoch" (epoch_step window) in
           epochs_loop rest
       in
-      let* () = epochs_loop (Db.epochs db_sim) in
+      let* () = epochs_loop (Db.windows db_sim) in
       (* Deliver what the delays held back, then drain: the heal
          rounds happen inside the drain — which is exactly where the
          kill-during-drain plans aim. *)
@@ -554,14 +557,12 @@ let run ?dir ?(config = default_config) ~plan () =
   in
   let slo_ok = missed = [] && spurious = [] in
   let twin_slo_ok = twin_spurious = [] in
-  (* Leave artifacts behind for `zkflow stats` / `monitor`: the public
-     board and the saved service state, both written atomically. *)
+  (* Leave the public board behind, written atomically, for `zkflow
+     stats` / `monitor`; the prover state they read is the checkpoint
+     journal already in [dir]. *)
   Zkflow_store.Wal.write_file_atomic
     (Filename.concat dir "board.txt")
     (Bytes.of_string (Board.export board));
-  Zkflow_store.Wal.write_file_atomic
-    (Filename.concat dir "service.bin")
-    (Prover_service.save service);
   Daemon.stop d;
   Ok
     {

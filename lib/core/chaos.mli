@@ -100,9 +100,10 @@ val run :
 (** Execute one chaos cycle: simulate → batch twin → daemon under the
     plan's kills and corruption → flood burst (if planned) → verify.
     [?dir] (default: a fresh temp directory) receives [rlogs.wal] and
-    [checkpoints.wal], and at the end the [board.txt] / [service.bin]
-    artifacts [zkflow monitor] reads; an existing [checkpoints.wal]
-    there is removed first so every run starts cold. [Error _] means
+    [checkpoints.wal], and at the end the [board.txt] that, with the
+    checkpoint journal, [zkflow monitor] reads; an existing
+    [checkpoints.wal] there is removed first so every run starts
+    cold. [Error _] means
     the harness itself could not complete (e.g. the restart budget was
     exhausted, or the board accepted a duplicate) — fault-induced
     degradation is {e not} an error, it is a [Degraded] report. *)

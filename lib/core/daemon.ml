@@ -28,33 +28,29 @@ let ( let* ) = Result.bind
 type config = {
   queue_capacity : int;
   publish : bool;
-  retry_attempts : int;
-  retry_base_ms : float;
-  retry_max_ms : float;
   retry_sleep : float -> unit;
-  breaker_threshold : int;
-  breaker_cooldown : int;
-  watchdog_max_queue : int;
-  watchdog_max_round_s : float;
   watchdog_interval_ms : int;
-  gap_grace : int;
 }
 
 let default_config =
-  {
-    queue_capacity = 64;
-    publish = true;
-    retry_attempts = 5;
-    retry_base_ms = 1.;
-    retry_max_ms = 50.;
-    retry_sleep = Thread.delay;
-    breaker_threshold = 3;
-    breaker_cooldown = 4;
-    watchdog_max_queue = 48;
-    watchdog_max_round_s = 30.;
-    watchdog_interval_ms = 0;
-    gap_grace = 1;
-  }
+  { queue_capacity = 64; publish = true; retry_sleep = Thread.delay; watchdog_interval_ms = 0 }
+
+(* Per I/O edge: 5 attempts, jittered backoff from 1 ms capped at
+   50 ms. *)
+let retry_attempts = 5
+let retry_base_ms = 1.
+let retry_max_ms = 50.
+
+(* 3 consecutive exhausted edges open the breaker; it half-opens after
+   4 worker passes. *)
+let breaker_threshold = 3
+let breaker_cooldown = 4
+
+(* /healthz trips above this queue depth, after a round this slow, or
+   when a gap stays open past this many rounds. *)
+let watchdog_max_queue = 48
+let watchdog_max_round_s = 30.
+let gap_grace = 1
 
 type submit_result = Accepted | Shed | Duplicate | Closed
 
@@ -101,6 +97,7 @@ type t = {
   mutable drained : bool;
   mutable breaker_opens : int;
   mutable last_round_s : float option;
+  mutable round_errors : (int * string) list; (* epoch -> its last round error *)
   mutable last_healthy : bool;
   (* query memo: (root hex | encoded query) -> proved row. Guarded by
      [memo_m]; proving itself is serialized behind [prove_m]. *)
@@ -195,18 +192,18 @@ let breaker_allows t =
   match t.breaker with Closed_b | Half_open_b -> true | Open_b _ -> false
 
 let breaker_open t ~edge =
-  t.breaker <- Open_b t.config.breaker_cooldown;
+  t.breaker <- Open_b breaker_cooldown;
   t.breaker_opens <- t.breaker_opens + 1;
   Obs.Metric.add c_breaker_open 1;
   emit "daemon.breaker.open"
-    [ ("edge", Jsonx.Str edge); ("cooldown_passes", num t.config.breaker_cooldown) ]
+    [ ("edge", Jsonx.Str edge); ("cooldown_passes", num breaker_cooldown) ]
 
 let edge_failed t ~edge err =
   t.edge_failures <- t.edge_failures + 1;
   emit "daemon.edge.exhausted" [ ("edge", Jsonx.Str edge); ("error", Jsonx.Str err) ];
   match t.breaker with
   | Half_open_b -> breaker_open t ~edge
-  | Closed_b when t.edge_failures >= t.config.breaker_threshold ->
+  | Closed_b when t.edge_failures >= breaker_threshold ->
     breaker_open t ~edge
   | _ -> ()
 
@@ -225,9 +222,8 @@ let breaker_tick t =
   | _ -> ()
 
 let retry_edge t ~label f =
-  Fault.Retry.with_backoff ~max_attempts:t.config.retry_attempts
-    ~base_ms:t.config.retry_base_ms ~max_ms:t.config.retry_max_ms
-    ~sleep:t.config.retry_sleep ~rng:t.retry_rng ~label f
+  Fault.Retry.with_backoff ~max_attempts:retry_attempts ~base_ms:retry_base_ms
+    ~max_ms:retry_max_ms ~sleep:t.config.retry_sleep ~rng:t.retry_rng ~label f
 
 (* ---- health / watchdog ---- *)
 
@@ -245,14 +241,11 @@ let health_snapshot t =
   (match crashed with
   | Some site -> add (Printf.sprintf "crashed at %s" site)
   | None -> ());
-  if depth > t.config.watchdog_max_queue then
-    add
-      (Printf.sprintf "queue depth %d > %d" depth t.config.watchdog_max_queue);
+  if depth > watchdog_max_queue then
+    add (Printf.sprintf "queue depth %d > %d" depth watchdog_max_queue);
   (match last_round with
-  | Some s when s > t.config.watchdog_max_round_s ->
-    add
-      (Printf.sprintf "round latency %.3fs > %.3fs" s
-         t.config.watchdog_max_round_s)
+  | Some s when s > watchdog_max_round_s ->
+    add (Printf.sprintf "round latency %.3fs > %.3fs" s watchdog_max_round_s)
   | _ -> ());
   (match breaker with
   | Open_b _ -> add "circuit breaker open"
@@ -263,7 +256,7 @@ let health_snapshot t =
   let report =
     Monitor.build
       ~frames:(Obs.Timeseries.frames ())
-      ~gap_grace:t.config.gap_grace (Obs.Event.events ())
+      ~gap_grace (Obs.Event.events ())
   in
   if not (Monitor.healthy report) then add "monitor strict checks failed";
   { healthy = !reasons = []; reasons = List.rev !reasons }
@@ -320,8 +313,12 @@ let ingest_pass t =
       edge_failed t ~edge:"ingest" err;
       Mutex.unlock t.m
     | Ok () ->
+      (* A window is registered even when it holds no record: the
+         router committed to it, so the epoch's round must cover it. *)
       List.iter
-        (fun it -> List.iter (fun r -> Db.insert t.db r) it.records)
+        (fun it ->
+          Db.add_window t.db ~router_id:it.router_id ~epoch:it.epoch;
+          List.iter (fun r -> Db.insert t.db r) it.records)
         items;
       Db.sync t.db;
       Mutex.lock t.m;
@@ -442,6 +439,7 @@ let rounds_pass t ~watermark =
         | Error err ->
           Mutex.lock t.m;
           edge_failed t ~edge:"round" err;
+          t.round_errors <- (epoch, err) :: List.remove_assoc epoch t.round_errors;
           Mutex.unlock t.m;
           emit ~epoch "daemon.round.error" [ ("error", Jsonx.Str err) ]
       end)
@@ -516,10 +514,15 @@ let worker_loop t =
         Mutex.lock t.m;
         t.done_gen <- max t.done_gen g;
         Mutex.unlock t.m
-      | exception Fault.Crash site ->
-        (* The simulated SIGKILL: everything volatile is gone. The
-           checkpoint WAL's unsynced tail is abandoned (exactly what a
-           real crash does to it) and the queue is dropped. *)
+      | exception e ->
+        (* The simulated SIGKILL, or any other exception a pass raises
+           (a checkpoint write failing with ENOSPC, say): everything
+           volatile is gone. The checkpoint WAL's unsynced tail is
+           abandoned (exactly what a real crash does to it) and the
+           queue is dropped. Parking the daemon as crashed is what
+           lets [await_idle] and [drain] return instead of waiting on
+           a dead worker. *)
+        let site = match e with Fault.Crash site -> site | e -> Printexc.to_string e in
         Mutex.lock t.m;
         t.crashed <- Some site;
         Queue.clear t.queue;
@@ -598,6 +601,7 @@ let create ?(config = default_config) ?proof_params ?(seed = 0x5e17e) ?(paused =
         drained = false;
         breaker_opens = 0;
         last_round_s = None;
+        round_errors = [];
         last_healthy = true;
         memo_m = Mutex.create ();
         prove_m = Mutex.create ();
@@ -737,6 +741,12 @@ let stop t =
 
 let service t = t.service
 
+let round_error t ~epoch =
+  Mutex.lock t.m;
+  let e = List.assoc_opt epoch t.round_errors in
+  Mutex.unlock t.m;
+  e
+
 let root_hex t = D.to_hex (Clog.root (Prover_service.clog t.service))
 
 type counters = {
@@ -789,21 +799,9 @@ let encode_predicate (p : Guests.predicate) =
   String.concat "/"
     [ ip p.src_ip; ip p.dst_ip; int_f p.ports; int_f p.proto ]
 
-let encode_op = function
-  | Guests.Sum -> "sum"
-  | Guests.Count -> "count"
-  | Guests.Max -> "max"
-  | Guests.Min -> "min"
-
-let encode_metric = function
-  | Guests.Packets -> "packets"
-  | Guests.Bytes -> "bytes"
-  | Guests.Hops -> "hops"
-  | Guests.Losses -> "losses"
-
 let encode_params (p : Guests.query_params) =
   String.concat "/"
-    [ encode_predicate p.predicate; encode_op p.op; encode_metric p.metric ]
+    [ encode_predicate p.predicate; Guests.op_name p.op; Guests.metric_name p.metric ]
 
 let memo_note_hit t =
   Mutex.lock t.memo_m;
@@ -865,7 +863,7 @@ let query_flows t ~metric keys =
   let clog = snapshot_clog t in
   let key =
     D.to_hex (Clog.root clog)
-    ^ "|f|" ^ encode_metric metric ^ "|"
+    ^ "|f|" ^ Guests.metric_name metric ^ "|"
     ^ String.concat ","
         (List.map
            (fun (k : Flowkey.t) ->
@@ -900,20 +898,6 @@ let json status body : Httpd.response =
 let bad_request msg =
   json 400 (Jsonx.Obj [ ("error", Jsonx.Str msg) ])
 
-let parse_metric = function
-  | "packets" -> Ok Guests.Packets
-  | "bytes" -> Ok Guests.Bytes
-  | "hops" -> Ok Guests.Hops
-  | "losses" -> Ok Guests.Losses
-  | s -> Error (Printf.sprintf "unknown metric %S" s)
-
-let parse_op = function
-  | "sum" -> Ok Guests.Sum
-  | "count" -> Ok Guests.Count
-  | "max" -> Ok Guests.Max
-  | "min" -> Ok Guests.Min
-  | s -> Error (Printf.sprintf "unknown op %S" s)
-
 let parse_query_request req =
   let opt name parse =
     match Httpd.param req name with
@@ -929,9 +913,9 @@ let parse_query_request req =
   let* dst_ip = opt "dst" Ipaddr.of_string in
   let* ports = opt "ports" int_param in
   let* proto = opt "proto" int_param in
-  let* op = parse_op (Option.value ~default:"sum" (Httpd.param req "op")) in
+  let* op = Guests.op_of_name (Option.value ~default:"sum" (Httpd.param req "op")) in
   let* metric =
-    parse_metric (Option.value ~default:"packets" (Httpd.param req "metric"))
+    Guests.metric_of_name (Option.value ~default:"packets" (Httpd.param req "metric"))
   in
   Ok { Guests.predicate = { src_ip; dst_ip; ports; proto }; op; metric }
 
@@ -1007,7 +991,7 @@ let index_response =
        ])
 
 let handler ?specs t : Httpd.handler =
-  let base = Watch.handler ?specs ~gap_grace:t.config.gap_grace (Watch.live_source ()) in
+  let base = Watch.handler ?specs ~gap_grace (Watch.live_source ()) in
   fun req ->
     match req.Httpd.path with
     | "/" -> Some index_response
@@ -1040,8 +1024,8 @@ let handler ?specs t : Httpd.handler =
                     ("root", Jsonx.Str (D.to_hex j.Guests.root));
                     ("result", num j.Guests.result);
                     ("matches", num j.Guests.matches);
-                    ("op", Jsonx.Str (encode_op params.Guests.op));
-                    ("metric", Jsonx.Str (encode_metric params.Guests.metric));
+                    ("op", Jsonx.Str (Guests.op_name params.Guests.op));
+                    ("metric", Jsonx.Str (Guests.metric_name params.Guests.metric));
                     ("cached", Jsonx.Bool cached);
                     ("cycles", num row.Query.cycles);
                   ]))))
@@ -1052,7 +1036,7 @@ let handler ?specs t : Httpd.handler =
       | Ok keys -> (
         match
           let* metric =
-            parse_metric
+            Guests.metric_of_name
               (Option.value ~default:"bytes" (Httpd.param req "metric"))
           in
           query_flows t ~metric keys
@@ -1065,7 +1049,7 @@ let handler ?specs t : Httpd.handler =
                   [
                     ("schema", Jsonx.Str "zkflow-daemon-flows/v1");
                     ("root", Jsonx.Str (D.to_hex fr.Query.root));
-                    ("metric", Jsonx.Str (encode_metric fr.Query.metric));
+                    ("metric", Jsonx.Str (Guests.metric_name fr.Query.metric));
                     ("count", num (List.length fr.Query.rows));
                     ("total", num fr.Query.total);
                     ("cached", Jsonx.Bool cached);

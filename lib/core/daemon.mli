@@ -22,17 +22,23 @@
     {b I/O edges.} Ingest ([daemon.ingest] failpoint) and board
     publication ([daemon.publish] failpoint, when [publish] is on)
     run under {!Zkflow_fault.Fault.Retry.with_backoff} with seeded
-    full jitter. Edges that exhaust their retry budget feed a circuit
-    breaker: past [breaker_threshold] consecutive exhaustions the
-    breaker opens ([daemon.breaker.open]), publication is skipped —
-    rounds proceed in the PR-5 degraded/gap-journal mode instead of
-    wedging — and after [breaker_cooldown] worker passes the breaker
-    half-opens and probes again ([daemon.breaker.close] on success).
+    full jitter: 5 attempts, backoff from 1 ms capped at 50 ms. Edges
+    that exhaust their retry budget feed a circuit breaker: at 3
+    consecutive exhaustions the breaker opens ([daemon.breaker.open]),
+    publication is skipped — rounds proceed in the degraded
+    gap-journal mode instead of wedging — and after 4 worker passes
+    the breaker half-opens and probes again ([daemon.breaker.close]
+    on success).
+
+    {b Windows.} Every submitted window is registered in the store,
+    an empty one included ({!Zkflow_store.Db.add_window}): the router
+    committed to it, so the epoch's round covers it.
 
     {b Lifecycle.} [Running → Draining → Stopped], with [Crashed] as
-    an off-path state: a {!Zkflow_fault.Fault.Crash} anywhere in the
+    an off-path state: a {!Zkflow_fault.Fault.Crash} — or any other
+    exception, such as a failed checkpoint write — anywhere in the
     worker abandons the checkpoint WAL's unsynced tail and parks the
-    daemon; {!restart} re-runs {!Prover_service.resume} (emitting
+    daemon (the crash site is the exception's text); {!restart} re-runs {!Prover_service.resume} (emitting
     [prover.resume]) and re-proves bit-identically. {!drain} is the
     SIGTERM path: stop intake, finish everything in flight (including
     heal rounds), then return — the caller flushes artifacts and
@@ -42,32 +48,19 @@ type config = {
   queue_capacity : int;  (** bounded ingest queue, in windows *)
   publish : bool;
       (** daemon publishes ingested windows to the board on the
-          routers' behalf (on for [zkflow serve]; the chaos harness
-          turns it off and drives the board itself) *)
-  retry_attempts : int;  (** per-I/O-edge retry budget *)
-  retry_base_ms : float;
-  retry_max_ms : float;
+          routers' behalf (on for [zkflow serve]; [zkflow prove] and
+          the chaos harness turn it off: the board is given) *)
   retry_sleep : float -> unit;
       (** how to spend the jittered backoff (seconds);
           [Thread.delay] in production, a no-op in deterministic
           harnesses *)
-  breaker_threshold : int;
-      (** consecutive exhausted edges before the breaker opens *)
-  breaker_cooldown : int;
-      (** worker passes the breaker stays open before half-opening *)
-  watchdog_max_queue : int;  (** /healthz trips above this depth *)
-  watchdog_max_round_s : float;
-      (** /healthz trips when the last round took longer *)
   watchdog_interval_ms : int;
       (** watchdog thread period; [0] disables the thread (health is
           still checked at the end of every worker pass) *)
-  gap_grace : int;  (** forwarded to {!Monitor.build} for /healthz *)
 }
 
 val default_config : config
-(** capacity 64, publish on, 5 attempts (base 1 ms, cap 50 ms,
-    [Thread.delay]), breaker 3/4, watchdog depth 48 / 30 s / thread
-    off, gap_grace 1. *)
+(** capacity 64, publish on, [Thread.delay], watchdog thread off. *)
 
 type t
 
@@ -149,6 +142,10 @@ val unpause : t -> unit
 val service : t -> Prover_service.t
 (** The underlying prover service (read-only use expected). *)
 
+val round_error : t -> epoch:int -> string option
+(** The error of the last failed round over [epoch], if a round over
+    it failed. *)
+
 val root_hex : t -> string
 (** Current CLog root, hex. *)
 
@@ -173,10 +170,11 @@ type health = { healthy : bool; reasons : string list }
 
 val health : t -> health
 (** The /healthz verdict, [monitor --strict] semantics included: a
-    crash, a queue depth or round latency past the watchdog SLO, an
-    open breaker, or an unhealthy {!Monitor.build} report over the
-    live event ring each contribute a named reason. The first
-    healthy→unhealthy transition emits [daemon.watchdog.trip]. *)
+    crash, a queue depth above 48 or a last round slower than 30 s,
+    an open breaker, or an unhealthy {!Monitor.build} report (gap
+    grace 1 round) over the live event ring each contribute a named
+    reason. The first healthy→unhealthy transition emits
+    [daemon.watchdog.trip]. *)
 
 val query :
   t -> Guests.query_params -> (Query.result_row * bool, string) result

@@ -489,6 +489,24 @@ let metric_of_code = function
   | 3 -> Ok Losses
   | n -> Error (Printf.sprintf "journal: unknown metric %d" n)
 
+(* The one text codec for ops and metrics, shared by the CLI flags,
+   the daemon's HTTP parameters and its memo keys. *)
+let op_names = [ (Sum, "sum"); (Count, "count"); (Max, "max"); (Min, "min") ]
+
+let metric_names =
+  [ (Packets, "packets"); (Bytes, "bytes"); (Hops, "hops"); (Losses, "losses") ]
+
+let op_name op = List.assoc op op_names
+let metric_name metric = List.assoc metric metric_names
+
+let of_name what names s =
+  match List.find_opt (fun (_, n) -> n = s) names with
+  | Some (v, _) -> Ok v
+  | None -> Error (Printf.sprintf "unknown %s %S" what s)
+
+let op_of_name = of_name "op" op_names
+let metric_of_name = of_name "metric" metric_names
+
 let params_words p =
   let field = function None -> (0, 0) | Some v -> (1, v) in
   let c0, v0 = field p.predicate.src_ip in

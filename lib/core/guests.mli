@@ -65,6 +65,15 @@ type predicate = {
 
 type query_params = { predicate : predicate; op : op; metric : metric }
 
+(** The text codec of ops (["sum"], ["count"], ["max"], ["min"]) and
+    metrics (["packets"], ["bytes"], ["hops"], ["losses"]); the
+    parsers name an unknown word in their [Error]. *)
+
+val op_name : op -> string
+val op_of_name : string -> (op, string) result
+val metric_name : metric -> string
+val metric_of_name : string -> (metric, string) result
+
 val match_any : predicate
 (** All wildcards. *)
 

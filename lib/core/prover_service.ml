@@ -22,8 +22,6 @@ type outcome =
   | Degraded of Aggregate.round * gap list
   | Skipped of gap list
 
-type checkpointer = { path : string; mutable wal : Wal.t }
-
 type t = {
   proof_params : Zkflow_zkproof.Params.t;
   db : Db.t;
@@ -33,7 +31,7 @@ type t = {
   mutable rounds_rev : Aggregate.round list;
   mutable coverage_rev : coverage list;
   mutable gaps : gap list; (* oldest first *)
-  mutable ckpt : checkpointer option;
+  mutable ckpt : Wal.t option; (* the checkpoint journal, when on *)
 }
 
 let create ?(proof_params = Zkflow_zkproof.Params.default) ~db ~board () =
@@ -87,11 +85,14 @@ type publish_report = { published : Commitment.t list; skipped : int list }
 (* Idempotent: a partially-published epoch (the process died after
    some routers' publications landed) re-runs cleanly — pairs already
    on the board are skipped and reported, never re-attempted, so the
-   board's reject path is reserved for genuine protocol violations. *)
+   board's reject path is reserved for genuine protocol violations.
+   Every router commits to its window, an empty one included, and the
+   store registers that window so the epoch's round covers it. *)
 let publish_epoch t ~epoch =
   let rec go pub skipped = function
     | [] -> Ok { published = List.rev pub; skipped = List.rev skipped }
     | router_id :: rest -> (
+      Db.add_window t.db ~router_id ~epoch;
       match Board.lookup t.board ~router_id ~epoch with
       | Some _ -> go pub (router_id :: skipped) rest
       | None ->
@@ -123,7 +124,6 @@ let queue_depth t =
 module Wire = Zkflow_util.Wire
 
 let ckpt_magic = "zkflow.ckpt.v2"
-let ckpt_magic_v1 = "zkflow.ckpt.v1"
 
 let w_entries w clog =
   Wire.w_array w
@@ -137,11 +137,6 @@ let r_entry_array r =
       match Clog.entry_of_words words with
       | Ok e -> e
       | Error msg -> raise (Wire.Decode msg))
-
-let r_entries r =
-  match Clog.of_entries (r_entry_array r) with
-  | Ok clog -> clog
-  | Error msg -> raise (Wire.Decode msg)
 
 let w_coverage w (c : coverage) =
   Wire.w_int w c.epoch;
@@ -221,46 +216,35 @@ let decode_ckpt_row row =
       Error "checkpoint row: checksum mismatch"
     else
       Wire.decode payload (fun r ->
-          let magic = Wire.r_string r in
-          if magic <> ckpt_magic && magic <> ckpt_magic_v1 then
+          (* An older row (v1 predates the node snapshot, and its
+             receipt predates seal v2) stops here and is re-proved. *)
+          if Wire.r_string r <> ckpt_magic then
             raise (Wire.Decode "checkpoint row: bad magic");
           let cov = r_coverage r in
           let receipt_bytes = Wire.r_bytes r in
           let entries = r_entry_array r in
           let cycles = Wire.r_int r in
           let gaps = Wire.r_list r (fun () -> r_gap r) in
+          (* Adopt the persisted node store — no rebuild. *)
           let round_clog =
-            if magic = ckpt_magic then
-              (* v2: adopt the persisted node store — no rebuild. *)
-              match Clog.of_entries_with_snapshot entries ~snapshot:(Wire.r_bytes r) with
-              | Ok clog -> clog
-              | Error msg -> raise (Wire.Decode msg)
-            else
-              (* v1 rows predate node snapshots; the restored CLog
-                 rebuilds its tree lazily (cold resume). *)
-              match Clog.of_entries entries with
-              | Ok clog -> clog
-              | Error msg -> raise (Wire.Decode msg)
+            match Clog.of_entries_with_snapshot entries ~snapshot:(Wire.r_bytes r) with
+            | Ok clog -> clog
+            | Error msg -> raise (Wire.Decode msg)
           in
           (cov, restore_round receipt_bytes round_clog cycles, gaps))
   end
 
-let with_checkpoints t ~path = t.ckpt <- Some { path; wal = Wal.open_log path }
+let with_checkpoints t ~path = t.ckpt <- Some (Wal.open_log path)
 
-let checkpoint_path t = Option.map (fun c -> c.path) t.ckpt
-
-let abandon t =
-  match t.ckpt with
-  | None -> ()
-  | Some c -> Wal.abandon c.wal
+let abandon t = Option.iter Wal.abandon t.ckpt
 
 let checkpoint_append t ~cov ~gaps round =
   match t.ckpt with
   | None -> ()
-  | Some c ->
-    Wal.append c.wal (encode_ckpt_row ~cov ~gaps round);
+  | Some wal ->
+    Wal.append wal (encode_ckpt_row ~cov ~gaps round);
     Fault.crashpoint "ckpt.pre_sync";
-    Wal.sync c.wal;
+    Wal.sync wal;
     Fault.crashpoint "ckpt.post_sync"
 
 (* ---- aggregation rounds ---- *)
@@ -278,6 +262,22 @@ let fetch_commitment t ~router_id ~epoch =
 let gap_known t ~router_id ~epoch =
   List.exists (fun (g : gap) -> g.router_id = router_id && g.epoch = epoch) t.gaps
 
+(* The gaps [absent] opens at round [round_ix]: every pair the journal
+   does not hold yet. *)
+let fresh_gaps t ~epoch ~round_ix absent =
+  List.filter_map
+    (fun router_id ->
+      if gap_known t ~router_id ~epoch then None
+      else Some { router_id; epoch; detected_round = round_ix; healed_round = None })
+    absent
+
+let announce_gap_opens ~round_ix gaps =
+  List.iter
+    (fun (g : gap) ->
+      Obs.Event.emit ~router:g.router_id ~epoch:g.epoch ~round:round_ix ~track:"prover"
+        "prover.gap.open")
+    gaps
+
 (* A late-arriving export: the round for [epoch] already ran without
    [router_id] (its records were not in the store at round time, so no
    gap was recorded), and the records only showed up afterwards. The
@@ -287,15 +287,13 @@ let gap_known t ~router_id ~epoch =
    crash loses it, but detection is idempotent — the records are in
    the store, so the caller re-detects it after resume. *)
 let note_gap t ~router_id ~epoch =
-  if gap_known t ~router_id ~epoch then false
-  else begin
-    let round_ix = List.length t.rounds_rev in
-    t.gaps <-
-      t.gaps @ [ { router_id; epoch; detected_round = round_ix; healed_round = None } ];
-    Obs.Event.emit ~router:router_id ~epoch ~round:round_ix ~track:"prover"
-      "prover.gap.open";
+  let round_ix = List.length t.rounds_rev in
+  match fresh_gaps t ~epoch ~round_ix [ router_id ] with
+  | [] -> false
+  | gaps ->
+    t.gaps <- t.gaps @ gaps;
+    announce_gap_opens ~round_ix gaps;
     true
-  end
 
 (* The shared tail of every aggregation entry point: prove the round
    over [batches], checkpoint it together with its coverage record and
@@ -327,13 +325,7 @@ let prove_and_commit t ~epoch ~routers ~absent ~heal batches =
           else g)
         t.gaps
   in
-  let new_gaps =
-    List.filter_map
-      (fun router_id ->
-        if gap_known t ~router_id ~epoch then None
-        else Some { router_id; epoch; detected_round = round_ix; healed_round = None })
-      absent
-  in
+  let new_gaps = fresh_gaps t ~epoch ~round_ix absent in
   let gaps' = base_gaps @ new_gaps in
   Fault.crashpoint "agg.pre_checkpoint";
   checkpoint_append t ~cov ~gaps:gaps' round;
@@ -342,11 +334,7 @@ let prove_and_commit t ~epoch ~routers ~absent ~heal batches =
   t.rounds_rev <- round :: t.rounds_rev;
   t.coverage_rev <- cov :: t.coverage_rev;
   t.gaps <- gaps';
-  List.iter
-    (fun (g : gap) ->
-      Obs.Event.emit ~router:g.router_id ~epoch ~round:round_ix ~track:"prover"
-        "prover.gap.open")
-    new_gaps;
+  announce_gap_opens ~round_ix new_gaps;
   Ok (round, new_gaps)
 
 (* The per-round latency histograms the time-series sampler snapshots:
@@ -355,44 +343,58 @@ let prove_and_commit t ~epoch ~routers ~absent ~heal batches =
 let h_round_ns = Obs.Metric.histogram "prover.round_ns"
 let h_prove_ns = Obs.Metric.histogram "prover.prove_ns"
 
-let round_done_event t ~epoch ~round_ix ~covered ~missing ~heal
-    (round : Aggregate.round) =
-  let prove_ns = int_of_float (Float.round (round.Aggregate.prove_s *. 1e9)) in
-  let execute_ns = int_of_float (Float.round (round.Aggregate.execute_s *. 1e9)) in
-  Obs.Metric.observe h_round_ns (prove_ns + execute_ns);
-  Obs.Metric.observe h_prove_ns prove_ns;
-  Obs.Event.emit ~epoch ~round:round_ix ~track:"prover" "prover.round.done"
-    ~attrs:
-      [
-        ("cycles", Jsonx.Num (float_of_int round.Aggregate.cycles));
-        ("entries", Jsonx.Num (float_of_int (Clog.length round.Aggregate.clog)));
-        ("prove_ns", Jsonx.Num (Float.round (round.Aggregate.prove_s *. 1e9)));
-        ("execute_ns", Jsonx.Num (Float.round (round.Aggregate.execute_s *. 1e9)));
-        ("queue_depth", Jsonx.Num (float_of_int (queue_depth t)));
-        ("covered", Jsonx.Num (float_of_int covered));
-        ("missing", Jsonx.Num (float_of_int missing));
-        ("heal", Jsonx.Num (if heal then 1. else 0.));
-      ]
+(* Every round runs inside this wrapper: [prover.round.start] before
+   it, then [prover.round.error] for a failed round, or
+   [prover.round.done] (and the latency histograms) for the round [f]
+   proved, with the number of routers it covered and missed. [f] gets
+   the round index and returns its result with that round, if any. *)
+let in_round t ~epoch ~heal f =
+  let round_ix = List.length t.rounds_rev in
+  Obs.Event.emit ~epoch ~round:round_ix ~track:"prover" "prover.round.start"
+    ~attrs:[ ("queue_depth", Jsonx.Num (float_of_int (queue_depth t))) ];
+  match f round_ix with
+  | Error e ->
+    Obs.Event.emit ~epoch ~round:round_ix ~track:"prover" "prover.round.error"
+      ~attrs:[ ("detail", Jsonx.Str e) ];
+    Error e
+  | Ok (result, None) -> Ok result
+  | Ok (result, Some ((round : Aggregate.round), covered, missing)) ->
+    let prove_ns = int_of_float (Float.round (round.Aggregate.prove_s *. 1e9)) in
+    let execute_ns = int_of_float (Float.round (round.Aggregate.execute_s *. 1e9)) in
+    Obs.Metric.observe h_round_ns (prove_ns + execute_ns);
+    Obs.Metric.observe h_prove_ns prove_ns;
+    Obs.Event.emit ~epoch ~round:round_ix ~track:"prover" "prover.round.done"
+      ~attrs:
+        [
+          ("cycles", Jsonx.Num (float_of_int round.Aggregate.cycles));
+          ("entries", Jsonx.Num (float_of_int (Clog.length round.Aggregate.clog)));
+          ("prove_ns", Jsonx.Num (float_of_int prove_ns));
+          ("execute_ns", Jsonx.Num (float_of_int execute_ns));
+          ("queue_depth", Jsonx.Num (float_of_int (queue_depth t)));
+          ("covered", Jsonx.Num (float_of_int covered));
+          ("missing", Jsonx.Num (float_of_int missing));
+          ("heal", Jsonx.Num (if heal then 1. else 0.));
+        ];
+    Ok result
 
+(* One fetch per router: the routers whose commitment is on the board,
+   each with its round batch (the published digest and the store's
+   window), and the routers whose commitment is not. *)
 let fetch_batches t ~epoch routers =
   let t_fetch = Obs.Span.start () in
-  let rec collect acc = function
-    | [] -> Ok (List.rev acc)
+  let rec collect present absent = function
+    | [] -> Ok (List.rev present, List.rev absent)
     | router_id :: rest -> (
       let* c = fetch_commitment t ~router_id ~epoch in
       match c with
-      | None ->
-        Error
-          (Printf.sprintf
-             "aggregate: router %d has no published commitment for epoch %d"
-             router_id epoch)
+      | None -> collect present (router_id :: absent) rest
       | Some c ->
         let records = Db.window t.db ~router_id ~epoch in
-        collect ((c.Commitment.batch, records) :: acc) rest)
+        collect ((router_id, (c.Commitment.batch, records)) :: present) absent rest)
   in
-  let batches = collect [] routers in
+  let fetched = collect [] [] routers in
   if t_fetch <> 0 then Obs.Span.finish "round.fetch" t_fetch;
-  batches
+  fetched
 
 let gate_aggregation () =
   let t_gate = Obs.Span.start () in
@@ -402,86 +404,31 @@ let gate_aggregation () =
   if t_gate <> 0 then Obs.Span.finish "round.gate" t_gate;
   gated
 
-(* Strict mode: every router known to the store must have published —
-   the pre-chaos contract, still the right default for `zkflow prove`
-   over a fully-simulated state directory. *)
-let aggregate_epoch t ~epoch =
-  let round_ix = List.length t.rounds_rev in
-  Obs.Event.emit ~epoch ~round:round_ix ~track:"prover" "prover.round.start"
-    ~attrs:[ ("queue_depth", Jsonx.Num (float_of_int (queue_depth t))) ];
-  let result =
-    let routers = Db.routers t.db in
-    let* batches = fetch_batches t ~epoch routers in
-    let* () = gate_aggregation () in
-    let* round, _ = prove_and_commit t ~epoch ~routers ~absent:[] ~heal:false batches in
-    Ok round
-  in
-  match result with
-  | Error e ->
-    Obs.Event.emit ~epoch ~round:round_ix ~track:"prover" "prover.round.error"
-      ~attrs:[ ("detail", Jsonx.Str e) ];
-    Error e
-  | Ok round ->
-    round_done_event t ~epoch ~round_ix
-      ~covered:(List.length (Db.routers t.db))
-      ~missing:0 ~heal:false round;
-    Ok round
-
-(* Degraded mode: the round proceeds over the routers whose commitment
-   is actually on the board; everyone else becomes a named entry in
-   the gap journal, to be folded in by a later heal round. The service
-   keeps making progress while a router lags — the paper's off-path
-   decoupling taken seriously. *)
+(* The one way to prove a new epoch. The round covers every window of
+   the epoch (per Db.routers_for) whose commitment is on the board;
+   every other window becomes a named entry in the gap journal, to be
+   folded in by a later heal round. The service keeps making progress
+   while a router lags — the paper's off-path decoupling taken
+   seriously. *)
 let aggregate_available t ~epoch =
-  let round_ix = List.length t.rounds_rev in
-  Obs.Event.emit ~epoch ~round:round_ix ~track:"prover" "prover.round.start"
-    ~attrs:[ ("queue_depth", Jsonx.Num (float_of_int (queue_depth t))) ];
-  let expected = Db.routers_for t.db ~epoch in
-  let result =
-    let rec split present absent = function
-      | [] -> Ok (List.rev present, List.rev absent)
-      | router_id :: rest ->
-        let* c = fetch_commitment t ~router_id ~epoch in
-        (match c with
-        | Some _ -> split (router_id :: present) absent rest
-        | None -> split present (router_id :: absent) rest)
-    in
-    let* present, absent = split [] [] expected in
-    match present with
-    | [] ->
-      let new_gaps =
-        List.filter_map
-          (fun router_id ->
-            if gap_known t ~router_id ~epoch then None
-            else
-              Some { router_id; epoch; detected_round = round_ix; healed_round = None })
-          absent
-      in
-      t.gaps <- t.gaps @ new_gaps;
-      List.iter
-        (fun (g : gap) ->
-          Obs.Event.emit ~router:g.router_id ~epoch ~round:round_ix ~track:"prover"
-            "prover.gap.open")
-        new_gaps;
-      Obs.Event.emit ~epoch ~round:round_ix ~track:"prover" "prover.round.skipped"
-        ~attrs:[ ("missing", Jsonx.Num (float_of_int (List.length absent))) ];
-      Ok (Skipped new_gaps)
-    | _ ->
-      let* batches = fetch_batches t ~epoch present in
-      let* () = gate_aggregation () in
-      let* round, new_gaps =
-        prove_and_commit t ~epoch ~routers:present ~absent ~heal:false batches
-      in
-      round_done_event t ~epoch ~round_ix ~covered:(List.length present)
-        ~missing:(List.length absent) ~heal:false round;
-      if absent = [] then Ok (Complete round) else Ok (Degraded (round, new_gaps))
-  in
-  match result with
-  | Error e ->
-    Obs.Event.emit ~epoch ~round:round_ix ~track:"prover" "prover.round.error"
-      ~attrs:[ ("detail", Jsonx.Str e) ];
-    Error e
-  | ok -> ok
+  in_round t ~epoch ~heal:false (fun round_ix ->
+      let* present, absent = fetch_batches t ~epoch (Db.routers_for t.db ~epoch) in
+      match present with
+      | [] ->
+        let new_gaps = fresh_gaps t ~epoch ~round_ix absent in
+        t.gaps <- t.gaps @ new_gaps;
+        announce_gap_opens ~round_ix new_gaps;
+        Obs.Event.emit ~epoch ~round:round_ix ~track:"prover" "prover.round.skipped"
+          ~attrs:[ ("missing", Jsonx.Num (float_of_int (List.length absent))) ];
+        Ok (Skipped new_gaps, None)
+      | _ ->
+        let* () = gate_aggregation () in
+        let* round, new_gaps =
+          prove_and_commit t ~epoch ~routers:(List.map fst present) ~absent ~heal:false
+            (List.map snd present)
+        in
+        let outcome = if absent = [] then Complete round else Degraded (round, new_gaps) in
+        Ok (outcome, Some (round, List.length present, List.length absent)))
 
 (* Heal: fold every straggler whose commitment has since appeared on
    the board into a catch-up round (one per epoch, ascending), and
@@ -507,31 +454,23 @@ let heal t =
           healable
         |> List.sort_uniq Int.compare
       in
-      let round_ix = List.length t.rounds_rev in
-      Obs.Event.emit ~epoch ~round:round_ix ~track:"prover" "prover.round.start"
-        ~attrs:[ ("queue_depth", Jsonx.Num (float_of_int (queue_depth t))) ];
-      let result =
-        let* batches = fetch_batches t ~epoch routers in
-        let* () = gate_aggregation () in
-        let* round, _ =
-          prove_and_commit t ~epoch ~routers ~absent:[] ~heal:true batches
-        in
-        Ok round
+      let* round =
+        in_round t ~epoch ~heal:true (fun round_ix ->
+            let* present, _ = fetch_batches t ~epoch routers in
+            let routers = List.map fst present in
+            let* () = gate_aggregation () in
+            let* round, _ =
+              prove_and_commit t ~epoch ~routers ~absent:[] ~heal:true
+                (List.map snd present)
+            in
+            List.iter
+              (fun router_id ->
+                Obs.Event.emit ~router:router_id ~epoch ~round:round_ix ~track:"prover"
+                  "prover.gap.heal")
+              routers;
+            Ok (round, Some (round, List.length routers, 0)))
       in
-      (match result with
-      | Error e ->
-        Obs.Event.emit ~epoch ~round:round_ix ~track:"prover" "prover.round.error"
-          ~attrs:[ ("detail", Jsonx.Str e) ];
-        Error e
-      | Ok round ->
-        List.iter
-          (fun router_id ->
-            Obs.Event.emit ~router:router_id ~epoch ~round:round_ix ~track:"prover"
-              "prover.gap.heal")
-          routers;
-        round_done_event t ~epoch ~round_ix ~covered:(List.length routers)
-          ~missing:0 ~heal:true round;
-        go (round :: acc) rest)
+      go (round :: acc) rest
   in
   go [] epochs
 
@@ -573,68 +512,52 @@ let disclose t ~keys =
 
 let query_flows t ~metric keys = Query.prove_flows ~clog:t.clog ~metric keys
 
-(* ---- persistence ---- *)
+(* ---- crash recovery ----
 
-let service_magic = "zkflow.service.v2"
+   The checkpoint journal is the prover's only saved state. [scan]
+   keeps the longest prefix of rows that pass their checksum and
+   decode; [restore] rebuilds a read-only service from that prefix
+   (what `zkflow stats` and `monitor` read), and [resume] also repairs
+   the file and reopens it for appending. *)
 
-let save t =
-  (* A v1-loaded service has rounds but no coverage records; pad with
-     neutral full-coverage entries so re-saving it round-trips. *)
-  let rec pair rounds covs =
-    match (rounds, covs) with
-    | [], _ -> []
-    | r :: rs, c :: cs -> (r, c) :: pair rs cs
-    | r :: rs, [] ->
-      (r, { epoch = 0; routers = []; degraded = false; heal = false })
-      :: pair rs []
-  in
-  let w = Wire.writer () in
-  Wire.w_string w service_magic;
-  w_entries w t.clog;
-  Wire.w_list w
-    (fun ((round : Aggregate.round), cov) ->
-      Wire.w_bytes w (Zkflow_zkproof.Receipt.encode round.Aggregate.receipt);
-      w_entries w round.Aggregate.clog;
-      Wire.w_int w round.Aggregate.cycles;
-      w_coverage w cov)
-    (pair (rounds t) (coverage t));
-  Wire.w_list w (w_gap w) t.gaps;
-  Wire.contents w
+let scan path =
+  match Wal.replay path with
+  | Error e -> Error e
+  | Ok rows ->
+    let rec go good kept_bytes = function
+      | [] -> (List.rev good, kept_bytes, 0)
+      | row :: rest -> (
+        match decode_ckpt_row row with
+        | Ok decoded -> go ((decoded, row) :: good) (kept_bytes + 4 + Bytes.length row) rest
+        | Error _ -> (List.rev good, kept_bytes, 1 + List.length rest))
+    in
+    Ok (go [] 0 rows)
 
-let load ?proof_params ~db ~board bytes =
-  Wire.decode bytes (fun r ->
-      let magic = Wire.r_string r in
-      let v1 = magic = "zkflow.service.v1" in
-      if (not v1) && magic <> service_magic then
-        raise (Wire.Decode "service state: bad magic");
-      let clog = r_entries r in
-      let rounds_cov =
-        Wire.r_list r (fun () ->
-            let receipt_bytes = Wire.r_bytes r in
-            let round_clog = r_entries r in
-            let cycles = Wire.r_int r in
-            let cov = if v1 then None else Some (r_coverage r) in
-            (restore_round receipt_bytes round_clog cycles, cov))
-      in
-      let gaps = if v1 then [] else Wire.r_list r (fun () -> r_gap r) in
-      let t = create ?proof_params ~db ~board () in
-      t.clog <- clog;
-      t.rounds_rev <- List.rev_map fst rounds_cov;
-      t.coverage_rev <- List.rev (List.filter_map snd rounds_cov);
-      t.gaps <- gaps;
-      t)
+let file_size path =
+  if not (Sys.file_exists path) then 0
+  else In_channel.with_open_bin path In_channel.length |> Int64.to_int
 
-(* v1 files interleave receipt/entries/cycles without coverage — keep
-   decoding them so a pre-chaos service.bin still loads (its coverage
-   list is simply empty). The saver always writes v2. *)
+let of_rows ?proof_params ~db ~board good =
+  let t = create ?proof_params ~db ~board () in
+  List.iter
+    (fun ((cov, round, gaps), _) ->
+      t.clog <- round.Aggregate.clog;
+      t.rounds_rev <- round :: t.rounds_rev;
+      t.coverage_rev <- cov :: t.coverage_rev;
+      t.gaps <- gaps)
+    good;
+  t
 
-(* ---- crash recovery ---- *)
+(* A file with bytes but no intact row (garbage, or a first row torn
+   mid-write) is refused: there is no prefix to report. *)
+let restore ?proof_params ~db ~board ~path () =
+  let* good, _, _ = Result.map_error (( ^ ) "restore: ") (scan path) in
+  let size = file_size path in
+  if good = [] && size > 0 then
+    Error (Printf.sprintf "restore: no intact checkpoint row in %d byte(s)" size)
+  else Ok (of_rows ?proof_params ~db ~board good)
 
-(* Rebuild a service from its checkpoint journal: replay the WAL (torn
-   tail already dropped), keep the longest prefix of rows that pass
-   their checksum and decode, and — when anything was dropped —
-   compact the file down to that prefix so future appends land after
-   clean data. The dropped suffix is simply re-proved: aggregation is
+(* The dropped suffix is simply re-proved: aggregation is
    deterministic, so the re-proved rounds are bit-identical to the
    ones the crash destroyed. *)
 let resume ?proof_params ~db ~board ~path () =
@@ -643,37 +566,13 @@ let resume ?proof_params ~db ~board ~path () =
      is only emitted when there was a previous session's journal to
      resume over. *)
   let journal_existed = Sys.file_exists path in
-  match Wal.replay path with
+  match scan path with
   | Error e -> Error ("resume: " ^ e)
-  | Ok rows ->
-    let file_size =
-      if not (Sys.file_exists path) then 0
-      else begin
-        let ic = open_in_bin path in
-        let n = in_channel_length ic in
-        close_in ic;
-        n
-      end
-    in
-    let rec scan good kept_bytes dropped = function
-      | [] -> (List.rev good, kept_bytes, dropped)
-      | row :: rest -> (
-        match decode_ckpt_row row with
-        | Ok decoded ->
-          scan ((decoded, row) :: good) (kept_bytes + 4 + Bytes.length row) dropped rest
-        | Error _ -> (List.rev good, kept_bytes, dropped + 1 + List.length rest))
-    in
-    let good, kept_bytes, dropped_rows = scan [] 0 0 rows in
-    if kept_bytes < file_size then
-      Wal.rewrite path (List.map snd good);
-    let t = create ?proof_params ~db ~board () in
-    List.iter
-      (fun ((cov, round, gaps), _) ->
-        t.clog <- round.Aggregate.clog;
-        t.rounds_rev <- round :: t.rounds_rev;
-        t.coverage_rev <- cov :: t.coverage_rev;
-        t.gaps <- gaps)
-      good;
+  | Ok (good, kept_bytes, dropped_rows) ->
+    (* Compact the file to the intact prefix, so future appends land
+       after clean data. *)
+    if kept_bytes < file_size path then Wal.rewrite path (List.map snd good);
+    let t = of_rows ?proof_params ~db ~board good in
     with_checkpoints t ~path;
     let restored = List.length good in
     if journal_existed then
@@ -729,6 +628,18 @@ let summarize_round i (r : Aggregate.round) =
   }
 
 let summaries t = List.mapi summarize_round (rounds t)
+
+let seal_queries t =
+  let indexed =
+    List.mapi
+      (fun i (r : Aggregate.round) ->
+        (r.Aggregate.receipt.Zkflow_zkproof.Receipt.seal.Zkflow_zkproof.Receipt.params
+           .Zkflow_zkproof.Params.queries, i))
+      (rounds t)
+  in
+  List.sort_uniq Int.compare (List.map fst indexed)
+  |> List.map (fun q ->
+         (q, List.filter_map (fun (q', i) -> if q' = q then Some i else None) indexed))
 
 let gap_json (g : gap) =
   Jsonx.Obj
@@ -790,15 +701,20 @@ let summary_json t =
          ("entries", Jsonx.Num (float_of_int (Clog.length t.clog)));
          ("root", Jsonx.Str (Zkflow_hash.Digest32.to_hex (Clog.root t.clog)));
          ( "proof_params",
-           Jsonx.Obj
-             [
-               ( "queries",
-                 Jsonx.Num
-                   (float_of_int t.proof_params.Zkflow_zkproof.Params.queries) );
-               ( "soundness_bits",
-                 Jsonx.Num (Zkflow_zkproof.Params.soundness_bits t.proof_params)
-               );
-             ] );
+           Jsonx.Arr
+             (List.map
+                (fun (queries, rounds) ->
+                  Jsonx.Obj
+                    [
+                      ("queries", Jsonx.Num (float_of_int queries));
+                      ( "soundness_bits",
+                        Jsonx.Num
+                          (Zkflow_zkproof.Params.soundness_bits
+                             (Zkflow_zkproof.Params.make ~queries)) );
+                      ( "rounds",
+                        Jsonx.Arr (List.map (fun i -> Jsonx.Num (float_of_int i)) rounds) );
+                    ])
+                (seal_queries t)) );
          ("rounds", Jsonx.Arr (List.mapi round_obj (summaries t)));
          ("round_cycles", cycle_percentiles);
          ("gaps", Jsonx.Arr (List.map gap_json t.gaps));

@@ -11,11 +11,12 @@
     {!Zkflow_store.Wal} row before it is visible in memory, and
     {!resume} rebuilds the service from that journal after a crash —
     replaying intact rounds and re-proving (deterministically,
-    bit-identically) whatever the crash destroyed. It is also
-    {e degraded-mode capable}: {!aggregate_available} rounds proceed
-    over the routers whose commitments are actually on the board,
-    recording every absentee in the gap journal, and {!heal} folds
-    late arrivals in afterwards. *)
+    bit-identically) whatever the crash destroyed. That journal is the
+    prover's only saved state; {!restore} reads it without touching
+    it. It is also {e degraded-mode capable}: {!aggregate_available}
+    rounds proceed over the routers whose commitments are actually on
+    the board, recording every absentee in the gap journal, and
+    {!heal} folds late arrivals in afterwards. *)
 
 type t
 
@@ -30,9 +31,9 @@ val clog : t -> Clog.t
 (** Current aggregated state (starts empty). *)
 
 val proof_params : t -> Zkflow_zkproof.Params.t
-(** The spot-check parameters every round of this service proves
-    under — [zkflow stats] derives its soundness-bits line from
-    this. *)
+(** The spot-check parameters every new round of this service proves
+    under. Restored rounds carry their own in their seals
+    ({!seal_queries}). *)
 
 val rounds : t -> Aggregate.round list
 (** Completed rounds, oldest first. *)
@@ -52,18 +53,14 @@ type publish_report = {
 
 val publish_epoch : t -> epoch:int -> (publish_report, string) result
 (** The router-side duty, modelled here for convenience: publish every
-    router's window-[epoch] commitment to the board. Idempotent —
-    pairs already published are skipped and reported, so a publisher
-    that crashed halfway through an epoch can simply run again. *)
+    router's window-[epoch] commitment to the board, an empty window
+    included, and register each window in the store
+    ({!Zkflow_store.Db.add_window}) so the epoch's round covers it.
+    Idempotent — pairs already published are skipped and reported, so
+    a publisher that crashed halfway through an epoch can simply run
+    again. *)
 
 (* ---- aggregation ---- *)
-
-val aggregate_epoch : t -> epoch:int -> (Aggregate.round, string) result
-(** One Algorithm 1 round over epoch [epoch], strict mode: windows are
-    read from the store, their {e published} commitments from the
-    board, and it is an error if any router in the store never
-    published. On success the service state advances (and, with
-    checkpointing on, the round is journaled first). *)
 
 type gap = {
   router_id : int;
@@ -92,11 +89,15 @@ type outcome =
       (** no router had published at all — no round, gaps recorded *)
 
 val aggregate_available : t -> epoch:int -> (outcome, string) result
-(** Degraded-mode round: aggregate whichever of the epoch's routers
-    (per {!Zkflow_store.Db.routers_for}) have a commitment on the
-    board, and journal a {!gap} for each that does not. Late routers
-    therefore stall {e nothing} — their records are folded in by
-    {!heal} once they finally publish. *)
+(** One Algorithm 1 round over epoch [epoch], the only way to prove a
+    new epoch: aggregate every window of the epoch (per
+    {!Zkflow_store.Db.routers_for}) whose commitment is on the board,
+    fetching each commitment once, and journal a {!gap} for each that
+    is not. [Complete] means every window was covered; a caller that
+    needs a whole epoch requires it. Late routers stall {e nothing} —
+    their records are folded in by {!heal} once they finally publish.
+    With checkpointing on, the round is journaled before the service
+    state advances. *)
 
 val heal : t -> (Aggregate.round list, string) result
 (** One catch-up round per epoch (ascending) for every open gap whose
@@ -136,11 +137,25 @@ val with_checkpoints : t -> path:string -> unit
 (** Journal every completed round to a checksummed WAL row at [path]
     (before the round becomes visible in memory). *)
 
-val checkpoint_path : t -> string option
-
 val abandon : t -> unit
 (** Drop the checkpoint WAL's buffered, unsynced writes on the floor —
     exactly what a crash does. Test/chaos harness hook. *)
+
+val restore :
+  ?proof_params:Zkflow_zkproof.Params.t ->
+  db:Zkflow_store.Db.t ->
+  board:Zkflow_commitlog.Board.t ->
+  path:string ->
+  unit ->
+  (t, string) result
+(** Read-only view of a checkpoint journal: replay the WAL (torn
+    tails already dropped by {!Zkflow_store.Wal.replay}) and rebuild
+    the service from the longest prefix of rows whose checksum and
+    decode pass. The file is not rewritten or opened for appending,
+    and no event is emitted. Restored rounds carry
+    [Aggregate.restored = true] and read 0 wall-clock time. A missing
+    file is an empty service; a file with bytes but no intact row is
+    an [Error]. *)
 
 val resume :
   ?proof_params:Zkflow_zkproof.Params.t ->
@@ -149,18 +164,18 @@ val resume :
   path:string ->
   unit ->
   (t * int, string) result
-(** Rebuild a service from its checkpoint journal: replay the WAL
-    (torn tails already dropped by {!Zkflow_store.Wal.replay}), keep
-    the longest prefix of rows whose checksum and decode pass, compact
-    the file to that prefix when anything was dropped, and reopen for
+(** Rebuild a service from its checkpoint journal as {!restore} does
+    (a file without an intact row restores nothing), compact the file
+    to the intact prefix when anything was dropped, and reopen it for
     appending. Returns the service and the number of restored rounds
     (0 for a missing file — a fresh, checkpointing service). The
     dropped suffix is simply re-proved: aggregation is deterministic,
     so the re-proved rounds are bit-identical to the lost ones. The
-    open gaps the last restored row detected are re-announced as
-    ["prover.gap.open"] events (at their [detected_round]), so a crash
+    gaps the last restored row opened or healed are re-announced as
+    ["prover.gap.open"] / ["prover.gap.heal"] events, so a crash
     between a round's checkpoint and its own announcement cannot hide
-    a gap from the event log. *)
+    them from the event log. A ["prover.resume"] event is emitted when
+    the file existed. *)
 
 (* ---- summaries ---- *)
 
@@ -171,17 +186,22 @@ type round_summary = {
   cycles : int;      (** guest cycles *)
   execute_s : float; (** guest execution wall time (0 when restored) *)
   prove_s : float;   (** proving wall time (0 when restored) *)
-  restored : bool;   (** round came from {!load}/{!resume}, not proved here *)
+  restored : bool;   (** round came from {!restore}/{!resume}, not proved here *)
 }
 
 val summaries : t -> round_summary list
 (** Per-round digest of the service history, oldest first — the
     backing data of [zkflow stats]. *)
 
+val seal_queries : t -> (int * int list) list
+(** The spot-check counts the rounds' receipts carry in their seals,
+    ascending, each with the (0-based) rounds that carry it. *)
+
 val summary_json : t -> string
-(** {!summaries} plus the current root/length, per-round coverage, and
-    the gap journal as one JSON object (keys [entries], [root],
-    [rounds], [gaps], [open_gaps]). *)
+(** {!summaries} plus the current root/length, per-round coverage,
+    the gap journal and {!seal_queries} as one JSON object (keys
+    [entries], [root], [proof_params], [rounds], [round_cycles],
+    [gaps], [open_gaps]). *)
 
 val query : t -> Guests.query_params -> (Query.result_row, string) result
 (** Prove a query against the latest CLog. *)
@@ -197,25 +217,8 @@ val prove_custom :
     [Error]-severity findings (see {!Zkflow_analysis.check}) is
     refused before any proving work, unless [ZKFLOW_NO_ANALYZE=1] is
     set in the environment. Every proving entry point of this module
-    ({!aggregate_epoch}, {!query}, {!query_at}) runs the same gate. *)
-
-val save : t -> bytes
-(** Serialize the service state (CLog entries plus every round's
-    receipt, post-round entries and coverage, plus the gap journal) so
-    an operator can stop and resume across process restarts without
-    re-proving history. *)
-
-val load :
-  ?proof_params:Zkflow_zkproof.Params.t ->
-  db:Zkflow_store.Db.t ->
-  board:Zkflow_commitlog.Board.t ->
-  bytes ->
-  (t, string) result
-(** Inverse of {!save}; restored rounds carry
-    [Aggregate.restored = true] and their wall-clock timings read 0,
-    so reporting never mistakes a deserialized round for one proved in
-    this process. Still reads the pre-gap v1 format (empty coverage
-    and gap journal). Fails on malformed bytes or receipts. *)
+    ({!aggregate_available}, {!heal}, {!query}, {!query_at}) runs the
+    same gate. *)
 
 type disclosure = {
   indices : int list;                 (** CLog positions, ascending *)

@@ -47,6 +47,20 @@ type simulation = {
   records : int;
 }
 
+val simulate_traffic :
+  seed:int64 ->
+  routers:int ->
+  flows:int ->
+  rate_pps:float ->
+  duration_ms:int ->
+  loss_rate:float ->
+  Zkflow_store.Db.t ->
+  int * int
+(** The synthetic traffic [zkflow simulate] and {!simulate_and_prove}
+    share: [flows] flows through a linear topology of [routers]
+    routers, every record exported into the store. Returns the packet
+    and record counts. *)
+
 val simulate_and_prove :
   ?seed:int64 ->
   ?routers:int ->
@@ -58,8 +72,9 @@ val simulate_and_prove :
   (simulation, string) result
 (** End-to-end: synthesize traffic through a linear topology of
     [routers] (default 4, as in Section 6), export NetFlow windows,
-    publish commitments, and prove an aggregation round per epoch.
-    Defaults are sized to finish in seconds. *)
+    publish commitments, and prove an aggregation round per epoch with
+    {!Prover_service.aggregate_available}, requiring each round to be
+    [Complete]. Defaults are sized to finish in seconds. *)
 
 val verify_simulation : simulation -> (Verifier_client.verified_chain, string) result
 (** What an external auditor would run over the simulation's outputs. *)

@@ -28,6 +28,8 @@ let insert t record =
 
 let insert_batch t records = List.iter (insert t) records
 
+let add_window t ~router_id ~epoch = ignore (table t ~router_id ~epoch)
+
 let window t ~router_id ~epoch =
   let records =
     match Hashtbl.find_opt t.windows (router_id, epoch) with
@@ -56,6 +58,10 @@ let routers_for t ~epoch =
 let epochs t =
   Hashtbl.fold (fun (_, e) _ acc -> e :: acc) t.windows []
   |> List.sort_uniq Int.compare
+
+let windows t =
+  let routers = routers t in
+  List.map (fun epoch -> (epoch, routers)) (epochs t)
 
 let record_count t =
   Hashtbl.fold (fun _ tbl acc -> acc + Table.length tbl) t.windows 0

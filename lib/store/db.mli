@@ -21,6 +21,11 @@ val insert : t -> Zkflow_netflow.Record.t -> unit
 
 val insert_batch : t -> Zkflow_netflow.Record.t list -> unit
 
+val add_window : t -> router_id:int -> epoch:int -> unit
+(** Registers [(router_id, epoch)] as a window even when it holds no
+    record, so {!routers_for} lists it: a router commits to every
+    window it exports, the empty ones included. *)
+
 val window : t -> router_id:int -> epoch:int -> Zkflow_netflow.Record.t array
 (** All records of one router's integrity window, in insertion order
     ([||] when empty). *)
@@ -34,6 +39,12 @@ val epochs : t -> int list
 val routers_for : t -> epoch:int -> int list
 (** Router ids with a window at [epoch], ascending — the set a
     degraded-mode aggregation round measures its coverage against. *)
+
+val windows : t -> (int * int list) list
+(** The windows the routers export: every epoch present, ascending,
+    with every router the store knows ({!routers}), records or not.
+    Routers publish exactly these, and a replay submits exactly
+    these. *)
 
 val record_count : t -> int
 

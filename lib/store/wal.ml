@@ -19,13 +19,19 @@ let sync t =
 
 let close t = close_out t.oc
 
-(* Closing the raw descriptor under the channel discards its buffer:
-   unsynced appends vanish, exactly like a crash. Later flush attempts
-   on the dead channel (e.g. the stdlib's at-exit flush_all) fail
-   silently. *)
+(* Unsynced appends vanish, exactly like a crash: the descriptor is
+   pointed at /dev/null before the channel is closed, so the close
+   flushes the buffer into nothing. Closing the raw descriptor alone
+   would leave the buffer behind for the at-exit flush, which writes
+   it into whatever file reuses the descriptor number — the resumed
+   journal, as a stale row after the good ones. *)
 let abandon t =
-  try Unix.close (Unix.descr_of_out_channel t.oc) with
-  | Unix.Unix_error _ | Sys_error _ -> ()
+  try
+    let fd = Unix.descr_of_out_channel t.oc in
+    let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+    Fun.protect ~finally:(fun () -> Unix.close null) (fun () -> Unix.dup2 null fd);
+    close_out_noerr t.oc
+  with Unix.Unix_error _ | Sys_error _ -> ()
 
 let replay path =
   if not (Sys.file_exists path) then Ok []

@@ -16,10 +16,11 @@ val sync : t -> unit
 val close : t -> unit
 
 val abandon : t -> unit
-(** Simulate a crash: close the file descriptor {e without} flushing,
-    so rows appended since the last {!sync} are lost exactly as they
-    would be when the process dies. Chaos/test support — a production
-    shutdown wants {!close}. *)
+(** Simulate a crash: discard the channel's buffer and close the file
+    descriptor, so rows appended since the last {!sync} are lost
+    exactly as they would be when the process dies, and no later
+    flush (the at-exit one included) can write them anywhere.
+    Chaos/test support — a production shutdown wants {!close}. *)
 
 val replay : string -> (bytes list, string) result
 (** Reads every intact row; a torn tail (partial final row) is treated

@@ -1,7 +1,9 @@
 (* End-to-end CLI tests: drive the installed binary the way a user
    (or the CI smoke job) does. Covers the flight-recorder workflow —
    simulate/prove/verify with --events, then monitor and trace-check
-   over the recorded log — plus the failure-mode contracts: stats on
+   over the recorded log — the state-directory contract (prove and
+   serve drive rounds alike, in either order, and prove is strict and
+   resumable), plus the failure-mode contracts: stats on
    missing/corrupt state is a one-line error with a nonzero exit, and
    bench-diff exits nonzero exactly when a regression is present. *)
 
@@ -54,6 +56,19 @@ let write_text path text =
   output_string oc text;
   close_out oc
 
+(* Sparse traffic: 12 windows over 3 epochs, 5 of them empty. *)
+let sparse_flags =
+  [ "--seed"; "1"; "--routers"; "4"; "--flows"; "4"; "--rate"; "3"; "--duration";
+    "20000"; "--loss"; "0.3" ]
+
+let simulate_sparse dir =
+  let code, out =
+    run
+      ([ "simulate"; "--dir"; dir; "--events"; Filename.concat dir "events.jsonl" ]
+      @ sparse_flags)
+  in
+  check_int ("simulate: " ^ out) 0 code
+
 (* ---- stats failure modes ---- *)
 
 let test_stats_missing_state () =
@@ -64,16 +79,59 @@ let test_stats_missing_state () =
   check_bool "says error" true (contains ~needle:"error:" out);
   check_bool "no backtrace" false (contains ~needle:"Raised" out)
 
-let test_stats_corrupt_service () =
+let test_stats_corrupt_checkpoints () =
   let dir = fresh_dir () in
   let code, _ = run [ "simulate"; "--dir"; dir; "--flows"; "4"; "--rate"; "50"; "--duration"; "1500" ] in
   check_int "simulate ok" 0 code;
-  write_text (Filename.concat dir "service.bin") "garbage, not wire format";
+  write_text (Filename.concat dir "checkpoints.wal") "garbage, not wire format";
   let code, out = run [ "stats"; "--dir"; dir ] in
   check_int "nonzero exit" 1 code;
-  check_bool "names the file" true (contains ~needle:"service.bin" out);
+  check_bool "one-line error" true (List.length (String.split_on_char '\n' (String.trim out)) = 1);
+  check_bool "names the file" true (contains ~needle:"checkpoints.wal" out);
   check_bool "diagnosis, not backtrace" true (contains ~needle:"corrupt state" out);
   check_bool "no backtrace" false (contains ~needle:"Raised" out)
+
+(* stats reports the spot-check count the receipts carry, not a
+   default: after prove --queries 8 it must say 8, in text and JSON;
+   and when rounds differ it names each count with its rounds. *)
+let test_stats_reports_seal_queries () =
+  let dir = fresh_dir () in
+  simulate_sparse dir;
+  let code, out = run [ "prove"; "--dir"; dir; "--queries"; "8" ] in
+  check_int ("prove: " ^ out) 0 code;
+  let code, out = run [ "stats"; "--dir"; dir ] in
+  check_int ("stats: " ^ out) 0 code;
+  check_bool ("8 spot checks: " ^ out) true (contains ~needle:"proof params: 8 spot checks" out);
+  check_bool "bits of 8 checks" true
+    (contains
+       ~needle:
+         (Printf.sprintf "%.2f soundness bits"
+            (Zkflow_zkproof.Params.soundness_bits (Zkflow_zkproof.Params.make ~queries:8)))
+       out);
+  let code, out = run [ "stats"; "--dir"; dir; "--json" ] in
+  check_int "stats --json exit" 0 code;
+  let module J = Zkflow_util.Jsonx in
+  (match J.parse (String.trim out) with
+  | Error e -> Alcotest.fail ("stats json does not parse: " ^ e)
+  | Ok v -> (
+    match J.member "proof_params" v with
+    | Some (J.Arr [ p ]) ->
+      check_bool "queries 8" true (J.member "queries" p = Some (J.Num 8.));
+      check_bool "names its rounds" true
+        (J.member "rounds" p = Some (J.Arr [ J.Num 0.; J.Num 1.; J.Num 2. ]))
+    | _ -> Alcotest.fail ("one proof_params entry expected: " ^ out)));
+  (* tear the last row off and re-prove it with 16 spot checks *)
+  let ckpt = Filename.concat dir "checkpoints.wal" in
+  let rows = In_channel.with_open_bin ckpt In_channel.input_all in
+  write_text ckpt (String.sub rows 0 (String.length rows - 50));
+  let code, out = run [ "prove"; "--dir"; dir; "--queries"; "16" ] in
+  check_int ("re-prove: " ^ out) 0 code;
+  let code, out = run [ "stats"; "--dir"; dir ] in
+  check_int ("stats: " ^ out) 0 code;
+  check_bool ("names 8 with its rounds: " ^ out) true
+    (contains ~needle:"8 spot checks" out && contains ~needle:"in round(s) 0,1\n" out);
+  check_bool ("names 16 with its round: " ^ out) true
+    (contains ~needle:"16 spot checks" out && contains ~needle:"in round(s) 2\n" out)
 
 (* ---- the flight-recorder workflow ---- *)
 
@@ -114,6 +172,204 @@ let test_events_workflow () =
   check_int ("stats: " ^ out) 0 code;
   check_bool "round cycle percentiles" true (contains ~needle:"round cycles: p50" out);
   check_bool "soundness bits surfaced" true (contains ~needle:"soundness bits" out)
+
+(* ---- the state-directory contract ----
+
+   A router commits to every window, the empty ones included, and
+   prove and serve drive rounds through the same daemon over the same
+   windows, so either may follow the other on one state directory. *)
+
+let prove_dir dir =
+  let code, out =
+    run [ "prove"; "--dir"; dir; "--queries"; "8"; "--events"; Filename.concat dir "events.jsonl" ]
+  in
+  check_int ("prove: " ^ out) 0 code
+
+(* Start [zkflow serve] (it appends to DIR/events.jsonl), wait until it
+   is up, then SIGTERM: the drain proves every replayed epoch and
+   flushes board.txt and receipts.bin. Returns the exit status and
+   what serve printed. *)
+let serve_run dir =
+  let log = Filename.concat dir "serve.log" in
+  let fd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  let pid =
+    Unix.create_process zkflow
+      [| zkflow; "serve"; "--dir"; dir; "--listen"; "0" |]
+      Unix.stdin fd fd
+  in
+  Unix.close fd;
+  let read () = In_channel.with_open_bin log In_channel.input_all in
+  let rec up n =
+    if contains ~needle:"zkflow serve on" (read ()) then true
+    else if n = 0 || fst (Unix.waitpid [ Unix.WNOHANG ] pid) <> 0 then false
+    else (
+      Unix.sleepf 0.05;
+      up (n - 1))
+  in
+  if not (up 400) then begin
+    (try
+       Unix.kill pid Sys.sigkill;
+       ignore (Unix.waitpid [] pid)
+     with Unix.Unix_error _ -> ());
+    Alcotest.fail ("serve did not come up: " ^ read ())
+  end;
+  Unix.kill pid Sys.sigterm;
+  let status = snd (Unix.waitpid [] pid) in
+  (status, read ())
+
+let serve_dir dir =
+  match serve_run dir with
+  | Unix.WEXITED 0, log -> check_bool "serve wrote receipts" true (contains ~needle:"receipts written" log)
+  | _, log -> Alcotest.fail ("serve did not drain cleanly: " ^ log)
+
+let verify_and_monitor dir =
+  let code, out = run [ "verify"; "--dir"; dir; "--events"; Filename.concat dir "events.jsonl" ] in
+  check_int ("verify: " ^ out) 0 code;
+  check_bool "three rounds" true (contains ~needle:"verified 3 aggregation round(s)" out);
+  let code, out = run [ "monitor"; "--dir"; dir; "--strict" ] in
+  check_int ("monitor --strict: " ^ out) 0 code;
+  check_bool "healthy" true (contains ~needle:"health: OK" out)
+
+let test_prove_then_serve () =
+  let dir = fresh_dir () in
+  simulate_sparse dir;
+  let board = In_channel.with_open_bin (Filename.concat dir "board.txt") In_channel.input_all in
+  prove_dir dir;
+  serve_dir dir;
+  check_bool "serve rewrote the same board" true
+    (board = In_channel.with_open_bin (Filename.concat dir "board.txt") In_channel.input_all);
+  verify_and_monitor dir
+
+let test_serve_then_prove () =
+  let dir = fresh_dir () in
+  simulate_sparse dir;
+  serve_dir dir;
+  prove_dir dir;
+  verify_and_monitor dir
+
+(* prove stays strict: a window with no commitment on the board is an
+   error naming the router and the epoch, and an epoch whose round
+   failed is an error naming the epoch and the round's error. It saves
+   nothing its strictness refuses, so once the fault is mended a
+   re-run lands on a clean run's receipts.bin and checkpoints.wal byte
+   for byte. *)
+let test_strict_prove_names_failures () =
+  let read dir p = In_channel.with_open_bin (Filename.concat dir p) In_channel.input_all in
+  let clean = fresh_dir () in
+  simulate_sparse clean;
+  prove_dir clean;
+  let mended dir =
+    prove_dir dir;
+    check_bool "receipts as a clean run's" true (read clean "receipts.bin" = read dir "receipts.bin");
+    check_bool "journal as a clean run's" true
+      (read clean "checkpoints.wal" = read dir "checkpoints.wal")
+  in
+  let dir = fresh_dir () in
+  simulate_sparse dir;
+  let path = Filename.concat dir "board.txt" in
+  let board = read dir "board.txt" in
+  (* drop router 2's first line: its later epochs stay monotone *)
+  let dropped =
+    List.find
+      (fun l -> String.length l > 2 && String.sub l 0 2 = "2 ")
+      (String.split_on_char '\n' board)
+  in
+  let router, epoch =
+    match String.split_on_char ' ' dropped with
+    | r :: e :: _ -> (r, e)
+    | _ -> Alcotest.fail ("board line: " ^ dropped)
+  in
+  write_text path
+    (String.concat ""
+       (List.filter_map
+          (fun l -> if l = dropped || l = "" then None else Some (l ^ "\n"))
+          (String.split_on_char '\n' board)));
+  let code, out = run [ "prove"; "--dir"; dir; "--queries"; "8" ] in
+  check_bool ("nonzero exit: " ^ out) true (code <> 0);
+  check_bool ("names router and epoch: " ^ out) true
+    (contains ~needle:(Printf.sprintf "router %s has no published commitment for epoch %s" router epoch) out);
+  check_bool "no receipts" false (Sys.file_exists (Filename.concat dir "receipts.bin"));
+  check_bool "no journal" false (Sys.file_exists (Filename.concat dir "checkpoints.wal"));
+  write_text path board;
+  mended dir;
+  (* a flipped bit in a stored record breaks that window's match with
+     its published commitment; the record sits in a middle epoch, so
+     the epoch before it is proved and the epoch after it is not *)
+  let dir = fresh_dir () in
+  simulate_sparse dir;
+  let wal = Filename.concat dir "rlogs.wal" in
+  let rows =
+    match Zkflow_store.Wal.replay wal with Ok rows -> rows | Error e -> Alcotest.fail e
+  in
+  let epoch_of row =
+    match Zkflow_store.Codec.record_of_row row with
+    | Ok r ->
+      Zkflow_store.Epoch.of_ts Zkflow_store.Epoch.default r.Zkflow_netflow.Record.last_ts
+    | Error e -> Alcotest.fail e
+  in
+  let epochs = List.sort_uniq compare (List.map epoch_of rows) in
+  let middle = List.nth epochs 1 in
+  check_bool "an epoch after the flipped one" true (List.length epochs > 2);
+  (* the row's file offset: each row is a 4-byte length and its bytes *)
+  let rec offset pos = function
+    | [] -> Alcotest.fail "no row in the middle epoch"
+    | row :: rest ->
+      if epoch_of row = middle then pos else offset (pos + 4 + Bytes.length row) rest
+  in
+  let at = offset 0 rows + 24 in
+  let original = read dir "rlogs.wal" in
+  let flipped = Bytes.of_string original in
+  Bytes.set flipped at (Char.chr (Char.code (Bytes.get flipped at) lxor 1));
+  write_text wal (Bytes.to_string flipped);
+  let code, out = run [ "prove"; "--dir"; dir; "--queries"; "8" ] in
+  check_bool ("nonzero exit: " ^ out) true (code <> 0);
+  check_bool ("names the epoch and the round's error: " ^ out) true
+    (contains
+       ~needle:(Printf.sprintf "epoch %d: no round: aggregation guest: router commitment mismatch" middle)
+       out);
+  (match Zkflow_store.Wal.replay (Filename.concat dir "checkpoints.wal") with
+  | Ok saved -> check_int "journal holds only the epoch before it" 1 (List.length saved)
+  | Error e -> Alcotest.fail e);
+  check_bool "no receipts" false (Sys.file_exists (Filename.concat dir "receipts.bin"));
+  write_text wal original;
+  mended dir
+
+(* A torn checkpoint journal: prove keeps the intact rows, re-proves
+   the rest, and lands on the same receipts.bin byte for byte. *)
+let test_prove_resumes_truncated_checkpoints () =
+  let dir = fresh_dir () in
+  simulate_sparse dir;
+  prove_dir dir;
+  let read p = In_channel.with_open_bin (Filename.concat dir p) In_channel.input_all in
+  let receipts = read "receipts.bin" in
+  let ckpt = read "checkpoints.wal" in
+  write_text (Filename.concat dir "checkpoints.wal")
+    (String.sub ckpt 0 (String.length ckpt - 100));
+  let code, out = run [ "prove"; "--dir"; dir; "--queries"; "8" ] in
+  check_int ("prove: " ^ out) 0 code;
+  check_bool ("resumed: " ^ out) true (contains ~needle:"resumed 2 checkpointed round(s)" out);
+  check_bool "re-proved one epoch" true (contains ~needle:"epoch 3:" out);
+  check_bool "receipts byte-identical" true (receipts = read "receipts.bin");
+  check_bool "journal byte-identical" true (ckpt = read "checkpoints.wal")
+
+(* A serve whose drain fails (every checkpoint write hits ENOSPC, so
+   the worker crashes through all its restarts) exits nonzero and
+   leaves the receipts.bin an earlier prove wrote. Skipped where
+   /dev/full does not exist. *)
+let test_failed_serve_keeps_receipts () =
+  if Sys.file_exists "/dev/full" then begin
+    let dir = fresh_dir () in
+    simulate_sparse dir;
+    prove_dir dir;
+    let read p = In_channel.with_open_bin (Filename.concat dir p) In_channel.input_all in
+    let receipts = read "receipts.bin" in
+    Sys.remove (Filename.concat dir "checkpoints.wal");
+    Unix.symlink "/dev/full" (Filename.concat dir "checkpoints.wal");
+    let status, log = serve_run dir in
+    check_bool ("nonzero exit: " ^ log) true (status <> Unix.WEXITED 0);
+    check_bool ("warns: " ^ log) true (contains ~needle:"receipts.bin left as it was" log);
+    check_bool "receipts untouched" true (receipts = read "receipts.bin")
+  end
 
 (* ---- seal version ----
 
@@ -470,8 +726,21 @@ let () =
         [
           Alcotest.test_case "missing state is a one-line error" `Quick
             test_stats_missing_state;
-          Alcotest.test_case "corrupt service.bin is a one-line error" `Quick
-            test_stats_corrupt_service;
+          Alcotest.test_case "corrupt journal: one-line error" `Quick
+            test_stats_corrupt_checkpoints;
+          Alcotest.test_case "reports the receipts' spot checks" `Quick
+            test_stats_reports_seal_queries;
+        ] );
+      ( "state-dir",
+        [
+          Alcotest.test_case "simulate, prove, serve, verify" `Quick test_prove_then_serve;
+          Alcotest.test_case "simulate, serve, prove, verify" `Quick test_serve_then_prove;
+          Alcotest.test_case "strict prove names what failed" `Quick
+            test_strict_prove_names_failures;
+          Alcotest.test_case "prove resumes a torn journal" `Quick
+            test_prove_resumes_truncated_checkpoints;
+          Alcotest.test_case "failed serve keeps receipts" `Quick
+            test_failed_serve_keeps_receipts;
         ] );
       ( "flight-recorder",
         [

@@ -329,19 +329,43 @@ let test_kill_during_drain () =
               check_string "root matches twin" twin_root (Daemon.root_hex d);
               check_verified d board)))
 
-(* ---- circuit breaker: publish failures degrade, then heal ---- *)
+(* ---- a failing checkpoint write parks the daemon ----
+
+   Any exception out of a worker pass, not only an injected crash,
+   must park the daemon as crashed: a drain over a dead worker would
+   otherwise wait forever. A journal on /dev/full fails its first
+   sync with ENOSPC. *)
+
+let test_io_error_parks_daemon () =
+  if Sys.file_exists "/dev/full" then begin
+    let d, _, _, _ = fresh_daemon ~ckpt:"/dev/full" () in
+    Fun.protect
+      ~finally:(fun () -> Daemon.stop d)
+      (fun () ->
+        submit_ok d ~router_id:0 ~epoch:0
+          (window_records ~router_id:0 ~epoch:0 ~count:3 ~seed:4);
+        match Daemon.drain d with
+        | Ok () -> Alcotest.fail "drain over a failing journal succeeded"
+        | Error e ->
+          check_bool ("names the error: " ^ e) true (contains ~needle:"No space left" e);
+          check_bool "parked" true (Daemon.crashed d <> None))
+  end
+
+(* ---- circuit breaker: publish failures degrade, then heal ----
+
+   Driven through the daemon's fixed edge policy: each publication
+   exhausts 5 attempts, the 3rd consecutive exhaustion opens the
+   breaker, and it half-opens 4 passes later. Every [poke] is exactly
+   one worker pass. *)
 
 let test_breaker_degrades_then_heals () =
   with_tmp (fun ckpt ->
-      let config =
-        {
-          cfg with
-          Daemon.retry_attempts = 2;
-          breaker_threshold = 1;
-          breaker_cooldown = 1;
-        }
+      let d, _db, board, _ = fresh_daemon ~ckpt () in
+      let poke () =
+        Daemon.advance d ~epoch:0;
+        settle d;
+        (Daemon.counters d).Daemon.breaker
       in
-      let d, _db, board, _ = fresh_daemon ~config ~ckpt () in
       Fun.protect
         ~finally:(fun () -> Daemon.stop d)
         (fun () ->
@@ -350,22 +374,26 @@ let test_breaker_degrades_then_heals () =
             (fun () ->
               submit_ok d ~router_id:0 ~epoch:0
                 (window_records ~router_id:0 ~epoch:0 ~count:3 ~seed:5);
-              Daemon.advance d ~epoch:0;
               settle d;
-              (* publication exhausted its retries: breaker open, the
-                 epoch went down the degraded path as an open gap *)
-              let c = Daemon.counters d in
-              check_bool "breaker opened" true (c.Daemon.breaker_opens >= 1);
+              (* the first two exhausted publications leave it closed;
+                 the epoch went down the degraded path as an open gap *)
+              check_string "closed after 1 exhaustion" "closed" (poke ());
+              check_string "closed after 2 exhaustions" "closed" (poke ());
               Alcotest.(check (list (pair int int)))
                 "gap journalled" [ (0, 0) ]
-                (Prover_service.open_gaps (Daemon.service d)));
-          (* the edge recovers: half-open probe succeeds, heal folds
-             the gap in *)
-          Daemon.advance d ~epoch:0;
-          settle d;
-          let c = Daemon.counters d in
-          check_string "breaker closed again" "closed" c.Daemon.breaker;
-          check_int "one heal round" 1 c.Daemon.heal_rounds;
+                (Prover_service.open_gaps (Daemon.service d));
+              check_string "open at the 3rd" "open" (poke ());
+              check_int "breaker opened once" 1 (Daemon.counters d).Daemon.breaker_opens);
+          (* the edge recovers, but an open breaker skips publication
+             until its cooldown has run out *)
+          check_string "still open" "open" (poke ());
+          check_string "still open" "open" (poke ());
+          check_string "half-open after the cooldown" "half-open" (poke ());
+          check_int "no heal while open" 0 (Daemon.counters d).Daemon.heal_rounds;
+          (* the half-open probe succeeds: closed, and heal folds the
+             gap in *)
+          check_string "closed again" "closed" (poke ());
+          check_int "one heal round" 1 (Daemon.counters d).Daemon.heal_rounds;
           Alcotest.(check (list (pair int int)))
             "no open gaps" []
             (Prover_service.open_gaps (Daemon.service d));
@@ -503,5 +531,7 @@ let () =
             test_resume_across_restart;
           Alcotest.test_case "HTTP plane endpoints" `Quick
             test_handler_endpoints;
+          Alcotest.test_case "I/O error parks the daemon" `Quick
+            test_io_error_parks_daemon;
         ] );
     ]

@@ -21,6 +21,14 @@ let check_string = Alcotest.(check string)
 let digest = Alcotest.testable D.pp D.equal
 let params = Zkflow_zkproof.Params.make ~queries:8
 
+(* One epoch's round through the one round entry point, which must
+   cover every window of the epoch. *)
+let aggregate service ~epoch =
+  match Prover_service.aggregate_available service ~epoch with
+  | Ok (Prover_service.Complete round) -> Ok round
+  | Ok _ -> Error (Printf.sprintf "epoch %d: a window went uncovered" epoch)
+  | Error e -> Error e
+
 let with_tmp f =
   let path = Filename.temp_file "zkflow_fault" ".wal" in
   Fun.protect
@@ -261,7 +269,7 @@ let drive_with_restarts ~db ~board ~path service epochs =
       match
         (try
            ignore (Result.get_ok (Prover_service.publish_epoch service ~epoch:e));
-           ignore (Result.get_ok (Prover_service.aggregate_epoch service ~epoch:e));
+           ignore (Result.get_ok (aggregate service ~epoch:e));
            `Done
          with Fault.Crash _ -> `Crashed)
       with
@@ -282,9 +290,9 @@ let drive_with_restarts ~db ~board ~path service epochs =
 let twin_root ~seed =
   let _, _, twin = fresh_world ~seed in
   ignore (Result.get_ok (Prover_service.publish_epoch twin ~epoch:0));
-  ignore (Result.get_ok (Prover_service.aggregate_epoch twin ~epoch:0));
+  ignore (Result.get_ok (aggregate twin ~epoch:0));
   ignore (Result.get_ok (Prover_service.publish_epoch twin ~epoch:1));
-  ignore (Result.get_ok (Prover_service.aggregate_epoch twin ~epoch:1));
+  ignore (Result.get_ok (aggregate twin ~epoch:1));
   Prover_service.latest_root twin
 
 let test_kill_resume_every_site () =
@@ -322,9 +330,9 @@ let checkpointed_two_rounds ~seed path =
   let db, board, service = fresh_world ~seed in
   Prover_service.with_checkpoints service ~path;
   ignore (Result.get_ok (Prover_service.publish_epoch service ~epoch:0));
-  ignore (Result.get_ok (Prover_service.aggregate_epoch service ~epoch:0));
+  ignore (Result.get_ok (aggregate service ~epoch:0));
   ignore (Result.get_ok (Prover_service.publish_epoch service ~epoch:1));
-  ignore (Result.get_ok (Prover_service.aggregate_epoch service ~epoch:1));
+  ignore (Result.get_ok (aggregate service ~epoch:1));
   let root = Prover_service.latest_root service in
   Prover_service.abandon service;
   (db, board, root)
@@ -365,7 +373,7 @@ let recover_and_check ~db ~board ~path ~expected_root ~expected_restored =
       (fun e ->
         if not (List.mem e (Prover_service.covered_epochs service)) then (
           ignore (Result.get_ok (Prover_service.publish_epoch service ~epoch:e));
-          ignore (Result.get_ok (Prover_service.aggregate_epoch service ~epoch:e))))
+          ignore (Result.get_ok (aggregate service ~epoch:e))))
       [ 0; 1 ];
     Alcotest.check digest "root recovered" expected_root
       (Prover_service.latest_root service)
@@ -411,7 +419,7 @@ let test_old_seal_rows_reproved () =
       List.iter
         (fun epoch ->
           ignore (Result.get_ok (Prover_service.publish_epoch service ~epoch));
-          ignore (Result.get_ok (Prover_service.aggregate_epoch service ~epoch)))
+          ignore (Result.get_ok (aggregate service ~epoch)))
         [ 0; 1 ];
       let root = Prover_service.latest_root service in
       let receipts =
@@ -720,30 +728,33 @@ let test_publish_epoch_idempotent () =
     check_int "all skipped" 3 (List.length r.Prover_service.skipped)
   | Error e -> Alcotest.fail e
 
-(* ---- save/load carries coverage + gap journal ---- *)
+(* ---- the checkpoint journal carries coverage + gap journal ---- *)
 
-let test_save_load_preserves_gaps () =
-  let db, board, service = degraded_world () in
-  ignore (publish_router board db ~router_id:0 ~epoch:0);
-  ignore (publish_router board db ~router_id:1 ~epoch:0);
-  ignore (Result.get_ok (Prover_service.aggregate_available service ~epoch:0));
-  let saved = Prover_service.save service in
-  match Prover_service.load ~proof_params:params ~db ~board saved with
-  | Error e -> Alcotest.fail e
-  | Ok restored ->
-    Alcotest.check digest "root survives" (Prover_service.latest_root service)
-      (Prover_service.latest_root restored);
-    Alcotest.(check (list (pair int int)))
-      "open gaps survive" [ (2, 0) ]
-      (Prover_service.open_gaps restored);
-    check_bool "coverage survives" true
-      (Prover_service.coverage restored = Prover_service.coverage service);
-    (* and the restored service can still heal *)
-    ignore (publish_router board db ~router_id:2 ~epoch:0);
-    (match Prover_service.heal restored with
-     | Ok [ _ ] -> check_int "healed" 0 (List.length (Prover_service.open_gaps restored))
-     | Ok _ -> Alcotest.fail "expected one heal round"
-     | Error e -> Alcotest.fail e)
+let test_restore_preserves_gaps () =
+  with_tmp (fun path ->
+      let db, board, service = degraded_world () in
+      Prover_service.with_checkpoints service ~path;
+      ignore (publish_router board db ~router_id:0 ~epoch:0);
+      ignore (publish_router board db ~router_id:1 ~epoch:0);
+      ignore (Result.get_ok (Prover_service.aggregate_available service ~epoch:0));
+      match Prover_service.restore ~proof_params:params ~db ~board ~path () with
+      | Error e -> Alcotest.fail e
+      | Ok restored ->
+        Alcotest.check digest "root survives" (Prover_service.latest_root service)
+          (Prover_service.latest_root restored);
+        Alcotest.(check (list (pair int int)))
+          "open gaps survive" [ (2, 0) ]
+          (Prover_service.open_gaps restored);
+        check_bool "coverage survives" true
+          (Prover_service.coverage restored = Prover_service.coverage service);
+        (* and the restored service can still heal *)
+        ignore (publish_router board db ~router_id:2 ~epoch:0);
+        (match Prover_service.heal restored with
+         | Ok [ _ ] -> check_int "healed" 0 (List.length (Prover_service.open_gaps restored))
+         | Ok _ -> Alcotest.fail "expected one heal round"
+         | Error e -> Alcotest.fail e);
+        (* a read-only restore left the journal alone: one row *)
+        check_int "journal untouched" 1 (List.length (Result.get_ok (Wal.replay path))))
 
 (* ---- the full chaos cycle ---- *)
 
@@ -823,6 +834,29 @@ let test_chaos_run_dropped_export_degrades_explicitly () =
   names_in
     { r with Chaos.twin_slo_fired = [ "prover-restarts" ] }
     [ "twin fired SLO prover-restarts" ]
+
+(* A router commits to every window, an empty one included: under
+   heavy loss some windows hold no record, and the harness publishes
+   them while both the daemon and the twin cover them. *)
+let test_chaos_covers_empty_windows () =
+  let dir = fresh_dir () in
+  let config =
+    { chaos_config with Chaos.routers = 4; flows = 2; rate_pps = 2.0; duration_ms = 20_000; loss_rate = 0.6 }
+  in
+  let p = plan ~seed:3 ~name:"empty-windows" [ Fault.Crash_at { site = "agg.pre_prove"; hits = 1 } ] in
+  match Zkflow_obs.Obs.with_enabled (fun () -> Chaos.run ~dir ~config ~plan:p ()) with
+  | Error e -> Alcotest.fail e
+  | Ok r ->
+    check_bool "verdict passes" true (Chaos.verdict r = Ok ());
+    check_bool "crashed" true (r.Chaos.crashes >= 1);
+    check_string "root bit-identical to twin" r.Chaos.twin_root r.Chaos.final_root;
+    let empty line =
+      match String.split_on_char ' ' line with [ _; _; "0"; _ ] -> true | _ -> false
+    in
+    check_bool "an empty window is on the board" true
+      (List.exists empty
+         (String.split_on_char '\n'
+            (In_channel.with_open_bin (Filename.concat dir "board.txt") In_channel.input_all)))
 
 let test_chaos_daemon_twin () =
   (* Worker kills, a harness-side publish kill, a held export healed
@@ -934,14 +968,16 @@ let () =
       ( "idempotency",
         [ Alcotest.test_case "publish_epoch" `Quick test_publish_epoch_idempotent ] );
       ( "persistence",
-        [ Alcotest.test_case "save/load keeps gap journal" `Quick
-            test_save_load_preserves_gaps ] );
+        [ Alcotest.test_case "restore keeps gap journal" `Quick
+            test_restore_preserves_gaps ] );
       ( "chaos",
         [
           Alcotest.test_case "crash storm: safety + liveness" `Slow
             test_chaos_run_crash_storm;
           Alcotest.test_case "dropped export degrades explicitly" `Slow
             test_chaos_run_dropped_export_degrades_explicitly;
+          Alcotest.test_case "empty windows are published and covered" `Slow
+            test_chaos_covers_empty_windows;
           Alcotest.test_case "daemon-mode: kills + held export + flood" `Slow
             test_chaos_daemon_twin;
           Alcotest.test_case "kill during the drain's heal round" `Slow

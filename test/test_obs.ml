@@ -863,8 +863,9 @@ let pipeline_pass () =
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
   let round =
-    match Prover_service.aggregate_epoch d.Zkflow.service ~epoch with
-    | Ok r -> r
+    match Prover_service.aggregate_available d.Zkflow.service ~epoch with
+    | Ok (Prover_service.Complete r) -> r
+    | Ok _ -> Alcotest.fail "a window went uncovered"
     | Error e -> Alcotest.fail e
   in
   let row =
@@ -920,11 +921,14 @@ let test_tamper_reject_event () =
     (List.assoc_opt "query.root" r.Monitor.verifier_rejects = Some 1);
   check_bool "monitor reports degraded" false (Monitor.healthy r)
 
-(* ---- restored marker through save/load ---- *)
+(* ---- restored marker through the checkpoint journal ---- *)
 
 let test_restored_round_marker () =
   Obs.disable ();
   let d = Zkflow.deploy ~proof_params:params () in
+  let path = Filename.temp_file "zkflow_obs" ".wal" in
+  Sys.remove path;
+  Prover_service.with_checkpoints d.Zkflow.service ~path;
   let rng = Zkflow_util.Rng.create 77L in
   let records = Gen.records rng Gen.default_profile ~router_id:0 ~count:6 in
   Array.iter (fun r -> Zkflow_store.Db.insert d.Zkflow.db r) records;
@@ -933,20 +937,20 @@ let test_restored_round_marker () =
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
   let round =
-    match Prover_service.aggregate_epoch d.Zkflow.service ~epoch with
-    | Ok r -> r
+    match Prover_service.aggregate_available d.Zkflow.service ~epoch with
+    | Ok (Prover_service.Complete r) -> r
+    | Ok _ -> Alcotest.fail "a window went uncovered"
     | Error e -> Alcotest.fail e
   in
   check_bool "fresh round not restored" false round.Aggregate.restored;
-  let bytes = Prover_service.save d.Zkflow.service in
   let loaded =
     match
-      Prover_service.load ~proof_params:params ~db:d.Zkflow.db
-        ~board:d.Zkflow.board bytes
+      Prover_service.restore ~db:d.Zkflow.db ~board:d.Zkflow.board ~path ()
     with
     | Ok s -> s
     | Error e -> Alcotest.fail e
   in
+  Sys.remove path;
   (match Prover_service.rounds loaded with
   | [ r ] ->
     check_bool "loaded round restored" true r.Aggregate.restored;
@@ -959,6 +963,10 @@ let test_restored_round_marker () =
     check_int "summary entries" (Clog.length round.Aggregate.clog)
       s.Prover_service.entries
   | _ -> Alcotest.fail "expected 1 summary");
+  (* the spot-check count is the seal's, not the restoring service's *)
+  Alcotest.(check (list (pair int (list int))))
+    "seal queries" [ (8, [ 0 ]) ]
+    (Prover_service.seal_queries loaded);
   match Jsonx.parse (Prover_service.summary_json loaded) with
   | Ok v ->
     check_bool "summary_json has rounds" true (Jsonx.member "rounds" v <> None)
@@ -1042,7 +1050,7 @@ let () =
         ] );
       ( "service",
         [
-          Alcotest.test_case "restored marker survives save/load" `Quick
+          Alcotest.test_case "restored marker survives restore" `Quick
             test_restored_round_marker;
         ] );
     ]

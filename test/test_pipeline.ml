@@ -13,6 +13,14 @@ let check_bool = Alcotest.(check bool)
 let digest = Alcotest.testable D.pp D.equal
 let params = Zkflow_zkproof.Params.make ~queries:8
 
+(* One epoch's round through the one round entry point, which must
+   cover every window of the epoch. *)
+let aggregate service ~epoch =
+  match Prover_service.aggregate_available service ~epoch with
+  | Ok (Prover_service.Complete round) -> Ok round
+  | Ok _ -> Error (Printf.sprintf "epoch %d: a window went uncovered" epoch)
+  | Error e -> Error e
+
 let deployment () = Zkflow.deploy ~proof_params:params ()
 
 let load_epoch db ~epoch ~routers ~per_router ~seed =
@@ -38,7 +46,7 @@ let test_service_single_epoch () =
      check_int "4 commitments" 4 (List.length r.Prover_service.published);
      check_int "none skipped" 0 (List.length r.Prover_service.skipped)
    | Error e -> Alcotest.fail e);
-  match Prover_service.aggregate_epoch d.Zkflow.service ~epoch:0 with
+  match aggregate d.Zkflow.service ~epoch:0 with
   | Error e -> Alcotest.fail e
   | Ok round ->
     check_int "12 flows" 12 (Clog.length round.Aggregate.clog);
@@ -54,7 +62,7 @@ let test_service_multi_epoch_chain () =
     match Prover_service.publish_epoch d.Zkflow.service ~epoch with
     | Error e -> Alcotest.fail e
     | Ok _ -> (
-      match Prover_service.aggregate_epoch d.Zkflow.service ~epoch with
+      match aggregate d.Zkflow.service ~epoch with
       | Error e -> Alcotest.fail e
       | Ok r -> r)
   in
@@ -67,9 +75,14 @@ let test_service_multi_epoch_chain () =
 let test_service_requires_published_commitments () =
   let d = deployment () in
   load_epoch d.Zkflow.db ~epoch:0 ~routers:2 ~per_router:2 ~seed:4;
-  match Prover_service.aggregate_epoch d.Zkflow.service ~epoch:0 with
-  | Error e -> check_bool "mentions commitment" true (String.length e > 0)
+  match Prover_service.aggregate_available d.Zkflow.service ~epoch:0 with
+  | Ok (Prover_service.Skipped gaps) ->
+    Alcotest.(check (list (pair int int)))
+      "every unpublished window named" [ (0, 0); (1, 0) ]
+      (List.map (fun (g : Prover_service.gap) -> (g.router_id, g.epoch)) gaps);
+    check_int "no round" 0 (List.length (Prover_service.rounds d.Zkflow.service))
   | Ok _ -> Alcotest.fail "aggregated without published commitments"
+  | Error e -> Alcotest.fail e
 
 let test_client_verifies_full_chain () =
   let d = deployment () in
@@ -79,7 +92,7 @@ let test_client_verifies_full_chain () =
     List.map
       (fun epoch ->
         ignore (Result.get_ok (Prover_service.publish_epoch d.Zkflow.service ~epoch));
-        match Prover_service.aggregate_epoch d.Zkflow.service ~epoch with
+        match aggregate d.Zkflow.service ~epoch with
         | Ok r -> (epoch, r.Aggregate.receipt)
         | Error e -> Alcotest.fail e)
       [ 0; 1 ]
@@ -96,7 +109,7 @@ let test_client_query_roundtrip () =
   let d = deployment () in
   load_epoch d.Zkflow.db ~epoch:0 ~routers:2 ~per_router:4 ~seed:7;
   ignore (Result.get_ok (Prover_service.publish_epoch d.Zkflow.service ~epoch:0));
-  let round = Result.get_ok (Prover_service.aggregate_epoch d.Zkflow.service ~epoch:0) in
+  let round = Result.get_ok (aggregate d.Zkflow.service ~epoch:0) in
   match Prover_service.query d.Zkflow.service Query.flow_count with
   | Error e -> Alcotest.fail e
   | Ok row -> (
@@ -113,7 +126,7 @@ let test_client_rejects_unpublished_router () =
   let d = deployment () in
   load_epoch d.Zkflow.db ~epoch:0 ~routers:2 ~per_router:2 ~seed:8;
   ignore (Result.get_ok (Prover_service.publish_epoch d.Zkflow.service ~epoch:0));
-  let round = Result.get_ok (Prover_service.aggregate_epoch d.Zkflow.service ~epoch:0) in
+  let round = Result.get_ok (aggregate d.Zkflow.service ~epoch:0) in
   let empty_board = Board.create () in
   match
     Verifier_client.verify_round ~board:empty_board ~epoch:0 round.Aggregate.receipt
@@ -125,7 +138,7 @@ let test_client_sla_predicate () =
   let d = deployment () in
   load_epoch d.Zkflow.db ~epoch:0 ~routers:2 ~per_router:4 ~seed:9;
   ignore (Result.get_ok (Prover_service.publish_epoch d.Zkflow.service ~epoch:0));
-  let round = Result.get_ok (Prover_service.aggregate_epoch d.Zkflow.service ~epoch:0) in
+  let round = Result.get_ok (aggregate d.Zkflow.service ~epoch:0) in
   let q =
     { Guests.predicate = Guests.match_any; op = Guests.Sum; metric = Guests.Losses }
   in
@@ -146,7 +159,7 @@ let test_client_historical_query () =
     List.map
       (fun epoch ->
         ignore (Result.get_ok (Prover_service.publish_epoch d.Zkflow.service ~epoch));
-        Result.get_ok (Prover_service.aggregate_epoch d.Zkflow.service ~epoch))
+        Result.get_ok (aggregate d.Zkflow.service ~epoch))
       [ 0; 1 ]
   in
   let round0 = List.nth rounds 0 in
@@ -171,43 +184,56 @@ let test_client_historical_query () =
         (Result.is_error
            (Prover_service.query_at d.Zkflow.service ~round:9 Query.flow_count)))
 
-let test_service_save_load () =
+let test_service_restore_resume () =
+  let path = Filename.temp_file "zkflow_pipeline" ".wal" in
+  Sys.remove path;
   let d = deployment () in
+  Prover_service.with_checkpoints d.Zkflow.service ~path;
   load_epoch d.Zkflow.db ~epoch:0 ~routers:2 ~per_router:3 ~seed:30;
   load_epoch d.Zkflow.db ~epoch:1 ~routers:2 ~per_router:3 ~seed:31;
   ignore (Result.get_ok (Prover_service.publish_epoch d.Zkflow.service ~epoch:0));
-  ignore (Result.get_ok (Prover_service.aggregate_epoch d.Zkflow.service ~epoch:0));
-  let saved = Prover_service.save d.Zkflow.service in
-  (* "restart": a fresh service resumes from the snapshot and continues
+  ignore (Result.get_ok (aggregate d.Zkflow.service ~epoch:0));
+  (* a read-only restore sees the journal as it is *)
+  (match Prover_service.restore ~db:d.Zkflow.db ~board:d.Zkflow.board ~path () with
+   | Error e -> Alcotest.fail e
+   | Ok seen ->
+     Alcotest.check digest "restore sees the state"
+       (Prover_service.latest_root d.Zkflow.service)
+       (Prover_service.latest_root seen));
+  (* "restart": a fresh service resumes from the journal and continues
      with epoch 1, chaining from the restored root *)
-  match Prover_service.load ~proof_params:params ~db:d.Zkflow.db ~board:d.Zkflow.board saved with
+  match
+    Prover_service.resume ~proof_params:params ~db:d.Zkflow.db ~board:d.Zkflow.board
+      ~path ()
+  with
   | Error e -> Alcotest.fail e
-  | Ok restored ->
+  | Ok (restored, n) ->
+    check_int "one round resumed" 1 n;
     Alcotest.check digest "state restored"
       (Prover_service.latest_root d.Zkflow.service)
       (Prover_service.latest_root restored);
     check_int "history restored" 1 (List.length (Prover_service.rounds restored));
     ignore (Result.get_ok (Prover_service.publish_epoch restored ~epoch:1));
-    let r1 = Result.get_ok (Prover_service.aggregate_epoch restored ~epoch:1) in
-    (* the whole chain (old round from snapshot + new round) verifies *)
+    ignore (Result.get_ok (aggregate restored ~epoch:1));
+    (* the whole chain (resumed round + new round) verifies *)
     let receipts =
       List.mapi (fun i r -> (i, r.Aggregate.receipt)) (Prover_service.rounds restored)
     in
-    ignore r1;
     (match Verifier_client.verify_chain ~board:d.Zkflow.board receipts with
      | Ok chain -> check_int "2 rounds verified" 2 chain.Verifier_client.round_count
      | Error e -> Alcotest.fail e);
-    (* malformed snapshots rejected *)
-    let garbage = Bytes.of_string "not a snapshot" in
+    (* a journal of garbage is refused *)
+    Out_channel.with_open_bin path (fun oc -> output_string oc "not a journal");
     check_bool "garbage rejected" true
       (Result.is_error
-         (Prover_service.load ~db:d.Zkflow.db ~board:d.Zkflow.board garbage))
+         (Prover_service.restore ~db:d.Zkflow.db ~board:d.Zkflow.board ~path ()));
+    Sys.remove path
 
 let test_selective_disclosure () =
   let d = deployment () in
   load_epoch d.Zkflow.db ~epoch:0 ~routers:2 ~per_router:5 ~seed:40;
   ignore (Result.get_ok (Prover_service.publish_epoch d.Zkflow.service ~epoch:0));
-  let round = Result.get_ok (Prover_service.aggregate_epoch d.Zkflow.service ~epoch:0) in
+  let round = Result.get_ok (aggregate d.Zkflow.service ~epoch:0) in
   let root = round.Aggregate.journal.Guests.new_root in
   let entries = Clog.entries round.Aggregate.clog in
   let keys = [ entries.(1).Clog.key; entries.(7).Clog.key ] in
@@ -249,7 +275,7 @@ let test_query_flows_batched () =
   let d = deployment () in
   load_epoch d.Zkflow.db ~epoch:0 ~routers:2 ~per_router:6 ~seed:41;
   ignore (Result.get_ok (Prover_service.publish_epoch d.Zkflow.service ~epoch:0));
-  let round = Result.get_ok (Prover_service.aggregate_epoch d.Zkflow.service ~epoch:0) in
+  let round = Result.get_ok (aggregate d.Zkflow.service ~epoch:0) in
   let root = round.Aggregate.journal.Guests.new_root in
   let entries = Clog.entries round.Aggregate.clog in
   let keys = [ entries.(0).Clog.key; entries.(3).Clog.key; entries.(5).Clog.key ] in
@@ -350,7 +376,7 @@ let () =
             test_client_rejects_unpublished_router;
           Alcotest.test_case "sla predicate" `Quick test_client_sla_predicate;
           Alcotest.test_case "historical query" `Quick test_client_historical_query;
-          Alcotest.test_case "save/load" `Quick test_service_save_load;
+          Alcotest.test_case "restore/resume" `Quick test_service_restore_resume;
           Alcotest.test_case "selective disclosure" `Quick test_selective_disclosure;
           Alcotest.test_case "batched flows query" `Quick test_query_flows_batched;
         ] );

@@ -232,11 +232,26 @@ let test_wal_abandon_loses_unsynced_tail () =
       Wal.append w (Bytes.of_string "durable");
       Wal.sync w;
       Wal.append w (Bytes.of_string "in flight");
-      (* the process dies: buffered rows never reach the disk *)
+      (* the process dies: buffered rows never reach the disk (a
+         second abandon is a no-op) *)
       Wal.abandon w;
-      match Wal.replay path with
+      Wal.abandon w;
+      (match Wal.replay path with
       | Ok [ a ] -> Alcotest.(check bytes) "synced row survives" (Bytes.of_string "durable") a
       | Ok l -> Alcotest.fail (Printf.sprintf "expected 1 row, got %d" (List.length l))
+      | Error e -> Alcotest.fail e);
+      (* nor later: a resume reopens the journal (likely on the same
+         descriptor number), and the at-exit flush of every channel
+         must not append the dead row after the new one *)
+      let w' = Wal.open_log path in
+      Wal.append w' (Bytes.of_string "resumed");
+      Wal.sync w';
+      flush_all ();
+      Wal.close w';
+      match Wal.replay path with
+      | Ok rows ->
+        Alcotest.(check (list string)) "only synced rows" [ "durable"; "resumed" ]
+          (List.map Bytes.to_string rows)
       | Error e -> Alcotest.fail e)
 
 let test_wal_rewrite_compacts () =
