@@ -15,8 +15,9 @@
                  baseline, and sketch-based logging.
      micro     — substrate microbenchmarks (bechamel), including the
                  memory-check sort and z pass over the access log of
-                 the 60k-cycle guest, and its rows and access-log
-                 trees under the trace-commitment node rule.
+                 the 60k-cycle guest, its rows and access-log trees
+                 under the trace-commitment node rule, and the five
+                 column multiproofs of an ingest-steady-shaped receipt.
 
      obs       — observability overhead: the same prove round with
                  telemetry fully off vs fully on (events + sampler),
@@ -92,6 +93,8 @@ type sweep_row = {
   proof_bytes : int;       (* wrapped seal: constant *)
   journal_bytes : int;
   receipt_bytes : int;
+  helper_bytes : int;      (* multiproof helper digests, all five columns *)
+  leaf_bytes : int;        (* opened leaf preimages, all five columns *)
   soundness_bits : float;  (* of the round's spot-check parameters *)
   clog_rebuild_s : float;  (* second batch, tree rebuilt from scratch *)
   clog_incr_s : float;     (* second batch, dirty-subtree update *)
@@ -215,6 +218,12 @@ let run_size n =
             (Zkflow_zkvm.Program.instrs q_program))
     in
     Obs.disable ();
+    let seal_bytes f =
+      List.fold_left
+        (fun n (_, c) -> n + f c)
+        0
+        (Receipt.columns round.Aggregate.receipt.Receipt.seal)
+    in
     let row =
       {
         n;
@@ -229,6 +238,10 @@ let run_size n =
         proof_bytes = Bytes.length wrapped.Zkflow_zkproof.Wrap.seal256;
         journal_bytes = Receipt.journal_size round.Aggregate.receipt;
         receipt_bytes = Receipt.size round.Aggregate.receipt;
+        helper_bytes = seal_bytes (fun c -> Bytes.length c.Receipt.helpers);
+        leaf_bytes =
+          seal_bytes (fun c ->
+              Array.fold_left (fun n l -> n + Bytes.length l) 0 c.Receipt.leaves);
         soundness_bits =
           Zkflow_zkproof.Params.soundness_bits
             round.Aggregate.receipt.Receipt.seal.Receipt.params;
@@ -294,14 +307,14 @@ let fig4 () =
 
 let table1 () =
   print_endline "== Table 1: proof size of aggregation ==";
-  Printf.printf "%12s %14s %13s %13s %17s\n" "# of records" "Proof (bytes)"
-    "Journal (KB)" "Receipt (KB)" "Soundness (bits)";
+  Printf.printf "%12s %14s %13s %13s %13s %13s %17s\n" "# of records" "Proof (bytes)"
+    "Journal (KB)" "Receipt (KB)" "Helpers (KB)" "Leaves (KB)" "Soundness (bits)";
+  let kb b = float_of_int b /. 1024. in
   List.iter
     (fun n ->
       let r = run_size n in
-      Printf.printf "%12d %14d %13.1f %13.1f %17.2f\n%!" r.n r.proof_bytes
-        (float_of_int r.journal_bytes /. 1024.)
-        (float_of_int r.receipt_bytes /. 1024.)
+      Printf.printf "%12d %14d %13.1f %13.1f %13.1f %13.1f %17.2f\n%!" r.n r.proof_bytes
+        (kb r.journal_bytes) (kb r.receipt_bytes) (kb r.helper_bytes) (kb r.leaf_bytes)
         r.soundness_bits)
     (sizes ());
   write_json "BENCH_table1.json"
@@ -320,6 +333,8 @@ let table1 () =
                          ("proof_bytes", Jsonx.Num (float_of_int r.proof_bytes));
                          ("journal_bytes", Jsonx.Num (float_of_int r.journal_bytes));
                          ("receipt_bytes", Jsonx.Num (float_of_int r.receipt_bytes));
+                         ("helper_bytes", Jsonx.Num (float_of_int r.helper_bytes));
+                         ("leaf_bytes", Jsonx.Num (float_of_int r.leaf_bytes));
                          ("soundness_bits", Jsonx.Num r.soundness_bits);
                          ("phases", phases_json r.phases);
                          ("pool", pool_json r.pool);
@@ -327,7 +342,8 @@ let table1 () =
                    (sizes ())) );
           ]));
   print_endline
-    "   shape checks: proof constant (256 B); journal/receipt grow linearly."
+    "   shape checks: proof constant (256 B); journal grows linearly; the receipt \
+     grows with the journal and, by log(cycles), with the helpers."
 
 (* ------------------------------------------------------------------ *)
 
@@ -1010,6 +1026,74 @@ let ablations () =
 (* Microbenchmarks (bechamel)                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* The five trace-commitment trees of one aggregation round of the
+   perfbench ingest-steady shape (a 16-flow CLog updated by two records
+   from each of 4 routers: 6220 cycles, 15,162 access-log entries),
+   built as the prover builds them, each with the index set the
+   receipt's challenges open and the receipt's column for it. *)
+let ingest_shape_columns () =
+  let open Zkflow_zkproof in
+  let module Tree = Zkflow_merkle.Tree in
+  let module Trace = Zkflow_zkvm.Trace in
+  let module Rng = Zkflow_util.Rng in
+  let rng = Rng.create 5L in
+  let pop = Gen.flows rng { Gen.default_profile with flow_count = 16 } in
+  let record ~router_id key =
+    let packets = 1 + Rng.int rng 1000 in
+    Zkflow_netflow.Record.make ~key ~first_ts:1000 ~last_ts:(1001 + Rng.int rng 900)
+      ~router_id
+      {
+        Zkflow_netflow.Record.packets;
+        bytes = packets * (64 + Rng.int rng 1400);
+        hop_count = 1 + Rng.int rng 8;
+        losses = Rng.int rng (1 + (packets / 100));
+      }
+  in
+  let window router_id flows =
+    let rs = Array.of_list (List.map (fun i -> record ~router_id pop.(i)) flows) in
+    (Export.batch_hash rs, rs)
+  in
+  let first =
+    List.init routers (fun r -> window r (List.filter (fun i -> i mod routers = r) (List.init 16 Fun.id)))
+  in
+  let prev = (Result.get_ok (Aggregate.prove_round ~prev:Clog.empty first)).Aggregate.clog in
+  let second = List.init routers (fun r -> window r [ Rng.int rng 16; Rng.int rng 16 ]) in
+  let run = Result.get_ok (Aggregate.execute ~prev second) in
+  let program = Lazy.force Guests.aggregation_program in
+  let receipt = Result.get_ok (Prove.prove_result program run) in
+  let s = receipt.Receipt.seal and rows = run.Zkflow_zkvm.Machine.rows in
+  let memlog = run.Zkflow_zkvm.Machine.memlog in
+  let node = Receipt.node in
+  let time_tree = Tree.of_leaves ~node (Array.map Trace.encode_mem memlog) in
+  let perm = Result.get_ok (Memcheck.sort_perm memlog) in
+  let jacc_leaves =
+    let chain = ref Zkflow_hash.Chain.genesis in
+    Array.map
+      (fun row ->
+        chain := Checker.jacc_step ~program !chain row;
+        D.to_bytes (Zkflow_hash.Chain.head !chain))
+      rows
+  in
+  let c, _ =
+    Fs.derive ~claim:receipt.Receipt.claim ~queries:s.Receipt.params.Params.queries
+      ~n_rows:s.Receipt.n_rows ~n_mem:s.Receipt.n_mem ~root_rows:s.Receipt.root_rows
+      ~root_time:s.Receipt.root_time ~root_sorted:s.Receipt.root_sorted
+      ~root_jacc:s.Receipt.root_jacc
+      ~commit_z:(fun ~alpha:_ ~beta:_ -> s.Receipt.root_z)
+  in
+  let spans =
+    Array.map (fun i -> (rows.(i).Trace.mem_pos, rows.(i).Trace.mem_count)) c.Fs.step_idx
+  in
+  let o = Fs.opened ~n_rows:s.Receipt.n_rows ~n_mem:s.Receipt.n_mem ~spans c in
+  let z_leaves = Memcheck.z_leaves ~alpha:c.Fs.alpha ~beta:c.Fs.beta memlog perm in
+  [
+    (Tree.of_leaves ~node (Array.map Trace.encode_row rows), o.Fs.rows, s.Receipt.rows);
+    (Tree.of_leaves ~node jacc_leaves, o.Fs.rows, s.Receipt.jacc);
+    (time_tree, o.Fs.time, s.Receipt.time);
+    (Tree.permute ~node time_tree perm, o.Fs.sorted, s.Receipt.sorted);
+    (Tree.of_leaves ~node z_leaves, o.Fs.z, s.Receipt.z);
+  ]
+
 let micro () =
   print_endline "== Substrate microbenchmarks (bechamel, monotonic clock) ==";
   let open Bechamel in
@@ -1042,6 +1126,27 @@ let micro () =
   in
   let perm = Result.get_ok (Zkflow_zkproof.Memcheck.sort_perm memlog) in
   let alpha = Zkflow_field.Fp2.random rng and beta = Zkflow_field.Fp2.random rng in
+  (* The prover's helper extraction and the verifier's authentication
+     (leaf hashing and one climb per root) of all five columns. *)
+  let module Multiproof = Zkflow_merkle.Multiproof in
+  let columns = ingest_shape_columns () in
+  let verify_column (tree, set, (col : Receipt.column)) =
+    let k = Array.length col.Receipt.leaves in
+    let digests = Bytes.create (32 * k) in
+    ignore
+      (Zkflow_merkle.Proof.leaves_into (Zkflow_hash.Sha256.init ()) col.Receipt.leaves
+         ~dst:digests ~lo:0 ~hi:k);
+    let proof =
+      { Multiproof.depth = Zkflow_merkle.Tree.depth tree; indices = set; helpers = col.Receipt.helpers }
+    in
+    Multiproof.verify ~node:Receipt.node ~root:(Zkflow_merkle.Tree.root tree) proof digests
+  in
+  List.iter
+    (fun ((tree, set, (col : Receipt.column)) as column) ->
+      if not ((Multiproof.prove tree set).Multiproof.helpers = col.Receipt.helpers
+              && verify_column column)
+      then failwith "micro: a column of the ingest-shape receipt does not match its tree")
+    columns;
   let tests =
     [
       Test.make ~name:"sha256-64KB" (Staged.stage (fun () ->
@@ -1060,6 +1165,10 @@ let micro () =
           ignore (Zkflow_zkproof.Memcheck.z_leaves ~alpha ~beta memlog perm)));
       Test.make ~name:"merkle-trace-rows" (Staged.stage (trace_tree row_leaves));
       Test.make ~name:"merkle-trace-mem" (Staged.stage (trace_tree mem_leaves));
+      Test.make ~name:"multiproof-prove" (Staged.stage (fun () ->
+          List.iter (fun (tree, set, _) -> ignore (Multiproof.prove tree set)) columns));
+      Test.make ~name:"multiproof-verify" (Staged.stage (fun () ->
+          List.iter (fun column -> ignore (verify_column column)) columns));
     ]
   in
   let benchmark test =

@@ -221,7 +221,7 @@ let prove_zirc ~params ~clog path =
 let replay_epoch d db_src (epoch, routers) =
   List.iter
     (fun router_id ->
-      let recs = Array.to_list (Db.window db_src ~router_id ~epoch) in
+      let recs = Array.to_list (Db.window ~announce:false db_src ~router_id ~epoch) in
       ignore (Daemon.submit_wait d ~router_id ~epoch recs))
     routers;
   Daemon.advance d ~epoch
@@ -908,6 +908,22 @@ let chaos dir seed plan_file routers flows rate duration loss queries
 
 let serve_stop = Atomic.make false
 
+(* A crashed worker restarts after a wait that doubles from
+   [restart_wait_s] up to [restart_wait_max_s] while it keeps crashing
+   with no round landing in between; a round that lands resets both.
+   The crash after [max_restarts] such restarts ends serve through the
+   drain-failure path, so a fault every restart meets again (a full
+   disk under checkpoints.wal) is an exit, not a loop. *)
+let restart_wait_s = 0.1
+let restart_wait_max_s = 3.2
+let max_restarts = 5
+
+let sleep_unless_stopped s =
+  let until = Unix.gettimeofday () +. s in
+  while (not (Atomic.get serve_stop)) && Unix.gettimeofday () < until do
+    Thread.delay 0.05
+  done
+
 let serve dir listen queries_n capacity watchdog_ms events =
   let events = match events with Some p -> Some p | None -> Some (events_path dir) in
   let* db_src = recover_store dir in
@@ -949,19 +965,33 @@ let serve dir listen queries_n capacity watchdog_ms events =
     Printf.printf "replaying %d window(s) over %d epoch(s); %d round(s) restored from checkpoints\n%!"
       (List.length (List.concat_map snd windows)) (List.length windows) restored;
     (* Resident phase: sit behind the HTTP plane until a signal. A
-       worker crash here (only possible with armed fault hooks) goes
-       through the same supervised restart a real kill would. *)
-    while not (Atomic.get serve_stop) do
+       worker crash here (an armed fault hook, or an I/O error such as
+       ENOSPC on a checkpoint write) goes through the same supervised
+       restart a real kill would, on the backoff above. *)
+    let streak = ref 0 and wait = ref restart_wait_s in
+    let landed = ref (Daemon.counters d).Daemon.rounds and gave_up = ref None in
+    while (not (Atomic.get serve_stop)) && !gave_up = None do
       Thread.delay 0.1;
+      let rounds = (Daemon.counters d).Daemon.rounds in
+      if rounds > !landed then begin
+        landed := rounds;
+        streak := 0;
+        wait := restart_wait_s
+      end;
       match Daemon.crashed d with
       | None -> ()
+      | Some site when !streak >= max_restarts ->
+        gave_up := Some (Printf.sprintf "worker crashed %d times at %s" (!streak + 1) site)
       | Some site ->
-        Printf.eprintf "worker crashed at %s; restarting\n%!" site;
-        (match Daemon.restart d with
-        | Ok n -> Printf.eprintf "restarted: %d round(s) recovered\n%!" n
-        | Error e -> Printf.eprintf "restart failed: %s\n%!" e)
+        Printf.eprintf "worker crashed at %s; restarting in %.1f s\n%!" site !wait;
+        sleep_unless_stopped !wait;
+        incr streak;
+        wait := Float.min restart_wait_max_s (2. *. !wait);
+        if not (Atomic.get serve_stop) then (
+          match Daemon.restart d with
+          | Ok n -> Printf.eprintf "restarted: %d round(s) recovered\n%!" n
+          | Error e -> Printf.eprintf "restart failed: %s\n%!" e)
     done;
-    Printf.printf "signal received: draining\n%!";
     let rec drain_with_retry attempts =
       match Daemon.drain d with
       | Ok () -> Ok ()
@@ -971,7 +1001,15 @@ let serve dir listen queries_n capacity watchdog_ms events =
         | Error e' -> Error (e ^ "; restart failed: " ^ e'))
       | Error e -> Error e
     in
-    let drained = drain_with_retry 3 in
+    let drained =
+      match !gave_up with
+      | Some e ->
+        Printf.eprintf "%s; giving up\n%!" e;
+        Error e
+      | None ->
+        Printf.printf "signal received: draining\n%!";
+        drain_with_retry 3
+    in
     Zkflow_obs.Httpd.stop srv;
     let c = Daemon.counters d in
     write_file (board_path dir) (Bytes.of_string (Board.export board));

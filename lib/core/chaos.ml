@@ -406,7 +406,7 @@ let run ?dir ?(config = default_config) ~plan () =
     | `Crashed site -> raise (Fault.Crash site)
   in
   let offer ~router_id ~epoch =
-    let recs = Array.to_list (Db.window db_sim ~router_id ~epoch) in
+    let recs = Array.to_list (Db.window ~announce:false db_sim ~router_id ~epoch) in
     incr submitted;
     match Daemon.submit_wait d ~router_id ~epoch recs with
     | Daemon.Accepted | Daemon.Duplicate -> ()

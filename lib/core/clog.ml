@@ -36,8 +36,10 @@ type t = {
   lazy_tree : Tree.t Lazy.t;
 }
 
+let node = Zkflow_hash.Sha256.digest64
+
 let scratch_tree entries =
-  Tree.of_leaves ~node:Zkflow_hash.Sha256.digest64
+  Tree.of_leaves ~node
     (Zkflow_parallel.Pool.map_array ~min_chunk:2048 entry_bytes entries)
 
 let build entries =

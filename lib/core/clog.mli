@@ -47,6 +47,11 @@ val root : t -> Zkflow_hash.Digest32.t
 val tree : t -> Zkflow_merkle.Tree.t
 (** The full tree, for inclusion proofs about individual flows. *)
 
+val node : Zkflow_merkle.Proof.node
+(** The tree's node rule, {!Zkflow_hash.Sha256.digest64}, the one the
+    aggregation guest recomputes; readout multiproofs are checked
+    under it. *)
+
 val tree_snapshot : t -> bytes
 (** {!Zkflow_merkle.Tree.to_snapshot} of {!tree} — the compact node
     snapshot persisted by checkpoint rows. Forces the tree. *)

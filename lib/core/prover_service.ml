@@ -216,8 +216,9 @@ let decode_ckpt_row row =
       Error "checkpoint row: checksum mismatch"
     else
       Wire.decode payload (fun r ->
-          (* An older row (v1 predates the node snapshot, and its
-             receipt predates seal v2) stops here and is re-proved. *)
+          (* A v1 row (it predates the node snapshot) stops here, and
+             a row whose receipt predates the current seal stops at
+             [Receipt.decode] below; either is re-proved. *)
           if Wire.r_string r <> ckpt_magic then
             raise (Wire.Decode "checkpoint row: bad magic");
           let cov = r_coverage r in
@@ -507,7 +508,7 @@ let disclose t ~keys =
     let sorted = List.sort (fun (a, _) (b, _) -> Int.compare a b) found in
     let indices = List.map fst sorted in
     let entries = List.map snd sorted in
-    let proof = Zkflow_merkle.Multiproof.prove (Clog.tree t.clog) indices in
+    let proof = Zkflow_merkle.Multiproof.prove (Clog.tree t.clog) (Array.of_list indices) in
     Ok { indices; entries; proof }
 
 let query_flows t ~metric keys = Query.prove_flows ~clog:t.clog ~metric keys

@@ -150,7 +150,9 @@ let prove_flows ~clog ~metric keys =
     (* One multiproof over the merged index set: helper digests shared
        between flows are carried once, instead of one full root path
        per flow. *)
-    let proof = Zkflow_merkle.Multiproof.prove (Clog.tree clog) (List.map fst sorted) in
+    let proof =
+      Zkflow_merkle.Multiproof.prove (Clog.tree clog) (Array.of_list (List.map fst sorted))
+    in
     let rows =
       List.map
         (fun (i, e) -> { index = i; entry = e; value = metric_value e.Clog.metrics metric })

@@ -230,19 +230,20 @@ let verify_disclosure ~expected_root (d : Prover_service.disclosure) =
   in
   let* () =
     check "disclosure.indices"
-      (if d.Prover_service.indices
-          = Zkflow_merkle.Multiproof.indices d.Prover_service.proof
+      (if
+         Array.of_list d.Prover_service.indices
+         = d.Prover_service.proof.Zkflow_merkle.Multiproof.indices
        then Ok ()
        else Error "client: disclosure indices do not match the proof")
   in
   let leaf_hashes =
-    Array.of_list (List.map Clog.leaf_digest d.Prover_service.entries)
+    Zkflow_merkle.Multiproof.leaf_digests (List.map Clog.leaf_digest d.Prover_service.entries)
   in
   let* () =
     check "disclosure.proof"
       (if
-         Zkflow_merkle.Multiproof.verify ~root:expected_root d.Prover_service.proof
-           leaf_hashes
+         Zkflow_merkle.Multiproof.verify ~node:Clog.node ~root:expected_root
+           d.Prover_service.proof leaf_hashes
        then Ok ()
        else Error "client: disclosure does not authenticate against the CLog root")
   in
@@ -266,19 +267,22 @@ let verify_flows ?query ~expected_root (f : Query.flows_result) =
   let* () =
     check "flows.indices"
       (if
-         List.map (fun r -> r.Query.index) f.Query.rows
-         = Zkflow_merkle.Multiproof.indices f.Query.proof
+         Array.of_list (List.map (fun r -> r.Query.index) f.Query.rows)
+         = f.Query.proof.Zkflow_merkle.Multiproof.indices
        then Ok ()
        else Error "client: flows indices do not match the proof")
   in
   (* One proof authenticates every entry; the values and the total are
      then recomputed from the authenticated entries, never trusted. *)
   let leaf_hashes =
-    Array.of_list (List.map (fun r -> Clog.leaf_digest r.Query.entry) f.Query.rows)
+    Zkflow_merkle.Multiproof.leaf_digests
+      (List.map (fun r -> Clog.leaf_digest r.Query.entry) f.Query.rows)
   in
   let* () =
     check "flows.proof"
-      (if Zkflow_merkle.Multiproof.verify ~root:expected_root f.Query.proof leaf_hashes
+      (if
+         Zkflow_merkle.Multiproof.verify ~node:Clog.node ~root:expected_root f.Query.proof
+           leaf_hashes
        then Ok ()
        else Error "client: flows proof does not authenticate against the CLog root")
   in
@@ -312,7 +316,9 @@ let verify_flows ?query ~expected_root (f : Query.flows_result) =
         ("flows", Jsonx.Num (float_of_int (List.length f.Query.rows)));
         ("total", Jsonx.Num (float_of_int f.Query.total));
         ( "helpers",
-          Jsonx.Num (float_of_int (Zkflow_merkle.Multiproof.helper_count f.Query.proof)) );
+          Jsonx.Num
+            (float_of_int (Bytes.length f.Query.proof.Zkflow_merkle.Multiproof.helpers / 32))
+        );
       ];
   Ok f.Query.rows
 

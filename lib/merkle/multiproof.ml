@@ -1,113 +1,147 @@
 module D = Zkflow_hash.Digest32
+module Sha256 = Zkflow_hash.Sha256
+module Varint = Zkflow_util.Varint
 
-type t = { depth : int; indices : int list; helpers : D.t array }
+type node = Sha256.node
+type t = { depth : int; indices : int array; helpers : bytes }
 
-(* One reduction step: combine the known nodes at a level, consuming a
-   helper digest whenever a sibling is not among the known nodes.
-   [next_helper sibling_idx] supplies helper digests — the prover reads
-   them from the tree and records them; the verifier pops them from the
-   proof in the same deterministic order. *)
-let reduce_level ~next_helper entries =
-  let rec go acc = function
-    | [] -> List.rev acc
-    | (idx, h) :: rest ->
-      if idx land 1 = 0 then begin
-        match rest with
-        | (idx', h') :: rest' when idx' = idx + 1 ->
-          go ((idx / 2, D.combine h h') :: acc) rest'
-        | _ -> go ((idx / 2, D.combine h (next_helper (idx lxor 1))) :: acc) rest
-      end
-      else go ((idx / 2, D.combine (next_helper (idx lxor 1)) h) :: acc) rest
+let rec depth_of_size n = if n <= 1 then 0 else 1 + depth_of_size (n - (n / 2))
+
+(* A usable index set is non-empty, strictly ascending and inside the
+   padded tree; from depth [Sys.int_size - 1] up every int fits. *)
+let check_indices ~depth indices =
+  let fits i = i >= 0 && (depth >= Sys.int_size - 1 || i < 1 lsl depth) in
+  let rec go j =
+    if j = Array.length indices then Ok ()
+    else if not (fits indices.(j)) then Error "multiproof: index out of range"
+    else if j > 0 && indices.(j) = indices.(j - 1) then Error "multiproof: duplicate indices"
+    else if j > 0 && indices.(j) < indices.(j - 1) then
+      Error "multiproof: indices not ascending"
+    else go (j + 1)
   in
-  go [] entries
+  if Array.length indices = 0 then Error "multiproof: empty index set"
+  else if depth < 0 || depth > 64 then Error "multiproof: implausible depth"
+  else go 0
+
+(* The climb, shared by counting, proving and verifying. [pos] holds
+   the known positions of one level, strictly ascending, and is
+   overwritten level by level with their parents'. For each parent,
+   in ascending order, [visit ~level s m paired] is called: the known
+   child at rank [s] of the level has its sibling at rank [s + 1] when
+   [paired], and takes the next helper otherwise; the parent takes
+   rank [m ≤ s] of the level above. [level_done m] follows each level
+   with its parent count. *)
+let climb ?(level_done = ignore) ~depth pos visit =
+  let k = ref (Array.length pos) in
+  for level = 0 to depth - 1 do
+    let s = ref 0 and m = ref 0 in
+    while !s < !k do
+      let i = pos.(!s) in
+      let paired = i land 1 = 0 && !s + 1 < !k && pos.(!s + 1) = i + 1 in
+      visit ~level !s !m paired;
+      pos.(!m) <- i lsr 1;
+      incr m;
+      s := !s + if paired then 2 else 1
+    done;
+    level_done !m;
+    k := !m
+  done
+
+let count_helpers ~depth indices =
+  let n = ref 0 in
+  climb ~depth (Array.copy indices) (fun ~level:_ _ _ paired -> if not paired then incr n);
+  !n
+
+let helper_count ~depth indices =
+  match check_indices ~depth indices with
+  | Ok () -> count_helpers ~depth indices
+  | Error e -> invalid_arg ("Multiproof.helper_count: " ^ e)
 
 let prove tree indices =
-  (match indices with [] -> invalid_arg "Multiproof.prove: empty index set" | _ -> ());
-  let sorted = List.sort_uniq compare indices in
-  if List.length sorted <> List.length indices then
-    invalid_arg "Multiproof.prove: duplicate indices";
-  List.iter
-    (fun i ->
-      if i < 0 || i >= Tree.size tree then
-        invalid_arg "Multiproof.prove: index out of range")
-    sorted;
+  if Array.length indices = 0 then invalid_arg "Multiproof.prove: empty index set";
+  Array.iteri
+    (fun j i ->
+      if i < 0 || i >= Tree.size tree then invalid_arg "Multiproof.prove: index out of range";
+      if j > 0 && i = indices.(j - 1) then invalid_arg "Multiproof.prove: duplicate indices";
+      if j > 0 && i < indices.(j - 1) then invalid_arg "Multiproof.prove: indices not ascending")
+    indices;
   let depth = Tree.depth tree in
-  let helpers = ref [] in
-  let nodes = ref (List.map (fun i -> (i, Tree.leaf tree i)) sorted) in
-  for level = 0 to depth - 1 do
-    let next_helper sibling_idx =
-      let node = Tree.node tree ~level sibling_idx in
-      helpers := node :: !helpers;
-      node
-    in
-    nodes := reduce_level ~next_helper !nodes
-  done;
-  { depth; indices = sorted; helpers = Array.of_list (List.rev !helpers) }
+  let helpers = Bytes.create (32 * count_helpers ~depth indices) in
+  let pos = Array.copy indices and h = ref 0 in
+  climb ~depth pos (fun ~level s _ paired ->
+      if not paired then begin
+        Tree.blit_node tree ~level (pos.(s) lxor 1) helpers (32 * !h);
+        incr h
+      end);
+  { depth; indices = Array.copy indices; helpers }
 
-let indices t = t.indices
-let helper_count t = Array.length t.helpers
-
-exception Malformed of string
-
-let compute_root t leaf_hashes =
-  if Array.length leaf_hashes <> List.length t.indices then
-    Error "multiproof: leaf count mismatch"
-  else begin
-    let pos = ref 0 in
-    let next_helper _ =
-      if !pos >= Array.length t.helpers then raise (Malformed "multiproof: helper underrun");
-      let h = t.helpers.(!pos) in
-      incr pos;
-      h
-    in
-    let nodes = ref (List.mapi (fun k i -> (i, leaf_hashes.(k))) t.indices) in
-    match
-      for _ = 1 to t.depth do
-        nodes := reduce_level ~next_helper !nodes
-      done
-    with
-    | () -> begin
-      match !nodes with
-      | [ (0, root) ] when !pos = Array.length t.helpers -> Ok root
-      | [ (0, _) ] -> Error "multiproof: unused helpers"
-      | _ -> Error "multiproof: did not reduce to a single root"
+(* One work buffer of 32-byte slots: slots [0, k) hold a level's known
+   nodes, the leaf digests first, and slots [k, 3k) the 64-byte inputs
+   of its parents, each known node laid beside its sibling (the next
+   known node or the next helper). One batch-kernel call per level then
+   hashes the inputs into slots [0, m), the known nodes of the level
+   above. *)
+let compute_root ~node t leaves =
+  match check_indices ~depth:t.depth t.indices with
+  | Error e -> Error e
+  | Ok () ->
+    let k = Array.length t.indices in
+    let need = count_helpers ~depth:t.depth t.indices in
+    if Bytes.length leaves <> 32 * k then
+      Error (Printf.sprintf "multiproof: %d leaf bytes for %d indices" (Bytes.length leaves) k)
+    else if Bytes.length t.helpers <> 32 * need then
+      Error
+        (Printf.sprintf "multiproof: %d helper bytes where the index set needs %d helpers"
+           (Bytes.length t.helpers) need)
+    else begin
+      let w = Bytes.create (32 * 3 * k) and ctx = Sha256.init () in
+      Bytes.blit leaves 0 w 0 (32 * k);
+      let pos = Array.copy t.indices and h = ref 0 in
+      climb ~depth:t.depth pos
+        ~level_done:(fun m -> ignore (Sha256.level_into node ctx w ~src:k ~dst:0 ~lo:0 ~hi:m : int))
+        (fun ~level:_ s m paired ->
+          let input = 32 * (k + (2 * m)) in
+          if paired then Bytes.blit w (32 * s) w input 64
+          else begin
+            (* an odd position is the right child: the helper goes left *)
+            let side = 32 * (pos.(s) land 1) in
+            Bytes.blit w (32 * s) w (input + side) 32;
+            Bytes.blit t.helpers (32 * !h) w (input + 32 - side) 32;
+            incr h
+          end);
+      Ok (D.of_bytes (Bytes.sub w 0 32))
     end
-    | exception Malformed msg -> Error msg
-  end
 
-let verify ~root t leaf_hashes =
-  match compute_root t leaf_hashes with
-  | Ok r -> D.equal r root
-  | Error _ -> false
+let verify ~node ~root t leaves =
+  match compute_root ~node t leaves with Ok r -> D.equal r root | Error _ -> false
+
+let leaf_digests ds = Bytes.concat Bytes.empty (List.map D.unsafe_to_bytes ds)
 
 let encode t =
-  let buf = Buffer.create 64 in
-  Zkflow_util.Varint.write buf t.depth;
-  Zkflow_util.Varint.write buf (List.length t.indices);
-  List.iter (Zkflow_util.Varint.write buf) t.indices;
-  Zkflow_util.Varint.write buf (Array.length t.helpers);
-  Array.iter (fun d -> Buffer.add_bytes buf (D.unsafe_to_bytes d)) t.helpers;
+  let buf = Buffer.create (16 + (4 * Array.length t.indices) + Bytes.length t.helpers) in
+  Varint.write buf t.depth;
+  Varint.write buf (Array.length t.indices);
+  Array.iter (Varint.write buf) t.indices;
+  Varint.write buf (Bytes.length t.helpers / 32);
+  Buffer.add_bytes buf t.helpers;
   Buffer.to_bytes buf
 
 let decode b off =
   match
-    let depth, off = Zkflow_util.Varint.read b off in
-    let n, off = Zkflow_util.Varint.read b off in
-    let rec read_indices acc off k =
-      if k = 0 then (List.rev acc, off)
-      else
-        let v, off = Zkflow_util.Varint.read b off in
-        read_indices (v :: acc) off (k - 1)
-    in
-    let indices, off = read_indices [] off n in
-    let hn, off = Zkflow_util.Varint.read b off in
-    if depth > 64 || hn > Bytes.length b / 32 then Error "multiproof: implausible sizes"
-    else if off + (32 * hn) > Bytes.length b then Error "multiproof: truncated"
+    let depth, off = Varint.read b off in
+    let n, off = Varint.read b off in
+    if depth > 64 || n > Bytes.length b - off then Error "multiproof: implausible sizes"
     else begin
-      let helpers =
-        Array.init hn (fun i -> D.of_bytes (Bytes.sub b (off + (32 * i)) 32))
-      in
-      Ok ({ depth; indices; helpers }, off + (32 * hn))
+      let indices = Array.make n 0 and off = ref off in
+      for j = 0 to n - 1 do
+        let v, next = Varint.read b !off in
+        indices.(j) <- v;
+        off := next
+      done;
+      let hn, off = Varint.read b !off in
+      if hn > n * depth then Error "multiproof: more helpers than indices × depth"
+      else if off + (32 * hn) > Bytes.length b then Error "multiproof: truncated"
+      else Ok ({ depth; indices; helpers = Bytes.sub b off (32 * hn) }, off + (32 * hn))
     end
   with
   | result -> result

@@ -1,34 +1,64 @@
 (** Batched Merkle inclusion proofs.
 
-    Proves membership of several leaves of one tree with a single,
-    deduplicated set of helper digests — the aggregation guest uses this
-    to authenticate all CLog entries touched in a round with sublinear
-    proof material (Section 4.1). *)
+    One multiproof authenticates several leaves of one tree with a
+    single deduplicated set of helper digests: the nodes off the union
+    of the leaves' root paths. The flows readout proves a set of CLog
+    entries with one (under {!Zkflow_hash.Sha256.digest64}), and the
+    receipt seal proves each trace-commitment column's openings with
+    one (under {!Zkflow_hash.Sha256.node64}); one climb serves both
+    rules.
 
-type t
-(** A multiproof for a fixed set of leaf indices. *)
+    The helper order is fixed by the index set: level by level from the
+    leaves, and within a level in ascending position, a known node
+    whose sibling is not known takes the next helper. So the helper
+    count is a function of the index set and the tree depth alone
+    ({!helper_count}), and a verifier can check it before hashing. *)
 
-val prove : Tree.t -> int list -> t
-(** [prove tree indices] builds a proof for the given (distinct) leaf
-    indices. Raises [Invalid_argument] on out-of-range or duplicate
-    indices, or on an empty list. *)
+type node = Zkflow_hash.Sha256.node
 
-val indices : t -> int list
-(** The proven indices, ascending. *)
+type t = {
+  depth : int;         (** depth of the padded tree, as {!Tree.depth} *)
+  indices : int array; (** the proven leaf positions, strictly ascending *)
+  helpers : bytes;     (** the helper digests, 32 bytes each, in climb order *)
+}
 
-val helper_count : t -> int
-(** Number of helper digests carried (for size accounting). *)
+val prove : Tree.t -> int array -> t
+(** [prove tree indices] reads the helpers for [indices] out of
+    [tree]. Raises [Invalid_argument] on an empty index set, on
+    indices that repeat or are not ascending, or on one outside
+    [\[0, Tree.size tree)]. *)
 
-val compute_root :
-  t -> Zkflow_hash.Digest32.t array -> (Zkflow_hash.Digest32.t, string) result
-(** [compute_root t leaf_hashes] folds the proof with the claimed leaf
-    hashes (aligned with [indices t], ascending) and returns the implied
-    root. [Error _] when the helper stream is malformed or the leaf
-    count mismatches. *)
+val helper_count : depth:int -> int array -> int
+(** The number of helpers a multiproof for [indices] in a tree of
+    depth [depth] carries. Raises [Invalid_argument] on an index set
+    {!compute_root} would refuse. *)
 
-val verify :
-  root:Zkflow_hash.Digest32.t -> t -> Zkflow_hash.Digest32.t array -> bool
-(** [verify ~root t leaf_hashes] checks the implied root. *)
+val compute_root : node:node -> t -> bytes -> (Zkflow_hash.Digest32.t, string) result
+(** [compute_root ~node t leaves] climbs from the leaf digests
+    [leaves] (32 bytes each, aligned with [t.indices]) to the implied
+    root under [node], hashing each distinct node once in one slot
+    buffer. [Error _], without raising and before any hashing, when
+    the index set is empty, repeats, is not ascending or leaves the
+    tree, when [leaves] does not hold one digest per index, or when
+    [t.helpers] does not hold exactly {!helper_count} digests. *)
+
+val verify : node:node -> root:Zkflow_hash.Digest32.t -> t -> bytes -> bool
+(** [verify ~node ~root t leaves] checks that {!compute_root} reaches
+    [root]. *)
+
+val leaf_digests : Zkflow_hash.Digest32.t list -> bytes
+(** The digests laid end to end, as {!compute_root} takes them. *)
+
+val depth_of_size : int -> int
+(** The depth of the padded tree over [n] leaves, as {!Tree.depth}
+    of a tree built over them; defined for every [n ≥ 0] without
+    overflow, so a verifier can take it from an untrusted count. *)
 
 val encode : t -> bytes
+(** Varint depth, varint index count, the indices, then the helpers
+    as one length-prefixed blob. *)
+
 val decode : bytes -> int -> (t * int, string) result
+(** [decode b off] parses an encoding, returning it and the next
+    offset. Refuses a depth above 64 or more helpers than
+    indices × depth before allocating them. *)

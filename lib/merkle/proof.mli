@@ -50,22 +50,5 @@ val verify_data : node:node -> root:Zkflow_hash.Digest32.t -> bytes -> t -> bool
 (** [verify_data ~node ~root data proof] hashes [data] with
     {!leaf_hash} first. *)
 
-val verify_data_all :
-  node:node -> root:Zkflow_hash.Digest32.t -> (bytes * t) array -> bool
-(** [verify_data_all ~node ~root openings] is
-    [Array.for_all (fun (data, proof) -> verify_data ~node ~root data proof)
-    openings], computed along shared paths: in index order, each path
-    is hashed only up to the level below the one where it joins the
-    previous path. There the two paths' nodes must be each other's
-    siblings, and every sibling above must equal the previous path's.
-    An opening that fails that test is checked alone, so the result
-    never rests on collision resistance. *)
-
 val depth : t -> int
 (** Path length. *)
-
-val encode : t -> bytes
-(** Wire encoding: varint index, varint count, then siblings. *)
-
-val decode : bytes -> int -> (t * int, string) result
-(** [decode b off] parses a proof, returning it and the next offset. *)

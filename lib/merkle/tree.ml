@@ -141,11 +141,14 @@ let root t = read_slot t t.level_off.(t.depth)
 let size t = t.size
 let depth t = t.depth
 
-let node t ~level i =
+let node_slot t ~level i =
   if level < 0 || level > t.depth then invalid_arg "Tree.node: level out of range";
   let width = 1 lsl (t.depth - level) in
   if i < 0 || i >= width then invalid_arg "Tree.node: index out of range";
-  read_slot t (t.level_off.(level) + i)
+  t.level_off.(level) + i
+
+let node t ~level i = read_slot t (node_slot t ~level i)
+let blit_node t ~level i dst pos = Bytes.blit t.buf (32 * node_slot t ~level i) dst pos 32
 
 let leaf t i =
   if i < 0 || i >= t.size then invalid_arg "Tree.leaf: index out of range";

@@ -67,6 +67,10 @@ val node : t -> level:int -> int -> Zkflow_hash.Digest32.t
     of the padded tree (level 0 = leaves, level [depth t] = root).
     Raises [Invalid_argument] when out of range. *)
 
+val blit_node : t -> level:int -> int -> bytes -> int -> unit
+(** [blit_node t ~level i dst pos] copies {!node}[ t ~level i] into
+    [dst.[pos .. pos+31]] without allocating a digest. *)
+
 val to_snapshot : t -> bytes
 (** Serialize every node of the tree (leaf count plus the flat level
     buffer) so a restore is a copy, not a rebuild. The format carries

@@ -4,10 +4,18 @@ type t = {
   epoch : Epoch.policy;
   windows : (int * int, Table.t) Hashtbl.t; (* (router, epoch) -> rows *)
   wal : Wal.t option;
+  announced : (int * int, unit) Hashtbl.t; (* windows with a store.window event *)
+  announced_m : Mutex.t;
 }
 
 let create ?wal_path ~epoch () =
-  { epoch; windows = Hashtbl.create 64; wal = Option.map Wal.open_log wal_path }
+  {
+    epoch;
+    windows = Hashtbl.create 64;
+    wal = Option.map Wal.open_log wal_path;
+    announced = Hashtbl.create 64;
+    announced_m = Mutex.create ();
+  }
 
 let epoch_policy t = t.epoch
 
@@ -30,7 +38,22 @@ let insert_batch t records = List.iter (insert t) records
 
 let add_window t ~router_id ~epoch = ignore (table t ~router_id ~epoch)
 
-let window t ~router_id ~epoch =
+(* The first read of a window while the recorder is on emits its one
+   [store.window] event; later reads (a round's fetch after the
+   publisher's) add no new fact. Reads may come from the daemon's
+   worker and the caller's thread at once, hence the lock. *)
+let announce_first t ~router_id ~epoch records =
+  if Zkflow_obs.Obs.on () then begin
+    Mutex.lock t.announced_m;
+    let first = not (Hashtbl.mem t.announced (router_id, epoch)) in
+    if first then Hashtbl.replace t.announced (router_id, epoch) ();
+    Mutex.unlock t.announced_m;
+    if first then
+      Zkflow_obs.Event.emit ~router:router_id ~epoch ~track:"store" "store.window"
+        ~attrs:[ ("records", Zkflow_util.Jsonx.Num (float_of_int (Array.length records))) ]
+  end
+
+let window ?(announce = true) t ~router_id ~epoch =
   let records =
     match Hashtbl.find_opt t.windows (router_id, epoch) with
     | None -> [||]
@@ -43,8 +66,7 @@ let window t ~router_id ~epoch =
             | Error e -> failwith ("Db.window: corrupt row: " ^ e))
           | None -> assert false)
   in
-  Zkflow_obs.Event.emit ~router:router_id ~epoch ~track:"store" "store.window"
-    ~attrs:[ ("records", Zkflow_util.Jsonx.Num (float_of_int (Array.length records))) ];
+  if announce then announce_first t ~router_id ~epoch records;
   records
 
 let routers t =
@@ -83,7 +105,7 @@ let recover ~wal_path ~epoch =
   match Wal.replay wal_path with
   | Error e -> Error e
   | Ok rows ->
-    let t = { epoch; windows = Hashtbl.create 64; wal = None } in
+    let t = create ~epoch () in
     let rec go = function
       | [] -> Ok t
       | row :: rest -> (

@@ -26,9 +26,14 @@ val add_window : t -> router_id:int -> epoch:int -> unit
     record, so {!routers_for} lists it: a router commits to every
     window it exports, the empty ones included. *)
 
-val window : t -> router_id:int -> epoch:int -> Zkflow_netflow.Record.t array
+val window :
+  ?announce:bool -> t -> router_id:int -> epoch:int -> Zkflow_netflow.Record.t array
 (** All records of one router's integrity window, in insertion order
-    ([||] when empty). *)
+    ([||] when empty). The first read of each window while the
+    recorder is on emits one [store.window] event with its record
+    count; later reads of it from this store emit none. A replay that
+    hands the window on to another store, which announces it when its
+    round reads it, passes [~announce:false]. *)
 
 val routers : t -> int list
 (** Router ids present, ascending. *)

@@ -39,12 +39,13 @@ let r_bool r =
   | 1 -> true
   | _ -> raise (Decode "bool out of range")
 
-let r_bytes r =
-  let len = r_int r in
+let r_raw r len =
   if len < 0 || r.pos + len > Bytes.length r.data then raise (Decode "bytes: truncated");
   let b = Bytes.sub r.data r.pos len in
   r.pos <- r.pos + len;
   b
+
+let r_bytes r = r_raw r (r_int r)
 
 let r_string r = Bytes.to_string (r_bytes r)
 

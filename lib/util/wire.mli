@@ -30,6 +30,10 @@ val r_array : reader -> (unit -> 'a) -> 'a array
 val r_end : reader -> unit
 (** Asserts all input was consumed. *)
 
+val r_raw : reader -> int -> bytes
+(** [r_raw r n] reads the next [n] bytes, unframed. After an {!r_int}
+    it reads a {!w_bytes} field whose length the caller has bounded. *)
+
 exception Decode of string
 (** Raised by the [r_*] functions on malformed input. *)
 

@@ -40,3 +40,45 @@ let derive ~(claim : Receipt.claim) ~queries ~n_rows ~n_mem ~root_rows
       zs_idx = sample "z_sorted" (n_mem - 1);
     },
     root_z )
+
+type opened = { rows : int array; time : int array; sorted : int array; z : int array }
+
+let ascending parts =
+  let a = Array.concat parts in
+  Array.sort Int.compare a;
+  let n = ref 0 in
+  Array.iteri
+    (fun k i ->
+      if k = 0 || i <> a.(!n - 1) then begin
+        a.(!n) <- i;
+        incr n
+      end)
+    a;
+  Array.sub a 0 !n
+
+let succ_all = Array.map succ
+
+let rows_opened ~n_rows c = ascending [ [| 0; n_rows - 1 |]; c.step_idx; succ_all c.step_idx ]
+
+let opened ~n_rows ~n_mem ~spans c =
+  let accesses =
+    Array.concat (Array.to_list (Array.map (fun (pos, count) -> Array.init count (( + ) pos)) spans))
+  in
+  {
+    rows = rows_opened ~n_rows c;
+    time = ascending [ [| 0 |]; accesses; succ_all c.zt_idx ];
+    sorted = ascending [ [| 0 |]; c.sorted_idx; succ_all c.sorted_idx; succ_all c.zs_idx ];
+    z =
+      ascending
+        [ [| 0; n_mem - 1 |]; c.zt_idx; succ_all c.zt_idx; c.zs_idx; succ_all c.zs_idx ];
+  }
+
+let rank set i =
+  let rec go lo hi =
+    if lo >= hi then raise Not_found
+    else
+      let mid = (lo + hi) / 2 in
+      let v = set.(mid) in
+      if v = i then mid else if v < i then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length set)

@@ -27,3 +27,41 @@ val derive :
     verifier just returns the root claimed in the seal. Returns the
     challenges plus that one phase-2 root. The transcript domain is
     ["zkflow.zkvm.receipt.v2"]. *)
+
+(** {2 Opened index sets}
+
+    Which leaves of each trace-commitment tree the seal opens, derived
+    from the challenges alone (and, for the time log, the access spans
+    of the opened rows). The prover opens exactly these and the
+    verifier requires exactly these, so the seal carries no indices.
+    Every set is ascending and holds each index once. *)
+
+type opened = {
+  rows : int array;
+      (** rows tree, and the jacc tree at the same indices: [0],
+          [n_rows − 1], and [i], [i + 1] for each step [i] *)
+  time : int array;
+      (** time-ordered log: [0], the accesses of each step row, and
+          [j + 1] for each time link [j] *)
+  sorted : int array;
+      (** address-sorted log: [0], [j] and [j + 1] for each sorted
+          pair [j], and [j + 1] for each sorted link [j] *)
+  z : int array;
+      (** grand-product tree: [0], [n_mem − 1], and [j], [j + 1] for
+          each link [j] of either column *)
+}
+
+val rows_opened : n_rows:int -> challenges -> int array
+(** The [rows] set of {!opened}, needed first: the verifier reads the
+    step rows' access spans out of it. *)
+
+val opened : n_rows:int -> n_mem:int -> spans:(int * int) array -> challenges -> opened
+(** [spans.(k)] is the access span [(mem_pos, mem_count)] of row
+    [step_idx.(k)]: it owns log entries [mem_pos .. mem_pos + mem_count − 1].
+    The caller bounds the spans; the verifier refuses any that leaves
+    the log before calling. *)
+
+val rank : int array -> int -> int
+(** [rank set i] is the position of [i] in the ascending [set], where
+    its leaf sits in the column. Raises [Not_found] when [i] is not in
+    [set]. *)

@@ -6,8 +6,13 @@ module D = Zkflow_hash.Digest32
 module Fp2 = Zkflow_field.Fp2
 module Obs = Zkflow_obs
 
-let open_at tree leaves i =
-  { Receipt.index = i; leaf = leaves.(i); path = Tree.prove tree i }
+(* One column of the seal: the leaves at [set] and one multiproof's
+   helpers for them. *)
+let open_column tree leaves set =
+  {
+    Receipt.leaves = Array.map (Array.get leaves) set;
+    helpers = (Zkflow_merkle.Multiproof.prove tree set).Zkflow_merkle.Multiproof.helpers;
+  }
 
 (* Phase-1 commitments depend only on the guest image and the traced
    run, not on the proof parameters or the Fiat–Shamir transcript — so
@@ -165,58 +170,21 @@ let prove_result ?(params = Params.default) program (run : Machine.result) =
         ~commit_z
     in
     if t_fs <> 0 then Obs.Span.finish "zkproof.fs" t_fs;
-    let { Fs.step_idx; sorted_idx; zt_idx; zs_idx; _ } = challenges in
     let z_tree, z_leaves = Option.get !z_commit in
-    (* Openings. *)
+    (* Openings: the index sets the verifier will derive, one
+       multiproof per root. *)
     let t_open = Obs.Span.start () in
-    let steps =
+    let spans =
       Array.map
-        (fun i ->
-          let row = rows.(i) in
-          {
-            Receipt.row = open_at rows_tree row_leaves i;
-            next = open_at rows_tree row_leaves (i + 1);
-            mem =
-              Array.init row.Trace.mem_count (fun k ->
-                  open_at time_tree time_leaves (row.Trace.mem_pos + k));
-            jacc = open_at jacc_tree jacc_leaves i;
-            jacc_next = open_at jacc_tree jacc_leaves (i + 1);
-          })
-        step_idx
+        (fun i -> (rows.(i).Trace.mem_pos, rows.(i).Trace.mem_count))
+        challenges.Fs.step_idx
     in
-    let sorteds =
-      Array.map
-        (fun j ->
-          {
-            Receipt.first = open_at sorted_tree sorted_leaves j;
-            second = open_at sorted_tree sorted_leaves (j + 1);
-          })
-        sorted_idx
-    in
-    let z_checks log_tree log_leaves idx =
-      Array.map
-        (fun j ->
-          {
-            Receipt.z = open_at z_tree z_leaves j;
-            z_next = open_at z_tree z_leaves (j + 1);
-            entry_next = open_at log_tree log_leaves (j + 1);
-          })
-        idx
-    in
-    let zs_time = z_checks time_tree time_leaves zt_idx in
-    let zs_sorted = z_checks sorted_tree sorted_leaves zs_idx in
-    let boundary =
-      {
-        Receipt.row0 = open_at rows_tree row_leaves 0;
-        last_row = open_at rows_tree row_leaves (n_rows - 1);
-        jacc0 = open_at jacc_tree jacc_leaves 0;
-        jacc_last = open_at jacc_tree jacc_leaves (n_rows - 1);
-        time0 = open_at time_tree time_leaves 0;
-        sorted0 = open_at sorted_tree sorted_leaves 0;
-        z0 = open_at z_tree z_leaves 0;
-        z_last = open_at z_tree z_leaves (n_mem - 1);
-      }
-    in
+    let opened = Fs.opened ~n_rows ~n_mem ~spans challenges in
+    let rows_col = open_column rows_tree row_leaves opened.Fs.rows in
+    let jacc = open_column jacc_tree jacc_leaves opened.Fs.rows in
+    let time = open_column time_tree time_leaves opened.Fs.time in
+    let sorted = open_column sorted_tree sorted_leaves opened.Fs.sorted in
+    let z = open_column z_tree z_leaves opened.Fs.z in
     if t_open <> 0 then Obs.Span.finish "zkproof.openings" t_open;
     if t_prove <> 0 then
       Obs.Span.finish "zkproof.prove" ~args:[ ("rows", n_rows) ] t_prove;
@@ -233,11 +201,11 @@ let prove_result ?(params = Params.default) program (run : Machine.result) =
             root_sorted = Tree.root sorted_tree;
             root_jacc = Tree.root jacc_tree;
             root_z;
-            steps;
-            sorteds;
-            zs_time;
-            zs_sorted;
-            boundary;
+            rows = rows_col;
+            jacc;
+            time;
+            sorted;
+            z;
           };
       }
   end

@@ -39,29 +39,7 @@ let claim_digest claim =
 
 let node = Zkflow_hash.Sha256.node64
 
-type opening = { index : int; leaf : bytes; path : Zkflow_merkle.Proof.t }
-
-type step_check = {
-  row : opening;
-  next : opening;
-  mem : opening array;
-  jacc : opening;
-  jacc_next : opening;
-}
-
-type sorted_check = { first : opening; second : opening }
-type z_check = { z : opening; z_next : opening; entry_next : opening }
-
-type boundary = {
-  row0 : opening;
-  last_row : opening;
-  jacc0 : opening;
-  jacc_last : opening;
-  time0 : opening;
-  sorted0 : opening;
-  z0 : opening;
-  z_last : opening;
-}
+type column = { leaves : bytes array; helpers : bytes }
 
 type seal = {
   params : Params.t;
@@ -72,39 +50,27 @@ type seal = {
   root_sorted : D.t;
   root_jacc : D.t;
   root_z : D.t;
-  steps : step_check array;
-  sorteds : sorted_check array;
-  zs_time : z_check array;
-  zs_sorted : z_check array;
-  boundary : boundary;
+  rows : column;
+  jacc : column;
+  time : column;
+  sorted : column;
+  z : column;
 }
 
 type t = { claim : claim; seal : seal }
+
+let max_leaves ~queries = (32 * queries) + 2
+
+let columns s =
+  [ ("rows", s.rows); ("jacc", s.jacc); ("time", s.time); ("sorted", s.sorted); ("z", s.z) ]
 
 (* ---- encoding ---- *)
 
 let w_digest w d = Wire.w_bytes w (D.unsafe_to_bytes d)
 
-let w_opening w o =
-  Wire.w_int w o.index;
-  Wire.w_bytes w o.leaf;
-  Wire.w_bytes w (Zkflow_merkle.Proof.encode o.path)
-
-let w_step w s =
-  w_opening w s.row;
-  w_opening w s.next;
-  Wire.w_array w (w_opening w) s.mem;
-  w_opening w s.jacc;
-  w_opening w s.jacc_next
-
-let w_sorted w s =
-  w_opening w s.first;
-  w_opening w s.second
-
-let w_z w z =
-  w_opening w z.z;
-  w_opening w z.z_next;
-  w_opening w z.entry_next
+let w_column w c =
+  Wire.w_array w (Wire.w_bytes w) c.leaves;
+  Wire.w_bytes w c.helpers
 
 let encode_seal w s =
   Wire.w_int w s.params.Params.queries;
@@ -115,18 +81,10 @@ let encode_seal w s =
   w_digest w s.root_sorted;
   w_digest w s.root_jacc;
   w_digest w s.root_z;
-  Wire.w_array w (w_step w) s.steps;
-  Wire.w_array w (w_sorted w) s.sorteds;
-  Wire.w_array w (w_z w) s.zs_time;
-  Wire.w_array w (w_z w) s.zs_sorted;
-  let b = s.boundary in
-  List.iter (w_opening w)
-    [
-      b.row0; b.last_row; b.jacc0; b.jacc_last; b.time0; b.sorted0; b.z0; b.z_last;
-    ]
+  List.iter (fun (_, c) -> w_column w c) (columns s)
 
 (* Every encoding starts with the seal version, as a Wire string. *)
-let seal_tag = "zkflow.seal.v2"
+let seal_tag = "zkflow.seal.v3"
 
 let tag_prefix =
   let w = Wire.writer () in
@@ -149,34 +107,21 @@ let r_digest r =
   if Bytes.length b <> 32 then raise (Wire.Decode "digest: wrong length");
   D.of_bytes b
 
-let r_opening r =
-  let index = Wire.r_int r in
-  let leaf = Wire.r_bytes r in
-  let path_bytes = Wire.r_bytes r in
-  match Zkflow_merkle.Proof.decode path_bytes 0 with
-  | Ok (path, consumed) when consumed = Bytes.length path_bytes ->
-    { index; leaf; path }
-  | Ok _ -> raise (Wire.Decode "opening: trailing path bytes")
-  | Error e -> raise (Wire.Decode e)
-
-let r_step r =
-  let row = r_opening r in
-  let next = r_opening r in
-  let mem = Wire.r_array r (fun () -> r_opening r) in
-  let jacc = r_opening r in
-  let jacc_next = r_opening r in
-  { row; next; mem; jacc; jacc_next }
-
-let r_sorted r =
-  let first = r_opening r in
-  let second = r_opening r in
-  { first; second }
-
-let r_z r =
-  let z = r_opening r in
-  let z_next = r_opening r in
-  let entry_next = r_opening r in
-  { z; z_next; entry_next }
+(* Both counts are bounded before anything of the column is
+   allocated: the leaves by the query count, the helpers by 64 (the
+   deepest tree) per leaf. The verifier then requires the exact counts
+   its challenges imply. *)
+let r_column ~queries what r =
+  let n = Wire.r_int r in
+  if n > max_leaves ~queries then
+    raise (Wire.Decode (Printf.sprintf "%s: %d leaves for %d queries" what n queries));
+  let leaves = Array.init n (fun _ -> Wire.r_bytes r) in
+  let len = Wire.r_int r in
+  if len mod 32 <> 0 then raise (Wire.Decode (what ^ ": helpers are not whole digests"));
+  if len / 32 > 64 * n then
+    raise
+      (Wire.Decode (Printf.sprintf "%s: %d helpers for %d leaves" what (len / 32) n));
+  { leaves; helpers = Wire.r_raw r len }
 
 let decode_seal r =
   let queries = Wire.r_int r in
@@ -190,23 +135,15 @@ let decode_seal r =
   let root_sorted = r_digest r in
   let root_jacc = r_digest r in
   let root_z = r_digest r in
-  let steps = Wire.r_array r (fun () -> r_step r) in
-  let sorteds = Wire.r_array r (fun () -> r_sorted r) in
-  let zs_time = Wire.r_array r (fun () -> r_z r) in
-  let zs_sorted = Wire.r_array r (fun () -> r_z r) in
-  let o () = r_opening r in
-  let row0 = o () in
-  let last_row = o () in
-  let jacc0 = o () in
-  let jacc_last = o () in
-  let time0 = o () in
-  let sorted0 = o () in
-  let z0 = o () in
-  let z_last = o () in
+  let column what = r_column ~queries what r in
+  let rows = column "rows" in
+  let jacc = column "jacc" in
+  let time = column "time" in
+  let sorted = column "sorted" in
+  let z = column "z" in
   {
     params; n_rows; n_mem; root_rows; root_time; root_sorted; root_jacc;
-    root_z; steps; sorteds; zs_time; zs_sorted;
-    boundary = { row0; last_row; jacc0; jacc_last; time0; sorted0; z0; z_last };
+    root_z; rows; jacc; time; sorted; z;
   }
 
 let decode b =

@@ -32,43 +32,16 @@ val node : Zkflow_merkle.Proof.node
     prover builds under it and the verifier checks under it, so the
     two cannot diverge. *)
 
-type opening = {
-  index : int;
-  leaf : bytes;                   (** serialized leaf preimage *)
-  path : Zkflow_merkle.Proof.t;
+type column = {
+  leaves : bytes array;
+      (** the leaf preimages the challenges open under one root, in
+          ascending index order and each once *)
+  helpers : bytes;
+      (** the helper digests of one {!Zkflow_merkle.Multiproof} over
+          those leaves, 32 bytes each *)
 }
-(** One authenticated leaf of a committed column. *)
-
-type step_check = {
-  row : opening;          (** rows tree, index i *)
-  next : opening;         (** rows tree, index i + 1 *)
-  mem : opening array;    (** time-log entries owned by row i *)
-  jacc : opening;         (** journal accumulator after row i *)
-  jacc_next : opening;    (** after row i + 1 *)
-}
-
-type sorted_check = { first : opening; second : opening }
-(** Adjacent pair of the address-sorted access log. *)
-
-type z_check = {
-  z : opening;            (** grand-product tree at j *)
-  z_next : opening;       (** at j + 1 *)
-  entry_next : opening;   (** the log entry at j + 1 *)
-}
-(** One grand-product link. Both columns share one tree, whose leaf j
-    is [z_time.(j) ‖ z_sorted.(j)] ({!Memcheck.encode_z}); a time check
-    reads the first half and a sorted check the second. *)
-
-type boundary = {
-  row0 : opening;
-  last_row : opening;
-  jacc0 : opening;
-  jacc_last : opening;
-  time0 : opening;
-  sorted0 : opening;
-  z0 : opening;       (** grand-product tree, index 0 *)
-  z_last : opening;   (** grand-product tree, index n_mem − 1 *)
-}
+(** One committed column's openings. The seal carries no indices:
+    the verifier derives each column's index set ({!Fs.opened}). *)
 
 type seal = {
   params : Params.t;
@@ -78,18 +51,30 @@ type seal = {
   root_time : Zkflow_hash.Digest32.t;
   root_sorted : Zkflow_hash.Digest32.t;
   root_jacc : Zkflow_hash.Digest32.t;
-  root_z : Zkflow_hash.Digest32.t;  (** the shared grand-product tree *)
-  steps : step_check array;
-  sorteds : sorted_check array;
-  zs_time : z_check array;
-  zs_sorted : z_check array;
-  boundary : boundary;
+  root_z : Zkflow_hash.Digest32.t;
+      (** the shared grand-product tree: leaf j is
+          [z_time.(j) ‖ z_sorted.(j)] ({!Memcheck.encode_z}) *)
+  rows : column;    (** trace rows, under [root_rows] *)
+  jacc : column;    (** journal accumulator, under [root_jacc], at the rows' indices *)
+  time : column;    (** time-ordered access log, under [root_time] *)
+  sorted : column;  (** address-sorted access log, under [root_sorted] *)
+  z : column;       (** grand products, under [root_z] *)
 }
+
+val columns : seal -> (string * column) list
+(** The five columns by name, in encoding order: rows, jacc, time,
+    sorted, z. *)
 
 type t = { claim : claim; seal : seal }
 
 val seal_tag : string
-(** ["zkflow.seal.v2"]: the seal version every encoding starts with. *)
+(** ["zkflow.seal.v3"]: the seal version every encoding starts with. *)
+
+val max_leaves : queries:int -> int
+(** [32 · queries + 2]: the most leaves one column may open. The
+    widest column is the time log: entry 0, one link entry per query,
+    and the accesses of each opened step row, at most 24 (a last SHA
+    block's 16 reads and 8 writes). *)
 
 val encode : t -> bytes
 (** The seal tag, then the claim, then the seal. *)
@@ -97,7 +82,9 @@ val encode : t -> bytes
 val decode : bytes -> (t, string) result
 (** Fails with ["receipt: unsupported seal version"] on any encoding
     that does not start with {!seal_tag}, such as one from an earlier
-    seal version. *)
+    seal version. Before allocating a column it refuses a leaf count
+    above {!max_leaves} and a helper blob that is not whole digests or
+    holds more than 64 per leaf. *)
 
 val journal_size : t -> int
 (** Journal bytes (Table 1, "Journal"). *)

@@ -12,13 +12,15 @@
 val verify :
   program:Zkflow_zkvm.Program.t -> Receipt.t -> (unit, string) result
 (** [Ok ()] iff the claim's exit code and journal words are 32-bit
-    ({!Receipt.check_claim}), every Merkle opening authenticates under
-    {!Receipt.node}, the Fiat–Shamir
-    challenges reproduce the opened positions, every opened step
-    re-executes correctly, the memory argument holds at the opened
-    positions, and the boundary conditions (entry at pc 0, halt with
-    the claimed exit code, journal accumulator ending at the claimed
-    journal) all hold. *)
+    ({!Receipt.check_claim}), every column opens exactly the leaves its
+    Fiat–Shamir index set names ({!Fs.opened}) with exactly the helper
+    count that set implies (both checked before any hashing), each
+    column's multiproof reaches its root under {!Receipt.node}, every
+    opened step re-executes correctly, the memory argument holds at the
+    opened positions, and the boundary conditions (entry at pc 0, halt
+    with the claimed exit code, journal accumulator ending at the
+    claimed journal) all hold. The first failure is returned as a
+    named error. *)
 
 val check : program:Zkflow_zkvm.Program.t -> Receipt.t -> bool
 (** [verify] as a boolean. *)

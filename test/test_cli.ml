@@ -371,6 +371,89 @@ let test_failed_serve_keeps_receipts () =
     check_bool "receipts untouched" true (receipts = read "receipts.bin")
   end
 
+(* A fault every restart meets again ends serve on its own: with
+   checkpoints.wal on /dev/full each round's checkpoint write fails
+   with ENOSPC, and serve restarts the worker on a doubling wait at
+   most five times in a row before it exits nonzero naming the site.
+   No SIGTERM is sent. Skipped where /dev/full does not exist. *)
+let test_serve_crash_loop_gives_up () =
+  if Sys.file_exists "/dev/full" then begin
+    let dir = fresh_dir () in
+    simulate_sparse dir;
+    Unix.symlink "/dev/full" (Filename.concat dir "checkpoints.wal");
+    let log = Filename.concat dir "serve.log" in
+    let fd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+    let pid =
+      Unix.create_process zkflow
+        [| zkflow; "serve"; "--dir"; dir; "--listen"; "0" |]
+        Unix.stdin fd fd
+    in
+    Unix.close fd;
+    let read () = In_channel.with_open_bin log In_channel.input_all in
+    let deadline = Unix.gettimeofday () +. 60. in
+    let rec wait () =
+      match Unix.waitpid [ Unix.WNOHANG ] pid with
+      | 0, _ when Unix.gettimeofday () < deadline ->
+        Unix.sleepf 0.05;
+        wait ()
+      | 0, _ ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        Alcotest.fail ("serve still running after 60 s: " ^ read ())
+      | _, status -> status
+    in
+    let status = wait () in
+    let out = read () in
+    let count needle =
+      List.length (List.filter (fun l -> contains ~needle l) (String.split_on_char '\n' out))
+    in
+    check_bool ("nonzero exit: " ^ out) true (status <> Unix.WEXITED 0);
+    check_bool ("names the ENOSPC site: " ^ out) true
+      (contains ~needle:"worker crashed 6 times at Sys_error(\"No space left on device\")" out);
+    check_int ("five restarts: " ^ out) 5 (count "restarting in");
+    check_bool ("backs off: " ^ out) true (contains ~needle:"restarting in 1.6 s" out)
+  end
+
+(* One [store.window] event per window per process: simulate's
+   publisher reads each window once, and prove's replay hands windows
+   to the daemon without announcing them, so the daemon's round fetch
+   is prove's one read. *)
+let test_store_window_once_per_process () =
+  let dir = fresh_dir () in
+  let events = Filename.concat dir "events.jsonl" in
+  let windows () =
+    let module J = Zkflow_util.Jsonx in
+    In_channel.with_open_bin events In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun line ->
+           match J.parse line with
+           | Ok v when J.member "kind" v = Some (J.Str "store.window") -> (
+             match (J.member "router" v, J.member "epoch" v) with
+             | Some (J.Num r), Some (J.Num e) -> Some (int_of_float r, int_of_float e)
+             | _ -> Alcotest.fail ("store.window without a window: " ^ line))
+           | _ -> None)
+    |> List.sort compare
+  in
+  let per_window n ws =
+    let distinct = List.sort_uniq compare ws in
+    check_int "twelve windows" 12 (List.length distinct);
+    List.iter
+      (fun w ->
+        check_int
+          (Printf.sprintf "r%d/e%d" (fst w) (snd w))
+          n
+          (List.length (List.filter (( = ) w) ws)))
+      distinct
+  in
+  simulate_sparse dir;
+  per_window 1 (windows ());
+  prove_dir dir;
+  per_window 2 (windows ());
+  let code, out = run [ "monitor"; "--dir"; dir; "--strict" ] in
+  check_int ("monitor --strict: " ^ out) 0 code;
+  let code, out = run [ "trace-check"; "--events"; events ] in
+  check_int ("trace-check: " ^ out) 0 code
+
 (* ---- seal version ----
 
    A state dir whose receipts predate the seal tag (the layout before
@@ -400,18 +483,28 @@ let test_verify_refuses_old_seal () =
     | Error e -> Alcotest.fail ("receipts.bin: " ^ e)
   in
   let tag = 1 + String.length Zkflow_zkproof.Receipt.seal_tag in
-  let w = Wire.writer () in
-  Wire.w_list w
-    (fun (epoch, receipt) ->
-      Wire.w_int w epoch;
-      Wire.w_bytes w (Bytes.sub receipt tag (Bytes.length receipt - tag)))
-    rounds;
-  Out_channel.with_open_bin path (fun oc ->
-      Out_channel.output_bytes oc (Wire.contents w));
-  let code, out = run [ "verify"; "--dir"; dir ] in
-  check_bool ("nonzero exit: " ^ out) true (code <> 0);
-  check_bool ("names the version: " ^ out) true
-    (contains ~needle:"receipt: unsupported seal version" out)
+  let untagged receipt = Bytes.sub receipt tag (Bytes.length receipt - tag) in
+  (* the seal v2 tag, one version back *)
+  let v2 receipt =
+    let b = Bytes.copy receipt in
+    Bytes.set b (tag - 1) '2';
+    b
+  in
+  List.iter
+    (fun (what, rewrite) ->
+      let w = Wire.writer () in
+      Wire.w_list w
+        (fun (epoch, receipt) ->
+          Wire.w_int w epoch;
+          Wire.w_bytes w (rewrite receipt))
+        rounds;
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_bytes oc (Wire.contents w));
+      let code, out = run [ "verify"; "--dir"; dir ] in
+      check_bool (what ^ ": nonzero exit: " ^ out) true (code <> 0);
+      check_bool (what ^ ": names the version: " ^ out) true
+        (contains ~needle:"receipt: unsupported seal version" out))
+    [ ("untagged", untagged); ("seal v2 tag", v2) ]
 
 let test_monitor_missing_log () =
   let dir = fresh_dir () in
@@ -741,6 +834,8 @@ let () =
             test_prove_resumes_truncated_checkpoints;
           Alcotest.test_case "failed serve keeps receipts" `Quick
             test_failed_serve_keeps_receipts;
+          Alcotest.test_case "serve crash loop gives up" `Quick
+            test_serve_crash_loop_gives_up;
         ] );
       ( "flight-recorder",
         [
@@ -749,6 +844,8 @@ let () =
           Alcotest.test_case "monitor without a log" `Quick test_monitor_missing_log;
           Alcotest.test_case "verify refuses an old seal" `Quick
             test_verify_refuses_old_seal;
+          Alcotest.test_case "one store.window per window per process" `Quick
+            test_store_window_once_per_process;
         ] );
       ( "chaos",
         [

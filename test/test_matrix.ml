@@ -301,6 +301,35 @@ let test_bits_direction_inverted () =
        (fun c -> c.Bench_diff.field = "soundness_bits")
        r.Bench_diff.improvements)
 
+(* Table 1 rows split the receipt into helper and leaf bytes; both
+   are compared like every other [_bytes] field: more is a
+   regression, less an improvement, with no timing floor. *)
+let test_table1_helper_and_leaf_bytes () =
+  let table1 ~helpers ~leaves =
+    Jsonx.Obj
+      [
+        ( "rows",
+          Jsonx.Arr
+            [
+              Jsonx.Obj
+                [
+                  ("records", Jsonx.Num 500.);
+                  ("receipt_bytes", Jsonx.Num (helpers +. leaves +. 1000.));
+                  ("helper_bytes", Jsonx.Num helpers);
+                  ("leaf_bytes", Jsonx.Num leaves);
+                ];
+            ] );
+      ]
+  in
+  let fields cs = List.sort compare (List.map (fun c -> c.Bench_diff.field) cs) in
+  let r =
+    diff_exn (table1 ~helpers:80_000. ~leaves:12_000.) (table1 ~helpers:160_000. ~leaves:6_000.)
+  in
+  Alcotest.(check (list string))
+    "helpers doubled" [ "helper_bytes"; "receipt_bytes" ]
+    (fields r.Bench_diff.regressions);
+  Alcotest.(check (list string)) "leaves halved" [ "leaf_bytes" ] (fields r.Bench_diff.improvements)
+
 (* ---- Bench_diff: env provenance notes ---------------------------- *)
 
 let env ?(kernel = "sha-ni") ~commit ~dirty ~host () =
@@ -491,6 +520,8 @@ let () =
           Alcotest.test_case "min_s floor boundary" `Quick test_min_s_floor_boundary;
           Alcotest.test_case "one-side field is a note" `Quick
             test_one_side_field_is_note;
+          Alcotest.test_case "table1 helper and leaf bytes" `Quick
+            test_table1_helper_and_leaf_bytes;
           Alcotest.test_case "_bits direction inverted" `Quick
             test_bits_direction_inverted;
           Alcotest.test_case "env provenance notes" `Quick test_env_provenance_notes;

@@ -143,24 +143,6 @@ let test_proof_rejects_tampered_sibling () =
   check_bool "tampered path" false
     (Proof.verify ~node:digest64 ~root:(Tree.root t) ~leaf_hash:(Tree.leaf t 5) tampered)
 
-let test_proof_encode_decode () =
-  let t = Tree.of_leaves ~node:digest64 (leaves 10) in
-  let p = Tree.prove t 7 in
-  let b = Proof.encode p in
-  match Proof.decode b 0 with
-  | Error e -> Alcotest.fail e
-  | Ok (p', off) ->
-    check_int "consumed all" (Bytes.length b) off;
-    check_int "index" p.Proof.index p'.Proof.index;
-    check_bool "verifies" true
-      (Proof.verify ~node:digest64 ~root:(Tree.root t) ~leaf_hash:(Tree.leaf t 7) p')
-
-let test_proof_decode_truncated () =
-  let t = Tree.of_leaves ~node:digest64 (leaves 10) in
-  let b = Proof.encode (Tree.prove t 7) in
-  let cut = Bytes.sub b 0 (Bytes.length b - 5) in
-  check_bool "truncated rejected" true (Result.is_error (Proof.decode cut 0))
-
 let prop_proof_sound_random_trees =
   QCheck.Test.make ~name:"proofs verify on random trees" ~count:50
     QCheck.(pair (int_range 1 40) (int_range 0 1000))
@@ -171,121 +153,82 @@ let prop_proof_sound_random_trees =
       let i = seed mod n in
       Proof.verify_data ~node:digest64 ~root:(Tree.root t) data.(i) (Tree.prove t i))
 
-(* The shared-path batch check against checking each opening alone:
-   random trees with repeated leaves, random multisets of indices
-   (repeats included) and, in two cases of three, one opening tampered
-   in one field, among others by borrowing a sibling from another
-   opening so that paths agree low down and differ higher up. *)
-let prop_verify_data_all_is_for_all =
-  QCheck.Test.make ~name:"verify_data_all == for_all verify_data" ~count:500
-    QCheck.(triple (int_range 1 40) (int_range 0 12) (int_range 0 100_000))
-    (fun (n, k, seed) ->
-      let rng = Zkflow_util.Rng.create (Int64.of_int seed) in
-      (* The seed picks the node rule, so both get half the cases. *)
-      let node = snd (List.nth rules (seed mod 2)) in
-      let pick n = Zkflow_util.Rng.int rng n in
-      let data =
-        Array.init n (fun _ ->
-            if pick 4 = 0 then Bytes.of_string "dup" else Zkflow_util.Rng.bytes rng 8)
-      in
-      let t = Tree.of_leaves ~node data in
-      let root = Tree.root t in
-      (* Half the indices come from a small pool, so paths often meet
-         low down or coincide. *)
-      let pool = Array.init (1 + pick 3) (fun _ -> pick n) in
-      let openings =
-        Array.init k (fun _ ->
-            let i = if pick 2 = 0 then pool.(pick (Array.length pool)) else pick n in
-            (data.(i), Tree.prove t i))
-      in
-      let tamper (leaf, (p : Proof.t)) =
-        let d = Proof.depth p in
-        let sib = Array.copy p.Proof.siblings in
-        match pick 9 with
-        | 0 ->
-          let leaf = Bytes.copy leaf in
-          Bytes.set leaf 0 (Char.chr (Char.code (Bytes.get leaf 0) lxor 1));
-          (leaf, p)
-        | 1 -> (data.(pick n), p)
-        | 2 when d > 0 ->
-          sib.(pick d) <- D.hash_string "tamper";
-          (leaf, { p with Proof.siblings = sib })
-        | 3 when d > 0 && k > 0 ->
-          (* a sibling from another opening's path at the same level *)
-          let l = pick d in
-          let _, q = openings.(pick k) in
-          if l < Proof.depth q then sib.(l) <- q.Proof.siblings.(l);
-          (leaf, { p with Proof.siblings = sib })
-        | 4 -> (leaf, { p with Proof.index = p.Proof.index lxor (1 lsl pick (d + 2)) })
-        | 5 when d > 0 -> (leaf, { p with Proof.siblings = Array.sub sib 0 (d - 1) })
-        | 6 -> (leaf, { p with Proof.siblings = Array.append sib [| D.zero |] })
-        | 7 when k > 0 -> openings.(pick k)
-        | 8 -> (leaf, { p with Proof.index = p.Proof.index lor min_int })
-        | _ -> (leaf, p)
-      in
-      if k > 0 && pick 3 > 0 then begin
-        let v = pick k in
-        openings.(v) <- tamper openings.(v)
-      end;
-      Proof.verify_data_all ~node ~root openings
-      = Array.for_all (fun (leaf, p) -> Proof.verify_data ~node ~root leaf p) openings)
-
 (* ---- Multiproof ---- *)
+
+let mp_verify t mp idx =
+  Multiproof.verify ~node:digest64 ~root:(Tree.root t) mp
+    (Multiproof.leaf_digests (List.map (Tree.leaf t) (Array.to_list idx)))
 
 let test_multiproof_basic () =
   let t = Tree.of_leaves ~node:digest64 (leaves 16) in
-  let idx = [ 1; 5; 6; 12 ] in
-  let mp = Multiproof.prove t idx in
-  let lh = Array.of_list (List.map (Tree.leaf t) idx) in
-  check_bool "verifies" true (Multiproof.verify ~root:(Tree.root t) mp lh)
+  let idx = [| 1; 5; 6; 12 |] in
+  check_bool "verifies" true (mp_verify t (Multiproof.prove t idx) idx)
 
 let test_multiproof_all_leaves_needs_no_helpers () =
   let t = Tree.of_leaves ~node:digest64 (leaves 8) in
-  let idx = [ 0; 1; 2; 3; 4; 5; 6; 7 ] in
+  let idx = Array.init 8 Fun.id in
   let mp = Multiproof.prove t idx in
-  check_int "no helpers" 0 (Multiproof.helper_count mp);
-  let lh = Array.of_list (List.map (Tree.leaf t) idx) in
-  check_bool "verifies" true (Multiproof.verify ~root:(Tree.root t) mp lh)
+  check_int "no helpers" 0 (Bytes.length mp.Multiproof.helpers);
+  check_bool "verifies" true (mp_verify t mp idx)
 
 let test_multiproof_smaller_than_individual () =
   let t = Tree.of_leaves ~node:digest64 (leaves 64) in
-  let idx = [ 0; 1; 2; 3; 4; 5; 6; 7 ] in
-  let mp = Multiproof.prove t idx in
-  let individual = List.length idx * Tree.depth t in
-  check_bool "dedup effective" true (Multiproof.helper_count mp < individual)
+  let idx = Array.init 8 Fun.id in
+  let individual = Array.length idx * Tree.depth t in
+  check_bool "dedup effective" true
+    (Multiproof.helper_count ~depth:(Tree.depth t) idx < individual)
 
 let test_multiproof_rejects_wrong_leaf () =
   let t = Tree.of_leaves ~node:digest64 (leaves 16) in
-  let idx = [ 2; 9 ] in
-  let mp = Multiproof.prove t idx in
-  let lh = [| Tree.leaf t 2; Tree.leaf t 10 |] in
-  check_bool "wrong leaf" false (Multiproof.verify ~root:(Tree.root t) mp lh)
+  let mp = Multiproof.prove t [| 2; 9 |] in
+  check_bool "wrong leaf" false (mp_verify t mp [| 2; 10 |])
 
 let test_multiproof_rejects_count_mismatch () =
   let t = Tree.of_leaves ~node:digest64 (leaves 16) in
-  let mp = Multiproof.prove t [ 2; 9 ] in
-  check_bool "count mismatch" false
-    (Multiproof.verify ~root:(Tree.root t) mp [| Tree.leaf t 2 |])
+  let mp = Multiproof.prove t [| 2; 9 |] in
+  check_bool "count mismatch" false (mp_verify t mp [| 2 |])
 
 let test_multiproof_input_validation () =
   let t = Tree.of_leaves ~node:digest64 (leaves 8) in
   Alcotest.check_raises "empty" (Invalid_argument "Multiproof.prove: empty index set")
-    (fun () -> ignore (Multiproof.prove t []));
+    (fun () -> ignore (Multiproof.prove t [||]));
   Alcotest.check_raises "dup" (Invalid_argument "Multiproof.prove: duplicate indices")
-    (fun () -> ignore (Multiproof.prove t [ 1; 1 ]));
+    (fun () -> ignore (Multiproof.prove t [| 1; 1 |]));
+  Alcotest.check_raises "descending" (Invalid_argument "Multiproof.prove: indices not ascending")
+    (fun () -> ignore (Multiproof.prove t [| 3; 1 |]));
   Alcotest.check_raises "oob" (Invalid_argument "Multiproof.prove: index out of range")
-    (fun () -> ignore (Multiproof.prove t [ 8 ]))
+    (fun () -> ignore (Multiproof.prove t [| 8 |]));
+  (* the verifier's side refuses the same sets as values *)
+  let root idx =
+    Multiproof.compute_root ~node:digest64
+      { Multiproof.depth = 3; indices = idx; helpers = Bytes.empty }
+      (Bytes.make (32 * Array.length idx) '\000')
+  in
+  List.iter
+    (fun (what, idx, e) -> Alcotest.(check (result reject string)) what (Error e) (root idx))
+    [
+      ("empty", [||], "multiproof: empty index set");
+      ("dup", [| 1; 1 |], "multiproof: duplicate indices");
+      ("descending", [| 3; 1 |], "multiproof: indices not ascending");
+      ("outside the padded tree", [| 8 |], "multiproof: index out of range");
+      ("negative", [| -1 |], "multiproof: index out of range");
+    ]
 
 let test_multiproof_encode_decode () =
   let t = Tree.of_leaves ~node:digest64 (leaves 20) in
-  let mp = Multiproof.prove t [ 0; 7; 19 ] in
+  let idx = [| 0; 7; 19 |] in
+  let mp = Multiproof.prove t idx in
   let b = Multiproof.encode mp in
   match Multiproof.decode b 0 with
   | Error e -> Alcotest.fail e
   | Ok (mp', off) ->
     check_int "consumed" (Bytes.length b) off;
-    let lh = Array.of_list (List.map (Tree.leaf t) [ 0; 7; 19 ]) in
-    check_bool "verifies" true (Multiproof.verify ~root:(Tree.root t) mp' lh)
+    check_bool "verifies" true (mp_verify t mp' idx);
+    (* more helpers than indices × depth is refused before reading them *)
+    let w = Buffer.create 16 in
+    List.iter (Zkflow_util.Varint.write w) [ 5; 1; 0; 6 ];
+    check_bool "helper count bounded" true
+      (Result.is_error (Multiproof.decode (Buffer.to_bytes w) 0))
 
 let prop_multiproof_random_subsets =
   QCheck.Test.make ~name:"multiproof on random subsets" ~count:60
@@ -297,12 +240,57 @@ let prop_multiproof_random_subsets =
       let k = 1 + Zkflow_util.Rng.int rng n in
       let all = Array.init n Fun.id in
       Zkflow_util.Rng.shuffle rng all;
-      let idx = Array.to_list (Array.sub all 0 k) in
-      let mp = Multiproof.prove t idx in
-      let lh =
-        Array.of_list (List.map (Tree.leaf t) (Multiproof.indices mp))
+      let idx = Array.sub all 0 k in
+      Array.sort Int.compare idx;
+      mp_verify t (Multiproof.prove t idx) idx)
+
+(* One multiproof under both node rules, over trees of 1 to 4096
+   leaves (most sizes not powers of two) and random non-empty index
+   sets: the climb reaches [Tree.root], carries the helper count the
+   index set implies, and every one-place tamper is refused as a value,
+   never raised. *)
+let prop_multiproof_both_rules =
+  QCheck.Test.make ~name:"multiproof both rules, sizes 1-4096" ~count:150
+    QCheck.(pair (oneof [ int_range 1 40; int_range 1 4096 ]) (int_range 0 1_000_000))
+    (fun (n, seed) ->
+      let rng = Zkflow_util.Rng.create (Int64.of_int seed) in
+      let pick n = Zkflow_util.Rng.int rng n in
+      let node = snd (List.nth rules (seed mod 2)) in
+      let data =
+        Array.init n (fun _ ->
+            if pick 4 = 0 then Bytes.of_string "dup" else Zkflow_util.Rng.bytes rng 8)
       in
-      Multiproof.verify ~root:(Tree.root t) mp lh)
+      let t = Tree.of_leaves ~node data in
+      let idx =
+        Array.of_list (List.sort_uniq Int.compare (List.init (1 + pick (min n 64)) (fun _ -> pick n)))
+      in
+      let mp = Multiproof.prove t idx in
+      let leaves =
+        Multiproof.leaf_digests (List.map (Tree.leaf t) (Array.to_list idx))
+      in
+      let root mp leaves = Multiproof.compute_root ~node mp leaves in
+      let refused mp leaves =
+        match root mp leaves with
+        | Ok r -> not (D.equal r (Tree.root t))
+        | Error _ -> true
+        | exception _ -> false
+      in
+      let flip b at =
+        let b = Bytes.copy b in
+        Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor (1 lsl pick 8)));
+        b
+      in
+      let helpers = mp.Multiproof.helpers in
+      let h = Bytes.length helpers / 32 and k = Array.length idx in
+      let with_helpers helpers = { mp with Multiproof.helpers } in
+      root mp leaves = Ok (Tree.root t)
+      && h = Multiproof.helper_count ~depth:(Tree.depth t) idx
+      && refused mp (flip leaves (pick (32 * k)))
+      && (h = 0 || refused (with_helpers (flip helpers (pick (32 * h)))) leaves)
+      && (h = 0 || refused (with_helpers (Bytes.sub helpers 0 (32 * (h - 1)))) leaves)
+      && refused (with_helpers (Bytes.cat helpers (Bytes.make 32 '\001'))) leaves
+      && refused mp (Bytes.sub leaves 0 (32 * (k - 1)))
+      && refused mp (Bytes.cat leaves (Bytes.sub leaves 0 32)))
 
 (* ---- Smt ---- *)
 
@@ -580,6 +568,11 @@ let test_golden_roots () =
       check "permute" (Tree.root (Tree.permute ~node:digest64 tree (Array.init n Fun.id)));
       check "Proof.compute_root"
         (Proof.compute_root ~node:digest64 (Tree.prove tree (n - 1)) hs.(n - 1));
+      check "Multiproof.compute_root"
+        (Result.get_ok
+           (Multiproof.compute_root ~node:digest64
+              (Multiproof.prove tree [| 0; n - 1 |])
+              (Multiproof.leaf_digests [ hs.(0); hs.(n - 1) ])));
       check "Incremental" (Incremental.root inc))
     [ (5, golden_root_5); (1000, golden_root_1000) ]
 
@@ -605,10 +598,7 @@ let () =
           Alcotest.test_case "rejects wrong leaf" `Quick test_proof_rejects_wrong_leaf;
           Alcotest.test_case "rejects wrong root" `Quick test_proof_rejects_wrong_root;
           Alcotest.test_case "rejects tampered path" `Quick test_proof_rejects_tampered_sibling;
-          Alcotest.test_case "encode/decode" `Quick test_proof_encode_decode;
-          Alcotest.test_case "decode truncated" `Quick test_proof_decode_truncated;
           q prop_proof_sound_random_trees;
-          q prop_verify_data_all_is_for_all;
         ] );
       ( "multiproof",
         [
@@ -620,6 +610,7 @@ let () =
           Alcotest.test_case "input validation" `Quick test_multiproof_input_validation;
           Alcotest.test_case "encode/decode" `Quick test_multiproof_encode_decode;
           q prop_multiproof_random_subsets;
+          q prop_multiproof_both_rules;
         ] );
       ( "incremental",
         [

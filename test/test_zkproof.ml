@@ -123,22 +123,20 @@ let test_verify_rejects_tampered_root () =
 let test_verify_rejects_tampered_opening () =
   let receipt, _ = prove_demo () in
   let seal = receipt.Receipt.seal in
-  let steps = Array.copy seal.Receipt.steps in
-  let s0 = steps.(0) in
-  let leaf = Bytes.copy s0.Receipt.row.Receipt.leaf in
+  let leaves = Array.copy seal.Receipt.rows.Receipt.leaves in
+  let leaf = Bytes.copy leaves.(0) in
   Bytes.set leaf 0 (Char.chr (Char.code (Bytes.get leaf 0) lxor 1));
-  steps.(0) <-
-    { s0 with Receipt.row = { s0.Receipt.row with Receipt.leaf = leaf } };
-  let tampered = { receipt with Receipt.seal = { seal with Receipt.steps = steps } } in
+  leaves.(0) <- leaf;
+  let rows = { seal.Receipt.rows with Receipt.leaves } in
+  let tampered = { receipt with Receipt.seal = { seal with Receipt.rows } } in
   check_bool "tampered leaf" false (Verify.check ~program:demo_guest tampered)
 
 let test_verify_rejects_truncated_checks () =
   let receipt, _ = prove_demo () in
   let seal = receipt.Receipt.seal in
-  let tampered =
-    { receipt with Receipt.seal = { seal with Receipt.steps = [||] } }
-  in
-  check_bool "no steps" false (Verify.check ~program:demo_guest tampered)
+  let rows = { seal.Receipt.rows with Receipt.leaves = [||] } in
+  let tampered = { receipt with Receipt.seal = { seal with Receipt.rows } } in
+  check_bool "no rows opened" false (Verify.check ~program:demo_guest tampered)
 
 let test_receipt_encode_decode () =
   let receipt, _ = prove_demo () in
@@ -221,7 +219,10 @@ let test_params_respected () =
   match Prove.prove ~params demo_guest ~input:demo_input with
   | Error e -> Alcotest.fail e
   | Ok (receipt, _) ->
-    check_int "step checks" 8 (Array.length receipt.Receipt.seal.Receipt.steps);
+    check_int "queries" 8 receipt.Receipt.seal.Receipt.params.Params.queries;
+    (* rows 0 and n − 1, and a pair of rows per spot check *)
+    check_bool "rows opened" true
+      (Array.length receipt.Receipt.seal.Receipt.rows.Receipt.leaves <= (2 * 8) + 2);
     check_bool "verifies" true (Verify.check ~program:demo_guest receipt)
 
 let test_seal_smaller_with_fewer_queries () =
@@ -724,16 +725,16 @@ let test_soundness_bits_rejects_bad_fraction () =
 (* ---- golden vectors ----
 
    Literals fixed before the SHA-256 kernel and the Merkle node hash
-   were rewritten: the guests' image ids and the digest of one
-   fixed-seed aggregation receipt. Any change to how the prover hashes
-   (leaves, nodes, the jacc chain, the transcript) moves one of them. *)
+   were rewritten: the guests' image ids, and (below, with the seed
+   receipts) the digest of one fixed-seed aggregation receipt. Any
+   change to how the prover hashes (leaves, nodes, the jacc chain, the
+   transcript) moves one of them. *)
 
 module Core = Zkflow_core
 module Gen = Zkflow_netflow.Gen
 
 let golden_aggregation_image_id = "516d73653681a1d444546cd7308ee225e845de28ddf735919e9460f2985962ae"
 let golden_query_image_id = "efe4a18c35efc13a4128d3d9c94d20ca82a761c64391eea55a40cd937a7d5d1c"
-let golden_aggregation_receipt_sha256 = "79c53b455d2efafa9c03aef144870cfd0fd6f5f417a78e1013e5e582ed6c35f9"
 
 let test_golden_image_ids () =
   let check_hex what expected d =
@@ -743,36 +744,21 @@ let test_golden_image_ids () =
     (Core.Guests.aggregation_image_id ());
   check_hex "query guest" golden_query_image_id (Core.Guests.query_image_id ())
 
-let test_golden_aggregation_receipt () =
-  let rng = Zkflow_util.Rng.create 13L in
-  let batches =
-    List.init 2 (fun router_id ->
-        let records = Gen.records rng Gen.default_profile ~router_id ~count:6 in
-        (Zkflow_netflow.Export.batch_hash records, records))
-  in
-  match
-    Core.Aggregate.prove_round ~params:(Params.make ~queries:8) ~prev:Core.Clog.empty
-      batches
-  with
-  | Error e -> Alcotest.fail ("prove_round failed: " ^ e)
-  | Ok round ->
-    Alcotest.(check string) "receipt encoding sha256" golden_aggregation_receipt_sha256
-      (Zkflow_util.Hexcodec.encode
-         (Zkflow_hash.Sha256.digest (Receipt.encode round.Core.Aggregate.receipt)))
-
 (* ---- golden verdicts ----
 
    One fixed-seed aggregation receipt and one query receipt over its
    CLog, each tampered in one place, and the exact [Verify.verify]
-   result for every case. The strings were recorded before the
-   verifier learned to check a root's openings along shared paths, so
-   a change to how paths are checked must reach the same first error,
-   not only the same accept/reject bit. *)
+   result for every case. The cases were re-based when the seal moved
+   to one multiproof per column root (seal v3): a tamper lands on a
+   column's leaves or helpers, and a change to how openings are
+   checked must reach the same first error, not only the same
+   accept/reject bit. *)
 
 module D32 = Zkflow_hash.Digest32
-module Proof = Zkflow_merkle.Proof
 
-let seed_receipts =
+let seed_params = Params.make ~queries:8
+
+let seed_round =
   lazy
     (let rng = Zkflow_util.Rng.create 13L in
      let batches =
@@ -780,12 +766,13 @@ let seed_receipts =
            let records = Gen.records rng Gen.default_profile ~router_id ~count:6 in
            (Zkflow_netflow.Export.batch_hash records, records))
      in
-     let params = Params.make ~queries:8 in
-     let round =
-       match Core.Aggregate.prove_round ~params ~prev:Core.Clog.empty batches with
-       | Ok r -> r
-       | Error e -> Alcotest.fail ("prove_round failed: " ^ e)
-     in
+     match Core.Aggregate.prove_round ~params:seed_params ~prev:Core.Clog.empty batches with
+     | Ok r -> r
+     | Error e -> Alcotest.fail ("prove_round failed: " ^ e))
+
+let seed_receipts =
+  lazy
+    (let params = seed_params and round = Lazy.force seed_round in
      let query =
        match Core.Query.prove ~params ~clog:round.Core.Aggregate.clog Core.Query.flow_count with
        | Ok q -> q
@@ -796,92 +783,181 @@ let seed_receipts =
        ("query", Lazy.force Core.Guests.query_program, query.Core.Query.receipt);
      ])
 
-(* Where a single-opening tamper lands: a lens onto one opening. *)
-let on_step_row f (s : Receipt.seal) =
-  let steps = Array.copy s.Receipt.steps in
-  steps.(0) <- { (steps.(0)) with Receipt.row = f steps.(0).Receipt.row };
-  { s with Receipt.steps }
+(* The seed aggregation receipt, the query program and the seed query
+   receipt. *)
+let seed_pair () =
+  match Lazy.force seed_receipts with
+  | [ (_, _, agg); (_, program, query) ] -> (agg, program, query)
+  | _ -> assert false
 
-let on_sorted_first f (s : Receipt.seal) =
-  let sorteds = Array.copy s.Receipt.sorteds in
-  sorteds.(0) <- { (sorteds.(0)) with Receipt.first = f sorteds.(0).Receipt.first };
-  { s with Receipt.sorteds }
+(* The encoding digest and size of each seed receipt, and its five
+   column roots. Seal v3 changed only how openings are carried: the
+   roots (and the challenges they draw) are the seal v2 ones. *)
+let golden_aggregation_receipt_sha256 =
+  "f2530a3af6b31c8740e6a300299cd06e1f18e10c41cccf8bb74ccf3f94dda4b0"
+let golden_receipt_bytes = [ ("agg", 22101); ("query", 18900) ]
 
-let on_z_last f (s : Receipt.seal) =
-  let b = s.Receipt.boundary in
-  { s with Receipt.boundary = { b with Receipt.z_last = f b.Receipt.z_last } }
+let golden_roots =
+  [
+    ( "agg",
+      [
+        "83e807b3b37a09b23807f9083f9af6507fc0854c9aa2bcd5efdde6d12cfdaecf";
+        "19f5ddb949a56c5bf7d2e7669d45a2ea4351c8dbbfaf7b5bbc8bc6e6b5409e98";
+        "2ea987cd978a22a8390acd2ea05e2b01ef5664ef6927ba069f95c0320fd95ffe";
+        "1688367b8ea83818afe1eac6b0c9c579feb52e8a1427cad6e20220f65f5713f3";
+        "9deeab691d3486aad420107f3ea1a8e7df812f7ac413f2f1a53fb01f086c0040";
+      ] );
+    ( "query",
+      [
+        "69c43d341dc09bb4b8631dda96a7e109893d1f5c923cb4806af88ccaf4d22314";
+        "a166e40d067d03571f1092c09caf1733631e680be8490382ff4d0e74667b9abc";
+        "297f698b77e59b30440243411b324446e8e7dc8f81bb810e201887f99ea18ca6";
+        "168b26c1675bbbd1de2614abadb49fbe52294b236b7cad2b00d4de5657d22746";
+        "2ad5712243bad5163cb7b4cd5ce6fe2697f1e1e0cdee13e3a9d0bd2a2dbc924b";
+      ] );
+  ]
 
-let with_path (o : Receipt.opening) path = { o with Receipt.path }
+let test_golden_aggregation_receipt () =
+  let agg, _, _ = seed_pair () in
+  Alcotest.(check string) "receipt encoding sha256" golden_aggregation_receipt_sha256
+    (Zkflow_util.Hexcodec.encode (Zkflow_hash.Sha256.digest (Receipt.encode agg)));
+  List.iter
+    (fun (name, _, (r : Receipt.t)) ->
+      let s = r.Receipt.seal in
+      Alcotest.(check int) (name ^ " receipt bytes") (List.assoc name golden_receipt_bytes)
+        (Receipt.size r);
+      Alcotest.(check (list string)) (name ^ " rows/time/sorted/jacc/z roots")
+        (List.assoc name golden_roots)
+        (List.map D32.to_hex
+           Receipt.[ s.root_rows; s.root_time; s.root_sorted; s.root_jacc; s.root_z ]))
+    (Lazy.force seed_receipts)
 
-let set_sibling pick (o : Receipt.opening) =
-  let sib = Array.copy o.Receipt.path.Proof.siblings in
-  sib.(pick (Array.length sib)) <- D32.hash_string "tamper";
-  with_path o { o.Receipt.path with Proof.siblings = sib }
+(* The challenges of an honest seal and the index sets they open,
+   derived as the verifier derives them. *)
+let opened_of (r : Receipt.t) =
+  let s = r.Receipt.seal in
+  let { Receipt.n_rows; n_mem; _ } = s in
+  let c, _ =
+    Fs.derive ~claim:r.Receipt.claim ~queries:s.Receipt.params.Params.queries ~n_rows ~n_mem
+      ~root_rows:s.Receipt.root_rows ~root_time:s.Receipt.root_time
+      ~root_sorted:s.Receipt.root_sorted ~root_jacc:s.Receipt.root_jacc
+      ~commit_z:(fun ~alpha:_ ~beta:_ -> s.Receipt.root_z)
+  in
+  let rows = Fs.rows_opened ~n_rows c in
+  let spans =
+    Array.map
+      (fun i ->
+        match Trace.decode_row s.Receipt.rows.Receipt.leaves.(Fs.rank rows i) with
+        | Ok row -> (row.Trace.mem_pos, row.Trace.mem_count)
+        | Error e -> Alcotest.fail e)
+      c.Fs.step_idx
+  in
+  (c, Fs.opened ~n_rows ~n_mem ~spans c)
 
-let opening_tampers =
+(* A column of the seal, to read and to replace. *)
+let columns =
+  [
+    ("rows", (fun (s : Receipt.seal) -> s.Receipt.rows), fun s c -> { s with Receipt.rows = c });
+    ("sorted", (fun s -> s.Receipt.sorted), fun s c -> { s with Receipt.sorted = c });
+    ("z", (fun s -> s.Receipt.z), fun s c -> { s with Receipt.z = c });
+  ]
+
+let on_column name f (s : Receipt.seal) =
+  let _, get, set = List.find (fun (n, _, _) -> n = name) columns in
+  set s (f (get s))
+
+let with_leaves f (c : Receipt.column) =
+  let leaves = Array.copy c.Receipt.leaves in
+  { c with Receipt.leaves = f leaves }
+
+let flip_first_byte b =
+  let b = Bytes.copy b in
+  Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 1));
+  b
+
+let swap a i j =
+  let x = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- x;
+  a
+
+let set_helper pick (c : Receipt.column) =
+  let helpers = Bytes.copy c.Receipt.helpers in
+  let at = pick (Bytes.length helpers / 32) in
+  Bytes.blit (D32.unsafe_to_bytes (D32.hash_string "tamper")) 0 helpers (32 * at) 32;
+  { c with Receipt.helpers }
+
+let column_tampers =
   [
     ( "leaf byte",
-      fun (o : Receipt.opening) ->
-        let leaf = Bytes.copy o.Receipt.leaf in
-        Bytes.set leaf 0 (Char.chr (Char.code (Bytes.get leaf 0) lxor 1));
-        { o with Receipt.leaf } );
-    ("bottom sibling", set_sibling (fun _ -> 0));
-    ("middle sibling", set_sibling (fun d -> d / 2));
-    ("top sibling", set_sibling (fun d -> d - 1));
-    ( "path index",
-      fun o -> with_path o { o.Receipt.path with Proof.index = o.Receipt.path.Proof.index lxor 1 } );
-    ( "both indices",
-      fun o ->
-        let index = o.Receipt.index lxor 1 in
-        { (with_path o { o.Receipt.path with Proof.index }) with Receipt.index } );
-    ( "path one short",
-      fun o ->
-        let sib = o.Receipt.path.Proof.siblings in
-        with_path o
-          { o.Receipt.path with Proof.siblings = Array.sub sib 0 (Array.length sib - 1) } );
-    ( "path one long",
-      fun o ->
-        with_path o
-          {
-            o.Receipt.path with
-            Proof.siblings = Array.append o.Receipt.path.Proof.siblings [| D32.zero |];
-          } );
+      with_leaves (fun l ->
+          l.(0) <- flip_first_byte l.(0);
+          l) );
+    ("first helper", set_helper (fun _ -> 0));
+    ("middle helper", set_helper (fun h -> h / 2));
+    ("last helper", set_helper (fun h -> h - 1));
+    ( "one helper short",
+      fun c ->
+        let h = c.Receipt.helpers in
+        { c with Receipt.helpers = Bytes.sub h 0 (Bytes.length h - 32) } );
+    ( "one helper long",
+      fun c -> { c with Receipt.helpers = Bytes.cat c.Receipt.helpers (Bytes.make 32 '\000') } );
+    ("two leaves swapped", with_leaves (fun l -> swap l 0 1));
+    ("one leaf too few", with_leaves (fun l -> Array.sub l 0 (Array.length l - 1)));
+    ("one leaf too many", with_leaves (fun l -> Array.append l [| l.(Array.length l - 1) |]));
   ]
+
+(* The leaves at the ranks of two opened indices of one column,
+   swapped or the second set to the first. *)
+let swap_at set i j = with_leaves (fun l -> swap l (Fs.rank set i) (Fs.rank set j))
+
+let repeat_at set i j =
+  with_leaves (fun l ->
+      l.(Fs.rank set j) <- l.(Fs.rank set i);
+      l)
+
+let last_z_leaf_byte (s : Receipt.seal) =
+  on_column "z"
+    (with_leaves (fun l ->
+         let n = Array.length l in
+         l.(n - 1) <- flip_first_byte l.(n - 1);
+         l))
+    s
 
 let seal_tampers =
   List.concat_map
-    (fun (where, lens) ->
-      List.map (fun (what, f) -> (where ^ " " ^ what, lens f)) opening_tampers)
-    [ ("step.row", on_step_row); ("sorted.first", on_sorted_first); ("bd.z_last", on_z_last) ]
+    (fun (where, _, _) ->
+      List.map
+        (fun (what, f) -> (where ^ " " ^ what, fun (r : Receipt.t) -> on_column where f r.Receipt.seal))
+        column_tampers)
+    columns
   @ [
       ( "steps swapped",
-        fun (s : Receipt.seal) ->
-          let steps = Array.copy s.Receipt.steps in
-          steps.(0) <- s.Receipt.steps.(1);
-          steps.(1) <- s.Receipt.steps.(0);
-          { s with Receipt.steps } );
+        fun r ->
+          let c, o = opened_of r in
+          let steps = c.Fs.step_idx in
+          on_column "rows" (swap_at o.Fs.rows steps.(0) steps.(1)) r.Receipt.seal );
       ( "sorted swapped",
-        fun (s : Receipt.seal) ->
-          let sorteds = Array.copy s.Receipt.sorteds in
-          sorteds.(0) <- s.Receipt.sorteds.(1);
-          sorteds.(1) <- s.Receipt.sorteds.(0);
-          { s with Receipt.sorteds } );
+        fun r ->
+          let c, o = opened_of r in
+          let idx = c.Fs.sorted_idx in
+          on_column "sorted" (swap_at o.Fs.sorted idx.(0) idx.(1)) r.Receipt.seal );
       ( "step repeated",
-        fun (s : Receipt.seal) ->
-          let steps = Array.copy s.Receipt.steps in
-          steps.(1) <- s.Receipt.steps.(0);
-          { s with Receipt.steps } );
+        fun r ->
+          let c, o = opened_of r in
+          let steps = c.Fs.step_idx in
+          on_column "rows" (repeat_at o.Fs.rows steps.(0) steps.(1)) r.Receipt.seal );
       ( "steps swapped, last z leaf byte",
-        fun (s : Receipt.seal) ->
-          let steps = Array.copy s.Receipt.steps in
-          steps.(0) <- s.Receipt.steps.(1);
-          steps.(1) <- s.Receipt.steps.(0);
-          on_z_last (List.assoc "leaf byte" opening_tampers) { s with Receipt.steps } );
+        fun r ->
+          let c, o = opened_of r in
+          let steps = c.Fs.step_idx in
+          last_z_leaf_byte
+            (on_column "rows" (swap_at o.Fs.rows steps.(0) steps.(1)) r.Receipt.seal) );
       ( "z repeated",
-        fun (s : Receipt.seal) ->
-          let zs_time = Array.copy s.Receipt.zs_time in
-          zs_time.(1) <- s.Receipt.zs_time.(0);
-          { s with Receipt.zs_time } );
+        fun r ->
+          let c, o = opened_of r in
+          let idx = c.Fs.zt_idx in
+          on_column "z" (repeat_at o.Fs.z idx.(0) idx.(1)) r.Receipt.seal );
     ]
 
 let verdicts () =
@@ -893,73 +969,78 @@ let verdicts () =
       (name ^ " untampered", verdict receipt)
       :: List.map
            (fun (what, f) ->
-             ( name ^ " " ^ what,
-               verdict { receipt with Receipt.seal = f receipt.Receipt.seal } ))
+             (name ^ " " ^ what, verdict { receipt with Receipt.seal = f receipt }))
            seal_tampers)
     (Lazy.force seed_receipts)
 
 let golden_verdicts =
   [
     ("agg untampered", "ok");
-    ("agg step.row leaf byte", "step.row: Merkle path does not authenticate");
-    ("agg step.row bottom sibling", "step.row: Merkle path does not authenticate");
-    ("agg step.row middle sibling", "step.row: Merkle path does not authenticate");
-    ("agg step.row top sibling", "step.row: Merkle path does not authenticate");
-    ("agg step.row path index", "step.row: index mismatch");
-    ("agg step.row both indices", "step.row: Merkle path does not authenticate");
-    ("agg step.row path one short", "step.row: Merkle path does not authenticate");
-    ("agg step.row path one long", "step.row: Merkle path does not authenticate");
-    ("agg sorted.first leaf byte", "sorted.first: Merkle path does not authenticate");
-    ("agg sorted.first bottom sibling", "sorted.first: Merkle path does not authenticate");
-    ("agg sorted.first middle sibling", "sorted.first: Merkle path does not authenticate");
-    ("agg sorted.first top sibling", "sorted.first: Merkle path does not authenticate");
-    ("agg sorted.first path index", "sorted.first: index mismatch");
-    ("agg sorted.first both indices", "sorted.first: Merkle path does not authenticate");
-    ("agg sorted.first path one short", "sorted.first: Merkle path does not authenticate");
-    ("agg sorted.first path one long", "sorted.first: Merkle path does not authenticate");
-    ("agg bd.z_last leaf byte", "bd.z_last: Merkle path does not authenticate");
-    ("agg bd.z_last bottom sibling", "bd.z_last: Merkle path does not authenticate");
-    ("agg bd.z_last middle sibling", "bd.z_last: Merkle path does not authenticate");
-    ("agg bd.z_last top sibling", "bd.z_last: Merkle path does not authenticate");
-    ("agg bd.z_last path index", "bd.z_last: index mismatch");
-    ("agg bd.z_last both indices", "bd.z_last: Merkle path does not authenticate");
-    ("agg bd.z_last path one short", "bd.z_last: Merkle path does not authenticate");
-    ("agg bd.z_last path one long", "bd.z_last: Merkle path does not authenticate");
-    ("agg steps swapped", "step: unsampled row index");
-    ("agg sorted swapped", "sorted: index");
-    ("agg step repeated", "step: unsampled row index");
-    ("agg steps swapped, last z leaf byte", "step: unsampled row index");
-    ("agg z repeated", "z: index");
+    ("agg rows leaf byte", "rows: multiproof does not reach the root");
+    ("agg rows first helper", "rows: multiproof does not reach the root");
+    ("agg rows middle helper", "rows: multiproof does not reach the root");
+    ("agg rows last helper", "rows: multiproof does not reach the root");
+    ("agg rows one helper short", "rows: 81 helpers where the challenges need 82");
+    ("agg rows one helper long", "rows: 83 helpers where the challenges need 82");
+    ("agg rows two leaves swapped", "time: 25 leaves where the challenges open 24");
+    ("agg rows one leaf too few", "rows: 17 leaves where the challenges open 18");
+    ("agg rows one leaf too many", "rows: 19 leaves where the challenges open 18");
+    ("agg sorted leaf byte", "sorted: multiproof does not reach the root");
+    ("agg sorted first helper", "sorted: multiproof does not reach the root");
+    ("agg sorted middle helper", "sorted: multiproof does not reach the root");
+    ("agg sorted last helper", "sorted: multiproof does not reach the root");
+    ("agg sorted one helper short", "sorted: 137 helpers where the challenges need 138");
+    ("agg sorted one helper long", "sorted: 139 helpers where the challenges need 138");
+    ("agg sorted two leaves swapped", "sorted: multiproof does not reach the root");
+    ("agg sorted one leaf too few", "sorted: 24 leaves where the challenges open 25");
+    ("agg sorted one leaf too many", "sorted: 26 leaves where the challenges open 25");
+    ("agg z leaf byte", "z: multiproof does not reach the root");
+    ("agg z first helper", "z: multiproof does not reach the root");
+    ("agg z middle helper", "z: multiproof does not reach the root");
+    ("agg z last helper", "z: multiproof does not reach the root");
+    ("agg z one helper short", "z: 160 helpers where the challenges need 161");
+    ("agg z one helper long", "z: 162 helpers where the challenges need 161");
+    ("agg z two leaves swapped", "z: multiproof does not reach the root");
+    ("agg z one leaf too few", "z: 33 leaves where the challenges open 34");
+    ("agg z one leaf too many", "z: 35 leaves where the challenges open 34");
+    ("agg steps swapped", "rows: multiproof does not reach the root");
+    ("agg sorted swapped", "sorted: multiproof does not reach the root");
+    ("agg step repeated", "time: 25 leaves where the challenges open 23");
+    ("agg steps swapped, last z leaf byte", "rows: multiproof does not reach the root");
+    ("agg z repeated", "z: multiproof does not reach the root");
     ("query untampered", "ok");
-    ("query step.row leaf byte", "step.row: Merkle path does not authenticate");
-    ("query step.row bottom sibling", "step.row: Merkle path does not authenticate");
-    ("query step.row middle sibling", "step.row: Merkle path does not authenticate");
-    ("query step.row top sibling", "step.row: Merkle path does not authenticate");
-    ("query step.row path index", "step.row: index mismatch");
-    ("query step.row both indices", "step.row: Merkle path does not authenticate");
-    ("query step.row path one short", "step.row: Merkle path does not authenticate");
-    ("query step.row path one long", "step.row: Merkle path does not authenticate");
-    ("query sorted.first leaf byte", "sorted.first: Merkle path does not authenticate");
-    ("query sorted.first bottom sibling", "sorted.first: Merkle path does not authenticate");
-    ("query sorted.first middle sibling", "sorted.first: Merkle path does not authenticate");
-    ("query sorted.first top sibling", "sorted.first: Merkle path does not authenticate");
-    ("query sorted.first path index", "sorted.first: index mismatch");
-    ("query sorted.first both indices", "sorted.first: Merkle path does not authenticate");
-    ("query sorted.first path one short", "sorted.first: Merkle path does not authenticate");
-    ("query sorted.first path one long", "sorted.first: Merkle path does not authenticate");
-    ("query bd.z_last leaf byte", "bd.z_last: Merkle path does not authenticate");
-    ("query bd.z_last bottom sibling", "bd.z_last: Merkle path does not authenticate");
-    ("query bd.z_last middle sibling", "bd.z_last: Merkle path does not authenticate");
-    ("query bd.z_last top sibling", "bd.z_last: Merkle path does not authenticate");
-    ("query bd.z_last path index", "bd.z_last: index mismatch");
-    ("query bd.z_last both indices", "bd.z_last: Merkle path does not authenticate");
-    ("query bd.z_last path one short", "bd.z_last: Merkle path does not authenticate");
-    ("query bd.z_last path one long", "bd.z_last: Merkle path does not authenticate");
-    ("query steps swapped", "step: unsampled row index");
-    ("query sorted swapped", "sorted: index");
-    ("query step repeated", "step: unsampled row index");
-    ("query steps swapped, last z leaf byte", "step: unsampled row index");
-    ("query z repeated", "z: index");
+    ("query rows leaf byte", "rows: multiproof does not reach the root");
+    ("query rows first helper", "rows: multiproof does not reach the root");
+    ("query rows middle helper", "rows: multiproof does not reach the root");
+    ("query rows last helper", "rows: multiproof does not reach the root");
+    ("query rows one helper short", "rows: 73 helpers where the challenges need 74");
+    ("query rows one helper long", "rows: 75 helpers where the challenges need 74");
+    ("query rows two leaves swapped", "time: 24 leaves where the challenges open 22");
+    ("query rows one leaf too few", "rows: 17 leaves where the challenges open 18");
+    ("query rows one leaf too many", "rows: 19 leaves where the challenges open 18");
+    ("query sorted leaf byte", "sorted: multiproof does not reach the root");
+    ("query sorted first helper", "sorted: multiproof does not reach the root");
+    ("query sorted middle helper", "sorted: multiproof does not reach the root");
+    ("query sorted last helper", "sorted: multiproof does not reach the root");
+    ("query sorted one helper short", "sorted: 136 helpers where the challenges need 137");
+    ("query sorted one helper long", "sorted: 138 helpers where the challenges need 137");
+    ("query sorted two leaves swapped", "sorted: multiproof does not reach the root");
+    ("query sorted one leaf too few", "sorted: 24 leaves where the challenges open 25");
+    ("query sorted one leaf too many", "sorted: 26 leaves where the challenges open 25");
+    ("query z leaf byte", "z: multiproof does not reach the root");
+    ("query z first helper", "z: multiproof does not reach the root");
+    ("query z middle helper", "z: multiproof does not reach the root");
+    ("query z last helper", "z: multiproof does not reach the root");
+    ("query z one helper short", "z: 121 helpers where the challenges need 122");
+    ("query z one helper long", "z: 123 helpers where the challenges need 122");
+    ("query z two leaves swapped", "z: multiproof does not reach the root");
+    ("query z one leaf too few", "z: 33 leaves where the challenges open 34");
+    ("query z one leaf too many", "z: 35 leaves where the challenges open 34");
+    ("query steps swapped", "rows: multiproof does not reach the root");
+    ("query sorted swapped", "sorted: multiproof does not reach the root");
+    ("query step repeated", "time: 24 leaves where the challenges open 22");
+    ("query steps swapped, last z leaf byte", "rows: multiproof does not reach the root");
+    ("query z repeated", "z: multiproof does not reach the root");
   ]
 
 let test_golden_verdicts () =
@@ -971,13 +1052,6 @@ let test_golden_verdicts () =
    bits, so a word raised by 2^32 would verify as the honest one, and
    a query answer would grow by 2^32. The forged word rides through
    the wire encoding, as it would in a stored receipt. *)
-
-(* The seed aggregation receipt, the query program and the seed query
-   receipt. *)
-let seed_pair () =
-  match Lazy.force seed_receipts with
-  | [ (_, _, agg); (_, program, query) ] -> (agg, program, query)
-  | _ -> assert false
 
 let with_word ~index ~delta (r : Receipt.t) =
   let journal = Array.copy r.Receipt.claim.Receipt.journal in
@@ -1045,10 +1119,98 @@ let test_seal_version_named () =
   Alcotest.(check (result unit string)) "current" (Ok ()) (decode enc);
   Alcotest.(check (result unit string)) "untagged (previous layout)" unsupported
     (decode (Bytes.sub enc tag (Bytes.length enc - tag)));
-  let v1 = Bytes.copy enc in
-  Bytes.set v1 (tag - 1) '1';
-  Alcotest.(check (result unit string)) "other version" unsupported (decode v1);
+  List.iter
+    (fun v ->
+      let other = Bytes.copy enc in
+      Bytes.set other (tag - 1) v;
+      Alcotest.(check (result unit string))
+        (Printf.sprintf "version %c" v)
+        unsupported (decode other))
+    [ '1'; '2' ];
   Alcotest.(check (result unit string)) "empty" unsupported (decode Bytes.empty)
+
+(* ---- decode bounds ----
+
+   A column whose helper blob holds more than 64 digests per leaf, or
+   whose leaf table is longer than the query count allows, is refused
+   by the decoder before it is allocated, and nothing is hashed. *)
+
+let test_decode_bounds_columns () =
+  let agg, _, _ = seed_pair () in
+  let s = agg.Receipt.seal in
+  let rows = s.Receipt.rows in
+  let n = Array.length rows.Receipt.leaves in
+  let decode_with rows =
+    let enc = Receipt.encode { agg with Receipt.seal = { s with Receipt.rows } } in
+    let compressions = Zkflow_obs.Metric.counter "sha256.compressions" in
+    Zkflow_obs.Obs.with_enabled (fun () ->
+        let c0 = Zkflow_obs.Metric.value compressions in
+        let r = Result.map (fun _ -> ()) (Receipt.decode enc) in
+        (r, Zkflow_obs.Metric.value compressions - c0))
+  in
+  let over = (64 * n) + 1 in
+  let r, hashed = decode_with { rows with Receipt.helpers = Bytes.make (32 * over) '\000' } in
+  Alcotest.(check (result unit string))
+    "helpers above 64 per leaf"
+    (Error (Printf.sprintf "rows: %d helpers for %d leaves" over n))
+    r;
+  check_int "no compressions" 0 hashed;
+  let r, hashed =
+    decode_with { rows with Receipt.helpers = Bytes.make 33 '\000' }
+  in
+  Alcotest.(check (result unit string))
+    "helpers not whole digests" (Error "rows: helpers are not whole digests") r;
+  check_int "no compressions" 0 hashed;
+  let too_many = Receipt.max_leaves ~queries:8 + 1 in
+  let r, hashed =
+    decode_with
+      { rows with Receipt.leaves = Array.make too_many (Bytes.make 1 'x') }
+  in
+  Alcotest.(check (result unit string))
+    "leaves above the query bound"
+    (Error (Printf.sprintf "rows: %d leaves for 8 queries" too_many))
+    r;
+  check_int "no compressions" 0 hashed
+
+(* ---- flows readout ----
+
+   The readout's multiproof climbs as the seal's does, under the CLog
+   rule. On the seed CLog it answers the rows, totals and helper counts
+   it answered before the seal moved to multiproofs. *)
+
+let golden_flows =
+  [
+    ([ 0 ], [ (0, 857176) ], 4);
+    ([ 0; 3; 5 ], [ (0, 857176); (3, 4808896); (5, 4231651) ], 5);
+    ([ 7; 2 ], [ (2, 1816628); (7, 1707844) ], 5);
+    ( List.init 12 Fun.id,
+      [
+        (0, 857176); (1, 9397798); (2, 1816628); (3, 4808896); (4, 6044472);
+        (5, 4231651); (6, 223097); (7, 1707844); (8, 4782546); (9, 631719);
+        (10, 679679); (11, 5388565);
+      ],
+      1 );
+  ]
+
+let test_flows_readout () =
+  let clog = (Lazy.force seed_round).Core.Aggregate.clog in
+  let entries = Core.Clog.entries clog in
+  List.iter
+    (fun (picks, want, helpers) ->
+      let what = String.concat "," (List.map string_of_int picks) in
+      let keys = List.map (fun i -> entries.(i).Core.Clog.key) picks in
+      match Core.Query.prove_flows ~clog ~metric:Core.Guests.Bytes keys with
+      | Error e -> Alcotest.fail e
+      | Ok fr -> (
+        check_int (what ^ " helpers") helpers
+          (Bytes.length fr.Core.Query.proof.Zkflow_merkle.Multiproof.helpers / 32);
+        match Core.Verifier_client.verify_flows ~expected_root:(Core.Clog.root clog) fr with
+        | Error e -> Alcotest.fail e
+        | Ok rows ->
+          Alcotest.(check (list (pair int int)))
+            (what ^ " rows") want
+            (List.map (fun r -> (r.Core.Query.index, r.Core.Query.value)) rows)))
+    golden_flows
 
 (* ---- single-bit flips of a golden receipt encoding ----
 
@@ -1081,10 +1243,10 @@ let flip_sample (r : Receipt.t) enc =
              List.map (fun b -> (8 * (word_at.(i) + 4)) + b) [ 4; 5; 6 ]
            else []))
   in
-  (* a boundary z leaf, by its length-prefixed bytes; they end the
-     encoding, so search from the end *)
-  let z_leaf (o : Receipt.opening) =
-    let needle = Bytes.cat (Bytes.make 1 '\016') o.Receipt.leaf in
+  (* a boundary z leaf, by its length-prefixed bytes; the z column is
+     the last, so search from the end *)
+  let z_leaf leaf =
+    let needle = Bytes.cat (Bytes.make 1 '\016') leaf in
     let rec back i =
       if i < 0 then Alcotest.fail "z leaf not found"
       else if Zkflow_util.Bytesx.equal_sub enc i needle 0 17 then i + 1
@@ -1093,7 +1255,7 @@ let flip_sample (r : Receipt.t) enc =
     let at = back (Bytes.length enc - 17) in
     bits at (at + 16)
   in
-  let b = r.Receipt.seal.Receipt.boundary in
+  let z = r.Receipt.seal.Receipt.z.Receipt.leaves in
   let stride =
     List.init (((8 * (Bytes.length enc - seal_at)) + 498) / 499) (fun k ->
         (8 * seal_at) + (499 * k))
@@ -1105,8 +1267,8 @@ let flip_sample (r : Receipt.t) enc =
         bits exit_at (exit_at + size claim.Receipt.exit_code);
         bits word_at.(0) word_at.(1);
         bits word_at.(n - 1) word_at.(n);
-        z_leaf b.Receipt.z0;
-        z_leaf b.Receipt.z_last;
+        z_leaf z.(0);
+        z_leaf z.(Array.length z - 1);
         stride;
       ] )
 
@@ -1221,6 +1383,7 @@ let () =
           Alcotest.test_case "garbage rejected" `Quick test_receipt_decode_garbage;
           Alcotest.test_case "journal size" `Quick test_journal_size;
           Alcotest.test_case "seal version named" `Quick test_seal_version_named;
+          Alcotest.test_case "decode bounds columns" `Quick test_decode_bounds_columns;
         ] );
       ( "wrap",
         [
@@ -1258,6 +1421,7 @@ let () =
         [
           Alcotest.test_case "golden tamper verdicts" `Quick test_golden_verdicts;
           Alcotest.test_case "claim words in 32 bits" `Quick test_claim_range_rejected;
+          Alcotest.test_case "flows readout" `Quick test_flows_readout;
           Alcotest.test_case "single-bit flips rejected" `Quick test_bit_flips_rejected;
           Alcotest.test_case "query and wrap flips rejected" `Quick
             test_query_and_wrap_flips_rejected;
