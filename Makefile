@@ -2,8 +2,15 @@
 # bench, both under ZKFLOW_JOBS=2 so the Domain-pool code paths are
 # exercised even where the default would be sequential, plus the
 # static analyzer over the built-in guests and every example query.
-.PHONY: all build test check lint audit audit-sarif bench bench-smoke \
+#
+# Every bench run here except `make baselines` runs the bench binary
+# from the gitignored smoke-out/, where it writes its BENCH_*.json and
+# REPORT.md, so no smoke run touches the committed baselines.
+.PHONY: all build test check lint audit audit-sarif baselines bench-smoke \
         watch-smoke serve-smoke perfbench-smoke chaos matrix report
+
+SMOKE := smoke-out
+BENCH := $(CURDIR)/_build/default/bench/main.exe
 
 all: build
 
@@ -37,8 +44,16 @@ audit-sarif: build
 
 check: build lint audit
 	ZKFLOW_JOBS=2 dune runtest --force
-	ZKFLOW_JOBS=2 ZKFLOW_BENCH_QUICK=1 dune exec bench/main.exe -- sweep
-	ZKFLOW_JOBS=2 ZKFLOW_BENCH_QUICK=1 dune exec bench/main.exe -- par
+	mkdir -p $(SMOKE)
+	cd $(SMOKE) && ZKFLOW_JOBS=2 ZKFLOW_BENCH_QUICK=1 $(BENCH) sweep
+	cd $(SMOKE) && ZKFLOW_JOBS=2 ZKFLOW_BENCH_QUICK=1 $(BENCH) par
+
+# The only writer of the committed BENCH_*.json and REPORT.md: one
+# `bench all` process over the full grids at one job. Run it from a
+# clean checkout so every artifact's env block records the commit
+# with git_dirty false.
+baselines: build
+	ZKFLOW_JOBS=1 ZKFLOW_BENCH_QUICK=0 $(BENCH) all
 
 # Tiny end-to-end pipeline under telemetry: simulate, prove with a
 # Chrome trace, the flight-recorder event log, the counter snapshot
@@ -55,7 +70,6 @@ check: build lint audit
 # full rebuilds, and that tree builds copied equal-neighbour slots
 # (padding, repeated journal-accumulator leaves) instead of hashing
 # them.
-SMOKE := smoke-out
 bench-smoke: build
 	rm -rf $(SMOKE)/state $(SMOKE)/trace-smoke.json $(SMOKE)/stats-smoke.json \
 	  $(SMOKE)/health-smoke.json
@@ -161,19 +175,18 @@ perfbench-smoke: build
 	python3 perfbench/selftest.py
 
 # The proof-backend benchmark matrix (DESIGN.md §14): one aggregation
-# round per cell across backend × queries × scale, written to
-# BENCH_matrix.json. Quick mode is the CI grid; `make matrix
-# QUICK=` runs the full one.
-QUICK ?= 1
+# round per cell across backend × queries × scale, the committed
+# shape (full grid, one job) rerun into smoke-out/BENCH_matrix.json.
 matrix: build
-	ZKFLOW_JOBS=2 ZKFLOW_BENCH_QUICK=$(QUICK) dune exec bench/main.exe -- matrix
+	mkdir -p $(SMOKE)
+	cd $(SMOKE) && ZKFLOW_JOBS=1 ZKFLOW_BENCH_QUICK=0 $(BENCH) matrix
 
-# Regenerate the matrix and render REPORT.md (+ a machine-readable
+# Rerun the matrix and render smoke-out/REPORT.md (+ a machine-readable
 # twin) from it — the cost/soundness frontier report CI uploads.
 report: matrix
-	dune exec bin/zkflow.exe -- report BENCH_matrix.json > REPORT.md
-	dune exec bin/zkflow.exe -- report BENCH_matrix.json --json > report.json
-	@echo "report: wrote REPORT.md and report.json"
+	dune exec bin/zkflow.exe -- report $(SMOKE)/BENCH_matrix.json > $(SMOKE)/REPORT.md
+	dune exec bin/zkflow.exe -- report $(SMOKE)/BENCH_matrix.json --json > $(SMOKE)/report.json
+	@echo "report: wrote $(SMOKE)/REPORT.md and $(SMOKE)/report.json"
 
 # Deterministic fault-injection matrix: 8 seeded random plans plus the
 # curated ones under chaos/plans/, every one aimed at the resident
@@ -209,6 +222,3 @@ chaos: build
 	  fi; \
 	done
 	@echo "chaos: all plans ended verified on their pinned roots (reports in chaos-out/)"
-
-bench:
-	dune exec bench/main.exe

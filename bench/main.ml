@@ -23,8 +23,12 @@
                  telemetry fully off vs fully on (events + sampler),
                  gated against a <2% wall-time budget.
 
+   Every BENCH_*.json lands in the working directory as one
+   Bench_row artifact: the env block, taken once when the process
+   starts, and one row per configuration.
+
    Usage: dune exec bench/main.exe
-            [-- fig4|table1|matrix|tamper|ablations|incr|obs|micro|all]
+            [-- fig4|table1|sweep|matrix|tamper|ablations|par|incr|obs|micro|all]
    Set ZKFLOW_BENCH_QUICK=1 to cap the sweep at 500 records. *)
 
 module D = Zkflow_hash.Digest32
@@ -44,31 +48,25 @@ let time f =
 
 let quick () = Sys.getenv_opt "ZKFLOW_BENCH_QUICK" = Some "1"
 
+(* Every BENCH_*.json records the machine shape it was produced on
+   plus provenance (git commit, dirty flag, hostname, SHA-256 kernel),
+   so perf numbers are never compared across incomparable
+   environments — bench-diff cross-checks these blocks. Taken once,
+   before the first artifact is written: a later `git status` would
+   see this process's own output and call the tree dirty. *)
+let env =
+  [
+    ("zkflow_jobs", Jsonx.Num (float_of_int (Pool.jobs ())));
+    ("ncores", Jsonx.Num (float_of_int (Domain.recommended_domain_count ())));
+    ("quick", Jsonx.Bool (quick ()));
+  ]
+  @ Matrix.env_provenance ()
+
 (* Machine-readable artifacts land next to the human tables so the
    perf trajectory is diffable across PRs. *)
-let write_json path body =
-  let oc = open_out path in
-  output_string oc body;
-  output_char oc '\n';
-  close_out oc;
+let write path rows =
+  Bench_row.write path { Bench_row.env; rows };
   Printf.printf "   wrote %s\n%!" path
-
-(* Every BENCH_*.json records the machine shape it was produced on
-   plus provenance (git commit, dirty flag, hostname), so perf numbers
-   are never compared across incomparable environments — bench-diff
-   cross-checks these blocks and flags cross-commit or cross-machine
-   comparisons. *)
-let env_json () =
-  Jsonx.Obj
-    ([
-       ("zkflow_jobs", Jsonx.Num (float_of_int (Pool.jobs ())));
-       ("ncores", Jsonx.Num (float_of_int (Domain.recommended_domain_count ())));
-       ("quick", Jsonx.Bool (quick ()));
-     ]
-    @ Matrix.env_provenance ())
-
-let phases_json = Matrix.phases_json
-let pool_json = Matrix.pool_json
 
 let sizes () =
   if quick () then [ 50; 100; 500 ] else [ 50; 100; 500; 1000; 2000; 3000 ]
@@ -82,6 +80,7 @@ let routers = 4
 
 type sweep_row = {
   n : int;
+  jobs : int;
   agg_cycles : int;
   agg_exec_s : float;
   agg_prove_s : float;
@@ -101,7 +100,6 @@ type sweep_row = {
   agg_analyze_s : float;   (* full static audit of the guest, uncached *)
   q_analyze_s : float;
   phases : (string * (int * float)) list; (* span name -> count, total s *)
-  pool : Pool.stats;
 }
 
 let sweep_cache : (int, sweep_row) Hashtbl.t = Hashtbl.create 8
@@ -227,6 +225,7 @@ let run_size n =
     let row =
       {
         n;
+        jobs = Pool.jobs ();
         agg_cycles = round.Aggregate.cycles;
         agg_exec_s = round.Aggregate.execute_s;
         agg_prove_s = round.Aggregate.prove_s;
@@ -250,7 +249,6 @@ let run_size n =
         agg_analyze_s;
         q_analyze_s;
         phases = Obs.span_totals_s ();
-        pool = Pool.stats ();
       }
     in
     Hashtbl.replace sweep_cache n row;
@@ -269,40 +267,31 @@ let fig4 () =
         r.agg_cycles r.agg_prove_s r.q_prove_s (1000. *. r.agg_verify_s)
         (1000. *. r.q_verify_s) (r.agg_exec_s +. r.q_exec_s))
     (sizes ());
-  write_json "BENCH_fig4.json"
-    (Jsonx.to_string
-       (Jsonx.Obj
-          [
-            ("env", env_json ());
-            ( "rows",
-              Jsonx.Arr
-                (List.map
-                   (fun n ->
-                     let r = run_size n in
-                     Jsonx.Obj
-                       [
-                         ("records", Jsonx.Num (float_of_int r.n));
-                         ("agg_cycles", Jsonx.Num (float_of_int r.agg_cycles));
-                         ("agg_exec_s", Jsonx.Num r.agg_exec_s);
-                         ("agg_prove_s", Jsonx.Num r.agg_prove_s);
-                         ("agg_verify_s", Jsonx.Num r.agg_verify_s);
-                         ("q_cycles", Jsonx.Num (float_of_int r.q_cycles));
-                         ("q_exec_s", Jsonx.Num r.q_exec_s);
-                         ("q_prove_s", Jsonx.Num r.q_prove_s);
-                         ("q_verify_s", Jsonx.Num r.q_verify_s);
-                         ("clog_rebuild_s", Jsonx.Num r.clog_rebuild_s);
-                         ("clog_incr_s", Jsonx.Num r.clog_incr_s);
-                         ("agg_analyze_s", Jsonx.Num r.agg_analyze_s);
-                         ("q_analyze_s", Jsonx.Num r.q_analyze_s);
-                         ( "clog_incr_speedup",
-                           Jsonx.Num
-                             (if r.clog_incr_s > 0. then r.clog_rebuild_s /. r.clog_incr_s
-                              else 0.) );
-                         ("phases", phases_json r.phases);
-                         ("pool", pool_json r.pool);
-                       ])
-                   (sizes ())) );
-          ]));
+  write "BENCH_fig4.json"
+    (List.map
+       (fun n ->
+         let r = run_size n in
+         let open Bench_row in
+         {
+           config = [ ("records", Int r.n); ("jobs", Int r.jobs) ];
+           metrics =
+             [
+               ("agg_cycles", count r.agg_cycles);
+               ("agg_exec_s", seconds r.agg_exec_s);
+               ("agg_prove_s", seconds r.agg_prove_s);
+               ("agg_verify_s", seconds r.agg_verify_s);
+               ("q_cycles", count r.q_cycles);
+               ("q_exec_s", seconds r.q_exec_s);
+               ("q_prove_s", seconds r.q_prove_s);
+               ("q_verify_s", seconds r.q_verify_s);
+               ("clog_rebuild_s", seconds r.clog_rebuild_s);
+               ("clog_incr_s", seconds r.clog_incr_s);
+               ("agg_analyze_s", seconds r.agg_analyze_s);
+               ("q_analyze_s", seconds r.q_analyze_s);
+             ];
+           phases = r.phases;
+         })
+       (sizes ()));
   print_endline "   shape checks: prove time grows with records; verification stays flat."
 
 let table1 () =
@@ -317,30 +306,25 @@ let table1 () =
         (kb r.journal_bytes) (kb r.receipt_bytes) (kb r.helper_bytes) (kb r.leaf_bytes)
         r.soundness_bits)
     (sizes ());
-  write_json "BENCH_table1.json"
-    (Jsonx.to_string
-       (Jsonx.Obj
-          [
-            ("env", env_json ());
-            ( "rows",
-              Jsonx.Arr
-                (List.map
-                   (fun n ->
-                     let r = run_size n in
-                     Jsonx.Obj
-                       [
-                         ("records", Jsonx.Num (float_of_int r.n));
-                         ("proof_bytes", Jsonx.Num (float_of_int r.proof_bytes));
-                         ("journal_bytes", Jsonx.Num (float_of_int r.journal_bytes));
-                         ("receipt_bytes", Jsonx.Num (float_of_int r.receipt_bytes));
-                         ("helper_bytes", Jsonx.Num (float_of_int r.helper_bytes));
-                         ("leaf_bytes", Jsonx.Num (float_of_int r.leaf_bytes));
-                         ("soundness_bits", Jsonx.Num r.soundness_bits);
-                         ("phases", phases_json r.phases);
-                         ("pool", pool_json r.pool);
-                       ])
-                   (sizes ())) );
-          ]));
+  write "BENCH_table1.json"
+    (List.map
+       (fun n ->
+         let r = run_size n in
+         let open Bench_row in
+         {
+           config = [ ("records", Int r.n); ("jobs", Int r.jobs) ];
+           metrics =
+             [
+               ("proof_bytes", bytes r.proof_bytes);
+               ("journal_bytes", bytes r.journal_bytes);
+               ("receipt_bytes", bytes r.receipt_bytes);
+               ("helper_bytes", bytes r.helper_bytes);
+               ("leaf_bytes", bytes r.leaf_bytes);
+               ("soundness_bits", bits r.soundness_bits);
+             ];
+           phases = r.phases;
+         })
+       (sizes ()));
   print_endline
     "   shape checks: proof constant (256 B); journal grows linearly; the receipt \
      grows with the journal and, by log(cycles), with the helpers."
@@ -481,44 +465,42 @@ let ablation_par () =
         Obs.disable ();
         Printf.printf "%6d %16.4f %16.3f %14.3f %9.2fx %10B\n%!" j merkle_s agg_s
           stark_s (base_merkle_s /. merkle_s) identical;
-        (j, merkle_s, agg_s, stark_s, identical, Obs.span_totals_s (), Pool.stats ()))
+        if not identical then begin
+          Printf.eprintf
+            "bench par: roots, receipts or STARK proofs at %d jobs differ from the 1-job run\n" j;
+          exit 1
+        end;
+        let row =
+          let open Bench_row in
+          {
+            config =
+              [
+                ("leaves", Int n_leaves);
+                ("shards", Int shards);
+                ("records", Int n_rec);
+                ("stark_rows", Int stark_rows);
+                ("jobs", Int j);
+              ];
+            metrics =
+              [
+                ("merkle_s", seconds merkle_s);
+                ("agg_wall_s", seconds agg_s);
+                ("stark_s", seconds stark_s);
+              ];
+            phases = Obs.span_totals_s ();
+          }
+        in
+        (j, merkle_s, row))
       sweep
   in
   Pool.set_jobs saved_jobs;
-  let find_t j =
-    List.find_map (fun (j', m, _, _, _, _, _) -> if j' = j then Some m else None) rows
-  in
+  let find_t j = List.find_map (fun (j', m, _) -> if j' = j then Some m else None) rows in
   (match (find_t 1, find_t 4) with
   | Some t1, Some t4 ->
     Printf.printf "   merkle speedup at 4 jobs vs 1: %.2fx (%d cores visible)\n" (t1 /. t4)
       ncores
   | _ -> ());
-  write_json "BENCH_par.json"
-    (Jsonx.to_string
-       (Jsonx.Obj
-          [
-            ("leaves", Jsonx.Num (float_of_int n_leaves));
-            ("shards", Jsonx.Num (float_of_int shards));
-            ("records", Jsonx.Num (float_of_int n_rec));
-            ("stark_rows", Jsonx.Num (float_of_int stark_rows));
-            ("ncores", Jsonx.Num (float_of_int ncores));
-            ("env", env_json ());
-            ( "sweep",
-              Jsonx.Arr
-                (List.map
-                   (fun (j, m, a, s, id, phases, pool) ->
-                     Jsonx.Obj
-                       [
-                         ("jobs", Jsonx.Num (float_of_int j));
-                         ("merkle_s", Jsonx.Num m);
-                         ("agg_wall_s", Jsonx.Num a);
-                         ("stark_s", Jsonx.Num s);
-                         ("identical", Jsonx.Bool id);
-                         ("phases", phases_json phases);
-                         ("pool", pool_json pool);
-                       ])
-                   rows) );
-          ]));
+  write "BENCH_par.json" (List.map (fun (_, _, row) -> row) rows);
   print_endline
     "   identical=true certifies bit-equal roots, receipts, and STARK proofs";
   print_endline "   across job counts — parallelism never changes what is proven."
@@ -830,22 +812,29 @@ let ablation_incr () =
         let speedup = if !incr_s > 0. then !rebuild_s /. !incr_s else 0. in
         Printf.printf "%10d %8d %14.2f %14.2f %9.1fx %12d %12d\n%!" m k
           (1000. *. !rebuild_s) (1000. *. !incr_s) speedup rehashed reused;
-        Jsonx.Obj
-          [
-            ("entries", Jsonx.Num (float_of_int m));
-            ("update_k", Jsonx.Num (float_of_int k));
-            ("rounds", Jsonx.Num (float_of_int rounds));
-            ("rebuild_s", Jsonx.Num !rebuild_s);
-            ("incr_s", Jsonx.Num !incr_s);
-            ("speedup", Jsonx.Num speedup);
-            ("nodes_rehashed", Jsonx.Num (float_of_int rehashed));
-            ("nodes_reused", Jsonx.Num (float_of_int reused));
-          ])
+        let open Bench_row in
+        {
+          config =
+            [
+              ("entries", Int m);
+              ("update_k", Int k);
+              ("rounds", Int rounds);
+              ("jobs", Int (Pool.jobs ()));
+            ];
+          metrics =
+            [
+              ("rebuild_s", seconds !rebuild_s);
+              ("incr_s", seconds !incr_s);
+              ("nodes_rehashed", count rehashed);
+              (* Reuse is the saving: more reused nodes is better. *)
+              ("nodes_reused", { (count reused) with better = Higher });
+            ];
+          phases = [];
+        })
       sweep
   in
   Obs.disable ();
-  write_json "BENCH_incr.json"
-    (Jsonx.to_string (Jsonx.Obj [ ("env", env_json ()); ("rows", Jsonx.Arr rows) ]));
+  write "BENCH_incr.json" rows;
   print_endline
     "   shape checks: incr time ~ k·log n, independent of n; rebuild grows with n."
 
@@ -949,31 +938,26 @@ let obs_overhead () =
   Printf.printf "   prove-time delta: %+.2f%% (budget %.0f%%) — %s\n"
     (100. *. delta) (100. *. budget)
     (if delta <= budget then "within budget" else "OVER BUDGET");
-  let row backend s =
-    Jsonx.Obj
-      [
-        ("backend", Jsonx.Str backend);
-        ("records", Jsonx.Num (float_of_int n));
-        ("routers", Jsonx.Num (float_of_int routers));
-        ("reps", Jsonx.Num (float_of_int reps));
-        ("agg_prove_s", Jsonx.Num s);
-      ]
+  let row backend ?(extra = []) s =
+    let open Bench_row in
+    {
+      config =
+        [
+          ("backend", Str backend);
+          ("records", Int n);
+          ("routers", Int routers);
+          ("reps", Int reps);
+          ("jobs", Int (Pool.jobs ()));
+        ];
+      metrics = ("agg_prove_s", seconds s) :: extra;
+      phases = [];
+    }
   in
-  write_json "BENCH_obs.json"
-    (Jsonx.to_string
-       (Jsonx.Obj
-          [
-            ("env", env_json ());
-            ("rows", Jsonx.Arr [ row "obs_off" off_s; row "obs_on" on_s ]);
-            ( "overhead",
-              Jsonx.Obj
-                [
-                  ("delta_frac", Jsonx.Num delta);
-                  ("budget_frac", Jsonx.Num budget);
-                  ("within_budget", Jsonx.Bool (delta <= budget));
-                  ("frames_sampled", Jsonx.Num (float_of_int frames));
-                ] );
-          ]));
+  write "BENCH_obs.json"
+    [
+      row "obs_off" off_s;
+      row "obs_on" ~extra:[ ("frames_sampled", Bench_row.count frames) ] on_s;
+    ];
   if delta > budget then
     Printf.printf
       "   note: advisory — single-shot timing on a shared machine; see \
@@ -989,10 +973,9 @@ let matrix () =
   let grid = Matrix.default_grid ~quick:(quick ()) in
   (match Matrix.run ~log:(fun s -> Printf.printf "   %s\n%!" s) grid with
   | Error e -> failwith e
-  | Ok cells ->
-    let doc = Matrix.to_json ~env:(env_json ()) cells in
-    write_json "BENCH_matrix.json" (Jsonx.to_string doc);
-    (match Matrix.report_markdown doc with
+  | Ok rows ->
+    write "BENCH_matrix.json" rows;
+    (match Matrix.report_markdown { Bench_row.env; rows } with
     | Error e -> failwith ("matrix report: " ^ e)
     | Ok md ->
       let oc = open_out "REPORT.md" in
@@ -1202,6 +1185,8 @@ let () =
     tamper ();
     print_newline ();
     ablations ();
+    print_newline ();
+    obs_overhead ();
     print_newline ();
     micro ()
   in

@@ -1040,7 +1040,11 @@ let bench_diff old_path new_path threshold min_s json =
   in
   let* old_json = parse old_path in
   let* new_json = parse new_path in
-  let* report = Bench_diff.diff ~threshold ~min_s ~old_json ~new_json () in
+  let* report =
+    Result.map_error
+      (Printf.sprintf "bench-diff %s %s: %s" old_path new_path)
+      (Bench_diff.diff ~threshold ~min_s ~old_json ~new_json ())
+  in
   if json then print_endline (Jsonx.to_string (Bench_diff.to_json report))
   else Format.printf "%a@." Bench_diff.pp report;
   if Bench_diff.ok report then Ok ()
@@ -1065,13 +1069,14 @@ let report path json =
     | Error e -> Error (Printf.sprintf "%s: corrupt artifact: %s" path e)
   in
   let tag r = Result.map_error (fun e -> Printf.sprintf "%s: %s" path e) r in
+  let* artifact = tag (Bench_row.of_json doc) in
   if json then begin
-    let* v = tag (Matrix.report_json doc) in
+    let* v = tag (Matrix.report_json artifact) in
     print_endline (Jsonx.to_string v);
     Ok ()
   end
   else begin
-    let* md = tag (Matrix.report_markdown doc) in
+    let* md = tag (Matrix.report_markdown artifact) in
     print_string md;
     Ok ()
   end
@@ -1474,9 +1479,9 @@ let bench_diff_cmd =
   in
   let min_s =
     Arg.(value & opt float 0.05 & info [ "min-s" ]
-           ~doc:"Ignore timing fields where both sides are below this many \
-                 seconds (absolute noise floor; cycle/byte counts are always \
-                 compared).")
+           ~doc:"Ignore metrics in seconds where both sides are below this \
+                 many seconds (absolute noise floor; cycle, byte and bit \
+                 counts are always compared).")
   in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON output.")
@@ -1486,9 +1491,10 @@ let bench_diff_cmd =
   in
   Cmd.v
     (Cmd.info "bench-diff"
-       ~doc:"Compare two bench JSON artifacts row by row and exit nonzero on \
-             per-phase latency (or cycle/size) regressions beyond the \
-             threshold.")
+       ~doc:"Compare two bench JSON artifacts row by row, matching rows by \
+             their config, and exit nonzero on a metric that moved the \
+             worse way beyond the threshold, or when the two artifacts \
+             share no row or metric.")
     Term.(const run $ old_file $ new_file $ threshold $ min_s $ json)
 
 let report_cmd =
@@ -1500,7 +1506,7 @@ let report_cmd =
   in
   let json =
     Arg.(value & flag & info [ "json" ]
-           ~doc:"Machine-readable report (rows with frontier flags).")
+           ~doc:"Machine-readable report (the artifact and its frontier keys).")
   in
   let markdown =
     Arg.(value & flag & info [ "markdown" ]

@@ -1,54 +1,39 @@
-(** Regression detection over the bench JSON artifacts.
+(** Regression detection over the bench artifacts.
 
-    [zkflow bench-diff OLD.json NEW.json] parses two artifacts written
-    by the bench binary ([BENCH_fig4.json], [BENCH_table1.json],
-    [BENCH_par.json], [BENCH_matrix.json]), matches their rows by the
-    full configuration key — every sweep axis the row carries:
-    [backend], [queries], [records], [routers], [jobs] — and compares
-    every shared numeric field:
+    [zkflow bench-diff OLD.json NEW.json] reads two {!Bench_row}
+    artifacts, matches their rows by {!Bench_row.key} — the row's
+    whole config — and compares every metric of an OLD row that the
+    NEW row also has, in the direction the OLD row declares: a metric
+    regresses when it moved the worse way by more than [threshold]
+    (relative), and improves when it moved the better way by as much.
+    Per-phase totals compare as [phases.<name>.total_s] timings. A
+    metric in unit [s] counts only when either side reaches [min_s],
+    so microsecond noise on tiny phases never fails a build; every
+    other unit (cycles, bytes, bits) is deterministic and has no
+    floor.
 
-    - [*_s] wall-clock fields and per-phase [phases.<name>.total_s]
-      totals regress when the new value exceeds the old by more than
-      [threshold] (relative), with a [min_s] absolute floor so
-      microsecond noise on tiny phases never fails a build;
-    - [*_cycles] and [*_bytes] fields are deterministic outputs and
-      use the ratio test with no floor — any drift beyond [threshold]
-      is flagged;
-    - [*_bits] fields (soundness) flip the direction: fewer bits in
-      NEW is the regression, more is the improvement.
-
-    Pool-utilization stats are skipped (machine-load dependent). Rows
-    or fields present on one side only are reported as notes, not
-    regressions — so a grid change (a new matrix cell, a dropped
+    Rows or metrics present on one side only are notes, not
+    regressions, so a grid change (a new matrix cell, a dropped
     queries setting) reads as coverage drift, never as a false
-    perf regression. The artifacts' [env] provenance blocks are also
-    cross-checked: differing git commits, hostnames or SHA-256
-    kernels, a dirty working tree, or mismatched quick-mode flags
-    each add a note naming the cross-commit / cross-machine /
-    cross-kernel caveat, and an artifact
-    whose [zkflow_jobs] exceeds its [ncores] adds an oversubscription
-    note. *)
-
-val row_key : Zkflow_util.Jsonx.t -> string option
-(** The full configuration key of one artifact row, e.g.
-    ["records=1000"], ["jobs=4"], or
-    ["backend=wrap queries=16 records=96 routers=4 jobs=2"]. [None]
-    when the row carries no known axis. {!Matrix} reuses this for its
-    report labels so the report and the diff name cells identically. *)
+    regression. The [env] blocks are cross-checked too: differing git
+    commits, hostnames or SHA-256 kernels, a dirty working tree, or
+    mismatched quick-mode flags each add a note naming the caveat,
+    and so does each row whose [jobs] exceeds its artifact's [ncores]
+    (oversubscribed: its timings are not an honest baseline). *)
 
 type change = {
-  key : string;  (** row identity, as {!row_key} prints it *)
-  field : string;  (** e.g. ["agg_prove_s"], ["phases.merkle.total_s"] *)
+  key : string;  (** row identity, as {!Bench_row.key} prints it *)
+  field : string;  (** e.g. ["agg_prove_s"], ["phases.merkle.build.total_s"] *)
   old_v : float;
   new_v : float;
   ratio : float;  (** [new_v /. old_v] *)
 }
 
 type report = {
-  compared : int;  (** numeric field pairs compared *)
+  compared : int;  (** metric pairs compared *)
   regressions : change list;
-  improvements : change list;  (** moved beyond [threshold] in the good direction *)
-  notes : string list;  (** rows/fields present on only one side *)
+  improvements : change list;  (** moved beyond [threshold] in the better direction *)
+  notes : string list;  (** provenance caveats, one-side rows and metrics *)
 }
 
 val diff :
@@ -59,8 +44,9 @@ val diff :
   unit ->
   (report, string) result
 (** Compare two bench artifacts. [threshold] defaults to [0.25] (25%
-    relative), [min_s] to [0.05] seconds. [Error] only when an
-    artifact has no recognizable [rows]/[sweep] array. *)
+    relative), [min_s] to [0.05] seconds. [Error] when an artifact
+    does not read as a {!Bench_row.artifact}, and when the two share
+    no row key or no metric: a comparison of nothing is not a pass. *)
 
 val ok : report -> bool
 (** [true] iff no regressions. *)

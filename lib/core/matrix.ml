@@ -7,6 +7,7 @@ module Wrap = Zkflow_zkproof.Wrap
 module Pool = Zkflow_parallel.Pool
 module Obs = Zkflow_obs.Obs
 module Jsonx = Zkflow_util.Jsonx
+module R = Bench_row
 
 type backend = Receipt | Wrap
 
@@ -20,9 +21,10 @@ type grid = {
   scales : scale list;
 }
 
-(* The CI grid (quick) keeps every cell under a couple of seconds of
-   proving so the whole matrix fits in a smoke job; the full grid is
-   the one EXPERIMENTS.md quotes. Both satisfy the report's coverage
+(* The quick grid keeps every cell under a couple of seconds of
+   proving; the full grid is the committed baseline EXPERIMENTS.md
+   quotes, and its largest scale runs 2 jobs so that a 2-core host
+   runs no cell oversubscribed. Both satisfy the report's coverage
    floor: 2 backends × >= 3 queries settings × >= 3 scales. *)
 let default_grid ~quick =
   {
@@ -39,25 +41,9 @@ let default_grid ~quick =
          [
            { records = 100; routers = 2; jobs = 1 };
            { records = 200; routers = 4; jobs = 2 };
-           { records = 400; routers = 4; jobs = 4 };
+           { records = 400; routers = 4; jobs = 2 };
          ]);
   }
-
-type cell = {
-  backend : backend;
-  queries : int;
-  scale : scale;
-  cycles : int;
-  exec_s : float;
-  prove_s : float;
-  verify_s : float;
-  proof_bytes : int;
-  journal_bytes : int;
-  receipt_bytes : int;
-  soundness_bits : float;
-  phases : (string * (int * float)) list;
-  pool : Pool.stats;
-}
 
 exception Fail of string
 
@@ -70,7 +56,7 @@ let time f =
    from the same inner receipt a deployment would wrap, paying its
    wrap cost (which re-verifies the receipt — the recursion-circuit
    analogue) on top of the shared proving time. *)
-let run_pair ~agg_program ~vkey ~backends scale q =
+let run_pair ~log ~agg_program ~vkey ~backends scale q =
   Pool.set_jobs scale.jobs;
   Gc.compact ();
   Zkflow_zkproof.Prove.clear_commit_cache ();
@@ -122,49 +108,52 @@ let run_pair ~agg_program ~vkey ~backends scale q =
         (round, verify_s, wrapped, wrap_s, wrap_verify_s))
   with
   | round, verify_s, wrapped, wrap_s, wrap_verify_s ->
-    let phases = Obs.span_totals_s () and pool = Pool.stats () in
+    let phases = Obs.span_totals_s () in
     let receipt = round.Aggregate.receipt in
     (* The wrap cannot add soundness: it re-verifies the spot-check
        argument and then MACs the claim, so its assurance toward the
        designated verifier is the inner argument's bits (and it gives
        up public verifiability — recorded in the report notes). *)
     let bits = Params.soundness_bits params in
-    let cell backend =
-      match backend with
-      | Receipt ->
-        {
-          backend;
-          queries = q;
-          scale;
-          cycles = round.Aggregate.cycles;
-          exec_s = round.Aggregate.execute_s;
-          prove_s = round.Aggregate.prove_s;
-          verify_s;
-          proof_bytes = Receipt.seal_size receipt;
-          journal_bytes = Receipt.journal_size receipt;
-          receipt_bytes = Receipt.size receipt;
-          soundness_bits = bits;
-          phases;
-          pool;
-        }
-      | Wrap ->
-        {
-          backend;
-          queries = q;
-          scale;
-          cycles = round.Aggregate.cycles;
-          exec_s = round.Aggregate.execute_s;
-          prove_s = round.Aggregate.prove_s +. wrap_s;
-          verify_s = wrap_verify_s;
-          proof_bytes = Bytes.length wrapped.Wrap.seal256;
-          journal_bytes = Receipt.journal_size receipt;
-          receipt_bytes = Bytes.length (Wrap.encode wrapped);
-          soundness_bits = bits;
-          phases;
-          pool;
-        }
+    let row backend ~prove_s ~verify_s ~proof_bytes ~receipt_bytes =
+      log
+        (Printf.sprintf
+           "%-7s queries=%-3d records=%-4d routers=%d jobs=%d  prove %6.2fs  verify %7.2fms  proof %7dB  %5.2f bits"
+           (backend_name backend) q scale.records scale.routers scale.jobs prove_s
+           (1000. *. verify_s) proof_bytes bits);
+      {
+        R.config =
+          [
+            ("backend", R.Str (backend_name backend));
+            ("queries", R.Int q);
+            ("records", R.Int scale.records);
+            ("routers", R.Int scale.routers);
+            ("jobs", R.Int scale.jobs);
+          ];
+        metrics =
+          [
+            ("agg_cycles", R.count round.Aggregate.cycles);
+            ("exec_s", R.seconds round.Aggregate.execute_s);
+            ("prove_s", R.seconds prove_s);
+            ("verify_s", R.seconds verify_s);
+            ("proof_bytes", R.bytes proof_bytes);
+            ("journal_bytes", R.bytes (Receipt.journal_size receipt));
+            ("receipt_bytes", R.bytes receipt_bytes);
+            ("soundness_bits", R.bits bits);
+          ];
+        phases;
+      }
     in
-    List.map cell backends
+    List.map
+      (function
+        | Receipt ->
+          row Receipt ~prove_s:round.Aggregate.prove_s ~verify_s
+            ~proof_bytes:(Receipt.seal_size receipt) ~receipt_bytes:(Receipt.size receipt)
+        | Wrap ->
+          row Wrap ~prove_s:(round.Aggregate.prove_s +. wrap_s) ~verify_s:wrap_verify_s
+            ~proof_bytes:(Bytes.length wrapped.Wrap.seal256)
+            ~receipt_bytes:(Bytes.length (Wrap.encode wrapped)))
+      backends
 
 let run ?(log = fun (_ : string) -> ()) grid =
   let saved_jobs = Pool.jobs () in
@@ -177,58 +166,16 @@ let run ?(log = fun (_ : string) -> ()) grid =
         List.concat_map
           (fun scale ->
             List.concat_map
-              (fun q ->
-                let cells =
-                  run_pair ~agg_program ~vkey ~backends:grid.backends scale q
-                in
-                List.iter
-                  (fun c ->
-                    log
-                      (Printf.sprintf
-                         "%-7s queries=%-3d records=%-4d routers=%d jobs=%d  \
-                          prove %6.2fs  verify %7.2fms  proof %7dB  %5.2f bits"
-                         (backend_name c.backend) c.queries c.scale.records
-                         c.scale.routers c.scale.jobs c.prove_s
-                         (1000. *. c.verify_s) c.proof_bytes c.soundness_bits))
-                  cells;
-                cells)
+              (run_pair ~log ~agg_program ~vkey ~backends:grid.backends scale)
               grid.queries)
           grid.scales)
   with
-  | cells -> Ok cells
+  | rows -> Ok rows
   | exception Fail e -> Error e
 
 (* ------------------------------------------------------------------ *)
-(* Artifact serialization                                              *)
+(* Provenance                                                          *)
 (* ------------------------------------------------------------------ *)
-
-let phases_json phases =
-  Jsonx.Obj
-    (List.map
-       (fun (name, (count, total_s)) ->
-         ( name,
-           Jsonx.Obj
-             [
-               ("count", Jsonx.Num (float_of_int count));
-               ("total_s", Jsonx.Num total_s);
-             ] ))
-       phases)
-
-let pool_json (s : Pool.stats) =
-  let num v = Jsonx.Num (float_of_int v) in
-  Jsonx.Obj
-    [
-      ("jobs", num s.Pool.jobs);
-      ("regions", num s.Pool.regions);
-      ("tasks", num s.Pool.tasks);
-      ("busy_ns", num s.Pool.busy_ns);
-      ("region_wall_ns", num s.Pool.region_wall_ns);
-      ("submit_wait_ns", num s.Pool.submit_wait_ns);
-      ("seq_regions", num s.Pool.seq_regions);
-      ("nested_seq", num s.Pool.nested_seq);
-      ("spawned_domains", num s.Pool.spawned_domains);
-      ("utilization", Jsonx.Num (Pool.utilization s));
-    ]
 
 (* Where this artifact came from: cross-commit, cross-machine and
    cross-kernel comparisons are legitimate but must be legible, so
@@ -266,180 +213,85 @@ let env_provenance () =
     ("sha256_kernel", Jsonx.Str Zkflow_hash.Sha256.kernel);
   ]
 
-let schema = "zkflow-bench-matrix/v1"
-
-let cell_json c =
-  Jsonx.Obj
-    [
-      ("backend", Jsonx.Str (backend_name c.backend));
-      ("queries", Jsonx.Num (float_of_int c.queries));
-      ("records", Jsonx.Num (float_of_int c.scale.records));
-      ("routers", Jsonx.Num (float_of_int c.scale.routers));
-      ("jobs", Jsonx.Num (float_of_int c.scale.jobs));
-      ("agg_cycles", Jsonx.Num (float_of_int c.cycles));
-      ("exec_s", Jsonx.Num c.exec_s);
-      ("prove_s", Jsonx.Num c.prove_s);
-      ("verify_s", Jsonx.Num c.verify_s);
-      ("proof_bytes", Jsonx.Num (float_of_int c.proof_bytes));
-      ("journal_bytes", Jsonx.Num (float_of_int c.journal_bytes));
-      ("receipt_bytes", Jsonx.Num (float_of_int c.receipt_bytes));
-      ("soundness_bits", Jsonx.Num c.soundness_bits);
-      ("phases", phases_json c.phases);
-      ("pool", pool_json c.pool);
-    ]
-
-let to_json ~env cells =
-  Jsonx.Obj
-    [
-      ("schema", Jsonx.Str schema);
-      ("env", env);
-      ("rows", Jsonx.Arr (List.map cell_json cells));
-    ]
-
 (* ------------------------------------------------------------------ *)
-(* Report: parse an artifact back                                      *)
+(* Report: the shared rows of a matrix artifact                        *)
 (* ------------------------------------------------------------------ *)
-
-type row = {
-  key : string;
-  r_backend : string;
-  r_queries : int;
-  r_records : int;
-  r_routers : int;
-  r_jobs : int;
-  r_cycles : float;
-  r_exec_s : float;
-  r_prove_s : float;
-  r_verify_s : float;
-  r_proof_bytes : float;
-  r_journal_bytes : float;
-  r_receipt_bytes : float;
-  r_soundness_bits : float;
-  r_phases : (string * float) list;
-}
 
 let ( let* ) = Result.bind
 
-let parse_row i row =
-  let num name =
-    match Jsonx.member name row with
-    | Some (Jsonx.Num f) -> Ok f
-    | _ -> Error (Printf.sprintf "row %d: missing numeric field %S" i name)
-  in
-  let str name =
-    match Jsonx.member name row with
-    | Some (Jsonx.Str s) -> Ok s
-    | _ -> Error (Printf.sprintf "row %d: missing string field %S" i name)
-  in
-  let* r_backend = str "backend" in
-  let* queries = num "queries" in
-  let* records = num "records" in
-  let* routers = num "routers" in
-  let* jobs = num "jobs" in
-  let* r_cycles = num "agg_cycles" in
-  let* r_exec_s = num "exec_s" in
-  let* r_prove_s = num "prove_s" in
-  let* r_verify_s = num "verify_s" in
-  let* r_proof_bytes = num "proof_bytes" in
-  let* r_journal_bytes = num "journal_bytes" in
-  let* r_receipt_bytes = num "receipt_bytes" in
-  let* r_soundness_bits = num "soundness_bits" in
-  let r_phases =
-    match Jsonx.member "phases" row with
-    | Some (Jsonx.Obj members) ->
-      List.filter_map
-        (fun (name, v) ->
-          match Jsonx.member "total_s" v with
-          | Some (Jsonx.Num s) -> Some (name, s)
-          | _ -> None)
-        members
-      |> List.sort (fun (_, a) (_, b) -> Float.compare b a)
-    | _ -> []
-  in
-  let key = Option.value ~default:(Printf.sprintf "row %d" i) (Bench_diff.row_key row) in
-  Ok
-    {
-      key;
-      r_backend;
-      r_queries = int_of_float queries;
-      r_records = int_of_float records;
-      r_routers = int_of_float routers;
-      r_jobs = int_of_float jobs;
-      r_cycles;
-      r_exec_s;
-      r_prove_s;
-      r_verify_s;
-      r_proof_bytes;
-      r_journal_bytes;
-      r_receipt_bytes;
-      r_soundness_bits;
-      r_phases;
-    }
+(* What the report reads from every row; a row without one of them is
+   refused by name rather than rendered with a hole. *)
+let axes = [ "backend"; "queries"; "records"; "routers"; "jobs" ]
 
-let rows_of_artifact doc =
-  match Jsonx.member "rows" doc with
-  | Some (Jsonx.Arr rows) ->
-    let rec go i acc = function
-      | [] -> Ok (List.rev acc)
-      | r :: rest ->
-        let* row = parse_row i r in
-        go (i + 1) (row :: acc) rest
-    in
-    let* parsed = go 0 [] rows in
-    if parsed = [] then Error "artifact has an empty \"rows\" array"
-    else Ok parsed
-  | _ -> Error "no \"rows\" array — not a BENCH_matrix.json artifact"
+let measured =
+  [
+    "agg_cycles"; "exec_s"; "prove_s"; "verify_s"; "proof_bytes"; "journal_bytes";
+    "receipt_bytes"; "soundness_bits";
+  ]
+
+let matrix_rows (a : R.artifact) =
+  let missing i (r : R.row) =
+    match
+      ( List.find_opt (fun k -> not (List.mem_assoc k r.config)) axes,
+        List.find_opt (fun k -> not (List.mem_assoc k r.metrics)) measured )
+    with
+    | Some k, _ -> Some (Printf.sprintf "row %d: missing config axis %S" i k)
+    | None, Some k -> Some (Printf.sprintf "row %d: missing metric %S" i k)
+    | None, None -> None
+  in
+  if a.rows = [] then Error "artifact has an empty \"rows\" array"
+  else
+    match List.find_map Fun.id (List.mapi missing a.rows) with
+    | Some e -> Error e
+    | None -> Ok a.rows
+
+let v r name = Option.get (R.metric r name)
+let ax (r : R.row) name = R.axis_string (List.assoc name r.config)
 
 (* ------------------------------------------------------------------ *)
 (* Pareto frontier                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let dominates a b =
-  a.r_prove_s <= b.r_prove_s
-  && a.r_proof_bytes <= b.r_proof_bytes
-  && a.r_soundness_bits >= b.r_soundness_bits
-  && (a.r_prove_s < b.r_prove_s
-      || a.r_proof_bytes < b.r_proof_bytes
-      || a.r_soundness_bits > b.r_soundness_bits)
+  let prove r = v r "prove_s" and bytes r = v r "proof_bytes" and bits r = v r "soundness_bits" in
+  prove a <= prove b
+  && bytes a <= bytes b
+  && bits a >= bits b
+  && (prove a < prove b || bytes a < bytes b || bits a > bits b)
 
 let frontier rows =
   List.map
     (fun r -> (r, not (List.exists (fun r' -> dominates r' r) rows)))
     rows
 
+let frontier_by_prove_time rows =
+  List.filter_map (fun (r, on) -> if on then Some r else None) (frontier rows)
+  |> List.sort (fun a b -> Float.compare (v a "prove_s") (v b "prove_s"))
+
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let env_summary doc =
-  match Jsonx.member "env" doc with
-  | Some env ->
-    let field name =
-      match Jsonx.member name env with
-      | Some (Jsonx.Str s) -> Some (Printf.sprintf "%s=%s" name s)
-      | Some (Jsonx.Bool b) -> Some (Printf.sprintf "%s=%b" name b)
-      | Some (Jsonx.Num f) -> Some (Printf.sprintf "%s=%g" name f)
-      | _ -> None
-    in
-    List.filter_map field
-      [
-        "git_commit"; "git_dirty"; "hostname"; "sha256_kernel"; "zkflow_jobs"; "ncores"; "quick";
-      ]
-    |> String.concat " "
-  | None -> "(no env block)"
+let env_summary (a : R.artifact) =
+  let field name =
+    match List.assoc_opt name a.env with
+    | Some (Jsonx.Str s) -> Some (Printf.sprintf "%s=%s" name s)
+    | Some (Jsonx.Bool b) -> Some (Printf.sprintf "%s=%b" name b)
+    | Some (Jsonx.Num f) -> Some (Printf.sprintf "%s=%g" name f)
+    | _ -> None
+  in
+  List.filter_map field
+    [ "git_commit"; "git_dirty"; "hostname"; "sha256_kernel"; "zkflow_jobs"; "ncores"; "quick" ]
+  |> String.concat " "
 
-let uniq l = List.sort_uniq compare l
+let count_distinct f rows = List.length (List.sort_uniq compare (List.map f rows))
 
-let axis_counts rows =
-  ( List.length (uniq (List.map (fun r -> r.r_backend) rows)),
-    List.length (uniq (List.map (fun r -> r.r_queries) rows)),
-    List.length
-      (uniq (List.map (fun r -> (r.r_records, r.r_routers, r.r_jobs)) rows)) )
-
-let report_markdown doc =
-  let* rows = rows_of_artifact doc in
+let report_markdown a =
+  let* rows = matrix_rows a in
   let marked = frontier rows in
-  let n_backends, n_queries, n_scales = axis_counts rows in
+  let n_backends = count_distinct (fun r -> ax r "backend") rows in
+  let n_queries = count_distinct (fun r -> ax r "queries") rows in
+  let n_scales = count_distinct (fun r -> (ax r "records", ax r "routers", ax r "jobs")) rows in
   let buf = Buffer.create 4096 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   line "# zkflow proof-backend benchmark matrix";
@@ -449,7 +301,7 @@ let report_markdown doc =
         from `BENCH_matrix.json` (`dune exec bench/main.exe -- matrix`)."
     n_backends n_queries n_scales (List.length rows);
   line "";
-  line "- environment: `%s`" (env_summary doc);
+  line "- environment: `%s`" (env_summary a);
   line "- soundness bits use the 5%%-corruption convention of DESIGN.md §5 \
         (`Params.soundness_bits`); the `wrap` backend re-verifies the inner \
         receipt, so it inherits the inner argument's bits and trades public \
@@ -463,16 +315,16 @@ let report_markdown doc =
   line "|---|---|---|---|---|---|---|---|---|---|---|---|---|";
   List.iter
     (fun (r, on) ->
-      line "| %s | %d | %d | %d | %d | %.0f | %.3f | %.3f | %.0f | %.0f | %.0f | %.2f | %s |"
-        r.r_backend r.r_queries r.r_records r.r_routers r.r_jobs r.r_cycles
-        r.r_prove_s (1000. *. r.r_verify_s) r.r_proof_bytes r.r_journal_bytes
-        r.r_receipt_bytes r.r_soundness_bits
+      line "| %s | %s | %s | %s | %s | %.0f | %.3f | %.3f | %.0f | %.0f | %.0f | %.2f | %s |"
+        (ax r "backend") (ax r "queries") (ax r "records") (ax r "routers") (ax r "jobs")
+        (v r "agg_cycles") (v r "prove_s") (1000. *. v r "verify_s") (v r "proof_bytes")
+        (v r "journal_bytes") (v r "receipt_bytes") (v r "soundness_bits")
         (if on then "✓" else ""))
     marked;
   line "";
   line "## Pareto frontier (prove time × proof bytes × soundness bits)";
   line "";
-  let front = List.filter_map (fun (r, on) -> if on then Some r else None) marked in
+  let front = frontier_by_prove_time rows in
   let dominated = List.length rows - List.length front in
   line "A cell is on the frontier when no other cell proves at least as \
         fast, with at-most-as-many proof bytes, at at-least-as-many \
@@ -484,10 +336,10 @@ let report_markdown doc =
   line "|---|---|---|---|---|---|---|---|";
   List.iter
     (fun r ->
-      line "| %s | %d | %d | %d | %d | %.3f | %.0f | %.2f |" r.r_backend
-        r.r_queries r.r_records r.r_routers r.r_jobs r.r_prove_s
-        r.r_proof_bytes r.r_soundness_bits)
-    (List.sort (fun a b -> Float.compare a.r_prove_s b.r_prove_s) front);
+      line "| %s | %s | %s | %s | %s | %.3f | %.0f | %.2f |" (ax r "backend")
+        (ax r "queries") (ax r "records") (ax r "routers") (ax r "jobs") (v r "prove_s")
+        (v r "proof_bytes") (v r "soundness_bits"))
+    front;
   line "";
   line "## Where the proving seconds go";
   line "";
@@ -496,10 +348,11 @@ let report_markdown doc =
   List.iter
     (fun r ->
       let top =
-        List.filteri (fun i _ -> i < 4) r.r_phases
-        |> List.map (fun (name, s) -> Printf.sprintf "%s %.3fs" name s)
+        List.stable_sort (fun (_, (_, a)) (_, (_, b)) -> Float.compare b a) r.R.phases
+        |> List.filteri (fun i _ -> i < 4)
+        |> List.map (fun (name, (_, s)) -> Printf.sprintf "%s %.3fs" name s)
       in
-      if top <> [] then line "- `%s`: %s" r.key (String.concat ", " top))
+      if top <> [] then line "- `%s`: %s" (R.key r) (String.concat ", " top))
     rows;
   line "";
   line "## Reading the frontier";
@@ -514,43 +367,11 @@ let report_markdown doc =
         configuration key.";
   Ok (Buffer.contents buf)
 
-let report_json doc =
-  let* rows = rows_of_artifact doc in
-  let marked = frontier rows in
-  let n_backends, n_queries, n_scales = axis_counts rows in
-  let row_json (r, on) =
-    Jsonx.Obj
-      [
-        ("key", Jsonx.Str r.key);
-        ("backend", Jsonx.Str r.r_backend);
-        ("queries", Jsonx.Num (float_of_int r.r_queries));
-        ("records", Jsonx.Num (float_of_int r.r_records));
-        ("routers", Jsonx.Num (float_of_int r.r_routers));
-        ("jobs", Jsonx.Num (float_of_int r.r_jobs));
-        ("prove_s", Jsonx.Num r.r_prove_s);
-        ("verify_s", Jsonx.Num r.r_verify_s);
-        ("proof_bytes", Jsonx.Num r.r_proof_bytes);
-        ("journal_bytes", Jsonx.Num r.r_journal_bytes);
-        ("receipt_bytes", Jsonx.Num r.r_receipt_bytes);
-        ("soundness_bits", Jsonx.Num r.r_soundness_bits);
-        ("frontier", Jsonx.Bool on);
-      ]
-  in
-  let front =
-    List.filter_map (fun (r, on) -> if on then Some r else None) marked
-    |> List.sort (fun a b -> Float.compare a.r_prove_s b.r_prove_s)
-  in
+let report_json a =
+  let* rows = matrix_rows a in
   Ok
     (Jsonx.Obj
        [
-         ("schema", Jsonx.Str "zkflow-matrix-report/v1");
-         ( "env",
-           match Jsonx.member "env" doc with Some e -> e | None -> Jsonx.Null );
-         ("backends", Jsonx.Num (float_of_int n_backends));
-         ("queries_settings", Jsonx.Num (float_of_int n_queries));
-         ("scales", Jsonx.Num (float_of_int n_scales));
-         ("cells", Jsonx.Num (float_of_int (List.length rows)));
-         ("rows", Jsonx.Arr (List.map row_json marked));
-         ( "frontier",
-           Jsonx.Arr (List.map (fun r -> Jsonx.Str r.key) front) );
+         ("artifact", R.to_json a);
+         ("frontier", Jsonx.Arr (List.map (fun r -> Jsonx.Str (R.key r)) (frontier_by_prove_time rows)));
        ])
