@@ -7,6 +7,11 @@
     ratchets the state, so later challenges depend on earlier ones. *)
 
 type t
+(** A transcript. Absorbs and draws stream through one reused SHA-256
+    context and scratch buffers: they allocate nothing beyond the
+    digest {!challenge_digest} returns and the array of
+    {!challenge_ints}. A transcript must not be shared between
+    domains. *)
 
 val create : domain:string -> t
 (** [create ~domain] starts a transcript bound to a protocol name. *)
