@@ -730,7 +730,7 @@ let ablation_merkle_maintenance () =
     time (fun () ->
         ignore
           (Zkflow_merkle.Tree.of_leaves ~node:Zkflow_hash.Sha256.digest64
-             (Array.map Clog.entry_bytes entries)))
+             (Zkflow_util.Column.of_array (Array.map Clog.entry_bytes entries))))
   in
   let (), smt_s =
     time (fun () ->
@@ -853,6 +853,8 @@ let ablation_queries () =
   List.iter
     (fun q ->
       let params = Zkflow_zkproof.Params.make ~queries:q in
+      (* every row pays the phase-1 commitments, as the first does *)
+      Zkflow_zkproof.Prove.clear_commit_cache ();
       let receipt, prove_s =
         time (fun () ->
             Result.get_ok (Zkflow_zkproof.Prove.prove_result ~params program run))
@@ -1009,15 +1011,12 @@ let ablations () =
 (* Microbenchmarks (bechamel)                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The five trace-commitment trees of one aggregation round of the
-   perfbench ingest-steady shape (a 16-flow CLog updated by two records
-   from each of 4 routers: 6220 cycles, 15,162 access-log entries),
-   built as the prover builds them, each with the index set the
-   receipt's challenges open and the receipt's column for it. *)
-let ingest_shape_columns () =
+(* One aggregation round of the perfbench ingest-steady shape (a
+   16-flow CLog updated by two records from each of 4 routers: 6220
+   cycles, 15,162 access-log entries): the guest, its traced run and
+   its receipt. *)
+let ingest_shape_run () =
   let open Zkflow_zkproof in
-  let module Tree = Zkflow_merkle.Tree in
-  let module Trace = Zkflow_zkvm.Trace in
   let module Rng = Zkflow_util.Rng in
   let rng = Rng.create 5L in
   let pop = Gen.flows rng { Gen.default_profile with flow_count = 16 } in
@@ -1043,11 +1042,19 @@ let ingest_shape_columns () =
   let second = List.init routers (fun r -> window r [ Rng.int rng 16; Rng.int rng 16 ]) in
   let run = Result.get_ok (Aggregate.execute ~prev second) in
   let program = Lazy.force Guests.aggregation_program in
-  let receipt = Result.get_ok (Prove.prove_result program run) in
+  (program, run, Result.get_ok (Prove.prove_result program run))
+
+(* The five trace-commitment trees of that round, built from their
+   columns as the prover builds them, each with the index set the
+   receipt's challenges open and the receipt's column for it. *)
+let ingest_shape_columns (program, run, receipt) =
+  let open Zkflow_zkproof in
+  let module Tree = Zkflow_merkle.Tree in
+  let module Trace = Zkflow_zkvm.Trace in
   let s = receipt.Receipt.seal and rows = run.Zkflow_zkvm.Machine.rows in
   let memlog = run.Zkflow_zkvm.Machine.memlog in
   let node = Receipt.node in
-  let time_tree = Tree.of_leaves ~node (Array.map Trace.encode_mem memlog) in
+  let time_tree = Tree.of_leaves ~node (Trace.encode_memlog memlog) in
   let perm = Result.get_ok (Memcheck.sort_perm memlog) in
   let jacc_leaves =
     let chain = ref Zkflow_hash.Chain.genesis in
@@ -1070,8 +1077,8 @@ let ingest_shape_columns () =
   let o = Fs.opened ~n_rows:s.Receipt.n_rows ~n_mem:s.Receipt.n_mem ~spans c in
   let z_leaves = Memcheck.z_leaves ~alpha:c.Fs.alpha ~beta:c.Fs.beta memlog perm in
   [
-    (Tree.of_leaves ~node (Array.map Trace.encode_row rows), o.Fs.rows, s.Receipt.rows);
-    (Tree.of_leaves ~node jacc_leaves, o.Fs.rows, s.Receipt.jacc);
+    (Tree.of_leaves ~node (Trace.encode_rows rows), o.Fs.rows, s.Receipt.rows);
+    (Tree.of_leaves ~node (Zkflow_util.Column.of_array jacc_leaves), o.Fs.rows, s.Receipt.jacc);
     (time_tree, o.Fs.time, s.Receipt.time);
     (Tree.permute ~node time_tree perm, o.Fs.sorted, s.Receipt.sorted);
     (Tree.of_leaves ~node z_leaves, o.Fs.z, s.Receipt.z);
@@ -1081,7 +1088,10 @@ let micro () =
   print_endline "== Substrate microbenchmarks (bechamel, monotonic clock) ==";
   let open Bechamel in
   let data64k = Bytes.make 65536 'x' in
-  let leaves = Array.init 1024 (fun i -> Bytes.of_string (Printf.sprintf "leaf%d" i)) in
+  let leaves =
+    Zkflow_util.Column.of_array
+      (Array.init 1024 (fun i -> Bytes.of_string (Printf.sprintf "leaf%d" i)))
+  in
   let rng = Zkflow_util.Rng.create 9L in
   let coeffs = Array.init 4096 (fun _ -> Zkflow_field.Babybear.random rng) in
   let zkvm_guest =
@@ -1102,8 +1112,8 @@ let micro () =
      that guest's traced run. *)
   let traced = Zkflow_zkvm.Machine.run ~trace:true zkvm_guest ~input:[||] in
   let memlog = traced.memlog in
-  let row_leaves = Array.map Zkflow_zkvm.Trace.encode_row traced.rows in
-  let mem_leaves = Array.map Zkflow_zkvm.Trace.encode_mem memlog in
+  let row_leaves = Zkflow_zkvm.Trace.encode_rows traced.rows in
+  let mem_leaves = Zkflow_zkvm.Trace.encode_memlog memlog in
   let trace_tree leaves () =
     ignore (Zkflow_merkle.Tree.of_leaves ~node:Zkflow_zkproof.Receipt.node leaves)
   in
@@ -1112,12 +1122,14 @@ let micro () =
   (* The prover's helper extraction and the verifier's authentication
      (leaf hashing and one climb per root) of all five columns. *)
   let module Multiproof = Zkflow_merkle.Multiproof in
-  let columns = ingest_shape_columns () in
+  let ((_, ingest_run, _) as ingest) = ingest_shape_run () in
+  let columns = ingest_shape_columns ingest in
   let verify_column (tree, set, (col : Receipt.column)) =
     let k = Array.length col.Receipt.leaves in
     let digests = Bytes.create (32 * k) in
     ignore
-      (Zkflow_merkle.Proof.leaves_into (Zkflow_hash.Sha256.init ()) col.Receipt.leaves
+      (Zkflow_merkle.Proof.leaves_into (Zkflow_hash.Sha256.init ())
+         (Zkflow_util.Column.of_array col.Receipt.leaves)
          ~dst:digests ~lo:0 ~hi:k);
     let proof =
       { Multiproof.depth = Zkflow_merkle.Tree.depth tree; indices = set; helpers = col.Receipt.helpers }
@@ -1135,9 +1147,7 @@ let micro () =
       Test.make ~name:"sha256-64KB" (Staged.stage (fun () ->
           ignore (Zkflow_hash.Sha256.digest data64k)));
       Test.make ~name:"merkle-1024-leaves" (Staged.stage (fun () ->
-          ignore
-            (Zkflow_merkle.Tree.of_leaves ~node:Zkflow_hash.Sha256.digest64
-               leaves)));
+          ignore (Zkflow_merkle.Tree.of_leaves ~node:Zkflow_hash.Sha256.digest64 leaves)));
       Test.make ~name:"ntt-4096" (Staged.stage (fun () ->
           ignore (Zkflow_field.Ntt.forward coeffs)));
       Test.make ~name:"zkvm-60k-cycles" (Staged.stage (fun () ->
@@ -1146,6 +1156,9 @@ let micro () =
           ignore (Zkflow_zkproof.Memcheck.sort_perm memlog)));
       Test.make ~name:"memcheck-z" (Staged.stage (fun () ->
           ignore (Zkflow_zkproof.Memcheck.z_leaves ~alpha ~beta memlog perm)));
+      Test.make ~name:"trace-encode-ingest" (Staged.stage (fun () ->
+          ignore (Zkflow_zkvm.Trace.encode_rows ingest_run.Zkflow_zkvm.Machine.rows);
+          ignore (Zkflow_zkvm.Trace.encode_memlog ingest_run.Zkflow_zkvm.Machine.memlog)));
       Test.make ~name:"merkle-trace-rows" (Staged.stage (trace_tree row_leaves));
       Test.make ~name:"merkle-trace-mem" (Staged.stage (trace_tree mem_leaves));
       Test.make ~name:"multiproof-prove" (Staged.stage (fun () ->

@@ -40,7 +40,8 @@ let node = Zkflow_hash.Sha256.digest64
 
 let scratch_tree entries =
   Tree.of_leaves ~node
-    (Zkflow_parallel.Pool.map_array ~min_chunk:2048 entry_bytes entries)
+    (Zkflow_util.Column.of_array
+       (Zkflow_parallel.Pool.map_array ~min_chunk:2048 entry_bytes entries))
 
 let build entries =
   let index = Hashtbl.create (max 16 (Array.length entries)) in

@@ -112,15 +112,18 @@ val level_into :
     [\[src + 2lo, src + 2hi)]. *)
 
 val leaves_into :
-  ctx -> prefix:bytes -> bytes array -> dst:bytes -> lo:int -> hi:int -> int
-(** [leaves_into ctx ~prefix data ~dst ~lo ~hi] writes, for each [i]
-    in [\[lo, hi)], the SHA-256 of [prefix ‖ data.(i)] into slot [i] of
-    [dst]; when [i > lo] and [data.(i)] is or equals [data.(i - 1)], it
-    copies slot [i - 1] instead. Leaves may have any length; a hashed
-    leaf counts every block of its message. Refuses a window with
-    [lo < 0], [hi < lo], [hi] past [data] or past the slots of [dst],
-    or [dst] physically equal to [prefix] or to a leaf of the
-    window. *)
+  ctx -> prefix:bytes -> Zkflow_util.Column.t -> dst:bytes -> lo:int -> hi:int -> int
+(** [leaves_into ctx ~prefix col ~dst ~lo ~hi] writes, for each [i] in
+    [\[lo, hi)], the SHA-256 of [prefix ‖ leaf i of col] into slot [i]
+    of [dst]; when [i > lo] and leaf [i] holds the same bytes as leaf
+    [i - 1], it copies slot [i - 1] instead. Leaves may have any
+    length; a hashed leaf counts every block of its message. Refuses a
+    window with [lo < 0], [hi < lo], [hi] past the column's leaves or
+    past the slots of [dst], or [dst] physically equal to [prefix] or
+    to the column's payload ("window out of range or overlapping");
+    then offsets [off.(lo)] below 0 or [off.(hi)] past the payload
+    ("offsets past the buffer"), and any [off.(i) > off.(i + 1)] in
+    the window ("offsets decrease"). *)
 
 val digest : bytes -> bytes
 (** [digest b] is the one-shot 32-byte SHA-256 of [b]. *)

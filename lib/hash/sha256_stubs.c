@@ -158,28 +158,23 @@ static void absorb(unsigned char *st, unsigned char *blk, size_t *fill, long *bl
   *fill = len;
 }
 
-/* The length of an OCaml [bytes], as caml_string_length computes it. */
-static inline size_t bytes_length(value b)
-{
-  size_t last = Bosize_val(b) - 1;
-  return last - Byte(b, last);
-}
-
-/* Slot i of [dst] gets SHA-256(prefix ‖ data.(i)), from the IV [iv];
-   it copies slot i-1 when data.(i) is or equals data.(i-1). Returns
-   the slots hashed and adds their blocks to [*blocks]. */
+/* Slot i of [dst] gets SHA-256(prefix ‖ leaf i), from the IV [iv],
+   leaf i being data[off[i] .. off[i+1]) with [off] an OCaml int
+   array; it copies slot i-1 when leaf i holds the same bytes as leaf
+   i-1. Returns the slots hashed and adds their blocks to [*blocks]. */
 __attribute__((target("sha,ssse3,sse4.1")))
 static long leaves_ni(const unsigned char *iv, const unsigned char *prefix, size_t plen,
-                      value data, unsigned char *dst, long lo, long hi, long *blocks)
+                      const unsigned char *data, value off, unsigned char *dst, long lo,
+                      long hi, long *blocks)
 {
   long hashed = 0;
   for (long i = lo; i < hi; i++) {
-    value b = Field(data, i);
-    size_t len = bytes_length(b);
+    long pos = Long_val(Field(off, i));
+    size_t len = (size_t)(Long_val(Field(off, i + 1)) - pos);
     unsigned char *out = dst + 32 * i;
     if (i > lo) {
-      value a = Field(data, i - 1);
-      if (a == b || (bytes_length(a) == len && memcmp(Bytes_val(a), Bytes_val(b), len) == 0)) {
+      long prev = Long_val(Field(off, i - 1));
+      if ((size_t)(pos - prev) == len && memcmp(data + prev, data + pos, len) == 0) {
         memcpy(out, out - 32, 32);
         continue;
       }
@@ -188,7 +183,7 @@ static long leaves_ni(const unsigned char *iv, const unsigned char *prefix, size
     size_t fill = 0;
     memcpy(st, iv, 32);
     absorb(st, blk, &fill, blocks, prefix, plen);
-    absorb(st, blk, &fill, blocks, Bytes_val(b), len);
+    absorb(st, blk, &fill, blocks, data + pos, len);
     /* Padding: 0x80, zeros to 56 mod 64, the 64-bit bit length; more
        than 55 bytes buffered spill it into a second block. */
     size_t end = fill < 56 ? 64 : 128;
@@ -224,9 +219,11 @@ static long level_ni(const unsigned char *from, int pad, unsigned char *buf,
 }
 
 static long leaves_ni(const unsigned char *iv, const unsigned char *prefix, size_t plen,
-                      value data, unsigned char *dst, long lo, long hi, long *blocks)
+                      const unsigned char *data, value off, unsigned char *dst, long lo,
+                      long hi, long *blocks)
 {
-  (void)iv; (void)prefix; (void)plen; (void)data; (void)dst; (void)lo; (void)hi; (void)blocks;
+  (void)iv; (void)prefix; (void)plen; (void)data; (void)off; (void)dst; (void)lo; (void)hi;
+  (void)blocks;
   abort();
 }
 
@@ -262,15 +259,17 @@ CAMLprim value zkflow_sha256_ni_level_byte(value *argv, int argn)
   return zkflow_sha256_ni_level(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5], argv[6]);
 }
 
-/* [iv] is the 32-byte initial state, [data] a [bytes array]; the
-   caller has bounded the window and kept [dst] apart from every
-   input. The blocks compressed go to the first 8 bytes of [counts]. */
-CAMLprim value zkflow_sha256_ni_leaves(value iv, value prefix, value data, value dst, value lo,
-                                       value hi, value counts)
+/* [iv] is the 32-byte initial state, [data] the column's payload
+   bytes and [off] its offsets; the caller has bounded the window and
+   its offsets and kept [dst] apart from every input. The blocks
+   compressed go to the first 8 bytes of [counts]. */
+CAMLprim value zkflow_sha256_ni_leaves(value iv, value prefix, value data, value off, value dst,
+                                       value lo, value hi, value counts)
 {
   long blocks = 0;
-  long hashed = leaves_ni(Bytes_val(iv), Bytes_val(prefix), caml_string_length(prefix), data,
-                          Bytes_val(dst), Long_val(lo), Long_val(hi), &blocks);
+  long hashed = leaves_ni(Bytes_val(iv), Bytes_val(prefix), caml_string_length(prefix),
+                          Bytes_val(data), off, Bytes_val(dst), Long_val(lo), Long_val(hi),
+                          &blocks);
   int64_t n = blocks;
   memcpy(Bytes_val(counts), &n, 8);
   return Val_long(hashed);
@@ -279,5 +278,6 @@ CAMLprim value zkflow_sha256_ni_leaves(value iv, value prefix, value data, value
 CAMLprim value zkflow_sha256_ni_leaves_byte(value *argv, int argn)
 {
   (void)argn;
-  return zkflow_sha256_ni_leaves(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5], argv[6]);
+  return zkflow_sha256_ni_leaves(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5], argv[6],
+                                 argv[7]);
 }

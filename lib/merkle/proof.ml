@@ -18,8 +18,8 @@ let leaf_hash_into ctx data ~dst ~dst_pos =
   Sha256.update ctx data;
   Sha256.finalize_into ctx ~dst ~dst_pos
 
-let leaves_into ctx data ~dst ~lo ~hi =
-  Sha256.leaves_into ctx ~prefix:leaf_domain data ~dst ~lo ~hi
+let leaves_into ctx col ~dst ~lo ~hi =
+  Sha256.leaves_into ctx ~prefix:leaf_domain col ~dst ~lo ~hi
 
 let leaf_hash data =
   let out = Bytes.create 32 in

@@ -26,12 +26,12 @@ val leaf_hash_into :
     domains. *)
 
 val leaves_into :
-  Zkflow_hash.Sha256.ctx -> bytes array -> dst:bytes -> lo:int -> hi:int -> int
-(** [leaves_into ctx data ~dst ~lo ~hi] is
+  Zkflow_hash.Sha256.ctx -> Zkflow_util.Column.t -> dst:bytes -> lo:int -> hi:int -> int
+(** [leaves_into ctx col ~dst ~lo ~hi] is
     {!Zkflow_hash.Sha256.leaves_into} with the leaf rule's tag as the
-    prefix: slot [i] of [dst] gets [leaf_hash data.(i)] for [i] in
-    [\[lo, hi)], copying slot [i - 1] when [data.(i)] equals
-    [data.(i - 1)]. Returns the slots hashed. *)
+    prefix: slot [i] of [dst] gets [leaf_hash] of leaf [i] of [col] for
+    [i] in [\[lo, hi)], copying slot [i - 1] when leaf [i] holds the
+    same bytes as leaf [i - 1]. Returns the slots hashed. *)
 
 val compute_root : node:node -> t -> Zkflow_hash.Digest32.t -> Zkflow_hash.Digest32.t
 (** [compute_root ~node proof leaf_hash] folds the path under [node]

@@ -112,12 +112,12 @@ let build ~node t0 t =
   if t0 <> 0 then Obs.Span.finish "merkle.build" ~args:[ ("leaves", t.size) ] t0;
   t
 
-let of_leaves ~node data =
+let of_leaves ~node col =
   let t0 = Obs.Span.start () in
-  let t = alloc (Array.length data) in
+  let t = alloc (Zkflow_util.Column.length col) in
   fill_level ~min_chunk:512 t.buf ~dst:0 t.size
-    ~same:(fun i -> data.(i) == data.(i - 1) || Bytes.equal data.(i) data.(i - 1))
-    ~hash:(fun ctx lo hi -> Proof.leaves_into ctx data ~dst:t.buf ~lo ~hi);
+    ~same:(fun i -> Zkflow_util.Column.equal_leaves col i (i - 1))
+    ~hash:(fun ctx lo hi -> Proof.leaves_into ctx col ~dst:t.buf ~lo ~hi);
   build ~node t0 t
 
 let of_leaf_hashes ~node hs =

@@ -20,15 +20,17 @@ val leaf_hash : bytes -> Zkflow_hash.Digest32.t
 val empty_leaf : Zkflow_hash.Digest32.t
 (** The digest used for padding positions beyond the last real leaf. *)
 
-val of_leaves : node:Proof.node -> bytes array -> t
-(** [of_leaves ~node data] builds the tree over
-    [Array.map leaf_hash data] under the node rule [node], hashing each
-    leaf straight into the tree's level buffer.
+val of_leaves : node:Proof.node -> Zkflow_util.Column.t -> t
+(** [of_leaves ~node col] builds the tree over the {!leaf_hash} of each
+    leaf of [col] under the node rule [node], hashing the column's
+    leaves straight into the tree's level buffer. A caller holding a
+    [bytes array] builds its column with
+    {!Zkflow_util.Column.of_array}.
 
     Every build applies the equal-neighbour rule: a slot whose input
-    equals its left neighbour's (the leaf bytes at the leaf level, the
-    64 child bytes above it) copies the neighbour's digest instead of
-    hashing. All-padding subtrees and runs of repeated leaves therefore
+    equals its left neighbour's (the leaf's bytes at the leaf level,
+    the 64 child bytes above it) copies the neighbour's digest instead
+    of hashing. All-padding subtrees and runs of repeated leaves therefore
     cost one hash per run. The rule depends only on the inputs, so
     roots and the ["merkle.nodes_hashed"] / ["merkle.nodes_copied"]
     counts (which sum to the [n + P − 1] slots of [n] leaves padded to

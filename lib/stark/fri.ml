@@ -98,8 +98,10 @@ let prove ~transcript ~domain ~degree_bound ~queries values =
   let log = ref domain.Domain.log_size in
   while !size > final_size do
     let t_fold = Obs.Span.start () in
-    let leaves = Pool.map_array ~min_chunk:2048 Fp2.to_bytes !v in
-    let tree = Tree.of_leaves ~node leaves in
+    let tree =
+      Tree.of_leaves ~node
+        (Zkflow_util.Column.of_array (Pool.map_array ~min_chunk:2048 Fp2.to_bytes !v))
+    in
     T.absorb_digest transcript ~label:"fri.layer" (Tree.root tree);
     let zeta = challenge_fp2 transcript ~label:"fri.zeta" in
     let half = !size / 2 in

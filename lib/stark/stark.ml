@@ -135,7 +135,9 @@ let prove ?(queries = default_queries) air trace =
       Obs.Span.finish "stark.lde" ~args:[ ("columns", air.Air.width); ("m", m) ] t_lde;
     let t_commit = Obs.Span.start () in
     let leaves = Pool.init_array ~min_chunk:1024 m (leaf_of_row air.Air.width values) in
-    let tree = Tree.of_leaves ~node:Zkflow_hash.Sha256.digest64 leaves in
+    let tree =
+      Tree.of_leaves ~node:Zkflow_hash.Sha256.digest64 (Zkflow_util.Column.of_array leaves)
+    in
     if t_commit <> 0 then Obs.Span.finish "stark.commit" ~args:[ ("rows", m) ] t_commit;
     let transcript = T.create ~domain:"zkflow.stark.v1" in
     absorb_statement transcript air ~n ~blowup ~queries;

@@ -38,13 +38,14 @@ val z_leaves :
   beta:Zkflow_field.Fp2.t ->
   Zkflow_zkvm.Trace.mem_entry array ->
   int array ->
-  bytes array
+  Zkflow_util.Column.t
 (** [z_leaves ~alpha ~beta entries perm] is the grand-product column
-    pair, one {!encode_z} leaf per position: leaf [j] holds
+    pair as one column of 16-byte {!encode_z} leaves: leaf [j] holds
     ∏_{i ≤ j} term(entries.(i)) and ∏_{i ≤ j} term(entries.(perm.(i))).
-    One pass computes both on unboxed coordinates with β², β³, β⁴
-    hoisted; it equals the {!term} fold for every entry. Raises
-    [Invalid_argument] when the lengths differ. *)
+    Each entry's {!term} is computed once, on unboxed coordinates with
+    β², β³, β⁴ hoisted; both products then run over those terms, the
+    sorted one through [perm]. It equals the {!term} fold for every
+    entry. Raises [Invalid_argument] when the lengths differ. *)
 
 val encode_z : time:Zkflow_field.Fp2.t -> sorted:Zkflow_field.Fp2.t -> bytes
 (** The 16-byte leaf of the shared grand-product tree: the time

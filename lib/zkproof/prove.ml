@@ -6,11 +6,13 @@ module D = Zkflow_hash.Digest32
 module Fp2 = Zkflow_field.Fp2
 module Obs = Zkflow_obs
 
-(* One column of the seal: the leaves at [set] and one multiproof's
-   helpers for them. *)
-let open_column tree leaves set =
+module Column = Zkflow_util.Column
+
+(* One column of the seal: the opened leaves, copied out of a flat
+   column, and one multiproof's helpers for the index set. *)
+let open_column tree set leaves =
   {
-    Receipt.leaves = Array.map (Array.get leaves) set;
+    Receipt.leaves;
     helpers = (Zkflow_merkle.Multiproof.prove tree set).Zkflow_merkle.Multiproof.helpers;
   }
 
@@ -20,19 +22,20 @@ let open_column tree leaves set =
    round, chaos re-proves after a kill) can reuse the trees wholesale.
    One slot is enough: rounds prove back-to-back over one run. Keyed on
    physical identity of the trace arrays ([==]) plus the image id, so a
-   recomputed-but-equal trace misses rather than risking a stale hit. *)
+   recomputed-but-equal trace misses rather than risking a stale hit.
+   The sorted log has no column of its own: its leaf j is leaf
+   [perm.(j)] of the time column. *)
 type commit_memo = {
   memo_image : D.t;
   memo_rows : Trace.row array;
   memo_memlog : Trace.mem_entry array;
-  row_leaves : bytes array;
+  rows_col : Column.t;
   rows_tree : Tree.t;
-  time_leaves : bytes array;
+  time_col : Column.t;
   time_tree : Tree.t;
   perm : int array;
-  sorted_leaves : bytes array;
   sorted_tree : Tree.t;
-  jacc_leaves : bytes array;
+  jacc_col : Column.t;
   jacc_tree : Tree.t;
 }
 
@@ -46,53 +49,56 @@ let node = Receipt.node
 
 let ( let* ) = Result.bind
 
+(* The journal accumulator's head after each row, 32 bytes per leaf.
+   It moves only on commit rows: a row that leaves the chain as it was
+   copies the previous leaf's bytes, and the tree copies its slot
+   instead of hashing it. *)
+let jacc_column ~program rows =
+  let col = Column.alloc (Array.length rows) ~size:(fun _ -> 32) in
+  let chain = ref Zkflow_hash.Chain.genesis in
+  Array.iteri
+    (fun i row ->
+      let next = Checker.jacc_step ~program !chain row in
+      if i > 0 && next == !chain then Bytes.blit col.data (32 * (i - 1)) col.data (32 * i) 32
+      else begin
+        Bytes.blit (D.unsafe_to_bytes (Zkflow_hash.Chain.head next)) 0 col.data (32 * i) 32;
+        chain := next
+      end)
+    rows;
+  col
+
 let build_commit_memo program (claim : Receipt.claim) rows memlog =
   (* The order check comes first, so a refused log costs no hashing. *)
   let* perm =
     Result.map_error (fun e -> "prove: " ^ e) (Memcheck.sort_perm memlog)
   in
-  let map_leaves f a = Zkflow_parallel.Pool.map_array ~min_chunk:2048 f a in
-  let row_leaves = map_leaves Trace.encode_row rows in
-  let rows_tree = Tree.of_leaves ~node row_leaves in
-  let time_leaves = map_leaves Trace.encode_mem memlog in
-  let time_tree = Tree.of_leaves ~node time_leaves in
+  let t_encode = Obs.Span.start () in
+  let rows_col = Trace.encode_rows rows in
+  let time_col = Trace.encode_memlog memlog in
+  if t_encode <> 0 then Obs.Span.finish "zkproof.encode" t_encode;
+  let rows_tree = Tree.of_leaves ~node rows_col in
+  let time_tree = Tree.of_leaves ~node time_col in
   (* The sorted log is a permutation of the time-ordered one, so its
-     leaf bytes and leaf digests are the permuted time-ordered ones —
-     no second encode or hash pass over the access log. *)
-  let sorted_leaves = Array.map (fun i -> time_leaves.(i)) perm in
+     leaf digests are the permuted time-ordered ones — no second
+     encode or hash pass over the access log. *)
   let sorted_tree = Tree.permute ~node time_tree perm in
   Obs.Metric.add m_leaf_reused (Array.length perm);
-  (* The accumulator moves only on commit rows: rows that leave the
-     chain as it was share its head's leaf bytes, and the tree copies
-     their slots instead of hashing them. *)
-  let jacc_leaves =
-    let chain = ref Zkflow_hash.Chain.genesis and leaf = ref None in
-    Array.map
-      (fun row ->
-        let next = Checker.jacc_step ~program !chain row in
-        match !leaf with
-        | Some b when next == !chain -> b
-        | _ ->
-          let b = D.to_bytes (Zkflow_hash.Chain.head next) in
-          chain := next;
-          leaf := Some b;
-          b)
-      rows
-  in
-  let jacc_tree = Tree.of_leaves ~node jacc_leaves in
+  let t_jacc = Obs.Span.start () in
+  let jacc_col = jacc_column ~program rows in
+  if t_jacc <> 0 then Obs.Span.finish "zkproof.jacc" t_jacc;
+  let jacc_tree = Tree.of_leaves ~node jacc_col in
   Ok
     {
       memo_image = claim.Receipt.image_id;
       memo_rows = rows;
       memo_memlog = memlog;
-      row_leaves;
+      rows_col;
       rows_tree;
-      time_leaves;
+      time_col;
       time_tree;
       perm;
-      sorted_leaves;
       sorted_tree;
-      jacc_leaves;
+      jacc_col;
       jacc_tree;
     }
 
@@ -127,22 +133,14 @@ let prove_result ?(params = Params.default) program (run : Machine.result) =
         Ok (m, 1)
       | _ ->
         Obs.Metric.add m_misses 1;
+        (* The previous run's columns and trees are garbage from here,
+           not only once the new ones are built. *)
+        clear_commit_cache ();
         let* m = build_commit_memo program claim rows memlog in
         Atomic.set commit_cache (Some m);
         Ok (m, 0)
     in
-    let {
-      row_leaves;
-      rows_tree;
-      time_leaves;
-      time_tree;
-      perm;
-      sorted_leaves;
-      sorted_tree;
-      jacc_leaves;
-      jacc_tree;
-      _;
-    } =
+    let { rows_col; rows_tree; time_col; time_tree; perm; sorted_tree; jacc_col; jacc_tree; _ } =
       memo
     in
     if t_commit <> 0 then
@@ -156,9 +154,9 @@ let prove_result ?(params = Params.default) program (run : Machine.result) =
     let z_commit = ref None in
     let commit_z ~alpha ~beta =
       let t_memcheck = Obs.Span.start () in
-      let leaves = Memcheck.z_leaves ~alpha ~beta memlog perm in
-      let tree = Tree.of_leaves ~node leaves in
-      z_commit := Some (tree, leaves);
+      let col = Memcheck.z_leaves ~alpha ~beta memlog perm in
+      let tree = Tree.of_leaves ~node col in
+      z_commit := Some (tree, col);
       if t_memcheck <> 0 then Obs.Span.finish "zkproof.memcheck_commit" t_memcheck;
       Tree.root tree
     in
@@ -170,7 +168,7 @@ let prove_result ?(params = Params.default) program (run : Machine.result) =
         ~commit_z
     in
     if t_fs <> 0 then Obs.Span.finish "zkproof.fs" t_fs;
-    let z_tree, z_leaves = Option.get !z_commit in
+    let z_tree, z_col = Option.get !z_commit in
     (* Openings: the index sets the verifier will derive, one
        multiproof per root. *)
     let t_open = Obs.Span.start () in
@@ -180,11 +178,15 @@ let prove_result ?(params = Params.default) program (run : Machine.result) =
         challenges.Fs.step_idx
     in
     let opened = Fs.opened ~n_rows ~n_mem ~spans challenges in
-    let rows_col = open_column rows_tree row_leaves opened.Fs.rows in
-    let jacc = open_column jacc_tree jacc_leaves opened.Fs.rows in
-    let time = open_column time_tree time_leaves opened.Fs.time in
-    let sorted = open_column sorted_tree sorted_leaves opened.Fs.sorted in
-    let z = open_column z_tree z_leaves opened.Fs.z in
+    let column tree col set = open_column tree set (Column.pick col set) in
+    let rows_opened = column rows_tree rows_col opened.Fs.rows in
+    let jacc = column jacc_tree jacc_col opened.Fs.rows in
+    let time = column time_tree time_col opened.Fs.time in
+    let sorted =
+      open_column sorted_tree opened.Fs.sorted
+        (Column.pick time_col (Array.map (Array.get perm) opened.Fs.sorted))
+    in
+    let z = column z_tree z_col opened.Fs.z in
     if t_open <> 0 then Obs.Span.finish "zkproof.openings" t_open;
     if t_prove <> 0 then
       Obs.Span.finish "zkproof.prove" ~args:[ ("rows", n_rows) ] t_prove;
@@ -201,7 +203,7 @@ let prove_result ?(params = Params.default) program (run : Machine.result) =
             root_sorted = Tree.root sorted_tree;
             root_jacc = Tree.root jacc_tree;
             root_z;
-            rows = rows_col;
+            rows = rows_opened;
             jacc;
             time;
             sorted;

@@ -39,7 +39,9 @@ val prove_result :
     the run's trace arrays plus the image id: proving the same run
     again — e.g. re-deriving a receipt with different parameters, or a
     chaos re-prove after a crash — reuses the trees instead of
-    re-hashing the whole trace. Counters
+    re-hashing the whole trace. The cache holds each column as one flat
+    {!Zkflow_util.Column.t} next to its tree; a miss drops the previous
+    entry before building the new one. Counters
     [zkproof.commit_cache.hits]/[.misses] record the traffic and
     [zkproof.leaf_hashes_reused] the sorted-log leaves derived by
     permutation instead of hashing. *)

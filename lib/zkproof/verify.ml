@@ -41,12 +41,16 @@ let check_counts c =
     need
 
 (* One multiproof per root: the column's leaves hashed in one batch
-   kernel call, then one climb that hashes each distinct node once. *)
+   kernel call over a flat copy of them, then one climb that hashes
+   each distinct node once. *)
 let authenticate c =
-  let leaves = c.col.Receipt.leaves in
-  let k = Array.length leaves in
+  let k = Array.length c.col.Receipt.leaves in
   let digests = Bytes.create (32 * k) in
-  ignore (Proof.leaves_into (Sha256.init ()) leaves ~dst:digests ~lo:0 ~hi:k : int);
+  ignore
+    (Proof.leaves_into (Sha256.init ())
+       (Zkflow_util.Column.of_array c.col.Receipt.leaves)
+       ~dst:digests ~lo:0 ~hi:k
+      : int);
   let proof = { Multiproof.depth = c.depth; indices = c.set; helpers = c.col.Receipt.helpers } in
   require
     (Multiproof.verify ~node:Receipt.node ~root:c.root proof digests)

@@ -160,7 +160,8 @@ let test_merkle_builtins_match_host () =
     Zkflow_zkvm.Guestlib.words_of_digest
       (Zkflow_hash.Digest32.unsafe_to_bytes
          (Zkflow_merkle.Tree.root
-            (Zkflow_merkle.Tree.of_leaves ~node:Zkflow_hash.Sha256.digest64 leaves)))
+            (Zkflow_merkle.Tree.of_leaves ~node:Zkflow_hash.Sha256.digest64
+               (Zkflow_util.Column.of_array leaves))))
   in
   Alcotest.(check (array int)) "root matches host tree" expected o.Zirc.journal
 

@@ -6,6 +6,9 @@ let check_int = Alcotest.(check int)
 let digest = Alcotest.testable D.pp D.equal
 let leaves n = Array.init n (fun i -> Bytes.of_string (Printf.sprintf "leaf-%d" i))
 
+(* Every tree here is built over its leaves as one column. *)
+let of_leaves ~node data = Tree.of_leaves ~node (Zkflow_util.Column.of_array data)
+
 (* The two node rules: the CLog tree's SHA-256 of the 64 child bytes,
    and the trace commitments' single compression from the node IV. *)
 let digest64 = Zkflow_hash.Sha256.digest64
@@ -14,15 +17,15 @@ let rules = [ ("digest64", digest64); ("node64", Zkflow_hash.Sha256.node64) ]
 (* ---- Tree ---- *)
 
 let test_tree_deterministic_root () =
-  let t1 = Tree.of_leaves ~node:digest64 (leaves 5)
-  and t2 = Tree.of_leaves ~node:digest64 (leaves 5) in
+  let t1 = of_leaves ~node:digest64 (leaves 5)
+  and t2 = of_leaves ~node:digest64 (leaves 5) in
   Alcotest.check digest "same root" (Tree.root t1) (Tree.root t2)
 
 let test_tree_root_depends_on_content () =
-  let a = Tree.of_leaves ~node:digest64 (leaves 4) in
+  let a = of_leaves ~node:digest64 (leaves 4) in
   let modified = leaves 4 in
   modified.(2) <- Bytes.of_string "tampered";
-  let b = Tree.of_leaves ~node:digest64 modified in
+  let b = of_leaves ~node:digest64 modified in
   check_bool "root changes" false (D.equal (Tree.root a) (Tree.root b))
 
 let test_tree_root_depends_on_order () =
@@ -32,30 +35,30 @@ let test_tree_root_depends_on_order () =
   swapped.(1) <- l.(0);
   check_bool "order matters" false
     (D.equal
-       (Tree.root (Tree.of_leaves ~node:digest64 l))
-       (Tree.root (Tree.of_leaves ~node:digest64 swapped)))
+       (Tree.root (of_leaves ~node:digest64 l))
+       (Tree.root (of_leaves ~node:digest64 swapped)))
 
 let test_tree_sizes_and_depth () =
-  check_int "size 1 depth" 0 (Tree.depth (Tree.of_leaves ~node:digest64 (leaves 1)));
-  check_int "size 2 depth" 1 (Tree.depth (Tree.of_leaves ~node:digest64 (leaves 2)));
-  check_int "size 3 depth" 2 (Tree.depth (Tree.of_leaves ~node:digest64 (leaves 3)));
-  check_int "size 5 depth" 3 (Tree.depth (Tree.of_leaves ~node:digest64 (leaves 5)));
-  check_int "size recorded" 5 (Tree.size (Tree.of_leaves ~node:digest64 (leaves 5)))
+  check_int "size 1 depth" 0 (Tree.depth (of_leaves ~node:digest64 (leaves 1)));
+  check_int "size 2 depth" 1 (Tree.depth (of_leaves ~node:digest64 (leaves 2)));
+  check_int "size 3 depth" 2 (Tree.depth (of_leaves ~node:digest64 (leaves 3)));
+  check_int "size 5 depth" 3 (Tree.depth (of_leaves ~node:digest64 (leaves 5)));
+  check_int "size recorded" 5 (Tree.size (of_leaves ~node:digest64 (leaves 5)))
 
 let test_tree_padding_distinguishes_sizes () =
   (* A 3-leaf tree must not equal the 4-leaf tree whose 4th leaf is the
      padding value's preimage-less digest... they share digests only if
      the 4th real leaf hash equals the padding digest, which leaf
      domain separation prevents for real data. *)
-  let t3 = Tree.of_leaves ~node:digest64 (leaves 3)
-  and t4 = Tree.of_leaves ~node:digest64 (leaves 4) in
+  let t3 = of_leaves ~node:digest64 (leaves 3)
+  and t4 = of_leaves ~node:digest64 (leaves 4) in
   check_bool "3 vs 4 leaves" false (D.equal (Tree.root t3) (Tree.root t4))
 
 let test_tree_two_leaf_root_is_combine () =
   let l = leaves 2 in
   let expected = D.combine (Tree.leaf_hash l.(0)) (Tree.leaf_hash l.(1)) in
   Alcotest.check digest "combine rule" expected
-    (Tree.root (Tree.of_leaves ~node:digest64 l))
+    (Tree.root (of_leaves ~node:digest64 l))
 
 (* [of_leaves] hashes leaves straight into its level buffer; it must
    agree with building over the digests, with permuting a tree's
@@ -68,7 +71,7 @@ let test_tree_of_leaves_agrees () =
       for n = 0 to 17 do
         let data = Array.init n (fun i -> (leaves 17).(i / 3)) in
         let hs = Array.map Tree.leaf_hash data in
-        let t = Tree.of_leaves ~node data in
+        let t = of_leaves ~node data in
         let rev = Array.init n (fun i -> n - 1 - i) in
         let tag s = Printf.sprintf "%s n=%d %s" rule n s in
         Alcotest.check digest (tag "of_leaf_hashes")
@@ -87,17 +90,17 @@ let test_tree_of_leaves_agrees () =
   (* The rules disagree, so a tree cannot pass for one built under the
      other. *)
   let roots =
-    List.map (fun (_, node) -> Tree.root (Tree.of_leaves ~node (leaves 5))) rules
+    List.map (fun (_, node) -> Tree.root (of_leaves ~node (leaves 5))) rules
   in
   check_bool "rules give different roots" false
     (D.equal (List.hd roots) (List.nth roots 1));
   Alcotest.check_raises "permute out of range"
     (Invalid_argument "Tree.permute: index out of range") (fun () ->
       ignore
-        (Tree.permute ~node:digest64 (Tree.of_leaves ~node:digest64 (leaves 3)) [| 0; 3 |]))
+        (Tree.permute ~node:digest64 (of_leaves ~node:digest64 (leaves 3)) [| 0; 3 |]))
 
 let test_tree_leaf_accessor () =
-  let t = Tree.of_leaves ~node:digest64 (leaves 3) in
+  let t = of_leaves ~node:digest64 (leaves 3) in
   Alcotest.check digest "leaf 0" (Tree.leaf_hash (Bytes.of_string "leaf-0")) (Tree.leaf t 0);
   Alcotest.check_raises "oob" (Invalid_argument "Tree.leaf: index out of range")
     (fun () -> ignore (Tree.leaf t 3))
@@ -108,7 +111,7 @@ let test_proof_roundtrip_all_indices () =
   List.iter
     (fun n ->
       let data = leaves n in
-      let t = Tree.of_leaves ~node:digest64 data in
+      let t = of_leaves ~node:digest64 data in
       for i = 0 to n - 1 do
         let p = Tree.prove t i in
         check_bool
@@ -121,20 +124,20 @@ let test_proof_roundtrip_all_indices () =
     [ 1; 2; 3; 4; 7; 8; 9; 16; 33 ]
 
 let test_proof_rejects_wrong_leaf () =
-  let t = Tree.of_leaves ~node:digest64 (leaves 8) in
+  let t = of_leaves ~node:digest64 (leaves 8) in
   let p = Tree.prove t 3 in
   check_bool "wrong leaf" false
     (Proof.verify ~node:digest64 ~root:(Tree.root t) ~leaf_hash:(Tree.leaf t 4) p)
 
 let test_proof_rejects_wrong_root () =
-  let t = Tree.of_leaves ~node:digest64 (leaves 8)
-  and t2 = Tree.of_leaves ~node:digest64 (leaves 9) in
+  let t = of_leaves ~node:digest64 (leaves 8)
+  and t2 = of_leaves ~node:digest64 (leaves 9) in
   let p = Tree.prove t 3 in
   check_bool "wrong root" false
     (Proof.verify ~node:digest64 ~root:(Tree.root t2) ~leaf_hash:(Tree.leaf t 3) p)
 
 let test_proof_rejects_tampered_sibling () =
-  let t = Tree.of_leaves ~node:digest64 (leaves 8) in
+  let t = of_leaves ~node:digest64 (leaves 8) in
   let p = Tree.prove t 5 in
   let tampered =
     { p with Proof.siblings = Array.map Fun.id p.Proof.siblings }
@@ -149,7 +152,7 @@ let prop_proof_sound_random_trees =
     (fun (n, seed) ->
       let rng = Zkflow_util.Rng.create (Int64.of_int seed) in
       let data = Array.init n (fun _ -> Zkflow_util.Rng.bytes rng 20) in
-      let t = Tree.of_leaves ~node:digest64 data in
+      let t = of_leaves ~node:digest64 data in
       let i = seed mod n in
       Proof.verify_data ~node:digest64 ~root:(Tree.root t) data.(i) (Tree.prove t i))
 
@@ -160,36 +163,36 @@ let mp_verify t mp idx =
     (Multiproof.leaf_digests (List.map (Tree.leaf t) (Array.to_list idx)))
 
 let test_multiproof_basic () =
-  let t = Tree.of_leaves ~node:digest64 (leaves 16) in
+  let t = of_leaves ~node:digest64 (leaves 16) in
   let idx = [| 1; 5; 6; 12 |] in
   check_bool "verifies" true (mp_verify t (Multiproof.prove t idx) idx)
 
 let test_multiproof_all_leaves_needs_no_helpers () =
-  let t = Tree.of_leaves ~node:digest64 (leaves 8) in
+  let t = of_leaves ~node:digest64 (leaves 8) in
   let idx = Array.init 8 Fun.id in
   let mp = Multiproof.prove t idx in
   check_int "no helpers" 0 (Bytes.length mp.Multiproof.helpers);
   check_bool "verifies" true (mp_verify t mp idx)
 
 let test_multiproof_smaller_than_individual () =
-  let t = Tree.of_leaves ~node:digest64 (leaves 64) in
+  let t = of_leaves ~node:digest64 (leaves 64) in
   let idx = Array.init 8 Fun.id in
   let individual = Array.length idx * Tree.depth t in
   check_bool "dedup effective" true
     (Multiproof.helper_count ~depth:(Tree.depth t) idx < individual)
 
 let test_multiproof_rejects_wrong_leaf () =
-  let t = Tree.of_leaves ~node:digest64 (leaves 16) in
+  let t = of_leaves ~node:digest64 (leaves 16) in
   let mp = Multiproof.prove t [| 2; 9 |] in
   check_bool "wrong leaf" false (mp_verify t mp [| 2; 10 |])
 
 let test_multiproof_rejects_count_mismatch () =
-  let t = Tree.of_leaves ~node:digest64 (leaves 16) in
+  let t = of_leaves ~node:digest64 (leaves 16) in
   let mp = Multiproof.prove t [| 2; 9 |] in
   check_bool "count mismatch" false (mp_verify t mp [| 2 |])
 
 let test_multiproof_input_validation () =
-  let t = Tree.of_leaves ~node:digest64 (leaves 8) in
+  let t = of_leaves ~node:digest64 (leaves 8) in
   Alcotest.check_raises "empty" (Invalid_argument "Multiproof.prove: empty index set")
     (fun () -> ignore (Multiproof.prove t [||]));
   Alcotest.check_raises "dup" (Invalid_argument "Multiproof.prove: duplicate indices")
@@ -215,7 +218,7 @@ let test_multiproof_input_validation () =
     ]
 
 let test_multiproof_encode_decode () =
-  let t = Tree.of_leaves ~node:digest64 (leaves 20) in
+  let t = of_leaves ~node:digest64 (leaves 20) in
   let idx = [| 0; 7; 19 |] in
   let mp = Multiproof.prove t idx in
   let b = Multiproof.encode mp in
@@ -236,7 +239,7 @@ let prop_multiproof_random_subsets =
     (fun (n, seed) ->
       let rng = Zkflow_util.Rng.create (Int64.of_int seed) in
       let data = Array.init n (fun _ -> Zkflow_util.Rng.bytes rng 16) in
-      let t = Tree.of_leaves ~node:digest64 data in
+      let t = of_leaves ~node:digest64 data in
       let k = 1 + Zkflow_util.Rng.int rng n in
       let all = Array.init n Fun.id in
       Zkflow_util.Rng.shuffle rng all;
@@ -260,7 +263,7 @@ let prop_multiproof_both_rules =
         Array.init n (fun _ ->
             if pick 4 = 0 then Bytes.of_string "dup" else Zkflow_util.Rng.bytes rng 8)
       in
-      let t = Tree.of_leaves ~node data in
+      let t = of_leaves ~node data in
       let idx =
         Array.of_list (List.sort_uniq Int.compare (List.init (1 + pick (min n 64)) (fun _ -> pick n)))
       in
@@ -485,7 +488,7 @@ let test_incr_stats () =
 let test_snapshot_roundtrip () =
   List.iter
     (fun n ->
-      let t = Tree.of_leaves ~node:digest64 (leaves n) in
+      let t = of_leaves ~node:digest64 (leaves n) in
       match Tree.of_snapshot (Tree.to_snapshot t) with
       | Error e -> Alcotest.fail e
       | Ok t' ->
@@ -498,7 +501,7 @@ let test_snapshot_roundtrip () =
     [ 1; 2; 3; 5; 8; 13 ]
 
 let test_snapshot_rejects_garbage () =
-  let b = Tree.to_snapshot (Tree.of_leaves ~node:digest64 (leaves 5)) in
+  let b = Tree.to_snapshot (of_leaves ~node:digest64 (leaves 5)) in
   check_bool "truncated" true
     (Result.is_error (Tree.of_snapshot (Bytes.sub b 0 (Bytes.length b - 1))));
   check_bool "extended" true
@@ -556,7 +559,7 @@ let test_golden_roots () =
   List.iter
     (fun (n, expected) ->
       let data = leaves n in
-      let tree = Tree.of_leaves ~node:digest64 data in
+      let tree = of_leaves ~node:digest64 data in
       let hs = Array.map Tree.leaf_hash data in
       let inc = Incremental.create () in
       Array.iter (Incremental.append inc) hs;

@@ -811,7 +811,8 @@ let test_hash_counters_exact () =
         (fun ((rule, node, per_node), (what, data, want_c, want_h, want_k)) ->
           let n = Array.length data in
           let tag s = Printf.sprintf "%s %s %s" rule what s in
-          let tree, c, h, k = delta (fun () -> Tree.of_leaves ~node data) in
+          let col = Zkflow_util.Column.of_array data in
+          let tree, c, h, k = delta (fun () -> Tree.of_leaves ~node col) in
           check_int (tag "compressions") want_c c;
           check_int (tag "nodes hashed") want_h h;
           check_int (tag "nodes copied") want_k k;

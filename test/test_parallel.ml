@@ -152,6 +152,7 @@ let test_next_pow2 () =
 let tree_sizes = [ 0; 1; 2; 3; 7; 100; 257; 1024; 5000 ]
 
 let leaf_data n = Array.init n (fun i -> Bytes.of_string (Printf.sprintf "par-%d" i))
+let of_leaves ~node data = Tree.of_leaves ~node (Zkflow_util.Column.of_array data)
 
 let test_tree_roots_match_sequential () =
   List.iter
@@ -162,7 +163,7 @@ let test_tree_roots_match_sequential () =
         with_jobs 1 (fun () -> Tree.root (Tree.of_leaf_hashes ~node:digest64 hs))
       in
       let base_leaves =
-        with_jobs 1 (fun () -> Tree.root (Tree.of_leaves ~node:digest64 data))
+        with_jobs 1 (fun () -> Tree.root (of_leaves ~node:digest64 data))
       in
       List.iter
         (fun j ->
@@ -171,7 +172,7 @@ let test_tree_roots_match_sequential () =
               Alcotest.check digest (tag "of_leaf_hashes") base_tree
                 (Tree.root (Tree.of_leaf_hashes ~node:digest64 hs));
               Alcotest.check digest (tag "of_leaves") base_leaves
-                (Tree.root (Tree.of_leaves ~node:digest64 data))))
+                (Tree.root (of_leaves ~node:digest64 data))))
         job_sweep)
     tree_sizes
 
@@ -228,6 +229,42 @@ let test_prove_sharded_matches_sequential () =
             rounds))
     job_sweep
 
+(* ---- differential: trace columns and the receipt ----
+
+   The trace encoders size every leaf, then write chunks of leaves on
+   the pool into disjoint byte ranges. A guest of 12k rows and as many
+   accesses puts several chunks on each job, so the columns, every
+   root and the receipt must come out the same at every job count. *)
+
+let test_trace_columns_match_sequential () =
+  let module Trace = Zkflow_zkvm.Trace in
+  let module Prove = Zkflow_zkproof.Prove in
+  let guest =
+    Zkflow_zkvm.Asm.(
+      assemble
+        [ li t0 3000; li a0 0; label "l"; beq t0 zero "e"; add a0 a0 t0; addi t0 t0 (-1);
+          j "l"; label "e"; halt 0 ])
+  in
+  let run = Zkflow_zkvm.Machine.run ~trace:true guest ~input:[||] in
+  let columns_and_receipt () =
+    Prove.clear_commit_cache ();
+    ( Trace.encode_rows run.Zkflow_zkvm.Machine.rows,
+      Trace.encode_memlog run.Zkflow_zkvm.Machine.memlog,
+      Zkflow_zkproof.Receipt.encode
+        (Result.get_ok (Prove.prove_result ~params:(Zkflow_zkproof.Params.make ~queries:8)
+                          guest run)) )
+  in
+  let base_rows, base_mem, base_receipt = with_jobs 1 columns_and_receipt in
+  check_bool "rows past two chunks" true (Array.length run.Zkflow_zkvm.Machine.rows > 8192);
+  List.iter
+    (fun j ->
+      let rows, mem, receipt = with_jobs j columns_and_receipt in
+      let tag s = Printf.sprintf "jobs=%d %s" j s in
+      check_bool (tag "rows column") true (rows = base_rows);
+      check_bool (tag "access-log column") true (mem = base_mem);
+      check_bool (tag "receipt bytes (roots included)") true (Bytes.equal receipt base_receipt))
+    [ 2; 3; 4 ]
+
 (* ---- the equal-neighbour rule is chunk-blind ----
 
    Runs of equal leaves longer than a chunk, and a padded tail, so
@@ -243,7 +280,7 @@ let test_neighbour_rule_chunk_blind () =
   in
   let build node data =
     let before = List.map Zkflow_obs.Metric.value counters in
-    let root = Tree.root (Tree.of_leaves ~node data) in
+    let root = Tree.root (of_leaves ~node data) in
     (root, List.map2 (fun c v -> Zkflow_obs.Metric.value c - v) counters before)
   in
   Zkflow_obs.Obs.with_enabled (fun () ->
@@ -275,8 +312,8 @@ let prop_tree_parallel_equals_sequential =
     (fun (n, seed) ->
       let rng = Zkflow_util.Rng.create (Int64.of_int seed) in
       let data = Array.init n (fun _ -> Zkflow_util.Rng.bytes rng 24) in
-      let seq = with_jobs 1 (fun () -> Tree.root (Tree.of_leaves ~node:digest64 data)) in
-      let par = with_jobs 3 (fun () -> Tree.root (Tree.of_leaves ~node:digest64 data)) in
+      let seq = with_jobs 1 (fun () -> Tree.root (of_leaves ~node:digest64 data)) in
+      let par = with_jobs 3 (fun () -> Tree.root (of_leaves ~node:digest64 data)) in
       D.equal seq par)
 
 let () =
@@ -303,6 +340,11 @@ let () =
             test_neighbour_rule_chunk_blind;
           Alcotest.test_case "clog root matches" `Quick test_clog_root_matches_sequential;
           q prop_tree_parallel_equals_sequential;
+        ] );
+      ( "zkproof",
+        [
+          Alcotest.test_case "trace columns and receipt match" `Quick
+            test_trace_columns_match_sequential;
         ] );
       ( "aggregate",
         [

@@ -129,7 +129,8 @@ let test_wal_torn_tree_snapshot_row () =
       let module Tree = Zkflow_merkle.Tree in
       let tree =
         Tree.of_leaves ~node:Zkflow_hash.Sha256.digest64
-          (Array.init 11 (fun i -> Bytes.of_string (Printf.sprintf "entry-%d" i)))
+          (Zkflow_util.Column.of_array
+             (Array.init 11 (fun i -> Bytes.of_string (Printf.sprintf "entry-%d" i))))
       in
       let w = Wal.open_log path in
       Wal.append w (Tree.to_snapshot tree);
