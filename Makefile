@@ -196,11 +196,13 @@ report: matrix
 # open gap names a destroyed export) — and fire exactly the SLOs its
 # injected faults wound. Per-plan artifacts land in chaos-out/<plan>/:
 # the flight-recorder event log, the machine-readable report, and the
-# strict health verdict (advisory — plans that inject board rejects or
-# unhealable drops degrade health by design, which is what the
-# recorded verdict documents). Each run's final CLog root must also
-# equal its line in chaos/final-roots.txt, so a change that moves a
-# root fails here even when the run and its twin agree.
+# strict health verdict. The verdict itself is not a gate (a plan
+# that injects faults is unhealthy by design, which is what the
+# recorded verdict documents), but monitor --strict, slo --strict and
+# the /healthz probe must exit alike on every plan: they are one
+# verdict. Each run's final CLog root must also equal its line in
+# chaos/final-roots.txt, so a change that moves a root fails here even
+# when the run and its twin agree.
 CHAOS_ROOTS := chaos/final-roots.txt
 chaos: build
 	rm -rf chaos-out
@@ -213,7 +215,15 @@ chaos: build
 	  dune exec bin/zkflow.exe -- chaos $$plan --dir chaos-out/$$name --json \
 	    > chaos-out/$$name-report.json || exit 1; \
 	  dune exec bin/zkflow.exe -- monitor --dir chaos-out/$$name --strict \
-	    > chaos-out/$$name-health.txt || true; \
+	    > chaos-out/$$name-health.txt; m=$$?; \
+	  dune exec bin/zkflow.exe -- slo --dir chaos-out/$$name --strict \
+	    > /dev/null; s=$$?; \
+	  dune exec bin/zkflow.exe -- watch --dir chaos-out/$$name \
+	    --probe /healthz > /dev/null; w=$$?; \
+	  if [ $$m -ne $$s ] || [ $$m -ne $$w ]; then \
+	    echo "chaos: $$name: monitor --strict exit $$m, slo --strict exit $$s, /healthz probe exit $$w"; \
+	    exit 1; \
+	  fi; \
 	  got=$$(grep -o '"final_root":"[0-9a-f]*"' chaos-out/$$name-report.json | cut -d'"' -f4); \
 	  want=$$(awk -v n=$$name '$$1 == n { print $$2 }' $(CHAOS_ROOTS)); \
 	  if [ -z "$$want" ] || [ "$$got" != "$$want" ]; then \
@@ -221,4 +231,4 @@ chaos: build
 	    exit 1; \
 	  fi; \
 	done
-	@echo "chaos: all plans ended verified on their pinned roots (reports in chaos-out/)"
+	@echo "chaos: all plans ended verified on their pinned roots, one health verdict each (reports in chaos-out/)"

@@ -791,40 +791,35 @@ let load_frames_opt dir timeseries =
     Option.iter (Printf.eprintf "warning: %s\n%!") tail_note;
     Ok (Some frames)
 
-let monitor dir events timeseries json strict gap_grace =
+(* --strict on monitor and slo: both exit on the one verdict,
+   [Monitor.verdict] of the log, naming its reasons. *)
+let strict_gate cmd (v : Monitor.verdict) =
+  if v.healthy then Ok ()
+  else Error (Printf.sprintf "%s: unhealthy: %s" cmd (String.concat ", " v.reasons))
+
+let monitor dir events timeseries json strict =
   let* events = load_events_or_hint dir events in
   let* frames = load_frames_opt dir timeseries in
   (* The checkpoint journal is optional context: without it the
      report is built from the event log alone. *)
   let service = Result.to_option (restore_service dir) in
-  let report = Monitor.build ?service ?frames ~gap_grace events in
+  let report = Monitor.build ?service ?frames events in
   if json then print_endline (Jsonx.to_string (Monitor.to_json report))
   else Format.printf "%a@." Monitor.pp report;
-  if strict && not (Monitor.healthy report) then
-    Error "monitor: pipeline health degraded"
-  else Ok ()
+  if strict then strict_gate "monitor" report.Monitor.verdict else Ok ()
 
 (* ---- slo ---- *)
 
-let load_specs_opt = function
-  | None -> Ok Slo.default_specs
-  | Some path -> Slo.load_specs path
-
-let slo dir events specs_file json strict =
+let slo dir events json strict =
   let* events = load_events_or_hint dir events in
-  let* specs = load_specs_opt specs_file in
-  let alerts = Slo.evaluate ~specs events in
+  let alerts = Slo.evaluate events in
   if json then print_endline (Jsonx.to_string (Slo.to_json alerts))
   else Format.printf "%a@." Slo.pp alerts;
-  match Slo.firing_names alerts with
-  | [] -> Ok ()
-  | names when strict ->
-    Error (Printf.sprintf "slo: firing: %s" (String.concat ", " names))
-  | _ -> Ok ()
+  if strict then strict_gate "slo" (Monitor.verdict events) else Ok ()
 
 (* ---- watch ---- *)
 
-let watch dir events timeseries specs_file listen probe =
+let watch dir events timeseries listen probe =
   let present p = if Sys.file_exists p then Some p else None in
   let events_file =
     match events with Some p -> Some p | None -> present (events_path dir)
@@ -834,9 +829,8 @@ let watch dir events timeseries specs_file listen probe =
     | Some p -> Some p
     | None -> present (timeseries_path dir)
   in
-  let* specs = load_specs_opt specs_file in
   let handler =
-    Watch.handler ~specs
+    Watch.handler
       (Watch.artifact_source ~events_path:events_file ?timeseries_path:ts_file
          ())
   in
@@ -924,7 +918,7 @@ let sleep_unless_stopped s =
     Thread.delay 0.05
   done
 
-let serve dir listen queries_n capacity watchdog_ms events =
+let serve dir listen queries_n capacity events =
   let events = match events with Some p -> Some p | None -> Some (events_path dir) in
   let* db_src = recover_store dir in
   Atomic.set serve_stop false;
@@ -940,13 +934,7 @@ let serve dir listen queries_n capacity watchdog_ms events =
   in
   let db = Db.create ~epoch:epoch_policy () in
   let board = Board.create () in
-  let config =
-    {
-      Daemon.default_config with
-      Daemon.queue_capacity = capacity;
-      watchdog_interval_ms = watchdog_ms;
-    }
-  in
+  let config = { Daemon.default_config with Daemon.queue_capacity = capacity } in
   let* d, restored =
     Daemon.create ~config
       ~proof_params:(Zkflow_zkproof.Params.make ~queries:queries_n)
@@ -1106,12 +1094,6 @@ let listen_arg =
          ~doc:"Serve the live telemetry plane (/metrics, /healthz, /slo) \
                on this loopback port for the duration of the run (0 picks \
                an ephemeral port, printed at startup).")
-
-let specs_arg =
-  Arg.(value & opt (some file) None & info [ "specs" ] ~docv:"FILE"
-         ~doc:"SLO specs as a JSON array (default: the built-in objectives \
-               — coverage, board-integrity, prover-errors, prover-restarts, \
-               verifier-acceptance).")
 
 let timeseries_read_arg =
   Arg.(value & opt (some string) None & info [ "timeseries" ] ~docv:"FILE"
@@ -1307,18 +1289,14 @@ let monitor_cmd =
   in
   let strict =
     Arg.(value & flag & info [ "strict" ]
-           ~doc:"Exit nonzero when the report is degraded (any rejection, \
-                 round error, lagging router, missed epoch, or coverage gap \
-                 unhealed past the grace window).")
+           ~doc:"Exit nonzero when the pipeline is unhealthy: an objective \
+                 is firing, a router lags or missed an epoch, a coverage gap \
+                 is open, a daemon crash has no restart, or a circuit \
+                 breaker is open. The same verdict as slo --strict and \
+                 /healthz.")
   in
-  let gap_grace =
-    Arg.(value & opt int 0 & info [ "gap-grace" ] ~docv:"ROUNDS"
-           ~doc:"How many rounds a coverage gap may stay open before it \
-                 counts as stale (and fails --strict). Default 0: any open \
-                 gap is stale.")
-  in
-  let run dir events timeseries json strict gap_grace =
-    handle (monitor dir events timeseries json strict gap_grace)
+  let run dir events timeseries json strict =
+    handle (monitor dir events timeseries json strict)
   in
   Cmd.v
     (Cmd.info "monitor"
@@ -1327,8 +1305,7 @@ let monitor_cmd =
              latency percentiles, verifier rejections by cause, degraded \
              rounds and open coverage gaps, service backlog, and — when a \
              saved time-series is available — the round-latency trend.")
-    Term.(const run $ dir_arg $ events $ timeseries_read_arg $ json $ strict
-          $ gap_grace)
+    Term.(const run $ dir_arg $ events $ timeseries_read_arg $ json $ strict)
 
 let slo_cmd =
   let events =
@@ -1340,9 +1317,11 @@ let slo_cmd =
   in
   let strict =
     Arg.(value & flag & info [ "strict" ]
-           ~doc:"Exit nonzero when any objective is firing.")
+           ~doc:"Exit nonzero when the pipeline is unhealthy: any objective \
+                 is firing, or a gauge of the same log fails (the verdict of \
+                 monitor --strict and /healthz).")
   in
-  let run dir events specs json strict = handle (slo dir events specs json strict) in
+  let run dir events json strict = handle (slo dir events json strict) in
   Cmd.v
     (Cmd.info "slo"
        ~doc:"Evaluate service-level objectives over the flight-recorder event \
@@ -1350,7 +1329,7 @@ let slo_cmd =
              fraction is judged against its error budget over paired \
              long/short windows, and firing alerts carry the causal keys \
              (router/epoch/round) of the bad events behind them.")
-    Term.(const run $ dir_arg $ events $ specs_arg $ json $ strict)
+    Term.(const run $ dir_arg $ events $ json $ strict)
 
 let watch_cmd =
   let events =
@@ -1369,19 +1348,18 @@ let watch_cmd =
                  endpoint would error. Lets tests and CI validate endpoint \
                  schemas without binding a port.")
   in
-  let run dir events timeseries specs listen probe =
-    handle (watch dir events timeseries specs listen probe)
+  let run dir events timeseries listen probe =
+    handle (watch dir events timeseries listen probe)
   in
   Cmd.v
     (Cmd.info "watch"
        ~doc:"Serve the telemetry plane for a recorded run: /metrics \
              (Prometheus text rebuilt from the saved time-series), /healthz \
-             (the monitor report with a top-level verdict) and /slo \
+             (the monitor report under its verdict, 503 when unhealthy) and /slo \
              (burn-rate alerts), re-reading the artifacts on every request. \
              For a live view of a run in progress, use prove/chaos \
              --listen instead.")
-    Term.(const run $ dir_arg $ events $ timeseries_read_arg $ specs_arg
-          $ listen $ probe)
+    Term.(const run $ dir_arg $ events $ timeseries_read_arg $ listen $ probe)
 
 let chaos_cmd =
   let seed =
@@ -1444,13 +1422,8 @@ let serve_cmd =
            ~doc:"Bounded ingest queue depth; windows past it are shed \
                  (rejected explicitly), never buffered without limit.")
   in
-  let watchdog_ms =
-    Arg.(value & opt int 500 & info [ "watchdog-ms" ]
-           ~doc:"Self-check interval for the liveness watchdog that backs \
-                 /healthz (0 disables the watchdog thread).")
-  in
-  let run dir listen queries capacity watchdog_ms events =
-    handle (serve dir listen queries capacity watchdog_ms events)
+  let run dir listen queries capacity events =
+    handle (serve dir listen queries capacity events)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1461,8 +1434,7 @@ let serve_cmd =
              /healthz /query /flows /metrics /slo) until SIGTERM/SIGINT, \
              then drain and flush all state. A SIGKILL loses nothing \
              durable: the next serve resumes from the checkpoint WAL.")
-    Term.(const run $ dir_arg $ listen $ queries $ capacity $ watchdog_ms
-          $ events_arg)
+    Term.(const run $ dir_arg $ listen $ queries $ capacity $ events_arg)
 
 let bench_diff_cmd =
   let old_file =

@@ -29,11 +29,9 @@ type config = {
   queue_capacity : int;
   publish : bool;
   retry_sleep : float -> unit;
-  watchdog_interval_ms : int;
 }
 
-let default_config =
-  { queue_capacity = 64; publish = true; retry_sleep = Thread.delay; watchdog_interval_ms = 0 }
+let default_config = { queue_capacity = 64; publish = true; retry_sleep = Thread.delay }
 
 (* Per I/O edge: 5 attempts, jittered backoff from 1 ms capped at
    50 ms. *)
@@ -45,12 +43,6 @@ let retry_max_ms = 50.
    4 worker passes. *)
 let breaker_threshold = 3
 let breaker_cooldown = 4
-
-(* /healthz trips above this queue depth, after a round this slow, or
-   when a gap stays open past this many rounds. *)
-let watchdog_max_queue = 48
-let watchdog_max_round_s = 30.
-let gap_grace = 1
 
 type submit_result = Accepted | Shed | Duplicate | Closed
 
@@ -84,7 +76,6 @@ type t = {
   mutable stopping : bool;
   mutable crashed : string option;
   mutable worker : Thread.t option;
-  mutable watchdog : Thread.t option;
   mutable breaker : breaker;
   mutable edge_failures : int;
   mutable accepted : int;
@@ -96,9 +87,7 @@ type t = {
   mutable drains : int;
   mutable drained : bool;
   mutable breaker_opens : int;
-  mutable last_round_s : float option;
   mutable round_errors : (int * string) list; (* epoch -> its last round error *)
-  mutable last_healthy : bool;
   (* query memo: (root hex | encoded query) -> proved row. Guarded by
      [memo_m]; proving itself is serialized behind [prove_m]. *)
   memo_m : Mutex.t;
@@ -217,62 +206,15 @@ let edge_ok t =
 
 let breaker_tick t =
   match t.breaker with
-  | Open_b n when n <= 1 -> t.breaker <- Half_open_b
+  | Open_b n when n <= 1 ->
+    t.breaker <- Half_open_b;
+    emit "daemon.breaker.half_open" []
   | Open_b n -> t.breaker <- Open_b (n - 1)
   | _ -> ()
 
 let retry_edge t ~label f =
   Fault.Retry.with_backoff ~max_attempts:retry_attempts ~base_ms:retry_base_ms
     ~max_ms:retry_max_ms ~sleep:t.config.retry_sleep ~rng:t.retry_rng ~label f
-
-(* ---- health / watchdog ---- *)
-
-type health = { healthy : bool; reasons : string list }
-
-let health_snapshot t =
-  Mutex.lock t.m;
-  let depth = depth_locked t in
-  let crashed = t.crashed in
-  let breaker = t.breaker in
-  let last_round = t.last_round_s in
-  Mutex.unlock t.m;
-  let reasons = ref [] in
-  let add r = reasons := r :: !reasons in
-  (match crashed with
-  | Some site -> add (Printf.sprintf "crashed at %s" site)
-  | None -> ());
-  if depth > watchdog_max_queue then
-    add (Printf.sprintf "queue depth %d > %d" depth watchdog_max_queue);
-  (match last_round with
-  | Some s when s > watchdog_max_round_s ->
-    add (Printf.sprintf "round latency %.3fs > %.3fs" s watchdog_max_round_s)
-  | _ -> ());
-  (match breaker with
-  | Open_b _ -> add "circuit breaker open"
-  | _ -> ());
-  (* monitor --strict over the live event ring: lag, gap-grace,
-     rejects — the same verdict `zkflow monitor --strict` would give
-     on this run's log. *)
-  let report =
-    Monitor.build
-      ~frames:(Obs.Timeseries.frames ())
-      ~gap_grace (Obs.Event.events ())
-  in
-  if not (Monitor.healthy report) then add "monitor strict checks failed";
-  { healthy = !reasons = []; reasons = List.rev !reasons }
-
-let watchdog_check t =
-  let h = health_snapshot t in
-  Mutex.lock t.m;
-  let was = t.last_healthy in
-  t.last_healthy <- h.healthy;
-  Mutex.unlock t.m;
-  if was && not h.healthy then
-    emit "daemon.watchdog.trip"
-      [ ("reasons", Jsonx.Arr (List.map (fun r -> Jsonx.Str r) h.reasons)) ];
-  h
-
-let health t = health_snapshot t
 
 (* ---- the worker pass ---- *)
 
@@ -405,9 +347,6 @@ let late_gap_pass t ~watermark =
       end)
     covered
 
-let round_wall (round : Aggregate.round) =
-  round.Aggregate.execute_s +. round.Aggregate.prove_s
-
 (* Prove closed, not-yet-attempted epochs ascending. "Attempted"
    means covered by a round OR present in the gap journal: a fully
    skipped epoch (nobody published) must be completed by heal rounds,
@@ -429,11 +368,9 @@ let rounds_pass t ~watermark =
             (fun () -> Prover_service.aggregate_available t.service ~epoch)
         in
         match outcome with
-        | Ok (Prover_service.Complete round)
-        | Ok (Prover_service.Degraded (round, _)) ->
+        | Ok (Prover_service.Complete _) | Ok (Prover_service.Degraded _) ->
           Mutex.lock t.m;
           t.rounds_done <- t.rounds_done + 1;
-          t.last_round_s <- Some (round_wall round);
           Mutex.unlock t.m
         | Ok (Prover_service.Skipped _) -> ()
         | Error err ->
@@ -457,9 +394,6 @@ let heal_pass t =
     | Ok rounds ->
       Mutex.lock t.m;
       t.heal_rounds <- t.heal_rounds + List.length rounds;
-      (match List.rev rounds with
-      | last :: _ -> t.last_round_s <- Some (round_wall last)
-      | [] -> ());
       Mutex.unlock t.m
     | Error err ->
       Mutex.lock t.m;
@@ -482,10 +416,20 @@ let pass t =
   heal_pass t;
   Mutex.lock t.m;
   breaker_tick t;
-  Mutex.unlock t.m;
-  ignore (watchdog_check t)
+  Mutex.unlock t.m
 
-(* ---- worker / watchdog threads ---- *)
+(* ---- the worker thread ---- *)
+
+(* Park the daemon as crashed at [site]: the checkpoint WAL's unsynced
+   tail is abandoned (exactly what a real crash does to it) and the
+   queue is dropped. Called with [t.m] held. *)
+let park_locked t ~site =
+  t.crashed <- Some site;
+  Queue.clear t.queue;
+  (try Prover_service.abandon t.service with _ -> ());
+  emit "daemon.crash" [ ("site", Jsonx.Str site) ];
+  Condition.broadcast t.cv;
+  Condition.broadcast t.idle_cv
 
 let worker_loop t =
   let continue = ref true in
@@ -517,36 +461,17 @@ let worker_loop t =
       | exception e ->
         (* The simulated SIGKILL, or any other exception a pass raises
            (a checkpoint write failing with ENOSPC, say): everything
-           volatile is gone. The checkpoint WAL's unsynced tail is
-           abandoned (exactly what a real crash does to it) and the
-           queue is dropped. Parking the daemon as crashed is what
+           volatile is gone. Parking the daemon as crashed is what
            lets [await_idle] and [drain] return instead of waiting on
            a dead worker. *)
         let site = match e with Fault.Crash site -> site | e -> Printexc.to_string e in
         Mutex.lock t.m;
-        t.crashed <- Some site;
-        Queue.clear t.queue;
-        (try Prover_service.abandon t.service with _ -> ());
         t.busy <- false;
-        Condition.broadcast t.idle_cv;
-        Condition.broadcast t.cv;
+        park_locked t ~site;
         Mutex.unlock t.m;
         continue := false
     end
   done
-
-let watchdog_loop t =
-  let period = float_of_int t.config.watchdog_interval_ms /. 1000. in
-  let rec go () =
-    if not t.stopping then begin
-      Thread.delay period;
-      if not t.stopping then begin
-        ignore (watchdog_check t);
-        go ()
-      end
-    end
-  in
-  go ()
 
 let derive_seen t =
   Hashtbl.reset t.seen;
@@ -588,7 +513,6 @@ let create ?(config = default_config) ?proof_params ?(seed = 0x5e17e) ?(paused =
         stopping = false;
         crashed = None;
         worker = None;
-        watchdog = None;
         breaker = Closed_b;
         edge_failures = 0;
         accepted = 0;
@@ -600,9 +524,7 @@ let create ?(config = default_config) ?proof_params ?(seed = 0x5e17e) ?(paused =
         drains = 0;
         drained = false;
         breaker_opens = 0;
-        last_round_s = None;
         round_errors = [];
-        last_healthy = true;
         memo_m = Mutex.create ();
         prove_m = Mutex.create ();
         memo = Hashtbl.create 32;
@@ -613,8 +535,6 @@ let create ?(config = default_config) ?proof_params ?(seed = 0x5e17e) ?(paused =
     in
     derive_seen t;
     t.worker <- Some (Thread.create worker_loop t);
-    if config.watchdog_interval_ms > 0 then
-      t.watchdog <- Some (Thread.create watchdog_loop t);
     emit "daemon.start" [ ("restored_rounds", num restored) ];
     Ok (t, restored)
 
@@ -644,13 +564,7 @@ let crashed t =
 
 let kill t ~site =
   Mutex.lock t.m;
-  if t.crashed = None then begin
-    t.crashed <- Some site;
-    Queue.clear t.queue;
-    (try Prover_service.abandon t.service with _ -> ());
-    Condition.broadcast t.cv;
-    Condition.broadcast t.idle_cv
-  end;
+  if t.crashed = None then park_locked t ~site;
   Mutex.unlock t.m;
   match t.worker with Some th -> Thread.join th | None -> ()
 
@@ -711,14 +625,18 @@ let drain t =
     let r =
       match t.crashed with
       | Some site -> Error (Printf.sprintf "crashed at %s during drain" site)
-      | None ->
-        if not t.drained then begin
+      | None when t.drained -> Ok ()
+      | None -> (
+        (* The worker is idle and cannot leave its wait while [t.m]
+           is held, so nothing else writes the journal meanwhile. *)
+        match Prover_service.mark_drained t.service with
+        | exception e -> Error ("drain marker: " ^ Printexc.to_string e)
+        | () ->
           t.drained <- true;
           t.drains <- t.drains + 1;
           emit "daemon.drain.done"
-            [ ("rounds", num t.rounds_done); ("heal_rounds", num t.heal_rounds) ]
-        end;
-        Ok ()
+            [ ("rounds", num t.rounds_done); ("heal_rounds", num t.heal_rounds) ];
+          Ok ())
     in
     Mutex.unlock t.m;
     r
@@ -730,12 +648,7 @@ let stop t =
   Condition.broadcast t.cv;
   Mutex.unlock t.m;
   (match t.worker with Some th -> Thread.join th | None -> ());
-  t.worker <- None;
-  match t.watchdog with
-  | Some th ->
-    Thread.join th;
-    t.watchdog <- None
-  | None -> ()
+  t.worker <- None
 
 (* ---- introspection ---- *)
 
@@ -990,24 +903,12 @@ let index_response =
          );
        ])
 
-let handler ?specs t : Httpd.handler =
-  let base = Watch.handler ?specs ~gap_grace (Watch.live_source ()) in
+let handler t : Httpd.handler =
+  let base = Watch.handler (Watch.live_source ()) in
   fun req ->
     match req.Httpd.path with
     | "/" -> Some index_response
     | "/status" -> Some (json 200 (status_json t))
-    | "/healthz" ->
-      let h = health t in
-      Some
-        (json
-           (if h.healthy then 200 else 503)
-           (Jsonx.Obj
-              [
-                ("schema", Jsonx.Str "zkflow-daemon-healthz/v1");
-                ("healthy", Jsonx.Bool h.healthy);
-                ( "reasons",
-                  Jsonx.Arr (List.map (fun r -> Jsonx.Str r) h.reasons) );
-              ]))
     | "/query" -> (
       match parse_query_request req with
       | Error msg -> Some (bad_request msg)

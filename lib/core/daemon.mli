@@ -27,8 +27,8 @@
     consecutive exhaustions the breaker opens ([daemon.breaker.open]),
     publication is skipped — rounds proceed in the degraded
     gap-journal mode instead of wedging — and after 4 worker passes
-    the breaker half-opens and probes again ([daemon.breaker.close]
-    on success).
+    the breaker half-opens ([daemon.breaker.half_open]) and probes
+    again ([daemon.breaker.close] on success).
 
     {b Windows.} Every submitted window is registered in the store,
     an empty one included ({!Zkflow_store.Db.add_window}): the router
@@ -38,11 +38,16 @@
     an off-path state: a {!Zkflow_fault.Fault.Crash} — or any other
     exception, such as a failed checkpoint write — anywhere in the
     worker abandons the checkpoint WAL's unsynced tail and parks the
-    daemon (the crash site is the exception's text); {!restart} re-runs {!Prover_service.resume} (emitting
-    [prover.resume]) and re-proves bit-identically. {!drain} is the
-    SIGTERM path: stop intake, finish everything in flight (including
-    heal rounds), then return — the caller flushes artifacts and
-    exits 0. *)
+    daemon with a [daemon.crash] event naming the site (the
+    exception's text); {!restart} re-runs {!Prover_service.resume}
+    (emitting [prover.resume]) and re-proves bit-identically. {!drain}
+    is the SIGTERM path: stop intake, finish everything in flight
+    (including heal rounds), append the journal's drain marker, then
+    return — the caller flushes artifacts and exits 0.
+
+    {b Health.} The daemon keeps no health state of its own: its
+    [/healthz] is {!Watch}'s, {!Monitor.verdict} over the live event
+    ring, so it judges only what the flight recorder saw. *)
 
 type config = {
   queue_capacity : int;  (** bounded ingest queue, in windows *)
@@ -54,13 +59,10 @@ type config = {
       (** how to spend the jittered backoff (seconds);
           [Thread.delay] in production, a no-op in deterministic
           harnesses *)
-  watchdog_interval_ms : int;
-      (** watchdog thread period; [0] disables the thread (health is
-          still checked at the end of every worker pass) *)
 }
 
 val default_config : config
-(** capacity 64, publish on, [Thread.delay], watchdog thread off. *)
+(** capacity 64, publish on, [Thread.delay]. *)
 
 type t
 
@@ -115,7 +117,8 @@ val crashed : t -> string option
 val kill : t -> site:string -> unit
 (** Harness hook: park the daemon as if the process died at [site]
     right now — abandon unsynced checkpoint writes, discard the
-    queue, stop the worker. Call only while the worker is idle. *)
+    queue, stop the worker, emit [daemon.crash]. Call only while the
+    worker is idle. A no-op on a crashed daemon. *)
 
 val restart : t -> (int, string) result
 (** Supervised recovery from {!kill} or a worker crash: re-run
@@ -128,14 +131,16 @@ val restart : t -> (int, string) result
 
 val drain : t -> (unit, string) result
 (** Graceful shutdown of the pipeline (the SIGTERM path): close
-    intake, move the watermark past every epoch, and wait for the
-    worker to finish all ingest, rounds and heals. [Error] reports a
-    crash mid-drain; after {!restart}, calling [drain] again resumes
-    the drain. Emits [daemon.drain.start] / [daemon.drain.done]. *)
+    intake, move the watermark past every epoch, wait for the worker
+    to finish all ingest, rounds and heals, and append the drain
+    marker to the checkpoint journal ({!Prover_service.mark_drained}),
+    so the next session's resume is not counted as a restart. [Error]
+    reports a crash mid-drain; after {!restart}, calling [drain] again
+    resumes the drain. Emits [daemon.drain.start] /
+    [daemon.drain.done]. *)
 
 val stop : t -> unit
-(** Join the worker and watchdog threads. The daemon is unusable
-    afterwards. *)
+(** Join the worker thread. The daemon is unusable afterwards. *)
 
 val unpause : t -> unit
 
@@ -166,16 +171,6 @@ type counters = {
 
 val counters : t -> counters
 
-type health = { healthy : bool; reasons : string list }
-
-val health : t -> health
-(** The /healthz verdict, [monitor --strict] semantics included: a
-    crash, a queue depth above 48 or a last round slower than 30 s,
-    an open breaker, or an unhealthy {!Monitor.build} report (gap
-    grace 1 round) over the live event ring each contribute a named
-    reason. The first healthy→unhealthy transition emits
-    [daemon.watchdog.trip]. *)
-
 val query :
   t -> Guests.query_params -> (Query.result_row * bool, string) result
 (** Prove (or serve memoized — the [bool] is [true] on a cache hit) a
@@ -191,8 +186,8 @@ val query_flows :
 (** Multi-flow readout through the batched multiproof, memoized like
     {!query}. *)
 
-val handler : ?specs:Slo.spec list -> t -> Zkflow_obs.Httpd.handler
-(** The daemon's HTTP plane: [/], [/status], [/healthz] (200/503 per
-    {!health}), [/query?src=&dst=&ports=&proto=&op=&metric=],
+val handler : t -> Zkflow_obs.Httpd.handler
+(** The daemon's HTTP plane: [/], [/status],
+    [/query?src=&dst=&ports=&proto=&op=&metric=],
     [/flows?metric=&keys=src:dst:sp:dp:proto,...|first=N], plus
-    [/metrics] and [/slo] from the live {!Watch} source. *)
+    [/metrics], [/healthz] and [/slo] from the live {!Watch} source. *)

@@ -29,6 +29,8 @@ type gap_status = {
   healed_round : int option;
 }
 
+type verdict = { healthy : bool; reasons : string list }
+
 type report = {
   events : int;
   epochs : int list;
@@ -50,8 +52,6 @@ type report = {
   verifier_rejects : (string * int) list;
   gaps : gap_status list;
   open_gap_count : int;
-  stale_gap_count : int;
-  gap_grace : int;
   crashes : int;
   resumes : int;
   retries : int;
@@ -61,11 +61,11 @@ type report = {
   ingest_duplicates : int;
   drains : int;
   breaker_opens : int;
-  watchdog_trips : int;
   service_rounds : int option;
   service_entries : int option;
   service_root : string option;
   round_trend : trend option;
+  verdict : verdict;
 }
 
 (* Trend over a saved time-series: split the frame history in half and
@@ -133,12 +133,31 @@ let latency_of_values = function
         max_ns = s.Metric.max_value;
       }
 
-let build ?service ?frames ?(gap_grace = 0) events =
+(* The one health verdict. A reason is a firing default objective or
+   a gauge read from the same log: a router behind or missing an
+   epoch, a gap still open, a daemon crash with no restart after it,
+   or a circuit breaker still open. Injected-fault markers never count
+   by themselves; the objectives judge the pipeline's reaction. *)
+let judge events ~routers ~open_gaps ~daemon_down ~breaker_open =
+  let gauges =
+    List.filter_map
+      (fun (name, on) -> if on then Some name else None)
+      [
+        ("router-lag", List.exists (fun h -> h.lag > 0 || h.missed <> []) routers);
+        ("open-gaps", open_gaps > 0);
+        ("daemon-crashed", daemon_down);
+        ("breaker-open", breaker_open);
+      ]
+  in
+  let reasons = Slo.firing_names (Slo.evaluate events) @ gauges in
+  { healthy = reasons = []; reasons }
+
+let build ?service ?frames events =
   (* Fresh publications only — board replays are recorded under a
      different kind precisely so re-importing board.txt on every CLI
      invocation does not look like router liveness. *)
-  let publishes = Hashtbl.create 16 in
-  (* router -> epoch list, newest first *)
+  let publishes : (int, int ref * (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 16 in
+  (* router -> (publish count, the epochs it published) *)
   let board_rejects = Hashtbl.create 8 in
   let verifier_rejects = Hashtbl.create 8 in
   let verifier_accepts = ref 0 in
@@ -156,27 +175,29 @@ let build ?service ?frames ?(gap_grace = 0) events =
   let fault_events = Hashtbl.create 8 in
   let ingest_accepted = ref 0 and ingest_shed = ref 0 in
   let ingest_duplicates = ref 0 in
-  let drains = ref 0 and breaker_opens = ref 0 and watchdog_trips = ref 0 in
-  let max_round = ref (-1) in
-  let note_round (e : Event.t) =
-    match e.Event.round with
-    | Some ix -> max_round := max !max_round ix
-    | None -> ()
-  in
+  let drains = ref 0 and breaker_opens = ref 0 in
+  let daemon_down = ref false and breaker_open = ref false in
   List.iter
     (fun (e : Event.t) ->
       match e.Event.kind with
       | "board.publish" -> (
         match (e.Event.router, e.Event.epoch) with
         | Some r, Some ep ->
-          let prev = Option.value ~default:[] (Hashtbl.find_opt publishes r) in
-          Hashtbl.replace publishes r (ep :: prev)
+          let n, mine =
+            match Hashtbl.find_opt publishes r with
+            | Some p -> p
+            | None ->
+              let p = (ref 0, Hashtbl.create 64) in
+              Hashtbl.replace publishes r p;
+              p
+          in
+          incr n;
+          Hashtbl.replace mine ep ()
         | _ -> ())
       | "board.reject" ->
         bump board_rejects (Option.value ~default:"unknown" (attr_str "reason" e))
       | "prover.round.start" ->
         incr rounds_started;
-        note_round e;
         (match e.Event.round with
         | Some ix ->
           Hashtbl.replace round_start ix e.Event.ts_ns;
@@ -186,7 +207,6 @@ let build ?service ?frames ?(gap_grace = 0) events =
         | None -> ())
       | "prover.round.done" ->
         incr rounds_done;
-        note_round e;
         (match e.Event.round with
         | Some ix -> (
           match Hashtbl.find_opt round_start ix with
@@ -206,7 +226,6 @@ let build ?service ?frames ?(gap_grace = 0) events =
       | "prover.round.error" -> incr rounds_error
       | "prover.round.skipped" -> incr rounds_skipped
       | "prover.gap.open" -> (
-        note_round e;
         match (e.Event.router, e.Event.epoch) with
         | Some r, Some ep ->
           if not (Hashtbl.mem gap_table (r, ep)) then begin
@@ -221,7 +240,6 @@ let build ?service ?frames ?(gap_grace = 0) events =
           end
         | _ -> ())
       | "prover.gap.heal" -> (
-        note_round e;
         match (e.Event.router, e.Event.epoch) with
         | Some r, Some ep -> (
           match Hashtbl.find_opt gap_table (r, ep) with
@@ -246,8 +264,15 @@ let build ?service ?frames ?(gap_grace = 0) events =
       | "daemon.ingest.shed" -> incr ingest_shed
       | "daemon.ingest.duplicate" -> incr ingest_duplicates
       | "daemon.drain.done" -> incr drains
-      | "daemon.breaker.open" -> incr breaker_opens
-      | "daemon.watchdog.trip" -> incr watchdog_trips
+      | "daemon.breaker.open" ->
+        incr breaker_opens;
+        breaker_open := true
+      | "daemon.breaker.half_open" | "daemon.breaker.close" -> breaker_open := false
+      | "daemon.crash" -> daemon_down := true
+      (* a fresh daemon is up with its breaker closed *)
+      | "daemon.restart" | "daemon.start" ->
+        daemon_down := false;
+        breaker_open := false
       | k when String.length k > 9 && String.sub k 0 9 = "verifier."
                && Filename.check_suffix k ".accept" -> incr verifier_accepts
       | k when String.length k > 6 && String.sub k 0 6 = "fault." ->
@@ -255,25 +280,19 @@ let build ?service ?frames ?(gap_grace = 0) events =
       | _ -> ())
     events;
   let epochs =
-    Hashtbl.fold (fun _ eps acc -> eps @ acc) publishes [] |> List.sort_uniq Int.compare
+    Hashtbl.fold
+      (fun _ (_, mine) acc -> Hashtbl.fold (fun ep () acc -> ep :: acc) mine acc)
+      publishes []
+    |> List.sort_uniq Int.compare
   in
+  (* A router is in the table only once it has published. *)
   let routers =
     Hashtbl.fold
-      (fun router_id eps acc ->
-        let mine = List.sort_uniq Int.compare eps in
-        let last_epoch = match List.rev mine with [] -> None | ep :: _ -> Some ep in
-        let lag =
-          match last_epoch with
-          | None -> List.length epochs
-          | Some last -> List.length (List.filter (fun ep -> ep > last) epochs)
-        in
-        let missed =
-          match last_epoch with
-          | None -> []
-          | Some last ->
-            List.filter (fun ep -> ep <= last && not (List.mem ep mine)) epochs
-        in
-        { router_id; publishes = List.length eps; last_epoch; lag; missed } :: acc)
+      (fun router_id (n, mine) acc ->
+        let last = Hashtbl.fold (fun ep () acc -> max ep acc) mine min_int in
+        let lag = List.length (List.filter (fun ep -> ep > last) epochs) in
+        let missed = List.filter (fun ep -> ep <= last && not (Hashtbl.mem mine ep)) epochs in
+        { router_id; publishes = !n; last_epoch = Some last; lag; missed } :: acc)
       publishes []
     |> List.sort (fun a b -> Int.compare a.router_id b.router_id)
   in
@@ -281,12 +300,7 @@ let build ?service ?frames ?(gap_grace = 0) events =
   let gaps =
     List.rev_map (fun key -> Hashtbl.find gap_table key) !gap_order
   in
-  let open_gaps = List.filter (fun g -> g.healed_round = None) gaps in
-  let stale_gaps =
-    (* A gap is stale once it has stayed open for more than [gap_grace]
-       subsequent rounds — with the default grace of 0, any open gap. *)
-    List.filter (fun g -> !max_round - g.opened_round >= gap_grace) open_gaps
-  in
+  let open_gap_count = List.length (List.filter (fun g -> g.healed_round = None) gaps) in
   {
     events = List.length events;
     epochs;
@@ -307,9 +321,7 @@ let build ?service ?frames ?(gap_grace = 0) events =
     verifier_accepts = !verifier_accepts;
     verifier_rejects = counts_sorted verifier_rejects;
     gaps;
-    open_gap_count = List.length open_gaps;
-    stale_gap_count = List.length stale_gaps;
-    gap_grace;
+    open_gap_count;
     crashes = !crashes;
     resumes = !resumes;
     retries = !retries;
@@ -319,7 +331,6 @@ let build ?service ?frames ?(gap_grace = 0) events =
     ingest_duplicates = !ingest_duplicates;
     drains = !drains;
     breaker_opens = !breaker_opens;
-    watchdog_trips = !watchdog_trips;
     service_rounds = Option.map (fun s -> List.length (Prover_service.rounds s)) service;
     service_entries = Option.map (fun s -> Clog.length (Prover_service.clog s)) service;
     service_root =
@@ -327,17 +338,12 @@ let build ?service ?frames ?(gap_grace = 0) events =
         (fun s -> Zkflow_hash.Digest32.to_hex (Prover_service.latest_root s))
         service;
     round_trend = Option.bind frames (fun fs -> trend_of_frames fs);
+    verdict =
+      judge events ~routers ~open_gaps:open_gap_count ~daemon_down:!daemon_down
+        ~breaker_open:!breaker_open;
   }
 
-(* Injected-fault counts (the chaos, track "fault") never degrade
-   health by themselves — health judges the pipeline's {e reaction}:
-   no rejects, no errors, no router behind, and no gap left open past
-   the grace window. Degraded and heal rounds are the intended
-   reaction, so they do not count against health either. *)
-let healthy r =
-  r.board_rejects = [] && r.verifier_rejects = [] && r.rounds_error = 0
-  && r.queries_error = 0 && r.stale_gap_count = 0
-  && List.for_all (fun h -> h.lag = 0 && h.missed = []) r.routers
+let verdict events = (build events).verdict
 
 let ms ns = float_of_int ns /. 1e6
 
@@ -384,9 +390,8 @@ let pp fmt r =
     Format.fprintf fmt
       "  daemon ingest: %d accepted, %d shed, %d duplicate(s); %d drain(s)@,"
       r.ingest_accepted r.ingest_shed r.ingest_duplicates r.drains;
-    if r.breaker_opens + r.watchdog_trips > 0 then
-      Format.fprintf fmt "  daemon faults: breaker opened %d time(s), watchdog tripped %d time(s)@,"
-        r.breaker_opens r.watchdog_trips
+    if r.breaker_opens > 0 then
+      Format.fprintf fmt "  daemon faults: breaker opened %d time(s)@," r.breaker_opens
   end;
   pp_latency fmt "round wall" r.round_latency;
   pp_latency fmt "prove phase" r.prove_latency;
@@ -400,8 +405,7 @@ let pp fmt r =
       | None -> ""));
   Format.fprintf fmt "  queries: %d done, %d error@," r.queries_done r.queries_error;
   if r.gaps <> [] then begin
-    Format.fprintf fmt "@,gaps (%d open, %d stale past grace %d):@,"
-      r.open_gap_count r.stale_gap_count r.gap_grace;
+    Format.fprintf fmt "@,gaps (%d open):@," r.open_gap_count;
     List.iter
       (fun g ->
         Format.fprintf fmt "  router %d epoch %d: opened round %d, %s@," g.gap_router
@@ -428,7 +432,9 @@ let pp fmt r =
     List.iter
       (fun (reason, n) -> Format.fprintf fmt "  board rejects[%s]: %d@," reason n)
       r.board_rejects;
-  Format.fprintf fmt "@,health: %s@]" (if healthy r then "OK" else "DEGRADED")
+  Format.fprintf fmt "@,health: %s@]"
+    (if r.verdict.healthy then "OK"
+     else "DEGRADED (" ^ String.concat ", " r.verdict.reasons ^ ")")
 
 let latency_json = function
   | None -> Jsonx.Null
@@ -521,8 +527,6 @@ let to_json r =
                  ])
              r.gaps) );
       ("open_gaps", num r.open_gap_count);
-      ("stale_gaps", num r.stale_gap_count);
-      ("gap_grace", num r.gap_grace);
       ( "chaos",
         Jsonx.Obj
           [
@@ -539,11 +543,11 @@ let to_json r =
             ("ingest_duplicates", num r.ingest_duplicates);
             ("drains", num r.drains);
             ("breaker_opens", num r.breaker_opens);
-            ("watchdog_trips", num r.watchdog_trips);
           ] );
       ("service_rounds", opt_num r.service_rounds);
       ("service_entries", opt_num r.service_entries);
       ( "service_root",
         match r.service_root with Some s -> Jsonx.Str s | None -> Jsonx.Null );
-      ("healthy", Jsonx.Bool (healthy r));
+      ("healthy", Jsonx.Bool r.verdict.healthy);
+      ("reasons", Jsonx.Arr (List.map (fun s -> Jsonx.Str s) r.verdict.reasons));
     ]

@@ -1,4 +1,5 @@
-(** Health/SLO reports replayed from the flight-recorder event log.
+(** Health/SLO reports replayed from the flight-recorder event log,
+    and the pipeline's one health verdict.
 
     [zkflow monitor] feeds the JSONL event log (and, when available,
     the saved prover-service state) through {!build} and prints the
@@ -6,7 +7,11 @@
     gaps, aggregation-round latency percentiles, verifier rejection
     counts by failing check, and the prover-service backlog over time.
     Everything is derived offline from recorded events — building a
-    report never touches the live telemetry gate. *)
+    report never touches the live telemetry gate.
+
+    {!verdict} is the only health verdict: [monitor --strict],
+    [slo --strict], and the [/healthz] of [zkflow watch] and of
+    [zkflow serve] all return it. *)
 
 (** Latency distribution summary, in nanoseconds, computed from log2
     histogram buckets (so percentiles are upper bounds, like the
@@ -48,6 +53,19 @@ type gap_status = {
 (** One coverage gap replayed from ["prover.gap.open"] /
     ["prover.gap.heal"] events. *)
 
+(** A pipeline health verdict: [healthy] iff [reasons] is empty. A
+    reason is the name of a firing {!Slo.default_specs} objective
+    ([coverage], [board-integrity], [prover-errors], [prover-restarts],
+    [verifier-acceptance], [ingest-admission]) or of a gauge read from
+    the same log: [router-lag] (a router behind, or missing an epoch
+    inside its own history), [open-gaps] (a coverage gap still open at
+    the end of the log), [daemon-crashed] (a [daemon.crash] with no
+    later [daemon.restart] or [daemon.start]) and [breaker-open] (a
+    [daemon.breaker.open] with no later half-open, close, restart or
+    start). Objectives come first, in spec order, then the gauges in
+    this order. *)
+type verdict = { healthy : bool; reasons : string list }
+
 type report = {
   events : int;  (** total events replayed *)
   epochs : int list;  (** distinct epochs with at least one fresh publication *)
@@ -72,10 +90,6 @@ type report = {
   verifier_rejects : (string * int) list;  (** failing check -> count *)
   gaps : gap_status list;  (** every gap ever opened, in open order *)
   open_gap_count : int;
-  stale_gap_count : int;
-      (** open gaps that have stayed open for more than [gap_grace]
-          rounds — the [--strict] failure condition *)
-  gap_grace : int;  (** the grace window this report was built with *)
   crashes : int;  (** injected ["fault.crash"] events *)
   resumes : int;  (** ["prover.resume"] recoveries *)
   retries : int;  (** ["fault.retry"] backoff attempts *)
@@ -85,12 +99,12 @@ type report = {
   ingest_duplicates : int;  (** repeat [(router, epoch)] submissions *)
   drains : int;  (** completed graceful drains *)
   breaker_opens : int;  (** circuit-breaker open transitions *)
-  watchdog_trips : int;  (** healthy -> unhealthy /healthz transitions *)
   service_rounds : int option;  (** from the saved service state, when given *)
   service_entries : int option;
   service_root : string option;
   round_trend : trend option;
       (** from the saved time-series, when frames were given *)
+  verdict : verdict;  (** {!verdict} of the replayed events *)
 }
 
 val trend_of_frames :
@@ -102,23 +116,18 @@ val trend_of_frames :
 val build :
   ?service:Prover_service.t ->
   ?frames:Zkflow_obs.Timeseries.frame list ->
-  ?gap_grace:int ->
   Zkflow_obs.Event.t list ->
   report
 (** Replay a recorded event list into a health report. [?service] adds
     the persisted prover-service view (round count, CLog size, root)
     for cross-checking against what the log claims happened.
     [?frames] adds the saved metric time-series, enabling
-    [round_trend]. [?gap_grace] (default 0) is how many rounds a
-    coverage gap may stay open before it counts as stale. *)
+    [round_trend]. Neither changes [verdict]. *)
 
-val healthy : report -> bool
-(** No rejections anywhere, no round or query errors, every router
-    current ([lag = 0]) with no missed epochs, and no open gap stale
-    past the grace window. Injected-fault counts and degraded/heal
-    rounds do {e not} degrade health — they are the chaos and the
-    intended reaction to it; health judges whether the reaction
-    worked. *)
+val verdict : Zkflow_obs.Event.t list -> verdict
+(** The health verdict of a recorded event list: [(build events).verdict].
+    Injected-fault markers and degraded/heal rounds do not count by
+    themselves; the reasons judge the pipeline's reaction to them. *)
 
 val pp : Format.formatter -> report -> unit
 (** Human-readable report: router table, latency percentiles,

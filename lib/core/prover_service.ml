@@ -239,6 +239,18 @@ let with_checkpoints t ~path = t.ckpt <- Some (Wal.open_log path)
 
 let abandon t = Option.iter Wal.abandon t.ckpt
 
+(* The row a completed drain appends: the journal is whole and the
+   next session's resume is a planned start, not a recovery. Shorter
+   than a row checksum, so it can never decode as a round. *)
+let drain_marker = Bytes.of_string "zkflow.ckpt.drained"
+
+let mark_drained t =
+  Option.iter
+    (fun wal ->
+      Wal.append wal drain_marker;
+      Wal.sync wal)
+    t.ckpt
+
 let checkpoint_append t ~cov ~gaps round =
   match t.ckpt with
   | None -> ()
@@ -517,22 +529,26 @@ let query_flows t ~metric keys = Query.prove_flows ~clog:t.clog ~metric keys
 
    The checkpoint journal is the prover's only saved state. [scan]
    keeps the longest prefix of rows that pass their checksum and
-   decode; [restore] rebuilds a read-only service from that prefix
-   (what `zkflow stats` and `monitor` read), and [resume] also repairs
-   the file and reopens it for appending. *)
+   decode, skipping drain markers; [restore] rebuilds a read-only
+   service from that prefix (what `zkflow stats` and `monitor` read),
+   and [resume] also repairs the file and reopens it for appending.
+   [scan] also says whether the journal ends with a drain marker after
+   nothing but intact rows. *)
 
 let scan path =
   match Wal.replay path with
   | Error e -> Error e
   | Ok rows ->
-    let rec go good kept_bytes = function
-      | [] -> (List.rev good, kept_bytes, 0)
+    let rec go good kept_bytes drained = function
+      | [] -> (List.rev good, kept_bytes, 0, drained)
+      | row :: rest when Bytes.equal row drain_marker -> go good kept_bytes true rest
       | row :: rest -> (
         match decode_ckpt_row row with
-        | Ok decoded -> go ((decoded, row) :: good) (kept_bytes + 4 + Bytes.length row) rest
-        | Error _ -> (List.rev good, kept_bytes, 1 + List.length rest))
+        | Ok decoded ->
+          go ((decoded, row) :: good) (kept_bytes + 4 + Bytes.length row) false rest
+        | Error _ -> (List.rev good, kept_bytes, 1 + List.length rest, false))
     in
-    Ok (go [] 0 rows)
+    Ok (go [] 0 false rows)
 
 let file_size path =
   if not (Sys.file_exists path) then 0
@@ -550,11 +566,12 @@ let of_rows ?proof_params ~db ~board good =
   t
 
 (* A file with bytes but no intact row (garbage, or a first row torn
-   mid-write) is refused: there is no prefix to report. *)
+   mid-write) is refused: there is no prefix to report. A lone drain
+   marker is a drained journal with no round. *)
 let restore ?proof_params ~db ~board ~path () =
-  let* good, _, _ = Result.map_error (( ^ ) "restore: ") (scan path) in
+  let* good, _, _, drained = Result.map_error (( ^ ) "restore: ") (scan path) in
   let size = file_size path in
-  if good = [] && size > 0 then
+  if good = [] && size > 0 && not drained then
     Error (Printf.sprintf "restore: no intact checkpoint row in %d byte(s)" size)
   else Ok (of_rows ?proof_params ~db ~board good)
 
@@ -562,21 +579,22 @@ let restore ?proof_params ~db ~board ~path () =
    deterministic, so the re-proved rounds are bit-identical to the
    ones the crash destroyed. *)
 let resume ?proof_params ~db ~board ~path () =
-  (* A cold start (no journal yet) is not a restart: the
-     ["prover.resume"] event — what the prover-restarts SLO counts —
-     is only emitted when there was a previous session's journal to
-     resume over. *)
+  (* Only a recovery is a restart: the ["prover.resume"] event — what
+     the prover-restarts SLO counts — is emitted when a previous
+     session's journal exists and does not end with its drain marker.
+     A cold start (no journal yet) and a start after a completed drain
+     are planned. *)
   let journal_existed = Sys.file_exists path in
   match scan path with
   | Error e -> Error ("resume: " ^ e)
-  | Ok (good, kept_bytes, dropped_rows) ->
+  | Ok (good, kept_bytes, dropped_rows, drained) ->
     (* Compact the file to the intact prefix, so future appends land
-       after clean data. *)
+       after clean data; this also drops the drain marker. *)
     if kept_bytes < file_size path then Wal.rewrite path (List.map snd good);
     let t = of_rows ?proof_params ~db ~board good in
     with_checkpoints t ~path;
     let restored = List.length good in
-    if journal_existed then
+    if journal_existed && not drained then
       Obs.Event.emit ~track:"prover" "prover.resume"
         ~attrs:
           [

@@ -137,6 +137,13 @@ val with_checkpoints : t -> path:string -> unit
 (** Journal every completed round to a checksummed WAL row at [path]
     (before the round becomes visible in memory). *)
 
+val mark_drained : t -> unit
+(** Append the drain marker, a fixed row, to the checkpoint journal
+    and sync it (a no-op without checkpointing): the journal is whole,
+    and the next {!resume} over it is a planned start. {!restore} and
+    {!resume} skip the marker, and {!resume} drops it before
+    appending. *)
+
 val abandon : t -> unit
 (** Drop the checkpoint WAL's buffered, unsynced writes on the floor —
     exactly what a crash does. Test/chaos harness hook. *)
@@ -154,8 +161,8 @@ val restore :
     decode pass. The file is not rewritten or opened for appending,
     and no event is emitted. Restored rounds carry
     [Aggregate.restored = true] and read 0 wall-clock time. A missing
-    file is an empty service; a file with bytes but no intact row is
-    an [Error]. *)
+    file, or one that holds only a drain marker, is an empty service;
+    any other file with bytes but no intact row is an [Error]. *)
 
 val resume :
   ?proof_params:Zkflow_zkproof.Params.t ->
@@ -175,7 +182,9 @@ val resume :
     ["prover.gap.open"] / ["prover.gap.heal"] events, so a crash
     between a round's checkpoint and its own announcement cannot hide
     them from the event log. A ["prover.resume"] event is emitted when
-    the file existed. *)
+    the file existed and does not end with a drain marker
+    ({!mark_drained}): a start after a completed drain is planned, not
+    a recovery. *)
 
 (* ---- summaries ---- *)
 

@@ -265,71 +265,6 @@ let expected_for events =
   in
   List.sort_uniq String.compare expected
 
-(* ---- parsing specs from JSON ---- *)
-
-let num_field k v =
-  match Jsonx.member k v with Some (Jsonx.Num f) -> Some f | _ -> None
-
-let str_list_field k v =
-  match Jsonx.member k v with
-  | Some (Jsonx.Arr l) ->
-    Some (List.filter_map (function Jsonx.Str s -> Some s | _ -> None) l)
-  | _ -> None
-
-let window_of_json v =
-  match
-    (Jsonx.member "name" v, num_field "long_s" v, num_field "short_s" v, num_field "burn" v)
-  with
-  | Some (Jsonx.Str w_name), Some long_s, Some short_s, Some burn_threshold ->
-    Ok { w_name; long_s; short_s; burn_threshold }
-  | _ -> Error "slo: window needs name, long_s, short_s, burn"
-
-let spec_of_json v =
-  match (Jsonx.member "name" v, str_list_field "good" v, str_list_field "bad" v) with
-  | Some (Jsonx.Str slo_name), Some good, Some bad ->
-    let target = Option.value ~default:0.999 (num_field "target" v) in
-    if target <= 0. || target >= 1. then
-      Error (Printf.sprintf "slo: %s: target must be in (0,1)" slo_name)
-    else
-      let windows =
-        match Jsonx.member "windows" v with
-        | Some (Jsonx.Arr ws) ->
-          List.fold_left
-            (fun acc w ->
-              match (acc, window_of_json w) with
-              | Ok ws, Ok w -> Ok (w :: ws)
-              | (Error _ as e), _ -> e
-              | _, (Error _ as e) -> e)
-            (Ok []) ws
-          |> Result.map List.rev
-        | None -> Ok default_windows
-        | Some _ -> Error "slo: windows must be an array"
-      in
-      Result.map
-        (fun windows -> { slo_name; good; bad; target; windows })
-        windows
-  | _ -> Error "slo: spec needs string name and good/bad kind arrays"
-
-let load_specs path =
-  if not (Sys.file_exists path) then Error (path ^ ": not found")
-  else begin
-    let ic = open_in_bin path in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Jsonx.parse text with
-    | Error e -> Error (Printf.sprintf "%s: %s" path e)
-    | Ok (Jsonx.Arr specs) ->
-      List.fold_left
-        (fun acc v ->
-          match (acc, spec_of_json v) with
-          | Ok ss, Ok s -> Ok (s :: ss)
-          | (Error _ as e), _ -> e
-          | _, Error e -> Error (Printf.sprintf "%s: %s" path e))
-        (Ok []) specs
-      |> Result.map List.rev
-    | Ok _ -> Error (path ^ ": expected a JSON array of SLO specs")
-  end
-
 (* ---- rendering ---- *)
 
 let cause_json c =

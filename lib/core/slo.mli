@@ -94,12 +94,6 @@ val expected_for : Zkflow_obs.Event.t list -> string list
     Sorted, deduplicated. The chaos harness asserts
     [expected_for log] is exactly what fired. *)
 
-val load_specs : string -> (spec list, string) result
-(** Parse a JSON array of specs:
-    [{"name":..,"good":[..],"bad":[..],"target":0.999,
-      "windows":[{"name":..,"long_s":..,"short_s":..,"burn":..}]}]
-    ([target] and [windows] optional, defaulting as above). *)
-
 val to_json : alert list -> Zkflow_util.Jsonx.t
 (** The [/slo] endpoint schema: [{"schema":"zkflow-slo/v1",
     "alerts":[..],"firing":[names],"ok":bool}]. *)

@@ -59,27 +59,33 @@ let json status body : Httpd.response =
 let unavailable err =
   json 503 (Jsonx.Obj [ ("error", Jsonx.Str err) ])
 
-let healthz ?(gap_grace = 0) source =
+(* The report's verdict is {!Monitor.verdict} of the same events: 503
+   when it is unhealthy, so a probe that reads only the status agrees
+   with [monitor --strict] and [slo --strict]. *)
+let healthz source =
   match source.events () with
   | Error e -> unavailable e
   | Ok events ->
       let frames =
         match source.frames () with Ok fs -> fs | Error _ -> []
       in
-      let report = Monitor.build ~frames ~gap_grace events in
-      json 200
+      let report = Monitor.build ~frames events in
+      let (v : Monitor.verdict) = report.Monitor.verdict in
+      json
+        (if v.healthy then 200 else 503)
         (Jsonx.Obj
            [
              ("schema", Jsonx.Str "zkflow-healthz/v1");
              ("source", Jsonx.Str source.label);
-             ("healthy", Jsonx.Bool (Monitor.healthy report));
+             ("healthy", Jsonx.Bool v.healthy);
+             ("reasons", Jsonx.Arr (List.map (fun r -> Jsonx.Str r) v.reasons));
              ("report", Monitor.to_json report);
            ])
 
-let slo ?specs source =
+let slo source =
   match source.events () with
   | Error e -> unavailable e
-  | Ok events -> json 200 (Slo.to_json (Slo.evaluate ?specs events))
+  | Ok events -> json 200 (Slo.to_json (Slo.evaluate events))
 
 let index : Httpd.response =
   json 200
@@ -92,7 +98,7 @@ let index : Httpd.response =
          );
        ])
 
-let handler ?specs ?gap_grace source : Httpd.handler =
+let handler source : Httpd.handler =
  fun req ->
   match req.Httpd.path with
   | "/" -> Some index
@@ -103,8 +109,8 @@ let handler ?specs ?gap_grace source : Httpd.handler =
           content_type = "text/plain; version=0.0.4";
           body = source.metrics_text ();
         }
-  | "/healthz" -> Some (healthz ?gap_grace source)
-  | "/slo" -> Some (slo ?specs source)
+  | "/healthz" -> Some (healthz source)
+  | "/slo" -> Some (slo source)
   | _ -> None
 
 let probe (h : Httpd.handler) target : Httpd.response =

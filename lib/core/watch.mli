@@ -1,7 +1,7 @@
 (** The live telemetry plane behind [zkflow watch] and the
     [--listen PORT] flag on [prove]/[chaos]: one {!Zkflow_obs.Httpd.handler}
     serving [/metrics] (Prometheus text), [/healthz] (a full
-    {!Monitor} report with a top-level healthy verdict) and [/slo]
+    {!Monitor} report under its {!Monitor.verdict}) and [/slo]
     (burn-rate alerts, {!Slo.to_json} schema).
 
     The same handler serves two {!source}s: {!live_source} reads the
@@ -31,12 +31,13 @@ val artifact_source :
     endpoints that need it. [/metrics] is rebuilt from the {e last}
     saved frame's cumulative registry snapshot. *)
 
-val handler :
-  ?specs:Slo.spec list -> ?gap_grace:int -> source -> Zkflow_obs.Httpd.handler
+val handler : source -> Zkflow_obs.Httpd.handler
 (** Route [/], [/metrics], [/healthz] and [/slo]; anything else is
-    [None] (the server's 404). [specs] are the SLOs evaluated by
-    [/slo] (default {!Slo.default_specs}); [gap_grace] is forwarded to
-    {!Monitor.build} for [/healthz]. *)
+    [None] (the server's 404). [/healthz] answers
+    [{"schema":"zkflow-healthz/v1","source":..,"healthy":..,
+      "reasons":[..],"report":{..}}] with {!Monitor.verdict} of the
+    source's events, status 200 when healthy and 503 when not. [/slo]
+    evaluates {!Slo.default_specs}. *)
 
 val probe : Zkflow_obs.Httpd.handler -> string -> Zkflow_obs.Httpd.response
 (** Invoke a handler directly — no socket — on a raw request target

@@ -56,6 +56,25 @@ let write_text path text =
   output_string oc text;
   close_out oc
 
+(* One health verdict: monitor --strict, slo --strict and watch
+   --probe /healthz give one exit code on a state directory's event
+   log, 0 when [reasons] is empty and 1 otherwise, and each names
+   every reason. *)
+let check_one_verdict dir ~reasons =
+  List.iter
+    (fun args ->
+      let code, out = run args in
+      let what = List.hd args in
+      check_int (what ^ ": " ^ out) (if reasons = [] then 0 else 1) code;
+      List.iter
+        (fun r -> check_bool (what ^ " names " ^ r ^ ": " ^ out) true (contains ~needle:r out))
+        reasons)
+    [
+      [ "monitor"; "--dir"; dir; "--strict" ];
+      [ "slo"; "--dir"; dir; "--strict" ];
+      [ "watch"; "--dir"; dir; "--probe"; "/healthz" ];
+    ]
+
 (* Sparse traffic: 12 windows over 3 epochs, 5 of them empty. *)
 let sparse_flags =
   [ "--seed"; "1"; "--routers"; "4"; "--flows"; "4"; "--rate"; "3"; "--duration";
@@ -222,13 +241,16 @@ let serve_dir dir =
   | Unix.WEXITED 0, log -> check_bool "serve wrote receipts" true (contains ~needle:"receipts written" log)
   | _, log -> Alcotest.fail ("serve did not drain cleanly: " ^ log)
 
+(* A second driver run after a drained one is a planned start, not a
+   restart, so every surface reads the directory healthy. *)
 let verify_and_monitor dir =
   let code, out = run [ "verify"; "--dir"; dir; "--events"; Filename.concat dir "events.jsonl" ] in
   check_int ("verify: " ^ out) 0 code;
   check_bool "three rounds" true (contains ~needle:"verified 3 aggregation round(s)" out);
   let code, out = run [ "monitor"; "--dir"; dir; "--strict" ] in
   check_int ("monitor --strict: " ^ out) 0 code;
-  check_bool "healthy" true (contains ~needle:"health: OK" out)
+  check_bool "healthy" true (contains ~needle:"health: OK" out);
+  check_one_verdict dir ~reasons:[]
 
 let test_prove_then_serve () =
   let dir = fresh_dir () in
@@ -506,6 +528,30 @@ let test_verify_refuses_old_seal () =
         (contains ~needle:"receipt: unsupported seal version" out))
     [ ("untagged", untagged); ("seal v2 tag", v2) ]
 
+(* A healed delay: the late export's gap opened and healed, so
+   coverage fires while nothing stays open. *)
+let test_healed_delay_one_verdict () =
+  let dir = fresh_dir () in
+  let ev ?router ?epoch ?round ts kind =
+    Zkflow_util.Jsonx.to_string
+      (Zkflow_obs.Event.to_json
+         { Zkflow_obs.Event.ts_ns = ts; track = "test"; kind; router; epoch; round; query = None;
+           attrs = [] })
+  in
+  let publishes =
+    List.concat_map
+      (fun epoch ->
+        List.map (fun router -> ev ~router ~epoch ((10 * epoch) + router) "board.publish") [ 0; 1 ])
+      [ 0; 1; 2 ]
+  in
+  write_text (Filename.concat dir "events.jsonl")
+    (String.concat "\n"
+       (publishes
+       @ [ ev ~router:1 ~epoch:1 ~round:1 30 "prover.gap.open";
+           ev ~router:1 ~epoch:1 ~round:3 40 "prover.gap.heal" ])
+    ^ "\n");
+  check_one_verdict dir ~reasons:[ "coverage" ]
+
 let test_monitor_missing_log () =
   let dir = fresh_dir () in
   let code, out = run [ "monitor"; "--dir"; dir ] in
@@ -516,7 +562,7 @@ let test_monitor_missing_log () =
 
 let chaos_flags = [ "--routers"; "2"; "--flows"; "6"; "--rate"; "25"; "--duration"; "9000" ]
 
-let test_chaos_crash_plan_stays_healthy () =
+let test_chaos_crash_plan_names_restarts () =
   let dir = fresh_dir () in
   let plan = Filename.concat dir "plan.json" in
   write_text plan
@@ -536,11 +582,10 @@ let test_chaos_crash_plan_stays_healthy () =
       (Zkflow_util.Jsonx.member "final_root" v = Zkflow_util.Jsonx.member "twin_root" v);
     check_bool "status complete" true
       (Zkflow_util.Jsonx.member "status" v = Some (Zkflow_util.Jsonx.Str "complete")));
-  (* injected crashes and the recovery are chaos, not ill health *)
-  let code, out = run [ "monitor"; "--dir"; dir; "--strict" ] in
-  check_int ("monitor --strict: " ^ out) 0 code;
-  check_bool "healthy" true (contains ~needle:"health: OK" out);
-  check_bool "reports the crash" true (contains ~needle:"crashes: 1 injected" out)
+  (* the recovery is a prover restart, and every surface says so *)
+  let _, out = run [ "monitor"; "--dir"; dir ] in
+  check_bool "reports the crash" true (contains ~needle:"crashes: 1 injected" out);
+  check_one_verdict dir ~reasons:[ "prover-restarts" ]
 
 let test_chaos_dropped_export_fails_strict_monitor () =
   let dir = fresh_dir () in
@@ -553,13 +598,11 @@ let test_chaos_dropped_export_fails_strict_monitor () =
   check_int ("chaos: " ^ out) 0 code;
   check_bool "degraded verdict" true (contains ~needle:"degraded" out);
   check_bool "gap names the export" true (contains ~needle:"r1/e0" out);
-  (* ...but a gap past the grace window fails the strict health gate *)
+  (* ...but the open gap fails the strict health gate *)
   let code, out = run [ "monitor"; "--dir"; dir; "--strict" ] in
   check_int "strict monitor fails" 1 code;
   check_bool "says degraded" true (contains ~needle:"DEGRADED" out);
-  (* inside the grace window the same gap is tolerated *)
-  let code, _ = run [ "monitor"; "--dir"; dir; "--gap-grace"; "99" ] in
-  check_int "lenient monitor exit" 0 code
+  check_one_verdict dir ~reasons:[ "coverage"; "open-gaps" ]
 
 (* ---- the live telemetry plane: slo, watch, monitor trends ---- *)
 
@@ -889,6 +932,7 @@ let () =
           Alcotest.test_case "simulate/prove/verify -> monitor" `Quick
             test_events_workflow;
           Alcotest.test_case "monitor without a log" `Quick test_monitor_missing_log;
+          Alcotest.test_case "healed delay: one verdict" `Quick test_healed_delay_one_verdict;
           Alcotest.test_case "verify refuses an old seal" `Quick
             test_verify_refuses_old_seal;
           Alcotest.test_case "one store.window per window per process" `Quick
@@ -896,8 +940,8 @@ let () =
         ] );
       ( "chaos",
         [
-          Alcotest.test_case "crash plan: verified, root matches twin, healthy" `Slow
-            test_chaos_crash_plan_stays_healthy;
+          Alcotest.test_case "crash plan: verified, root matches twin, prover-restarts" `Slow
+            test_chaos_crash_plan_names_restarts;
           Alcotest.test_case "dropped export: degraded + strict monitor fails" `Slow
             test_chaos_dropped_export_fails_strict_monitor;
         ] );

@@ -3,8 +3,8 @@
    crash/kill + supervised restart with bit-identical roots, the
    circuit breaker flipping publication failures into degraded rounds
    + heal, late-arrival gap journalling, graceful drain (including a
-   crash mid-drain), memoized query proofs, and the /healthz
-   verdict. *)
+   crash mid-drain) and its journal marker, memoized query proofs,
+   and the /healthz verdict over the live event ring. *)
 
 module D = Zkflow_hash.Digest32
 module Record = Zkflow_netflow.Record
@@ -110,6 +110,12 @@ let settle d =
   match Daemon.await_idle d with
   | `Idle -> ()
   | `Crashed site -> Alcotest.fail ("unexpected crash at " ^ site)
+
+(* The daemon's /healthz, which judges the live event ring. *)
+let healthz d = Watch.probe (Daemon.handler d) "/healthz"
+
+let recorded kind =
+  List.filter (fun (e : Event.t) -> e.Event.kind = kind) (Event.events ())
 
 (* A fixed two-router, two-epoch submission schedule; returns the
    final root. *)
@@ -247,6 +253,7 @@ let test_crash_restart_bit_identical () =
           Fun.protect
             ~finally:(fun () -> Daemon.stop d)
             (fun () ->
+              Obs.with_enabled @@ fun () ->
               with_plan
                 (plan [ Fault.Crash_at { site = "agg.pre_checkpoint"; hits = 1 } ])
                 (fun () ->
@@ -260,8 +267,10 @@ let test_crash_restart_bit_identical () =
                   | `Crashed site -> Alcotest.fail ("wrong site: " ^ site)
                   | `Idle -> Alcotest.fail "expected a crash");
                   (* while down: unhealthy, intake closed *)
-                  let h = Daemon.health d in
-                  check_bool "unhealthy while crashed" false h.Daemon.healthy;
+                  let h = healthz d in
+                  check_int "healthz 503 while crashed" 503 h.Httpd.status;
+                  check_bool ("names daemon-crashed: " ^ h.Httpd.body) true
+                    (contains ~needle:"daemon-crashed" h.Httpd.body);
                   check_bool "submit while down" true
                     (Daemon.submit d ~router_id:0 ~epoch:1
                        (window_records ~router_id:0 ~epoch:1 ~count:3 ~seed:7)
@@ -271,7 +280,11 @@ let test_crash_restart_bit_identical () =
                   | Ok restored ->
                     (* the crash hit before the first synced row *)
                     check_int "nothing restored" 0 restored;
-                    settle d);
+                    settle d;
+                    check_int "the restart is a prover.resume" 1
+                      (List.length (recorded "prover.resume"));
+                    check_bool "restart clears daemon-crashed" false
+                      (contains ~needle:"daemon-crashed" (healthz d).Httpd.body));
               (* finish the schedule clean *)
               for router_id = 0 to 1 do
                 submit_ok d ~router_id ~epoch:1
@@ -338,6 +351,7 @@ let test_kill_during_drain () =
 
 let test_io_error_parks_daemon () =
   if Sys.file_exists "/dev/full" then begin
+    Obs.with_enabled @@ fun () ->
     let d, _, _, _ = fresh_daemon ~ckpt:"/dev/full" () in
     Fun.protect
       ~finally:(fun () -> Daemon.stop d)
@@ -348,7 +362,15 @@ let test_io_error_parks_daemon () =
         | Ok () -> Alcotest.fail "drain over a failing journal succeeded"
         | Error e ->
           check_bool ("names the error: " ^ e) true (contains ~needle:"No space left" e);
-          check_bool "parked" true (Daemon.crashed d <> None))
+          check_bool "parked" true (Daemon.crashed d <> None);
+          (* a real crash leaves its site in the flight recorder *)
+          check_bool "daemon.crash names the error" true
+            (List.exists
+               (fun (e : Event.t) ->
+                 match List.assoc_opt "site" e.Event.attrs with
+                 | Some (Zkflow_util.Jsonx.Str site) -> contains ~needle:"No space left" site
+                 | _ -> false)
+               (recorded "daemon.crash")))
   end
 
 (* ---- circuit breaker: publish failures degrade, then heal ----
@@ -360,11 +382,16 @@ let test_io_error_parks_daemon () =
 
 let test_breaker_degrades_then_heals () =
   with_tmp (fun ckpt ->
+      Obs.with_enabled @@ fun () ->
       let d, _db, board, _ = fresh_daemon ~ckpt () in
+      (* /healthz names breaker-open exactly while the breaker is open *)
       let poke () =
         Daemon.advance d ~epoch:0;
         settle d;
-        (Daemon.counters d).Daemon.breaker
+        let state = (Daemon.counters d).Daemon.breaker in
+        check_bool ("breaker-open named iff open, breaker " ^ state) (state = "open")
+          (contains ~needle:"breaker-open" (healthz d).Httpd.body);
+        state
       in
       Fun.protect
         ~finally:(fun () -> Daemon.stop d)
@@ -448,6 +475,7 @@ let test_late_arrival_heals () =
 
 let test_resume_across_restart () =
   with_tmp (fun ckpt ->
+      Obs.with_enabled @@ fun () ->
       let db = Db.create ~epoch:Zkflow_store.Epoch.default () in
       let board = Board.create () in
       let mk () =
@@ -465,22 +493,34 @@ let test_resume_across_restart () =
           (fun () -> drive_schedule d)
       in
       (* a new process over the same state: rounds come back from the
-         WAL, nothing is re-proved, the root is bit-identical *)
+         WAL, nothing is re-proved, the root is bit-identical, and the
+         drained journal makes it a planned start, not a restart *)
       let d2, restored = mk () in
       Fun.protect
         ~finally:(fun () -> Daemon.stop d2)
         (fun () ->
           check_int "both rounds restored" 2 restored;
+          check_int "no prover.resume after a drain" 0
+            (List.length (recorded "prover.resume"));
           (match Daemon.drain d2 with
           | Ok () -> ()
           | Error e -> Alcotest.fail ("drain: " ^ e));
           check_int "nothing re-proved" 0 (Daemon.counters d2).Daemon.rounds;
-          check_string "root preserved" root (Daemon.root_hex d2)))
+          check_string "root preserved" root (Daemon.root_hex d2));
+      (* a stop without a drain leaves no marker: the next start is a
+         restart *)
+      let d3, _ = mk () in
+      Daemon.stop d3;
+      let d4, _ = mk () in
+      Daemon.stop d4;
+      check_int "an undrained stop resumes as a restart" 1
+        (List.length (recorded "prover.resume")))
 
 (* ---- the HTTP plane over a live daemon ---- *)
 
 let test_handler_endpoints () =
   with_tmp (fun ckpt ->
+      Obs.with_enabled @@ fun () ->
       let d, _db, _board, _ = fresh_daemon ~ckpt () in
       Fun.protect
         ~finally:(fun () -> Daemon.stop d)
@@ -494,7 +534,10 @@ let test_handler_endpoints () =
             (contains ~needle:(Daemon.root_hex d)
                status.Httpd.body);
           let healthz = get "/healthz" in
-          check_int "healthz 200 when healthy" 200 healthz.Httpd.status;
+          check_int ("healthz 200 when healthy: " ^ healthz.Httpd.body) 200
+            healthz.Httpd.status;
+          check_bool "the watch schema" true
+            (contains ~needle:"zkflow-healthz/v1" healthz.Httpd.body);
           let q = get "/query?op=sum&metric=packets" in
           check_int "query 200" 200 q.Httpd.status;
           check_bool "query result present" true

@@ -566,6 +566,10 @@ let test_httpd_read_deadline () =
 let ev ?router ?epoch ?round ?(attrs = []) ~ts track kind =
   { Event.ts_ns = ts; track; kind; router; epoch; round; query = None; attrs }
 
+let check_reasons what expected (v : Monitor.verdict) =
+  Alcotest.(check (list string)) what expected v.reasons;
+  check_bool (what ^ ": healthy iff no reason") (expected = []) v.healthy
+
 let test_monitor_lag_and_gaps () =
   let events =
     [
@@ -592,7 +596,7 @@ let test_monitor_lag_and_gaps () =
     check_int "r2 lag" 2 r2.Monitor.lag;
     Alcotest.(check (option int)) "r2 last epoch" (Some 0) r2.Monitor.last_epoch
   | rs -> Alcotest.fail (Printf.sprintf "expected 3 routers, got %d" (List.length rs)));
-  check_bool "degraded" false (Monitor.healthy r)
+  check_reasons "lag is the only reason" [ "router-lag" ] r.Monitor.verdict
 
 (* [trend_of_frames] over fixed frames: each frame holds the
    cumulative round latencies seen so far, and with four frames the
@@ -683,11 +687,99 @@ let test_monitor_rounds_and_rejects () =
     check_int "one completed round measured" 1 l.Monitor.count;
     check_bool "p50 bounds 20ms" true (l.Monitor.p50_ns >= ms 20)
   | None -> Alcotest.fail "no round latency");
-  check_bool "degraded" false (Monitor.healthy r);
+  check_reasons "errors and rejects fire their objectives"
+    [ "prover-errors"; "verifier-acceptance" ] r.Monitor.verdict;
   (* report serializes *)
   match Jsonx.parse (Jsonx.to_string (Monitor.to_json r)) with
   | Ok _ -> ()
   | Error e -> Alcotest.fail ("monitor json: " ^ e)
+
+(* One verdict on every surface: each fixed log carries the reasons
+   {!Monitor.verdict} must give it, and /healthz of a {!Watch} handler
+   over the same log must answer the same verdict, 200 or 503. *)
+let test_one_verdict () =
+  let ms n = n * 1_000_000 in
+  (* two routers publish three epochs, each proved and accepted *)
+  let clean =
+    List.concat_map
+      (fun epoch ->
+        let t = ms (100 * epoch) in
+        [
+          ev ~router:0 ~epoch ~ts:(t + 1) "router.0" "board.publish";
+          ev ~router:1 ~epoch ~ts:(t + 2) "router.1" "board.publish";
+          ev ~epoch ~round:epoch ~ts:(t + 3) "prover" "prover.round.start";
+          ev ~epoch ~round:epoch ~ts:(t + 4) "prover" "prover.round.done";
+          ev ~epoch ~round:epoch ~ts:(t + 5) "verifier" "verifier.round.accept";
+        ])
+      [ 0; 1; 2 ]
+  in
+  let at n kind = ev ~ts:(ms 300 + n) "daemon" kind in
+  let r1_e1 = function
+    | { Event.router = Some 1; epoch = Some 1; kind = "board.publish"; _ } -> false
+    | _ -> true
+  in
+  let gap kind = ev ~router:1 ~epoch:1 ~round:1 ~ts:(ms 150) "prover" kind in
+  let sorted events =
+    List.stable_sort (fun (a : Event.t) b -> Int.compare a.Event.ts_ns b.Event.ts_ns) events
+  in
+  let cases =
+    [
+      ("clean", clean, []);
+      ( "crash plus resume",
+        clean @ [ at 1 "fault.crash"; ev ~ts:(ms 300 + 2) "prover" "prover.resume" ],
+        [ "prover-restarts" ] );
+      ("healed delay", sorted (clean @ [ gap "prover.gap.open"; gap "prover.gap.heal" ]),
+       [ "coverage" ]);
+      ( "dropped export",
+        sorted (List.filter r1_e1 clean @ [ gap "prover.gap.open" ]),
+        [ "coverage"; "router-lag"; "open-gaps" ] );
+      ( "board reject",
+        clean @ [ ev ~router:1 ~epoch:2 ~ts:(ms 300) "board" "board.reject" ],
+        [ "board-integrity" ] );
+      ( "verifier reject",
+        clean @ [ ev ~epoch:2 ~ts:(ms 300) "verifier" "verifier.reject" ],
+        [ "verifier-acceptance" ] );
+      ( "shed",
+        clean @ [ at 1 "daemon.ingest.accept"; at 2 "daemon.ingest.shed" ],
+        [ "ingest-admission" ] );
+      ( "publish-only lag",
+        List.filter
+          (fun (e : Event.t) ->
+            e.Event.kind = "board.publish" && (e.Event.router = Some 0 || e.Event.epoch = Some 0))
+          clean,
+        [ "router-lag" ] );
+      ("daemon crash without a restart", clean @ [ at 1 "daemon.crash" ], [ "daemon-crashed" ]);
+      ("daemon crash, then restart", clean @ [ at 1 "daemon.crash"; at 2 "daemon.restart" ], []);
+      ("breaker open", clean @ [ at 1 "daemon.breaker.open" ], [ "breaker-open" ]);
+      ( "breaker open, then half-open",
+        clean @ [ at 1 "daemon.breaker.open"; at 2 "daemon.breaker.half_open" ],
+        [] );
+    ]
+  in
+  List.iter
+    (fun (name, events, expected) ->
+      let v = Monitor.verdict events in
+      check_reasons name expected v;
+      let source =
+        {
+          Watch.label = "fixed";
+          events = (fun () -> Ok events);
+          frames = (fun () -> Ok []);
+          metrics_text = (fun () -> "");
+        }
+      in
+      let r = Watch.probe (Watch.handler source) "/healthz" in
+      check_int (name ^ ": /healthz status") (if v.healthy then 200 else 503)
+        r.Zkflow_obs.Httpd.status;
+      match Jsonx.parse r.Zkflow_obs.Httpd.body with
+      | Error e -> Alcotest.fail (name ^ ": /healthz body: " ^ e)
+      | Ok body ->
+        check_bool (name ^ ": /healthz healthy") true
+          (Jsonx.member "healthy" body = Some (Jsonx.Bool v.healthy));
+        check_bool (name ^ ": /healthz reasons") true
+          (Jsonx.member "reasons" body
+          = Some (Jsonx.Arr (List.map (fun s -> Jsonx.Str s) expected))))
+    cases
 
 (* ---- spans: nesting and parent reconstruction ---- *)
 
@@ -920,7 +1012,8 @@ let test_tamper_reject_event () =
   let r = Monitor.build (Event.events ()) in
   check_bool "monitor counts the rejection" true
     (List.assoc_opt "query.root" r.Monitor.verifier_rejects = Some 1);
-  check_bool "monitor reports degraded" false (Monitor.healthy r)
+  check_bool "monitor reports degraded" true
+    (List.mem "verifier-acceptance" r.Monitor.verdict.Monitor.reasons)
 
 (* ---- restored marker through the checkpoint journal ---- *)
 
@@ -1035,6 +1128,7 @@ let () =
           Alcotest.test_case "rounds, latency, rejects by cause" `Quick
             test_monitor_rounds_and_rejects;
           Alcotest.test_case "trend of frames" `Quick test_trend_of_frames;
+          Alcotest.test_case "one verdict on every surface" `Quick test_one_verdict;
         ] );
       ( "span",
         [

@@ -5,9 +5,9 @@
    windows clamp to the log's own span so a 40-second chaos run still
    registers a massive burn on its "1 h" window, and every firing
    alert names the causal keys of the bad events behind it. Plus the
-   data plumbing around the engine: glob matching on event kinds, spec
-   parsing from JSON, the fault-marker -> expected-objective map the
-   chaos harness asserts with, and the /slo endpoint schema. *)
+   data plumbing around the engine: glob matching on event kinds, the
+   fault-marker -> expected-objective map the chaos harness asserts
+   with, and the /slo endpoint schema. *)
 
 module Event = Zkflow_obs.Event
 module Jsonx = Zkflow_util.Jsonx
@@ -186,64 +186,6 @@ let test_ingest_duplicates_are_not_bad () =
   let sheds = List.init 3 (fun i -> ingest (20 + i) "daemon.ingest.shed") in
   check_bool "sheds fire" true (fires (accepts @ dups @ sheds))
 
-(* ---- spec parsing ---- *)
-
-let write_temp text =
-  let path = Filename.temp_file "zkflow-slo" ".json" in
-  let oc = open_out path in
-  output_string oc text;
-  close_out oc;
-  path
-
-let test_load_specs_defaults () =
-  let path = write_temp {|[{"name":"custom","good":["a.*"],"bad":["a.err"]}]|} in
-  match Slo.load_specs path with
-  | Error e -> Alcotest.fail e
-  | Ok [ spec ] ->
-    Alcotest.(check string) "name" "custom" spec.Slo.slo_name;
-    check_bool "target defaults" true (spec.Slo.target = 0.999);
-    check_int "default windows" 2 (List.length spec.Slo.windows)
-  | Ok ss -> Alcotest.fail (Printf.sprintf "expected 1 spec, got %d" (List.length ss))
-
-let test_load_specs_explicit_windows () =
-  let path =
-    write_temp
-      {|[{"name":"w","good":["g"],"bad":["b"],"target":0.99,
-          "windows":[{"name":"only","long_s":60,"short_s":10,"burn":2.5}]}]|}
-  in
-  match Slo.load_specs path with
-  | Error e -> Alcotest.fail e
-  | Ok [ spec ] -> (
-    check_bool "target" true (spec.Slo.target = 0.99);
-    match spec.Slo.windows with
-    | [ w ] ->
-      Alcotest.(check string) "window name" "only" w.Slo.w_name;
-      check_bool "long_s" true (w.Slo.long_s = 60.);
-      check_bool "burn" true (w.Slo.burn_threshold = 2.5)
-    | ws -> Alcotest.fail (Printf.sprintf "expected 1 window, got %d" (List.length ws)))
-  | Ok ss -> Alcotest.fail (Printf.sprintf "expected 1 spec, got %d" (List.length ss))
-
-let test_load_specs_rejects () =
-  let fails ~needle text =
-    let path = write_temp text in
-    match Slo.load_specs path with
-    | Ok _ -> Alcotest.fail ("accepted bad specs: " ^ text)
-    | Error e ->
-      let contains =
-        let nh = String.length e and nn = String.length needle in
-        let rec go i = i + nn <= nh && (String.sub e i nn = needle || go (i + 1)) in
-        nn = 0 || go 0
-      in
-      check_bool (Printf.sprintf "%S in %S" needle e) true contains
-  in
-  fails ~needle:"target" {|[{"name":"x","good":["g"],"bad":["b"],"target":1.5}]|};
-  fails ~needle:"good" {|[{"name":"x","bad":["b"]}]|};
-  fails ~needle:"long_s" {|[{"name":"x","good":["g"],"bad":["b"],"windows":[{"name":"w"}]}]|};
-  fails ~needle:"array" {|{"name":"x"}|};
-  match Slo.load_specs "/nonexistent/specs.json" with
-  | Ok _ -> Alcotest.fail "loaded a missing file"
-  | Error e -> check_bool "missing file named" true (String.length e > 0)
-
 (* ---- the /slo endpoint schema ---- *)
 
 let test_to_json_schema () =
@@ -297,13 +239,6 @@ let () =
           Alcotest.test_case "fault markers map to objectives" `Quick test_expected_for;
           Alcotest.test_case "ingest duplicates are not bad" `Quick
             test_ingest_duplicates_are_not_bad;
-        ] );
-      ( "specs",
-        [
-          Alcotest.test_case "defaults fill in" `Quick test_load_specs_defaults;
-          Alcotest.test_case "explicit windows parse" `Quick
-            test_load_specs_explicit_windows;
-          Alcotest.test_case "malformed specs rejected" `Quick test_load_specs_rejects;
         ] );
       ( "endpoint",
         [ Alcotest.test_case "/slo schema" `Quick test_to_json_schema ] );
