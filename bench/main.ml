@@ -115,7 +115,6 @@ let run_size n =
        round also carry its phase breakdown and pool utilization. *)
     Obs.reset ();
     Obs.enable ();
-    Zkflow_zkproof.Prove.clear_commit_cache ();
     let rng = Zkflow_util.Rng.create (Int64.of_int (0xbe5c + n)) in
     let batches =
       List.init routers (fun r ->
@@ -853,8 +852,6 @@ let ablation_queries () =
   List.iter
     (fun q ->
       let params = Zkflow_zkproof.Params.make ~queries:q in
-      (* every row pays the phase-1 commitments, as the first does *)
-      Zkflow_zkproof.Prove.clear_commit_cache ();
       let receipt, prove_s =
         time (fun () ->
             Result.get_ok (Zkflow_zkproof.Prove.prove_result ~params program run))
@@ -897,7 +894,6 @@ let obs_overhead () =
      sides instead of billing whichever arm ran second. *)
   let one ~on ~rep =
     Gc.compact ();
-    Zkflow_zkproof.Prove.clear_commit_cache ();
     Obs.reset ();
     if on then begin
       Obs.enable ();
@@ -1065,8 +1061,9 @@ let ingest_shape_columns (program, run, receipt) =
       rows
   in
   let c, _ =
-    Fs.derive ~claim:receipt.Receipt.claim ~queries:s.Receipt.params.Params.queries
-      ~n_rows:s.Receipt.n_rows ~n_mem:s.Receipt.n_mem ~root_rows:s.Receipt.root_rows
+    Fs.derive ~claim:receipt.Receipt.claim
+      ~journal:(Receipt.journal_digest receipt.Receipt.claim)
+      ~queries:s.Receipt.params.Params.queries ~n_rows:s.Receipt.n_rows ~n_mem:s.Receipt.n_mem ~root_rows:s.Receipt.root_rows
       ~root_time:s.Receipt.root_time ~root_sorted:s.Receipt.root_sorted
       ~root_jacc:s.Receipt.root_jacc
       ~commit_z:(fun ~alpha:_ ~beta:_ -> s.Receipt.root_z)
@@ -1122,8 +1119,21 @@ let micro () =
   (* The prover's helper extraction and the verifier's authentication
      (leaf hashing and one climb per root) of all five columns. *)
   let module Multiproof = Zkflow_merkle.Multiproof in
-  let ((_, ingest_run, _) as ingest) = ingest_shape_run () in
+  let ((ingest_program, ingest_run, ingest_receipt) as ingest) = ingest_shape_run () in
   let columns = ingest_shape_columns ingest in
+  (* The verifier's whole check of that receipt, and the Fiat–Shamir
+     schedule every prove and verify runs (journal digest included). *)
+  let derive_ingest () =
+    let open Zkflow_zkproof in
+    let claim = ingest_receipt.Receipt.claim and s = ingest_receipt.Receipt.seal in
+    Fs.derive ~claim ~journal:(Receipt.journal_digest claim)
+      ~queries:s.Receipt.params.Params.queries ~n_rows:s.Receipt.n_rows ~n_mem:s.Receipt.n_mem
+      ~root_rows:s.Receipt.root_rows ~root_time:s.Receipt.root_time
+      ~root_sorted:s.Receipt.root_sorted ~root_jacc:s.Receipt.root_jacc
+      ~commit_z:(fun ~alpha:_ ~beta:_ -> s.Receipt.root_z)
+  in
+  if not (Zkflow_zkproof.Verify.check ~program:ingest_program ingest_receipt) then
+    failwith "micro: the ingest-shape receipt does not verify";
   let verify_column (tree, set, (col : Receipt.column)) =
     let k = Array.length col.Receipt.leaves in
     let digests = Bytes.create (32 * k) in
@@ -1165,6 +1175,9 @@ let micro () =
           List.iter (fun (tree, set, _) -> ignore (Multiproof.prove tree set)) columns));
       Test.make ~name:"multiproof-verify" (Staged.stage (fun () ->
           List.iter (fun column -> ignore (verify_column column)) columns));
+      Test.make ~name:"verify-ingest" (Staged.stage (fun () ->
+          ignore (Zkflow_zkproof.Verify.verify ~program:ingest_program ingest_receipt)));
+      Test.make ~name:"fs-derive" (Staged.stage (fun () -> ignore (derive_ingest ())));
     ]
   in
   let benchmark test =

@@ -472,8 +472,8 @@ let run ?dir ?(config = default_config) ~plan () =
   in
   let main_counters = Daemon.counters d in
   (* ---- flood phase: overload burst against a parked throwaway
-     daemon (its own store/board/WAL — accepted flood windows must
-     never leak into the twin-compared history above) ---- *)
+     daemon (its own store/board/WAL/event ring — accepted flood
+     windows must never leak into the twin-compared history above) ---- *)
   let* flood_windows, flood_shed, flood_ok =
     match Fault.flood plan with
     | None -> Ok (0, 0, true)
@@ -484,46 +484,58 @@ let run ?dir ?(config = default_config) ~plan () =
             ("windows", Jsonx.Num (float_of_int windows));
             ("capacity", Jsonx.Num (float_of_int capacity));
           ];
-      let fdb = Db.create ~epoch:(Epoch.make ~interval_ms:5000) () in
-      let fboard = Board.create () in
-      let fckpt = Filename.concat dir "flood-checkpoints.wal" in
-      if Sys.file_exists fckpt then Sys.remove fckpt;
-      let fcfg = { dcfg with Daemon.publish = true; queue_capacity = capacity } in
-      let* fd, _ =
-        Daemon.create ~config:fcfg ~proof_params ~paused:true ~db:fdb ~board:fboard
-          ~ckpt_path:fckpt ()
-      in
-      let rng = Rng.create (Int64.of_int (0xf100d + plan.Fault.seed)) in
-      let shed = ref 0 in
-      (* One window per epoch, all at a parked worker: admission is a
-         pure queue race, so exactly [windows - capacity] must shed. *)
-      for i = 0 to windows - 1 do
-        let recs =
-          Gen.records rng Gen.default_profile ~router_id:0 ~count:2
-          |> Array.to_list
-          |> List.map (fun (r : Zkflow_netflow.Record.t) ->
-                 Zkflow_netflow.Record.make ~key:r.Zkflow_netflow.Record.key
-                   ~first_ts:(i * 5000)
-                   ~last_ts:((i * 5000) + 100)
-                   ~router_id:0 r.Zkflow_netflow.Record.metrics)
+      (* The throwaway daemon records into its own ring, as the twin
+         does, so its publications and rounds do not join the run's
+         log. Only its admissions are carried over: they are what the
+         ingest-admission objective judges. *)
+      let flood () =
+        let fdb = Db.create ~epoch:(Epoch.make ~interval_ms:5000) () in
+        let fboard = Board.create () in
+        let fckpt = Filename.concat dir "flood-checkpoints.wal" in
+        if Sys.file_exists fckpt then Sys.remove fckpt;
+        let fcfg = { dcfg with Daemon.publish = true; queue_capacity = capacity } in
+        let* fd, _ =
+          Daemon.create ~config:fcfg ~proof_params ~paused:true ~db:fdb ~board:fboard
+            ~ckpt_path:fckpt ()
         in
-        match Daemon.submit fd ~router_id:0 ~epoch:i recs with
-        | Daemon.Accepted -> ()
-        | Daemon.Shed -> incr shed
-        | Daemon.Duplicate | Daemon.Closed ->
-          incr shed (* impossible here; count it so flood_ok fails loudly *)
-      done;
-      Daemon.unpause fd;
-      Daemon.advance fd ~epoch:(windows - 1);
-      let flood_result = Daemon.drain fd in
-      let fverified = verify_service ~board:fboard (Daemon.service fd) in
-      Daemon.stop fd;
-      let ok =
-        Result.is_ok flood_result
-        && Result.is_ok fverified
-        && !shed = max 0 (windows - capacity)
+        let rng = Rng.create (Int64.of_int (0xf100d + plan.Fault.seed)) in
+        let shed = ref 0 in
+        (* One window per epoch, all at a parked worker: admission is a
+           pure queue race, so exactly [windows - capacity] must shed. *)
+        for i = 0 to windows - 1 do
+          let recs =
+            Gen.records rng Gen.default_profile ~router_id:0 ~count:2
+            |> Array.to_list
+            |> List.map (fun (r : Zkflow_netflow.Record.t) ->
+                   Zkflow_netflow.Record.make ~key:r.Zkflow_netflow.Record.key
+                     ~first_ts:(i * 5000)
+                     ~last_ts:((i * 5000) + 100)
+                     ~router_id:0 r.Zkflow_netflow.Record.metrics)
+          in
+          match Daemon.submit fd ~router_id:0 ~epoch:i recs with
+          | Daemon.Accepted -> ()
+          | Daemon.Shed -> incr shed
+          | Daemon.Duplicate | Daemon.Closed ->
+            incr shed (* impossible here; count it so flood_ok fails loudly *)
+        done;
+        Daemon.unpause fd;
+        Daemon.advance fd ~epoch:(windows - 1);
+        let flood_result = Daemon.drain fd in
+        let fverified = verify_service ~board:fboard (Daemon.service fd) in
+        Daemon.stop fd;
+        let ok =
+          Result.is_ok flood_result
+          && Result.is_ok fverified
+          && !shed = max 0 (windows - capacity)
+        in
+        Ok (windows, !shed, ok)
       in
-      Ok (windows, !shed, ok)
+      let result, flood_events = Event.isolate flood in
+      List.iter
+        (fun (e : Event.t) ->
+          if String.starts_with ~prefix:"daemon.ingest." e.Event.kind then Event.record e)
+        flood_events;
+      result
   in
   let service = Daemon.service d in
   let verified = verify_service ~board service in

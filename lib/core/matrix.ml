@@ -59,7 +59,6 @@ let time f =
 let run_pair ~log ~agg_program ~vkey ~backends scale q =
   Pool.set_jobs scale.jobs;
   Gc.compact ();
-  Zkflow_zkproof.Prove.clear_commit_cache ();
   (* The workload is a function of the scale alone — every queries
      setting at a given scale proves the identical records, so the
      sweep isolates the parameter, not the data. *)

@@ -48,8 +48,8 @@ val run : ?log:(string -> unit) -> grid -> (Bench_row.row list, string) result
     receives) and [soundness_bits]; the span breakdown as phases. One
     proving run per (queries, scale) pair — the wrap backend reuses
     the inner receipt, as a deployment would, and pays its wrap cost
-    on top. The commit cache is cleared before every pair so each
-    cell's prove time is the cold cost. Restores the Domain-pool job
+    on top. Every cell proves a fresh run, so its prove time is the
+    cold cost. Restores the Domain-pool job
     count afterwards. *)
 
 val env_provenance : unit -> (string * Zkflow_util.Jsonx.t) list

@@ -138,14 +138,24 @@ let default_specs =
 
 (* ---- evaluation ---- *)
 
-let count_in events ~from_ns ~to_ns patterns =
-  List.fold_left
-    (fun acc (e : Event.t) ->
-      if e.Event.ts_ns >= from_ns && e.Event.ts_ns <= to_ns
-         && matches_any patterns e.Event.kind
-      then acc + 1
-      else acc)
-    0 events
+(* One spec's view of the log: the timestamps of its good events and
+   of its bad events, each ascending, so any window's count is two
+   binary searches. *)
+type tally = { good_ts : int array; bad_ts : int array }
+
+(* The first index of the ascending [a] whose value is not below [x]
+   (or above [x] when [strict]). *)
+let rec bound ~strict (a : int array) (x : int) lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if a.(mid) < x || (strict && a.(mid) = x) then bound ~strict a x (mid + 1) hi
+    else bound ~strict a x lo mid
+
+(* The timestamps in [\[from_ns, to_ns\]]. *)
+let count_in ts ~from_ns ~to_ns =
+  let n = Array.length ts in
+  Int.max 0 (bound ~strict:true ts to_ns 0 n - bound ~strict:false ts from_ns 0 n)
 
 (* burn = bad_fraction / error_budget. With target 0.999 the budget is
    0.001: one bad event per thousand good ones is burn 1.0 (exactly
@@ -160,7 +170,7 @@ let burn_rate ~target ~good ~bad =
     if budget <= 0. then if bad > 0 then infinity else 0.
     else bad_fraction /. budget
 
-let eval_window ~now_ns ~start_ns events spec w =
+let eval_window ~now_ns ~start_ns tally spec w =
   (* Short runs have less history than the window asks for; clamping
      to the log's own span keeps burn rates meaningful (the fraction
      is over what actually happened) instead of silently empty. *)
@@ -169,8 +179,8 @@ let eval_window ~now_ns ~start_ns events spec w =
   in
   let rate span_s =
     let from_ns = window_from span_s in
-    let good = count_in events ~from_ns ~to_ns:now_ns spec.good in
-    let bad = count_in events ~from_ns ~to_ns:now_ns spec.bad in
+    let good = count_in tally.good_ts ~from_ns ~to_ns:now_ns in
+    let bad = count_in tally.bad_ts ~from_ns ~to_ns:now_ns in
     burn_rate ~target:spec.target ~good ~bad
   in
   let long_burn = rate w.long_s in
@@ -182,35 +192,108 @@ let eval_window ~now_ns ~start_ns events spec w =
     w_firing = long_burn >= w.burn_threshold && short_burn >= w.burn_threshold;
   }
 
+(* The first few bad events in log order: enough to name the
+   culprits, bounded output. *)
 let causes_of events spec =
-  let all =
-    List.filter_map
-      (fun (e : Event.t) ->
-        if matches_any spec.bad e.Event.kind then
-          Some
-            {
-              cause_kind = e.Event.kind;
-              cause_router = e.Event.router;
-              cause_epoch = e.Event.epoch;
-              cause_round = e.Event.round;
-            }
-        else None)
-      events
+  let rec go n acc = function
+    | [] -> List.rev acc
+    | _ when n = 8 -> List.rev acc
+    | (e : Event.t) :: rest ->
+      if matches_any spec.bad e.Event.kind then
+        go (n + 1)
+          ({
+             cause_kind = e.Event.kind;
+             cause_router = e.Event.router;
+             cause_epoch = e.Event.epoch;
+             cause_round = e.Event.round;
+           }
+          :: acc)
+          rest
+      else go n acc rest
   in
-  (* Keep the first few: enough to name the culprits, bounded output. *)
-  List.filteri (fun i _ -> i < 8) all
+  go 0 [] events
 
-let eval_spec ~now_ns ~start_ns events spec =
-  let window_evals = List.map (eval_window ~now_ns ~start_ns events spec) spec.windows in
+let eval_spec ~now_ns ~start_ns events (spec, tally) =
+  let window_evals = List.map (eval_window ~now_ns ~start_ns tally spec) spec.windows in
   let firing = List.exists (fun we -> we.w_firing) window_evals in
   {
     spec;
-    good_count = count_in events ~from_ns:start_ns ~to_ns:now_ns spec.good;
-    bad_count = count_in events ~from_ns:start_ns ~to_ns:now_ns spec.bad;
+    good_count = count_in tally.good_ts ~from_ns:start_ns ~to_ns:now_ns;
+    bad_count = count_in tally.bad_ts ~from_ns:start_ns ~to_ns:now_ns;
     window_evals;
     firing;
     causes = (if firing then causes_of events spec else []);
   }
+
+(* Two ascending arrays as one. *)
+let merge (a : int array) (b : int array) =
+  let out = Array.make (Array.length a + Array.length b) 0 in
+  let i = ref 0 and j = ref 0 in
+  for k = 0 to Array.length out - 1 do
+    if !j >= Array.length b || (!i < Array.length a && a.(!i) <= b.(!j)) then begin
+      out.(k) <- a.(!i);
+      incr i
+    end
+    else begin
+      out.(k) <- b.(!j);
+      incr j
+    end
+  done;
+  out
+
+(* Every spec's tally from one pass over the log: each event is filed
+   under its kind, and the specs' patterns are matched once per
+   distinct kind. A spec's timestamps are then the merge of the kinds
+   it counts, all in unboxed arrays. *)
+let tallies specs events =
+  let ids = Hashtbl.create 64 and kinds = ref [] in
+  let m = List.length events in
+  let cls = Array.make m 0 and ts = Array.make m 0 in
+  List.iteri
+    (fun k (e : Event.t) ->
+      let id =
+        match Hashtbl.find_opt ids e.Event.kind with
+        | Some id -> id
+        | None ->
+          let id = Hashtbl.length ids in
+          Hashtbl.add ids e.Event.kind id;
+          kinds := e.Event.kind :: !kinds;
+          id
+      in
+      cls.(k) <- id;
+      ts.(k) <- e.Event.ts_ns)
+    events;
+  let kinds = Array.of_list (List.rev !kinds) in
+  (* The timestamps of kind [c] in log order: [filed.(start.(c)) ..
+     filed.(start.(c + 1) - 1)]. *)
+  let start = Array.make (Array.length kinds + 1) 0 in
+  Array.iter (fun c -> start.(c + 1) <- start.(c + 1) + 1) cls;
+  for c = 1 to Array.length kinds do
+    start.(c) <- start.(c) + start.(c - 1)
+  done;
+  let filed = Array.make m 0 and next = Array.sub start 0 (Array.length kinds) in
+  Array.iteri
+    (fun k c ->
+      filed.(next.(c)) <- ts.(k);
+      next.(c) <- next.(c) + 1)
+    cls;
+  (* A recorded log is already in time order, so the sort is skipped
+     unless some timestamp goes back. *)
+  let ascending (a : int array) =
+    let rec sorted i = i >= Array.length a || (a.(i - 1) <= a.(i) && sorted (i + 1)) in
+    if not (sorted 1) then Array.sort Int.compare a;
+    a
+  in
+  let pick patterns =
+    let parts = ref [||] in
+    Array.iteri
+      (fun c kind ->
+        if matches_any patterns kind then
+          parts := merge !parts (ascending (Array.sub filed start.(c) (start.(c + 1) - start.(c)))))
+      kinds;
+    !parts
+  in
+  List.map (fun spec -> (spec, { good_ts = pick spec.good; bad_ts = pick spec.bad })) specs
 
 (* A gap is one bad outcome however often it is announced: a restart
    re-announces the gaps its last checkpoint row detected, and a
@@ -220,15 +303,20 @@ let eval_spec ~now_ns ~start_ns events spec =
    lands a fresh bad event in a later burn window. *)
 let first_gap_opens events =
   let seen = Hashtbl.create 16 in
-  List.filter
-    (fun (e : Event.t) ->
-      match (e.Event.kind, e.Event.router, e.Event.epoch) with
-      | "prover.gap.open", Some router, Some epoch ->
-        let fresh = not (Hashtbl.mem seen (router, epoch)) in
-        Hashtbl.replace seen (router, epoch) ();
-        fresh
-      | _ -> true)
-    events
+  let fresh (e : Event.t) =
+    match (e.Event.kind, e.Event.router, e.Event.epoch) with
+    | "prover.gap.open", Some router, Some epoch ->
+      let fresh = not (Hashtbl.mem seen (router, epoch)) in
+      Hashtbl.replace seen (router, epoch) ();
+      fresh
+    | _ -> true
+  in
+  (* Most logs re-announce no gap: they are kept as they are. *)
+  if List.for_all fresh events then events
+  else begin
+    Hashtbl.reset seen;
+    List.filter fresh events
+  end
 
 let evaluate ?(specs = default_specs) events =
   let events = first_gap_opens events in
@@ -238,7 +326,7 @@ let evaluate ?(specs = default_specs) events =
   let start_ns =
     List.fold_left (fun acc (e : Event.t) -> min acc e.Event.ts_ns) now_ns events
   in
-  List.map (eval_spec ~now_ns ~start_ns events) specs
+  List.map (eval_spec ~now_ns ~start_ns events) (tallies specs events)
 
 let firing alerts = List.filter (fun a -> a.firing) alerts
 let firing_names alerts = List.map (fun a -> a.spec.slo_name) (firing alerts)

@@ -20,6 +20,12 @@ val extend : t -> bytes -> t
 val extend_digest : t -> Digest32.t -> t
 (** [extend_digest t d] appends a digest-valued item. *)
 
+val extend_words : t -> int array -> t
+(** [extend_words t words] appends one item per word, the low 32 bits
+    of the word as 4 big-endian bytes: the fold of {!extend} over those
+    items, computed in one buffer through one context, so the links
+    allocate nothing. *)
+
 val head : t -> Digest32.t
 (** [head t] is the current chain head. *)
 

@@ -354,6 +354,11 @@ let level_into r ctx buf ~src ~dst ~lo ~hi =
 
 module Column = Zkflow_util.Column
 
+external sha_ni_leaves_array :
+  bytes -> bytes -> bytes array -> bytes -> int -> int -> bytes -> int
+  = "zkflow_sha256_ni_leaves_array_byte" "zkflow_sha256_ni_leaves_array"
+[@@noalloc]
+
 let leaves_ocaml ctx ~prefix (col : Column.t) ~dst ~lo ~hi =
   let hashed = ref 0 in
   for i = lo to hi - 1 do
@@ -388,6 +393,34 @@ let leaves_into ctx ~prefix (col : Column.t) ~dst ~lo ~hi =
     hashed
   end
   else leaves_ocaml ctx ~prefix col ~dst ~lo ~hi
+
+let leaves_array_ocaml ctx ~prefix (leaves : bytes array) ~dst ~lo ~hi =
+  let hashed = ref 0 in
+  for i = lo to hi - 1 do
+    if i > lo && Bytes.equal leaves.(i) leaves.(i - 1) then
+      Bytes.blit dst (32 * (i - 1)) dst (32 * i) 32
+    else begin
+      reset ctx;
+      update ctx prefix;
+      update ctx leaves.(i);
+      finalize_into ctx ~dst ~dst_pos:(32 * i);
+      incr hashed
+    end
+  done;
+  !hashed
+
+let leaves_array_into ctx ~prefix leaves ~dst ~lo ~hi =
+  if lo < 0 || lo > hi || hi > Array.length leaves || hi > Bytes.length dst / 32
+     || dst == prefix
+     || Array.exists (fun leaf -> leaf == dst) leaves
+  then invalid_arg "Sha256.leaves_array_into: window out of range or overlapping";
+  ctx.finalized <- true;
+  if sha_ni then begin
+    let hashed = sha_ni_leaves_array iv_state prefix leaves dst lo hi ctx.w in
+    Zkflow_obs.Metric.add m_compressions (Int64.to_int (Bytes.get_int64_ne ctx.w 0));
+    hashed
+  end
+  else leaves_array_ocaml ctx ~prefix leaves ~dst ~lo ~hi
 
 let digest b =
   let ctx = init () in

@@ -125,6 +125,17 @@ val leaves_into :
     ("offsets past the buffer"), and any [off.(i) > off.(i + 1)] in
     the window ("offsets decrease"). *)
 
+val leaves_array_into :
+  ctx -> prefix:bytes -> bytes array -> dst:bytes -> lo:int -> hi:int -> int
+(** [leaves_array_into ctx ~prefix leaves ~dst ~lo ~hi] is
+    {!leaves_into} over the column [Column.of_array leaves], without
+    building it: the same digests, equal-neighbour copies and
+    compression count, each leaf hashed where it lies. It serves the
+    leaves a seal carries, one [bytes] each. Refuses a window with
+    [lo < 0], [hi < lo], [hi] past the leaves or past the slots of
+    [dst], or [dst] physically equal to [prefix] or to a leaf ("window
+    out of range or overlapping"). *)
+
 val digest : bytes -> bytes
 (** [digest b] is the one-shot 32-byte SHA-256 of [b]. *)
 

@@ -158,6 +158,31 @@ static void absorb(unsigned char *st, unsigned char *blk, size_t *fill, long *bl
   *fill = len;
 }
 
+/* [out] gets SHA-256(prefix ‖ msg) from the IV [iv]; returns the
+   blocks compressed. */
+__attribute__((target("sha,ssse3,sse4.1")))
+static long leaf_ni(const unsigned char *iv, const unsigned char *prefix, size_t plen,
+                    const unsigned char *msg, size_t len, unsigned char *out)
+{
+  unsigned char st[32], blk[128];
+  size_t fill = 0;
+  long blocks = 0;
+  memcpy(st, iv, 32);
+  absorb(st, blk, &fill, &blocks, prefix, plen);
+  absorb(st, blk, &fill, &blocks, msg, len);
+  /* Padding: 0x80, zeros to 56 mod 64, the 64-bit bit length; more
+     than 55 bytes buffered spill it into a second block. */
+  size_t end = fill < 56 ? 64 : 128;
+  uint64_t bits = __builtin_bswap64((uint64_t)(plen + len) * 8);
+  memset(blk + fill, 0, end - 8 - fill);
+  blk[fill] = 0x80;
+  memcpy(blk + end - 8, &bits, 8);
+  compress_ni(st, blk);
+  if (end == 128) compress_ni(st, blk + 64);
+  put_digest(out, st);
+  return blocks + (long)(end / 64);
+}
+
 /* Slot i of [dst] gets SHA-256(prefix ‖ leaf i), from the IV [iv],
    leaf i being data[off[i] .. off[i+1]) with [off] an OCaml int
    array; it copies slot i-1 when leaf i holds the same bytes as leaf
@@ -179,22 +204,31 @@ static long leaves_ni(const unsigned char *iv, const unsigned char *prefix, size
         continue;
       }
     }
-    unsigned char st[32], blk[128];
-    size_t fill = 0;
-    memcpy(st, iv, 32);
-    absorb(st, blk, &fill, blocks, prefix, plen);
-    absorb(st, blk, &fill, blocks, data + pos, len);
-    /* Padding: 0x80, zeros to 56 mod 64, the 64-bit bit length; more
-       than 55 bytes buffered spill it into a second block. */
-    size_t end = fill < 56 ? 64 : 128;
-    uint64_t bits = __builtin_bswap64((uint64_t)(plen + len) * 8);
-    memset(blk + fill, 0, end - 8 - fill);
-    blk[fill] = 0x80;
-    memcpy(blk + end - 8, &bits, 8);
-    compress_ni(st, blk);
-    if (end == 128) compress_ni(st, blk + 64);
-    *blocks += (long)(end / 64);
-    put_digest(out, st);
+    *blocks += leaf_ni(iv, prefix, plen, data + pos, len, out);
+    hashed++;
+  }
+  return hashed;
+}
+
+/* [leaves_ni] over an OCaml array of [bytes], leaf i being element i:
+   the opened leaves of a seal column, hashed where they lie. */
+__attribute__((target("sha,ssse3,sse4.1")))
+static long leaves_array_ni(const unsigned char *iv, const unsigned char *prefix, size_t plen,
+                            value leaves, unsigned char *dst, long lo, long hi, long *blocks)
+{
+  long hashed = 0;
+  for (long i = lo; i < hi; i++) {
+    value leaf = Field(leaves, i);
+    size_t len = caml_string_length(leaf);
+    unsigned char *out = dst + 32 * i;
+    if (i > lo) {
+      value prev = Field(leaves, i - 1);
+      if (caml_string_length(prev) == len && memcmp(Bytes_val(prev), Bytes_val(leaf), len) == 0) {
+        memcpy(out, out - 32, 32);
+        continue;
+      }
+    }
+    *blocks += leaf_ni(iv, prefix, plen, Bytes_val(leaf), len, out);
     hashed++;
   }
   return hashed;
@@ -223,6 +257,14 @@ static long leaves_ni(const unsigned char *iv, const unsigned char *prefix, size
                       long hi, long *blocks)
 {
   (void)iv; (void)prefix; (void)plen; (void)data; (void)off; (void)dst; (void)lo; (void)hi;
+  (void)blocks;
+  abort();
+}
+
+static long leaves_array_ni(const unsigned char *iv, const unsigned char *prefix, size_t plen,
+                            value leaves, unsigned char *dst, long lo, long hi, long *blocks)
+{
+  (void)iv; (void)prefix; (void)plen; (void)leaves; (void)dst; (void)lo; (void)hi;
   (void)blocks;
   abort();
 }
@@ -280,4 +322,25 @@ CAMLprim value zkflow_sha256_ni_leaves_byte(value *argv, int argn)
   (void)argn;
   return zkflow_sha256_ni_leaves(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5], argv[6],
                                  argv[7]);
+}
+
+/* [leaves] is an OCaml array of [bytes]; the caller has bounded the
+   window and kept [dst] apart from every input. The blocks compressed
+   go to the first 8 bytes of [counts]. */
+CAMLprim value zkflow_sha256_ni_leaves_array(value iv, value prefix, value leaves, value dst,
+                                             value lo, value hi, value counts)
+{
+  long blocks = 0;
+  long hashed = leaves_array_ni(Bytes_val(iv), Bytes_val(prefix), caml_string_length(prefix),
+                                leaves, Bytes_val(dst), Long_val(lo), Long_val(hi), &blocks);
+  int64_t n = blocks;
+  memcpy(Bytes_val(counts), &n, 8);
+  return Val_long(hashed);
+}
+
+CAMLprim value zkflow_sha256_ni_leaves_array_byte(value *argv, int argn)
+{
+  (void)argn;
+  return zkflow_sha256_ni_leaves_array(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5],
+                                       argv[6]);
 }

@@ -23,15 +23,15 @@ let check_indices ~depth indices =
   else if depth < 0 || depth > 64 then Error "multiproof: implausible depth"
   else go 0
 
-(* The climb, shared by counting, proving and verifying. [pos] holds
-   the known positions of one level, strictly ascending, and is
-   overwritten level by level with their parents'. For each parent,
-   in ascending order, [visit ~level s m paired] is called: the known
-   child at rank [s] of the level has its sibling at rank [s + 1] when
-   [paired], and takes the next helper otherwise; the parent takes
-   rank [m ≤ s] of the level above. [level_done m] follows each level
-   with its parent count. *)
-let climb ?(level_done = ignore) ~depth pos visit =
+(* The climb from the leaves, as the prover walks it. [pos] holds the
+   known positions of one level, strictly ascending, and is overwritten
+   level by level with their parents'. For each parent, in ascending
+   order, [visit ~level s m paired] is called: the known child at rank
+   [s] of the level has its sibling at rank [s + 1] when [paired], and
+   takes the next helper otherwise; the parent takes rank [m ≤ s] of
+   the level above. The count and the verifier's climb below walk the
+   same way, written out so a node costs no closure call. *)
+let climb ~depth pos visit =
   let k = ref (Array.length pos) in
   for level = 0 to depth - 1 do
     let s = ref 0 and m = ref 0 in
@@ -43,18 +43,40 @@ let climb ?(level_done = ignore) ~depth pos visit =
       incr m;
       s := !s + if paired then 2 else 1
     done;
-    level_done !m;
     k := !m
   done
 
+(* A known node without its sibling takes one helper. *)
 let count_helpers ~depth indices =
-  let n = ref 0 in
-  climb ~depth (Array.copy indices) (fun ~level:_ _ _ paired -> if not paired then incr n);
+  let pos = Array.copy indices and k = ref (Array.length indices) and n = ref 0 in
+  for _ = 1 to depth do
+    let s = ref 0 and m = ref 0 in
+    while !s < !k do
+      let i = pos.(!s) in
+      if i land 1 = 0 && !s + 1 < !k && pos.(!s + 1) = i + 1 then s := !s + 2
+      else begin
+        incr n;
+        incr s
+      end;
+      pos.(!m) <- i lsr 1;
+      incr m
+    done;
+    k := !m
+  done;
   !n
 
-let helper_count ~depth indices =
+type shape = { levels : int; set : int array; need : int }
+
+let shape ~depth indices =
   match check_indices ~depth indices with
-  | Ok () -> count_helpers ~depth indices
+  | Ok () -> Ok { levels = depth; set = indices; need = count_helpers ~depth indices }
+  | Error e -> Error e
+
+let shape_helpers s = s.need
+
+let helper_count ~depth indices =
+  match shape ~depth indices with
+  | Ok s -> s.need
   | Error e -> invalid_arg ("Multiproof.helper_count: " ^ e)
 
 let prove tree indices =
@@ -75,41 +97,69 @@ let prove tree indices =
       end);
   { depth; indices = Array.copy indices; helpers }
 
+(* 32 bytes from [src] at [i] to [dst] at [j], as four 8-byte moves:
+   no C call for one slot. *)
+let[@inline] copy32 src i dst j =
+  Bytes.set_int64_ne dst j (Bytes.get_int64_ne src i);
+  Bytes.set_int64_ne dst (j + 8) (Bytes.get_int64_ne src (i + 8));
+  Bytes.set_int64_ne dst (j + 16) (Bytes.get_int64_ne src (i + 16));
+  Bytes.set_int64_ne dst (j + 24) (Bytes.get_int64_ne src (i + 24))
+
 (* One work buffer of 32-byte slots: slots [0, k) hold a level's known
    nodes, the leaf digests first, and slots [k, 3k) the 64-byte inputs
    of its parents, each known node laid beside its sibling (the next
    known node or the next helper). One batch-kernel call per level then
    hashes the inputs into slots [0, m), the known nodes of the level
    above. *)
+let root_of_shape ~node s ~helpers work =
+  let k = Array.length s.set in
+  if Bytes.length work < 32 * 3 * k then
+    Error
+      (Printf.sprintf "multiproof: %d work bytes for %d indices" (Bytes.length work) k)
+  else if Bytes.length helpers <> 32 * s.need then
+    Error
+      (Printf.sprintf "multiproof: %d helper bytes where the index set needs %d helpers"
+         (Bytes.length helpers) s.need)
+  else begin
+    let w = work and ctx = Sha256.init () in
+    let pos = Array.copy s.set and h = ref 0 and n = ref k in
+    for _ = 1 to s.levels do
+      let r = ref 0 and m = ref 0 in
+      while !r < !n do
+        let i = pos.(!r) and input = 32 * (k + (2 * !m)) in
+        if i land 1 = 0 && !r + 1 < !n && pos.(!r + 1) = i + 1 then begin
+          copy32 w (32 * !r) w input;
+          copy32 w (32 * (!r + 1)) w (input + 32);
+          r := !r + 2
+        end
+        else begin
+          (* an odd position is the right child: the helper goes left *)
+          let side = 32 * (i land 1) in
+          copy32 w (32 * !r) w (input + side);
+          copy32 helpers (32 * !h) w (input + 32 - side);
+          incr h;
+          incr r
+        end;
+        pos.(!m) <- i lsr 1;
+        incr m
+      done;
+      ignore (Sha256.level_into node ctx w ~src:k ~dst:0 ~lo:0 ~hi:!m : int);
+      n := !m
+    done;
+    Ok (D.of_bytes (Bytes.sub w 0 32))
+  end
+
 let compute_root ~node t leaves =
-  match check_indices ~depth:t.depth t.indices with
+  match shape ~depth:t.depth t.indices with
   | Error e -> Error e
-  | Ok () ->
+  | Ok s ->
     let k = Array.length t.indices in
-    let need = count_helpers ~depth:t.depth t.indices in
     if Bytes.length leaves <> 32 * k then
       Error (Printf.sprintf "multiproof: %d leaf bytes for %d indices" (Bytes.length leaves) k)
-    else if Bytes.length t.helpers <> 32 * need then
-      Error
-        (Printf.sprintf "multiproof: %d helper bytes where the index set needs %d helpers"
-           (Bytes.length t.helpers) need)
     else begin
-      let w = Bytes.create (32 * 3 * k) and ctx = Sha256.init () in
-      Bytes.blit leaves 0 w 0 (32 * k);
-      let pos = Array.copy t.indices and h = ref 0 in
-      climb ~depth:t.depth pos
-        ~level_done:(fun m -> ignore (Sha256.level_into node ctx w ~src:k ~dst:0 ~lo:0 ~hi:m : int))
-        (fun ~level:_ s m paired ->
-          let input = 32 * (k + (2 * m)) in
-          if paired then Bytes.blit w (32 * s) w input 64
-          else begin
-            (* an odd position is the right child: the helper goes left *)
-            let side = 32 * (pos.(s) land 1) in
-            Bytes.blit w (32 * s) w (input + side) 32;
-            Bytes.blit t.helpers (32 * !h) w (input + 32 - side) 32;
-            incr h
-          end);
-      Ok (D.of_bytes (Bytes.sub w 0 32))
+      let work = Bytes.create (32 * 3 * k) in
+      Bytes.blit leaves 0 work 0 (32 * k);
+      root_of_shape ~node s ~helpers:t.helpers work
     end
 
 let verify ~node ~root t leaves =

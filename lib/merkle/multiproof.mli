@@ -42,6 +42,28 @@ val compute_root : node:node -> t -> bytes -> (Zkflow_hash.Digest32.t, string) r
     tree, when [leaves] does not hold one digest per index, or when
     [t.helpers] does not hold exactly {!helper_count} digests. *)
 
+type shape
+(** An index set checked against a tree depth, with its helper count:
+    what {!compute_root} checks before hashing, done once. *)
+
+val shape : depth:int -> int array -> (shape, string) result
+(** [shape ~depth indices] refuses what {!compute_root} refuses of an
+    index set, with the same message, and counts its helpers. The
+    shape keeps [indices] itself, which must not change after. *)
+
+val shape_helpers : shape -> int
+(** The helper count of the shape's index set: {!helper_count}. *)
+
+val root_of_shape :
+  node:node -> shape -> helpers:bytes -> bytes -> (Zkflow_hash.Digest32.t, string) result
+(** [root_of_shape ~node s ~helpers work] is {!compute_root} of the
+    multiproof with [s]'s depth, indices and [helpers], for a caller
+    that already holds the shape and has laid the k leaf digests in the
+    first k 32-byte slots of [work]. The climb runs in [work], which
+    must hold at least 3k slots and is overwritten, so one buffer
+    serves several multiproofs in turn. Before it climbs it checks only
+    [work]'s size and the helper byte length. *)
+
 val verify : node:node -> root:Zkflow_hash.Digest32.t -> t -> bytes -> bool
 (** [verify ~node ~root t leaves] checks that {!compute_root} reaches
     [root]. *)

@@ -21,6 +21,9 @@ let leaf_hash_into ctx data ~dst ~dst_pos =
 let leaves_into ctx col ~dst ~lo ~hi =
   Sha256.leaves_into ctx ~prefix:leaf_domain col ~dst ~lo ~hi
 
+let leaves_array_into ctx leaves ~dst ~lo ~hi =
+  Sha256.leaves_array_into ctx ~prefix:leaf_domain leaves ~dst ~lo ~hi
+
 let leaf_hash data =
   let out = Bytes.create 32 in
   leaf_hash_into (Sha256.init ()) data ~dst:out ~dst_pos:0;

@@ -33,6 +33,12 @@ val leaves_into :
     [i] in [\[lo, hi)], copying slot [i - 1] when leaf [i] holds the
     same bytes as leaf [i - 1]. Returns the slots hashed. *)
 
+val leaves_array_into :
+  Zkflow_hash.Sha256.ctx -> bytes array -> dst:bytes -> lo:int -> hi:int -> int
+(** [leaves_array_into ctx leaves ~dst ~lo ~hi] is {!leaves_into} over
+    [Column.of_array leaves] without building that column
+    ({!Zkflow_hash.Sha256.leaves_array_into}). *)
+
 val compute_root : node:node -> t -> Zkflow_hash.Digest32.t -> Zkflow_hash.Digest32.t
 (** [compute_root ~node proof leaf_hash] folds the path under [node]
     and returns the implied root. *)

@@ -55,6 +55,8 @@ let emit ?router ?epoch ?round ?query ?(attrs = []) ~track kind =
   if Control.on () then
     push { ts_ns = Clock.now_ns (); track; kind; router; epoch; round; query; attrs }
 
+let record e = if Control.on () then push e
+
 let events () =
   Mutex.lock lock;
   let cap = Array.length !buf in

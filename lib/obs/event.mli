@@ -47,6 +47,11 @@ val emit :
 (** [emit ~track kind] records one event with the current monotonic
     timestamp. A no-op while telemetry is disabled. *)
 
+val record : t -> unit
+(** [record e] records an event already stamped, as it is: one that
+    {!isolate} captured, carried over into the ring it restored. A
+    no-op while telemetry is disabled. *)
+
 val events : unit -> t list
 (** Buffered events, oldest first. *)
 

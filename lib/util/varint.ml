@@ -25,18 +25,24 @@ let put b off v =
   put_from b off v
 
 (* A digit at [shift] must leave the value below 2^62, or it would
-   reach the sign bit of a 63-bit int: the ninth byte keeps 6 bits. *)
+   reach the sign bit of a 63-bit int: the ninth byte keeps 6 bits.
+   Top level rather than local to [get], so a read allocates no
+   closure. *)
+let rec get_from b pos shift acc =
+  if !pos >= Bytes.length b then invalid_arg "Varint.read: truncated";
+  let c = Char.code (Bytes.get b !pos) in
+  if shift > 62 || (c land 0x7f) lsr (62 - shift) <> 0 then
+    invalid_arg "Varint.read: overflow";
+  incr pos;
+  let acc = acc lor ((c land 0x7f) lsl shift) in
+  if c land 0x80 = 0 then acc else get_from b pos (shift + 7) acc
+
+let get b pos = get_from b pos 0 0
+
 let read b off =
-  let len = Bytes.length b in
-  let rec go off shift acc =
-    if off >= len then invalid_arg "Varint.read: truncated";
-    let c = Char.code (Bytes.get b off) in
-    if shift > 62 || (c land 0x7f) lsr (62 - shift) <> 0 then
-      invalid_arg "Varint.read: overflow";
-    let acc = acc lor ((c land 0x7f) lsl shift) in
-    if c land 0x80 = 0 then (acc, off + 1) else go (off + 1) (shift + 7) acc
-  in
-  go off 0 0
+  let pos = ref off in
+  let v = get b pos in
+  (v, !pos)
 
 let size v =
   if v < 0 then invalid_arg "Varint.size: negative";

@@ -17,5 +17,11 @@ val read : bytes -> int -> int * int
     [Invalid_argument] on truncated input, and on an encoding whose
     value exceeds [max_int] ("Varint.read: overflow"). *)
 
+val get : bytes -> int ref -> int
+(** [get b pos] is {!read} at [!pos], with [pos] moved past the
+    encoding instead of a pair returned, so a decoder reading field
+    after field allocates nothing per field. It raises as {!read}
+    does. *)
+
 val size : int -> int
 (** [size v] is the number of bytes [write] emits for [v]. *)

@@ -12,6 +12,7 @@ type challenges = {
 
 val derive :
   claim:Receipt.claim ->
+  journal:Zkflow_hash.Digest32.t ->
   queries:int ->
   n_rows:int ->
   n_mem:int ->
@@ -22,7 +23,9 @@ val derive :
   commit_z:
     (alpha:Zkflow_field.Fp2.t -> beta:Zkflow_field.Fp2.t -> Zkflow_hash.Digest32.t) ->
   challenges * Zkflow_hash.Digest32.t
-(** [commit_z] is called between the α/β draw and the index draws: the
+(** [journal] is {!Receipt.journal_digest} of [claim]: the caller
+    computes it once, and the verifier's boundary check reuses it.
+    [commit_z] is called between the α/β draw and the index draws: the
     prover builds and commits the shared grand-product tree there; the
     verifier just returns the root claimed in the seal. Returns the
     challenges plus that one phase-2 root. The transcript domain is

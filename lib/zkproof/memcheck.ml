@@ -94,30 +94,54 @@ let[@inline] sub a b =
    coordinate is reduced first. In each sum only the lo and hi
    products stay unreduced: hi·β³ < p² < 2^62 and the other terms add
    less than 2^48, so with p < 2^31 the sum fits in 63 bits. *)
-let terms ~(alpha : Fp2.t) ~(beta : Fp2.t) (entries : Trace.mem_entry array) =
+let powers beta =
   let b2 = Fp2.mul beta beta in
   let b3 = Fp2.mul b2 beta in
-  let b4 = Fp2.mul b3 beta in
+  (b2, b3, Fp2.mul b3 beta)
+
+let[@inline] term_into t i ~(alpha : Fp2.t) ~(beta : Fp2.t) ~(b2 : Fp2.t) ~(b3 : Fp2.t)
+    ~(b4 : Fp2.t) ~addr ~time ~write ~value =
+  let addr = reduce addr and time = reduce time in
+  let lo = value land 0xffff and hi = reduce (value lsr 16) in
+  let f0 =
+    (addr + (time * beta.c0 mod p) + (lo * b2.c0) + (hi * b3.c0) + (write * b4.c0)) mod p
+  in
+  let f1 = ((time * beta.c1 mod p) + (lo * b2.c1) + (hi * b3.c1) + (write * b4.c1)) mod p in
+  t.(2 * i) <- sub alpha.c0 f0;
+  t.((2 * i) + 1) <- sub alpha.c1 f1
+
+let terms ~alpha ~beta (entries : Trace.mem_entry array) =
+  let b2, b3, b4 = powers beta in
   let t = Array.make (2 * Array.length entries) 0 in
   Array.iteri
     (fun i (e : Trace.mem_entry) ->
-      let addr = reduce e.addr and time = reduce e.time in
-      let lo = e.value land 0xffff and hi = reduce (e.value lsr 16) in
-      let w = Bool.to_int e.write in
-      let f0 =
-        (addr + (time * beta.c0 mod p) + (lo * b2.c0) + (hi * b3.c0) + (w * b4.c0)) mod p
-      in
-      let f1 = ((time * beta.c1 mod p) + (lo * b2.c1) + (hi * b3.c1) + (w * b4.c1)) mod p in
-      t.(2 * i) <- sub alpha.c0 f0;
-      t.((2 * i) + 1) <- sub alpha.c1 f1)
+      term_into t i ~alpha ~beta ~b2 ~b3 ~b4 ~addr:e.addr ~time:e.time
+        ~write:(Bool.to_int e.write) ~value:e.value)
     entries;
   t
 
+let terms_of_ints ~alpha ~beta a =
+  let b2, b3, b4 = powers beta in
+  let n = Array.length a / 4 in
+  let t = Array.make (2 * n) 0 in
+  for i = 0 to n - 1 do
+    term_into t i ~alpha ~beta ~b2 ~b3 ~b4 ~addr:a.(4 * i) ~time:a.((4 * i) + 1)
+      ~write:a.((4 * i) + 2) ~value:a.((4 * i) + 3)
+  done;
+  t
+
+(* One step z · t of a grand product, coordinate by coordinate, every
+   input below p: each sum keeps one unreduced product, below p², plus
+   at most ν·p, which fits in 63 bits. *)
+let[@inline] mul_c0 z0 z1 t0 t1 = ((z0 * t0) + (nu * (z1 * t1 mod p))) mod p
+let[@inline] mul_c1 z0 z1 t0 t1 = ((z0 * t1 mod p) + (z1 * t0)) mod p
+
+let link_holds ~z0 ~z1 ~t0 ~t1 ~next0 ~next1 =
+  next0 = mul_c0 z0 z1 t0 t1 && next1 = mul_c1 z0 z1 t0 t1
+
 (* Both grand products over the terms: the time product in log order,
    the sorted one through [perm], each leaf written in the [encode_z]
-   layout at its own 16 bytes of one column. A step z ← z·t is
-   [Fp2.mul]: each sum keeps one unreduced product, below p², plus at
-   most ν·p, which fits in 63 bits. *)
+   layout at its own 16 bytes of one column. *)
 let z_leaves ~alpha ~beta entries perm =
   let n = Array.length entries in
   if Array.length perm <> n then
@@ -129,13 +153,13 @@ let z_leaves ~alpha ~beta entries perm =
   for j = 0 to n - 1 do
     let t0 = t.(2 * j) and t1 = t.((2 * j) + 1) in
     let z0 = !zt0 and z1 = !zt1 in
-    zt0 := ((z0 * t0) + (nu * (z1 * t1 mod p))) mod p;
-    zt1 := ((z0 * t1 mod p) + (z1 * t0)) mod p;
+    zt0 := mul_c0 z0 z1 t0 t1;
+    zt1 := mul_c1 z0 z1 t0 t1;
     let k = perm.(j) in
     let t0 = t.(2 * k) and t1 = t.((2 * k) + 1) in
     let z0 = !zs0 and z1 = !zs1 in
-    zs0 := ((z0 * t0) + (nu * (z1 * t1 mod p))) mod p;
-    zs1 := ((z0 * t1 mod p) + (z1 * t0)) mod p;
+    zs0 := mul_c0 z0 z1 t0 t1;
+    zs1 := mul_c1 z0 z1 t0 t1;
     Bytes.set_int32_le b (16 * j) (Int32.of_int !zt0);
     Bytes.set_int32_le b ((16 * j) + 4) (Int32.of_int !zt1);
     Bytes.set_int32_le b ((16 * j) + 8) (Int32.of_int !zs0);
@@ -145,12 +169,25 @@ let z_leaves ~alpha ~beta entries perm =
 
 let encode_z ~time ~sorted = Bytes.cat (Fp2.to_bytes time) (Fp2.to_bytes sorted)
 
-let decode_z b =
+(* The four coordinates read in place, each refused unless canonical,
+   as [Fp2.of_bytes] refuses it. *)
+let decode_z_into b dst r =
   if Bytes.length b <> 16 then Error "z leaf: wrong length"
-  else
-    match (Fp2.of_bytes (Bytes.sub b 0 8), Fp2.of_bytes (Bytes.sub b 8 8)) with
-    | Ok time, Ok sorted -> Ok (time, sorted)
-    | Error e, _ | _, Error e -> Error e
+  else begin
+    let canonical = ref true in
+    for c = 0 to 3 do
+      let v = Int32.to_int (Bytes.get_int32_le b (4 * c)) in
+      if v < 0 || v >= p then canonical := false;
+      dst.((4 * r) + c) <- v
+    done;
+    if !canonical then Ok () else Error "fp2: not canonical"
+  end
+
+let decode_z b =
+  let c = Array.make 4 0 in
+  match decode_z_into b c 0 with
+  | Ok () -> Ok ({ Fp2.c0 = c.(0); c1 = c.(1) }, { Fp2.c0 = c.(2); c1 = c.(3) })
+  | Error e -> Error e
 
 (* ---- the verifier's local rules ---- *)
 

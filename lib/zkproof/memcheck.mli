@@ -33,6 +33,24 @@ val term :
     + β⁴·write). The 32-bit value is split so every coordinate fits the
     BabyBear field. *)
 
+val terms :
+  alpha:Zkflow_field.Fp2.t ->
+  beta:Zkflow_field.Fp2.t ->
+  Zkflow_zkvm.Trace.mem_entry array ->
+  int array
+(** Every entry's {!term}, once, as unboxed coordinates: c0 of entry
+    [i] at [2i], c1 at [2i + 1], each below p. *)
+
+val terms_of_ints : alpha:Zkflow_field.Fp2.t -> beta:Zkflow_field.Fp2.t -> int array -> int array
+(** {!terms} of entries laid out as {!Zkflow_zkvm.Trace.decode_mem_into}
+    writes them, four ints each. *)
+
+val link_holds : z0:int -> z1:int -> t0:int -> t1:int -> next0:int -> next1:int -> bool
+(** [link_holds ~z0 ~z1 ~t0 ~t1 ~next0 ~next1] is whether one step of a
+    grand product holds over unboxed coordinates: (next0, next1) =
+    (z0, z1) · (t0, t1) in the extension field. Every coordinate must
+    be below p, as {!decode_z_into} and {!terms} leave them. *)
+
 val z_leaves :
   alpha:Zkflow_field.Fp2.t ->
   beta:Zkflow_field.Fp2.t ->
@@ -56,6 +74,12 @@ val decode_z :
   bytes -> (Zkflow_field.Fp2.t * Zkflow_field.Fp2.t, string) result
 (** Inverse of {!encode_z}, as [(time, sorted)]. Rejects a leaf that
     is not 16 bytes or whose halves are not both canonical. *)
+
+val decode_z_into : bytes -> int array -> int -> (unit, string) result
+(** [decode_z_into b dst r] is {!decode_z} without the boxes: it writes
+    the time column's two coordinates and then the sorted column's to
+    [dst.(4r) .. dst.(4r + 3)], and refuses what {!decode_z} refuses,
+    with the same message. *)
 
 val check_time : n_rows:int -> Zkflow_zkvm.Trace.mem_entry -> (unit, string) result
 (** An opened entry's time must lie in [\[0, n_rows)]. With

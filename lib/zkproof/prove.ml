@@ -16,19 +16,11 @@ let open_column tree set leaves =
     helpers = (Zkflow_merkle.Multiproof.prove tree set).Zkflow_merkle.Multiproof.helpers;
   }
 
-(* Phase-1 commitments depend only on the guest image and the traced
-   run, not on the proof parameters or the Fiat–Shamir transcript — so
-   proving the same run twice (the aggregate/query double-prove of a
-   round, chaos re-proves after a kill) can reuse the trees wholesale.
-   One slot is enough: rounds prove back-to-back over one run. Keyed on
-   physical identity of the trace arrays ([==]) plus the image id, so a
-   recomputed-but-equal trace misses rather than risking a stale hit.
-   The sorted log has no column of its own: its leaf j is leaf
-   [perm.(j)] of the time column. *)
-type commit_memo = {
-  memo_image : D.t;
-  memo_rows : Trace.row array;
-  memo_memlog : Trace.mem_entry array;
+(* The phase-1 commitments of one run: the rows, time-ordered log and
+   journal accumulator columns with their trees. The sorted log has no
+   column of its own: its leaf j is leaf [perm.(j)] of the time
+   column. *)
+type commitments = {
   rows_col : Column.t;
   rows_tree : Tree.t;
   time_col : Column.t;
@@ -39,10 +31,6 @@ type commit_memo = {
   jacc_tree : Tree.t;
 }
 
-let commit_cache : commit_memo option Atomic.t = Atomic.make None
-let clear_commit_cache () = Atomic.set commit_cache None
-let m_hits = Obs.Metric.counter "zkproof.commit_cache.hits"
-let m_misses = Obs.Metric.counter "zkproof.commit_cache.misses"
 let m_leaf_reused = Obs.Metric.counter "zkproof.leaf_hashes_reused"
 
 let node = Receipt.node
@@ -67,7 +55,7 @@ let jacc_column ~program rows =
     rows;
   col
 
-let build_commit_memo program (claim : Receipt.claim) rows memlog =
+let commit program rows memlog =
   (* The order check comes first, so a refused log costs no hashing. *)
   let* perm =
     Result.map_error (fun e -> "prove: " ^ e) (Memcheck.sort_perm memlog)
@@ -89,9 +77,6 @@ let build_commit_memo program (claim : Receipt.claim) rows memlog =
   let jacc_tree = Tree.of_leaves ~node jacc_col in
   Ok
     {
-      memo_image = claim.Receipt.image_id;
-      memo_rows = rows;
-      memo_memlog = memlog;
       rows_col;
       rows_tree;
       time_col;
@@ -121,32 +106,13 @@ let prove_result ?(params = Params.default) program (run : Machine.result) =
     let rows = run.Machine.rows and memlog = run.Machine.memlog in
     let n_rows = Array.length rows and n_mem = Array.length memlog in
     let t_prove = Obs.Span.start () in
-    (* Phase 1 commitments — memoised across prove calls over the same
-       run (see [commit_memo] above). *)
+    (* Phase 1 commitments. *)
     let t_commit = Obs.Span.start () in
-    let* memo, cached =
-      match Atomic.get commit_cache with
-      | Some m
-        when m.memo_rows == rows && m.memo_memlog == memlog
-             && D.equal m.memo_image claim.Receipt.image_id ->
-        Obs.Metric.add m_hits 1;
-        Ok (m, 1)
-      | _ ->
-        Obs.Metric.add m_misses 1;
-        (* The previous run's columns and trees are garbage from here,
-           not only once the new ones are built. *)
-        clear_commit_cache ();
-        let* m = build_commit_memo program claim rows memlog in
-        Atomic.set commit_cache (Some m);
-        Ok (m, 0)
-    in
-    let { rows_col; rows_tree; time_col; time_tree; perm; sorted_tree; jacc_col; jacc_tree; _ } =
-      memo
+    let* { rows_col; rows_tree; time_col; time_tree; perm; sorted_tree; jacc_col; jacc_tree } =
+      commit program rows memlog
     in
     if t_commit <> 0 then
-      Obs.Span.finish "zkproof.trace_commit"
-        ~args:[ ("rows", n_rows); ("mem", n_mem); ("cached", cached) ]
-        t_commit;
+      Obs.Span.finish "zkproof.trace_commit" ~args:[ ("rows", n_rows); ("mem", n_mem) ] t_commit;
     (* Phase 2 (inside the transcript callback so ordering is right):
        both grand-product columns in one tree, leaf j holding both
        values at j. Its span, [zkproof.memcheck_commit], nests inside
@@ -162,7 +128,8 @@ let prove_result ?(params = Params.default) program (run : Machine.result) =
     in
     let t_fs = Obs.Span.start () in
     let challenges, root_z =
-      Fs.derive ~claim ~queries:params.Params.queries ~n_rows ~n_mem
+      Fs.derive ~claim ~journal:(Receipt.journal_digest claim) ~queries:params.Params.queries
+        ~n_rows ~n_mem
         ~root_rows:(Tree.root rows_tree) ~root_time:(Tree.root time_tree)
         ~root_sorted:(Tree.root sorted_tree) ~root_jacc:(Tree.root jacc_tree)
         ~commit_z

@@ -34,18 +34,7 @@ val prove_result :
     logs them (see {!Memcheck.sort_perm}). A log that breaks this is
     refused with an [Error] naming the pair, before any hashing.
 
-    The phase-1 trace commitments (row / access-log / journal trees)
-    are memoised in a one-slot cache keyed on the physical identity of
-    the run's trace arrays plus the image id: proving the same run
-    again — e.g. re-deriving a receipt with different parameters, or a
-    chaos re-prove after a crash — reuses the trees instead of
-    re-hashing the whole trace. The cache holds each column as one flat
-    {!Zkflow_util.Column.t} next to its tree; a miss drops the previous
-    entry before building the new one. Counters
-    [zkproof.commit_cache.hits]/[.misses] record the traffic and
-    [zkproof.leaf_hashes_reused] the sorted-log leaves derived by
-    permutation instead of hashing. *)
+    The sorted log's tree permutes the time-ordered log's leaf
+    digests instead of hashing its leaves again; the counter
+    [zkproof.leaf_hashes_reused] records those leaves. *)
 
-val clear_commit_cache : unit -> unit
-(** Drop the phase-1 commitment cache (benchmarks call this between
-    arms so timings don't alias). *)

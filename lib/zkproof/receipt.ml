@@ -22,10 +22,7 @@ let journal_word_bytes w =
   b
 
 let journal_digest claim =
-  Zkflow_hash.Chain.head
-    (Array.fold_left
-       (fun chain w -> Zkflow_hash.Chain.extend chain (journal_word_bytes w))
-       Zkflow_hash.Chain.genesis claim.journal)
+  Zkflow_hash.Chain.head (Zkflow_hash.Chain.extend_words Zkflow_hash.Chain.genesis claim.journal)
 
 let claim_digest claim =
   Zkflow_hash.Digest32.of_bytes

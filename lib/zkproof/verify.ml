@@ -4,7 +4,6 @@ module Proof = Zkflow_merkle.Proof
 module Multiproof = Zkflow_merkle.Multiproof
 module Sha256 = Zkflow_hash.Sha256
 module D = Zkflow_hash.Digest32
-module Fp2 = Zkflow_field.Fp2
 module F = Zkflow_field.Babybear
 
 let ( let* ) = Result.bind
@@ -14,18 +13,29 @@ let require cond fmt =
   if cond then Format.ikfprintf (fun _ -> Ok ()) Format.str_formatter fmt
   else fail fmt
 
-(* One column of the seal, with the tree depth and the index set the
-   challenges open in it. [leaf c i] is the opened leaf at index [i];
-   every index the checks below ask for is in the set. *)
+(* One column of the seal, with the index set the challenges open in
+   it and that set's multiproof shape. The opened leaf at index [i]
+   sits at rank [Fs.rank c.set i] of the column; every index the checks
+   below ask for is in the set. *)
 type column = {
   name : string;
   root : D.t;
-  depth : int;
   set : int array;
+  shape : Multiproof.shape;
   col : Receipt.column;
 }
 
-let leaf c i = c.col.Receipt.leaves.(Fs.rank c.set i)
+(* The shape of a set the challenges open in a tree of [n] leaves. It
+   cannot be refused: every set [Fs] derives is ascending, repeats
+   nothing and stays inside the tree. *)
+let shape ~name n set =
+  match Multiproof.shape ~depth:(Multiproof.depth_of_size n) set with
+  | Ok shape -> Ok shape
+  | Error e -> fail "%s: %s" name e
+
+let column name root shape set col = { name; root; set; shape; col }
+
+let rank c i = Fs.rank c.set i
 
 (* The leaf and helper counts the index set implies, checked before
    any leaf or node is hashed. *)
@@ -36,56 +46,100 @@ let check_counts c =
       opened
   in
   let helpers = Bytes.length c.col.Receipt.helpers / 32
-  and need = Multiproof.helper_count ~depth:c.depth c.set in
+  and need = Multiproof.shape_helpers c.shape in
   require (helpers = need) "%s: %d helpers where the challenges need %d" c.name helpers
     need
 
-(* One multiproof per root: the column's leaves hashed in one batch
-   kernel call over a flat copy of them, then one climb that hashes
-   each distinct node once. *)
-let authenticate c =
-  let k = Array.length c.col.Receipt.leaves in
-  let digests = Bytes.create (32 * k) in
-  ignore
-    (Proof.leaves_into (Sha256.init ())
-       (Zkflow_util.Column.of_array c.col.Receipt.leaves)
-       ~dst:digests ~lo:0 ~hi:k
-      : int);
-  let proof = { Multiproof.depth = c.depth; indices = c.set; helpers = c.col.Receipt.helpers } in
-  require
-    (Multiproof.verify ~node:Receipt.node ~root:c.root proof digests)
-    "%s: multiproof does not reach the root" c.name
+(* One multiproof per root: the opened leaves hashed where they lie,
+   in one batch kernel call, into the first slots of [work], then one
+   climb there that hashes each distinct node once. *)
+let authenticate ctx work c =
+  let leaves = c.col.Receipt.leaves in
+  ignore (Proof.leaves_array_into ctx leaves ~dst:work ~lo:0 ~hi:(Array.length leaves) : int);
+  match Multiproof.root_of_shape ~node:Receipt.node c.shape ~helpers:c.col.Receipt.helpers work with
+  | Ok root when D.equal root c.root -> Ok ()
+  | _ -> fail "%s: multiproof does not reach the root" c.name
 
-let decode_row ~what leaf =
-  match Trace.decode_row leaf with
-  | Ok row -> Ok row
-  | Error e -> fail "%s: bad row leaf: %s" what e
+(* ---- the opened leaves, each decoded once, by rank ----
 
-(* An opened access-log entry, with every fingerprint coordinate below p:
-   [Trace.decode_mem] bounds the address and value, [check_time] the
-   time. *)
-let decode_mem ~n_rows ~what leaf =
-  match Trace.decode_mem leaf with
-  | Error msg -> fail "%s: bad mem leaf: %s" what msg
-  | Ok e -> (
-    match Memcheck.check_time ~n_rows e with
-    | Ok () -> Ok e
-    | Error msg -> fail "%s: %s" what msg)
+   A leaf that does not decode keeps its refusal, which the first
+   check that reads it reports under its own name, so the order and
+   text of every verdict are those of decoding at each use. *)
 
-let decode_z ~what leaf =
-  match Memcheck.decode_z leaf with
-  | Ok v -> Ok v
-  | Error msg -> fail "%s: bad z leaf: %s" what msg
+let opened_row ~what rows r =
+  match Trace.row rows r with Ok _ as ok -> ok | Error e -> fail "%s: bad row leaf: %s" what e
+
+(* The opened entries of an access log, four ints per rank as
+   [Trace.decode_mem_into] lays them out, each with every fingerprint
+   coordinate below p: [Trace.decode_mem_into] bounds the address and
+   value, [check_time] the time. [refusal] holds, for an entry that
+   fails either, the text after the check's name, and "" for the
+   rest. *)
+type log = { ints : int array; refusal : string array; terms : int array }
+
+let decode_log ~n_rows ~alpha ~beta c =
+  let leaves = c.col.Receipt.leaves in
+  let ints = Array.make (4 * Array.length leaves) 0
+  and refusal = Array.make (Array.length leaves) "" in
+  Array.iteri
+    (fun r leaf ->
+      match Trace.decode_mem_into leaf ints r with
+      | Error msg -> refusal.(r) <- "bad mem leaf: " ^ msg
+      | Ok () ->
+        Result.iter_error
+          (fun msg -> refusal.(r) <- msg)
+          (Memcheck.check_time ~n_rows (Trace.mem_at ints r)))
+    leaves;
+  { ints; refusal; terms = Memcheck.terms_of_ints ~alpha ~beta ints }
+
+let accepted refusal = String.length refusal = 0
+
+let entry_ok ~what log r =
+  if accepted log.refusal.(r) then Ok () else fail "%s: %s" what log.refusal.(r)
+
+let mem ~what log r =
+  match entry_ok ~what log r with Ok () -> Ok (Trace.mem_at log.ints r) | Error _ as e -> e
+
+(* The z leaves' coordinates, four per rank (time c0, c1, sorted c0,
+   c1), and each leaf's refusal, "" for none. *)
+type zs = { coords : int array; bad : string array }
+
+let decode_z c =
+  let leaves = c.col.Receipt.leaves in
+  let coords = Array.make (4 * Array.length leaves) 0
+  and bad = Array.make (Array.length leaves) "" in
+  Array.iteri
+    (fun r leaf ->
+      match Memcheck.decode_z_into leaf coords r with
+      | Ok () -> ()
+      | Error msg -> bad.(r) <- msg)
+    leaves;
+  { coords; bad }
+
+let z_ok ~what zs r =
+  if accepted zs.bad.(r) then Ok () else fail "%s: bad z leaf: %s" what zs.bad.(r)
 
 let decode_chain ~what leaf =
   if Bytes.length leaf <> 32 then fail "%s: bad chain leaf" what
   else Ok (Zkflow_hash.Chain.of_digest (D.of_bytes leaf))
 
+let chain ~what c r = decode_chain ~what c.col.Receipt.leaves.(r)
+
+(* The accumulator is public, so its heads are compared with one
+   [memcmp], not in constant time. *)
+let same_head a b =
+  Bytes.equal
+    (D.unsafe_to_bytes (Zkflow_hash.Chain.head a))
+    (D.unsafe_to_bytes (Zkflow_hash.Chain.head b))
+
 let rec all = function
   | [] -> Ok ()
-  | check :: rest ->
-    let* () = check () in
-    all rest
+  | check :: rest -> ( match check () with Ok () -> all rest | Error _ as e -> e)
+
+(* [f] on each index in order, stopping at the first refusal. *)
+let rec each idx k f =
+  if k = Array.length idx then Ok ()
+  else match f idx.(k) with Ok () -> each idx (k + 1) f | Error _ as e -> e
 
 (* The access spans of the step rows, which the time log's index set
    needs. They are read from the rows column's leaves before any
@@ -93,23 +147,38 @@ let rec all = function
    span must lie inside the log, and the spans together may own no
    more accesses than one column may open, so the set stays small
    whatever the seal claims. *)
-let step_spans ~n_mem ~queries rows step_idx =
-  let rec go k budget spans =
-    if k = Array.length step_idx then Ok (Array.of_list (List.rev spans))
+let step_spans ~n_mem ~queries rows decoded step_idx =
+  let spans = Array.make (Array.length step_idx) (0, 0) in
+  let rec go k budget =
+    if k = Array.length step_idx then Ok spans
     else
-      let* row = decode_row ~what:"step.row" (leaf rows step_idx.(k)) in
-      let pos = row.Trace.mem_pos and count = row.Trace.mem_count in
-      let* () =
-        require (pos <= n_mem && count <= n_mem - pos) "step.row: access span outside the log"
-      in
-      let* () = require (count <= budget) "step.row: access spans past the column bound" in
-      go (k + 1) (budget - count) ((pos, count) :: spans)
+      let* r = opened_row ~what:"step.row" decoded (rank rows step_idx.(k)) in
+      let pos = r.Trace.mem_pos and count = r.Trace.mem_count in
+      if not (pos <= n_mem && count <= n_mem - pos) then
+        fail "step.row: access span outside the log"
+      else if count > budget then fail "step.row: access spans past the column bound"
+      else begin
+        spans.(k) <- (pos, count);
+        go (k + 1) (budget - count)
+      end
   in
-  go 0 (Receipt.max_leaves ~queries) []
+  go 0 (Receipt.max_leaves ~queries)
 
-let check_step ~program ~n_rows ~rows ~jacc ~time i =
-  let* row = decode_row ~what:"step.row" (leaf rows i) in
-  let* next = decode_row ~what:"step.next" (leaf rows (i + 1)) in
+(* The accesses the row's instruction implies, against the log entries
+   it owns, from the [k]th on. *)
+let rec check_accesses ~time ~time_log ~(row : Trace.row) k = function
+  | [] -> Ok ()
+  | expected :: rest ->
+    let* entry = mem ~what:"step.mem" time_log (rank time (row.Trace.mem_pos + k)) in
+    if Checker.matches expected entry ~time:row.Trace.cycle then
+      check_accesses ~time ~time_log ~row (k + 1) rest
+    else fail "step: access %d does not match instruction semantics" k
+
+let check_step ~program ~rows ~decoded ~jacc ~time ~time_log i =
+  (* The jacc column opens the rows' indices: one rank serves both. *)
+  let ri = rank rows i and rn = rank rows (i + 1) in
+  let* row = opened_row ~what:"step.row" decoded ri in
+  let* next = opened_row ~what:"step.next" decoded rn in
   let* () = require (row.Trace.cycle = i) "step: row cycle <> index" in
   let* accesses = Checker.check_row ~program row in
   let* () = Checker.check_pair ~program row ~next in
@@ -122,50 +191,48 @@ let check_step ~program ~n_rows ~rows ~jacc ~time i =
       (next.Trace.mem_pos = row.Trace.mem_pos + row.Trace.mem_count)
       "step: access log not contiguous"
   in
-  let* () =
-    all
-      (List.mapi
-         (fun k expected () ->
-           let* entry =
-             decode_mem ~n_rows ~what:"step.mem" (leaf time (row.Trace.mem_pos + k))
-           in
-           require
-             (Checker.matches expected entry ~time:row.Trace.cycle)
-             "step: access %d does not match instruction semantics" k)
-         accesses)
-  in
+  let* () = check_accesses ~time ~time_log ~row 0 accesses in
   (* Journal accumulator link. *)
-  let* jacc_i = decode_chain ~what:"step.jacc" (leaf jacc i) in
-  let* jacc_next = decode_chain ~what:"step.jacc_next" (leaf jacc (i + 1)) in
+  let* jacc_i = chain ~what:"step.jacc" jacc ri in
+  let* jacc_next = chain ~what:"step.jacc_next" jacc rn in
   require
-    (Zkflow_hash.Chain.equal (Checker.jacc_step ~program jacc_i next) jacc_next)
+    (same_head (Checker.jacc_step ~program jacc_i next) jacc_next)
     "step: journal accumulator mismatch"
 
-let check_sorted ~n_rows ~sorted j =
-  let* e1 = decode_mem ~n_rows ~what:"sorted.first" (leaf sorted j) in
-  let* e2 = decode_mem ~n_rows ~what:"sorted.second" (leaf sorted (j + 1)) in
+let check_sorted ~sorted ~sorted_log j =
+  let* e1 = mem ~what:"sorted.first" sorted_log (rank sorted j) in
+  let* e2 = mem ~what:"sorted.second" sorted_log (rank sorted (j + 1)) in
   Memcheck.check_adjacent e1 e2
 
-(* A grand-product link of one column: [half] picks that column's value
-   out of a shared z leaf, and [log] is that column's access log. *)
-let check_z ~alpha ~beta ~n_rows ~z ~half ~log j =
-  let* zj = decode_z ~what:"z" (leaf z j) in
-  let* zj1 = decode_z ~what:"z.next" (leaf z (j + 1)) in
-  let* entry = decode_mem ~n_rows ~what:"z.entry" (leaf log (j + 1)) in
-  require
-    (Fp2.equal (half zj1) (Fp2.mul (half zj) (Memcheck.term ~alpha ~beta entry)))
-    "z: grand-product link broken"
+(* A grand-product link of one column: [half] is 0 for the time
+   column's coordinates in a z leaf and 2 for the sorted column's, and
+   [log] is that column's access log with its terms. *)
+let check_z ~z ~zs ~half ~log ~entries j =
+  let coords = zs.coords in
+  let a = rank z j and b = rank z (j + 1) in
+  let* () = z_ok ~what:"z" zs a in
+  let* () = z_ok ~what:"z.next" zs b in
+  let e = rank log (j + 1) in
+  let* () = entry_ok ~what:"z.entry" entries e in
+  let at r = coords.((4 * r) + half) and at1 r = coords.((4 * r) + half + 1) in
+  if
+    Memcheck.link_holds ~z0:(at a) ~z1:(at1 a) ~t0:entries.terms.(2 * e)
+      ~t1:entries.terms.((2 * e) + 1)
+      ~next0:(at b) ~next1:(at1 b)
+  then Ok ()
+  else fail "z: grand-product link broken"
 
-let check_boundary ~program ~claim ~n_rows ~n_mem ~alpha ~beta ~rows ~jacc ~time ~sorted
-    ~z =
+let check_boundary ~program ~claim ~journal ~n_rows ~n_mem ~rows ~decoded ~jacc ~time
+    ~time_log ~sorted ~sorted_log ~z ~zs =
+  let coords = zs.coords in
   (* Entry conditions. *)
-  let* row0 = decode_row ~what:"bd.row0" (leaf rows 0) in
+  let* row0 = opened_row ~what:"bd.row0" decoded (rank rows 0) in
   let* () =
     require
       (row0.Trace.cycle = 0 && row0.Trace.pc = 0 && row0.Trace.mem_pos = 0)
       "boundary: execution must start at pc 0"
   in
-  let* jacc0 = decode_chain ~what:"bd.jacc0" (leaf jacc 0) in
+  let* jacc0 = chain ~what:"bd.jacc0" jacc (rank jacc 0) in
   let* () =
     require
       (Zkflow_hash.Chain.equal
@@ -174,7 +241,7 @@ let check_boundary ~program ~claim ~n_rows ~n_mem ~alpha ~beta ~rows ~jacc ~time
       "boundary: journal accumulator base"
   in
   (* Exit conditions. *)
-  let* last = decode_row ~what:"bd.last" (leaf rows (n_rows - 1)) in
+  let* last = opened_row ~what:"bd.last" decoded (rank rows (n_rows - 1)) in
   let* () = require (last.Trace.cycle = n_rows - 1) "boundary: last row cycle" in
   let* () =
     require (Checker.is_halt_row ~program last) "boundary: last row is not a halt"
@@ -189,29 +256,34 @@ let check_boundary ~program ~claim ~n_rows ~n_mem ~alpha ~beta ~rows ~jacc ~time
       (last.Trace.mem_pos + last.Trace.mem_count = n_mem)
       "boundary: access log length mismatch"
   in
-  let* jacc_last = decode_chain ~what:"bd.jacc_last" (leaf jacc (n_rows - 1)) in
+  let* jacc_last = chain ~what:"bd.jacc_last" jacc (rank jacc (n_rows - 1)) in
   let* () =
     require
-      (D.equal (Zkflow_hash.Chain.head jacc_last) (Receipt.journal_digest claim))
+      (D.equal (Zkflow_hash.Chain.head jacc_last) journal)
       "boundary: journal does not match accumulator"
   in
   (* Memory-argument boundaries. *)
-  let* sorted0 = decode_mem ~n_rows ~what:"bd.sorted0" (leaf sorted 0) in
+  let s0 = rank sorted 0 and t0 = rank time 0 and z0 = rank z 0 in
+  let* sorted0 = mem ~what:"bd.sorted0" sorted_log s0 in
   let* () = Memcheck.check_first sorted0 in
-  let* time0 = decode_mem ~n_rows ~what:"bd.time0" (leaf time 0) in
-  let* zt0, zs0 = decode_z ~what:"bd.z0" (leaf z 0) in
+  let* () = entry_ok ~what:"bd.time0" time_log t0 in
+  let* () = z_ok ~what:"bd.z0" zs z0 in
   let* () =
     require
-      (Fp2.equal zt0 (Memcheck.term ~alpha ~beta time0))
+      (coords.(4 * z0) = time_log.terms.(2 * t0)
+      && coords.((4 * z0) + 1) = time_log.terms.((2 * t0) + 1))
       "boundary: z_time base"
   in
   let* () =
     require
-      (Fp2.equal zs0 (Memcheck.term ~alpha ~beta sorted0))
+      (coords.((4 * z0) + 2) = sorted_log.terms.(2 * s0)
+      && coords.((4 * z0) + 3) = sorted_log.terms.((2 * s0) + 1))
       "boundary: z_sorted base"
   in
-  let* zt_last, zs_last = decode_z ~what:"bd.z_last" (leaf z (n_mem - 1)) in
-  require (Fp2.equal zt_last zs_last)
+  let zl = rank z (n_mem - 1) in
+  let* () = z_ok ~what:"bd.z_last" zs zl in
+  require
+    (coords.(4 * zl) = coords.((4 * zl) + 2) && coords.((4 * zl) + 1) = coords.((4 * zl) + 3))
     "boundary: grand products differ (access logs are not a permutation)"
 
 let verify ~program (t : Receipt.t) =
@@ -228,8 +300,11 @@ let verify ~program (t : Receipt.t) =
   let* () = require (n_rows < F.p) "verify: trace longer than the field order" in
   let* () = require (n_mem >= 1) "verify: empty access log" in
   let queries = seal.Receipt.params.Params.queries in
+  (* The journal digest, once: the transcript absorbs it and the
+     boundary check compares the accumulator's last head with it. *)
+  let journal = Receipt.journal_digest claim in
   let challenges, _ =
-    Fs.derive ~claim ~queries ~n_rows ~n_mem ~root_rows:seal.Receipt.root_rows
+    Fs.derive ~claim ~journal ~queries ~n_rows ~n_mem ~root_rows:seal.Receipt.root_rows
       ~root_time:seal.Receipt.root_time ~root_sorted:seal.Receipt.root_sorted
       ~root_jacc:seal.Receipt.root_jacc
       ~commit_z:(fun ~alpha:_ ~beta:_ -> seal.Receipt.root_z)
@@ -237,33 +312,44 @@ let verify ~program (t : Receipt.t) =
   let { Fs.alpha; beta; step_idx; sorted_idx; zt_idx; zs_idx } = challenges in
   (* What each root must open, and how many helpers prove it: all
      fixed before any leaf or node is hashed. *)
-  let column name root n set col =
-    { name; root; depth = Multiproof.depth_of_size n; set; col }
-  in
   let rows_set = Fs.rows_opened ~n_rows challenges in
-  let rows = column "rows" seal.Receipt.root_rows n_rows rows_set seal.Receipt.rows
-  and jacc = column "jacc" seal.Receipt.root_jacc n_rows rows_set seal.Receipt.jacc in
+  (* The jacc column opens the rows' indices, under the same shape. *)
+  let* rows_shape = shape ~name:"rows" n_rows rows_set in
+  let rows = column "rows" seal.Receipt.root_rows rows_shape rows_set seal.Receipt.rows
+  and jacc = column "jacc" seal.Receipt.root_jacc rows_shape rows_set seal.Receipt.jacc in
   let* () = check_counts rows in
   let* () = check_counts jacc in
-  let* spans = step_spans ~n_mem ~queries rows step_idx in
+  let decoded = Trace.decode_rows rows.col.Receipt.leaves in
+  let* spans = step_spans ~n_mem ~queries rows decoded step_idx in
   let opened = Fs.opened ~n_rows ~n_mem ~spans challenges in
-  let time = column "time" seal.Receipt.root_time n_mem opened.Fs.time seal.Receipt.time
-  and sorted =
-    column "sorted" seal.Receipt.root_sorted n_mem opened.Fs.sorted seal.Receipt.sorted
-  and z = column "z" seal.Receipt.root_z n_mem opened.Fs.z seal.Receipt.z in
-  let* () = all (List.map (fun c () -> check_counts c) [ time; sorted; z ]) in
-  let* () = all (List.map (fun c () -> authenticate c) [ rows; jacc; time; sorted; z ]) in
-  let each idx f = List.map (fun j () -> f j) (Array.to_list idx) in
-  let* () =
-    all
-      (List.concat
-         [
-           each step_idx (check_step ~program ~n_rows ~rows ~jacc ~time);
-           each sorted_idx (check_sorted ~n_rows ~sorted);
-           each zt_idx (check_z ~alpha ~beta ~n_rows ~z ~half:fst ~log:time);
-           each zs_idx (check_z ~alpha ~beta ~n_rows ~z ~half:snd ~log:sorted);
-         ])
+  let log name root set col =
+    let* s = shape ~name n_mem set in
+    Ok (column name root s set col)
   in
-  check_boundary ~program ~claim ~n_rows ~n_mem ~alpha ~beta ~rows ~jacc ~time ~sorted ~z
+  let* time = log "time" seal.Receipt.root_time opened.Fs.time seal.Receipt.time in
+  let* sorted = log "sorted" seal.Receipt.root_sorted opened.Fs.sorted seal.Receipt.sorted in
+  let* z = log "z" seal.Receipt.root_z opened.Fs.z seal.Receipt.z in
+  let* () = check_counts time in
+  let* () = check_counts sorted in
+  let* () = check_counts z in
+  (* One work buffer serves the five climbs, each in turn. *)
+  let columns = [ rows; jacc; time; sorted; z ] in
+  let widest = List.fold_left (fun k c -> Int.max k (Array.length c.set)) 0 columns in
+  let ctx = Sha256.init () and work = Bytes.create (32 * 3 * widest) in
+  let* () = all (List.map (fun c () -> authenticate ctx work c) columns) in
+  let time_log = decode_log ~n_rows ~alpha ~beta time
+  and sorted_log = decode_log ~n_rows ~alpha ~beta sorted
+  and zs = decode_z z in
+  let* () = each step_idx 0 (check_step ~program ~rows ~decoded ~jacc ~time ~time_log) in
+  let* () = each sorted_idx 0 (check_sorted ~sorted ~sorted_log) in
+  let* () =
+    each zt_idx 0 (check_z ~z ~zs ~half:0 ~log:time ~entries:time_log)
+  in
+  let* () =
+    each zs_idx 0
+      (check_z ~z ~zs ~half:2 ~log:sorted ~entries:sorted_log)
+  in
+  check_boundary ~program ~claim ~journal ~n_rows ~n_mem ~rows ~decoded ~jacc ~time
+    ~time_log ~sorted ~sorted_log ~z ~zs
 
 let check ~program t = Result.is_ok (verify ~program t)

@@ -113,63 +113,127 @@ let encode_all ~size ~put a =
 let encode_rows = encode_all ~size:row_size ~put:put_row
 let encode_memlog = encode_all ~size:mem_size ~put:put_mem
 
-let decode_row b =
+(* Row leaves are decoded in two steps. First every varint of a leaf,
+   in order, into one int array shared by all the leaves decoded
+   together, up to the leaf's end or the first varint that does not
+   decode, whose refusal is kept. Then, per use, the row record is read
+   from those ints with the checks of a sequential decode: a field past
+   the last varint raises the kept refusal (or "truncated" at a clean
+   end), and ints, or refused bytes, left after the last field are
+   trailing bytes. So a leaf's verdict is the one reading its bytes
+   field by field gives. *)
+type rows = { fields : int array; start : int array; refusal : string array }
+
+let decode_rows leaves =
+  (* Each varint ends on a byte below 0x80. *)
+  let bound = ref 0 in
+  Array.iter
+    (fun b ->
+      for i = 0 to Bytes.length b - 1 do
+        if Char.code (Bytes.unsafe_get b i) < 0x80 then incr bound
+      done)
+    leaves;
+  let bound = !bound in
+  let fields = Array.make bound 0 and start = Array.make (Array.length leaves + 1) 0 in
+  let refusal = Array.make (Array.length leaves) "" in
+  let k = ref 0 in
+  Array.iteri
+    (fun r b ->
+      let pos = ref 0 in
+      (try
+         while !pos < Bytes.length b do
+           fields.(!k) <- Varint.get b pos;
+           incr k
+         done
+       with Invalid_argument msg -> refusal.(r) <- msg);
+      start.(r + 1) <- !k)
+    leaves;
+  { fields; start; refusal }
+
+(* One parse's position in [t.fields], read field by field. *)
+type cursor = { t : rows; mutable at : int; stop : int; kept : string }
+
+let[@inline] next c =
+  if c.at >= c.stop then
+    invalid_arg (if c.kept = "" then "Varint.read: truncated" else c.kept);
+  let x = c.t.fields.(c.at) in
+  c.at <- c.at + 1;
+  x
+
+let words c =
+  let n = next c in
+  if n > 64 then failwith "trace row: implausible array";
+  let a = Array.make n 0 in
+  for i = 0 to n - 1 do
+    a.(i) <- next c
+  done;
+  a
+
+let row t r =
+  let c = { t; at = t.start.(r); stop = t.start.(r + 1); kept = t.refusal.(r) } in
   match
-    let off = ref 0 in
-    let v () =
-      let x, o = Varint.read b !off in
-      off := o;
-      x
-    in
-    let words () =
-      let n = v () in
-      if n > 64 then failwith "trace row: implausible array";
-      Array.init n (fun _ -> v ())
-    in
-    let cycle = v () and pc = v () and next_pc = v () in
+    let cycle = next c in
+    let pc = next c in
+    let next_pc = next c in
     let kind =
-      match v () with
+      match next c with
       | 0 -> Exec
       | 1 ->
-        let block_index = v () in
-        let total_words = v () in
-        let src = v () in
-        let dst = v () in
-        let block = words () in
-        let pre = words () in
-        let post = words () in
+        let block_index = next c in
+        let total_words = next c in
+        let src = next c in
+        let dst = next c in
+        let block = words c in
+        let pre = words c in
+        let post = words c in
         if Array.length block <> 16 || Array.length pre <> 8 || Array.length post <> 8
         then failwith "trace row: bad sha shapes";
         Sha_block { block_index; total_words; src; dst; block; pre; post }
       | _ -> failwith "trace row: unknown kind"
     in
-    let rs1 = v () and rs2 = v () and rd = v () in
-    let aux = words () in
-    let mem_pos = v () and mem_count = v () in
-    if !off <> Bytes.length b then failwith "trace row: trailing bytes";
+    let rs1 = next c in
+    let rs2 = next c in
+    let rd = next c in
+    let aux = words c in
+    let mem_pos = next c in
+    let mem_count = next c in
+    if c.at <> c.stop || c.kept <> "" then failwith "trace row: trailing bytes";
     { cycle; pc; next_pc; kind; rs1; rs2; rd; aux; mem_pos; mem_count }
   with
   | r -> Ok r
   | exception Failure msg -> Error msg
   | exception Invalid_argument msg -> Error msg
 
-let decode_mem b =
+let decode_row b = row (decode_rows [| b |]) 0
+
+let decode_mem_into b dst r =
   match
-    let addr, o = Varint.read b 0 in
-    let time, o = Varint.read b o in
-    let w, o = Varint.read b o in
-    let value, o = Varint.read b o in
-    if o <> Bytes.length b then failwith "mem entry: trailing bytes";
+    let pos = ref 0 in
+    let addr = Varint.get b pos in
+    let time = Varint.get b pos in
+    let w = Varint.get b pos in
+    let value = Varint.get b pos in
+    if !pos <> Bytes.length b then failwith "mem entry: trailing bytes";
     if w <> 0 && w <> 1 then failwith "mem entry: bad write flag";
     if value < 0 || value > 0xffffffff then
       failwith "mem entry: value out of 32-bit range";
     if not ((0 <= addr && addr < ram_limit) || (reg_base <= addr && addr < reg_base + 32))
     then failwith "mem entry: address outside RAM and the register file";
-    { addr; time; write = w = 1; value }
+    dst.(4 * r) <- addr;
+    dst.((4 * r) + 1) <- time;
+    dst.((4 * r) + 2) <- w;
+    dst.((4 * r) + 3) <- value
   with
-  | e -> Ok e
+  | () -> Ok ()
   | exception Failure msg -> Error msg
   | exception Invalid_argument msg -> Error msg
+
+let mem_at a r =
+  { addr = a.(4 * r); time = a.((4 * r) + 1); write = a.((4 * r) + 2) = 1; value = a.((4 * r) + 3) }
+
+let decode_mem b =
+  let a = Array.make 4 0 in
+  match decode_mem_into b a 0 with Ok () -> Ok (mem_at a 0) | Error e -> Error e
 
 let mem_order a b =
   match Int.compare a.addr b.addr with

@@ -73,6 +73,18 @@ val encode_rows : row array -> Zkflow_util.Column.t
 val decode_row : bytes -> (row, string) result
 (** Inverse of one leaf of {!encode_rows}. *)
 
+type rows
+(** Row leaves decoded once into unboxed ints: every varint of every
+    leaf in one int array. *)
+
+val decode_rows : bytes array -> rows
+(** [decode_rows leaves] reads every varint of every leaf once. *)
+
+val row : rows -> int -> (row, string) result
+(** [row t r] is {!decode_row} of leaf [r], read from [t]'s ints
+    without parsing its bytes again: the same row, or the same refusal
+    with the same message. *)
+
 val encode_memlog : mem_entry array -> Zkflow_util.Column.t
 (** The access-log column. Leaf [i] is [addr], [time], the write flag
     (0 or 1) and [value] of [log.(i)] as varints. It is built as
@@ -86,6 +98,15 @@ val decode_mem : bytes -> (mem_entry, string) result
     ([\[reg_base, reg_base + 32)]). Every coordinate the memory-check
     fingerprint reads is then below the field modulus, except [time],
     which the verifier bounds by the trace length. *)
+
+val decode_mem_into : bytes -> int array -> int -> (unit, string) result
+(** [decode_mem_into b dst r] is {!decode_mem} without the record: it
+    writes the entry's address, time, write flag (0 or 1) and value to
+    [dst.(4r) .. dst.(4r + 3)], and refuses what {!decode_mem} refuses,
+    with the same message, before writing anything. *)
+
+val mem_at : int array -> int -> mem_entry
+(** [mem_at dst r] is the entry {!decode_mem_into} wrote at [r]. *)
 
 val mem_order : mem_entry -> mem_entry -> int
 (** Order by (addr, time, write): the sort used by the offline memory

@@ -587,6 +587,31 @@ let test_chaos_crash_plan_names_restarts () =
   check_bool "reports the crash" true (contains ~needle:"crashes: 1 injected" out);
   check_one_verdict dir ~reasons:[ "prover-restarts" ]
 
+(* The flood phase's throwaway daemon records into its own ring; only
+   its admissions reach the run's log. Its publications used to make
+   the main run's routers read as lagging. *)
+let test_chaos_flood_names_admission_only () =
+  let dir = fresh_dir () in
+  let plan = Filename.concat dir "plan.json" in
+  write_text plan
+    {|{"seed": 202, "name": "cli-flood",
+       "faults": [{"kind": "flood", "windows": 12, "capacity": 4}]}|};
+  let code, out = run ([ "chaos"; "--dir"; dir; "--plan"; plan ] @ chaos_flags) in
+  check_int ("chaos: " ^ out) 0 code;
+  check_bool ("slo fired = expected: " ^ out) true
+    (contains ~needle:"expected [ingest-admission] fired [ingest-admission] -> OK" out);
+  check_one_verdict dir ~reasons:[ "ingest-admission" ];
+  List.iter
+    (fun args ->
+      let _, out = run args in
+      check_bool (List.hd args ^ " does not name router-lag: " ^ out) false
+        (contains ~needle:"router-lag" out))
+    [
+      [ "monitor"; "--dir"; dir; "--strict" ];
+      [ "slo"; "--dir"; dir; "--strict" ];
+      [ "watch"; "--dir"; dir; "--probe"; "/healthz" ];
+    ]
+
 let test_chaos_dropped_export_fails_strict_monitor () =
   let dir = fresh_dir () in
   let plan = Filename.concat dir "plan.json" in
@@ -944,6 +969,8 @@ let () =
             test_chaos_crash_plan_names_restarts;
           Alcotest.test_case "dropped export: degraded + strict monitor fails" `Slow
             test_chaos_dropped_export_fails_strict_monitor;
+          Alcotest.test_case "flood plan: only ingest-admission, no router-lag" `Slow
+            test_chaos_flood_names_admission_only;
         ] );
       ( "telemetry-plane",
         [

@@ -523,6 +523,28 @@ let prop_kernel_leaves =
       in
       Bytes.equal live reference && hashed = ref_hashed && c = ref_c && c = blocks)
 
+(* The array kernel against the column kernel over [Column.of_array]
+   of the same leaves, on whichever kernel is live: the same slots,
+   hashed count and compressions. *)
+let prop_kernel_leaves_array =
+  QCheck.Test.make ~name:"leaves_array_into = leaves_into over of_array" ~count:300
+    leaves_case (fun (leaves, lo, hi, extra, junk, tagged) ->
+      let col = column_of_case leaves junk in
+      let n = Zkflow_util.Column.length col in
+      let arr = Array.init n (Zkflow_util.Column.leaf col) in
+      let prefix = Bytes.of_string (if tagged then "zkflow.lf.v1" else "") in
+      let buf = Bytes.init (32 * (n + extra)) (fun k -> Char.chr (k land 0xff)) in
+      let live = Bytes.copy buf and reference = Bytes.copy buf in
+      let hashed, c =
+        counted (fun () -> Sha256.leaves_array_into (Sha256.init ()) ~prefix arr ~dst:live ~lo ~hi)
+      in
+      let ref_hashed, ref_c =
+        counted (fun () ->
+            Sha256.leaves_into (Sha256.init ()) ~prefix (Zkflow_util.Column.of_array arr)
+              ~dst:reference ~lo ~hi)
+      in
+      Bytes.equal live reference && hashed = ref_hashed && c = ref_c)
+
 (* The leaf rule's own entry point and [Tree.of_leaves] on one column:
    the tree's leaf slots are the per-leaf digests. *)
 let prop_kernel_leaf_rule =
@@ -604,7 +626,25 @@ let test_kernel_refusals () =
   (* offsets outside the window are not read *)
   check_int "leaves accepted" 2
     (Sha256.leaves_into (Sha256.init ()) ~prefix (with_off [| 9; 0; 1; 3; -5 |]) ~dst ~lo:1
-       ~hi:3)
+       ~hi:3);
+  let array_error =
+    Invalid_argument "Sha256.leaves_array_into: window out of range or overlapping"
+  in
+  let arr = Array.init 4 (fun i -> Bytes.make i 'x') in
+  let array what ?(prefix = prefix) ?(arr = arr) ~dst ~lo ~hi () =
+    refuses ("leaves array " ^ what) array_error
+      (fun () -> ignore (Sha256.leaves_array_into (Sha256.init ()) ~prefix arr ~dst ~lo ~hi))
+      dst
+  in
+  array "negative lo" ~dst ~lo:(-1) ~hi:2 ();
+  array "hi below lo" ~dst ~lo:2 ~hi:1 ();
+  array "hi past the leaves" ~dst ~lo:0 ~hi:5 ();
+  array "hi past the slots" ~dst:(Bytes.make 95 'd') ~lo:0 ~hi:3 ();
+  array "huge hi" ~dst ~lo:0 ~hi:max_int ();
+  array "slots over the prefix" ~prefix:dst ~dst ~lo:0 ~hi:1 ();
+  array "slots over a leaf" ~arr:[| Bytes.empty; dst |] ~dst ~lo:0 ~hi:1 ();
+  check_int "leaves array accepted" 2
+    (Sha256.leaves_array_into (Sha256.init ()) ~prefix arr ~dst ~lo:1 ~hi:3)
 
 (* ---- Fiat–Shamir transcript ----
 
@@ -804,6 +844,7 @@ let () =
           on_hardware (q prop_kernel_node64_overlap);
           on_hardware (q prop_kernel_level);
           on_hardware (q prop_kernel_leaves);
+          q prop_kernel_leaves_array;
           q prop_kernel_leaf_rule;
           Alcotest.test_case "batch windows refused" `Quick test_kernel_refusals;
         ] );

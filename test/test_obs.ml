@@ -697,7 +697,9 @@ let test_monitor_rounds_and_rejects () =
 (* One verdict on every surface: each fixed log carries the reasons
    {!Monitor.verdict} must give it, and /healthz of a {!Watch} handler
    over the same log must answer the same verdict, 200 or 503. *)
-let test_one_verdict () =
+(* Twelve fixed logs, one per reason a verdict can name (and the
+   clean and recovered ones), with the reasons each must yield. *)
+let one_verdict_cases =
   let ms n = n * 1_000_000 in
   (* two routers publish three epochs, each proved and accepted *)
   let clean =
@@ -756,6 +758,10 @@ let test_one_verdict () =
         [] );
     ]
   in
+  cases
+
+let test_one_verdict () =
+  let cases = one_verdict_cases in
   List.iter
     (fun (name, events, expected) ->
       let v = Monitor.verdict events in
@@ -780,6 +786,132 @@ let test_one_verdict () =
           (Jsonx.member "reasons" body
           = Some (Jsonx.Arr (List.map (fun s -> Jsonx.Str s) expected))))
     cases
+
+(* ---- the SLO engine against its per-window reference ----
+
+   [Slo.evaluate] classifies each event once per spec and answers every
+   window count by binary search. The reference below is the
+   evaluation it replaced, one pass over the log per count; both must
+   render the same [Slo.to_json]. *)
+
+module Slo_reference = struct
+  let matches_any patterns kind = List.exists (fun p -> Slo.kind_matches p kind) patterns
+
+  let count_in events ~from_ns ~to_ns patterns =
+    List.fold_left
+      (fun acc (e : Event.t) ->
+        if e.Event.ts_ns >= from_ns && e.Event.ts_ns <= to_ns && matches_any patterns e.Event.kind
+        then acc + 1
+        else acc)
+      0 events
+
+  let burn_rate ~target ~good ~bad =
+    let total = good + bad in
+    if total = 0 then 0.
+    else
+      let bad_fraction = float_of_int bad /. float_of_int total in
+      let budget = 1. -. target in
+      if budget <= 0. then if bad > 0 then infinity else 0. else bad_fraction /. budget
+
+  let eval_window ~now_ns ~start_ns events (spec : Slo.spec) (w : Slo.window) =
+    let rate span_s =
+      let from_ns = max start_ns (now_ns - int_of_float (span_s *. 1e9)) in
+      let good = count_in events ~from_ns ~to_ns:now_ns spec.Slo.good in
+      let bad = count_in events ~from_ns ~to_ns:now_ns spec.Slo.bad in
+      burn_rate ~target:spec.Slo.target ~good ~bad
+    in
+    let long_burn = rate w.Slo.long_s and short_burn = rate w.Slo.short_s in
+    {
+      Slo.window = w;
+      long_burn;
+      short_burn;
+      w_firing = long_burn >= w.Slo.burn_threshold && short_burn >= w.Slo.burn_threshold;
+    }
+
+  let causes_of events (spec : Slo.spec) =
+    List.filteri
+      (fun i _ -> i < 8)
+      (List.filter_map
+         (fun (e : Event.t) ->
+           if matches_any spec.Slo.bad e.Event.kind then
+             Some
+               {
+                 Slo.cause_kind = e.Event.kind;
+                 cause_router = e.Event.router;
+                 cause_epoch = e.Event.epoch;
+                 cause_round = e.Event.round;
+               }
+           else None)
+         events)
+
+  let eval_spec ~now_ns ~start_ns events (spec : Slo.spec) =
+    let window_evals = List.map (eval_window ~now_ns ~start_ns events spec) spec.Slo.windows in
+    let firing = List.exists (fun we -> we.Slo.w_firing) window_evals in
+    {
+      Slo.spec;
+      good_count = count_in events ~from_ns:start_ns ~to_ns:now_ns spec.Slo.good;
+      bad_count = count_in events ~from_ns:start_ns ~to_ns:now_ns spec.Slo.bad;
+      window_evals;
+      firing;
+      causes = (if firing then causes_of events spec else []);
+    }
+
+  let first_gap_opens events =
+    let seen = Hashtbl.create 16 in
+    List.filter
+      (fun (e : Event.t) ->
+        match (e.Event.kind, e.Event.router, e.Event.epoch) with
+        | "prover.gap.open", Some router, Some epoch ->
+          let fresh = not (Hashtbl.mem seen (router, epoch)) in
+          Hashtbl.replace seen (router, epoch) ();
+          fresh
+        | _ -> true)
+      events
+
+  let evaluate events =
+    let events = first_gap_opens events in
+    let now_ns = List.fold_left (fun acc (e : Event.t) -> max acc e.Event.ts_ns) 0 events in
+    let start_ns = List.fold_left (fun acc (e : Event.t) -> min acc e.Event.ts_ns) now_ns events in
+    List.map (eval_spec ~now_ns ~start_ns events) Slo.default_specs
+end
+
+let slo_json alerts = Jsonx.to_string (Slo.to_json alerts)
+
+let test_slo_fixed_logs () =
+  List.iter
+    (fun (name, events, _) ->
+      Alcotest.(check string) name
+        (slo_json (Slo_reference.evaluate events))
+        (slo_json (Slo.evaluate events)))
+    one_verdict_cases
+
+(* Logs over every kind the default specs read, and some they do not,
+   with timestamps spread over hours (so events fall inside and
+   outside each window pair), out of order, repeated, and with gaps
+   re-announced. *)
+let prop_slo_equals_reference =
+  let kinds =
+    [|
+      "board.publish"; "board.reject"; "prover.gap.open"; "prover.gap.heal";
+      "prover.round.done"; "prover.round.error"; "prover.query.done"; "prover.query.error";
+      "prover.resume"; "verifier.round.accept"; "verifier.query.accept"; "verifier.reject";
+      "daemon.ingest.accept"; "daemon.ingest.shed"; "daemon.ingest.duplicate"; "store.window";
+      "fault.crash";
+    |]
+  in
+  let event =
+    QCheck.Gen.(
+      map
+        (fun (k, (ts, spread), (router, epoch)) ->
+          ev ?router ?epoch ~ts:(ts * spread) "t" kinds.(k))
+        (triple
+           (int_bound (Array.length kinds - 1))
+           (pair (int_bound 10_000) (oneofl [ 1; 1_000_000; 1_000_000_000 ]))
+           (pair (opt (int_bound 3)) (opt (int_bound 3)))))
+  in
+  QCheck.Test.make ~name:"slo evaluate = per-window reference" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_bound 200) event))
+    (fun events -> slo_json (Slo_reference.evaluate events) = slo_json (Slo.evaluate events))
 
 (* ---- spans: nesting and parent reconstruction ---- *)
 
@@ -1129,6 +1261,8 @@ let () =
             test_monitor_rounds_and_rejects;
           Alcotest.test_case "trend of frames" `Quick test_trend_of_frames;
           Alcotest.test_case "one verdict on every surface" `Quick test_one_verdict;
+          Alcotest.test_case "slo evaluate on the fixed logs" `Quick test_slo_fixed_logs;
+          QCheck_alcotest.to_alcotest prop_slo_equals_reference;
         ] );
       ( "span",
         [

@@ -247,7 +247,6 @@ let test_trace_columns_match_sequential () =
   in
   let run = Zkflow_zkvm.Machine.run ~trace:true guest ~input:[||] in
   let columns_and_receipt () =
-    Prove.clear_commit_cache ();
     ( Trace.encode_rows run.Zkflow_zkvm.Machine.rows,
       Trace.encode_memlog run.Zkflow_zkvm.Machine.memlog,
       Zkflow_zkproof.Receipt.encode

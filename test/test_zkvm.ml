@@ -411,6 +411,79 @@ let prop_encode_row_matches_reference =
            (fun (i, r) -> Trace.decode_row (Zkflow_util.Column.leaf col i) = Ok r)
            (Array.mapi (fun i r -> (i, r)) rows))
 
+(* The row decoder as a sequential read of the leaf's bytes, field by
+   field: the reference [Trace.decode_rows] and [Trace.row] must give
+   the same row or the same refusal on any bytes. *)
+let sequential_decode_row b =
+  match
+    let off = ref 0 in
+    let v () =
+      let x, o = Zkflow_util.Varint.read b !off in
+      off := o;
+      x
+    in
+    let words () =
+      let n = v () in
+      if n > 64 then failwith "trace row: implausible array";
+      Array.init n (fun _ -> v ())
+    in
+    let cycle = v () in
+    let pc = v () in
+    let next_pc = v () in
+    let kind =
+      match v () with
+      | 0 -> Trace.Exec
+      | 1 ->
+        let block_index = v () in
+        let total_words = v () in
+        let src = v () in
+        let dst = v () in
+        let block = words () in
+        let pre = words () in
+        let post = words () in
+        if Array.length block <> 16 || Array.length pre <> 8 || Array.length post <> 8 then
+          failwith "trace row: bad sha shapes";
+        Trace.Sha_block { block_index; total_words; src; dst; block; pre; post }
+      | _ -> failwith "trace row: unknown kind"
+    in
+    let rs1 = v () in
+    let rs2 = v () in
+    let rd = v () in
+    let aux = words () in
+    let mem_pos = v () in
+    let mem_count = v () in
+    if !off <> Bytes.length b then failwith "trace row: trailing bytes";
+    { Trace.cycle; pc; next_pc; kind; rs1; rs2; rd; aux; mem_pos; mem_count }
+  with
+  | r -> Ok r
+  | exception Failure msg -> Error msg
+  | exception Invalid_argument msg -> Error msg
+
+(* Encoded rows, each kept, cut short, extended by junk, or with one
+   byte changed, decoded together. *)
+let prop_decode_rows_matches_sequential =
+  let mutate =
+    QCheck.Gen.(
+      pair (int_bound 3) (pair nat (int_bound 255)) >|= fun (how, (at, byte)) b ->
+      let n = Bytes.length b in
+      match how with
+      | 0 -> b
+      | 1 -> Bytes.sub b 0 (if n = 0 then 0 else at mod n)
+      | 2 -> Bytes.cat b (Bytes.make (1 + (at mod 12)) (Char.chr byte))
+      | _ ->
+        let b = Bytes.copy b in
+        if n > 0 then Bytes.set b (at mod n) (Char.chr byte);
+        b)
+  in
+  QCheck.Test.make ~name:"decode_rows then row = sequential decode" ~count:300
+    (QCheck.make QCheck.Gen.(array_size (int_bound 8) (pair gen_row mutate)))
+    (fun cases ->
+      let col = Trace.encode_rows (Array.map fst cases) in
+      let leaves = Array.mapi (fun i (_, f) -> f (Zkflow_util.Column.leaf col i)) cases in
+      let t = Trace.decode_rows leaves in
+      Array.for_all Fun.id
+        (Array.mapi (fun i b -> Trace.row t i = sequential_decode_row b) leaves))
+
 let prop_encode_mem_matches_reference =
   QCheck.Test.make ~name:"encode_memlog leaf i = Buffer reference" ~count:200
     (QCheck.make
@@ -653,6 +726,7 @@ let () =
           Alcotest.test_case "row serialization" `Quick test_trace_row_serialization_roundtrip;
           Alcotest.test_case "mem serialization" `Quick test_trace_mem_serialization_roundtrip;
           q prop_encode_row_matches_reference;
+          q prop_decode_rows_matches_sequential;
           q prop_encode_mem_matches_reference;
           Alcotest.test_case "negative field raises" `Quick test_encoders_refuse_negative_fields;
           Alcotest.test_case "trace off" `Quick test_trace_off_is_empty;
