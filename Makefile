@@ -64,10 +64,8 @@ baselines: build
 # verdict. Every scratch artifact lands in the gitignored smoke-out/
 # so a local run never dirties the working tree. CI uploads the trace
 # and the health report as artifacts. The simulation spans 3 epochs
-# over 200 flows so the prover chains multiple rounds — the --require
-# assertions then prove the incremental Merkle path actually reused
-# subtrees on the warm rounds rather than silently falling back to
-# full rebuilds, and that tree builds copied equal-neighbour slots
+# over 200 flows so the prover chains multiple rounds; the --require
+# assertion proves that tree builds copied equal-neighbour slots
 # (padding, repeated journal-accumulator leaves) instead of hashing
 # them.
 bench-smoke: build
@@ -86,8 +84,7 @@ bench-smoke: build
 	  --events $(SMOKE)/state/events.jsonl
 	dune exec bin/zkflow.exe -- trace-check $(SMOKE)/trace-smoke.json \
 	  --min-names 5 --events $(SMOKE)/state/events.jsonl \
-	  --counters $(SMOKE)/stats-smoke.json --require merkle.nodes_reused=1 \
-	  --require merkle.nodes_copied=1
+	  --counters $(SMOKE)/stats-smoke.json --require merkle.nodes_copied=1
 	dune exec bin/zkflow.exe -- stats --dir $(SMOKE)/state --json
 	dune exec bin/zkflow.exe -- monitor --dir $(SMOKE)/state --strict
 	dune exec bin/zkflow.exe -- slo --dir $(SMOKE)/state --strict

@@ -28,7 +28,7 @@
    starts, and one row per configuration.
 
    Usage: dune exec bench/main.exe
-            [-- fig4|table1|sweep|matrix|tamper|ablations|par|incr|obs|micro|all]
+            [-- fig4|table1|sweep|matrix|tamper|ablations|par|obs|micro|all]
    Set ZKFLOW_BENCH_QUICK=1 to cap the sweep at 500 records. *)
 
 module D = Zkflow_hash.Digest32
@@ -95,8 +95,6 @@ type sweep_row = {
   helper_bytes : int;      (* multiproof helper digests, all five columns *)
   leaf_bytes : int;        (* opened leaf preimages, all five columns *)
   soundness_bits : float;  (* of the round's spot-check parameters *)
-  clog_rebuild_s : float;  (* second batch, tree rebuilt from scratch *)
-  clog_incr_s : float;     (* second batch, dirty-subtree update *)
   agg_analyze_s : float;   (* full static audit of the guest, uncached *)
   q_analyze_s : float;
   phases : (string * (int * float)) list; (* span name -> count, total s *)
@@ -154,45 +152,6 @@ let run_size n =
           | Ok () -> ()
           | Error e -> failwith e)
     in
-    (* CLog maintenance cost of a follow-up batch: the same k-flow
-       update applied with a from-scratch tree rebuild vs the
-       incremental dirty-subtree path — the per-round host cost the
-       incremental tree is for. Roots must agree bit for bit. *)
-    let clog0 = round.Aggregate.clog in
-    let upd =
-      let entries = Clog.entries clog0 in
-      let k = max 1 (Array.length entries / 50) in
-      Array.init k (fun i ->
-          Zkflow_netflow.Record.make ~key:entries.(i).Clog.key
-            { Zkflow_netflow.Record.packets = 1; bytes = 64; hop_count = 1; losses = 0 })
-    in
-    (* Best of a few repetitions: both paths are ~ms-scale here, and a
-       single shot is scheduler-noise dominated. *)
-    let best f =
-      let reps = 5 in
-      let r = ref None in
-      for _ = 1 to reps do
-        let v, s = time f in
-        match !r with
-        | Some (_, s0) when s0 <= s -> ()
-        | _ -> r := Some (v, s)
-      done;
-      Option.get !r
-    in
-    let rebuilt, clog_rebuild_s =
-      best (fun () ->
-          let c = Clog.apply_batch_rebuild clog0 upd in
-          ignore (Clog.root c);
-          c)
-    in
-    let incremented, clog_incr_s =
-      best (fun () ->
-          let c = Clog.apply_batch clog0 upd in
-          ignore (Clog.root c);
-          c)
-    in
-    if not (D.equal (Clog.root rebuilt) (Clog.root incremented)) then
-      failwith "bench: incremental CLog root diverges from rebuild";
     (* Constant-size wrapped proof (Table 1 "Proof" column). *)
     let vkey = Zkflow_zkproof.Wrap.setup ~seed:(Bytes.of_string "bench-setup") in
     let wrapped =
@@ -243,8 +202,6 @@ let run_size n =
         soundness_bits =
           Zkflow_zkproof.Params.soundness_bits
             round.Aggregate.receipt.Receipt.seal.Receipt.params;
-        clog_rebuild_s;
-        clog_incr_s;
         agg_analyze_s;
         q_analyze_s;
         phases = Obs.span_totals_s ();
@@ -283,8 +240,6 @@ let fig4 () =
                ("q_exec_s", seconds r.q_exec_s);
                ("q_prove_s", seconds r.q_prove_s);
                ("q_verify_s", seconds r.q_verify_s);
-               ("clog_rebuild_s", seconds r.clog_rebuild_s);
-               ("clog_incr_s", seconds r.clog_incr_s);
                ("agg_analyze_s", seconds r.agg_analyze_s);
                ("q_analyze_s", seconds r.q_analyze_s);
              ];
@@ -747,96 +702,6 @@ let ablation_merkle_maintenance () =
     "   per-window break-even: SMT wins when < %.0f%% of flows change per window.\n"
     (100. *. rebuild_s /. (smt_s /. float_of_int k) /. float_of_int n)
 
-let ablation_incr () =
-  print_endline "== Ablation: incremental CLog Merkle — full rebuild vs dirty-subtree ==";
-  (* Host-side CLog maintenance only (no zkVM proving): apply the same
-     sequence of k-flow update batches to the same starting state with
-     (a) a from-scratch tree rebuild per batch and (b) the incremental
-     dirty-path update, asserting root identity after every batch. *)
-  let sweep = if quick () then [ 1_000; 10_000 ] else [ 1_000; 10_000; 50_000 ] in
-  let rounds = 4 in
-  Obs.reset ();
-  Obs.enable ();
-  Printf.printf "%10s %8s %14s %14s %10s %12s %12s\n" "entries" "k/round"
-    "rebuild (ms)" "incr (ms)" "speedup" "rehashed" "reused";
-  let rows =
-    List.map
-      (fun n ->
-        let k = max 1 (n / 100) in
-        let rng = Zkflow_util.Rng.create (Int64.of_int (0xd1a7 + n)) in
-        let base =
-          Gen.records rng
-            { Gen.default_profile with Gen.flow_count = n }
-            ~router_id:0 ~count:n
-        in
-        let clog0 = Clog.apply_batch Clog.empty base in
-        ignore (Clog.root clog0);
-        let entries = Clog.entries clog0 in
-        let m = Array.length entries in
-        let batch r =
-          Array.init k (fun i ->
-              let e = entries.(((i * (m / k)) + r) mod m) in
-              Zkflow_netflow.Record.make ~key:e.Clog.key
-                { Zkflow_netflow.Record.packets = 1; bytes = 64; hop_count = 1; losses = 0 })
-        in
-        let c_rehashed = Zkflow_obs.Metric.counter "merkle.nodes_rehashed" in
-        let c_reused = Zkflow_obs.Metric.counter "merkle.nodes_reused" in
-        let rehashed0 = Zkflow_obs.Metric.value c_rehashed in
-        let reused0 = Zkflow_obs.Metric.value c_reused in
-        let rebuild_s = ref 0. and incr_s = ref 0. in
-        let rb = ref clog0 and inc = ref clog0 in
-        for r = 0 to rounds - 1 do
-          let b = batch r in
-          let c1, t1 =
-            time (fun () ->
-                let c = Clog.apply_batch_rebuild !rb b in
-                ignore (Clog.root c);
-                c)
-          in
-          let c2, t2 =
-            time (fun () ->
-                let c = Clog.apply_batch !inc b in
-                ignore (Clog.root c);
-                c)
-          in
-          if not (D.equal (Clog.root c1) (Clog.root c2)) then
-            failwith "incr ablation: incremental root diverges from rebuild";
-          rebuild_s := !rebuild_s +. t1;
-          incr_s := !incr_s +. t2;
-          rb := c1;
-          inc := c2
-        done;
-        let rehashed = Zkflow_obs.Metric.value c_rehashed - rehashed0 in
-        let reused = Zkflow_obs.Metric.value c_reused - reused0 in
-        let speedup = if !incr_s > 0. then !rebuild_s /. !incr_s else 0. in
-        Printf.printf "%10d %8d %14.2f %14.2f %9.1fx %12d %12d\n%!" m k
-          (1000. *. !rebuild_s) (1000. *. !incr_s) speedup rehashed reused;
-        let open Bench_row in
-        {
-          config =
-            [
-              ("entries", Int m);
-              ("update_k", Int k);
-              ("rounds", Int rounds);
-              ("jobs", Int (Pool.jobs ()));
-            ];
-          metrics =
-            [
-              ("rebuild_s", seconds !rebuild_s);
-              ("incr_s", seconds !incr_s);
-              ("nodes_rehashed", count rehashed);
-              (* Reuse is the saving: more reused nodes is better. *)
-              ("nodes_reused", { (count reused) with better = Higher });
-            ];
-          phases = [];
-        })
-      sweep
-  in
-  Obs.disable ();
-  write "BENCH_incr.json" rows;
-  print_endline
-    "   shape checks: incr time ~ k·log n, independent of n; rebuild grows with n."
-
 let ablation_queries () =
   print_endline "== Ablation: spot-check count (receipt size vs assurance) ==";
   let n = if quick () then 100 else 500 in
@@ -992,8 +857,6 @@ let ablations () =
   ablation_parallel ();
   print_newline ();
   ablation_queries ();
-  print_newline ();
-  ablation_incr ();
   print_newline ();
   ablation_merkle_maintenance ();
   print_newline ();
@@ -1228,7 +1091,6 @@ let () =
   | "tamper" -> tamper ()
   | "ablations" -> ablations ()
   | "par" -> ablation_par ()
-  | "incr" -> ablation_incr ()
   | "obs" -> obs_overhead ()
   | "micro" -> micro ()
   | "all" -> all ()

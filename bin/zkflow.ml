@@ -550,9 +550,9 @@ let trace_check path min_names =
 
 (* Assertions over a `prove --stats` snapshot: each --require NAME=MIN
    must name a recorded counter whose value reached MIN. This is how
-   the smoke gate proves the incremental Merkle path actually ran
-   (e.g. --require merkle.nodes_reused=1), not just that timings
-   looked plausible. *)
+   the smoke gate proves a code path actually ran (e.g. --require
+   merkle.nodes_copied=1: tree builds copied equal-neighbour slots),
+   not just that timings looked plausible. *)
 let counters_check path requires =
   let* bytes = read_file path in
   let* v = Jsonx.parse (Bytes.to_string bytes) in

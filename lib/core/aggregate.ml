@@ -2,6 +2,7 @@ module D = Zkflow_hash.Digest32
 module Machine = Zkflow_zkvm.Machine
 module Prove = Zkflow_zkproof.Prove
 module Receipt = Zkflow_zkproof.Receipt
+module Tree = Zkflow_merkle.Tree
 module Obs = Zkflow_obs
 
 type round = {
@@ -57,7 +58,9 @@ let cross_check ~prev ~batches (journal : Guests.agg_journal) =
     if D.equal journal.Guests.new_root (Clog.root expected) then Ok ()
     else Error "aggregation: guest Merkle root diverges from host reference"
   in
-  let host_leaves = Array.map Clog.leaf_digest (Clog.entries expected) in
+  (* The host tree already holds every entry's leaf digest. *)
+  let tree = Clog.tree expected in
+  let host_leaves = Array.init (Tree.size tree) (Tree.leaf tree) in
   let* () =
     if
       Array.length host_leaves = Array.length journal.Guests.leaf_digests

@@ -59,24 +59,8 @@ let of_entries es =
   if Hashtbl.length t.index <> Array.length es then Error "clog: duplicate flow keys"
   else Ok t
 
-let of_entries_with_snapshot es ~snapshot =
-  match Zkflow_merkle.Tree.of_snapshot snapshot with
-  | Error e -> Error ("clog: " ^ e)
-  | Ok tr ->
-    if Tree.size tr <> Array.length es then
-      Error "clog: snapshot leaf count does not match entries"
-    else begin
-      let es = Array.copy es in
-      let index = Hashtbl.create (max 16 (Array.length es)) in
-      Array.iteri (fun i e -> Hashtbl.replace index e.key i) es;
-      if Hashtbl.length index <> Array.length es then
-        Error "clog: duplicate flow keys"
-      else Ok { entries = es; index; lazy_tree = Lazy.from_val tr }
-    end
-
 let tree t = Lazy.force t.lazy_tree
 let root t = Tree.root (tree t)
-let tree_snapshot t = Tree.to_snapshot (tree t)
 
 let find t key =
   Option.map (fun i -> (i, t.entries.(i))) (Hashtbl.find_opt t.index key)
@@ -91,17 +75,14 @@ let words t =
     t.entries;
   out
 
-(* The shared fold of a record batch into the entry array: existing
-   flows accumulate in place, new flows append. Returns the final
-   entries, the key index of the result (the fold already built it —
-   no rebuild), and the set of pre-existing indices whose metrics
-   changed, which is exactly the dirty-leaf set of the Merkle tree. *)
-let merge_batch t records =
+(* Existing flows accumulate in place, new flows append; the fold
+   builds the result's key index as it goes, and its tree is built
+   from scratch when first asked for. *)
+let apply_batch t records =
   let old_n = Array.length t.entries in
   let table = Hashtbl.copy t.index in
   let metrics = Hashtbl.create (old_n + Array.length records) in
   Array.iteri (fun i e -> Hashtbl.replace metrics i e.metrics) t.entries;
-  let touched = Hashtbl.create 32 in
   let new_keys_rev = ref [] in
   let n = ref old_n in
   Array.iter
@@ -109,8 +90,7 @@ let merge_batch t records =
       match Hashtbl.find_opt table r.Record.key with
       | Some i ->
         Hashtbl.replace metrics i
-          (Record.add_metrics (Hashtbl.find metrics i) r.Record.metrics);
-        if i < old_n then Hashtbl.replace touched i ()
+          (Record.add_metrics (Hashtbl.find metrics i) r.Record.metrics)
       | None ->
         Hashtbl.replace table r.Record.key !n;
         Hashtbl.replace metrics !n r.Record.metrics;
@@ -125,35 +105,8 @@ let merge_batch t records =
         in
         { key; metrics = Hashtbl.find metrics i })
   in
-  (final, table, touched)
-
-let apply_batch t records =
-  let final, table, touched = merge_batch t records in
-  let old_n = Array.length t.entries in
-  let prev_tree = t.lazy_tree in
-  let lazy_tree =
-    (* A cold state (nothing carried over) rebuilds with the parallel
-       leaf-hashing path; a warm one adopts the previous round's tree
-       and re-hashes only the dirty root-paths. Both produce the same
-       bits — the differential tests pin that. *)
-    if old_n = 0 then lazy (scratch_tree final)
-    else
-      lazy
-        begin
-          let inc = Zkflow_merkle.Incremental.of_tree (Lazy.force prev_tree) in
-          Hashtbl.iter
-            (fun i () -> Zkflow_merkle.Incremental.set_leaf inc i (leaf_digest final.(i)))
-            touched;
-          for i = old_n to Array.length final - 1 do
-            Zkflow_merkle.Incremental.append inc (leaf_digest final.(i))
-          done;
-          Zkflow_merkle.Incremental.commit inc
-        end
-  in
-  { entries = final; index = table; lazy_tree }
-
-let apply_batch_rebuild t records =
-  let final, table, _ = merge_batch t records in
   { entries = final; index = table; lazy_tree = lazy (scratch_tree final) }
+
+let apply_batch_rebuild = apply_batch
 
 let empty_root = root empty

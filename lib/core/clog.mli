@@ -31,15 +31,6 @@ val length : t -> int
 val of_entries : entry array -> (t, string) result
 (** Fails on duplicate flow keys. *)
 
-val of_entries_with_snapshot : entry array -> snapshot:bytes -> (t, string) result
-(** Like {!of_entries}, but adopt a persisted
-    {!Zkflow_merkle.Tree.to_snapshot} of the tree instead of lazily
-    rebuilding it — the restore path of checkpoint rows. Fails on
-    duplicate keys, a malformed snapshot, or a snapshot whose leaf
-    count differs from the entries. The snapshot's node hashes are
-    trusted; callers must integrity-protect the bytes (checkpoint rows
-    are checksummed). *)
-
 val root : t -> Zkflow_hash.Digest32.t
 (** Merkle root over the entries in order (empty-tree root for
     {!empty}). *)
@@ -52,10 +43,6 @@ val node : Zkflow_merkle.Proof.node
     aggregation guest recomputes; readout multiproofs are checked
     under it. *)
 
-val tree_snapshot : t -> bytes
-(** {!Zkflow_merkle.Tree.to_snapshot} of {!tree} — the compact node
-    snapshot persisted by checkpoint rows. Forces the tree. *)
-
 val find : t -> Zkflow_netflow.Flowkey.t -> (int * entry) option
 (** Index and entry for a flow key. *)
 
@@ -66,14 +53,12 @@ val apply_batch : t -> Zkflow_netflow.Record.t array -> t
 (** The host-side reference aggregation (sum policy): fold a batch of
     RLog records in order — existing flows accumulate, new flows
     append. The guest must compute exactly this. The result's Merkle
-    tree is maintained incrementally from this state's tree (dirty
-    leaves only; see {!Zkflow_merkle.Incremental}) — bit-identical to
-    the from-scratch build, O(k·log n) instead of O(n) per batch. *)
+    tree is built from scratch on first use, as the guest rebuilds it
+    every round. *)
 
 val apply_batch_rebuild : t -> Zkflow_netflow.Record.t array -> t
-(** Same aggregation, but the result's tree is rebuilt from scratch on
-    first use. The reference arm of the differential tests and the
-    [incr] bench ablation; roots must match {!apply_batch} exactly. *)
+(** {!apply_batch} under its former name, kept for callers that name
+    the rebuild explicitly. *)
 
 val empty_root : Zkflow_hash.Digest32.t
 (** Root of the empty CLog. *)

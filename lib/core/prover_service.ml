@@ -111,19 +111,17 @@ let queue_depth t =
 (* ---- checkpoint rows ----
 
    One WAL row per aggregation round: coverage metadata, the receipt,
-   the post-round CLog entries, the guest cycle count, a snapshot of
-   the gap journal, and (since v2) a compact snapshot of the CLog's
-   Merkle node store, all behind a SHA-256 checksum so recovery can
+   the post-round CLog entries, the guest cycle count and a snapshot
+   of the gap journal, all behind a SHA-256 checksum so recovery can
    tell a bit-flipped row from an honest one. A torn tail (partial
    row) is already dropped by Wal.replay; a corrupt row drops itself
-   and everything after it, and the dropped suffix is re-proved. The
-   node snapshot keeps resume incremental: without it, the restored
-   CLog would silently fall back to a full O(n) tree rebuild, and
-   every round after the restart would re-pay it. *)
+   and everything after it, and the dropped suffix is re-proved. A
+   restored round's Merkle tree is rebuilt from its entries when first
+   asked for, as every round's is. *)
 
 module Wire = Zkflow_util.Wire
 
-let ckpt_magic = "zkflow.ckpt.v2"
+let ckpt_magic = "zkflow.ckpt.v3"
 
 let w_entries w clog =
   Wire.w_array w
@@ -200,10 +198,6 @@ let encode_ckpt_row ~cov ~gaps (round : Aggregate.round) =
   w_entries w round.Aggregate.clog;
   Wire.w_int w round.Aggregate.cycles;
   Wire.w_list w (w_gap w) gaps;
-  (* v2: the post-round Merkle node store, verbatim. The row checksum
-     below covers it, so the restore can adopt the nodes without
-     re-hashing a single leaf. *)
-  Wire.w_bytes w (Clog.tree_snapshot round.Aggregate.clog);
   let payload = Wire.contents w in
   Bytes.cat (D.to_bytes (D.hash_bytes payload)) payload
 
@@ -216,19 +210,22 @@ let decode_ckpt_row row =
       Error "checkpoint row: checksum mismatch"
     else
       Wire.decode payload (fun r ->
-          (* A v1 row (it predates the node snapshot) stops here, and
-             a row whose receipt predates the current seal stops at
-             [Receipt.decode] below; either is re-proved. *)
-          if Wire.r_string r <> ckpt_magic then
-            raise (Wire.Decode "checkpoint row: bad magic");
+          (* A row of an older layout (v2 carried a node snapshot)
+             stops here, and a row whose receipt predates the current
+             seal stops at [Receipt.decode] below; either is
+             re-proved. *)
+          let magic = Wire.r_string r in
+          if magic <> ckpt_magic then
+            raise
+              (Wire.Decode
+                 (Printf.sprintf "checkpoint row: layout %S, not %S" magic ckpt_magic));
           let cov = r_coverage r in
           let receipt_bytes = Wire.r_bytes r in
           let entries = r_entry_array r in
           let cycles = Wire.r_int r in
           let gaps = Wire.r_list r (fun () -> r_gap r) in
-          (* Adopt the persisted node store — no rebuild. *)
           let round_clog =
-            match Clog.of_entries_with_snapshot entries ~snapshot:(Wire.r_bytes r) with
+            match Clog.of_entries entries with
             | Ok clog -> clog
             | Error msg -> raise (Wire.Decode msg)
           in
@@ -503,25 +500,10 @@ type disclosure = {
 }
 
 let disclose t ~keys =
-  let rec collect acc = function
-    | [] -> Ok (List.rev acc)
-    | key :: rest -> (
-      match Clog.find t.clog key with
-      | Some (i, e) -> collect ((i, e) :: acc) rest
-      | None ->
-        Error
-          (Format.asprintf "disclose: flow %a not in the CLog"
-             Zkflow_netflow.Flowkey.pp key))
-  in
-  let* found = collect [] keys in
-  match found with
-  | [] -> Error "disclose: no keys given"
-  | _ ->
-    let sorted = List.sort (fun (a, _) (b, _) -> Int.compare a b) found in
-    let indices = List.map fst sorted in
-    let entries = List.map snd sorted in
-    let proof = Zkflow_merkle.Multiproof.prove (Clog.tree t.clog) (Array.of_list indices) in
-    Ok { indices; entries; proof }
+  let* found = Query.locate ~what:"disclose" t.clog keys in
+  let indices = List.map fst found in
+  let proof = Zkflow_merkle.Multiproof.prove (Clog.tree t.clog) (Array.of_list indices) in
+  Ok { indices; entries = List.map snd found; proof }
 
 let query_flows t ~metric keys = Query.prove_flows ~clog:t.clog ~metric keys
 
@@ -533,20 +515,21 @@ let query_flows t ~metric keys = Query.prove_flows ~clog:t.clog ~metric keys
    service from that prefix (what `zkflow stats` and `monitor` read),
    and [resume] also repairs the file and reopens it for appending.
    [scan] also says whether the journal ends with a drain marker after
-   nothing but intact rows. *)
+   nothing but intact rows, and why the first dropped row was
+   refused. *)
 
 let scan path =
   match Wal.replay path with
   | Error e -> Error e
   | Ok rows ->
     let rec go good kept_bytes drained = function
-      | [] -> (List.rev good, kept_bytes, 0, drained)
+      | [] -> (List.rev good, kept_bytes, 0, drained, None)
       | row :: rest when Bytes.equal row drain_marker -> go good kept_bytes true rest
       | row :: rest -> (
         match decode_ckpt_row row with
         | Ok decoded ->
           go ((decoded, row) :: good) (kept_bytes + 4 + Bytes.length row) false rest
-        | Error _ -> (List.rev good, kept_bytes, 1 + List.length rest, false))
+        | Error e -> (List.rev good, kept_bytes, 1 + List.length rest, false, Some e))
     in
     Ok (go [] 0 false rows)
 
@@ -569,10 +552,12 @@ let of_rows ?proof_params ~db ~board good =
    mid-write) is refused: there is no prefix to report. A lone drain
    marker is a drained journal with no round. *)
 let restore ?proof_params ~db ~board ~path () =
-  let* good, _, _, drained = Result.map_error (( ^ ) "restore: ") (scan path) in
+  let* good, _, _, drained, refused = Result.map_error (( ^ ) "restore: ") (scan path) in
   let size = file_size path in
   if good = [] && size > 0 && not drained then
-    Error (Printf.sprintf "restore: no intact checkpoint row in %d byte(s)" size)
+    Error
+      (Printf.sprintf "restore: no intact checkpoint row in %d byte(s)%s" size
+         (match refused with Some e -> " (" ^ e ^ ")" | None -> ""))
   else Ok (of_rows ?proof_params ~db ~board good)
 
 (* The dropped suffix is simply re-proved: aggregation is
@@ -587,7 +572,7 @@ let resume ?proof_params ~db ~board ~path () =
   let journal_existed = Sys.file_exists path in
   match scan path with
   | Error e -> Error ("resume: " ^ e)
-  | Ok (good, kept_bytes, dropped_rows, drained) ->
+  | Ok (good, kept_bytes, dropped_rows, drained, _) ->
     (* Compact the file to the intact prefix, so future appends land
        after clean data; this also drops the drain marker. *)
     if kept_bytes < file_size path then Wal.rewrite path (List.map snd good);
@@ -747,7 +732,7 @@ let query t params =
 
 let query_at t ~round params =
   let rounds = List.rev t.rounds_rev in
-  match List.nth_opt rounds round with
+  match if round < 0 then None else List.nth_opt rounds round with
   | None -> Error (Printf.sprintf "query_at: no round %d (have %d)" round (List.length rounds))
   | Some r ->
     let* () = gate ~subject:"query guest" (Lazy.force Guests.query_program) in

@@ -242,8 +242,9 @@ type disclosure = {
 val disclose :
   t -> keys:Zkflow_netflow.Flowkey.t list -> (disclosure, string) result
 (** Build a disclosure for the given flows against the latest CLog.
-    Fails if any key is absent (use a query with an exact-match
-    predicate to prove absence-of-traffic instead). *)
+    Fails on an empty key list, a key given twice, or an absent key
+    (use a query with an exact-match predicate to prove
+    absence-of-traffic instead). *)
 
 val query_flows :
   t ->
@@ -256,7 +257,8 @@ val query_flows :
 
 val query_at : t -> round:int -> Guests.query_params -> (Query.result_row, string) result
 (** Prove a query against the historical CLog state after round
-    [round] (0-based). Every past root stays pinned by its aggregation
-    receipt, so clients can audit any earlier integrity window — the
+    [round] (0-based); a round outside the history is an [Error].
+    Every past root stays pinned by its aggregation receipt, so
+    clients can audit any earlier integrity window — the
     retrospective/interval-query use the paper's related work
     motivates. *)

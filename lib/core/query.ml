@@ -129,38 +129,36 @@ type flows_result = {
   proof : Zkflow_merkle.Multiproof.t;
 }
 
-let prove_flows ~clog ~metric keys =
-  if keys = [] then Error "query flows: no keys given"
-  else begin
-    let rec collect acc = function
-      | [] -> Ok (List.rev acc)
-      | key :: rest -> (
-        match Clog.find clog key with
-        | Some (i, e) -> collect ((i, e) :: acc) rest
-        | None ->
-          Error
-            (Format.asprintf "query flows: flow %a not in the CLog" Flowkey.pp key))
-    in
+let locate ~what clog keys =
+  let rec collect acc = function
+    | [] -> Ok acc
+    | key :: rest -> (
+      match Clog.find clog key with
+      | Some found -> collect (found :: acc) rest
+      | None -> Error (Format.asprintf "%s: flow %a not in the CLog" what Flowkey.pp key))
+  in
+  if keys = [] then Error (what ^ ": no keys given")
+  else
     let* found = collect [] keys in
     let sorted = List.sort_uniq (fun (a, _) (b, _) -> Int.compare a b) found in
-    let* () =
-      if List.compare_lengths sorted found = 0 then Ok ()
-      else Error "query flows: duplicate keys"
-    in
-    (* One multiproof over the merged index set: helper digests shared
-       between flows are carried once, instead of one full root path
-       per flow. *)
-    let proof =
-      Zkflow_merkle.Multiproof.prove (Clog.tree clog) (Array.of_list (List.map fst sorted))
-    in
-    let rows =
-      List.map
-        (fun (i, e) -> { index = i; entry = e; value = metric_value e.Clog.metrics metric })
-        sorted
-    in
-    let total = List.fold_left (fun acc r -> (acc + r.value) land mask32) 0 rows in
-    Ok { root = Clog.root clog; metric; rows; total; proof }
-  end
+    if List.compare_lengths sorted found = 0 then Ok sorted
+    else Error (what ^ ": duplicate keys")
+
+let prove_flows ~clog ~metric keys =
+  let* sorted = locate ~what:"query flows" clog keys in
+  (* One multiproof over the merged index set: helper digests shared
+     between flows are carried once, instead of one full root path per
+     flow. *)
+  let proof =
+    Zkflow_merkle.Multiproof.prove (Clog.tree clog) (Array.of_list (List.map fst sorted))
+  in
+  let rows =
+    List.map
+      (fun (i, e) -> { index = i; entry = e; value = metric_value e.Clog.metrics metric })
+      sorted
+  in
+  let total = List.fold_left (fun acc r -> (acc + r.value) land mask32) 0 rows in
+  Ok { root = Clog.root clog; metric; rows; total; proof }
 
 let sum_hops_between ~src ~dst =
   {

@@ -5,10 +5,11 @@
     the tree supports both membership and non-membership proofs with
     O(depth) work and storage proportional to the live key set.
 
-    The aggregation layer keeps CLogs in an SMT keyed by flow ID: flow
-    updates touch O(depth) nodes instead of rebuilding the whole dense
-    tree (the in-zkVM Merkle update cost that dominates the paper's
-    Figure 4). *)
+    No pipeline code uses it: CLogs are dense {!Tree}s, rebuilt every
+    round as the aggregation guest rebuilds them. It backs the §7
+    Merkle-maintenance row of [bench ablations], which prices an
+    update that touches O(depth) nodes against that rebuild (the
+    in-zkVM Merkle cost that dominates the paper's Figure 4). *)
 
 type t
 (** A mutable sparse Merkle tree. *)

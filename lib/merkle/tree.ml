@@ -163,38 +163,3 @@ let prove t i =
     idx := !idx lsr 1
   done;
   { Proof.index = i; siblings }
-
-(* ---- node snapshots ----
-
-   The whole flat buffer, varint-size-prefixed. Interior hashes are
-   persisted verbatim so a restore is a memcpy, not a rebuild; the
-   consumer (checkpoint rows) already guards the bytes with a
-   checksum, so the only validation needed here is structural. *)
-
-let to_snapshot t =
-  let buf = Buffer.create (Bytes.length t.buf + 8) in
-  Zkflow_util.Varint.write buf t.size;
-  Buffer.add_bytes buf t.buf;
-  Buffer.to_bytes buf
-
-let unsafe_buffer t = t.buf
-
-let unsafe_of_buffer ~size buf =
-  if size < 0 then invalid_arg "Tree.unsafe_of_buffer: negative size";
-  let padded = next_pow2 size in
-  let depth = log2 padded in
-  if Bytes.length buf <> 32 * ((2 * padded) - 1) then
-    invalid_arg "Tree.unsafe_of_buffer: buffer does not match size";
-  { buf; level_off = level_offsets padded depth; size; depth }
-
-let of_snapshot b =
-  match Zkflow_util.Varint.read b 0 with
-  | exception _ -> Error "tree snapshot: truncated size"
-  | size, off ->
-    if size < 0 || size > max_int / 2 then Error "tree snapshot: implausible size"
-    else begin
-      let padded = next_pow2 size in
-      let expect = 32 * ((2 * padded) - 1) in
-      if Bytes.length b - off <> expect then Error "tree snapshot: length mismatch"
-      else Ok (unsafe_of_buffer ~size (Bytes.sub b off expect))
-    end

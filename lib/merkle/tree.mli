@@ -72,28 +72,3 @@ val node : t -> level:int -> int -> Zkflow_hash.Digest32.t
 val blit_node : t -> level:int -> int -> bytes -> int -> unit
 (** [blit_node t ~level i dst pos] copies {!node}[ t ~level i] into
     [dst.[pos .. pos+31]] without allocating a digest. *)
-
-val to_snapshot : t -> bytes
-(** Serialize every node of the tree (leaf count plus the flat level
-    buffer) so a restore is a copy, not a rebuild. The format carries
-    no integrity protection of its own — wrap it in a checksummed
-    container (checkpoint rows do). *)
-
-val of_snapshot : bytes -> (t, string) result
-(** Rebuild a tree from {!to_snapshot} output. Fails on truncation or
-    a buffer whose length does not match its declared leaf count. *)
-
-(** {2 Unsafe buffer access}
-
-    For {!Incremental}, which maintains the same flat-buffer layout in
-    place. *)
-
-val unsafe_buffer : t -> bytes
-(** The underlying level buffer, without copying. Callers must never
-    mutate it — trees are shared. *)
-
-val unsafe_of_buffer : size:int -> bytes -> t
-(** Adopt [buf] (no copy) as the level buffer of a tree over [size]
-    leaves. The caller warrants the interior slots are coherent and
-    relinquishes ownership — the buffer must not be mutated afterwards.
-    Raises [Invalid_argument] when the length does not match [size]. *)

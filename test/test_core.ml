@@ -409,23 +409,7 @@ let test_vsketch_tamper_detected () =
     let run = Zkflow_zkvm.Machine.run program ~input in
     check_int "halt 1" 1 run.Zkflow_zkvm.Machine.exit_code
 
-(* ---- Clog incremental maintenance (differential) ---- *)
-
-let test_clog_incremental_matches_rebuild () =
-  (* Chained batches with overlapping flows: the incremental tree of
-     apply_batch must be bit-identical to the from-scratch arm at
-     every round. *)
-  let rebuild = ref Clog.empty and incr = ref Clog.empty in
-  for round = 0 to 5 do
-    (* alternate seeds so some rounds update, some append, some both *)
-    let b = batch ~seed:(round mod 3) (10 + round) in
-    rebuild := Clog.apply_batch_rebuild !rebuild b;
-    incr := Clog.apply_batch !incr b;
-    Alcotest.check digest
-      (Printf.sprintf "round %d" round)
-      (Clog.root !rebuild) (Clog.root !incr);
-    check_int "lengths agree" (Clog.length !rebuild) (Clog.length !incr)
-  done
+(* ---- Clog batches ---- *)
 
 let test_clog_empty_batch () =
   let c = Clog.apply_batch Clog.empty (batch 5) in
@@ -446,46 +430,28 @@ let test_clog_words_layout () =
       done)
     entries
 
-let test_clog_snapshot_restore () =
-  let c = Clog.apply_batch Clog.empty (batch 9) in
-  let es = Clog.entries c in
-  (match Clog.of_entries_with_snapshot es ~snapshot:(Clog.tree_snapshot c) with
-  | Error e -> Alcotest.fail e
-  | Ok c' ->
-    Alcotest.check digest "restored root" (Clog.root c) (Clog.root c');
-    (* the restored state must keep chaining incrementally *)
-    let b = batch ~seed:2 6 in
-    Alcotest.check digest "chains after restore"
-      (Clog.root (Clog.apply_batch c b))
-      (Clog.root (Clog.apply_batch c' b)));
-  (* leaf-count mismatch and malformed snapshots are rejected *)
-  check_bool "count mismatch" true
-    (Result.is_error
-       (Clog.of_entries_with_snapshot (Array.sub es 0 3)
-          ~snapshot:(Clog.tree_snapshot c)));
-  check_bool "garbage snapshot" true
-    (Result.is_error
-       (Clog.of_entries_with_snapshot es ~snapshot:(Bytes.of_string "junk")))
-
-let prop_clog_incremental_differential =
+let prop_clog_chained_differential =
   QCheck.Test.make ~name:"apply_batch = rebuild = of_entries over random rounds"
     ~count:40
     QCheck.(pair (int_range 0 9999) (int_range 1 5))
     (fun (seed, rounds) ->
       let r = rng seed in
-      let rebuild = ref Clog.empty and incr = ref Clog.empty in
+      let chained = ref Clog.empty and batches = ref [] in
       let ok = ref true in
       for _ = 1 to rounds do
         (* occasional empty batch; otherwise a mixed insert/update one *)
         let n = Zkflow_util.Rng.int r 30 in
         let b = Gen.records r Gen.default_profile ~router_id:0 ~count:n in
-        rebuild := Clog.apply_batch_rebuild !rebuild b;
-        incr := Clog.apply_batch !incr b;
+        chained := Clog.apply_batch !chained b;
+        batches := b :: !batches;
+        (* the chained state, one fold of every batch so far, and the
+           state rebuilt from its entries share one root *)
+        let once = Clog.apply_batch Clog.empty (Array.concat (List.rev !batches)) in
         ok :=
           !ok
-          && D.equal (Clog.root !rebuild) (Clog.root !incr)
-          && D.equal (Clog.root !incr)
-               (Clog.root (Result.get_ok (Clog.of_entries (Clog.entries !incr))))
+          && D.equal (Clog.root once) (Clog.root !chained)
+          && D.equal (Clog.root !chained)
+               (Clog.root (Result.get_ok (Clog.of_entries (Clog.entries !chained))))
       done;
       !ok)
 
@@ -499,11 +465,9 @@ let () =
           Alcotest.test_case "order stable" `Quick test_clog_order_stable_across_rounds;
           Alcotest.test_case "guest encoding" `Quick test_clog_matches_guest_encoding;
           Alcotest.test_case "rejects duplicates" `Quick test_clog_rejects_duplicates;
-          Alcotest.test_case "incremental = rebuild" `Quick test_clog_incremental_matches_rebuild;
           Alcotest.test_case "empty batch" `Quick test_clog_empty_batch;
           Alcotest.test_case "words layout" `Quick test_clog_words_layout;
-          Alcotest.test_case "snapshot restore" `Quick test_clog_snapshot_restore;
-          QCheck_alcotest.to_alcotest prop_clog_incremental_differential;
+          QCheck_alcotest.to_alcotest prop_clog_chained_differential;
         ] );
       ( "aggregation",
         [

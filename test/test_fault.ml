@@ -407,67 +407,100 @@ let test_bitflip_first_row_drops_everything () =
       flip_bit path ~at:40;
       recover_and_check ~db ~board ~path ~expected_root:root ~expected_restored:0)
 
-(* A journal written before the seal tag: every row's receipt in the
-   older layout, which began with the image id. The rows keep valid
-   checksums, so only the receipt decode refuses them; resume drops
-   them all and re-proves, and the re-proved rounds land on the same
-   root because aggregation is deterministic. *)
+(* Journals an older build wrote, every row with a valid checksum:
+   one whose receipts predate the seal tag (that layout began with the
+   image id), so only the receipt decode refuses them, and one in the
+   v2 row layout, which carried the round's Merkle node snapshot after
+   the gap journal and is refused at its magic. [restore] refuses
+   either journal and names why; [resume] drops every row and
+   re-proves, and the re-proved rounds land on the same root because
+   aggregation is deterministic. *)
 let test_old_seal_rows_reproved () =
-  with_tmp (fun path ->
-      let db, board, service = fresh_world ~seed:73 in
-      Prover_service.with_checkpoints service ~path;
-      List.iter
-        (fun epoch ->
-          ignore (Result.get_ok (Prover_service.publish_epoch service ~epoch));
-          ignore (Result.get_ok (aggregate service ~epoch)))
-        [ 0; 1 ];
-      let root = Prover_service.latest_root service in
-      let receipts =
-        List.map
-          (fun (r : Aggregate.round) -> Zkflow_zkproof.Receipt.encode r.Aggregate.receipt)
-          (Prover_service.rounds service)
-      in
-      Prover_service.abandon service;
-      let framed b =
-        let w = Zkflow_util.Wire.writer () in
-        Zkflow_util.Wire.w_bytes w b;
-        Zkflow_util.Wire.contents w
-      in
-      let find hay needle =
-        let n = Bytes.length needle in
-        let rec go i =
-          if i + n > Bytes.length hay then None
-          else if Zkflow_util.Bytesx.equal_sub hay i needle 0 n then Some i
-          else go (i + 1)
-        in
-        go 0
-      in
+  let framed f =
+    let w = Zkflow_util.Wire.writer () in
+    f w;
+    Zkflow_util.Wire.contents w
+  in
+  let framed_bytes b = framed (fun w -> Zkflow_util.Wire.w_bytes w b) in
+  let framed_string s = framed (fun w -> Zkflow_util.Wire.w_string w s) in
+  let find hay needle =
+    let n = Bytes.length needle in
+    let rec go i =
+      if i + n > Bytes.length hay then None
+      else if Zkflow_util.Bytesx.equal_sub hay i needle 0 n then Some i
+      else go (i + 1)
+    in
+    go 0
+  in
+  let payload row = Bytes.sub row 32 (Bytes.length row - 32) in
+  let checksummed payload = Bytes.cat (D.to_bytes (D.hash_bytes payload)) payload in
+  let untag (round : Aggregate.round) row =
+    let payload = payload row in
+    let r = Zkflow_zkproof.Receipt.encode round.Aggregate.receipt in
+    match find payload (framed_bytes r) with
+    | None -> Alcotest.fail "row does not hold its round's receipt"
+    | Some at ->
       let tag = 1 + String.length Zkflow_zkproof.Receipt.seal_tag in
-      let untag row =
-        let payload = Bytes.sub row 32 (Bytes.length row - 32) in
-        match
-          List.find_map
-            (fun r -> Option.map (fun at -> (at, r)) (find payload (framed r)))
-            receipts
-        with
-        | None -> Alcotest.fail "row holds none of the receipts"
-        | Some (at, r) ->
-          let old = Bytes.sub r tag (Bytes.length r - tag) in
-          let len = Bytes.length (framed r) in
-          let payload =
-            Bytes.concat Bytes.empty
-              [
-                Bytes.sub payload 0 at;
-                framed old;
-                Bytes.sub payload (at + len) (Bytes.length payload - at - len);
-              ]
-          in
-          Bytes.cat (D.to_bytes (D.hash_bytes payload)) payload
-      in
-      let rows = Result.get_ok (Wal.replay path) in
-      check_int "two rows" 2 (List.length rows);
-      Wal.rewrite path (List.map untag rows);
-      recover_and_check ~db ~board ~path ~expected_root:root ~expected_restored:0)
+      let len = Bytes.length (framed_bytes r) in
+      checksummed
+        (Bytes.concat Bytes.empty
+           [
+             Bytes.sub payload 0 at;
+             framed_bytes (Bytes.sub r tag (Bytes.length r - tag));
+             Bytes.sub payload (at + len) (Bytes.length payload - at - len);
+           ])
+  in
+  (* The v2 row: its magic, the same fields, then the node snapshot
+     (varint leaf count, then every node of the padded tree, level by
+     level from the leaves). *)
+  let as_v2 (round : Aggregate.round) row =
+    let payload = payload row in
+    let magic = framed_string "zkflow.ckpt.v3" in
+    let m = Bytes.length magic in
+    check_bool "row starts with the v3 magic" true
+      (Zkflow_util.Bytesx.equal_sub payload 0 magic 0 m);
+    let tree = Clog.tree round.Aggregate.clog in
+    let module Tree = Zkflow_merkle.Tree in
+    let snapshot = Buffer.create 1024 in
+    Zkflow_util.Varint.write snapshot (Tree.size tree);
+    for level = 0 to Tree.depth tree do
+      for i = 0 to (1 lsl (Tree.depth tree - level)) - 1 do
+        Buffer.add_bytes snapshot (D.to_bytes (Tree.node tree ~level i))
+      done
+    done;
+    checksummed
+      (Bytes.concat Bytes.empty
+         [
+           framed_string "zkflow.ckpt.v2";
+           Bytes.sub payload m (Bytes.length payload - m);
+           framed_bytes (Buffer.to_bytes snapshot);
+         ])
+  in
+  List.iter
+    (fun (seed, named, rewrite) ->
+      with_tmp (fun path ->
+          let db, board, service = fresh_world ~seed in
+          Prover_service.with_checkpoints service ~path;
+          List.iter
+            (fun epoch ->
+              ignore (Result.get_ok (Prover_service.publish_epoch service ~epoch));
+              ignore (Result.get_ok (aggregate service ~epoch)))
+            [ 0; 1 ];
+          let root = Prover_service.latest_root service in
+          let rounds = Prover_service.rounds service in
+          Prover_service.abandon service;
+          let rows = Result.get_ok (Wal.replay path) in
+          check_int "two rows" 2 (List.length rows);
+          Wal.rewrite path (List.map2 rewrite rounds rows);
+          (match Prover_service.restore ~db ~board ~path () with
+           | Ok _ -> Alcotest.failf "restore adopted rows that should name %S" named
+           | Error e ->
+             check_bool ("restore names the cause: " ^ e) true (contains ~needle:named e));
+          recover_and_check ~db ~board ~path ~expected_root:root ~expected_restored:0))
+    [
+      (73, "unsupported seal version", untag);
+      (74, "zkflow.ckpt.v2", as_v2);
+    ]
 
 (* ---- degraded rounds, gap journal, heal ---- *)
 

@@ -402,152 +402,12 @@ let prop_smt_insert_remove_roundtrip =
       Smt.remove t ~key:k;
       D.equal r (Smt.root t))
 
-(* ---- Incremental ---- *)
-
-let lh i = Tree.leaf_hash (Bytes.of_string (Printf.sprintf "leaf-%d" i))
-let lh' tag i = Tree.leaf_hash (Bytes.of_string (Printf.sprintf "%s-%d" tag i))
-let scratch_root hs = Tree.root (Tree.of_leaf_hashes ~node:digest64 hs)
-
-let test_incr_matches_scratch () =
-  List.iter
-    (fun n ->
-      let hs = Array.init n lh in
-      let inc = Incremental.of_tree (Tree.of_leaf_hashes ~node:digest64 hs) in
-      let hs' = Array.copy hs in
-      let rec upd i =
-        if i < n then begin
-          hs'.(i) <- lh' "upd" i;
-          Incremental.set_leaf inc i hs'.(i);
-          upd (i + 3)
-        end
-      in
-      upd 0;
-      Alcotest.check digest
-        (Printf.sprintf "n=%d" n)
-        (scratch_root hs') (Incremental.root inc))
-    [ 1; 2; 3; 4; 5; 8; 9; 16; 17; 33; 64; 100 ]
-
-let test_incr_append_growth () =
-  (* Appends crossing several power-of-two boundaries; root checked
-     against a from-scratch build after every single append. *)
-  let inc = Incremental.create () in
-  let acc = ref [] in
-  for i = 0 to 40 do
-    Incremental.append inc (lh i);
-    acc := lh i :: !acc;
-    let hs = Array.of_list (List.rev !acc) in
-    Alcotest.check digest
-      (Printf.sprintf "size %d" (i + 1))
-      (scratch_root hs) (Incremental.root inc)
-  done
-
-let test_incr_mixed_batch () =
-  let n = 20 in
-  let hs = Array.init n lh in
-  let inc = Incremental.of_tree (Tree.of_leaf_hashes ~node:digest64 hs) in
-  (* empty flush is a no-op *)
-  Alcotest.check digest "empty batch" (scratch_root hs) (Incremental.root inc);
-  let expect = Array.append (Array.copy hs) (Array.init 13 (lh' "new")) in
-  expect.(2) <- lh' "upd" 2;
-  expect.(19) <- lh' "upd" 19;
-  Incremental.set_leaf inc 2 expect.(2);
-  Incremental.set_leaf inc 19 expect.(19);
-  for i = 0 to 12 do
-    Incremental.append inc expect.(n + i)
-  done;
-  Alcotest.check digest "mixed batch" (scratch_root expect) (Incremental.root inc);
-  (* redundant write of the same digest is a no-op *)
-  Incremental.set_leaf inc 2 expect.(2);
-  Alcotest.check digest "idempotent set" (scratch_root expect) (Incremental.root inc)
-
-let test_incr_commit_immutable () =
-  let hs = Array.init 10 lh in
-  let inc = Incremental.of_tree (Tree.of_leaf_hashes ~node:digest64 hs) in
-  Incremental.set_leaf inc 3 (lh' "x" 3);
-  let t1 = Incremental.commit inc in
-  let r1 = Tree.root t1 in
-  (* keep mutating after commit: the committed tree must not move *)
-  Incremental.set_leaf inc 7 (lh' "y" 7);
-  Incremental.append inc (lh' "z" 0);
-  ignore (Incremental.root inc);
-  Alcotest.check digest "committed tree unchanged" r1 (Tree.root t1);
-  check_bool "proof from committed tree" true
-    (Proof.verify ~node:digest64 ~root:r1 ~leaf_hash:(Tree.leaf t1 3) (Tree.prove t1 3));
-  check_bool "incremental moved on" false (D.equal r1 (Incremental.root inc))
-
-let test_incr_stats () =
-  let n = 64 in
-  let inc = Incremental.of_tree (Tree.of_leaf_hashes ~node:digest64 (Array.init n lh)) in
-  Incremental.set_leaf inc 0 (lh' "u" 0);
-  ignore (Incremental.root inc);
-  let s = Incremental.last_stats inc in
-  (* one dirty leaf in a 64-leaf tree: exactly the 6 root-path nodes *)
-  check_int "rehashed = depth" 6 s.Incremental.rehashed;
-  check_bool "reused > 0" true (s.Incremental.reused > 0)
-
-let test_snapshot_roundtrip () =
-  List.iter
-    (fun n ->
-      let t = of_leaves ~node:digest64 (leaves n) in
-      match Tree.of_snapshot (Tree.to_snapshot t) with
-      | Error e -> Alcotest.fail e
-      | Ok t' ->
-        check_int "size" (Tree.size t) (Tree.size t');
-        Alcotest.check digest "root" (Tree.root t) (Tree.root t');
-        check_bool "proof from restored tree" true
-          (Proof.verify ~node:digest64 ~root:(Tree.root t)
-             ~leaf_hash:(Tree.leaf t' 0)
-             (Tree.prove t' 0)))
-    [ 1; 2; 3; 5; 8; 13 ]
-
-let test_snapshot_rejects_garbage () =
-  let b = Tree.to_snapshot (of_leaves ~node:digest64 (leaves 5)) in
-  check_bool "truncated" true
-    (Result.is_error (Tree.of_snapshot (Bytes.sub b 0 (Bytes.length b - 1))));
-  check_bool "extended" true
-    (Result.is_error (Tree.of_snapshot (Bytes.cat b (Bytes.of_string "x"))));
-  check_bool "empty" true (Result.is_error (Tree.of_snapshot Bytes.empty))
-
-let prop_incr_random_ops =
-  QCheck.Test.make ~name:"incremental = scratch under random op sequences"
-    ~count:60
-    QCheck.(pair (int_range 0 24) (int_range 0 100_000))
-    (fun (n0, seed) ->
-      let rng = Zkflow_util.Rng.create (Int64.of_int seed) in
-      let model = ref (Array.init n0 lh) in
-      let inc = Incremental.of_tree (Tree.of_leaf_hashes ~node:digest64 !model) in
-      let ok = ref true in
-      for s = 0 to 29 do
-        let h = Tree.leaf_hash (Zkflow_util.Rng.bytes rng 16) in
-        let m = Array.length !model in
-        if m = 0 || Zkflow_util.Rng.int rng 3 = 0 then begin
-          model := Array.append !model [| h |];
-          Incremental.append inc h
-        end
-        else begin
-          let i = Zkflow_util.Rng.int rng m in
-          !model.(i) <- h;
-          Incremental.set_leaf inc i h
-        end;
-        (* flush at irregular points so batches of varying shape merge *)
-        if s mod 7 = 0 then
-          ok :=
-            !ok
-            && D.equal
-                 (Tree.root (Tree.of_leaf_hashes ~node:digest64 !model))
-                 (Incremental.root inc)
-      done;
-      !ok
-      && D.equal
-           (Tree.root (Tree.of_leaf_hashes ~node:digest64 !model))
-           (Incremental.root inc))
-
 (* ---- golden vectors ----
 
    Literal roots fixed before the node hash was rewritten. Every node
    path (build over leaves, over digests and by permutation, the
-   inclusion-proof walk, the incremental store) must reproduce them, so
-   a change to the node rule cannot pass by changing [Tree] and
+   inclusion-proof and multiproof walks) must reproduce them, so a
+   change to the node rule cannot pass by changing [Tree] and
    [Digest32.combine] the same way. The leaves are short, so the
    padding leaf and its subtrees, which the equal-neighbour rule
    copies, are exercised. *)
@@ -561,8 +421,6 @@ let test_golden_roots () =
       let data = leaves n in
       let tree = of_leaves ~node:digest64 data in
       let hs = Array.map Tree.leaf_hash data in
-      let inc = Incremental.create () in
-      Array.iter (Incremental.append inc) hs;
       let check what d =
         Alcotest.(check string) (Printf.sprintf "n=%d %s" n what) expected (D.to_hex d)
       in
@@ -575,8 +433,7 @@ let test_golden_roots () =
         (Result.get_ok
            (Multiproof.compute_root ~node:digest64
               (Multiproof.prove tree [| 0; n - 1 |])
-              (Multiproof.leaf_digests [ hs.(0); hs.(n - 1) ])));
-      check "Incremental" (Incremental.root inc))
+              (Multiproof.leaf_digests [ hs.(0); hs.(n - 1) ]))))
     [ (5, golden_root_5); (1000, golden_root_1000) ]
 
 let () =
@@ -614,17 +471,6 @@ let () =
           Alcotest.test_case "encode/decode" `Quick test_multiproof_encode_decode;
           q prop_multiproof_random_subsets;
           q prop_multiproof_both_rules;
-        ] );
-      ( "incremental",
-        [
-          Alcotest.test_case "dirty updates match scratch" `Quick test_incr_matches_scratch;
-          Alcotest.test_case "append growth" `Quick test_incr_append_growth;
-          Alcotest.test_case "mixed batch + idempotence" `Quick test_incr_mixed_batch;
-          Alcotest.test_case "commit immutability" `Quick test_incr_commit_immutable;
-          Alcotest.test_case "rehash stats" `Quick test_incr_stats;
-          Alcotest.test_case "snapshot roundtrip" `Quick test_snapshot_roundtrip;
-          Alcotest.test_case "snapshot rejects garbage" `Quick test_snapshot_rejects_garbage;
-          q prop_incr_random_ops;
         ] );
       ( "smt",
         [

@@ -182,7 +182,10 @@ let test_client_historical_query () =
               row.Query.receipt));
       check_bool "missing round" true
         (Result.is_error
-           (Prover_service.query_at d.Zkflow.service ~round:9 Query.flow_count)))
+           (Prover_service.query_at d.Zkflow.service ~round:9 Query.flow_count));
+      check_bool "negative round" true
+        (Result.is_error
+           (Prover_service.query_at d.Zkflow.service ~round:(-1) Query.flow_count)))
 
 let test_service_restore_resume () =
   let path = Filename.temp_file "zkflow_pipeline" ".wal" in
@@ -269,7 +272,10 @@ let test_selective_disclosure () =
           .Record.key
       in
       check_bool "absent flow refused" true
-        (Result.is_error (Prover_service.disclose d.Zkflow.service ~keys:[ ghost ])))
+        (Result.is_error (Prover_service.disclose d.Zkflow.service ~keys:[ ghost ]));
+      let k = List.hd keys in
+      check_bool "repeated flow refused" true
+        (Result.is_error (Prover_service.disclose d.Zkflow.service ~keys:[ k; k ])))
 
 let test_query_flows_batched () =
   let d = deployment () in

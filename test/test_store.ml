@@ -121,40 +121,6 @@ let test_wal_torn_tail_dropped () =
       | Ok l -> Alcotest.fail (Printf.sprintf "expected 1 row, got %d" (List.length l))
       | Error e -> Alcotest.fail e)
 
-let test_wal_torn_tree_snapshot_row () =
-  (* Checkpoint rows carry a Merkle node snapshot; a crash mid-append
-     of the next row must leave the persisted snapshot restorable. *)
-  with_tmp (fun path ->
-      Sys.remove path;
-      let module Tree = Zkflow_merkle.Tree in
-      let tree =
-        Tree.of_leaves ~node:Zkflow_hash.Sha256.digest64
-          (Zkflow_util.Column.of_array
-             (Array.init 11 (fun i -> Bytes.of_string (Printf.sprintf "entry-%d" i))))
-      in
-      let w = Wal.open_log path in
-      Wal.append w (Tree.to_snapshot tree);
-      Wal.close w;
-      (* torn second row: header promises more bytes than exist *)
-      let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
-      output_string oc "\x00\x00\x01\x00half-a-snapshot";
-      close_out oc;
-      match Wal.replay path with
-      | Ok [ row ] -> (
-        match Tree.of_snapshot row with
-        | Ok tree' ->
-          check_int "size restored" (Tree.size tree) (Tree.size tree');
-          check_bool "root restored" true
-            (Zkflow_hash.Digest32.equal (Tree.root tree) (Tree.root tree'));
-          (* a snapshot torn *inside* the row payload must be refused
-             rather than silently adopted as a smaller tree *)
-          check_bool "truncated payload rejected" true
-            (Result.is_error
-               (Tree.of_snapshot (Bytes.sub row 0 (Bytes.length row - 7))))
-        | Error e -> Alcotest.fail e)
-      | Ok l -> Alcotest.fail (Printf.sprintf "expected 1 row, got %d" (List.length l))
-      | Error e -> Alcotest.fail e)
-
 (* A log's row boundaries: byte offsets at which a replay prefix is
    whole. Truncating anywhere else must yield exactly the rows that
    fit entirely before the cut. *)
@@ -375,7 +341,6 @@ let () =
           Alcotest.test_case "abandon loses unsynced tail" `Quick
             test_wal_abandon_loses_unsynced_tail;
           Alcotest.test_case "rewrite compacts" `Quick test_wal_rewrite_compacts;
-          Alcotest.test_case "torn tree snapshot row" `Quick test_wal_torn_tree_snapshot_row;
           Alcotest.test_case "write_file_atomic" `Quick test_write_file_atomic;
         ] );
       ( "db",
