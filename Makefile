@@ -56,8 +56,8 @@ baselines: build
 	ZKFLOW_JOBS=1 ZKFLOW_BENCH_QUICK=0 $(BENCH) all
 
 # Tiny end-to-end pipeline under telemetry: simulate, prove with a
-# Chrome trace, the flight-recorder event log, the counter snapshot
-# and the metric time-series, verify, then validate the artifacts
+# Chrome trace, the flight-recorder event log and the counter
+# snapshot, verify, then validate the artifacts
 # (trace_event schema; event-log JSONL with monotone per-track
 # timestamps and router-before-verifier causality; counters) and
 # replay the log into a strict health report and a strict SLO
@@ -78,8 +78,7 @@ bench-smoke: build
 	ZKFLOW_JOBS=2 dune exec bin/zkflow.exe -- prove --dir $(SMOKE)/state \
 	  --queries 8 --trace $(SMOKE)/trace-smoke.json \
 	  --events $(SMOKE)/state/events.jsonl \
-	  --stats $(SMOKE)/stats-smoke.json \
-	  --timeseries $(SMOKE)/state/timeseries.jsonl
+	  --stats $(SMOKE)/stats-smoke.json
 	ZKFLOW_JOBS=2 dune exec bin/zkflow.exe -- verify --dir $(SMOKE)/state \
 	  --events $(SMOKE)/state/events.jsonl
 	dune exec bin/zkflow.exe -- trace-check $(SMOKE)/trace-smoke.json \
@@ -92,10 +91,10 @@ bench-smoke: build
 	  > $(SMOKE)/health-smoke.json
 	$(MAKE) report
 
-# The live telemetry plane end to end: record a small proved run
-# (events + time-series), validate every endpoint schema offline via
-# --probe, then serve the artifacts over the embedded HTTP server and
-# curl all three endpoints. CI uploads the time-series JSONL.
+# The artifact telemetry plane end to end: record a small proved run's
+# event log, validate every endpoint schema offline via --probe, then
+# serve the log over the embedded HTTP server and curl all three
+# endpoints. CI uploads the log and the probe outputs.
 watch-smoke: build
 	rm -rf $(SMOKE)/watch
 	mkdir -p $(SMOKE)/watch
@@ -103,8 +102,7 @@ watch-smoke: build
 	  --routers 2 --flows 60 --rate 20 --duration 6000 \
 	  --events $(SMOKE)/watch/state/events.jsonl
 	ZKFLOW_JOBS=2 dune exec bin/zkflow.exe -- prove --dir $(SMOKE)/watch/state \
-	  --queries 8 --events $(SMOKE)/watch/state/events.jsonl \
-	  --timeseries $(SMOKE)/watch/state/timeseries.jsonl
+	  --queries 8 --events $(SMOKE)/watch/state/events.jsonl
 	dune exec bin/zkflow.exe -- slo --dir $(SMOKE)/watch/state --strict --json \
 	  > $(SMOKE)/watch/slo.json
 	dune exec bin/zkflow.exe -- watch --dir $(SMOKE)/watch/state \

@@ -745,10 +745,10 @@ let ablation_queries () =
 (* ------------------------------------------------------------------ *)
 
 (* The telemetry plane's standing claim: a fully instrumented prove
-   (gate enabled, events recorded, the 100 ms sampler ticking) costs
-   < 2 % wall time over the same round with the gate cold. Both arms
-   run the identical deterministic workload, best-of-reps so a stray
-   scheduler hiccup doesn't decide the verdict. *)
+   (gate enabled, events and counters recorded) costs < 2 % wall time
+   over the same round with the gate cold. Both arms run the identical
+   deterministic workload, best-of-reps so a stray scheduler hiccup
+   doesn't decide the verdict. *)
 let obs_overhead () =
   print_endline "== Observability overhead: prove with telemetry off vs on ==";
   let n = if quick () then 200 else 1000 in
@@ -760,10 +760,7 @@ let obs_overhead () =
   let one ~on ~rep =
     Gc.compact ();
     Obs.reset ();
-    if on then begin
-      Obs.enable ();
-      ignore (Zkflow_obs.Timeseries.start ())
-    end;
+    if on then Obs.enable ();
     let rng = Zkflow_util.Rng.create (Int64.of_int (0x0b5e + n + rep)) in
     let batches =
       List.init routers (fun r ->
@@ -779,29 +776,25 @@ let obs_overhead () =
           | Ok r -> r
           | Error e -> failwith e)
     in
-    if on then begin
-      Zkflow_obs.Timeseries.stop ();
-      Obs.disable ()
-    end;
+    if on then Obs.disable ();
     s
   in
-  let off_best = ref infinity and on_best = ref infinity and frames = ref 0 in
+  let off_best = ref infinity and on_best = ref infinity in
   for rep = 1 to reps do
     let s_off = one ~on:false ~rep in
     if s_off < !off_best then off_best := s_off;
     let s_on = one ~on:true ~rep in
-    frames := List.length (Zkflow_obs.Timeseries.frames ());
     if s_on < !on_best then on_best := s_on
   done;
-  let off_s = !off_best and on_s = !on_best and frames = !frames in
+  let off_s = !off_best and on_s = !on_best in
   let delta = (on_s -. off_s) /. off_s in
   Printf.printf "%10s %14s\n" "backend" "prove (s)";
   Printf.printf "%10s %14.3f\n" "obs_off" off_s;
-  Printf.printf "%10s %14.3f   (%d frames sampled)\n" "obs_on" on_s frames;
+  Printf.printf "%10s %14.3f\n" "obs_on" on_s;
   Printf.printf "   prove-time delta: %+.2f%% (budget %.0f%%) — %s\n"
     (100. *. delta) (100. *. budget)
     (if delta <= budget then "within budget" else "OVER BUDGET");
-  let row backend ?(extra = []) s =
+  let row backend s =
     let open Bench_row in
     {
       config =
@@ -812,15 +805,11 @@ let obs_overhead () =
           ("reps", Int reps);
           ("jobs", Int (Pool.jobs ()));
         ];
-      metrics = ("agg_prove_s", seconds s) :: extra;
+      metrics = [ ("agg_prove_s", seconds s) ];
       phases = [];
     }
   in
-  write "BENCH_obs.json"
-    [
-      row "obs_off" off_s;
-      row "obs_on" ~extra:[ ("frames_sampled", Bench_row.count frames) ] on_s;
-    ];
+  write "BENCH_obs.json" [ row "obs_off" off_s; row "obs_on" on_s ];
   if delta > budget then
     Printf.printf
       "   note: advisory — single-shot timing on a shared machine; see \

@@ -48,7 +48,6 @@ let board_path dir = dir // "board.txt"
 let receipts_path dir = dir // "receipts.bin"
 let query_path dir = dir // "query.bin"
 let events_path dir = dir // "events.jsonl"
-let timeseries_path dir = dir // "timeseries.jsonl"
 let ckpt_path dir = dir // "checkpoints.wal"
 
 let epoch_policy = Epoch.default
@@ -70,32 +69,6 @@ let with_events ?(append = false) events f =
         Obs.disable ();
         Obs.write_events ~append path)
       f
-
-(* Live telemetry plane: --listen PORT on prove/chaos starts the
-   embedded server over the in-process registries (plus the sampler,
-   so /metrics has frame gauges) for the duration of the run. *)
-
-(* The embedded server never exits on its own: it serves until the
-   process is killed (CI backgrounds it and kills by pid). *)
-let rec serve_forever () =
-  Thread.delay 3600.;
-  serve_forever ()
-
-let start_live_listener port =
-  ignore (Zkflow_obs.Timeseries.start ());
-  match
-    Zkflow_obs.Httpd.start ~port (Watch.handler (Watch.live_source ()))
-  with
-  | Error e -> Error ("--listen: " ^ e)
-  | Ok srv ->
-    Printf.printf
-      "live telemetry on http://127.0.0.1:%d (/metrics /healthz /slo)\n%!"
-      (Zkflow_obs.Httpd.port srv);
-    Ok srv
-
-let stop_live_listener srv =
-  Zkflow_obs.Httpd.stop srv;
-  Zkflow_obs.Timeseries.stop ()
 
 (* ---- simulate ---- *)
 
@@ -348,34 +321,15 @@ let print_phase_totals () =
       (fun (name, (count, s)) -> Printf.printf "  %-24s %6dx %9.3fs\n" name count s)
       totals
 
-let prove dir queries_n src dst metric op zirc trace_out events stats_out
-    timeseries listen =
-  let recording =
-    trace_out <> None || events <> None || stats_out <> None
-    || timeseries <> None || listen <> None
-  in
+let prove dir queries_n src dst metric op zirc trace_out events stats_out =
+  let recording = trace_out <> None || events <> None || stats_out <> None in
   if recording then begin
     Obs.reset ();
     Obs.enable ()
   end;
-  let sampling = timeseries <> None || listen <> None in
-  if sampling then ignore (Zkflow_obs.Timeseries.start ());
-  let* server =
-    match listen with
-    | None -> Ok None
-    | Some port -> Result.map Option.some (start_live_listener port)
-  in
   let result =
     Fun.protect
       ~finally:(fun () ->
-        Option.iter Zkflow_obs.Httpd.stop server;
-        if sampling then Zkflow_obs.Timeseries.stop ();
-        (match timeseries with
-        | Some path ->
-          Zkflow_obs.Timeseries.write_jsonl path;
-          Printf.printf "time-series written to %s (%d frames)\n" path
-            (List.length (Zkflow_obs.Timeseries.frames ()))
-        | None -> ());
         if recording then begin
           Obs.disable ();
           (match events with
@@ -773,37 +727,18 @@ let load_events_or_hint dir events =
          "%s (run the workflow with --events %s to record a flight log)" e
          (events_path dir))
 
-(* The saved time-series is optional context everywhere: an explicit
-   --timeseries FILE must load; the conventional DIR/timeseries.jsonl
-   is picked up only when present. *)
-let load_frames_opt dir timeseries =
-  let path =
-    match timeseries with
-    | Some p -> Some p
-    | None ->
-      let p = timeseries_path dir in
-      if Sys.file_exists p then Some p else None
-  in
-  match path with
-  | None -> Ok None
-  | Some p ->
-    let* frames, tail_note = Zkflow_obs.Timeseries.load_jsonl p in
-    Option.iter (Printf.eprintf "warning: %s\n%!") tail_note;
-    Ok (Some frames)
-
 (* --strict on monitor and slo: both exit on the one verdict,
    [Monitor.verdict] of the log, naming its reasons. *)
 let strict_gate cmd (v : Monitor.verdict) =
   if v.healthy then Ok ()
   else Error (Printf.sprintf "%s: unhealthy: %s" cmd (String.concat ", " v.reasons))
 
-let monitor dir events timeseries json strict =
+let monitor dir events json strict =
   let* events = load_events_or_hint dir events in
-  let* frames = load_frames_opt dir timeseries in
   (* The checkpoint journal is optional context: without it the
      report is built from the event log alone. *)
   let service = Result.to_option (restore_service dir) in
-  let report = Monitor.build ?service ?frames events in
+  let report = Monitor.build ?service events in
   if json then print_endline (Jsonx.to_string (Monitor.to_json report))
   else Format.printf "%a@." Monitor.pp report;
   if strict then strict_gate "monitor" report.Monitor.verdict else Ok ()
@@ -819,21 +754,15 @@ let slo dir events json strict =
 
 (* ---- watch ---- *)
 
-let watch dir events timeseries listen probe =
-  let present p = if Sys.file_exists p then Some p else None in
-  let events_file =
-    match events with Some p -> Some p | None -> present (events_path dir)
-  in
-  let ts_file =
-    match timeseries with
-    | Some p -> Some p
-    | None -> present (timeseries_path dir)
-  in
-  let handler =
-    Watch.handler
-      (Watch.artifact_source ~events_path:events_file ?timeseries_path:ts_file
-         ())
-  in
+(* The server never exits on its own: it serves until the process is
+   killed (CI backgrounds it and kills by pid). *)
+let rec serve_forever () =
+  Thread.delay 3600.;
+  serve_forever ()
+
+let watch dir events listen probe =
+  let path = Option.value events ~default:(events_path dir) in
+  let handler = Watch.handler (Watch.artifact_source ~events_path:path) in
   match probe with
   | Some path ->
     let r = Watch.probe handler path in
@@ -853,17 +782,9 @@ let watch dir events timeseries listen probe =
 (* ---- chaos ---- *)
 
 let chaos dir seed plan_file routers flows rate duration loss queries
-    max_restarts json events listen =
+    max_restarts json events =
   let events = match events with Some p -> Some p | None -> Some (events_path dir) in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let* server =
-    match listen with
-    | None -> Ok None
-    | Some port -> Result.map Option.some (start_live_listener port)
-  in
-  Fun.protect
-    ~finally:(fun () -> Option.iter stop_live_listener server)
-  @@ fun () ->
   with_events ~append:false events (fun () ->
       let module Fault = Zkflow_fault.Fault in
       let* plan =
@@ -895,10 +816,10 @@ let chaos dir seed plan_file routers flows rate duration loss queries
    the routers' behalf and proves rounds off-path), then the process
    sits behind the embedded HTTP plane answering memoized proof-backed
    queries until SIGTERM/SIGINT, at which point it drains — finishes
-   everything in flight — and flushes board, receipts, events and
-   time-series before exiting 0. A SIGKILL instead loses nothing
-   durable: the next [serve] resumes from the checkpoint WAL and
-   re-proves only the unsynced tail. *)
+   everything in flight — and flushes board, receipts and events before
+   exiting 0. A SIGKILL instead loses nothing durable: the next [serve]
+   resumes from the checkpoint WAL and re-proves only the unsynced
+   tail. *)
 
 let serve_stop = Atomic.make false
 
@@ -927,11 +848,6 @@ let serve dir listen queries_n capacity events =
   trap Sys.sigterm;
   trap Sys.sigint;
   with_events ~append:true events @@ fun () ->
-  ignore (Zkflow_obs.Timeseries.start ());
-  let finish_sampler () =
-    Zkflow_obs.Timeseries.stop ();
-    Zkflow_obs.Timeseries.write_jsonl (timeseries_path dir)
-  in
   let db = Db.create ~epoch:epoch_policy () in
   let board = Board.create () in
   let config = { Daemon.default_config with Daemon.queue_capacity = capacity } in
@@ -943,7 +859,6 @@ let serve dir listen queries_n capacity events =
   match Zkflow_obs.Httpd.start ~port:listen (Daemon.handler d) with
   | Error e ->
     Daemon.stop d;
-    finish_sampler ();
     Error ("serve: " ^ e)
   | Ok srv ->
     Printf.printf "zkflow serve on http://127.0.0.1:%d (/status /healthz /query /flows /metrics /slo)\n%!"
@@ -1007,14 +922,13 @@ let serve dir listen queries_n capacity events =
     | Ok () -> write_receipts dir (Daemon.service d)
     | Error e -> Printf.eprintf "warning: %s left as it was: %s\n%!" (receipts_path dir) e);
     Daemon.stop d;
-    finish_sampler ();
     let* () = drained in
     Printf.printf
       "drained: %d window(s) accepted (%d shed, %d duplicate), %d round(s) (%d heal), root %s\n"
       c.Daemon.accepted c.Daemon.shed c.Daemon.duplicates c.Daemon.rounds
       c.Daemon.heal_rounds
       (String.sub (Daemon.root_hex d) 0 16);
-    Printf.printf "state flushed to %s (board.txt, receipts.bin, events, timeseries)\n" dir;
+    Printf.printf "state flushed to %s (board.txt, receipts.bin, events)\n" dir;
     Ok ()
 
 (* ---- bench-diff ---- *)
@@ -1089,17 +1003,6 @@ let events_arg =
                (conventionally DIR/events.jsonl; simulate truncates, later \
                stages append).")
 
-let listen_arg =
-  Arg.(value & opt (some int) None & info [ "listen" ] ~docv:"PORT"
-         ~doc:"Serve the live telemetry plane (/metrics, /healthz, /slo) \
-               on this loopback port for the duration of the run (0 picks \
-               an ephemeral port, printed at startup).")
-
-let timeseries_read_arg =
-  Arg.(value & opt (some string) None & info [ "timeseries" ] ~docv:"FILE"
-         ~doc:"Saved metric time-series to load (default: \
-               DIR/timeseries.jsonl when present).")
-
 let simulate_cmd =
   let routers = Arg.(value & opt int 4 & info [ "routers" ] ~doc:"Vantage points.") in
   let flows = Arg.(value & opt int 30 & info [ "flows" ] ~doc:"Flow population.") in
@@ -1139,23 +1042,13 @@ let prove_cmd =
            ~doc:"Record telemetry and write the counter/histogram/span \
                  snapshot as JSON (checkable with trace-check --counters).")
   in
-  let timeseries =
-    Arg.(value & opt (some string) None & info [ "timeseries" ] ~docv:"FILE"
-           ~doc:"Sample every counter/histogram plus GC stats on a background \
-                 tick and write the frame series to this JSONL file \
-                 (conventionally DIR/timeseries.jsonl; enables monitor's \
-                 round-latency trend).")
-  in
-  let run dir queries src dst metric op zirc trace events stats_out timeseries
-      listen =
-    handle
-      (prove dir queries src dst metric op zirc trace events stats_out
-         timeseries listen)
+  let run dir queries src dst metric op zirc trace events stats_out =
+    handle (prove dir queries src dst metric op zirc trace events stats_out)
   in
   Cmd.v
     (Cmd.info "prove" ~doc:"Aggregate every epoch under proof; optionally prove a query.")
     Term.(const run $ dir_arg $ queries $ src $ dst $ metric $ op $ zirc $ trace
-          $ events_arg $ stats_out $ timeseries $ listen_arg)
+          $ events_arg $ stats_out)
 
 let stats_cmd =
   let json =
@@ -1295,17 +1188,16 @@ let monitor_cmd =
                  breaker is open. The same verdict as slo --strict and \
                  /healthz.")
   in
-  let run dir events timeseries json strict =
-    handle (monitor dir events timeseries json strict)
-  in
+  let run dir events json strict = handle (monitor dir events json strict) in
   Cmd.v
     (Cmd.info "monitor"
        ~doc:"Replay the flight-recorder event log (and saved prover state) \
              into a health report: per-router commitment lag and gaps, round \
              latency percentiles, verifier rejections by cause, degraded \
-             rounds and open coverage gaps, service backlog, and — when a \
-             saved time-series is available — the round-latency trend.")
-    Term.(const run $ dir_arg $ events $ timeseries_read_arg $ json $ strict)
+             rounds and open coverage gaps, service backlog, and the \
+             round-latency trend (the newer half of the done rounds \
+             against the older half).")
+    Term.(const run $ dir_arg $ events $ json $ strict)
 
 let slo_cmd =
   let events =
@@ -1334,7 +1226,7 @@ let slo_cmd =
 let watch_cmd =
   let events =
     Arg.(value & opt (some string) None & info [ "events" ] ~docv:"FILE"
-           ~doc:"Event log to serve (default: DIR/events.jsonl when present).")
+           ~doc:"Event log to serve (default: DIR/events.jsonl).")
   in
   let listen =
     Arg.(value & opt int 9464 & info [ "listen" ] ~docv:"PORT"
@@ -1348,18 +1240,16 @@ let watch_cmd =
                  endpoint would error. Lets tests and CI validate endpoint \
                  schemas without binding a port.")
   in
-  let run dir events timeseries listen probe =
-    handle (watch dir events timeseries listen probe)
-  in
+  let run dir events listen probe = handle (watch dir events listen probe) in
   Cmd.v
     (Cmd.info "watch"
-       ~doc:"Serve the telemetry plane for a recorded run: /metrics \
-             (Prometheus text rebuilt from the saved time-series), /healthz \
-             (the monitor report under its verdict, 503 when unhealthy) and /slo \
-             (burn-rate alerts), re-reading the artifacts on every request. \
-             For a live view of a run in progress, use prove/chaos \
-             --listen instead.")
-    Term.(const run $ dir_arg $ events $ timeseries_read_arg $ listen $ probe)
+       ~doc:"Serve the telemetry plane for a recorded run from its event \
+             log alone: /metrics (the log's count per event kind), \
+             /healthz (the monitor report under its verdict, 503 when \
+             unhealthy) and /slo (burn-rate alerts), re-reading the log on \
+             every request; a missing or unreadable log is a 503 on all \
+             three. For a live view of a running daemon, use serve.")
+    Term.(const run $ dir_arg $ events $ listen $ probe)
 
 let chaos_cmd =
   let seed =
@@ -1387,10 +1277,10 @@ let chaos_cmd =
     Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON output.")
   in
   let run dir seed plan routers flows rate duration loss queries max_restarts
-      json events listen =
+      json events =
     handle
       (chaos dir seed plan routers flows rate duration loss queries max_restarts
-         json events listen)
+         json events)
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -1405,8 +1295,7 @@ let chaos_cmd =
              the injected faults wound fire). Exits nonzero on any \
              violation.")
     Term.(const run $ dir_arg $ seed $ plan $ routers $ flows $ rate $ duration
-          $ loss $ queries $ max_restarts $ json $ events_arg
-          $ listen_arg)
+          $ loss $ queries $ max_restarts $ json $ events_arg)
 
 let serve_cmd =
   let listen =

@@ -1,12 +1,10 @@
 module Event = Zkflow_obs.Event
 module Metric = Zkflow_obs.Metric
-module Timeseries = Zkflow_obs.Timeseries
 module Jsonx = Zkflow_util.Jsonx
 
 type latency = { count : int; p50_ns : int; p95_ns : int; p99_ns : int; max_ns : int }
 
 type trend = {
-  trend_metric : string;
   last_count : int;
   last_p95_ns : int;
   prev_count : int;
@@ -68,42 +66,6 @@ type report = {
   verdict : verdict;
 }
 
-(* Trend over a saved time-series: split the frame history in half and
-   compare the p95 of the metric's activity in the newer half against
-   the older half. Frames hold cumulative snapshots, so each half's
-   activity is the bucket-wise delta of its boundary frames. *)
-let trend_of_frames ?(metric = "prover.round_ns") frames =
-  let n = List.length frames in
-  if n < 3 then None
-  else begin
-    let arr = Array.of_list frames in
-    let empty = { Metric.count = 0; sum = 0; max_value = 0; buckets = [] } in
-    let hist f =
-      Option.value ~default:empty
-        (List.assoc_opt metric f.Timeseries.histograms)
-    in
-    let mid = n / 2 in
-    let prev = Metric.sub_snapshot (hist arr.(mid)) (hist arr.(0)) in
-    let last = Metric.sub_snapshot (hist arr.(n - 1)) (hist arr.(mid)) in
-    if prev.Metric.count = 0 && last.Metric.count = 0 then None
-    else begin
-      let last_p95_ns = Metric.percentile last 0.95 in
-      let prev_p95_ns = Metric.percentile prev 0.95 in
-      Some
-        {
-          trend_metric = metric;
-          last_count = last.Metric.count;
-          last_p95_ns;
-          prev_count = prev.Metric.count;
-          prev_p95_ns;
-          trend_ratio =
-            (if prev.Metric.count = 0 || last.Metric.count = 0 || prev_p95_ns = 0
-             then None
-             else Some (float_of_int last_p95_ns /. float_of_int prev_p95_ns));
-        }
-    end
-  end
-
 let attr_num name (e : Event.t) =
   match List.assoc_opt name e.Event.attrs with
   | Some (Jsonx.Num f) -> Some (int_of_float f)
@@ -133,6 +95,28 @@ let latency_of_values = function
         max_ns = s.Metric.max_value;
       }
 
+(* The newer half of the done rounds' latencies, in log order, against
+   the older half. *)
+let trend_of_rounds latencies =
+  let n = List.length latencies in
+  if n < 2 then None
+  else begin
+    let older = List.filteri (fun i _ -> i < n / 2) latencies in
+    let newer = List.filteri (fun i _ -> i >= n / 2) latencies in
+    let p95 vs = Metric.percentile (Metric.snapshot_of_values vs) 0.95 in
+    let prev_p95_ns = p95 older and last_p95_ns = p95 newer in
+    Some
+      {
+        last_count = List.length newer;
+        last_p95_ns;
+        prev_count = List.length older;
+        prev_p95_ns;
+        trend_ratio =
+          (if prev_p95_ns = 0 then None
+           else Some (float_of_int last_p95_ns /. float_of_int prev_p95_ns));
+      }
+  end
+
 (* The one health verdict. A reason is a firing default objective or
    a gauge read from the same log: a router behind or missing an
    epoch, a gap still open, a daemon crash with no restart after it,
@@ -152,7 +136,7 @@ let judge events ~routers ~open_gaps ~daemon_down ~breaker_open =
   let reasons = Slo.firing_names (Slo.evaluate events) @ gauges in
   { healthy = reasons = []; reasons }
 
-let build ?service ?frames events =
+let build ?service events =
   (* Fresh publications only — board replays are recorded under a
      different kind precisely so re-importing board.txt on every CLI
      invocation does not look like router liveness. *)
@@ -165,7 +149,7 @@ let build ?service ?frames events =
   let queries_done = ref 0 and queries_error = ref 0 in
   let round_start = Hashtbl.create 8 in
   (* round ix -> start ts *)
-  let round_deltas = ref [] and prove_ns = ref [] in
+  let round_deltas = ref [] and prove_ns = ref [] and round_ns = ref [] in
   let queue_rev = ref [] in
   let rounds_skipped = ref 0 and degraded_rounds = ref 0 and heal_rounds = ref 0 in
   (* (router, epoch) -> gap_status; the first open wins, a heal marks it *)
@@ -214,9 +198,12 @@ let build ?service ?frames events =
             round_deltas := (e.Event.ts_ns - t0) :: !round_deltas
           | _ -> ())
         | None -> ());
-        (match attr_num "prove_ns" e with
-        | Some ns -> prove_ns := ns :: !prove_ns
-        | None -> ());
+        let prove = attr_num "prove_ns" e in
+        Option.iter (fun ns -> prove_ns := ns :: !prove_ns) prove;
+        (* what the [prover.round_ns] histogram observes *)
+        (match (prove, attr_num "execute_ns" e) with
+        | Some p, Some x -> round_ns := (p + x) :: !round_ns
+        | _ -> ());
         (match attr_num "missing" e with
         | Some m when m > 0 -> incr degraded_rounds
         | _ -> ());
@@ -337,7 +324,7 @@ let build ?service ?frames events =
       Option.map
         (fun s -> Zkflow_hash.Digest32.to_hex (Prover_service.latest_root s))
         service;
-    round_trend = Option.bind frames (fun fs -> trend_of_frames fs);
+    round_trend = trend_of_rounds (List.rev !round_ns);
     verdict =
       judge events ~routers ~open_gaps:open_gap_count ~daemon_down:!daemon_down
         ~breaker_open:!breaker_open;
@@ -487,7 +474,7 @@ let to_json r =
         | Some t ->
           Jsonx.Obj
             [
-              ("metric", Jsonx.Str t.trend_metric);
+              ("metric", Jsonx.Str "prover.round_ns");
               ("last_count", num t.last_count);
               ("last_p95_ns", num t.last_p95_ns);
               ("prev_count", num t.prev_count);

@@ -18,18 +18,20 @@
     Prometheus exporter's quantile lines). *)
 type latency = { count : int; p50_ns : int; p95_ns : int; p99_ns : int; max_ns : int }
 
-(** Round-latency trend from a saved metric time-series: the p95 of
-    the newer half of the frame history against the older half, so one
-    [monitor --json] artifact answers "is the prover slowing down"
-    without a second run to diff against. *)
+(** Round-latency trend from the log's [prover.round.done] events: the
+    p95 of the newer half of the done rounds, in log order, against the
+    older half, so one [monitor --json] artifact answers "is the prover
+    slowing down" without a second run to diff against. A round's
+    latency is its [prove_ns + execute_ns], the value the
+    [prover.round_ns] histogram observes. With [n] rounds the older
+    half is the first [n / 2]. *)
 type trend = {
-  trend_metric : string;  (** histogram the trend is over *)
-  last_count : int;  (** observations in the newer half-window *)
+  last_count : int;  (** rounds in the newer half *)
   last_p95_ns : int;
-  prev_count : int;
+  prev_count : int;  (** rounds in the older half *)
   prev_p95_ns : int;
   trend_ratio : float option;
-      (** [last_p95 / prev_p95]; [None] when either half is empty *)
+      (** [last_p95 / prev_p95]; [None] when [prev_p95] is 0 *)
 }
 
 type router_health = {
@@ -103,26 +105,15 @@ type report = {
   service_entries : int option;
   service_root : string option;
   round_trend : trend option;
-      (** from the saved time-series, when frames were given *)
+      (** [None] with fewer than two timed done rounds *)
   verdict : verdict;  (** {!verdict} of the replayed events *)
 }
 
-val trend_of_frames :
-  ?metric:string -> Zkflow_obs.Timeseries.frame list -> trend option
-(** Half-vs-half p95 comparison over a frame history ([metric]
-    defaults to ["prover.round_ns"]). [None] with fewer than 3 frames
-    or when neither half saw an observation. *)
-
-val build :
-  ?service:Prover_service.t ->
-  ?frames:Zkflow_obs.Timeseries.frame list ->
-  Zkflow_obs.Event.t list ->
-  report
+val build : ?service:Prover_service.t -> Zkflow_obs.Event.t list -> report
 (** Replay a recorded event list into a health report. [?service] adds
     the persisted prover-service view (round count, CLog size, root)
-    for cross-checking against what the log claims happened.
-    [?frames] adds the saved metric time-series, enabling
-    [round_trend]. Neither changes [verdict]. *)
+    for cross-checking against what the log claims happened; it does
+    not change [verdict]. One log always gives one report. *)
 
 val verdict : Zkflow_obs.Event.t list -> verdict
 (** The health verdict of a recorded event list: [(build events).verdict].

@@ -347,9 +347,9 @@ let prove_and_commit t ~epoch ~routers ~absent ~heal batches =
   announce_gap_opens ~round_ix new_gaps;
   Ok (round, new_gaps)
 
-(* The per-round latency histograms the time-series sampler snapshots:
-   these are what turn "each round took N ns" into a queryable history
-   ([monitor]'s round-latency trend, the /metrics window percentiles). *)
+(* The per-round latency histograms: a live /metrics scrape reads their
+   buckets and p50/p95/p99 quantiles. The same values ride on each
+   [prover.round.done] event, which is what [monitor] reads. *)
 let h_round_ns = Obs.Metric.histogram "prover.round_ns"
 let h_prove_ns = Obs.Metric.histogram "prover.prove_ns"
 
@@ -490,22 +490,6 @@ let heal_pending t =
       g.healed_round = None
       && Board.lookup t.board ~router_id:g.router_id ~epoch:g.epoch <> None)
     t.gaps
-
-(* ---- disclosure ---- *)
-
-type disclosure = {
-  indices : int list;
-  entries : Clog.entry list;
-  proof : Zkflow_merkle.Multiproof.t;
-}
-
-let disclose t ~keys =
-  let* found = Query.locate ~what:"disclose" t.clog keys in
-  let indices = List.map fst found in
-  let proof = Zkflow_merkle.Multiproof.prove (Clog.tree t.clog) (Array.of_list indices) in
-  Ok { indices; entries = List.map snd found; proof }
-
-let query_flows t ~metric keys = Query.prove_flows ~clog:t.clog ~metric keys
 
 (* ---- crash recovery ----
 

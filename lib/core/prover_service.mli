@@ -229,32 +229,6 @@ val prove_custom :
     ({!aggregate_available}, {!heal}, {!query}, {!query_at}) runs the
     same gate. *)
 
-type disclosure = {
-  indices : int list;                 (** CLog positions, ascending *)
-  entries : Clog.entry list;          (** the disclosed entries, aligned *)
-  proof : Zkflow_merkle.Multiproof.t; (** batched inclusion proof *)
-}
-(** Selective disclosure: with the client's consent (e.g. a legal
-    order covering specific flows), the operator reveals exactly those
-    CLog entries, authenticated against the already-verified root —
-    and provably nothing else is needed to check them. *)
-
-val disclose :
-  t -> keys:Zkflow_netflow.Flowkey.t list -> (disclosure, string) result
-(** Build a disclosure for the given flows against the latest CLog.
-    Fails on an empty key list, a key given twice, or an absent key
-    (use a query with an exact-match predicate to prove
-    absence-of-traffic instead). *)
-
-val query_flows :
-  t ->
-  metric:Guests.metric ->
-  Zkflow_netflow.Flowkey.t list ->
-  (Query.flows_result, string) result
-(** Answer a multi-flow metric readout against the latest CLog with one
-    batched Merkle multiproof (see {!Query.prove_flows}) — the batched
-    replacement for issuing one inclusion proof per flow. *)
-
 val query_at : t -> round:int -> Guests.query_params -> (Query.result_row, string) result
 (** Prove a query against the historical CLog state after round
     [round] (0-based); a round outside the history is an [Error].

@@ -129,23 +129,24 @@ type flows_result = {
   proof : Zkflow_merkle.Multiproof.t;
 }
 
-let locate ~what clog keys =
+(* The index and entry of each key, in index order. *)
+let locate clog keys =
   let rec collect acc = function
     | [] -> Ok acc
     | key :: rest -> (
       match Clog.find clog key with
       | Some found -> collect (found :: acc) rest
-      | None -> Error (Format.asprintf "%s: flow %a not in the CLog" what Flowkey.pp key))
+      | None -> Error (Format.asprintf "query flows: flow %a not in the CLog" Flowkey.pp key))
   in
-  if keys = [] then Error (what ^ ": no keys given")
+  if keys = [] then Error "query flows: no keys given"
   else
     let* found = collect [] keys in
     let sorted = List.sort_uniq (fun (a, _) (b, _) -> Int.compare a b) found in
     if List.compare_lengths sorted found = 0 then Ok sorted
-    else Error (what ^ ": duplicate keys")
+    else Error "query flows: duplicate keys"
 
 let prove_flows ~clog ~metric keys =
-  let* sorted = locate ~what:"query flows" clog keys in
+  let* sorted = locate clog keys in
   (* One multiproof over the merged index set: helper digests shared
      between flows are carried once, instead of one full root path per
      flow. *)

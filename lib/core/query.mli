@@ -53,16 +53,6 @@ type flows_result = {
       (** one batched inclusion proof covering every row *)
 }
 
-val locate :
-  what:string ->
-  Clog.t ->
-  Zkflow_netflow.Flowkey.t list ->
-  ((int * Clog.entry) list, string) result
-(** The index and entry of each key, in index order: the key lookup
-    of {!prove_flows} and [Prover_service.disclose]. Fails, naming
-    [what], on an empty key list, a key absent from the CLog, or a
-    key given twice. *)
-
 val prove_flows :
   clog:Clog.t ->
   metric:Guests.metric ->

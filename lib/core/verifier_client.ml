@@ -220,38 +220,6 @@ let verify_query ?query ~expected_root receipt =
       ];
   Ok journal
 
-let verify_disclosure ~expected_root (d : Prover_service.disclosure) =
-  let check name r = checked ~check:name r in
-  let* () =
-    check "disclosure.arity"
-      (if List.length d.Prover_service.indices = List.length d.Prover_service.entries
-       then Ok ()
-       else Error "client: disclosure arity mismatch")
-  in
-  let* () =
-    check "disclosure.indices"
-      (if
-         Array.of_list d.Prover_service.indices
-         = d.Prover_service.proof.Zkflow_merkle.Multiproof.indices
-       then Ok ()
-       else Error "client: disclosure indices do not match the proof")
-  in
-  let leaf_hashes =
-    Zkflow_merkle.Multiproof.leaf_digests (List.map Clog.leaf_digest d.Prover_service.entries)
-  in
-  let* () =
-    check "disclosure.proof"
-      (if
-         Zkflow_merkle.Multiproof.verify ~node:Clog.node ~root:expected_root
-           d.Prover_service.proof leaf_hashes
-       then Ok ()
-       else Error "client: disclosure does not authenticate against the CLog root")
-  in
-  Event.emit ~track:"verifier" "verifier.disclosure.accept"
-    ~attrs:
-      [ ("entries", Jsonx.Num (float_of_int (List.length d.Prover_service.entries))) ];
-  Ok d.Prover_service.entries
-
 let verify_flows ?query ~expected_root (f : Query.flows_result) =
   let check name r = checked ?query ~check:name r in
   let mask32 = 0xffffffff in

@@ -93,15 +93,6 @@ val verify_query :
     [query.proof], [query.journal], [query.root]); [?query] is the
     correlation id carried on those events. *)
 
-val verify_disclosure :
-  expected_root:Zkflow_hash.Digest32.t ->
-  Prover_service.disclosure ->
-  (Clog.entry list, string) result
-(** Check a selective disclosure against the aggregated root the client
-    already verified: the batched Merkle proof must authenticate
-    exactly the claimed entries at the claimed positions. Returns the
-    now-trustworthy entries. *)
-
 val verify_flows :
   ?query:int ->
   expected_root:Zkflow_hash.Digest32.t ->

@@ -1,9 +1,8 @@
-(* The live telemetry plane: routes the embedded HTTP server's three
-   endpoints over either the in-process registries (a running prove)
-   or saved run artifacts (a finished one). *)
+(* The telemetry plane's routes, over either the in-process registries
+   (the daemon [zkflow serve] runs) or a saved event log (a finished
+   run). *)
 
 module Event = Zkflow_obs.Event
-module Timeseries = Zkflow_obs.Timeseries
 module Export = Zkflow_obs.Export
 module Httpd = Zkflow_obs.Httpd
 module Jsonx = Zkflow_util.Jsonx
@@ -11,46 +10,50 @@ module Jsonx = Zkflow_util.Jsonx
 type source = {
   label : string;
   events : unit -> (Event.t list, string) result;
-  frames : unit -> (Timeseries.frame list, string) result;
-  metrics_text : unit -> string;
+  metrics_text : unit -> (string, string) result;
 }
+
+let gc_gauges () =
+  let gc = Gc.quick_stat () in
+  String.concat ""
+    (List.map
+       (fun (name, v) ->
+         Printf.sprintf "# TYPE zkflow_gc_%s gauge\nzkflow_gc_%s %s\n" name name v)
+       [
+         ("minor_words", Printf.sprintf "%.0f" gc.Gc.minor_words);
+         ("major_words", Printf.sprintf "%.0f" gc.Gc.major_words);
+         ("compactions", string_of_int gc.Gc.compactions);
+         ("heap_words", string_of_int gc.Gc.heap_words);
+       ])
 
 let live_source () =
   {
     label = "live";
     events = (fun () -> Ok (Event.events ()));
-    frames = (fun () -> Ok (Timeseries.frames ()));
-    metrics_text =
-      (fun () ->
-        Export.prometheus ()
-        ^ Timeseries.prometheus_gauges (Timeseries.frames ()));
+    metrics_text = (fun () -> Ok (Export.prometheus () ^ gc_gauges ()));
   }
 
-let artifact_source ~events_path ?timeseries_path () =
-  let load_frames () =
-    match timeseries_path with
-    | None -> Ok []
-    | Some p -> Result.map fst (Timeseries.load_jsonl p)
+let event_counts events =
+  let counts = Hashtbl.create 32 in
+  List.iter
+    (fun (e : Event.t) ->
+      Hashtbl.replace counts e.Event.kind
+        (1 + Option.value ~default:0 (Hashtbl.find_opt counts e.Event.kind)))
+    events;
+  let lines =
+    Hashtbl.fold (fun kind n acc -> (kind, n) :: acc) counts []
+    |> List.sort compare
+    |> List.map (fun (kind, n) ->
+           Printf.sprintf "zkflow_events_total{kind=%s} %d\n" (Jsonx.quote kind) n)
   in
+  String.concat "" ("# TYPE zkflow_events_total counter\n" :: lines)
+
+let artifact_source ~events_path =
+  let events () = Result.map fst (Event.load_jsonl events_path) in
   {
     label = "artifact";
-    events =
-      (fun () ->
-        match events_path with
-        | None -> Ok []
-        | Some p -> Result.map fst (Event.load_jsonl p));
-    frames = load_frames;
-    metrics_text =
-      (fun () ->
-        let frames = match load_frames () with Ok fs -> fs | Error _ -> [] in
-        let registry =
-          match List.rev frames with
-          | [] -> ""
-          | last :: _ ->
-              Export.prometheus_of ~counters:last.Timeseries.counters
-                ~histograms:last.Timeseries.histograms ~spans:[]
-        in
-        registry ^ Timeseries.prometheus_gauges frames);
+    events;
+    metrics_text = (fun () -> Result.map event_counts (events ()));
   }
 
 let json status body : Httpd.response =
@@ -66,10 +69,7 @@ let healthz source =
   match source.events () with
   | Error e -> unavailable e
   | Ok events ->
-      let frames =
-        match source.frames () with Ok fs -> fs | Error _ -> []
-      in
-      let report = Monitor.build ~frames events in
+      let report = Monitor.build events in
       let (v : Monitor.verdict) = report.Monitor.verdict in
       json
         (if v.healthy then 200 else 503)
@@ -102,13 +102,11 @@ let handler source : Httpd.handler =
  fun req ->
   match req.Httpd.path with
   | "/" -> Some index
-  | "/metrics" ->
-      Some
-        {
-          status = 200;
-          content_type = "text/plain; version=0.0.4";
-          body = source.metrics_text ();
-        }
+  | "/metrics" -> (
+      match source.metrics_text () with
+      | Error e -> Some (unavailable e)
+      | Ok body ->
+          Some { status = 200; content_type = "text/plain; version=0.0.4"; body })
   | "/healthz" -> Some (healthz source)
   | "/slo" -> Some (slo source)
   | _ -> None

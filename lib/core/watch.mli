@@ -1,35 +1,34 @@
-(** The live telemetry plane behind [zkflow watch] and the
-    [--listen PORT] flag on [prove]/[chaos]: one {!Zkflow_obs.Httpd.handler}
+(** The telemetry plane's HTTP routes: one {!Zkflow_obs.Httpd.handler}
     serving [/metrics] (Prometheus text), [/healthz] (a full
     {!Monitor} report under its {!Monitor.verdict}) and [/slo]
     (burn-rate alerts, {!Slo.to_json} schema).
 
-    The same handler serves two {!source}s: {!live_source} reads the
-    in-process registries — counters, the time-series ring, the event
-    ring — so scraping a running prove sees the run as it happens;
-    {!artifact_source} re-reads saved run artifacts (the event log and
-    the time-series JSONL) on every request, so [zkflow watch --dir]
-    over a finished run serves current file contents without a
-    restart. *)
+    The same handler serves two {!source}s. {!live_source} reads the
+    in-process registries and the event ring at request time: it is
+    the plane [zkflow serve] answers on. {!artifact_source} is a pure
+    function of a saved event log, re-read on every request, so
+    [zkflow watch --dir] over a finished run serves current file
+    contents without a restart. *)
 
 type source = {
   label : string;  (** ["live"] or ["artifact"], echoed in [/healthz] *)
   events : unit -> (Zkflow_obs.Event.t list, string) result;
-  frames : unit -> (Zkflow_obs.Timeseries.frame list, string) result;
-  metrics_text : unit -> string;  (** Prometheus exposition body *)
+  metrics_text : unit -> (string, string) result;
+      (** Prometheus exposition body *)
 }
 
 val live_source : unit -> source
-(** In-process registries: {!Zkflow_obs.Event.events},
-    {!Zkflow_obs.Timeseries.frames}, {!Zkflow_obs.Export.prometheus}
-    plus the time-series gauges. *)
+(** In-process state: {!Zkflow_obs.Event.events}, and for [/metrics]
+    {!Zkflow_obs.Export.prometheus} plus four [zkflow_gc_*] gauges
+    ([minor_words], [major_words], [compactions], [heap_words]) read
+    from [Gc.quick_stat] at scrape time. *)
 
-val artifact_source :
-  events_path:string option -> ?timeseries_path:string -> unit -> source
-(** Saved artifacts, re-read per request. A missing [events_path]
-    serves empty logs; an unreadable file surfaces as a 503 on the
-    endpoints that need it. [/metrics] is rebuilt from the {e last}
-    saved frame's cumulative registry snapshot. *)
+val artifact_source : events_path:string -> source
+(** A saved event log, re-read per request. A missing or unreadable
+    file is a 503 naming it on [/healthz], [/slo] and [/metrics], the
+    answer [monitor --strict] and [slo --strict] give as an exit 1.
+    [/metrics] is the log's count per event kind, one
+    [zkflow_events_total{kind="..."}] line each, sorted by kind. *)
 
 val handler : source -> Zkflow_obs.Httpd.handler
 (** Route [/], [/metrics], [/healthz] and [/slo]; anything else is

@@ -34,13 +34,14 @@ let sanitize name =
       | _ -> '_')
     name
 
-let prometheus_of ~counters ~histograms ~spans =
+let prometheus () =
+  let spans = Span.totals () in
   let b = Buffer.create 1024 in
   List.iter
     (fun (name, v) ->
       let n = "zkflow_" ^ sanitize name in
       Buffer.add_string b (Printf.sprintf "# TYPE %s counter\n%s %d\n" n n v))
-    counters;
+    (Metric.counters ());
   List.iter
     (fun (name, (s : Metric.histogram_snapshot)) ->
       let n = "zkflow_" ^ sanitize name in
@@ -62,7 +63,7 @@ let prometheus_of ~counters ~histograms ~spans =
             (Printf.sprintf "%s{quantile=\"%g\"} %d\n" n q
                (Metric.percentile s q)))
         [ 0.5; 0.95; 0.99 ])
-    histograms;
+    (Metric.histograms ());
   if spans <> [] then begin
     Buffer.add_string b "# TYPE zkflow_span_seconds_total counter\n";
     List.iter
@@ -80,10 +81,6 @@ let prometheus_of ~counters ~histograms ~spans =
       spans
   end;
   Buffer.contents b
-
-let prometheus () =
-  prometheus_of ~counters:(Metric.counters ()) ~histograms:(Metric.histograms ())
-    ~spans:(Span.totals ())
 
 let stats_json () =
   let counters =

@@ -21,15 +21,6 @@ val prometheus : unit -> string
     appear as [zkflow_span_seconds_total{span="..."}] /
     [zkflow_span_count_total{span="..."}] pairs. *)
 
-val prometheus_of :
-  counters:(string * int) list ->
-  histograms:(string * Metric.histogram_snapshot) list ->
-  spans:(string * (int * int)) list ->
-  string
-(** Same rendering over explicit data instead of the live registry —
-    what [zkflow watch] uses to serve a saved {!Timeseries} frame from
-    a process that never ran the workload itself. *)
-
 val stats_json : unit -> string
 (** [{"counters":{...},"histograms":{...},"spans":{...}}] where each
     span entry carries [count] and [total_s]. *)

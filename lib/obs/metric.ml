@@ -144,36 +144,6 @@ let snapshot_of_values vs =
     vs;
   snapshot_of_buckets ~count:!count ~sum:!sum ~max_value:!max_value buckets
 
-(* Window delta between two cumulative snapshots of the same
-   histogram: [sub_snapshot newer older]. Bucket [le] bounds come from
-   one fixed grid (the bit length of the value), so the older list is
-   always compatible with a prefix of the newer one; a bucket the older
-   snapshot never reached subtracts zero. *)
-let sub_snapshot (a : histogram_snapshot) (b : histogram_snapshot) =
-  let cum_at le =
-    (* b's cumulative count at bound [le]: the last entry <= le. *)
-    let rec go best = function
-      | [] -> best
-      | (le', cum) :: rest -> if le' <= le then go cum rest else best
-    in
-    go 0 b.buckets
-  in
-  let count = max 0 (a.count - b.count) in
-  {
-    count;
-    sum = max 0 (a.sum - b.sum);
-    (* The true window maximum is unknowable from cumulative state;
-       the lifetime maximum is a safe upper bound (and what percentile
-       caps against). *)
-    max_value = (if count = 0 then 0 else a.max_value);
-    buckets =
-      List.filter_map
-        (fun (le, cum) ->
-          let d = cum - cum_at le in
-          if d < 0 then None else Some (le, min d count))
-        a.buckets;
-  }
-
 let percentile (s : histogram_snapshot) q =
   if s.count = 0 then 0
   else begin

@@ -54,14 +54,6 @@ val snapshot_of_values : int list -> histogram_snapshot
     for offline consumers such as [zkflow monitor] replaying round
     latencies out of an event log. *)
 
-val sub_snapshot : histogram_snapshot -> histogram_snapshot -> histogram_snapshot
-(** [sub_snapshot newer older]: the window delta between two cumulative
-    snapshots of the {e same} histogram — what was observed after
-    [older] was taken. Bucket grids always align (they are fixed by the
-    log2 scheme). The delta's [max_value] is the lifetime maximum (an
-    upper bound on the window's true maximum), so percentiles over a
-    window err high by at most one bucket, same as everywhere else. *)
-
 val percentile : histogram_snapshot -> float -> int
 (** [percentile s q] for [q] in [0..1] (e.g. [0.5], [0.95], [0.99]):
     the upper bound of the first bucket whose cumulative count reaches

@@ -5,8 +5,7 @@ let disable () = Control.set false
 let reset () =
   Metric.reset_all ();
   Span.reset ();
-  Event.reset ();
-  Timeseries.reset ()
+  Event.reset ()
 
 let with_enabled f =
   reset ();

@@ -30,9 +30,8 @@ val enable : unit -> unit
 val disable : unit -> unit
 
 val reset : unit -> unit
-(** Zero all metrics, drop all recorded spans, all buffered events
-    and all buffered time-series frames (registrations persist). Call
-    between workloads being compared. *)
+(** Zero all metrics, drop all recorded spans and all buffered events
+    (registrations persist). Call between workloads being compared. *)
 
 val with_enabled : (unit -> 'a) -> 'a
 (** [with_enabled f]: reset, enable, run [f], disable (also on

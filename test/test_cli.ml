@@ -558,6 +558,31 @@ let test_monitor_missing_log () =
   check_int "nonzero exit" 1 code;
   check_bool "points at --events" true (contains ~needle:"--events" out)
 
+(* simulate without --events writes no flight log. Every health
+   surface then fails naming the missing file: the strict gates exit 1,
+   and each watch endpoint answers 503, as for an unreadable log. *)
+let test_no_flight_log_every_surface_fails () =
+  let dir = fresh_dir () in
+  let code, out =
+    run [ "simulate"; "--dir"; dir; "--flows"; "6"; "--rate"; "40"; "--duration"; "2000" ]
+  in
+  check_int ("simulate: " ^ out) 0 code;
+  check_bool "no events.jsonl" false (Sys.file_exists (Filename.concat dir "events.jsonl"));
+  List.iter
+    (fun args ->
+      let code, out = run args in
+      let what = String.concat " " args in
+      check_int (what ^ ": " ^ out) 1 code;
+      check_bool (what ^ " names the log: " ^ out) true (contains ~needle:"events.jsonl" out))
+    [
+      [ "monitor"; "--dir"; dir; "--strict" ];
+      [ "slo"; "--dir"; dir; "--strict" ];
+      [ "watch"; "--dir"; dir; "--probe"; "/healthz" ];
+      [ "watch"; "--dir"; dir; "--probe"; "/slo" ];
+      [ "watch"; "--dir"; dir; "--probe"; "/metrics" ];
+      [ "watch"; "--dir"; Filename.concat dir "absent"; "--probe"; "/healthz" ];
+    ]
+
 (* ---- chaos ---- *)
 
 let chaos_flags = [ "--routers"; "2"; "--flows"; "6"; "--rate"; "25"; "--duration"; "9000" ]
@@ -632,51 +657,44 @@ let test_chaos_dropped_export_fails_strict_monitor () =
 (* ---- the live telemetry plane: slo, watch, monitor trends ---- *)
 
 (* The monitor's round_latency_trend JSON against [expected], the
-   trend computed in the test from the same frames. *)
+   trend of the same saved log. *)
 let check_trend_json (expected : Zkflow_core.Monitor.trend option) json =
   let module J = Zkflow_util.Jsonx in
   match (expected, json) with
   | None, J.Null -> ()
-  | None, _ -> Alcotest.fail "monitor reports a trend the frames do not support"
-  | Some _, J.Null -> Alcotest.fail "monitor reports no trend over frames that have one"
+  | None, _ -> Alcotest.fail "monitor reports a trend the log does not support"
+  | Some _, J.Null -> Alcotest.fail "monitor reports no trend over a log that has one"
   | Some t, j ->
     let num k = match J.member k j with Some (J.Num f) -> Some f | _ -> None in
     check_bool "trend names the metric" true
-      (J.member "metric" j = Some (J.Str t.Zkflow_core.Monitor.trend_metric));
+      (J.member "metric" j = Some (J.Str "prover.round_ns"));
     List.iter
       (fun (k, v) -> Alcotest.(check (option (float 0.))) k (Some (float_of_int v)) (num k))
       [
-        ("last_count", t.last_count);
+        ("last_count", t.Zkflow_core.Monitor.last_count);
         ("last_p95_ns", t.last_p95_ns);
         ("prev_count", t.prev_count);
         ("prev_p95_ns", t.prev_p95_ns);
       ];
     Alcotest.(check (option (float 1e-12))) "ratio" t.trend_ratio (num "ratio")
 
-(* One recorded pipeline (events + time-series) feeds all three
-   surfaces: the strict SLO verdict must pass on a clean run, every
-   watch --probe endpoint must serve its schema from the artifacts,
-   and the monitor trend must be the trend of the saved time-series.
-   How many frames the sampler records depends on how long prove
-   runs, so whether the trend is null does too; the check holds
-   either way, and test_obs covers the trend rule on fixed frames. *)
+(* One recorded pipeline feeds every surface from its event log alone:
+   the strict SLO verdict passes on a clean run, every watch --probe
+   endpoint serves its schema, /metrics lists the log's count per
+   event kind, and /healthz and monitor --json are functions of the
+   log: two runs print the same bytes, and the trend monitor prints is
+   the trend of the saved log. *)
 let test_telemetry_plane_clean_run () =
   let dir = fresh_dir () in
   let events = Filename.concat dir "events.jsonl" in
-  let timeseries = Filename.concat dir "timeseries.jsonl" in
   let code, out =
     run
       [ "simulate"; "--dir"; dir; "--events"; events; "--flows"; "60"; "--rate";
-        "60"; "--duration"; "2000"; "--routers"; "2" ]
+        "60"; "--duration"; "6000"; "--routers"; "2" ]
   in
   check_int ("simulate: " ^ out) 0 code;
-  let code, out =
-    run
-      [ "prove"; "--dir"; dir; "--events"; events; "--timeseries"; timeseries;
-        "--queries"; "8" ]
-  in
+  let code, out = run [ "prove"; "--dir"; dir; "--events"; events; "--queries"; "8" ] in
   check_int ("prove: " ^ out) 0 code;
-  check_bool "time-series written" true (Sys.file_exists timeseries);
   (* clean run: every objective met, strict exits 0 *)
   let code, out = run [ "slo"; "--dir"; dir; "--strict" ] in
   check_int ("slo --strict: " ^ out) 0 code;
@@ -694,6 +712,8 @@ let test_telemetry_plane_clean_run () =
   (* every endpoint probes schema-valid from the artifacts *)
   let code, out = run [ "watch"; "--dir"; dir; "--probe"; "/healthz" ] in
   check_int ("watch /healthz: " ^ out) 0 code;
+  let _, again = run [ "watch"; "--dir"; dir; "--probe"; "/healthz" ] in
+  Alcotest.(check string) "/healthz is a function of the log" out again;
   (match Zkflow_util.Jsonx.parse (String.trim out) with
   | Error e -> Alcotest.fail ("healthz does not parse: " ^ e)
   | Ok v ->
@@ -705,27 +725,34 @@ let test_telemetry_plane_clean_run () =
   let code, out = run [ "watch"; "--dir"; dir; "--probe"; "/slo" ] in
   check_int ("watch /slo: " ^ out) 0 code;
   check_bool "slo endpoint schema" true (contains ~needle:"zkflow-slo/v1" out);
+  let saved =
+    match Zkflow_obs.Event.load_jsonl events with
+    | Ok (evs, _) -> evs
+    | Error e -> Alcotest.fail ("event log does not load: " ^ e)
+  in
   let code, out = run [ "watch"; "--dir"; dir; "--probe"; "/metrics" ] in
   check_int ("watch /metrics: " ^ out) 0 code;
-  check_bool "prometheus names" true (contains ~needle:"zkflow_" out);
-  check_bool "timeseries gauges" true (contains ~needle:"zkflow_timeseries_frames" out);
+  List.iter
+    (fun kind ->
+      let n = List.length (List.filter (fun (e : Zkflow_obs.Event.t) -> e.kind = kind) saved) in
+      let line = Printf.sprintf "zkflow_events_total{kind=\"%s\"} %d\n" kind n in
+      check_bool ("/metrics lists " ^ line) true (contains ~needle:line out))
+    (List.sort_uniq compare (List.map (fun (e : Zkflow_obs.Event.t) -> e.kind) saved));
   (* an unknown path is a failed probe, not a silent 404 body *)
   let code, out = run [ "watch"; "--dir"; dir; "--probe"; "/nope" ] in
   check_int "unknown path fails the probe" 1 code;
   check_bool "names the status" true (contains ~needle:"404" out);
-  (* the monitor trend reads the conventional DIR/timeseries.jsonl *)
-  let frames =
-    match Zkflow_obs.Timeseries.load_jsonl timeseries with
-    | Ok (frames, _) -> frames
-    | Error e -> Alcotest.fail ("time-series does not load: " ^ e)
-  in
   let code, out = run [ "monitor"; "--dir"; dir; "--json" ] in
   check_int ("monitor --json: " ^ out) 0 code;
+  let _, again = run [ "monitor"; "--dir"; dir; "--json" ] in
+  Alcotest.(check string) "monitor --json is a function of the log" out again;
+  let expected = (Zkflow_core.Monitor.build saved).Zkflow_core.Monitor.round_trend in
+  check_bool "two epochs, two rounds: a trend" true (expected <> None);
   match Zkflow_util.Jsonx.parse (String.trim out) with
   | Error e -> Alcotest.fail ("monitor json does not parse: " ^ e)
   | Ok v -> (
     match Zkflow_util.Jsonx.member "round_latency_trend" v with
-    | Some trend -> check_trend_json (Zkflow_core.Monitor.trend_of_frames frames) trend
+    | Some trend -> check_trend_json expected trend
     | None -> Alcotest.fail "no round_latency_trend in monitor json")
 
 (* The other half of the chaos contract: an injected drop must trip
@@ -957,6 +984,8 @@ let () =
           Alcotest.test_case "simulate/prove/verify -> monitor" `Quick
             test_events_workflow;
           Alcotest.test_case "monitor without a log" `Quick test_monitor_missing_log;
+          Alcotest.test_case "no flight log: every surface fails" `Quick
+            test_no_flight_log_every_surface_fails;
           Alcotest.test_case "healed delay: one verdict" `Quick test_healed_delay_one_verdict;
           Alcotest.test_case "verify refuses an old seal" `Quick
             test_verify_refuses_old_seal;

@@ -552,7 +552,11 @@ let test_handler_endpoints () =
           let bad = get "/query?src=notanip" in
           check_int "bad query 400" 400 bad.Httpd.status;
           let slo = get "/slo" in
-          check_int "slo 200" 200 slo.Httpd.status))
+          check_int "slo 200" 200 slo.Httpd.status;
+          let metrics = get "/metrics" in
+          check_int "metrics 200" 200 metrics.Httpd.status;
+          check_bool "GC gauges read at scrape time" true
+            (contains ~needle:"zkflow_gc_heap_words" metrics.Httpd.body)))
 
 let () =
   Alcotest.run "zkflow_daemon"

@@ -119,24 +119,6 @@ let test_percentile_all_equal () =
   check_int "p50 exact" 16 (Metric.percentile s 0.50);
   check_int "p99 exact" 16 (Metric.percentile s 0.99)
 
-let test_sub_snapshot_window () =
-  (* a window delta between two cumulative snapshots: only what came
-     after the older snapshot counts *)
-  let older = Metric.snapshot_of_values [ 1; 2; 4 ] in
-  let newer = Metric.snapshot_of_values [ 1; 2; 4; 100; 200 ] in
-  let d = Metric.sub_snapshot newer older in
-  check_int "window count" 2 d.Metric.count;
-  check_int "window sum" 300 d.Metric.sum;
-  (* the delta's max is the lifetime max — an upper bound *)
-  check_int "window max" 200 d.Metric.max_value;
-  (* 100 lands in [64,128): the bucket bound is the p50 estimate *)
-  check_int "window p50" 127 (Metric.percentile d 0.50);
-  check_int "window p100 capped at max" 200 (Metric.percentile d 1.0);
-  (* subtracting a snapshot from itself is an empty window *)
-  let zero = Metric.sub_snapshot newer newer in
-  check_int "self-delta count" 0 zero.Metric.count;
-  check_int "self-delta percentile" 0 (Metric.percentile zero 0.5)
-
 (* ---- events: the pipeline flight recorder ---- *)
 
 module Event = Zkflow_obs.Event
@@ -219,62 +201,6 @@ let test_prometheus_quantiles () =
       check_bool (needle ^ " in prometheus dump") true (contains ~needle text))
     [ "quantile=\"0.5\""; "quantile=\"0.95\""; "quantile=\"0.99\"" ]
 
-(* ---- time-series: the frame ring and its window queries ---- *)
-
-module Timeseries = Zkflow_obs.Timeseries
-
-let test_timeseries_wraparound () =
-  Obs.reset ();
-  Timeseries.reset ();
-  let saved = Timeseries.capacity () in
-  Timeseries.set_capacity 4;
-  Fun.protect
-    ~finally:(fun () ->
-      Timeseries.set_capacity saved;
-      Obs.disable ())
-    (fun () ->
-      Obs.enable ();
-      let c = Metric.counter "test.ts.work" in
-      let h = Metric.histogram "test.ts.lat" in
-      for i = 1 to 8 do
-        Metric.add c 10;
-        Metric.observe h (i * i);
-        ignore (Timeseries.sample ())
-      done;
-      let fs = Timeseries.frames () in
-      check_int "ring holds capacity" 4 (List.length fs);
-      check_int "four evicted" 4 (Timeseries.dropped ());
-      (* seq keeps counting across eviction: the survivors are the
-         last four samples *)
-      (match (fs, List.rev fs) with
-      | first :: _, last :: _ ->
-        check_int "oldest surviving seq" 4 first.Timeseries.seq;
-        check_int "newest seq" 7 last.Timeseries.seq
-      | _ -> Alcotest.fail "empty ring");
-      (* window queries straddle the wrap: the counter rose 30 across
-         the 4 surviving frames (3 deltas of 10) *)
-      (match Timeseries.rate "test.ts.work" ~last:4 fs with
-      | Some r -> check_bool "positive rate" true (r > 0.)
-      | None -> Alcotest.fail "no rate over surviving frames");
-      (* asking for more frames than survive clamps, not fails *)
-      check_bool "oversized window clamps" true
-        (Timeseries.rate "test.ts.work" ~last:100 fs <> None);
-      (* the histogram window sees only the post-wrap observations:
-         i=6,7,8 (between the first surviving frame and the last) *)
-      (match Timeseries.window_percentiles "test.ts.lat" ~last:4 fs with
-      | Some (count, p50, _, p99) ->
-        check_int "window observation count" 3 count;
-        (* 36 and 49 share the [32,64) bucket: p50 is its bound *)
-        check_int "window p50" 63 p50;
-        (* p99 rank is 64's bucket, capped at the observed max *)
-        check_int "window p99" 64 p99
-      | None -> Alcotest.fail "no window percentiles");
-      (* a single frame is no window *)
-      Timeseries.reset ();
-      ignore (Timeseries.sample ());
-      check_bool "one frame, no rate" true
-        (Timeseries.rate "test.ts.work" ~last:4 (Timeseries.frames ()) = None))
-
 (* ---- JSONL loaders: round-trip and torn-tail tolerance ---- *)
 
 let read_file path =
@@ -343,45 +269,6 @@ let test_event_load_torn_tail () =
     | Ok _ -> Alcotest.fail "mid-file corruption accepted"
     | Error e -> check_bool "names line 2" true (contains ~needle:":2:" e))
   | _ -> Alcotest.fail "expected 3 lines");
-  Sys.remove path
-
-let test_timeseries_load_roundtrip_and_torn_tail () =
-  Obs.reset ();
-  Timeseries.reset ();
-  Obs.with_enabled (fun () ->
-      let c = Metric.counter "test.ts.persist" in
-      for _ = 1 to 3 do
-        Metric.add c 5;
-        ignore (Timeseries.sample ())
-      done);
-  let path = temp_path ".jsonl" in
-  Timeseries.write_jsonl path;
-  (* the ring is left untouched by export *)
-  check_int "ring intact after write" 3 (List.length (Timeseries.frames ()));
-  let live = Timeseries.frames () in
-  (match Timeseries.load_jsonl path with
-  | Ok (fs, None) ->
-    check_int "frames round-trip" 3 (List.length fs);
-    List.iter2
-      (fun (a : Timeseries.frame) (b : Timeseries.frame) ->
-        check_int "seq" a.Timeseries.seq b.Timeseries.seq;
-        check_int "ts_ns" a.Timeseries.ts_ns b.Timeseries.ts_ns;
-        check_bool "counters" true (a.Timeseries.counters = b.Timeseries.counters);
-        check_bool "histograms" true (a.Timeseries.histograms = b.Timeseries.histograms))
-      live fs;
-    (* loaded series answer window queries the same way live ones do *)
-    check_bool "loaded rate" true
-      (Timeseries.rate "test.ts.persist" ~last:3 fs
-      = Timeseries.rate "test.ts.persist" ~last:3 live)
-  | Ok (_, Some note) -> Alcotest.fail ("unexpected note: " ^ note)
-  | Error e -> Alcotest.fail e);
-  (* same torn-tail discipline as the event log *)
-  let full = read_file path in
-  write_file path (String.sub full 0 (String.length full - 2));
-  (match Timeseries.load_jsonl path with
-  | Ok (fs, Some _) -> check_int "torn tail keeps prefix" 2 (List.length fs)
-  | Ok (_, None) -> Alcotest.fail "no truncation note"
-  | Error e -> Alcotest.fail e);
   Sys.remove path
 
 (* ---- the embedded HTTP server ---- *)
@@ -598,57 +485,39 @@ let test_monitor_lag_and_gaps () =
   | rs -> Alcotest.fail (Printf.sprintf "expected 3 routers, got %d" (List.length rs)));
   check_reasons "lag is the only reason" [ "router-lag" ] r.Monitor.verdict
 
-(* [trend_of_frames] over fixed frames: each frame holds the
-   cumulative round latencies seen so far, and with four frames the
-   older half is frames 0..2 and the newer half frames 2..3. *)
-let test_trend_of_frames () =
+(* [round_trend] over fixed event logs: each [prover.round.done]
+   carries its [prove_ns] and [execute_ns], and the newer half of the
+   done rounds, in log order, is compared with the older half. *)
+let test_trend_of_rounds () =
   let ms n = n * 1_000_000 in
-  let frame seq values =
-    {
-      Timeseries.seq;
-      ts_ns = seq * 100_000_000;
-      counters = [];
-      histograms =
-        (if values = [] then [] else [ ("prover.round_ns", Metric.snapshot_of_values values) ]);
-      gc_minor_words = 0.;
-      gc_major_words = 0.;
-      gc_compactions = 0;
-      gc_heap_words = 0;
-    }
+  let done_round ix ns =
+    ev ~epoch:ix ~round:ix ~ts:(ms (10 * (ix + 1))) "prover" "prover.round.done"
+      ~attrs:
+        [
+          ("prove_ns", Jsonx.Num (float_of_int (ns - (ns / 4))));
+          ("execute_ns", Jsonx.Num (float_of_int (ns / 4)));
+        ]
   in
-  let frames cumulative = List.mapi frame cumulative in
-  let trend cumulative = Monitor.trend_of_frames (frames cumulative) in
-  let none what cumulative =
-    check_bool (what ^ ": no trend") true (trend cumulative = None)
+  let trend latencies =
+    (Monitor.build (List.mapi done_round latencies)).Monitor.round_trend
   in
-  none "no frames" [];
-  none "one frame" [ [ ms 1 ] ];
-  none "two frames" [ []; [ ms 1; ms 2 ] ];
-  none "no observations" [ []; []; []; [] ];
-  let both_halves = [ []; [ ms 1 ]; [ ms 1; ms 1 ]; [ ms 1; ms 1; ms 8 ] ] in
-  check_bool "another metric: no trend" true
-    (Monitor.trend_of_frames ~metric:"verifier.round_ns" (frames both_halves) = None);
-  (match trend both_halves with
+  check_bool "no rounds: no trend" true (trend [] = None);
+  check_bool "one round: no trend" true (trend [ ms 4 ] = None);
+  (match trend [ ms 1; ms 1; ms 8; ms 8 ] with
   | None -> Alcotest.fail "both halves saw rounds: want a trend"
   | Some t ->
-    Alcotest.(check string) "metric" "prover.round_ns" t.Monitor.trend_metric;
     check_int "older half rounds" 2 t.Monitor.prev_count;
-    check_int "newer half rounds" 1 t.Monitor.last_count;
+    check_int "newer half rounds" 2 t.Monitor.last_count;
     check_int "older p95" (ms 1) t.Monitor.prev_p95_ns;
     check_int "newer p95" (ms 8) t.Monitor.last_p95_ns;
     Alcotest.(check (option (float 1e-9))) "ratio" (Some 8.) t.Monitor.trend_ratio);
-  List.iter
-    (fun (what, cumulative, prev, last) ->
-      match trend cumulative with
-      | None -> Alcotest.failf "%s: one half saw rounds: want a trend" what
-      | Some t ->
-        check_int (what ^ ": older half rounds") prev t.Monitor.prev_count;
-        check_int (what ^ ": newer half rounds") last t.Monitor.last_count;
-        check_bool (what ^ ": no ratio") true (t.Monitor.trend_ratio = None))
-    [
-      ("newer half empty", [ []; [ ms 1 ]; [ ms 1 ]; [ ms 1 ] ], 1, 0);
-      ("older half empty", [ []; []; []; [ ms 2 ] ], 0, 1);
-    ]
+  match trend [ 0; 0; ms 2 ] with
+  | None -> Alcotest.fail "three rounds: want a trend"
+  | Some t ->
+    check_int "older half is the first n/2 rounds" 1 t.Monitor.prev_count;
+    check_int "newer half is the rest" 2 t.Monitor.last_count;
+    check_int "older p95" 0 t.Monitor.prev_p95_ns;
+    check_bool "older p95 of 0: no ratio" true (t.Monitor.trend_ratio = None)
 
 let test_monitor_rounds_and_rejects () =
   let ms n = n * 1_000_000 in
@@ -770,8 +639,7 @@ let test_one_verdict () =
         {
           Watch.label = "fixed";
           events = (fun () -> Ok events);
-          frames = (fun () -> Ok []);
-          metrics_text = (fun () -> "");
+          metrics_text = (fun () -> Ok "");
         }
       in
       let r = Watch.probe (Watch.handler source) "/healthz" in
@@ -1220,15 +1088,6 @@ let () =
           Alcotest.test_case "percentiles from log2 buckets" `Quick test_percentile;
           Alcotest.test_case "percentile of equal values is exact" `Quick
             test_percentile_all_equal;
-          Alcotest.test_case "sub_snapshot window delta" `Quick
-            test_sub_snapshot_window;
-        ] );
-      ( "timeseries",
-        [
-          Alcotest.test_case "window queries straddle ring wrap" `Quick
-            test_timeseries_wraparound;
-          Alcotest.test_case "jsonl round-trip and torn tail" `Quick
-            test_timeseries_load_roundtrip_and_torn_tail;
         ] );
       ( "jsonl",
         [
@@ -1259,7 +1118,7 @@ let () =
           Alcotest.test_case "lag and gap detection" `Quick test_monitor_lag_and_gaps;
           Alcotest.test_case "rounds, latency, rejects by cause" `Quick
             test_monitor_rounds_and_rejects;
-          Alcotest.test_case "trend of frames" `Quick test_trend_of_frames;
+          Alcotest.test_case "trend of rounds" `Quick test_trend_of_rounds;
           Alcotest.test_case "one verdict on every surface" `Quick test_one_verdict;
           Alcotest.test_case "slo evaluate on the fixed logs" `Quick test_slo_fixed_logs;
           QCheck_alcotest.to_alcotest prop_slo_equals_reference;
