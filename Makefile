@@ -1,5 +1,6 @@
 # `make check` is the pre-merge gate: tier-1 tests plus the quick
-# bench, both under ZKFLOW_JOBS=2 so the Domain-pool code paths are
+# bench (the sweep, and the ablations, which run the jobs sweep
+# first), both under ZKFLOW_JOBS=2 so the Domain-pool code paths are
 # exercised even where the default would be sequential, plus the
 # static analyzer over the built-in guests and every example query.
 #
@@ -46,7 +47,7 @@ check: build lint audit
 	ZKFLOW_JOBS=2 dune runtest --force
 	mkdir -p $(SMOKE)
 	cd $(SMOKE) && ZKFLOW_JOBS=2 ZKFLOW_BENCH_QUICK=1 $(BENCH) sweep
-	cd $(SMOKE) && ZKFLOW_JOBS=2 ZKFLOW_BENCH_QUICK=1 $(BENCH) par
+	cd $(SMOKE) && ZKFLOW_JOBS=2 ZKFLOW_BENCH_QUICK=1 $(BENCH) ablations
 
 # The only writer of the committed BENCH_*.json and REPORT.md: one
 # `bench all` process over the full grids at one job. Run it from a

@@ -98,30 +98,6 @@ let prove_round ?params ~prev batches =
       restored = false;
     }
 
-let prove_partitioned ?params ~prev ~partitions batches =
-  if partitions <= 0 then invalid_arg "Aggregate.prove_partitioned: partitions";
-  (* Contiguous chunks: record order — and hence CLog entry order and
-     the final Merkle root — matches the monolithic round exactly. *)
-  let n = List.length batches in
-  let per = max 1 ((n + partitions - 1) / partitions) in
-  let groups =
-    List.mapi (fun i b -> (i / per, b)) batches
-    |> List.fold_left
-         (fun acc (g, b) ->
-           match acc with
-           | (g', group) :: rest when g' = g -> (g', b :: group) :: rest
-           | _ -> (g, [ b ]) :: acc)
-         []
-    |> List.rev_map (fun (_, group) -> List.rev group)
-  in
-  let rec go prev acc = function
-    | [] -> Ok (List.rev acc)
-    | group :: rest ->
-      let* round = prove_round ?params ~prev group in
-      go round.clog (round :: acc) rest
-  in
-  go prev [] groups
-
 let shard_records ~shards records =
   if shards <= 0 then invalid_arg "Aggregate.shard_records: shards";
   let groups = Array.make shards [] in

@@ -36,18 +36,6 @@ val prove_round :
     exit 2 — the Figure 3 tampering case), when capacity is exceeded,
     or when proving fails. *)
 
-val prove_partitioned :
-  ?params:Zkflow_zkproof.Params.t ->
-  prev:Clog.t ->
-  partitions:int ->
-  (Zkflow_hash.Digest32.t * Zkflow_netflow.Record.t array) list ->
-  (round list, string) result
-(** Section 7 "proof parallelization" ablation: split the window's
-    batches into [partitions] groups and prove them as a chain of
-    smaller rounds. The final CLog equals the unpartitioned result;
-    with [p] workers the wall-clock would be the per-part maximum
-    plus chaining, instead of one monolithic proof. *)
-
 val shard_records :
   shards:int ->
   Zkflow_netflow.Record.t array ->

@@ -1,7 +1,7 @@
 (** The one row schema of every bench artifact.
 
-    Every [BENCH_*.json] the bench binary writes (fig4, table1, par,
-    incr, obs, matrix) is an {!artifact}: an [env] provenance block and
+    Every [BENCH_*.json] the bench binary writes (fig4, table1, matrix,
+    par, ablations, obs) is an {!artifact}: an [env] provenance block and
     a list of rows. A row is one configuration of one benchmark:
 
     - [config]: the axes that identify it ([records], [backend],

@@ -41,7 +41,7 @@ type config = {
   rate_pps : float;
   duration_ms : int;
   loss_rate : float;
-  queries : int;       (** FRI queries — proof-size/speed knob *)
+  queries : int;       (** spot-check queries — proof-size/speed knob *)
   max_restarts : int;  (** kill/resume budget before giving up *)
 }
 

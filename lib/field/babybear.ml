@@ -1,7 +1,6 @@
 type t = int
 
 let p = 2013265921 (* 15 * 2^27 + 1 *)
-let two_adicity = 27
 let zero = 0
 let one = 1
 
@@ -28,22 +27,6 @@ let pow x n =
 let inv x = if x = 0 then raise Division_by_zero else pow x (p - 2)
 let div a b = mul a (inv b)
 let equal = Int.equal
-let generator = 31
-
-(* roots.(k) is a primitive 2^k-th root of unity:
-   roots.(27) = g^15, and each lower root is the square of the one above. *)
-let roots =
-  let a = Array.make (two_adicity + 1) one in
-  a.(two_adicity) <- pow generator ((p - 1) / (1 lsl two_adicity));
-  for k = two_adicity - 1 downto 0 do
-    a.(k) <- mul a.(k + 1) a.(k + 1)
-  done;
-  a
-
-let root_of_unity k =
-  if k < 0 || k > two_adicity then invalid_arg "Babybear.root_of_unity";
-  roots.(k)
-
 let of_bytes_le b off =
   let v =
     Char.code (Bytes.get b off)
@@ -60,25 +43,5 @@ let random rng =
     if v < p then v else go ()
   in
   go ()
-
-let batch_inv xs =
-  let n = Array.length xs in
-  if n = 0 then [||]
-  else begin
-    let prefix = Array.make n one in
-    let acc = ref one in
-    for i = 0 to n - 1 do
-      if xs.(i) = 0 then raise Division_by_zero;
-      prefix.(i) <- !acc;
-      acc := mul !acc xs.(i)
-    done;
-    let out = Array.make n one in
-    let inv_all = ref (inv !acc) in
-    for i = n - 1 downto 0 do
-      out.(i) <- mul !inv_all prefix.(i);
-      inv_all := mul !inv_all xs.(i)
-    done;
-    out
-  end
 
 let pp ppf x = Format.pp_print_int ppf x

@@ -1,7 +1,7 @@
 (** The BabyBear prime field, F_p with p = 2^31 − 2^27 + 1 = 2013265921.
 
-    This is the field used by RISC Zero's STARK; its multiplicative
-    group has 2-adicity 27, so NTTs up to size 2^27 are available.
+    This is the field used by RISC Zero's STARK; the memory check
+    fingerprints trace entries over its quadratic extension {!Fp2}.
     Elements are represented as OCaml [int]s in [\[0, p)]; products fit
     in 62 bits, so native arithmetic is exact. *)
 
@@ -10,9 +10,6 @@ type t = int
 
 val p : int
 (** The modulus, 2013265921. *)
-
-val two_adicity : int
-(** 27: p − 1 = 15 · 2^27. *)
 
 val zero : t
 val one : t
@@ -40,22 +37,10 @@ val div : t -> t -> t
 
 val equal : t -> t -> bool
 
-val generator : t
-(** 31 — a generator of the full multiplicative group. *)
-
-val root_of_unity : int -> t
-(** [root_of_unity k] is a primitive 2^k-th root of unity, for
-    [0 <= k <= two_adicity]. Raises [Invalid_argument] otherwise. *)
-
 val of_bytes_le : bytes -> int -> t
 (** [of_bytes_le b off] reads 4 little-endian bytes and reduces mod p. *)
 
 val random : Zkflow_util.Rng.t -> t
 (** Uniform element (rejection sampling). *)
-
-val batch_inv : t array -> t array
-(** [batch_inv xs] inverts every element with a single field inversion
-    (Montgomery's trick). Raises [Division_by_zero] if any element is
-    [zero]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -22,8 +22,6 @@ let mul a b =
     c1 = F.add (F.mul a.c0 b.c1) (F.mul a.c1 b.c0);
   }
 
-let mul_base a k = { c0 = F.mul a.c0 k; c1 = F.mul a.c1 k }
-
 let inv a =
   (* 1 / (a0 + a1 u) = (a0 − a1 u) / (a0² − ν a1²). *)
   let norm = F.sub (F.mul a.c0 a.c0) (F.mul non_residue (F.mul a.c1 a.c1)) in

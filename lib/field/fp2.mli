@@ -1,9 +1,10 @@
 (** Quadratic extension F_p² = F_p\[u\] / (u² − ν) of the BabyBear
     field, with ν a fixed quadratic non-residue.
 
-    FRI challenges are drawn from this extension so that the soundness
-    error of the low-degree test is bounded by |domain| / |F_p²| rather
-    than |domain| / |F_p|. *)
+    The memory check's Fiat–Shamir challenges (alpha, beta) are drawn
+    from this extension, so a fingerprint collision between two
+    distinct access-log entries has probability about 1 / |F_p²|
+    rather than 1 / |F_p|. *)
 
 type t = { c0 : Babybear.t; c1 : Babybear.t }
 (** [c0 + c1·u]. *)
@@ -23,7 +24,6 @@ val add : t -> t -> t
 val sub : t -> t -> t
 val neg : t -> t
 val mul : t -> t -> t
-val mul_base : t -> Babybear.t -> t
 
 val inv : t -> t
 (** Raises [Division_by_zero] on [zero]. *)

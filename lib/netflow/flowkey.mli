@@ -33,6 +33,7 @@ val to_bytes : t -> bytes
     and by the zkVM guest alike. *)
 
 val hash : t -> Zkflow_hash.Digest32.t
-(** SHA-256 of [to_bytes]; used as the SMT key. *)
+(** SHA-256 of [to_bytes]; the sharded aggregation partitions records
+    by it. *)
 
 val pp : Format.formatter -> t -> unit

@@ -38,34 +38,3 @@ let verify_report ~attestation_key ~expected_measurement r =
   D.equal r.measurement expected_measurement
   && Zkflow_util.Bytesx.equal_constant_time r.mac
        (report_mac ~key:attestation_key ~meas:r.measurement ~data:r.data)
-
-let seal_key t =
-  Hmac.expand
-    ~key:t.plat.hw_key
-    ~info:("zkflow.tee.seal:" ^ D.to_hex t.meas)
-    32
-
-let seal t plaintext =
-  let key = seal_key t in
-  let stream = Hmac.expand ~key ~info:"stream" (max 1 (Bytes.length plaintext)) in
-  let ct =
-    Bytes.init (Bytes.length plaintext) (fun i ->
-        Char.chr (Char.code (Bytes.get plaintext i) lxor Char.code (Bytes.get stream i)))
-  in
-  let tag = Hmac.mac ~key ct in
-  Zkflow_util.Bytesx.concat [ tag; ct ]
-
-let unseal t sealed =
-  if Bytes.length sealed < 32 then Error "unseal: too short"
-  else begin
-    let key = seal_key t in
-    let tag = Bytes.sub sealed 0 32 in
-    let ct = Bytes.sub sealed 32 (Bytes.length sealed - 32) in
-    if not (Hmac.verify ~key ct ~tag) then Error "unseal: authentication failed"
-    else begin
-      let stream = Hmac.expand ~key ~info:"stream" (max 1 (Bytes.length ct)) in
-      Ok
-        (Bytes.init (Bytes.length ct) (fun i ->
-             Char.chr (Char.code (Bytes.get ct i) lxor Char.code (Bytes.get stream i))))
-    end
-  end

@@ -2,8 +2,8 @@
 
     This is the baseline the paper argues against: it gives the same
     integrity guarantees as the real thing {i inside the simulation} —
-    code measurement, MAC-based remote attestation rooted in a
-    per-platform hardware key, sealed storage — while modelling the
+    code measurement and MAC-based remote attestation rooted in a
+    per-platform hardware key — while modelling the
     deployment property that matters for the comparison: one enclave
     must run on {i every} vantage point, whereas the ZKP design needs
     no trusted hardware anywhere. *)
@@ -47,10 +47,3 @@ val verify_report :
   bool
 (** What a relying party checks: correct platform key, expected code
     identity, untampered payload. *)
-
-val seal : _ t -> bytes -> bytes
-(** Sealed storage: encrypt-and-MAC under a key derived from the
-    platform key and measurement. *)
-
-val unseal : _ t -> bytes -> (bytes, string) result
-(** Rejects ciphertexts sealed by other code or other platforms. *)

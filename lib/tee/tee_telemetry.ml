@@ -48,16 +48,20 @@ let metrics_bytes (m : Record.metrics) =
   Bytes.set_int32_be b 12 (Int32.of_int m.Record.losses);
   b
 
+(* The attested payload names what it answers: the router id (4 bytes
+   big-endian) and the flow key (16 bytes) come before the metrics, so
+   a report for one (router, flow) pair cannot stand in for another. *)
+let subject ~router_id key =
+  let b = Bytes.create 20 in
+  Bytes.set_int32_be b 0 (Int32.of_int router_id);
+  Bytes.blit (Flowkey.to_bytes key) 0 b 4 16;
+  b
+
 let decode_report_metrics b =
-  if Bytes.length b <> 16 then Error "report metrics: need 16 bytes"
+  if Bytes.length b <> 36 then Error "report metrics: need 36 bytes"
   else
-    Ok
-      {
-        Record.packets = Int32.to_int (Bytes.get_int32_be b 0) land 0xffffffff;
-        bytes = Int32.to_int (Bytes.get_int32_be b 4) land 0xffffffff;
-        hop_count = Int32.to_int (Bytes.get_int32_be b 8) land 0xffffffff;
-        losses = Int32.to_int (Bytes.get_int32_be b 12) land 0xffffffff;
-      }
+    let word i = Int32.to_int (Bytes.get_int32_be b (20 + (4 * i))) land 0xffffffff in
+    Ok { Record.packets = word 0; bytes = word 1; hop_count = word 2; losses = word 3 }
 
 let flow_report t ~router_id key =
   match Hashtbl.find_opt t.enclaves router_id with
@@ -68,6 +72,12 @@ let flow_report t ~router_id key =
           ( table,
             Option.value (Hashtbl.find_opt table key) ~default:Record.zero_metrics ))
     in
-    Ok (Enclave.attest enclave ~data:(metrics_bytes metrics))
+    Ok
+      (Enclave.attest enclave
+         ~data:(Bytes.cat (subject ~router_id key) (metrics_bytes metrics)))
 
-let verify_report = Enclave.verify_report
+let verify_report ~attestation_key ~expected_measurement ~router_id ~key
+    (r : Enclave.report) =
+  Enclave.verify_report ~attestation_key ~expected_measurement r
+  && Bytes.length r.Enclave.data = 36
+  && Bytes.equal (Bytes.sub r.Enclave.data 0 20) (subject ~router_id key)

@@ -24,15 +24,21 @@ val ingest : t -> Zkflow_netflow.Record.t -> (unit, string) result
 
 val flow_report :
   t -> router_id:int -> Zkflow_netflow.Flowkey.t -> (Enclave.report, string) result
-(** Attested per-flow counters (packets, bytes, hop_count, losses) as
-    the report payload, 16 bytes big-endian. *)
+(** Attested per-flow counters. The report payload is 36 bytes: the
+    router id (4 bytes), the flow key (16) and the counters (packets,
+    bytes, hop_count, losses; 4 bytes each), all big-endian. *)
 
 val decode_report_metrics : bytes -> (Zkflow_netflow.Record.metrics, string) result
+(** The counters of a report payload. *)
 
 val verify_report :
   attestation_key:bytes ->
   expected_measurement:Zkflow_hash.Digest32.t ->
+  router_id:int ->
+  key:Zkflow_netflow.Flowkey.t ->
   Enclave.report ->
   bool
-(** Re-exported from {!Enclave} for client code symmetry with the ZKP
-    verifier. *)
+(** {!Enclave.verify_report}, and the payload names [router_id] and
+    [key]: every enclave of a deployment shares one measurement and one
+    platform key, so only the payload tells a report for one flow or
+    router from another's. *)

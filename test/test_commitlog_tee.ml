@@ -217,22 +217,6 @@ let test_enclave_state_isolated () =
   check_int "saw old state" 10 out;
   check_int "state updated" 15 (Enclave.run e (fun s -> (s, s)))
 
-let test_enclave_seal_unseal () =
-  let e = Enclave.launch platform ~code_id:"sealer" ~init:() in
-  let secret = Bytes.of_string "flow counters" in
-  let sealed = Enclave.seal e secret in
-  check_bool "ciphertext differs" false (Bytes.equal sealed secret);
-  (match Enclave.unseal e sealed with
-   | Ok pt -> Alcotest.(check bytes) "roundtrip" secret pt
-   | Error err -> Alcotest.fail err);
-  (* different code identity cannot unseal *)
-  let other = Enclave.launch platform ~code_id:"other" ~init:() in
-  check_bool "other enclave rejected" true (Result.is_error (Enclave.unseal other sealed));
-  (* bit flip detected *)
-  let corrupt = Bytes.copy sealed in
-  Bytes.set corrupt 40 (Char.chr (Char.code (Bytes.get corrupt 40) lxor 1));
-  check_bool "corruption detected" true (Result.is_error (Enclave.unseal e corrupt))
-
 let test_tee_telemetry_end_to_end () =
   let t = Tee_telemetry.deploy platform ~router_ids:[ 0; 1; 2; 3 ] ~code_id:"nf-v1" in
   check_int "one enclave per vantage point" 4 (Tee_telemetry.enclave_count t);
@@ -246,11 +230,34 @@ let test_tee_telemetry_end_to_end () =
       (Tee_telemetry.verify_report
          ~attestation_key:(Enclave.attestation_key platform)
          ~expected_measurement:(Tee_telemetry.code_measurement t)
-         report);
+         ~router_id:1 ~key report);
     (match Tee_telemetry.decode_report_metrics report.Enclave.data with
      | Ok m ->
        check_int "packets" records.(0).Record.metrics.Record.packets m.Record.packets
      | Error e -> Alcotest.fail e)
+
+(* Every enclave shares one measurement and one platform key, so a
+   report must name its router and flow: presented for any other pair,
+   it is refused. *)
+let test_tee_report_binds_subject () =
+  let t = Tee_telemetry.deploy platform ~router_ids:[ 0; 1 ] ~code_id:"nf-v1" in
+  let records = batch ~router_id:0 5 in
+  Array.iter (fun r -> Result.get_ok (Tee_telemetry.ingest t r)) records;
+  let a = records.(0).Record.key and b = records.(1).Record.key in
+  let verify ~router_id ~key report =
+    Tee_telemetry.verify_report
+      ~attestation_key:(Enclave.attestation_key platform)
+      ~expected_measurement:(Tee_telemetry.code_measurement t)
+      ~router_id ~key report
+  in
+  let report = Result.get_ok (Tee_telemetry.flow_report t ~router_id:0 a) in
+  check_bool "own router and flow" true (verify ~router_id:0 ~key:a report);
+  check_bool "another flow" false (verify ~router_id:0 ~key:b report);
+  check_bool "another router" false (verify ~router_id:1 ~key:a report);
+  (* router 1 never saw flow a: its report verifies only as router 1's *)
+  let unseen = Result.get_ok (Tee_telemetry.flow_report t ~router_id:1 a) in
+  check_bool "unseen flow, its own router" true (verify ~router_id:1 ~key:a unseen);
+  check_bool "unseen flow as router 0's" false (verify ~router_id:0 ~key:a unseen)
 
 let test_tee_coverage_gap () =
   let t = Tee_telemetry.deploy platform ~router_ids:[ 0 ] ~code_id:"nf-v1" in
@@ -283,11 +290,12 @@ let () =
           Alcotest.test_case "attestation roundtrip" `Quick test_enclave_attestation_roundtrip;
           Alcotest.test_case "attestation rejects" `Quick test_enclave_attestation_rejects;
           Alcotest.test_case "state isolated" `Quick test_enclave_state_isolated;
-          Alcotest.test_case "seal/unseal" `Quick test_enclave_seal_unseal;
         ] );
       ( "tee-telemetry",
         [
           Alcotest.test_case "end to end" `Quick test_tee_telemetry_end_to_end;
           Alcotest.test_case "coverage gap" `Quick test_tee_coverage_gap;
+          Alcotest.test_case "report binds router and flow" `Quick
+            test_tee_report_binds_subject;
         ] );
     ]

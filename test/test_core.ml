@@ -174,16 +174,16 @@ let test_agg_prove_partitioned_equivalent () =
   let batches =
     List.init 4 (fun i -> committed (batch ~seed:(10 + i) ~router_id:i 4))
   in
-  match Aggregate.prove_round ~params ~prev:Clog.empty batches with
-  | Error e -> Alcotest.fail e
-  | Ok mono -> (
-    match Aggregate.prove_partitioned ~params ~prev:Clog.empty ~partitions:2 batches with
+  let prove prev batches =
+    match Aggregate.prove_round ~params ~prev batches with
+    | Ok round -> round.Aggregate.clog
     | Error e -> Alcotest.fail e
-    | Ok parts ->
-      let last = List.nth parts (List.length parts - 1) in
-      Alcotest.check digest "same final root"
-        (Clog.root mono.Aggregate.clog)
-        (Clog.root last.Aggregate.clog))
+  in
+  (* the same window as two chained rounds of two batches each *)
+  let half h = List.filteri (fun i _ -> i / 2 = h) batches in
+  Alcotest.check digest "same final root"
+    (Clog.root (prove Clog.empty batches))
+    (Clog.root (prove (prove Clog.empty (half 0)) (half 1)))
 
 let test_agg_sharded_partition () =
   let records = batch ~seed:77 24 in

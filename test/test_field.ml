@@ -9,8 +9,7 @@ let rng () = Zkflow_util.Rng.create 0xf1e1dL
 
 let test_modulus_structure () =
   check_int "p" 2013265921 F.p;
-  check_int "p = 15 * 2^27 + 1" F.p ((15 lsl 27) + 1);
-  check_int "two-adicity" 27 F.two_adicity
+  check_int "p = 15 * 2^27 + 1" F.p ((15 lsl 27) + 1)
 
 let test_of_int_reduction () =
   check_int "exact" 5 (F.of_int 5);
@@ -48,37 +47,6 @@ let test_pow () =
   check_int "x^1" 12345 (F.pow 12345 1);
   check_int "x^2" (F.mul 12345 12345) (F.pow 12345 2);
   check_int "fermat" F.one (F.pow 31 (F.p - 1))
-
-let test_generator_order () =
-  (* 31 generates the full group: 31^((p-1)/q) <> 1 for q in {2, 3, 5}
-     (p - 1 = 2^27 * 3 * 5). *)
-  check_bool "order /2" true (F.pow F.generator ((F.p - 1) / 2) <> F.one);
-  check_bool "order /3" true (F.pow F.generator ((F.p - 1) / 3) <> F.one);
-  check_bool "order /5" true (F.pow F.generator ((F.p - 1) / 5) <> F.one);
-  check_int "full order" F.one (F.pow F.generator (F.p - 1))
-
-let test_roots_of_unity () =
-  for k = 0 to 10 do
-    let w = F.root_of_unity k in
-    check_int "order 2^k" F.one (F.pow w (1 lsl k));
-    if k > 0 then
-      check_bool "primitive" true (F.pow w (1 lsl (k - 1)) <> F.one)
-  done;
-  let w27 = F.root_of_unity 27 in
-  check_int "max root order" F.one (F.pow w27 (1 lsl 27));
-  Alcotest.check_raises "k too large" (Invalid_argument "Babybear.root_of_unity")
-    (fun () -> ignore (F.root_of_unity 28))
-
-let test_batch_inv () =
-  let r = rng () in
-  let xs = Array.init 33 (fun _ ->
-      let v = F.random r in if v = F.zero then F.one else v)
-  in
-  let invs = F.batch_inv xs in
-  Array.iteri (fun i x -> check_int "matches inv" (F.inv x) invs.(i)) xs;
-  Alcotest.check_raises "zero element" Division_by_zero (fun () ->
-      ignore (F.batch_inv [| 1; 0; 2 |]));
-  Alcotest.(check (array int)) "empty" [||] (F.batch_inv [||])
 
 let prop_mul_associative =
   QCheck.Test.make ~name:"mul associative" ~count:300
@@ -139,175 +107,6 @@ let test_fp2_of_digest_prefix () =
   let d2 = Zkflow_hash.Sha256.digest_string "challenge2" in
   check_bool "input-sensitive" false (Fp2.equal a (Fp2.of_digest_prefix d2))
 
-(* ---- NTT ---- *)
-
-let test_ntt_roundtrip () =
-  let r = rng () in
-  List.iter
-    (fun log_n ->
-      let n = 1 lsl log_n in
-      let coeffs = Array.init n (fun _ -> F.random r) in
-      let back = Ntt.inverse (Ntt.forward coeffs) in
-      Alcotest.(check (array int)) (Printf.sprintf "n=%d" n) coeffs back)
-    [ 0; 1; 2; 5; 10 ]
-
-let test_ntt_matches_naive_eval () =
-  let r = rng () in
-  let n = 16 in
-  let coeffs = Array.init n (fun _ -> F.random r) in
-  let p = Poly.of_coeffs coeffs in
-  let evals = Ntt.forward coeffs in
-  let w = F.root_of_unity 4 in
-  for i = 0 to n - 1 do
-    check_int (Printf.sprintf "eval at w^%d" i) (Poly.eval p (F.pow w i)) evals.(i)
-  done
-
-let test_ntt_coset_matches_naive_eval () =
-  let r = rng () in
-  let n = 8 in
-  let coeffs = Array.init n (fun _ -> F.random r) in
-  let p = Poly.of_coeffs coeffs in
-  let shift = F.generator in
-  let evals = Ntt.forward_coset ~shift coeffs in
-  let w = F.root_of_unity 3 in
-  for i = 0 to n - 1 do
-    check_int "coset eval" (Poly.eval p (F.mul shift (F.pow w i))) evals.(i)
-  done
-
-let test_ntt_coset_roundtrip () =
-  let r = rng () in
-  let coeffs = Array.init 64 (fun _ -> F.random r) in
-  let shift = 12345 in
-  let back = Ntt.inverse_coset ~shift (Ntt.forward_coset ~shift coeffs) in
-  Alcotest.(check (array int)) "coset roundtrip" coeffs back
-
-let test_ntt_rejects_non_pow2 () =
-  Alcotest.check_raises "size 3" (Invalid_argument "Ntt.forward: size not a power of two")
-    (fun () -> ignore (Ntt.forward [| 1; 2; 3 |]))
-
-let test_log2 () =
-  check_int "1" 0 (Ntt.log2 1);
-  check_int "1024" 10 (Ntt.log2 1024);
-  check_bool "is_pow2" true (Ntt.is_pow2 4096);
-  check_bool "not pow2" false (Ntt.is_pow2 12);
-  check_bool "zero" false (Ntt.is_pow2 0)
-
-(* ---- Poly ---- *)
-
-let test_poly_normalisation () =
-  let p = Poly.of_coeffs [| 1; 2; 0; 0 |] in
-  check_int "degree" 1 (Poly.degree p);
-  check_bool "zero poly" true (Poly.is_zero (Poly.of_coeffs [| 0; 0 |]));
-  check_int "zero degree" (-1) (Poly.degree Poly.zero)
-
-let test_poly_arith () =
-  let a = Poly.of_coeffs [| 1; 2; 3 |] and b = Poly.of_coeffs [| 5; 7 |] in
-  check_bool "add comm" true (Poly.equal (Poly.add a b) (Poly.add b a));
-  check_bool "sub self" true (Poly.is_zero (Poly.sub a a));
-  let prod = Poly.mul a b in
-  (* (1 + 2x + 3x^2)(5 + 7x) = 5 + 17x + 29x^2 + 21x^3 *)
-  Alcotest.(check (array int)) "mul" [| 5; 17; 29; 21 |] (Poly.coeffs prod)
-
-let test_poly_mul_ntt_path () =
-  (* Degrees above the NTT cutoff must agree with the naive path. *)
-  let r = rng () in
-  let a = Poly.of_coeffs (Array.init 100 (fun _ -> F.random r)) in
-  let b = Poly.of_coeffs (Array.init 130 (fun _ -> F.random r)) in
-  let prod = Poly.mul a b in
-  (* Check by evaluation at random points. *)
-  for _ = 1 to 20 do
-    let x = F.random r in
-    check_int "p(x)q(x)" (F.mul (Poly.eval a x) (Poly.eval b x)) (Poly.eval prod x)
-  done
-
-let test_poly_divmod () =
-  let r = rng () in
-  let a = Poly.of_coeffs (Array.init 20 (fun _ -> F.random r)) in
-  let b = Poly.of_coeffs [| 3; 0; 1; 9 |] in
-  let q, rem = Poly.divmod a b in
-  check_bool "deg r < deg b" true (Poly.degree rem < Poly.degree b);
-  check_bool "a = qb + r" true (Poly.equal a (Poly.add (Poly.mul q b) rem));
-  Alcotest.check_raises "div by zero" Division_by_zero (fun () ->
-      ignore (Poly.divmod a Poly.zero))
-
-let test_poly_div_by_linear () =
-  let r = rng () in
-  let p = Poly.of_coeffs (Array.init 15 (fun _ -> F.random r)) in
-  let a = F.random r in
-  let q = Poly.div_by_linear p a in
-  (* p(x) - p(a) = q(x) (x - a) *)
-  let lhs = Poly.sub p (Poly.constant (Poly.eval p a)) in
-  let rhs = Poly.mul q (Poly.of_coeffs [| F.neg a; F.one |]) in
-  check_bool "factor theorem" true (Poly.equal lhs rhs)
-
-let test_poly_interpolate () =
-  let pts = [ (1, 10); (2, 20); (3, 37) ] in
-  let p = Poly.interpolate pts in
-  List.iter (fun (x, y) -> check_int "through point" y (Poly.eval p x)) pts;
-  check_bool "degree <= 2" true (Poly.degree p <= 2);
-  Alcotest.check_raises "dup x" (Invalid_argument "Poly.interpolate: duplicate abscissae")
-    (fun () -> ignore (Poly.interpolate [ (1, 2); (1, 3) ]))
-
-let test_poly_vanishing () =
-  let xs = [| 4; 9; 11 |] in
-  let z = Poly.vanishing xs in
-  Array.iter (fun xi -> check_int "root" F.zero (Poly.eval z xi)) xs;
-  check_int "degree" 3 (Poly.degree z);
-  check_bool "nonzero elsewhere" true (Poly.eval z 5 <> F.zero)
-
-let test_poly_eval_fp2_consistent () =
-  let p = Poly.of_coeffs [| 7; 0; 3; 1 |] in
-  let xb = 12345 in
-  let base = Poly.eval p xb in
-  let ext = Poly.eval_fp2 p (Fp2.of_base xb) in
-  check_bool "agree on base points" true (Fp2.equal (Fp2.of_base base) ext)
-
-let prop_eval_homomorphic =
-  QCheck.Test.make ~name:"eval respects mul" ~count:100
-    QCheck.(pair (list_of_size Gen.(1 -- 10) (int_bound (F.p - 1)))
-              (list_of_size Gen.(1 -- 10) (int_bound (F.p - 1))))
-    (fun (a, b) ->
-      let pa = Poly.of_coeffs (Array.of_list a)
-      and pb = Poly.of_coeffs (Array.of_list b) in
-      let x = 987654321 in
-      Poly.eval (Poly.mul pa pb) x = F.mul (Poly.eval pa x) (Poly.eval pb x))
-
-(* ---- Domain ---- *)
-
-let test_domain_elements_distinct () =
-  let d = Domain.subgroup ~log_size:6 in
-  let e = Domain.elements d in
-  check_int "size" 64 (Array.length e);
-  let uniq = Array.to_list e |> List.sort_uniq compare in
-  check_int "distinct" 64 (List.length uniq)
-
-let test_domain_element_indexing () =
-  let d = Domain.coset ~log_size:4 ~shift:F.generator in
-  let e = Domain.elements d in
-  for i = 0 to 15 do
-    check_int "element i" e.(i) (Domain.element d i)
-  done;
-  check_int "wraps" e.(0) (Domain.element d 16)
-
-let test_domain_zerofier () =
-  let d = Domain.coset ~log_size:5 ~shift:7 in
-  Array.iter
-    (fun x -> check_int "vanishes on domain" F.zero (Domain.zerofier_eval d x))
-    (Domain.elements d);
-  check_bool "nonzero off domain" true (Domain.zerofier_eval d 1 <> F.zero)
-
-let test_domain_zerofier_fp2_consistent () =
-  let d = Domain.subgroup ~log_size:3 in
-  let x = 424242 in
-  check_bool "base vs ext" true
-    (Fp2.equal
-       (Fp2.of_base (Domain.zerofier_eval d x))
-       (Domain.zerofier_eval_fp2 d (Fp2.of_base x)))
-
-let test_domain_rejects_zero_shift () =
-  Alcotest.check_raises "zero shift" (Invalid_argument "Domain.coset: zero shift")
-    (fun () -> ignore (Domain.coset ~log_size:2 ~shift:0))
-
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "zkflow_field"
@@ -320,9 +119,6 @@ let () =
           Alcotest.test_case "mul identities" `Quick test_mul_identity_and_commutativity;
           Alcotest.test_case "inverses" `Quick test_inv;
           Alcotest.test_case "pow" `Quick test_pow;
-          Alcotest.test_case "generator order" `Quick test_generator_order;
-          Alcotest.test_case "roots of unity" `Quick test_roots_of_unity;
-          Alcotest.test_case "batch inverse" `Quick test_batch_inv;
           q prop_mul_associative;
           q prop_distributive;
         ] );
@@ -334,34 +130,5 @@ let () =
           Alcotest.test_case "u^2 = nu" `Quick test_fp2_u_squares_to_nu;
           Alcotest.test_case "pow" `Quick test_fp2_pow_matches_repeated_mul;
           Alcotest.test_case "digest sampling" `Quick test_fp2_of_digest_prefix;
-        ] );
-      ( "ntt",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_ntt_roundtrip;
-          Alcotest.test_case "matches naive eval" `Quick test_ntt_matches_naive_eval;
-          Alcotest.test_case "coset matches naive" `Quick test_ntt_coset_matches_naive_eval;
-          Alcotest.test_case "coset roundtrip" `Quick test_ntt_coset_roundtrip;
-          Alcotest.test_case "rejects non-pow2" `Quick test_ntt_rejects_non_pow2;
-          Alcotest.test_case "log2 / is_pow2" `Quick test_log2;
-        ] );
-      ( "poly",
-        [
-          Alcotest.test_case "normalisation" `Quick test_poly_normalisation;
-          Alcotest.test_case "arith" `Quick test_poly_arith;
-          Alcotest.test_case "ntt-path mul" `Quick test_poly_mul_ntt_path;
-          Alcotest.test_case "divmod" `Quick test_poly_divmod;
-          Alcotest.test_case "div_by_linear" `Quick test_poly_div_by_linear;
-          Alcotest.test_case "interpolate" `Quick test_poly_interpolate;
-          Alcotest.test_case "vanishing" `Quick test_poly_vanishing;
-          Alcotest.test_case "eval_fp2 consistent" `Quick test_poly_eval_fp2_consistent;
-          q prop_eval_homomorphic;
-        ] );
-      ( "domain",
-        [
-          Alcotest.test_case "elements distinct" `Quick test_domain_elements_distinct;
-          Alcotest.test_case "element indexing" `Quick test_domain_element_indexing;
-          Alcotest.test_case "zerofier" `Quick test_domain_zerofier;
-          Alcotest.test_case "zerofier fp2" `Quick test_domain_zerofier_fp2_consistent;
-          Alcotest.test_case "rejects zero shift" `Quick test_domain_rejects_zero_shift;
         ] );
     ]

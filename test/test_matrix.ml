@@ -476,7 +476,7 @@ let test_committed_artifacts () =
       if name <> "par" then
         check_int (path ^ " runs no row oversubscribed") 0
           (List.length (List.filter (fun n -> contains ~needle:"oversubscribed" n) r.Bench_diff.notes)))
-    [ "fig4"; "table1"; "par"; "obs"; "matrix" ]
+    [ "fig4"; "table1"; "par"; "obs"; "matrix"; "ablations" ]
 
 (* ---- live grid sanity -------------------------------------------- *)
 

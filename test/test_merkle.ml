@@ -295,113 +295,6 @@ let prop_multiproof_both_rules =
       && refused mp (Bytes.sub leaves 0 (32 * (k - 1)))
       && refused mp (Bytes.cat leaves (Bytes.sub leaves 0 32)))
 
-(* ---- Smt ---- *)
-
-let kv i = (Bytes.of_string (Printf.sprintf "flow-%d" i), Bytes.of_string (Printf.sprintf "val-%d" i))
-
-let test_smt_empty_root_stable () =
-  Alcotest.check digest "fresh trees agree" (Smt.root (Smt.create ())) Smt.empty_root
-
-let test_smt_set_find () =
-  let t = Smt.create () in
-  let k, v = kv 1 in
-  Smt.set t ~key:k v;
-  Alcotest.(check (option bytes)) "found" (Some v) (Smt.find t ~key:k);
-  Alcotest.(check (option bytes)) "other key absent" None
-    (Smt.find t ~key:(Bytes.of_string "other"))
-
-let test_smt_overwrite () =
-  let t = Smt.create () in
-  let k, v = kv 1 in
-  Smt.set t ~key:k v;
-  let r1 = Smt.root t in
-  Smt.set t ~key:k (Bytes.of_string "new");
-  check_bool "root changed" false (D.equal r1 (Smt.root t));
-  Alcotest.(check (option bytes)) "new value" (Some (Bytes.of_string "new"))
-    (Smt.find t ~key:k);
-  check_int "cardinal 1" 1 (Smt.cardinal t)
-
-let test_smt_remove_restores_root () =
-  let t = Smt.create () in
-  let k, v = kv 1 in
-  Smt.set t ~key:k v;
-  Smt.remove t ~key:k;
-  Alcotest.check digest "back to empty" Smt.empty_root (Smt.root t);
-  check_int "cardinal 0" 0 (Smt.cardinal t)
-
-let test_smt_order_independence () =
-  let t1 = Smt.create () and t2 = Smt.create () in
-  let pairs = List.init 20 kv in
-  List.iter (fun (k, v) -> Smt.set t1 ~key:k v) pairs;
-  List.iter (fun (k, v) -> Smt.set t2 ~key:k v) (List.rev pairs);
-  Alcotest.check digest "same root" (Smt.root t1) (Smt.root t2)
-
-let test_smt_membership_proof () =
-  let t = Smt.create () in
-  List.iter (fun (k, v) -> Smt.set t ~key:k v) (List.init 10 kv);
-  let k, v = kv 3 in
-  let p = Smt.prove t ~key:k in
-  check_bool "member" true (Smt.verify_member ~root:(Smt.root t) ~key:k ~value:v p);
-  check_bool "wrong value" false
-    (Smt.verify_member ~root:(Smt.root t) ~key:k ~value:(Bytes.of_string "x") p);
-  check_bool "not absent" false (Smt.verify_absent ~root:(Smt.root t) ~key:k p)
-
-let test_smt_non_membership_proof () =
-  let t = Smt.create () in
-  List.iter (fun (k, v) -> Smt.set t ~key:k v) (List.init 10 kv);
-  let ghost = Bytes.of_string "no-such-flow" in
-  let p = Smt.prove t ~key:ghost in
-  check_bool "absent" true (Smt.verify_absent ~root:(Smt.root t) ~key:ghost p);
-  check_bool "not member" false
-    (Smt.verify_member ~root:(Smt.root t) ~key:ghost ~value:(Bytes.of_string "v") p)
-
-let test_smt_proof_bound_to_key () =
-  let t = Smt.create () in
-  let k1, v1 = kv 1 and k2, _ = kv 2 in
-  Smt.set t ~key:k1 v1;
-  let p = Smt.prove t ~key:k1 in
-  check_bool "key mismatch rejected" false
-    (Smt.verify_member ~root:(Smt.root t) ~key:k2 ~value:v1 p)
-
-let test_smt_stale_proof_fails_after_update () =
-  let t = Smt.create () in
-  let k1, v1 = kv 1 and k2, v2 = kv 2 in
-  Smt.set t ~key:k1 v1;
-  let p = Smt.prove t ~key:k1 in
-  let old_root = Smt.root t in
-  Smt.set t ~key:k2 v2;
-  check_bool "valid against old root" true
-    (Smt.verify_member ~root:old_root ~key:k1 ~value:v1 p);
-  (* The sibling path changed with overwhelming probability; the stale
-     proof must not verify against the new root unless paths are
-     disjoint — re-prove instead. *)
-  let fresh = Smt.prove t ~key:k1 in
-  check_bool "fresh proof works" true
-    (Smt.verify_member ~root:(Smt.root t) ~key:k1 ~value:v1 fresh)
-
-let test_smt_fold () =
-  let t = Smt.create () in
-  List.iter (fun (k, v) -> Smt.set t ~key:k v) (List.init 5 kv);
-  let n = Smt.fold (fun _ _ acc -> acc + 1) t 0 in
-  check_int "visits all" 5 n
-
-let prop_smt_insert_remove_roundtrip =
-  QCheck.Test.make ~name:"insert+remove returns to prior root" ~count:50
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let rng = Zkflow_util.Rng.create (Int64.of_int seed) in
-      let t = Smt.create () in
-      for i = 0 to 9 do
-        let k, v = kv i in
-        ignore (Zkflow_util.Rng.int rng 2);
-        Smt.set t ~key:k v
-      done;
-      let r = Smt.root t in
-      let k = Bytes.of_string "transient" in
-      Smt.set t ~key:k (Zkflow_util.Rng.bytes rng 8);
-      Smt.remove t ~key:k;
-      D.equal r (Smt.root t))
-
 (* ---- golden vectors ----
 
    Literal roots fixed before the node hash was rewritten. Every node
@@ -471,19 +364,5 @@ let () =
           Alcotest.test_case "encode/decode" `Quick test_multiproof_encode_decode;
           q prop_multiproof_random_subsets;
           q prop_multiproof_both_rules;
-        ] );
-      ( "smt",
-        [
-          Alcotest.test_case "empty root stable" `Quick test_smt_empty_root_stable;
-          Alcotest.test_case "set/find" `Quick test_smt_set_find;
-          Alcotest.test_case "overwrite" `Quick test_smt_overwrite;
-          Alcotest.test_case "remove restores root" `Quick test_smt_remove_restores_root;
-          Alcotest.test_case "order independence" `Quick test_smt_order_independence;
-          Alcotest.test_case "membership proof" `Quick test_smt_membership_proof;
-          Alcotest.test_case "non-membership proof" `Quick test_smt_non_membership_proof;
-          Alcotest.test_case "proof bound to key" `Quick test_smt_proof_bound_to_key;
-          Alcotest.test_case "stale proof semantics" `Quick test_smt_stale_proof_fails_after_update;
-          Alcotest.test_case "fold" `Quick test_smt_fold;
-          q prop_smt_insert_remove_roundtrip;
         ] );
     ]

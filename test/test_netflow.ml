@@ -315,68 +315,6 @@ let test_router_sampling_validation () =
         (Router.create
            { (Router.default_config ~id:0) with Router.sampling_interval = 0 }))
 
-(* ---- NetFlow v5 wire format ---- *)
-
-let v5_header =
-  {
-    V5.sys_uptime_ms = 123456;
-    unix_secs = 1_700_000_000;
-    flow_sequence = 42;
-    engine_id = 3;
-    sampling_interval = 1;
-  }
-
-let test_v5_roundtrip () =
-  let records = Gen.records (rng ()) Gen.default_profile ~router_id:3 ~count:10 in
-  match V5.encode_datagram v5_header records with
-  | Error e -> Alcotest.fail e
-  | Ok dg -> (
-    check_int "length" (V5.header_bytes + (10 * V5.record_bytes)) (Bytes.length dg);
-    match V5.decode_datagram dg with
-    | Error e -> Alcotest.fail e
-    | Ok (h, back) ->
-      check_int "sequence" 42 h.V5.flow_sequence;
-      check_int "engine" 3 h.V5.engine_id;
-      check_int "count" 10 (Array.length back);
-      Array.iteri
-        (fun i r ->
-          check_bool "key survives" true
-            (Flowkey.equal r.Record.key records.(i).Record.key);
-          check_int "packets survive" records.(i).Record.metrics.Record.packets
-            r.Record.metrics.Record.packets;
-          check_int "router id from engine" 3 r.Record.router_id;
-          (* v5 has no loss field *)
-          check_int "losses dropped" 0 r.Record.metrics.Record.losses)
-        back)
-
-let test_v5_rejects_oversized () =
-  let records = Gen.records (rng ()) Gen.default_profile ~router_id:0 ~count:31 in
-  check_bool "31 records" true (Result.is_error (V5.encode_datagram v5_header records))
-
-let test_v5_rejects_malformed () =
-  check_bool "short" true (Result.is_error (V5.decode_datagram (Bytes.create 10)));
-  let records = Gen.records (rng ()) Gen.default_profile ~router_id:0 ~count:2 in
-  let dg = Result.get_ok (V5.encode_datagram v5_header records) in
-  let bad_version = Bytes.copy dg in
-  Bytes.set_uint16_be bad_version 0 9;
-  check_bool "version" true (Result.is_error (V5.decode_datagram bad_version));
-  let truncated = Bytes.sub dg 0 (Bytes.length dg - 10) in
-  check_bool "truncated" true (Result.is_error (V5.decode_datagram truncated))
-
-let test_v5_datagram_splitting () =
-  let records = Gen.records (rng ()) Gen.default_profile ~router_id:0 ~count:65 in
-  let dgs = V5.datagrams_of_batch v5_header records in
-  check_int "3 datagrams" 3 (List.length dgs);
-  let counts =
-    List.map
-      (fun dg ->
-        let h, rs = Result.get_ok (V5.decode_datagram dg) in
-        (h.V5.flow_sequence, Array.length rs))
-      dgs
-  in
-  Alcotest.(check (list (pair int int)))
-    "sequence advances by records" [ (42, 30); (72, 30); (102, 5) ] counts
-
 let test_topology_routed_subset () =
   let t =
     Topology.routed
@@ -442,13 +380,6 @@ let () =
           Alcotest.test_case "unbiased estimate" `Quick test_router_sampling_unbiased;
           Alcotest.test_case "misses small flows" `Quick test_router_sampling_may_miss_small_flows;
           Alcotest.test_case "validation" `Quick test_router_sampling_validation;
-        ] );
-      ( "v5",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_v5_roundtrip;
-          Alcotest.test_case "rejects oversized" `Quick test_v5_rejects_oversized;
-          Alcotest.test_case "rejects malformed" `Quick test_v5_rejects_malformed;
-          Alcotest.test_case "datagram splitting" `Quick test_v5_datagram_splitting;
         ] );
       ( "topology",
         [

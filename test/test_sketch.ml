@@ -74,25 +74,6 @@ let test_cms_input_validation () =
     (Invalid_argument "Countmin.add: count must be positive") (fun () ->
       Countmin.add s ~count:0 (key 1))
 
-(* ---- Countsketch ---- *)
-
-let test_countsketch_accuracy_on_heavy () =
-  let s = Countsketch.create ~width:1024 ~depth:5 in
-  feed (fun k -> Countsketch.add s k);
-  for i = 0 to 4 do
-    let est = Countsketch.estimate s (key i) in
-    let err = abs (est - freq i) in
-    check_bool (Printf.sprintf "heavy flow %d close (err %d)" i err) true (err < 200)
-  done
-
-let test_countsketch_merge () =
-  let a = Countsketch.create ~width:256 ~depth:5 in
-  let b = Countsketch.create ~width:256 ~depth:5 in
-  Countsketch.add a ~count:100 (key 1);
-  Countsketch.add b ~count:50 (key 1);
-  let m = Countsketch.merge a b in
-  check_int "merged mass" 150 (Countsketch.estimate m (key 1))
-
 (* ---- Spacesaving ---- *)
 
 let test_spacesaving_finds_heavy_hitters () =
@@ -183,11 +164,6 @@ let () =
           Alcotest.test_case "merge = union" `Quick test_cms_merge_equals_union;
           Alcotest.test_case "merge dimension check" `Quick test_cms_merge_dimension_check;
           Alcotest.test_case "input validation" `Quick test_cms_input_validation;
-        ] );
-      ( "countsketch",
-        [
-          Alcotest.test_case "heavy-flow accuracy" `Quick test_countsketch_accuracy_on_heavy;
-          Alcotest.test_case "merge" `Quick test_countsketch_merge;
         ] );
       ( "spacesaving",
         [
