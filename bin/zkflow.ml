@@ -952,7 +952,7 @@ let bench_diff old_path new_path threshold min_s json =
   if Bench_diff.ok report then Ok ()
   else
     Error
-      (Printf.sprintf "bench-diff: %d regression(s) beyond %.0f%%"
+      (Printf.sprintf "bench-diff: %d regression(s) (timings beyond %.0f%%, counts on any move)"
          (List.length report.Bench_diff.regressions)
          (threshold *. 100.))
 
@@ -1336,7 +1336,9 @@ let bench_diff_cmd =
   in
   let threshold =
     Arg.(value & opt float 0.25 & info [ "threshold" ]
-           ~doc:"Relative slowdown that counts as a regression (0.25 = 25%).")
+           ~doc:"Relative slowdown of a timing that counts as a regression \
+                 (0.25 = 25%). Every other unit (cycles, bytes, bits) \
+                 regresses on any move the worse way.")
   in
   let min_s =
     Arg.(value & opt float 0.05 & info [ "min-s" ]
@@ -1353,8 +1355,9 @@ let bench_diff_cmd =
   Cmd.v
     (Cmd.info "bench-diff"
        ~doc:"Compare two bench JSON artifacts row by row, matching rows by \
-             their config, and exit nonzero on a metric that moved the \
-             worse way beyond the threshold, or when the two artifacts \
+             their config, and exit nonzero on a timing that moved the \
+             worse way beyond the threshold, on any other metric that \
+             moved the worse way at all, or when the two artifacts \
              share no row or metric.")
     Term.(const run $ old_file $ new_file $ threshold $ min_s $ json)
 

@@ -15,11 +15,12 @@ module Gen = Zkflow_netflow.Gen
 open Zkflow_core
 open Zkflow_lang
 
-(* Memory map for the guest (word addresses). *)
+(* Memory map for the guest (word addresses). Entry i lies at
+   [entries_at + 11 i], after the 3 words its leaf hash writes its
+   domain tag to. *)
 let root_at = 0x200
-let entries_at = 0x100000
+let entries_at = 0x100003
 let leaves_at = 0x200000
-let scratch_at = 0x400
 
 let audit_query : Zirc.program =
   Zirc.
@@ -27,18 +28,22 @@ let audit_query : Zirc.program =
       (* input: m, claimed CLog root, m 8-word entries *)
       Let ("m", Read_word);
       Read_words { dst = Int root_at; count = Int 8 };
-      Read_words { dst = Int entries_at; count = Bin (Mul, Var "m", Int 8) };
+      Let ("i", Int 0);
+      While
+        ( Bin (Lt, Var "i", Var "m"),
+          [
+            Read_words { dst = Bin (Add, Int entries_at, Bin (Mul, Var "i", Int 11)); count = Int 8 };
+            Set ("i", Bin (Add, Var "i", Int 1));
+          ] );
       (* authenticate: rebuild the Merkle root in-guest, compare *)
-      Leaf_hashes
-        { entries = Int entries_at; count = Var "m"; out = Int leaves_at;
-          scratch = Int scratch_at };
+      Leaf_hashes { entries = Int entries_at; count = Var "m"; out = Int leaves_at };
       Merkle_root { leaves = Int leaves_at; count = Var "m" };
       If (Cmp8 (Int leaves_at, Int root_at), [], [ Halt (Int 1) ]);
       Commit_words { src = Int root_at; count = Int 8 };
       (* scan: violations = #entries with losses*100 > packets;
                worst = max over entries of losses*1000/packets,
                computed without division as a running comparison *)
-      Let ("i", Int 0);
+      Set ("i", Int 0);
       Let ("violations", Int 0);
       Let ("worst_num", Int 0);   (* losses of the worst flow *)
       Let ("worst_den", Int 1);   (* its packets *)
@@ -48,7 +53,7 @@ let audit_query : Zirc.program =
       While
         ( Bin (Lt, Var "i", Var "m"),
           [
-            Set ("base", Bin (Add, Int entries_at, Bin (Mul, Var "i", Int 8)));
+            Set ("base", Bin (Add, Int entries_at, Bin (Mul, Var "i", Int 11)));
             Set ("pk", Load (Bin (Add, Var "base", Int 4)));
             Set ("ls", Load (Bin (Add, Var "base", Int 7)));
             If

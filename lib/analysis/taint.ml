@@ -9,7 +9,8 @@
 
    Lattice: Clean ⊑ Checked ⊑ Tainted.
    - sources: the input ecalls ([read_word]/[input_avail] in Zirc,
-     ecall 1/5 in ZR0) produce Tainted;
+     ecall 1/5 in ZR0) produce Tainted, and a block read (ecall 6)
+     taints RAM;
    - validation: traversing a comparison laundering Tainted → Checked
      on both outcomes — branching on untrusted data is exactly what
      "the guest validated it" looks like at this level (a wrong
@@ -18,7 +19,8 @@
      transitively, every region it was derived from ([leaf_hashes] /
      [merkle_root] / [sha] record provenance): checking the root
      authenticates the entries it was hashed from;
-   - sinks: journal commits ([commit]/[commit_words], ecall 2) and
+   - sinks: journal commits ([commit]/[commit_words], ecall 2, and a
+     block commit of RAM, ecall 7) and
      memory address operands. A Tainted value at a sink is an error
      finding (pass "taint-journal" / "taint-addr"). The prover gate
      does NOT run this pass — `zkflow audit` does, so operators can
@@ -287,21 +289,15 @@ let rec exec_stmt ~emit ~suppressed (a : Zirc_lint.astmt) st =
        | Some b ->
          set_region st b { taint = t; deps = (match sbase with Some s -> [ s ] | None -> []) }
        | None -> taint_all st t)
-    | Zirc.Leaf_hashes { entries; count; out; scratch } ->
+    | Zirc.Leaf_hashes { entries; count; out } ->
       ignore (ev count);
       let ebase = addr ~what:"leaf_hashes entries" entries in
       let obase = addr ~what:"leaf_hashes output" out in
-      let sbase = addr ~what:"leaf_hashes scratch" scratch in
       let t = match ebase with Some b -> region_taint st b | None -> Tainted in
       let deps = match ebase with Some e -> [ e ] | None -> [] in
-      let st =
-        match obase with
-        | Some b -> set_region st b { taint = t; deps }
-        | None -> taint_all st t
-      in
-      (match sbase with
+      (match obase with
        | Some b -> set_region st b { taint = t; deps }
-       | None -> st)
+       | None -> taint_all st t)
     | Zirc.Merkle_root { leaves; count } ->
       ignore (ev count);
       (* in-place reduction: taint and provenance of the buffer keep *)
@@ -396,11 +392,14 @@ let zr0_step ~emit ~pc ~vals instr (t : ztaint) =
     t
   | Jal (0, _) -> t
   | Jal (_, _) | Jalr (_, _, _) ->
-    (* call (or indirect transfer): intraprocedural summary *)
+    (* call (or indirect transfer): intraprocedural summary. The callee
+       returns Checked registers and leaves RAM at most Checked, as a
+       helper's own body is entered: the guestlib routines are where a
+       guest validates what it read (gl_cmp8). *)
     for r = 1 to 31 do
       t.regs.(r) <- Checked
     done;
-    t
+    { t with mem = launder t.mem }
   | Ecall ->
     let num =
       match vals with
@@ -408,6 +407,16 @@ let zr0_step ~emit ~pc ~vals instr (t : ztaint) =
       | None -> None
     in
     (match Option.bind num Ecall.of_number with
+     | Some c when Ecall.block c ->
+       (* A block call moves RAM words: a block read taints RAM, and a
+          block commit publishes it. *)
+       addr_sink ~what:"block" 11;
+       if Ecall.writes_journal c && t.mem = Tainted then
+         emit
+           (Finding.error ~loc:(Finding.Pc pc) ~pass:"taint-journal"
+              "untrusted region flows to the journal without validation (ecall %d)"
+              (Ecall.number c));
+       if Ecall.reads_input c then { t with mem = Tainted } else t
      | Some c ->
        if Ecall.writes_journal c && lv 11 = Tainted then
          emit

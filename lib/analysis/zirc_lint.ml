@@ -28,8 +28,7 @@ let stmt_need (s : Zirc.stmt) =
   | Sha { src; words; dst } -> args_need [ src; words; dst ]
   | Read_words { dst; count } -> args_need [ dst; count ]
   | Commit_words { src; count } -> args_need [ src; count ]
-  | Leaf_hashes { entries; count; out; scratch } ->
-    args_need [ entries; count; out; scratch ]
+  | Leaf_hashes { entries; count; out } -> args_need [ entries; count; out ]
   | Merkle_root { leaves; count } -> args_need [ leaves; count ]
 
 (* ---- constant folding (32-bit wrap-around, matching the interpreter) *)
@@ -225,13 +224,13 @@ and fwd_stmt ~emit st a =
     ck src;
     ck count;
     st
-  | Leaf_hashes { entries; count; out; scratch } ->
+  | Leaf_hashes { entries; count; out } ->
     ck entries;
     ck count;
     ck out;
-    ck scratch;
+    (* each entry's tag is written into the 3 words before it *)
+    check_write_addr ~emit ~loc "leaf_hashes tag" (Bin (Sub, entries, Int 3));
     check_write_addr ~emit ~loc "leaf_hashes output" out;
-    check_write_addr ~emit ~loc "leaf_hashes scratch" scratch;
     st
   | Merkle_root { leaves; count } ->
     ck leaves;
@@ -261,7 +260,7 @@ let stmt_reads (s : Zirc.stmt) =
     | Sha { src; words; dst } -> [ src; words; dst ]
     | Read_words { dst; count } -> [ dst; count ]
     | Commit_words { src; count } -> [ src; count ]
-    | Leaf_hashes { entries; count; out; scratch } -> [ entries; count; out; scratch ]
+    | Leaf_hashes { entries; count; out } -> [ entries; count; out ]
     | Merkle_root { leaves; count } -> [ leaves; count ]
   in
   List.fold_left expr_vars S.empty es

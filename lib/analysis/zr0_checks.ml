@@ -148,10 +148,30 @@ let step ~emit ~note ~pc instr (st : state) =
           else if src.Interval.hi + min len.Interval.hi cap > Trace.ram_limit then
             note `Mem;
           if dst.Interval.lo + 8 > Trace.ram_limit then oob ~op:"sha destination" dst
-          else if dst.Interval.hi + 8 > Trace.ram_limit then note `Mem)
+          else if dst.Interval.hi + 8 > Trace.ram_limit then note `Mem
+        | Some ((Ecall.Read_block | Ecall.Commit_block) as c) ->
+          let op, what =
+            if c = Ecall.Read_block then ("block read", "destination")
+            else ("block commit", "source")
+          in
+          read ~what:(Printf.sprintf " (%s %s)" op what) 11;
+          read ~what:(Printf.sprintf " (%s count)" op) 12;
+          let base = itv 11 and count = itv 12 in
+          let max = Ecall.max_block in
+          if count.Interval.hi < 1 || count.Interval.lo > max then
+            emit
+              (Finding.error ~loc:(Finding.Pc pc) ~pass:"membounds"
+                 "%s count in [%d, %d] is always outside 1..%d (the machine traps)" op
+                 count.Interval.lo count.Interval.hi max)
+          else if count.Interval.lo < 1 || count.Interval.hi > max then note `Mem;
+          (* The words run from the base to base + count - 1. *)
+          if base.Interval.lo + Int.max 1 count.Interval.lo > Trace.ram_limit then
+            oob ~op:(op ^ " " ^ what) base
+          else if base.Interval.hi + Int.min max count.Interval.hi > Trace.ram_limit then
+            note `Mem)
       | None ->
         let n = itv 10 in
-        if n.Interval.lo > 5 then
+        if n.Interval.lo > Ecall.max_number then
           emit
             (Finding.error ~loc:(Finding.Pc pc) ~pass:"ecall"
                "ecall number in a0 is at least %d — always invalid (the machine traps here)"

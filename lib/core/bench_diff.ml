@@ -83,11 +83,16 @@ let diff ?(threshold = 0.25) ?(min_s = 0.05) ~old_json ~new_json () =
   let compared = ref 0 and regressions = ref [] and improvements = ref [] in
   let notes = ref [] in
   let note fmt = Printf.ksprintf (fun s -> notes := s :: !notes) fmt in
+  (* A timing moves by noise, so it counts past [threshold] and only
+     when either side reaches [min_s]. Every other unit is a count of
+     work (cycles, bytes, bits, error ratios of seeded sketches) that
+     repeats run to run, so any move counts. *)
   let judge key field (m : R.metric) new_v =
     incr compared;
     let old_v = m.value in
     let ratio = if old_v = 0. then if new_v = 0. then 1. else infinity else new_v /. old_v in
-    let grew = ratio > 1. +. threshold and shrank = ratio < 1. /. (1. +. threshold) in
+    let slack = if m.unit = "s" then threshold else 0. in
+    let grew = ratio > 1. +. slack and shrank = ratio < 1. /. (1. +. slack) in
     let worse, better = match m.better with R.Lower -> (grew, shrank) | R.Higher -> (shrank, grew) in
     let change = { key; field; old_v; new_v; ratio } in
     if m.unit <> "s" || old_v >= min_s || new_v >= min_s then

@@ -3,14 +3,16 @@
     [zkflow bench-diff OLD.json NEW.json] reads two {!Bench_row}
     artifacts, matches their rows by {!Bench_row.key} — the row's
     whole config — and compares every metric of an OLD row that the
-    NEW row also has, in the direction the OLD row declares: a metric
-    regresses when it moved the worse way by more than [threshold]
-    (relative), and improves when it moved the better way by as much.
-    Per-phase totals compare as [phases.<name>.total_s] timings. A
-    metric in unit [s] counts only when either side reaches [min_s],
-    so microsecond noise on tiny phases never fails a build; every
-    other unit (cycles, bytes, bits) is deterministic and has no
-    floor.
+    NEW row also has, in the direction the OLD row declares. A timing
+    (unit [s]) regresses when it moved the worse way by more than
+    [threshold] (relative), and improves when it moved the better way
+    by as much; it counts only when either side reaches [min_s], so
+    microsecond noise on tiny phases never fails a build. Per-phase
+    totals compare as [phases.<name>.total_s] timings. Every other
+    unit (cycles, bytes, bits, the error ratios of seeded sketches)
+    repeats run to run, so it has no threshold and no floor: any move
+    the worse way is a regression, any move the better way an
+    improvement.
 
     Rows or metrics present on one side only are notes, not
     regressions, so a grid change (a new matrix cell, a dropped
@@ -44,9 +46,10 @@ val diff :
   unit ->
   (report, string) result
 (** Compare two bench artifacts. [threshold] defaults to [0.25] (25%
-    relative), [min_s] to [0.05] seconds. [Error] when an artifact
-    does not read as a {!Bench_row.artifact}, and when the two share
-    no row key or no metric: a comparison of nothing is not a pass. *)
+    relative) and applies to timings only; [min_s] defaults to [0.05]
+    seconds. [Error] when an artifact does not read as a
+    {!Bench_row.artifact}, and when the two share no row key or no
+    metric: a comparison of nothing is not a pass. *)
 
 val ok : report -> bool
 (** [true] iff no regressions. *)

@@ -8,9 +8,11 @@ open Asm
 let prev_root_addr = 0x100
 let claimed_addr = 0x200
 let computed_addr = 0x300
-let scratch_addr = 0x400
 let params_addr = 0x500
-let entries_addr = 0x100000
+
+(* Entry i lies at [entries_addr + 11 i], after the 3 words its leaf
+   hash writes its domain tag to. *)
+let entries_addr = 0x100000 + 3
 let leaves_addr = 0x200000
 let index_addr = 0x400000
 let rlog_addr = 0x600000
@@ -21,11 +23,16 @@ let empty_root_words = Guestlib.empty_leaf_words
 
 (* ---- small eDSL helpers (inline, call-free) ---- *)
 
-(* Read 8 input words into memory at [addr]; clobbers a0, t0, t5. *)
-let read_digest_to addr =
-  block
-    (li t5 addr
-     :: List.concat (List.init 8 (fun k -> [ read_word t0; sw t0 t5 k ])))
+(* Read 8 input words into memory at [addr], in one block read;
+   clobbers a0-a2. *)
+let read_digest_to addr = block [ li a1 addr; li a2 8; read_block ~dst:a1 ~count:a2 ]
+
+(* Journal the 8 words at [addr], in one block commit; clobbers a0-a2. *)
+let commit_digest_at addr = block [ li a1 addr; li a2 8; commit_block ~src:a1 ~count:a2 ]
+
+(* [out] := the address of entry [index]. *)
+let entry_addr ~out ~index =
+  block [ muli out index Guestlib.entry_stride; addi out out entries_addr ]
 
 (* Store constant digest words at [addr]; clobbers t0, t5. *)
 let store_digest_at addr words =
@@ -73,8 +80,8 @@ let aggregation_items =
     read_digest_to prev_root_addr;
     (* previous entries *)
     li a0 entries_addr;
-    slli a1 s0 3;
-    call "gl_read_words";
+    mv a1 s0;
+    call "gl_read_entries";
     (* index every previous entry; duplicate keys are impossible in an
        honestly-produced CLog, so finding one means forged input *)
     li s9 0;
@@ -91,7 +98,6 @@ let aggregation_items =
     li a0 entries_addr;
     mv a1 s0;
     li a2 leaves_addr;
-    li a3 scratch_addr;
     call "gl_leaf_hashes";
     li a0 leaves_addr;
     mv a1 s0;
@@ -108,9 +114,7 @@ let aggregation_items =
     call "gl_cmp8";
     beq a0 zero "agg.fail_prev";
     label "agg.prev_ok";
-    li a0 prev_root_addr;
-    li a1 8;
-    call "gl_commit_words";
+    commit_digest_at prev_root_addr;
     (* routers *)
     read_word s1;
     commit s1;
@@ -130,9 +134,7 @@ let aggregation_items =
     li a1 claimed_addr;
     call "gl_cmp8";
     beq a0 zero "agg.fail_router";
-    li a0 claimed_addr;
-    li a1 8;
-    call "gl_commit_words";
+    commit_digest_at claimed_addr;
     (* Step 3: merge every record *)
     li s9 0;
     label "agg.merge_loop";
@@ -153,7 +155,6 @@ let aggregation_items =
     li a0 entries_addr;
     mv a1 s0;
     li a2 leaves_addr;
-    li a3 scratch_addr;
     call "gl_leaf_hashes";
     li a0 leaves_addr;
     slli a1 s0 3;
@@ -161,15 +162,11 @@ let aggregation_items =
     li a0 leaves_addr;
     mv a1 s0;
     call "gl_merkle_root";
-    li a0 leaves_addr;
-    li a1 8;
-    call "gl_commit_words";
+    commit_digest_at leaves_addr;
     halt 0;
     label "agg.empty_root";
     store_digest_at computed_addr empty_root_words;
-    li a0 computed_addr;
-    li a1 8;
-    call "gl_commit_words";
+    commit_digest_at computed_addr;
     halt 0;
     label "agg.fail_prev";
     halt 1;
@@ -179,9 +176,7 @@ let aggregation_items =
        addressing table; halts 4 on duplicate key. --- *)
     label "agg_insert_index";
     mv s2 a0;                           (* entry index *)
-    slli s3 s2 3;
-    li t0 entries_addr;
-    add s3 s3 t0;                       (* key address *)
+    entry_addr ~out:s3 ~index:s2; (* key address *)
     key_hash_code ~addr:s3 ~out:s4 ~tmp:t0;
     label "agg_insert_index.probe";
     li t0 index_addr;
@@ -190,9 +185,7 @@ let aggregation_items =
     beq s5 zero "agg_insert_index.store";
     (* occupied: duplicate keys are forged input *)
     addi s6 s5 (-1);
-    slli s6 s6 3;
-    li t0 entries_addr;
-    add s6 s6 t0;                       (* other key address *)
+    entry_addr ~out:s6 ~index:s6; (* other key address *)
     key_compare_code ~a:s3 ~b:s6 ~on_diff:"agg_insert_index.next";
     halt 4;
     label "agg_insert_index.next";
@@ -217,9 +210,7 @@ let aggregation_items =
     lw s5 t0 0;
     beq s5 zero "agg_merge_record.append";
     addi s6 s5 (-1);
-    slli s6 s6 3;
-    li t0 entries_addr;
-    add s6 s6 t0;                       (* candidate entry address *)
+    entry_addr ~out:s6 ~index:s6; (* candidate entry address *)
     key_compare_code ~a:s2 ~b:s6 ~on_diff:"agg_merge_record.next";
     (* found: sum the 4 metric words (wraps mod 2^32 like the host) *)
     block
@@ -242,9 +233,7 @@ let aggregation_items =
     addi t1 s0 1;
     sw t1 t0 0;
     (* ENTRIES[m] = record *)
-    slli s7 s0 3;
-    li t0 entries_addr;
-    add s7 s7 t0;
+    entry_addr ~out:s7 ~index:s0;
     block
       (List.concat
          (List.init 8 (fun k -> [ lw t0 s2 k; sw t0 s7 k ])));
@@ -270,8 +259,8 @@ let query_items =
     read_word s0;
     read_digest_to claimed_addr;
     li a0 entries_addr;
-    slli a1 s0 3;
-    call "gl_read_words";
+    mv a1 s0;
+    call "gl_read_entries";
     li a0 params_addr;
     li a1 10;
     call "gl_read_words";
@@ -292,7 +281,6 @@ let query_items =
     li a0 entries_addr;
     mv a1 s0;
     li a2 leaves_addr;
-    li a3 scratch_addr;
     call "gl_leaf_hashes";
     li a0 leaves_addr;
     mv a1 s0;
@@ -309,9 +297,7 @@ let query_items =
     call "gl_cmp8";
     beq a0 zero "q.fail";
     label "q.verified";
-    li a0 claimed_addr;
-    li a1 8;
-    call "gl_commit_words";
+    commit_digest_at claimed_addr;
     li a0 params_addr;
     li a1 10;
     call "gl_commit_words";
@@ -327,9 +313,7 @@ let query_items =
     li s9 0;
     label "q.scan";
     bgeu s9 s0 "q.done";
-    slli t0 s9 3;
-    li t1 entries_addr;
-    add t0 t0 t1;                       (* entry base, t0 *)
+    entry_addr ~out:t0 ~index:s9; (* entry base, t0 *)
     li t1 params_addr;
     (* word-level predicate: care flag then equality *)
     block

@@ -2,12 +2,13 @@
    one frame, "<label length>:<label><payload length>:<payload>"
    (decimal lengths), and every draw hashes the state with the frame
    of "chal:<label>" over an empty payload, then ratchets the state
-   with the draw: the SHA-256 of state ‖ draw.
+   with the draw: one compression of state ‖ draw from the node IV
+   ([Sha256.node64], no padding block).
 
    The state sits in bytes [0, 32) of one buffer and each frame header
    is laid right after it, so a draw hashes one contiguous prefix of
    the buffer. The draw is written over the header at [32, 64), and the
-   ratchet is one 64-byte [Sha256.digest64_into] of the buffer's start
+   ratchet is one [Sha256.node64_into] of the buffer's first 64 bytes
    back into the state, which leaves the draw in place for the caller
    to read. Absorbing and drawing allocate nothing; a label too long
    for the buffer grows it once. *)
@@ -84,7 +85,7 @@ let draw t ~label ~index =
   Sha256.reset t.ctx;
   Sha256.update_sub t.ctx t.buf ~pos:0 ~len:stop;
   Sha256.finalize_into t.ctx ~dst:t.buf ~dst_pos:32;
-  Sha256.digest64_into t.ctx ~src:t.buf ~src_pos:0 ~dst:t.buf ~dst_pos:0
+  Sha256.node64_into t.ctx ~src:t.buf ~src_pos:0 ~dst:t.buf ~dst_pos:0
 
 let challenge_digest t ~label =
   draw t ~label ~index:(-1);

@@ -29,7 +29,7 @@ type stmt =
   | Sha of { src : expr; words : expr; dst : expr }
   | Read_words of { dst : expr; count : expr }
   | Commit_words of { src : expr; count : expr }
-  | Leaf_hashes of { entries : expr; count : expr; out : expr; scratch : expr }
+  | Leaf_hashes of { entries : expr; count : expr; out : expr }
   | Merkle_root of { leaves : expr; count : expr }
   | Halt of expr
   | Debug of expr
@@ -222,9 +222,8 @@ let rec compile_stmt env stmt =
     Asm.block [ compile_args env [ dst; count ]; Asm.call "gl_read_words" ]
   | Commit_words { src; count } ->
     Asm.block [ compile_args env [ src; count ]; Asm.call "gl_commit_words" ]
-  | Leaf_hashes { entries; count; out; scratch } ->
-    Asm.block
-      [ compile_args env [ entries; count; out; scratch ]; Asm.call "gl_leaf_hashes" ]
+  | Leaf_hashes { entries; count; out } ->
+    Asm.block [ compile_args env [ entries; count; out ]; Asm.call "gl_leaf_hashes" ]
   | Merkle_root { leaves; count } ->
     Asm.block [ compile_args env [ leaves; count ]; Asm.call "gl_merkle_root" ]
 
@@ -287,13 +286,11 @@ let sha_words st ~src ~words ~dst =
     (fun i w -> mem_write st (dst + i) w)
     (Guestlib.words_of_digest digest)
 
-let leaf_hashes st ~entries ~count ~out ~scratch =
-  Array.iteri (fun i w -> mem_write st (scratch + i) w) Guestlib.leaf_domain_words;
+let leaf_hashes st ~entries ~count ~out =
   for i = 0 to count - 1 do
-    for k = 0 to 7 do
-      mem_write st (scratch + 3 + k) (mem_read st (entries + (8 * i) + k))
-    done;
-    sha_words st ~src:scratch ~words:11 ~dst:(out + (8 * i))
+    let tag = entries + (Guestlib.entry_stride * i) - 3 in
+    Array.iteri (fun k w -> mem_write st (tag + k) w) Guestlib.leaf_domain_words;
+    sha_words st ~src:tag ~words:Guestlib.entry_stride ~dst:(out + (8 * i))
   done
 
 let merkle_root st ~leaves ~count =
@@ -394,12 +391,11 @@ let rec exec st stmt =
     for i = 0 to count - 1 do
       st.journal_rev <- mem_read st (src + i) :: st.journal_rev
     done
-  | Leaf_hashes { entries; count; out; scratch } ->
+  | Leaf_hashes { entries; count; out } ->
     let entries = eval st entries in
     let count = eval st count in
     let out = eval st out in
-    let scratch = eval st scratch in
-    leaf_hashes st ~entries ~count ~out ~scratch
+    leaf_hashes st ~entries ~count ~out
   | Merkle_root { leaves; count } ->
     let leaves = eval st leaves in
     let count = eval st count in
@@ -472,9 +468,8 @@ let rec pp_stmt ppf = function
     Format.fprintf ppf "read_words(%a, %a)" pp_expr dst pp_expr count
   | Commit_words { src; count } ->
     Format.fprintf ppf "commit_words(%a, %a)" pp_expr src pp_expr count
-  | Leaf_hashes { entries; count; out; scratch } ->
-    Format.fprintf ppf "leaf_hashes(%a, %a, %a, %a)" pp_expr entries pp_expr count
-      pp_expr out pp_expr scratch
+  | Leaf_hashes { entries; count; out } ->
+    Format.fprintf ppf "leaf_hashes(%a, %a, %a)" pp_expr entries pp_expr count pp_expr out
   | Merkle_root { leaves; count } ->
     Format.fprintf ppf "merkle_root(%a, %a)" pp_expr leaves pp_expr count
 

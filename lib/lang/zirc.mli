@@ -48,8 +48,10 @@ type stmt =
   | Sha of { src : expr; words : expr; dst : expr }
   | Read_words of { dst : expr; count : expr }
   | Commit_words of { src : expr; count : expr }
-  | Leaf_hashes of { entries : expr; count : expr; out : expr; scratch : expr }
-      (** domain-tagged Merkle leaf hashes of 8-word entries *)
+  | Leaf_hashes of { entries : expr; count : expr; out : expr }
+      (** domain-tagged Merkle leaf hashes of 8-word entries laid 11
+          words apart, each hashed where it lies after the 3 words its
+          tag is written to *)
   | Merkle_root of { leaves : expr; count : expr }
       (** in-place reduction; root lands in the first 8 words *)
   | Halt of expr

@@ -255,8 +255,7 @@ let stmt_builtin p name args =
   | "sha", [ src; words; dst ] -> Zirc.Sha { src; words; dst }
   | "read_words", [ dst; count ] -> Zirc.Read_words { dst; count }
   | "commit_words", [ src; count ] -> Zirc.Commit_words { src; count }
-  | "leaf_hashes", [ entries; count; out; scratch ] ->
-    Zirc.Leaf_hashes { entries; count; out; scratch }
+  | "leaf_hashes", [ entries; count; out ] -> Zirc.Leaf_hashes { entries; count; out }
   | "merkle_root", [ leaves; count ] -> Zirc.Merkle_root { leaves; count }
   | _ -> perr p "unknown statement %S (or wrong arity)" name
 

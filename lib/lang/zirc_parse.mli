@@ -22,7 +22,7 @@
     [read_word()], [input_avail()], [cmp8(a,b)] in expressions;
     [commit(e)], [debug(e)], [halt(e)], [sha(src,words,dst)],
     [read_words(dst,n)], [commit_words(src,n)],
-    [leaf_hashes(entries,n,out,scratch)], [merkle_root(leaves,n)] as
+    [leaf_hashes(entries,n,out)], [merkle_root(leaves,n)] as
     statements. *)
 
 type pos = { line : int; col : int }

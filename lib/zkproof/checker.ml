@@ -1,6 +1,7 @@
 module Isa = Zkflow_zkvm.Isa
 module Program = Zkflow_zkvm.Program
 module Trace = Zkflow_zkvm.Trace
+module Ecall = Zkflow_zkvm.Ecall
 
 type access = { addr : int; write : bool; value : int option }
 
@@ -127,7 +128,10 @@ let check_exec program (row : Trace.row) =
     let* () = require (row.rs2 = 0 && aux_len = 0) "jalr: shape" in
     Ok [ read_reg rs1 row.rs1; write_reg rd row.rd ]
   | Isa.Ecall ->
-    let* () = require (aux_len = 2) "ecall: aux shape" in
+    let is_block = row.rs1 = 6 || row.rs1 = 7 in
+    let* () =
+      require (if is_block then aux_len >= 2 else aux_len = 2) "ecall: aux shape"
+    in
     let base =
       [
         read_reg 10 row.rs1;
@@ -135,6 +139,26 @@ let check_exec program (row : Trace.row) =
         read_reg 12 row.aux.(0);
         read_reg 13 row.aux.(1);
       ]
+    in
+    (* A block call's row carries its words after the two register
+       values: RAM word a1 + i is aux word 2 + i. *)
+    let block what ~write =
+      let addr = row.rs2 and count = row.aux.(0) in
+      let* () =
+        require
+          (count >= 1 && count <= Ecall.max_block)
+          "%s: count %d outside 1..%d" what count Ecall.max_block
+      in
+      let* () =
+        require (addr + count <= Trace.ram_limit) "%s: words %d..%d outside RAM" what addr
+          (addr + count - 1)
+      in
+      let* () = require (aux_len = 2 + count) "%s: aux shape" what in
+      let* () = require (row.rd = 0) "%s: shape" what in
+      let* () = plain_next () in
+      Ok
+        (base
+        @ List.init count (fun i -> { addr = addr + i; write; value = Some row.aux.(2 + i) }))
     in
     (match row.rs1 with
      | 0 ->
@@ -165,6 +189,8 @@ let check_exec program (row : Trace.row) =
      | 5 ->
        let* () = plain_next () in
        Ok (base @ [ write_reg 10 row.rd ])
+     | 6 -> block "read block" ~write:true
+     | 7 -> block "commit block" ~write:false
      | n -> fail "ecall: unknown call number %d" n)
 
 let check_sha_block program (row : Trace.row) (sb : Trace.sha_block) =
@@ -272,13 +298,22 @@ let matches expected (entry : Trace.mem_entry) ~time =
   && entry.Trace.time = time
   && (match expected.value with None -> true | Some v -> entry.Trace.value = v)
 
-let is_commit_row ~program (row : Trace.row) = is_ecall_row ~program row && row.Trace.rs1 = 2
+let is_commit_row ~program (row : Trace.row) =
+  is_ecall_row ~program row && (row.Trace.rs1 = 2 || row.Trace.rs1 = 7)
+
 let is_halt_row ~program (row : Trace.row) = is_ecall_row ~program row && row.Trace.rs1 = 0
 
+(* A commit takes a1; a block commit takes every aux word after the
+   two register values, in order, whatever their count: [check_row]
+   pins that count on the rows it checks. *)
 let jacc_step ~program chain (row : Trace.row) =
-  if is_commit_row ~program row then begin
+  if not (is_ecall_row ~program row) then chain
+  else if row.Trace.rs1 = 2 then begin
     let word = Bytes.create 4 in
     Bytes.set_int32_be word 0 (Int32.of_int (row.Trace.rs2 land mask32));
     Zkflow_hash.Chain.extend chain word
   end
+  else if row.Trace.rs1 = 7 && Array.length row.Trace.aux > 2 then
+    Zkflow_hash.Chain.extend_words chain
+      (Array.sub row.Trace.aux 2 (Array.length row.Trace.aux - 2))
   else chain

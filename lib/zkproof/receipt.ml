@@ -81,7 +81,7 @@ let encode_seal w s =
   List.iter (fun (_, c) -> w_column w c) (columns s)
 
 (* Every encoding starts with the seal version, as a Wire string. *)
-let seal_tag = "zkflow.seal.v3"
+let seal_tag = "zkflow.seal.v4"
 
 let tag_prefix =
   let w = Wire.writer () in

@@ -68,7 +68,7 @@ val columns : seal -> (string * column) list
 type t = { claim : claim; seal : seal }
 
 val seal_tag : string
-(** ["zkflow.seal.v3"]: the seal version every encoding starts with. *)
+(** ["zkflow.seal.v4"]: the seal version every encoding starts with. *)
 
 val max_leaves : queries:int -> int
 (** [32 · queries + 2]: the most leaves one column may open. The

@@ -114,6 +114,18 @@ let sha ~src ~words ~dst =
       i1 Isa.Ecall;
     ]
 
+let block_call n ~base ~count =
+  block
+    [
+      (if base = a1 then [] else mv a1 base);
+      (if count = a2 then [] else mv a2 count);
+      li a0 n;
+      i1 Isa.Ecall;
+    ]
+
+let read_block ~dst ~count = block_call 6 ~base:dst ~count
+let commit_block ~src ~count = block_call 7 ~base:src ~count
+
 let debug rs = block [ (if rs = a1 then [] else mv a1 rs); li a0 4; i1 Isa.Ecall ]
 
 let input_avail rd =

@@ -147,6 +147,16 @@ val sha : src:Isa.reg -> words:Isa.reg -> dst:Isa.reg -> item
 (** SHA-256 over memory. Moves the operands into a1–a3, sets a0 := 3,
     ecall. Clobbers a0–a3. *)
 
+val read_block : dst:Isa.reg -> count:Isa.reg -> item
+(** Memory[dst .. dst + count) ← the next [count] input words, in one
+    trace row ([count] in 1–8). Moves the operands into a1, a2, sets
+    a0 := 6, ecall. Clobbers a0–a2. *)
+
+val commit_block : src:Isa.reg -> count:Isa.reg -> item
+(** Journal ← memory[src .. src + count), in one trace row ([count] in
+    1–8). Moves the operands into a1, a2, sets a0 := 7, ecall.
+    Clobbers a0–a2. *)
+
 val debug : Isa.reg -> item
 (** Host-side print of rs. Clobbers a0, a1. *)
 

@@ -26,20 +26,49 @@ let store_constant_words ~base ~off ~tmp ws =
     (Array.to_list
        (Array.mapi (fun i w -> block [ li tmp w; sw tmp base (off + i) ]) ws))
 
-let read_words_fn =
+let entry_stride = 3 + 8
+
+(* a0 = address, a1 = count: the words in blocks of up to eight, one
+   block call per trace row. *)
+let block_words_fn name io =
+  let l suffix = name ^ "." ^ suffix in
   block
     [
-      label "gl_read_words";
-      mv s2 a0;
+      label name;
       mv s3 a1;
-      label "gl_read_words.loop";
-      beq s3 zero "gl_read_words.done";
-      read_word t0;
-      sw t0 s2 0;
-      addi s2 s2 1;
+      mv a1 a0;
+      li s4 Ecall.max_block;
+      label (l "loop");
+      beq s3 zero (l "done");
+      mv a2 s3;
+      bgeu s4 s3 (l "block");
+      mv a2 s4;
+      label (l "block");
+      io a1 a2;
+      add a1 a1 a2;
+      sub s3 s3 a2;
+      j (l "loop");
+      label (l "done");
+      ret;
+    ]
+
+let read_words_fn =
+  block_words_fn "gl_read_words" (fun dst count -> read_block ~dst ~count)
+
+let read_entries_fn =
+  block
+    [
+      label "gl_read_entries";
+      mv s3 a1;
+      mv a1 a0;
+      li a2 8;
+      label "gl_read_entries.loop";
+      beq s3 zero "gl_read_entries.done";
+      read_block ~dst:a1 ~count:a2;
+      addi a1 a1 entry_stride;
       addi s3 s3 (-1);
-      j "gl_read_words.loop";
-      label "gl_read_words.done";
+      j "gl_read_entries.loop";
+      label "gl_read_entries.done";
       ret;
     ]
 
@@ -83,27 +112,28 @@ let copy_words_fn =
       ret;
     ]
 
+(* Each entry is hashed where it lies: its tag is written into the
+   three words before it, and one SHA ecall reads the eleven. *)
 let leaf_hashes_fn =
-  let copy_entry =
-    (* entry words s2[0..8) → scratch s5[3..11) *)
-    block
-      (List.init 8 (fun k -> block [ lw t0 s2 k; sw t0 s5 (3 + k) ]))
-  in
+  let tag = leaf_domain_words in
   block
     [
       label "gl_leaf_hashes";
-      mv s2 a0;
       mv s3 a1;
-      mv s4 a2;
-      mv s5 a3;
-      store_constant_words ~base:s5 ~off:0 ~tmp:t0 leaf_domain_words;
+      addi a1 a0 (-3);
+      mv a3 a2;
+      li a2 entry_stride;
+      li s5 tag.(0);
+      li s6 tag.(1);
+      li s7 tag.(2);
       label "gl_leaf_hashes.loop";
       beq s3 zero "gl_leaf_hashes.done";
-      copy_entry;
-      li t6 11;
-      sha ~src:s5 ~words:t6 ~dst:s4;
-      addi s2 s2 8;
-      addi s4 s4 8;
+      sw s5 a1 0;
+      sw s6 a1 1;
+      sw s7 a1 2;
+      sha ~src:a1 ~words:a2 ~dst:a3;
+      addi a1 a1 entry_stride;
+      addi a3 a3 8;
       addi s3 s3 (-1);
       j "gl_leaf_hashes.loop";
       label "gl_leaf_hashes.done";
@@ -157,22 +187,16 @@ let merkle_root_fn =
     ]
 
 let commit_words_fn =
-  block
-    [
-      label "gl_commit_words";
-      mv s2 a0;
-      mv s3 a1;
-      label "gl_commit_words.loop";
-      beq s3 zero "gl_commit_words.done";
-      lw t0 s2 0;
-      commit t0;
-      addi s2 s2 1;
-      addi s3 s3 (-1);
-      j "gl_commit_words.loop";
-      label "gl_commit_words.done";
-      ret;
-    ]
+  block_words_fn "gl_commit_words" (fun src count -> commit_block ~src ~count)
 
 let all_fns =
   block
-    [ read_words_fn; cmp8_fn; copy_words_fn; leaf_hashes_fn; merkle_root_fn; commit_words_fn ]
+    [
+      read_words_fn;
+      read_entries_fn;
+      cmp8_fn;
+      copy_words_fn;
+      leaf_hashes_fn;
+      merkle_root_fn;
+      commit_words_fn;
+    ]

@@ -32,9 +32,20 @@ val digest_of_words : int array -> bytes
 val store_constant_words : base:Isa.reg -> off:int -> tmp:Isa.reg -> int array -> Asm.item
 (** Emit [li tmp w; sw tmp base (off+i)] for each word. *)
 
+val entry_stride : int
+(** [11]: entries handed to {!read_entries_fn} and {!leaf_hashes_fn}
+    lie this many words apart, each 8-word entry after the 3 words its
+    domain tag is written to. *)
+
 val read_words_fn : Asm.item
 (** ["gl_read_words"]: a0 = destination address, a1 = word count;
-    reads that many input words into memory. *)
+    reads that many input words into memory, up to eight per block
+    read ecall. *)
+
+val read_entries_fn : Asm.item
+(** ["gl_read_entries"]: a0 = address of entry 0, a1 = entry count;
+    reads 8 input words into each entry, entries {!entry_stride} words
+    apart, one block read ecall per entry. *)
 
 val cmp8_fn : Asm.item
 (** ["gl_cmp8"]: a0, a1 = addresses of 8-word digests; returns a0 = 1
@@ -44,10 +55,12 @@ val copy_words_fn : Asm.item
 (** ["gl_copy_words"]: a0 = dst, a1 = src, a2 = count. *)
 
 val leaf_hashes_fn : Asm.item
-(** ["gl_leaf_hashes"]: a0 = entry array (8-word entries), a1 = entry
-    count, a2 = output digest array (8 words each), a3 = scratch
-    (11 words). Computes the domain-tagged Merkle leaf hash of every
-    entry, matching [Zkflow_merkle.Tree.of_leaves] on the entry bytes. *)
+(** ["gl_leaf_hashes"]: a0 = address of entry 0 (8-word entries,
+    {!entry_stride} words apart), a1 = entry count, a2 = output digest
+    array (8 words each). Computes the domain-tagged Merkle leaf hash
+    of every entry where it lies: it writes {!leaf_domain_words} into
+    the 3 words before the entry and hashes the 11. Matches
+    [Zkflow_merkle.Tree.of_leaves] on the entry bytes. *)
 
 val merkle_root_fn : Asm.item
 (** ["gl_merkle_root"]: a0 = leaf-digest array base, a1 = leaf count
@@ -57,7 +70,7 @@ val merkle_root_fn : Asm.item
 
 val commit_words_fn : Asm.item
 (** ["gl_commit_words"]: a0 = address, a1 = count; journals the
-    words in order. *)
+    words in order, up to eight per block commit ecall. *)
 
 val all_fns : Asm.item
 (** All routines above, for splicing at the end of a guest. *)

@@ -230,9 +230,23 @@ let step st instr =
     let a1 = reg_read st 11 in
     let a2 = reg_read st 12 in
     let a3 = reg_read st 13 in
-    let finish ?(next = st.pc + 1) rd =
-      emit st ~next_pc:next ~kind:Trace.Exec ~rs1:n ~rs2:a1 ~rd ~aux:[| a2; a3 |] ~mem_pos;
+    let finish ?(next = st.pc + 1) ?(aux = [| a2; a3 |]) rd =
+      emit st ~next_pc:next ~kind:Trace.Exec ~rs1:n ~rs2:a1 ~rd ~aux ~mem_pos;
       st.pc <- next
+    in
+    (* A block call moves RAM words a1 .. a1 + a2 - 1 through [f]; its
+       row carries the register values, then the words. *)
+    let block what f =
+      if a2 < 1 || a2 > Ecall.max_block then
+        trap st (Printf.sprintf "%s: count %d outside 1..%d" what a2 Ecall.max_block);
+      if a1 + a2 > Trace.ram_limit then trap st (what ^ ": words outside RAM");
+      let aux = Array.make (2 + a2) 0 in
+      aux.(0) <- a2;
+      aux.(1) <- a3;
+      for i = 0 to a2 - 1 do
+        aux.(2 + i) <- f (a1 + i)
+      done;
+      finish ~aux 0
     in
     (match n with
      | 0 ->
@@ -264,6 +278,19 @@ let step st instr =
      | 5 ->
        let r = reg_write st 10 (Array.length st.input - st.input_pos) in
        finish r;
+       Continue
+     | 6 ->
+       block "read block" (fun addr ->
+           if st.input_pos >= Array.length st.input then trap st "read past end of input";
+           let w = ram_write st addr st.input.(st.input_pos) in
+           st.input_pos <- st.input_pos + 1;
+           w);
+       Continue
+     | 7 ->
+       block "commit block" (fun addr ->
+           let w = ram_read st addr in
+           st.journal_rev <- w :: st.journal_rev;
+           w);
        Continue
      | _ -> trap st (Printf.sprintf "unknown ecall %d" n))
 

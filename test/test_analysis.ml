@@ -75,7 +75,20 @@ let test_ecall_protocol () =
   check_bool "debug ecall ok" true (Finding.ok good);
   let uninit_arg = analyze (Isa.Lui (10, 4) :: Isa.Ecall :: halt_seq) in
   check_bool "uninit ecall argument flagged" true
-    (has ~severity:`Error uninit_arg "uninit")
+    (has ~severity:`Error uninit_arg "uninit");
+  (* block calls: a1 = address, a2 = count in 1..8 *)
+  let block ~call ~addr ~count =
+    analyze (Isa.Lui (11, addr) :: Isa.Lui (12, count) :: Isa.Lui (10, call) :: Isa.Ecall :: halt_seq)
+  in
+  check_bool "block read in RAM ok" true (Finding.ok (block ~call:6 ~addr:100 ~count:8));
+  check_bool "block read dst past RAM flagged" true
+    (has ~severity:`Error (block ~call:6 ~addr:(Trace.ram_limit - 4) ~count:8) "membounds");
+  check_bool "block commit src past RAM flagged" true
+    (has ~severity:`Error (block ~call:7 ~addr:Trace.ram_limit ~count:1) "membounds");
+  check_bool "block count 9 flagged" true
+    (has ~severity:`Error (block ~call:7 ~addr:100 ~count:9) "membounds");
+  check_bool "block count 0 flagged" true
+    (has ~severity:`Error (block ~call:6 ~addr:100 ~count:0) "membounds")
 
 let test_unbounded_loop () =
   (* a loop whose bound depends on input (the limit comes from an
@@ -357,7 +370,21 @@ let audit_src src =
 
 let test_taint_journal () =
   let r = audit_src "let x = read_word();\ncommit(x);\nhalt(0);" in
-  check_bool "unvalidated commit flagged" true (has ~severity:`Error r "taint-journal")
+  check_bool "unvalidated commit flagged" true (has ~severity:`Error r "taint-journal");
+  (* raw ZR0: a block read taints RAM, and a block commit of it
+     publishes unvalidated input; a call in between (where a guest
+     validates, as gl_cmp8 does) launders it *)
+  let io = Isa.[ Lui (11, 100); Lui (12, 8); Lui (10, 6); Ecall ] in
+  let commit = Isa.[ Lui (11, 100); Lui (12, 8); Lui (10, 7); Ecall ] in
+  let r = A.audit (Array.of_list (io @ commit @ halt_seq)) in
+  check_bool "unvalidated block commit flagged" true (has ~severity:`Error r "taint-journal");
+  let helper = List.length io + 1 + List.length commit + List.length halt_seq in
+  let r =
+    A.audit
+      (Array.of_list
+         (io @ [ Isa.Jal (1, helper) ] @ commit @ halt_seq @ [ Isa.Jalr (0, 1, 0) ]))
+  in
+  check_bool "block commit after a call not flagged" false (has ~severity:`Error r "taint-journal")
 
 let test_taint_addr () =
   let r = audit_src "let x = read_word();\nlet y = mem[x];\ncommit(y);\nhalt(0);" in

@@ -40,10 +40,13 @@ let traced =
           li s9 50;
           li t4 4;
           sha ~src:s9 ~words:t4 ~dst:s10;
+          li t5 60;
+          read_block ~dst:t5 ~count:t4;
+          commit_block ~src:t5 ~count:t4;
           halt 0;
         ])
   in
-  (guest, Machine.run ~trace:true guest ~input:[| 39 |])
+  (guest, Machine.run ~trace:true guest ~input:[| 39; 1; 2; 3; 4 |])
 
 let genuine_rows_all_check () =
   let guest, run = traced in
@@ -123,7 +126,36 @@ let test_ecall_rows () =
   rejects "commit rd nonzero" (exec_row ~pc:7 ~next_pc:8 ~rs1:2 ~rs2:55 ~rd:1 ~aux:[| 0; 0 |] ());
   rejects "unknown number" (exec_row ~pc:7 ~next_pc:8 ~rs1:42 ~rs2:0 ~rd:0 ~aux:[| 0; 0 |] ());
   rejects "sha must stay on pc" (exec_row ~pc:7 ~next_pc:8 ~rs1:3 ~rs2:100 ~rd:0 ~aux:[| 4; 200 |] ());
-  rejects "bad aux shape" (exec_row ~pc:7 ~next_pc:8 ~rs1:2 ~rs2:55 ~rd:0 ~aux:[| 0 |] ())
+  rejects "bad aux shape" (exec_row ~pc:7 ~next_pc:8 ~rs1:2 ~rs2:55 ~rd:0 ~aux:[| 0 |] ());
+  (* block calls: a1 = address in rs2, the count and a3 in aux, then
+     the words *)
+  let refused what needle row =
+    match Checker.check_row ~program row with
+    | Ok _ -> Alcotest.fail (what ^ ": forged row accepted")
+    | Error e -> Alcotest.(check string) what needle e
+  in
+  let block ~call ~addr aux = exec_row ~pc:7 ~next_pc:8 ~rs1:call ~rs2:addr ~rd:0 ~aux () in
+  (match Checker.check_row ~program (block ~call:6 ~addr:100 [| 3; 0; 7; 8; 9 |]) with
+   | Ok accesses ->
+     check_bool "read block: four register reads, then the words written" true
+       (List.filteri (fun i _ -> i >= 4) accesses
+       = List.init 3 (fun i -> { Checker.addr = 100 + i; write = true; value = Some (7 + i) }))
+   | Error e -> Alcotest.fail e);
+  accepts "commit block of eight"
+    (block ~call:7 ~addr:100 (Array.init 10 (fun i -> if i = 0 then 8 else i)));
+  refused "read count 0" "read block: count 0 outside 1..8" (block ~call:6 ~addr:100 [| 0; 0 |]);
+  refused "commit count 9" "commit block: count 9 outside 1..8"
+    (block ~call:7 ~addr:100 (Array.make 11 9));
+  refused "dst past RAM" "read block: words 268435455..268435456 outside RAM"
+    (block ~call:6 ~addr:(Trace.ram_limit - 1) [| 2; 0; 1; 2 |]);
+  refused "src past RAM" "commit block: words 268435454..268435456 outside RAM"
+    (block ~call:7 ~addr:(Trace.ram_limit - 2) [| 3; 0; 1; 2; 3 |]);
+  refused "fewer words than the count" "read block: aux shape"
+    (block ~call:6 ~addr:100 [| 3; 0; 1; 2 |]);
+  refused "block rd nonzero" "commit block: shape"
+    { (block ~call:7 ~addr:100 [| 1; 0; 5 |]) with Trace.rd = 1 };
+  refused "block must advance" "next_pc: expected 8, row says 7"
+    { (block ~call:6 ~addr:100 [| 1; 0; 5 |]) with Trace.next_pc = 7 }
 
 let test_pc_out_of_program () =
   rejects "pc beyond program" (exec_row ~pc:999 ~next_pc:1000 ~rs1:0 ~rs2:0 ~rd:0 ())
@@ -233,7 +265,20 @@ let test_jacc_step () =
   check_bool "commit extends" false (Zkflow_hash.Chain.equal c0 c1);
   let non_commit = run.Machine.rows.(0) in
   let c2 = Checker.jacc_step ~program:guest c0 non_commit in
-  check_bool "non-commit identity" true (Zkflow_hash.Chain.equal c0 c2)
+  check_bool "non-commit identity" true (Zkflow_hash.Chain.equal c0 c2);
+  (* a block commit's words, in order; a block read moves nothing *)
+  let block ~call aux = exec_row ~pc:7 ~next_pc:8 ~rs1:call ~rs2:100 ~rd:0 ~aux () in
+  let step row = Checker.jacc_step ~program c0 row in
+  check_bool "block commit absorbs its words in order" true
+    (Zkflow_hash.Chain.equal
+       (step (block ~call:7 [| 3; 0; 5; 6; 7 |]))
+       (Zkflow_hash.Chain.extend_words c0 [| 5; 6; 7 |]));
+  check_bool "order matters" false
+    (Zkflow_hash.Chain.equal
+       (step (block ~call:7 [| 3; 0; 5; 6; 7 |]))
+       (step (block ~call:7 [| 3; 0; 7; 6; 5 |])));
+  check_bool "block read identity" true
+    (Zkflow_hash.Chain.equal c0 (step (block ~call:6 [| 3; 0; 5; 6; 7 |])))
 
 let () =
   Alcotest.run "zkflow_checker"

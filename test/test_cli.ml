@@ -506,10 +506,10 @@ let test_verify_refuses_old_seal () =
   in
   let tag = 1 + String.length Zkflow_zkproof.Receipt.seal_tag in
   let untagged receipt = Bytes.sub receipt tag (Bytes.length receipt - tag) in
-  (* the seal v2 tag, one version back *)
-  let v2 receipt =
+  (* an earlier seal version's tag: v3 one version back, v2 two *)
+  let version v receipt =
     let b = Bytes.copy receipt in
-    Bytes.set b (tag - 1) '2';
+    Bytes.set b (tag - 1) v;
     b
   in
   List.iter
@@ -526,7 +526,7 @@ let test_verify_refuses_old_seal () =
       check_bool (what ^ ": nonzero exit: " ^ out) true (code <> 0);
       check_bool (what ^ ": names the version: " ^ out) true
         (contains ~needle:"receipt: unsupported seal version" out))
-    [ ("untagged", untagged); ("seal v2 tag", v2) ]
+    [ ("untagged", untagged); ("seal v2 tag", version '2'); ("seal v3 tag", version '3') ]
 
 (* A healed delay: the late export's gap opened and healed, so
    coverage fires while nothing stays open. *)
@@ -780,7 +780,7 @@ let test_slo_strict_flags_chaos_drop () =
 
 (* One sweep-shaped artifact in the Bench_row schema: two rows keyed
    by records and jobs, each with a timing, a cycle count and a phase. *)
-let bench ?(records = (100, 200)) prove_100 =
+let bench ?(records = (100, 200)) ?(cycles = 5000) prove_100 =
   let row records prove cycles merkle =
     Printf.sprintf
       {|{"config":{"records":%d,"jobs":1},
@@ -790,7 +790,7 @@ let bench ?(records = (100, 200)) prove_100 =
       records prove cycles merkle
   in
   Printf.sprintf {|{"schema":"zkflow-bench/v1","env":{},"rows":[%s,%s]}|}
-    (row (fst records) prove_100 5000 0.4)
+    (row (fst records) prove_100 cycles 0.4)
     (row (snd records) 2.0 9000 0.8)
 
 let old_bench = bench 1.0
@@ -811,7 +811,15 @@ let test_bench_diff_regression () =
   let code, _ = run [ "bench-diff"; old_f; old_f ] in
   check_int "identity passes" 0 code;
   let code, _ = run [ "bench-diff"; old_f; new_f; "--threshold"; "0.8" ] in
-  check_int "loose threshold passes" 0 code
+  check_int "loose threshold passes" 0 code;
+  (* a count of work regresses on any move, whatever the threshold *)
+  let one_more = Filename.concat dir "one_more_cycle.json" in
+  write_text one_more (bench ~cycles:5001 1.0);
+  let code, out = run [ "bench-diff"; old_f; one_more; "--threshold"; "0.8" ] in
+  check_int "+1 cycle exits nonzero" 1 code;
+  check_bool "names the count" true (contains ~needle:"agg_cycles" out);
+  let code, _ = run [ "bench-diff"; one_more; old_f ] in
+  check_int "-1 cycle passes" 0 code
 
 (* A comparison that matches nothing is an error naming both files,
    never a vacuous pass: rows with no key in common, and matched rows

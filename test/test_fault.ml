@@ -434,21 +434,30 @@ let test_old_seal_rows_reproved () =
   in
   let payload row = Bytes.sub row 32 (Bytes.length row - 32) in
   let checksummed payload = Bytes.cat (D.to_bytes (D.hash_bytes payload)) payload in
-  let untag (round : Aggregate.round) row =
+  (* The row with its receipt's encoding rewritten by [f]. *)
+  let with_receipt f (round : Aggregate.round) row =
     let payload = payload row in
     let r = Zkflow_zkproof.Receipt.encode round.Aggregate.receipt in
     match find payload (framed_bytes r) with
     | None -> Alcotest.fail "row does not hold its round's receipt"
     | Some at ->
-      let tag = 1 + String.length Zkflow_zkproof.Receipt.seal_tag in
       let len = Bytes.length (framed_bytes r) in
       checksummed
         (Bytes.concat Bytes.empty
            [
              Bytes.sub payload 0 at;
-             framed_bytes (Bytes.sub r tag (Bytes.length r - tag));
+             framed_bytes (f r);
              Bytes.sub payload (at + len) (Bytes.length payload - at - len);
            ])
+  in
+  let tag = 1 + String.length Zkflow_zkproof.Receipt.seal_tag in
+  let untag = with_receipt (fun r -> Bytes.sub r tag (Bytes.length r - tag)) in
+  (* the seal v3 tag, one version back *)
+  let as_v3 =
+    with_receipt (fun r ->
+        let b = Bytes.copy r in
+        Bytes.set b (tag - 1) '3';
+        b)
   in
   (* The v2 row: its magic, the same fields, then the node snapshot
      (varint leaf count, then every node of the padded tree, level by
@@ -499,6 +508,7 @@ let test_old_seal_rows_reproved () =
           recover_and_check ~db ~board ~path ~expected_root:root ~expected_restored:0))
     [
       (73, "unsupported seal version", untag);
+      (75, "unsupported seal version", as_v3);
       (74, "zkflow.ckpt.v2", as_v2);
     ]
 

@@ -650,7 +650,9 @@ let test_kernel_refusals () =
 
    The transcript bytes are part of every receipt's challenges, so a
    change to how they are absorbed or drawn must leave them exact:
-   one run over each kind of absorb and draw, pinned as hex. *)
+   one run over each kind of absorb and draw, pinned as hex. Seal v4
+   re-based them once, when the ratchet after each draw became one
+   compression: the first draw is the same, every later one moved. *)
 
 let test_transcript_golden () =
   let t = Transcript.create ~domain:"zkflow.transcript.golden" in
@@ -668,16 +670,16 @@ let test_transcript_golden () =
   check_string "challenge_digest"
     "f648fa46bc08ab2c46ccf8cfae657f09bbb3168bbcf44d285396aa8df66ed502"
     (Digest32.to_hex (Transcript.challenge_digest t ~label:"alpha"));
-  check_string "challenge_ints" "3388;1691;5993;4399;1789;3446;5305;37;5070;1471;5276;5995"
+  check_string "challenge_ints" "4096;2153;1681;1898;2324;1174;4233;3720;2245;1843;1238;239"
     (ints "step" ~bound:6219 ~count:12);
   check_int "challenge_int" 1 (Transcript.challenge_int t ~label:"one" ~bound:3);
   (* about half of the 63-bit draws are rejected under this bound *)
   check_string "challenge_ints, rejection"
-    "1914914747885156904;1075730203717731801;1810668112912724563;2202836064580302767;\
-     2297242077718305469;1448974831631585539"
+    "1501196184286538925;1788717186979416550;1478262793934570904;1541626942761389774;\
+     302874977120250123;1592349484315811325"
     (ints "reject" ~bound:((max_int / 2) + 2) ~count:6);
   check_string "state after the draws"
-    "84f4723f531480a3adfcd28fadf6d6ea6ef94a8c90bd5511c939bacfb47ab6dd"
+    "bf02d728148ce03fe861a4088418a0b78fb104cb1af099007524122a92b6c8cb"
     (Digest32.to_hex (Transcript.challenge_digest t ~label:"final"))
 
 (* ---- HMAC-SHA256: RFC 4231 vectors ---- *)

@@ -139,10 +139,11 @@ let test_merkle_builtins_match_host () =
   in
   let input = Array.concat (Array.to_list entries) in
   let p =
-    Zirc.
+    (* entry i at 1003 + 11 i, after the 3 words of its tag *)
+    List.init n (fun i -> Zirc.Read_words { dst = Int (1003 + (11 * i)); count = Int 8 })
+    @ Zirc.
       [
-        Read_words { dst = Int 1000; count = Int (8 * n) };
-        Leaf_hashes { entries = Int 1000; count = Int n; out = Int 5000; scratch = Int 300 };
+        Leaf_hashes { entries = Int 1003; count = Int n; out = Int 5000 };
         Merkle_root { leaves = Int 5000; count = Int n };
         Commit_words { src = Int 5000; count = Int 8 };
       ]
@@ -215,21 +216,27 @@ let loss_rate_query =
       (* input: m, claimed root (8 words), m 8-word entries *)
       Let ("m", Read_word);
       Read_words { dst = Int 0x200; count = Int 8 };
-      Read_words { dst = Int 0x100000; count = Bin (Mul, Var "m", Int 8) };
+      (* entry i at 0x100003 + 11 i, after the 3 words of its tag *)
+      Let ("i", Int 0);
+      While
+        ( Bin (Lt, Var "i", Var "m"),
+          [
+            Read_words { dst = Bin (Add, Int 0x100003, Bin (Mul, Var "i", Int 11)); count = Int 8 };
+            Set ("i", Bin (Add, Var "i", Int 1));
+          ] );
       (* authenticate the entries against the claimed root *)
-      Leaf_hashes
-        { entries = Int 0x100000; count = Var "m"; out = Int 0x200000; scratch = Int 0x400 };
+      Leaf_hashes { entries = Int 0x100003; count = Var "m"; out = Int 0x200000 };
       Merkle_root { leaves = Int 0x200000; count = Var "m" };
       If (Cmp8 (Int 0x200000, Int 0x200), [], [ Halt (Int 1) ]);
       Commit_words { src = Int 0x200; count = Int 8 };
       (* scan: count entries with losses*100 > packets *)
-      Let ("i", Int 0);
+      Set ("i", Int 0);
       Let ("violations", Int 0);
       Let ("base", Int 0);
       While
         ( Bin (Lt, Var "i", Var "m"),
           [
-            Set ("base", Bin (Add, Int 0x100000, Bin (Mul, Var "i", Int 8)));
+            Set ("base", Bin (Add, Int 0x100003, Bin (Mul, Var "i", Int 11)));
             If
               ( Bin
                   ( Gt,

@@ -4,14 +4,15 @@
    Error findings, [proven_safe] set, and a [Bounded n] cycle bound,
    the only traps the machine may raise are input exhaustion and the
    cycle limit — and [n] dominates the cycle count of every execution.
-   So, given [n] input words (one read costs at least one cycle) and a
+   So, given [8n] input words (one cycle reads at most eight) and a
    cycle allowance above [n], [Machine.run] must terminate without
    trapping, in at most [n] cycles.
 
    Programs come from two generators, run through the same property:
 
    - [gen_provable]: register inits, constant-address loads/stores,
-     host calls following the ecall protocol, and counted countdown
+     host calls following the ecall protocol (block reads and commits
+     of 0–9 words among them), and counted countdown
      loops — the shapes the interval domain is supposed to prove.
      Most samples are analyzer-clean, so the property bites.
    - [gen_noise]: unconstrained instruction soup. Almost all samples
@@ -96,6 +97,13 @@ let g_step : Isa.t list QCheck.Gen.t =
         map
           (fun v -> [ Isa.Lui (11, v); Isa.Lui (10, 4); Isa.Ecall ])
           (int_range 0 0xffff) );
+      (* block read / block commit at a constant address; counts 0 and
+         9 trap, and the analyzer must say so *)
+      ( 2,
+        map
+          (fun (call, (addr, count)) ->
+            [ Isa.Lui (11, addr); Isa.Lui (12, count); Isa.Lui (10, call); Isa.Ecall ])
+          (pair (oneofl [ 6; 7 ]) (pair (int_range 0 0xfff) (int_range 0 9))) );
     ]
 
 let halt_seq = Isa.[ Lui (11, 0); Lui (10, 0); Ecall ]
@@ -174,8 +182,11 @@ let soundness_prop prog =
   | None -> true (* analyzer rejected (or could not bound): vacuous *)
   | Some bound when bound > max_checked_bound -> true
   | Some bound -> (
-    (* Cycles dominate reads, so [bound] words can never run dry. *)
-    let input = Array.init bound (fun i -> (i * 2654435761) land 0xffff) in
+    (* One cycle reads at most eight words (a block read), so
+       [8 · bound] words can never run dry. *)
+    let input =
+      Array.init (Zkflow_zkvm.Ecall.max_block * bound) (fun i -> (i * 2654435761) land 0xffff)
+    in
     let program = Program.of_instrs (Array.of_list prog) in
     match Machine.run program ~max_cycles:(bound + 1) ~input with
     | r ->

@@ -223,46 +223,6 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "still a permutation" (Array.init 50 Fun.id) sorted
 
-(* ---- Sorted ---- *)
-
-let cmp = Int.compare
-
-let test_sorted_is_sorted () =
-  check_bool "empty" true (Sorted.is_sorted ~cmp [||]);
-  check_bool "single" true (Sorted.is_sorted ~cmp [| 3 |]);
-  check_bool "yes" true (Sorted.is_sorted ~cmp [| 1; 2; 2; 5 |]);
-  check_bool "no" false (Sorted.is_sorted ~cmp [| 2; 1 |])
-
-let test_sorted_bsearch () =
-  let a = [| 1; 3; 5; 7; 9 |] in
-  Alcotest.(check (option int)) "hit" (Some 2) (Sorted.bsearch ~cmp a 5);
-  Alcotest.(check (option int)) "miss" None (Sorted.bsearch ~cmp a 4);
-  Alcotest.(check (option int)) "first" (Some 0) (Sorted.bsearch ~cmp a 1);
-  Alcotest.(check (option int)) "last" (Some 4) (Sorted.bsearch ~cmp a 9)
-
-let test_sorted_lower_bound () =
-  let a = [| 10; 20; 30 |] in
-  check_int "below" 0 (Sorted.lower_bound ~cmp a 5);
-  check_int "exact" 1 (Sorted.lower_bound ~cmp a 20);
-  check_int "between" 2 (Sorted.lower_bound ~cmp a 25);
-  check_int "above" 3 (Sorted.lower_bound ~cmp a 99)
-
-let test_merge_uniq () =
-  let got =
-    Sorted.merge_uniq ~cmp ~combine:(fun a b -> a + b) [| 1; 3; 5 |] [| 2; 3; 6 |]
-  in
-  Alcotest.(check (array int)) "merged" [| 1; 2; 6; 5; 6 |] got
-
-let prop_merge_sorted =
-  QCheck.Test.make ~name:"merge_uniq keeps sortedness" ~count:200
-    QCheck.(pair (list small_nat) (list small_nat))
-    (fun (xs, ys) ->
-      let dedup l = List.sort_uniq compare l |> Array.of_list in
-      let merged =
-        Sorted.merge_uniq ~cmp ~combine:(fun a _ -> a) (dedup xs) (dedup ys)
-      in
-      Sorted.is_sorted ~cmp merged)
-
 (* ---- Wire ---- *)
 
 let test_wire_roundtrip () =
@@ -416,14 +376,6 @@ let () =
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "bytes length" `Quick test_rng_bytes_len;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
-        ] );
-      ( "sorted",
-        [
-          Alcotest.test_case "is_sorted" `Quick test_sorted_is_sorted;
-          Alcotest.test_case "bsearch" `Quick test_sorted_bsearch;
-          Alcotest.test_case "lower_bound" `Quick test_sorted_lower_bound;
-          Alcotest.test_case "merge_uniq" `Quick test_merge_uniq;
-          q prop_merge_sorted;
         ] );
       ( "wire",
         [

@@ -195,6 +195,140 @@ let test_prove_rejects_disordered_log () =
   let i, j = find (fun a b -> same_addr a b && a.Trace.time < b.Trace.time) in
   refused "time goes backwards" (swapped i j)
 
+(* ---- forged block rows ----
+
+   A guest that moves eight words in, then out, with one block read
+   and one block commit. Each forgery edits its honest run and is
+   proved anyway; the verifier must refuse it with the named error.
+   The trace is 13 rows, so 128 queries open every step. *)
+
+let block_guest =
+  assemble
+    [ li s9 100; li s10 8; read_block ~dst:s9 ~count:s10; commit_block ~src:s9 ~count:s10; halt 0 ]
+
+let block_params = Params.make ~queries:128
+
+(* A prover that commits the journal accumulator [jacc] builds from
+   the rows instead of the honest one; otherwise [Prove.prove_result]. *)
+let prove_with_jacc ~jacc program (run : Machine.result) =
+  let module Tree = Zkflow_merkle.Tree in
+  let module Column = Zkflow_util.Column in
+  let node = Receipt.node and params = block_params in
+  let rows = run.Machine.rows and memlog = run.Machine.memlog in
+  let n_rows = Array.length rows and n_mem = Array.length memlog in
+  let claim =
+    { Receipt.image_id = Program.image_id program; exit_code = 0; journal = run.Machine.journal }
+  in
+  let perm = Result.get_ok (Memcheck.sort_perm memlog) in
+  let rows_col = Trace.encode_rows rows and time_col = Trace.encode_memlog memlog in
+  let jacc_col = jacc rows in
+  let rows_tree = Tree.of_leaves ~node rows_col and time_tree = Tree.of_leaves ~node time_col in
+  let sorted_tree = Tree.permute ~node time_tree perm in
+  let jacc_tree = Tree.of_leaves ~node jacc_col in
+  let z = ref None in
+  let commit_z ~alpha ~beta =
+    let col = Memcheck.z_leaves ~alpha ~beta memlog perm in
+    let tree = Tree.of_leaves ~node col in
+    z := Some (tree, col);
+    Tree.root tree
+  in
+  let c, root_z =
+    Fs.derive ~claim ~journal:(Receipt.journal_digest claim) ~queries:params.Params.queries
+      ~n_rows ~n_mem ~root_rows:(Tree.root rows_tree) ~root_time:(Tree.root time_tree)
+      ~root_sorted:(Tree.root sorted_tree) ~root_jacc:(Tree.root jacc_tree) ~commit_z
+  in
+  let z_tree, z_col = Option.get !z in
+  let spans = Array.map (fun i -> (rows.(i).Trace.mem_pos, rows.(i).Trace.mem_count)) c.Fs.step_idx in
+  let opened = Fs.opened ~n_rows ~n_mem ~spans c in
+  let column tree leaves set =
+    { Receipt.leaves; helpers = (Zkflow_merkle.Multiproof.prove tree set).Zkflow_merkle.Multiproof.helpers }
+  in
+  let pick tree col set = column tree (Column.pick col set) set in
+  {
+    Receipt.claim;
+    seal =
+      {
+        Receipt.params;
+        n_rows;
+        n_mem;
+        root_rows = Tree.root rows_tree;
+        root_time = Tree.root time_tree;
+        root_sorted = Tree.root sorted_tree;
+        root_jacc = Tree.root jacc_tree;
+        root_z;
+        rows = pick rows_tree rows_col opened.Fs.rows;
+        jacc = pick jacc_tree jacc_col opened.Fs.rows;
+        time = pick time_tree time_col opened.Fs.time;
+        sorted =
+          column sorted_tree
+            (Column.pick time_col (Array.map (Array.get perm) opened.Fs.sorted))
+            opened.Fs.sorted;
+        z = pick z_tree z_col opened.Fs.z;
+      };
+  }
+
+(* The honest accumulator, or one that skips block commits. *)
+let jacc_column ~absorb_blocks rows =
+  let col = Zkflow_util.Column.alloc (Array.length rows) ~size:(fun _ -> 32) in
+  let chain = ref Zkflow_hash.Chain.genesis in
+  Array.iteri
+    (fun i (row : Trace.row) ->
+      if absorb_blocks || not (Checker.is_commit_row ~program:block_guest row) then
+        chain := Checker.jacc_step ~program:block_guest !chain row;
+      Bytes.blit
+        (Zkflow_hash.Digest32.unsafe_to_bytes (Zkflow_hash.Chain.head !chain))
+        0 col.Zkflow_util.Column.data (32 * i) 32)
+    rows;
+  col
+
+let test_forged_block_rows () =
+  let run = Machine.run ~trace:true block_guest ~input:(Array.init 8 (fun i -> 1000 + i)) in
+  check_bool "journal is the input" true (run.Machine.journal = Array.init 8 (fun i -> 1000 + i));
+  let index call =
+    let rec go i =
+      let r = run.Machine.rows.(i) in
+      if Program.fetch block_guest r.Trace.pc = Some Isa.Ecall && r.Trace.rs1 = call then i
+      else go (i + 1)
+    in
+    go 0
+  in
+  let read = index 6 and commit = index 7 in
+  let with_row i f = { run with Machine.rows = Array.mapi (fun k r -> if k = i then f r else r) run.Machine.rows } in
+  let verdict (receipt : Receipt.t) =
+    match Verify.verify ~program:block_guest receipt with Ok () -> "ok" | Error e -> e
+  in
+  let honest run = verdict (Result.get_ok (Prove.prove_result ~params:block_params block_guest run)) in
+  let refused what needle got =
+    check_bool (Printf.sprintf "%s: %s" what got) true
+      (String.length got >= String.length needle
+      && String.sub got 0 (String.length needle) = needle)
+  in
+  Alcotest.(check string) "honest run" "ok" (honest run);
+  let aux r f = { r with Trace.aux = f (Array.copy r.Trace.aux) } in
+  refused "count 0" "read block: count 0 outside 1..8"
+    (honest (with_row read (fun r -> aux r (fun a -> a.(0) <- 0; a))));
+  refused "count 9" "commit block: count 9 outside 1..8"
+    (honest (with_row commit (fun r -> aux r (fun a -> a.(0) <- 9; Array.append a [| 0 |]))));
+  refused "dst past RAM" "read block: words 268435452..268435459 outside RAM"
+    (honest (with_row read (fun r -> { r with Trace.rs2 = Trace.ram_limit - 4 })));
+  refused "src past RAM" "commit block: words 268435455..268435462 outside RAM"
+    (honest (with_row commit (fun r -> { r with Trace.rs2 = Trace.ram_limit - 1 })));
+  (* a committed word that differs from the RAM word it was read from,
+     with a journal that agrees with the forged row *)
+  let forged = with_row commit (fun r -> aux r (fun a -> a.(2) <- a.(2) + 1; a)) in
+  let journal = Array.copy run.Machine.journal in
+  journal.(0) <- journal.(0) + 1;
+  refused "aux word off its RAM read" "step: access 4 does not match instruction semantics"
+    (honest { forged with Machine.journal });
+  (* committed words the accumulator never absorbed, under a journal
+     that claims nothing was committed *)
+  Alcotest.(check string) "test prover, honest accumulator" "ok"
+    (verdict (prove_with_jacc ~jacc:(jacc_column ~absorb_blocks:true) block_guest run));
+  refused "words the accumulator skips" "step: journal accumulator mismatch"
+    (verdict
+       (prove_with_jacc ~jacc:(jacc_column ~absorb_blocks:false) block_guest
+          { run with Machine.journal = [||] }))
+
 let test_params_respected () =
   let params = Params.make ~queries:8 in
   match Prove.prove ~params demo_guest ~input:demo_input with
@@ -317,15 +451,17 @@ let hashing_guest n =
 
 let test_receipt_grows_sublinearly () =
   (* Seal growth is O(log n) per opening: going 16× on input size must
-     far less than 16× the seal. *)
+     far less than 16× the seal. The guest reads eight words per trace
+     row, so the inputs start at 256 words, where the rows, not the
+     fixed code around them, grow with the input. *)
   let size n =
     let guest, input = hashing_guest n in
     match Prove.prove guest ~input with
     | Ok (r, _) -> (Receipt.seal_size r, r.Receipt.seal.Receipt.n_rows)
     | Error e -> Alcotest.fail e
   in
-  let s1, n1 = size 32 in
-  let s2, n2 = size 512 in
+  let s1, n1 = size 256 in
+  let s2, n2 = size 4096 in
   check_bool "rows grew ~16x" true (n2 > 10 * n1);
   check_bool "seal sublinear" true (float_of_int s2 < 3.0 *. float_of_int s1)
 
@@ -719,8 +855,8 @@ let test_soundness_bits_rejects_bad_fraction () =
 module Core = Zkflow_core
 module Gen = Zkflow_netflow.Gen
 
-let golden_aggregation_image_id = "516d73653681a1d444546cd7308ee225e845de28ddf735919e9460f2985962ae"
-let golden_query_image_id = "efe4a18c35efc13a4128d3d9c94d20ca82a761c64391eea55a40cd937a7d5d1c"
+let golden_aggregation_image_id = "bc2f96f1221041dce1e453c6b86a17b77e943aab83f37d9808a01151a1bc64b1"
+let golden_query_image_id = "b22e4a8ea2164768f1345fed5127545d943d91e16dbcfdc66c3d8241d73fc371"
 
 let test_golden_image_ids () =
   let check_hex what expected d =
@@ -777,34 +913,48 @@ let seed_pair () =
   | _ -> assert false
 
 (* The encoding digest and size of each seed receipt, and its five
-   column roots. Seal v3 changed only how openings are carried: the
-   roots (and the challenges they draw) are the seal v2 ones. *)
+   column roots. Seal v4 moved them: the guests move I/O in blocks, so
+   the image ids, rows and access logs changed, and the transcript
+   ratchets in one compression. *)
 let golden_aggregation_receipt_sha256 =
-  "f2530a3af6b31c8740e6a300299cd06e1f18e10c41cccf8bb74ccf3f94dda4b0"
-let golden_receipt_bytes = [ ("agg", 22101); ("query", 18900) ]
+  "b9658b16baa31cb6ea5767b6c45b695f9b36aa81768e586f2e4b9cf64d2231a4"
+let golden_receipt_bytes = [ ("agg", 19025); ("query", 18347) ]
+
+(* The exact work behind each seed receipt: trace rows, access-log
+   entries and guest cycles (one row per cycle). At seal v3, before the
+   block ecalls, they read 3,644 / 8,715 / 3,644 (agg) and
+   2,194 / 5,342 / 2,194 (query). *)
+let golden_work = [ ("agg", (1750, 4688, 1750)); ("query", (1059, 2810, 1059)) ]
 
 let golden_roots =
   [
     ( "agg",
       [
-        "83e807b3b37a09b23807f9083f9af6507fc0854c9aa2bcd5efdde6d12cfdaecf";
-        "19f5ddb949a56c5bf7d2e7669d45a2ea4351c8dbbfaf7b5bbc8bc6e6b5409e98";
-        "2ea987cd978a22a8390acd2ea05e2b01ef5664ef6927ba069f95c0320fd95ffe";
-        "1688367b8ea83818afe1eac6b0c9c579feb52e8a1427cad6e20220f65f5713f3";
-        "9deeab691d3486aad420107f3ea1a8e7df812f7ac413f2f1a53fb01f086c0040";
+        "89958bdc7ab841c69736b45b69a610b4dd33b5ab95be03c509553e059357c816";
+        "a0619239259aa691d47811ac8a1fa8359200d260f8d95f9de62880a5d7cfaf7b";
+        "4dc92f46a3aff4b57d40c49cf0b90a158e7778d9d8682cd529c141013c77af4b";
+        "290a14c050bb9b272b84d78b87042fa260feb5d57155a9416f4c90da095ce313";
+        "c1b45cfb37928810bc86ea0a85679d829f31282274534a6265932e6cf160b081";
       ] );
     ( "query",
       [
-        "69c43d341dc09bb4b8631dda96a7e109893d1f5c923cb4806af88ccaf4d22314";
-        "a166e40d067d03571f1092c09caf1733631e680be8490382ff4d0e74667b9abc";
-        "297f698b77e59b30440243411b324446e8e7dc8f81bb810e201887f99ea18ca6";
-        "168b26c1675bbbd1de2614abadb49fbe52294b236b7cad2b00d4de5657d22746";
-        "2ad5712243bad5163cb7b4cd5ce6fe2697f1e1e0cdee13e3a9d0bd2a2dbc924b";
+        "2c654ac11e7f9009890fc831c2ab8fd88d624c7008a0ac8bbceea75677a8c9a5";
+        "45f1064f3bda6902663aefc85d1593cee851fb47e577b8d39615751f2f209a86";
+        "bd745cb103489278134643f31ebf2436fcb5d5bf82fc89696b7cf7f3cf22c415";
+        "e10284e6ab02938b83adfebfe070d34f6c6d9ef86e42cbe3f6156ab58c0d3769";
+        "75b1a295f28e24bdcfa646d33442766e91f3fb1cfcd58d43422b3e4f189f5e36";
       ] );
   ]
 
 let test_golden_aggregation_receipt () =
-  let agg, _, _ = seed_pair () in
+  let agg, query_program, _ = seed_pair () in
+  let cycles = function
+    | "agg" -> (Lazy.force seed_round).Core.Aggregate.cycles
+    | _ -> (
+      let clog = (Lazy.force seed_round).Core.Aggregate.clog in
+      match Zkflow_zkvm.Machine.run query_program ~input:(Core.Guests.query_input ~clog Core.Query.flow_count) with
+      | run -> run.Zkflow_zkvm.Machine.cycles)
+  in
   Alcotest.(check string) "receipt encoding sha256" golden_aggregation_receipt_sha256
     (Zkflow_util.Hexcodec.encode (Zkflow_hash.Sha256.digest (Receipt.encode agg)));
   List.iter
@@ -812,6 +962,9 @@ let test_golden_aggregation_receipt () =
       let s = r.Receipt.seal in
       Alcotest.(check int) (name ^ " receipt bytes") (List.assoc name golden_receipt_bytes)
         (Receipt.size r);
+      Alcotest.(check (triple int int int)) (name ^ " rows, entries, cycles")
+        (List.assoc name golden_work)
+        (s.Receipt.n_rows, s.Receipt.n_mem, cycles name);
       Alcotest.(check (list string)) (name ^ " rows/time/sorted/jacc/z roots")
         (List.assoc name golden_roots)
         (List.map D32.to_hex
@@ -967,17 +1120,17 @@ let golden_verdicts =
     ("agg rows first helper", "rows: multiproof does not reach the root");
     ("agg rows middle helper", "rows: multiproof does not reach the root");
     ("agg rows last helper", "rows: multiproof does not reach the root");
-    ("agg rows one helper short", "rows: 81 helpers where the challenges need 82");
-    ("agg rows one helper long", "rows: 83 helpers where the challenges need 82");
-    ("agg rows two leaves swapped", "time: 25 leaves where the challenges open 24");
+    ("agg rows one helper short", "rows: 62 helpers where the challenges need 63");
+    ("agg rows one helper long", "rows: 64 helpers where the challenges need 63");
+    ("agg rows two leaves swapped", "time: 29 leaves where the challenges open 27");
     ("agg rows one leaf too few", "rows: 17 leaves where the challenges open 18");
     ("agg rows one leaf too many", "rows: 19 leaves where the challenges open 18");
     ("agg sorted leaf byte", "sorted: multiproof does not reach the root");
     ("agg sorted first helper", "sorted: multiproof does not reach the root");
     ("agg sorted middle helper", "sorted: multiproof does not reach the root");
     ("agg sorted last helper", "sorted: multiproof does not reach the root");
-    ("agg sorted one helper short", "sorted: 137 helpers where the challenges need 138");
-    ("agg sorted one helper long", "sorted: 139 helpers where the challenges need 138");
+    ("agg sorted one helper short", "sorted: 127 helpers where the challenges need 128");
+    ("agg sorted one helper long", "sorted: 129 helpers where the challenges need 128");
     ("agg sorted two leaves swapped", "sorted: multiproof does not reach the root");
     ("agg sorted one leaf too few", "sorted: 24 leaves where the challenges open 25");
     ("agg sorted one leaf too many", "sorted: 26 leaves where the challenges open 25");
@@ -985,14 +1138,14 @@ let golden_verdicts =
     ("agg z first helper", "z: multiproof does not reach the root");
     ("agg z middle helper", "z: multiproof does not reach the root");
     ("agg z last helper", "z: multiproof does not reach the root");
-    ("agg z one helper short", "z: 160 helpers where the challenges need 161");
-    ("agg z one helper long", "z: 162 helpers where the challenges need 161");
+    ("agg z one helper short", "z: 129 helpers where the challenges need 130");
+    ("agg z one helper long", "z: 131 helpers where the challenges need 130");
     ("agg z two leaves swapped", "z: multiproof does not reach the root");
     ("agg z one leaf too few", "z: 33 leaves where the challenges open 34");
     ("agg z one leaf too many", "z: 35 leaves where the challenges open 34");
     ("agg steps swapped", "rows: multiproof does not reach the root");
     ("agg sorted swapped", "sorted: multiproof does not reach the root");
-    ("agg step repeated", "time: 25 leaves where the challenges open 23");
+    ("agg step repeated", "time: 29 leaves where the challenges open 28");
     ("agg steps swapped, last z leaf byte", "rows: multiproof does not reach the root");
     ("agg z repeated", "z: multiproof does not reach the root");
     ("query untampered", "ok");
@@ -1000,17 +1153,17 @@ let golden_verdicts =
     ("query rows first helper", "rows: multiproof does not reach the root");
     ("query rows middle helper", "rows: multiproof does not reach the root");
     ("query rows last helper", "rows: multiproof does not reach the root");
-    ("query rows one helper short", "rows: 73 helpers where the challenges need 74");
-    ("query rows one helper long", "rows: 75 helpers where the challenges need 74");
-    ("query rows two leaves swapped", "time: 24 leaves where the challenges open 22");
+    ("query rows one helper short", "rows: 62 helpers where the challenges need 63");
+    ("query rows one helper long", "rows: 64 helpers where the challenges need 63");
+    ("query rows two leaves swapped", "time: 54 leaves where the challenges open 52");
     ("query rows one leaf too few", "rows: 17 leaves where the challenges open 18");
     ("query rows one leaf too many", "rows: 19 leaves where the challenges open 18");
     ("query sorted leaf byte", "sorted: multiproof does not reach the root");
     ("query sorted first helper", "sorted: multiproof does not reach the root");
     ("query sorted middle helper", "sorted: multiproof does not reach the root");
     ("query sorted last helper", "sorted: multiproof does not reach the root");
-    ("query sorted one helper short", "sorted: 136 helpers where the challenges need 137");
-    ("query sorted one helper long", "sorted: 138 helpers where the challenges need 137");
+    ("query sorted one helper short", "sorted: 108 helpers where the challenges need 109");
+    ("query sorted one helper long", "sorted: 110 helpers where the challenges need 109");
     ("query sorted two leaves swapped", "sorted: multiproof does not reach the root");
     ("query sorted one leaf too few", "sorted: 24 leaves where the challenges open 25");
     ("query sorted one leaf too many", "sorted: 26 leaves where the challenges open 25");
@@ -1018,14 +1171,14 @@ let golden_verdicts =
     ("query z first helper", "z: multiproof does not reach the root");
     ("query z middle helper", "z: multiproof does not reach the root");
     ("query z last helper", "z: multiproof does not reach the root");
-    ("query z one helper short", "z: 121 helpers where the challenges need 122");
-    ("query z one helper long", "z: 123 helpers where the challenges need 122");
+    ("query z one helper short", "z: 125 helpers where the challenges need 126");
+    ("query z one helper long", "z: 127 helpers where the challenges need 126");
     ("query z two leaves swapped", "z: multiproof does not reach the root");
     ("query z one leaf too few", "z: 33 leaves where the challenges open 34");
     ("query z one leaf too many", "z: 35 leaves where the challenges open 34");
     ("query steps swapped", "rows: multiproof does not reach the root");
     ("query sorted swapped", "sorted: multiproof does not reach the root");
-    ("query step repeated", "time: 24 leaves where the challenges open 22");
+    ("query step repeated", "time: 54 leaves where the challenges open 53");
     ("query steps swapped, last z leaf byte", "rows: multiproof does not reach the root");
     ("query z repeated", "z: multiproof does not reach the root");
   ]
@@ -1381,6 +1534,7 @@ let () =
           Alcotest.test_case "tampered root" `Quick test_verify_rejects_tampered_root;
           Alcotest.test_case "tampered opening" `Quick test_verify_rejects_tampered_opening;
           Alcotest.test_case "truncated checks" `Quick test_verify_rejects_truncated_checks;
+          Alcotest.test_case "forged block rows" `Quick test_forged_block_rows;
         ] );
       ( "prover-guards",
         [

@@ -114,7 +114,22 @@ let test_read_and_commit () =
     run ~input:[| 11; 22; 33 |]
       [ read_word t0; read_word t1; add t2 t0 t1; commit t2; commit t0; halt 0 ]
   in
-  Alcotest.(check (array int)) "journal" [| 33; 11 |] r.Machine.journal
+  Alcotest.(check (array int)) "journal" [| 33; 11 |] r.Machine.journal;
+  (* block calls: three words into RAM in one row, then out in one *)
+  let r =
+    run ~trace:true ~input:[| 11; 22; 33 |]
+      [ li t0 40; li t1 3; read_block ~dst:t0 ~count:t1; lw t2 t0 1; commit t2;
+        commit_block ~src:t0 ~count:t1; halt 0 ]
+  in
+  Alcotest.(check (array int)) "block journal" [| 22; 11; 22; 33 |] r.Machine.journal;
+  let blocks =
+    List.filter
+      (fun (row : Trace.row) -> row.Trace.rs1 >= 6 && Array.length row.Trace.aux = 5)
+      (Array.to_list r.Machine.rows)
+  in
+  Alcotest.(check (list (pair int int))) "one row per block call: its words and accesses"
+    [ (3, 7); (3, 7) ]
+    (List.map (fun (row : Trace.row) -> (row.Trace.aux.(0), row.Trace.mem_count)) blocks)
 
 let test_input_avail () =
   check_int "avail" 3 (eval ~input:[| 1; 2; 3 |] [ input_avail a0 ]);
@@ -151,7 +166,15 @@ let expect_trap ?input ?max_cycles items substring =
   | _ -> Alcotest.fail "expected trap"
 
 let test_trap_read_past_input () =
-  expect_trap ~input:[||] [ read_word t0; halt 0 ] "input"
+  expect_trap ~input:[||] [ read_word t0; halt 0 ] "input";
+  let block call ~addr ~count =
+    [ li t0 addr; li t1 count; call t0 t1; halt 0 ]
+  and read dst count = read_block ~dst ~count
+  and commit src count = commit_block ~src ~count in
+  expect_trap ~input:[| 1; 2 |] (block read ~addr:40 ~count:3) "input";
+  expect_trap ~input:[| 1 |] (block read ~addr:40 ~count:0) "count 0 outside 1..8";
+  expect_trap (block commit ~addr:40 ~count:9) "count 9 outside 1..8";
+  expect_trap (block commit ~addr:(Trace.ram_limit - 2) ~count:3) "words outside RAM"
 
 let test_trap_pc_out_of_range () =
   expect_trap [ li t0 1 ] "pc"
@@ -215,12 +238,12 @@ let test_sha_cycle_cost () =
 
 (* ---- Guestlib: leaf hashes + merkle root vs host tree ---- *)
 
-let merkle_guest ~entries_words n =
-  (* read n 8-word entries, compute leaf hashes, then the root;
-     commit the root. *)
+let merkle_guest n =
+  (* read n 8-word entries 11 words apart, compute leaf hashes, then
+     the root; commit the root. *)
   [
-    li a0 4000; li a1 entries_words; call "gl_read_words";
-    li a0 4000; li a1 n; li a2 20000; li a3 30000; call "gl_leaf_hashes";
+    li a0 4003; li a1 n; call "gl_read_entries";
+    li a0 4003; li a1 n; li a2 20000; call "gl_leaf_hashes";
     li a0 20000; li a1 n; call "gl_merkle_root";
     li a0 20000; li a1 8; call "gl_commit_words";
     halt 0;
@@ -234,7 +257,7 @@ let test_merkle_root_matches_host n () =
         Array.init 8 (fun _ -> Int64.to_int (Zkflow_util.Rng.next_int64 rng) land 0xffffffff))
   in
   let input = Array.concat (Array.to_list entries) in
-  let r = run ~input (merkle_guest ~entries_words:(8 * n) n) in
+  let r = run ~input (merkle_guest n) in
   let got = Guestlib.digest_of_words r.Machine.journal in
   let host_leaves =
     Array.map
