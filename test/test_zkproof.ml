@@ -200,7 +200,8 @@ let test_prove_rejects_disordered_log () =
    A guest that moves eight words in, then out, with one block read
    and one block commit. Each forgery edits its honest run and is
    proved anyway; the verifier must refuse it with the named error.
-   The trace is 13 rows, so 128 queries open every step. *)
+   The trace is 13 rows, so 128 step draws over its 12 steps open the
+   forged one with near certainty. *)
 
 let block_guest =
   assemble
@@ -950,10 +951,10 @@ let test_golden_aggregation_receipt () =
   let agg, query_program, _ = seed_pair () in
   let cycles = function
     | "agg" -> (Lazy.force seed_round).Core.Aggregate.cycles
-    | _ -> (
+    | _ ->
       let clog = (Lazy.force seed_round).Core.Aggregate.clog in
-      match Zkflow_zkvm.Machine.run query_program ~input:(Core.Guests.query_input ~clog Core.Query.flow_count) with
-      | run -> run.Zkflow_zkvm.Machine.cycles)
+      (Machine.run query_program ~input:(Core.Guests.query_input ~clog Core.Query.flow_count))
+        .Machine.cycles
   in
   Alcotest.(check string) "receipt encoding sha256" golden_aggregation_receipt_sha256
     (Zkflow_util.Hexcodec.encode (Zkflow_hash.Sha256.digest (Receipt.encode agg)));
