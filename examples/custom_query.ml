@@ -15,9 +15,9 @@ module Gen = Zkflow_netflow.Gen
 open Zkflow_core
 open Zkflow_lang
 
-(* Memory map for the guest (word addresses). Entry i lies at
-   [entries_at + 11 i], after the 3 words its leaf hash writes its
-   domain tag to. *)
+(* Memory map for the guest (word addresses). [Read_entries] lays
+   entry i at [entries_at + i * Zirc.entry_stride], after the words its
+   leaf hash writes its domain tag to. *)
 let root_at = 0x200
 let entries_at = 0x100003
 let leaves_at = 0x200000
@@ -28,13 +28,7 @@ let audit_query : Zirc.program =
       (* input: m, claimed CLog root, m 8-word entries *)
       Let ("m", Read_word);
       Read_words { dst = Int root_at; count = Int 8 };
-      Let ("i", Int 0);
-      While
-        ( Bin (Lt, Var "i", Var "m"),
-          [
-            Read_words { dst = Bin (Add, Int entries_at, Bin (Mul, Var "i", Int 11)); count = Int 8 };
-            Set ("i", Bin (Add, Var "i", Int 1));
-          ] );
+      Read_entries { dst = Int entries_at; count = Var "m" };
       (* authenticate: rebuild the Merkle root in-guest, compare *)
       Leaf_hashes { entries = Int entries_at; count = Var "m"; out = Int leaves_at };
       Merkle_root { leaves = Int leaves_at; count = Var "m" };
@@ -43,7 +37,7 @@ let audit_query : Zirc.program =
       (* scan: violations = #entries with losses*100 > packets;
                worst = max over entries of losses*1000/packets,
                computed without division as a running comparison *)
-      Set ("i", Int 0);
+      Let ("i", Int 0);
       Let ("violations", Int 0);
       Let ("worst_num", Int 0);   (* losses of the worst flow *)
       Let ("worst_den", Int 1);   (* its packets *)
@@ -53,7 +47,7 @@ let audit_query : Zirc.program =
       While
         ( Bin (Lt, Var "i", Var "m"),
           [
-            Set ("base", Bin (Add, Int entries_at, Bin (Mul, Var "i", Int 11)));
+            Set ("base", Bin (Add, Int entries_at, Bin (Mul, Var "i", Int entry_stride)));
             Set ("pk", Load (Bin (Add, Var "base", Int 4)));
             Set ("ls", Load (Bin (Add, Var "base", Int 7)));
             If

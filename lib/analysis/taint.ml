@@ -273,9 +273,14 @@ let rec exec_stmt ~emit ~suppressed (a : Zirc_lint.astmt) st =
           (Finding.error ~loc ~pass:"taint-journal"
              "untrusted region flows to the journal without validation (commit_words)");
       st
-    | Zirc.Read_words { dst; count } ->
+    | Zirc.Read_words { dst; count } | Zirc.Read_entries { dst; count } ->
       ignore (ev count);
-      let base = addr ~what:"read_words destination" dst in
+      let what =
+        match a.Zirc_lint.s with
+        | Zirc.Read_entries _ -> "read_entries destination"
+        | _ -> "read_words destination"
+      in
+      let base = addr ~what dst in
       let t = if trusted then Checked else Tainted in
       (match base with
        | Some b -> set_region st b { taint = t; deps = [] }
@@ -392,14 +397,11 @@ let zr0_step ~emit ~pc ~vals instr (t : ztaint) =
     t
   | Jal (0, _) -> t
   | Jal (_, _) | Jalr (_, _, _) ->
-    (* call (or indirect transfer): intraprocedural summary. The callee
-       returns Checked registers and leaves RAM at most Checked, as a
-       helper's own body is entered: the guestlib routines are where a
-       guest validates what it read (gl_cmp8). *)
+    (* call (or indirect transfer): intraprocedural summary *)
     for r = 1 to 31 do
       t.regs.(r) <- Checked
     done;
-    { t with mem = launder t.mem }
+    t
   | Ecall ->
     let num =
       match vals with

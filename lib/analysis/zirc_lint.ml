@@ -28,6 +28,7 @@ let stmt_need (s : Zirc.stmt) =
   | Sha { src; words; dst } -> args_need [ src; words; dst ]
   | Read_words { dst; count } -> args_need [ dst; count ]
   | Commit_words { src; count } -> args_need [ src; count ]
+  | Read_entries { dst; count } -> args_need [ dst; count ]
   | Leaf_hashes { entries; count; out } -> args_need [ entries; count; out ]
   | Merkle_root { leaves; count } -> args_need [ leaves; count ]
 
@@ -224,12 +225,18 @@ and fwd_stmt ~emit st a =
     ck src;
     ck count;
     st
+  | Read_entries { dst; count } ->
+    ck dst;
+    ck count;
+    check_write_addr ~emit ~loc "read_entries destination" dst;
+    st
   | Leaf_hashes { entries; count; out } ->
     ck entries;
     ck count;
     ck out;
-    (* each entry's tag is written into the 3 words before it *)
-    check_write_addr ~emit ~loc "leaf_hashes tag" (Bin (Sub, entries, Int 3));
+    (* each entry's tag is written into the words before it *)
+    let tag_words = Array.length Zkflow_zkvm.Guestlib.leaf_domain_words in
+    check_write_addr ~emit ~loc "leaf_hashes tag" (Bin (Sub, entries, Int tag_words));
     check_write_addr ~emit ~loc "leaf_hashes output" out;
     st
   | Merkle_root { leaves; count } ->
@@ -260,6 +267,7 @@ let stmt_reads (s : Zirc.stmt) =
     | Sha { src; words; dst } -> [ src; words; dst ]
     | Read_words { dst; count } -> [ dst; count ]
     | Commit_words { src; count } -> [ src; count ]
+    | Read_entries { dst; count } -> [ dst; count ]
     | Leaf_hashes { entries; count; out } -> [ entries; count; out ]
     | Merkle_root { leaves; count } -> [ leaves; count ]
   in

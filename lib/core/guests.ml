@@ -27,9 +27,6 @@ let empty_root_words = Guestlib.empty_leaf_words
    clobbers a0-a2. *)
 let read_digest_to addr = block [ li a1 addr; li a2 8; read_block ~dst:a1 ~count:a2 ]
 
-(* Journal the 8 words at [addr], in one block commit; clobbers a0-a2. *)
-let commit_digest_at addr = block [ li a1 addr; li a2 8; commit_block ~src:a1 ~count:a2 ]
-
 (* [out] := the address of entry [index]. *)
 let entry_addr ~out ~index =
   block [ muli out index Guestlib.entry_stride; addi out out entries_addr ]
@@ -114,7 +111,9 @@ let aggregation_items =
     call "gl_cmp8";
     beq a0 zero "agg.fail_prev";
     label "agg.prev_ok";
-    commit_digest_at prev_root_addr;
+    li a0 prev_root_addr;
+    li a1 8;
+    call "gl_commit_words";
     (* routers *)
     read_word s1;
     commit s1;
@@ -134,7 +133,9 @@ let aggregation_items =
     li a1 claimed_addr;
     call "gl_cmp8";
     beq a0 zero "agg.fail_router";
-    commit_digest_at claimed_addr;
+    li a0 claimed_addr;
+    li a1 8;
+    call "gl_commit_words";
     (* Step 3: merge every record *)
     li s9 0;
     label "agg.merge_loop";
@@ -162,11 +163,15 @@ let aggregation_items =
     li a0 leaves_addr;
     mv a1 s0;
     call "gl_merkle_root";
-    commit_digest_at leaves_addr;
+    li a0 leaves_addr;
+    li a1 8;
+    call "gl_commit_words";
     halt 0;
     label "agg.empty_root";
     store_digest_at computed_addr empty_root_words;
-    commit_digest_at computed_addr;
+    li a0 computed_addr;
+    li a1 8;
+    call "gl_commit_words";
     halt 0;
     label "agg.fail_prev";
     halt 1;
@@ -297,7 +302,9 @@ let query_items =
     call "gl_cmp8";
     beq a0 zero "q.fail";
     label "q.verified";
-    commit_digest_at claimed_addr;
+    li a0 claimed_addr;
+    li a1 8;
+    call "gl_commit_words";
     li a0 params_addr;
     li a1 10;
     call "gl_commit_words";

@@ -29,6 +29,7 @@ type stmt =
   | Sha of { src : expr; words : expr; dst : expr }
   | Read_words of { dst : expr; count : expr }
   | Commit_words of { src : expr; count : expr }
+  | Read_entries of { dst : expr; count : expr }
   | Leaf_hashes of { entries : expr; count : expr; out : expr }
   | Merkle_root of { leaves : expr; count : expr }
   | Halt of expr
@@ -37,6 +38,8 @@ type stmt =
 and block = stmt list
 
 type program = block
+
+let entry_stride = Guestlib.entry_stride
 
 let locals_base = 0x800000
 let spill_base = locals_base + 0x10000
@@ -222,6 +225,8 @@ let rec compile_stmt env stmt =
     Asm.block [ compile_args env [ dst; count ]; Asm.call "gl_read_words" ]
   | Commit_words { src; count } ->
     Asm.block [ compile_args env [ src; count ]; Asm.call "gl_commit_words" ]
+  | Read_entries { dst; count } ->
+    Asm.block [ compile_args env [ dst; count ]; Asm.call "gl_read_entries" ]
   | Leaf_hashes { entries; count; out } ->
     Asm.block [ compile_args env [ entries; count; out ]; Asm.call "gl_leaf_hashes" ]
   | Merkle_root { leaves; count } ->
@@ -286,11 +291,19 @@ let sha_words st ~src ~words ~dst =
     (fun i w -> mem_write st (dst + i) w)
     (Guestlib.words_of_digest digest)
 
-let leaf_hashes st ~entries ~count ~out =
+let read_words st ~dst ~count =
   for i = 0 to count - 1 do
-    let tag = entries + (Guestlib.entry_stride * i) - 3 in
-    Array.iteri (fun k w -> mem_write st (tag + k) w) Guestlib.leaf_domain_words;
-    sha_words st ~src:tag ~words:Guestlib.entry_stride ~dst:(out + (8 * i))
+    if st.input_pos >= Array.length st.input then rerror "read past end of input";
+    mem_write st (dst + i) st.input.(st.input_pos);
+    st.input_pos <- st.input_pos + 1
+  done
+
+let leaf_hashes st ~entries ~count ~out =
+  let tag_words = Guestlib.leaf_domain_words in
+  for i = 0 to count - 1 do
+    let tag = entries + (entry_stride * i) - Array.length tag_words in
+    Array.iteri (fun k w -> mem_write st (tag + k) w) tag_words;
+    sha_words st ~src:tag ~words:entry_stride ~dst:(out + (8 * i))
   done
 
 let merkle_root st ~leaves ~count =
@@ -380,10 +393,12 @@ let rec exec st stmt =
   | Read_words { dst; count } ->
     let dst = eval st dst in
     let count = eval st count in
+    read_words st ~dst ~count
+  | Read_entries { dst; count } ->
+    let dst = eval st dst in
+    let count = eval st count in
     for i = 0 to count - 1 do
-      if st.input_pos >= Array.length st.input then rerror "read past end of input";
-      mem_write st (dst + i) st.input.(st.input_pos);
-      st.input_pos <- st.input_pos + 1
+      read_words st ~dst:(dst + (entry_stride * i)) ~count:8
     done
   | Commit_words { src; count } ->
     let src = eval st src in
@@ -468,6 +483,8 @@ let rec pp_stmt ppf = function
     Format.fprintf ppf "read_words(%a, %a)" pp_expr dst pp_expr count
   | Commit_words { src; count } ->
     Format.fprintf ppf "commit_words(%a, %a)" pp_expr src pp_expr count
+  | Read_entries { dst; count } ->
+    Format.fprintf ppf "read_entries(%a, %a)" pp_expr dst pp_expr count
   | Leaf_hashes { entries; count; out } ->
     Format.fprintf ppf "leaf_hashes(%a, %a, %a)" pp_expr entries pp_expr count pp_expr out
   | Merkle_root { leaves; count } ->

@@ -48,10 +48,13 @@ type stmt =
   | Sha of { src : expr; words : expr; dst : expr }
   | Read_words of { dst : expr; count : expr }
   | Commit_words of { src : expr; count : expr }
+  | Read_entries of { dst : expr; count : expr }
+      (** [count] 8-word input entries, entry i at
+          [dst + ]{!entry_stride}[ * i] *)
   | Leaf_hashes of { entries : expr; count : expr; out : expr }
-      (** domain-tagged Merkle leaf hashes of 8-word entries laid 11
-          words apart, each hashed where it lies after the 3 words its
-          tag is written to *)
+      (** domain-tagged Merkle leaf hashes of 8-word entries laid as
+          [Read_entries] lays them, each hashed where it lies after the
+          3 words its tag is written to *)
   | Merkle_root of { leaves : expr; count : expr }
       (** in-place reduction; root lands in the first 8 words *)
   | Halt of expr
@@ -60,6 +63,11 @@ type stmt =
 and block = stmt list
 
 type program = block
+
+val entry_stride : int
+(** [11]: the words from one entry to the next in the layout
+    [Read_entries] writes and [Leaf_hashes] reads (8 entry words after
+    the 3 words of the leaf tag); [entry_stride()] in source. *)
 
 (** {2 Compilation} *)
 

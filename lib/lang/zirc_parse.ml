@@ -156,6 +156,7 @@ let expr_builtin name args =
   | "read_word", [] -> Some Zirc.Read_word
   | "input_avail", [] -> Some Zirc.Input_avail
   | "cmp8", [ a; b ] -> Some (Zirc.Cmp8 (a, b))
+  | "entry_stride", [] -> Some (Zirc.Int Zirc.entry_stride)
   | _ -> None
 
 let rec parse_expr p = parse_cmp p
@@ -255,6 +256,7 @@ let stmt_builtin p name args =
   | "sha", [ src; words; dst ] -> Zirc.Sha { src; words; dst }
   | "read_words", [ dst; count ] -> Zirc.Read_words { dst; count }
   | "commit_words", [ src; count ] -> Zirc.Commit_words { src; count }
+  | "read_entries", [ dst; count ] -> Zirc.Read_entries { dst; count }
   | "leaf_hashes", [ entries; count; out ] -> Zirc.Leaf_hashes { entries; count; out }
   | "merkle_root", [ leaves; count ] -> Zirc.Merkle_root { leaves; count }
   | _ -> perr p "unknown statement %S (or wrong arity)" name

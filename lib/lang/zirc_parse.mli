@@ -5,10 +5,11 @@
     {v
     // count entries above a loss threshold
     let m = read_word();
-    read_words(0x100000, m * 8);
+    read_entries(0x100003, m);
     let i = 0; let hits = 0;
     while i < m {
-      if mem[0x100000 + i*8 + 7] * 100 > mem[0x100000 + i*8 + 4] {
+      let e = 0x100003 + i * entry_stride();
+      if mem[e + 7] * 100 > mem[e + 4] {
         hits = hits + 1;
       } else { }
       i = i + 1;
@@ -19,9 +20,10 @@
     Integers are decimal or 0x-hex; [//] comments to end of line;
     operators follow C precedence ([*] over [+ -] over shifts over
     [& ^ |] over comparisons; [<s] is the signed less-than). Builtins:
-    [read_word()], [input_avail()], [cmp8(a,b)] in expressions;
+    [read_word()], [input_avail()], [cmp8(a,b)] and the constant
+    [entry_stride()] in expressions;
     [commit(e)], [debug(e)], [halt(e)], [sha(src,words,dst)],
-    [read_words(dst,n)], [commit_words(src,n)],
+    [read_words(dst,n)], [commit_words(src,n)], [read_entries(dst,n)],
     [leaf_hashes(entries,n,out)], [merkle_root(leaves,n)] as
     statements. *)
 

@@ -128,7 +128,8 @@ let check_exec program (row : Trace.row) =
     let* () = require (row.rs2 = 0 && aux_len = 0) "jalr: shape" in
     Ok [ read_reg rs1 row.rs1; write_reg rd row.rd ]
   | Isa.Ecall ->
-    let is_block = row.rs1 = 6 || row.rs1 = 7 in
+    let call = Ecall.of_number row.rs1 in
+    let is_block = match call with Some c -> Ecall.block c | None -> false in
     let* () =
       require (if is_block then aux_len >= 2 else aux_len = 2) "ecall: aux shape"
     in
@@ -142,7 +143,10 @@ let check_exec program (row : Trace.row) =
     in
     (* A block call's row carries its words after the two register
        values: RAM word a1 + i is aux word 2 + i. *)
-    let block what ~write =
+    let block c =
+      let what, write =
+        if Ecall.writes_journal c then ("commit block", false) else ("read block", true)
+      in
       let addr = row.rs2 and count = row.aux.(0) in
       let* () =
         require
@@ -160,38 +164,37 @@ let check_exec program (row : Trace.row) =
         (base
         @ List.init count (fun i -> { addr = addr + i; write; value = Some row.aux.(2 + i) }))
     in
-    (match row.rs1 with
-     | 0 ->
+    (match call with
+     | Some Ecall.Halt ->
        (* halt: self-loop *)
        let* () = require (row.next_pc = row.pc) "halt: next_pc self-loop" in
        let* () = require (row.rd = 0) "halt: shape" in
        Ok base
-     | 1 ->
+     | Some Ecall.Read_word ->
        (* read-word: the value is private input; only the register write
           is pinned to it. *)
        let* () = plain_next () in
        Ok (base @ [ write_reg 10 row.rd ])
-     | 2 ->
+     | Some Ecall.Commit ->
        let* () = plain_next () in
        let* () = require (row.rd = 0) "commit: shape" in
        Ok base
-     | 3 ->
+     | Some Ecall.Sha ->
        (* sha ecall: block rows follow at the same pc. *)
        let* () = require (row.next_pc = row.pc) "sha ecall: next_pc" in
        let* () = require (row.rd = 0) "sha ecall: shape" in
        let total = row.aux.(0) in
        let* () = require (total >= 0 && total <= 1 lsl 24) "sha ecall: length" in
        Ok base
-     | 4 ->
+     | Some Ecall.Debug ->
        let* () = plain_next () in
        let* () = require (row.rd = 0) "debug: shape" in
        Ok base
-     | 5 ->
+     | Some Ecall.Input_avail ->
        let* () = plain_next () in
        Ok (base @ [ write_reg 10 row.rd ])
-     | 6 -> block "read block" ~write:true
-     | 7 -> block "commit block" ~write:false
-     | n -> fail "ecall: unknown call number %d" n)
+     | Some ((Ecall.Read_block | Ecall.Commit_block) as c) -> block c
+     | None -> fail "ecall: unknown call number %d" row.rs1)
 
 let check_sha_block program (row : Trace.row) (sb : Trace.sha_block) =
   let { Trace.block_index; total_words; src; dst; block; pre; post } = sb in
@@ -253,7 +256,13 @@ let is_ecall_row ~program (row : Trace.row) =
   | Trace.Exec, Some Isa.Ecall -> true
   | _ -> false
 
-let is_sha_ecall ~program (row : Trace.row) = is_ecall_row ~program row && row.rs1 = 3
+(* The call an exec row at an ecall makes; [None] on any other row
+   and on an unknown call number. *)
+let call_of_row ~program (row : Trace.row) =
+  if is_ecall_row ~program row then Ecall.of_number row.rs1 else None
+
+let is_sha_ecall ~program row =
+  match call_of_row ~program row with Some Ecall.Sha -> true | _ -> false
 
 let check_pair ~program (row : Trace.row) ~next =
   let* () = require (next.Trace.pc = row.next_pc) "pair: pc hand-off" in
@@ -298,22 +307,25 @@ let matches expected (entry : Trace.mem_entry) ~time =
   && entry.Trace.time = time
   && (match expected.value with None -> true | Some v -> entry.Trace.value = v)
 
-let is_commit_row ~program (row : Trace.row) =
-  is_ecall_row ~program row && (row.Trace.rs1 = 2 || row.Trace.rs1 = 7)
+let is_commit_row ~program row =
+  match call_of_row ~program row with Some c -> Ecall.writes_journal c | None -> false
 
-let is_halt_row ~program (row : Trace.row) = is_ecall_row ~program row && row.Trace.rs1 = 0
+let is_halt_row ~program row =
+  match call_of_row ~program row with Some Ecall.Halt -> true | _ -> false
 
 (* A commit takes a1; a block commit takes every aux word after the
    two register values, in order, whatever their count: [check_row]
    pins that count on the rows it checks. *)
 let jacc_step ~program chain (row : Trace.row) =
-  if not (is_ecall_row ~program row) then chain
-  else if row.Trace.rs1 = 2 then begin
-    let word = Bytes.create 4 in
-    Bytes.set_int32_be word 0 (Int32.of_int (row.Trace.rs2 land mask32));
-    Zkflow_hash.Chain.extend chain word
-  end
-  else if row.Trace.rs1 = 7 && Array.length row.Trace.aux > 2 then
-    Zkflow_hash.Chain.extend_words chain
-      (Array.sub row.Trace.aux 2 (Array.length row.Trace.aux - 2))
-  else chain
+  match call_of_row ~program row with
+  | Some c when Ecall.writes_journal c ->
+    let aux = row.Trace.aux in
+    if not (Ecall.block c) then begin
+      let word = Bytes.create 4 in
+      Bytes.set_int32_be word 0 (Int32.of_int (row.Trace.rs2 land mask32));
+      Zkflow_hash.Chain.extend chain word
+    end
+    else if Array.length aux > 2 then
+      Zkflow_hash.Chain.extend_words chain (Array.sub aux 2 (Array.length aux - 2))
+    else chain
+  | _ -> chain

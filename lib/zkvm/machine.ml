@@ -248,51 +248,51 @@ let step st instr =
       done;
       finish ~aux 0
     in
-    (match n with
-     | 0 ->
+    (match Ecall.of_number n with
+     | Some Ecall.Halt ->
        (* halt: self-loop so the final row's next_pc is well-defined. *)
        finish ~next:st.pc 0;
        Halted a1
-     | 1 ->
+     | Some Ecall.Read_word ->
        if st.input_pos >= Array.length st.input then trap st "read past end of input";
        let w = st.input.(st.input_pos) in
        st.input_pos <- st.input_pos + 1;
        let r = reg_write st 10 w in
        finish r;
        Continue
-     | 2 ->
+     | Some Ecall.Commit ->
        st.journal_rev <- a1 :: st.journal_rev;
        finish 0;
        Continue
-     | 3 ->
+     | Some Ecall.Sha ->
        (* The ecall row stays on this pc; the block rows follow and the
           last one advances to pc + 1. *)
        emit st ~next_pc:st.pc ~kind:Trace.Exec ~rs1:n ~rs2:a1 ~rd:0 ~aux:[| a2; a3 |] ~mem_pos;
        exec_sha st ~src:a1 ~total:a2 ~dst:a3;
        st.pc <- st.pc + 1;
        Continue
-     | 4 ->
+     | Some Ecall.Debug ->
        st.debug_rev <- a1 :: st.debug_rev;
        finish 0;
        Continue
-     | 5 ->
+     | Some Ecall.Input_avail ->
        let r = reg_write st 10 (Array.length st.input - st.input_pos) in
        finish r;
        Continue
-     | 6 ->
+     | Some Ecall.Read_block ->
        block "read block" (fun addr ->
            if st.input_pos >= Array.length st.input then trap st "read past end of input";
            let w = ram_write st addr st.input.(st.input_pos) in
            st.input_pos <- st.input_pos + 1;
            w);
        Continue
-     | 7 ->
+     | Some Ecall.Commit_block ->
        block "commit block" (fun addr ->
            let w = ram_read st addr in
            st.journal_rev <- w :: st.journal_rev;
            w);
        Continue
-     | _ -> trap st (Printf.sprintf "unknown ecall %d" n))
+     | None -> trap st (Printf.sprintf "unknown ecall %d" n))
 
 let default_max_cycles = 50_000_000
 

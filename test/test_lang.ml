@@ -139,10 +139,9 @@ let test_merkle_builtins_match_host () =
   in
   let input = Array.concat (Array.to_list entries) in
   let p =
-    (* entry i at 1003 + 11 i, after the 3 words of its tag *)
-    List.init n (fun i -> Zirc.Read_words { dst = Int (1003 + (11 * i)); count = Int 8 })
-    @ Zirc.
+    Zirc.
       [
+        Read_entries { dst = Int 1003; count = Int n };
         Leaf_hashes { entries = Int 1003; count = Int n; out = Int 5000 };
         Merkle_root { leaves = Int 5000; count = Int n };
         Commit_words { src = Int 5000; count = Int 8 };
@@ -216,27 +215,20 @@ let loss_rate_query =
       (* input: m, claimed root (8 words), m 8-word entries *)
       Let ("m", Read_word);
       Read_words { dst = Int 0x200; count = Int 8 };
-      (* entry i at 0x100003 + 11 i, after the 3 words of its tag *)
-      Let ("i", Int 0);
-      While
-        ( Bin (Lt, Var "i", Var "m"),
-          [
-            Read_words { dst = Bin (Add, Int 0x100003, Bin (Mul, Var "i", Int 11)); count = Int 8 };
-            Set ("i", Bin (Add, Var "i", Int 1));
-          ] );
+      Read_entries { dst = Int 0x100003; count = Var "m" };
       (* authenticate the entries against the claimed root *)
       Leaf_hashes { entries = Int 0x100003; count = Var "m"; out = Int 0x200000 };
       Merkle_root { leaves = Int 0x200000; count = Var "m" };
       If (Cmp8 (Int 0x200000, Int 0x200), [], [ Halt (Int 1) ]);
       Commit_words { src = Int 0x200; count = Int 8 };
       (* scan: count entries with losses*100 > packets *)
-      Set ("i", Int 0);
+      Let ("i", Int 0);
       Let ("violations", Int 0);
       Let ("base", Int 0);
       While
         ( Bin (Lt, Var "i", Var "m"),
           [
-            Set ("base", Bin (Add, Int 0x100003, Bin (Mul, Var "i", Int 11)));
+            Set ("base", Bin (Add, Int 0x100003, Bin (Mul, Var "i", Int entry_stride)));
             If
               ( Bin
                   ( Gt,
@@ -373,6 +365,17 @@ let test_parse_builtin_stmts () =
   Array.iteri (fun i w -> Bytes.set_int32_be b (4 * i) (Int32.of_int w)) input;
   Alcotest.(check (array int)) "sha via syntax"
     (Zkflow_zkvm.Guestlib.words_of_digest (Zkflow_hash.Sha256.digest b))
+    o.Zirc.journal;
+  (* read_entries lays entry i at dst + i * entry_stride() *)
+  let p =
+    parse_ok
+      {| read_entries(103, 2);
+         commit(mem[103 + entry_stride() + 7]);
+         commit(mem[103 + 8]);
+         commit(entry_stride()); |}
+  in
+  let o = run_both ~input:(Array.init 16 (fun i -> 100 + i)) p in
+  Alcotest.(check (array int)) "entries via syntax" [| 115; 0; Zirc.entry_stride |]
     o.Zirc.journal
 
 let test_parse_errors () =

@@ -856,8 +856,8 @@ let test_soundness_bits_rejects_bad_fraction () =
 module Core = Zkflow_core
 module Gen = Zkflow_netflow.Gen
 
-let golden_aggregation_image_id = "bc2f96f1221041dce1e453c6b86a17b77e943aab83f37d9808a01151a1bc64b1"
-let golden_query_image_id = "b22e4a8ea2164768f1345fed5127545d943d91e16dbcfdc66c3d8241d73fc371"
+let golden_aggregation_image_id = "986a9055fa5f1a8da70b30b198eb7bbf0458f7180b53dde1d28afdffdb8a034b"
+let golden_query_image_id = "d1846d3ab698211ef9d890fae729ffe18afb6d7dde3ee5dab8aa34c61afe3f81"
 
 let test_golden_image_ids () =
   let check_hex what expected d =
@@ -918,32 +918,32 @@ let seed_pair () =
    the image ids, rows and access logs changed, and the transcript
    ratchets in one compression. *)
 let golden_aggregation_receipt_sha256 =
-  "b9658b16baa31cb6ea5767b6c45b695f9b36aa81768e586f2e4b9cf64d2231a4"
-let golden_receipt_bytes = [ ("agg", 19025); ("query", 18347) ]
+  "b715de1c108e5d29393bec8aca148fcdfa12ab0559c1a90042cafb00154523eb"
+let golden_receipt_bytes = [ ("agg", 20530); ("query", 18435) ]
 
 (* The exact work behind each seed receipt: trace rows, access-log
    entries and guest cycles (one row per cycle). At seal v3, before the
    block ecalls, they read 3,644 / 8,715 / 3,644 (agg) and
    2,194 / 5,342 / 2,194 (query). *)
-let golden_work = [ ("agg", (1750, 4688, 1750)); ("query", (1059, 2810, 1059)) ]
+let golden_work = [ ("agg", (1798, 4780, 1798)); ("query", (1071, 2833, 1071)) ]
 
 let golden_roots =
   [
     ( "agg",
       [
-        "89958bdc7ab841c69736b45b69a610b4dd33b5ab95be03c509553e059357c816";
-        "a0619239259aa691d47811ac8a1fa8359200d260f8d95f9de62880a5d7cfaf7b";
-        "4dc92f46a3aff4b57d40c49cf0b90a158e7778d9d8682cd529c141013c77af4b";
-        "290a14c050bb9b272b84d78b87042fa260feb5d57155a9416f4c90da095ce313";
-        "c1b45cfb37928810bc86ea0a85679d829f31282274534a6265932e6cf160b081";
+        "a3885a7ef90432855ee53ee862f42695724340161af91fe59fc706d7940250ee";
+        "2b347e1b28cf06aee0203777456a28e6290840e681584fa0ee1e5afcb4d6f4a9";
+        "8b02877406f4e46592920e84a321d7e13e3c03b606ca587a3453cc0d2bac1ab1";
+        "adbc38382ab737b3cdf323832206c4fa47cbd188a5f2a6b8a79089d53b6cadfa";
+        "5bcc8f726f46cec2fe27307a3cb9a802d082d1e312d07d37fb9e563be457494d";
       ] );
     ( "query",
       [
-        "2c654ac11e7f9009890fc831c2ab8fd88d624c7008a0ac8bbceea75677a8c9a5";
-        "45f1064f3bda6902663aefc85d1593cee851fb47e577b8d39615751f2f209a86";
-        "bd745cb103489278134643f31ebf2436fcb5d5bf82fc89696b7cf7f3cf22c415";
-        "e10284e6ab02938b83adfebfe070d34f6c6d9ef86e42cbe3f6156ab58c0d3769";
-        "75b1a295f28e24bdcfa646d33442766e91f3fb1cfcd58d43422b3e4f189f5e36";
+        "b38ec89b567d9b5c6fc1bb077e73e6877bd5284dcc7b68c3e49cafe61eeabe3d";
+        "531f25c391978269c7057796075a786cfa783fb04fa0afa780efbae250377223";
+        "91bc4e7ce8af7af48a65d722d53380a616cc4ed50f668ece4108af7b05c93a0c";
+        "e5f999bdfe925bc6d6253b431920f96b6cd0f29fce02561c88d471920bfa06b9";
+        "dcd084076b281271c7578dd5b6c1bf727631658c0e6902bd6c99c500df86ebb3";
       ] );
   ]
 
@@ -1121,32 +1121,32 @@ let golden_verdicts =
     ("agg rows first helper", "rows: multiproof does not reach the root");
     ("agg rows middle helper", "rows: multiproof does not reach the root");
     ("agg rows last helper", "rows: multiproof does not reach the root");
-    ("agg rows one helper short", "rows: 62 helpers where the challenges need 63");
-    ("agg rows one helper long", "rows: 64 helpers where the challenges need 63");
-    ("agg rows two leaves swapped", "time: 29 leaves where the challenges open 27");
+    ("agg rows one helper short", "rows: 77 helpers where the challenges need 78");
+    ("agg rows one helper long", "rows: 79 helpers where the challenges need 78");
+    ("agg rows two leaves swapped", "time: 25 leaves where the challenges open 24");
     ("agg rows one leaf too few", "rows: 17 leaves where the challenges open 18");
     ("agg rows one leaf too many", "rows: 19 leaves where the challenges open 18");
     ("agg sorted leaf byte", "sorted: multiproof does not reach the root");
     ("agg sorted first helper", "sorted: multiproof does not reach the root");
     ("agg sorted middle helper", "sorted: multiproof does not reach the root");
     ("agg sorted last helper", "sorted: multiproof does not reach the root");
-    ("agg sorted one helper short", "sorted: 127 helpers where the challenges need 128");
-    ("agg sorted one helper long", "sorted: 129 helpers where the challenges need 128");
+    ("agg sorted one helper short", "sorted: 119 helpers where the challenges need 120");
+    ("agg sorted one helper long", "sorted: 121 helpers where the challenges need 120");
     ("agg sorted two leaves swapped", "sorted: multiproof does not reach the root");
-    ("agg sorted one leaf too few", "sorted: 24 leaves where the challenges open 25");
-    ("agg sorted one leaf too many", "sorted: 26 leaves where the challenges open 25");
+    ("agg sorted one leaf too few", "sorted: 23 leaves where the challenges open 24");
+    ("agg sorted one leaf too many", "sorted: 25 leaves where the challenges open 24");
     ("agg z leaf byte", "z: multiproof does not reach the root");
     ("agg z first helper", "z: multiproof does not reach the root");
     ("agg z middle helper", "z: multiproof does not reach the root");
     ("agg z last helper", "z: multiproof does not reach the root");
-    ("agg z one helper short", "z: 129 helpers where the challenges need 130");
-    ("agg z one helper long", "z: 131 helpers where the challenges need 130");
+    ("agg z one helper short", "z: 144 helpers where the challenges need 145");
+    ("agg z one helper long", "z: 146 helpers where the challenges need 145");
     ("agg z two leaves swapped", "z: multiproof does not reach the root");
     ("agg z one leaf too few", "z: 33 leaves where the challenges open 34");
     ("agg z one leaf too many", "z: 35 leaves where the challenges open 34");
     ("agg steps swapped", "rows: multiproof does not reach the root");
     ("agg sorted swapped", "sorted: multiproof does not reach the root");
-    ("agg step repeated", "time: 29 leaves where the challenges open 28");
+    ("agg step repeated", "time: 25 leaves where the challenges open 22");
     ("agg steps swapped, last z leaf byte", "rows: multiproof does not reach the root");
     ("agg z repeated", "z: multiproof does not reach the root");
     ("query untampered", "ok");
@@ -1154,32 +1154,32 @@ let golden_verdicts =
     ("query rows first helper", "rows: multiproof does not reach the root");
     ("query rows middle helper", "rows: multiproof does not reach the root");
     ("query rows last helper", "rows: multiproof does not reach the root");
-    ("query rows one helper short", "rows: 62 helpers where the challenges need 63");
-    ("query rows one helper long", "rows: 64 helpers where the challenges need 63");
-    ("query rows two leaves swapped", "time: 54 leaves where the challenges open 52");
+    ("query rows one helper short", "rows: 68 helpers where the challenges need 69");
+    ("query rows one helper long", "rows: 70 helpers where the challenges need 69");
+    ("query rows two leaves swapped", "time: 24 leaves where the challenges open 23");
     ("query rows one leaf too few", "rows: 17 leaves where the challenges open 18");
     ("query rows one leaf too many", "rows: 19 leaves where the challenges open 18");
     ("query sorted leaf byte", "sorted: multiproof does not reach the root");
     ("query sorted first helper", "sorted: multiproof does not reach the root");
     ("query sorted middle helper", "sorted: multiproof does not reach the root");
     ("query sorted last helper", "sorted: multiproof does not reach the root");
-    ("query sorted one helper short", "sorted: 108 helpers where the challenges need 109");
-    ("query sorted one helper long", "sorted: 110 helpers where the challenges need 109");
+    ("query sorted one helper short", "sorted: 115 helpers where the challenges need 116");
+    ("query sorted one helper long", "sorted: 117 helpers where the challenges need 116");
     ("query sorted two leaves swapped", "sorted: multiproof does not reach the root");
-    ("query sorted one leaf too few", "sorted: 24 leaves where the challenges open 25");
-    ("query sorted one leaf too many", "sorted: 26 leaves where the challenges open 25");
+    ("query sorted one leaf too few", "sorted: 23 leaves where the challenges open 24");
+    ("query sorted one leaf too many", "sorted: 25 leaves where the challenges open 24");
     ("query z leaf byte", "z: multiproof does not reach the root");
     ("query z first helper", "z: multiproof does not reach the root");
     ("query z middle helper", "z: multiproof does not reach the root");
     ("query z last helper", "z: multiproof does not reach the root");
-    ("query z one helper short", "z: 125 helpers where the challenges need 126");
-    ("query z one helper long", "z: 127 helpers where the challenges need 126");
+    ("query z one helper short", "z: 123 helpers where the challenges need 124");
+    ("query z one helper long", "z: 125 helpers where the challenges need 124");
     ("query z two leaves swapped", "z: multiproof does not reach the root");
     ("query z one leaf too few", "z: 33 leaves where the challenges open 34");
     ("query z one leaf too many", "z: 35 leaves where the challenges open 34");
     ("query steps swapped", "rows: multiproof does not reach the root");
     ("query sorted swapped", "sorted: multiproof does not reach the root");
-    ("query step repeated", "time: 54 leaves where the challenges open 53");
+    ("query step repeated", "time: 24 leaves where the challenges open 22");
     ("query steps swapped, last z leaf byte", "rows: multiproof does not reach the root");
     ("query z repeated", "z: multiproof does not reach the root");
   ]
