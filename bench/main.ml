@@ -718,8 +718,8 @@ let ablations () =
 (* ------------------------------------------------------------------ *)
 
 (* One aggregation round of the perfbench ingest-steady shape (a
-   16-flow CLog updated by two records from each of 4 routers: 2,850
-   cycles, 7,814 access-log entries): the guest, its traced run and
+   16-flow CLog updated by two records from each of 4 routers: 2,922
+   cycles, 7,952 access-log entries): the guest, its traced run and
    its receipt. *)
 let ingest_shape_run () =
   let open Zkflow_zkproof in

@@ -10,9 +10,9 @@ let claimed_addr = 0x200
 let computed_addr = 0x300
 let params_addr = 0x500
 
-(* Entry i lies at [entries_addr + 11 i], after the 3 words its leaf
-   hash writes its domain tag to. *)
-let entries_addr = 0x100000 + 3
+(* Entry i lies at [entries_addr + Guestlib.entry_stride * i], after
+   the words its leaf hash writes its domain tag to. *)
+let entries_addr = 0x100000 + Array.length Guestlib.leaf_domain_words
 let leaves_addr = 0x200000
 let index_addr = 0x400000
 let rlog_addr = 0x600000

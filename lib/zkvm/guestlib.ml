@@ -26,7 +26,7 @@ let store_constant_words ~base ~off ~tmp ws =
     (Array.to_list
        (Array.mapi (fun i w -> block [ li tmp w; sw tmp base (off + i) ]) ws))
 
-let entry_stride = 3 + 8
+let entry_stride = Array.length leaf_domain_words + 8
 
 (* a0 = address, a1 = count: the words in blocks of up to eight, one
    block call per trace row. *)
@@ -120,7 +120,7 @@ let leaf_hashes_fn =
     [
       label "gl_leaf_hashes";
       mv s3 a1;
-      addi a1 a0 (-3);
+      addi a1 a0 (-Array.length tag);
       mv a3 a2;
       li a2 entry_stride;
       li s5 tag.(0);
