@@ -151,8 +151,8 @@ let step ~emit ~note ~pc instr (st : state) =
           else if dst.Interval.hi + 8 > Trace.ram_limit then note `Mem
         | Some ((Ecall.Read_block | Ecall.Commit_block) as c) ->
           let op, what =
-            if c = Ecall.Read_block then ("block read", "destination")
-            else ("block commit", "source")
+            if Ecall.writes_journal c then ("block commit", "source")
+            else ("block read", "destination")
           in
           read ~what:(Printf.sprintf " (%s %s)" op what) 11;
           read ~what:(Printf.sprintf " (%s count)" op) 12;
