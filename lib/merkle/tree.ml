@@ -126,16 +126,6 @@ let of_leaf_hashes ~node hs =
   Array.iteri (fun i d -> Bytes.blit (D.unsafe_to_bytes d) 0 t.buf (32 * i) 32) hs;
   build ~node t0 t
 
-let permute ~node src perm =
-  let t0 = Obs.Span.start () in
-  let t = alloc (Array.length perm) in
-  Array.iteri
-    (fun i j ->
-      if j < 0 || j >= src.size then invalid_arg "Tree.permute: index out of range";
-      Bytes.blit src.buf (32 * j) t.buf (32 * i) 32)
-    perm;
-  build ~node t0 t
-
 let read_slot t slot = D.of_bytes (Bytes.sub t.buf (32 * slot) 32)
 let root t = read_slot t t.level_off.(t.depth)
 let size t = t.size

@@ -40,13 +40,6 @@ val of_leaf_hashes : node:Proof.node -> Zkflow_hash.Digest32.t array -> t
 (** Builds the tree over already-hashed leaves (e.g. recomputed inside
     the zkVM guest). *)
 
-val permute : node:Proof.node -> t -> int array -> t
-(** [permute ~node t perm] is
-    [of_leaf_hashes ~node (Array.map (leaf t) perm)], copying leaf
-    slots from [t] rather than digests: the tree over a reordering of
-    [t]'s leaves costs only its interior nodes. Raises
-    [Invalid_argument] when an index is out of range. *)
-
 val root : t -> Zkflow_hash.Digest32.t
 (** The Merkle root; the root of the empty tree is
     [Digest32.zero]-independent but fixed. *)

@@ -33,9 +33,12 @@ val derive :
 
 (** {2 Opened index sets}
 
-    Which leaves of each trace-commitment tree the seal opens, derived
-    from the challenges alone (and, for the time log, the access spans
-    of the opened rows). The prover opens exactly these and the
+    Which rows and access-log entries the seal opens, derived from the
+    challenges alone (and, for the time log, the access spans of the
+    opened rows). The rows and jacc trees hold one row per leaf, so
+    their sets are leaf indices; the time, sorted and z trees hold
+    four entries per leaf, and {!Logleaf.leaf_set} maps their entry
+    sets to the leaves opened. The prover opens exactly these and the
     verifier requires exactly these, so the seal carries no indices.
     Every set is ascending and holds each index once. *)
 
@@ -44,14 +47,14 @@ type opened = {
       (** rows tree, and the jacc tree at the same indices: [0],
           [n_rows − 1], and [i], [i + 1] for each step [i] *)
   time : int array;
-      (** time-ordered log: [0], the accesses of each step row, and
-          [j + 1] for each time link [j] *)
+      (** time-ordered log entries: [0], the accesses of each step
+          row, and [j + 1] for each time link [j] *)
   sorted : int array;
-      (** address-sorted log: [0], [j] and [j + 1] for each sorted
-          pair [j], and [j + 1] for each sorted link [j] *)
+      (** address-sorted log entries: [0], [j] and [j + 1] for each
+          sorted pair [j], and [j + 1] for each sorted link [j] *)
   z : int array;
-      (** grand-product tree: [0], [n_mem − 1], and [j], [j + 1] for
-          each link [j] of either column *)
+      (** grand-product entries: [0], [n_mem − 1], and [j], [j + 1]
+          for each link [j] of either column *)
 }
 
 val rows_opened : n_rows:int -> challenges -> int array
@@ -65,6 +68,7 @@ val opened : n_rows:int -> n_mem:int -> spans:(int * int) array -> challenges ->
     the log before calling. *)
 
 val rank : int array -> int -> int
-(** [rank set i] is the position of [i] in the ascending [set], where
-    its leaf sits in the column. Raises [Not_found] when [i] is not in
-    [set]. *)
+(** [rank set i] is the position of [i] in the ascending [set]: where
+    its leaf sits in a rows or jacc column, and where an opened
+    entry's decoded values sit in the verifier's tables. Raises
+    [Not_found] when [i] is not in [set]. *)

@@ -139,15 +139,17 @@ let[@inline] mul_c1 z0 z1 t0 t1 = ((z0 * t1 mod p) + (z1 * t0)) mod p
 let link_holds ~z0 ~z1 ~t0 ~t1 ~next0 ~next1 =
   next0 = mul_c0 z0 z1 t0 t1 && next1 = mul_c1 z0 z1 t0 t1
 
+let z_bytes = 16
+
 (* Both grand products over the terms: the time product in log order,
-   the sorted one through [perm], each leaf written in the [encode_z]
+   the sorted one through [perm], each entry written in the [encode_z]
    layout at its own 16 bytes of one column. *)
 let z_leaves ~alpha ~beta entries perm =
   let n = Array.length entries in
   if Array.length perm <> n then
     invalid_arg "Memcheck.z_leaves: perm and log lengths differ";
   let t = terms ~alpha ~beta entries in
-  let col = Zkflow_util.Column.alloc n ~size:(fun _ -> 16) in
+  let col = Zkflow_util.Column.alloc n ~size:(fun _ -> z_bytes) in
   let b = col.data in
   let zt0 = ref 1 and zt1 = ref 0 and zs0 = ref 1 and zs1 = ref 0 in
   for j = 0 to n - 1 do
@@ -160,10 +162,10 @@ let z_leaves ~alpha ~beta entries perm =
     let z0 = !zs0 and z1 = !zs1 in
     zs0 := mul_c0 z0 z1 t0 t1;
     zs1 := mul_c1 z0 z1 t0 t1;
-    Bytes.set_int32_le b (16 * j) (Int32.of_int !zt0);
-    Bytes.set_int32_le b ((16 * j) + 4) (Int32.of_int !zt1);
-    Bytes.set_int32_le b ((16 * j) + 8) (Int32.of_int !zs0);
-    Bytes.set_int32_le b ((16 * j) + 12) (Int32.of_int !zs1)
+    Bytes.set_int32_le b (z_bytes * j) (Int32.of_int !zt0);
+    Bytes.set_int32_le b ((z_bytes * j) + 4) (Int32.of_int !zt1);
+    Bytes.set_int32_le b ((z_bytes * j) + 8) (Int32.of_int !zs0);
+    Bytes.set_int32_le b ((z_bytes * j) + 12) (Int32.of_int !zs1)
   done;
   col
 
@@ -171,23 +173,22 @@ let encode_z ~time ~sorted = Bytes.cat (Fp2.to_bytes time) (Fp2.to_bytes sorted)
 
 (* The four coordinates read in place, each refused unless canonical,
    as [Fp2.of_bytes] refuses it. *)
-let decode_z_into b dst r =
-  if Bytes.length b <> 16 then Error "z leaf: wrong length"
-  else begin
-    let canonical = ref true in
-    for c = 0 to 3 do
-      let v = Int32.to_int (Bytes.get_int32_le b (4 * c)) in
-      if v < 0 || v >= p then canonical := false;
-      dst.((4 * r) + c) <- v
-    done;
-    if !canonical then Ok () else Error "fp2: not canonical"
-  end
+let decode_z_at b off dst r =
+  let canonical = ref true in
+  for c = 0 to 3 do
+    let v = Int32.to_int (Bytes.get_int32_le b (off + (4 * c))) in
+    if v < 0 || v >= p then canonical := false;
+    dst.((4 * r) + c) <- v
+  done;
+  if !canonical then Ok () else Error "fp2: not canonical"
 
 let decode_z b =
   let c = Array.make 4 0 in
-  match decode_z_into b c 0 with
-  | Ok () -> Ok ({ Fp2.c0 = c.(0); c1 = c.(1) }, { Fp2.c0 = c.(2); c1 = c.(3) })
-  | Error e -> Error e
+  if Bytes.length b <> z_bytes then Error "z leaf: wrong length"
+  else
+    match decode_z_at b 0 c 0 with
+    | Ok () -> Ok ({ Fp2.c0 = c.(0); c1 = c.(1) }, { Fp2.c0 = c.(2); c1 = c.(3) })
+    | Error e -> Error e
 
 (* ---- the verifier's local rules ---- *)
 

@@ -4,7 +4,8 @@
     The prover commits to the log twice — in execution (time) order and
     sorted by (address, time) — plus a grand-product column per copy
     that accumulates ∏ (α − fingerprint(entry)) over the extension
-    field; the two columns share one tree, one leaf per position.
+    field; the two columns share one tree, one entry per position
+    ({!Logleaf} packs four per leaf).
     Equal final products certify (w.h.p. over the Fiat–Shamir α, β)
     that the two logs hold the same multiset; local adjacency
     rules on the sorted copy then give read-after-write consistency and
@@ -13,8 +14,8 @@
 val sort_perm : Zkflow_zkvm.Trace.mem_entry array -> (int array, string) result
 (** The permutation that sorts a time-ordered log by [Trace.mem_order],
     ties kept in log order: the sorted log is [entries.(perm.(j))], and
-    its leaves are the time-ordered leaves permuted, so the prover never
-    re-encodes or re-hashes them.
+    the prover gathers its encoded entries from the time-ordered ones
+    through [perm] instead of encoding them again.
 
     It is a stable radix sort on [addr] alone (11-bit digits, three
     passes for the register window), followed by one scan that requires
@@ -49,7 +50,7 @@ val link_holds : z0:int -> z1:int -> t0:int -> t1:int -> next0:int -> next1:int 
 (** [link_holds ~z0 ~z1 ~t0 ~t1 ~next0 ~next1] is whether one step of a
     grand product holds over unboxed coordinates: (next0, next1) =
     (z0, z1) · (t0, t1) in the extension field. Every coordinate must
-    be below p, as {!decode_z_into} and {!terms} leave them. *)
+    be below p, as {!decode_z_at} and {!terms} leave them. *)
 
 val z_leaves :
   alpha:Zkflow_field.Fp2.t ->
@@ -58,28 +59,33 @@ val z_leaves :
   int array ->
   Zkflow_util.Column.t
 (** [z_leaves ~alpha ~beta entries perm] is the grand-product column
-    pair as one column of 16-byte {!encode_z} leaves: leaf [j] holds
+    pair as one column of 16-byte {!encode_z} entries: entry [j] holds
     ∏_{i ≤ j} term(entries.(i)) and ∏_{i ≤ j} term(entries.(perm.(i))).
     Each entry's {!term} is computed once, on unboxed coordinates with
     β², β³, β⁴ hoisted; both products then run over those terms, the
     sorted one through [perm]. It equals the {!term} fold for every
     entry. Raises [Invalid_argument] when the lengths differ. *)
 
+val z_bytes : int
+(** [16]: the bytes of one {!encode_z} entry. *)
+
 val encode_z : time:Zkflow_field.Fp2.t -> sorted:Zkflow_field.Fp2.t -> bytes
-(** The 16-byte leaf of the shared grand-product tree: the time
+(** The 16-byte entry of the shared grand-product column: the time
     column's value then the sorted column's, each in the canonical
-    8-byte {!Zkflow_field.Fp2.to_bytes} form. *)
+    8-byte {!Zkflow_field.Fp2.to_bytes} form. A leaf of the z tree is
+    up to four of them ({!Logleaf}). *)
 
 val decode_z :
   bytes -> (Zkflow_field.Fp2.t * Zkflow_field.Fp2.t, string) result
-(** Inverse of {!encode_z}, as [(time, sorted)]. Rejects a leaf that
+(** Inverse of {!encode_z}, as [(time, sorted)]. Rejects an entry that
     is not 16 bytes or whose halves are not both canonical. *)
 
-val decode_z_into : bytes -> int array -> int -> (unit, string) result
-(** [decode_z_into b dst r] is {!decode_z} without the boxes: it writes
-    the time column's two coordinates and then the sorted column's to
-    [dst.(4r) .. dst.(4r + 3)], and refuses what {!decode_z} refuses,
-    with the same message. *)
+val decode_z_at : bytes -> int -> int array -> int -> (unit, string) result
+(** [decode_z_at b off dst r] is {!decode_z} of the 16 bytes at [off]
+    without the boxes: it writes the time column's two coordinates
+    and then the sorted column's to [dst.(4r) .. dst.(4r + 3)], and
+    refuses a non-canonical half as {!decode_z} does. The caller
+    bounds [off]. *)
 
 val check_time : n_rows:int -> Zkflow_zkvm.Trace.mem_entry -> (unit, string) result
 (** An opened entry's time must lie in [\[0, n_rows)]. With

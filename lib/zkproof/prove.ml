@@ -16,22 +16,20 @@ let open_column tree set leaves =
     helpers = (Zkflow_merkle.Multiproof.prove tree set).Zkflow_merkle.Multiproof.helpers;
   }
 
-(* The phase-1 commitments of one run: the rows, time-ordered log and
-   journal accumulator columns with their trees. The sorted log has no
-   column of its own: its leaf j is leaf [perm.(j)] of the time
-   column. *)
+(* The phase-1 commitments of one run: the rows, time-ordered log,
+   address-sorted log and journal accumulator columns with their
+   trees, the two logs packed into leaves by [Logleaf]. *)
 type commitments = {
   rows_col : Column.t;
   rows_tree : Tree.t;
   time_col : Column.t;
   time_tree : Tree.t;
   perm : int array;
+  sorted_col : Column.t;
   sorted_tree : Tree.t;
   jacc_col : Column.t;
   jacc_tree : Tree.t;
 }
-
-let m_leaf_reused = Obs.Metric.counter "zkproof.leaf_hashes_reused"
 
 let node = Receipt.node
 
@@ -62,15 +60,14 @@ let commit program rows memlog =
   in
   let t_encode = Obs.Span.start () in
   let rows_col = Trace.encode_rows rows in
-  let time_col = Trace.encode_memlog memlog in
+  let entries = Trace.encode_memlog memlog in
+  (* The sorted log's leaves hold the time-ordered log's encoded
+     entries in [perm] order: no second encode. *)
+  let time_col = Logleaf.pack entries and sorted_col = Logleaf.gather entries perm in
   if t_encode <> 0 then Obs.Span.finish "zkproof.encode" t_encode;
   let rows_tree = Tree.of_leaves ~node rows_col in
   let time_tree = Tree.of_leaves ~node time_col in
-  (* The sorted log is a permutation of the time-ordered one, so its
-     leaf digests are the permuted time-ordered ones — no second
-     encode or hash pass over the access log. *)
-  let sorted_tree = Tree.permute ~node time_tree perm in
-  Obs.Metric.add m_leaf_reused (Array.length perm);
+  let sorted_tree = Tree.of_leaves ~node sorted_col in
   let t_jacc = Obs.Span.start () in
   let jacc_col = jacc_column ~program rows in
   if t_jacc <> 0 then Obs.Span.finish "zkproof.jacc" t_jacc;
@@ -82,6 +79,7 @@ let commit program rows memlog =
       time_col;
       time_tree;
       perm;
+      sorted_col;
       sorted_tree;
       jacc_col;
       jacc_tree;
@@ -108,19 +106,21 @@ let prove_result ?(params = Params.default) program (run : Machine.result) =
     let t_prove = Obs.Span.start () in
     (* Phase 1 commitments. *)
     let t_commit = Obs.Span.start () in
-    let* { rows_col; rows_tree; time_col; time_tree; perm; sorted_tree; jacc_col; jacc_tree } =
+    let* { rows_col; rows_tree; time_col; time_tree; perm; sorted_col; sorted_tree; jacc_col;
+           jacc_tree } =
       commit program rows memlog
     in
     if t_commit <> 0 then
       Obs.Span.finish "zkproof.trace_commit" ~args:[ ("rows", n_rows); ("mem", n_mem) ] t_commit;
     (* Phase 2 (inside the transcript callback so ordering is right):
-       both grand-product columns in one tree, leaf j holding both
-       values at j. Its span, [zkproof.memcheck_commit], nests inside
-       [zkproof.fs], so a trace tells it from Fiat–Shamir proper. *)
+       both grand-product columns in one tree, entry j holding both
+       values at j, packed into leaves as the logs are. Its span,
+       [zkproof.memcheck_commit], nests inside [zkproof.fs], so a trace
+       tells it from Fiat–Shamir proper. *)
     let z_commit = ref None in
     let commit_z ~alpha ~beta =
       let t_memcheck = Obs.Span.start () in
-      let col = Memcheck.z_leaves ~alpha ~beta memlog perm in
+      let col = Logleaf.pack (Memcheck.z_leaves ~alpha ~beta memlog perm) in
       let tree = Tree.of_leaves ~node col in
       z_commit := Some (tree, col);
       if t_memcheck <> 0 then Obs.Span.finish "zkproof.memcheck_commit" t_memcheck;
@@ -146,14 +146,12 @@ let prove_result ?(params = Params.default) program (run : Machine.result) =
     in
     let opened = Fs.opened ~n_rows ~n_mem ~spans challenges in
     let column tree col set = open_column tree set (Column.pick col set) in
+    let log tree col entries = column tree col (Logleaf.leaf_set entries) in
     let rows_opened = column rows_tree rows_col opened.Fs.rows in
     let jacc = column jacc_tree jacc_col opened.Fs.rows in
-    let time = column time_tree time_col opened.Fs.time in
-    let sorted =
-      open_column sorted_tree opened.Fs.sorted
-        (Column.pick time_col (Array.map (Array.get perm) opened.Fs.sorted))
-    in
-    let z = column z_tree z_col opened.Fs.z in
+    let time = log time_tree time_col opened.Fs.time in
+    let sorted = log sorted_tree sorted_col opened.Fs.sorted in
+    let z = log z_tree z_col opened.Fs.z in
     if t_open <> 0 then Obs.Span.finish "zkproof.openings" t_open;
     if t_prove <> 0 then
       Obs.Span.finish "zkproof.prove" ~args:[ ("rows", n_rows) ] t_prove;

@@ -1,10 +1,10 @@
 (** Receipt generation: execute a guest and argue its trace.
 
     [prove] runs the program with tracing on, Merkle-commits the trace
-    rows, the time-ordered and address-sorted access logs and the
-    journal accumulator, derives the memory-check challenges and the
-    spot-check positions by Fiat–Shamir, and assembles the openings
-    into a {!Receipt.t}.
+    rows, the time-ordered and address-sorted access logs (four
+    entries per leaf, {!Logleaf}) and the journal accumulator, derives
+    the memory-check challenges and the spot-check positions by
+    Fiat–Shamir, and assembles the openings into a {!Receipt.t}.
 
     Proving cost is O(cycles · log cycles) hashing — the analogue of
     the zkVM proving cost the paper measures in Figure 4. *)
@@ -34,7 +34,6 @@ val prove_result :
     logs them (see {!Memcheck.sort_perm}). A log that breaks this is
     refused with an [Error] naming the pair, before any hashing.
 
-    The sorted log's tree permutes the time-ordered log's leaf
-    digests instead of hashing its leaves again; the counter
-    [zkproof.leaf_hashes_reused] records those leaves. *)
+    The sorted log's leaves are gathered from the time-ordered log's
+    encoded entries in sorted order, so the log is encoded once. *)
 

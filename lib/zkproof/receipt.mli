@@ -52,12 +52,13 @@ type seal = {
   root_sorted : Zkflow_hash.Digest32.t;
   root_jacc : Zkflow_hash.Digest32.t;
   root_z : Zkflow_hash.Digest32.t;
-      (** the shared grand-product tree: leaf j is
-          [z_time.(j) ‖ z_sorted.(j)] ({!Memcheck.encode_z}) *)
+      (** the shared grand-product tree: entry j is
+          [z_time.(j) ‖ z_sorted.(j)] ({!Memcheck.encode_z}), four
+          entries per leaf ({!Logleaf}) *)
   rows : column;    (** trace rows, under [root_rows] *)
   jacc : column;    (** journal accumulator, under [root_jacc], at the rows' indices *)
-  time : column;    (** time-ordered access log, under [root_time] *)
-  sorted : column;  (** address-sorted access log, under [root_sorted] *)
+  time : column;    (** time-ordered access log, under [root_time], four entries per leaf *)
+  sorted : column;  (** address-sorted access log, under [root_sorted], four entries per leaf *)
   z : column;       (** grand products, under [root_z] *)
 }
 
@@ -68,13 +69,14 @@ val columns : seal -> (string * column) list
 type t = { claim : claim; seal : seal }
 
 val seal_tag : string
-(** ["zkflow.seal.v4"]: the seal version every encoding starts with. *)
+(** ["zkflow.seal.v5"]: the seal version every encoding starts with. *)
 
 val max_leaves : queries:int -> int
 (** [32 · queries + 2]: the most leaves one column may open. The
     widest column is the time log: entry 0, one link entry per query,
     and the accesses of each opened step row, at most 24 (a last SHA
-    block's 16 reads and 8 writes). *)
+    block's 16 reads and 8 writes). A packed column opens at most one
+    leaf per entry, so the bound holds for its leaves. *)
 
 val encode : t -> bytes
 (** The seal tag, then the claim, then the seal. *)

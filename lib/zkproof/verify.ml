@@ -13,15 +13,20 @@ let require cond fmt =
   if cond then Format.ikfprintf (fun _ -> Ok ()) Format.str_formatter fmt
   else fail fmt
 
-(* One column of the seal, with the index set the challenges open in
-   it and that set's multiproof shape. The opened leaf at index [i]
-   sits at rank [Fs.rank c.set i] of the column; every index the checks
-   below ask for is in the set. *)
+(* One column of the seal, with the leaf set the challenges open in it,
+   that set's multiproof shape, and the index set the checks below ask
+   for: the rows' indices in the rows and jacc columns, which open one
+   leaf per index, and the access-log entries in the time, sorted and z
+   columns, which open the leaves that hold them ([Logleaf]). An
+   opened index [i] sits at rank [Fs.rank c.entries i]: of the
+   column's leaves for rows and jacc, of its decoded entries for the
+   logs. *)
 type column = {
   name : string;
   root : D.t;
   set : int array;
   shape : Multiproof.shape;
+  entries : int array;
   col : Receipt.column;
 }
 
@@ -33,9 +38,9 @@ let shape ~name n set =
   | Ok shape -> Ok shape
   | Error e -> fail "%s: %s" name e
 
-let column name root shape set col = { name; root; set; shape; col }
+let column name root shape ~entries set col = { name; root; set; shape; entries; col }
 
-let rank c i = Fs.rank c.set i
+let rank c i = Fs.rank c.entries i
 
 (* The leaf and helper counts the index set implies, checked before
    any leaf or node is hashed. *)
@@ -70,26 +75,23 @@ let opened_row ~what rows r =
   match Trace.row rows r with Ok _ as ok -> ok | Error e -> fail "%s: bad row leaf: %s" what e
 
 (* The opened entries of an access log, four ints per rank as
-   [Trace.decode_mem_into] lays them out, each with every fingerprint
-   coordinate below p: [Trace.decode_mem_into] bounds the address and
+   [Logleaf.unpack_mem] lays them out, each with every fingerprint
+   coordinate below p: [Trace.read_mem_into] bounds the address and
    value, [check_time] the time. [refusal] holds, for an entry that
-   fails either, the text after the check's name, and "" for the
-   rest. *)
+   fails either or whose leaf does not unpack, the text after the
+   check's name, and "" for the rest. *)
 type log = { ints : int array; refusal : string array; terms : int array }
 
-let decode_log ~n_rows ~alpha ~beta c =
-  let leaves = c.col.Receipt.leaves in
-  let ints = Array.make (4 * Array.length leaves) 0
-  and refusal = Array.make (Array.length leaves) "" in
+let decode_log ~n_rows ~n_mem ~alpha ~beta c =
+  let ints, refusal = Logleaf.unpack_mem ~n:n_mem c.entries c.col.Receipt.leaves in
   Array.iteri
-    (fun r leaf ->
-      match Trace.decode_mem_into leaf ints r with
-      | Error msg -> refusal.(r) <- "bad mem leaf: " ^ msg
-      | Ok () ->
+    (fun r msg ->
+      if String.length msg > 0 then refusal.(r) <- "bad mem leaf: " ^ msg
+      else
         Result.iter_error
           (fun msg -> refusal.(r) <- msg)
           (Memcheck.check_time ~n_rows (Trace.mem_at ints r)))
-    leaves;
+    refusal;
   { ints; refusal; terms = Memcheck.terms_of_ints ~alpha ~beta ints }
 
 let accepted refusal = String.length refusal = 0
@@ -100,20 +102,12 @@ let entry_ok ~what log r =
 let mem ~what log r =
   match entry_ok ~what log r with Ok () -> Ok (Trace.mem_at log.ints r) | Error _ as e -> e
 
-(* The z leaves' coordinates, four per rank (time c0, c1, sorted c0,
-   c1), and each leaf's refusal, "" for none. *)
+(* The z entries' coordinates, four per rank (time c0, c1, sorted c0,
+   c1), and each entry's refusal, "" for none. *)
 type zs = { coords : int array; bad : string array }
 
-let decode_z c =
-  let leaves = c.col.Receipt.leaves in
-  let coords = Array.make (4 * Array.length leaves) 0
-  and bad = Array.make (Array.length leaves) "" in
-  Array.iteri
-    (fun r leaf ->
-      match Memcheck.decode_z_into leaf coords r with
-      | Ok () -> ()
-      | Error msg -> bad.(r) <- msg)
-    leaves;
+let decode_z ~n_mem c =
+  let coords, bad = Logleaf.unpack_z ~n:n_mem c.entries c.col.Receipt.leaves in
   { coords; bad }
 
 let z_ok ~what zs r =
@@ -205,7 +199,7 @@ let check_sorted ~sorted ~sorted_log j =
   Memcheck.check_adjacent e1 e2
 
 (* A grand-product link of one column: [half] is 0 for the time
-   column's coordinates in a z leaf and 2 for the sorted column's, and
+   column's coordinates in a z entry and 2 for the sorted column's, and
    [log] is that column's access log with its terms. *)
 let check_z ~z ~zs ~half ~log ~entries j =
   let coords = zs.coords in
@@ -315,16 +309,22 @@ let verify ~program (t : Receipt.t) =
   let rows_set = Fs.rows_opened ~n_rows challenges in
   (* The jacc column opens the rows' indices, under the same shape. *)
   let* rows_shape = shape ~name:"rows" n_rows rows_set in
-  let rows = column "rows" seal.Receipt.root_rows rows_shape rows_set seal.Receipt.rows
-  and jacc = column "jacc" seal.Receipt.root_jacc rows_shape rows_set seal.Receipt.jacc in
+  let rows =
+    column "rows" seal.Receipt.root_rows rows_shape ~entries:rows_set rows_set seal.Receipt.rows
+  and jacc =
+    column "jacc" seal.Receipt.root_jacc rows_shape ~entries:rows_set rows_set seal.Receipt.jacc
+  in
   let* () = check_counts rows in
   let* () = check_counts jacc in
   let decoded = Trace.decode_rows rows.col.Receipt.leaves in
   let* spans = step_spans ~n_mem ~queries rows decoded step_idx in
   let opened = Fs.opened ~n_rows ~n_mem ~spans challenges in
-  let log name root set col =
-    let* s = shape ~name n_mem set in
-    Ok (column name root s set col)
+  (* The access-log columns open the leaves holding the entries the
+     challenges name. *)
+  let log name root entries col =
+    let set = Logleaf.leaf_set entries in
+    let* s = shape ~name (Logleaf.count n_mem) set in
+    Ok (column name root s ~entries set col)
   in
   let* time = log "time" seal.Receipt.root_time opened.Fs.time seal.Receipt.time in
   let* sorted = log "sorted" seal.Receipt.root_sorted opened.Fs.sorted seal.Receipt.sorted in
@@ -337,9 +337,9 @@ let verify ~program (t : Receipt.t) =
   let widest = List.fold_left (fun k c -> Int.max k (Array.length c.set)) 0 columns in
   let ctx = Sha256.init () and work = Bytes.create (32 * 3 * widest) in
   let* () = all (List.map (fun c () -> authenticate ctx work c) columns) in
-  let time_log = decode_log ~n_rows ~alpha ~beta time
-  and sorted_log = decode_log ~n_rows ~alpha ~beta sorted
-  and zs = decode_z z in
+  let time_log = decode_log ~n_rows ~n_mem ~alpha ~beta time
+  and sorted_log = decode_log ~n_rows ~n_mem ~alpha ~beta sorted
+  and zs = decode_z ~n_mem z in
   let* () = each step_idx 0 (check_step ~program ~rows ~decoded ~jacc ~time ~time_log) in
   let* () = each sorted_idx 0 (check_sorted ~sorted ~sorted_log) in
   let* () =

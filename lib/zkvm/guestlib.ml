@@ -72,45 +72,14 @@ let read_entries_fn =
       ret;
     ]
 
+(* Straight-line: the first word pair's xor seeds the accumulator t2,
+   each later pair's xor is or-ed into it, and a0 = (t2 < 1). *)
 let cmp8_fn =
-  block
-    [
-      label "gl_cmp8";
-      li t3 8;
-      mv t4 a0;
-      mv t5 a1;
-      label "gl_cmp8.loop";
-      beq t3 zero "gl_cmp8.eq";
-      lw t0 t4 0;
-      lw t1 t5 0;
-      bne t0 t1 "gl_cmp8.ne";
-      addi t4 t4 1;
-      addi t5 t5 1;
-      addi t3 t3 (-1);
-      j "gl_cmp8.loop";
-      label "gl_cmp8.ne";
-      li a0 0;
-      ret;
-      label "gl_cmp8.eq";
-      li a0 1;
-      ret;
-    ]
-
-let copy_words_fn =
-  block
-    [
-      label "gl_copy_words";
-      label "gl_copy_words.loop";
-      beq a2 zero "gl_copy_words.done";
-      lw t0 a1 0;
-      sw t0 a0 0;
-      addi a0 a0 1;
-      addi a1 a1 1;
-      addi a2 a2 (-1);
-      j "gl_copy_words.loop";
-      label "gl_copy_words.done";
-      ret;
-    ]
+  let word i =
+    let lw2 = [ lw t0 a0 i; lw t1 a1 i ] in
+    if i = 0 then lw2 @ [ xor t2 t0 t1 ] else lw2 @ [ xor t0 t0 t1; or_ t2 t2 t0 ]
+  in
+  block ((label "gl_cmp8" :: List.concat (List.init 8 word)) @ [ sltiu a0 t2 1; ret ])
 
 (* Each entry is hashed where it lies: its tag is written into the
    three words before it, and one SHA ecall reads the eleven. *)
@@ -195,7 +164,6 @@ let all_fns =
       read_words_fn;
       read_entries_fn;
       cmp8_fn;
-      copy_words_fn;
       leaf_hashes_fn;
       merkle_root_fn;
       commit_words_fn;

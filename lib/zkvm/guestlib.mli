@@ -49,10 +49,8 @@ val read_entries_fn : Asm.item
 
 val cmp8_fn : Asm.item
 (** ["gl_cmp8"]: a0, a1 = addresses of 8-word digests; returns a0 = 1
-    when equal, 0 otherwise. *)
-
-val copy_words_fn : Asm.item
-(** ["gl_copy_words"]: a0 = dst, a1 = src, a2 = count. *)
+    when equal, 0 otherwise. Straight-line: 33 rows per call, the
+    [ret] included, whatever the digests hold. *)
 
 val leaf_hashes_fn : Asm.item
 (** ["gl_leaf_hashes"]: a0 = address of entry 0 (8-word entries,

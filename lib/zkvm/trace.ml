@@ -206,34 +206,35 @@ let row t r =
 
 let decode_row b = row (decode_rows [| b |]) 0
 
-let decode_mem_into b dst r =
-  match
-    let pos = ref 0 in
-    let addr = Varint.get b pos in
-    let time = Varint.get b pos in
-    let w = Varint.get b pos in
-    let value = Varint.get b pos in
-    if !pos <> Bytes.length b then failwith "mem entry: trailing bytes";
-    if w <> 0 && w <> 1 then failwith "mem entry: bad write flag";
-    if value < 0 || value > 0xffffffff then
-      failwith "mem entry: value out of 32-bit range";
-    if not ((0 <= addr && addr < ram_limit) || (reg_base <= addr && addr < reg_base + 32))
-    then failwith "mem entry: address outside RAM and the register file";
+(* The domain of the entries a machine can log, checked after the four
+   varints are read. *)
+let read_mem_into b pos dst r =
+  let addr = Varint.get b pos in
+  let time = Varint.get b pos in
+  let w = Varint.get b pos in
+  let value = Varint.get b pos in
+  if w <> 0 && w <> 1 then Error "mem entry: bad write flag"
+  else if value < 0 || value > 0xffffffff then Error "mem entry: value out of 32-bit range"
+  else if not ((0 <= addr && addr < ram_limit) || (reg_base <= addr && addr < reg_base + 32))
+  then Error "mem entry: address outside RAM and the register file"
+  else begin
     dst.(4 * r) <- addr;
     dst.((4 * r) + 1) <- time;
     dst.((4 * r) + 2) <- w;
-    dst.((4 * r) + 3) <- value
-  with
-  | () -> Ok ()
-  | exception Failure msg -> Error msg
-  | exception Invalid_argument msg -> Error msg
+    dst.((4 * r) + 3) <- value;
+    Ok ()
+  end
 
 let mem_at a r =
   { addr = a.(4 * r); time = a.((4 * r) + 1); write = a.((4 * r) + 2) = 1; value = a.((4 * r) + 3) }
 
 let decode_mem b =
-  let a = Array.make 4 0 in
-  match decode_mem_into b a 0 with Ok () -> Ok (mem_at a 0) | Error e -> Error e
+  let a = Array.make 4 0 and pos = ref 0 in
+  match read_mem_into b pos a 0 with
+  | _ when !pos <> Bytes.length b -> Error "mem entry: trailing bytes"
+  | Ok () -> Ok (mem_at a 0)
+  | Error _ as e -> e
+  | exception Invalid_argument msg -> Error msg
 
 let mem_order a b =
   match Int.compare a.addr b.addr with

@@ -99,14 +99,16 @@ val decode_mem : bytes -> (mem_entry, string) result
     fingerprint reads is then below the field modulus, except [time],
     which the verifier bounds by the trace length. *)
 
-val decode_mem_into : bytes -> int array -> int -> (unit, string) result
-(** [decode_mem_into b dst r] is {!decode_mem} without the record: it
-    writes the entry's address, time, write flag (0 or 1) and value to
-    [dst.(4r) .. dst.(4r + 3)], and refuses what {!decode_mem} refuses,
-    with the same message, before writing anything. *)
+val read_mem_into : bytes -> int ref -> int array -> int -> (unit, string) result
+(** [read_mem_into b pos dst r] reads the entry whose four varints
+    start at [!pos], moves [pos] past them, and writes its address,
+    time, write flag (0 or 1) and value to [dst.(4r) .. dst.(4r + 3)].
+    It refuses, writing nothing, what {!decode_mem} refuses of the
+    entry's fields, with the same message, and raises
+    [Invalid_argument] on a truncated or overflowing varint. *)
 
 val mem_at : int array -> int -> mem_entry
-(** [mem_at dst r] is the entry {!decode_mem_into} wrote at [r]. *)
+(** [mem_at dst r] is the entry {!read_mem_into} wrote at [r]. *)
 
 val mem_order : mem_entry -> mem_entry -> int
 (** Order by (addr, time, write): the sort used by the offline memory

@@ -238,9 +238,9 @@ let test_builtin_guests_clean () =
   (match agg.Finding.cycle_bound with
    | Finding.Unbounded (_ :: _) -> ()
    | _ -> Alcotest.fail "aggregation guest should report unbounded loops");
-  (* the unused gl_copy_words runtime helper is dead code: warned, not
-     gated *)
-  check_bool "dead helper warned" true (has ~severity:`Warning agg "unreachable")
+  (* every routine the guest splices in is called: no dead code *)
+  check_bool "no unreachable code" false (has ~severity:`Warning agg "unreachable");
+  check_bool "query: no unreachable code" false (has ~severity:`Warning q "unreachable")
 
 let test_report_json () =
   let r = analyze (Isa.Alu (ADD, 5, 6, 0) :: halt_seq) in

@@ -506,7 +506,8 @@ let test_verify_refuses_old_seal () =
   in
   let tag = 1 + String.length Zkflow_zkproof.Receipt.seal_tag in
   let untagged receipt = Bytes.sub receipt tag (Bytes.length receipt - tag) in
-  (* an earlier seal version's tag: v3 one version back, v2 two *)
+  (* an earlier seal version's tag: v4 one version back, v3 two, v2
+     three *)
   let version v receipt =
     let b = Bytes.copy receipt in
     Bytes.set b (tag - 1) v;
@@ -526,7 +527,12 @@ let test_verify_refuses_old_seal () =
       check_bool (what ^ ": nonzero exit: " ^ out) true (code <> 0);
       check_bool (what ^ ": names the version: " ^ out) true
         (contains ~needle:"receipt: unsupported seal version" out))
-    [ ("untagged", untagged); ("seal v2 tag", version '2'); ("seal v3 tag", version '3') ]
+    [
+      ("untagged", untagged);
+      ("seal v2 tag", version '2');
+      ("seal v3 tag", version '3');
+      ("seal v4 tag", version '4');
+    ]
 
 (* A healed delay: the late export's gap opened and healed, so
    coverage fires while nothing stays open. *)

@@ -409,8 +409,9 @@ let test_bitflip_first_row_drops_everything () =
 
 (* Journals an older build wrote, every row with a valid checksum:
    one whose receipts predate the seal tag (that layout began with the
-   image id), so only the receipt decode refuses them, and one in the
-   v2 row layout, which carried the round's Merkle node snapshot after
+   image id) and one whose receipts carry the seal v4 tag (one entry
+   per access-log leaf), so only the receipt decode refuses them, and
+   one in the v2 row layout, which carried the round's Merkle node snapshot after
    the gap journal and is refused at its magic. [restore] refuses
    either journal and names why; [resume] drops every row and
    re-proves, and the re-proved rounds land on the same root because
@@ -452,11 +453,11 @@ let test_old_seal_rows_reproved () =
   in
   let tag = 1 + String.length Zkflow_zkproof.Receipt.seal_tag in
   let untag = with_receipt (fun r -> Bytes.sub r tag (Bytes.length r - tag)) in
-  (* the seal v3 tag, one version back *)
-  let as_v3 =
+  (* the seal v4 tag, one version back *)
+  let as_v4 =
     with_receipt (fun r ->
         let b = Bytes.copy r in
-        Bytes.set b (tag - 1) '3';
+        Bytes.set b (tag - 1) '4';
         b)
   in
   (* The v2 row: its magic, the same fields, then the node snapshot
@@ -508,7 +509,7 @@ let test_old_seal_rows_reproved () =
           recover_and_check ~db ~board ~path ~expected_root:root ~expected_restored:0))
     [
       (73, "unsupported seal version", untag);
-      (75, "unsupported seal version", as_v3);
+      (75, "unsupported seal version", as_v4);
       (74, "zkflow.ckpt.v2", as_v2);
     ]
 

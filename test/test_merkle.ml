@@ -61,10 +61,9 @@ let test_tree_two_leaf_root_is_combine () =
     (Tree.root (of_leaves ~node:digest64 l))
 
 (* [of_leaves] hashes leaves straight into its level buffer; it must
-   agree with building over the digests, with permuting a tree's
-   slots, and with climbing a path, for every padding shape and under
-   both node rules. Repeated leaves exercise the equal-neighbour
-   copies. *)
+   agree with building over the digests and with climbing a path, for
+   every padding shape and under both node rules. Repeated leaves
+   exercise the equal-neighbour copies. *)
 let test_tree_of_leaves_agrees () =
   List.iter
     (fun (rule, node) ->
@@ -72,14 +71,10 @@ let test_tree_of_leaves_agrees () =
         let data = Array.init n (fun i -> (leaves 17).(i / 3)) in
         let hs = Array.map Tree.leaf_hash data in
         let t = of_leaves ~node data in
-        let rev = Array.init n (fun i -> n - 1 - i) in
         let tag s = Printf.sprintf "%s n=%d %s" rule n s in
         Alcotest.check digest (tag "of_leaf_hashes")
           (Tree.root (Tree.of_leaf_hashes ~node hs))
           (Tree.root t);
-        Alcotest.check digest (tag "permute")
-          (Tree.root (Tree.of_leaf_hashes ~node (Array.map (fun i -> hs.(i)) rev)))
-          (Tree.root (Tree.permute ~node t rev));
         for i = 0 to n - 1 do
           Alcotest.check digest (tag "leaf") hs.(i) (Tree.leaf t i);
           Alcotest.check digest (tag "compute_root") (Tree.root t)
@@ -93,11 +88,7 @@ let test_tree_of_leaves_agrees () =
     List.map (fun (_, node) -> Tree.root (of_leaves ~node (leaves 5))) rules
   in
   check_bool "rules give different roots" false
-    (D.equal (List.hd roots) (List.nth roots 1));
-  Alcotest.check_raises "permute out of range"
-    (Invalid_argument "Tree.permute: index out of range") (fun () ->
-      ignore
-        (Tree.permute ~node:digest64 (of_leaves ~node:digest64 (leaves 3)) [| 0; 3 |]))
+    (D.equal (List.hd roots) (List.nth roots 1))
 
 let test_tree_leaf_accessor () =
   let t = of_leaves ~node:digest64 (leaves 3) in
@@ -298,8 +289,8 @@ let prop_multiproof_both_rules =
 (* ---- golden vectors ----
 
    Literal roots fixed before the node hash was rewritten. Every node
-   path (build over leaves, over digests and by permutation, the
-   inclusion-proof and multiproof walks) must reproduce them, so a
+   path (build over leaves and over digests, the inclusion-proof and
+   multiproof walks) must reproduce them, so a
    change to the node rule cannot pass by changing [Tree] and
    [Digest32.combine] the same way. The leaves are short, so the
    padding leaf and its subtrees, which the equal-neighbour rule
@@ -319,7 +310,6 @@ let test_golden_roots () =
       in
       check "Tree.of_leaves" (Tree.root tree);
       check "of_leaf_hashes" (Tree.root (Tree.of_leaf_hashes ~node:digest64 hs));
-      check "permute" (Tree.root (Tree.permute ~node:digest64 tree (Array.init n Fun.id)));
       check "Proof.compute_root"
         (Proof.compute_root ~node:digest64 (Tree.prove tree (n - 1)) hs.(n - 1));
       check "Multiproof.compute_root"

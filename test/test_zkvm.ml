@@ -277,6 +277,46 @@ let test_merkle_root_matches_host n () =
     (Zkflow_hash.Digest32.to_hex expected)
     (Zkflow_util.Hexcodec.encode got)
 
+(* ---- Guestlib: cmp8 ----
+
+   Two digests read from the input, compared by [gl_cmp8]: equal, and
+   differing in the first word or the last (one bit, or the top bit).
+   The routine is straight-line, so every call is the same 33 rows and
+   97 access-log entries, counted as the rows whose pc lies inside it
+   (it is spliced last). *)
+
+let cmp8_body =
+  [
+    li a0 100; li a1 16; call "gl_read_words";
+    li a0 100; li a1 108; call "gl_cmp8";
+    commit a0; halt 0;
+    Guestlib.read_words_fn;
+  ]
+
+let test_cmp8 () =
+  let guest = cmp8_body @ [ Guestlib.cmp8_fn ] in
+  let start = Program.length (assemble guest) - Program.length (assemble [ Guestlib.cmp8_fn ]) in
+  let digest = Array.init 8 (fun i -> 0x1000 * (i + 1)) in
+  let compare what other expected =
+    let r = run ~trace:true ~input:(Array.append digest other) guest in
+    check_int (what ^ ": a0") expected r.Machine.journal.(0);
+    let inside =
+      List.filter (fun (row : Trace.row) -> row.Trace.pc >= start) (Array.to_list r.Machine.rows)
+    in
+    check_int (what ^ ": rows") 33 (List.length inside);
+    check_int (what ^ ": log entries") 97
+      (List.fold_left (fun n (row : Trace.row) -> n + row.Trace.mem_count) 0 inside)
+  in
+  let differ i v =
+    let d = Array.copy digest in
+    d.(i) <- v;
+    d
+  in
+  compare "equal" digest 1;
+  compare "first word, one bit" (differ 0 (digest.(0) lxor 1)) 0;
+  compare "last word, one bit" (differ 7 (digest.(7) lxor 1)) 0;
+  compare "last word, top bit" (differ 7 (digest.(7) lor 0x80000000)) 0
+
 (* ---- Trace invariants ---- *)
 
 let traced_result () =
@@ -739,6 +779,7 @@ let () =
           Alcotest.test_case "merkle root n=7" `Quick (test_merkle_root_matches_host 7);
           Alcotest.test_case "merkle root n=8" `Quick (test_merkle_root_matches_host 8);
           Alcotest.test_case "merkle root n=13" `Quick (test_merkle_root_matches_host 13);
+          Alcotest.test_case "cmp8" `Quick test_cmp8;
         ] );
       ( "trace",
         [
