@@ -555,8 +555,6 @@ let parse_error_report path e =
     instrs = 0;
     blocks = 0;
     findings = [ Analysis.Finding.error ~pass:"parse" "%s" e ];
-    cycle_bound = Analysis.Finding.Unbounded [];
-    func_bounds = [];
     proven_safe = false;
   }
 
@@ -1157,8 +1155,7 @@ let audit_cmd =
     (Cmd.info "audit"
        ~doc:"Full static audit: the lint/value analysis plus taint tracking \
              of untrusted telemetry inputs (sources: input ecalls; sinks: \
-             journal commits and memory addresses) and proven per-function \
-             cycle bounds.")
+             journal commits and memory addresses).")
     Term.(const run $ json $ sarif $ baseline $ update_baseline $ builtins
           $ files)
 
@@ -1370,18 +1367,10 @@ let report_cmd =
   in
   let json =
     Arg.(value & flag & info [ "json" ]
-           ~doc:"Machine-readable report (the artifact and its frontier keys).")
+           ~doc:"Machine-readable report (the artifact and its frontier keys) \
+                 instead of the Markdown one REPORT.md is built from.")
   in
-  let markdown =
-    Arg.(value & flag & info [ "markdown" ]
-           ~doc:"Markdown report (the default; what REPORT.md is built from).")
-  in
-  let run file json markdown =
-    handle
-      (if json && markdown then
-         Error "report: --json and --markdown are mutually exclusive"
-       else report file json)
-  in
+  let run file json = handle (report file json) in
   Cmd.v
     (Cmd.info "report"
        ~doc:"Render a proof-backend benchmark matrix artifact into a \
@@ -1389,7 +1378,7 @@ let report_cmd =
              proof bytes and soundness bits across backend × queries × \
              scale, with the Pareto frontier (cells not dominated on time × \
              bytes × soundness).")
-    Term.(const run $ file $ json $ markdown)
+    Term.(const run $ file $ json)
 
 let () =
   let info =

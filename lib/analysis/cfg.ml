@@ -13,7 +13,6 @@ type t = {
   block_of_pc : int array;
   reachable : bool array;
   entries : int list;
-  calls : (int * int) list;
   escapes : (int * int) list;
 }
 
@@ -25,10 +24,6 @@ type t = {
 let is_terminal_halt program pc =
   match program.(pc) with
   | Isa.Ecall -> pc > 0 && program.(pc - 1) = Isa.Lui (10, 0)
-  | _ -> false
-
-let is_call = function
-  | Isa.Jal (rd, _) | Isa.Jalr (rd, _, _) -> rd <> 0
   | _ -> false
 
 (* Function-local successors. ZR0 code only materialises code addresses
@@ -122,14 +117,12 @@ let build program =
      entry analysed from its own entry block. *)
   let reachable = Array.make nb false in
   let entries = ref [ 0 ] in
-  let calls = ref [] in
   let rec dfs id =
     if not reachable.(id) then begin
       reachable.(id) <- true;
       let last = blocks.(id).last in
       (match program.(last) with
        | Isa.Jal (rd, tgt) when rd <> 0 && tgt >= 0 && tgt < n ->
-         calls := (last, tgt) :: !calls;
          if not (List.mem tgt !entries) then entries := tgt :: !entries;
          dfs block_of_pc.(tgt)
        | _ -> ());
@@ -143,20 +136,14 @@ let build program =
     block_of_pc;
     reachable;
     entries = List.rev !entries;
-    calls = List.rev !calls;
     escapes = List.rev !escapes;
   }
-
-let succs_of_pc t pc =
-  List.filter
-    (fun s -> s >= 0 && s < Array.length t.program)
-    (raw_succs t.program pc)
 
 let reachable_pc t pc = t.reachable.(t.block_of_pc.(pc))
 
 (* Back edges over the local (intra-function) graph, searched from
-   every live entry. Dominance is not needed for the conservative loop
-   report: any reachable cycle makes the bound infinite. *)
+   every live entry: the solver's widening points. Dominance is not
+   needed; widening at any DFS back-edge target cuts every cycle. *)
 let back_edge_headers t =
   let nb = Array.length t.blocks in
   let color = Array.make nb 0 in
@@ -177,41 +164,6 @@ let back_edge_headers t =
       if color.(id) = 0 then dfs id)
     t.entries;
   List.sort_uniq Int.compare !headers
-
-(* Entry pcs on a call-graph cycle (recursion ⇒ no static bound). *)
-let recursive_entries t =
-  let callees_of entry =
-    (* blocks of this function: local DFS from its entry *)
-    let nb = Array.length t.blocks in
-    let seen = Array.make nb false in
-    let callees = ref [] in
-    let rec dfs id =
-      if not seen.(id) then begin
-        seen.(id) <- true;
-        (match t.program.(t.blocks.(id).last) with
-         | Isa.Jal (rd, tgt) when rd <> 0 && tgt >= 0 && tgt < Array.length t.program
-           -> callees := tgt :: !callees
-         | _ -> ());
-        List.iter dfs t.blocks.(id).succs
-      end
-    in
-    dfs t.block_of_pc.(entry);
-    !callees
-  in
-  let edges = List.map (fun e -> (e, callees_of e)) t.entries in
-  let color = Hashtbl.create 8 in
-  let bad = ref [] in
-  let rec dfs e =
-    match Hashtbl.find_opt color e with
-    | Some 1 -> bad := e :: !bad
-    | Some _ -> ()
-    | None ->
-      Hashtbl.replace color e 1;
-      List.iter dfs (try List.assoc e edges with Not_found -> []);
-      Hashtbl.replace color e 2
-  in
-  List.iter dfs t.entries;
-  List.sort_uniq Int.compare !bad
 
 let pp ppf t =
   Array.iter

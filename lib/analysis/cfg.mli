@@ -8,7 +8,7 @@
     - [Jal x0]: plain jump, target only;
     - linking [Jal] (rd ≠ x0): a {e call} — the local successor is
       pc+1 (where the callee returns) and the target becomes a live
-      function entry of its own, recorded in [calls]/[entries];
+      function entry of its own, recorded in [entries];
     - [Jalr x0]: a {e return} — no local successors;
     - linking [Jalr]: an indirect call, successor pc+1;
     - [Ecall]: fall-through, except the syntactic halt idiom
@@ -34,17 +34,11 @@ type t = {
   block_of_pc : int array;
   reachable : bool array;      (** per block, from any live entry *)
   entries : int list;          (** live function entry pcs; 0 first *)
-  calls : (int * int) list;    (** reachable (call pc, callee entry) *)
   escapes : (int * int) list;  (** (pc, target) edges leaving the program *)
 }
 
 val build : Zkflow_zkvm.Isa.t array -> t
 (** Raises [Invalid_argument] on an empty program. *)
-
-val is_call : Zkflow_zkvm.Isa.t -> bool
-
-val succs_of_pc : t -> int -> int list
-(** In-range local successor pcs of one instruction. *)
 
 val reachable_pc : t -> int -> bool
 
@@ -52,8 +46,5 @@ val back_edge_headers : t -> int list
 (** pcs of loop headers reachable from the live entries (targets of
     DFS back edges over local graphs); empty iff every reachable
     function body is acyclic. *)
-
-val recursive_entries : t -> int list
-(** Function entries on a call-graph cycle; empty iff no recursion. *)
 
 val pp : Format.formatter -> t -> unit

@@ -13,17 +13,11 @@ type t = {
   message : string;
 }
 
-type cycle_bound =
-  | Bounded of int
-  | Unbounded of int list  (* pcs of the offending loop headers *)
-
 type report = {
   subject : string;
   instrs : int;
   blocks : int;
   findings : t list;
-  cycle_bound : cycle_bound;
-  func_bounds : (int * cycle_bound) list;  (* (entry pc, bound) per function *)
   proven_safe : bool;
     (* every memory access, sha range and ecall number proven in-range
        and no indirect jumps: with zero errors, the only traps left are
@@ -81,17 +75,9 @@ let pp_finding ppf f =
   Format.fprintf ppf "%s [%s] %s: %s" (severity_name f.severity) f.pass
     (loc_string f.loc) f.message
 
-let pp_cycle_bound ppf = function
-  | Bounded n -> Format.fprintf ppf "<= %d cycles" n
-  | Unbounded [] -> Format.fprintf ppf "unbounded"
-  | Unbounded headers ->
-    Format.fprintf ppf "unbounded (loop headers at pc %s)"
-      (String.concat ", " (List.map string_of_int headers))
-
 let pp_report ppf r =
   Format.fprintf ppf "== %s ==@." r.subject;
-  Format.fprintf ppf "  %d instruction(s), %d basic block(s); static cycle bound: %a@."
-    r.instrs r.blocks pp_cycle_bound r.cycle_bound;
+  Format.fprintf ppf "  %d instruction(s), %d basic block(s)@." r.instrs r.blocks;
   List.iter (fun f -> Format.fprintf ppf "  %a@." pp_finding f) r.findings;
   Format.fprintf ppf "  %d error(s), %d warning(s)@."
     (List.length (errors r)) (List.length (warnings r))
@@ -106,24 +92,11 @@ let finding_json f =
     (severity_name f.severity) (json_escape f.pass)
     (json_escape (loc_string f.loc)) (json_escape f.message)
 
-let cycle_bound_json = function
-  | Bounded n -> Printf.sprintf {|{"kind":"bounded","cycles":%d}|} n
-  | Unbounded headers ->
-    Printf.sprintf {|{"kind":"unbounded","loop_headers":[%s]}|}
-      (String.concat "," (List.map string_of_int headers))
-
 let report_json r =
-  let funcs =
-    List.map
-      (fun (entry, b) -> Printf.sprintf {|{"entry":%d,"bound":%s}|} entry (cycle_bound_json b))
-      r.func_bounds
-  in
   Printf.sprintf
-    {|{"subject":"%s","instrs":%d,"blocks":%d,"errors":%d,"warnings":%d,"proven_safe":%b,"cycle_bound":%s,"func_bounds":[%s],"findings":[%s]}|}
+    {|{"subject":"%s","instrs":%d,"blocks":%d,"errors":%d,"warnings":%d,"proven_safe":%b,"findings":[%s]}|}
     (json_escape r.subject) r.instrs r.blocks
     (List.length (errors r)) (List.length (warnings r)) r.proven_safe
-    (cycle_bound_json r.cycle_bound)
-    (String.concat "," funcs)
     (String.concat "," (List.map finding_json r.findings))
 
 let reports_json rs =

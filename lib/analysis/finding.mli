@@ -2,9 +2,9 @@
 
     A {e finding} is one defect or advisory located in a guest program;
     a {e report} is everything one analyzer run learned about one
-    program. [Error]-severity findings gate proving (see
-    {!Zkflow_analysis.gate}); [Warning]s are advisory only, so the two
-    built-in guests lint clean by construction. *)
+    program. [Error]-severity findings make {!Zkflow_analysis.gate}
+    refuse a program that arrives from outside; [Warning]s are advisory
+    only, so the two built-in guests lint clean by construction. *)
 
 type severity = Error | Warning
 
@@ -21,18 +21,11 @@ type t = {
   message : string;
 }
 
-type cycle_bound =
-  | Bounded of int          (** proven upper bound on guest cycles *)
-  | Unbounded of int list   (** reachable loops; pcs of their headers *)
-
 type report = {
   subject : string;
   instrs : int;
   blocks : int;
   findings : t list;
-  cycle_bound : cycle_bound;
-  func_bounds : (int * cycle_bound) list;
-      (** (entry pc, proven bound) for every live function *)
   proven_safe : bool;
       (** all memory/sha accesses and ecall numbers proven in-range and
           no indirect jumps: together with zero errors, the only traps
@@ -63,7 +56,6 @@ val ok : report -> bool
 val severity_name : severity -> string
 val loc_string : loc -> string
 val pp_finding : Format.formatter -> t -> unit
-val pp_cycle_bound : Format.formatter -> cycle_bound -> unit
 
 val pp_report : Format.formatter -> report -> unit
 (** The human-readable block [zkflow lint] prints. *)

@@ -2,7 +2,6 @@ module Isa = Zkflow_zkvm.Isa
 
 let mask32 = 0xffffffff
 let w32 = 0x100000000
-let signed v = if v land 0x80000000 <> 0 then v - 0x100000000 else v
 
 (* An abstract unsigned 32-bit value: an interval [lo, hi] (no
    wrap-around representation — a wrapped set widens to the full range)
@@ -130,23 +129,6 @@ let widen old nw =
   let hi = if nw.hi <= old.hi then old.hi else threshold_above nw.hi in
   make lo hi nw.modulus nw.residue
 
-(* Reference ALU semantics (Machine.alu_eval, bit for bit). *)
-let alu_eval op a b =
-  match (op : Isa.alu) with
-  | ADD -> (a + b) land mask32
-  | SUB -> (a - b) land mask32
-  | MUL -> Int64.to_int (Int64.logand (Int64.mul (Int64.of_int a) (Int64.of_int b)) 0xFFFFFFFFL)
-  | AND -> a land b
-  | OR -> a lor b
-  | XOR -> a lxor b
-  | SLL -> (a lsl (b land 31)) land mask32
-  | SRL -> a lsr (b land 31)
-  | SRA -> (signed a asr (b land 31)) land mask32
-  | SLT -> if signed a < signed b then 1 else 0
-  | SLTU -> if a < b then 1 else 0
-  | DIVU -> if b = 0 then mask32 else a / b
-  | REMU -> if b = 0 then a else a mod b
-
 (* Smallest 2^k - 1 covering x. *)
 let up2 x =
   let r = ref 1 in
@@ -219,7 +201,7 @@ let xor a b = range 0 (up2 (max a.hi b.hi))
 
 let alu op a b =
   match (is_const a, is_const b) with
-  | Some x, Some y -> const (alu_eval op x y)
+  | Some x, Some y -> const (Isa.alu_eval op x y)
   | _ -> (
     match (op : Isa.alu) with
     | ADD -> add a b

@@ -36,11 +36,8 @@ val widen : t -> t -> t
     while keeping membounds decidable at loop heads. *)
 
 val alu : Zkflow_zkvm.Isa.alu -> t -> t -> t
-(** Abstract transformer mirroring [Machine.alu_eval]; exact on
-    singleton operands (bit-for-bit the machine's result). *)
-
-val alu_eval : Zkflow_zkvm.Isa.alu -> int -> int -> int
-(** The concrete reference semantics (DIVU x/0 = 2^32-1, REMU x%0 = x). *)
+(** Abstract transformer over {!Zkflow_zkvm.Isa.alu_eval}; exact on
+    singleton operands (it calls it). *)
 
 val refine_branch :
   Zkflow_zkvm.Isa.branch -> taken:bool -> t -> t -> (t * t) option

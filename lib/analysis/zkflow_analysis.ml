@@ -42,8 +42,6 @@ let check_zirc ?(subject = "zirc program") ?positions prog =
         instrs = 0;
         blocks = 0;
         findings = lint @ [ Finding.error ~pass:"compile" "%s" msg ];
-        cycle_bound = Finding.Unbounded [];
-        func_bounds = [];
         proven_safe = false;
       }
     | Ok program ->
@@ -85,8 +83,6 @@ let audit_zirc ?(subject = "zirc program") ?positions prog =
         findings =
           Finding.normalize
             (lint @ taint @ [ Finding.error ~pass:"compile" "%s" msg ]);
-        cycle_bound = Finding.Unbounded [];
-        func_bounds = [];
         proven_safe = false;
       }
     | Ok program ->
@@ -107,43 +103,13 @@ let audit_zirc ?(subject = "zirc program") ?positions prog =
         Finding.findings = Finding.normalize (lint @ taint @ zr0_findings);
       })
 
-let disabled () =
-  match Sys.getenv_opt "ZKFLOW_NO_ANALYZE" with
-  | Some "" | None -> false
-  | Some _ -> true
-
-(* One analysis per image ID per process: the built-in guests are
-   proven repeatedly (per shard, per epoch), and the analysis is pure
-   in the instruction stream. *)
-let cache : (string, Finding.report) Hashtbl.t = Hashtbl.create 8
-
-let report_for ?subject program =
-  let key = Zkflow_hash.Digest32.to_hex (Program.image_id program) in
-  match Hashtbl.find_opt cache key with
-  | Some r -> r
-  | None ->
-    let r = check ?subject program in
-    Hashtbl.add cache key r;
-    r
-
-let gate ?subject ?(budget = Zkflow_zkvm.Machine.default_max_cycles) program =
-  if disabled () then Ok ()
-  else begin
-    let r = report_for ?subject program in
-    match Finding.errors r with
-    | [] -> (
-      match r.Finding.cycle_bound with
-      | Finding.Bounded n when n > budget ->
-        Error
-          (Format.asprintf
-             "refusing to prove %s: static analysis proved a cycle bound of %d, above the %d-cycle budget (set ZKFLOW_NO_ANALYZE=1 to override)"
-             r.Finding.subject n budget)
-      | _ -> Ok ())
-    | errs ->
-      Error
-        (Format.asprintf
-           "refusing to prove %s: static analysis found %d defect(s) (set ZKFLOW_NO_ANALYZE=1 to override)@\n%a"
-           r.Finding.subject (List.length errs)
-           (Format.pp_print_list Finding.pp_finding)
-           errs)
-  end
+let gate ?subject program =
+  let r = check ?subject program in
+  match Finding.errors r with
+  | [] -> Ok ()
+  | errs ->
+    Error
+      (Format.asprintf "refusing to prove %s: static analysis found %d defect(s)@\n%a"
+         r.Finding.subject (List.length errs)
+         (Format.pp_print_list Finding.pp_finding)
+         errs)

@@ -5,8 +5,7 @@
     no path initialises, no statically-out-of-range memory access, no
     fall-off-the-end or wild control transfer, host calls that follow
     the ecall protocol — plus advisory warnings (unreachable code,
-    statically-unknown ecall numbers) and {e proven} per-function cycle
-    bounds from the interval domain. [zkflow audit] layers the
+    statically-unknown ecall numbers). [zkflow audit] layers the
     {!Taint} information-flow pass on top. DESIGN.md §8 and §13 record
     the lattices and conservatism choices.
 
@@ -24,8 +23,8 @@ module Zirc_lint = Zirc_lint
 module Taint = Taint
 
 val check : ?subject:string -> Zkflow_zkvm.Program.t -> Finding.report
-(** Analyze an assembled guest (value analysis only — what the prover
-    gate runs). *)
+(** Analyze an assembled guest (value analysis only — what {!gate}
+    and [zkflow lint] run). *)
 
 val check_instrs : ?subject:string -> Zkflow_zkvm.Isa.t array -> Finding.report
 
@@ -54,16 +53,10 @@ val audit_zirc :
     [halt] leaves structurally dead tails; the [zirc-unreachable] lint
     covers source-level dead code). *)
 
-val gate :
-  ?subject:string ->
-  ?budget:int ->
-  Zkflow_zkvm.Program.t ->
-  (unit, string) result
-(** Pre-prove gate used by {!Zkflow_core.Prover_service}: [Ok ()] when
-    the guest has no [Error]-severity findings {e and} its proven cycle
-    bound (when one exists) is within [budget] (default
-    {!Zkflow_zkvm.Machine.default_max_cycles}); otherwise a printable
-    refusal. Unbounded guests pass the budget check — the machine's own
-    cycle limit still backstops them at run time. Reports are memoized
-    per image ID. Setting [ZKFLOW_NO_ANALYZE=1] in the environment
-    skips the gate (checked at call time, so tests can toggle it). *)
+val gate : ?subject:string -> Zkflow_zkvm.Program.t -> (unit, string) result
+(** The gate {!Zkflow_core.Prover_service.prove_custom} runs before
+    proving a program that arrives from outside (a compiled Zirc
+    query): [Ok ()] when {!check} finds no [Error]-severity finding,
+    otherwise a printable refusal naming each one. The built-in guests
+    are fixed at build time and not gated at run time; their image ids
+    are pinned and [zkflow lint] analyzes them. *)

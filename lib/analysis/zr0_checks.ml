@@ -2,15 +2,12 @@ module Isa = Zkflow_zkvm.Isa
 module Trace = Zkflow_zkvm.Trace
 module Ecall = Zkflow_zkvm.Ecall
 
-let mask32 = 0xffffffff
-let signed v = if v land 0x80000000 <> 0 then v - 0x100000000 else v
-
 (* ---- abstract register state ----
 
    Per register: a may-be-uninitialized flag (forward may-analysis,
    seeded from the ABI entry state: only x0 is defined on entry) and an
    {!Interval} value (interval + power-of-two congruence) used for
-   address arithmetic, ecall-number resolution and loop trip counts.
+   address arithmetic and ecall-number resolution.
    Singleton intervals reproduce the old constant lattice bit-for-bit
    ({!Interval.alu} delegates to the concrete semantics on singletons),
    so everything the flat analyzer proved is still proven. *)
@@ -273,373 +270,6 @@ let unreachable_findings (cfg : Cfg.t) =
   done;
   List.rev !findings
 
-(* ---- proven cycle bounds ----
-
-   Per function: an acyclic body is bounded by its longest
-   entry-to-exit path. A body with loops is bounded by
-   Σ_b weight(b) · Π_{loops L ∋ b} (trip(L) + 1) when every loop is a
-   single-entry (reducible) natural loop whose trip count the interval
-   state proves: the loop must advance exactly one induction register
-   by a constant step, compare it against a loop-invariant limit with a
-   known interval, and the arithmetic must provably not wrap. Calls add
-   the callee's bound; SHA ecalls add their worst-case compression
-   rows. Any loop this cannot bound — every data-dependent loop over
-   router exports — makes the enclosing call chain [Unbounded], which
-   is the honest answer. Unlike the PR-2 budget this is a sound upper
-   bound: the differential fuzzer asserts bound ≥ observed cycles. *)
-
-let sat_cap = 1 lsl 60
-let sat_add a b = if a >= sat_cap - b then sat_cap else a + b
-let sat_mul a b = if a = 0 || b = 0 then 0 else if a > sat_cap / b then sat_cap else a * b
-let trip_cap = 1 lsl 31
-
-exception Unbounded_exn of int list (* offending loop-header / entry pcs *)
-
-(* Registers an instruction may write (clobber model must match
-   [step]). *)
-let writes_of instr =
-  match (instr : Isa.t) with
-  | Alu (_, rd, _, _) | Alui (_, rd, _, _) | Lui (rd, _) | Lw (rd, _, _) -> [ rd ]
-  | Sw _ | Branch _ | Jal (0, _) | Jalr (0, _, _) -> []
-  | Jal (_, _) | Jalr (_, _, _) -> List.init 31 (fun i -> i + 1)
-  | Ecall -> [ 10 ]
-
-type canon_rel = Lt | Le | Gt | Ge | Ne
-
-(* Trip-count inference for one loop. [iv]/[lv] are the induction
-   register's and limit's intervals at the loop's preheader; [s] the
-   signed step. Returns a bound on back-edge traversals per entry. *)
-let trips ~signed_cmp rel iv lv s =
-  let open Interval in
-  if signed_cmp && not (iv.hi < 0x80000000 && lv.hi < 0x80000000) then None
-  else
-    let t =
-      if s > 0 then
-        match rel with
-        | Lt when lv.hi - 1 + s <= mask32 ->
-          Some (if lv.hi <= iv.lo then 0 else (lv.hi - iv.lo + s - 1) / s)
-        | Le when lv.hi + s <= mask32 ->
-          Some (if lv.hi < iv.lo then 0 else ((lv.hi - iv.lo) / s) + 1)
-        | Ne -> (
-          match is_const lv with
-          | Some k
-            when iv.hi <= k
-                 && (iv.modulus = 0 || iv.modulus mod s = 0)
-                 && (k - iv.residue) mod s = 0 ->
-            Some ((k - iv.lo) / s)
-          | _ -> None)
-        | _ -> None
-      else
-        let d = -s in
-        match rel with
-        | Gt when signed_cmp || lv.lo + 1 >= d ->
-          Some (if iv.hi <= lv.lo then 0 else (iv.hi - lv.lo + d - 1) / d)
-        | Ge when signed_cmp || lv.lo >= d ->
-          Some (if iv.hi < lv.lo then 0 else ((iv.hi - lv.lo) / d) + 1)
-        | Ne -> (
-          match is_const lv with
-          | Some k
-            when iv.lo >= k
-                 && (iv.modulus = 0 || iv.modulus mod d = 0)
-                 && (iv.residue - k) mod d = 0 ->
-            Some ((iv.hi - k) / d)
-          | _ -> None)
-        | _ -> None
-    in
-    match t with Some t when t <= trip_cap -> Some t | _ -> None
-
-let cycle_bound (cfg : Cfg.t) (block_in : state option array) =
-  let n = Array.length cfg.Cfg.program in
-  let nb = Array.length cfg.Cfg.blocks in
-  let recursive = Cfg.recursive_entries cfg in
-  let func_memo : (int, Finding.cycle_bound) Hashtbl.t = Hashtbl.create 8 in
-  (* out-state of a block (re-walk from its in-state) *)
-  let out_state id =
-    match block_in.(id) with
-    | None -> None
-    | Some st ->
-      let b = cfg.Cfg.blocks.(id) in
-      let st = ref st in
-      for pc = b.Cfg.first to b.Cfg.last do
-        st := transfer ~emit:(fun _ -> ()) ~pc cfg.Cfg.program.(pc) !st
-      done;
-      Some !st
-  in
-  let rec func_bound entry =
-    match Hashtbl.find_opt func_memo entry with
-    | Some b -> b
-    | None ->
-      (* seed the memo so recursion cannot loop even if the recursion
-         check missed something exotic *)
-      Hashtbl.replace func_memo entry (Finding.Unbounded [ entry ]);
-      let b =
-        try Finding.Bounded (func_bound_exn entry)
-        with Unbounded_exn hs -> Finding.Unbounded hs
-      in
-      Hashtbl.replace func_memo entry b;
-      b
-  and func_bound_exn entry =
-    if List.mem entry recursive then raise (Unbounded_exn [ entry ]);
-    let entry_id = cfg.Cfg.block_of_pc.(entry) in
-    (* function membership + back edges via one DFS *)
-    let member = Array.make nb false in
-    let color = Array.make nb 0 in
-    let back = ref [] in
-    let rec dfs id =
-      member.(id) <- true;
-      color.(id) <- 1;
-      List.iter
-        (fun s ->
-          if color.(s) = 1 then back := (id, s) :: !back
-          else if color.(s) = 0 then dfs s)
-        cfg.Cfg.blocks.(id).Cfg.succs;
-      color.(id) <- 2
-    in
-    dfs entry_id;
-    let preds = Array.make nb [] in
-    Array.iteri
-      (fun id b ->
-        if member.(id) then
-          List.iter (fun s -> if member.(s) then preds.(s) <- id :: preds.(s)) b.Cfg.succs)
-      cfg.Cfg.blocks;
-    let block_weight id =
-      match block_in.(id) with
-      | None -> 0
-      | Some st ->
-        let b = cfg.Cfg.blocks.(id) in
-        let st = ref st in
-        let w = ref 0 in
-        for pc = b.Cfg.first to b.Cfg.last do
-          let instr = cfg.Cfg.program.(pc) in
-          let iw =
-            match instr with
-            | Isa.Ecall ->
-              let num = reg_itv !st 10 and len = reg_itv !st 12 in
-              if Interval.contains num 3 then
-                1 + Trace.sha_block_count (min len.Interval.hi (1 lsl 24))
-              else 1
-            | Isa.Jal (rd, tgt) when rd <> 0 && tgt >= 0 && tgt < n -> (
-              match func_bound tgt with
-              | Finding.Bounded cb -> sat_add 1 cb
-              | Finding.Unbounded hs -> raise (Unbounded_exn hs))
-            | _ -> 1
-          in
-          w := sat_add !w iw;
-          st := transfer ~emit:(fun _ -> ()) ~pc instr !st
-        done;
-        !w
-    in
-    if !back = [] then begin
-      (* acyclic: longest entry-to-exit path *)
-      let memo = Array.make nb (-1) in
-      let rec longest id =
-        if memo.(id) >= 0 then memo.(id)
-        else begin
-          memo.(id) <- 0;
-          let best =
-            List.fold_left (fun acc s -> max acc (longest s)) 0 cfg.Cfg.blocks.(id).Cfg.succs
-          in
-          memo.(id) <- sat_add (block_weight id) best;
-          memo.(id)
-        end
-      in
-      let b = longest entry_id in
-      if b >= sat_cap then raise (Unbounded_exn [ entry ]);
-      b
-    end
-    else begin
-      (* group back edges by header; natural-loop members by reverse
-         reachability from the latches, not crossing the header *)
-      let headers = List.sort_uniq Int.compare (List.map snd !back) in
-      let header_pc h = cfg.Cfg.blocks.(h).Cfg.first in
-      let fail h = raise (Unbounded_exn [ header_pc h ]) in
-      let loops =
-        List.map
-          (fun h ->
-            let latches = List.filter_map (fun (u, h') -> if h' = h then Some u else None) !back in
-            let in_loop = Array.make nb false in
-            in_loop.(h) <- true;
-            let rec up id =
-              if not in_loop.(id) then begin
-                in_loop.(id) <- true;
-                List.iter up preds.(id)
-              end
-            in
-            List.iter (fun u -> if u <> h then up u) latches;
-            (h, latches, in_loop))
-          headers
-      in
-      (* reducibility: every loop entered only through its header *)
-      List.iter
-        (fun (h, _, in_loop) ->
-          Array.iteri
-            (fun id inl ->
-              if inl && id <> h then
-                List.iter
-                  (fun p -> if not in_loop.(p) then fail h)
-                  (List.filter (fun p -> member.(p)) preds.(id)))
-            in_loop)
-        loops;
-      (* proper nesting: pairwise disjoint or contained *)
-      List.iteri
-        (fun i (h1, _, l1) ->
-          List.iteri
-            (fun j (_, _, l2) ->
-              if j > i then begin
-                let inter = ref false and d12 = ref false and d21 = ref false in
-                Array.iteri
-                  (fun id _ ->
-                    let a = l1.(id) and b = l2.(id) in
-                    if a && b then inter := true;
-                    if a && not b then d12 := true;
-                    if b && not a then d21 := true)
-                  l1;
-                if !inter && !d12 && !d21 then fail h1
-              end)
-            loops)
-        loops;
-      (* trip bound per loop *)
-      let trip_of (h, latches, in_loop) =
-        let candidates =
-          (h :: (match latches with [ u ] -> [ u ] | _ -> []))
-          |> List.filter (fun id ->
-                 match cfg.Cfg.program.(cfg.Cfg.blocks.(id).Cfg.last) with
-                 | Isa.Branch _ -> true
-                 | _ -> false)
-        in
-        (* preheader state: join of out-states of member-external preds
-           of the header (the states establishing the induction init) *)
-        let pre =
-          List.fold_left
-            (fun acc p ->
-              if in_loop.(p) then acc
-              else
-                match out_state p with
-                | None -> acc
-                | Some st -> ( match acc with None -> Some st | Some a -> Some (join_state a st)))
-            None preds.(h)
-        in
-        match pre with
-        | None -> None
-        | Some pre ->
-          let writes = Hashtbl.create 8 in
-          Array.iteri
-            (fun id inl ->
-              if inl then
-                let b = cfg.Cfg.blocks.(id) in
-                for pc = b.Cfg.first to b.Cfg.last do
-                  List.iter
-                    (fun r ->
-                      Hashtbl.replace writes r
-                        (1 + Option.value (Hashtbl.find_opt writes r) ~default:0
-                        + if List.length (writes_of cfg.Cfg.program.(pc)) > 1 then 1 else 0))
-                    (writes_of cfg.Cfg.program.(pc))
-                done)
-            in_loop;
-          let wcount r = Option.value (Hashtbl.find_opt writes r) ~default:0 in
-          (* the unique Alui(ADD, r, r, imm) if r is written exactly once *)
-          let induction_step r =
-            if r = 0 || wcount r <> 1 then None
-            else begin
-              let step = ref None in
-              Array.iteri
-                (fun id inl ->
-                  if inl then
-                    let b = cfg.Cfg.blocks.(id) in
-                    for pc = b.Cfg.first to b.Cfg.last do
-                      match cfg.Cfg.program.(pc) with
-                      | Isa.Alui (Isa.ADD, rd, rs1, imm) when rd = r && rs1 = r ->
-                        step := Some (signed (imm land mask32))
-                      | _ -> ()
-                    done)
-                in_loop;
-              match !step with Some s when s <> 0 -> Some s | _ -> None
-            end
-          in
-          let try_candidate id =
-            let last = cfg.Cfg.blocks.(id).Cfg.last in
-            match cfg.Cfg.program.(last) with
-            | Isa.Branch (op, rs1, rs2, tgt) ->
-              let memb pc = pc >= 0 && pc < n && in_loop.(cfg.Cfg.block_of_pc.(pc)) in
-              let taken_in = memb tgt and fall_in = memb (last + 1) in
-              if taken_in = fall_in then None
-              else begin
-                let continue_on_taken = taken_in in
-                (* continue predicate: op if continuing on taken, else
-                   its negation *)
-                let cop =
-                  if continue_on_taken then op
-                  else
-                    match op with
-                    | Isa.BEQ -> Isa.BNE
-                    | Isa.BNE -> Isa.BEQ
-                    | Isa.BLT -> Isa.BGE
-                    | Isa.BGE -> Isa.BLT
-                    | Isa.BLTU -> Isa.BGEU
-                    | Isa.BGEU -> Isa.BLTU
-                in
-                let signed_cmp = match cop with Isa.BLT | Isa.BGE -> true | _ -> false in
-                let attempt ind lim rel =
-                  match induction_step ind with
-                  | Some s when wcount lim = 0 ->
-                    trips ~signed_cmp rel (reg_itv pre ind) (reg_itv pre lim) s
-                  | _ -> None
-                in
-                match cop with
-                | Isa.BEQ -> None
-                | Isa.BNE -> (
-                  match attempt rs1 rs2 Ne with
-                  | Some t -> Some t
-                  | None -> attempt rs2 rs1 Ne)
-                | Isa.BLT | Isa.BLTU -> (
-                  (* continue while rs1 < rs2 *)
-                  match attempt rs1 rs2 Lt with
-                  | Some t -> Some t
-                  | None -> attempt rs2 rs1 Gt)
-                | Isa.BGE | Isa.BGEU -> (
-                  (* continue while rs1 >= rs2 *)
-                  match attempt rs1 rs2 Ge with
-                  | Some t -> Some t
-                  | None -> attempt rs2 rs1 Le)
-              end
-            | _ -> None
-          in
-          List.filter_map try_candidate candidates
-          |> function
-          | [] -> None
-          | ts -> Some (List.fold_left min max_int ts)
-      in
-      let loop_trips =
-        List.map
-          (fun ((h, _, _) as l) ->
-            match trip_of l with Some t -> (l, t) | None -> fail h)
-          loops
-      in
-      let total = ref 0 in
-      Array.iteri
-        (fun id inl ->
-          if inl then begin
-            let mult =
-              List.fold_left
-                (fun acc ((_, _, in_loop), t) ->
-                  if in_loop.(id) then sat_mul acc (sat_add t 1) else acc)
-                1 loop_trips
-            in
-            total := sat_add !total (sat_mul mult (block_weight id))
-          end)
-        member;
-      if !total >= sat_cap then raise (Unbounded_exn (List.map header_pc headers));
-      !total
-    end
-  in
-  let func_bounds = List.map (fun e -> (e, func_bound e)) cfg.Cfg.entries in
-  let overall =
-    match List.assoc_opt 0 func_bounds with
-    | Some b -> b
-    | None -> func_bound 0
-  in
-  (overall, func_bounds)
-
 let analyze ?(subject = "program") instrs =
   let n = Array.length instrs in
   match wellformed instrs with
@@ -649,8 +279,6 @@ let analyze ?(subject = "program") instrs =
       instrs = n;
       blocks = 0;
       findings = Finding.normalize bad;
-      cycle_bound = Finding.Unbounded [];
-      func_bounds = [];
       proven_safe = false;
     }
   | [] ->
@@ -682,7 +310,6 @@ let analyze ?(subject = "program") instrs =
       Finding.normalize
         (escape_findings cfg @ unreachable_findings cfg @ List.rev !findings)
     in
-    let overall, func_bounds = cycle_bound cfg block_in in
     let proven_safe =
       (not !unproven_mem) && (not !unproven_ecall) && (not !has_jalr)
       && cfg.Cfg.escapes = []
@@ -693,7 +320,5 @@ let analyze ?(subject = "program") instrs =
       instrs = n;
       blocks = Array.length cfg.Cfg.blocks;
       findings;
-      cycle_bound = overall;
-      func_bounds;
       proven_safe;
     }

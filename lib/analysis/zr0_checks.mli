@@ -19,13 +19,13 @@
     - {b control}: branch/jump targets outside the program and paths
       that fall off the end without a terminating ecall; errors;
     - {b unreachable}: code no path reaches (adjacent dead blocks are
-      collapsed into one finding); warnings;
-    - the {b cycle bound}: a sound per-function upper bound.
-      [Bounded n] when the body is acyclic (longest path) or every loop
-      is a reducible natural loop with a proven trip count (constant
-      step against an invariant limit, no wraparound); else
-      [Unbounded headers]. The differential fuzzer asserts the bound
-      dominates the interpreter's observed cycle count. *)
+      collapsed into one finding); warnings.
+
+    No cycle bound is computed: {!Zkflow_zkvm.Machine.run}'s cycle
+    limit stops every run that passes it. With no errors and
+    [proven_safe] set, the only traps left are that limit and reading
+    past the end of the input; the differential fuzzer checks this
+    against the interpreter. *)
 
 type value = { may_uninit : bool; v : Interval.t }
 type state = value array

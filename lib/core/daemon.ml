@@ -599,8 +599,10 @@ let restart t =
       Queue.clear t.queue;
       derive_seen t;
       t.gen <- t.gen + 1;
-      (* memoized proofs answer old roots fine, but drop them: the
-         resumed service may extend the log past them immediately *)
+      (* The query memos stay: each key names the root its proof
+         answers, so an entry for an older root is still a correct
+         answer to that key; a table is only emptied when it reaches
+         [memo_cap] entries. *)
       t.worker <- Some (Thread.create worker_loop t);
       Mutex.unlock t.m;
       emit "daemon.restart" [ ("restored_rounds", num restored) ];

@@ -175,8 +175,9 @@ val query :
   t -> Guests.query_params -> (Query.result_row * bool, string) result
 (** Prove (or serve memoized — the [bool] is [true] on a cache hit) a
     query against the current CLog. Memo keyed by
-    [(Merkle root, query)]; proofs for superseded roots are evicted.
-    Heavy proving is serialized behind one lock. *)
+    [(Merkle root, query)]; entries for superseded roots stay until the
+    table reaches 256 entries, when it is emptied. Heavy proving is
+    serialized behind one lock. *)
 
 val query_flows :
   t ->

@@ -65,19 +65,13 @@ let covered_epochs t =
 
 let ( let* ) = Result.bind
 
-(* Pre-prove gate: every proving path runs the static analyzer over the
-   guest first and refuses to spend cycles on a defective program, or
-   on one whose proven cycle bound exceeds what the machine would ever
-   execute (override with ZKFLOW_NO_ANALYZE=1). Reports are memoized
-   per image ID, so the per-round cost after the first call is one
-   hash lookup. *)
-let gate ~subject program =
-  Zkflow_analysis.gate ~subject
-    ~budget:Zkflow_zkvm.Machine.default_max_cycles program
-
+(* A program that arrives from outside (a compiled Zirc query) is
+   analyzed first, and one with a defect is refused before any cycle
+   is spent. The built-in guests are fixed at build time, so their
+   rounds and queries are not gated. *)
 let prove_custom ?(proof_params = Zkflow_zkproof.Params.default)
     ?(subject = "custom guest") program ~input =
-  let* () = gate ~subject program in
+  let* () = Zkflow_analysis.gate ~subject program in
   Zkflow_zkproof.Prove.prove ~params:proof_params program ~input
 
 type publish_report = { published : Commitment.t list; skipped : int list }
@@ -406,14 +400,6 @@ let fetch_batches t ~epoch routers =
   if t_fetch <> 0 then Obs.Span.finish "round.fetch" t_fetch;
   fetched
 
-let gate_aggregation () =
-  let t_gate = Obs.Span.start () in
-  let gated =
-    gate ~subject:"aggregation guest" (Lazy.force Guests.aggregation_program)
-  in
-  if t_gate <> 0 then Obs.Span.finish "round.gate" t_gate;
-  gated
-
 (* The one way to prove a new epoch. The round covers every window of
    the epoch (per Db.routers_for) whose commitment is on the board;
    every other window becomes a named entry in the gap journal, to be
@@ -432,7 +418,6 @@ let aggregate_available t ~epoch =
           ~attrs:[ ("missing", Jsonx.Num (float_of_int (List.length absent))) ];
         Ok (Skipped new_gaps, None)
       | _ ->
-        let* () = gate_aggregation () in
         let* round, new_gaps =
           prove_and_commit t ~epoch ~routers:(List.map fst present) ~absent ~heal:false
             (List.map snd present)
@@ -468,7 +453,6 @@ let heal t =
         in_round t ~epoch ~heal:true (fun round_ix ->
             let* present, _ = fetch_batches t ~epoch routers in
             let routers = List.map fst present in
-            let* () = gate_aggregation () in
             let* round, _ =
               prove_and_commit t ~epoch ~routers ~absent:[] ~heal:true
                 (List.map snd present)
@@ -711,7 +695,6 @@ let summary_json t =
        ])
 
 let query t params =
-  let* () = gate ~subject:"query guest" (Lazy.force Guests.query_program) in
   Query.prove ~params:t.proof_params ~clog:t.clog params
 
 let query_at t ~round params =
@@ -719,5 +702,4 @@ let query_at t ~round params =
   match if round < 0 then None else List.nth_opt rounds round with
   | None -> Error (Printf.sprintf "query_at: no round %d (have %d)" round (List.length rounds))
   | Some r ->
-    let* () = gate ~subject:"query guest" (Lazy.force Guests.query_program) in
     Query.prove ~params:t.proof_params ~clog:r.Aggregate.clog params

@@ -222,12 +222,12 @@ val prove_custom :
   input:int array ->
   (Zkflow_zkproof.Receipt.t * Zkflow_zkvm.Machine.result, string) result
 (** Prove an arbitrary guest (e.g. a compiled Zirc query) behind the
-    same static-analysis gate as the built-in guests: a program with
-    [Error]-severity findings (see {!Zkflow_analysis.check}) is
-    refused before any proving work, unless [ZKFLOW_NO_ANALYZE=1] is
-    set in the environment. Every proving entry point of this module
-    ({!aggregate_available}, {!heal}, {!query}, {!query_at}) runs the
-    same gate. *)
+    static-analysis gate ({!Zkflow_analysis.gate}): a program with
+    [Error]-severity findings is refused before any proving work. This
+    is the one entry point that takes a program from outside; the
+    others ({!aggregate_available}, {!heal}, {!query}, {!query_at})
+    prove the built-in guests, which are fixed at build time and not
+    gated at run time. *)
 
 val query_at : t -> round:int -> Guests.query_params -> (Query.result_row, string) result
 (** Prove a query against the historical CLog state after round

@@ -6,34 +6,6 @@ module Ecall = Zkflow_zkvm.Ecall
 type access = { addr : int; write : bool; value : int option }
 
 let mask32 = 0xffffffff
-let signed v = if v land 0x80000000 <> 0 then v - 0x100000000 else v
-
-(* Must mirror Machine.alu_eval exactly; the pair is pinned together by
-   the proof-roundtrip tests. *)
-let alu_eval op a b =
-  match (op : Isa.alu) with
-  | ADD -> (a + b) land mask32
-  | SUB -> (a - b) land mask32
-  | MUL -> Int64.to_int (Int64.logand (Int64.mul (Int64.of_int a) (Int64.of_int b)) 0xFFFFFFFFL)
-  | AND -> a land b
-  | OR -> a lor b
-  | XOR -> a lxor b
-  | SLL -> (a lsl (b land 31)) land mask32
-  | SRL -> a lsr (b land 31)
-  | SRA -> (signed a asr (b land 31)) land mask32
-  | SLT -> if signed a < signed b then 1 else 0
-  | SLTU -> if a < b then 1 else 0
-  | DIVU -> if b = 0 then mask32 else a / b
-  | REMU -> if b = 0 then a else a mod b
-
-let branch_eval op a b =
-  match (op : Isa.branch) with
-  | BEQ -> a = b
-  | BNE -> a <> b
-  | BLT -> signed a < signed b
-  | BGE -> signed a >= signed b
-  | BLTU -> a < b
-  | BGEU -> a >= b
 
 let ( let* ) = Result.bind
 let fail fmt = Format.kasprintf (fun s -> Error s) fmt
@@ -63,13 +35,13 @@ let check_exec program (row : Trace.row) =
   in
   match instr with
   | Isa.Alu (op, rd, rs1, rs2) ->
-    let expected = mask_rd rd (alu_eval op row.rs1 row.rs2) in
+    let expected = mask_rd rd (Isa.alu_eval op row.rs1 row.rs2) in
     let* () = require (row.rd = expected) "alu: rd %d <> expected %d" row.rd expected in
     let* () = require (aux_len = 0) "alu: unexpected aux" in
     let* () = plain_next () in
     Ok [ read_reg rs1 row.rs1; read_reg rs2 row.rs2; write_reg rd row.rd ]
   | Isa.Alui (op, rd, rs1, imm) ->
-    let expected = mask_rd rd (alu_eval op row.rs1 (imm land mask32)) in
+    let expected = mask_rd rd (Isa.alu_eval op row.rs1 (imm land mask32)) in
     let* () = require (row.rd = expected) "alui: rd %d <> expected %d" row.rd expected in
     let* () = require (row.rs2 = 0 && aux_len = 0) "alui: shape" in
     let* () = plain_next () in
@@ -109,7 +81,7 @@ let check_exec program (row : Trace.row) =
         { addr; write = true; value = Some row.rs2 };
       ]
   | Isa.Branch (op, rs1, rs2, tgt) ->
-    let expected = if branch_eval op row.rs1 row.rs2 then tgt else row.pc + 1 in
+    let expected = if Isa.branch_eval op row.rs1 row.rs2 then tgt else row.pc + 1 in
     let* () = require (row.next_pc = expected) "branch: next_pc" in
     let* () = require (row.rd = 0 && aux_len = 0) "branch: shape" in
     Ok [ read_reg rs1 row.rs1; read_reg rs2 row.rs2 ]

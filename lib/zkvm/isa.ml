@@ -15,6 +15,34 @@ type t =
   | Jalr of reg * reg * int
   | Ecall
 
+let mask32 = 0xffffffff
+let signed v = if v land 0x80000000 <> 0 then v - 0x100000000 else v
+
+let alu_eval op a b =
+  match op with
+  | ADD -> (a + b) land mask32
+  | SUB -> (a - b) land mask32
+  | MUL -> Int64.to_int (Int64.logand (Int64.mul (Int64.of_int a) (Int64.of_int b)) 0xFFFFFFFFL)
+  | AND -> a land b
+  | OR -> a lor b
+  | XOR -> a lxor b
+  | SLL -> (a lsl (b land 31)) land mask32
+  | SRL -> a lsr (b land 31)
+  | SRA -> (signed a asr (b land 31)) land mask32
+  | SLT -> if signed a < signed b then 1 else 0
+  | SLTU -> if a < b then 1 else 0
+  | DIVU -> if b = 0 then mask32 else a / b
+  | REMU -> if b = 0 then a else a mod b
+
+let branch_eval op a b =
+  match op with
+  | BEQ -> a = b
+  | BNE -> a <> b
+  | BLT -> signed a < signed b
+  | BGE -> signed a >= signed b
+  | BLTU -> a < b
+  | BGEU -> a >= b
+
 let registers_used = function
   | Alu (_, rd, rs1, rs2) -> (Some rs1, Some rs2, Some rd)
   | Alui (_, rd, rs1, _) -> (Some rs1, None, Some rd)

@@ -40,6 +40,17 @@ type t =
   | Jalr of reg * reg * int             (** [rd := pc + 1; pc := rs1 + imm] *)
   | Ecall                               (** host call, number in a0 *)
 
+val signed : int -> int
+(** A 32-bit word read as two's complement, in [-2^31, 2^31). *)
+
+val alu_eval : alu -> int -> int -> int
+(** ZR0's word semantics, the one definition the interpreter, the
+    proof checker and the analyzer's interval domain all call: both
+    operands and the result are 32-bit words in [0, 2^32). *)
+
+val branch_eval : branch -> int -> int -> bool
+(** Whether a branch on two 32-bit words is taken. *)
+
 val registers_used : t -> reg option * reg option * reg option
 (** [(rs1, rs2, rd)] of an instruction; [Ecall] reports its implicit
     a0–a3 reads via {!Machine}, not here. *)

@@ -17,7 +17,6 @@ type result = {
 }
 
 let mask32 = 0xffffffff
-let signed v = if v land 0x80000000 <> 0 then v - 0x100000000 else v
 
 (* Minimal growable array (Dynarray lands in OCaml 5.2). *)
 module Dyn = struct
@@ -93,31 +92,6 @@ let ram_write st addr v =
   log_access st addr true v;
   v
 
-let alu_eval op a b =
-  match (op : Isa.alu) with
-  | ADD -> (a + b) land mask32
-  | SUB -> (a - b) land mask32
-  | MUL -> Int64.to_int (Int64.logand (Int64.mul (Int64.of_int a) (Int64.of_int b)) 0xFFFFFFFFL)
-  | AND -> a land b
-  | OR -> a lor b
-  | XOR -> a lxor b
-  | SLL -> (a lsl (b land 31)) land mask32
-  | SRL -> a lsr (b land 31)
-  | SRA -> (signed a asr (b land 31)) land mask32
-  | SLT -> if signed a < signed b then 1 else 0
-  | SLTU -> if a < b then 1 else 0
-  | DIVU -> if b = 0 then mask32 else a / b
-  | REMU -> if b = 0 then a else a mod b
-
-let branch_eval op a b =
-  match (op : Isa.branch) with
-  | BEQ -> a = b
-  | BNE -> a <> b
-  | BLT -> signed a < signed b
-  | BGE -> signed a >= signed b
-  | BLTU -> a < b
-  | BGEU -> a >= b
-
 let emit st ~next_pc ~kind ~rs1 ~rs2 ~rd ~aux ~mem_pos =
   if st.trace then
     Dyn.push st.rows
@@ -174,13 +148,13 @@ let step st instr =
   | Alu (op, rd, rs1, rs2) ->
     let a = reg_read st rs1 in
     let b = reg_read st rs2 in
-    let r = reg_write st rd (alu_eval op a b) in
+    let r = reg_write st rd (Isa.alu_eval op a b) in
     emit st ~next_pc:(st.pc + 1) ~kind:Trace.Exec ~rs1:a ~rs2:b ~rd:r ~aux:[||] ~mem_pos;
     st.pc <- st.pc + 1;
     Continue
   | Alui (op, rd, rs1, imm) ->
     let a = reg_read st rs1 in
-    let r = reg_write st rd (alu_eval op a (imm land mask32)) in
+    let r = reg_write st rd (Isa.alu_eval op a (imm land mask32)) in
     emit st ~next_pc:(st.pc + 1) ~kind:Trace.Exec ~rs1:a ~rs2:0 ~rd:r ~aux:[||] ~mem_pos;
     st.pc <- st.pc + 1;
     Continue
@@ -208,7 +182,7 @@ let step st instr =
   | Branch (op, rs1, rs2, tgt) ->
     let a = reg_read st rs1 in
     let b = reg_read st rs2 in
-    let next = if branch_eval op a b then tgt else st.pc + 1 in
+    let next = if Isa.branch_eval op a b then tgt else st.pc + 1 in
     emit st ~next_pc:next ~kind:Trace.Exec ~rs1:a ~rs2:b ~rd:0 ~aux:[||] ~mem_pos;
     st.pc <- next;
     Continue

@@ -33,8 +33,8 @@ type result = {
 }
 
 val default_max_cycles : int
-(** The default [max_cycles] of {!run} ([50_000_000]) — also the cycle
-    budget the analyzer's gate enforces against proven bounds. *)
+(** The default [max_cycles] of {!run} ([50_000_000]): the only cycle
+    budget. A run that passes it traps; no static bound is computed. *)
 
 val run :
   ?trace:bool -> ?max_cycles:int -> Program.t -> input:int array -> result

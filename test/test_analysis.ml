@@ -1,5 +1,6 @@
 (* Static analyzer: every defect class caught on a bad guest and absent
-   from the corrected one; the built-in guests and the prover gate. *)
+   from the corrected one; the built-in guests and the gate on programs
+   from outside. *)
 
 module A = Zkflow_analysis
 module Finding = Zkflow_analysis.Finding
@@ -89,56 +90,6 @@ let test_ecall_protocol () =
     (has ~severity:`Error (block ~call:7 ~addr:100 ~count:9) "membounds");
   check_bool "block count 0 flagged" true
     (has ~severity:`Error (block ~call:6 ~addr:100 ~count:0) "membounds")
-
-let test_unbounded_loop () =
-  (* a loop whose bound depends on input (the limit comes from an
-     ecall) cannot be proven and must stay Unbounded with its header *)
-  let bad =
-    analyze
-      (Isa.Lui (10, 1) :: Isa.Ecall                     (* a0 := read_word *)
-      :: Isa.Lui (5, 0)                                 (* i := 0 *)
-      :: Isa.Alui (ADD, 5, 5, 1)                        (* 3: i += 1 *)
-      :: Isa.Branch (BNE, 5, 10, 3)                     (* while i <> a0 *)
-      :: halt_seq)
-  in
-  (match bad.Finding.cycle_bound with
-   | Finding.Unbounded headers -> check_bool "loop header" true (List.mem 3 headers)
-   | Finding.Bounded _ -> Alcotest.fail "data-dependent loop not detected");
-  let good = analyze (Isa.Lui (5, 1) :: halt_seq) in
-  match good.Finding.cycle_bound with
-  | Finding.Bounded n -> check_int "straight-line bound" 4 n
-  | Finding.Unbounded _ -> Alcotest.fail "acyclic program reported unbounded"
-
-let test_counted_loop_bound () =
-  (* a constant countdown loop now gets a *proven* bound: the interval
-     domain resolves init=10, step=-1, limit=0 exactly. The machine
-     takes 24 cycles; the bound must dominate it without being wild. *)
-  let prog =
-    Isa.Lui (5, 10) :: Isa.Alui (ADD, 5, 5, -1) :: Isa.Branch (BNE, 5, 0, 1)
-    :: halt_seq
-  in
-  let r = analyze prog in
-  check_bool "counted loop is clean" true (Finding.ok r);
-  match r.Finding.cycle_bound with
-  | Finding.Bounded n ->
-    let cycles =
-      (Zkflow_zkvm.Machine.run (Program.of_instrs (Array.of_list prog)) ~input:[||])
-        .Zkflow_zkvm.Machine.cycles
-    in
-    check_bool "bound dominates execution" true (n >= cycles);
-    check_bool "bound is tight-ish" true (n <= 3 * cycles + 8)
-  | Finding.Unbounded _ -> Alcotest.fail "constant loop should be bounded"
-
-let test_sha_cycle_weight () =
-  let r =
-    analyze
-      (Isa.Lui (11, 0x100) :: Isa.Lui (12, 16) :: Isa.Lui (13, 0x200)
-      :: Isa.Lui (10, 3) :: Isa.Ecall :: halt_seq)
-  in
-  match r.Finding.cycle_bound with
-  | Finding.Bounded n ->
-    check_int "sha rows counted" (8 + Trace.sha_block_count 16) n
-  | Finding.Unbounded _ -> Alcotest.fail "acyclic program reported unbounded"
 
 let test_call_return_precision () =
   (* a loop counter in a callee-crossing register must not be flagged:
@@ -234,10 +185,6 @@ let test_builtin_guests_clean () =
   check_bool "aggregation guest has no defects" true (Finding.ok agg);
   let q = A.check ~subject:"query" (Lazy.force Guests.query_program) in
   check_bool "query guest has no defects" true (Finding.ok q);
-  (* both carry data-dependent loops: the bound must be honest *)
-  (match agg.Finding.cycle_bound with
-   | Finding.Unbounded (_ :: _) -> ()
-   | _ -> Alcotest.fail "aggregation guest should report unbounded loops");
   (* every routine the guest splices in is called: no dead code *)
   check_bool "no unreachable code" false (has ~severity:`Warning agg "unreachable");
   check_bool "query: no unreachable code" false (has ~severity:`Warning q "unreachable")
@@ -248,38 +195,17 @@ let test_report_json () =
   check_bool "json has pass" true (contains ~sub:"\"pass\":\"uninit\"" js);
   check_bool "json has severity" true (contains ~sub:"\"severity\":\"error\"" js)
 
-(* ---- the prover gate ---- *)
-
-let defective_program =
-  lazy (Program.of_instrs (Array.of_list (Isa.Alu (ADD, 5, 6, 0) :: halt_seq)))
+(* ---- the gate on programs from outside ---- *)
 
 let test_gate_refuses () =
-  Unix.putenv "ZKFLOW_NO_ANALYZE" "";
-  match
-    Prover_service.prove_custom (Lazy.force defective_program) ~input:[||]
-  with
+  let defective = Program.of_instrs (Array.of_list (Isa.Alu (ADD, 5, 6, 0) :: halt_seq)) in
+  match Prover_service.prove_custom defective ~input:[||] with
   | Ok _ -> Alcotest.fail "defective guest was proved"
   | Error msg ->
     check_bool "mentions analysis" true (contains ~sub:"static analysis" msg);
-    check_bool "mentions override" true (contains ~sub:"ZKFLOW_NO_ANALYZE" msg)
-
-let test_gate_override () =
-  Unix.putenv "ZKFLOW_NO_ANALYZE" "1";
-  let result =
-    Prover_service.prove_custom (Lazy.force defective_program) ~input:[||]
-  in
-  Unix.putenv "ZKFLOW_NO_ANALYZE" "";
-  match result with
-  | Ok (receipt, run) ->
-    check_int "ran to completion" 0 run.Zkflow_zkvm.Machine.exit_code;
-    let program = Lazy.force defective_program in
-    (match Zkflow_zkproof.Verify.verify ~program receipt with
-     | Ok () -> ()
-     | Error e -> Alcotest.fail ("receipt does not verify: " ^ e))
-  | Error e -> Alcotest.fail ("override did not bypass the gate: " ^ e)
+    check_bool "names the defect" true (contains ~sub:"uninit" msg)
 
 let test_gate_passes_clean_guest () =
-  Unix.putenv "ZKFLOW_NO_ANALYZE" "";
   let clean = Program.of_instrs (Array.of_list (Isa.Lui (5, 1) :: halt_seq)) in
   match Prover_service.prove_custom clean ~input:[||] with
   | Ok _ -> ()
@@ -324,10 +250,10 @@ let test_interval_ops () =
   check_bool "add shifts bounds" true
     (I.contains r 5 && I.contains r 15 && not (I.contains r 16));
   (* singleton arguments follow machine semantics exactly *)
-  check_int "divu by zero" 0xffff_ffff (I.alu_eval Isa.DIVU 7 0);
+  check_int "divu by zero" 0xffff_ffff (Isa.alu_eval Isa.DIVU 7 0);
   check_bool "divu by zero lifted" true
     (I.is_const (I.alu Isa.DIVU (I.const 7) (I.const 0)) = Some 0xffff_ffff);
-  check_int "remu by zero" 7 (I.alu_eval Isa.REMU 7 0);
+  check_int "remu by zero" 7 (Isa.alu_eval Isa.REMU 7 0);
   (* strided values keep their congruence through scaling *)
   let idx = I.alu Isa.MUL (I.range 0 100) (I.const 8) in
   check_bool "stride 8" true (I.contains idx 16 && not (I.contains idx 12));
@@ -473,19 +399,6 @@ let test_example_mutants_rejected () =
         (has ~severity:`Error (audit_src oob) "zirc-membounds"))
     examples
 
-(* ---- gate budget ---- *)
-
-let test_gate_budget () =
-  let prog = Program.of_instrs (Array.of_list halt_seq) in
-  (match A.gate ~subject:"tiny guest" prog with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  match A.gate ~subject:"tiny guest" ~budget:2 prog with
-  | Ok () -> Alcotest.fail "expected a budget refusal"
-  | Error e ->
-    check_bool "names the bound" true (contains ~sub:"cycle bound" e);
-    check_bool "names the override" true (contains ~sub:"ZKFLOW_NO_ANALYZE" e)
-
 let () =
   Alcotest.run "zkflow_analysis"
     [
@@ -498,9 +411,6 @@ let () =
           Alcotest.test_case "fall off end" `Quick test_fall_off_end;
           Alcotest.test_case "wild jump" `Quick test_wild_jump;
           Alcotest.test_case "ecall protocol" `Quick test_ecall_protocol;
-          Alcotest.test_case "unbounded loop" `Quick test_unbounded_loop;
-          Alcotest.test_case "counted loop bound" `Quick test_counted_loop_bound;
-          Alcotest.test_case "sha cycle weight" `Quick test_sha_cycle_weight;
           Alcotest.test_case "call/return precision" `Quick test_call_return_precision;
           Alcotest.test_case "malformed register" `Quick test_malformed_register;
         ] );
@@ -547,8 +457,6 @@ let () =
       ( "gate",
         [
           Alcotest.test_case "refuses defective" `Quick test_gate_refuses;
-          Alcotest.test_case "budget refusal" `Quick test_gate_budget;
-          Alcotest.test_case "env override" `Slow test_gate_override;
           Alcotest.test_case "passes clean" `Slow test_gate_passes_clean_guest;
         ] );
     ]

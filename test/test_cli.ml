@@ -910,11 +910,7 @@ let test_report_markdown () =
   check_bool "matrix table" true (contains ~needle:"## Matrix" out);
   check_bool "frontier table" true (contains ~needle:"## Pareto frontier" out);
   check_bool "provenance line" true (contains ~needle:"git_commit=abc1234" out);
-  check_bool "soundness column" true (contains ~needle:"soundness (bits)" out);
-  (* --markdown is the default spelled out *)
-  let code, out2 = run [ "report"; f; "--markdown" ] in
-  check_int "explicit --markdown" 0 code;
-  check_bool "same rendering" true (out = out2)
+  check_bool "soundness column" true (contains ~needle:"soundness (bits)" out)
 
 let test_report_json () =
   let dir = fresh_dir () in
@@ -959,14 +955,6 @@ let test_report_corrupt_input () =
   let code, out = run [ "report"; g ] in
   check_int "wrong-schema exit" 1 code;
   check_bool "points at the schema" true (contains ~needle:"schema" out)
-
-let test_report_flag_conflict () =
-  let dir = fresh_dir () in
-  let f = Filename.concat dir "BENCH_matrix.json" in
-  write_text f matrix_fixture;
-  let code, out = run [ "report"; f; "--json"; "--markdown" ] in
-  check_int "nonzero exit" 1 code;
-  check_bool "says mutually exclusive" true (contains ~needle:"mutually exclusive" out)
 
 let () =
   Alcotest.run "zkflow_cli"
@@ -1038,7 +1026,5 @@ let () =
             test_report_missing_input;
           Alcotest.test_case "corrupt input is a one-line error" `Quick
             test_report_corrupt_input;
-          Alcotest.test_case "--json/--markdown conflict" `Quick
-            test_report_flag_conflict;
         ] );
     ]
