@@ -771,8 +771,8 @@ let ablations () =
 
 (* One aggregation round of the perfbench ingest-steady shape (a
    16-flow CLog updated by two records from each of 4 routers: 2,737
-   cycles, 7,707 access-log entries): the guest, its traced run and
-   its receipt. *)
+   cycles, 7,707 access-log entries): the guest, its input, its traced
+   run and its receipt. *)
 let ingest_shape_run () =
   let open Zkflow_zkproof in
   let module Rng = Zkflow_util.Rng in
@@ -800,27 +800,28 @@ let ingest_shape_run () =
   let second = List.init routers (fun r -> window r [ Rng.int rng 16; Rng.int rng 16 ]) in
   let run = Result.get_ok (Aggregate.execute ~prev second) in
   let program = Lazy.force Guests.aggregation_program in
-  (program, run, Result.get_ok (Prove.prove_result program run))
+  ( program,
+    Guests.aggregation_input ~prev ~batches:second,
+    run,
+    Result.get_ok (Prove.prove_result program run) )
 
 (* The five trace-commitment trees of that round, built from their
    columns as the prover builds them, each with the leaf set the
    receipt's challenges open and the receipt's column for it. *)
-let ingest_shape_columns (program, run, receipt) =
+let ingest_shape_columns (program, _, run, receipt) =
   let open Zkflow_zkproof in
   let module Tree = Zkflow_merkle.Tree in
   let module Trace = Zkflow_zkvm.Trace in
   let s = receipt.Receipt.seal and rows = run.Zkflow_zkvm.Machine.rows in
   let memlog = run.Zkflow_zkvm.Machine.memlog in
   let node = Receipt.node in
-  let entries = Trace.encode_memlog memlog in
+  let entries = Trace.encode_log memlog in
   let perm = Result.get_ok (Memcheck.sort_perm memlog) in
   let jacc_leaves =
     let chain = ref Zkflow_hash.Chain.genesis in
-    Array.map
-      (fun row ->
-        chain := Checker.jacc_step ~program !chain row;
+    Array.init (Trace.n_rows rows) (fun i ->
+        chain := Checker.jacc_step ~program !chain rows i;
         D.to_bytes (Zkflow_hash.Chain.head !chain))
-      rows
   in
   let c, _ =
     Fs.derive ~claim:receipt.Receipt.claim
@@ -830,9 +831,7 @@ let ingest_shape_columns (program, run, receipt) =
       ~root_jacc:s.Receipt.root_jacc
       ~commit_z:(fun ~alpha:_ ~beta:_ -> s.Receipt.root_z)
   in
-  let spans =
-    Array.map (fun i -> (rows.(i).Trace.mem_pos, rows.(i).Trace.mem_count)) c.Fs.step_idx
-  in
+  let spans = Array.map (fun i -> (Trace.mem_pos rows i, Trace.mem_count rows i)) c.Fs.step_idx in
   let o = Fs.opened ~n_rows:s.Receipt.n_rows ~n_mem:s.Receipt.n_mem ~spans c in
   let z_leaves = Logleaf.pack (Memcheck.z_leaves ~alpha:c.Fs.alpha ~beta:c.Fs.beta memlog perm) in
   let log col entries column = (Tree.of_leaves ~node col, Logleaf.leaf_set entries, column) in
@@ -872,7 +871,7 @@ let micro () =
   let traced = Zkflow_zkvm.Machine.run ~trace:true zkvm_guest ~input:[||] in
   let memlog = traced.memlog in
   let row_leaves = Zkflow_zkvm.Trace.encode_rows traced.rows in
-  let mem_leaves = Zkflow_zkproof.Logleaf.pack (Zkflow_zkvm.Trace.encode_memlog memlog) in
+  let mem_leaves = Zkflow_zkproof.Logleaf.pack (Zkflow_zkvm.Trace.encode_log memlog) in
   let trace_tree leaves () =
     ignore (Zkflow_merkle.Tree.of_leaves ~node:Zkflow_zkproof.Receipt.node leaves)
   in
@@ -881,7 +880,9 @@ let micro () =
   (* The prover's helper extraction and the verifier's authentication
      (leaf hashing and one climb per root) of all five columns. *)
   let module Multiproof = Zkflow_merkle.Multiproof in
-  let ((ingest_program, ingest_run, ingest_receipt) as ingest) = ingest_shape_run () in
+  let ((ingest_program, ingest_input, ingest_run, ingest_receipt) as ingest) =
+    ingest_shape_run ()
+  in
   let columns = ingest_shape_columns ingest in
   (* The verifier's whole check of that receipt, and the Fiat–Shamir
      schedule every prove and verify runs (journal digest included). *)
@@ -904,7 +905,7 @@ let micro () =
     let z = Logleaf.pack (Memcheck.z_leaves ~alpha ~beta memlog perm) in
     let tree col = ignore (Zkflow_merkle.Tree.of_leaves ~node:Receipt.node col) in
     fun () ->
-      let entries = Zkflow_zkvm.Trace.encode_memlog memlog in
+      let entries = Zkflow_zkvm.Trace.encode_log memlog in
       tree (Logleaf.pack entries);
       tree (Logleaf.gather entries perm);
       tree z
@@ -941,9 +942,11 @@ let micro () =
           ignore (Zkflow_zkproof.Memcheck.sort_perm memlog)));
       Test.make ~name:"memcheck-z" (Staged.stage (fun () ->
           ignore (Zkflow_zkproof.Memcheck.z_leaves ~alpha ~beta memlog perm)));
+      Test.make ~name:"trace-record-ingest" (Staged.stage (fun () ->
+          ignore (Zkflow_zkvm.Machine.run ~trace:true ingest_program ~input:ingest_input)));
       Test.make ~name:"trace-encode-ingest" (Staged.stage (fun () ->
           ignore (Zkflow_zkvm.Trace.encode_rows ingest_run.Zkflow_zkvm.Machine.rows);
-          ignore (Zkflow_zkvm.Trace.encode_memlog ingest_run.Zkflow_zkvm.Machine.memlog)));
+          ignore (Zkflow_zkvm.Trace.encode_log ingest_run.Zkflow_zkvm.Machine.memlog)));
       Test.make ~name:"merkle-trace-rows" (Staged.stage (trace_tree row_leaves));
       Test.make ~name:"merkle-trace-mem" (Staged.stage (trace_tree mem_leaves));
       Test.make ~name:"log-commit-ingest" (Staged.stage log_commit_ingest);

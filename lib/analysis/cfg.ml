@@ -20,10 +20,12 @@ type t = {
    assembler and the Zirc compiler emits. Recognising it syntactically
    keeps the CFG precise without needing the dataflow result; an ecall
    whose call number is set any other way conservatively keeps its
-   fall-through edge. *)
-let is_terminal_halt program pc =
+   fall-through edge. So does an ecall some branch or jump targets
+   ([targeted]): control arriving there skips the [li a0, 0], and a0
+   may name a call that returns. *)
+let is_terminal_halt ~targeted program pc =
   match program.(pc) with
-  | Isa.Ecall -> pc > 0 && program.(pc - 1) = Isa.Lui (10, 0)
+  | Isa.Ecall -> pc > 0 && program.(pc - 1) = Isa.Lui (10, 0) && not targeted.(pc)
   | _ -> false
 
 (* Function-local successors. ZR0 code only materialises code addresses
@@ -31,20 +33,27 @@ let is_terminal_halt program pc =
    comes back to pc+1) and [Jalr x0] is a return (exits the function);
    callees are analysed as their own functions. Arithmetic on a return
    address escapes this model and is out of scope (DESIGN.md §8). *)
-let raw_succs program pc =
+let raw_succs ~targeted program pc =
   match program.(pc) with
   | Isa.Branch (_, _, _, tgt) -> [ tgt; pc + 1 ]
   | Isa.Jal (0, tgt) -> [ tgt ]
   | Isa.Jal (_, _) -> [ pc + 1 ]        (* call: resumes after return *)
   | Isa.Jalr (0, _, _) -> []            (* return *)
   | Isa.Jalr (_, _, _) -> [ pc + 1 ]    (* indirect call *)
-  | Isa.Ecall -> if is_terminal_halt program pc then [] else [ pc + 1 ]
+  | Isa.Ecall -> if is_terminal_halt ~targeted program pc then [] else [ pc + 1 ]
   | _ -> [ pc + 1 ]
 
 let build program =
   let n = Array.length program in
   if n = 0 then invalid_arg "Cfg.build: empty program";
-  let succs_of_pc = Array.init n (fun pc -> raw_succs program pc) in
+  let targeted = Array.make n false in
+  Array.iter
+    (function
+      | Isa.Branch (_, _, _, tgt) | Isa.Jal (_, tgt) when tgt >= 0 && tgt < n ->
+        targeted.(tgt) <- true
+      | _ -> ())
+    program;
+  let succs_of_pc = Array.init n (fun pc -> raw_succs ~targeted program pc) in
   (* Edges leaving [0, n) are defects (the machine traps on fetch);
      keep them aside and clip the graph to in-range pcs. *)
   let escapes = ref [] in

@@ -1,6 +1,11 @@
 module Chain = Zkflow_hash.Chain
 
-type router_state = { mutable chain : Chain.t; mutable entries : Commitment.t list }
+(* A router's commitments, newest first, and indexed by epoch. *)
+type router_state = {
+  mutable chain : Chain.t;
+  mutable entries : Commitment.t list;
+  by_epoch : (int, Commitment.t) Hashtbl.t;
+}
 
 type t = { states : (int, router_state) Hashtbl.t }
 
@@ -10,7 +15,7 @@ let state t router_id =
   match Hashtbl.find_opt t.states router_id with
   | Some s -> s
   | None ->
-    let s = { chain = Chain.genesis; entries = [] } in
+    let s = { chain = Chain.genesis; entries = []; by_epoch = Hashtbl.create 64 } in
     Hashtbl.replace t.states router_id s;
     s
 
@@ -51,6 +56,7 @@ let publish_with ?(replay = false) t ~router_id ~epoch make =
     let c, chain = make ~prev_chain:s.chain in
     s.chain <- chain;
     s.entries <- c :: s.entries;
+    Hashtbl.replace s.by_epoch epoch c;
     if replay then publish_event ~kind:"board.replay" ~track:"board" c
     else
       publish_event ~kind:"board.publish"
@@ -69,7 +75,7 @@ let publish_digest t ~batch ~record_count ~router_id ~epoch =
 let lookup t ~router_id ~epoch =
   match Hashtbl.find_opt t.states router_id with
   | None -> None
-  | Some s -> List.find_opt (fun c -> c.Commitment.epoch = epoch) s.entries
+  | Some s -> Hashtbl.find_opt s.by_epoch epoch
 
 let chain_head t ~router_id = Chain.head (state t router_id).chain
 let commitments t ~router_id = List.rev (state t router_id).entries

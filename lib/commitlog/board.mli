@@ -15,6 +15,8 @@ val publish :
     the same (router, epoch) or on out-of-order epochs for a router. *)
 
 val lookup : t -> router_id:int -> epoch:int -> Commitment.t option
+(** The router's commitment to [epoch], read from a per-router index
+    by epoch. *)
 
 val chain_head : t -> router_id:int -> Zkflow_hash.Digest32.t
 (** The router's current commitment-chain head (genesis when none). *)

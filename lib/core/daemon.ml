@@ -48,6 +48,15 @@ type submit_result = Accepted | Shed | Duplicate | Closed
 
 type item = { router_id : int; epoch : int; records : Record.t list }
 
+(* Windows as (epoch, router), ordered by epoch, then router. *)
+module Pairs = Set.Make (struct
+  type t = int * int
+
+  let compare (e, r) (e', r') = match Int.compare e e' with 0 -> Int.compare r r' | c -> c
+end)
+
+module Epochs = Set.Make (Int)
+
 type breaker = Closed_b | Open_b of int | Half_open_b
 
 type lifecycle = Running | Draining
@@ -66,6 +75,12 @@ type t = {
   seen : (int * int, unit) Hashtbl.t; (* accepted (router, epoch) windows *)
   unpublishable : (int * int, unit) Hashtbl.t; (* board rejected; don't retry *)
   pub_high : (int, int) Hashtbl.t; (* per-router highest epoch on the board *)
+  (* What the passes have left to do, so a pass visits pending work
+     only: the store's windows up to [taken] have joined these sets. *)
+  mutable taken : int;
+  mutable to_publish : Pairs.t; (* windows not yet settled on the board *)
+  mutable to_check : Pairs.t; (* windows whose epoch has no round yet *)
+  mutable to_prove : Epochs.t; (* epochs not yet attempted *)
   mutable service : Prover_service.t;
   mutable lifecycle : lifecycle;
   mutable watermark : int;
@@ -267,120 +282,133 @@ let ingest_pass t =
       edge_ok t;
       Mutex.unlock t.m)
 
+(* The windows the store created since the last pass join the pending
+   sets. *)
+let take_windows t =
+  let n = Db.window_count t.db in
+  if n > t.taken then begin
+    List.iter
+      (fun (router_id, epoch) ->
+        t.to_publish <- Pairs.add (epoch, router_id) t.to_publish;
+        t.to_check <- Pairs.add (epoch, router_id) t.to_check;
+        t.to_prove <- Epochs.add epoch t.to_prove)
+      (Db.windows_from t.db t.taken);
+    t.taken <- n
+  end
+
+(* After a restart the service may have lost rounds and gaps that
+   never reached a synced checkpoint, so every window is pending
+   again. *)
+let forget_pending t =
+  t.taken <- 0;
+  t.to_publish <- Pairs.empty;
+  t.to_check <- Pairs.empty;
+  t.to_prove <- Epochs.empty
+
 (* Publish ingested windows on the routers' behalf (serve mode). The
    board enforces per-router monotone epochs, so walk epochs
    ascending; a pair the board rejects is remembered and never
-   retried (its round will journal the gap instead of wedging). *)
+   retried (its round will journal the gap instead of wedging). A
+   window leaves the pending set once it is on the board, refused, or
+   below its router's highest published epoch, which only grows. *)
 let publish_pass t ~watermark =
   if t.config.publish then
-    let epochs =
-      List.filter (fun e -> e <= watermark) (List.sort compare (Db.epochs t.db))
-    in
-    List.iter
-      (fun epoch ->
-        List.iter
-          (fun router_id ->
-            let key = (router_id, epoch) in
-            if not (Hashtbl.mem t.unpublishable key) then
-              match Board.lookup t.board ~router_id ~epoch with
-              | Some _ ->
-                if
-                  match Hashtbl.find_opt t.pub_high router_id with
-                  | Some hi -> epoch > hi
-                  | None -> true
-                then Hashtbl.replace t.pub_high router_id epoch
-              | None ->
-                let monotone =
-                  match Hashtbl.find_opt t.pub_high router_id with
-                  | Some hi -> epoch > hi
-                  | None -> true
-                in
-                if monotone && breaker_allows t then begin
-                  let window = Db.window t.db ~router_id ~epoch in
-                  match
-                    retry_edge t
-                      ~label:(Printf.sprintf "daemon.publish r%d/e%d" router_id epoch)
-                      (fun () ->
-                        let* () = Fault.failpoint "daemon.publish" in
-                        Result.map ignore
-                          (Board.publish t.board window ~router_id ~epoch))
-                  with
-                  | Ok () ->
-                    Mutex.lock t.m;
-                    edge_ok t;
-                    Mutex.unlock t.m;
-                    Hashtbl.replace t.pub_high router_id epoch
-                  | Error err ->
-                    Mutex.lock t.m;
-                    edge_failed t ~edge:"publish" err;
-                    Mutex.unlock t.m;
-                    (* A plain board rejection is permanent: retrying
-                       forever would wedge. Exhausted transient
-                       failures stay retryable (the breaker paces
-                       them). *)
-                    if not (Fault.armed ()) then
-                      Hashtbl.replace t.unpublishable key ()
-                end)
-          (Db.routers_for t.db ~epoch))
-      epochs
+    Pairs.iter
+      (fun ((epoch, router_id) as pair) ->
+        let settled () = t.to_publish <- Pairs.remove pair t.to_publish in
+        let key = (router_id, epoch) in
+        let monotone () =
+          match Hashtbl.find_opt t.pub_high router_id with Some hi -> epoch > hi | None -> true
+        in
+        if epoch <= watermark then
+          if Hashtbl.mem t.unpublishable key then settled ()
+          else
+            match Board.lookup t.board ~router_id ~epoch with
+            | Some _ ->
+              if monotone () then Hashtbl.replace t.pub_high router_id epoch;
+              settled ()
+            | None ->
+              if not (monotone ()) then settled ()
+              else if breaker_allows t then begin
+                let window = Db.window t.db ~router_id ~epoch in
+                match
+                  retry_edge t
+                    ~label:(Printf.sprintf "daemon.publish r%d/e%d" router_id epoch)
+                    (fun () ->
+                      let* () = Fault.failpoint "daemon.publish" in
+                      Result.map ignore (Board.publish t.board window ~router_id ~epoch))
+                with
+                | Ok () ->
+                  Mutex.lock t.m;
+                  edge_ok t;
+                  Mutex.unlock t.m;
+                  Hashtbl.replace t.pub_high router_id epoch;
+                  settled ()
+                | Error err ->
+                  Mutex.lock t.m;
+                  edge_failed t ~edge:"publish" err;
+                  Mutex.unlock t.m;
+                  (* A plain board rejection is permanent: retrying
+                     forever would wedge. Exhausted transient
+                     failures stay retryable (the breaker paces
+                     them). *)
+                  if not (Fault.armed ()) then begin
+                    Hashtbl.replace t.unpublishable key ();
+                    settled ()
+                  end
+              end)
+      t.to_publish
 
 (* Late-arriving exports: the round for an epoch already ran, and only
    now did some router's records show up. Put the pair in the gap
-   journal so heal folds it in once its commitment is published. *)
+   journal so heal folds it in once its commitment is published. Each
+   window is checked once its epoch has a round: a window that round
+   (or a heal round) covered never becomes uncovered, and [note_gap]
+   keeps a noted pair. *)
 let late_gap_pass t ~watermark =
-  let coverage = Prover_service.coverage t.service in
-  let covered = Prover_service.covered_epochs t.service in
-  List.iter
-    (fun epoch ->
-      if epoch <= watermark then begin
-        let covered_routers =
-          List.concat_map
-            (fun (c : Prover_service.coverage) ->
-              if c.epoch = epoch then c.routers else [])
-            coverage
-        in
-        List.iter
-          (fun router_id ->
-            if not (List.mem router_id covered_routers) then
-              ignore (Prover_service.note_gap t.service ~router_id ~epoch))
-          (Db.routers_for t.db ~epoch)
+  Pairs.iter
+    (fun ((epoch, router_id) as pair) ->
+      if epoch <= watermark && Prover_service.is_covered t.service ~epoch then begin
+        if not (Prover_service.covers t.service ~router_id ~epoch) then
+          ignore (Prover_service.note_gap t.service ~router_id ~epoch);
+        t.to_check <- Pairs.remove pair t.to_check
       end)
-    covered
+    t.to_check
 
 (* Prove closed, not-yet-attempted epochs ascending. "Attempted"
    means covered by a round OR present in the gap journal: a fully
    skipped epoch (nobody published) must be completed by heal rounds,
    not by a late full round — re-running aggregate_available after
-   the commitments appear would cover the same records twice. *)
+   the commitments appear would cover the same records twice. An
+   epoch stays pending until a round or the gap journal settles it. *)
 let rounds_pass t ~watermark =
-  let covered = Prover_service.covered_epochs t.service in
-  let gap_epochs =
-    List.map (fun (g : Prover_service.gap) -> g.epoch) (Prover_service.gaps t.service)
-  in
-  let attempted e = List.mem e covered || List.mem e gap_epochs in
-  List.iter
+  Epochs.iter
     (fun epoch ->
-      if epoch <= watermark && not (attempted epoch) then begin
-        Mutex.lock t.prove_m;
-        let outcome =
-          Fun.protect
-            ~finally:(fun () -> Mutex.unlock t.prove_m)
-            (fun () -> Prover_service.aggregate_available t.service ~epoch)
-        in
-        match outcome with
-        | Ok (Prover_service.Complete _) | Ok (Prover_service.Degraded _) ->
-          Mutex.lock t.m;
-          t.rounds_done <- t.rounds_done + 1;
-          Mutex.unlock t.m
-        | Ok (Prover_service.Skipped _) -> ()
-        | Error err ->
-          Mutex.lock t.m;
-          edge_failed t ~edge:"round" err;
-          t.round_errors <- (epoch, err) :: List.remove_assoc epoch t.round_errors;
-          Mutex.unlock t.m;
-          emit ~epoch "daemon.round.error" [ ("error", Jsonx.Str err) ]
-      end)
-    (List.sort compare (Db.epochs t.db))
+      let settled () = t.to_prove <- Epochs.remove epoch t.to_prove in
+      if epoch <= watermark then
+        if Prover_service.attempted t.service ~epoch then settled ()
+        else begin
+          Mutex.lock t.prove_m;
+          let outcome =
+            Fun.protect
+              ~finally:(fun () -> Mutex.unlock t.prove_m)
+              (fun () -> Prover_service.aggregate_available t.service ~epoch)
+          in
+          match outcome with
+          | Ok (Prover_service.Complete _) | Ok (Prover_service.Degraded _) ->
+            Mutex.lock t.m;
+            t.rounds_done <- t.rounds_done + 1;
+            Mutex.unlock t.m;
+            settled ()
+          | Ok (Prover_service.Skipped _) -> settled ()
+          | Error err ->
+            Mutex.lock t.m;
+            edge_failed t ~edge:"round" err;
+            t.round_errors <- (epoch, err) :: List.remove_assoc epoch t.round_errors;
+            Mutex.unlock t.m;
+            emit ~epoch "daemon.round.error" [ ("error", Jsonx.Str err) ]
+        end)
+    t.to_prove
 
 let heal_pass t =
   if Prover_service.heal_pending t.service then begin
@@ -410,6 +438,7 @@ let pass t =
     w
   in
   ingest_pass t;
+  take_windows t;
   publish_pass t ~watermark;
   late_gap_pass t ~watermark;
   rounds_pass t ~watermark;
@@ -503,6 +532,10 @@ let create ?(config = default_config) ?proof_params ?(seed = 0x5e17e) ?(paused =
         seen = Hashtbl.create 64;
         unpublishable = Hashtbl.create 8;
         pub_high = Hashtbl.create 8;
+        taken = 0;
+        to_publish = Pairs.empty;
+        to_check = Pairs.empty;
+        to_prove = Epochs.empty;
         service;
         lifecycle = Running;
         watermark = -1;
@@ -598,6 +631,7 @@ let restart t =
       t.breaker <- Closed_b;
       Queue.clear t.queue;
       derive_seen t;
+      forget_pending t;
       t.gen <- t.gen + 1;
       (* The query memos stay: each key names the root its proof
          answers, so an entry for an older root is still a correct

@@ -30,6 +30,8 @@ type t = {
   mutable clog : Clog.t;
   mutable rounds_rev : Aggregate.round list;
   mutable coverage_rev : coverage list;
+  covered : (int, unit) Hashtbl.t; (* the epochs of non-heal coverage *)
+  covered_pairs : (int * int, unit) Hashtbl.t; (* (router, epoch) of any coverage *)
   mutable gaps : gap list; (* oldest first *)
   mutable ckpt : Wal.t option; (* the checkpoint journal, when on *)
 }
@@ -43,6 +45,8 @@ let create ?(proof_params = Zkflow_zkproof.Params.default) ~db ~board () =
     clog = Clog.empty;
     rounds_rev = [];
     coverage_rev = [];
+    covered = Hashtbl.create 64;
+    covered_pairs = Hashtbl.create 64;
     gaps = [];
     ckpt = None;
   }
@@ -62,6 +66,17 @@ let open_gaps t =
 let covered_epochs t =
   List.filter_map (fun c -> if c.heal then None else Some c.epoch) (coverage t)
   |> List.sort_uniq Int.compare
+
+let add_coverage t (cov : coverage) =
+  t.coverage_rev <- cov :: t.coverage_rev;
+  if not cov.heal then Hashtbl.replace t.covered cov.epoch ();
+  List.iter (fun r -> Hashtbl.replace t.covered_pairs (r, cov.epoch) ()) cov.routers
+
+let is_covered t ~epoch = Hashtbl.mem t.covered epoch
+let covers t ~router_id ~epoch = Hashtbl.mem t.covered_pairs (router_id, epoch)
+
+let attempted t ~epoch =
+  is_covered t ~epoch || List.exists (fun (g : gap) -> g.epoch = epoch) t.gaps
 
 let ( let* ) = Result.bind
 
@@ -99,8 +114,7 @@ let publish_epoch t ~epoch =
 (* Epochs the routers have materialized but the service has not yet
    aggregated — the service's backlog, reported on every round event
    so a health report can plot queue depth over time. *)
-let queue_depth t =
-  max 0 (List.length (Db.epochs t.db) - List.length (covered_epochs t))
+let queue_depth t = max 0 (Db.epoch_count t.db - Hashtbl.length t.covered)
 
 (* ---- checkpoint rows ----
 
@@ -184,16 +198,41 @@ let restore_round receipt_bytes round_clog cycles =
     restored = true;
   }
 
+(* The row is sized once and built in one buffer: the payload is
+   written 32 bytes in, the receipt where it lies in it (as the
+   length-prefixed bytes field it decodes from), and the checksum over
+   the payload in place into the first 32. *)
 let encode_ckpt_row ~cov ~gaps (round : Aggregate.round) =
-  let w = Wire.writer () in
-  Wire.w_string w ckpt_magic;
-  w_coverage w cov;
-  Wire.w_bytes w (Zkflow_zkproof.Receipt.encode round.Aggregate.receipt);
-  w_entries w round.Aggregate.clog;
-  Wire.w_int w round.Aggregate.cycles;
-  Wire.w_list w (w_gap w) gaps;
-  let payload = Wire.contents w in
-  Bytes.cat (D.to_bytes (D.hash_bytes payload)) payload
+  let module Receipt = Zkflow_zkproof.Receipt in
+  let module Sha256 = Zkflow_hash.Sha256 in
+  let size f =
+    let w = Wire.sizer () in
+    f w;
+    Wire.length w
+  in
+  let head w =
+    Wire.w_string w ckpt_magic;
+    w_coverage w cov
+  and tail w =
+    w_entries w round.Aggregate.clog;
+    Wire.w_int w round.Aggregate.cycles;
+    Wire.w_list w (w_gap w) gaps
+  in
+  let receipt = round.Aggregate.receipt in
+  let receipt_len = size (fun w -> Receipt.write w receipt) in
+  let payload =
+    size head + size (fun w -> Wire.w_int w receipt_len) + receipt_len + size tail
+  in
+  let row = Bytes.create (32 + payload) in
+  let w = Wire.into row ~pos:32 in
+  head w;
+  Wire.w_int w receipt_len;
+  Receipt.write w receipt;
+  tail w;
+  let ctx = Sha256.init () in
+  Sha256.update_sub ctx row ~pos:32 ~len:payload;
+  Sha256.finalize_into ctx ~dst:row ~dst_pos:0;
+  row
 
 let decode_ckpt_row row =
   if Bytes.length row < 32 then Error "checkpoint row: too short"
@@ -336,7 +375,7 @@ let prove_and_commit t ~epoch ~routers ~absent ~heal batches =
   Fault.crashpoint "agg.post_checkpoint";
   t.clog <- round.Aggregate.clog;
   t.rounds_rev <- round :: t.rounds_rev;
-  t.coverage_rev <- cov :: t.coverage_rev;
+  add_coverage t cov;
   t.gaps <- gaps';
   announce_gap_opens ~round_ix new_gaps;
   Ok (round, new_gaps)
@@ -511,7 +550,7 @@ let of_rows ?proof_params ~db ~board good =
     (fun ((cov, round, gaps), _) ->
       t.clog <- round.Aggregate.clog;
       t.rounds_rev <- round :: t.rounds_rev;
-      t.coverage_rev <- cov :: t.coverage_rev;
+      add_coverage t cov;
       t.gaps <- gaps)
     good;
   t

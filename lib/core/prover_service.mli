@@ -128,6 +128,18 @@ val coverage : t -> coverage list
 val covered_epochs : t -> int list
 (** Epochs with a non-heal round, ascending. *)
 
+val is_covered : t -> epoch:int -> bool
+(** Whether [epoch] has a non-heal round: a lookup in an index the
+    service keeps as rounds land or are restored. *)
+
+val covers : t -> router_id:int -> epoch:int -> bool
+(** Whether any round, heal rounds included, covered the window. *)
+
+val attempted : t -> epoch:int -> bool
+(** Whether [epoch] has a non-heal round or an entry in the gap
+    journal: a skipped epoch is completed by heal rounds, never by a
+    later full round. *)
+
 val queue_depth : t -> int
 (** Store epochs not yet covered by a round — the service's backlog. *)
 

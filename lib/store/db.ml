@@ -3,6 +3,9 @@ module Record = Zkflow_netflow.Record
 type t = {
   epoch : Epoch.policy;
   windows : (int * int, Table.t) Hashtbl.t; (* (router, epoch) -> rows *)
+  by_epoch : (int, int list) Hashtbl.t; (* epoch -> its routers, newest first *)
+  mutable created : (int * int) array; (* (router, epoch) in creation order *)
+  mutable n_created : int;
   wal : Wal.t option;
   announced : (int * int, unit) Hashtbl.t; (* windows with a store.window event *)
   announced_m : Mutex.t;
@@ -12,6 +15,9 @@ let create ?wal_path ~epoch () =
   {
     epoch;
     windows = Hashtbl.create 64;
+    by_epoch = Hashtbl.create 64;
+    created = Array.make 64 (0, 0);
+    n_created = 0;
     wal = Option.map Wal.open_log wal_path;
     announced = Hashtbl.create 64;
     announced_m = Mutex.create ();
@@ -25,6 +31,15 @@ let table t ~router_id ~epoch =
   | None ->
     let tbl = Table.create ~name:(Printf.sprintf "rlogs.r%d.e%d" router_id epoch) in
     Hashtbl.replace t.windows (router_id, epoch) tbl;
+    let routers = Option.value (Hashtbl.find_opt t.by_epoch epoch) ~default:[] in
+    Hashtbl.replace t.by_epoch epoch (router_id :: routers);
+    if t.n_created = Array.length t.created then begin
+      let a = Array.make (2 * t.n_created) (0, 0) in
+      Array.blit t.created 0 a 0 t.n_created;
+      t.created <- a
+    end;
+    t.created.(t.n_created) <- (router_id, epoch);
+    t.n_created <- t.n_created + 1;
     tbl
 
 let insert t record =
@@ -74,12 +89,16 @@ let routers t =
   |> List.sort_uniq Int.compare
 
 let routers_for t ~epoch =
-  Hashtbl.fold (fun (r, e) _ acc -> if e = epoch then r :: acc else acc) t.windows []
-  |> List.sort_uniq Int.compare
+  match Hashtbl.find_opt t.by_epoch epoch with
+  | None -> []
+  | Some routers -> List.sort Int.compare routers
 
-let epochs t =
-  Hashtbl.fold (fun (_, e) _ acc -> e :: acc) t.windows []
-  |> List.sort_uniq Int.compare
+let epochs t = Hashtbl.fold (fun e _ acc -> e :: acc) t.by_epoch [] |> List.sort Int.compare
+let epoch_count t = Hashtbl.length t.by_epoch
+let window_count t = t.n_created
+
+let windows_from t k =
+  List.init (Int.max 0 (t.n_created - k)) (fun i -> t.created.(k + i))
 
 let windows t =
   let routers = routers t in

@@ -43,7 +43,22 @@ val epochs : t -> int list
 
 val routers_for : t -> epoch:int -> int list
 (** Router ids with a window at [epoch], ascending — the set a
-    degraded-mode aggregation round measures its coverage against. *)
+    degraded-mode aggregation round measures its coverage against.
+    Windows are indexed by epoch, so this reads that epoch's windows
+    only. *)
+
+val epoch_count : t -> int
+(** The number of epochs present: [List.length (epochs t)]. *)
+
+val window_count : t -> int
+(** The number of windows the store has ever held, counted as each is
+    created. *)
+
+val windows_from : t -> int -> (int * int) list
+(** [windows_from t k] is every window created after the first [k],
+    as [(router_id, epoch)], in creation order: with
+    {!window_count}, how a caller takes only the windows that are new
+    since it last looked. *)
 
 val windows : t -> (int * int list) list
 (** The windows the routers export: every epoch present, ascending,

@@ -1,26 +1,57 @@
 exception Decode of string
 
-type writer = Buffer.t
+(* A writer puts its bytes at [pos] of [data]: a buffer it grows
+   ([writer]), a caller's buffer it may not outgrow ([into]), or none,
+   when it only counts them ([sizer]). *)
+type mode = Grow | Fixed | Count
 
-let writer () = Buffer.create 256
-let w_int buf v = Varint.write buf v
-let w_bool buf b = Varint.write buf (if b then 1 else 0)
+type writer = { mutable data : bytes; mutable pos : int; start : int; mode : mode }
 
-let w_bytes buf b =
-  Varint.write buf (Bytes.length b);
-  Buffer.add_bytes buf b
+let writer () = { data = Bytes.create 256; pos = 0; start = 0; mode = Grow }
+let sizer () = { data = Bytes.empty; pos = 0; start = 0; mode = Count }
+let into data ~pos = { data; pos; start = pos; mode = Fixed }
 
-let w_string buf s = w_bytes buf (Bytes.unsafe_of_string s)
+(* Whether the [n] bytes at [w.pos] are to be written: room is made
+   for them first. *)
+let room w n =
+  match w.mode with
+  | Count -> false
+  | Fixed ->
+    if w.pos + n > Bytes.length w.data then invalid_arg "Wire.into: buffer too small";
+    true
+  | Grow ->
+    if w.pos + n > Bytes.length w.data then begin
+      let data = Bytes.create (Int.max (2 * Bytes.length w.data) (w.pos + n)) in
+      Bytes.blit w.data 0 data 0 w.pos;
+      w.data <- data
+    end;
+    true
 
-let w_list buf f l =
-  Varint.write buf (List.length l);
+let w_int w v =
+  let n = Varint.size v in
+  if room w n then ignore (Varint.put w.data w.pos v : int);
+  w.pos <- w.pos + n
+
+let w_bool w b = w_int w (if b then 1 else 0)
+
+let w_bytes w b =
+  let n = Bytes.length b in
+  w_int w n;
+  if room w n then Bytes.blit b 0 w.data w.pos n;
+  w.pos <- w.pos + n
+
+let w_string w s = w_bytes w (Bytes.unsafe_of_string s)
+
+let w_list w f l =
+  w_int w (List.length l);
   List.iter f l
 
-let w_array buf f a =
-  Varint.write buf (Array.length a);
+let w_array w f a =
+  w_int w (Array.length a);
   Array.iter f a
 
-let contents = Buffer.to_bytes
+let length w = w.pos - w.start
+let contents w = Bytes.sub w.data w.start (length w)
 
 type reader = { data : bytes; mutable pos : int }
 

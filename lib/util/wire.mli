@@ -6,6 +6,20 @@
 type writer
 
 val writer : unit -> writer
+(** A writer into a buffer that grows as it is written. *)
+
+val sizer : unit -> writer
+(** A writer that writes nothing and only counts: after a sequence of
+    writes, {!length} is the bytes they would take. *)
+
+val into : bytes -> pos:int -> writer
+(** [into b ~pos] writes into [b] from [pos] on, in place. A write
+    past the end of [b] raises [Invalid_argument]: size [b] first with
+    a {!sizer}. *)
+
+val length : writer -> int
+(** The bytes written so far. *)
+
 val w_int : writer -> int -> unit
 (** Non-negative ints only; raises [Invalid_argument] otherwise. *)
 
@@ -17,6 +31,7 @@ val w_list : writer -> ('a -> unit) -> 'a list -> unit
 
 val w_array : writer -> ('a -> unit) -> 'a array -> unit
 val contents : writer -> bytes
+(** A copy of the bytes written so far. *)
 
 type reader
 

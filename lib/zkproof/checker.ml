@@ -221,17 +221,17 @@ let check_row ~program (row : Trace.row) =
   | Trace.Exec -> check_exec program row
   | Trace.Sha_block sb -> check_sha_block program row sb
 
-(* An exec row at an ecall: matched, not compared, so the test is no
-   call into the polymorphic equality. *)
-let is_ecall_row ~program (row : Trace.row) =
-  match (row.kind, Program.fetch program row.pc) with
-  | Trace.Exec, Some Isa.Ecall -> true
-  | _ -> false
+(* The call an exec row at [pc] makes, [number] being its rs1: [None]
+   at any other instruction and on an unknown call number. The
+   instruction is matched, not compared, so the test is no call into
+   the polymorphic equality. *)
+let call ~program ~pc ~number =
+  match Program.fetch program pc with Some Isa.Ecall -> Ecall.of_number number | _ -> None
 
-(* The call an exec row at an ecall makes; [None] on any other row
-   and on an unknown call number. *)
 let call_of_row ~program (row : Trace.row) =
-  if is_ecall_row ~program row then Ecall.of_number row.rs1 else None
+  match row.kind with
+  | Trace.Exec -> call ~program ~pc:row.pc ~number:row.rs1
+  | Trace.Sha_block _ -> None
 
 let is_sha_ecall ~program row =
   match call_of_row ~program row with Some Ecall.Sha -> true | _ -> false
@@ -287,17 +287,20 @@ let is_halt_row ~program row =
 
 (* A commit takes a1; a block commit takes every aux word after the
    two register values, in order, whatever their count: [check_row]
-   pins that count on the rows it checks. *)
-let jacc_step ~program chain (row : Trace.row) =
-  match call_of_row ~program row with
+   pins that count on the rows it checks. The row's fields are read in
+   place. *)
+let jacc_step ~program chain rows r =
+  match
+    if Trace.is_exec rows r then call ~program ~pc:(Trace.pc rows r) ~number:(Trace.rs1 rows r)
+    else None
+  with
   | Some c when Ecall.writes_journal c ->
-    let aux = row.Trace.aux in
     if not (Ecall.block c) then begin
       let word = Bytes.create 4 in
-      Bytes.set_int32_be word 0 (Int32.of_int (row.Trace.rs2 land mask32));
+      Bytes.set_int32_be word 0 (Int32.of_int (Trace.rs2 rows r land mask32));
       Zkflow_hash.Chain.extend chain word
     end
-    else if Array.length aux > 2 then
-      Zkflow_hash.Chain.extend_words chain (Array.sub aux 2 (Array.length aux - 2))
-    else chain
+    else
+      let words = Trace.aux_words rows r ~from:2 in
+      if Array.length words > 0 then Zkflow_hash.Chain.extend_words chain words else chain
   | _ -> chain

@@ -41,10 +41,15 @@ val is_commit_row : program:Zkflow_zkvm.Program.t -> Zkflow_zkvm.Trace.row -> bo
 val jacc_step :
   program:Zkflow_zkvm.Program.t ->
   Zkflow_hash.Chain.t ->
-  Zkflow_zkvm.Trace.row ->
+  Zkflow_zkvm.Trace.rows ->
+  int ->
   Zkflow_hash.Chain.t
-(** The journal-accumulator transition: extends the chain with the
-    committed word on commit rows, identity otherwise. *)
+(** [jacc_step ~program chain rows r] is the journal-accumulator
+    transition of row [r]: it extends the chain with the committed
+    word (or a block commit's words, in order) on commit rows, and is
+    the identity otherwise. The prover runs it over its recorded rows
+    and the verifier over the opened rows it decoded; row [r] must
+    form a whole row ({!Zkflow_zkvm.Trace.row} accepts it). *)
 
 val is_halt_row : program:Zkflow_zkvm.Program.t -> Zkflow_zkvm.Trace.row -> bool
 (** True when the row is a halt ecall (exit code in [rs2]). *)

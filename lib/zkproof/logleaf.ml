@@ -44,15 +44,15 @@ let gather (entries : Column.t) perm =
 let mismatch got expected = Printf.sprintf "%d entries where %d expected" got expected
 
 (* The entries of the set [entries] decoded from the opened leaves,
-   four ints at each entry's rank: [shape leaf] is a leaf's entry count
+   each at its rank in [make m]: [shape leaf] is a leaf's entry count
    or its refusal, and [entry leaf pos dst r] reads the entry at [!pos]
    into rank [r] of [dst] and moves [pos] past it. The entries of a
    leaf outside the set are read into a scratch rank, so only the
    set's are kept. A leaf refused whole refuses each of its entries in
    the set. *)
-let unpack ~shape ~entry ~n entries opened =
+let unpack ~shape ~entry ~make ~n entries opened =
   let m = Array.length entries in
-  let ints = Array.make (4 * m) 0 and refusal = Array.make m "" and scratch = Array.make 4 0 in
+  let ints = make m and refusal = Array.make m "" and scratch = make 1 in
   let k = ref 0 and r = ref 0 in
   while !k < m do
     let leaf = leaf_of entries.(!k) and first = !k in
@@ -93,7 +93,7 @@ let mem_shape leaf =
   else Ok (!ends / 4)
 
 let unpack_mem ~n entries opened =
-  unpack ~shape:mem_shape ~entry:Trace.read_mem_into ~n entries opened
+  unpack ~shape:mem_shape ~entry:Trace.read_mem_into ~make:Trace.log_make ~n entries opened
 
 let z_shape leaf =
   let len = Bytes.length leaf in
@@ -105,4 +105,5 @@ let unpack_z ~n entries opened =
       let at = !pos in
       pos := at + Memcheck.z_bytes;
       Memcheck.decode_z_at leaf at dst s)
+    ~make:(fun m -> Array.make (4 * m) 0)
     ~n entries opened

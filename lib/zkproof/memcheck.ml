@@ -9,32 +9,29 @@ module Fp2 = Zkflow_field.Fp2
 let digit_bits = 11
 let digit_mask = (1 lsl digit_bits) - 1
 
-let sort_perm (entries : Trace.mem_entry array) =
-  let n = Array.length entries in
-  let max_addr =
-    Array.fold_left (fun m (e : Trace.mem_entry) -> Int.max m e.addr) 0 entries
-  in
+let sort_perm log =
+  let n = Trace.n_entries log in
+  let addrs = Trace.addresses log in
+  let max_addr = Array.fold_left Int.max 0 addrs in
   let count = Array.make (digit_mask + 2) 0 in
   (* One stable counting pass per digit, from the lowest. *)
   let rec passes shift src dst =
     if shift > 0 && max_addr lsr shift = 0 then src
     else begin
-      let digit i = (entries.(i).addr lsr shift) land digit_mask in
       Array.fill count 0 (digit_mask + 2) 0;
-      Array.iter
-        (fun i ->
-          let d = digit i + 1 in
-          count.(d) <- count.(d) + 1)
-        src;
+      for j = 0 to n - 1 do
+        let d = ((addrs.(src.(j)) lsr shift) land digit_mask) + 1 in
+        count.(d) <- count.(d) + 1
+      done;
       for d = 1 to digit_mask do
         count.(d) <- count.(d) + count.(d - 1)
       done;
-      Array.iter
-        (fun i ->
-          let d = digit i in
-          dst.(count.(d)) <- i;
-          count.(d) <- count.(d) + 1)
-        src;
+      for j = 0 to n - 1 do
+        let i = src.(j) in
+        let d = (addrs.(i) lsr shift) land digit_mask in
+        dst.(count.(d)) <- i;
+        count.(d) <- count.(d) + 1
+      done;
       passes (shift + digit_bits) dst src
     end
   in
@@ -44,19 +41,15 @@ let sort_perm (entries : Trace.mem_entry array) =
      address first, so this covers addresses the passes did not order,
      such as negative ones), [perm] is the (mem_order, index) order a
      comparator sort would give. *)
-  let rec scan j =
-    if j >= n then Ok perm
-    else
-      let a = perm.(j - 1) and b = perm.(j) in
-      if Trace.mem_order entries.(a) entries.(b) > 0 then
-        Error
-          (Printf.sprintf
-             "memcheck: access log entries %d and %d (address %d) are not in \
-              (time, read-before-write) order"
-             a b entries.(b).addr)
-      else scan (j + 1)
-  in
-  scan 1
+  match Trace.first_unordered log perm with
+  | None -> Ok perm
+  | Some j ->
+    let a = perm.(j - 1) and b = perm.(j) in
+    Error
+      (Printf.sprintf
+         "memcheck: access log entries %d and %d (address %d) are not in \
+          (time, read-before-write) order"
+         a b addrs.(b))
 
 (* ---- the grand products ---- *)
 
@@ -88,12 +81,12 @@ let[@inline] sub a b =
   let d = a - b in
   if d < 0 then d + p else d
 
-(* The fingerprint term α − f(e) of every entry, once, as unboxed
-   coordinates: c0 of entry i at [2i], c1 at [2i + 1]. Equal to
-   [term ~alpha ~beta e] for any entry, given β's powers. Every
-   coordinate is reduced first. In each sum only the lo and hi
-   products stay unreduced: hi·β³ < p² < 2^62 and the other terms add
-   less than 2^48, so with p < 2^31 the sum fits in 63 bits. *)
+(* The fingerprint term α − f(e) of an entry, as unboxed coordinates:
+   c0 of entry i at [2i], c1 at [2i + 1]. Equal to [term ~alpha ~beta
+   e] for any entry, given β's powers. Every coordinate is reduced
+   first. In each sum only the lo and hi products stay unreduced:
+   hi·β³ < p² < 2^62 and the other terms add less than 2^48, so with
+   p < 2^31 the sum fits in 63 bits. *)
 let powers beta =
   let b2 = Fp2.mul beta beta in
   let b3 = Fp2.mul b2 beta in
@@ -110,24 +103,11 @@ let[@inline] term_into t i ~(alpha : Fp2.t) ~(beta : Fp2.t) ~(b2 : Fp2.t) ~(b3 :
   t.(2 * i) <- sub alpha.c0 f0;
   t.((2 * i) + 1) <- sub alpha.c1 f1
 
-let terms ~alpha ~beta (entries : Trace.mem_entry array) =
+let terms_of_ints ~alpha ~beta log =
   let b2, b3, b4 = powers beta in
-  let t = Array.make (2 * Array.length entries) 0 in
-  Array.iteri
-    (fun i (e : Trace.mem_entry) ->
-      term_into t i ~alpha ~beta ~b2 ~b3 ~b4 ~addr:e.addr ~time:e.time
-        ~write:(Bool.to_int e.write) ~value:e.value)
-    entries;
-  t
-
-let terms_of_ints ~alpha ~beta a =
-  let b2, b3, b4 = powers beta in
-  let n = Array.length a / 4 in
-  let t = Array.make (2 * n) 0 in
-  for i = 0 to n - 1 do
-    term_into t i ~alpha ~beta ~b2 ~b3 ~b4 ~addr:a.(4 * i) ~time:a.((4 * i) + 1)
-      ~write:a.((4 * i) + 2) ~value:a.((4 * i) + 3)
-  done;
+  let t = Array.make (2 * Trace.n_entries log) 0 in
+  Trace.iter_log log (fun i addr time write value ->
+      term_into t i ~alpha ~beta ~b2 ~b3 ~b4 ~addr ~time ~write ~value);
   t
 
 (* One step z · t of a grand product, coordinate by coordinate, every
@@ -144,11 +124,11 @@ let z_bytes = 16
 (* Both grand products over the terms: the time product in log order,
    the sorted one through [perm], each entry written in the [encode_z]
    layout at its own 16 bytes of one column. *)
-let z_leaves ~alpha ~beta entries perm =
-  let n = Array.length entries in
+let z_leaves ~alpha ~beta log perm =
+  let n = Trace.n_entries log in
   if Array.length perm <> n then
     invalid_arg "Memcheck.z_leaves: perm and log lengths differ";
-  let t = terms ~alpha ~beta entries in
+  let t = terms_of_ints ~alpha ~beta log in
   let col = Zkflow_util.Column.alloc n ~size:(fun _ -> z_bytes) in
   let b = col.data in
   let zt0 = ref 1 and zt1 = ref 0 and zs0 = ref 1 and zs1 = ref 0 in

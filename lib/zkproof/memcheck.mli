@@ -11,19 +11,20 @@
     rules on the sorted copy then give read-after-write consistency and
     zero-initialised memory. *)
 
-val sort_perm : Zkflow_zkvm.Trace.mem_entry array -> (int array, string) result
-(** The permutation that sorts a time-ordered log by [Trace.mem_order],
-    ties kept in log order: the sorted log is [entries.(perm.(j))], and
-    the prover gathers its encoded entries from the time-ordered ones
-    through [perm] instead of encoding them again.
+val sort_perm : Zkflow_zkvm.Trace.log -> (int array, string) result
+(** The permutation that sorts a time-ordered log by
+    {!Zkflow_zkvm.Trace.mem_order}, ties kept in log order: the sorted
+    log is entry [perm.(0)], [perm.(1)], ... of the log.
 
-    It is a stable radix sort on [addr] alone (11-bit digits, three
-    passes for the register window), followed by one scan that requires
-    [mem_order] to be non-decreasing. That holds when each address's
-    accesses appear in (time, read-before-write) order, as the machine
-    logs them, and then [perm] is exactly the (mem_order, index) order.
-    [Error] names the first pair that breaks it; there is no fallback
-    sort. *)
+    It is a stable radix sort on the addresses alone (read once into
+    one int array; 11-bit digits, three passes for the register
+    window), followed by one scan
+    ({!Zkflow_zkvm.Trace.first_unordered}) that requires [mem_order]
+    to be non-decreasing along [perm]. That holds
+    when each address's accesses appear in (time, read-before-write)
+    order, as the machine logs them, and then [perm] is exactly the
+    (mem_order, index) order. [Error] names the first pair that breaks
+    it; there is no fallback sort. *)
 
 val term :
   alpha:Zkflow_field.Fp2.t ->
@@ -34,37 +35,31 @@ val term :
     + β⁴·write). The 32-bit value is split so every coordinate fits the
     BabyBear field. *)
 
-val terms :
-  alpha:Zkflow_field.Fp2.t ->
-  beta:Zkflow_field.Fp2.t ->
-  Zkflow_zkvm.Trace.mem_entry array ->
-  int array
+val terms_of_ints :
+  alpha:Zkflow_field.Fp2.t -> beta:Zkflow_field.Fp2.t -> Zkflow_zkvm.Trace.log -> int array
 (** Every entry's {!term}, once, as unboxed coordinates: c0 of entry
-    [i] at [2i], c1 at [2i + 1], each below p. *)
-
-val terms_of_ints : alpha:Zkflow_field.Fp2.t -> beta:Zkflow_field.Fp2.t -> int array -> int array
-(** {!terms} of entries laid out as {!Zkflow_zkvm.Trace.decode_mem_into}
-    writes them, four ints each. *)
+    [i] at [2i], c1 at [2i + 1], each below p. The prover's z column
+    and the verifier's opened entries both use it. *)
 
 val link_holds : z0:int -> z1:int -> t0:int -> t1:int -> next0:int -> next1:int -> bool
 (** [link_holds ~z0 ~z1 ~t0 ~t1 ~next0 ~next1] is whether one step of a
     grand product holds over unboxed coordinates: (next0, next1) =
     (z0, z1) · (t0, t1) in the extension field. Every coordinate must
-    be below p, as {!decode_z_at} and {!terms} leave them. *)
+    be below p, as {!decode_z_at} and {!terms_of_ints} leave them. *)
 
 val z_leaves :
   alpha:Zkflow_field.Fp2.t ->
   beta:Zkflow_field.Fp2.t ->
-  Zkflow_zkvm.Trace.mem_entry array ->
+  Zkflow_zkvm.Trace.log ->
   int array ->
   Zkflow_util.Column.t
-(** [z_leaves ~alpha ~beta entries perm] is the grand-product column
-    pair as one column of 16-byte {!encode_z} entries: entry [j] holds
-    ∏_{i ≤ j} term(entries.(i)) and ∏_{i ≤ j} term(entries.(perm.(i))).
-    Each entry's {!term} is computed once, on unboxed coordinates with
-    β², β³, β⁴ hoisted; both products then run over those terms, the
-    sorted one through [perm]. It equals the {!term} fold for every
-    entry. Raises [Invalid_argument] when the lengths differ. *)
+(** [z_leaves ~alpha ~beta log perm] is the grand-product column pair
+    as one column of 16-byte {!encode_z} entries: entry [j] holds
+    ∏_{i ≤ j} term(entry i) and ∏_{i ≤ j} term(entry perm.(i)). Each
+    entry's {!term} is computed once by {!terms_of_ints}; both products
+    then run over those terms, the sorted one through [perm]. It equals
+    the {!term} fold for every entry. Raises [Invalid_argument] when
+    the lengths differ. *)
 
 val z_bytes : int
 (** [16]: the bytes of one {!encode_z} entry. *)

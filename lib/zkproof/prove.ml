@@ -35,22 +35,21 @@ let node = Receipt.node
 
 let ( let* ) = Result.bind
 
-(* The journal accumulator's head after each row, 32 bytes per leaf.
-   It moves only on commit rows: a row that leaves the chain as it was
-   copies the previous leaf's bytes, and the tree copies its slot
-   instead of hashing it. *)
+(* The journal accumulator's head after each row, 32 bytes per leaf,
+   each row's fields read in place. It moves only on commit rows: a
+   row that leaves the chain as it was copies the previous leaf's
+   bytes, and the tree copies its slot instead of hashing it. *)
 let jacc_column ~program rows =
-  let col = Column.alloc (Array.length rows) ~size:(fun _ -> 32) in
+  let col = Column.alloc (Trace.n_rows rows) ~size:(fun _ -> 32) in
   let chain = ref Zkflow_hash.Chain.genesis in
-  Array.iteri
-    (fun i row ->
-      let next = Checker.jacc_step ~program !chain row in
-      if i > 0 && next == !chain then Bytes.blit col.data (32 * (i - 1)) col.data (32 * i) 32
-      else begin
-        Bytes.blit (D.unsafe_to_bytes (Zkflow_hash.Chain.head next)) 0 col.data (32 * i) 32;
-        chain := next
-      end)
-    rows;
+  for i = 0 to Trace.n_rows rows - 1 do
+    let next = Checker.jacc_step ~program !chain rows i in
+    if i > 0 && next == !chain then Bytes.blit col.data (32 * (i - 1)) col.data (32 * i) 32
+    else begin
+      Bytes.blit (D.unsafe_to_bytes (Zkflow_hash.Chain.head next)) 0 col.data (32 * i) 32;
+      chain := next
+    end
+  done;
   col
 
 let commit program rows memlog =
@@ -60,7 +59,7 @@ let commit program rows memlog =
   in
   let t_encode = Obs.Span.start () in
   let rows_col = Trace.encode_rows rows in
-  let entries = Trace.encode_memlog memlog in
+  let entries = Trace.encode_log memlog in
   (* The sorted log's leaves hold the time-ordered log's encoded
      entries in [perm] order: no second encode. *)
   let time_col = Logleaf.pack entries and sorted_col = Logleaf.gather entries perm in
@@ -86,7 +85,7 @@ let commit program rows memlog =
     }
 
 let prove_result ?(params = Params.default) program (run : Machine.result) =
-  if Array.length run.Machine.rows = 0 then
+  if Trace.n_rows run.Machine.rows = 0 then
     Error "prove: run has no trace (execute with ~trace:true)"
   else if run.Machine.exit_code <> 0 then
     Error
@@ -102,7 +101,7 @@ let prove_result ?(params = Params.default) program (run : Machine.result) =
       }
     in
     let rows = run.Machine.rows and memlog = run.Machine.memlog in
-    let n_rows = Array.length rows and n_mem = Array.length memlog in
+    let n_rows = Trace.n_rows rows and n_mem = Trace.n_entries memlog in
     let t_prove = Obs.Span.start () in
     (* Phase 1 commitments. *)
     let t_commit = Obs.Span.start () in
@@ -140,9 +139,7 @@ let prove_result ?(params = Params.default) program (run : Machine.result) =
        multiproof per root. *)
     let t_open = Obs.Span.start () in
     let spans =
-      Array.map
-        (fun i -> (rows.(i).Trace.mem_pos, rows.(i).Trace.mem_count))
-        challenges.Fs.step_idx
+      Array.map (fun i -> (Trace.mem_pos rows i, Trace.mem_count rows i)) challenges.Fs.step_idx
     in
     let opened = Fs.opened ~n_rows ~n_mem ~spans challenges in
     let column tree col set = open_column tree set (Column.pick col set) in

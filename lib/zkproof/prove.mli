@@ -6,6 +6,13 @@
     the memory-check challenges and the spot-check positions by
     Fiat–Shamir, and assembles the openings into a {!Receipt.t}.
 
+    The prover reads the run's trace as {!Zkflow_zkvm.Trace}'s int
+    columns throughout: the rows and log columns are encoded from
+    them, the sort, the journal accumulator and the opened rows' access
+    spans read their fields in place, and the grand products take
+    their terms from {!Memcheck.terms_of_ints}, the verifier's
+    fingerprint function. No per-row or per-access record is built.
+
     Proving cost is O(cycles · log cycles) hashing — the analogue of
     the zkVM proving cost the paper measures in Figure 4. *)
 
@@ -35,5 +42,6 @@ val prove_result :
     refused with an [Error] naming the pair, before any hashing.
 
     The sorted log's leaves are gathered from the time-ordered log's
-    encoded entries in sorted order, so the log is encoded once. *)
+    encoded entries in sorted order ({!Logleaf.gather}), so the log is
+    encoded once. *)
 

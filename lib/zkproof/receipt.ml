@@ -88,13 +88,16 @@ let tag_prefix =
   Wire.w_string w seal_tag;
   Wire.contents w
 
-let encode t =
-  let w = Wire.writer () in
+let write w t =
   Wire.w_string w seal_tag;
   w_digest w t.claim.image_id;
   Wire.w_int w t.claim.exit_code;
   Wire.w_array w (fun x -> Wire.w_int w x) t.claim.journal;
-  encode_seal w t.seal;
+  encode_seal w t.seal
+
+let encode t =
+  let w = Wire.writer () in
+  write w t;
   Wire.contents w
 
 (* ---- decoding ---- *)
@@ -159,8 +162,11 @@ let decode b =
 let journal_size t = 4 * Array.length t.claim.journal
 
 let seal_size t =
-  let w = Wire.writer () in
+  let w = Wire.sizer () in
   encode_seal w t.seal;
-  Bytes.length (Wire.contents w)
+  Wire.length w
 
-let size t = Bytes.length (encode t)
+let size t =
+  let w = Wire.sizer () in
+  write w t;
+  Wire.length w

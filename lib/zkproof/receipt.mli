@@ -81,6 +81,12 @@ val max_leaves : queries:int -> int
 val encode : t -> bytes
 (** The seal tag, then the claim, then the seal. *)
 
+val write : Zkflow_util.Wire.writer -> t -> unit
+(** [write w t] writes {!encode}'s bytes through [w]: with a
+    {!Zkflow_util.Wire.sizer} it sizes them, with
+    {!Zkflow_util.Wire.into} it writes them where a caller's buffer
+    holds them. *)
+
 val decode : bytes -> (t, string) result
 (** Fails with ["receipt: unsupported seal version"] on any encoding
     that does not start with {!seal_tag}, such as one from an earlier

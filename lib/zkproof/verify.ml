@@ -74,13 +74,13 @@ let authenticate ctx work c =
 let opened_row ~what rows r =
   match Trace.row rows r with Ok _ as ok -> ok | Error e -> fail "%s: bad row leaf: %s" what e
 
-(* The opened entries of an access log, four ints per rank as
+(* The opened entries of an access log, one per rank as
    [Logleaf.unpack_mem] lays them out, each with every fingerprint
    coordinate below p: [Trace.read_mem_into] bounds the address and
    value, [check_time] the time. [refusal] holds, for an entry that
    fails either or whose leaf does not unpack, the text after the
    check's name, and "" for the rest. *)
-type log = { ints : int array; refusal : string array; terms : int array }
+type log = { ints : Trace.log; refusal : string array; terms : int array }
 
 let decode_log ~n_rows ~n_mem ~alpha ~beta c =
   let ints, refusal = Logleaf.unpack_mem ~n:n_mem c.entries c.col.Receipt.leaves in
@@ -190,7 +190,7 @@ let check_step ~program ~rows ~decoded ~jacc ~time ~time_log i =
   let* jacc_i = chain ~what:"step.jacc" jacc ri in
   let* jacc_next = chain ~what:"step.jacc_next" jacc rn in
   require
-    (same_head (Checker.jacc_step ~program jacc_i next) jacc_next)
+    (same_head (Checker.jacc_step ~program jacc_i decoded rn) jacc_next)
     "step: journal accumulator mismatch"
 
 let check_sorted ~sorted ~sorted_log j =
@@ -230,7 +230,7 @@ let check_boundary ~program ~claim ~journal ~n_rows ~n_mem ~rows ~decoded ~jacc 
   let* () =
     require
       (Zkflow_hash.Chain.equal
-         (Checker.jacc_step ~program Zkflow_hash.Chain.genesis row0)
+         (Checker.jacc_step ~program Zkflow_hash.Chain.genesis decoded (rank rows 0))
          jacc0)
       "boundary: journal accumulator base"
   in

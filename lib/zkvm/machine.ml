@@ -12,29 +12,11 @@ type result = {
   cycles : int;
   journal : int array;
   debug : int list;
-  rows : Trace.row array;
-  memlog : Trace.mem_entry array;
+  rows : Trace.rows;
+  memlog : Trace.log;
 }
 
 let mask32 = 0xffffffff
-
-(* Minimal growable array (Dynarray lands in OCaml 5.2). *)
-module Dyn = struct
-  type 'a t = { mutable a : 'a array; mutable len : int; dummy : 'a }
-
-  let create dummy = { a = Array.make 1024 dummy; len = 0; dummy }
-
-  let push t x =
-    if t.len = Array.length t.a then begin
-      let b = Array.make (2 * t.len) t.dummy in
-      Array.blit t.a 0 b 0 t.len;
-      t.a <- b
-    end;
-    t.a.(t.len) <- x;
-    t.len <- t.len + 1
-
-  let to_array t = Array.sub t.a 0 t.len
-end
 
 type state = {
   regs : int array;
@@ -46,23 +28,15 @@ type state = {
   mutable journal_rev : int list;
   mutable debug_rev : int list;
   trace : bool;
-  rows : Trace.row Dyn.t;
-  memlog : Trace.mem_entry Dyn.t;
+  rows : Trace.rows;
+  log : Trace.log;
+  aux : int array; (* the aux words of the row being executed *)
 }
-
-let dummy_row =
-  {
-    Trace.cycle = 0; pc = 0; next_pc = 0; kind = Trace.Exec;
-    rs1 = 0; rs2 = 0; rd = 0; aux = [||]; mem_pos = 0; mem_count = 0;
-  }
-
-let dummy_mem = { Trace.addr = 0; time = 0; write = false; value = 0 }
 
 let trap st reason = raise (Trap { cycle = st.cycle; pc = st.pc; reason })
 
 let log_access st addr write value =
-  if st.trace then
-    Dyn.push st.memlog { Trace.addr; time = st.cycle; write; value }
+  if st.trace then Trace.log_access st.log ~addr ~time:st.cycle ~write ~value
 
 let reg_read st r =
   let v = st.regs.(r) in
@@ -92,21 +66,10 @@ let ram_write st addr v =
   log_access st addr true v;
   v
 
-let emit st ~next_pc ~kind ~rs1 ~rs2 ~rd ~aux ~mem_pos =
+(* An exec row whose aux words are [st.aux.(0 .. aux_len - 1)]. *)
+let emit st ~next_pc ~rs1 ~rs2 ~rd ~aux_len =
   if st.trace then
-    Dyn.push st.rows
-      {
-        Trace.cycle = st.cycle;
-        pc = st.pc;
-        next_pc;
-        kind;
-        rs1;
-        rs2;
-        rd;
-        aux;
-        mem_pos;
-        mem_count = st.memlog.Dyn.len - mem_pos;
-      };
+    Trace.exec_row st.rows st.log ~pc:st.pc ~next_pc ~rs1 ~rs2 ~rd ~aux:st.aux ~aux_len;
   st.cycle <- st.cycle + 1
 
 let exec_sha st ~src ~total ~dst =
@@ -117,7 +80,6 @@ let exec_sha st ~src ~total ~dst =
   Zkflow_obs.Metric.add m_sha_blocks blocks;
   let state = ref (Array.copy Zkflow_hash.Sha256.iv) in
   for b = 0 to blocks - 1 do
-    let mem_pos = st.memlog.Dyn.len in
     (* Message words of this block are genuine RAM reads; padding words
        are synthesised and checked arithmetically by the verifier. *)
     let block =
@@ -132,35 +94,33 @@ let exec_sha st ~src ~total ~dst =
     state := post;
     let last = b = blocks - 1 in
     if last then Array.iteri (fun i h -> ignore (ram_write st (dst + i) h)) post;
-    emit st
-      ~next_pc:(if last then st.pc + 1 else st.pc)
-      ~kind:
-        (Trace.Sha_block
-           { block_index = b; total_words = total; src; dst; block; pre; post })
-      ~rs1:0 ~rs2:0 ~rd:0 ~aux:[||] ~mem_pos
+    if st.trace then
+      Trace.sha_row st.rows st.log ~pc:st.pc
+        ~next_pc:(if last then st.pc + 1 else st.pc)
+        ~block_index:b ~total_words:total ~src ~dst ~block ~pre ~post;
+    st.cycle <- st.cycle + 1
   done
 
 type stop = Continue | Halted of int
 
 let step st instr =
-  let mem_pos = st.memlog.Dyn.len in
   match (instr : Isa.t) with
   | Alu (op, rd, rs1, rs2) ->
     let a = reg_read st rs1 in
     let b = reg_read st rs2 in
     let r = reg_write st rd (Isa.alu_eval op a b) in
-    emit st ~next_pc:(st.pc + 1) ~kind:Trace.Exec ~rs1:a ~rs2:b ~rd:r ~aux:[||] ~mem_pos;
+    emit st ~next_pc:(st.pc + 1) ~rs1:a ~rs2:b ~rd:r ~aux_len:0;
     st.pc <- st.pc + 1;
     Continue
   | Alui (op, rd, rs1, imm) ->
     let a = reg_read st rs1 in
     let r = reg_write st rd (Isa.alu_eval op a (imm land mask32)) in
-    emit st ~next_pc:(st.pc + 1) ~kind:Trace.Exec ~rs1:a ~rs2:0 ~rd:r ~aux:[||] ~mem_pos;
+    emit st ~next_pc:(st.pc + 1) ~rs1:a ~rs2:0 ~rd:r ~aux_len:0;
     st.pc <- st.pc + 1;
     Continue
   | Lui (rd, imm) ->
     let r = reg_write st rd (imm land mask32) in
-    emit st ~next_pc:(st.pc + 1) ~kind:Trace.Exec ~rs1:0 ~rs2:0 ~rd:r ~aux:[||] ~mem_pos;
+    emit st ~next_pc:(st.pc + 1) ~rs1:0 ~rs2:0 ~rd:r ~aux_len:0;
     st.pc <- st.pc + 1;
     Continue
   | Lw (rd, rs1, imm) ->
@@ -168,7 +128,8 @@ let step st instr =
     let addr = (a + imm) land mask32 in
     let v = ram_read st addr in
     let r = reg_write st rd v in
-    emit st ~next_pc:(st.pc + 1) ~kind:Trace.Exec ~rs1:a ~rs2:0 ~rd:r ~aux:[| addr |] ~mem_pos;
+    st.aux.(0) <- addr;
+    emit st ~next_pc:(st.pc + 1) ~rs1:a ~rs2:0 ~rd:r ~aux_len:1;
     st.pc <- st.pc + 1;
     Continue
   | Sw (rs2, rs1, imm) ->
@@ -176,26 +137,27 @@ let step st instr =
     let b = reg_read st rs2 in
     let addr = (a + imm) land mask32 in
     ignore (ram_write st addr b);
-    emit st ~next_pc:(st.pc + 1) ~kind:Trace.Exec ~rs1:a ~rs2:b ~rd:0 ~aux:[| addr |] ~mem_pos;
+    st.aux.(0) <- addr;
+    emit st ~next_pc:(st.pc + 1) ~rs1:a ~rs2:b ~rd:0 ~aux_len:1;
     st.pc <- st.pc + 1;
     Continue
   | Branch (op, rs1, rs2, tgt) ->
     let a = reg_read st rs1 in
     let b = reg_read st rs2 in
     let next = if Isa.branch_eval op a b then tgt else st.pc + 1 in
-    emit st ~next_pc:next ~kind:Trace.Exec ~rs1:a ~rs2:b ~rd:0 ~aux:[||] ~mem_pos;
+    emit st ~next_pc:next ~rs1:a ~rs2:b ~rd:0 ~aux_len:0;
     st.pc <- next;
     Continue
   | Jal (rd, tgt) ->
     let r = reg_write st rd (st.pc + 1) in
-    emit st ~next_pc:tgt ~kind:Trace.Exec ~rs1:0 ~rs2:0 ~rd:r ~aux:[||] ~mem_pos;
+    emit st ~next_pc:tgt ~rs1:0 ~rs2:0 ~rd:r ~aux_len:0;
     st.pc <- tgt;
     Continue
   | Jalr (rd, rs1, imm) ->
     let a = reg_read st rs1 in
     let r = reg_write st rd (st.pc + 1) in
     let next = (a + imm) land mask32 in
-    emit st ~next_pc:next ~kind:Trace.Exec ~rs1:a ~rs2:0 ~rd:r ~aux:[||] ~mem_pos;
+    emit st ~next_pc:next ~rs1:a ~rs2:0 ~rd:r ~aux_len:0;
     st.pc <- next;
     Continue
   | Ecall ->
@@ -204,23 +166,23 @@ let step st instr =
     let a1 = reg_read st 11 in
     let a2 = reg_read st 12 in
     let a3 = reg_read st 13 in
-    let finish ?(next = st.pc + 1) ?(aux = [| a2; a3 |]) rd =
-      emit st ~next_pc:next ~kind:Trace.Exec ~rs1:n ~rs2:a1 ~rd ~aux ~mem_pos;
+    (* An ecall row's aux words are a2 and a3, then a block call's
+       words. *)
+    st.aux.(0) <- a2;
+    st.aux.(1) <- a3;
+    let finish ?(next = st.pc + 1) ?(aux_len = 2) rd =
+      emit st ~next_pc:next ~rs1:n ~rs2:a1 ~rd ~aux_len;
       st.pc <- next
     in
-    (* A block call moves RAM words a1 .. a1 + a2 - 1 through [f]; its
-       row carries the register values, then the words. *)
+    (* A block call moves RAM words a1 .. a1 + a2 - 1 through [f]. *)
     let block what f =
       if a2 < 1 || a2 > Ecall.max_block then
         trap st (Printf.sprintf "%s: count %d outside 1..%d" what a2 Ecall.max_block);
       if a1 + a2 > Trace.ram_limit then trap st (what ^ ": words outside RAM");
-      let aux = Array.make (2 + a2) 0 in
-      aux.(0) <- a2;
-      aux.(1) <- a3;
       for i = 0 to a2 - 1 do
-        aux.(2 + i) <- f (a1 + i)
+        st.aux.(2 + i) <- f (a1 + i)
       done;
-      finish ~aux 0
+      finish ~aux_len:(2 + a2) 0
     in
     (match Ecall.of_number n with
      | Some Ecall.Halt ->
@@ -241,7 +203,7 @@ let step st instr =
      | Some Ecall.Sha ->
        (* The ecall row stays on this pc; the block rows follow and the
           last one advances to pc + 1. *)
-       emit st ~next_pc:st.pc ~kind:Trace.Exec ~rs1:n ~rs2:a1 ~rd:0 ~aux:[| a2; a3 |] ~mem_pos;
+       emit st ~next_pc:st.pc ~rs1:n ~rs2:a1 ~rd:0 ~aux_len:2;
        exec_sha st ~src:a1 ~total:a2 ~dst:a3;
        st.pc <- st.pc + 1;
        Continue
@@ -282,8 +244,9 @@ let run ?(trace = false) ?(max_cycles = default_max_cycles) program ~input =
       journal_rev = [];
       debug_rev = [];
       trace;
-      rows = Dyn.create dummy_row;
-      memlog = Dyn.create dummy_mem;
+      rows = Trace.recording ();
+      log = Trace.log_recording ();
+      aux = Array.make (2 + Ecall.max_block) 0;
     }
   in
   let rec loop () =
@@ -312,8 +275,8 @@ let run ?(trace = false) ?(max_cycles = default_max_cycles) program ~input =
     cycles = st.cycle;
     journal = Array.of_list (List.rev st.journal_rev);
     debug = List.rev st.debug_rev;
-    rows = Dyn.to_array st.rows;
-    memlog = Dyn.to_array st.memlog;
+    rows = st.rows;
+    memlog = st.log;
   }
 
 let journal_bytes journal =

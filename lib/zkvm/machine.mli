@@ -3,7 +3,9 @@
     Executes a {!Program} against a word-stream input (the private
     witness) and produces the public journal, the exit code, and —
     when tracing is on — the full execution trace consumed by the proof
-    layer.
+    layer, recorded as {!Trace}'s int columns as it runs: each access
+    and each row appends its ints, no record is built per row or per
+    access, and the finished columns are the result's, not a copy.
 
     Host calls ([Ecall] with the call number in a0):
     - [0] halt: exit code in a1; execution stops.
@@ -28,8 +30,8 @@ type result = {
   cycles : int;                      (** total rows = proof cost driver *)
   journal : int array;               (** committed 32-bit words *)
   debug : int list;                  (** debug-print values, in order *)
-  rows : Trace.row array;            (** empty unless [trace] *)
-  memlog : Trace.mem_entry array;    (** empty unless [trace] *)
+  rows : Trace.rows;                 (** empty unless [trace] *)
+  memlog : Trace.log;                (** empty unless [trace] *)
 }
 
 val default_max_cycles : int

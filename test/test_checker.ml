@@ -48,8 +48,13 @@ let traced =
   in
   (guest, Machine.run ~trace:true guest ~input:[| 39; 1; 2; 3; 4 |])
 
+(* The record view of every recorded row. *)
+let rows_of (run : Machine.result) =
+  Array.init (Trace.n_rows run.Machine.rows) (fun i -> Result.get_ok (Trace.row run.Machine.rows i))
+
 let genuine_rows_all_check () =
   let guest, run = traced in
+  let rows = rows_of run in
   Array.iteri
     (fun i row ->
       (match Checker.check_row ~program:guest row with
@@ -58,11 +63,11 @@ let genuine_rows_all_check () =
            (Printf.sprintf "row %d access count" i)
            row.Trace.mem_count (List.length accesses)
        | Error e -> Alcotest.fail (Printf.sprintf "row %d: %s" i e));
-      if i < Array.length run.Machine.rows - 1 then
-        match Checker.check_pair ~program:guest row ~next:run.Machine.rows.(i + 1) with
+      if i < Array.length rows - 1 then
+        match Checker.check_pair ~program:guest row ~next:rows.(i + 1) with
         | Ok () -> ()
         | Error e -> Alcotest.fail (Printf.sprintf "pair %d: %s" i e))
-    run.Machine.rows
+    rows
 
 let exec_row ~pc ~next_pc ~rs1 ~rs2 ~rd ?(aux = [||]) () =
   {
@@ -164,7 +169,7 @@ let test_pc_out_of_program () =
 
 let sha_rows () =
   let _, run = traced in
-  let rows = run.Machine.rows in
+  let rows = rows_of run in
   let blocks =
     Array.to_list rows
     |> List.filter (fun r -> match r.Trace.kind with Trace.Sha_block _ -> true | _ -> false)
@@ -209,7 +214,7 @@ let test_sha_block_checks () =
 
 let test_pair_rules () =
   let guest, run = traced in
-  let rows = run.Machine.rows in
+  let rows = rows_of run in
   (* find the sha ecall row (followed by a block) *)
   let ecall_idx = ref (-1) in
   Array.iteri
@@ -256,19 +261,20 @@ let test_matches_semantics () =
 
 let test_jacc_step () =
   let guest, run = traced in
-  let commit_row =
-    Array.to_list run.Machine.rows
-    |> List.find (fun r -> Checker.is_commit_row ~program:guest r)
+  let rows = rows_of run in
+  let commit =
+    let rec find i = if Checker.is_commit_row ~program:guest rows.(i) then i else find (i + 1) in
+    find 0
   in
   let c0 = Zkflow_hash.Chain.genesis in
-  let c1 = Checker.jacc_step ~program:guest c0 commit_row in
+  let c1 = Checker.jacc_step ~program:guest c0 run.Machine.rows commit in
   check_bool "commit extends" false (Zkflow_hash.Chain.equal c0 c1);
-  let non_commit = run.Machine.rows.(0) in
-  let c2 = Checker.jacc_step ~program:guest c0 non_commit in
+  let c2 = Checker.jacc_step ~program:guest c0 run.Machine.rows 0 in
   check_bool "non-commit identity" true (Zkflow_hash.Chain.equal c0 c2);
-  (* a block commit's words, in order; a block read moves nothing *)
+  (* a block commit's words, in order; a block read moves nothing;
+     forged rows go through [Trace.of_rows] *)
   let block ~call aux = exec_row ~pc:7 ~next_pc:8 ~rs1:call ~rs2:100 ~rd:0 ~aux () in
-  let step row = Checker.jacc_step ~program c0 row in
+  let step row = Checker.jacc_step ~program c0 (Trace.of_rows [| row |]) 0 in
   check_bool "block commit absorbs its words in order" true
     (Zkflow_hash.Chain.equal
        (step (block ~call:7 [| 3; 0; 5; 6; 7 |]))

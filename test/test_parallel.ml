@@ -248,13 +248,13 @@ let test_trace_columns_match_sequential () =
   let run = Zkflow_zkvm.Machine.run ~trace:true guest ~input:[||] in
   let columns_and_receipt () =
     ( Trace.encode_rows run.Zkflow_zkvm.Machine.rows,
-      Trace.encode_memlog run.Zkflow_zkvm.Machine.memlog,
+      Trace.encode_log run.Zkflow_zkvm.Machine.memlog,
       Zkflow_zkproof.Receipt.encode
         (Result.get_ok (Prove.prove_result ~params:(Zkflow_zkproof.Params.make ~queries:8)
                           guest run)) )
   in
   let base_rows, base_mem, base_receipt = with_jobs 1 columns_and_receipt in
-  check_bool "rows past two chunks" true (Array.length run.Zkflow_zkvm.Machine.rows > 8192);
+  check_bool "rows past two chunks" true (Trace.n_rows run.Zkflow_zkvm.Machine.rows > 8192);
   List.iter
     (fun j ->
       let rows, mem, receipt = with_jobs j columns_and_receipt in

@@ -7,6 +7,10 @@ let check_bool = Alcotest.(check bool)
 let run ?(input = [||]) ?trace ?max_cycles items =
   Machine.run ?trace ?max_cycles (assemble items) ~input
 
+(* The record view of every recorded row. *)
+let rows_of (r : Machine.result) =
+  Array.init (Trace.n_rows r.Machine.rows) (fun i -> Result.get_ok (Trace.row r.Machine.rows i))
+
 (* Run a fragment that leaves its result in a0, then commits and halts. *)
 let eval ?(input = [||]) items =
   let r = run ~input (items @ [ commit a0; halt 0 ]) in
@@ -125,7 +129,7 @@ let test_read_and_commit () =
   let blocks =
     List.filter
       (fun (row : Trace.row) -> row.Trace.rs1 >= 6 && Array.length row.Trace.aux = 5)
-      (Array.to_list r.Machine.rows)
+      (Array.to_list (rows_of r))
   in
   Alcotest.(check (list (pair int int))) "one row per block call: its words and accesses"
     [ (3, 7); (3, 7) ]
@@ -301,7 +305,7 @@ let test_cmp8 () =
     let r = run ~trace:true ~input:(Array.append digest other) guest in
     check_int (what ^ ": a0") expected r.Machine.journal.(0);
     let inside =
-      List.filter (fun (row : Trace.row) -> row.Trace.pc >= start) (Array.to_list r.Machine.rows)
+      List.filter (fun (row : Trace.row) -> row.Trace.pc >= start) (Array.to_list (rows_of r))
     in
     check_int (what ^ ": rows") 33 (List.length inside);
     check_int (what ^ ": log entries") 97
@@ -336,16 +340,16 @@ let traced_result () =
 
 let test_trace_row_count_equals_cycles () =
   let r = traced_result () in
-  check_int "rows = cycles" r.Machine.cycles (Array.length r.Machine.rows)
+  check_int "rows = cycles" r.Machine.cycles (Trace.n_rows r.Machine.rows)
 
 let test_trace_rows_are_contiguous () =
-  let r = traced_result () in
+  let rows = rows_of (traced_result ()) in
   Array.iteri
     (fun i row ->
       check_int "cycle" i row.Trace.cycle;
-      if i < Array.length r.Machine.rows - 1 then
-        check_int "next_pc chains" r.Machine.rows.(i + 1).Trace.pc row.Trace.next_pc)
-    r.Machine.rows
+      if i < Array.length rows - 1 then
+        check_int "next_pc chains" rows.(i + 1).Trace.pc row.Trace.next_pc)
+    rows
 
 let test_trace_memlog_partition () =
   (* Every access-log entry is owned by exactly one row, in order. *)
@@ -355,15 +359,15 @@ let test_trace_memlog_partition () =
     (fun row ->
       check_int "mem_pos" !pos row.Trace.mem_pos;
       for k = !pos to !pos + row.Trace.mem_count - 1 do
-        check_int "entry time" row.Trace.cycle r.Machine.memlog.(k).Trace.time
+        check_int "entry time" row.Trace.cycle (Trace.mem_at r.Machine.memlog k).Trace.time
       done;
       pos := !pos + row.Trace.mem_count)
-    r.Machine.rows;
-  check_int "log fully covered" (Array.length r.Machine.memlog) !pos
+    (rows_of r);
+  check_int "log fully covered" (Trace.n_entries r.Machine.memlog) !pos
 
 let test_trace_last_row_self_loop () =
-  let r = traced_result () in
-  let last = r.Machine.rows.(Array.length r.Machine.rows - 1) in
+  let rows = rows_of (traced_result ()) in
+  let last = rows.(Array.length rows - 1) in
   check_int "halt self-loop" last.Trace.pc last.Trace.next_pc
 
 let test_trace_row_serialization_roundtrip () =
@@ -374,20 +378,19 @@ let test_trace_row_serialization_roundtrip () =
       match Trace.decode_row (Zkflow_util.Column.leaf col i) with
       | Ok row' -> check_bool "roundtrip" true (Trace.equal_row row row')
       | Error e -> Alcotest.fail e)
-    r.Machine.rows
+    (rows_of r)
 
 let test_trace_mem_serialization_roundtrip () =
   let r = traced_result () in
-  let col = Trace.encode_memlog r.Machine.memlog in
-  Array.iteri
-    (fun i e ->
-      match Trace.decode_mem (Zkflow_util.Column.leaf col i) with
-      | Ok e' -> check_bool "roundtrip" true (e = e')
-      | Error msg -> Alcotest.fail msg)
-    r.Machine.memlog
+  let col = Trace.encode_log r.Machine.memlog in
+  for i = 0 to Trace.n_entries r.Machine.memlog - 1 do
+    match Trace.decode_mem (Zkflow_util.Column.leaf col i) with
+    | Ok e' -> check_bool "roundtrip" true (Trace.mem_at r.Machine.memlog i = e')
+    | Error msg -> Alcotest.fail msg
+  done
 
 (* Buffer-based encoders: the byte reference for each leaf of
-   [Trace.encode_rows] and [Trace.encode_memlog]. *)
+   [Trace.encode_rows] and [Trace.encode_log]. *)
 let reference_encode_row (r : Trace.row) =
   let buf = Buffer.create 96 in
   let v = Zkflow_util.Varint.write buf in
@@ -468,7 +471,7 @@ let prop_encode_row_matches_reference =
          String.concat "; " (Array.to_list (Array.map (Format.asprintf "%a" Trace.pp_row) rows)))
        QCheck.Gen.(array_size (int_bound 8) gen_row))
     (fun rows ->
-      let col = Trace.encode_rows rows in
+      let col = Trace.encode_rows (Trace.of_rows rows) in
       column_matches reference_encode_row col rows
       && Array.for_all
            (fun (i, r) -> Trace.decode_row (Zkflow_util.Column.leaf col i) = Ok r)
@@ -541,7 +544,7 @@ let prop_decode_rows_matches_sequential =
   QCheck.Test.make ~name:"decode_rows then row = sequential decode" ~count:300
     (QCheck.make QCheck.Gen.(array_size (int_bound 8) (pair gen_row mutate)))
     (fun cases ->
-      let col = Trace.encode_rows (Array.map fst cases) in
+      let col = Trace.encode_rows (Trace.of_rows (Array.map fst cases)) in
       let leaves = Array.mapi (fun i (_, f) -> f (Zkflow_util.Column.leaf col i)) cases in
       let t = Trace.decode_rows leaves in
       Array.for_all Fun.id
@@ -555,7 +558,7 @@ let prop_encode_mem_matches_reference =
            (map
               (fun ((addr, time), (write, value)) -> { Trace.addr; time; write; value })
               (pair (pair gen_field gen_field) (pair bool gen_field)))))
-    (fun log -> column_matches reference_encode_mem (Trace.encode_memlog log) log)
+    (fun log -> column_matches reference_encode_mem (Trace.encode_log (Trace.log_of_entries log)) log)
 
 let test_encoders_refuse_negative_fields () =
   let raises what f =
@@ -563,25 +566,26 @@ let test_encoders_refuse_negative_fields () =
     | (_ : Zkflow_util.Column.t) -> Alcotest.failf "%s: encoded" what
     | exception Invalid_argument _ -> ()
   in
-  let r = (traced_result ()).Machine.rows.(0) in
+  let r = (rows_of (traced_result ())).(0) in
+  let rows a = Trace.encode_rows (Trace.of_rows a) and log a = Trace.encode_log (Trace.log_of_entries a) in
   (* a good entry first: nothing is written before the refusal *)
-  raises "row rd" (fun () -> Trace.encode_rows [| r; { r with Trace.rd = -1 } |]);
-  raises "row aux" (fun () -> Trace.encode_rows [| r; { r with Trace.aux = [| 3; -2 |] } |]);
+  raises "row rd" (fun () -> rows [| r; { r with Trace.rd = -1 } |]);
+  raises "row aux" (fun () -> rows [| r; { r with Trace.aux = [| 3; -2 |] } |]);
   let e = { Trace.addr = 0; time = 0; write = false; value = 0 } in
-  raises "mem time" (fun () -> Trace.encode_memlog [| e; { e with Trace.time = -1 } |]);
-  raises "mem value" (fun () -> Trace.encode_memlog [| e; { e with Trace.value = min_int } |])
+  raises "mem time" (fun () -> log [| e; { e with Trace.time = -1 } |]);
+  raises "mem value" (fun () -> log [| e; { e with Trace.value = min_int } |])
 
 let test_trace_off_is_empty () =
   let r = run ~input:[| 1 |] [ read_word t0; halt 0 ] in
-  check_int "no rows" 0 (Array.length r.Machine.rows);
-  check_int "no memlog" 0 (Array.length r.Machine.memlog)
+  check_int "no rows" 0 (Trace.n_rows r.Machine.rows);
+  check_int "no memlog" 0 (Trace.n_entries r.Machine.memlog)
 
 let test_trace_register_reads_logged () =
   let r = run ~trace:true [ li t0 3; li t1 4; add t2 t0 t1; halt 0 ] in
   (* add row owns: read t0 (=3), read t1 (=4), write t2 (=7). *)
-  let row = r.Machine.rows.(2) in
+  let row = (rows_of r).(2) in
   check_int "3 accesses" 3 row.Trace.mem_count;
-  let e k = r.Machine.memlog.(row.Trace.mem_pos + k) in
+  let e k = Trace.mem_at r.Machine.memlog (row.Trace.mem_pos + k) in
   check_int "rs1 value" 3 (e 0).Trace.value;
   check_bool "rs1 is read" false (e 0).Trace.write;
   check_int "rs2 value" 4 (e 1).Trace.value;
