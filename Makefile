@@ -5,10 +5,10 @@
 # static analyzer over the built-in guests and every example query.
 #
 # Every bench run here except `make baselines` runs the bench binary
-# from the gitignored smoke-out/, where it writes its BENCH_*.json and
-# REPORT.md, so no smoke run touches the committed baselines.
+# from the gitignored smoke-out/, where it writes its BENCH_*.json, so
+# no smoke run touches the committed baselines.
 .PHONY: all build test check lint audit audit-sarif baselines bench-smoke \
-        watch-smoke serve-smoke perfbench-smoke chaos matrix report
+        watch-smoke serve-smoke perfbench-smoke chaos
 
 SMOKE := smoke-out
 BENCH := $(CURDIR)/_build/default/bench/main.exe
@@ -49,8 +49,8 @@ check: build lint audit
 	cd $(SMOKE) && ZKFLOW_JOBS=2 ZKFLOW_BENCH_QUICK=1 $(BENCH) sweep
 	cd $(SMOKE) && ZKFLOW_JOBS=2 ZKFLOW_BENCH_QUICK=1 $(BENCH) ablations
 
-# The only writer of the committed BENCH_*.json and REPORT.md: one
-# `bench all` process over the full grids at one job. Run it from a
+# The only writer of the committed BENCH_*.json: one `bench all`
+# process over the full grids at one job. Run it from a
 # clean checkout so every artifact's env block records the commit
 # with git_dirty false.
 baselines: build
@@ -68,7 +68,8 @@ baselines: build
 # over 200 flows so the prover chains multiple rounds; the --require
 # assertion proves that tree builds copied equal-neighbour slots
 # (padding, repeated journal-accumulator leaves) instead of hashing
-# them.
+# them. Last, the queries sweep runs in its committed shape, so a
+# sweep that fails to prove or verify fails this target.
 bench-smoke: build
 	rm -rf $(SMOKE)/state $(SMOKE)/trace-smoke.json $(SMOKE)/stats-smoke.json \
 	  $(SMOKE)/health-smoke.json
@@ -90,7 +91,7 @@ bench-smoke: build
 	dune exec bin/zkflow.exe -- slo --dir $(SMOKE)/state --strict
 	dune exec bin/zkflow.exe -- monitor --dir $(SMOKE)/state --json \
 	  > $(SMOKE)/health-smoke.json
-	$(MAKE) report
+	cd $(SMOKE) && ZKFLOW_JOBS=1 $(BENCH) queries
 
 # The artifact telemetry plane end to end: record a small proved run's
 # event log, validate every endpoint schema offline via --probe, then
@@ -169,20 +170,6 @@ serve-smoke: build
 # program's sources. See perfbench/README.md for full-size runs.
 perfbench-smoke: build
 	python3 perfbench/selftest.py
-
-# The proof-backend benchmark matrix (DESIGN.md §14): one aggregation
-# round per cell across backend × queries × scale, the committed
-# shape (full grid, one job) rerun into smoke-out/BENCH_matrix.json.
-matrix: build
-	mkdir -p $(SMOKE)
-	cd $(SMOKE) && ZKFLOW_JOBS=1 ZKFLOW_BENCH_QUICK=0 $(BENCH) matrix
-
-# Rerun the matrix and render smoke-out/REPORT.md (+ a machine-readable
-# twin) from it — the cost/soundness frontier report CI uploads.
-report: matrix
-	dune exec bin/zkflow.exe -- report $(SMOKE)/BENCH_matrix.json > $(SMOKE)/REPORT.md
-	dune exec bin/zkflow.exe -- report $(SMOKE)/BENCH_matrix.json --json > $(SMOKE)/report.json
-	@echo "report: wrote $(SMOKE)/REPORT.md and $(SMOKE)/report.json"
 
 # Deterministic fault-injection matrix: 8 seeded random plans plus the
 # curated ones under chaos/plans/, every one aimed at the resident

@@ -5,10 +5,11 @@
                  vs. number of NetFlow records, plus the constant-time
                  verification the text reports.
      table1    — Table 1: proof / journal / receipt sizes vs. records.
-     matrix    — proof-backend benchmark matrix: one aggregation round
-                 across backend (receipt vs 256-B wrap) × spot-check
-                 queries × scale; writes BENCH_matrix.json + REPORT.md
-                 with the cost/soundness Pareto frontier.
+     queries   — receipt cost against spot-check queries: the ingest
+                 round and Figure 4's n = 1000 round, each proved at
+                 8–270 queries, with batch-timed proves and verifies,
+                 seal bytes and both readings of soundness bits;
+                 writes BENCH_queries.json.
      tamper    — §5/§6 tampering experiment: modified data ⇒ no proof.
      par       — the multicore runtime: a Merkle build and a sharded
                  aggregation at each job count, bit-identical across
@@ -31,7 +32,7 @@
    starts, and one row per configuration.
 
    Usage: dune exec bench/main.exe
-            [-- fig4|table1|sweep|matrix|tamper|ablations|par|obs|micro|all]
+            [-- fig4|table1|sweep|queries|tamper|ablations|par|obs|micro|all]
    Set ZKFLOW_BENCH_QUICK=1 to cap the sweep at 500 records. *)
 
 module D = Zkflow_hash.Digest32
@@ -39,6 +40,8 @@ module Gen = Zkflow_netflow.Gen
 module Export = Zkflow_netflow.Export
 module Flowkey = Zkflow_netflow.Flowkey
 module Receipt = Zkflow_zkproof.Receipt
+module Params = Zkflow_zkproof.Params
+module Prove = Zkflow_zkproof.Prove
 module Pool = Zkflow_parallel.Pool
 module Jsonx = Zkflow_util.Jsonx
 module Obs = Zkflow_obs.Obs
@@ -59,6 +62,8 @@ let best_of k f =
   done;
   (Option.get !result, !best)
 
+let ok = function Ok v -> v | Error e -> failwith e
+
 let quick () = Sys.getenv_opt "ZKFLOW_BENCH_QUICK" = Some "1"
 
 (* Every BENCH_*.json records the machine shape it was produced on
@@ -73,7 +78,7 @@ let env =
     ("ncores", Jsonx.Num (float_of_int (Domain.recommended_domain_count ())));
     ("quick", Jsonx.Bool (quick ()));
   ]
-  @ Matrix.env_provenance ()
+  @ Bench_row.env_provenance ()
 
 (* Machine-readable artifacts land next to the human tables so the
    perf trajectory is diffable across PRs. *)
@@ -85,6 +90,14 @@ let sizes () =
   if quick () then [ 50; 100; 500 ] else [ 50; 100; 500; 1000; 2000; 3000 ]
 
 let routers = 4
+
+(* [n] records from the seed, split evenly over the routers, each
+   router's batch with its published commitment. *)
+let batches ~seed n =
+  let rng = Zkflow_util.Rng.create (Int64.of_int seed) in
+  List.init routers (fun r ->
+      let records = Gen.records rng Gen.default_profile ~router_id:r ~count:(n / routers) in
+      (Export.batch_hash records, records))
 
 (* ------------------------------------------------------------------ *)
 (* Shared sweep: one aggregation + one query round per input size.
@@ -122,14 +135,25 @@ let sweep_cache : (int, sweep_row) Hashtbl.t = Hashtbl.create 8
    the smallest, clear bench-diff's 0.05 s floor and are gated. *)
 let verify_batch = 200
 
-let time_verifies ~program receipt =
+(* The total of [batch] verifies of one receipt; one that fails to
+   verify fails the bench. *)
+let time_verifies ~batch ~program receipt =
   snd
     (time (fun () ->
-         for _ = 1 to verify_batch do
-           match Zkflow_zkproof.Verify.verify ~program receipt with
-           | Ok () -> ()
-           | Error e -> failwith e
+         for _ = 1 to batch do
+           ok (Zkflow_zkproof.Verify.verify ~program receipt)
          done))
+
+(* Helper or leaf bytes summed over the five seal columns. *)
+let seal_bytes (receipt : Receipt.t) f =
+  List.fold_left (fun n (_, c) -> n + f c) 0 (Receipt.columns receipt.Receipt.seal)
+
+let helper_bytes receipt = seal_bytes receipt (fun c -> Bytes.length c.Receipt.helpers)
+
+let leaf_bytes receipt =
+  seal_bytes receipt (fun c -> Array.fold_left (fun n l -> n + Bytes.length l) 0 c.Receipt.leaves)
+
+let fig4_seed n = 0xbe5c + n
 
 let run_size n =
   match Hashtbl.find_opt sweep_cache n with
@@ -142,19 +166,7 @@ let run_size n =
        round also carry its phase breakdown and pool utilization. *)
     Obs.reset ();
     Obs.enable ();
-    let rng = Zkflow_util.Rng.create (Int64.of_int (0xbe5c + n)) in
-    let batches =
-      List.init routers (fun r ->
-          let records =
-            Gen.records rng Gen.default_profile ~router_id:r ~count:(n / routers)
-          in
-          (Export.batch_hash records, records))
-    in
-    let round =
-      match Aggregate.prove_round ~prev:Clog.empty batches with
-      | Ok r -> r
-      | Error e -> failwith e
-    in
+    let round = ok (Aggregate.prove_round ~prev:Clog.empty (batches ~seed:(fig4_seed n) n)) in
     let agg_program = Lazy.force Guests.aggregation_program in
     (* The paper's query: SUM(hop_count) filtered on src/dst of a flow
        that exists in the CLog. *)
@@ -193,14 +205,10 @@ let run_size n =
     (* The verify batches run with telemetry off, so the row's phases
        stay those of the proves and the audits. *)
     Obs.disable ();
-    let agg_verify_s = time_verifies ~program:agg_program round.Aggregate.receipt in
-    let q_verify_s = time_verifies ~program:q_program qrow.Query.receipt in
-    let seal_bytes f =
-      List.fold_left
-        (fun n (_, c) -> n + f c)
-        0
-        (Receipt.columns round.Aggregate.receipt.Receipt.seal)
+    let agg_verify_s =
+      time_verifies ~batch:verify_batch ~program:agg_program round.Aggregate.receipt
     in
+    let q_verify_s = time_verifies ~batch:verify_batch ~program:q_program qrow.Query.receipt in
     let row =
       {
         n;
@@ -216,13 +224,9 @@ let run_size n =
         proof_bytes = Bytes.length wrapped.Zkflow_zkproof.Wrap.seal256;
         journal_bytes = Receipt.journal_size round.Aggregate.receipt;
         receipt_bytes = Receipt.size round.Aggregate.receipt;
-        helper_bytes = seal_bytes (fun c -> Bytes.length c.Receipt.helpers);
-        leaf_bytes =
-          seal_bytes (fun c ->
-              Array.fold_left (fun n l -> n + Bytes.length l) 0 c.Receipt.leaves);
-        soundness_bits =
-          Zkflow_zkproof.Params.soundness_bits
-            round.Aggregate.receipt.Receipt.seal.Receipt.params;
+        helper_bytes = helper_bytes round.Aggregate.receipt;
+        leaf_bytes = leaf_bytes round.Aggregate.receipt;
+        soundness_bits = Params.soundness_bits round.Aggregate.receipt.Receipt.seal.Receipt.params;
         agg_analyze_s;
         q_analyze_s;
         phases;
@@ -306,6 +310,116 @@ let table1 () =
   print_endline
     "   shape checks: proof constant (256 B); journal grows linearly; the receipt \
      grows with the journal and, by log(cycles), with the helpers."
+
+(* One aggregation round of the perfbench ingest-steady shape (a
+   16-flow CLog updated by two records from each of 4 routers: 2,737
+   cycles, 7,707 access-log entries): the guest, its input, its traced
+   run and its receipt. *)
+let ingest_shape_run () =
+  let module Rng = Zkflow_util.Rng in
+  let rng = Rng.create 5L in
+  let pop = Gen.flows rng { Gen.default_profile with flow_count = 16 } in
+  let record ~router_id key =
+    let packets = 1 + Rng.int rng 1000 in
+    Zkflow_netflow.Record.make ~key ~first_ts:1000 ~last_ts:(1001 + Rng.int rng 900)
+      ~router_id
+      {
+        Zkflow_netflow.Record.packets;
+        bytes = packets * (64 + Rng.int rng 1400);
+        hop_count = 1 + Rng.int rng 8;
+        losses = Rng.int rng (1 + (packets / 100));
+      }
+  in
+  let window router_id flows =
+    let rs = Array.of_list (List.map (fun i -> record ~router_id pop.(i)) flows) in
+    (Export.batch_hash rs, rs)
+  in
+  let first =
+    List.init routers (fun r -> window r (List.filter (fun i -> i mod routers = r) (List.init 16 Fun.id)))
+  in
+  let prev = (Result.get_ok (Aggregate.prove_round ~prev:Clog.empty first)).Aggregate.clog in
+  let second = List.init routers (fun r -> window r [ Rng.int rng 16; Rng.int rng 16 ]) in
+  let run = Result.get_ok (Aggregate.execute ~prev second) in
+  let program = Lazy.force Guests.aggregation_program in
+  ( program,
+    Guests.aggregation_input ~prev ~batches:second,
+    run,
+    Result.get_ok (Prove.prove_result program run) )
+
+(* Receipt cost against spot-check queries (DESIGN.md §14): each shape
+   is executed once and that run proved at every setting, so the
+   queries axis is measured over one trace. [prove_batch] and
+   [verify_batch], named in the row's config, are sized so that the
+   shape's cheapest cells total at least 0.1 s on the 2-vCPU host of
+   the committed baselines, twice bench-diff's 0.05 s floor: an
+   ingest-shape prove takes about 3.5 ms and its 8-query verify about
+   0.1 ms, the n = 1000 prove about 0.13 s and its 8-query verify
+   about 0.8 ms. Figure 4's batch of 200 verifies would leave the
+   ingest shape's short cells under the floor. The batches run with
+   telemetry off, as Figure 4's verify batches do. *)
+let queries_settings = [ 8; 16; 48; 96; 136; 270 ]
+
+let queries () =
+  print_endline "== Receipt cost vs spot-check queries ==";
+  let program = Lazy.force Guests.aggregation_program in
+  let _, _, ingest, _ = ingest_shape_run () in
+  let records_1000 = ok (Aggregate.execute ~prev:Clog.empty (batches ~seed:(fig4_seed 1000) 1000)) in
+  Obs.disable ();
+  Printf.printf "%13s %7s %10s %10s %10s %11s %12s %6s %9s\n" "shape" "queries" "receipt B"
+    "helper B" "leaf B" "prove (ms)" "verify (ms)" "bits" "1-step";
+  let row (shape, run, prove_batch, verify_batch) queries =
+    Gc.compact ();
+    let params = Params.make ~queries in
+    let receipt, prove_s =
+      time (fun () ->
+          for _ = 2 to prove_batch do
+            ignore (ok (Prove.prove_result ~params program run))
+          done;
+          ok (Prove.prove_result ~params program run))
+    in
+    let verify_s = time_verifies ~batch:verify_batch ~program receipt in
+    let soundness_bits = Params.soundness_bits params in
+    let one_step_bits =
+      Params.soundness_bits ~bad_fraction:(1. /. float_of_int receipt.Receipt.seal.Receipt.n_rows)
+        params
+    in
+    Printf.printf "%13s %7d %10d %10d %10d %11.3f %12.3f %6.2f %9.2e\n%!" shape queries
+      (Receipt.size receipt) (helper_bytes receipt) (leaf_bytes receipt)
+      (1000. *. prove_s /. float_of_int prove_batch)
+      (1000. *. verify_s /. float_of_int verify_batch)
+      soundness_bits one_step_bits;
+    let open Bench_row in
+    {
+      config =
+        [
+          ("shape", Str shape);
+          ("queries", Int queries);
+          ("prove_batch", Int prove_batch);
+          ("verify_batch", Int verify_batch);
+          ("jobs", Int (Pool.jobs ()));
+        ];
+      metrics =
+        [
+          ("cycles", count run.Zkflow_zkvm.Machine.cycles);
+          ("receipt_bytes", bytes (Receipt.size receipt));
+          ("journal_bytes", bytes (Receipt.journal_size receipt));
+          ("helper_bytes", bytes (helper_bytes receipt));
+          ("leaf_bytes", bytes (leaf_bytes receipt));
+          ("prove_s", seconds prove_s);
+          ("verify_s", seconds verify_s);
+          ("soundness_bits", bits soundness_bits);
+          ("one_step_bits", bits one_step_bits);
+        ];
+      phases = [];
+    }
+  in
+  write "BENCH_queries.json"
+    (List.concat_map
+       (fun shape -> List.map (row shape) queries_settings)
+       [ ("ingest", ingest, 40, 1500); ("records-1000", records_1000, 1, 200) ]);
+  print_endline "   (prove, verify: the mean of the row's batch; bits: the 5% convention, and";
+  print_endline "    one bad step among the round's rows)";
+  print_endline "   shape checks: seal bytes and verify time grow with queries; prove time is flat."
 
 (* ------------------------------------------------------------------ *)
 
@@ -428,8 +542,6 @@ let print_rows rows =
           Printf.printf "      %-26s %12.6g %s\n" name m.Bench_row.value m.Bench_row.unit)
         r.Bench_row.metrics)
     rows
-
-let ok = function Ok v -> v | Error e -> failwith e
 
 (* Sec. 7's partition by flow ID: each shard is an independent CLog,
    so on [shards] provers the window's wall is its slowest shard. The
@@ -609,7 +721,7 @@ let ablation_sketch () =
   (* The verifiable count-min answers the heaviest flow in a guest. A
      prove takes under 0.1 s and one shot moved up to 1.8x between
      runs, so it is the best of three. *)
-  let params = Zkflow_zkproof.Params.make ~queries:16 in
+  let params = Params.make ~queries:16 in
   let (receipt, _), vs_prove_s =
     best_of 3 (fun () -> ok (Vsketch.prove ~params vs (fst (List.hd top))))
   in
@@ -675,21 +787,8 @@ let obs_overhead () =
     Gc.compact ();
     Obs.reset ();
     if on then Obs.enable ();
-    let rng = Zkflow_util.Rng.create (Int64.of_int (0x0b5e + n + rep)) in
-    let batches =
-      List.init routers (fun r ->
-          let records =
-            Gen.records rng Gen.default_profile ~router_id:r
-              ~count:(n / routers)
-          in
-          (Export.batch_hash records, records))
-    in
-    let _, s =
-      time (fun () ->
-          match Aggregate.prove_round ~prev:Clog.empty batches with
-          | Ok r -> r
-          | Error e -> failwith e)
-    in
+    let batches = batches ~seed:(0x0b5e + n + rep) n in
+    let _, s = time (fun () -> ok (Aggregate.prove_round ~prev:Clog.empty batches)) in
     if on then Obs.disable ();
     s
   in
@@ -729,31 +828,6 @@ let obs_overhead () =
       "   note: advisory — single-shot timing on a shared machine; see \
        EXPERIMENTS.md\n"
 
-(* ------------------------------------------------------------------ *)
-(* Proof-backend benchmark matrix (DESIGN.md §14)                      *)
-(* ------------------------------------------------------------------ *)
-
-let matrix () =
-  print_endline
-    "== Proof-backend benchmark matrix (backend × queries × scale) ==";
-  let grid = Matrix.default_grid ~quick:(quick ()) in
-  (match Matrix.run ~log:(fun s -> Printf.printf "   %s\n%!" s) grid with
-  | Error e -> failwith e
-  | Ok rows ->
-    write "BENCH_matrix.json" rows;
-    (match Matrix.report_markdown { Bench_row.env; rows } with
-    | Error e -> failwith ("matrix report: " ^ e)
-    | Ok md ->
-      let oc = open_out "REPORT.md" in
-      output_string oc md;
-      close_out oc;
-      Printf.printf "   wrote REPORT.md\n%!"));
-  print_endline
-    "   shape checks: wrap cells cost one extra re-verify but ship 256-byte";
-  print_endline
-    "   proofs; more queries buys soundness bits linearly in seal bytes;";
-  print_endline "   prove time grows with records, verification stays flat."
-
 let ablations () =
   ablation_par ();
   let rows =
@@ -769,45 +843,10 @@ let ablations () =
 (* Microbenchmarks (bechamel)                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* One aggregation round of the perfbench ingest-steady shape (a
-   16-flow CLog updated by two records from each of 4 routers: 2,737
-   cycles, 7,707 access-log entries): the guest, its input, its traced
-   run and its receipt. *)
-let ingest_shape_run () =
-  let open Zkflow_zkproof in
-  let module Rng = Zkflow_util.Rng in
-  let rng = Rng.create 5L in
-  let pop = Gen.flows rng { Gen.default_profile with flow_count = 16 } in
-  let record ~router_id key =
-    let packets = 1 + Rng.int rng 1000 in
-    Zkflow_netflow.Record.make ~key ~first_ts:1000 ~last_ts:(1001 + Rng.int rng 900)
-      ~router_id
-      {
-        Zkflow_netflow.Record.packets;
-        bytes = packets * (64 + Rng.int rng 1400);
-        hop_count = 1 + Rng.int rng 8;
-        losses = Rng.int rng (1 + (packets / 100));
-      }
-  in
-  let window router_id flows =
-    let rs = Array.of_list (List.map (fun i -> record ~router_id pop.(i)) flows) in
-    (Export.batch_hash rs, rs)
-  in
-  let first =
-    List.init routers (fun r -> window r (List.filter (fun i -> i mod routers = r) (List.init 16 Fun.id)))
-  in
-  let prev = (Result.get_ok (Aggregate.prove_round ~prev:Clog.empty first)).Aggregate.clog in
-  let second = List.init routers (fun r -> window r [ Rng.int rng 16; Rng.int rng 16 ]) in
-  let run = Result.get_ok (Aggregate.execute ~prev second) in
-  let program = Lazy.force Guests.aggregation_program in
-  ( program,
-    Guests.aggregation_input ~prev ~batches:second,
-    run,
-    Result.get_ok (Prove.prove_result program run) )
-
-(* The five trace-commitment trees of that round, built from their
-   columns as the prover builds them, each with the leaf set the
-   receipt's challenges open and the receipt's column for it. *)
+(* The five trace-commitment trees of the ingest-shape round
+   ([ingest_shape_run]), built from their columns as the prover builds
+   them, each with the leaf set the receipt's challenges open and the
+   receipt's column for it. *)
 let ingest_shape_columns (program, _, run, receipt) =
   let open Zkflow_zkproof in
   let module Tree = Zkflow_merkle.Tree in
@@ -985,7 +1024,7 @@ let () =
     print_newline ();
     table1 ();
     print_newline ();
-    matrix ();
+    queries ();
     print_newline ();
     tamper ();
     print_newline ();
@@ -1003,7 +1042,7 @@ let () =
     fig4 ();
     print_newline ();
     table1 ()
-  | "matrix" -> matrix ()
+  | "queries" -> queries ()
   | "tamper" -> tamper ()
   | "ablations" -> ablations ()
   | "par" -> ablation_par ()

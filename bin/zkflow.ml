@@ -931,12 +931,14 @@ let serve dir listen queries_n capacity events =
 
 (* ---- bench-diff ---- *)
 
+(* Missing or corrupt input is a one-line error naming the file and a
+   nonzero exit, never a usage dump or a backtrace. *)
 let bench_diff old_path new_path threshold min_s json =
   let parse path =
     let* bytes = read_file path in
     match Jsonx.parse (Bytes.to_string bytes) with
     | Ok v -> Ok v
-    | Error e -> Error (Printf.sprintf "%s: %s" path e)
+    | Error e -> Error (Printf.sprintf "%s: corrupt artifact: %s" path e)
   in
   let* old_json = parse old_path in
   let* new_json = parse new_path in
@@ -953,33 +955,6 @@ let bench_diff old_path new_path threshold min_s json =
       (Printf.sprintf "bench-diff: %d regression(s) (timings beyond %.0f%%, counts on any move)"
          (List.length report.Bench_diff.regressions)
          (threshold *. 100.))
-
-(* ---- report ---- *)
-
-(* Render a BENCH_matrix.json artifact (bench/main.exe -- matrix) into
-   the comparative report: the full cost/soundness matrix with Pareto
-   frontier marks. Same hardening contract as stats: missing or
-   corrupt input is a one-line error and a nonzero exit, never a
-   backtrace. *)
-let report path json =
-  let* bytes = read_file path in
-  let* doc =
-    match Jsonx.parse (Bytes.to_string bytes) with
-    | Ok v -> Ok v
-    | Error e -> Error (Printf.sprintf "%s: corrupt artifact: %s" path e)
-  in
-  let tag r = Result.map_error (fun e -> Printf.sprintf "%s: %s" path e) r in
-  let* artifact = tag (Bench_row.of_json doc) in
-  if json then begin
-    let* v = tag (Matrix.report_json artifact) in
-    print_endline (Jsonx.to_string v);
-    Ok ()
-  end
-  else begin
-    let* md = tag (Matrix.report_markdown artifact) in
-    print_string md;
-    Ok ()
-  end
 
 (* ---- cmdliner wiring ---- *)
 
@@ -1323,12 +1298,14 @@ let serve_cmd =
     Term.(const run $ dir_arg $ listen $ queries $ capacity $ events_arg)
 
 let bench_diff_cmd =
+  (* plain strings, not Arg.file: a missing path must take read_file's
+     one-line error, not cmdliner's usage dump *)
   let old_file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"OLD.json"
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"OLD.json"
            ~doc:"Baseline bench artifact.")
   in
   let new_file =
-    Arg.(required & pos 1 (some file) None & info [] ~docv:"NEW.json"
+    Arg.(required & pos 1 (some string) None & info [] ~docv:"NEW.json"
            ~doc:"Candidate bench artifact.")
   in
   let threshold =
@@ -1358,28 +1335,6 @@ let bench_diff_cmd =
              share no row or metric.")
     Term.(const run $ old_file $ new_file $ threshold $ min_s $ json)
 
-let report_cmd =
-  let file =
-    (* a plain string, not Arg.file: a missing path must take our
-       one-line read_file error path, not cmdliner's usage dump *)
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCH_matrix.json"
-           ~doc:"Matrix artifact written by `bench/main.exe -- matrix`.")
-  in
-  let json =
-    Arg.(value & flag & info [ "json" ]
-           ~doc:"Machine-readable report (the artifact and its frontier keys) \
-                 instead of the Markdown one REPORT.md is built from.")
-  in
-  let run file json = handle (report file json) in
-  Cmd.v
-    (Cmd.info "report"
-       ~doc:"Render a proof-backend benchmark matrix artifact into a \
-             comparative cost/soundness report: per-cell prove/verify time, \
-             proof bytes and soundness bits across backend × queries × \
-             scale, with the Pareto frontier (cells not dominated on time × \
-             bytes × soundness).")
-    Term.(const run $ file $ json)
-
 let () =
   let info =
     Cmd.info "zkflow" ~version:"1.0.0"
@@ -1391,5 +1346,5 @@ let () =
           [
             simulate_cmd; prove_cmd; lint_cmd; audit_cmd; verify_cmd;
             stats_cmd; trace_check_cmd; monitor_cmd; slo_cmd; watch_cmd;
-            chaos_cmd; serve_cmd; bench_diff_cmd; report_cmd;
+            chaos_cmd; serve_cmd; bench_diff_cmd;
           ]))

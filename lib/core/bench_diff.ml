@@ -53,7 +53,7 @@ let env_notes ~(old_a : R.artifact) ~(new_a : R.artifact) =
 
 (* More pool jobs than cores time-slices the workers, so that row's
    timings are not an honest baseline. Judged per row: one artifact
-   (the par sweep, a matrix) runs several job counts. *)
+   (the par sweep) runs several job counts. *)
 let oversubscribed side (a : R.artifact) =
   match List.assoc_opt "ncores" a.env with
   | Some (Jsonx.Num cores) ->

@@ -15,7 +15,7 @@
     improvement.
 
     Rows or metrics present on one side only are notes, not
-    regressions, so a grid change (a new matrix cell, a dropped
+    regressions, so a grid change (a new record count, a dropped
     queries setting) reads as coverage drift, never as a false
     regression. The [env] blocks are cross-checked too: differing git
     commits, hostnames or SHA-256 kernels, a dirty working tree, or

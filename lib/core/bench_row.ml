@@ -67,6 +67,43 @@ let write path a =
       output_string oc (Jsonx.to_string (to_json a));
       output_char oc '\n')
 
+(* ---- provenance -------------------------------------------------- *)
+
+(* Where an artifact came from: cross-commit, cross-machine and
+   cross-kernel comparisons are legitimate but must be legible, so
+   every artifact carries enough provenance for bench-diff to flag
+   them. The SHA-256 kernel is part of it because the CPU picks it,
+   and it moves every hashing timing. Failures degrade to "unknown": a
+   tarball export without .git still benches. *)
+let env_provenance () =
+  let read_cmd cmd =
+    try
+      let ic = Unix.open_process_in cmd in
+      let line = try Some (input_line ic) with End_of_file -> None in
+      let consume () = try while true do ignore (input_line ic) done with End_of_file -> () in
+      consume ();
+      match (Unix.close_process_in ic, line) with
+      | Unix.WEXITED 0, Some l -> Some (String.trim l)
+      | _ -> None
+    with _ -> None
+  in
+  let commit =
+    Option.value ~default:"unknown"
+      (read_cmd "git rev-parse --short HEAD 2>/dev/null")
+  in
+  let dirty =
+    (* `git status --porcelain` prints nothing on a clean tree, so a
+       first line means dirty; a failed git means unknown -> false. *)
+    read_cmd "git status --porcelain 2>/dev/null" <> None
+  in
+  let hostname = try Unix.gethostname () with _ -> "unknown" in
+  [
+    ("git_commit", Jsonx.Str commit);
+    ("git_dirty", Jsonx.Bool dirty);
+    ("hostname", Jsonx.Str hostname);
+    ("sha256_kernel", Jsonx.Str Zkflow_hash.Sha256.kernel);
+  ]
+
 (* ---- reader ------------------------------------------------------ *)
 
 let ( let* ) = Result.bind

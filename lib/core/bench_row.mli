@@ -1,6 +1,6 @@
 (** The one row schema of every bench artifact.
 
-    Every [BENCH_*.json] the bench binary writes (fig4, table1, matrix,
+    Every [BENCH_*.json] the bench binary writes (fig4, table1, queries,
     par, ablations, obs) is an {!artifact}: an [env] provenance block and
     a list of rows. A row is one configuration of one benchmark:
 
@@ -13,9 +13,9 @@
     - [phases]: the {!Zkflow_obs.Obs.span_totals_s} snapshot of the
       run, span name to [(count, total seconds)].
 
-    This module holds the only JSON writer and reader of rows;
-    {!Bench_diff} keys rows by {!key} and {!Matrix} renders its report
-    from them. *)
+    This module holds the only JSON writer and reader of rows, and
+    the provenance every artifact's [env] block embeds; {!Bench_diff}
+    keys rows by {!key}. *)
 
 type better = Lower | Higher
 
@@ -50,7 +50,7 @@ val axis_string : axis -> string
 
 val key : row -> string
 (** The row's identity: its config as ["name=value"] pairs in order,
-    e.g. ["backend=wrap queries=16 records=48 routers=2 jobs=2"]. *)
+    e.g. ["shape=ingest queries=48 prove_batch=40 verify_batch=1500 jobs=1"]. *)
 
 val metric : row -> string -> float option
 (** The value of the named metric, if the row has it. *)
@@ -64,3 +64,10 @@ val of_json : Zkflow_util.Jsonx.t -> (artifact, string) result
 
 val write : string -> artifact -> unit
 (** Write the artifact's JSON to a path, one line. *)
+
+val env_provenance : unit -> (string * Zkflow_util.Jsonx.t) list
+(** Provenance fields every bench artifact's [env] block embeds:
+    [git_commit] (short hash, ["unknown"] outside a repo),
+    [git_dirty], [hostname] and [sha256_kernel]
+    ({!Zkflow_hash.Sha256.kernel}): what {!Bench_diff.diff} checks
+    before comparing two artifacts (EXPERIMENTS.md, provenance). *)

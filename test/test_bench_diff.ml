@@ -1,14 +1,12 @@
-(* The benchmark-matrix report pipeline and the bench-diff rules it
-   leans on, tested on hand-built Bench_row artifacts: Pareto-frontier
-   membership (dominance semantics, report rendering), the reader's
-   refusals, and Bench_diff's whole-config key matching — a grid
-   change must read as coverage notes, never as a false regression —
-   plus the [min_s] noise floor, the declared [better] direction, the
-   env provenance cross-checks and the per-row oversubscription note.
-   The committed BENCH_*.json files are read back and self-diffed. *)
+(* Bench_diff's rules and the Bench_row reader they lean on, tested on
+   hand-built artifacts: whole-config key matching (a grid change must
+   read as coverage notes, never as a false regression), the reader's
+   refusals, the [min_s] noise floor, the declared [better] direction,
+   the env provenance cross-checks and the per-row oversubscription
+   note. The committed BENCH_*.json files are read back and
+   self-diffed. *)
 
 module Jsonx = Zkflow_util.Jsonx
-module Matrix = Zkflow_core.Matrix
 module Bench_diff = Zkflow_core.Bench_diff
 module R = Zkflow_core.Bench_row
 
@@ -23,8 +21,8 @@ let contains ~needle hay =
 
 (* ---- fixtures ---------------------------------------------------- *)
 
-(* One matrix row with the full configuration and every metric the
-   report reads. *)
+(* One row with a five-axis config, a timing, byte counts and
+   soundness bits: the shapes every artifact's rows take. *)
 let row ?(backend = "receipt") ?(queries = 16) ?(records = 48) ?(routers = 2)
     ?(jobs = 1) ?(prove_s = 1.0) ?(verify_s = 0.01) ?(proof_bytes = 1000)
     ?(bits = 1.0) ?(phases = [ ("stark.prove", 0.7); ("merkle.build", 0.2) ]) ()
@@ -54,103 +52,7 @@ let row ?(backend = "receipt") ?(queries = 16) ?(records = 48) ?(routers = 2)
 
 let artifact ?(env = []) rows = { R.env; rows }
 
-(* ---- Pareto dominance -------------------------------------------- *)
-
-(* The hand-built frontier fixture: five cells with membership decided
-   by inspection.
-     a: 1.0s / 1000B / 1.0 bits   — frontier
-     b: 2.0s / 2000B / 1.0 bits   — dominated by [a] on two axes
-     c: 2.0s /  256B / 1.0 bits   — frontier (cheapest bytes)
-     d: 0.5s / 5000B / 4.0 bits   — frontier (fastest, most sound)
-     e: 1.5s / 1500B / 0.5 bits   — dominated by [a] on all three *)
-let frontier_rows =
-  [
-    row ~queries:8 ~prove_s:1.0 ~proof_bytes:1000 ~bits:1.0 ();
-    row ~queries:16 ~prove_s:2.0 ~proof_bytes:2000 ~bits:1.0 ();
-    row ~backend:"wrap" ~queries:16 ~prove_s:2.0 ~proof_bytes:256 ~bits:1.0 ();
-    row ~queries:48 ~prove_s:0.5 ~proof_bytes:5000 ~bits:4.0 ();
-    row ~queries:24 ~prove_s:1.5 ~proof_bytes:1500 ~bits:0.5 ();
-  ]
-
-let frontier_fixture = artifact frontier_rows
-
-let test_dominates () =
-  match frontier_rows with
-  | [ a; b; _c; d; e ] ->
-    check_bool "a dominates b" true (Matrix.dominates a b);
-    check_bool "a dominates e" true (Matrix.dominates a e);
-    check_bool "b does not dominate a" false (Matrix.dominates b a);
-    (* trade-offs dominate in neither direction *)
-    check_bool "a vs d" false (Matrix.dominates a d);
-    check_bool "d vs a" false (Matrix.dominates d a);
-    (* a row never dominates itself: nothing is strictly better *)
-    check_bool "irreflexive" false (Matrix.dominates a a)
-  | _ -> Alcotest.fail "fixture should have 5 rows"
-
-let test_equal_rows_neither_dominates () =
-  (* identical measurements, different config *)
-  let a = row ~jobs:1 () and b = row ~jobs:2 () in
-  check_bool "a vs b" false (Matrix.dominates a b);
-  check_bool "b vs a" false (Matrix.dominates b a);
-  (* ...so both survive on the frontier *)
-  check_bool "both on frontier" true (List.for_all snd (Matrix.frontier [ a; b ]))
-
-let test_frontier_membership () =
-  Alcotest.(check (list bool))
-    "membership a..e" [ true; false; true; true; false ]
-    (List.map snd (Matrix.frontier frontier_rows))
-
-let test_frontier_singleton () =
-  Alcotest.(check (list bool)) "alone on frontier" [ true ]
-    (List.map snd (Matrix.frontier [ row () ]))
-
-(* ---- report rendering -------------------------------------------- *)
-
-let test_report_markdown_frontier_table () =
-  match Matrix.report_markdown frontier_fixture with
-  | Error e -> Alcotest.failf "render failed: %s" e
-  | Ok md ->
-    check_bool "has matrix section" true (contains ~needle:"## Matrix" md);
-    check_bool "has frontier section" true
-      (contains ~needle:"## Pareto frontier" md);
-    check_bool "counts dominated cells" true
-      (contains ~needle:"2 of 5 cells are dominated" md);
-    check_bool "phase breakdown keyed by the row key" true
-      (contains
-         ~needle:"- `backend=receipt queries=8 records=48 routers=2 jobs=1`: stark.prove 0.700s, merkle.build 0.200s"
-         md);
-    (* the dominated wrap-free cell is absent from the frontier table:
-       only three frontier rows render after the frontier header *)
-    let after =
-      let marker = "## Pareto frontier" in
-      let rec find i =
-        if i + String.length marker > String.length md then md
-        else if String.sub md i (String.length marker) = marker then
-          String.sub md i (String.length md - i)
-        else find (i + 1)
-      in
-      find 0
-    in
-    check_bool "frontier table keeps the 256B wrap cell" true
-      (contains ~needle:"| wrap | 16 |" after);
-    check_bool "frontier table drops the dominated 2000B cell" false
-      (contains ~needle:"| receipt | 16 |" after)
-
-let test_report_json_frontier_keys () =
-  match Matrix.report_json frontier_fixture with
-  | Error e -> Alcotest.failf "render failed: %s" e
-  | Ok doc -> (
-    (match Option.map R.of_json (Jsonx.member "artifact" doc) with
-    | Some (Ok a) -> check_int "the five rows" 5 (List.length a.R.rows)
-    | _ -> Alcotest.fail "no artifact that reads back");
-    match Jsonx.member "frontier" doc with
-    | Some (Jsonx.Arr keys) ->
-      check_int "3 frontier cells" 3 (List.length keys);
-      check_bool "names the wrap cell" true
-        (List.mem
-           (Jsonx.Str "backend=wrap queries=16 records=48 routers=2 jobs=1")
-           keys)
-    | _ -> Alcotest.fail "no frontier key list")
+(* ---- the reader -------------------------------------------------- *)
 
 let test_artifact_parse_failures () =
   let read_err text =
@@ -170,20 +72,7 @@ let test_artifact_parse_failures () =
     (contains ~needle:"metric \"prove_s\" is malformed"
        (read_err
           {|{"schema":"zkflow-bench/v1","env":{},"rows":[{"config":{"jobs":1},
-             "metrics":{"prove_s":{"value":1,"unit":"s","better":"down"}},"phases":{}}]}|}));
-  let report_err a =
-    match Matrix.report_markdown a with
-    | Error e -> e
-    | Ok _ -> Alcotest.fail "expected a report error"
-  in
-  check_bool "empty rows" true (contains ~needle:"empty" (report_err (artifact [])));
-  (* a row missing a measured metric names it *)
-  let truncated =
-    let r = row () in
-    { r with R.metrics = List.remove_assoc "soundness_bits" r.R.metrics }
-  in
-  check_bool "missing metric named" true
-    (contains ~needle:"missing metric \"soundness_bits\"" (report_err (artifact [ truncated ])))
+             "metrics":{"prove_s":{"value":1,"unit":"s","better":"down"}},"phases":{}}]}|}))
 
 (* ---- Bench_diff: whole-config matching --------------------------- *)
 
@@ -203,11 +92,21 @@ let test_key_is_whole_config () =
     (R.key
        (cfg
           [ ("entries", R.Int 1000); ("update_k", R.Int 10); ("rounds", R.Int 4); ("jobs", R.Int 1) ]));
-  check_string "a matrix row, in config order"
+  check_string "a queries row" "shape=ingest queries=48 prove_batch=40 verify_batch=1500 jobs=1"
+    (R.key
+       (cfg
+          [
+            ("shape", R.Str "ingest"); ("queries", R.Int 48); ("prove_batch", R.Int 40);
+            ("verify_batch", R.Int 1500); ("jobs", R.Int 1);
+          ]));
+  check_string "a five-axis row, in config order"
     "backend=wrap queries=16 records=48 routers=2 jobs=2"
     (R.key (row ~backend:"wrap" ~queries:16 ~records:48 ~routers:2 ~jobs:2 ()));
   (* the key and every value survive the JSON round trip *)
-  let a = artifact ~env:[ ("ncores", Jsonx.Num 2.) ] frontier_rows in
+  let a =
+    artifact ~env:[ ("ncores", Jsonx.Num 2.) ]
+      [ row ~queries:8 (); row ~backend:"wrap" ~prove_s:2.0 ~proof_bytes:256 (); row ~bits:4.0 () ]
+  in
   check_bool "round trip" true (R.of_json (R.to_json a) = Ok a)
 
 let test_matrix_rows_matched_by_config () =
@@ -476,24 +375,12 @@ let test_committed_artifacts () =
       if name <> "par" then
         check_int (path ^ " runs no row oversubscribed") 0
           (List.length (List.filter (fun n -> contains ~needle:"oversubscribed" n) r.Bench_diff.notes)))
-    [ "fig4"; "table1"; "par"; "obs"; "matrix"; "ablations" ]
+    [ "fig4"; "table1"; "par"; "obs"; "queries"; "ablations" ]
 
-(* ---- live grid sanity -------------------------------------------- *)
-
-let test_default_grids_shape () =
-  let quick = Matrix.default_grid ~quick:true in
-  let full = Matrix.default_grid ~quick:false in
-  (* the acceptance floor for the quick grid *)
-  check_bool ">=2 backends" true (List.length quick.Matrix.backends >= 2);
-  check_bool ">=3 queries" true (List.length quick.Matrix.queries >= 3);
-  check_bool ">=3 scales" true (List.length quick.Matrix.scales >= 3);
-  check_bool "full widens the sweep" true
-    (List.length full.Matrix.queries > List.length quick.Matrix.queries);
-  check_bool "no cell runs more than 2 jobs" true
-    (List.for_all (fun s -> s.Matrix.jobs <= 2) (quick.Matrix.scales @ full.Matrix.scales))
+(* ---- provenance -------------------------------------------------- *)
 
 let test_env_provenance_fields () =
-  let fields = Matrix.env_provenance () in
+  let fields = R.env_provenance () in
   let has k = List.mem_assoc k fields in
   check_bool "git_commit" true (has "git_commit");
   check_bool "git_dirty" true (has "git_dirty");
@@ -507,54 +394,11 @@ let test_env_provenance_fields () =
   | Jsonx.Str s -> check_bool "non-empty commit" true (String.length s > 0)
   | _ -> Alcotest.fail "git_commit should be a string"
 
-(* A tiny live run through the real prover: 1 backend pair × 1 queries
-   × 1 scale, checking the measured invariants the report relies on. *)
-let test_run_tiny_grid () =
-  let grid =
-    {
-      Matrix.backends = [ Matrix.Receipt; Matrix.Wrap ];
-      queries = [ 8 ];
-      scales = [ { Matrix.records = 12; routers = 2; jobs = 1 } ];
-    }
-  in
-  match Matrix.run grid with
-  | Error e -> Alcotest.failf "run failed: %s" e
-  | Ok rows -> (
-    check_int "2 cells" 2 (List.length rows);
-    let find b = List.find (fun r -> List.assoc "backend" r.R.config = R.Str b) rows in
-    let receipt = find "receipt" and wrap = find "wrap" in
-    let m r name = Option.get (R.metric r name) in
-    check_bool "wrap proof is the constant 256B seal" true (m wrap "proof_bytes" = 256.);
-    check_bool "receipt proof is larger" true (m receipt "proof_bytes" > m wrap "proof_bytes");
-    check_bool "same guest, same cycles" true (m receipt "agg_cycles" = m wrap "agg_cycles");
-    check_bool "wrap pays its cost on top of the inner prove" true
-      (m wrap "prove_s" >= m receipt "prove_s");
-    check_bool "wrap inherits the inner soundness" true
-      (m receipt "soundness_bits" = m wrap "soundness_bits");
-    check_bool "spans recorded" true (receipt.R.phases <> []);
-    (* the rows the run returns render through the report path *)
-    match Matrix.report_markdown { R.env = Matrix.env_provenance (); rows } with
-    | Error e -> Alcotest.failf "live artifact does not render: %s" e
-    | Ok md -> check_bool "renders the matrix" true (contains ~needle:"## Matrix" md))
-
 let () =
-  Alcotest.run "zkflow_matrix"
+  Alcotest.run "zkflow_bench_diff"
     [
-      ( "frontier",
-        [
-          Alcotest.test_case "dominance semantics" `Quick test_dominates;
-          Alcotest.test_case "equal rows co-exist" `Quick
-            test_equal_rows_neither_dominates;
-          Alcotest.test_case "membership on the hand-built fixture" `Quick
-            test_frontier_membership;
-          Alcotest.test_case "singleton" `Quick test_frontier_singleton;
-        ] );
       ( "report",
         [
-          Alcotest.test_case "markdown frontier table" `Quick
-            test_report_markdown_frontier_table;
-          Alcotest.test_case "json frontier keys" `Quick
-            test_report_json_frontier_keys;
           Alcotest.test_case "artifact parse failures" `Quick
             test_artifact_parse_failures;
         ] );
@@ -590,9 +434,7 @@ let () =
         ] );
       ( "grid",
         [
-          Alcotest.test_case "default grid shape" `Quick test_default_grids_shape;
           Alcotest.test_case "env provenance fields" `Quick
             test_env_provenance_fields;
-          Alcotest.test_case "tiny live run" `Slow test_run_tiny_grid;
         ] );
     ]

@@ -5,7 +5,8 @@
    serve drive rounds alike, in either order, and prove is strict and
    resumable), plus the failure-mode contracts: stats on
    missing/corrupt state is a one-line error with a nonzero exit, and
-   bench-diff exits nonzero exactly when a regression is present. *)
+   bench-diff exits nonzero exactly when a regression is present, or
+   with a one-line error on a missing or corrupt artifact. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -868,93 +869,45 @@ let test_bench_diff_json () =
     check_bool "ok flag" true
       (Zkflow_util.Jsonx.member "ok" v = Some (Zkflow_util.Jsonx.Bool true))
 
-(* ---- report ---- *)
-
-(* Two matrix cells; the 256-byte wrap cell trades verify-anywhere for
-   size, so both sit on the frontier. *)
-let matrix_cell backend prove_s verify_s proof_bytes receipt_bytes =
-  let metric name value unit better =
-    Printf.sprintf {|"%s":{"value":%g,"unit":"%s","better":"%s"}|} name value unit better
-  in
-  Printf.sprintf
-    {|{"config":{"backend":"%s","queries":16,"records":48,"routers":2,"jobs":1},
-       "metrics":{%s},
-       "phases":{"stark.prove":{"count":2,"total_s":0.7}}}|}
-    backend
-    (String.concat ","
-       [
-         metric "agg_cycles" 12000. "count" "lower";
-         metric "exec_s" 0.01 "s" "lower";
-         metric "prove_s" prove_s "s" "lower";
-         metric "verify_s" verify_s "s" "lower";
-         metric "proof_bytes" proof_bytes "bytes" "lower";
-         metric "journal_bytes" 904. "bytes" "lower";
-         metric "receipt_bytes" receipt_bytes "bytes" "lower";
-         metric "soundness_bits" 1.18 "bits" "higher";
-       ])
-
-let matrix_fixture =
-  Printf.sprintf
-    {|{"schema":"zkflow-bench/v1",
-       "env":{"git_commit":"abc1234","git_dirty":false,"hostname":"fixture"},
-       "rows":[%s,%s]}|}
-    (matrix_cell "receipt" 1.0 0.014 110000. 110904.)
-    (matrix_cell "wrap" 1.1 0.001 256. 1410.)
-
-let test_report_markdown () =
-  let dir = fresh_dir () in
-  let f = Filename.concat dir "BENCH_matrix.json" in
-  write_text f matrix_fixture;
-  let code, out = run [ "report"; f ] in
-  check_int ("report: " ^ out) 0 code;
-  check_bool "matrix table" true (contains ~needle:"## Matrix" out);
-  check_bool "frontier table" true (contains ~needle:"## Pareto frontier" out);
-  check_bool "provenance line" true (contains ~needle:"git_commit=abc1234" out);
-  check_bool "soundness column" true (contains ~needle:"soundness (bits)" out)
-
-let test_report_json () =
-  let dir = fresh_dir () in
-  let f = Filename.concat dir "BENCH_matrix.json" in
-  write_text f matrix_fixture;
-  let code, out = run [ "report"; f; "--json" ] in
-  check_int ("report --json: " ^ out) 0 code;
-  match Zkflow_util.Jsonx.parse (String.trim out) with
-  | Error e -> Alcotest.fail ("report json does not parse: " ^ e)
-  | Ok v ->
-    (match Option.map Zkflow_core.Bench_row.of_json (Zkflow_util.Jsonx.member "artifact" v) with
-    | Some (Ok a) -> check_int "cells" 2 (List.length a.Zkflow_core.Bench_row.rows)
-    | _ -> Alcotest.fail "no artifact that reads back");
-    (match Zkflow_util.Jsonx.member "frontier" v with
-    | Some (Zkflow_util.Jsonx.Arr keys) ->
-      (* both fixture cells trade off prove time vs proof bytes *)
-      check_int "both cells on frontier" 2 (List.length keys)
-    | _ -> Alcotest.fail "no frontier list")
-
-let test_report_missing_input () =
-  let dir = fresh_dir () in
-  let f = Filename.concat dir "nope.json" in
-  let code, out = run [ "report"; f ] in
-  check_int "nonzero exit" 1 code;
+(* A missing or unreadable artifact, on either side, is one line that
+   names the file and exit 1: never cmdliner's usage dump, never a
+   backtrace. *)
+let one_line_error ~file (code, out) =
+  check_int "exit 1" 1 code;
   check_bool "one-line error" true
     (List.length (String.split_on_char '\n' (String.trim out)) = 1);
-  check_bool "names the file" true (contains ~needle:"nope.json" out);
+  check_bool "names the file" true (contains ~needle:file out);
   check_bool "no backtrace" false (contains ~needle:"Raised" out)
 
-let test_report_corrupt_input () =
+let test_bench_diff_missing_input () =
   let dir = fresh_dir () in
-  let f = Filename.concat dir "broken.json" in
-  write_text f "{\"rows\": [truncated";
-  let code, out = run [ "report"; f ] in
-  check_int "nonzero exit" 1 code;
-  check_bool "one-line error" true
-    (List.length (String.split_on_char '\n' (String.trim out)) = 1);
-  check_bool "says corrupt" true (contains ~needle:"corrupt artifact" out);
-  (* valid JSON that is not a bench artifact is diagnosed, not rendered *)
-  let g = Filename.concat dir "other.json" in
-  write_text g {|{"env":{},"sweep":[{"records":10,"agg_prove_s":1.0}]}|};
-  let code, out = run [ "report"; g ] in
-  check_int "wrong-schema exit" 1 code;
-  check_bool "points at the schema" true (contains ~needle:"schema" out)
+  let good = Filename.concat dir "old.json" in
+  write_text good old_bench;
+  let missing = Filename.concat dir "nope.json" in
+  one_line_error ~file:"nope.json" (run [ "bench-diff"; missing; good ]);
+  one_line_error ~file:"nope.json" (run [ "bench-diff"; good; missing ])
+
+let test_bench_diff_corrupt_input () =
+  let dir = fresh_dir () in
+  let good = Filename.concat dir "old.json" in
+  write_text good old_bench;
+  let truncated = Filename.concat dir "broken.json" in
+  write_text truncated "{\"rows\": [truncated";
+  List.iter
+    (fun args ->
+      let code, out = run args in
+      one_line_error ~file:"broken.json" (code, out);
+      check_bool "says corrupt" true (contains ~needle:"corrupt artifact" out))
+    [ [ "bench-diff"; truncated; good ]; [ "bench-diff"; good; truncated ] ];
+  (* valid JSON that is not a bench artifact is diagnosed, not diffed *)
+  let other = Filename.concat dir "other.json" in
+  write_text other {|{"env":{},"sweep":[{"records":10,"agg_prove_s":1.0}]}|};
+  List.iter
+    (fun args ->
+      let code, out = run args in
+      one_line_error ~file:"other.json" (code, out);
+      check_bool "points at the schema" true (contains ~needle:"schema" out))
+    [ [ "bench-diff"; other; good ]; [ "bench-diff"; good; other ] ]
 
 let () =
   Alcotest.run "zkflow_cli"
@@ -1016,15 +969,9 @@ let () =
             test_bench_diff_regression;
           Alcotest.test_case "json output" `Quick test_bench_diff_json;
           Alcotest.test_case "no shared row or metric fails" `Quick test_bench_diff_no_match;
-        ] );
-      ( "report",
-        [
-          Alcotest.test_case "renders markdown with frontier" `Quick
-            test_report_markdown;
-          Alcotest.test_case "json output" `Quick test_report_json;
           Alcotest.test_case "missing input is a one-line error" `Quick
-            test_report_missing_input;
+            test_bench_diff_missing_input;
           Alcotest.test_case "corrupt input is a one-line error" `Quick
-            test_report_corrupt_input;
+            test_bench_diff_corrupt_input;
         ] );
     ]
