@@ -353,7 +353,7 @@ let ingest_shape_run () =
    shape's cheapest cells total at least 0.1 s on the 2-vCPU host of
    the committed baselines, twice bench-diff's 0.05 s floor: an
    ingest-shape prove takes about 3.5 ms and its 8-query verify about
-   0.1 ms, the n = 1000 prove about 0.13 s and its 8-query verify
+   0.1 ms, the n = 1000 prove 0.13-0.16 s and its 8-query verify
    about 0.8 ms. Figure 4's batch of 200 verifies would leave the
    ingest shape's short cells under the floor. The batches run with
    telemetry off, as Figure 4's verify batches do. *)
@@ -364,7 +364,6 @@ let queries () =
   let program = Lazy.force Guests.aggregation_program in
   let _, _, ingest, _ = ingest_shape_run () in
   let records_1000 = ok (Aggregate.execute ~prev:Clog.empty (batches ~seed:(fig4_seed 1000) 1000)) in
-  Obs.disable ();
   Printf.printf "%13s %7s %10s %10s %10s %11s %12s %6s %9s\n" "shape" "queries" "receipt B"
     "helper B" "leaf B" "prove (ms)" "verify (ms)" "bits" "1-step";
   let row (shape, run, prove_batch, verify_batch) queries =

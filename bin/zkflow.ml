@@ -931,8 +931,6 @@ let serve dir listen queries_n capacity events =
 
 (* ---- bench-diff ---- *)
 
-(* Missing or corrupt input is a one-line error naming the file and a
-   nonzero exit, never a usage dump or a backtrace. *)
 let bench_diff old_path new_path threshold min_s json =
   let parse path =
     let* bytes = read_file path in
