@@ -19,13 +19,15 @@
                  and the chained contrast), the TEE baseline, and
                  sketches as logging backends.
      micro     — substrate microbenchmarks (bechamel), including the
-                 memory-check sort and z pass over the access log of
-                 the 60k-cycle guest, its rows and access-log trees
-                 under the trace-commitment node rule, and the five
-                 column multiproofs of an ingest-steady-shaped receipt.
+                 rows and access-log trees of the 60k-cycle guest
+                 under the trace-commitment node rule, and at the
+                 ingest-steady shape the memory-check sort and z pass,
+                 the trace encoders, the log commitment, the five
+                 column multiproofs and one whole prove.
      obs       — observability overhead: the same prove round with
                  telemetry fully off vs fully on (events and
-                 counters), gated against a <2% wall-time budget.
+                 counters), each arm the median of 11 alternated
+                 reps, gated against a <2% wall-time budget.
 
    Every BENCH_*.json lands in the working directory as one
    Bench_row artifact: the env block, taken once when the process
@@ -123,7 +125,7 @@ type sweep_row = {
   soundness_bits : float;  (* of the round's spot-check parameters *)
   agg_analyze_s : float;   (* full static audit of the guest, uncached *)
   q_analyze_s : float;
-  phases : (string * (int * float)) list; (* span name -> count, total s *)
+  phases : (string * Bench_row.phase) list; (* span name -> count, total s, compressions *)
 }
 
 let sweep_cache : (int, sweep_row) Hashtbl.t = Hashtbl.create 8
@@ -201,7 +203,7 @@ let run_size n =
           Zkflow_analysis.audit ~subject:"query guest"
             (Zkflow_zkvm.Program.instrs q_program))
     in
-    let phases = Obs.span_totals_s () in
+    let phases = Bench_row.phases () in
     (* The verify batches run with telemetry off, so the row's phases
        stay those of the proves and the audits. *)
     Obs.disable ();
@@ -505,7 +507,7 @@ let ablation_par () =
                 ("jobs", Int j);
               ];
             metrics = [ ("merkle_s", seconds merkle_s); ("agg_wall_s", seconds agg_s) ];
-            phases = Obs.span_totals_s ();
+            phases = phases ();
           }
         in
         (j, merkle_s, row))
@@ -772,16 +774,23 @@ let ablation_sketch () =
 (* The telemetry plane's standing claim: a fully instrumented prove
    (gate enabled, events and counters recorded) costs < 2 % wall time
    over the same round with the gate cold. Both arms run the identical
-   deterministic workload, best-of-reps so a stray scheduler hiccup
-   doesn't decide the verdict. *)
+   deterministic workload, and each arm's time is the median of [reps]
+   runs: a best of three let one lucky run decide, and read the on
+   arm faster than the off arm. *)
+let median l =
+  let a = Array.of_list l in
+  Array.sort Float.compare a;
+  a.(Array.length a / 2)
+
 let obs_overhead () =
   print_endline "== Observability overhead: prove with telemetry off vs on ==";
   let n = if quick () then 200 else 1000 in
-  let reps = 3 in
+  let reps = 11 in
   let budget = 0.02 in
-  (* Interleave the arms (off, on, off, on, ...) so slow machine-wide
-     drift — thermal throttling, a neighbour waking up — lands on both
-     sides instead of billing whichever arm ran second. *)
+  (* Alternate the arms, rep by rep and in turn which goes first, so
+     slow machine-wide drift (thermal throttling, a neighbour waking
+     up) and any cost of running second land on both sides. Rep [r]
+     proves the same records in both arms. *)
   let one ~on ~rep =
     Gc.compact ();
     Obs.reset ();
@@ -791,14 +800,13 @@ let obs_overhead () =
     if on then Obs.disable ();
     s
   in
-  let off_best = ref infinity and on_best = ref infinity in
+  let off = ref [] and on = ref [] in
   for rep = 1 to reps do
-    let s_off = one ~on:false ~rep in
-    if s_off < !off_best then off_best := s_off;
-    let s_on = one ~on:true ~rep in
-    if s_on < !on_best then on_best := s_on
+    let arm o = if o then on := one ~on:true ~rep :: !on else off := one ~on:false ~rep :: !off in
+    arm (rep mod 2 = 0);
+    arm (rep mod 2 = 1)
   done;
-  let off_s = !off_best and on_s = !on_best in
+  let off_s = median !off and on_s = median !on in
   let delta = (on_s -. off_s) /. off_s in
   Printf.printf "%10s %14s\n" "backend" "prove (s)";
   Printf.printf "%10s %14.3f\n" "obs_off" off_s;
@@ -824,8 +832,8 @@ let obs_overhead () =
   write "BENCH_obs.json" [ row "obs_off" off_s; row "obs_on" on_s ];
   if delta > budget then
     Printf.printf
-      "   note: advisory — single-shot timing on a shared machine; see \
-       EXPERIMENTS.md\n"
+      "   note: advisory — medians of %d reps on a shared machine; see \
+       EXPERIMENTS.md\n" reps
 
 let ablations () =
   ablation_par ();
@@ -904,23 +912,25 @@ let micro () =
           halt 0;
         ])
   in
-  (* The memory-check kernels and the trace-commitment trees run over
-     that guest's traced run. *)
+  (* The trace-commitment trees of that guest's traced run. *)
   let traced = Zkflow_zkvm.Machine.run ~trace:true zkvm_guest ~input:[||] in
-  let memlog = traced.memlog in
   let row_leaves = Zkflow_zkvm.Trace.encode_rows traced.rows in
-  let mem_leaves = Zkflow_zkproof.Logleaf.pack (Zkflow_zkvm.Trace.encode_log memlog) in
+  let mem_leaves = Zkflow_zkproof.Logleaf.pack (Zkflow_zkvm.Trace.encode_log traced.memlog) in
   let trace_tree leaves () =
     ignore (Zkflow_merkle.Tree.of_leaves ~node:Zkflow_zkproof.Receipt.node leaves)
   in
-  let perm = Result.get_ok (Zkflow_zkproof.Memcheck.sort_perm memlog) in
-  let alpha = Zkflow_field.Fp2.random rng and beta = Zkflow_field.Fp2.random rng in
   (* The prover's helper extraction and the verifier's authentication
      (leaf hashing and one climb per root) of all five columns. *)
   let module Multiproof = Zkflow_merkle.Multiproof in
   let ((ingest_program, ingest_input, ingest_run, ingest_receipt) as ingest) =
     ingest_shape_run ()
   in
+  (* The memory-check kernels run over the ingest round's access log
+     (7,707 entries, most of them register accesses), as the prover
+     runs them. *)
+  let memlog = ingest_run.Zkflow_zkvm.Machine.memlog in
+  let perm = Result.get_ok (Zkflow_zkproof.Memcheck.sort_perm memlog) in
+  let alpha = Zkflow_field.Fp2.random rng and beta = Zkflow_field.Fp2.random rng in
   let columns = ingest_shape_columns ingest in
   (* The verifier's whole check of that receipt, and the Fiat–Shamir
      schedule every prove and verify runs (journal digest included). *)
@@ -938,8 +948,6 @@ let micro () =
      time, sorted and z trees (the z entries computed beforehand). *)
   let log_commit_ingest =
     let open Zkflow_zkproof in
-    let memlog = ingest_run.Zkflow_zkvm.Machine.memlog in
-    let perm = Result.get_ok (Memcheck.sort_perm memlog) in
     let z = Logleaf.pack (Memcheck.z_leaves ~alpha ~beta memlog perm) in
     let tree col = ignore (Zkflow_merkle.Tree.of_leaves ~node:Receipt.node col) in
     fun () ->
@@ -995,6 +1003,8 @@ let micro () =
       Test.make ~name:"verify-ingest" (Staged.stage (fun () ->
           ignore (Zkflow_zkproof.Verify.verify ~program:ingest_program ingest_receipt)));
       Test.make ~name:"fs-derive" (Staged.stage (fun () -> ignore (derive_ingest ())));
+      Test.make ~name:"prove-ingest" (Staged.stage (fun () ->
+          ignore (Zkflow_zkproof.Prove.prove_result ingest_program ingest_run)));
     ]
   in
   let benchmark test =

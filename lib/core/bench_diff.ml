@@ -69,8 +69,16 @@ let oversubscribed side (a : R.artifact) =
       a.rows
   | _ -> []
 
+(* A phase's time is judged as a timing, its compressions as a count:
+   exactly. *)
 let phase_metrics (r : R.row) =
-  List.map (fun (name, (_, total_s)) -> (Printf.sprintf "phases.%s.total_s" name, R.seconds total_s)) r.phases
+  List.concat_map
+    (fun (name, (p : R.phase)) ->
+      (Printf.sprintf "phases.%s.total_s" name, R.seconds p.total_s)
+      :: Option.fold ~none:[]
+           ~some:(fun k -> [ (Printf.sprintf "phases.%s.compressions" name, R.count k) ])
+           p.compressions)
+    r.phases
 
 let ( let* ) = Result.bind
 

@@ -6,10 +6,12 @@ type metric = { value : float; unit : string; better : better }
 
 type axis = Int of int | Str of string
 
+type phase = { count : int; total_s : float; compressions : int option }
+
 type row = {
   config : (string * axis) list;
   metrics : (string * metric) list;
-  phases : (string * (int * float)) list;
+  phases : (string * phase) list;
 }
 
 type artifact = { env : (string * Jsonx.t) list; rows : row list }
@@ -27,6 +29,17 @@ let key r =
   String.concat " " (List.map (fun (name, v) -> name ^ "=" ^ axis_string v) r.config)
 
 let metric r name = Option.map (fun m -> m.value) (List.assoc_opt name r.metrics)
+
+let phases () =
+  List.map
+    (fun (name, (t : Zkflow_obs.Span.total)) ->
+      ( name,
+        {
+          count = t.count;
+          total_s = Zkflow_obs.Clock.ns_to_s t.total_ns;
+          compressions = Some t.compressions;
+        } ))
+    (Zkflow_obs.Span.totals ())
 
 (* ---- writer ------------------------------------------------------ *)
 
@@ -48,7 +61,12 @@ let row_json r =
               ])
           r.metrics );
       ( "phases",
-        obj (fun (c, t) -> Jsonx.Obj [ ("count", num c); ("total_s", Jsonx.Num t) ]) r.phases );
+        obj
+          (fun p ->
+            Jsonx.Obj
+              ([ ("count", num p.count); ("total_s", Jsonx.Num p.total_s) ]
+              @ Option.fold ~none:[] ~some:(fun k -> [ ("compressions", num k) ]) p.compressions))
+          r.phases );
     ]
 
 let to_json a =
@@ -127,9 +145,14 @@ let metric_of m =
     Some { value; unit; better = Higher }
   | _ -> None
 
+(* [compressions] is absent from artifacts written before spans
+   counted their hashing; such a phase reads with [None]. *)
 let phase_of p =
-  match (Jsonx.member "count" p, Jsonx.member "total_s" p) with
-  | Some (Jsonx.Num c), Some (Jsonx.Num t) -> Some (int_of_float c, t)
+  match (Jsonx.member "count" p, Jsonx.member "total_s" p, Jsonx.member "compressions" p) with
+  | Some (Jsonx.Num c), Some (Jsonx.Num total_s), None ->
+    Some { count = int_of_float c; total_s; compressions = None }
+  | Some (Jsonx.Num c), Some (Jsonx.Num total_s), Some (Jsonx.Num k) when Float.is_integer k ->
+    Some { count = int_of_float c; total_s; compressions = Some (int_of_float k) }
   | _ -> None
 
 let row_of (i, r) =

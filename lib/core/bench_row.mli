@@ -10,8 +10,9 @@
     - [metrics]: what was measured, each with its unit and the
       direction that is better — the shape perfbench prints and
       BENCHMARK.json declares.
-    - [phases]: the {!Zkflow_obs.Obs.span_totals_s} snapshot of the
-      run, span name to [(count, total seconds)].
+    - [phases]: the {!phases} snapshot of the run's spans, span name
+      to count, total seconds and the [sha256.compressions] the spans
+      covered.
 
     This module holds the only JSON writer and reader of rows, and
     the provenance every artifact's [env] block embeds; {!Bench_diff}
@@ -23,10 +24,18 @@ type metric = { value : float; unit : string; better : better }
 
 type axis = Int of int | Str of string
 
+type phase = {
+  count : int;
+  total_s : float;
+  compressions : int option;
+      (** [None] in an artifact written before spans counted their
+          hashing *)
+}
+
 type row = {
   config : (string * axis) list;
   metrics : (string * metric) list;
-  phases : (string * (int * float)) list;
+  phases : (string * phase) list;
 }
 
 type artifact = { env : (string * Zkflow_util.Jsonx.t) list; rows : row list }
@@ -55,12 +64,17 @@ val key : row -> string
 val metric : row -> string -> float option
 (** The value of the named metric, if the row has it. *)
 
+val phases : unit -> (string * phase) list
+(** The spans recorded so far ({!Zkflow_obs.Span.totals}), sorted by
+    name, each with its compressions. *)
+
 val to_json : artifact -> Zkflow_util.Jsonx.t
 
 val of_json : Zkflow_util.Jsonx.t -> (artifact, string) result
 (** Read an artifact. [Error] names what is missing or malformed: the
     [schema] tag, the [env] object, the [rows] array, or a row's
-    [config], [metrics] or [phases]. *)
+    [config], [metrics] or [phases]. A phase without [compressions]
+    reads with [None]. *)
 
 val write : string -> artifact -> unit
 (** Write the artifact's JSON to a path, one line. *)

@@ -67,17 +67,17 @@ let prometheus () =
   if spans <> [] then begin
     Buffer.add_string b "# TYPE zkflow_span_seconds_total counter\n";
     List.iter
-      (fun (name, (_, total_ns)) ->
+      (fun (name, (t : Span.total)) ->
         Buffer.add_string b
           (Printf.sprintf "zkflow_span_seconds_total{span=\"%s\"} %.6f\n"
-             (sanitize name) (Clock.ns_to_s total_ns)))
+             (sanitize name) (Clock.ns_to_s t.total_ns)))
       spans;
     Buffer.add_string b "# TYPE zkflow_span_count_total counter\n";
     List.iter
-      (fun (name, (count, _)) ->
+      (fun (name, (t : Span.total)) ->
         Buffer.add_string b
           (Printf.sprintf "zkflow_span_count_total{span=\"%s\"} %d\n"
-             (sanitize name) count))
+             (sanitize name) t.count))
       spans
   end;
   Buffer.contents b
@@ -107,9 +107,9 @@ let stats_json () =
   let spans =
     String.concat ","
       (List.map
-         (fun (name, (count, total_ns)) ->
-           Printf.sprintf "%s:{\"count\":%d,\"total_s\":%.6f}" (Jsonx.quote name)
-             count (Clock.ns_to_s total_ns))
+         (fun (name, (t : Span.total)) ->
+           Printf.sprintf "%s:{\"count\":%d,\"total_s\":%.6f,\"compressions\":%d}"
+             (Jsonx.quote name) t.count (Clock.ns_to_s t.total_ns) t.compressions)
          (Span.totals ()))
   in
   Printf.sprintf {|{"counters":{%s},"histograms":{%s},"spans":{%s}}|} counters

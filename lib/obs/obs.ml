@@ -22,5 +22,5 @@ let write_events ?append path = Event.write_jsonl ?append path
 
 let span_totals_s () =
   List.map
-    (fun (name, (count, total_ns)) -> (name, (count, Clock.ns_to_s total_ns)))
+    (fun (name, (t : Span.total)) -> (name, (t.count, Clock.ns_to_s t.total_ns)))
     (Span.totals ())

@@ -5,7 +5,10 @@ type evt = {
   tid : int;
   parent : int;
   args : (string * int) list;
+  compressions : int;
 }
+
+type total = { count : int; total_ns : int; compressions : int }
 
 (* Recorded at [finish] with parent = -1; the enclosing span is still
    open then, so parents are reconstructed in [events] from interval
@@ -15,7 +18,48 @@ let lock = Mutex.create ()
 let buf : evt list ref = ref []
 let count = ref 0
 
-let start () = if Control.on () then Clock.now_ns () else 0
+(* The hash work a span covers: the [sha256.compressions] counter
+   read at its start, kept per domain on a stack of open spans
+   (start time, count), innermost last, and subtracted at its finish.
+   Spans on one domain close LIFO, so a finish drops its own entry and
+   any inner one left open by an early return or an exception. An
+   entry whose span never finishes stays until the stack is full,
+   when the older half is dropped. *)
+let compressions = Metric.counter "sha256.compressions"
+let open_max = 32
+
+type opened = { starts : int array; mutable depth : int }
+
+let opened = Domain.DLS.new_key (fun () -> { starts = Array.make (2 * open_max) 0; depth = 0 })
+
+let start () =
+  if Control.on () then begin
+    let t0 = Clock.now_ns () in
+    let o = Domain.DLS.get opened in
+    if o.depth = open_max then begin
+      let keep = open_max / 2 in
+      Array.blit o.starts (2 * (open_max - keep)) o.starts 0 (2 * keep);
+      o.depth <- keep
+    end;
+    o.starts.(2 * o.depth) <- t0;
+    o.starts.((2 * o.depth) + 1) <- Metric.value compressions;
+    o.depth <- o.depth + 1;
+    t0
+  end
+  else 0
+
+(* The compressions since the open span that started at [t0], which
+   is closed with every span opened after it; 0 when no open span
+   started then. *)
+let close t0 =
+  let o = Domain.DLS.get opened in
+  let rec find d = if d < 0 || o.starts.(2 * d) = t0 then d else find (d - 1) in
+  let d = find (o.depth - 1) in
+  if d < 0 then 0
+  else begin
+    o.depth <- d;
+    Metric.value compressions - o.starts.((2 * d) + 1)
+  end
 
 let finish ?(args = []) name t0 =
   if t0 <> 0 && Control.on () then begin
@@ -28,6 +72,7 @@ let finish ?(args = []) name t0 =
         tid = (Domain.self () :> int);
         parent = -1;
         args;
+        compressions = close t0;
       }
     in
     Mutex.lock lock;
@@ -91,14 +136,22 @@ let events () =
   Array.to_list out
 
 let totals () =
-  let tbl : (string, int * int) Hashtbl.t = Hashtbl.create 16 in
+  let tbl : (string, total) Hashtbl.t = Hashtbl.create 16 in
   Mutex.lock lock;
   let l = !buf in
   Mutex.unlock lock;
   List.iter
     (fun e ->
-      let n, t = Option.value (Hashtbl.find_opt tbl e.name) ~default:(0, 0) in
-      Hashtbl.replace tbl e.name (n + 1, t + e.dur_ns))
+      let t =
+        Option.value (Hashtbl.find_opt tbl e.name)
+          ~default:{ count = 0; total_ns = 0; compressions = 0 }
+      in
+      Hashtbl.replace tbl e.name
+        {
+          count = t.count + 1;
+          total_ns = t.total_ns + e.dur_ns;
+          compressions = t.compressions + e.compressions;
+        })
     l;
   Hashtbl.fold (fun name agg acc -> (name, agg) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
@@ -107,4 +160,5 @@ let reset () =
   Mutex.lock lock;
   buf := [];
   count := 0;
-  Mutex.unlock lock
+  Mutex.unlock lock;
+  (Domain.DLS.get opened).depth <- 0

@@ -21,10 +21,21 @@ type evt = {
   parent : int;   (** index into {!events} of the enclosing span on
                       the same domain, or [-1] at top level *)
   args : (string * int) list;
+  compressions : int;
+      (** [sha256.compressions] counted from open to close, on any
+          domain: the span's hash work, inner spans included *)
+}
+
+type total = {
+  count : int;
+  total_ns : int;
+  compressions : int;  (** summed over the spans, as [total_ns] is *)
 }
 
 val start : unit -> int
-(** Current monotonic time, or [0] while telemetry is disabled. *)
+(** Current monotonic time, or [0] while telemetry is disabled. It
+    also notes the [sha256.compressions] count on the calling domain's
+    stack of open spans, for {!finish} to take the span's share. *)
 
 val finish : ?args:(string * int) list -> string -> int -> unit
 (** [finish name t0] records a completed span opened at [t0]. A no-op
@@ -36,9 +47,13 @@ val with_span : string -> (unit -> 'a) -> 'a
 val events : unit -> evt list
 (** Completed spans in chronological (open-time) order. *)
 
-val totals : unit -> (string * (int * int)) list
-(** Per-name aggregate over {!events}: [(name, (count, total_ns))],
-    sorted by name. Nested spans each contribute their full duration
-    (a parent's total includes its children). *)
+val totals : unit -> (string * total) list
+(** Per-name aggregate over {!events}, sorted by name. Nested spans
+    each contribute their full duration and compressions (a parent's
+    total includes its children's). The compressions are exact when
+    one span tree runs at a time, as in a prove at any job count:
+    pool workers open no spans, and a parallel region has returned
+    before the span around it closes. Spans open at once on two
+    domains would each count the other's hashing. *)
 
 val reset : unit -> unit

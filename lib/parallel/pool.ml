@@ -72,8 +72,13 @@ let jobs () =
   Mutex.unlock master;
   j
 
+(* A clock read for the pool's own metrics, 0 while telemetry is off:
+   not a span, which would note its start on the domain's stack of
+   open spans and never close it. *)
+let clock () = if Obs.Control.on () then Obs.Clock.now_ns () else 0
+
 let run_chunk p body c =
-  let t0 = Obs.Span.start () in
+  let t0 = clock () in
   (match body c with
   | () -> ()
   | exception e ->
@@ -196,7 +201,7 @@ let run_region p ~chunks body =
     end
   in
   help ();
-  let t_wait = Obs.Span.start () in
+  let t_wait = clock () in
   while p.live > 0 do
     Condition.wait p.drained p.lock
   done;

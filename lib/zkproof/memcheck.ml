@@ -4,52 +4,15 @@ module Fp2 = Zkflow_field.Fp2
 
 (* ---- the sorted order ---- *)
 
-(* 11-bit digits: three stable passes cover the register window at
-   [reg_base] = 2^30. *)
-let digit_bits = 11
-let digit_mask = (1 lsl digit_bits) - 1
-
 let sort_perm log =
-  let n = Trace.n_entries log in
-  let addrs = Trace.addresses log in
-  let max_addr = Array.fold_left Int.max 0 addrs in
-  let count = Array.make (digit_mask + 2) 0 in
-  (* One stable counting pass per digit, from the lowest. *)
-  let rec passes shift src dst =
-    if shift > 0 && max_addr lsr shift = 0 then src
-    else begin
-      Array.fill count 0 (digit_mask + 2) 0;
-      for j = 0 to n - 1 do
-        let d = ((addrs.(src.(j)) lsr shift) land digit_mask) + 1 in
-        count.(d) <- count.(d) + 1
-      done;
-      for d = 1 to digit_mask do
-        count.(d) <- count.(d) + count.(d - 1)
-      done;
-      for j = 0 to n - 1 do
-        let i = src.(j) in
-        let d = (addrs.(i) lsr shift) land digit_mask in
-        dst.(count.(d)) <- i;
-        count.(d) <- count.(d) + 1
-      done;
-      passes (shift + digit_bits) dst src
-    end
-  in
-  let perm = passes 0 (Array.init n Fun.id) (Array.make n 0) in
-  (* The passes are stable, so entries with equal addresses keep log
-     order. If the result is also in [mem_order] (which compares the
-     address first, so this covers addresses the passes did not order,
-     such as negative ones), [perm] is the (mem_order, index) order a
-     comparator sort would give. *)
-  match Trace.first_unordered log perm with
-  | None -> Ok perm
-  | Some j ->
-    let a = perm.(j - 1) and b = perm.(j) in
+  match Trace.address_order log with
+  | perm, None -> Ok perm
+  | _, Some (a, b) ->
     Error
       (Printf.sprintf
          "memcheck: access log entries %d and %d (address %d) are not in \
           (time, read-before-write) order"
-         a b addrs.(b))
+         a b (Trace.mem_at log b).addr)
 
 (* ---- the grand products ---- *)
 
@@ -103,11 +66,33 @@ let[@inline] term_into t i ~(alpha : Fp2.t) ~(beta : Fp2.t) ~(b2 : Fp2.t) ~(b3 :
   t.(2 * i) <- sub alpha.c0 f0;
   t.((2 * i) + 1) <- sub alpha.c1 f1
 
+(* An entry a machine can log (an address and a time below p, a
+   32-bit value, a write flag of 0 or 1) needs no reduction before
+   its sums: time·β < p² and the other products add less than 2^49,
+   so each coordinate is one sum and one [mod p]. Any other entry
+   takes [term_into]. The log is read chunk by chunk, with no call per
+   entry. *)
 let terms_of_ints ~alpha ~beta log =
   let b2, b3, b4 = powers beta in
   let t = Array.make (2 * Trace.n_entries log) 0 in
-  Trace.iter_log log (fun i addr time write value ->
-      term_into t i ~alpha ~beta ~b2 ~b3 ~b4 ~addr ~time ~write ~value);
+  let a0 = alpha.Fp2.c0 and a1 = alpha.Fp2.c1 in
+  let be0 = beta.Fp2.c0 and be1 = beta.Fp2.c1 and b20 = b2.Fp2.c0 and b21 = b2.Fp2.c1 in
+  let b30 = b3.Fp2.c0 and b31 = b3.Fp2.c1 and b40 = b4.Fp2.c0 and b41 = b4.Fp2.c1 in
+  Trace.iter_log_chunks log (fun c first count ->
+      for k = 0 to count - 1 do
+        let addr = Array.unsafe_get c (4 * k) and time = Array.unsafe_get c ((4 * k) + 1) in
+        let write = Array.unsafe_get c ((4 * k) + 2) and value = Array.unsafe_get c ((4 * k) + 3) in
+        let i = first + k in
+        if addr >= 0 && addr < p && time >= 0 && time < p && value lsr 32 = 0 && write lsr 1 = 0
+        then begin
+          let lo = value land 0xffff and hi = value lsr 16 in
+          let f0 = (addr + (time * be0) + (lo * b20) + (hi * b30) + (write * b40)) mod p in
+          let f1 = ((time * be1) + (lo * b21) + (hi * b31) + (write * b41)) mod p in
+          Array.unsafe_set t (2 * i) (sub a0 f0);
+          Array.unsafe_set t ((2 * i) + 1) (sub a1 f1)
+        end
+        else term_into t i ~alpha ~beta ~b2 ~b3 ~b4 ~addr ~time ~write ~value
+      done);
   t
 
 (* One step z · t of a grand product, coordinate by coordinate, every
@@ -123,17 +108,17 @@ let z_bytes = 16
 
 (* Both grand products over the terms: the time product in log order,
    the sorted one through [perm], each entry written in the [encode_z]
-   layout at its own 16 bytes of one column. *)
+   layout at its own 16 bytes of one column. The two products are
+   independent, so each runs in the other's multiply latency. *)
 let z_leaves ~alpha ~beta log perm =
   let n = Trace.n_entries log in
   if Array.length perm <> n then
     invalid_arg "Memcheck.z_leaves: perm and log lengths differ";
   let t = terms_of_ints ~alpha ~beta log in
-  let col = Zkflow_util.Column.alloc n ~size:(fun _ -> z_bytes) in
-  let b = col.data in
+  let b = Bytes.create (z_bytes * n) in
   let zt0 = ref 1 and zt1 = ref 0 and zs0 = ref 1 and zs1 = ref 0 in
   for j = 0 to n - 1 do
-    let t0 = t.(2 * j) and t1 = t.((2 * j) + 1) in
+    let t0 = Array.unsafe_get t (2 * j) and t1 = Array.unsafe_get t ((2 * j) + 1) in
     let z0 = !zt0 and z1 = !zt1 in
     zt0 := mul_c0 z0 z1 t0 t1;
     zt1 := mul_c1 z0 z1 t0 t1;
@@ -142,12 +127,13 @@ let z_leaves ~alpha ~beta log perm =
     let z0 = !zs0 and z1 = !zs1 in
     zs0 := mul_c0 z0 z1 t0 t1;
     zs1 := mul_c1 z0 z1 t0 t1;
-    Bytes.set_int32_le b (z_bytes * j) (Int32.of_int !zt0);
-    Bytes.set_int32_le b ((z_bytes * j) + 4) (Int32.of_int !zt1);
-    Bytes.set_int32_le b ((z_bytes * j) + 8) (Int32.of_int !zs0);
-    Bytes.set_int32_le b ((z_bytes * j) + 12) (Int32.of_int !zs1)
+    let at = z_bytes * j in
+    Bytes.set_int32_le b at (Int32.of_int !zt0);
+    Bytes.set_int32_le b (at + 4) (Int32.of_int !zt1);
+    Bytes.set_int32_le b (at + 8) (Int32.of_int !zs0);
+    Bytes.set_int32_le b (at + 12) (Int32.of_int !zs1)
   done;
-  col
+  { Zkflow_util.Column.data = b; off = Array.init (n + 1) (fun j -> z_bytes * j) }
 
 let encode_z ~time ~sorted = Bytes.cat (Fp2.to_bytes time) (Fp2.to_bytes sorted)
 

@@ -16,15 +16,13 @@ val sort_perm : Zkflow_zkvm.Trace.log -> (int array, string) result
     {!Zkflow_zkvm.Trace.mem_order}, ties kept in log order: the sorted
     log is entry [perm.(0)], [perm.(1)], ... of the log.
 
-    It is a stable radix sort on the addresses alone (read once into
-    one int array; 11-bit digits, three passes for the register
-    window), followed by one scan
-    ({!Zkflow_zkvm.Trace.first_unordered}) that requires [mem_order]
-    to be non-decreasing along [perm]. That holds
-    when each address's accesses appear in (time, read-before-write)
-    order, as the machine logs them, and then [perm] is exactly the
-    (mem_order, index) order. [Error] names the first pair that breaks
-    it; there is no fallback sort. *)
+    It is {!Zkflow_zkvm.Trace.address_order}: a stable sort on the
+    addresses (register entries bucketed in the one pass that reads
+    the log, the rest by radix), checked as it goes that each
+    address's entries appear in (time, read-before-write) order, as
+    the machine logs them; then [perm] is exactly the (mem_order,
+    index) order. [Error] names the first pair along [perm] that
+    breaks it; there is no fallback sort. *)
 
 val term :
   alpha:Zkflow_field.Fp2.t ->

@@ -64,11 +64,6 @@ let sized n =
 let[@inline] get t i = t.dir.(i lsr chunk_bits).(i land chunk_mask)
 let[@inline] set t i x = t.dir.(i lsr chunk_bits).(i land chunk_mask) <- x
 
-(* [get] for the encoders, whose runs lie below [t.len] by
-   construction: the ends they read are positions already written. *)
-let[@inline] get_in t i =
-  Array.unsafe_get (Array.unsafe_get t.dir (i lsr chunk_bits)) (i land chunk_mask)
-
 let add_chunk t k =
   if k = Array.length t.dir then begin
     let dir = Array.make (Int.max 4 (2 * k)) [||] in
@@ -213,62 +208,85 @@ let mem_count t r = get t.fields (get t.ends r - 1)
    pool, each into its own byte range, so the column is the same at
    every job count. A negative int raises [Invalid_argument] from
    [Varint.size], before anything is written. The size and the bytes
-   are [Varint]'s, spelled here so the loops make no call per int. *)
+   are [Varint]'s, spelled here so the loops make no call per int in
+   the common range. *)
 
-let[@inline] varint_size v =
-  if v < 0x80 then if v < 0 then Varint.size v else 1
-  else if v < 0x4000 then 2
-  else if v < 0x200000 then 3
-  else if v < 0x10000000 then 4
-  else Varint.size v
+(* Below 2^35 a varint is one to five bytes, sized without a branch:
+   the ints of a trace (cycle counts, register addresses at 2^30,
+   32-bit words) vary in size from one to the next. A larger or
+   negative int takes [Varint.size]. *)
+let small = 1 lsl 35
 
-let run_size t lo hi =
-  let n = ref 0 in
-  for i = lo to hi - 1 do
-    n := !n + varint_size (get_in t i)
+let[@inline] small_size v =
+  1 + Bool.to_int (v >= 0x80) + Bool.to_int (v >= 0x4000) + Bool.to_int (v >= 0x200000)
+  + Bool.to_int (v >= 0x10000000)
+
+let[@inline] varint_size v = if v >= 0 && v < small then small_size v else Varint.size v
+
+(* One pass over the ints, chunk by chunk: [off.(r + 1)] is the byte
+   size of the varints of ints [0, leaf_end r), leaf [r] ending at int
+   [leaf_end r], the ends non-decreasing and none past [t.len]. *)
+let leaf_offsets t n leaf_end =
+  let off = Array.make (n + 1) 0 in
+  let r = ref 0 and size = ref 0 in
+  let stop = ref (if n = 0 then max_int else leaf_end 0) in
+  while !stop = 0 do
+    incr r;
+    stop := if !r < n then leaf_end !r else max_int
   done;
-  !n
+  for c = 0 to ((t.len + chunk - 1) lsr chunk_bits) - 1 do
+    let ints = Array.unsafe_get t.dir c and k = c lsl chunk_bits in
+    for j = 0 to Int.min chunk (t.len - k) - 1 do
+      size := !size + varint_size (Array.unsafe_get ints j);
+      while !stop = k + j + 1 do
+        Array.unsafe_set off (!r + 1) !size;
+        incr r;
+        stop := if !r < n then leaf_end !r else max_int
+      done
+    done
+  done;
+  off
 
-(* The bytes of a run sized by [run_size]: seven bits a byte, low
-   first, the high bit set on every byte but the last. *)
-let put_run b off t lo hi =
-  let off = ref off in
-  for i = lo to hi - 1 do
-    let v = ref (get_in t i) in
-    while !v >= 0x80 do
-      Bytes.set b !off (Char.unsafe_chr (0x80 lor (!v land 0x7f)));
-      incr off;
-      v := !v lsr 7
+(* The varints of ints [lo, hi) of [t], seven bits a byte, low first,
+   the high bit set on every byte but the last, written from byte
+   [at] of [b], whose size [leaf_offsets] has bounded. A trace's ints
+   repeat their sizes with the row or entry layout, so the branch per
+   byte predicts well here. *)
+let put_ints b at t lo hi =
+  let at = ref at and i = ref lo in
+  while !i < hi do
+    let c = Array.unsafe_get t.dir (!i lsr chunk_bits) in
+    let j0 = !i land chunk_mask in
+    let j1 = Int.min chunk (j0 + hi - !i) in
+    for j = j0 to j1 - 1 do
+      let v = ref (Array.unsafe_get c j) in
+      while !v >= 0x80 do
+        Bytes.unsafe_set b !at (Char.unsafe_chr (0x80 lor (!v land 0x7f)));
+        incr at;
+        v := !v lsr 7
+      done;
+      Bytes.unsafe_set b !at (Char.unsafe_chr !v);
+      incr at
     done;
-    Bytes.set b !off (Char.unsafe_chr !v);
-    incr off
+    i := !i + (j1 - j0)
   done
 
-let encode_rows t =
-  let n = n_rows t in
-  let off = Array.make (n + 1) 0 in
-  for r = 0 to n - 1 do
-    off.(r + 1) <- off.(r) + run_size t.fields (first t r) (get t.ends r)
-  done;
+(* A column of [n] leaves over the ints of [t], leaf [r] the varints
+   of ints [leaf_start r, leaf_end r): sized in one pass, then its
+   bytes written in chunks of leaves on the pool, each chunk one run
+   of ints into its own byte range. *)
+let encode_leaves t n ~leaf_start ~leaf_end =
+  let off = leaf_offsets t n leaf_end in
   let col = { Column.data = Bytes.create off.(n); off } in
   Zkflow_parallel.Pool.parallel_for ~min_chunk:2048 n (fun lo hi ->
-      for r = lo to hi - 1 do
-        put_run col.data off.(r) t.fields (first t r) (get t.ends r)
-      done);
+      if lo < hi then put_ints col.data off.(lo) t (leaf_start lo) (leaf_end (hi - 1)));
   col
 
+let encode_rows t =
+  encode_leaves t.fields (n_rows t) ~leaf_start:(first t) ~leaf_end:(get t.ends)
+
 let encode_log log =
-  let n = n_entries log in
-  let off = Array.make (n + 1) 0 in
-  for e = 0 to n - 1 do
-    off.(e + 1) <- off.(e) + run_size log (4 * e) ((4 * e) + 4)
-  done;
-  let col = { Column.data = Bytes.create off.(n); off } in
-  Zkflow_parallel.Pool.parallel_for ~min_chunk:2048 n (fun lo hi ->
-      for e = lo to hi - 1 do
-        put_run col.data off.(e) log (4 * e) ((4 * e) + 4)
-      done);
-  col
+  encode_leaves log (n_entries log) ~leaf_start:(fun e -> 4 * e) ~leaf_end:(fun e -> (4 * e) + 4)
 
 (* Row leaves are decoded in two steps. First every varint of a leaf,
    in order, into one int column shared by all the leaves decoded
@@ -390,10 +408,10 @@ let mem_at a r =
     value = get a ((4 * r) + 3);
   }
 
-let iter_log log f =
-  for r = 0 to n_entries log - 1 do
-    let i = 4 * r in
-    f r (get_in log i) (get_in log (i + 1)) (get_in log (i + 2)) (get_in log (i + 3))
+let iter_log_chunks log f =
+  for c = 0 to ((log.len + chunk - 1) lsr chunk_bits) - 1 do
+    let k = c lsl chunk_bits in
+    f (Array.unsafe_get log.dir c) (k lsr 2) ((Int.min chunk (log.len - k)) lsr 2)
   done
 
 let decode_mem b =
@@ -415,26 +433,145 @@ let mem_order a b =
   order ~addr:a.addr ~time:a.time ~write:(Bool.to_int a.write) ~addr':b.addr ~time':b.time
     ~write':(Bool.to_int b.write)
 
-let addresses log =
-  let a = Array.make (n_entries log) 0 in
-  for r = 0 to Array.length a - 1 do
-    a.(r) <- get_in log (4 * r)
-  done;
-  a
+(* ---- the address order ----
 
-let first_unordered log perm =
-  let rec scan j =
-    if j >= Array.length perm then None
-    else
-      let i = 4 * perm.(j - 1) and k = 4 * perm.(j) in
-      if
-        order ~addr:(get log i) ~time:(get log (i + 1)) ~write:(get log (i + 2))
-          ~addr':(get log k) ~time':(get log (k + 1)) ~write':(get log (k + 2))
-        > 0
-      then Some j
-      else scan (j + 1)
+   The stable sort by address that the memory check commits, in one
+   pass over the log and a radix sort of the entries outside the
+   register file. A machine log is mostly register accesses, and 32
+   buckets order those in the pass that reads them. The rest (RAM
+   below [ram_limit], or any address of a hand-built log) are sorted
+   by their offset from the least of them, 12 bits a pass, so a
+   machine's RAM addresses take at most three passes and a compact
+   data segment fewer. The order check rides along: a register's
+   entries are compared in the first pass, as they arrive in log
+   order, and the other entries once sorted. *)
+
+let regs = 32
+let radix_bits = 12
+
+(* Whether (time, write) of entry [i] sorts after that of entry [k]. *)
+let[@inline] later log i k =
+  let ti = get log ((4 * i) + 1) and tk = get log ((4 * k) + 1) in
+  ti > tk || (ti = tk && get log ((4 * i) + 2) > get log ((4 * k) + 2))
+
+let address_order log =
+  let n = n_entries log in
+  let perm = Array.make n 0 in
+  (* The first pass: register entries counted per register and checked
+     against the register's previous entry (its index, time and write
+     flag); every other entry's index kept in log order, with the
+     range of their addresses and how many lie below the register
+     file. *)
+  let count = Array.make (regs + 1) 0 and last = Array.make (3 * regs) (-1) in
+  let other = Array.make n 0 and key = Array.make n 0 in
+  let m = ref 0 and lo = ref max_int and hi = ref min_int in
+  let below = ref 0 and reg_break = ref None in
+  for c = 0 to ((log.len + chunk - 1) lsr chunk_bits) - 1 do
+    let ints = Array.unsafe_get log.dir c and first = (c lsl chunk_bits) lsr 2 in
+    for j = 0 to (Int.min chunk (log.len - (c lsl chunk_bits)) lsr 2) - 1 do
+      let i = first + j and a = Array.unsafe_get ints (4 * j) in
+      let k = a - reg_base in
+      if k >= 0 && k < regs then begin
+        let t = Array.unsafe_get ints ((4 * j) + 1) and w = Array.unsafe_get ints ((4 * j) + 2) in
+        let prev = last.(3 * k) and pt = last.((3 * k) + 1) in
+        (if prev >= 0 && (pt > t || (pt = t && last.((3 * k) + 2) > w)) then
+           match !reg_break with
+           | Some (k', _, _) when k' <= k -> ()
+           | _ -> reg_break := Some (k, prev, i));
+        count.(k + 1) <- count.(k + 1) + 1;
+        last.(3 * k) <- i;
+        last.((3 * k) + 1) <- t;
+        last.((3 * k) + 2) <- w
+      end
+      else begin
+        Array.unsafe_set other !m i;
+        Array.unsafe_set key !m a;
+        incr m;
+        if a < !lo then lo := a;
+        if a > !hi then hi := a;
+        if a < reg_base then incr below
+      end
+    done
+  done;
+  let m = !m and lo = !lo in
+  (* The other entries, sorted stably by the offset of their address
+     from [lo], read as unsigned so any range of ints sorts; each pass
+     moves the addresses with the indices. *)
+  let other, key =
+    let width = ref 0 in
+    while !width < Sys.int_size && (!hi - lo) lsr !width <> 0 do
+      incr width
+    done;
+    if m < 2 || !width = 0 then (other, key)
+    else begin
+      let bits = Int.min radix_bits !width in
+      let mask = (1 lsl bits) - 1 in
+      let counts = Array.make (mask + 2) 0 in
+      let src = ref (other, key) and dst = ref (Array.make m 0, Array.make m 0) in
+      let shift = ref 0 in
+      while !shift < !width do
+        let (si, sk), (di, dk) = (!src, !dst) and sh = !shift in
+        Array.fill counts 0 (mask + 2) 0;
+        for j = 0 to m - 1 do
+          let b = (((sk.(j) - lo) lsr sh) land mask) + 1 in
+          counts.(b) <- counts.(b) + 1
+        done;
+        for b = 1 to mask do
+          counts.(b) <- counts.(b) + counts.(b - 1)
+        done;
+        for j = 0 to m - 1 do
+          let a = sk.(j) in
+          let b = ((a - lo) lsr sh) land mask in
+          let at = counts.(b) in
+          di.(at) <- si.(j);
+          dk.(at) <- a;
+          counts.(b) <- at + 1
+        done;
+        src := (di, dk);
+        dst := (si, sk);
+        shift := sh + bits
+      done;
+      !src
+    end
   in
-  scan 1
+  (* The other entries below the register file, the register file in
+     register order, then the other entries above it. *)
+  Array.blit other 0 perm 0 !below;
+  for k = 1 to regs do
+    count.(k) <- count.(k) + count.(k - 1)
+  done;
+  let at = Array.map (( + ) !below) count in
+  for c = 0 to ((log.len + chunk - 1) lsr chunk_bits) - 1 do
+    let ints = Array.unsafe_get log.dir c and first = (c lsl chunk_bits) lsr 2 in
+    for j = 0 to (Int.min chunk (log.len - (c lsl chunk_bits)) lsr 2) - 1 do
+      let k = Array.unsafe_get ints (4 * j) - reg_base in
+      if k >= 0 && k < regs then begin
+        perm.(at.(k)) <- first + j;
+        at.(k) <- at.(k) + 1
+      end
+    done
+  done;
+  Array.blit other !below perm (!below + count.(regs)) (m - !below);
+  (* The first break along [perm]: among the other entries below the
+     register file, then the registers, then the rest. *)
+  let other_break from upto =
+    let rec scan j =
+      if j >= upto then None
+      else
+        let i = other.(j - 1) and k = other.(j) in
+        if key.(j - 1) = key.(j) && later log i k then Some (i, k) else scan (j + 1)
+    in
+    scan from
+  in
+  let break =
+    match other_break 1 !below with
+    | Some _ as b -> b
+    | None -> (
+      match !reg_break with
+      | Some (_, i, k) -> Some (i, k)
+      | None -> other_break (Int.max 1 !below) m)
+  in
+  (perm, break)
 
 let equal_row a b = a = b
 

@@ -164,17 +164,28 @@ val log_of_entries : mem_entry array -> log
 val mem_at : log -> int -> mem_entry
 (** [mem_at log r] is entry [r]. *)
 
-val iter_log : log -> (int -> int -> int -> int -> int -> unit) -> unit
-(** [iter_log log f] calls [f r addr time write value] on every entry
-    in order, [write] 0 or 1. *)
+val iter_log_chunks : log -> (int array -> int -> int -> unit) -> unit
+(** [iter_log_chunks log f] calls [f c first count] on each chunk of
+    the log's ints, in order: entry [first + k], for [k < count], is
+    [c.(4k)] (address), [c.(4k + 1)] (time), [c.(4k + 2)] (write
+    flag) and [c.(4k + 3)] (value). The loops that read every entry
+    run over these arrays, with no call per entry. *)
 
-val addresses : log -> int array
-(** [addresses log] is every entry's address, in order. *)
+val address_order : log -> int array * (int * int) option
+(** [address_order log] is [(perm, break)]: [perm] sorts the log by
+    address, stably (entry [perm.(0)], [perm.(1)], ... of the log),
+    and [break] is the first [(perm.(j - 1), perm.(j))] along it whose
+    two entries share an address but sort the other way by
+    {!mem_order}, or [None]. With no break, [perm] is the
+    ({!mem_order}, index) order a comparator sort gives, which holds
+    when each address's accesses appear in (time, read-before-write)
+    order, as {!Machine} logs them.
 
-val first_unordered : log -> int array -> int option
-(** [first_unordered log perm] is the first [j ≥ 1] at which entry
-    [perm.(j - 1)] sorts after entry [perm.(j)] by {!mem_order}, or
-    [None] when the entries are in order. *)
+    It reads the log once, ordering register entries (32 buckets at
+    {!reg_base}) and checking their order as they arrive, then sorts
+    the other entries (a machine's RAM, or any address of a
+    hand-built log) by radix on their offset from the least of them,
+    12 bits a pass. *)
 
 val encode_log : log -> Zkflow_util.Column.t
 (** The access-log column, one entry per leaf: [addr], [time], the

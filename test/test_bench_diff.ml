@@ -47,7 +47,8 @@ let row ?(backend = "receipt") ?(queries = 16) ?(records = 48) ?(routers = 2)
         ("receipt_bytes", R.bytes (proof_bytes + 904));
         ("soundness_bits", R.bits bits);
       ];
-    phases = List.map (fun (name, s) -> (name, (1, s))) phases;
+    phases =
+      List.map (fun (name, s) -> (name, { R.count = 1; total_s = s; compressions = None })) phases;
   }
 
 let artifact ?(env = []) rows = { R.env; rows }
@@ -377,6 +378,49 @@ let test_committed_artifacts () =
           (List.length (List.filter (fun n -> contains ~needle:"oversubscribed" n) r.Bench_diff.notes)))
     [ "fig4"; "table1"; "par"; "obs"; "queries"; "ablations" ]
 
+(* A phase's compressions are a count: read back when present, absent
+   from older artifacts without refusing them, and gated exactly. *)
+let test_phase_compressions () =
+  let with_phase compressions =
+    artifact
+      [
+        {
+          (row ()) with
+          R.phases = [ ("merkle.build", { R.count = 5; total_s = 0.2; compressions }) ];
+        };
+      ]
+  in
+  let counted = with_phase (Some 21254) in
+  check_bool "round trip" true (R.of_json (R.to_json counted) = Ok counted);
+  (match
+     Jsonx.parse
+       {|{"schema":"zkflow-bench/v1","env":{},"rows":[{"config":{"jobs":1},"metrics":{},
+          "phases":{"merkle.build":{"count":5,"total_s":0.2}}}]}|}
+   with
+  | Error e -> Alcotest.fail e
+  | Ok doc -> (
+    match R.of_json doc with
+    | Ok { R.rows = [ { R.phases = [ (_, p) ]; _ } ]; _ } ->
+      check_bool "an older phase reads without compressions" true (p.R.compressions = None)
+    | Ok _ -> Alcotest.fail "expected one row with one phase"
+    | Error e -> Alcotest.fail e));
+  let regressed old_a new_a threshold =
+    List.map
+      (fun c -> c.Bench_diff.field)
+      (diff_exn ~threshold old_a new_a).Bench_diff.regressions
+  in
+  Alcotest.(check (list string))
+    "one more compression regresses at any threshold" [ "phases.merkle.build.compressions" ]
+    (regressed counted (with_phase (Some 21255)) 10.);
+  Alcotest.(check (list string)) "equal counts pass" [] (regressed counted counted 0.);
+  (* an older OLD has nothing to compare them with *)
+  let r = diff_exn (with_phase None) counted in
+  check_bool "older baseline still compares" true (Bench_diff.ok r);
+  check_bool "a baseline's count missing in NEW is a note" true
+    (List.exists
+       (contains ~needle:"field phases.merkle.build.compressions")
+       (diff_exn counted (with_phase None)).Bench_diff.notes)
+
 (* ---- provenance -------------------------------------------------- *)
 
 let test_env_provenance_fields () =
@@ -426,6 +470,8 @@ let () =
           Alcotest.test_case "oversubscribed row note" `Quick test_oversubscribed_row_note;
           Alcotest.test_case "quick-flag mismatch note" `Quick
             test_quick_flag_mismatch_note;
+          Alcotest.test_case "phase compressions gated exactly" `Quick
+            test_phase_compressions;
         ] );
       ( "artifacts",
         [

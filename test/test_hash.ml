@@ -387,7 +387,10 @@ let level_per_node rule buf ~src ~dst ~lo ~hi =
 (* A level of [width] parents: 2·width child slots at [src], whose
    pairs repeat their left neighbour in runs, and the parent slots at
    [dst], before or after them with a gap; random bytes all round.
-   The window [lo, hi) is random within the level. *)
+   The window [lo, hi) is random within the level. How often a pair
+   repeats is drawn per case, from never to 15 times in 16, so runs
+   of every length start and end on either lane of the kernel's pairs
+   of runs, at the window's edges too. *)
 let level_case =
   let gen =
     QCheck.Gen.(
@@ -397,12 +400,15 @@ let level_case =
       bool >>= fun dst_first ->
       int_range 0 width >>= fun a ->
       int_range 0 width >>= fun b ->
-      list_repeat width (int_range 0 3) >>= fun repeats ->
+      oneofl [ 0; 4; 8; 12; 15 ] >>= fun density ->
+      list_repeat width (map (fun r -> r < density) (int_bound 15)) >>= fun repeats ->
       int >|= fun seed -> (rule, width, gap, dst_first, min a b, max a b, repeats, seed))
   in
-  let print (rule, width, gap, dst_first, lo, hi, _, seed) =
-    Printf.sprintf "rule=%d width=%d gap=%d dst_first=%b lo=%d hi=%d seed=%d" rule width gap
-      dst_first lo hi seed
+  let print (rule, width, gap, dst_first, lo, hi, repeats, seed) =
+    Printf.sprintf "rule=%d width=%d gap=%d dst_first=%b lo=%d hi=%d repeats=%s seed=%d" rule
+      width gap dst_first lo hi
+      (String.concat "" (List.map (fun r -> if r then "r" else ".") repeats))
+      seed
   in
   QCheck.make ~print gen
 
@@ -414,10 +420,10 @@ let prop_kernel_level =
       let src, dst = if dst_first then (1 + width + gap, 1) else (1, 1 + (2 * width) + gap) in
       let rng = Zkflow_util.Rng.create (Int64.of_int seed) in
       let buf = Zkflow_util.Rng.bytes rng (32 * slots) in
-      (* a pair that repeats its left neighbour, 1 time in 4 *)
+      (* a pair that repeats its left neighbour *)
       List.iteri
         (fun i r ->
-          if i > 0 && r = 0 then
+          if i > 0 && r then
             Bytes.blit buf (32 * (src + (2 * (i - 1)))) buf (32 * (src + (2 * i))) 64)
         repeats;
       let live = Bytes.copy buf and reference = Bytes.copy buf in
@@ -460,20 +466,25 @@ let leaves_per_leaf ~prefix col ~dst ~lo ~hi =
    and the longest row leaf, 187 bytes. *)
 let edge_lengths = [ 0; 1; 43; 44; 52; 53; 55; 56; 64; 107; 108; 119; 120; 187; 200 ]
 
-(* Up to 40 leaves in one column, with junk bytes before the first
+(* Up to 64 leaves in one column, with junk bytes before the first
    and after the last; each leaf is fresh, a copy of the previous one
    (a run of equal neighbours, which may cross the window's start),
-   or the previous one with its last byte changed. The prefix is
-   empty or the 12-byte leaf tag. *)
+   or the previous one with its last byte changed. How often a leaf
+   copies the previous one is drawn per case, from never to nearly
+   always, so runs of every length start and end on either lane of the
+   kernel's pairs of runs. The prefix is empty or the 12-byte leaf
+   tag. *)
 let leaves_case =
-  let leaf =
+  let leaf copies =
     QCheck.Gen.(
-      pair (int_range 0 2)
+      pair
+        (frequency [ (4, return 0); (copies, return 1); (1, return 2) ])
         (oneof [ oneofl edge_lengths; int_range 0 200 ] >>= fun n -> string_size (return n)))
   in
   let gen =
     QCheck.Gen.(
-      list_size (int_range 0 40) leaf >>= fun leaves ->
+      oneofl [ 0; 2; 4; 16; 64 ] >>= fun copies ->
+      list_size (int_range 0 64) (leaf copies) >>= fun leaves ->
       let n = List.length leaves in
       pair (int_range 0 n) (int_range 0 n) >>= fun (a, b) ->
       int_range 0 2 >>= fun extra ->
@@ -561,6 +572,127 @@ let prop_kernel_leaf_rule =
           Bytes.equal (Bytes.sub dst (32 * i) 32) (Digest32.unsafe_to_bytes d)
           && Digest32.equal d (Zkflow_merkle.Tree.leaf tree i))
         (List.init n Fun.id))
+
+(* The five trace trees of the ingest round (a 16-flow CLog updated
+   by two records from each of four routers) and of a query round over
+   its CLog, each built twice: by [Tree.of_leaves] through the batch
+   kernels, and slot by slot through the per-leaf and per-node
+   reference loops above, in the tree's layout (the leaf level padded
+   with the empty leaf, then each parent level). Every slot, the slots
+   hashed and the compressions must agree, on whichever kernel is
+   live. *)
+module Tree = Zkflow_merkle.Tree
+module Trace = Zkflow_zkvm.Trace
+
+let hashed_nodes = Zkflow_obs.Metric.counter "merkle.nodes_hashed"
+
+let reference_tree rule col =
+  let n = Zkflow_util.Column.length col in
+  let p = Tree.next_pow2 n in
+  let buf = Bytes.create (32 * ((2 * p) - 1)) in
+  let leaves, _ =
+    leaves_per_leaf ~prefix:(Bytes.of_string "zkflow.lf.v1") col ~dst:buf ~lo:0 ~hi:n
+  in
+  for i = n to p - 1 do
+    Bytes.blit (Digest32.unsafe_to_bytes Tree.empty_leaf) 0 buf (32 * i) 32
+  done;
+  let hashed = ref leaves and src = ref 0 and width = ref p in
+  while !width > 1 do
+    let dst = !src + !width in
+    hashed := !hashed + level_per_node rule buf ~src:!src ~dst ~lo:0 ~hi:(!width / 2);
+    src := dst;
+    width := !width / 2
+  done;
+  (buf, !hashed)
+
+let trace_columns ~program (run : Zkflow_zkvm.Machine.result) =
+  let open Zkflow_zkproof in
+  let rows = run.Zkflow_zkvm.Machine.rows and memlog = run.Zkflow_zkvm.Machine.memlog in
+  let entries = Trace.encode_log memlog in
+  let perm = Result.get_ok (Memcheck.sort_perm memlog) in
+  let chain = ref Chain.genesis in
+  let jacc =
+    Array.init (Trace.n_rows rows) (fun i ->
+        chain := Checker.jacc_step ~program !chain rows i;
+        Digest32.to_bytes (Chain.head !chain))
+  in
+  let rng = Zkflow_util.Rng.create 17L in
+  let alpha = Zkflow_field.Fp2.random rng and beta = Zkflow_field.Fp2.random rng in
+  [
+    ("rows", Trace.encode_rows rows);
+    ("time", Logleaf.pack entries);
+    ("sorted", Logleaf.gather entries perm);
+    ("jacc", Zkflow_util.Column.of_array jacc);
+    ("z", Logleaf.pack (Memcheck.z_leaves ~alpha ~beta memlog perm));
+  ]
+
+let trace_rounds =
+  lazy
+    (let module Core = Zkflow_core in
+     let module Gen = Zkflow_netflow.Gen in
+     let rng = Zkflow_util.Rng.create 5L in
+     let flows = Gen.flows rng { Gen.default_profile with flow_count = 16 } in
+     let window router_id keys =
+       let records =
+         Array.of_list
+           (List.map
+              (fun k ->
+                Zkflow_netflow.Record.make ~key:flows.(k) ~first_ts:1000
+                  ~last_ts:(1001 + Zkflow_util.Rng.int rng 900) ~router_id
+                  {
+                    Zkflow_netflow.Record.packets = 1 + Zkflow_util.Rng.int rng 1000;
+                    bytes = 64 + Zkflow_util.Rng.int rng 100_000;
+                    hop_count = 1 + Zkflow_util.Rng.int rng 8;
+                    losses = Zkflow_util.Rng.int rng 4;
+                  })
+              keys)
+       in
+       (Zkflow_netflow.Export.batch_hash records, records)
+     in
+     let first = List.init 4 (fun r -> window r (List.filter (fun k -> k mod 4 = r) (List.init 16 Fun.id))) in
+     let prev = (Result.get_ok (Core.Aggregate.prove_round ~prev:Core.Clog.empty first)).Core.Aggregate.clog in
+     let second = List.init 4 (fun r -> window r [ Zkflow_util.Rng.int rng 16; Zkflow_util.Rng.int rng 16 ]) in
+     [
+       ( "ingest",
+         Lazy.force Core.Guests.aggregation_program,
+         Result.get_ok (Core.Aggregate.execute ~prev second) );
+       ( "query",
+         Lazy.force Core.Guests.query_program,
+         Result.get_ok (Core.Query.execute ~clog:prev Core.Query.flow_count) );
+     ])
+
+let test_trace_trees () =
+  let rule = Zkflow_zkproof.Receipt.node in
+  List.iter
+    (fun (round, program, run) ->
+      List.iter
+        (fun (name, col) ->
+          let what s = Printf.sprintf "%s %s: %s" round name s in
+          let (tree, hashed), c =
+            counted (fun () ->
+                let h0 = Zkflow_obs.Metric.value hashed_nodes in
+                let tree = Tree.of_leaves ~node:rule col in
+                (tree, Zkflow_obs.Metric.value hashed_nodes - h0))
+          in
+          let (buf, ref_hashed), ref_c = counted (fun () -> reference_tree rule col) in
+          let off = ref 0 in
+          for level = 0 to Tree.depth tree do
+            let width = 1 lsl (Tree.depth tree - level) in
+            for i = 0 to width - 1 do
+              if
+                not
+                  (Bytes.equal
+                     (Digest32.unsafe_to_bytes (Tree.node tree ~level i))
+                     (Bytes.sub buf (32 * (!off + i)) 32))
+              then Alcotest.failf "%s slot %d of level %d differs" (what "") i level
+            done;
+            off := !off + width
+          done;
+          check_int (what "slots hashed") ref_hashed hashed;
+          check_int (what "compressions") ref_c c;
+          check_bool (what "some slots hashed") true (hashed > 0))
+        (trace_columns ~program run))
+    (Lazy.force trace_rounds)
 
 (* A refused window raises before any slot is written or any
    compression counted, on either kernel. *)
@@ -848,6 +980,7 @@ let () =
           on_hardware (q prop_kernel_leaves);
           q prop_kernel_leaves_array;
           q prop_kernel_leaf_rule;
+          Alcotest.test_case "trace trees = reference loops" `Quick test_trace_trees;
           Alcotest.test_case "batch windows refused" `Quick test_kernel_refusals;
         ] );
       ( "hmac",

@@ -802,10 +802,51 @@ let test_span_totals () =
       Span.with_span "t" (fun () -> ());
       Span.with_span "t" (fun () -> ()));
   match List.assoc_opt "t" (Span.totals ()) with
-  | Some (count, total_ns) ->
+  | Some { Span.count; total_ns; compressions } ->
     check_int "count" 2 count;
-    check_bool "total >= 0" true (total_ns >= 0)
+    check_bool "total >= 0" true (total_ns >= 0);
+    check_int "no hashing" 0 compressions
   | None -> Alcotest.fail "span total missing"
+
+(* Each span carries the compressions between its open and close,
+   inner spans' included: nested spans over known hashing, an inner
+   span an early return left open, and a prove whose spans reconcile
+   with the counter. *)
+let test_span_compressions () =
+  let module Sha256 = Zkflow_hash.Sha256 in
+  let compressions = Metric.counter "sha256.compressions" in
+  let block = Bytes.make 64 'x' and out = Bytes.create 32 in
+  let node () = Sha256.node64_into (Sha256.init ()) ~src:block ~src_pos:0 ~dst:out ~dst_pos:0 in
+  let of_span name =
+    match List.assoc_opt name (Span.totals ()) with
+    | Some t -> t.Span.compressions
+    | None -> Alcotest.failf "span %s missing" name
+  in
+  Obs.with_enabled (fun () ->
+      Span.with_span "outer" (fun () ->
+          ignore (Sha256.digest block);
+          Span.with_span "inner" node;
+          (* opened and never closed: the outer span's close drops it *)
+          ignore (Span.start ());
+          node ()));
+  check_int "inner" 1 (of_span "inner");
+  check_int "outer: its own hashing and the inner span's" 4 (of_span "outer");
+  let program = Lazy.force Guests.aggregation_program in
+  let rng = Zkflow_util.Rng.create 3L in
+  let records = Gen.records rng Gen.default_profile ~router_id:0 ~count:8 in
+  let run =
+    Result.get_ok (Aggregate.execute ~prev:Clog.empty [ (Export_nf.batch_hash records, records) ])
+  in
+  let before = ref 0 in
+  Obs.with_enabled (fun () ->
+      before := Metric.value compressions;
+      ignore (Result.get_ok (Zkflow_zkproof.Prove.prove_result program run)));
+  let total = Metric.value compressions - !before in
+  check_bool "the prove hashed" true (total > 0);
+  check_int "zkproof.prove covers every compression" total (of_span "zkproof.prove");
+  check_int "its phases partition it"
+    (of_span "zkproof.prove")
+    (of_span "zkproof.trace_commit" + of_span "zkproof.fs" + of_span "zkproof.openings")
 
 (* ---- exporters ---- *)
 
@@ -1127,6 +1168,7 @@ let () =
         [
           Alcotest.test_case "parent reconstruction" `Quick test_span_parents;
           Alcotest.test_case "totals" `Quick test_span_totals;
+          Alcotest.test_case "compressions per span" `Quick test_span_compressions;
         ] );
       ( "export",
         [

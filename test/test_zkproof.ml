@@ -673,7 +673,33 @@ let test_memcheck_sort_order () =
      read, and address 3 going back in time. *)
   check_bool "out-of-order log refused" true
     (Result.is_error
-       (Memcheck.sort_perm (Trace.log_of_entries [| log.(2); log.(3); log.(1); log.(0) |])))
+       (Memcheck.sort_perm (Trace.log_of_entries [| log.(2); log.(3); log.(1); log.(0) |])));
+  (* Addresses outside the machine's layout still sort: negative ones,
+     the gap between RAM and the register file, and past it. *)
+  let reg = Trace.reg_base in
+  let any =
+    Array.mapi
+      (fun time addr -> entry ~addr ~time ~write:(time mod 3 = 0) ~value:0)
+      [| reg + 2; -5; 3; 1 lsl 29; reg + 40; reg + 2; -5; max_int / 2; 3; reg; 1 lsl 29; -7 |]
+  in
+  Alcotest.(check (array int)) "any addresses: comparator order" (comparator_perm any)
+    (sort_perm_ok any);
+  (* With breaks at several addresses, the refusal names the first
+     pair along the sorted order: RAM before the register file, and a
+     lower register before a higher one, whatever the log order. *)
+  let refusal entries =
+    match Memcheck.sort_perm (Trace.log_of_entries entries) with
+    | Ok _ -> Alcotest.fail "expected a refusal"
+    | Error e -> e
+  in
+  let back addr = [| entry ~addr ~time:5 ~write:false ~value:0; entry ~addr ~time:4 ~write:false ~value:0 |] in
+  Alcotest.(check string) "the RAM break first"
+    "memcheck: access log entries 2 and 3 (address 7) are not in (time, read-before-write) order"
+    (refusal (Array.append (back (reg + 1)) (back 7)));
+  Alcotest.(check string) "the lower register first"
+    "memcheck: access log entries 2 and 3 (address 1073741826) are not in (time, \
+     read-before-write) order"
+    (refusal (Array.append (back (reg + 9)) (back (reg + 2))))
 
 (* The access logs of the demo, aggregation and query guests. *)
 let guest_logs =
