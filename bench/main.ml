@@ -789,20 +789,25 @@ let obs_overhead () =
   let budget = 0.02 in
   (* Alternate the arms, rep by rep and in turn which goes first, so
      slow machine-wide drift (thermal throttling, a neighbour waking
-     up) and any cost of running second land on both sides. Rep [r]
-     proves the same records in both arms. *)
-  let one ~on ~rep =
+     up) and any cost of running second land on both sides. Every rep
+     proves the same records, so the arms' medians differ by telemetry
+     and host noise, not by the work. *)
+  let batches = batches ~seed:(0x0b5e + n) n in
+  let one ~on =
     Gc.compact ();
     Obs.reset ();
     if on then Obs.enable ();
-    let batches = batches ~seed:(0x0b5e + n + rep) n in
     let _, s = time (fun () -> ok (Aggregate.prove_round ~prev:Clog.empty batches)) in
     if on then Obs.disable ();
     s
   in
   let off = ref [] and on = ref [] in
+  (* One untimed run per arm first: the first prove of a process runs
+     cold and would land on whichever arm went first. *)
+  ignore (one ~on:false : float);
+  ignore (one ~on:true : float);
   for rep = 1 to reps do
-    let arm o = if o then on := one ~on:true ~rep :: !on else off := one ~on:false ~rep :: !off in
+    let arm o = if o then on := one ~on:true :: !on else off := one ~on:false :: !off in
     arm (rep mod 2 = 0);
     arm (rep mod 2 = 1)
   done;
