@@ -63,6 +63,8 @@ let value c =
   Mutex.unlock c.c_lock;
   v
 
+let local c = !(Domain.DLS.get c.key)
+
 let bucket_index v =
   if v <= 0 then 0
   else begin

@@ -26,6 +26,10 @@ val value : counter -> int
     without synchronisation — exact once the pool is quiescent,
     a close lower bound while it runs. *)
 
+val local : counter -> int
+(** This domain's own cell: what it has added, and nothing another
+    domain added. *)
+
 type histogram
 
 val histogram : string -> histogram

@@ -18,15 +18,24 @@ let lock = Mutex.create ()
 let buf : evt list ref = ref []
 let count = ref 0
 
-(* The hash work a span covers: the [sha256.compressions] counter
-   read at its start, kept per domain on a stack of open spans
-   (start time, count), innermost last, and subtracted at its finish.
-   Spans on one domain close LIFO, so a finish drops its own entry and
-   any inner one left open by an early return or an exception. An
-   entry whose span never finishes stays until the stack is full,
-   when the older half is dropped. *)
+(* The hash work a span covers: the compressions run on its behalf,
+   [work ()], read at its start, kept per domain on a stack of open
+   spans (start time, work), innermost last, and subtracted at its
+   finish. Spans on one domain close LIFO, so a finish drops its own
+   entry and any inner one left open by an early return or an
+   exception. An entry whose span never finishes stays until the
+   stack is full, when the older half is dropped. *)
 let compressions = Metric.counter "sha256.compressions"
 let open_max = 32
+
+(* A domain's work is its own [sha256.compressions] cell plus what
+   pool workers ran for the parallel regions it submitted, which the
+   pool hands back with [carry]. So a span counts its own hashing and
+   its regions', never that of a span running at the same time on
+   another domain, and the count is the same at every job count. *)
+let carried = Domain.DLS.new_key (fun () -> ref 0)
+let carry n = if n <> 0 then Domain.DLS.get carried := !(Domain.DLS.get carried) + n
+let work () = Metric.local compressions + !(Domain.DLS.get carried)
 
 type opened = { starts : int array; mutable depth : int }
 
@@ -42,15 +51,15 @@ let start () =
       o.depth <- keep
     end;
     o.starts.(2 * o.depth) <- t0;
-    o.starts.((2 * o.depth) + 1) <- Metric.value compressions;
+    o.starts.((2 * o.depth) + 1) <- work ();
     o.depth <- o.depth + 1;
     t0
   end
   else 0
 
-(* The compressions since the open span that started at [t0], which
-   is closed with every span opened after it; 0 when no open span
-   started then. *)
+(* The work since the open span that started at [t0], which is closed
+   with every span opened after it; 0 when no open span started
+   then. *)
 let close t0 =
   let o = Domain.DLS.get opened in
   let rec find d = if d < 0 || o.starts.(2 * d) = t0 then d else find (d - 1) in
@@ -58,7 +67,7 @@ let close t0 =
   if d < 0 then 0
   else begin
     o.depth <- d;
-    Metric.value compressions - o.starts.((2 * d) + 1)
+    work () - o.starts.((2 * d) + 1)
   end
 
 let finish ?(args = []) name t0 =

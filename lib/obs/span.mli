@@ -22,8 +22,9 @@ type evt = {
                       the same domain, or [-1] at top level *)
   args : (string * int) list;
   compressions : int;
-      (** [sha256.compressions] counted from open to close, on any
-          domain: the span's hash work, inner spans included *)
+      (** [sha256.compressions] run on the span's behalf from open to
+          close: by its domain, inner spans included, and by pool
+          workers for the parallel regions it submitted ({!work}) *)
 }
 
 type total = {
@@ -34,8 +35,8 @@ type total = {
 
 val start : unit -> int
 (** Current monotonic time, or [0] while telemetry is disabled. It
-    also notes the [sha256.compressions] count on the calling domain's
-    stack of open spans, for {!finish} to take the span's share. *)
+    also notes the calling domain's {!work} on its stack of open
+    spans, for {!finish} to take the span's share. *)
 
 val finish : ?args:(string * int) list -> string -> int -> unit
 (** [finish name t0] records a completed span opened at [t0]. A no-op
@@ -50,10 +51,17 @@ val events : unit -> evt list
 val totals : unit -> (string * total) list
 (** Per-name aggregate over {!events}, sorted by name. Nested spans
     each contribute their full duration and compressions (a parent's
-    total includes its children's). The compressions are exact when
-    one span tree runs at a time, as in a prove at any job count:
-    pool workers open no spans, and a parallel region has returned
-    before the span around it closes. Spans open at once on two
-    domains would each count the other's hashing. *)
+    total includes its children's). The compressions are the same at
+    every job count. *)
+
+val work : unit -> int
+(** The [sha256.compressions] this domain has run, plus those handed
+    to it by {!carry}: the count a span's compressions are taken
+    from. *)
+
+val carry : int -> unit
+(** [carry n] hands this domain [n] compressions that another domain
+    ran for it: a pool worker's share of a region this domain
+    submitted. *)
 
 val reset : unit -> unit

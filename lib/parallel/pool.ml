@@ -31,6 +31,7 @@ type pool = {
   mutable chunks : int;  (* chunk count of the current region *)
   mutable live : int;    (* chunks not yet finished *)
   mutable error : exn option;
+  mutable handed : int;  (* compressions workers ran for the current region *)
   mutable stopping : bool;
   mutable workers : unit Domain.t array;
 }
@@ -77,8 +78,12 @@ let jobs () =
    open spans and never close it. *)
 let clock () = if Obs.Control.on () then Obs.Clock.now_ns () else 0
 
-let run_chunk p body c =
+(* A worker's compressions for a chunk are handed back to the
+   submitter ([~handed:true]), so the span around the region counts
+   them as it would at one job. *)
+let run_chunk p body c ~handed =
   let t0 = clock () in
+  let w0 = if handed then Obs.Span.work () else 0 in
   (match body c with
   | () -> ()
   | exception e ->
@@ -90,6 +95,7 @@ let run_chunk p body c =
     Obs.Metric.add m_tasks 1
   end;
   Mutex.lock p.lock;
+  if handed then p.handed <- p.handed + (Obs.Span.work () - w0);
   p.live <- p.live - 1;
   if p.live = 0 then begin
     p.body <- None;
@@ -108,7 +114,7 @@ let worker p () =
         let c = p.next in
         p.next <- p.next + 1;
         Mutex.unlock p.lock;
-        run_chunk p body c;
+        run_chunk p body c ~handed:true;
         Mutex.lock p.lock;
         loop ()
       | _ ->
@@ -137,6 +143,7 @@ let spawn_pool size =
       chunks = 0;
       live = 0;
       error = None;
+      handed = 0;
       stopping = false;
       workers = [||];
     }
@@ -188,6 +195,7 @@ let run_region p ~chunks body =
   p.chunks <- chunks;
   p.live <- chunks;
   p.error <- None;
+  p.handed <- 0;
   Condition.broadcast p.work;
   (* The submitter claims chunks alongside the workers. *)
   let rec help () =
@@ -195,7 +203,7 @@ let run_region p ~chunks body =
       let c = p.next in
       p.next <- p.next + 1;
       Mutex.unlock p.lock;
-      run_chunk p body c;
+      run_chunk p body c ~handed:false;
       Mutex.lock p.lock;
       help ()
     end
@@ -206,9 +214,10 @@ let run_region p ~chunks body =
     Condition.wait p.drained p.lock
   done;
   if t_wait <> 0 then Obs.Metric.add m_submit_wait (Obs.Clock.now_ns () - t_wait);
-  let err = p.error in
+  let err = p.error and handed = p.handed in
   p.error <- None;
   Mutex.unlock p.lock;
+  Obs.Span.carry handed;
   Domain.DLS.set inside false;
   if t_region <> 0 then begin
     Obs.Metric.add m_regions 1;

@@ -846,7 +846,32 @@ let test_span_compressions () =
   check_int "zkproof.prove covers every compression" total (of_span "zkproof.prove");
   check_int "its phases partition it"
     (of_span "zkproof.prove")
-    (of_span "zkproof.trace_commit" + of_span "zkproof.fs" + of_span "zkproof.openings")
+    (of_span "zkproof.trace_commit" + of_span "zkproof.fs" + of_span "zkproof.openings");
+  (* At two jobs: a region's chunks each open a span and hash on both
+     domains at once. Each chunk span counts its own hashing only, and
+     the span around the region counts all of it, workers' included,
+     as at one job. *)
+  let module Pool = Zkflow_parallel.Pool in
+  let regions jobs =
+    let saved = Pool.jobs () in
+    Pool.set_jobs jobs;
+    Fun.protect
+      ~finally:(fun () -> Pool.set_jobs saved)
+      (fun () ->
+        Obs.with_enabled (fun () ->
+            Span.with_span "region" (fun () ->
+                Pool.parallel_for ~min_chunk:1 8 (fun lo hi ->
+                    for i = lo to hi - 1 do
+                      Span.with_span "chunk" (fun () ->
+                          for _ = 0 to (100 * i) + 99 do
+                            node ()
+                          done)
+                    done))));
+    (of_span "region", of_span "chunk")
+  in
+  let all = List.fold_left ( + ) 0 (List.init 8 (fun i -> (100 * i) + 100)) in
+  Alcotest.(check (pair int int)) "one job" (all, all) (regions 1);
+  Alcotest.(check (pair int int)) "two jobs" (all, all) (regions 2)
 
 (* ---- exporters ---- *)
 
